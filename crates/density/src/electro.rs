@@ -229,11 +229,8 @@ impl Electrostatics {
                         let cell = CellId::from_usize(cell_idx as usize);
                         let (rect, _scale) = grid.smoothed_footprint(netlist, placement, cell);
                         let q = netlist.cell_area(cell);
-                        buf.push((
-                            cell_idx,
-                            -q * grid.gather(&rect, &self.ex),
-                            -q * grid.gather(&rect, &self.ey),
-                        ));
+                        let [ex, ey] = grid.gather_fields(&rect, [&self.ex, &self.ey]);
+                        buf.push((cell_idx, -q * ex, -q * ey));
                     }
                 });
                 // apply in part order = ascending cell order; each cell is
@@ -252,8 +249,9 @@ impl Electrostatics {
             let q = netlist.cell_area(cell);
             // ∂D/∂x = −q·E_x  (the force is +qE; descending the objective
             // moves the cell along the force)
-            grad_x[cell.index()] -= q * grid.gather(&rect, &self.ex);
-            grad_y[cell.index()] -= q * grid.gather(&rect, &self.ey);
+            let [ex, ey] = grid.gather_fields(&rect, [&self.ex, &self.ey]);
+            grad_x[cell.index()] -= q * ex;
+            grad_y[cell.index()] -= q * ey;
         }
     }
 

@@ -136,24 +136,43 @@ impl BinGrid {
     /// Accumulates the field average over `rect` from per-bin values
     /// (overlap-weighted mean; the adjoint of [`BinGrid::splat`]).
     pub fn gather(&self, rect: &Rect, field: &[f64]) -> f64 {
-        debug_assert_eq!(field.len(), self.len());
+        let [v] = self.gather_fields(rect, [field]);
+        v
+    }
+
+    /// [`BinGrid::gather`] over `N` fields in one traversal: each bin
+    /// overlap is computed once and applied to every field. Per field the
+    /// summation order is that of a lone `gather`, so the results are
+    /// bit-identical to `N` separate calls.
+    pub(crate) fn gather_fields<const N: usize>(
+        &self,
+        rect: &Rect,
+        fields: [&[f64]; N],
+    ) -> [f64; N] {
+        for field in &fields {
+            debug_assert_eq!(field.len(), self.len());
+        }
         let area = rect.area();
         if area <= 0.0 {
             // degenerate rect (zero-size terminal): nearest bin value
             let ix = (((rect.xl - self.die.xl) / self.bin_w) as usize).min(self.nx - 1);
             let iy = (((rect.yl - self.die.yl) / self.bin_h) as usize).min(self.ny - 1);
-            return field[self.index(ix, iy)];
+            let bin = self.index(ix, iy);
+            return fields.map(|field| field[bin]);
         }
-        let mut acc = 0.0;
+        let mut acc = [0.0; N];
         for iy in self.row_range(rect.yl, rect.yh) {
             for ix in self.col_range(rect.xl, rect.xh) {
                 let ov = self.bin_rect(ix, iy).overlap_area(rect);
                 if ov > 0.0 {
-                    acc += ov * field[self.index(ix, iy)];
+                    let bin = self.index(ix, iy);
+                    for (a, field) in acc.iter_mut().zip(&fields) {
+                        *a += ov * field[bin];
+                    }
                 }
             }
         }
-        acc / area
+        acc.map(|a| a / area)
     }
 
     /// The (possibly inflated) density footprint of a movable cell under
@@ -313,6 +332,52 @@ mod tests {
         let r = Rect::new(0.5, 0.0, 2.0, 1.0);
         let want = (0.5 * 1.0 + 1.0 * 3.0) / 1.5;
         assert!((g.gather(&r, &field) - want).abs() < 1e-9);
+    }
+
+    /// The single-field loop as it stood before `gather_fields` (kept here
+    /// as the oracle the fused traversal is pinned against).
+    fn gather_reference(g: &BinGrid, rect: &Rect, field: &[f64]) -> f64 {
+        let area = rect.area();
+        if area <= 0.0 {
+            let ix = (((rect.xl - g.die.xl) / g.bin_w) as usize).min(g.nx - 1);
+            let iy = (((rect.yl - g.die.yl) / g.bin_h) as usize).min(g.ny - 1);
+            return field[g.index(ix, iy)];
+        }
+        let mut acc = 0.0;
+        for iy in g.row_range(rect.yl, rect.yh) {
+            for ix in g.col_range(rect.xl, rect.xh) {
+                let ov = g.bin_rect(ix, iy).overlap_area(rect);
+                if ov > 0.0 {
+                    acc += ov * field[g.index(ix, iy)];
+                }
+            }
+        }
+        acc / area
+    }
+
+    proptest::proptest! {
+        /// One fused traversal returns, per field, the bits of a lone
+        /// `gather` — on interior rects, rects hanging off (or wholly
+        /// outside) the die, and zero-area rects.
+        #[test]
+        fn gather_fields_matches_two_gathers_bitwise(
+            xl in -6.0f64..14.0, yl in -6.0f64..14.0,
+            w in 0.0f64..7.0, h in 0.0f64..7.0,
+            degenerate in 0u8..4, seed in 0u64..1000,
+        ) {
+            let g = BinGrid::new(Rect::new(0.0, 0.0, 12.0, 9.0), 16, 8);
+            // degenerate 1/2/3: zero width / zero height / a point
+            let w = if degenerate & 1 == 1 { 0.0 } else { w };
+            let h = if degenerate & 2 == 2 { 0.0 } else { h };
+            let rect = Rect::from_origin_size(xl, yl, w, h);
+            let a: Vec<f64> = (0..g.len()).map(|i| ((seed + i as u64) as f64 * 0.61).sin()).collect();
+            let b: Vec<f64> = (0..g.len()).map(|i| ((seed * 3 + i as u64) as f64 * 0.23).cos() * 1e3).collect();
+            let [fa, fb] = g.gather_fields(&rect, [&a, &b]);
+            for (fused, field) in [(fa, &a), (fb, &b)] {
+                proptest::prop_assert_eq!(fused.to_bits(), g.gather(&rect, field).to_bits());
+                proptest::prop_assert_eq!(fused.to_bits(), gather_reference(&g, &rect, field).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -137,6 +137,12 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
             if name.starts_with('.') {
                 continue;
             }
+            // a package below the root with a `[workspace]` table of its own
+            // (`examples/bench_e2e`) is another workspace: cargo builds none
+            // of it with this one and nothing in here can call into it
+            if is_workspace_root(&path) {
+                continue;
+            }
             walk(root, &path, out)?;
         } else if name.ends_with(".rs") {
             out.push(relative(root, &path));
@@ -156,15 +162,17 @@ fn relative(root: &Path, path: &Path) -> String {
 pub fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d);
-            }
+        if is_workspace_root(&d) {
+            return Some(d);
         }
         dir = d.parent().map(Path::to_path_buf);
     }
     None
+}
+
+/// Whether `dir` holds a `Cargo.toml` with a `[workspace]` table.
+fn is_workspace_root(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
 }
 
 #[cfg(test)]
@@ -210,5 +218,25 @@ mod tests {
         assert!(classify("vendor/rand/src/lib.rs").is_none());
         assert!(classify("target/debug/build/out.rs").is_none());
         assert!(classify("README.md").is_none());
+    }
+
+    #[test]
+    fn discover_skips_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!("mep-lint-discover-{}", std::process::id()));
+        let nested = root.join("examples/own_workspace");
+        fs::create_dir_all(nested.join("src")).unwrap();
+        fs::create_dir_all(root.join("src")).unwrap();
+        fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+        fs::write(root.join("src/lib.rs"), "").unwrap();
+        fs::write(root.join("examples/quickstart.rs"), "").unwrap();
+        fs::write(nested.join("Cargo.toml"), "[package]\n[workspace]\n").unwrap();
+        fs::write(nested.join("src/main.rs"), "").unwrap();
+        let found: Vec<String> = discover(&root)
+            .unwrap()
+            .into_iter()
+            .map(|f| f.rel_path)
+            .collect();
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(found, ["examples/quickstart.rs", "src/lib.rs"]);
     }
 }

@@ -629,7 +629,10 @@ mod tests {
         let s = r.engine_stats;
         // one wirelength-gradient eval per optimizer eval, plus the λ0 probes
         assert!(s.wl_grad.count >= r.iterations as u64, "{s:?}");
-        assert_eq!(s.wl_grad.count, s.density.count, "{s:?}");
+        // every eval either executes the density stage or reuses the held
+        // term: each step's opening eval and the second λ0 probe reuse
+        assert_eq!(s.wl_grad.count, s.density.count + s.density_reused, "{s:?}");
+        assert_eq!(s.density_reused, r.iterations as u64 + 1, "{s:?}");
         assert_eq!(s.spawned_threads, 0, "1-thread config must not spawn");
         assert_eq!(s.workspace_allocs, 1, "workspace built once, then reused");
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
@@ -709,6 +712,35 @@ mod tests {
             let verdict = rec.guard.as_deref().unwrap();
             assert!(verdict.contains("->"), "verdict {verdict:?}");
         }
+    }
+
+    #[test]
+    fn recovered_run_is_bitwise_the_uncached_one() {
+        // rollback + backoff restart the optimizer from a restored point
+        // under a restored λ: the held density term must survive that
+        let c = synth::generate(&synth::smoke_spec());
+        let mut cfg = smoke_config(ModelKind::Moreau);
+        cfg.max_iters = 60;
+        cfg.record_trajectory = false;
+        cfg.fault_injection = Some((10, 2));
+        let reusing = place(&c, &cfg).unwrap();
+        let uncached = {
+            let _oracle = crate::objective::oracle::NoReuse::new();
+            place(&c, &cfg).unwrap()
+        };
+        assert!(
+            !reusing.recovery.is_empty(),
+            "the fault must trip the guard"
+        );
+        // (the log holds the NaN it caught, so compare its rendering)
+        assert_eq!(reusing.recovery.to_string(), uncached.recovery.to_string());
+        assert_eq!(reusing.iterations, uncached.iterations);
+        assert_eq!(uncached.engine_stats.density_reused, 0);
+        assert!(reusing.engine_stats.density_reused > 0);
+        let bits =
+            |p: &Placement| -> Vec<u64> { p.x.iter().chain(&p.y).map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(&reusing.placement), bits(&uncached.placement));
+        assert_eq!(reusing.overflow.to_bits(), uncached.overflow.to_bits());
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! unguarded runs are bit-identical.
 
 use mep_wirelength::ModelKind;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Configuration of the placement-loop guard.
@@ -279,8 +280,11 @@ pub struct HealthMonitor {
     best: Option<Snapshot>,
     /// First healthy objective value (divergence reference).
     reference_value: Option<f64>,
-    /// Overflow of each healthy iteration (stagnation window).
-    phi_history: Vec<f64>,
+    /// Overflow of the last `2·stagnation_window` healthy iterations,
+    /// oldest first — all the trend test reads. A ring allocated once at
+    /// construction (empty when the window is 0), so the hot loop never
+    /// grows it.
+    phi_ring: VecDeque<f64>,
     strikes: usize,
     log: RecoveryLog,
 }
@@ -289,10 +293,10 @@ impl HealthMonitor {
     /// Creates a monitor with the given configuration.
     pub fn new(cfg: GuardConfig) -> Self {
         Self {
+            phi_ring: VecDeque::with_capacity(2 * cfg.stagnation_window),
             cfg,
             best: None,
             reference_value: None,
-            phi_history: Vec::new(),
             strikes: 0,
             log: RecoveryLog::default(),
         }
@@ -349,14 +353,10 @@ impl HealthMonitor {
             }
         }
         let w = self.cfg.stagnation_window;
-        if w > 0 && self.phi_history.len() >= 2 * w {
-            let n = self.phi_history.len();
-            let recent = self.phi_history[n - w..]
-                .iter()
-                .fold(f64::INFINITY, |m, &v| m.min(v));
-            let prior = self.phi_history[n - 2 * w..n - w]
-                .iter()
-                .fold(f64::INFINITY, |m, &v| m.min(v));
+        if w > 0 && self.phi_ring.len() == 2 * w {
+            let lower = |m: f64, v: &f64| m.min(*v);
+            let prior = self.phi_ring.iter().take(w).fold(f64::INFINITY, lower);
+            let recent = self.phi_ring.iter().skip(w).fold(f64::INFINITY, lower);
             if recent > prior * (1.0 - self.cfg.stagnation_tol) {
                 return Err(Fault::Stagnation { window: w });
             }
@@ -365,7 +365,7 @@ impl HealthMonitor {
     }
 
     /// Records a healthy iteration: fixes the divergence reference on first
-    /// call, extends the stagnation window, clears the strike counter, and
+    /// call, advances the stagnation window, clears the strike counter, and
     /// updates the best snapshot when `phi` matches or beats it (`<=` so
     /// later ties win — the later iterate has had more wirelength descent).
     #[allow(clippy::too_many_arguments)]
@@ -382,7 +382,13 @@ impl HealthMonitor {
             return;
         }
         self.reference_value.get_or_insert(value);
-        self.phi_history.push(phi);
+        let cap = 2 * self.cfg.stagnation_window;
+        if cap > 0 {
+            if self.phi_ring.len() == cap {
+                self.phi_ring.pop_front();
+            }
+            self.phi_ring.push_back(phi);
+        }
         self.strikes = 0;
         let improved = match &self.best {
             Some(snap) => phi <= snap.phi,
@@ -558,6 +564,58 @@ mod tests {
             m.check(1.0, 1.0, 0.1, 0.5, &p),
             Err(Fault::Stagnation { window: 5 })
         );
+    }
+
+    #[test]
+    fn ring_reproduces_full_history_stagnation_verdicts() {
+        // oracle: the trend test over the whole recorded sequence
+        fn verdict_from_history(history: &[f64], w: usize, tol: f64) -> bool {
+            let n = history.len();
+            if w == 0 || n < 2 * w {
+                return false;
+            }
+            let low = |s: &[f64]| s.iter().fold(f64::INFINITY, |m, &v| m.min(v));
+            low(&history[n - w..]) > low(&history[n - 2 * w..n - w]) * (1.0 - tol)
+        }
+        // descends, plateaus with ripple, dips once, then flat-lines
+        let recorded: Vec<f64> = (0..90)
+            .map(|i| match i {
+                0..=29 => 1.0 - 0.02 * i as f64,
+                30..=59 => 0.4 + 1e-3 * ((i * 7) % 5) as f64,
+                60 => 0.35,
+                _ => 0.36,
+            })
+            .collect();
+        for w in [0usize, 1, 4, 7, 45, 64] {
+            let cfg = GuardConfig {
+                stagnation_window: w,
+                ..GuardConfig::default()
+            };
+            let tol = cfg.stagnation_tol;
+            let mut m = HealthMonitor::new(cfg);
+            let capacity = m.phi_ring.capacity();
+            let mut tripped = 0;
+            for (i, &phi) in recorded.iter().enumerate() {
+                let want = verdict_from_history(&recorded[..i], w, tol);
+                let got = m.check(1.0, 1.0, 0.1, phi, &[0.0]);
+                assert_eq!(
+                    got,
+                    if want {
+                        Err(Fault::Stagnation { window: w })
+                    } else {
+                        Ok(())
+                    },
+                    "window {w}, iteration {i}"
+                );
+                tripped += want as usize;
+                m.observe_healthy(i, 1.0, phi, &[0.0], 0.0, 1.0);
+                assert!(m.phi_ring.len() <= 2 * w);
+            }
+            assert_eq!(m.phi_ring.capacity(), capacity, "ring never regrows");
+            if (1..=7).contains(&w) {
+                assert!(tripped > 0 && tripped < recorded.len(), "window {w}");
+            }
+        }
     }
 
     #[test]

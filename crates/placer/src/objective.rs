@@ -44,9 +44,17 @@ pub struct PlacementProblem<'a> {
     evaluator: NetlistEvaluator,
     wl: WirelengthGrad,
     es: Electrostatics,
-    /// Reused density-gradient buffers (zeroed each eval, never reallocated).
+    /// The held density term: `∂D/∂x`, `∂D/∂y` per cell and the report of
+    /// the last executed density stage (buffers zeroed per execution,
+    /// never reallocated).
     dgx: Vec<f64>,
     dgy: Vec<f64>,
+    /// `None` until a density stage has run, and again once the solver is
+    /// degraded: the held term then no longer is what `es` would compute.
+    density: Option<DensityReport>,
+    /// The parameter vector the held density term was computed at. `D` is
+    /// a pure function of the point, so an eval at the same bits reuses it.
+    density_key: Vec<f64>,
     scratch: Placement,
     /// Current density weight `λ`.
     pub lambda: f64,
@@ -92,6 +100,7 @@ impl<'a> PlacementProblem<'a> {
             netlist,
         );
         Self {
+            density_key: vec![0.0; 2 * movable.len()],
             movable,
             evaluator: NetlistEvaluator::new(model, Arc::clone(&engine)),
             engine,
@@ -99,6 +108,7 @@ impl<'a> PlacementProblem<'a> {
             es,
             dgx: vec![0.0; netlist.num_cells()],
             dgy: vec![0.0; netlist.num_cells()],
+            density: None,
             scratch: initial.clone(),
             lambda: 0.0,
             precondition: false,
@@ -181,6 +191,7 @@ impl<'a> PlacementProblem<'a> {
     /// (the recovery guard's last ladder rung before halting).
     pub fn degrade_density_solver(&mut self) {
         self.es.degrade_solver();
+        self.density = None;
     }
 
     /// Whether the density solver has been degraded.
@@ -230,7 +241,7 @@ impl<'a> PlacementProblem<'a> {
     }
 
     /// Density report (energy + overflow) at a parameter vector; does not
-    /// disturb gradient buffers.
+    /// disturb the gradient buffers, nor therefore the held density term.
     pub fn density_report(&mut self, params: &[f64]) -> DensityReport {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.unpack_params(params, &mut scratch);
@@ -238,32 +249,32 @@ impl<'a> PlacementProblem<'a> {
         self.scratch = scratch;
         report
     }
-}
 
-impl<'a> Problem for PlacementProblem<'a> {
-    fn dim(&self) -> usize {
-        2 * self.movable.len()
-    }
-
-    fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
-        let m = self.movable.len();
-        assert_eq!(x.len(), 2 * m);
-        assert_eq!(grad.len(), 2 * m);
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.unpack_params(x, &mut scratch);
+    /// The density term at `x` (already unpacked into `placement`): leaves
+    /// `∂D/∂x`, `∂D/∂y` in `dgx`/`dgy` and returns the report. `D` depends
+    /// on neither `λ`, the smoothing parameter, the wirelength model nor
+    /// the preconditioner, so when `x` is bit for bit the point the held
+    /// term was computed at, the raster, Poisson solve and gather are
+    /// skipped and the held term is returned.
+    fn density_term(&mut self, x: &[f64], placement: &Placement) -> DensityReport {
+        #[cfg(test)]
+        if oracle::reuse_disabled() {
+            self.density = None;
+        }
+        if let Some(held) = self.density {
+            if same_bits(&self.density_key, x) {
+                self.engine.note_density_reuse();
+                return held;
+            }
+        }
         let netlist = &self.design.netlist;
-
-        // wirelength term (engine-timed inside the evaluator)
-        self.evaluator.evaluate(netlist, &scratch, &mut self.wl);
-
-        // density term, on reused buffers
         self.dgx.iter_mut().for_each(|g| *g = 0.0);
         self.dgy.iter_mut().for_each(|g| *g = 0.0);
         let es = &mut self.es;
         let (dgx, dgy) = (&mut self.dgx, &mut self.dgy);
         let report = self.engine.time_stage(Stage::Density, || {
-            let report = es.update(netlist, &scratch);
-            es.accumulate_gradient(netlist, &scratch, dgx, dgy);
+            let report = es.update(netlist, placement);
+            es.accumulate_gradient(netlist, placement, dgx, dgy);
             report
         });
         // forward the transform sub-stage clock (kept by the density crate)
@@ -274,7 +285,17 @@ impl<'a> Problem for PlacementProblem<'a> {
             tf.nanos - self.tf_synced.nanos,
         );
         self.tf_synced = tf;
+        self.density_key.copy_from_slice(x);
+        self.density = Some(report);
+        report
+    }
 
+    /// Combines the wirelength term in `wl` and the density term in
+    /// `dgx`/`dgy`/`report` under the current `λ` and preconditioner into
+    /// `grad`; returns the objective value.
+    fn combine(&mut self, report: DensityReport, grad: &mut [f64]) -> f64 {
+        let m = self.movable.len();
+        let netlist = &self.design.netlist;
         for (i, &cell) in self.movable.iter().enumerate() {
             let c = cell.index();
             grad[i] = self.wl.grad_x[c] + self.lambda * self.dgx[c];
@@ -287,8 +308,6 @@ impl<'a> Problem for PlacementProblem<'a> {
                 grad[m + i] /= diag;
             }
         }
-
-        self.scratch = scratch;
         self.last = EvalStats {
             wirelength: self.wl.value,
             density_energy: report.energy,
@@ -312,6 +331,27 @@ impl<'a> Problem for PlacementProblem<'a> {
             }
         }
         self.wl.value + self.lambda * report.energy
+    }
+}
+
+impl<'a> Problem for PlacementProblem<'a> {
+    fn dim(&self) -> usize {
+        2 * self.movable.len()
+    }
+
+    fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
+        let m = self.movable.len();
+        assert_eq!(x.len(), 2 * m);
+        assert_eq!(grad.len(), 2 * m);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.unpack_params(x, &mut scratch);
+        // redone at every point: `t`/`γ` move each iteration
+        // (engine-timed inside the evaluator)
+        self.evaluator
+            .evaluate(&self.design.netlist, &scratch, &mut self.wl);
+        let report = self.density_term(x, &scratch);
+        self.scratch = scratch;
+        self.combine(report, grad)
     }
 
     fn project(&self, x: &mut [f64]) {
@@ -341,6 +381,44 @@ impl<'a> Problem for PlacementProblem<'a> {
     }
 }
 
+/// Whether two parameter vectors are the same point bit for bit (stops at
+/// the first differing coordinate).
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits())
+}
+
+/// The uncached oracle for tests: while a guard is alive on this thread,
+/// every `eval` forgets its held density term first and so executes the
+/// full density stage, as the code did before the term was point-keyed.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::cell::Cell;
+
+    thread_local! {
+        static REUSE_DISABLED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn reuse_disabled() -> bool {
+        REUSE_DISABLED.with(Cell::get)
+    }
+
+    /// Disables density-term reuse on this thread until dropped.
+    pub(crate) struct NoReuse(());
+
+    impl NoReuse {
+        pub(crate) fn new() -> Self {
+            REUSE_DISABLED.with(|c| c.set(true));
+            Self(())
+        }
+    }
+
+    impl Drop for NoReuse {
+        fn drop(&mut self) {
+            REUSE_DISABLED.with(|c| c.set(false));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,11 +444,250 @@ mod tests {
         p.eval(&params, &mut g);
         let stats = p.engine().stats();
         assert_eq!(stats.wl_grad.count, 2);
-        assert_eq!(stats.density.count, 2);
-        // each density update runs 4 spectral sweeps (DCT2, DCT3, ×2 field)
-        assert_eq!(stats.density_transform.count, 8);
+        // the second eval is at the same point: its density term is reused
+        assert_eq!(stats.density.count, 1);
+        assert_eq!(stats.density_reused, 1);
+        // one density update runs 4 spectral sweeps (DCT2, DCT3, ×2 field)
+        assert_eq!(stats.density_transform.count, 4);
         assert!(stats.density_transform.nanos <= stats.density.nanos);
         assert_eq!(stats.spawned_threads, 0, "1-thread engine never spawns");
+    }
+
+    /// A spread, in-die point (the input placement piles every cell on the
+    /// die center).
+    fn spread_point(
+        c: &mep_netlist::bookshelf::BookshelfCircuit,
+        p: &PlacementProblem<'_>,
+        phase: f64,
+    ) -> Vec<f64> {
+        let mut x = p.pack_params(&c.placement);
+        for (i, v) in x.iter_mut().enumerate() {
+            *v += (i as f64 * 0.7 + phase).sin() * 0.2 * c.design.die.width();
+        }
+        p.project(&mut x);
+        x
+    }
+
+    /// Bits of one evaluation: value first, then the gradient.
+    fn eval_bits(p: &mut PlacementProblem<'_>, x: &[f64]) -> Vec<u64> {
+        let mut g = vec![0.0; p.dim()];
+        let f = p.eval(x, &mut g);
+        std::iter::once(f).chain(g).map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn hit_under_changed_settings_equals_a_fresh_problems_eval() {
+        let c = synth::generate(&synth::smoke_spec());
+        type Setting = fn(&mut PlacementProblem<'_>);
+        let settings: [(&str, Setting); 4] = [
+            ("lambda", |p| p.lambda = 3.25e-3),
+            ("set_smoothing", |p| p.set_smoothing(0.37)),
+            ("set_model", |p| p.set_model(ModelKind::Wa.instantiate(2.0))),
+            ("set_preconditioner", |p| p.set_preconditioner(true)),
+        ];
+        for (name, apply) in settings {
+            let mut held = problem(&c);
+            held.lambda = 1e-3;
+            let x = spread_point(&c, &held, 0.0);
+            eval_bits(&mut held, &x);
+            apply(&mut held);
+            let hit = eval_bits(&mut held, &x);
+            let stats = held.engine().stats();
+            assert_eq!(
+                (stats.density.count, stats.density_reused),
+                (1, 1),
+                "{name}"
+            );
+
+            let mut fresh = problem(&c);
+            fresh.lambda = 1e-3;
+            apply(&mut fresh);
+            assert_eq!(hit, eval_bits(&mut fresh, &x), "{name}");
+            assert_eq!(held.last_stats(), fresh.last_stats(), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_different_point_misses() {
+        let c = synth::generate(&synth::smoke_spec());
+        let mut p = problem(&c);
+        p.lambda = 1e-3;
+        let x = spread_point(&c, &p, 0.0);
+        let mut y = x.clone();
+        // one ulp on the last coordinate: the compare must reach it
+        let last = y.last_mut().unwrap();
+        *last = f64::from_bits(last.to_bits() - 1);
+        eval_bits(&mut p, &x);
+        let at_y = eval_bits(&mut p, &y);
+        let stats = p.engine().stats();
+        assert_eq!((stats.density.count, stats.density_reused), (2, 0));
+        let mut fresh = problem(&c);
+        fresh.lambda = 1e-3;
+        assert_eq!(at_y, eval_bits(&mut fresh, &y));
+    }
+
+    #[test]
+    fn density_report_elsewhere_does_not_corrupt_the_hit() {
+        let c = synth::generate(&synth::smoke_spec());
+        let mut p = problem(&c);
+        p.lambda = 1e-3;
+        let x = spread_point(&c, &p, 0.0);
+        let elsewhere = spread_point(&c, &p, 1.9);
+        let first = eval_bits(&mut p, &x);
+        let before = p.last_stats();
+        let other = p.density_report(&elsewhere);
+        assert_ne!(other.energy, before.density_energy);
+        assert_eq!(first, eval_bits(&mut p, &x));
+        assert_eq!(p.last_stats(), before);
+        assert_eq!(p.engine().stats().density_reused, 1);
+    }
+
+    #[test]
+    fn degrading_the_solver_forces_re_execution() {
+        let c = synth::generate(&synth::smoke_spec());
+        let mut p = problem(&c);
+        p.lambda = 1e-3;
+        let x = spread_point(&c, &p, 0.0);
+        eval_bits(&mut p, &x);
+        p.degrade_density_solver();
+        let degraded = eval_bits(&mut p, &x);
+        let stats = p.engine().stats();
+        assert_eq!((stats.density.count, stats.density_reused), (2, 0));
+        // and the re-executed term is the one held from then on
+        assert_eq!(degraded, eval_bits(&mut p, &x));
+        assert_eq!(p.engine().stats().density_reused, 1);
+    }
+
+    #[test]
+    fn injected_nan_counts_down_and_poisons_on_a_hit() {
+        let c = synth::generate(&synth::smoke_spec());
+        let mut p = problem(&c);
+        p.lambda = 1e-3;
+        let x = spread_point(&c, &p, 0.0);
+        p.inject_nan(1, 1);
+        let clean = eval_bits(&mut p, &x);
+        assert!(clean.iter().all(|&b| f64::from_bits(b).is_finite()));
+        let poisoned = eval_bits(&mut p, &x);
+        assert!(poisoned.iter().all(|&b| f64::from_bits(b).is_nan()));
+        assert!(p.last_stats().overflow.is_nan());
+        assert_eq!(
+            clean,
+            eval_bits(&mut p, &x),
+            "one poisoned eval, then clean"
+        );
+        assert_eq!(p.engine().stats().density_reused, 2);
+    }
+
+    /// Forwards to a problem and logs the bits of every evaluation (point,
+    /// gradient, value); `uncached` runs each one under the oracle.
+    struct Logged<'p, 'a> {
+        inner: &'p mut PlacementProblem<'a>,
+        uncached: bool,
+        log: Vec<u64>,
+    }
+
+    impl Problem for Logged<'_, '_> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+
+        fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
+            let _oracle = self.uncached.then(oracle::NoReuse::new);
+            let f = self.inner.eval(x, grad);
+            let evaluated = x.iter().chain(grad.iter()).chain([&f]);
+            self.log.extend(evaluated.map(|v| v.to_bits()));
+            f
+        }
+
+        fn project(&self, x: &mut [f64]) {
+            self.inner.project(x);
+        }
+    }
+
+    /// `steps` Nesterov iterations under the λ/t schedule of
+    /// `global::place_with_engine`; returns the log of every evaluation
+    /// and the final iterate.
+    fn drive_nesterov(
+        c: &mep_netlist::bookshelf::BookshelfCircuit,
+        engine: Arc<EvalEngine>,
+        uncached: bool,
+        steps: usize,
+    ) -> (Vec<u64>, Vec<f64>) {
+        use mep_optim::nesterov::Nesterov;
+        use mep_optim::Optimizer;
+        use mep_wirelength::{SmoothingSchedule, TangentTSchedule};
+
+        let model = ModelKind::Moreau.instantiate(1.0);
+        let mut p = PlacementProblem::new(&c.design, &c.placement, model, engine);
+        let mut x = p.pack_params(&c.placement);
+        p.project(&mut x);
+        let grid = p.electrostatics().grid();
+        let (bw, bh) = (grid.bin_w(), grid.bin_h());
+        let tangent = TangentTSchedule::new(bw, bh);
+        let report0 = p.density_report(&x);
+        let d0 = report0.energy.max(1e-30);
+        p.set_smoothing(tangent.value(report0.overflow));
+
+        let mut logged = Logged {
+            inner: &mut p,
+            uncached,
+            log: Vec::new(),
+        };
+        // λ₀ bootstrap: two probes at one point
+        let mut grad = vec![0.0; x.len()];
+        logged.inner.lambda = 0.0;
+        logged.eval(&x, &mut grad);
+        let wl_norm: f64 = grad.iter().map(|g| g.abs()).sum();
+        logged.inner.lambda = 1.0;
+        logged.eval(&x, &mut grad);
+        let both_norm: f64 = grad.iter().map(|g| g.abs()).sum();
+        let lambda0 = wl_norm / (both_norm - wl_norm).abs().max(1e-30);
+        logged.inner.lambda = lambda0;
+        let gmax = grad.iter().fold(1e-30_f64, |m, g| m.max(g.abs()));
+
+        let (alpha_l, alpha_h, beta) = (1.01, 1.02, 2000.0);
+        let mut alpha_k = (alpha_l - 1.0) * lambda0;
+        let mut optimizer = Nesterov::new(0.5 * (bw + bh) / gmax);
+        for _ in 0..steps {
+            optimizer.step(&mut logged, &mut x);
+            let stats = logged.inner.last_stats();
+            logged.inner.set_smoothing(tangent.value(stats.overflow));
+            let dk = stats.density_energy.max(0.0);
+            alpha_k *= alpha_h - (alpha_h - alpha_l) / (1.0 + (1.0 + beta * dk / d0).ln());
+            logged.inner.lambda += alpha_k;
+        }
+        (logged.log, x)
+    }
+
+    #[test]
+    fn nesterov_trajectory_is_bitwise_the_uncached_one() {
+        let c = synth::generate(&synth::smoke_spec());
+        const STEPS: usize = 64;
+        for threads in [1, 2] {
+            // threshold 1: the 2-thread engine dispatches to its pool
+            let engine = || Arc::new(EvalEngine::new(threads).with_parallel_threshold(1));
+            let (reusing, uncached) = (engine(), engine());
+            let (log, x) = drive_nesterov(&c, Arc::clone(&reusing), false, STEPS);
+            let (want_log, want_x) = drive_nesterov(&c, Arc::clone(&uncached), true, STEPS);
+            assert!(
+                log == want_log,
+                "{threads} thread(s): an evaluation differs"
+            );
+            assert!(x
+                .iter()
+                .zip(&want_x)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+
+            let (s, o) = (reusing.stats(), uncached.stats());
+            assert_eq!(o.density_reused, 0);
+            assert_eq!(o.density.count, o.wl_grad.count);
+            assert_eq!(s.wl_grad.count, o.wl_grad.count);
+            assert_eq!(s.density.count + s.density_reused, s.wl_grad.count);
+            // every step opens on the point its predecessor accepted (the
+            // first on the λ₀ probes' point), and the second probe repeats
+            // the first
+            assert_eq!(s.density_reused, STEPS as u64 + 1);
+        }
     }
 
     #[test]

@@ -219,6 +219,12 @@ mod tests {
             rep.counter("engine.wl_grad.count").unwrap() >= r.iterations as u64,
             "engine stage counters re-exported into the registry"
         );
+        assert_eq!(
+            rep.counter("engine.density.count").unwrap()
+                + rep.counter("engine.density.reused").unwrap(),
+            rep.counter("engine.wl_grad.count").unwrap(),
+            "every eval executes the density stage or reuses the held term"
+        );
         // spectral-kernel counters: the fused lane path must have run and
         // the fused sweeps never transpose (DESIGN.md §13)
         assert!(

@@ -141,6 +141,9 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
         r.gauge(&format!("{name}.seconds"))
             .set(stage.nanos as f64 * 1e-9);
     }
+    // evals that reused the held density term; `engine.density.count` is
+    // executed stages only, so count + reused = `engine.wl_grad.count`
+    r.counter("engine.density.reused").add(e.density_reused);
     r.counter("engine.spawned_threads").add(e.spawned_threads);
     r.counter("engine.workspace_allocs").add(e.workspace_allocs);
     r.counter("engine.parallel_runs").add(e.parallel_runs);

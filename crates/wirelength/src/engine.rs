@@ -151,8 +151,11 @@ pub struct EngineStats {
     pub wl_grad: StageStats,
     /// Wirelength value-only stage.
     pub wl_value: StageStats,
-    /// Density stage.
+    /// Density stage (executed raster + Poisson solve + gather).
     pub density: StageStats,
+    /// Evaluations that reused the density term already held for the same
+    /// point instead of executing the stage (not counted in `density`).
+    pub density_reused: u64,
     /// Spectral-transform sub-stage of density (included in `density`).
     pub density_transform: StageStats,
 }
@@ -215,6 +218,7 @@ pub struct EvalEngine {
     parallel_runs: AtomicU64,
     serial_runs: AtomicU64,
     workspace_allocs: AtomicU64,
+    density_reused: AtomicU64,
     stages: [StageCounter; Stage::COUNT],
 }
 
@@ -231,6 +235,7 @@ impl EvalEngine {
             parallel_runs: AtomicU64::new(0),
             serial_runs: AtomicU64::new(0),
             workspace_allocs: AtomicU64::new(0),
+            density_reused: AtomicU64::new(0),
             stages: Default::default(),
         }
     }
@@ -404,6 +409,12 @@ impl EvalEngine {
         self.workspace_allocs.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one evaluation whose density term was reused from the
+    /// previous evaluation at the same point (no density stage executed).
+    pub fn note_density_reuse(&self) {
+        self.density_reused.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Determinism self-check, for long-lived drivers reusing one engine
     /// across many jobs (the `mep-serve` daemon runs it after any job
     /// panic before the pool serves the next job).
@@ -459,6 +470,7 @@ impl EvalEngine {
             wl_grad: stage(Stage::WlGrad),
             wl_value: stage(Stage::WlValue),
             density: stage(Stage::Density),
+            density_reused: self.density_reused.load(Ordering::Relaxed),
             density_transform: stage(Stage::DensityTransform),
         }
     }
@@ -469,6 +481,7 @@ impl EvalEngine {
         self.parallel_runs.store(0, Ordering::Relaxed);
         self.serial_runs.store(0, Ordering::Relaxed);
         self.workspace_allocs.store(0, Ordering::Relaxed);
+        self.density_reused.store(0, Ordering::Relaxed);
         for c in &self.stages {
             c.count.store(0, Ordering::Relaxed);
             c.nanos.store(0, Ordering::Relaxed);
@@ -571,12 +584,15 @@ mod tests {
         assert_eq!(x, 42);
         engine.time_stage(Stage::WlGrad, || {});
         engine.time_stage(Stage::Density, || {});
+        engine.note_density_reuse();
         let s = engine.stats();
         assert_eq!(s.wl_grad.count, 2);
-        assert_eq!(s.density.count, 1);
+        assert_eq!(s.density.count, 1, "a reuse is not an executed stage");
+        assert_eq!(s.density_reused, 1);
         assert_eq!(s.wl_value.count, 0);
         engine.reset_stats();
         assert_eq!(engine.stats().wl_grad.count, 0);
+        assert_eq!(engine.stats().density_reused, 0);
     }
 
     #[test]

@@ -535,13 +535,14 @@ fn main() -> ExitCode {
             );
             println!(
                 "stage wl-grad {}x {:.3}s  wl-value {}x {:.3}s  density {}x {:.3}s \
-                 (spectral {}x {:.3}s)",
+                 + {} reused  (spectral {}x {:.3}s)",
                 es.wl_grad.count,
                 es.wl_grad.seconds(),
                 es.wl_value.count,
                 es.wl_value.seconds(),
                 es.density.count,
                 es.density.seconds(),
+                es.density_reused,
                 es.density_transform.count,
                 es.density_transform.seconds()
             );
