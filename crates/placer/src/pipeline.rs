@@ -225,6 +225,24 @@ mod tests {
             rep.counter("engine.wl_grad.count").unwrap(),
             "every eval executes the density stage or reuses the held term"
         );
+        // the wirelength ledger: every net of at least two pins is served
+        // by exactly one path per gradient evaluation, and the assembly
+        // sub-stage is clocked inside the stage it belongs to
+        let nl = &c.design.netlist;
+        let small = nl.nets().filter(|&n| nl.net_degree(n) < 2).count() as u64;
+        let evals = rep.counter("engine.wl_grad.count").unwrap();
+        assert_eq!(
+            rep.counter("engine.wl.class_nets").unwrap()
+                + rep.counter("engine.wl.generic_nets").unwrap()
+                + small * evals,
+            nl.num_nets() as u64 * evals
+        );
+        assert!(rep.counter("engine.wl.class_nets").unwrap() > 0);
+        assert_eq!(rep.counter("engine.wl_scatter.count"), Some(evals));
+        assert!(
+            rep.gauge("engine.wl_scatter.seconds").unwrap()
+                <= rep.gauge("engine.wl_grad.seconds").unwrap()
+        );
         // spectral-kernel counters: the fused lane path must have run and
         // the fused sweeps never transpose (DESIGN.md §13)
         assert!(

@@ -133,6 +133,7 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     let e = inputs.engine;
     for (name, stage) in [
         ("engine.wl_grad", &e.wl_grad),
+        ("engine.wl_scatter", &e.wl_scatter),
         ("engine.wl_value", &e.wl_value),
         ("engine.density", &e.density),
         ("engine.density_transform", &e.density_transform),
@@ -144,6 +145,10 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     // evals that reused the held density term; `engine.density.count` is
     // executed stages only, so count + reused = `engine.wl_grad.count`
     r.counter("engine.density.reused").add(e.density_reused);
+    // which path served the nets of the wirelength gradient stage; with the
+    // nets of fewer than two pins they add up to nets x `engine.wl_grad.count`
+    r.counter("engine.wl.class_nets").add(e.wl_class_nets);
+    r.counter("engine.wl.generic_nets").add(e.wl_generic_nets);
     r.counter("engine.spawned_threads").add(e.spawned_threads);
     r.counter("engine.workspace_allocs").add(e.workspace_allocs);
     r.counter("engine.parallel_runs").add(e.parallel_runs);

@@ -93,6 +93,10 @@ pub fn parse_mep_threads(raw: &str) -> Result<usize, String> {
 pub enum Stage {
     /// Wirelength value + gradient evaluation.
     WlGrad,
+    /// Fixed-order assembly inside the wirelength gradient stage: the net-
+    /// order value sum and the cell scatter of the pin gradients (a subset
+    /// of [`Stage::WlGrad`] wall time, one per gradient evaluation).
+    WlScatter,
     /// Wirelength value-only evaluation.
     WlValue,
     /// Density update + gradient accumulation.
@@ -104,7 +108,7 @@ pub enum Stage {
 }
 
 impl Stage {
-    const COUNT: usize = 4;
+    const COUNT: usize = 5;
 
     fn index(self) -> usize {
         match self {
@@ -112,6 +116,7 @@ impl Stage {
             Stage::WlValue => 1,
             Stage::Density => 2,
             Stage::DensityTransform => 3,
+            Stage::WlScatter => 4,
         }
     }
 }
@@ -149,6 +154,17 @@ pub struct EngineStats {
     pub workspace_allocs: u64,
     /// Wirelength value+gradient stage.
     pub wl_grad: StageStats,
+    /// Assembly + cell scatter sub-stage of `wl_grad` (included in it).
+    pub wl_scatter: StageStats,
+    /// Net evaluations of the gradient stage served by the degree-class
+    /// Moreau kernel (2..=8 pins), summed over evaluations.
+    pub wl_class_nets: u64,
+    /// Net evaluations of the gradient stage served by the per-net path
+    /// (more than 8 pins, or a model without a class kernel). Nets of
+    /// fewer than two pins are evaluated by neither, so `wl_class_nets +
+    /// wl_generic_nets + (such nets × wl_grad.count)` is `nets ×
+    /// wl_grad.count`.
+    pub wl_generic_nets: u64,
     /// Wirelength value-only stage.
     pub wl_value: StageStats,
     /// Density stage (executed raster + Poisson solve + gather).
@@ -219,6 +235,8 @@ pub struct EvalEngine {
     serial_runs: AtomicU64,
     workspace_allocs: AtomicU64,
     density_reused: AtomicU64,
+    wl_class_nets: AtomicU64,
+    wl_generic_nets: AtomicU64,
     stages: [StageCounter; Stage::COUNT],
 }
 
@@ -236,6 +254,8 @@ impl EvalEngine {
             serial_runs: AtomicU64::new(0),
             workspace_allocs: AtomicU64::new(0),
             density_reused: AtomicU64::new(0),
+            wl_class_nets: AtomicU64::new(0),
+            wl_generic_nets: AtomicU64::new(0),
             stages: Default::default(),
         }
     }
@@ -415,6 +435,14 @@ impl EvalEngine {
         self.density_reused.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records which path served the nets of one wirelength gradient
+    /// evaluation: `class` through the degree-class kernel, `generic`
+    /// through the per-net path.
+    pub fn note_wl_nets(&self, class: u64, generic: u64) {
+        self.wl_class_nets.fetch_add(class, Ordering::Relaxed);
+        self.wl_generic_nets.fetch_add(generic, Ordering::Relaxed);
+    }
+
     /// Determinism self-check, for long-lived drivers reusing one engine
     /// across many jobs (the `mep-serve` daemon runs it after any job
     /// panic before the pool serves the next job).
@@ -468,6 +496,9 @@ impl EvalEngine {
             serial_runs: self.serial_runs.load(Ordering::Relaxed),
             workspace_allocs: self.workspace_allocs.load(Ordering::Relaxed),
             wl_grad: stage(Stage::WlGrad),
+            wl_scatter: stage(Stage::WlScatter),
+            wl_class_nets: self.wl_class_nets.load(Ordering::Relaxed),
+            wl_generic_nets: self.wl_generic_nets.load(Ordering::Relaxed),
             wl_value: stage(Stage::WlValue),
             density: stage(Stage::Density),
             density_reused: self.density_reused.load(Ordering::Relaxed),
@@ -482,6 +513,8 @@ impl EvalEngine {
         self.serial_runs.store(0, Ordering::Relaxed);
         self.workspace_allocs.store(0, Ordering::Relaxed);
         self.density_reused.store(0, Ordering::Relaxed);
+        self.wl_class_nets.store(0, Ordering::Relaxed);
+        self.wl_generic_nets.store(0, Ordering::Relaxed);
         for c in &self.stages {
             c.count.store(0, Ordering::Relaxed);
             c.nanos.store(0, Ordering::Relaxed);
@@ -585,14 +618,19 @@ mod tests {
         engine.time_stage(Stage::WlGrad, || {});
         engine.time_stage(Stage::Density, || {});
         engine.note_density_reuse();
+        engine.note_wl_nets(7, 3);
+        engine.note_wl_nets(7, 3);
         let s = engine.stats();
         assert_eq!(s.wl_grad.count, 2);
+        assert_eq!((s.wl_class_nets, s.wl_generic_nets), (14, 6));
+        assert_eq!(s.wl_scatter.count, 0);
         assert_eq!(s.density.count, 1, "a reuse is not an executed stage");
         assert_eq!(s.density_reused, 1);
         assert_eq!(s.wl_value.count, 0);
         engine.reset_stats();
         assert_eq!(engine.stats().wl_grad.count, 0);
         assert_eq!(engine.stats().density_reused, 0);
+        assert_eq!(engine.stats().wl_class_nets, 0);
     }
 
     #[test]

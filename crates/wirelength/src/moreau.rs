@@ -115,20 +115,32 @@ pub fn envelope_in(x: &[f64], t: f64, scratch: &mut Vec<f64>) -> f64 {
     eval_sorted_scratch(scratch, x, t, None, None).envelope
 }
 
-/// Branchless ascending sort of `v.len() ≤ 8` elements by optimal sorting
-/// networks: every compare-exchange lowers to `minsd`/`maxsd`, no data-
-/// dependent branches, no comparator closure. Nets of ≤ 8 pins are the
-/// vast majority of every benchmark, so this removes the
-/// `sort_unstable_by` dispatch from the model's hot path.
-fn sort_small(v: &mut [f64]) {
+/// Largest net degree the monomorphized class kernel [`eval_class`] serves;
+/// nets of more pins go through the sort + scan of the generic path.
+pub(crate) const MAX_CLASS_DEGREE: usize = 8;
+
+/// Branchless ascending sort of `N ≤ 8` rows by optimal sorting networks,
+/// `L` independent nets side by side (lane `l` of row `i` is one element of
+/// net `l`): every compare-exchange lowers to `min`/`max` on whole rows, no
+/// data-dependent branches, no comparator closure. `N` is a constant, so
+/// the `match` folds and each instantiation is one straight-line network.
+#[inline(always)]
+fn sort_network<const N: usize, const L: usize>(v: &mut [[f64; L]; N]) {
+    const {
+        assert!(
+            N >= 2 && N <= MAX_CLASS_DEGREE,
+            "no network for this degree"
+        )
+    };
     #[inline(always)]
-    fn cx(v: &mut [f64], i: usize, j: usize) {
-        let (a, b) = (v[i], v[j]);
-        v[i] = a.min(b);
-        v[j] = a.max(b);
+    fn cx<const N: usize, const L: usize>(v: &mut [[f64; L]; N], i: usize, j: usize) {
+        for l in 0..L {
+            let (a, b) = (v[i][l], v[j][l]);
+            v[i][l] = a.min(b);
+            v[j][l] = a.max(b);
+        }
     }
-    match v.len() {
-        0 | 1 => {}
+    match N {
         2 => cx(v, 0, 1),
         3 => {
             cx(v, 0, 1);
@@ -185,7 +197,7 @@ fn sort_small(v: &mut [f64]) {
             cx(v, 2, 4);
             cx(v, 2, 3);
         }
-        8 => {
+        _ => {
             cx(v, 0, 1);
             cx(v, 2, 3);
             cx(v, 4, 5);
@@ -206,13 +218,166 @@ fn sort_small(v: &mut [f64]) {
             cx(v, 3, 5);
             cx(v, 3, 4);
         }
-        // lint:allow(no-panic-lib): sort_small dispatch is exhaustive for n <= 8 by construction (debug_assert upstream)
-        _ => unreachable!("sort_small is only called for n <= 8"),
     }
 }
 
-/// Shared core: sorts `scratch`, solves the water levels, then fills the
-/// requested outputs from the *original* coordinates.
+/// One axis of `L` independent nets of exactly `N` pins, as [`eval_class`]
+/// returns it (lane `l` describes net `l`).
+pub(crate) struct ClassEval<const N: usize, const L: usize> {
+    /// Envelope `W_e^t` per net (without the `+t` offset).
+    pub envelope: [f64; L],
+    /// Lower water level (the mean where `collapsed`).
+    pub tau1: [f64; L],
+    /// Upper water level (the mean where `collapsed`).
+    pub tau2: [f64; L],
+    /// Whether `τ1 > τ2` collapsed the prox to the mean.
+    pub collapsed: [bool; L],
+    /// `x − prox_{tW_e}(x)` per pin, so the gradient is `residual / t`.
+    pub residual: [[f64; L]; N],
+}
+
+/// The degree-class kernel: Algorithm 1 on `L` nets of exactly
+/// `N ∈ 2..=8` pins at once, `x[i][l]` being pin `i` of net `l` (in the
+/// net's own pin order). Straight-line code for a given `(N, L)`: sorting
+/// network, branch-free water-filling
+/// ([`crate::waterfill::solve_class`]), one fused pass for the residuals.
+///
+/// Each lane is bit-identical to the generic sort + scan path on that net
+/// alone (the `reference` oracle of the test module): the residual is
+/// selected between the clamp form
+/// `max(x−τ2, 0) + min(x−τ1, 0)` — exactly one term is nonzero outside
+/// the band, both are +0 inside it, and for a NaN coordinate
+/// `f64::max`/`min` return the non-NaN operand, matching a three-way
+/// branch whose comparisons are all false — and the collapsed form
+/// `x − mean`, with the mean summed in pin order from `−0.0` as
+/// `Iterator::sum` does.
+#[inline(always)]
+pub(crate) fn eval_class<const N: usize, const L: usize>(
+    x: &[[f64; L]; N],
+    t: f64,
+) -> ClassEval<N, L> {
+    let mut sorted = *x;
+    sort_network(&mut sorted);
+    let (mut tau1, mut tau2) = crate::waterfill::solve_class(&sorted, t);
+    let mut sum = [-0.0_f64; L];
+    for xi in x {
+        for l in 0..L {
+            sum[l] += xi[l];
+        }
+    }
+    let mut collapsed = [false; L];
+    let mut mean = [0.0; L];
+    for l in 0..L {
+        collapsed[l] = tau1[l] > tau2[l];
+        mean[l] = sum[l] / N as f64;
+    }
+    let mut sq = [0.0_f64; L];
+    let mut residual = [[0.0; L]; N];
+    for (ri, xi) in residual.iter_mut().zip(x) {
+        for l in 0..L {
+            let clamped = (xi[l] - tau2[l]).max(0.0) + (xi[l] - tau1[l]).min(0.0);
+            let r = if collapsed[l] {
+                xi[l] - mean[l]
+            } else {
+                clamped
+            };
+            sq[l] += r * r;
+            ri[l] = r;
+        }
+    }
+    let mut envelope = [0.0; L];
+    for l in 0..L {
+        let quad = sq[l] / (2.0 * t);
+        envelope[l] = if collapsed[l] {
+            quad
+        } else {
+            (tau2[l] - tau1[l]) + quad
+        };
+        if collapsed[l] {
+            tau1[l] = mean[l];
+            tau2[l] = mean[l];
+        }
+    }
+    ClassEval {
+        envelope,
+        tau1,
+        tau2,
+        collapsed,
+        residual,
+    }
+}
+
+/// Both axes of `L` nets of `N` pins under net weights `w`, as the
+/// whole-netlist evaluator consumes them: returns `w · (W_x + W_y)` per net
+/// (each axis reporting envelope `+ t`) and, when `GRAD`, writes
+/// `w · ∂/∂x_i` and `w · ∂/∂y_i` into `gx`/`gy`. Without `GRAD` the
+/// gradient divisions and stores are compiled out.
+#[inline(always)]
+pub(crate) fn eval_class_nets<const N: usize, const L: usize, const GRAD: bool>(
+    x: &[[f64; L]; N],
+    y: &[[f64; L]; N],
+    t: f64,
+    w: &[f64; L],
+    gx: &mut [[f64; L]; N],
+    gy: &mut [[f64; L]; N],
+) -> [f64; L] {
+    let ex = eval_class(x, t);
+    let ey = eval_class(y, t);
+    if GRAD {
+        for i in 0..N {
+            for l in 0..L {
+                gx[i][l] = w[l] * (ex.residual[i][l] / t);
+                gy[i][l] = w[l] * (ey.residual[i][l] / t);
+            }
+        }
+    }
+    let mut value = [0.0; L];
+    for l in 0..L {
+        value[l] = w[l] * ((ex.envelope[l] + t) + (ey.envelope[l] + t));
+    }
+    value
+}
+
+/// The per-net entry points on a net of `N ∈ 2..=8` pins: one lane of the
+/// class kernel, then the requested outputs from its residuals and levels.
+fn eval_small<const N: usize>(
+    x: &[f64],
+    t: f64,
+    grad: Option<&mut [f64]>,
+    prox_out: Option<&mut [f64]>,
+) -> EnvelopeEval {
+    let mut pins = [[0.0; 1]; N];
+    for (pin, &xi) in pins.iter_mut().zip(x) {
+        pin[0] = xi;
+    }
+    let eval = eval_class(&pins, t);
+    let (tau1, tau2, collapsed) = (eval.tau1[0], eval.tau2[0], eval.collapsed[0]);
+    if let Some(g) = grad {
+        for (gi, r) in g.iter_mut().zip(&eval.residual) {
+            *gi = r[0] / t;
+        }
+    }
+    if let Some(p) = prox_out {
+        if collapsed {
+            p.fill(tau1);
+        } else {
+            for (pi, &xi) in p.iter_mut().zip(x) {
+                *pi = xi.clamp(tau1, tau2);
+            }
+        }
+    }
+    EnvelopeEval {
+        envelope: eval.envelope[0],
+        tau1,
+        tau2,
+        collapsed,
+    }
+}
+
+/// Shared core of the per-net entry points: nets of 2..=8 pins go through
+/// the class kernel; any other degree sorts `scratch`, solves the water
+/// levels by the scans, then fills the requested outputs from the
+/// *original* coordinates.
 fn eval_sorted_scratch(
     scratch: &mut [f64],
     x: &[f64],
@@ -225,11 +390,17 @@ fn eval_sorted_scratch(
     // NaN coordinates are tolerated rather than asserted away: a poisoned
     // iterate must propagate NaN through value/gradient (the placer's
     // health guard detects and rolls it back) instead of panicking here.
-    if scratch.len() <= 8 {
-        sort_small(scratch);
-    } else {
-        scratch.sort_unstable_by(f64::total_cmp);
+    match x.len() {
+        2 => return eval_small::<2>(x, t, grad, prox_out),
+        3 => return eval_small::<3>(x, t, grad, prox_out),
+        4 => return eval_small::<4>(x, t, grad, prox_out),
+        5 => return eval_small::<5>(x, t, grad, prox_out),
+        6 => return eval_small::<6>(x, t, grad, prox_out),
+        7 => return eval_small::<7>(x, t, grad, prox_out),
+        8 => return eval_small::<8>(x, t, grad, prox_out),
+        _ => {}
     }
+    scratch.sort_unstable_by(f64::total_cmp);
     let pair = TauPair::solve(scratch, t);
     let n = x.len() as f64;
 
@@ -258,13 +429,8 @@ fn eval_sorted_scratch(
     }
 
     let (tau1, tau2) = (pair.tau1, pair.tau2);
-    // One fused, branch-light pass over the coordinates. The clamp
-    // residual `r = max(x−τ2, 0) + min(x−τ1, 0)` is bit-identical to the
-    // three-way branch of [`reference::eval`] on every input: exactly one
-    // term is nonzero outside the band (adding ±0 preserves the bits),
-    // both are +0 inside it, and for NaN coordinates `f64::max`/`min`
-    // return the non-NaN operand — matching the branch chain whose
-    // comparisons are all false. Everything lowers to `maxsd`/`minsd`
+    // One fused, branch-light pass over the coordinates, with the clamp
+    // residual of [`eval_class`]: everything lowers to `maxsd`/`minsd`
     // straight-line code, and value/gradient/prox share one traversal.
     let mut sq = 0.0;
     match (grad, prox_out) {
@@ -305,23 +471,105 @@ fn eval_sorted_scratch(
     }
 }
 
-/// Plainly-written scalar reference for the envelope evaluation: the
-/// three-way branch form of Theorem 1 / Corollary 1, with separate loops
-/// for value, gradient, and prox. The production kernel
-/// ([`eval_with_gradient_in`] and friends) is a fused, branch-light
-/// restructuring that must stay **bit-identical** to this module on every
-/// input — property tests compare the two with `to_bits`.
-pub mod reference {
-    use super::{sort_small, EnvelopeEval};
+/// Test oracle: the plainly-written scalar evaluation — per-length sorting
+/// network on a slice, the scans of [`crate::waterfill`], the three-way
+/// branch form of Theorem 1 / Corollary 1 with separate loops for value,
+/// gradient and prox. The production kernels ([`eval_class`] for 2..=8
+/// pins, the fused generic path above them) are restructurings that must
+/// stay **bit-identical** to this module on every input; the property
+/// tests here and the whole-netlist tests of [`crate::netgrad`] compare
+/// with `to_bits`.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::EnvelopeEval;
     use crate::waterfill::TauPair;
+
+    /// The sorting networks of `sort_network`, one slice at a time.
+    pub(crate) fn sort_small(v: &mut [f64]) {
+        fn cx(v: &mut [f64], i: usize, j: usize) {
+            let (a, b) = (v[i], v[j]);
+            v[i] = a.min(b);
+            v[j] = a.max(b);
+        }
+        let network: &[(usize, usize)] = match v.len() {
+            0 | 1 => &[],
+            2 => &[(0, 1)],
+            3 => &[(0, 1), (0, 2), (1, 2)],
+            4 => &[(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)],
+            5 => &[
+                (0, 1),
+                (3, 4),
+                (2, 4),
+                (2, 3),
+                (1, 4),
+                (0, 3),
+                (0, 2),
+                (1, 3),
+                (1, 2),
+            ],
+            6 => &[
+                (1, 2),
+                (4, 5),
+                (0, 2),
+                (3, 5),
+                (0, 1),
+                (3, 4),
+                (2, 5),
+                (0, 3),
+                (1, 4),
+                (2, 4),
+                (1, 3),
+                (2, 3),
+            ],
+            7 => &[
+                (1, 2),
+                (3, 4),
+                (5, 6),
+                (0, 2),
+                (3, 5),
+                (4, 6),
+                (0, 1),
+                (4, 5),
+                (2, 6),
+                (0, 4),
+                (1, 5),
+                (0, 3),
+                (2, 5),
+                (1, 3),
+                (2, 4),
+                (2, 3),
+            ],
+            8 => &[
+                (0, 1),
+                (2, 3),
+                (4, 5),
+                (6, 7),
+                (0, 2),
+                (1, 3),
+                (4, 6),
+                (5, 7),
+                (1, 2),
+                (5, 6),
+                (0, 4),
+                (3, 7),
+                (1, 5),
+                (2, 6),
+                (1, 4),
+                (3, 6),
+                (2, 4),
+                (3, 5),
+                (3, 4),
+            ],
+            n => unreachable!("sort_small is only called for n <= 8, got {n}"),
+        };
+        for &(i, j) in network {
+            cx(v, i, j);
+        }
+    }
 
     /// Branchy scalar evaluation of value + optional gradient + optional
     /// prox. Same contract as the production `eval_sorted_scratch` core.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is empty, an output length mismatches, or `t ≤ 0`.
-    pub fn eval(
+    pub(crate) fn eval(
         x: &[f64],
         t: f64,
         grad: Option<&mut [f64]>,
@@ -696,6 +944,32 @@ mod tests {
         let _ = Moreau::new(0.0);
     }
 
+    /// Sorts a slice of ≤ 8 elements through one lane of the production
+    /// network for its length.
+    fn sort_by_network(v: &mut [f64]) {
+        fn one<const N: usize>(v: &mut [f64]) {
+            let mut rows = [[0.0; 1]; N];
+            for (row, &x) in rows.iter_mut().zip(v.iter()) {
+                row[0] = x;
+            }
+            sort_network(&mut rows);
+            for (x, row) in v.iter_mut().zip(&rows) {
+                *x = row[0];
+            }
+        }
+        match v.len() {
+            0 | 1 => {}
+            2 => one::<2>(v),
+            3 => one::<3>(v),
+            4 => one::<4>(v),
+            5 => one::<5>(v),
+            6 => one::<6>(v),
+            7 => one::<7>(v),
+            8 => one::<8>(v),
+            n => panic!("no network for {n} elements"),
+        }
+    }
+
     #[test]
     fn sorting_networks_pass_zero_one_principle() {
         // a comparator network sorts all inputs iff it sorts every 0/1
@@ -705,7 +979,7 @@ mod tests {
                 let mut v: Vec<f64> = (0..n)
                     .map(|i| if mask >> i & 1 == 1 { 1.0 } else { 0.0 })
                     .collect();
-                sort_small(&mut v);
+                sort_by_network(&mut v);
                 assert!(
                     v.windows(2).all(|w| w[0] <= w[1]),
                     "n={n} mask={mask:b}: {v:?}"
@@ -728,10 +1002,13 @@ mod tests {
                 let v: Vec<f64> = (0..n).map(|_| next()).collect();
                 let mut want = v.clone();
                 want.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-                let mut got = v;
-                sort_small(&mut got);
+                let mut got = v.clone();
+                sort_by_network(&mut got);
+                let mut oracle = v;
+                reference::sort_small(&mut oracle);
                 for i in 0..n {
                     assert_eq!(got[i].to_bits(), want[i].to_bits(), "n={n}");
+                    assert_eq!(oracle[i].to_bits(), want[i].to_bits(), "oracle n={n}");
                 }
             }
         }
@@ -815,6 +1092,177 @@ mod tests {
         assert_eq!(got.envelope.to_bits(), want.envelope.to_bits());
         for i in 0..4 {
             assert_eq!(g[i].to_bits(), rg[i].to_bits(), "i={i}");
+        }
+    }
+
+    /// One net per lane of the class kernel, against the oracle on each
+    /// net alone: levels and envelope from [`eval_class`], weighted value
+    /// and gradients from [`eval_class_nets`], all by `to_bits`.
+    fn check_class_kernel<const N: usize, const L: usize>(
+        xs: &[Vec<f64>],
+        ys: &[Vec<f64>],
+        t: f64,
+        w: &[f64],
+    ) -> Result<(), String> {
+        let mut x = [[0.0; L]; N];
+        let mut y = [[0.0; L]; N];
+        let mut weights = [0.0; L];
+        for l in 0..L {
+            for i in 0..N {
+                x[i][l] = xs[l][i];
+                y[i][l] = ys[l][i];
+            }
+            weights[l] = w[l];
+        }
+        let ex = eval_class(&x, t);
+        let mut gx = [[0.0; L]; N];
+        let mut gy = [[0.0; L]; N];
+        let value = eval_class_nets::<N, L, true>(&x, &y, t, &weights, &mut gx, &mut gy);
+        let mut sink = ([[0.0; L]; N], [[0.0; L]; N]);
+        let value_only =
+            eval_class_nets::<N, L, false>(&x, &y, t, &weights, &mut sink.0, &mut sink.1);
+        let mut scratch = Vec::new();
+        for l in 0..L {
+            let mut rgx = vec![0.0; N];
+            let mut rgy = vec![0.0; N];
+            let wx = reference::eval(&xs[l], t, Some(&mut rgx), None, &mut scratch);
+            let wy = reference::eval(&ys[l], t, Some(&mut rgy), None, &mut scratch);
+            let ctx = format!("N={N} L={L} lane {l} t={t} w={} x={:?}", w[l], xs[l]);
+            let same = |got: f64, want: f64, what: &str| {
+                if got.to_bits() == want.to_bits() {
+                    Ok(())
+                } else {
+                    Err(format!("{what}: {got:e} vs oracle {want:e} ({ctx})"))
+                }
+            };
+            same(ex.tau1[l], wx.tau1, "tau1")?;
+            same(ex.tau2[l], wx.tau2, "tau2")?;
+            same(ex.envelope[l], wx.envelope, "envelope")?;
+            if ex.collapsed[l] != wx.collapsed {
+                return Err(format!("collapsed flag ({ctx})"));
+            }
+            let want = w[l] * ((wx.envelope + t) + (wy.envelope + t));
+            same(value[l], want, "value")?;
+            same(value_only[l], want, "value without gradient")?;
+            for i in 0..N {
+                same(gx[i][l], w[l] * rgx[i], "grad x")?;
+                same(gy[i][l], w[l] * rgy[i], "grad y")?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Lanes 4 and 1 of the class kernel for `N` pins.
+    fn check_class_degree<const N: usize>(
+        xs: &[Vec<f64>],
+        ys: &[Vec<f64>],
+        t: f64,
+        w: &[f64],
+    ) -> Result<(), String> {
+        check_class_kernel::<N, 4>(xs, ys, t, w)?;
+        for l in 0..4 {
+            check_class_kernel::<N, 1>(&xs[l..], &ys[l..], t, &w[l..])?;
+        }
+        Ok(())
+    }
+
+    /// The water amounts that put `t` exactly on a breakpoint of the lower
+    /// or the upper scan of `x` (the strict `trial > t` exit, both sides).
+    fn breakpoints(x: &[f64]) -> Vec<f64> {
+        let mut sorted = x.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let n = sorted.len();
+        let (mut lower, mut upper) = (0.0, 0.0);
+        let mut out = Vec::new();
+        for k in 1..n {
+            lower += k as f64 * (sorted[k] - sorted[k - 1]);
+            upper += k as f64 * (sorted[n - k] - sorted[n - k - 1]);
+            out.extend([lower, upper]);
+        }
+        out.retain(|&t| t > 0.0 && t.is_finite());
+        out
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1500))]
+
+        /// Degrees 1..=40 × smoothing across collapse, non-collapse and
+        /// exact breakpoints × duplicate coordinates × ±0.0 × a NaN pin ×
+        /// net weights ≠ 1: the class kernel (4 lanes and 1 lane) on
+        /// 2..=8 pins, the generic per-net path on every other degree,
+        /// bit for bit against the oracle.
+        fn kernels_bitwise_match_the_oracle(
+            // two cases in three land on a class degree
+            (degree, coords) in (1usize..41, 0usize..3).prop_flat_map(|(n, any)| {
+                let n = if any == 0 { n } else { 2 + n % 7 };
+                (Just(n), prop::collection::vec(-300.0f64..300.0, 8 * n))
+            }),
+            t_free in 1e-3f64..400.0,
+            t_mode in 0usize..4,
+            breakpoint in 0usize..80,
+            corrupt in 0usize..6,
+            at in 0usize..40,
+            w in prop::collection::vec(-2.0f64..5.0, 4),
+        ) {
+            let n = degree;
+            let mut nets: Vec<Vec<f64>> = coords.chunks(n).map(<[f64]>::to_vec).collect();
+            let at = at % n;
+            for (k, net) in nets.iter_mut().enumerate() {
+                match (corrupt + k) % 6 {
+                    1 => net[at] = net[(at + 1) % n], // duplicate coordinates
+                    2 => {
+                        // both zeros, tied
+                        net[at] = 0.0;
+                        net[(at + 1) % n] = -0.0;
+                    }
+                    3 => {
+                        // degenerate: every pin equal
+                        let v = net[at];
+                        net.fill(v);
+                    }
+                    4 => net[at] = f64::NAN,
+                    _ => {}
+                }
+            }
+            let (xs, ys) = nets.split_at(4);
+            let t = match t_mode {
+                0 => t_free,
+                1 => t_free * 1e-3, // tight: no collapse
+                2 => t_free * 50.0, // loose: most nets collapse
+                _ => {
+                    let points = breakpoints(&xs[0]);
+                    if points.is_empty() { t_free } else { points[breakpoint % points.len()] }
+                }
+            };
+            let checked = match n {
+                2 => check_class_degree::<2>(xs, ys, t, &w),
+                3 => check_class_degree::<3>(xs, ys, t, &w),
+                4 => check_class_degree::<4>(xs, ys, t, &w),
+                5 => check_class_degree::<5>(xs, ys, t, &w),
+                6 => check_class_degree::<6>(xs, ys, t, &w),
+                7 => check_class_degree::<7>(xs, ys, t, &w),
+                8 => check_class_degree::<8>(xs, ys, t, &w),
+                _ => Ok(()),
+            };
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+            // the per-net entry points: the class kernel again on 2..=8
+            // pins, the fused sort + scan path on every other degree
+            let (mut scratch, mut rscratch) = (Vec::new(), Vec::new());
+            for x in xs {
+                let mut g = vec![0.0; n];
+                let mut rg = vec![0.0; n];
+                let got = eval_with_gradient_in(x, t, &mut g, &mut scratch);
+                let want = reference::eval(x, t, Some(&mut rg), None, &mut rscratch);
+                prop_assert_eq!(got.envelope.to_bits(), want.envelope.to_bits(), "n={} t={}", n, t);
+                prop_assert_eq!(got.tau1.to_bits(), want.tau1.to_bits(), "n={} t={}", n, t);
+                prop_assert_eq!(got.tau2.to_bits(), want.tau2.to_bits(), "n={} t={}", n, t);
+                prop_assert_eq!(got.collapsed, want.collapsed);
+                for i in 0..n {
+                    prop_assert_eq!(g[i].to_bits(), rg[i].to_bits(), "n={} t={} i={}", n, t, i);
+                }
+            }
         }
     }
 

@@ -4,11 +4,19 @@
 //! This is the `Σ_e W_e(x, y)` term of the global placement objective
 //! (Eq. (1)). Evaluation is embarrassingly parallel over nets and runs on
 //! the persistent [`EvalEngine`]: the netlist is partitioned once into
-//! pin-count-balanced contiguous net ranges (CSR prefix sums, so a part
-//! with a few huge nets gets fewer of them), each part owns a workspace
-//! arena (cloned model, per-net value slots, per-pin gradient slots,
-//! coordinate gather buffers) that lives across iterations, and results
-//! are combined on the calling thread in a fixed order.
+//! pin-count-balanced contiguous net ranges, each part's nets are grouped
+//! into **degree classes**, and one `workspace` — gather tables,
+//! one value slot per net, one gradient slot per pin and axis, per-part
+//! scratch — lives across iterations.
+//!
+//! # Kernels
+//!
+//! The paper's model evaluates the nets of 2..=8 pins (94% of the nets of
+//! a Table II circuit) with the monomorphized, branch-free class kernel of
+//! [`crate::moreau`], several nets per step; the model is matched once per
+//! part, not per net. Nets of more pins, and every net under the other
+//! models, go one at a time through [`NetModel::eval_axis`]. Both paths
+//! write the same slots, so the choice never shows in the result.
 //!
 //! # Determinism
 //!
@@ -16,16 +24,21 @@
 //! serial path):
 //!
 //! * each net's value and per-pin gradients depend only on that net's
-//!   coordinates, never on which part or thread computed them;
-//! * net values are summed in global net order (parts are contiguous and
-//!   ascending, so part-major iteration *is* net order);
+//!   coordinates, never on which part, thread or kernel lane computed
+//!   them;
+//! * net values are summed in global net order from the per-net slots;
 //! * per-pin gradients are scattered onto cells by walking each cell's
-//!   pin list in CSR order, independent of the partition.
+//!   pin list in CSR order, independent of the partition and of the slot
+//!   order the kernels write in.
+
+mod workspace;
 
 use crate::engine::{EvalEngine, Stage};
 use crate::model::{AnyModel, NetModel};
+use crate::moreau::eval_class_nets;
 use mep_netlist::{NetId, Netlist, Placement};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
+use workspace::{ClassBlock, Layout, Part, PartScratch, Workspace, LANES};
 
 /// Result of one whole-netlist wirelength evaluation.
 #[derive(Debug, Clone, Default)]
@@ -43,210 +56,247 @@ impl WirelengthGrad {
     pub fn zeros(num_cells: usize) -> Self {
         Self {
             value: 0.0,
+            // lint:allow(no-alloc-hot): the caller's result buffers, built once per run; `evaluate` reuses them
             grad_x: vec![0.0; num_cells],
+            // lint:allow(no-alloc-hot): the caller's result buffers, built once per run; `evaluate` reuses them
             grad_y: vec![0.0; num_cells],
         }
     }
-
-    fn reset(&mut self, num_cells: usize) {
-        self.value = 0.0;
-        self.grad_x.clear();
-        self.grad_x.resize(num_cells, 0.0);
-        self.grad_y.clear();
-        self.grad_y.resize(num_cells, 0.0);
-    }
 }
 
-/// Per-part workspace arena: everything one part needs to evaluate its net
-/// range without touching shared state. The `Mutex` is uncontended (a part
-/// is claimed by exactly one thread per run); it exists to satisfy the
-/// shared-closure signature of [`EvalEngine::run`].
+/// What one part writes during a dispatch: its scratch and its own
+/// segments of the workspace outputs (the part's net range of
+/// `net_value`, its slot range of `pin_gx`/`pin_gy`).
 #[derive(Debug)]
-struct PartArena {
-    model: AnyModel,
-    /// Gather buffers: pin coordinates of the net being evaluated.
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    /// Per-pin axis gradients of the net being evaluated.
-    gx: Vec<f64>,
-    gy: Vec<f64>,
-    /// Weighted value per net of this part (slot `n - net_lo`).
-    net_value: Vec<f64>,
-    /// Weighted gradient per pin of this part (slot `p - pin_lo`).
-    pin_gx: Vec<f64>,
-    pin_gy: Vec<f64>,
+struct PartOutput<'a> {
+    scratch: &'a mut PartScratch,
+    value: &'a mut [f64],
+    gx: &'a mut [f64],
+    gy: &'a mut [f64],
 }
 
-/// Topology-derived state, cached per netlist instance.
-#[derive(Debug)]
-struct Workspace {
-    netlist_instance: u64,
-    parts: usize,
-    /// Pin-count-balanced partition: part `p` owns nets
-    /// `part_net_start[p]..part_net_start[p+1]` (contiguous, ascending).
-    part_net_start: Vec<u32>,
-    /// First pin index of each part (CSR prefix at the part boundary).
-    part_pin_start: Vec<u32>,
-    /// Per-pin gather info: owning cell, and offset from the cell's
-    /// lower-left corner to the pin (half-extent + pin offset), so a
-    /// gather is one add per axis.
-    pin_cell: Vec<u32>,
-    pin_bias_x: Vec<f64>,
-    pin_bias_y: Vec<f64>,
-    /// Per-pin weighted gradients in global pin order (assembly copies the
-    /// part segments here; scatter reads them per cell).
-    pin_grad_x: Vec<f64>,
-    pin_grad_y: Vec<f64>,
-    arenas: Vec<Mutex<PartArena>>,
+/// The read-only side of one part's evaluation.
+#[derive(Clone, Copy)]
+struct PartInput<'a> {
+    netlist: &'a Netlist,
+    placement: &'a Placement,
+    layout: &'a Layout,
+    part: &'a Part,
 }
 
 impl Workspace {
-    fn build(netlist: &Netlist, model: &AnyModel, parts: usize) -> Self {
-        let nets = netlist.num_nets();
-        let pins = netlist.num_pins();
-        let prefix = |net: usize| -> usize {
-            if net == nets {
-                pins
-            } else {
-                netlist.net_pin_range(NetId::from_usize(net)).start
-            }
-        };
-        // pin-count-balanced boundaries: part k starts at the first net
-        // whose CSR prefix reaches k/parts of the total pin count
-        let mut part_net_start = Vec::with_capacity(parts + 1);
-        let mut lo = 0usize;
-        for k in 0..=parts {
-            let target = (pins as u128 * k as u128 / parts as u128) as usize;
-            let mut hi = nets;
-            let mut lo_k = lo;
-            while lo_k < hi {
-                let mid = (lo_k + hi) / 2;
-                if prefix(mid) < target {
-                    lo_k = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo = lo_k;
-            part_net_start.push(lo as u32);
+    /// Evaluates every part through the engine: weighted net values and
+    /// (when `GRAD`) weighted pin gradients into the workspace outputs.
+    fn eval_parts<const GRAD: bool>(
+        &mut self,
+        engine: &EvalEngine,
+        netlist: &Netlist,
+        placement: &Placement,
+    ) {
+        fn take_front<'a>(rest: &mut &'a mut [f64], n: usize) -> &'a mut [f64] {
+            let (front, back) = std::mem::take(rest).split_at_mut(n);
+            *rest = back;
+            front
         }
-        part_net_start[parts] = nets as u32;
-        let part_pin_start: Vec<u32> = part_net_start
+        let layout = &self.layout;
+        let (mut value, mut gx, mut gy) = (
+            &mut self.net_value[..],
+            &mut self.pin_gx[..],
+            &mut self.pin_gy[..],
+        );
+        // the engine's closure is shared between threads, so each part
+        // reaches its (disjoint) outputs through an uncontended lock
+        let outputs: Vec<Mutex<PartOutput<'_>>> = layout
+            .parts
             .iter()
-            .map(|&n| prefix(n as usize) as u32)
-            .collect();
-
-        let mut pin_cell = Vec::with_capacity(pins);
-        let mut pin_bias_x = Vec::with_capacity(pins);
-        let mut pin_bias_y = Vec::with_capacity(pins);
-        for pin in netlist.pins() {
-            let cell = netlist.pin_cell(pin);
-            pin_cell.push(cell.index() as u32);
-            pin_bias_x.push(0.5 * netlist.cell_width(cell) + netlist.pin_offset_x(pin));
-            pin_bias_y.push(0.5 * netlist.cell_height(cell) + netlist.pin_offset_y(pin));
-        }
-
-        let arenas = (0..parts)
-            .map(|p| {
-                let net_lo = part_net_start[p] as usize;
-                let net_hi = part_net_start[p + 1] as usize;
-                let pin_count = (part_pin_start[p + 1] - part_pin_start[p]) as usize;
-                let max_deg = (net_lo..net_hi)
-                    .map(|n| netlist.net_degree(NetId::from_usize(n)))
-                    .max()
-                    .unwrap_or(0);
-                Mutex::new(PartArena {
-                    model: model.clone(),
-                    xs: vec![0.0; max_deg],
-                    ys: vec![0.0; max_deg],
-                    gx: vec![0.0; max_deg],
-                    gy: vec![0.0; max_deg],
-                    net_value: vec![0.0; net_hi - net_lo],
-                    pin_gx: vec![0.0; pin_count],
-                    pin_gy: vec![0.0; pin_count],
+            .zip(&mut self.scratch)
+            .map(|(part, scratch)| {
+                Mutex::new(PartOutput {
+                    scratch,
+                    value: take_front(&mut value, part.nets.len()),
+                    gx: take_front(&mut gx, part.slots.len()),
+                    gy: take_front(&mut gy, part.slots.len()),
                 })
             })
+            // lint:allow(no-alloc-hot): O(parts) handle vector per dispatch; the workspace itself stays lock-free plain data
             .collect();
-
-        Self {
-            netlist_instance: netlist.instance_id(),
-            parts,
-            part_net_start,
-            part_pin_start,
-            pin_cell,
-            pin_bias_x,
-            pin_bias_y,
-            pin_grad_x: vec![0.0; pins],
-            pin_grad_y: vec![0.0; pins],
-            arenas,
+        let run = |p: usize| {
+            // a poisoned lock is re-entered: the engine re-raises the
+            // panic that poisoned it once the dispatch has drained
+            let mut out = outputs[p].lock().unwrap_or_else(PoisonError::into_inner);
+            let input = PartInput {
+                netlist,
+                placement,
+                layout,
+                part: &layout.parts[p],
+            };
+            input.eval::<GRAD>(&mut out);
+        };
+        if netlist.num_nets() >= engine.parallel_threshold() {
+            engine.run(outputs.len(), &run);
+        } else {
+            engine.run_serial(outputs.len(), &run);
         }
     }
 
-    /// Evaluates the nets of part `p`: per-net weighted values into
-    /// `net_value`, and (when `with_grad`) per-pin weighted gradients into
-    /// `pin_gx`/`pin_gy`. Output depends only on `p`, never on the thread.
-    fn eval_part(&self, netlist: &Netlist, placement: &Placement, p: usize, with_grad: bool) {
-        let mut arena = self.arenas[p].lock().expect("part arena lock");
-        let arena = &mut *arena;
-        let net_lo = self.part_net_start[p] as usize;
-        let net_hi = self.part_net_start[p + 1] as usize;
-        let pin_lo = self.part_pin_start[p] as usize;
-        for net_idx in net_lo..net_hi {
-            let net = NetId::from_usize(net_idx);
-            let range = netlist.net_pin_range(net);
-            let deg = range.len();
-            let local = range.start - pin_lo;
-            // alloc-free gather: index-write into the pre-sized arena buffers
-            // through zipped slices (no push, no per-pin bounds checks on the
-            // CSR-parallel arrays)
-            let cells = &self.pin_cell[range.clone()];
-            let bias_x = &self.pin_bias_x[range.clone()];
-            let bias_y = &self.pin_bias_y[range];
-            for ((((xo, yo), &cell), &bx), &by) in arena.xs[..deg]
-                .iter_mut()
-                .zip(&mut arena.ys[..deg])
-                .zip(cells)
-                .zip(bias_x)
-                .zip(bias_y)
-            {
-                let cell = cell as usize;
-                *xo = placement.x[cell] + bx;
-                *yo = placement.y[cell] + by;
+    /// Net values summed in global net order, whatever part or kernel
+    /// step computed each.
+    fn total_value(&self) -> f64 {
+        let mut total = 0.0;
+        for v in &self.net_value {
+            total += v;
+        }
+        total
+    }
+
+    /// Pin gradients summed onto cells, each cell's pins in the netlist's
+    /// `cell_pins` order (partition-independent). Overwrites every cell.
+    fn scatter(&self, netlist: &Netlist, out: &mut WirelengthGrad) {
+        let mut slots = self.layout.cell_slot.iter();
+        for cell in netlist.cells() {
+            let (mut ax, mut ay) = (0.0, 0.0);
+            for &slot in slots.by_ref().take(netlist.cell_pins(cell).len()) {
+                ax += self.pin_gx[slot as usize];
+                ay += self.pin_gy[slot as usize];
             }
-            if deg < 2 {
-                arena.net_value[net_idx - net_lo] = 0.0;
-                if with_grad {
-                    arena.pin_gx[local..local + deg].fill(0.0);
-                    arena.pin_gy[local..local + deg].fill(0.0);
+            out.grad_x[cell.index()] = ax;
+            out.grad_y[cell.index()] = ay;
+        }
+    }
+}
+
+impl PartInput<'_> {
+    /// Evaluates the nets of the part. The model is matched once: Moreau
+    /// sends the class blocks through the class kernel, every other model
+    /// (and every net of more than 8 pins) takes the per-net path. Output
+    /// depends only on the net, never on the part or thread.
+    fn eval<const GRAD: bool>(self, out: &mut PartOutput<'_>) {
+        let blocks = &self.part.blocks;
+        if let AnyModel::Moreau(moreau) = &out.scratch.model {
+            let t = moreau.smoothing();
+            self.class_block::<2, GRAD>(&blocks[0], t, out);
+            self.class_block::<3, GRAD>(&blocks[1], t, out);
+            self.class_block::<4, GRAD>(&blocks[2], t, out);
+            self.class_block::<5, GRAD>(&blocks[3], t, out);
+            self.class_block::<6, GRAD>(&blocks[4], t, out);
+            self.class_block::<7, GRAD>(&blocks[5], t, out);
+            self.class_block::<8, GRAD>(&blocks[6], t, out);
+        } else {
+            for (class, block) in blocks.iter().enumerate() {
+                let entries = block.entry_base..block.entry_base + block.nets;
+                for (j, &net) in self.layout.class_net[entries].iter().enumerate() {
+                    let pins = (block.slot_base + j, block.nets, class + 2);
+                    self.net::<GRAD>(net as usize, pins, out);
                 }
-                continue;
             }
-            let w = netlist.net_weight(net);
-            if with_grad {
-                let vx = arena
-                    .model
-                    .eval_axis(&arena.xs[..deg], &mut arena.gx[..deg]);
-                let vy = arena
-                    .model
-                    .eval_axis(&arena.ys[..deg], &mut arena.gy[..deg]);
-                arena.net_value[net_idx - net_lo] = w * (vx + vy);
-                for ((po, &g), (qo, &h)) in arena.pin_gx[local..local + deg]
-                    .iter_mut()
-                    .zip(&arena.gx[..deg])
-                    .zip(
-                        arena.pin_gy[local..local + deg]
-                            .iter_mut()
-                            .zip(&arena.gy[..deg]),
-                    )
-                {
-                    *po = w * g;
-                    *qo = w * h;
-                }
-            } else {
-                arena.net_value[net_idx - net_lo] = w
-                    * (arena.model.value_axis(&arena.xs[..deg])
-                        + arena.model.value_axis(&arena.ys[..deg]));
+        }
+        for big in &self.layout.big[self.part.big.clone()] {
+            let net = NetId::from_usize(self.part.nets.start + big.net as usize);
+            let pins = (big.slot as usize, 1, self.netlist.net_degree(net));
+            self.net::<GRAD>(big.net as usize, pins, out);
+        }
+    }
+
+    /// All nets of one class block through the class kernel: [`LANES`]
+    /// nets per step, the remainder one net per step.
+    fn class_block<const N: usize, const GRAD: bool>(
+        self,
+        block: &ClassBlock,
+        t: f64,
+        out: &mut PartOutput<'_>,
+    ) {
+        let whole = block.nets - block.nets % LANES;
+        for j in (0..whole).step_by(LANES) {
+            self.class_step::<N, LANES, GRAD>(block, j, t, out);
+        }
+        for j in whole..block.nets {
+            self.class_step::<N, 1, GRAD>(block, j, t, out);
+        }
+    }
+
+    /// One step of the class kernel: nets `j..j + L` of `block`, both
+    /// axes, gathered from and stored to `N` contiguous slot runs.
+    fn class_step<const N: usize, const L: usize, const GRAD: bool>(
+        self,
+        block: &ClassBlock,
+        j: usize,
+        t: f64,
+        out: &mut PartOutput<'_>,
+    ) {
+        let lay = self.layout;
+        let run = |i: usize| {
+            let at = block.slot_base + i * block.nets + j;
+            at..at + L
+        };
+        let first = self.part.slots.start;
+        let mut x = [[0.0; L]; N];
+        let mut y = [[0.0; L]; N];
+        for i in 0..N {
+            let slots = first + run(i).start..first + run(i).end;
+            let cells = &lay.slot_cell[slots.clone()];
+            let bias_x = &lay.slot_bias_x[slots.clone()];
+            let bias_y = &lay.slot_bias_y[slots];
+            for l in 0..L {
+                let cell = cells[l] as usize;
+                x[i][l] = self.placement.x[cell] + bias_x[l];
+                y[i][l] = self.placement.y[cell] + bias_y[l];
             }
+        }
+        let entries = block.entry_base + j..block.entry_base + j + L;
+        let mut w = [0.0; L];
+        w.copy_from_slice(&lay.class_weight[entries.clone()]);
+        let mut gx = [[0.0; L]; N];
+        let mut gy = [[0.0; L]; N];
+        let value = eval_class_nets::<N, L, GRAD>(&x, &y, t, &w, &mut gx, &mut gy);
+        for (&net, v) in lay.class_net[entries].iter().zip(value) {
+            out.value[net as usize] = v;
+        }
+        if GRAD {
+            for i in 0..N {
+                out.gx[run(i)].copy_from_slice(&gx[i]);
+                out.gy[run(i)].copy_from_slice(&gy[i]);
+            }
+        }
+    }
+
+    /// One net through the per-net [`NetModel`] path: `net` is relative
+    /// to the part, pin `i` sits at the part's slot `first + i·stride`.
+    fn net<const GRAD: bool>(
+        self,
+        net: usize,
+        (first, stride, degree): (usize, usize, usize),
+        out: &mut PartOutput<'_>,
+    ) {
+        let lay = self.layout;
+        let PartScratch {
+            model,
+            xs,
+            ys,
+            gx,
+            gy,
+        } = &mut *out.scratch;
+        let (xs, ys) = (&mut xs[..degree], &mut ys[..degree]);
+        let slots = (first..).step_by(stride).take(degree);
+        for ((xo, yo), slot) in xs.iter_mut().zip(ys.iter_mut()).zip(slots.clone()) {
+            let slot = self.part.slots.start + slot;
+            let cell = lay.slot_cell[slot] as usize;
+            *xo = self.placement.x[cell] + lay.slot_bias_x[slot];
+            *yo = self.placement.y[cell] + lay.slot_bias_y[slot];
+        }
+        let w = self
+            .netlist
+            .net_weight(NetId::from_usize(self.part.nets.start + net));
+        if GRAD {
+            let (gx, gy) = (&mut gx[..degree], &mut gy[..degree]);
+            let vx = model.eval_axis(xs, gx);
+            let vy = model.eval_axis(ys, gy);
+            out.value[net] = w * (vx + vy);
+            for ((&g, &h), slot) in gx.iter().zip(gy.iter()).zip(slots) {
+                out.gx[slot] = w * g;
+                out.gy[slot] = w * h;
+            }
+        } else {
+            out.value[net] = w * (model.value_axis(xs) + model.value_axis(ys));
         }
     }
 }
@@ -298,86 +348,59 @@ impl NetlistEvaluator {
     /// evaluator built on the new model.
     pub fn set_model(&mut self, model: AnyModel) {
         self.model = model;
-        if let Some(ws) = &self.ws {
-            for arena in &ws.arenas {
-                arena.lock().expect("part arena lock").model = self.model.clone();
-            }
+        for scratch in self.ws.iter_mut().flat_map(|ws| &mut ws.scratch) {
+            scratch.model = self.model.clone();
         }
     }
 
     /// Ensures the workspace matches this netlist's topology and the
     /// engine's part count, then syncs the per-part model smoothing.
-    fn prepare(&mut self, netlist: &Netlist) -> &Workspace {
+    fn prepare(&mut self, netlist: &Netlist) -> &mut Workspace {
         let parts = self.engine.threads();
-        let stale = match &self.ws {
-            Some(ws) => ws.netlist_instance != netlist.instance_id() || ws.parts != parts,
-            None => true,
-        };
-        if stale {
-            self.ws = Some(Workspace::build(netlist, &self.model, parts));
-            self.engine.note_workspace_alloc();
+        if self.ws.as_ref().is_some_and(|ws| {
+            ws.layout.netlist_instance != netlist.instance_id() || ws.layout.parts.len() != parts
+        }) {
+            self.ws = None;
         }
-        let ws = self.ws.as_ref().expect("workspace just ensured");
+        let ws = self.ws.get_or_insert_with(|| {
+            self.engine.note_workspace_alloc();
+            Workspace::new(netlist, &self.model, parts)
+        });
         let smoothing = self.model.smoothing();
-        for arena in &ws.arenas {
-            arena
-                .lock()
-                .expect("part arena lock")
-                .model
-                .set_smoothing(smoothing);
+        for scratch in &mut ws.scratch {
+            scratch.model.set_smoothing(smoothing);
         }
         ws
-    }
-
-    fn dispatch(&self, netlist: &Netlist, f: &(dyn Fn(usize) + Sync), parts: usize) {
-        if netlist.num_nets() >= self.engine.parallel_threshold() {
-            self.engine.run(parts, f);
-        } else {
-            self.engine.run_serial(parts, f);
-        }
     }
 
     /// Evaluates value + cell gradients into `out` (buffers are reused).
     ///
     /// Bit-identical across engine thread counts; see the module docs.
     pub fn evaluate(&mut self, netlist: &Netlist, placement: &Placement, out: &mut WirelengthGrad) {
-        out.reset(netlist.num_cells());
+        out.grad_x.resize(netlist.num_cells(), 0.0);
+        out.grad_y.resize(netlist.num_cells(), 0.0);
         if netlist.num_nets() == 0 {
+            out.value = 0.0;
+            out.grad_x.fill(0.0);
+            out.grad_y.fill(0.0);
             return;
         }
-        self.prepare(netlist);
         let engine = Arc::clone(&self.engine);
         engine.time_stage(Stage::WlGrad, || {
-            let ws = self.ws.as_ref().expect("workspace prepared");
-            self.dispatch(
-                netlist,
-                &|p| ws.eval_part(netlist, placement, p, true),
-                ws.parts,
-            );
+            let class_kernel = matches!(self.model, AnyModel::Moreau(_));
+            let ws = self.prepare(netlist);
+            ws.eval_parts::<true>(&engine, netlist, placement);
             // fixed-order assembly on the calling thread
-            let ws = self.ws.as_mut().expect("workspace prepared");
-            let mut total = 0.0;
-            for p in 0..ws.parts {
-                let arena = ws.arenas[p].lock().expect("part arena lock");
-                for v in &arena.net_value {
-                    total += v;
-                }
-                let pin_lo = ws.part_pin_start[p] as usize;
-                let pin_hi = ws.part_pin_start[p + 1] as usize;
-                ws.pin_grad_x[pin_lo..pin_hi].copy_from_slice(&arena.pin_gx);
-                ws.pin_grad_y[pin_lo..pin_hi].copy_from_slice(&arena.pin_gy);
-            }
-            out.value = total;
-            // scatter pins onto cells in cell-CSR order (partition-independent)
-            for cell in netlist.cells() {
-                let (mut ax, mut ay) = (0.0, 0.0);
-                for &pin in netlist.cell_pins(cell) {
-                    ax += ws.pin_grad_x[pin.index()];
-                    ay += ws.pin_grad_y[pin.index()];
-                }
-                out.grad_x[cell.index()] = ax;
-                out.grad_y[cell.index()] = ay;
-            }
+            engine.time_stage(Stage::WlScatter, || {
+                out.value = ws.total_value();
+                ws.scatter(netlist, out);
+            });
+            let class = if class_kernel {
+                ws.layout.class_net.len() as u64
+            } else {
+                0
+            };
+            engine.note_wl_nets(class, ws.layout.multi_pin_nets - class);
         });
     }
 
@@ -387,23 +410,11 @@ impl NetlistEvaluator {
         if netlist.num_nets() == 0 {
             return 0.0;
         }
-        self.prepare(netlist);
         let engine = Arc::clone(&self.engine);
         engine.time_stage(Stage::WlValue, || {
-            let ws = self.ws.as_ref().expect("workspace prepared");
-            self.dispatch(
-                netlist,
-                &|p| ws.eval_part(netlist, placement, p, false),
-                ws.parts,
-            );
-            let mut total = 0.0;
-            for p in 0..ws.parts {
-                let arena = ws.arenas[p].lock().expect("part arena lock");
-                for v in &arena.net_value {
-                    total += v;
-                }
-            }
-            total
+            let ws = self.prepare(netlist);
+            ws.eval_parts::<false>(&engine, netlist, placement);
+            ws.total_value()
         })
     }
 }
@@ -450,15 +461,117 @@ mod tests {
                 par.engine().stats().parallel_runs > 0,
                 "{kind}: parallel path not exercised"
             );
-            assert!(
-                (a.value - b.value).abs() < 1e-9 * a.value.abs().max(1.0),
-                "{kind}: {} vs {}",
-                a.value,
-                b.value
+            assert_same_bits(&a, &b, &format!("{kind}"));
+        }
+    }
+
+    fn assert_same_bits(got: &WirelengthGrad, want: &WirelengthGrad, what: &str) {
+        assert_eq!(got.value.to_bits(), want.value.to_bits(), "{what}: value");
+        assert_eq!(got.grad_x.len(), want.grad_x.len(), "{what}: cells");
+        for i in 0..want.grad_x.len() {
+            assert_eq!(
+                got.grad_x[i].to_bits(),
+                want.grad_x[i].to_bits(),
+                "{what}: gx[{i}]"
             );
-            for i in 0..nl.num_cells() {
-                assert!((a.grad_x[i] - b.grad_x[i]).abs() < 1e-9, "{kind} gx[{i}]");
-                assert!((a.grad_y[i] - b.grad_y[i]).abs() < 1e-9, "{kind} gy[{i}]");
+            assert_eq!(
+                got.grad_y[i].to_bits(),
+                want.grad_y[i].to_bits(),
+                "{what}: gy[{i}]"
+            );
+        }
+    }
+
+    /// The evaluation written the plain way: one net at a time in net
+    /// order over the netlist's own CSR, Moreau through the scalar oracle
+    /// of [`crate::moreau::reference`] and any other model through its
+    /// per-net `eval_axis`, values summed in net order, pin gradients
+    /// summed per cell in `cell_pins` order.
+    fn per_net_loop(nl: &Netlist, pl: &Placement, model: &AnyModel) -> WirelengthGrad {
+        let mut model = model.clone();
+        let mut scratch = Vec::new();
+        let mut pin_gx = vec![0.0; nl.num_pins()];
+        let mut pin_gy = vec![0.0; nl.num_pins()];
+        let mut out = WirelengthGrad::zeros(nl.num_cells());
+        for net in nl.nets() {
+            let range = nl.net_pin_range(net);
+            if range.len() < 2 {
+                continue;
+            }
+            let (mut xs, mut ys) = (Vec::new(), Vec::new());
+            for pin in nl.net_pins(net) {
+                let cell = nl.pin_cell(pin);
+                xs.push(pl.x[cell.index()] + (0.5 * nl.cell_width(cell) + nl.pin_offset_x(pin)));
+                ys.push(pl.y[cell.index()] + (0.5 * nl.cell_height(cell) + nl.pin_offset_y(pin)));
+            }
+            let mut gx = vec![0.0; xs.len()];
+            let mut gy = vec![0.0; ys.len()];
+            let (vx, vy) = match &model {
+                AnyModel::Moreau(m) => {
+                    let t = m.smoothing();
+                    let ex =
+                        crate::moreau::reference::eval(&xs, t, Some(&mut gx), None, &mut scratch);
+                    let ey =
+                        crate::moreau::reference::eval(&ys, t, Some(&mut gy), None, &mut scratch);
+                    (ex.envelope + t, ey.envelope + t)
+                }
+                _ => (model.eval_axis(&xs, &mut gx), model.eval_axis(&ys, &mut gy)),
+            };
+            let w = nl.net_weight(net);
+            out.value += w * (vx + vy);
+            for (i, pin) in range.enumerate() {
+                pin_gx[pin] = w * gx[i];
+                pin_gy[pin] = w * gy[i];
+            }
+        }
+        for cell in nl.cells() {
+            for &pin in nl.cell_pins(cell) {
+                out.grad_x[cell.index()] += pin_gx[pin.index()];
+                out.grad_y[cell.index()] += pin_gy[pin.index()];
+            }
+        }
+        out
+    }
+
+    /// Class blocks, lane steps and their single-net tails, the per-net
+    /// path and part boundaries falling inside a class, all against the
+    /// plain loop: smoke and the `newblue6` stand-in, the paper's model
+    /// and WA, `evaluate` and `value`, 1/2/4/8 parts, early (loose) and
+    /// late (tight) smoothing.
+    #[test]
+    fn whole_netlist_bitwise_matches_the_per_net_loop() {
+        let newblue6 = synth::spec_by_name("newblue6").expect("catalogue circuit");
+        for spec in [synth::smoke_spec(), newblue6] {
+            let c = synth::generate(&spec);
+            let nl = &c.design.netlist;
+            // stretch the generator's clumped start, so that the loose
+            // smoothing collapses some nets and the tight one none
+            let mut placement = c.placement.clone();
+            for (i, x) in placement.x.iter_mut().enumerate() {
+                *x += (i % 97) as f64 * 0.37;
+            }
+            for kind in [ModelKind::Moreau, ModelKind::Wa] {
+                for smoothing in [8.0, 0.3] {
+                    let model = kind.instantiate(smoothing);
+                    let want = per_net_loop(nl, &placement, &model);
+                    for parts in [1usize, 2, 4, 8] {
+                        let what = format!("{} {kind} s={smoothing} parts={parts}", spec.name);
+                        let mut eval = parallel_eval(model.clone(), parts);
+                        let mut got = WirelengthGrad::zeros(nl.num_cells());
+                        eval.evaluate(nl, &placement, &mut got);
+                        assert_same_bits(&got, &want, &what);
+                        let value = eval.value(nl, &placement);
+                        assert_eq!(value.to_bits(), want.value.to_bits(), "{what}: value()");
+                        let stats = eval.engine().stats();
+                        let small = nl.nets().filter(|&n| nl.net_degree(n) < 2).count() as u64;
+                        assert_eq!(
+                            stats.wl_class_nets + stats.wl_generic_nets + small,
+                            nl.num_nets() as u64,
+                            "{what}: every net is served by exactly one path"
+                        );
+                        assert_eq!(stats.wl_class_nets > 0, kind == ModelKind::Moreau, "{what}");
+                    }
+                }
             }
         }
     }
@@ -510,7 +623,7 @@ mod tests {
         let mut out = WirelengthGrad::zeros(nl.num_cells());
         eval.evaluate(nl, &c.placement, &mut out);
         let v = eval.value(nl, &c.placement);
-        assert!((out.value - v).abs() < 1e-9 * v.abs().max(1.0));
+        assert_eq!(out.value.to_bits(), v.to_bits());
     }
 
     #[test]

@@ -1,0 +1,279 @@
+//! Everything the whole-netlist evaluator builds once per netlist instance
+//! and part count: the topology-derived [`Layout`] (pin-count-balanced
+//! partition, degree-class blocks in structure-of-arrays slot order, cell
+//! scatter list) and the [`Workspace`] of output and scratch buffers
+//! around it. Nothing in this file runs per evaluation.
+//!
+//! # Slots
+//!
+//! Every pin owns one *slot*: the index of its gather data (`slot_cell`,
+//! `slot_bias_*`) and of its gradient outputs. A part owns the contiguous
+//! slot range of its nets' pins, ordered as
+//!
+//! 1. one block per degree `N ∈ 2..=8`: the `M` nets of that degree in
+//!    ascending net order, **pin-major** — pin `i` of the block's `j`-th
+//!    net sits at `slot_base + i·M + j`, so a kernel step over [`LANES`]
+//!    consecutive nets reads and writes `N` contiguous runs;
+//! 2. the nets of more than 8 pins, each net's pins contiguous;
+//! 3. the pins of single-pin nets, which no evaluation ever writes (their
+//!    gradient stays the zero the buffers are created with).
+//!
+//! The layout does not depend on the wirelength model: a model without a
+//! class kernel walks the same blocks one net at a time with stride `M`.
+
+use crate::model::AnyModel;
+use crate::moreau::MAX_CLASS_DEGREE;
+use mep_netlist::{NetId, Netlist};
+use std::ops::Range;
+
+/// Nets evaluated per step of the class kernel (one AVX2 register of
+/// `f64`); the last `M mod LANES` nets of a block take single-lane steps.
+pub(super) const LANES: usize = 4;
+
+/// Degrees `2..=MAX_CLASS_DEGREE`, at index `degree − 2`.
+pub(super) const CLASSES: usize = MAX_CLASS_DEGREE - 1;
+
+/// The nets of one degree in one part (see the module docs).
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct ClassBlock {
+    /// Number of nets `M` in the block.
+    pub nets: usize,
+    /// Slot of pin 0 of the block's first net, relative to the part.
+    pub slot_base: usize,
+    /// Index of the block's first net in `class_net` / `class_weight`.
+    pub entry_base: usize,
+}
+
+/// A net of more than [`MAX_CLASS_DEGREE`] pins: its id and its first
+/// slot, both relative to the part.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct BigNet {
+    pub net: u32,
+    pub slot: u32,
+}
+
+/// One part: a contiguous, ascending net range and the slots of its pins.
+#[derive(Debug)]
+pub(super) struct Part {
+    pub nets: Range<usize>,
+    pub slots: Range<usize>,
+    /// Class blocks by degree.
+    pub blocks: [ClassBlock; CLASSES],
+    /// The part's range of `Layout::big`.
+    pub big: Range<usize>,
+    /// Largest net degree (sizes the per-net gather scratch).
+    pub max_degree: usize,
+}
+
+#[derive(Debug)]
+pub(super) struct Layout {
+    pub netlist_instance: u64,
+    /// Pin-count-balanced partition (CSR prefix sums, so a part with a
+    /// few huge nets gets fewer of them).
+    pub parts: Vec<Part>,
+    /// Per class entry (block-major, ascending net order within a block):
+    /// the net, relative to its part, and its weight.
+    pub class_net: Vec<u32>,
+    pub class_weight: Vec<f64>,
+    pub big: Vec<BigNet>,
+    /// Per slot: owning cell, and the offset from the cell's lower-left
+    /// corner to the pin (half-extent + pin offset), so a gather is one
+    /// add per axis.
+    pub slot_cell: Vec<u32>,
+    pub slot_bias_x: Vec<f64>,
+    pub slot_bias_y: Vec<f64>,
+    /// Slots of each cell's pins, cells in id order and pins in the
+    /// netlist's `cell_pins` order: the scatter walks it front to back.
+    pub cell_slot: Vec<u32>,
+    /// Nets of at least two pins (the others are never evaluated).
+    pub multi_pin_nets: u64,
+}
+
+/// Per-part state of the per-net path: the part's own model (the models
+/// keep scratch, hence `&mut`) and gather buffers sized to the part's
+/// largest net.
+#[derive(Debug)]
+pub(super) struct PartScratch {
+    pub model: AnyModel,
+    pub xs: Vec<f64>,
+    pub ys: Vec<f64>,
+    pub gx: Vec<f64>,
+    pub gy: Vec<f64>,
+}
+
+/// The layout plus the evaluation outputs, cached per netlist instance.
+#[derive(Debug)]
+pub(super) struct Workspace {
+    pub layout: Layout,
+    /// Weighted value per net, by net id (single-pin and empty nets keep
+    /// the zero they are created with).
+    pub net_value: Vec<f64>,
+    /// Weighted per-pin gradients, by slot.
+    pub pin_gx: Vec<f64>,
+    pub pin_gy: Vec<f64>,
+    /// One per part.
+    pub scratch: Vec<PartScratch>,
+}
+
+impl Workspace {
+    pub(super) fn new(netlist: &Netlist, model: &AnyModel, parts: usize) -> Self {
+        let layout = Layout::build(netlist, parts);
+        Self {
+            net_value: vec![0.0; netlist.num_nets()],
+            pin_gx: vec![0.0; netlist.num_pins()],
+            pin_gy: vec![0.0; netlist.num_pins()],
+            scratch: layout
+                .parts
+                .iter()
+                .map(|part| PartScratch {
+                    model: model.clone(),
+                    xs: vec![0.0; part.max_degree],
+                    ys: vec![0.0; part.max_degree],
+                    gx: vec![0.0; part.max_degree],
+                    gy: vec![0.0; part.max_degree],
+                })
+                .collect(),
+            layout,
+        }
+    }
+}
+
+impl Layout {
+    fn build(netlist: &Netlist, parts: usize) -> Self {
+        let nets = netlist.num_nets();
+        let pins = netlist.num_pins();
+        let first_pin = |net: usize| -> usize {
+            if net == nets {
+                pins
+            } else {
+                netlist.net_pin_range(NetId::from_usize(net)).start
+            }
+        };
+        let degree = |net: usize| netlist.net_degree(NetId::from_usize(net));
+        // part k starts at the first net whose CSR prefix reaches k/parts
+        // of the total pin count
+        let mut starts = Vec::with_capacity(parts + 1);
+        let mut lo = 0usize;
+        for k in 0..parts {
+            let target = (pins as u128 * k as u128 / parts as u128) as usize;
+            let mut hi = nets;
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if first_pin(mid) < target {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            starts.push(lo);
+        }
+        starts.push(nets);
+
+        let mut pin_slot = vec![0u32; pins];
+        let mut class_net = Vec::new();
+        let mut class_weight = Vec::new();
+        let mut big = Vec::new();
+        let mut multi_pin_nets = 0u64;
+        let parts: Vec<Part> = starts
+            .windows(2)
+            .map(|w| {
+                let part_nets = w[0]..w[1];
+                let slots = first_pin(w[0])..first_pin(w[1]);
+                // first pass: sizes, which fix where every block starts
+                let mut blocks = [ClassBlock::default(); CLASSES];
+                let (mut big_pins, mut max_degree) = (0, 0);
+                for d in part_nets.clone().map(degree) {
+                    max_degree = max_degree.max(d);
+                    match d {
+                        0 | 1 => continue,
+                        2..=MAX_CLASS_DEGREE => blocks[d - 2].nets += 1,
+                        _ => big_pins += d,
+                    }
+                    multi_pin_nets += 1;
+                }
+                let mut slot = 0;
+                for (class, block) in blocks.iter_mut().enumerate() {
+                    block.slot_base = slot;
+                    block.entry_base = class_net.len();
+                    slot += (class + 2) * block.nets;
+                    class_net.resize(block.entry_base + block.nets, 0);
+                }
+                class_weight.resize(class_net.len(), 0.0);
+                // second pass, in ascending net order: every pin gets its slot
+                let mut placed = [0usize; CLASSES];
+                let (mut big_slot, mut single_slot) = (slot, slot + big_pins);
+                let big_start = big.len();
+                for n in part_nets.clone() {
+                    let net = NetId::from_usize(n);
+                    let pins = netlist.net_pin_range(net);
+                    let local = (n - part_nets.start) as u32;
+                    match pins.len() {
+                        0 => {}
+                        1 => {
+                            pin_slot[pins.start] = (slots.start + single_slot) as u32;
+                            single_slot += 1;
+                        }
+                        d @ 2..=MAX_CLASS_DEGREE => {
+                            let block = &blocks[d - 2];
+                            let j = placed[d - 2];
+                            placed[d - 2] += 1;
+                            for (i, pin) in pins.enumerate() {
+                                let at = block.slot_base + i * block.nets + j;
+                                pin_slot[pin] = (slots.start + at) as u32;
+                            }
+                            class_net[block.entry_base + j] = local;
+                            class_weight[block.entry_base + j] = netlist.net_weight(net);
+                        }
+                        _ => {
+                            big.push(BigNet {
+                                net: local,
+                                slot: big_slot as u32,
+                            });
+                            for pin in pins {
+                                pin_slot[pin] = (slots.start + big_slot) as u32;
+                                big_slot += 1;
+                            }
+                        }
+                    }
+                }
+                debug_assert_eq!(single_slot, slots.len(), "slots tile the part's pins");
+                Part {
+                    max_degree,
+                    nets: part_nets,
+                    slots,
+                    blocks,
+                    big: big_start..big.len(),
+                }
+            })
+            .collect();
+
+        let mut slot_cell = vec![0u32; pins];
+        let mut slot_bias_x = vec![0.0; pins];
+        let mut slot_bias_y = vec![0.0; pins];
+        for pin in netlist.pins() {
+            let cell = netlist.pin_cell(pin);
+            let slot = pin_slot[pin.index()] as usize;
+            slot_cell[slot] = cell.index() as u32;
+            slot_bias_x[slot] = 0.5 * netlist.cell_width(cell) + netlist.pin_offset_x(pin);
+            slot_bias_y[slot] = 0.5 * netlist.cell_height(cell) + netlist.pin_offset_y(pin);
+        }
+        let cell_slot = netlist
+            .cells()
+            .flat_map(|cell| netlist.cell_pins(cell))
+            .map(|pin| pin_slot[pin.index()])
+            .collect();
+
+        Self {
+            netlist_instance: netlist.instance_id(),
+            parts,
+            class_net,
+            class_weight,
+            big,
+            slot_cell,
+            slot_bias_x,
+            slot_bias_y,
+            cell_slot,
+            multi_pin_nets,
+        }
+    }
+}

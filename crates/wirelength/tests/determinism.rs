@@ -137,8 +137,9 @@ fn value_serial_and_parallel_agree_for_all_contestants() {
             parallel.engine().stats().parallel_runs > 0,
             "{kind}: value() must route through the engine"
         );
-        assert!(
-            (vs - vp).abs() <= 1e-9 * vs.abs().max(1.0),
+        assert_eq!(
+            vs.to_bits(),
+            vp.to_bits(),
             "{kind}: serial {vs} vs parallel {vp}"
         );
     }
@@ -152,10 +153,23 @@ fn value_agrees_with_evaluate_on_degenerate_nets() {
         let mut out = WirelengthGrad::zeros(nl.num_cells());
         eval.evaluate(&nl, &pl, &mut out);
         let v = eval.value(&nl, &pl);
-        assert!(
-            (out.value - v).abs() <= 1e-9 * v.abs().max(1.0),
-            "{kind}: evaluate {} vs value {v}",
-            out.value
-        );
+        // LSE's `value_axis` is a formula of its own (two plain sums, no
+        // shared normalizer), so its two entry points agree to rounding;
+        // every other contestant runs the same arithmetic in both, the
+        // paper's model the very same kernel
+        if kind == ModelKind::Lse {
+            assert!(
+                (out.value - v).abs() <= 1e-9 * v.abs().max(1.0),
+                "{kind}: evaluate {} vs value {v}",
+                out.value
+            );
+        } else {
+            assert_eq!(
+                out.value.to_bits(),
+                v.to_bits(),
+                "{kind}: evaluate {} vs value {v}",
+                out.value
+            );
+        }
     }
 }
