@@ -1,7 +1,6 @@
-//! Criterion microbench: the spectral density step — unplanned baseline
-//! vs. the planned transpose-based path (`planned_unfused`) vs. the fused
-//! transpose-free lane-kernel path (`planned`) vs. fused + parallel
-//! batches.
+//! Criterion microbench: the spectral density step on the production path
+//! (`fused`: planned lane kernels, column pass strided in place) and on
+//! the `unplanned` fallback a degraded solver runs.
 //!
 //! One "density step" is the four 2-D sweeps of a Poisson solve (analysis
 //! DCT2×DCT2, potential DCT3×DCT3, and the two field syntheses), which is
@@ -10,12 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mep_density::transform::{transform_2d, Kind, Spectral2d, TransformScratch};
-use mep_density::ParallelExec;
-use mep_wirelength::engine::EvalEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// The four sweeps of one spectral Poisson solve.
 const SWEEPS: [(Kind, Kind); 4] = [
@@ -24,17 +20,6 @@ const SWEEPS: [(Kind, Kind); 4] = [
     (Kind::Dst3, Kind::Dct3),
     (Kind::Dct3, Kind::Dst3),
 ];
-
-/// Adapter exposing the persistent worker pool to the density crate (same
-/// shape as the placer's private adapter).
-#[derive(Debug)]
-struct EngineExec(Arc<EvalEngine>);
-
-impl ParallelExec for EngineExec {
-    fn run(&self, parts: usize, f: &(dyn Fn(usize) + Sync)) {
-        self.0.run(parts, f);
-    }
-}
 
 fn bench_density_transform(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(17);
@@ -54,46 +39,16 @@ fn bench_density_transform(c: &mut Criterion) {
             })
         });
 
-        let mut unfused = Spectral2d::new(n, n);
-        group.bench_with_input(BenchmarkId::new("planned_unfused", n), &n, |b, _| {
+        let mut fused = Spectral2d::new(n, n);
+        group.bench_with_input(BenchmarkId::new("fused", n), &n, |b, _| {
             b.iter(|| {
                 for (buf, &(kx, ky)) in bufs.iter_mut().zip(&SWEEPS) {
                     buf.copy_from_slice(&rho);
-                    unfused.execute_unfused(buf, kx, ky);
+                    fused.execute(buf, kx, ky);
                 }
                 black_box(bufs[0][0])
             })
         });
-
-        let mut planned = Spectral2d::new(n, n);
-        group.bench_with_input(BenchmarkId::new("planned", n), &n, |b, _| {
-            b.iter(|| {
-                for (buf, &(kx, ky)) in bufs.iter_mut().zip(&SWEEPS) {
-                    buf.copy_from_slice(&rho);
-                    planned.execute(buf, kx, ky);
-                }
-                black_box(bufs[0][0])
-            })
-        });
-
-        for &threads in &[2usize, 8] {
-            let engine = Arc::new(EvalEngine::new(threads));
-            let mut parallel = Spectral2d::new(n, n);
-            parallel.set_executor(Arc::new(EngineExec(Arc::clone(&engine))), threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("planned_{threads}t"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        for (buf, &(kx, ky)) in bufs.iter_mut().zip(&SWEEPS) {
-                            buf.copy_from_slice(&rho);
-                            parallel.execute(buf, kx, ky);
-                        }
-                        black_box(bufs[0][0])
-                    })
-                },
-            );
-        }
     }
     group.finish();
 }

@@ -1,9 +1,7 @@
 //! **Multi-thread scaling matrix** (DESIGN.md §13): wall-clock medians for
-//! the three placement hot paths — whole-netlist wirelength evaluation,
-//! the spectral density transform (the four 2-D sweeps of one Poisson
-//! solve), and a full global-placement iteration — at 1/2/4/8 worker
-//! threads, plus the serial fused-vs-unfused spectral comparison that
-//! backs the ISSUE 7 acceptance criterion.
+//! whole-netlist wirelength evaluation and a full global-placement
+//! iteration at 1/2/4/8 worker threads, plus the single-threaded spectral
+//! density step (the four 2-D sweeps of one Poisson solve) per grid size.
 //!
 //! ```text
 //! cargo run -p mep-bench --release --bin scaling_matrix [--fast] [--out PATH]
@@ -19,7 +17,6 @@
 //! this binary always sweeps its own explicit 1/2/4/8 matrix.
 
 use mep_density::transform::{Kind, Spectral2d};
-use mep_density::ParallelExec;
 use mep_obs::json::JsonObject;
 use mep_placer::global::place;
 use mep_placer::GlobalConfig;
@@ -38,17 +35,6 @@ const SWEEPS: [(Kind, Kind); 4] = [
 
 /// Thread counts of the scaling matrix.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Adapter exposing the persistent worker pool to the density crate (same
-/// shape as the placer's private adapter).
-#[derive(Debug)]
-struct EngineExec(Arc<EvalEngine>);
-
-impl ParallelExec for EngineExec {
-    fn run(&self, parts: usize, f: &(dyn Fn(usize) + Sync)) {
-        self.0.run(parts, f);
-    }
-}
 
 /// Median wall-clock of `reps` timed runs (after one warmup), in ms.
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -77,26 +63,14 @@ fn test_grid(len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// One density step (four sweeps) on a prepared engine, in ms.
-fn density_step_ms(n: usize, reps: usize, engine: &mut Spectral2d, rho: &[f64]) -> f64 {
-    let mut buf = vec![0.0; n * n];
-    median_ms(reps, || {
-        for &(kx, ky) in &SWEEPS {
-            buf.copy_from_slice(rho);
-            engine.execute(&mut buf, kx, ky);
-        }
-        std::hint::black_box(buf[0]);
-    })
-}
-
-/// Serial unfused reference density step, in ms.
-fn density_step_unfused_ms(n: usize, reps: usize, rho: &[f64]) -> f64 {
+/// One density step (four sweeps) on an `n × n` grid, in ms.
+fn density_step_ms(n: usize, reps: usize, rho: &[f64]) -> f64 {
     let mut engine = Spectral2d::new(n, n);
     let mut buf = vec![0.0; n * n];
     median_ms(reps, || {
         for &(kx, ky) in &SWEEPS {
             buf.copy_from_slice(rho);
-            engine.execute_unfused(&mut buf, kx, ky);
+            engine.execute(&mut buf, kx, ky);
         }
         std::hint::black_box(buf[0]);
     })
@@ -141,36 +115,18 @@ fn main() {
     let reps = if fast { 3 } else { 7 };
     eprintln!("[scaling] available_parallelism = {avail}, reps = {reps}, fast = {fast}");
 
-    // ---- density transform: serial fused vs unfused, then thread sweep ----
+    // ---- density transform: the one (single-threaded) path, per size ----
     let sizes: &[usize] = if fast { &[256, 512] } else { &[256, 512, 1024] };
     let mut density_json = JsonObject::new();
     let mut fused_512_serial = f64::NAN;
     for &n in sizes {
         let rho = test_grid(n * n, 17 + n as u64);
-        let unfused = density_step_unfused_ms(n, reps, &rho);
-        let mut per_size = JsonObject::new();
-        per_size.field_f64("serial_unfused", round3(unfused));
-        let mut by_threads = Vec::new();
-        for &t in &THREADS {
-            let mut engine = Spectral2d::new(n, n);
-            if t > 1 {
-                let pool = Arc::new(EvalEngine::new(t));
-                engine.set_executor(Arc::new(EngineExec(pool)), t);
-            }
-            let ms = density_step_ms(n, reps, &mut engine, &rho);
-            per_size.field_f64(&format!("fused_{t}t"), round3(ms));
-            by_threads.push((t, ms));
-            eprintln!("[scaling] density {n}x{n} fused {t}t: {ms:.2} ms (unfused {unfused:.2} ms)");
-        }
+        let ms = density_step_ms(n, reps, &rho);
+        eprintln!("[scaling] density {n}x{n}: {ms:.2} ms");
         if n == 512 {
-            fused_512_serial = by_threads[0].1;
+            fused_512_serial = ms;
         }
-        per_size.field_f64(
-            "fused_serial_speedup_vs_unfused",
-            round3(unfused / by_threads[0].1),
-        );
-        speedup_field(&mut per_size, "thread_speedup", &by_threads);
-        density_json.field_raw(&format!("{n}"), &per_size.finish());
+        density_json.field_f64(&format!("{n}"), round3(ms));
     }
 
     // ---- engine eval: whole-netlist wirelength value + gradient ----
@@ -240,19 +196,19 @@ fn main() {
     root.field_str("bench", "scaling_matrix")
         .field_str(
             "description",
-            "Wall-clock medians for the three placement hot paths at 1/2/4/8 worker \
-             threads. density_transform_ms: one spectral density step = the four 2-D \
-             sweeps of a Poisson solve on the fused transpose-free Spectral2d path, \
-             with the unfused transpose-based path as the serial reference. \
-             engine_eval_ms: whole-netlist Moreau wirelength value+gradient on the \
-             persistent EvalEngine. gp_iteration_ms: per-iteration wall clock of a \
-             fixed-iteration global placement run (wirelength + density + optimizer).",
+            "Wall-clock medians. density_transform_ms: one spectral density step = the \
+             four 2-D sweeps of a Poisson solve on Spectral2d::execute, per grid side; \
+             single-threaded, as in the placer. engine_eval_ms: whole-netlist Moreau \
+             wirelength value+gradient on the persistent EvalEngine at 1/2/4/8 worker \
+             threads. gp_iteration_ms: per-iteration wall clock of a fixed-iteration \
+             global placement run (wirelength at that thread count + density + \
+             optimizer).",
         )
         .field_str(
             "determinism_note",
-            "All configurations produce bit-identical grids and gradients at every \
-             thread count (crates/density/tests/spectral_plans.rs, \
-             crates/wirelength src tests); the matrix measures wall clock only.",
+            "All configurations produce bit-identical gradients and placements at \
+             every thread count (crates/wirelength/tests/determinism.rs, \
+             tests/pipeline_smoke.rs); the matrix measures wall clock only.",
         )
         .field_u64("available_parallelism", avail as u64)
         .field_opt_str(
@@ -314,8 +270,7 @@ fn run_guard(args: &[String]) {
     };
     let n = 512usize;
     let rho = test_grid(n * n, 17 + n as u64);
-    let mut engine = Spectral2d::new(n, n);
-    let ms = density_step_ms(n, 7, &mut engine, &rho);
+    let ms = density_step_ms(n, 7, &rho);
     let ratio = ms / baseline_ms;
     println!(
         "[guard] serial fused 512x512 density step: {ms:.2} ms vs baseline \

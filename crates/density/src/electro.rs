@@ -7,58 +7,9 @@
 //! (cells are pushed *down* the energy landscape, i.e. away from dense
 //! regions, by following `−∇D`).
 
-use crate::exec::ParallelExec;
 use crate::grid::{BinGrid, DensityMap};
 use crate::poisson::PoissonSolver;
-use mep_netlist::{CellId, Design, Netlist, Placement};
-use std::sync::{Arc, Mutex};
-
-/// Below this movable-cell count the parallel gradient path is not worth
-/// the dispatch overhead; the serial loop runs instead.
-const PARALLEL_CELL_THRESHOLD: usize = 2048;
-
-/// An installed executor plus the per-part state it dispatches over.
-///
-/// Bound to the netlist passed to [`Electrostatics::set_executor`]: the
-/// movable-cell list and its uniform partition are computed once there,
-/// and the per-part `(cell, dgx, dgy)` scratch vectors are pre-sized so
-/// the hot loop performs no allocations.
-#[derive(Debug)]
-struct ExecHook {
-    exec: Arc<dyn ParallelExec>,
-    netlist_instance: u64,
-    /// Movable cell indices, ascending.
-    movable: Vec<u32>,
-    /// Partition boundaries into `movable` (`parts + 1` entries).
-    part_start: Vec<u32>,
-    /// Per-part `(cell, dgx, dgy)` output; applied in part order, which is
-    /// ascending cell order, so results are identical to the serial loop.
-    scratch: Vec<Mutex<Vec<(u32, f64, f64)>>>,
-}
-
-impl Clone for ExecHook {
-    fn clone(&self) -> Self {
-        Self {
-            exec: Arc::clone(&self.exec),
-            netlist_instance: self.netlist_instance,
-            movable: self.movable.clone(),
-            part_start: self.part_start.clone(),
-            scratch: self
-                .scratch
-                .iter()
-                .map(|m| {
-                    // poison recovery: a scratch is plain buffer space, so a
-                    // clone of a poisoned one is still well-formed
-                    let guard = match m.lock() {
-                        Ok(g) => g,
-                        Err(p) => p.into_inner(),
-                    };
-                    Mutex::new(guard.clone())
-                })
-                .collect(),
-        }
-    }
-}
+use mep_netlist::{Design, Netlist, Placement};
 
 /// Per-iteration density report.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,7 +33,6 @@ pub struct Electrostatics {
     ex: Vec<f64>,
     ey: Vec<f64>,
     bin_area: f64,
-    exec: Option<ExecHook>,
 }
 
 impl Electrostatics {
@@ -112,34 +62,7 @@ impl Electrostatics {
             ex: vec![0.0; n],
             ey: vec![0.0; n],
             bin_area,
-            exec: None,
         }
-    }
-
-    /// Installs a parallel executor for gradient accumulation, splitting
-    /// `netlist`'s movable cells into `parts` contiguous chunks with
-    /// per-part reusable scratch. Results are bit-identical to the serial
-    /// path (disjoint per-cell outputs, applied in a fixed order).
-    pub fn set_executor(&mut self, exec: Arc<dyn ParallelExec>, parts: usize, netlist: &Netlist) {
-        let parts = parts.max(1);
-        // the spectral transforms dispatch row batches over the same pool
-        self.solver.set_executor(Arc::clone(&exec), parts);
-        let movable: Vec<u32> = netlist.movable_cells().map(|c| c.index() as u32).collect();
-        let n = movable.len();
-        let part_start = (0..=parts)
-            .map(|k| (n as u64 * k as u64 / parts as u64) as u32)
-            .collect();
-        let cap = n.div_ceil(parts);
-        let scratch = (0..parts)
-            .map(|_| Mutex::new(Vec::with_capacity(cap)))
-            .collect();
-        self.exec = Some(ExecHook {
-            exec,
-            netlist_instance: netlist.instance_id(),
-            movable,
-            part_start,
-            scratch,
-        });
     }
 
     /// The bin grid in use.
@@ -212,38 +135,6 @@ impl Electrostatics {
         assert!(grad_x.len() >= netlist.num_cells());
         assert!(grad_y.len() >= netlist.num_cells());
         let grid = self.map.grid();
-        if let Some(hook) = &self.exec {
-            debug_assert_eq!(
-                hook.netlist_instance,
-                netlist.instance_id(),
-                "executor installed for a different netlist"
-            );
-            if hook.movable.len() >= PARALLEL_CELL_THRESHOLD {
-                let parts = hook.scratch.len();
-                hook.exec.run(parts, &|p| {
-                    let mut buf = hook.scratch[p].lock().expect("density scratch lock");
-                    buf.clear();
-                    let lo = hook.part_start[p] as usize;
-                    let hi = hook.part_start[p + 1] as usize;
-                    for &cell_idx in &hook.movable[lo..hi] {
-                        let cell = CellId::from_usize(cell_idx as usize);
-                        let (rect, _scale) = grid.smoothed_footprint(netlist, placement, cell);
-                        let q = netlist.cell_area(cell);
-                        let [ex, ey] = grid.gather_fields(&rect, [&self.ex, &self.ey]);
-                        buf.push((cell_idx, -q * ex, -q * ey));
-                    }
-                });
-                // apply in part order = ascending cell order; each cell is
-                // written by exactly one part, so this matches the serial loop
-                for part in &hook.scratch {
-                    for &(c, dx, dy) in part.lock().expect("density scratch lock").iter() {
-                        grad_x[c as usize] += dx;
-                        grad_y[c as usize] += dy;
-                    }
-                }
-                return;
-            }
-        }
         for cell in netlist.movable_cells() {
             let (rect, _scale) = grid.smoothed_footprint(netlist, placement, cell);
             let q = netlist.cell_area(cell);
@@ -351,59 +242,6 @@ mod tests {
         // everything starts piled at the die center: overflow near 1
         assert!(report.overflow > 0.5, "overflow {}", report.overflow);
         assert!(report.energy > 0.0);
-    }
-
-    #[test]
-    fn executor_path_matches_serial_bitwise() {
-        // enough movable cells to cross PARALLEL_CELL_THRESHOLD
-        let mut b = NetlistBuilder::new();
-        for i in 0..3000 {
-            b.add_cell(format!("c{i}"), 1.0, 1.0, true).unwrap();
-        }
-        let nl = b.build();
-        let design =
-            Design::with_uniform_rows("t", nl, Rect::new(0.0, 0.0, 128.0, 128.0), 1.0, 1.0, 1.0)
-                .unwrap();
-        let mut pl = Placement::zeros(3000);
-        for i in 0..3000 {
-            pl.x[i] = 4.0 + 120.0 * ((i as f64 * 0.37).sin() * 0.5 + 0.5);
-            pl.y[i] = 4.0 + 120.0 * ((i as f64 * 0.73).cos() * 0.5 + 0.5);
-        }
-        let nl = &design.netlist;
-        let mut serial = Electrostatics::new(&design, &pl);
-        serial.update(nl, &pl);
-        let mut sx = vec![0.0; 3000];
-        let mut sy = vec![0.0; 3000];
-        serial.accumulate_gradient(nl, &pl, &mut sx, &mut sy);
-
-        let mut hooked = Electrostatics::new(&design, &pl);
-        hooked.set_executor(Arc::new(crate::exec::SerialExec), 4, nl);
-        hooked.update(nl, &pl);
-        let mut hx = vec![0.0; 3000];
-        let mut hy = vec![0.0; 3000];
-        hooked.accumulate_gradient(nl, &pl, &mut hx, &mut hy);
-
-        for i in 0..3000 {
-            assert_eq!(sx[i].to_bits(), hx[i].to_bits(), "gx[{i}]");
-            assert_eq!(sy[i].to_bits(), hy[i].to_bits(), "gy[{i}]");
-        }
-        // scratch buffers are reused: a second call must not grow them
-        let caps: Vec<usize> = hooked
-            .exec
-            .as_ref()
-            .unwrap()
-            .scratch
-            .iter()
-            .map(|m| m.lock().unwrap().capacity())
-            .collect();
-        hooked.accumulate_gradient(nl, &pl, &mut hx, &mut hy);
-        for (p, m) in hooked.exec.as_ref().unwrap().scratch.iter().enumerate() {
-            assert_eq!(
-                m.lock().unwrap().capacity(),
-                caps[p],
-                "part {p} reallocated"
-            );
-        }
     }
 
     #[test]

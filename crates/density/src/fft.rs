@@ -141,7 +141,7 @@ impl FftPlan {
     /// products fold into exactly-rounded `mul_add`s, and the first stage
     /// — whose twiddle factor is exactly `1` — is specialized to a pure
     /// add/sub pass. [`FftPlan::process_lanes`] mirrors every expression
-    /// here one-for-one; keep the two in lockstep or the fused/unfused
+    /// here one-for-one; keep the two in lockstep or the lane/scalar
     /// bitwise-identity contract breaks.
     ///
     /// # Panics
@@ -287,29 +287,10 @@ impl FftPlan {
 /// single full-line load — the key to the transpose-free fused sweeps.
 pub const LANES: usize = 8;
 
-/// Naive `O(n²)` DFT used as the correctness reference in tests.
-pub fn dft_naive(re: &[f64], im: &[f64], inverse: bool) -> (Vec<f64>, Vec<f64>) {
-    let n = re.len();
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut out_re = vec![0.0; n];
-    let mut out_im = vec![0.0; n];
-    for (k, (orr, oii)) in out_re.iter_mut().zip(out_im.iter_mut()).enumerate() {
-        let (mut sr, mut si) = (0.0, 0.0);
-        for i in 0..n {
-            let ang = sign * 2.0 * std::f64::consts::PI * (k * i) as f64 / n as f64;
-            let (c, s) = (ang.cos(), ang.sin());
-            sr += re[i] * c - im[i] * s;
-            si += re[i] * s + im[i] * c;
-        }
-        *orr = sr;
-        *oii = si;
-    }
-    (out_re, out_im)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::dft_naive;
 
     fn rand_seq(n: usize, seed: u64) -> Vec<f64> {
         // tiny deterministic LCG; avoids a test-only dependency here

@@ -9,7 +9,7 @@
 //!
 //! * [`fft`] — a from-scratch iterative radix-2 complex FFT;
 //! * [`transform`] — DCT-II / DCT-III / DST-III on top of the FFT
-//!   (the DREAMPlace transform set), with naive references;
+//!   (the DREAMPlace transform set);
 //! * [`grid`] — bin grid, exact-overlap rasterization with ePlace local
 //!   smoothing, and the density-overflow metric;
 //! * [`poisson`] — the spectral Poisson solver (`ψ`, `E_x`, `E_y`);
@@ -35,15 +35,18 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod electro;
-pub mod exec;
 pub mod fft;
 pub mod grid;
 pub mod poisson;
 pub mod transform;
 
+/// The `O(N²)` test oracles, shared with `tests/properties.rs`.
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+mod reference;
+
 pub use electro::{DensityReport, Electrostatics};
-pub use exec::{part_bounds, ParallelExec, SerialExec};
 pub use fft::FftPlan;
 pub use grid::{BinGrid, DensityMap};
 pub use poisson::PoissonSolver;
-pub use transform::{plan_cache_stats, shared_dct_plan, DctPlan, Spectral2d, TransformStats};
+pub use transform::{shared_dct_plan, DctPlan, Spectral2d, TransformStats};

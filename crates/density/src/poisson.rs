@@ -15,14 +15,12 @@
 //! charge; fields are unaffected.
 //!
 //! The four 2-D sweeps of every solve run through a planned
-//! [`Spectral2d`] engine: precomputed twiddle/phase tables, the real-input
-//! FFT fast path, a cache-blocked transpose, and (when an executor is
-//! installed via [`PoissonSolver::set_executor`]) parallel row batches with
-//! bit-identical output at any thread count.
+//! [`Spectral2d`] engine on the calling thread: precomputed twiddle/phase
+//! tables, the real-input FFT fast path, and lane kernels whose column
+//! pass is strided in place. A solver the placer's guard ladder has
+//! degraded runs them through the unplanned [`transform_2d`] instead.
 
-use crate::exec::ParallelExec;
 use crate::transform::{transform_2d, Kind, Spectral2d, TransformScratch, TransformStats};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Reusable spectral solver for an `ny × nx` bin grid (row-major, `iy`
@@ -87,10 +85,10 @@ impl PoissonSolver {
         }
     }
 
-    /// Degrades every subsequent solve to the unplanned serial
-    /// `transform_2d` baseline (same mathematics, no plan caches, no
-    /// parallel row batches). One-way: recovery escalation never re-arms
-    /// the planned path within a run.
+    /// Degrades every subsequent solve to the unplanned `transform_2d`
+    /// baseline (same mathematics, no plan tables, no lane kernels).
+    /// One-way: recovery escalation never re-arms the planned path within
+    /// a run.
     pub fn degrade_to_unplanned(&mut self) {
         self.unplanned = true;
     }
@@ -111,13 +109,6 @@ impl PoissonSolver {
         } else {
             self.spectral.execute(data, kind_x, kind_y);
         }
-    }
-
-    /// Installs a parallel executor for the 2-D transform row batches (see
-    /// [`Spectral2d::set_executor`]); results stay bit-identical at any
-    /// thread count.
-    pub fn set_executor(&mut self, exec: Arc<dyn ParallelExec>, parts: usize) {
-        self.spectral.set_executor(exec, parts);
     }
 
     /// Call count and cumulative wall time of the 2-D transforms (planned

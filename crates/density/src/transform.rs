@@ -10,24 +10,26 @@
 //!
 //! The pair satisfies `x = (2/N)·dct3(dct2(x))`.
 //!
-//! Two generations of kernels coexist:
+//! There is one production path and one fallback, both single-threaded:
 //!
-//! * the original free functions ([`dct2`], [`dct3`], [`dst3`],
-//!   [`transform_2d`]) embed each length-`N` transform into a length-`2N`
-//!   **complex** FFT with trigonometry recomputed per call — kept as the
-//!   unplanned baseline and for one-off use;
-//! * [`DctPlan`] (1-D) and [`Spectral2d`] (2-D) are the planned hot-loop
-//!   path: each length-`2N` transform collapses onto an `N`-point complex
-//!   FFT through the real-input pack/unpack identities (the inputs are
-//!   real, and the synthesis output of a real spectrum is mirror-conjugate,
-//!   so half the butterflies vanish), every phase factor is a table lookup,
-//!   the 2-D column pass runs on contiguous memory after a cache-blocked
-//!   transpose, and row batches dispatch through a
-//!   [`crate::exec::ParallelExec`] with a fixed row-to-part assignment —
-//!   results are bit-identical at any thread count because every row is
-//!   transformed by the same serial code regardless of which part runs it.
+//! * [`Spectral2d::execute`] is what every Poisson solve runs. A
+//!   [`DctPlan`] per axis collapses each length-`2N` transform onto an
+//!   `N`-point complex FFT through the real-input pack/unpack identities
+//!   (the inputs are real, and the synthesis output of a real spectrum is
+//!   mirror-conjugate, so half the butterflies vanish), every phase factor
+//!   is a table lookup, and both passes transform [`LANES`] adjacent lines
+//!   at once — the column pass strided in place, so no transpose exists.
+//!   Lines left over when a dimension is below [`LANES`] go through the
+//!   scalar [`DctPlan::apply`], whose expressions the lane kernels mirror
+//!   one-for-one: a grid is bit-identical to applying the scalar kernel to
+//!   every row, then every column.
+//! * the free functions ([`dct2`], [`dct3`], [`dst3`], [`transform_2d`])
+//!   embed each length-`N` transform into a length-`2N` **complex** FFT
+//!   with trigonometry recomputed per call and share no table with the
+//!   planned path. They are what the solver falls back to once the
+//!   placer's guard ladder degrades it
+//!   ([`crate::PoissonSolver::degrade_to_unplanned`]).
 
-use crate::exec::{part_bounds, ParallelExec};
 use crate::fft::{fft_in_place, FftPlan, LANES};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -44,8 +46,6 @@ pub struct TransformScratch {
     lim: Vec<f64>,
     /// One gathered column for the scalar fallback of strided sweeps.
     line: Vec<f64>,
-    /// Column-tile output of the parallel fused column pass (per part).
-    colbuf: Vec<f64>,
 }
 
 impl TransformScratch {
@@ -177,49 +177,6 @@ fn synthesize(x: &[f64], out: &mut [f64], scratch: &mut TransformScratch, sine: 
         out.copy_from_slice(&scratch.im[..n]);
     } else {
         out.copy_from_slice(&scratch.re[..n]);
-    }
-}
-
-/// Naive references for the three transforms (tests and odd sizes).
-pub mod naive {
-    use std::f64::consts::PI;
-
-    /// `O(N²)` DCT-II.
-    pub fn dct2(x: &[f64]) -> Vec<f64> {
-        let n = x.len();
-        (0..n)
-            .map(|u| {
-                x.iter()
-                    .enumerate()
-                    .map(|(i, &xi)| xi * (PI * u as f64 * (i as f64 + 0.5) / n as f64).cos())
-                    .sum()
-            })
-            .collect()
-    }
-
-    /// `O(N²)` DCT-III.
-    pub fn dct3(x: &[f64]) -> Vec<f64> {
-        let n = x.len();
-        (0..n)
-            .map(|i| {
-                x[0] / 2.0
-                    + (1..n)
-                        .map(|u| x[u] * (PI * u as f64 * (i as f64 + 0.5) / n as f64).cos())
-                        .sum::<f64>()
-            })
-            .collect()
-    }
-
-    /// `O(N²)` DST-III.
-    pub fn dst3(x: &[f64]) -> Vec<f64> {
-        let n = x.len();
-        (0..n)
-            .map(|i| {
-                (1..n)
-                    .map(|u| x[u] * (PI * u as f64 * (i as f64 + 0.5) / n as f64).sin())
-                    .sum()
-            })
-            .collect()
     }
 }
 
@@ -402,7 +359,7 @@ impl DctPlan {
         // over mirror pairs shares the Z loads and halves the unpack
         // traffic; u = 0 and u = N/2 are their own mirrors. `rot` is
         // mirrored verbatim in `dct2_lanes` — keep the expression shapes
-        // in lockstep or the fused/unfused bitwise contract breaks.
+        // in lockstep or the lane/scalar bitwise contract breaks.
         let rot = |u: usize, zr_u: f64, zi_u: f64, zr_v: f64, zi_v: f64| -> f64 {
             let a_re = 0.5 * (zr_u + zr_v);
             let a_im = 0.5 * (zi_u - zi_v);
@@ -672,9 +629,6 @@ fn plan_cache() -> &'static Mutex<std::collections::BTreeMap<usize, Arc<DctPlan>
     CACHE.get_or_init(|| Mutex::new(std::collections::BTreeMap::new()))
 }
 
-static PLAN_CACHE_HITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static PLAN_CACHE_MISSES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
 /// Returns the process-wide shared plan for length `n`, building and
 /// caching it on first use.
 ///
@@ -690,44 +644,28 @@ pub fn shared_dct_plan(n: usize) -> Arc<DctPlan> {
         Err(poisoned) => poisoned.into_inner(),
     };
     if let Some(plan) = cache.get(&n) {
-        PLAN_CACHE_HITS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         return Arc::clone(plan);
     }
-    PLAN_CACHE_MISSES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let plan = Arc::new(DctPlan::new(n));
     cache.insert(n, Arc::clone(&plan));
     plan
-}
-
-/// `(hits, misses)` of [`shared_dct_plan`] since process start. A serving
-/// process that has warmed up should see hits grow and misses stay flat.
-pub fn plan_cache_stats() -> (u64, u64) {
-    (
-        PLAN_CACHE_HITS.load(std::sync::atomic::Ordering::Relaxed),
-        PLAN_CACHE_MISSES.load(std::sync::atomic::Ordering::Relaxed),
-    )
 }
 
 /// Call count, cumulative wall time, and per-kernel work counters of
 /// planned 2-D transforms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransformStats {
-    /// Number of [`Spectral2d::execute`] / [`Spectral2d::execute_unfused`]
-    /// calls.
+    /// Number of [`Spectral2d::execute`] calls.
     pub calls: u64,
     /// Cumulative wall time, nanoseconds.
     pub nanos: u64,
-    /// [`LANES`]-wide row tiles transformed by the fused row pass.
+    /// [`LANES`]-wide row tiles transformed by the row pass.
     pub row_lane_tiles: u64,
-    /// [`LANES`]-wide column tiles transformed by the fused column pass.
+    /// [`LANES`]-wide column tiles transformed by the column pass.
     pub col_lane_tiles: u64,
     /// Rows/columns that went through the scalar 1-D kernel instead of a
-    /// lane tile (grid dimensions below [`LANES`], and every line of an
-    /// unfused sweep).
+    /// lane tile (grid dimensions below [`LANES`]).
     pub scalar_lines: u64,
-    /// Full-grid transpose passes (unfused path only; the fused path
-    /// performs none).
-    pub transposes: u64,
 }
 
 impl TransformStats {
@@ -737,31 +675,21 @@ impl TransformStats {
     }
 }
 
-/// Below this element count parallel row dispatch is not worth the
-/// synchronization; [`Spectral2d`] stays serial even with an executor.
-pub const PARALLEL_GRID_THRESHOLD: usize = 4096;
-
 /// Planned separable 2-D transform engine for one fixed `rows × cols` grid.
 ///
-/// Caches a [`DctPlan`] per axis and per-part FFT scratch, so the
-/// placement hot loop performs no allocation and no trigonometry. The
-/// default [`Spectral2d::execute`] path is **fused**: both passes run
+/// Caches a [`DctPlan`] per axis and one FFT scratch, so the placement hot
+/// loop performs no allocation and no trigonometry. Both passes run
 /// through [`LANES`]-wide SIMD-friendly lane kernels, and the column pass
 /// walks the grid in place with strided tiles — eight adjacent columns
-/// per tile, so every row touch is one full cache line and the two
-/// full-grid transposes of the unfused path disappear.
-/// [`Spectral2d::execute_unfused`] keeps the original
-/// transpose + scalar-sweep pipeline as the bitwise reference.
+/// per tile, so every row touch is one full cache line and the grid is
+/// never transposed.
 ///
 /// # Determinism
 ///
-/// With an installed [`ParallelExec`], lane tiles are split into
-/// contiguous ranges with a **fixed** tile-to-part assignment and each
-/// part writes only its own tiles with its own scratch. Every lane runs
-/// the same arithmetic as the scalar 1-D kernels whatever part (or
-/// thread) executes it, so grids are bit-identical at any thread count
-/// — and bit-identical between the fused and unfused paths.
-#[derive(Debug)]
+/// Single-threaded, and every lane runs the same arithmetic as the scalar
+/// 1-D kernel ([`DctPlan::apply`]), so a grid is bit-identical to applying
+/// that kernel to each row and then to each column.
+#[derive(Debug, Clone)]
 pub struct Spectral2d {
     rows: usize,
     cols: usize,
@@ -769,49 +697,8 @@ pub struct Spectral2d {
     /// cache (immutable tables; cloning the engine clones the `Arc`).
     row_plan: Arc<DctPlan>,
     col_plan: Arc<DctPlan>,
-    /// `cols × rows` transpose buffer (unfused path only; grown lazily).
-    tbuf: Vec<f64>,
-    /// One FFT scratch per part (uncontended; each part index runs once).
-    scratches: Vec<Mutex<TransformScratch>>,
-    exec: Option<Arc<dyn ParallelExec>>,
-    calls: u64,
-    nanos: u64,
-    row_lane_tiles: u64,
-    col_lane_tiles: u64,
-    scalar_lines: u64,
-    transposes: u64,
-}
-
-impl Clone for Spectral2d {
-    fn clone(&self) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            row_plan: self.row_plan.clone(),
-            col_plan: self.col_plan.clone(),
-            tbuf: self.tbuf.clone(),
-            scratches: self
-                .scratches
-                .iter()
-                .map(|m| {
-                    // poison recovery: a scratch is plain buffer space, so a
-                    // clone of a poisoned one is still well-formed
-                    let guard = match m.lock() {
-                        Ok(g) => g,
-                        Err(p) => p.into_inner(),
-                    };
-                    Mutex::new(guard.clone())
-                })
-                .collect(),
-            exec: self.exec.clone(),
-            calls: self.calls,
-            nanos: self.nanos,
-            row_lane_tiles: self.row_lane_tiles,
-            col_lane_tiles: self.col_lane_tiles,
-            scalar_lines: self.scalar_lines,
-            transposes: self.transposes,
-        }
-    }
+    scratch: TransformScratch,
+    stats: TransformStats,
 }
 
 impl Spectral2d {
@@ -826,27 +713,9 @@ impl Spectral2d {
             cols,
             row_plan: shared_dct_plan(cols),
             col_plan: shared_dct_plan(rows),
-            tbuf: Vec::new(),
-            scratches: vec![Mutex::new(TransformScratch::new())],
-            exec: None,
-            calls: 0,
-            nanos: 0,
-            row_lane_tiles: 0,
-            col_lane_tiles: 0,
-            scalar_lines: 0,
-            transposes: 0,
+            scratch: TransformScratch::new(),
+            stats: TransformStats::default(),
         }
-    }
-
-    /// Installs a parallel executor dispatching row batches over `parts`
-    /// fixed contiguous chunks (per-part scratch is (re)built here, never
-    /// in the hot loop).
-    pub fn set_executor(&mut self, exec: Arc<dyn ParallelExec>, parts: usize) {
-        let parts = parts.max(1);
-        self.scratches = (0..parts)
-            .map(|_| Mutex::new(TransformScratch::new()))
-            .collect();
-        self.exec = Some(exec);
     }
 
     /// Grid rows.
@@ -862,24 +731,13 @@ impl Spectral2d {
     /// Instrumentation snapshot (calls, cumulative wall time, per-kernel
     /// work counters).
     pub fn stats(&self) -> TransformStats {
-        TransformStats {
-            calls: self.calls,
-            nanos: self.nanos,
-            row_lane_tiles: self.row_lane_tiles,
-            col_lane_tiles: self.col_lane_tiles,
-            scalar_lines: self.scalar_lines,
-            transposes: self.transposes,
-        }
+        self.stats
     }
 
     /// Applies `kind_x` along rows then `kind_y` along columns of the
     /// row-major grid `data`, in place. Planned equivalent of
-    /// [`transform_2d`].
-    ///
-    /// Fused path: both passes run [`LANES`]-wide lane kernels and the
-    /// column pass is strided-in-place, so the grid is traversed twice
-    /// per sweep instead of four times (no transposes). Bit-identical to
-    /// [`Spectral2d::execute_unfused`] at every thread count.
+    /// [`transform_2d`]: the grid is traversed twice per call, once per
+    /// pass.
     ///
     /// # Panics
     ///
@@ -888,42 +746,16 @@ impl Spectral2d {
         assert_eq!(data.len(), self.rows * self.cols, "grid shape mismatch");
         // lint:allow(determinism): TransformStats timing telemetry; durations never feed back into results
         let t0 = Instant::now();
-        self.sweep_rows_fused(kind_x, data);
-        self.sweep_cols_fused(kind_y, data);
-        self.calls += 1;
-        self.nanos += t0.elapsed().as_nanos() as u64;
+        self.sweep_rows(kind_x, data);
+        self.sweep_cols(kind_y, data);
+        self.stats.calls += 1;
+        self.stats.nanos += t0.elapsed().as_nanos() as u64;
     }
 
-    /// The original transpose-based pipeline: scalar row sweep, blocked
-    /// transpose, scalar row sweep of the transpose, transpose back.
-    /// Kept as the bitwise reference for the fused path (and as a
-    /// debugging fallback).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows · cols`.
-    pub fn execute_unfused(&mut self, data: &mut [f64], kind_x: Kind, kind_y: Kind) {
-        assert_eq!(data.len(), self.rows * self.cols, "grid shape mismatch");
-        // lint:allow(determinism): TransformStats timing telemetry; durations never feed back into results
-        let t0 = Instant::now();
-        self.sweep(&self.row_plan, kind_x, data);
-        let mut tbuf = std::mem::take(&mut self.tbuf);
-        tbuf.resize(self.rows * self.cols, 0.0);
-        transpose_blocked(data, &mut tbuf, self.rows, self.cols);
-        self.sweep(&self.col_plan, kind_y, &mut tbuf);
-        transpose_blocked(&tbuf, data, self.cols, self.rows);
-        self.tbuf = tbuf;
-        self.calls += 1;
-        self.scalar_lines += (self.rows + self.cols) as u64;
-        self.transposes += 2;
-        self.nanos += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Fused row pass: [`LANES`] adjacent rows per tile, transformed by
-    /// the lane kernels; leftover rows (dimensions below [`LANES`]) go
-    /// through the scalar kernel. Tiles have a fixed contiguous
-    /// assignment to parts.
-    fn sweep_rows_fused(&mut self, kind: Kind, data: &mut [f64]) {
+    /// Row pass: [`LANES`] adjacent rows per tile, transformed by the lane
+    /// kernels; leftover rows (dimensions below [`LANES`]) go through the
+    /// scalar kernel.
+    fn sweep_rows(&mut self, kind: Kind, data: &mut [f64]) {
         const W: usize = LANES;
         let (rows, cols) = (self.rows, self.cols);
         if rows == 0 || cols == 0 {
@@ -931,55 +763,23 @@ impl Spectral2d {
         }
         let tiles = rows / W;
         let rem = rows % W; // nonzero only when rows < LANES (power of two)
-        let parts = self.scratches.len();
-        let parallel =
-            self.exec.is_some() && parts > 1 && data.len() >= PARALLEL_GRID_THRESHOLD && tiles >= 2;
-        if !parallel {
-            let mut scratch = self.scratches[0].lock().expect("spectral scratch lock");
-            for t in 0..tiles {
-                self.row_plan
-                    .apply_lanes(kind, data, t * W * cols, 1, cols, &mut scratch);
-            }
-            for r in tiles * W..rows {
-                let row = &mut data[r * cols..(r + 1) * cols];
-                self.row_plan.apply(kind, row, &mut scratch);
-            }
-        } else {
-            debug_assert_eq!(rem, 0, "parallel row pass requires whole tiles");
-            // fixed tile-to-part split: each part's rows are contiguous
-            // lint:allow(no-alloc-hot): O(parts) ≤ 16 handle vector per parallel sweep, amortized over the whole grid pass
-            let mut batches: Vec<Mutex<&mut [f64]>> = Vec::with_capacity(parts);
-            let mut rest = &mut data[..tiles * W * cols];
-            for p in 0..parts {
-                let (lo, hi) = part_bounds(tiles, parts, p);
-                let (head, tail) = rest.split_at_mut((hi - lo) * W * cols);
-                // lint:allow(no-alloc-hot): push into the pre-capacitied O(parts) handle vector above
-                batches.push(Mutex::new(head));
-                rest = tail;
-            }
-            let exec = self.exec.as_ref().expect("executor checked above");
-            let row_plan = &self.row_plan;
-            exec.run(parts, &|p| {
-                let mut batch = batches[p].lock().expect("spectral batch lock");
-                let mut scratch = self.scratches[p].lock().expect("spectral scratch lock");
-                let ntiles = batch.len() / (W * cols);
-                for t in 0..ntiles {
-                    row_plan.apply_lanes(kind, &mut batch, t * W * cols, 1, cols, &mut scratch);
-                }
-            });
+        for t in 0..tiles {
+            self.row_plan
+                .apply_lanes(kind, data, t * W * cols, 1, cols, &mut self.scratch);
         }
-        self.row_lane_tiles += tiles as u64;
-        self.scalar_lines += rem as u64;
+        for r in tiles * W..rows {
+            let row = &mut data[r * cols..(r + 1) * cols];
+            self.row_plan.apply(kind, row, &mut self.scratch);
+        }
+        self.stats.row_lane_tiles += tiles as u64;
+        self.stats.scalar_lines += rem as u64;
     }
 
-    /// Fused column pass: [`LANES`] adjacent columns per strided tile —
-    /// every row touch is one cache line, and no transpose exists.
-    /// Serially the tiles transform the grid in place; in parallel each
-    /// part reads the grid immutably, transforms into its own scratch
-    /// `colbuf`, and the results are scattered back in one serial pass
-    /// (safe Rust cannot hand out disjoint strided `&mut` views of one
-    /// grid). Both routes run identical per-column arithmetic.
-    fn sweep_cols_fused(&mut self, kind: Kind, data: &mut [f64]) {
+    /// Column pass: [`LANES`] adjacent columns per strided tile,
+    /// transformed in place — every row touch is one cache line. Leftover
+    /// columns (dimensions below [`LANES`]) are gathered, transformed by
+    /// the scalar kernel and scattered back.
+    fn sweep_cols(&mut self, kind: Kind, data: &mut [f64]) {
         const W: usize = LANES;
         let (rows, cols) = (self.rows, self.cols);
         if rows == 0 || cols == 0 {
@@ -987,146 +787,33 @@ impl Spectral2d {
         }
         let tiles = cols / W;
         let rem = cols % W; // nonzero only when cols < LANES (power of two)
-        let parts = self.scratches.len();
-        let parallel =
-            self.exec.is_some() && parts > 1 && data.len() >= PARALLEL_GRID_THRESHOLD && tiles >= 2;
-        if parallel {
-            debug_assert_eq!(rem, 0, "parallel column pass requires whole tiles");
-            let exec = self.exec.as_ref().expect("executor checked above");
-            let col_plan = &self.col_plan;
-            let data_ref: &[f64] = data;
-            exec.run(parts, &|p| {
-                let (lo, hi) = part_bounds(tiles, parts, p);
-                if hi == lo {
-                    return;
-                }
-                let mut scratch = self.scratches[p].lock().expect("spectral scratch lock");
-                let mut colbuf = std::mem::take(&mut scratch.colbuf);
-                let need = (hi - lo) * rows * W;
-                if colbuf.len() < need {
-                    colbuf.resize(need, 0.0);
-                }
-                for t in 0..hi - lo {
-                    let c0 = (lo + t) * W;
-                    let tbase = t * rows * W;
-                    for u in 0..rows {
-                        let at = tbase + u * W;
-                        colbuf[at..at + W]
-                            .copy_from_slice(&data_ref[u * cols + c0..u * cols + c0 + W]);
-                    }
-                    col_plan.apply_lanes(kind, &mut colbuf, tbase, W, 1, &mut scratch);
-                }
-                scratch.colbuf = colbuf;
-            });
-            // serial scatter of each part's finished columns
-            for p in 0..parts {
-                let (lo, hi) = part_bounds(tiles, parts, p);
-                if hi == lo {
-                    continue;
-                }
-                let scratch = self.scratches[p].lock().expect("spectral scratch lock");
-                for t in 0..hi - lo {
-                    let c0 = (lo + t) * W;
-                    let tbase = t * rows * W;
-                    for u in 0..rows {
-                        let at = tbase + u * W;
-                        data[u * cols + c0..u * cols + c0 + W]
-                            .copy_from_slice(&scratch.colbuf[at..at + W]);
-                    }
-                }
-            }
-        } else {
-            let mut scratch = self.scratches[0].lock().expect("spectral scratch lock");
-            for t in 0..tiles {
-                self.col_plan
-                    .apply_lanes(kind, data, t * W, cols, 1, &mut scratch);
-            }
-            if rem > 0 {
-                // gather-transform-scatter each leftover column through
-                // the scalar kernel
-                let mut line = std::mem::take(&mut scratch.line);
-                line.resize(rows, 0.0);
-                for c in tiles * W..cols {
-                    for (r, slot) in line.iter_mut().enumerate() {
-                        *slot = data[r * cols + c];
-                    }
-                    self.col_plan.apply(kind, &mut line, &mut scratch);
-                    for (r, &val) in line.iter().enumerate() {
-                        data[r * cols + c] = val;
-                    }
-                }
-                scratch.line = line;
-            }
+        for t in 0..tiles {
+            self.col_plan
+                .apply_lanes(kind, data, t * W, cols, 1, &mut self.scratch);
         }
-        self.col_lane_tiles += tiles as u64;
-        self.scalar_lines += rem as u64;
-    }
-
-    /// Transforms every `plan.len()`-sized row of `buf` in place, serially
-    /// or over the installed executor with fixed contiguous row batches.
-    fn sweep(&self, plan: &DctPlan, kind: Kind, buf: &mut [f64]) {
-        let rowlen = plan.len();
-        let nrows = buf.len() / rowlen.max(1);
-        let parts = self.scratches.len();
-        let parallel =
-            self.exec.is_some() && parts > 1 && buf.len() >= PARALLEL_GRID_THRESHOLD && nrows > 1;
-        if !parallel {
-            let mut scratch = self.scratches[0].lock().expect("spectral scratch lock");
-            for row in buf.chunks_exact_mut(rowlen) {
-                plan.apply(kind, row, &mut scratch);
-            }
-            return;
-        }
-        // fixed row-to-part split: part p owns rows part_bounds(nrows, parts, p)
-        // lint:allow(no-alloc-hot): O(parts) ≤ 16 handle vector per parallel sweep, amortized over the whole grid pass
-        let mut batches: Vec<Mutex<&mut [f64]>> = Vec::with_capacity(parts);
-        let mut rest = buf;
-        for p in 0..parts {
-            let (lo, hi) = part_bounds(nrows, parts, p);
-            let (head, tail) = rest.split_at_mut((hi - lo) * rowlen);
-            // lint:allow(no-alloc-hot): push into the pre-capacitied O(parts) handle vector above
-            batches.push(Mutex::new(head));
-            rest = tail;
-        }
-        let exec = self.exec.as_ref().expect("executor checked above");
-        exec.run(parts, &|p| {
-            let mut rows = batches[p].lock().expect("spectral batch lock");
-            let mut scratch = self.scratches[p].lock().expect("spectral scratch lock");
-            for row in rows.chunks_exact_mut(rowlen) {
-                plan.apply(kind, row, &mut scratch);
-            }
-        });
-    }
-}
-
-/// Cache-blocked out-of-place transpose of a row-major `rows × cols`
-/// matrix into a row-major `cols × rows` matrix.
-///
-/// # Panics
-///
-/// Panics if a slice length differs from `rows · cols`.
-pub fn transpose_blocked(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
-    assert_eq!(src.len(), rows * cols, "transpose source shape mismatch");
-    assert_eq!(dst.len(), rows * cols, "transpose target shape mismatch");
-    // 32×32 f64 tiles: two 8 KiB working sets, comfortably inside L1
-    const B: usize = 32;
-    for rb in (0..rows).step_by(B) {
-        let r_hi = (rb + B).min(rows);
-        for cb in (0..cols).step_by(B) {
-            let c_hi = (cb + B).min(cols);
-            for r in rb..r_hi {
-                let base = r * cols;
-                for c in cb..c_hi {
-                    dst[c * rows + r] = src[base + c];
+        if rem > 0 {
+            let mut line = std::mem::take(&mut self.scratch.line);
+            line.resize(rows, 0.0);
+            for c in tiles * W..cols {
+                for (r, slot) in line.iter_mut().enumerate() {
+                    *slot = data[r * cols + c];
+                }
+                self.col_plan.apply(kind, &mut line, &mut self.scratch);
+                for (r, &val) in line.iter().enumerate() {
+                    data[r * cols + c] = val;
                 }
             }
+            self.scratch.line = line;
         }
+        self.stats.col_lane_tiles += tiles as u64;
+        self.stats.scalar_lines += rem as u64;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::naive;
 
     fn rand_seq(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -1274,13 +961,12 @@ mod tests {
         assert_eq!(a.len(), 32);
         let c = shared_dct_plan(64);
         assert!(!Arc::ptr_eq(&a, &c));
-        // two same-shape engines share both axis plans (cache counters
-        // are process-global, so only pointer identity is asserted here)
-        let (h0, _) = plan_cache_stats();
-        let _e1 = Spectral2d::new(16, 32);
-        let _e2 = Spectral2d::new(16, 32);
-        let (h1, _) = plan_cache_stats();
-        assert!(h1 >= h0 + 2, "second engine hits the cache for both axes");
+        // two same-shape engines share both axis plans
+        let e1 = Spectral2d::new(16, 32);
+        let e2 = Spectral2d::new(16, 32);
+        assert!(Arc::ptr_eq(&e1.row_plan, &e2.row_plan));
+        assert!(Arc::ptr_eq(&e1.col_plan, &e2.col_plan));
+        assert!(Arc::ptr_eq(&e1.row_plan, &a), "row plan has length cols");
     }
 
     #[test]
@@ -1306,20 +992,6 @@ mod tests {
         let plan = DctPlan::new(8);
         let mut x = vec![0.0; 4];
         plan.dct2(&mut x, &mut TransformScratch::new());
-    }
-
-    #[test]
-    fn transpose_blocked_matches_direct() {
-        for &(rows, cols) in &[(1usize, 1usize), (4, 8), (33, 65), (64, 64), (100, 7)] {
-            let src = rand_seq(rows * cols, 6);
-            let mut dst = vec![0.0; rows * cols];
-            transpose_blocked(&src, &mut dst, rows, cols);
-            for r in 0..rows {
-                for c in 0..cols {
-                    assert_eq!(dst[c * rows + r].to_bits(), src[r * cols + c].to_bits());
-                }
-            }
-        }
     }
 
     #[test]
@@ -1351,49 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_execute_bitwise_matches_unfused() {
-        // includes dimensions below LANES (scalar fallback lines) and
-        // rectangular grids in both aspect ratios
-        let shapes = [
-            (2usize, 2usize),
-            (4, 32),
-            (32, 4),
-            (8, 8),
-            (16, 64),
-            (64, 16),
-            (128, 128),
-        ];
-        let pairs = [
-            (Kind::Dct2, Kind::Dct2),
-            (Kind::Dct3, Kind::Dct3),
-            (Kind::Dst3, Kind::Dct3),
-            (Kind::Dct3, Kind::Dst3),
-        ];
-        for &(rows, cols) in &shapes {
-            let mut fused = Spectral2d::new(rows, cols);
-            let mut unfused = Spectral2d::new(rows, cols);
-            for (i, &(kx, ky)) in pairs.iter().enumerate() {
-                let x = rand_seq(rows * cols, 900 + i as u64);
-                let mut a = x.clone();
-                let mut b = x;
-                fused.execute(&mut a, kx, ky);
-                unfused.execute_unfused(&mut b, kx, ky);
-                for j in 0..a.len() {
-                    assert_eq!(
-                        a[j].to_bits(),
-                        b[j].to_bits(),
-                        "{rows}x{cols} pair {i} elem {j}: {} vs {}",
-                        a[j],
-                        b[j]
-                    );
-                }
-            }
-            assert_eq!(fused.stats().transposes, 0);
-            assert_eq!(unfused.stats().transposes, 2 * pairs.len() as u64);
-        }
-    }
-
-    #[test]
     fn apply_lanes_bitwise_matches_scalar_apply() {
         for &n in &[2usize, 8, 16, 128] {
             let plan = DctPlan::new(n);
@@ -1417,22 +1046,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn spectral2d_serial_executor_is_bitwise_identical() {
-        let (rows, cols) = (64usize, 64usize); // 4096 elements: meets threshold
-        let x = rand_seq(rows * cols, 77);
-        let mut serial = Spectral2d::new(rows, cols);
-        let mut dispatched = Spectral2d::new(rows, cols);
-        dispatched.set_executor(Arc::new(crate::exec::SerialExec), 4);
-        let mut a = x.clone();
-        let mut b = x;
-        serial.execute(&mut a, Kind::Dct2, Kind::Dct2);
-        dispatched.execute(&mut b, Kind::Dct2, Kind::Dct2);
-        for i in 0..a.len() {
-            assert_eq!(a[i].to_bits(), b[i].to_bits(), "elem {i}");
         }
     }
 }

@@ -2,12 +2,15 @@
 //! rasterization conservation, and Poisson-solver physics on randomized
 //! inputs.
 
-use mep_density::fft::{dft_naive, fft_in_place, FftPlan};
+mod reference;
+
+use mep_density::fft::{fft_in_place, FftPlan};
 use mep_density::grid::BinGrid;
 use mep_density::poisson::PoissonSolver;
-use mep_density::transform::{self, naive, DctPlan, Kind, TransformScratch};
+use mep_density::transform::{self, DctPlan, Kind, TransformScratch};
 use mep_netlist::Rect;
 use proptest::prelude::*;
+use reference::{dft_naive, naive};
 
 fn pow2_len() -> impl Strategy<Value = usize> {
     (1u32..8).prop_map(|k| 1usize << k)

@@ -1,40 +1,9 @@
-//! Determinism contract of the planned 2-D spectral transforms: grids are
-//! bit-identical (`to_bits`) between the serial path and parallel row-batch
-//! execution at 1, 2, and 8 threads.
-//!
-//! Uses a test-local scoped-thread executor (the density crate must not
-//! depend on the wirelength crate's engine; any [`ParallelExec`] must give
-//! identical results, which is exactly what this test pins down).
+//! Bitwise contract of the planned 2-D spectral transform: a grid out of
+//! [`Spectral2d::execute`] (lane kernels, column pass strided in place) is
+//! bit-identical (`to_bits`) to the scalar 1-D kernel [`DctPlan::apply`]
+//! run over every row and then over every gathered column.
 
-use mep_density::transform::{Kind, Spectral2d};
-use mep_density::{ParallelExec, PoissonSolver, SerialExec};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// A genuinely multi-threaded executor: `threads` scoped workers claim
-/// parts dynamically from a shared counter, so part-to-thread assignment
-/// varies run to run — which is the point: outputs must not depend on it.
-#[derive(Debug)]
-struct ThreadsExec {
-    threads: usize,
-}
-
-impl ParallelExec for ThreadsExec {
-    fn run(&self, parts: usize, f: &(dyn Fn(usize) + Sync)) {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..self.threads.min(parts) {
-                s.spawn(|| loop {
-                    let p = next.fetch_add(1, Ordering::Relaxed);
-                    if p >= parts {
-                        break;
-                    }
-                    f(p);
-                });
-            }
-        });
-    }
-}
+use mep_density::transform::{DctPlan, Kind, Spectral2d, TransformScratch};
 
 fn test_grid(rows: usize, cols: usize, seed: u64) -> Vec<f64> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -48,73 +17,47 @@ fn test_grid(rows: usize, cols: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-#[test]
-fn transform_2d_bit_identical_across_thread_counts() {
-    // 128×128 = 16384 elements: well past PARALLEL_GRID_THRESHOLD
-    let (rows, cols) = (128usize, 128usize);
-    let pairs = [
-        (Kind::Dct2, Kind::Dct2),
-        (Kind::Dct3, Kind::Dct3),
-        (Kind::Dst3, Kind::Dct3),
-        (Kind::Dct3, Kind::Dst3),
-    ];
-    for (i, &(kx, ky)) in pairs.iter().enumerate() {
-        let x = test_grid(rows, cols, 11 + i as u64);
-        let mut reference = Spectral2d::new(rows, cols);
-        let mut want = x.clone();
-        reference.execute(&mut want, kx, ky);
-
-        for threads in [1usize, 2, 8] {
-            let mut engine = Spectral2d::new(rows, cols);
-            engine.set_executor(Arc::new(ThreadsExec { threads }), threads.max(2));
-            let mut got = x.clone();
-            engine.execute(&mut got, kx, ky);
-            for j in 0..want.len() {
-                assert_eq!(
-                    got[j].to_bits(),
-                    want[j].to_bits(),
-                    "pair {i} threads {threads} elem {j}: {} vs {}",
-                    got[j],
-                    want[j]
-                );
-            }
+/// The per-line oracle: `kind_x` along each row, then `kind_y` along each
+/// column, one line at a time through the scalar kernel.
+fn per_line_reference(data: &mut [f64], rows: usize, cols: usize, kind_x: Kind, kind_y: Kind) {
+    let (row_plan, col_plan) = (DctPlan::new(cols), DctPlan::new(rows));
+    let mut scratch = TransformScratch::new();
+    for row in data.chunks_exact_mut(cols) {
+        row_plan.apply(kind_x, row, &mut scratch);
+    }
+    let mut line = vec![0.0; rows];
+    for c in 0..cols {
+        for (r, slot) in line.iter_mut().enumerate() {
+            *slot = data[r * cols + c];
+        }
+        col_plan.apply(kind_y, &mut line, &mut scratch);
+        for (r, &val) in line.iter().enumerate() {
+            data[r * cols + c] = val;
         }
     }
 }
 
+/// Over power-of-two grids spanning 2..=1024 on a side — square and both
+/// rectangular aspect ratios, with dimensions below `LANES` (scalar
+/// remainder lines) and well above it — the planned path matches the
+/// oracle for each of the four sweeps of a Poisson solve.
 #[test]
-fn transform_2d_bit_identical_on_rectangular_grids() {
-    let (rows, cols) = (64usize, 256usize);
-    let x = test_grid(rows, cols, 99);
-    let mut reference = Spectral2d::new(rows, cols);
-    let mut want = x.clone();
-    reference.execute(&mut want, Kind::Dct2, Kind::Dct2);
-    for threads in [2usize, 8] {
-        let mut engine = Spectral2d::new(rows, cols);
-        engine.set_executor(Arc::new(ThreadsExec { threads }), threads);
-        let mut got = x.clone();
-        engine.execute(&mut got, Kind::Dct2, Kind::Dct2);
-        for j in 0..want.len() {
-            assert_eq!(got[j].to_bits(), want[j].to_bits(), "threads {threads}");
-        }
-    }
-}
-
-/// Property test for the fused kernels: over random power-of-two grids
-/// spanning 2..=1024 on a side, the fused transpose-free path is
-/// bit-identical to the unfused transpose-based reference for every sweep
-/// pair, at 1, 2, and 8 threads.
-#[test]
-fn fused_sweeps_bit_identical_to_unfused_across_sizes_and_threads() {
-    // deterministic "random" size walk over the power-of-two lattice,
-    // biased to cover both the scalar fallback (dims < 8) and big grids
+fn execute_bit_identical_to_per_line_reference_across_sizes() {
     let shapes: &[(usize, usize)] = &[
+        (2, 2),
+        (4, 4),
+        (8, 8),
+        (16, 16),
+        (128, 128),
+        (1024, 1024),
         (2, 1024),
         (1024, 2),
-        (4, 4),
+        (4, 32),
+        (32, 4),
         (8, 512),
         (512, 8),
-        (16, 16),
+        (16, 64),
+        (64, 16),
         (64, 128),
         (256, 64),
         (1024, 32),
@@ -126,77 +69,35 @@ fn fused_sweeps_bit_identical_to_unfused_across_sizes_and_threads() {
         (Kind::Dct3, Kind::Dst3),
     ];
     for (si, &(rows, cols)) in shapes.iter().enumerate() {
+        let mut engine = Spectral2d::new(rows, cols);
         for (i, &(kx, ky)) in pairs.iter().enumerate() {
             let x = test_grid(rows, cols, 1000 + (si * 4 + i) as u64);
-            let mut reference = Spectral2d::new(rows, cols);
             let mut want = x.clone();
-            reference.execute_unfused(&mut want, kx, ky);
-            for threads in [1usize, 2, 8] {
-                let mut engine = Spectral2d::new(rows, cols);
-                engine.set_executor(Arc::new(ThreadsExec { threads }), threads.max(2));
-                let mut got = x.clone();
-                engine.execute(&mut got, kx, ky);
-                for j in 0..want.len() {
-                    assert_eq!(
-                        got[j].to_bits(),
-                        want[j].to_bits(),
-                        "{rows}x{cols} pair {i} threads {threads} elem {j}: {} vs {}",
-                        got[j],
-                        want[j]
-                    );
-                }
+            per_line_reference(&mut want, rows, cols, kx, ky);
+            let mut got = x;
+            engine.execute(&mut got, kx, ky);
+            for j in 0..want.len() {
+                assert_eq!(
+                    got[j].to_bits(),
+                    want[j].to_bits(),
+                    "{rows}x{cols} pair {i} elem {j}: {} vs {}",
+                    got[j],
+                    want[j]
+                );
             }
         }
-    }
-}
-
-/// The unfused reference itself must stay thread-count invariant too.
-#[test]
-fn unfused_sweeps_bit_identical_across_thread_counts() {
-    let (rows, cols) = (128usize, 64usize);
-    let x = test_grid(rows, cols, 55);
-    let mut reference = Spectral2d::new(rows, cols);
-    let mut want = x.clone();
-    reference.execute_unfused(&mut want, Kind::Dct2, Kind::Dct2);
-    for threads in [2usize, 8] {
-        let mut engine = Spectral2d::new(rows, cols);
-        engine.set_executor(Arc::new(ThreadsExec { threads }), threads);
-        let mut got = x.clone();
-        engine.execute_unfused(&mut got, Kind::Dct2, Kind::Dct2);
-        for j in 0..want.len() {
-            assert_eq!(got[j].to_bits(), want[j].to_bits(), "threads {threads}");
-        }
-    }
-}
-
-#[test]
-fn poisson_solve_bit_identical_across_thread_counts() {
-    let n = 128usize;
-    let rho = test_grid(n, n, 7);
-    let solve = |exec: Option<(Arc<dyn ParallelExec>, usize)>| {
-        let mut solver = PoissonSolver::new(n, n, 2.0, 2.0);
-        if let Some((e, parts)) = exec {
-            solver.set_executor(e, parts);
-        }
-        let mut psi = vec![0.0; n * n];
-        let mut ex = vec![0.0; n * n];
-        let mut ey = vec![0.0; n * n];
-        solver.solve(&rho, &mut psi, &mut ex, &mut ey);
-        (psi, ex, ey)
-    };
-    let (psi0, ex0, ey0) = solve(None);
-    let configs: Vec<(Arc<dyn ParallelExec>, usize)> = vec![
-        (Arc::new(SerialExec), 4),
-        (Arc::new(ThreadsExec { threads: 1 }), 4),
-        (Arc::new(ThreadsExec { threads: 2 }), 4),
-        (Arc::new(ThreadsExec { threads: 8 }), 8),
-    ];
-    for (k, cfg) in configs.into_iter().enumerate() {
-        let (psi, ex, ey) = solve(Some(cfg));
-        for i in 0..n * n {
-            assert_eq!(psi[i].to_bits(), psi0[i].to_bits(), "cfg {k} psi[{i}]");
-            assert_eq!(ex[i].to_bits(), ex0[i].to_bits(), "cfg {k} ex[{i}]");
-            assert_eq!(ey[i].to_bits(), ey0[i].to_bits(), "cfg {k} ey[{i}]");
-        }
+        // which kernel served which line: whole tiles through the lanes,
+        // only sub-`LANES` dimensions through the scalar remainder
+        let stats = engine.stats();
+        let lanes = mep_density::fft::LANES;
+        let n = pairs.len() as u64;
+        assert_eq!(stats.calls, n);
+        assert_eq!(stats.row_lane_tiles, n * (rows / lanes) as u64);
+        assert_eq!(stats.col_lane_tiles, n * (cols / lanes) as u64);
+        assert_eq!(
+            stats.scalar_lines,
+            n * (rows % lanes + cols % lanes) as u64,
+            "{rows}x{cols}"
+        );
     }
 }

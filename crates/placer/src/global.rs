@@ -192,7 +192,7 @@ pub struct GlobalResult {
     /// Evaluation-engine instrumentation (spawns, eval counts, stage times).
     pub engine_stats: EngineStats,
     /// Spectral-transform kernel instrumentation (which kernels ran: lane
-    /// tiles, scalar fallback lines, transposes) for the density solver.
+    /// tiles, scalar remainder lines) for the density solver.
     pub transform_stats: mep_density::TransformStats,
     /// Every recovery the guard performed (empty on a clean run).
     pub recovery: RecoveryLog,

@@ -6,24 +6,11 @@
 //! positions. Projection clamps each movable cell inside the die.
 
 use mep_density::electro::{DensityReport, Electrostatics};
-use mep_density::exec::ParallelExec;
 use mep_netlist::{CellId, Design, Placement};
 use mep_optim::Problem;
 use mep_wirelength::engine::{EvalEngine, Stage};
 use mep_wirelength::{AnyModel, ModelKind, NetModel, NetlistEvaluator, WirelengthGrad};
 use std::sync::Arc;
-
-/// Adapter exposing the wirelength crate's [`EvalEngine`] to the density
-/// crate's [`ParallelExec`] hook (the density crate must not depend on the
-/// wirelength crate).
-#[derive(Debug, Clone)]
-struct EngineExec(Arc<EvalEngine>);
-
-impl ParallelExec for EngineExec {
-    fn run(&self, parts: usize, f: &(dyn Fn(usize) + Sync)) {
-        self.0.run(parts, f);
-    }
-}
 
 /// Statistics of the most recent objective evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -83,8 +70,8 @@ impl<'a> PlacementProblem<'a> {
     /// Builds the problem. `initial` provides fixed-cell positions (and the
     /// starting movable positions extracted by
     /// [`PlacementProblem::pack_params`]); `model` is the wirelength model;
-    /// `engine` executes every evaluation stage (wirelength and density)
-    /// and collects per-stage instrumentation.
+    /// `engine` executes the wirelength stage (the density stage runs on
+    /// the calling thread) and collects the instrumentation of both.
     pub fn new(
         design: &'a Design,
         initial: &Placement,
@@ -93,19 +80,13 @@ impl<'a> PlacementProblem<'a> {
     ) -> Self {
         let netlist = &design.netlist;
         let movable: Vec<CellId> = netlist.movable_cells().collect();
-        let mut es = Electrostatics::new(design, initial);
-        es.set_executor(
-            Arc::new(EngineExec(Arc::clone(&engine))),
-            engine.threads(),
-            netlist,
-        );
         Self {
             density_key: vec![0.0; 2 * movable.len()],
             movable,
             evaluator: NetlistEvaluator::new(model, Arc::clone(&engine)),
             engine,
             wl: WirelengthGrad::zeros(netlist.num_cells()),
-            es,
+            es: Electrostatics::new(design, initial),
             dgx: vec![0.0; netlist.num_cells()],
             dgy: vec![0.0; netlist.num_cells()],
             density: None,

@@ -155,7 +155,7 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     r.counter("engine.serial_runs").add(e.serial_runs);
 
     // spectral-kernel counters: which transform kernels actually ran
-    // (DESIGN.md §13 — fused lane tiles vs scalar fallback vs transposes)
+    // (DESIGN.md §13 — lane tiles vs scalar remainder lines)
     let tf = &inputs.transform;
     r.counter("density.transform.calls").add(tf.calls);
     r.counter("density.transform.row_lane_tiles")
@@ -164,7 +164,6 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
         .add(tf.col_lane_tiles);
     r.counter("density.transform.scalar_lines")
         .add(tf.scalar_lines);
-    r.counter("density.transform.transposes").add(tf.transposes);
 
     // guard events (formerly only on RecoveryLog)
     r.counter("guard.recoveries")

@@ -145,9 +145,11 @@ pub struct EngineStats {
     /// OS threads spawned so far (pool construction only; a warmed-up
     /// engine performs zero spawns per evaluation).
     pub spawned_threads: u64,
-    /// `run` calls dispatched to the pool.
+    /// `run` calls dispatched to the pool. Only the wirelength stages
+    /// dispatch through the engine, so this counts wirelength dispatches.
     pub parallel_runs: u64,
-    /// `run`/`run_serial` calls executed on the calling thread.
+    /// `run`/`run_serial` calls executed on the calling thread (wirelength
+    /// dispatches only, as above).
     pub serial_runs: u64,
     /// Workspace arena (re)allocations noted by evaluators; stays flat
     /// across iterations once topology is warm.
@@ -223,7 +225,8 @@ impl std::fmt::Debug for Msg {
 /// Persistent parallel evaluation engine (see the module docs).
 ///
 /// Create one per placement run (e.g. per `place()` call), share it with
-/// `Arc`, and let every evaluation stage dispatch through it.
+/// `Arc`, and let the wirelength stages dispatch through it; the density
+/// stage is single-threaded and only reports its clocks here.
 #[derive(Debug)]
 pub struct EvalEngine {
     threads: usize,

@@ -526,7 +526,7 @@ fn main() -> ExitCode {
             }
             let es = &result.engine_stats;
             println!(
-                "engine threads {}  spawned {}  runs {} par / {} serial  workspace allocs {}",
+                "engine threads {}  spawned {}  wl runs {} par / {} serial  workspace allocs {}",
                 es.threads,
                 es.spawned_threads,
                 es.parallel_runs,
