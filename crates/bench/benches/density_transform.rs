@@ -1,6 +1,5 @@
-//! Criterion microbench: the spectral density step on the production path
-//! (`fused`: planned lane kernels, column pass strided in place) and on
-//! the `unplanned` fallback a degraded solver runs.
+//! Criterion microbench: the spectral density step (`fused`: planned lane
+//! kernels, column pass strided in place).
 //!
 //! One "density step" is the four 2-D sweeps of a Poisson solve (analysis
 //! DCT2×DCT2, potential DCT3×DCT3, and the two field syntheses), which is
@@ -8,7 +7,7 @@
 //! 256×256 to 1024×1024 (`BinGrid::auto` caps at 1024).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mep_density::transform::{transform_2d, Kind, Spectral2d, TransformScratch};
+use mep_density::transform::{Kind, Spectral2d};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -27,17 +26,6 @@ fn bench_density_transform(c: &mut Criterion) {
     for &n in &[256usize, 512, 1024] {
         let rho: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut bufs = vec![vec![0.0; n * n]; SWEEPS.len()];
-
-        let mut scratch = TransformScratch::new();
-        group.bench_with_input(BenchmarkId::new("unplanned", n), &n, |b, _| {
-            b.iter(|| {
-                for (buf, &(kx, ky)) in bufs.iter_mut().zip(&SWEEPS) {
-                    buf.copy_from_slice(&rho);
-                    transform_2d(buf, n, n, kx, ky, &mut scratch);
-                }
-                black_box(bufs[0][0])
-            })
-        });
 
         let mut fused = Spectral2d::new(n, n);
         group.bench_with_input(BenchmarkId::new("fused", n), &n, |b, _| {

@@ -70,21 +70,10 @@ impl Electrostatics {
         self.map.grid()
     }
 
-    /// Call count and cumulative wall time of the planned 2-D spectral
-    /// transforms run by the Poisson solver.
+    /// Call count and cumulative wall time of the 2-D spectral transforms
+    /// run by the Poisson solver.
     pub fn transform_stats(&self) -> crate::transform::TransformStats {
         self.solver.transform_stats()
-    }
-
-    /// Degrades the Poisson solver to the unplanned serial transform
-    /// baseline (see [`PoissonSolver::degrade_to_unplanned`]); one-way.
-    pub fn degrade_solver(&mut self) {
-        self.solver.degrade_to_unplanned();
-    }
-
-    /// Whether the Poisson solver runs in degraded (unplanned) mode.
-    pub fn solver_degraded(&self) -> bool {
-        self.solver.is_degraded()
     }
 
     /// Rasterizes movable density and solves the field for `placement`.

@@ -1,72 +1,15 @@
-//! A self-contained iterative radix-2 complex FFT, unplanned and planned.
+//! A self-contained iterative radix-2 complex FFT, driven by a reusable
+//! plan.
 //!
 //! The spectral Poisson solver only needs power-of-two sizes (the bin grid
 //! is chosen as one), so a clean radix-2 implementation suffices. Data is
 //! split-complex (`re`/`im` slices) to avoid a complex-number dependency.
 //!
-//! Two execution paths exist:
-//!
-//! * [`fft_in_place`] — the original self-contained routine. It derives
-//!   twiddle factors with a per-butterfly complex recurrence seeded by one
-//!   `cos`/`sin` pair per stage; fine for one-off transforms, but the
-//!   recurrence is a serial dependency chain and the bit-reversal shift is
-//!   recomputed every call.
-//! * [`FftPlan`] — a reusable plan holding the bit-reversal permutation
-//!   and all stage twiddle factors as precomputed tables. The placement
-//!   hot loop runs thousands of same-size transforms per iteration, so the
-//!   tables are computed once per grid size and amortized to zero.
+//! [`FftPlan`] holds the bit-reversal permutation and all stage twiddle
+//! factors as precomputed tables. The placement hot loop runs thousands of
+//! same-size transforms per iteration, so the tables are computed once per
+//! grid size and amortized to zero; no transform performs trigonometry.
 
-/// In-place FFT (`inverse = false`) or unnormalized inverse FFT
-/// (`inverse = true`) of a split-complex sequence.
-///
-/// The inverse is **unnormalized**: `ifft(fft(x)) = n · x`.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two or the slices disagree.
-pub fn fft_in_place(re: &mut [f64], im: &mut [f64], inverse: bool) {
-    let n = re.len();
-    assert_eq!(n, im.len(), "re/im length mismatch");
-    assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
-    if n <= 1 {
-        return;
-    }
-    // bit-reversal permutation
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u32).reverse_bits() >> (32 - bits);
-        let j = j as usize;
-        if j > i {
-            re.swap(i, j);
-            im.swap(i, j);
-        }
-    }
-    // butterflies
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let (wr, wi) = (ang.cos(), ang.sin());
-        let half = len / 2;
-        for start in (0..n).step_by(len) {
-            let (mut cr, mut ci) = (1.0_f64, 0.0_f64);
-            for k in 0..half {
-                let a = start + k;
-                let b = a + half;
-                let tr = re[b] * cr - im[b] * ci;
-                let ti = re[b] * ci + im[b] * cr;
-                re[b] = re[a] - tr;
-                im[b] = im[a] - ti;
-                re[a] += tr;
-                im[a] += ti;
-                let ncr = cr * wr - ci * wi;
-                ci = cr * wi + ci * wr;
-                cr = ncr;
-            }
-        }
-        len <<= 1;
-    }
-}
 /// A reusable plan for radix-2 complex FFTs of one fixed power-of-two
 /// size: the bit-reversal permutation and every stage's twiddle factors,
 /// precomputed once so [`FftPlan::process`] performs no trigonometry.
@@ -133,8 +76,9 @@ impl FftPlan {
     }
 
     /// In-place FFT (`inverse = false`) or unnormalized inverse FFT
-    /// (`inverse = true`); same contract as [`fft_in_place`] but driven
-    /// entirely by the precomputed tables.
+    /// (`inverse = true`) of a split-complex sequence, driven entirely by
+    /// the precomputed tables. The inverse is **unnormalized**:
+    /// `ifft(fft(x)) = n · x`.
     ///
     /// The butterfly loops are structured for autovectorization: each
     /// stage walks zipped sub-slices (no bounds checks survive), the
@@ -306,45 +250,15 @@ mod tests {
     }
 
     #[test]
-    fn matches_naive_dft() {
-        for &n in &[1usize, 2, 4, 8, 32, 128] {
-            let re0 = rand_seq(n, 7);
-            let im0 = rand_seq(n, 13);
-            let (want_re, want_im) = dft_naive(&re0, &im0, false);
-            let mut re = re0.clone();
-            let mut im = im0.clone();
-            fft_in_place(&mut re, &mut im, false);
-            for i in 0..n {
-                assert!((re[i] - want_re[i]).abs() < 1e-9, "n={n} re[{i}]");
-                assert!((im[i] - want_im[i]).abs() < 1e-9, "n={n} im[{i}]");
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_matches_naive_inverse() {
-        let n = 64;
-        let re0 = rand_seq(n, 3);
-        let im0 = rand_seq(n, 5);
-        let (want_re, want_im) = dft_naive(&re0, &im0, true);
-        let mut re = re0;
-        let mut im = im0;
-        fft_in_place(&mut re, &mut im, true);
-        for i in 0..n {
-            assert!((re[i] - want_re[i]).abs() < 1e-9);
-            assert!((im[i] - want_im[i]).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn round_trip_recovers_input_times_n() {
         let n = 256;
+        let plan = FftPlan::new(n);
         let re0 = rand_seq(n, 11);
         let im0 = rand_seq(n, 17);
         let mut re = re0.clone();
         let mut im = im0.clone();
-        fft_in_place(&mut re, &mut im, false);
-        fft_in_place(&mut re, &mut im, true);
+        plan.process(&mut re, &mut im, false);
+        plan.process(&mut re, &mut im, true);
         for i in 0..n {
             assert!((re[i] - n as f64 * re0[i]).abs() < 1e-9);
             assert!((im[i] - n as f64 * im0[i]).abs() < 1e-9);
@@ -359,7 +273,7 @@ mod tests {
         let t: f64 = re0.iter().map(|v| v * v).sum();
         let mut re = re0;
         let mut im = im0;
-        fft_in_place(&mut re, &mut im, false);
+        FftPlan::new(n).process(&mut re, &mut im, false);
         let f: f64 = re.iter().zip(&im).map(|(r, i)| r * r + i * i).sum();
         assert!((f - n as f64 * t).abs() < 1e-6 * f.max(1.0));
     }
@@ -370,19 +284,11 @@ mod tests {
         let mut re = vec![0.0; n];
         let mut im = vec![0.0; n];
         re[0] = 1.0;
-        fft_in_place(&mut re, &mut im, false);
+        FftPlan::new(n).process(&mut re, &mut im, false);
         for i in 0..n {
             assert!((re[i] - 1.0).abs() < 1e-12);
             assert!(im[i].abs() < 1e-12);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "not a power of two")]
-    fn rejects_non_power_of_two() {
-        let mut re = vec![0.0; 12];
-        let mut im = vec![0.0; 12];
-        fft_in_place(&mut re, &mut im, false);
     }
 
     #[test]

@@ -14,14 +14,12 @@
 //! which is equivalent to superimposing a uniform neutralizing background
 //! charge; fields are unaffected.
 //!
-//! The four 2-D sweeps of every solve run through a planned
-//! [`Spectral2d`] engine on the calling thread: precomputed twiddle/phase
-//! tables, the real-input FFT fast path, and lane kernels whose column
-//! pass is strided in place. A solver the placer's guard ladder has
-//! degraded runs them through the unplanned [`transform_2d`] instead.
+//! The four 2-D sweeps of every solve run through one [`Spectral2d`]
+//! engine on the calling thread: precomputed twiddle/phase tables, the
+//! real-input FFT fast path, and lane kernels whose column pass is strided
+//! in place.
 
-use crate::transform::{transform_2d, Kind, Spectral2d, TransformScratch, TransformStats};
-use std::time::Instant;
+use crate::transform::{Kind, Spectral2d, TransformStats};
 
 /// Reusable spectral solver for an `ny × nx` bin grid (row-major, `iy`
 /// major) over a die of physical size `width × height`.
@@ -33,16 +31,8 @@ pub struct PoissonSolver {
     wu: Vec<f64>,
     /// y-frequencies `w_v`, `v = 0..ny`.
     wv: Vec<f64>,
-    /// Planned 2-D transform engine (all four sweeps per solve run here).
+    /// 2-D transform engine (all four sweeps per solve run here).
     spectral: Spectral2d,
-    /// Degraded mode: route sweeps through the unplanned serial
-    /// `transform_2d` baseline instead of the planned engine (the placer's
-    /// last-resort recovery action when the planned path misbehaves).
-    unplanned: bool,
-    /// Scratch + instrumentation for the unplanned fallback sweeps.
-    fb_scratch: TransformScratch,
-    fb_calls: u64,
-    fb_nanos: u64,
 }
 
 /// Solver output views live in the caller's buffers; see
@@ -78,48 +68,13 @@ impl PoissonSolver {
             wu,
             wv,
             spectral: Spectral2d::new(ny, nx),
-            unplanned: false,
-            fb_scratch: TransformScratch::new(),
-            fb_calls: 0,
-            fb_nanos: 0,
         }
     }
 
-    /// Degrades every subsequent solve to the unplanned `transform_2d`
-    /// baseline (same mathematics, no plan tables, no lane kernels).
-    /// One-way: recovery escalation never re-arms the planned path within
-    /// a run.
-    pub fn degrade_to_unplanned(&mut self) {
-        self.unplanned = true;
-    }
-
-    /// Whether the solver has been degraded to the unplanned baseline.
-    pub fn is_degraded(&self) -> bool {
-        self.unplanned
-    }
-
-    /// One 2-D sweep through whichever transform path is active.
-    fn sweep(&mut self, data: &mut [f64], kind_x: Kind, kind_y: Kind) {
-        if self.unplanned {
-            // lint:allow(determinism): TransformStats timing telemetry; durations never feed back into results
-            let t0 = Instant::now();
-            transform_2d(data, self.ny, self.nx, kind_x, kind_y, &mut self.fb_scratch);
-            self.fb_calls += 1;
-            self.fb_nanos += t0.elapsed().as_nanos() as u64;
-        } else {
-            self.spectral.execute(data, kind_x, kind_y);
-        }
-    }
-
-    /// Call count and cumulative wall time of the 2-D transforms (planned
-    /// sweeps plus any unplanned fallback sweeps after a degrade).
+    /// Call count, cumulative wall time and per-kernel work counters of
+    /// the 2-D transforms.
     pub fn transform_stats(&self) -> TransformStats {
-        let planned = self.spectral.stats();
-        TransformStats {
-            calls: planned.calls + self.fb_calls,
-            nanos: planned.nanos + self.fb_nanos,
-            ..planned
-        }
+        self.spectral.stats()
     }
 
     /// Solves for the potential and both field components.
@@ -146,7 +101,7 @@ impl PoissonSolver {
 
         // forward analysis, directly in the caller's ψ buffer
         psi.copy_from_slice(rho);
-        self.sweep(psi, Kind::Dct2, Kind::Dct2);
+        self.spectral.execute(psi, Kind::Dct2, Kind::Dct2);
 
         // normalization for the synthesis pair: x = (2/N)(2/M) dct3(dct2 x)
         let norm = (2.0 / self.nx as f64) * (2.0 / self.ny as f64);
@@ -177,11 +132,11 @@ impl PoissonSolver {
         ey[0] = 0.0;
 
         // ψ = Σ s_uv cos(w_u x) cos(w_v y)
-        self.sweep(psi, Kind::Dct3, Kind::Dct3);
+        self.spectral.execute(psi, Kind::Dct3, Kind::Dct3);
         // E_x = Σ s_uv w_u sin(w_u x) cos(w_v y)
-        self.sweep(ex, Kind::Dst3, Kind::Dct3);
+        self.spectral.execute(ex, Kind::Dst3, Kind::Dct3);
         // E_y = Σ s_uv w_v cos(w_u x) sin(w_v y)
-        self.sweep(ey, Kind::Dct3, Kind::Dst3);
+        self.spectral.execute(ey, Kind::Dct3, Kind::Dst3);
 
         SolveStats { modes: n - 1 }
     }
@@ -307,34 +262,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn degraded_solver_agrees_with_planned_path() {
-        let (nx, ny) = (32, 16);
-        let mut rho = vec![0.0; nx * ny];
-        for iy in 4..10 {
-            for ix in 6..20 {
-                rho[iy * nx + ix] = 1.0 + 0.1 * (ix + iy) as f64;
-            }
-        }
-        let mut planned = PoissonSolver::new(nx, ny, 4.0, 2.0);
-        let mut degraded = PoissonSolver::new(nx, ny, 4.0, 2.0);
-        degraded.degrade_to_unplanned();
-        assert!(degraded.is_degraded() && !planned.is_degraded());
-        let n = nx * ny;
-        let (mut psi_a, mut ex_a, mut ey_a) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let (mut psi_b, mut ex_b, mut ey_b) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        planned.solve(&rho, &mut psi_a, &mut ex_a, &mut ey_a);
-        degraded.solve(&rho, &mut psi_b, &mut ex_b, &mut ey_b);
-        let scale = psi_a.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1.0);
-        for i in 0..n {
-            assert!((psi_a[i] - psi_b[i]).abs() < 1e-9 * scale, "psi[{i}]");
-            assert!((ex_a[i] - ex_b[i]).abs() < 1e-9 * scale, "ex[{i}]");
-            assert!((ey_a[i] - ey_b[i]).abs() < 1e-9 * scale, "ey[{i}]");
-        }
-        // fallback sweeps are still counted in the transform clock
-        assert_eq!(degraded.transform_stats().calls, 4);
     }
 
     #[test]

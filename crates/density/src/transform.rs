@@ -3,34 +3,28 @@
 //! These are the kernels of the ePlace spectral Poisson solver. With the
 //! half-sample cosine basis `cos(πu(i+½)/N)` (Neumann boundary):
 //!
-//! * [`dct2`]  — analysis:  `X_u = Σ_i x_i cos(πu(i+½)/N)`
-//! * [`dct3`]  — synthesis: `y_i = X_0/2 + Σ_{u≥1} X_u cos(πu(i+½)/N)`
-//! * [`dst3`]  — synthesis with sines: `y_i = Σ_{u≥1} X_u sin(πu(i+½)/N)`
-//!   (what DREAMPlace calls IDXST; used for the electric field)
+//! * [`Kind::Dct2`] — analysis:  `X_u = Σ_i x_i cos(πu(i+½)/N)`
+//! * [`Kind::Dct3`] — synthesis: `y_i = X_0/2 + Σ_{u≥1} X_u cos(πu(i+½)/N)`
+//! * [`Kind::Dst3`] — synthesis with sines: `y_i = Σ_{u≥1} X_u sin(πu(i+½)/N)`
+//!   (what DREAMPlace calls IDXST; used for the electric field; the
+//!   `u = 0` slot is ignored since `sin 0 = 0`)
 //!
 //! The pair satisfies `x = (2/N)·dct3(dct2(x))`.
 //!
-//! There is one production path and one fallback, both single-threaded:
-//!
-//! * [`Spectral2d::execute`] is what every Poisson solve runs. A
-//!   [`DctPlan`] per axis collapses each length-`2N` transform onto an
-//!   `N`-point complex FFT through the real-input pack/unpack identities
-//!   (the inputs are real, and the synthesis output of a real spectrum is
-//!   mirror-conjugate, so half the butterflies vanish), every phase factor
-//!   is a table lookup, and both passes transform [`LANES`] adjacent lines
-//!   at once — the column pass strided in place, so no transpose exists.
-//!   Lines left over when a dimension is below [`LANES`] go through the
-//!   scalar [`DctPlan::apply`], whose expressions the lane kernels mirror
-//!   one-for-one: a grid is bit-identical to applying the scalar kernel to
-//!   every row, then every column.
-//! * the free functions ([`dct2`], [`dct3`], [`dst3`], [`transform_2d`])
-//!   embed each length-`N` transform into a length-`2N` **complex** FFT
-//!   with trigonometry recomputed per call and share no table with the
-//!   planned path. They are what the solver falls back to once the
-//!   placer's guard ladder degrades it
-//!   ([`crate::PoissonSolver::degrade_to_unplanned`]).
+//! There is one stack, single-threaded: every 1-D transform is a method of
+//! [`DctPlan`], and [`Spectral2d::execute`] is the 2-D transform every
+//! Poisson solve runs. A [`DctPlan`] per axis collapses each length-`2N`
+//! transform onto an `N`-point complex FFT through the real-input
+//! pack/unpack identities (the inputs are real, and the synthesis output of
+//! a real spectrum is mirror-conjugate, so half the butterflies vanish),
+//! every phase factor is a table lookup, and both passes transform
+//! [`LANES`] adjacent lines at once — the column pass strided in place, so
+//! no transpose exists. Lines left over when a dimension is below [`LANES`]
+//! go through the scalar [`DctPlan::apply`], whose expressions the lane
+//! kernels mirror one-for-one: a grid is bit-identical to applying the
+//! scalar kernel to every row, then every column.
 
-use crate::fft::{fft_in_place, FftPlan, LANES};
+use crate::fft::{FftPlan, LANES};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -44,7 +38,8 @@ pub struct TransformScratch {
     /// rectangular grid never shrink-and-refill them.
     lre: Vec<f64>,
     lim: Vec<f64>,
-    /// One gathered column for the scalar fallback of strided sweeps.
+    /// One gathered column for the scalar remainder lines of the column
+    /// pass.
     line: Vec<f64>,
 }
 
@@ -54,15 +49,8 @@ impl TransformScratch {
         Self::default()
     }
 
-    fn prepare(&mut self, n2: usize) {
-        self.re.clear();
-        self.re.resize(n2, 0.0);
-        self.im.clear();
-        self.im.resize(n2, 0.0);
-    }
-
-    /// Sizes the buffers without zeroing them (planned kernels overwrite
-    /// every slot before reading).
+    /// Sizes the buffers without zeroing them (the kernels overwrite every
+    /// slot before reading).
     fn ensure(&mut self, n: usize) {
         if self.re.len() != n {
             self.re.resize(n, 0.0);
@@ -108,82 +96,8 @@ fn store_group(dst: &mut [f64], at: usize, lstep: usize, src: &[f64]) {
     }
 }
 
-/// DCT-II: `out[u] = Σ_i x[i] cos(πu(i+½)/N)`.
-///
-/// Uses the even-mirror embedding into a length-`2N` FFT:
-/// `W_u = 2 e^{jπu/2N} X_u`.
-///
-/// # Panics
-///
-/// Panics if `x.len()` is not a power of two or `out.len() != x.len()`.
-pub fn dct2(x: &[f64], out: &mut [f64], scratch: &mut TransformScratch) {
-    let n = x.len();
-    assert_eq!(out.len(), n);
-    if n == 0 {
-        return;
-    }
-    scratch.prepare(2 * n);
-    scratch.re[..n].copy_from_slice(x);
-    for i in 0..n {
-        scratch.re[2 * n - 1 - i] = x[i];
-    }
-    fft_in_place(&mut scratch.re, &mut scratch.im, false);
-    for u in 0..n {
-        let ang = -std::f64::consts::PI * u as f64 / (2.0 * n as f64);
-        let (c, s) = (ang.cos(), ang.sin());
-        out[u] = 0.5 * (scratch.re[u] * c - scratch.im[u] * s);
-    }
-}
-
-/// DCT-III: `out[i] = X_0/2 + Σ_{u=1}^{N-1} X_u cos(πu(i+½)/N)`.
-///
-/// Together with [`dct2`]: `x = (2/N) · dct3(dct2(x))`.
-///
-/// # Panics
-///
-/// Panics if `x.len()` is not a power of two or `out.len() != x.len()`.
-pub fn dct3(x: &[f64], out: &mut [f64], scratch: &mut TransformScratch) {
-    synthesize(x, out, scratch, false)
-}
-
-/// DST-III-style synthesis: `out[i] = Σ_{u=1}^{N-1} X_u sin(πu(i+½)/N)`
-/// (the `u = 0` slot of `x` is ignored since `sin 0 = 0`).
-///
-/// # Panics
-///
-/// Panics if `x.len()` is not a power of two or `out.len() != x.len()`.
-pub fn dst3(x: &[f64], out: &mut [f64], scratch: &mut TransformScratch) {
-    synthesize(x, out, scratch, true)
-}
-
-/// Shared synthesis core: `y_i = Σ_u c_u X_u e^{jπu(i+½)/N}` evaluated by a
-/// zero-padded length-`2N` inverse FFT; real part → DCT-III, imaginary part
-/// → DST-III.
-fn synthesize(x: &[f64], out: &mut [f64], scratch: &mut TransformScratch, sine: bool) {
-    let n = x.len();
-    assert_eq!(out.len(), n);
-    if n == 0 {
-        return;
-    }
-    scratch.prepare(2 * n);
-    for u in 0..n {
-        let coeff = if u == 0 && !sine { 0.5 * x[0] } else { x[u] };
-        let ang = std::f64::consts::PI * u as f64 / (2.0 * n as f64);
-        scratch.re[u] = coeff * ang.cos();
-        scratch.im[u] = coeff * ang.sin();
-    }
-    fft_in_place(&mut scratch.re, &mut scratch.im, true);
-    if sine {
-        out.copy_from_slice(&scratch.im[..n]);
-    } else {
-        out.copy_from_slice(&scratch.re[..n]);
-    }
-}
-
-/// 2-D separable transform over a row-major `rows × cols` grid.
-///
-/// `kind_rows` is applied along each row (x-direction, i.e. over columns),
-/// then `kind_cols` along each column.
+/// Which of the three length-`N` transforms to apply along one axis (see
+/// the module docs for the definitions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
     /// DCT-II analysis.
@@ -192,51 +106,6 @@ pub enum Kind {
     Dct3,
     /// DST-III synthesis.
     Dst3,
-}
-
-fn apply_1d(kind: Kind, x: &[f64], out: &mut [f64], scratch: &mut TransformScratch) {
-    match kind {
-        Kind::Dct2 => dct2(x, out, scratch),
-        Kind::Dct3 => dct3(x, out, scratch),
-        Kind::Dst3 => dst3(x, out, scratch),
-    }
-}
-
-/// Applies `kind_x` along rows then `kind_y` along columns of the row-major
-/// `rows × cols` grid `data`, in place.
-///
-/// # Panics
-///
-/// Panics if `data.len() != rows * cols` or a dimension is not a power of
-/// two.
-pub fn transform_2d(
-    data: &mut [f64],
-    rows: usize,
-    cols: usize,
-    kind_x: Kind,
-    kind_y: Kind,
-    scratch: &mut TransformScratch,
-) {
-    assert_eq!(data.len(), rows * cols, "grid shape mismatch");
-    let mut line = vec![0.0; cols.max(rows)];
-    let mut out = vec![0.0; cols.max(rows)];
-    // rows (contiguous)
-    for r in 0..rows {
-        let row = &mut data[r * cols..(r + 1) * cols];
-        line[..cols].copy_from_slice(row);
-        apply_1d(kind_x, &line[..cols], &mut out[..cols], scratch);
-        row.copy_from_slice(&out[..cols]);
-    }
-    // columns (strided)
-    for c in 0..cols {
-        for r in 0..rows {
-            line[r] = data[r * cols + c];
-        }
-        apply_1d(kind_y, &line[..rows], &mut out[..rows], scratch);
-        for r in 0..rows {
-            data[r * cols + c] = out[r];
-        }
-    }
 }
 
 /// A reusable plan for the three length-`N` trigonometric transforms.
@@ -257,9 +126,8 @@ pub fn transform_2d(
 ///   `d_u = c_u e^{iπu/2N}` and the odd-indexed samples are conjugated
 ///   mirror reads of the same array.
 ///
-/// Either way a planned 1-D transform costs one `N`-point complex FFT and
-/// two `O(N)` table passes — versus a `2N`-point FFT plus `O(N)` `cos`/`sin`
-/// calls for the unplanned functions.
+/// Either way a 1-D transform costs one `N`-point complex FFT and two
+/// `O(N)` table passes.
 #[derive(Debug, Clone)]
 pub struct DctPlan {
     n: usize,
@@ -334,7 +202,7 @@ impl DctPlan {
         }
     }
 
-    /// In-place DCT-II (same math as the free [`dct2`]).
+    /// In-place DCT-II: `X_u = Σ_i x_i cos(πu(i+½)/N)`.
     pub fn dct2(&self, inout: &mut [f64], scratch: &mut TransformScratch) {
         let n = self.n;
         assert_eq!(inout.len(), n, "input length differs from planned length");
@@ -399,12 +267,12 @@ impl DctPlan {
         }
     }
 
-    /// In-place DCT-III (same math as the free [`dct3`]).
+    /// In-place DCT-III: `y_i = X_0/2 + Σ_{u≥1} X_u cos(πu(i+½)/N)`.
     pub fn dct3(&self, inout: &mut [f64], scratch: &mut TransformScratch) {
         self.synthesize(inout, scratch, false)
     }
 
-    /// In-place DST-III synthesis (same math as the free [`dst3`]).
+    /// In-place DST-III synthesis: `y_i = Σ_{u≥1} X_u sin(πu(i+½)/N)`.
     pub fn dst3(&self, inout: &mut [f64], scratch: &mut TransformScratch) {
         self.synthesize(inout, scratch, true)
     }
@@ -651,8 +519,8 @@ pub fn shared_dct_plan(n: usize) -> Arc<DctPlan> {
     plan
 }
 
-/// Call count, cumulative wall time, and per-kernel work counters of
-/// planned 2-D transforms.
+/// Call count, cumulative wall time, and per-kernel work counters of the
+/// 2-D transforms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransformStats {
     /// Number of [`Spectral2d::execute`] calls.
@@ -675,7 +543,7 @@ impl TransformStats {
     }
 }
 
-/// Planned separable 2-D transform engine for one fixed `rows × cols` grid.
+/// Separable 2-D transform engine for one fixed `rows × cols` grid.
 ///
 /// Caches a [`DctPlan`] per axis and one FFT scratch, so the placement hot
 /// loop performs no allocation and no trigonometry. Both passes run
@@ -734,10 +602,9 @@ impl Spectral2d {
         self.stats
     }
 
-    /// Applies `kind_x` along rows then `kind_y` along columns of the
-    /// row-major grid `data`, in place. Planned equivalent of
-    /// [`transform_2d`]: the grid is traversed twice per call, once per
-    /// pass.
+    /// Applies `kind_x` along rows (the x-direction, i.e. over columns)
+    /// then `kind_y` along columns of the row-major grid `data`, in place.
+    /// The grid is traversed twice per call, once per pass.
     ///
     /// # Panics
     ///
@@ -828,74 +695,21 @@ mod tests {
     }
 
     #[test]
-    fn dct2_matches_naive() {
-        for &n in &[2usize, 4, 16, 64] {
-            let x = rand_seq(n, 1);
-            let want = naive::dct2(&x);
-            let mut got = vec![0.0; n];
-            dct2(&x, &mut got, &mut TransformScratch::new());
-            for i in 0..n {
-                assert!((got[i] - want[i]).abs() < 1e-9, "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn dct3_matches_naive() {
-        for &n in &[2usize, 8, 32] {
-            let x = rand_seq(n, 2);
-            let want = naive::dct3(&x);
-            let mut got = vec![0.0; n];
-            dct3(&x, &mut got, &mut TransformScratch::new());
-            for i in 0..n {
-                assert!((got[i] - want[i]).abs() < 1e-9, "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn dst3_matches_naive() {
-        for &n in &[2usize, 8, 32, 128] {
-            let x = rand_seq(n, 3);
-            let want = naive::dst3(&x);
-            let mut got = vec![0.0; n];
-            dst3(&x, &mut got, &mut TransformScratch::new());
-            for i in 0..n {
-                assert!((got[i] - want[i]).abs() < 1e-9, "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
     fn dct_round_trip() {
         let n = 64;
+        let plan = DctPlan::new(n);
         let x = rand_seq(n, 4);
-        let mut freq = vec![0.0; n];
-        let mut back = vec![0.0; n];
+        let mut back = x.clone();
         let mut s = TransformScratch::new();
-        dct2(&x, &mut freq, &mut s);
-        dct3(&freq, &mut back, &mut s);
+        plan.dct2(&mut back, &mut s);
+        plan.dct3(&mut back, &mut s);
         for i in 0..n {
             assert!((x[i] - 2.0 / n as f64 * back[i]).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn transform_2d_round_trip() {
-        let (rows, cols) = (8, 16);
-        let x = rand_seq(rows * cols, 5);
-        let mut data = x.clone();
-        let mut s = TransformScratch::new();
-        transform_2d(&mut data, rows, cols, Kind::Dct2, Kind::Dct2, &mut s);
-        transform_2d(&mut data, rows, cols, Kind::Dct3, Kind::Dct3, &mut s);
-        let scale = 2.0 / rows as f64 * 2.0 / cols as f64;
-        for i in 0..x.len() {
-            assert!((x[i] - scale * data[i]).abs() < 1e-9, "i={i}");
-        }
-    }
-
-    #[test]
-    fn transform_2d_single_mode() {
+    fn execute_single_mode() {
         // a pure cosine mode concentrates in a single coefficient
         let (rows, cols) = (8usize, 8usize);
         let (u, v) = (3usize, 2usize);
@@ -907,8 +721,7 @@ mod tests {
                 data[r * cols + c] = cy * cx;
             }
         }
-        let mut s = TransformScratch::new();
-        transform_2d(&mut data, rows, cols, Kind::Dct2, Kind::Dct2, &mut s);
+        Spectral2d::new(rows, cols).execute(&mut data, Kind::Dct2, Kind::Dct2);
         // expected magnitude N·M/4 in the (u, v) slot, ~0 elsewhere
         for r in 0..rows {
             for c in 0..cols {
@@ -987,39 +800,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn dct_plan_rejects_non_power_of_two() {
+        let _ = DctPlan::new(12);
+    }
+
+    #[test]
     #[should_panic(expected = "differs from planned length")]
     fn dct_plan_rejects_length_mismatch() {
         let plan = DctPlan::new(8);
         let mut x = vec![0.0; 4];
         plan.dct2(&mut x, &mut TransformScratch::new());
-    }
-
-    #[test]
-    fn spectral2d_matches_transform_2d() {
-        let (rows, cols) = (16usize, 32usize);
-        let pairs = [
-            (Kind::Dct2, Kind::Dct2),
-            (Kind::Dct3, Kind::Dct3),
-            (Kind::Dst3, Kind::Dct3),
-            (Kind::Dct3, Kind::Dst3),
-        ];
-        let mut engine = Spectral2d::new(rows, cols);
-        for (i, &(kx, ky)) in pairs.iter().enumerate() {
-            let x = rand_seq(rows * cols, 40 + i as u64);
-            let mut want = x.clone();
-            transform_2d(&mut want, rows, cols, kx, ky, &mut TransformScratch::new());
-            let mut got = x;
-            engine.execute(&mut got, kx, ky);
-            for j in 0..want.len() {
-                assert!(
-                    (got[j] - want[j]).abs() < 1e-9,
-                    "pair {i} elem {j}: {} vs {}",
-                    got[j],
-                    want[j]
-                );
-            }
-        }
-        assert_eq!(engine.stats().calls, pairs.len() as u64);
     }
 
     #[test]

@@ -4,17 +4,13 @@
 
 mod reference;
 
-use mep_density::fft::{fft_in_place, FftPlan};
+use mep_density::fft::FftPlan;
 use mep_density::grid::BinGrid;
 use mep_density::poisson::PoissonSolver;
-use mep_density::transform::{self, DctPlan, Kind, TransformScratch};
+use mep_density::transform::{DctPlan, Kind, TransformScratch};
 use mep_netlist::Rect;
 use proptest::prelude::*;
 use reference::{dft_naive, naive};
-
-fn pow2_len() -> impl Strategy<Value = usize> {
-    (1u32..8).prop_map(|k| 1usize << k)
-}
 
 /// Planned-path coverage spans every grid size the placer can pick
 /// (`BinGrid::auto` caps at 1024).
@@ -23,42 +19,6 @@ fn pow2_len_wide() -> impl Strategy<Value = usize> {
 }
 
 proptest! {
-    /// FFT matches the naive DFT on random signals of random power-of-two
-    /// lengths.
-    #[test]
-    fn fft_matches_naive(n in pow2_len(), seed in 0u64..1000) {
-        let re0: Vec<f64> = (0..n).map(|i| ((seed as f64 + i as f64) * 0.77).sin()).collect();
-        let im0: Vec<f64> = (0..n).map(|i| ((seed as f64 - i as f64) * 0.39).cos()).collect();
-        let (wr, wi) = dft_naive(&re0, &im0, false);
-        let mut re = re0;
-        let mut im = im0;
-        fft_in_place(&mut re, &mut im, false);
-        for i in 0..n {
-            prop_assert!((re[i] - wr[i]).abs() < 1e-8);
-            prop_assert!((im[i] - wi[i]).abs() < 1e-8);
-        }
-    }
-
-    /// DCT-II/III and DST-III match their naive references.
-    #[test]
-    fn transforms_match_naive(n in pow2_len(), seed in 0u64..1000) {
-        let x: Vec<f64> = (0..n).map(|i| ((seed as f64 * 1.3 + i as f64) * 0.53).sin()).collect();
-        let mut scratch = TransformScratch::new();
-        let mut got = vec![0.0; n];
-        transform::dct2(&x, &mut got, &mut scratch);
-        for (g, w) in got.iter().zip(naive::dct2(&x)) {
-            prop_assert!((g - w).abs() < 1e-8);
-        }
-        transform::dct3(&x, &mut got, &mut scratch);
-        for (g, w) in got.iter().zip(naive::dct3(&x)) {
-            prop_assert!((g - w).abs() < 1e-8);
-        }
-        transform::dst3(&x, &mut got, &mut scratch);
-        for (g, w) in got.iter().zip(naive::dst3(&x)) {
-            prop_assert!((g - w).abs() < 1e-8);
-        }
-    }
-
     /// The planned FFT matches the naive DFT in both directions across
     /// sizes 2..=1024.
     #[test]
@@ -98,22 +58,6 @@ proptest! {
             for i in 0..n {
                 prop_assert!((got[i] - want[i]).abs() < tol, "{kind:?}[{i}]");
             }
-        }
-    }
-
-    /// The planned path agrees with the unplanned free functions exactly
-    /// enough for the solver (and the plan itself is reusable).
-    #[test]
-    fn planned_matches_unplanned(n in pow2_len(), seed in 0u64..500) {
-        let x: Vec<f64> = (0..n).map(|i| ((seed as f64 + i as f64) * 0.71).cos()).collect();
-        let plan = DctPlan::new(n);
-        let mut scratch = TransformScratch::new();
-        let mut legacy = vec![0.0; n];
-        transform::dct2(&x, &mut legacy, &mut scratch);
-        let mut planned = x.clone();
-        plan.dct2(&mut planned, &mut scratch);
-        for i in 0..n {
-            prop_assert!((planned[i] - legacy[i]).abs() < 1e-9 * n as f64);
         }
     }
 

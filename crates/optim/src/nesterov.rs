@@ -17,13 +17,14 @@
 use crate::problem::{distance, norm, Problem};
 use crate::{Optimizer, StepReport};
 
+/// Maximum backtracking retries per iteration (ePlace uses a small cap).
+const MAX_BACKTRACK: usize = 2;
+
 /// Nesterov optimizer with ePlace steplength prediction.
 #[derive(Debug, Clone)]
 pub struct Nesterov {
     /// Initial steplength used before any curvature information exists.
     initial_step: f64,
-    /// Maximum backtracking retries per iteration (ePlace uses a small cap).
-    max_backtrack: usize,
     a: f64,
     // state vectors (empty until the first step)
     u: Vec<f64>,
@@ -44,7 +45,6 @@ impl Nesterov {
     pub fn new(initial_step: f64) -> Self {
         Self {
             initial_step,
-            max_backtrack: 2,
             a: 1.0,
             u: Vec::new(),
             v: Vec::new(),
@@ -57,12 +57,6 @@ impl Nesterov {
             step: 0.0,
             initialized: false,
         }
-    }
-
-    /// Overrides the backtracking cap.
-    pub fn with_max_backtrack(mut self, n: usize) -> Self {
-        self.max_backtrack = n;
-        self
     }
 
     fn ensure_init(&mut self, problem: &mut dyn Problem, x: &[f64]) {
@@ -126,7 +120,7 @@ impl Optimizer for Nesterov {
         let coef = (self.a - 1.0) / a_next;
 
         let mut accepted = false;
-        for _try in 0..=self.max_backtrack {
+        for _try in 0..=MAX_BACKTRACK {
             for i in 0..n {
                 self.u_new[i] = self.v[i] - alpha * self.g[i];
             }

@@ -4,16 +4,14 @@
 //! driving a placement job (a CLI signal handler, the `mep-serve` daemon's
 //! cancel endpoint) and the loops doing the work. The global-placement
 //! loop ([`crate::global`]) and the multilevel driver ([`crate::flow`])
-//! poll it once per iteration / stage boundary — alongside the existing
-//! `time_budget` check — and terminate with a best-so-far partial result
-//! when it trips:
+//! poll it once per iteration / stage boundary and terminate with a
+//! best-so-far partial result when it trips:
 //!
 //! * an **explicit** [`cancel`](CancelToken::cancel) maps to
 //!   [`Termination::Cancelled`];
-//! * an **armed deadline** expiring maps to [`Termination::WallClock`],
-//!   exactly like `GlobalConfig::time_budget` — a deadline is just a
-//!   budget that outlives one `place()` call (it spans every level of the
-//!   multilevel flow).
+//! * an **armed deadline** expiring maps to [`Termination::WallClock`];
+//!   it is the run's only wall-clock budget and outlives one `place()`
+//!   call (it spans every level of the multilevel flow).
 //!
 //! The token is lock-free on the polling side: one `AtomicBool` load plus
 //! one `AtomicU64` load per poll, so checking it each iteration costs
@@ -68,7 +66,7 @@ impl CancelToken {
             inner: Arc::new(Inner {
                 cancelled: AtomicBool::new(false),
                 deadline_nanos: AtomicU64::new(NO_DEADLINE),
-                // lint:allow(determinism): cancellation deadlines are wall-clock by definition (mirrors GlobalConfig::time_budget)
+                // lint:allow(determinism): cancellation deadlines are wall-clock by definition
                 created: Instant::now(),
             }),
         }

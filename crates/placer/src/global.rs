@@ -16,10 +16,9 @@
 //! each iteration's value/overflow/coordinates are checked for NaN/Inf,
 //! divergence, and stagnation, a best-so-far snapshot is kept, and a
 //! tripped guard rolls back + backs off the steplength, escalating after
-//! repeated strikes down a degradation ladder (Moreau → WA → LSE model,
-//! then the unplanned density transform) before giving up. On a clean run
-//! the guard is pure observation and the result is bit-identical to the
-//! unguarded loop.
+//! repeated strikes down a degradation ladder (Moreau/BiG → WA → LSE
+//! model) before giving up. On a clean run the guard is pure observation
+//! and the result is bit-identical to the unguarded loop.
 
 use crate::cancel::CancelToken;
 use crate::error::PlacerError;
@@ -35,7 +34,7 @@ use mep_optim::{Optimizer, Problem};
 use mep_wirelength::engine::{EngineStats, EvalEngine};
 use mep_wirelength::{EplaceGammaSchedule, ModelKind, SmoothingSchedule, TangentTSchedule};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which schedule drives the Moreau smoothing parameter `t` (ablation of
 /// the paper's Eq. (14) design choice; exponential models always use the
@@ -85,7 +84,8 @@ pub struct GlobalConfig {
     pub max_iters: usize,
     /// Minimum iterations before the overflow stop can fire.
     pub min_iters: usize,
-    /// Worker threads for the evaluation engine (wirelength + density).
+    /// Worker threads for the evaluation engine (the wirelength stages;
+    /// the density stage runs on the calling thread).
     pub threads: usize,
     /// Record the per-iteration trajectory (Fig. 3).
     pub record_trajectory: bool,
@@ -104,9 +104,6 @@ pub struct GlobalConfig {
     pub lambda_scale: f64,
     /// Numerical-health guard (rollback, backoff, degradation ladder).
     pub guard: GuardConfig,
-    /// Optional wall-clock budget; on expiry the best snapshot so far is
-    /// returned as a partial result with [`Termination::WallClock`].
-    pub time_budget: Option<Duration>,
     /// Test hook: `(after, count)` poisons `count` consecutive objective
     /// evaluations with NaN once `after` main-loop evaluations have run,
     /// exercising the recovery guard. `None` (the default) in all
@@ -124,12 +121,12 @@ pub struct GlobalConfig {
     /// flow; the multilevel/ECO drivers set `"warm-ub"`, `"coarse"`,
     /// `"final"`, `"eco"`, …).
     pub stage: Option<String>,
-    /// Cooperative cancellation handle, polled once per iteration
-    /// alongside `time_budget`. The default token is inert; drivers (the
-    /// `mep-serve` daemon, signal handlers) install a shared token to
-    /// cancel or deadline a run mid-solve. On trip the loop restores the
-    /// best-so-far snapshot and reports [`Termination::Cancelled`]
-    /// (explicit cancel) or [`Termination::WallClock`] (deadline expiry).
+    /// Cooperative cancellation handle, polled once per iteration. The
+    /// default token is inert; drivers (the `mep-serve` daemon, signal
+    /// handlers) install a shared token to cancel or deadline a run
+    /// mid-solve. On trip the loop restores the best-so-far snapshot and
+    /// reports [`Termination::Cancelled`] (explicit cancel) or
+    /// [`Termination::WallClock`] (deadline expiry).
     pub cancel: CancelToken,
 }
 
@@ -151,7 +148,6 @@ impl Default for GlobalConfig {
             beta: 2000.0,
             lambda_scale: 1.0,
             guard: GuardConfig::default(),
-            time_budget: None,
             fault_injection: None,
             trace: Arc::new(NoopSink),
             level: 0,
@@ -253,7 +249,7 @@ pub fn place_with_engine(
     engine: Arc<EvalEngine>,
 ) -> Result<GlobalResult, PlacerError> {
     validate_circuit(circuit)?;
-    // lint:allow(determinism): the wall-clock budget is an explicit opt-in termination criterion (GlobalConfig::time_budget); its nondeterminism is documented
+    // lint:allow(determinism): elapsed_secs of the trace records only; durations never feed back into results
     let start = Instant::now();
     let design = &circuit.design;
     let model = config.model.instantiate(1.0);
@@ -432,10 +428,6 @@ pub fn place_with_engine(
                             problem.set_model(to.instantiate(1.0));
                             action = RecoveryAction::DegradeModel { from, to };
                             monitor.clear_strikes();
-                        } else if !problem.density_solver_degraded() {
-                            problem.degrade_density_solver();
-                            action = RecoveryAction::DegradeDensitySolver;
-                            monitor.clear_strikes();
                         } else {
                             action = RecoveryAction::Halt;
                             halted = true;
@@ -494,14 +486,6 @@ pub fn place_with_engine(
         }
         if stop {
             break;
-        }
-
-        if let Some(budget) = config.time_budget {
-            if start.elapsed() >= budget {
-                restore_best(&monitor, &mut params, &mut problem, &mut phi);
-                termination = Termination::WallClock;
-                break;
-            }
         }
 
         if let Some(t) = config.cancel.termination() {
@@ -772,26 +756,15 @@ mod tests {
     }
 
     #[test]
-    fn token_deadline_matches_time_budget_semantics() {
-        let c = synth::generate(&synth::smoke_spec());
-        let mut cfg = smoke_config(ModelKind::Moreau);
-        cfg.record_trajectory = false;
-        cfg.cancel = crate::cancel::CancelToken::with_deadline_in(Duration::ZERO);
-        let r = place(&c, &cfg).unwrap();
-        assert_eq!(r.termination, Termination::WallClock);
-        assert_eq!(r.iterations, 1);
-    }
-
-    #[test]
     fn wall_clock_budget_returns_a_partial_result() {
         let c = synth::generate(&synth::smoke_spec());
         let mut cfg = smoke_config(ModelKind::Moreau);
         cfg.record_trajectory = false;
-        cfg.time_budget = Some(Duration::ZERO);
+        cfg.cancel = crate::cancel::CancelToken::with_deadline_in(std::time::Duration::ZERO);
         let r = place(&c, &cfg).unwrap();
         assert_eq!(r.termination, Termination::WallClock);
         assert!(r.termination.is_partial());
-        assert_eq!(r.iterations, 1, "budget expires after the first step");
+        assert_eq!(r.iterations, 1, "deadline expires after the first step");
         assert!(r.hpwl.is_finite());
     }
 }

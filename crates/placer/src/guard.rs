@@ -4,8 +4,8 @@
 //! Lipschitz steplength prediction can explode while the density weight `λ`
 //! ramps (Eq. (15)), and a single NaN gradient poisons every downstream
 //! metric. This module provides the observation half of the guard — the
-//! recovery actions themselves (rollback, steplength backoff, model and
-//! solver degradation) are orchestrated by [`crate::global`]:
+//! recovery actions themselves (rollback, steplength backoff, wirelength
+//! model degradation) are orchestrated by [`crate::global`]:
 //!
 //! * [`HealthMonitor::check`] inspects each iteration's objective value,
 //!   gradient norm, steplength, overflow, and coordinates for NaN/Inf,
@@ -123,8 +123,6 @@ pub enum RecoveryAction {
         /// Model after the swap.
         to: ModelKind,
     },
-    /// Degraded the density solver to the unplanned transform baseline.
-    DegradeDensitySolver,
     /// Gave up: restored the best snapshot and stopped the loop.
     Halt,
 }
@@ -135,9 +133,6 @@ impl fmt::Display for RecoveryAction {
             RecoveryAction::RollbackBackoff => write!(f, "rollback + steplength backoff"),
             RecoveryAction::DegradeModel { from, to } => {
                 write!(f, "degrade wirelength model {from} → {to}")
-            }
-            RecoveryAction::DegradeDensitySolver => {
-                write!(f, "degrade density solver to unplanned transforms")
             }
             RecoveryAction::Halt => write!(f, "halt with best snapshot"),
         }
@@ -217,8 +212,8 @@ pub enum Termination {
     /// The iteration cap was reached (last iterate kept, pre-guard
     /// semantics).
     IterationCap,
-    /// The wall-clock budget expired; the best snapshot was returned as a
-    /// partial result.
+    /// The deadline of the run's [`CancelToken`](crate::cancel::CancelToken)
+    /// expired; the best snapshot was returned as a partial result.
     WallClock,
     /// The stagnation trend test fired; best snapshot returned.
     Stagnated,

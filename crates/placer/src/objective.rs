@@ -36,8 +36,7 @@ pub struct PlacementProblem<'a> {
     /// never reallocated).
     dgx: Vec<f64>,
     dgy: Vec<f64>,
-    /// `None` until a density stage has run, and again once the solver is
-    /// degraded: the held term then no longer is what `es` would compute.
+    /// `None` until a density stage has run.
     density: Option<DensityReport>,
     /// The parameter vector the held density term was computed at. `D` is
     /// a pure function of the point, so an eval at the same bits reuses it.
@@ -166,18 +165,6 @@ impl<'a> PlacementProblem<'a> {
     /// Kind of the active wirelength model.
     pub fn model_kind(&self) -> ModelKind {
         self.evaluator.model().kind()
-    }
-
-    /// Degrades the density solver to the unplanned transform baseline
-    /// (the recovery guard's last ladder rung before halting).
-    pub fn degrade_density_solver(&mut self) {
-        self.es.degrade_solver();
-        self.density = None;
-    }
-
-    /// Whether the density solver has been degraded.
-    pub fn density_solver_degraded(&self) -> bool {
-        self.es.solver_degraded()
     }
 
     /// Test hook: after `after` more evaluations, poison the following
@@ -520,22 +507,6 @@ mod tests {
         assert_ne!(other.energy, before.density_energy);
         assert_eq!(first, eval_bits(&mut p, &x));
         assert_eq!(p.last_stats(), before);
-        assert_eq!(p.engine().stats().density_reused, 1);
-    }
-
-    #[test]
-    fn degrading_the_solver_forces_re_execution() {
-        let c = synth::generate(&synth::smoke_spec());
-        let mut p = problem(&c);
-        p.lambda = 1e-3;
-        let x = spread_point(&c, &p, 0.0);
-        eval_bits(&mut p, &x);
-        p.degrade_density_solver();
-        let degraded = eval_bits(&mut p, &x);
-        let stats = p.engine().stats();
-        assert_eq!((stats.density.count, stats.density_reused), (2, 0));
-        // and the re-executed term is the one held from then on
-        assert_eq!(degraded, eval_bits(&mut p, &x));
         assert_eq!(p.engine().stats().density_reused, 1);
     }
 

@@ -101,9 +101,9 @@ pub enum Stage {
     WlValue,
     /// Density update + gradient accumulation.
     Density,
-    /// Planned 2-D spectral transforms inside the density stage (a subset
-    /// of [`Stage::Density`] wall time, counted per `transform_2d`-
-    /// equivalent sweep).
+    /// 2-D spectral transforms inside the density stage (a subset of
+    /// [`Stage::Density`] wall time, one count per `Spectral2d::execute`
+    /// sweep: four per Poisson solve).
     DensityTransform,
 }
 
@@ -261,11 +261,6 @@ impl EvalEngine {
             wl_generic_nets: AtomicU64::new(0),
             stages: Default::default(),
         }
-    }
-
-    /// Engine with the workspace-wide [`default_threads`] policy.
-    pub fn with_default_threads() -> Self {
-        Self::new(default_threads())
     }
 
     /// Overrides the work-size threshold below which evaluators should stay

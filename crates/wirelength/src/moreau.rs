@@ -36,83 +36,38 @@ pub struct EnvelopeEval {
 /// Computes `prox_{tW_e}(x)` per Theorem 1 into `out`.
 ///
 /// `x` need not be sorted. `O(n log n)` from the internal sort. Allocates
-/// a per-call scratch copy; the hot loop uses [`prox_in`].
+/// a per-call scratch copy for nets of more than 8 pins; the hot loop goes
+/// through [`Moreau`], which keeps its scratch.
 ///
 /// # Panics
 ///
 /// Panics if `x` is empty, `out.len() != x.len()`, or `t ≤ 0`.
 pub fn prox(x: &[f64], t: f64, out: &mut [f64]) -> EnvelopeEval {
-    // lint:allow(no-alloc-hot): convenience wrapper; hot callers use the _in variant with engine workspace scratch
-    prox_in(x, t, out, &mut Vec::new())
-}
-
-/// [`prox`] with a caller-provided scratch vector (e.g. an engine
-/// workspace slot): zero allocations once `scratch` has grown to the
-/// largest net degree.
-///
-/// # Panics
-///
-/// Panics if `x` is empty, `out.len() != x.len()`, or `t ≤ 0`.
-pub fn prox_in(x: &[f64], t: f64, out: &mut [f64], scratch: &mut Vec<f64>) -> EnvelopeEval {
-    assert_eq!(x.len(), out.len(), "output length must match input");
-    scratch.clear();
-    scratch.extend_from_slice(x);
-    eval_sorted_scratch(scratch, x, t, None, Some(out))
+    // lint:allow(no-alloc-hot): per-net convenience entry; the hot loop calls the core with the model's own scratch
+    eval_net(x, t, None, Some(out), &mut Vec::new())
 }
 
 /// Computes the envelope value and its gradient (Algorithm 1 + Corollary 1).
 ///
 /// `grad` receives `∇W_e^t(x)`; the return value carries the envelope and
-/// the water levels. `x` need not be sorted. Allocates a per-call scratch
-/// copy; the hot loop uses [`eval_with_gradient_in`].
+/// the water levels. `x` need not be sorted. Allocates like [`prox`].
 ///
 /// # Panics
 ///
 /// Panics if `x` is empty, `grad.len() != x.len()`, or `t ≤ 0`.
 pub fn eval_with_gradient(x: &[f64], t: f64, grad: &mut [f64]) -> EnvelopeEval {
-    // lint:allow(no-alloc-hot): convenience wrapper; hot callers use the _in variant with engine workspace scratch
-    eval_with_gradient_in(x, t, grad, &mut Vec::new())
+    // lint:allow(no-alloc-hot): per-net convenience entry; the hot loop calls the core with the model's own scratch
+    eval_net(x, t, Some(grad), None, &mut Vec::new())
 }
 
-/// [`eval_with_gradient`] with a caller-provided scratch vector: zero
-/// allocations once `scratch` has grown to the largest net degree.
-///
-/// # Panics
-///
-/// Panics if `x` is empty, `grad.len() != x.len()`, or `t ≤ 0`.
-pub fn eval_with_gradient_in(
-    x: &[f64],
-    t: f64,
-    grad: &mut [f64],
-    scratch: &mut Vec<f64>,
-) -> EnvelopeEval {
-    assert_eq!(x.len(), grad.len(), "gradient length must match input");
-    scratch.clear();
-    scratch.extend_from_slice(x);
-    eval_sorted_scratch(scratch, x, t, Some(grad), None)
-}
-
-/// Envelope value only. Allocates a per-call scratch copy; the hot loop
-/// uses [`envelope_in`].
+/// Envelope value only. Allocates like [`prox`].
 ///
 /// # Panics
 ///
 /// Panics if `x` is empty or `t ≤ 0`.
 pub fn envelope(x: &[f64], t: f64) -> f64 {
-    // lint:allow(no-alloc-hot): convenience wrapper; hot callers use the _in variant with engine workspace scratch
-    envelope_in(x, t, &mut Vec::new())
-}
-
-/// [`envelope`] with a caller-provided scratch vector: zero allocations
-/// once `scratch` has grown to the largest net degree.
-///
-/// # Panics
-///
-/// Panics if `x` is empty or `t ≤ 0`.
-pub fn envelope_in(x: &[f64], t: f64, scratch: &mut Vec<f64>) -> f64 {
-    scratch.clear();
-    scratch.extend_from_slice(x);
-    eval_sorted_scratch(scratch, x, t, None, None).envelope
+    // lint:allow(no-alloc-hot): per-net convenience entry; the hot loop calls the core with the model's own scratch
+    eval_net(x, t, None, None, &mut Vec::new()).envelope
 }
 
 /// Largest net degree the monomorphized class kernel [`eval_class`] serves;
@@ -374,19 +329,26 @@ fn eval_small<const N: usize>(
     }
 }
 
-/// Shared core of the per-net entry points: nets of 2..=8 pins go through
-/// the class kernel; any other degree sorts `scratch`, solves the water
-/// levels by the scans, then fills the requested outputs from the
-/// *original* coordinates.
-fn eval_sorted_scratch(
-    scratch: &mut [f64],
+/// The one per-net core: nets of 2..=8 pins go through the class kernel;
+/// any other degree sorts a copy of `x` in `scratch` (zero allocations once
+/// it has grown to the largest net degree), solves the water levels by the
+/// scans, then fills the requested outputs from the *original*
+/// coordinates.
+fn eval_net(
     x: &[f64],
     t: f64,
     grad: Option<&mut [f64]>,
     prox_out: Option<&mut [f64]>,
+    scratch: &mut Vec<f64>,
 ) -> EnvelopeEval {
     assert!(!x.is_empty(), "net must have at least one pin");
     assert!(t > 0.0, "smoothing parameter must be positive, got {t}");
+    if let Some(g) = &grad {
+        assert_eq!(x.len(), g.len(), "gradient length must match input");
+    }
+    if let Some(p) = &prox_out {
+        assert_eq!(x.len(), p.len(), "output length must match input");
+    }
     // NaN coordinates are tolerated rather than asserted away: a poisoned
     // iterate must propagate NaN through value/gradient (the placer's
     // health guard detects and rolls it back) instead of panicking here.
@@ -400,6 +362,8 @@ fn eval_sorted_scratch(
         8 => return eval_small::<8>(x, t, grad, prox_out),
         _ => {}
     }
+    scratch.clear();
+    scratch.extend_from_slice(x);
     scratch.sort_unstable_by(f64::total_cmp);
     let pair = TauPair::solve(scratch, t);
     let n = x.len() as f64;
@@ -568,7 +532,7 @@ pub(crate) mod reference {
     }
 
     /// Branchy scalar evaluation of value + optional gradient + optional
-    /// prox. Same contract as the production `eval_sorted_scratch` core.
+    /// prox. Same contract as the production `eval_net` core.
     pub(crate) fn eval(
         x: &[f64],
         t: f64,
@@ -670,11 +634,6 @@ impl Moreau {
             scratch: Vec::new(),
         }
     }
-
-    /// Full evaluation exposing levels and collapse status.
-    pub fn eval_detailed(&mut self, x: &[f64], grad: &mut [f64]) -> EnvelopeEval {
-        eval_with_gradient_in(x, self.t, grad, &mut self.scratch)
-    }
 }
 
 impl NetModel for Moreau {
@@ -692,11 +651,11 @@ impl NetModel for Moreau {
     }
 
     fn eval_axis(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
-        self.eval_detailed(x, grad).envelope + self.t
+        eval_net(x, self.t, Some(grad), None, &mut self.scratch).envelope + self.t
     }
 
     fn value_axis(&mut self, x: &[f64]) -> f64 {
-        envelope_in(x, self.t, &mut self.scratch) + self.t
+        eval_net(x, self.t, None, None, &mut self.scratch).envelope + self.t
     }
 }
 
@@ -1015,29 +974,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variants_match_allocating_ones() {
-        let x = [0.3, -1.2, 4.5, 2.0, 4.5, 9.1, -3.0, 0.0, 2.2];
-        let t = 0.8;
-        let mut scratch = Vec::new();
-
-        assert_eq!(envelope(&x, t), envelope_in(&x, t, &mut scratch));
-
-        let mut g1 = vec![0.0; x.len()];
-        let mut g2 = vec![0.0; x.len()];
-        let e1 = eval_with_gradient(&x, t, &mut g1);
-        let e2 = eval_with_gradient_in(&x, t, &mut g2, &mut scratch);
-        assert_eq!(e1, e2);
-        assert_eq!(g1, g2);
-
-        let mut p1 = vec![0.0; x.len()];
-        let mut p2 = vec![0.0; x.len()];
-        let e1 = prox(&x, t, &mut p1);
-        let e2 = prox_in(&x, t, &mut p2, &mut scratch);
-        assert_eq!(e1, e2);
-        assert_eq!(p1, p2);
-    }
-
-    #[test]
     fn fused_kernel_bitwise_matches_branchy_reference() {
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
@@ -1058,8 +994,7 @@ mod tests {
                 for &t in &[1e-3, 0.7, 5.0, 500.0] {
                     let mut g = vec![0.0; n];
                     let mut p = vec![0.0; n];
-                    let got =
-                        eval_sorted_scratch_entry(&x, t, Some(&mut g), Some(&mut p), &mut scratch);
+                    let got = eval_net(&x, t, Some(&mut g), Some(&mut p), &mut scratch);
                     let mut rg = vec![0.0; n];
                     let mut rp = vec![0.0; n];
                     let want = reference::eval(&x, t, Some(&mut rg), Some(&mut rp), &mut rscratch);
@@ -1086,7 +1021,7 @@ mod tests {
         let t = 0.5;
         let mut scratch = Vec::new();
         let mut g = vec![0.0; 4];
-        let got = eval_sorted_scratch_entry(&x, t, Some(&mut g), None, &mut scratch);
+        let got = eval_net(&x, t, Some(&mut g), None, &mut scratch);
         let mut rg = vec![0.0; 4];
         let want = reference::eval(&x, t, Some(&mut rg), None, &mut Vec::new());
         assert_eq!(got.envelope.to_bits(), want.envelope.to_bits());
@@ -1253,7 +1188,7 @@ mod tests {
             for x in xs {
                 let mut g = vec![0.0; n];
                 let mut rg = vec![0.0; n];
-                let got = eval_with_gradient_in(x, t, &mut g, &mut scratch);
+                let got = eval_net(x, t, Some(&mut g), None, &mut scratch);
                 let want = reference::eval(x, t, Some(&mut rg), None, &mut rscratch);
                 prop_assert_eq!(got.envelope.to_bits(), want.envelope.to_bits(), "n={} t={}", n, t);
                 prop_assert_eq!(got.tau1.to_bits(), want.tau1.to_bits(), "n={} t={}", n, t);
@@ -1266,31 +1201,18 @@ mod tests {
         }
     }
 
-    /// Test-only shim: drive the production core with the same optional
-    /// outputs the reference takes.
-    fn eval_sorted_scratch_entry(
-        x: &[f64],
-        t: f64,
-        grad: Option<&mut [f64]>,
-        prox_out: Option<&mut [f64]>,
-        scratch: &mut Vec<f64>,
-    ) -> EnvelopeEval {
-        scratch.clear();
-        scratch.extend_from_slice(x);
-        eval_sorted_scratch(scratch, x, t, grad, prox_out)
-    }
-
     #[test]
     fn scratch_is_reused_without_reallocation() {
-        let x = [5.0, 1.0, 3.0, 2.0, 4.0, 0.0, 6.0];
-        let mut scratch = Vec::new();
-        let _ = envelope_in(&x, 1.0, &mut scratch);
-        let cap = scratch.capacity();
+        // more than 8 pins: the sort + scan path, the one that copies
+        let x = [5.0, 1.0, 3.0, 2.0, 4.0, 0.0, 6.0, 8.0, 7.0];
+        let mut m = Moreau::new(1.0);
+        let _ = m.value_axis(&x);
+        let cap = m.scratch.capacity();
         assert!(cap >= x.len());
         for _ in 0..10 {
             let mut g = vec![0.0; x.len()];
-            let _ = eval_with_gradient_in(&x, 1.0, &mut g, &mut scratch);
-            assert_eq!(scratch.capacity(), cap, "scratch reallocated");
+            let _ = m.eval_axis(&x, &mut g);
+            assert_eq!(m.scratch.capacity(), cap, "scratch reallocated");
         }
     }
 }

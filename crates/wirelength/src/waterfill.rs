@@ -10,99 +10,15 @@
 //! is the bar graph of the coordinates; `τ1` is the final water level
 //! (Fig. 2 of the paper). `τ2` is the mirrored problem from above.
 
-/// Violation of a water-filling precondition, reported by the release-safe
-/// [`try_solve_lower`]/[`try_solve_upper`] entry points.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WaterfillError {
-    /// The coordinate slice was empty.
-    EmptyNet,
-    /// The water amount `t` was not a positive finite number.
-    NonPositiveWater(f64),
-    /// A coordinate was NaN/Inf (carries the offending index).
-    NonFiniteCoordinate(usize),
-}
-
-impl std::fmt::Display for WaterfillError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WaterfillError::EmptyNet => write!(f, "water-filling needs at least one pin"),
-            WaterfillError::NonPositiveWater(t) => {
-                write!(f, "water amount must be positive and finite, got {t}")
-            }
-            WaterfillError::NonFiniteCoordinate(i) => {
-                write!(f, "non-finite pin coordinate at index {i}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for WaterfillError {}
-
-/// Validates the `try_solve_*` preconditions; `Ok(true)` means the slice is
-/// already ascending, `Ok(false)` means a sort-and-retry is needed.
-fn validate(x: &[f64], t: f64) -> Result<bool, WaterfillError> {
-    if x.is_empty() {
-        return Err(WaterfillError::EmptyNet);
-    }
-    // NaN-tolerant: NaN fails the positivity test and lands in the error arm
-    if t.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !t.is_finite() {
-        return Err(WaterfillError::NonPositiveWater(t));
-    }
-    let mut ascending = true;
-    for (i, &v) in x.iter().enumerate() {
-        if !v.is_finite() {
-            return Err(WaterfillError::NonFiniteCoordinate(i));
-        }
-        if i > 0 && v < x[i - 1] {
-            ascending = false;
-        }
-    }
-    Ok(ascending)
-}
-
-/// Sort-and-retry fallback for the release-safe entry points: solves on a
-/// sorted copy of the coordinates (the solution is permutation-invariant).
-#[cold]
-fn solve_on_sorted_copy(x: &[f64], t: f64, upper: bool) -> f64 {
-    // lint:allow(no-alloc-hot): #[cold] sorted-copy fallback off the hot path; hot callers pass pre-sorted slices
-    let mut sorted = x.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    if upper {
-        solve_upper(&sorted, t)
-    } else {
-        solve_lower(&sorted, t)
-    }
-}
-
-/// Release-safe [`solve_lower`]: validates every precondition instead of
-/// relying on `debug_assert`, returning a typed error for empty input, a
-/// non-positive/non-finite `t`, or non-finite coordinates, and falling back
-/// to sort-and-retry when the coordinates are not ascending.
-pub fn try_solve_lower(x: &[f64], t: f64) -> Result<f64, WaterfillError> {
-    if validate(x, t)? {
-        Ok(solve_lower(x, t))
-    } else {
-        Ok(solve_on_sorted_copy(x, t, false))
-    }
-}
-
-/// Release-safe [`solve_upper`]; same contract as [`try_solve_lower`].
-pub fn try_solve_upper(x: &[f64], t: f64) -> Result<f64, WaterfillError> {
-    if validate(x, t)? {
-        Ok(solve_upper(x, t))
-    } else {
-        Ok(solve_on_sorted_copy(x, t, true))
-    }
-}
-
 /// Solves `Σ_i (τ1 − x_i)^+ = t` for `τ1` on ascending-sorted coordinates.
 ///
 /// Runs in `O(n)`. If `t` exceeds the water needed to level the whole
 /// reservoir at `x_n`, the level rises above `x_n` by `(t − q)/n`.
 ///
-/// This is the trusted hot path (the Moreau model sorts immediately before
-/// calling); use [`try_solve_lower`] when the input is not guaranteed
-/// sorted. NaN coordinates are tolerated and propagate as NaN levels.
+/// The caller sorts (the Moreau model does so immediately before calling).
+/// NaN coordinates are tolerated and propagate as NaN levels, so a
+/// poisoned iterate reaches the placer's health guard instead of erroring
+/// here.
 ///
 /// # Panics
 ///
@@ -136,9 +52,6 @@ pub fn solve_lower(sorted: &[f64], t: f64) -> f64 {
 /// Solves `Σ_i (x_i − τ2)^+ = t` for `τ2` on ascending-sorted coordinates.
 ///
 /// Mirror image of [`solve_lower`]: water is poured from above.
-///
-/// Same trusted-precondition contract as [`solve_lower`]; the release-safe
-/// variant is [`try_solve_upper`].
 ///
 /// # Panics
 ///
@@ -254,15 +167,6 @@ impl TauPair {
             tau1: solve_lower(sorted, t),
             tau2: solve_upper(sorted, t),
         }
-    }
-
-    /// Release-safe [`TauPair::solve`]: typed errors for bad input,
-    /// sort-and-retry for unsorted coordinates (see [`try_solve_lower`]).
-    pub fn try_solve(x: &[f64], t: f64) -> Result<Self, WaterfillError> {
-        Ok(Self {
-            tau1: try_solve_lower(x, t)?,
-            tau2: try_solve_upper(x, t)?,
-        })
     }
 
     /// Whether the levels crossed (`τ1 > τ2`), i.e. `t` is so large that the
@@ -384,54 +288,6 @@ mod tests {
         let tau1 = solve_lower(&x, 2.0);
         assert_near(lower_residual(&x, tau1, 2.0), 0.0);
         assert!(tau1 > -10.0 && tau1 < 0.0);
-    }
-
-    #[test]
-    fn try_solve_accepts_sorted_input_bitwise() {
-        let x = [1.0, 2.0, 4.0, 7.0];
-        for &t in &[0.3, 1.0, 2.5, 9.0] {
-            let a = solve_lower(&x, t);
-            let b = try_solve_lower(&x, t).unwrap();
-            assert_eq!(a.to_bits(), b.to_bits());
-            let a = solve_upper(&x, t);
-            let b = try_solve_upper(&x, t).unwrap();
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn try_solve_sorts_and_retries_unsorted_input() {
-        let shuffled = [7.0, 1.0, 4.0, 2.0];
-        let sorted = [1.0, 2.0, 4.0, 7.0];
-        for &t in &[0.3, 2.5, 30.0] {
-            let got = try_solve_lower(&shuffled, t).unwrap();
-            assert_eq!(got.to_bits(), solve_lower(&sorted, t).to_bits());
-            let got = try_solve_upper(&shuffled, t).unwrap();
-            assert_eq!(got.to_bits(), solve_upper(&sorted, t).to_bits());
-            let pair = TauPair::try_solve(&shuffled, t).unwrap();
-            assert_eq!(pair, TauPair::solve(&sorted, t));
-        }
-    }
-
-    #[test]
-    fn try_solve_rejects_bad_input_with_typed_errors() {
-        assert_eq!(try_solve_lower(&[], 1.0), Err(WaterfillError::EmptyNet));
-        assert_eq!(
-            try_solve_upper(&[1.0], 0.0),
-            Err(WaterfillError::NonPositiveWater(0.0))
-        );
-        assert!(matches!(
-            try_solve_lower(&[1.0], f64::NAN),
-            Err(WaterfillError::NonPositiveWater(_))
-        ));
-        assert_eq!(
-            try_solve_lower(&[1.0, f64::NAN, 3.0], 1.0),
-            Err(WaterfillError::NonFiniteCoordinate(1))
-        );
-        assert_eq!(
-            try_solve_upper(&[f64::INFINITY], 1.0),
-            Err(WaterfillError::NonFiniteCoordinate(0))
-        );
     }
 
     /// Straightforward indexed transliteration of Eq. (11)–(13), kept as the

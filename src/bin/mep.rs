@@ -293,11 +293,17 @@ fn main() -> ExitCode {
                     }
                     "--threads" => {
                         i += 1;
-                        threads = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(0);
+                        threads = match args.get(i).and_then(|s| s.parse().ok()) {
+                            Some(v) if v >= 1 => v,
+                            _ => return usage(),
+                        };
                     }
                     "--density" => {
                         i += 1;
-                        density = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(1.0);
+                        density = match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
+                            Some(v) if v.is_finite() && v > 0.0 => v,
+                            _ => return usage(),
+                        };
                     }
                     "--quadratic-init" => quad_init = true,
                     "--levels" => {

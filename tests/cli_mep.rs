@@ -409,3 +409,24 @@ fn bad_eco_window_exits_nonzero() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
 }
+
+#[test]
+fn unparseable_threads_and_density_exit_nonzero() {
+    // like every other numeric flag: no silent fallback to the default
+    for flag in [
+        ["--threads", "four"],
+        ["--threads", "0"],
+        ["--density", "abc"],
+    ] {
+        let out = mep()
+            .args(["place", "smoke", "--iters", "1"])
+            .args(flag)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{flag:?}"
+        );
+    }
+}
