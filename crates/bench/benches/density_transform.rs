@@ -1,13 +1,19 @@
 //! Criterion microbench: the spectral density step (`fused`: planned lane
-//! kernels, column pass strided in place).
+//! kernels, column pass strided in place) and one whole density stage.
 //!
 //! One "density step" is the four 2-D sweeps of a Poisson solve (analysis
 //! DCT2×DCT2, potential DCT3×DCT3, and the two field syntheses), which is
 //! exactly the per-iteration spectral cost of the placer. Grid sizes span
-//! 256×256 to 1024×1024 (`BinGrid::auto` caps at 1024).
+//! 256×256 to 1024×1024 (`BinGrid::auto` caps at 1024). At the grid of a
+//! Table II stand-in (128²) the solve is the smaller part of a stage: the
+//! `density_stage` group times the stage as the placer runs it, per-cell
+//! passes included. These numbers explain the end-to-end figure; they are
+//! never the claim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mep_density::transform::{Kind, Spectral2d};
+use mep_density::Electrostatics;
+use mep_netlist::synth;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -41,5 +47,33 @@ fn bench_density_transform(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_density_transform);
+/// One density stage on the `newblue6` stand-in (12.5k movable cells, 128²
+/// bins) at a spread placement: `update` is footprint table + raster +
+/// Poisson solve, `accumulate_gradient` the field gather over the table.
+fn bench_density_stage(c: &mut Criterion) {
+    let spec = synth::spec_by_name("newblue6").expect("catalogue circuit");
+    let circuit = synth::generate(&spec);
+    let (nl, die) = (&circuit.design.netlist, circuit.design.die);
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut spread = circuit.placement.clone();
+    for cell in nl.movable_cells() {
+        spread.x[cell.index()] = rng.gen_range(die.xl..die.xh);
+        spread.y[cell.index()] = rng.gen_range(die.yl..die.yh);
+    }
+    let mut es = Electrostatics::new(&circuit.design, &spread);
+    let (mut gx, mut gy) = (vec![0.0; nl.num_cells()], vec![0.0; nl.num_cells()]);
+    let mut group = c.benchmark_group("density_stage");
+    group.bench_function(BenchmarkId::new("update", "newblue6"), |b| {
+        b.iter(|| black_box(es.update(nl, black_box(&spread))))
+    });
+    group.bench_function(BenchmarkId::new("accumulate_gradient", "newblue6"), |b| {
+        b.iter(|| {
+            es.accumulate_gradient(nl, black_box(&spread), &mut gx, &mut gy);
+            black_box(gx[0])
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_density_transform, bench_density_stage);
 criterion_main!(benches);

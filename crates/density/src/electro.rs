@@ -77,6 +77,8 @@ impl Electrostatics {
     }
 
     /// Rasterizes movable density and solves the field for `placement`.
+    /// `netlist` must be the one of the design the system was built for
+    /// (checked in debug builds).
     pub fn update(&mut self, netlist: &Netlist, placement: &Placement) -> DensityReport {
         self.map.update_movable(netlist, placement);
         self.map.total_into(&mut self.rho);
@@ -108,8 +110,9 @@ impl Electrostatics {
     }
 
     /// Accumulates `∂D/∂x_i`, `∂D/∂y_i` for every movable cell into the
-    /// gradient buffers (fixed cells untouched). Must be called after
-    /// [`Electrostatics::update`].
+    /// gradient buffers (fixed cells untouched). Reads the footprints and
+    /// field of the last [`Electrostatics::update`]; `placement` must be
+    /// that update's (checked in debug builds).
     ///
     /// # Panics
     ///
@@ -123,16 +126,12 @@ impl Electrostatics {
     ) {
         assert!(grad_x.len() >= netlist.num_cells());
         assert!(grad_y.len() >= netlist.num_cells());
-        let grid = self.map.grid();
-        for cell in netlist.movable_cells() {
-            let (rect, _scale) = grid.smoothed_footprint(netlist, placement, cell);
-            let q = netlist.cell_area(cell);
-            // ∂D/∂x = −q·E_x  (the force is +qE; descending the objective
-            // moves the cell along the force)
-            let [ex, ey] = grid.gather_fields(&rect, [&self.ex, &self.ey]);
-            grad_x[cell.index()] -= q * ex;
-            grad_y[cell.index()] -= q * ey;
-        }
+        let (grid, table) = (self.map.grid(), &self.map.table);
+        debug_assert!(
+            table.is_at(grid, netlist, placement),
+            "accumulate_gradient at another netlist or point than the last update"
+        );
+        table.gather(grid, netlist, [&self.ex, &self.ey], [grad_x, grad_y]);
     }
 
     /// The potential field of the last solve (bin-major, `iy * nx + ix`).

@@ -7,7 +7,8 @@
 //! density scaled down so total charge (area) is preserved — otherwise
 //! sub-bin cells produce a spiky, ill-conditioned density.
 
-use mep_netlist::{CellId, Design, Netlist, Placement, Rect};
+use crate::footprint::FootprintTable;
+use mep_netlist::{Design, Netlist, Placement, Rect};
 
 /// An `m × n` grid of equal bins over the die.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,108 +108,66 @@ impl BinGrid {
 
     /// Column range of bins overlapping `[xl, xh]`, clamped to the die.
     #[inline]
-    fn col_range(&self, xl: f64, xh: f64) -> std::ops::Range<usize> {
+    pub(crate) fn col_range(&self, xl: f64, xh: f64) -> std::ops::Range<usize> {
         let lo = ((xl - self.die.xl) / self.bin_w).floor().max(0.0) as usize;
         let hi = (((xh - self.die.xl) / self.bin_w).ceil() as usize).min(self.nx);
         lo.min(self.nx)..hi
     }
 
     #[inline]
-    fn row_range(&self, yl: f64, yh: f64) -> std::ops::Range<usize> {
+    pub(crate) fn row_range(&self, yl: f64, yh: f64) -> std::ops::Range<usize> {
         let lo = ((yl - self.die.yl) / self.bin_h).floor().max(0.0) as usize;
         let hi = (((yh - self.die.yl) / self.bin_h).ceil() as usize).min(self.ny);
         lo.min(self.ny)..hi
     }
 
+    /// The bin `(ix, iy)` holding the point, clamped to the grid.
+    pub(crate) fn nearest_bin(&self, x: f64, y: f64) -> (usize, usize) {
+        (
+            (((x - self.die.xl) / self.bin_w) as usize).min(self.nx - 1),
+            (((y - self.die.yl) / self.bin_h) as usize).min(self.ny - 1),
+        )
+    }
+
+    /// Calls `f(bin, overlap area)` for every bin of `cols × rows` that
+    /// `rect` overlaps, row by row: the library's one overlap routine. The
+    /// area is `w·h`, the 1-D overlaps of the bin's column and row with the
+    /// rect.
+    #[inline]
+    pub(crate) fn for_each_overlap(
+        &self,
+        rect: &Rect,
+        cols: std::ops::Range<usize>,
+        rows: std::ops::Range<usize>,
+        mut f: impl FnMut(usize, f64),
+    ) {
+        // length of `[lo, lo + step]` inside `[a, b]`, zero when disjoint
+        let overlap =
+            |lo: f64, step: f64, a: f64, b: f64| ((lo + step).min(b) - lo.max(a)).max(0.0);
+        for iy in rows {
+            let yl = self.die.yl + iy as f64 * self.bin_h;
+            let h = overlap(yl, self.bin_h, rect.yl, rect.yh);
+            for ix in cols.clone() {
+                let xl = self.die.xl + ix as f64 * self.bin_w;
+                let ov = overlap(xl, self.bin_w, rect.xl, rect.xh) * h;
+                if ov > 0.0 {
+                    f(self.index(ix, iy), ov);
+                }
+            }
+        }
+    }
+
     /// Splats `rect` (weighted by `scale`) into `out` by exact overlap.
     pub fn splat(&self, rect: &Rect, scale: f64, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.len());
-        for iy in self.row_range(rect.yl, rect.yh) {
-            for ix in self.col_range(rect.xl, rect.xh) {
-                let ov = self.bin_rect(ix, iy).overlap_area(rect);
-                if ov > 0.0 {
-                    out[self.index(ix, iy)] += scale * ov;
-                }
-            }
-        }
-    }
-
-    /// Accumulates the field average over `rect` from per-bin values
-    /// (overlap-weighted mean; the adjoint of [`BinGrid::splat`]).
-    pub fn gather(&self, rect: &Rect, field: &[f64]) -> f64 {
-        let [v] = self.gather_fields(rect, [field]);
-        v
-    }
-
-    /// [`BinGrid::gather`] over `N` fields in one traversal: each bin
-    /// overlap is computed once and applied to every field. Per field the
-    /// summation order is that of a lone `gather`, so the results are
-    /// bit-identical to `N` separate calls.
-    pub(crate) fn gather_fields<const N: usize>(
-        &self,
-        rect: &Rect,
-        fields: [&[f64]; N],
-    ) -> [f64; N] {
-        for field in &fields {
-            debug_assert_eq!(field.len(), self.len());
-        }
-        let area = rect.area();
-        if area <= 0.0 {
-            // degenerate rect (zero-size terminal): nearest bin value
-            let ix = (((rect.xl - self.die.xl) / self.bin_w) as usize).min(self.nx - 1);
-            let iy = (((rect.yl - self.die.yl) / self.bin_h) as usize).min(self.ny - 1);
-            let bin = self.index(ix, iy);
-            return fields.map(|field| field[bin]);
-        }
-        let mut acc = [0.0; N];
-        for iy in self.row_range(rect.yl, rect.yh) {
-            for ix in self.col_range(rect.xl, rect.xh) {
-                let ov = self.bin_rect(ix, iy).overlap_area(rect);
-                if ov > 0.0 {
-                    let bin = self.index(ix, iy);
-                    for (a, field) in acc.iter_mut().zip(&fields) {
-                        *a += ov * field[bin];
-                    }
-                }
-            }
-        }
-        acc.map(|a| a / area)
-    }
-
-    /// The (possibly inflated) density footprint of a movable cell under
-    /// ePlace local smoothing, with the density scale that preserves area.
-    /// Returns `(rect, scale)`.
-    pub fn smoothed_footprint(
-        &self,
-        netlist: &Netlist,
-        placement: &Placement,
-        cell: CellId,
-    ) -> (Rect, f64) {
-        let w = netlist.cell_width(cell);
-        let h = netlist.cell_height(cell);
-        let min_w = std::f64::consts::SQRT_2 * self.bin_w;
-        let min_h = std::f64::consts::SQRT_2 * self.bin_h;
-        let ew = w.max(min_w);
-        let eh = h.max(min_h);
-        let scale = if ew > w || eh > h {
-            (w * h) / (ew * eh)
-        } else {
-            1.0
-        };
-        let c = placement.center(netlist, cell);
-        (
-            Rect::new(
-                c.x - 0.5 * ew,
-                c.y - 0.5 * eh,
-                c.x + 0.5 * ew,
-                c.y + 0.5 * eh,
-            ),
-            scale,
-        )
+        let cols = self.col_range(rect.xl, rect.xh);
+        let rows = self.row_range(rect.yl, rect.yh);
+        self.for_each_overlap(rect, cols, rows, |bin, ov| out[bin] += scale * ov);
     }
 }
 
-/// Movable and fixed density maps over a [`BinGrid`].
+/// Movable and fixed density maps over a [`BinGrid`], bound to the netlist
+/// they were built for.
 #[derive(Debug, Clone)]
 pub struct DensityMap {
     grid: BinGrid,
@@ -216,6 +175,8 @@ pub struct DensityMap {
     pub fixed: Vec<f64>,
     /// Movable-cell area per bin (recomputed every iteration).
     pub movable: Vec<f64>,
+    /// The movable footprints at the last [`DensityMap::update_movable`].
+    pub(crate) table: FootprintTable,
 }
 
 impl DensityMap {
@@ -231,6 +192,7 @@ impl DensityMap {
         Self {
             movable: vec![0.0; grid.len()],
             fixed,
+            table: FootprintTable::new(&grid, netlist),
             grid,
         }
     }
@@ -241,12 +203,12 @@ impl DensityMap {
     }
 
     /// Re-rasterizes movable cells (with ePlace smoothing) from `placement`.
+    /// `netlist` must be the one the map was built for: the smoothing of
+    /// each cell was fixed then.
     pub fn update_movable(&mut self, netlist: &Netlist, placement: &Placement) {
         self.movable.iter_mut().for_each(|v| *v = 0.0);
-        for cell in netlist.movable_cells() {
-            let (rect, scale) = self.grid.smoothed_footprint(netlist, placement, cell);
-            self.grid.splat(&rect, scale, &mut self.movable);
-        }
+        self.table
+            .raster(&self.grid, netlist, placement, &mut self.movable);
     }
 
     /// Total charge density per bin (movable + fixed), for the Poisson
@@ -314,81 +276,6 @@ mod tests {
         let r = Rect::new(1.0, 1.0, 2.0, 2.0);
         g.splat(&r, 0.25, &mut out);
         assert!((out.iter().sum::<f64>() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gather_of_constant_field_is_constant() {
-        let g = grid44();
-        let field = vec![3.5; g.len()];
-        let r = Rect::new(0.2, 0.6, 3.3, 2.7);
-        assert!((g.gather(&r, &field) - 3.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gather_weighs_by_overlap() {
-        let g = BinGrid::new(Rect::new(0.0, 0.0, 2.0, 1.0), 2, 1);
-        let field = vec![1.0, 3.0];
-        // rect covering 25% of bin0 and 75% of bin1 (widths 0.5 / 1.5 over x in [0.5, 2.0])
-        let r = Rect::new(0.5, 0.0, 2.0, 1.0);
-        let want = (0.5 * 1.0 + 1.0 * 3.0) / 1.5;
-        assert!((g.gather(&r, &field) - want).abs() < 1e-9);
-    }
-
-    /// The single-field loop as it stood before `gather_fields` (kept here
-    /// as the oracle the fused traversal is pinned against).
-    fn gather_reference(g: &BinGrid, rect: &Rect, field: &[f64]) -> f64 {
-        let area = rect.area();
-        if area <= 0.0 {
-            let ix = (((rect.xl - g.die.xl) / g.bin_w) as usize).min(g.nx - 1);
-            let iy = (((rect.yl - g.die.yl) / g.bin_h) as usize).min(g.ny - 1);
-            return field[g.index(ix, iy)];
-        }
-        let mut acc = 0.0;
-        for iy in g.row_range(rect.yl, rect.yh) {
-            for ix in g.col_range(rect.xl, rect.xh) {
-                let ov = g.bin_rect(ix, iy).overlap_area(rect);
-                if ov > 0.0 {
-                    acc += ov * field[g.index(ix, iy)];
-                }
-            }
-        }
-        acc / area
-    }
-
-    proptest::proptest! {
-        /// One fused traversal returns, per field, the bits of a lone
-        /// `gather` — on interior rects, rects hanging off (or wholly
-        /// outside) the die, and zero-area rects.
-        #[test]
-        fn gather_fields_matches_two_gathers_bitwise(
-            xl in -6.0f64..14.0, yl in -6.0f64..14.0,
-            w in 0.0f64..7.0, h in 0.0f64..7.0,
-            degenerate in 0u8..4, seed in 0u64..1000,
-        ) {
-            let g = BinGrid::new(Rect::new(0.0, 0.0, 12.0, 9.0), 16, 8);
-            // degenerate 1/2/3: zero width / zero height / a point
-            let w = if degenerate & 1 == 1 { 0.0 } else { w };
-            let h = if degenerate & 2 == 2 { 0.0 } else { h };
-            let rect = Rect::from_origin_size(xl, yl, w, h);
-            let a: Vec<f64> = (0..g.len()).map(|i| ((seed + i as u64) as f64 * 0.61).sin()).collect();
-            let b: Vec<f64> = (0..g.len()).map(|i| ((seed * 3 + i as u64) as f64 * 0.23).cos() * 1e3).collect();
-            let [fa, fb] = g.gather_fields(&rect, [&a, &b]);
-            for (fused, field) in [(fa, &a), (fb, &b)] {
-                proptest::prop_assert_eq!(fused.to_bits(), g.gather(&rect, field).to_bits());
-                proptest::prop_assert_eq!(fused.to_bits(), gather_reference(&g, &rect, field).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn smoothing_preserves_cell_area() {
-        let c = synth::generate(&synth::smoke_spec());
-        let nl = &c.design.netlist;
-        let g = BinGrid::new(c.design.die, 32, 32);
-        for cell in nl.movable_cells().take(20) {
-            let (rect, scale) = g.smoothed_footprint(nl, &c.placement, cell);
-            assert!((rect.area() * scale - nl.cell_area(cell)).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * [`transform`] — DCT-II / DCT-III / DST-III on top of the FFT
 //!   (the DREAMPlace transform set);
 //! * [`grid`] — bin grid, exact-overlap rasterization with ePlace local
-//!   smoothing, and the density-overflow metric;
+//!   smoothing, and the density-overflow metric (the movable cells'
+//!   footprints are tabled once per stage and shared with the gather);
 //! * [`poisson`] — the spectral Poisson solver (`ψ`, `E_x`, `E_y`);
 //! * [`electro`] — the user-facing [`electro::Electrostatics`] system:
 //!   energy, overflow, and per-cell density gradients.
@@ -36,6 +37,7 @@
 
 pub mod electro;
 pub mod fft;
+mod footprint;
 pub mod grid;
 pub mod poisson;
 pub mod transform;

@@ -127,3 +127,73 @@ fn gradient_vanishes_for_a_uniform_sea_of_cells() {
         "interior {max_interior} vs boundary {boundary}"
     );
 }
+
+/// Three cells spread over a 32 × 32 die, and the same cells elsewhere.
+fn two_points() -> (Design, Placement, Placement) {
+    let design = design_with(
+        &[
+            ("a", 2.0, 2.0, true),
+            ("b", 0.5, 0.5, true),
+            ("blk", 6.0, 6.0, false),
+        ],
+        32.0,
+    );
+    let mut at_a = Placement::zeros(3);
+    (at_a.x, at_a.y) = (vec![10.0, 12.5, 20.0], vec![15.0, 14.0, 4.0]);
+    let mut at_b = at_a.clone();
+    (at_b.x[0], at_b.y[0], at_b.x[1]) = (18.3, 22.1, 3.7);
+    (design, at_a, at_b)
+}
+
+#[test]
+fn gradient_reads_the_footprints_of_the_last_update() {
+    // update at A, update at B, accumulate: the gradient at B, to the bit,
+    // of a system that never saw A
+    let (design, at_a, at_b) = two_points();
+    let nl = &design.netlist;
+    let grid = BinGrid::new(design.die, 32, 32);
+    let gradient_after = |points: &[&Placement]| {
+        let mut es = Electrostatics::with_grid(&design, points[0], grid.clone());
+        for point in points {
+            es.update(nl, point);
+        }
+        let (mut gx, mut gy) = (vec![0.0; 3], vec![0.0; 3]);
+        es.accumulate_gradient(nl, points[points.len() - 1], &mut gx, &mut gy);
+        (gx, gy)
+    };
+    let bits = |g: &(Vec<f64>, Vec<f64>)| -> Vec<u64> {
+        g.0.iter().chain(&g.1).map(|v| v.to_bits()).collect()
+    };
+    let via_a = gradient_after(&[&at_a, &at_b]);
+    assert_eq!(bits(&via_a), bits(&gradient_after(&[&at_b])));
+    assert_ne!(bits(&via_a), bits(&gradient_after(&[&at_a])));
+}
+
+// Misuse is caught where it would otherwise read stale footprints or stale
+// per-cell smoothing (debug builds; the release build trusts the caller).
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "than the last update")]
+fn gradient_at_another_point_than_the_update_is_refused() {
+    let (design, at_a, at_b) = two_points();
+    let mut es = Electrostatics::with_grid(&design, &at_a, BinGrid::new(design.die, 32, 32));
+    es.update(&design.netlist, &at_a);
+    let (mut gx, mut gy) = (vec![0.0; 3], vec![0.0; 3]);
+    es.accumulate_gradient(&design.netlist, &at_b, &mut gx, &mut gy);
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "not the netlist the table was built for")]
+fn update_with_a_remasked_netlist_copy_is_refused() {
+    // an ECO copy (`with_movability`) has a fresh instance id and must get a
+    // fresh `Electrostatics`, as `flow::replace_region` gives it
+    let (design, at_a, _) = two_points();
+    let mut es = Electrostatics::with_grid(&design, &at_a, BinGrid::new(design.die, 32, 32));
+    let frozen = design
+        .netlist
+        .with_movability(&[true, false, false])
+        .unwrap();
+    es.update(&frozen, &at_a);
+}

@@ -1,16 +1,28 @@
 //! Property-based tests for the density substrate: transform algebra,
-//! rasterization conservation, and Poisson-solver physics on randomized
-//! inputs.
+//! rasterization conservation, the footprint table against the per-rect
+//! path it replaced, and Poisson-solver physics on randomized inputs.
 
+#[path = "reference/per_rect.rs"]
+mod per_rect;
 mod reference;
 
+use mep_density::electro::Electrostatics;
 use mep_density::fft::FftPlan;
-use mep_density::grid::BinGrid;
+use mep_density::grid::{BinGrid, DensityMap};
 use mep_density::poisson::PoissonSolver;
 use mep_density::transform::{DctPlan, Kind, TransformScratch};
-use mep_netlist::Rect;
+use mep_netlist::{Design, NetlistBuilder, Placement, Rect};
 use proptest::prelude::*;
 use reference::{dft_naive, naive};
+
+/// `(w, h, x, y)` of a cell whose lower-left corner may lie anywhere from
+/// well outside one side of the 12 × 9 die to well outside the other.
+fn cell_anywhere(
+    w: std::ops::Range<f64>,
+    h: std::ops::Range<f64>,
+) -> impl Strategy<Value = (f64, f64, f64, f64)> {
+    (w, h, -7.0f64..19.0, -7.0f64..16.0)
+}
 
 /// Planned-path coverage spans every grid size the placer can pick
 /// (`BinGrid::auto` caps at 1024).
@@ -78,6 +90,82 @@ proptest! {
         prop_assert!((total - scale * rect.area()).abs() < 1e-9 * (1.0 + rect.area()));
     }
 
+    /// The footprint table (spans found once per stage, separable overlap)
+    /// against the per-rect path it replaced, `to_bits` on every bin and
+    /// every gradient entry. 16 × 8 bins of 0.75 × 1.125 over the die, so
+    /// `√2` bins are 1.06 × 1.59: `small` cells are inflated in one or both
+    /// axes (`scale < 1`), `macros` in neither (`scale == 1.0`, footprints
+    /// over up to 9 × 8 bins). Every case also carries a cell hanging
+    /// off each die edge, one wholly outside, a NaN coordinate (empty
+    /// range), and coordinates that absorb the footprint (a rect of no
+    /// area: no mass, gather of the nearest bin).
+    #[test]
+    fn footprint_table_matches_per_rect_path_bitwise(
+        small in prop::collection::vec(cell_anywhere(0.05..1.3, 0.05..2.0), 3..9),
+        macros in prop::collection::vec(cell_anywhere(1.1..5.5, 1.6..7.0), 1..4),
+        fixed in prop::collection::vec(cell_anywhere(0.0..4.0, 0.0..4.0), 0..3),
+    ) {
+        let pinned = [
+            (0.4, 0.6, -0.3, 4.0),   // off the left edge
+            (0.4, 0.6, 11.8, 4.0),   // off the right edge
+            (2.0, 0.3, 5.0, -0.2),   // off the bottom edge
+            (2.0, 3.0, 5.0, 7.5),    // off the top edge
+            (0.5, 0.5, -4.0, 20.0),  // wholly outside
+            (0.5, 0.5, f64::NAN, 3.0),
+            (3.0, 3.0, 2.0, f64::NAN),
+            (0.5, 0.5, 1e300, 3.0),
+            (0.5, 0.5, 6.0, -1e300),
+        ];
+        let movable = small.len() + macros.len() + pinned.len();
+        let mut b = NetlistBuilder::new();
+        let mut pl = Placement::zeros(movable + fixed.len());
+        let cells = small.iter().chain(&macros).chain(&pinned).chain(&fixed);
+        for (i, &(w, h, x, y)) in cells.enumerate() {
+            b.add_cell(format!("c{i}"), w, h, i < movable).unwrap();
+            (pl.x[i], pl.y[i]) = (x, y);
+        }
+        let die = Rect::new(0.0, 0.0, 12.0, 9.0);
+        let design = Design::with_uniform_rows("t", b.build(), die, 1.0, 1.0, 1.0).unwrap();
+        let nl = &design.netlist;
+        let grid = BinGrid::new(die, 16, 8);
+
+        let mut map = DensityMap::new(grid.clone(), nl, &pl);
+        map.update_movable(nl, &pl);
+        let mut want = vec![0.0; grid.len()];
+        for cell in nl.fixed_cells() {
+            let rect = pl.cell_rect(nl, cell);
+            if rect.area() > 0.0 {
+                per_rect::splat(&grid, &rect, 1.0, &mut want);
+            }
+        }
+        for (bin, (got, want)) in map.fixed.iter().zip(&want).enumerate() {
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "fixed[{}]: {} vs {}", bin, got, want);
+        }
+        per_rect::raster_movable(&grid, nl, &pl, &mut want);
+        prop_assert!(want.iter().sum::<f64>() > 0.0);
+        for (bin, (got, want)) in map.movable.iter().zip(&want).enumerate() {
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "movable[{}]: {} vs {}", bin, got, want);
+        }
+
+        // the gradient, over the field of the system's own solve
+        let mut es = Electrostatics::with_grid(&design, &pl, grid.clone());
+        es.update(nl, &pl);
+        let mut solver = PoissonSolver::new(grid.nx(), grid.ny(), die.width(), die.height());
+        let (mut psi, mut ex, mut ey) = (want.clone(), want.clone(), want.clone());
+        solver.solve(es.density(), &mut psi, &mut ex, &mut ey);
+        let seed: Vec<f64> = (0..nl.num_cells()).map(|i| 0.25 * i as f64 - 1.0).collect();
+        let (mut gx, mut gy) = (seed.clone(), seed.clone());
+        es.accumulate_gradient(nl, &pl, &mut gx, &mut gy);
+        let (mut want_x, mut want_y) = (seed.clone(), seed.clone());
+        per_rect::accumulate_gradient(&grid, nl, &pl, [&ex, &ey], [&mut want_x, &mut want_y]);
+        for i in 0..nl.num_cells() {
+            prop_assert_eq!(gx[i].to_bits(), want_x[i].to_bits(), "gx[{}]: {} vs {}", i, gx[i], want_x[i]);
+            prop_assert_eq!(gy[i].to_bits(), want_y[i].to_bits(), "gy[{}]: {} vs {}", i, gy[i], want_y[i]);
+        }
+        let moved = (0..movable).filter(|&i| gx[i].to_bits() != seed[i].to_bits()).count();
+        prop_assert!(moved >= small.len() + macros.len() / 2, "only {} cells felt the field", moved);
+    }
+
     /// `gather` is the area-weighted adjoint of `splat`: for any field F
     /// and rect R, `gather(R, F) · area(R) = Σ_b F_b · overlap(R, b)`,
     /// hence gathering a constant field returns the constant.
@@ -91,7 +179,7 @@ proptest! {
         let grid = BinGrid::new(die, 16, 16);
         let rect = Rect::from_origin_size(xl, yl, w, h);
         let field = vec![c; grid.len()];
-        prop_assert!((grid.gather(&rect, &field) - c).abs() < 1e-9 * (1.0 + c.abs()));
+        prop_assert!((per_rect::gather(&grid, &rect, &field) - c).abs() < 1e-9 * (1.0 + c.abs()));
     }
 
     /// Poisson solve is linear: solve(aρ1 + bρ2) = a·solve(ρ1) + b·solve(ρ2).

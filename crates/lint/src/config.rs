@@ -51,8 +51,9 @@ impl Default for Config {
             .collect(),
             hot_paths: [
                 // the Moreau prox / water-filling / evaluation-engine hot
-                // loops (paper Alg. 1–2) and the spectral density solver,
-                // including the fused lane kernels and the per-net gather
+                // loops (paper Alg. 1–2), the spectral density solver,
+                // including the fused lane kernels and the per-net gather,
+                // and the density stage's two per-cell passes
                 "crates/wirelength/src/moreau.rs",
                 "crates/wirelength/src/waterfill.rs",
                 "crates/wirelength/src/engine.rs",
@@ -60,6 +61,7 @@ impl Default for Config {
                 "crates/density/src/transform.rs",
                 "crates/density/src/fft.rs",
                 "crates/density/src/poisson.rs",
+                "crates/density/src/footprint.rs",
                 // the daemon's admission queue: steady-state scheduling
                 // must never allocate (backpressure, not buffer growth)
                 "crates/serve/src/queue.rs",
