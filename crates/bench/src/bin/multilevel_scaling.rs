@@ -141,6 +141,13 @@ fn main() {
             );
         }
     }
+    // and the window's cost follows what moved: with cells frozen, some
+    // nets have no movable pin left and must not have been evaluated
+    assert!(eco.frozen > 0, "the window must freeze some cells");
+    assert!(
+        eco.report.counter("engine.wl.inactive_nets") > Some(0),
+        "an ECO run with frozen cells skipped no net"
+    );
     let eco_fraction = eco.rt_seconds / cold_rt;
     eprintln!(
         "[ml-scale] eco: {} replaced / {} frozen (bit-identical)  HPWL {:.4e} -> {:.4e}  \

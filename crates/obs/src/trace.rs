@@ -25,7 +25,8 @@ pub struct IterationRecord {
     /// flow; e.g. `"warm-lb"`, `"warm-ub"`, `"coarse"`, `"final"`,
     /// `"eco"` for the multilevel/incremental drivers).
     pub stage: Option<String>,
-    /// Smoothed objective `Σ W_e + λ D` at this step.
+    /// Smoothed objective `Σ W_e + λ D` at this step, `e` over the nets
+    /// with a movable pin.
     pub objective: f64,
     /// Exact half-perimeter wirelength at this step.
     pub hpwl: f64,

@@ -20,9 +20,10 @@
 //!   and only the cells touching the window are re-placed by the full
 //!   guarded pipeline.
 //!
-//! All drivers reuse one persistent [`EvalEngine`] across every level and
-//! stage, and stamp `level`/`stage` into the per-iteration trace records
-//! so a single JSONL trace tells the whole story of a run.
+//! The multilevel driver reuses one persistent [`EvalEngine`] across every
+//! level and stage ([`replace_region`] is one pipeline run on an engine of
+//! its own); all drivers stamp `level`/`stage` into the per-iteration trace
+//! records so a single JSONL trace tells the whole story of a run.
 
 use crate::error::PlacerError;
 use crate::global::{place_with_engine, GlobalConfig};
@@ -31,7 +32,7 @@ use crate::pipeline::{run_with_engine, PipelineConfig, PipelineResult};
 use crate::quadratic::{place_b2b, place_b2b_anchored, AnchorSet, B2bConfig};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::cluster::{coarsen, ClusterConfig, Coarsened};
-use mep_netlist::{total_hpwl, Placement, Rect};
+use mep_netlist::{total_hpwl, Design, Placement, Rect};
 use mep_obs::{Registry, RunReport};
 use mep_wirelength::engine::EvalEngine;
 use std::sync::Arc;
@@ -463,10 +464,19 @@ pub fn replace_region(
             reason: format!("ECO window {dirty} selects no movable cell"),
         });
     }
-    let mut derived_design = circuit.design.clone();
-    derived_design.netlist = nl.with_movability(&movable)?;
+    // field by field: a `Design::clone` would copy the netlist (names,
+    // name index, CSR) a second time, only to have it replaced
+    let design = &circuit.design;
     let derived = BookshelfCircuit {
-        design: derived_design,
+        design: Design {
+            name: design.name.clone(),
+            netlist: nl.with_movability(&movable)?,
+            die,
+            rows: design.rows.clone(),
+            target_density: design.target_density,
+            regions: design.regions.clone(),
+            cell_region: design.cell_region.clone(),
+        },
         placement: circuit.placement.clone(),
     };
     let hpwl_before = total_hpwl(nl, &circuit.placement);

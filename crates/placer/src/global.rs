@@ -622,13 +622,14 @@ mod tests {
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
         // the assembly sub-stage runs once per gradient eval, inside it,
         // and every net of at least two pins is served by exactly one
-        // path (on this circuit, under this model, both are in use)
+        // path or skipped for want of a movable pin (on this circuit,
+        // under this model, both paths are in use)
         assert_eq!(s.wl_scatter.count, s.wl_grad.count, "{s:?}");
         assert!(s.wl_scatter.nanos <= s.wl_grad.nanos, "{s:?}");
         let nl = &c.design.netlist;
         let small = nl.nets().filter(|&n| nl.net_degree(n) < 2).count() as u64;
         assert_eq!(
-            s.wl_class_nets + s.wl_generic_nets + small * s.wl_grad.count,
+            s.wl_class_nets + s.wl_generic_nets + s.wl_inactive_nets + small * s.wl_grad.count,
             nl.num_nets() as u64 * s.wl_grad.count,
             "{s:?}"
         );

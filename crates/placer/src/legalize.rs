@@ -15,7 +15,7 @@
 
 use crate::error::PlacerError;
 use crate::telemetry::DispHistogram;
-use mep_netlist::{CellId, Design, Placement, Rect};
+use mep_netlist::{CellId, Design, Placement, Rect, Row};
 
 /// Report of one legalization run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,6 +205,41 @@ pub fn legalize(
     design: &Design,
     gp: &Placement,
 ) -> Result<(Placement, LegalizeReport), PlacerError> {
+    legalize_with(design, gp, row_cuts)
+}
+
+/// Per row, the x-intervals (clipped to the row) of the obstacles whose
+/// interior intersects the row's band, in obstacle order. An obstacle is
+/// tested only against the rows whose bottom lies below its top and less
+/// than the tallest row below its bottom: every row it can intersect,
+/// whatever the order, pitch or heights of `rows` (the inverted range of a
+/// non-finite obstacle is empty).
+fn row_cuts(rows: &[Row], obstacles: &[Rect]) -> Vec<Vec<(f64, f64)>> {
+    let mut by_y: Vec<usize> = (0..rows.len()).collect();
+    by_y.sort_by(|&a, &b| rows[a].y.total_cmp(&rows[b].y));
+    let tallest = rows.iter().fold(0.0_f64, |h, row| h.max(row.height));
+    let mut cuts: Vec<Vec<(f64, f64)>> = vec![Vec::new(); rows.len()];
+    for o in obstacles {
+        let lo = by_y.partition_point(|&r| rows[r].y + tallest <= o.yl);
+        let hi = by_y.partition_point(|&r| rows[r].y < o.yh);
+        for &r in by_y.get(lo..hi).unwrap_or_default() {
+            let row = &rows[r];
+            if o.intersects(&Rect::new(row.xl, row.y, row.xh, row.y + row.height)) {
+                cuts[r].push((o.xl.max(row.xl), o.xh.min(row.xh)));
+            }
+        }
+    }
+    cuts
+}
+
+/// [`legalize`], with the builder of the per-row obstacle intervals as a
+/// parameter so that a test can pin [`row_cuts`] to the rows × obstacles
+/// scan on every legalized coordinate.
+fn legalize_with(
+    design: &Design,
+    gp: &Placement,
+    build_cuts: impl Fn(&[Row], &[Rect]) -> Vec<Vec<(f64, f64)>>,
+) -> Result<(Placement, LegalizeReport), PlacerError> {
     let netlist = &design.netlist;
     let mut legal = gp.clone();
     let row_h = design.rows.first().expect("design has rows").height;
@@ -286,14 +321,7 @@ pub fn legalize(
     // --- stage 2: Abacus for standard cells ----------------------------------
     // build per-row segments
     let mut rows: Vec<(f64, Vec<Segment>)> = Vec::with_capacity(design.rows.len());
-    for row in &design.rows {
-        let band = Rect::new(row.xl, row.y, row.xh, row.y + row.height);
-        // gather obstacle x-intervals overlapping this row
-        let mut cuts: Vec<(f64, f64)> = obstacles
-            .iter()
-            .filter(|o| o.intersects(&band))
-            .map(|o| (o.xl.max(row.xl), o.xh.min(row.xh)))
-            .collect();
+    for (row, mut cuts) in design.rows.iter().zip(build_cuts(&design.rows, &obstacles)) {
         cuts.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut segments = Vec::new();
         let mut cursor = row.xl;
@@ -825,6 +853,125 @@ mod tests {
             violations.len(),
             &violations[..violations.len().min(5)]
         );
+    }
+
+    /// The obstacle scan of the segment builder as it was before the rows
+    /// were indexed by y: every row against every obstacle.
+    fn all_pairs_cuts(rows: &[Row], obstacles: &[Rect]) -> Vec<Vec<(f64, f64)>> {
+        let cuts = |row: &Row| {
+            let band = Rect::new(row.xl, row.y, row.xh, row.y + row.height);
+            obstacles
+                .iter()
+                .filter(|o| o.intersects(&band))
+                .map(|o| (o.xl.max(row.xl), o.xh.min(row.xh)))
+                .collect()
+        };
+        rows.iter().map(cuts).collect()
+    }
+
+    fn bits(cuts: &[Vec<(f64, f64)>]) -> Vec<Vec<(u64, u64)>> {
+        let row =
+            |row: &Vec<(f64, f64)>| row.iter().map(|c| (c.0.to_bits(), c.1.to_bits())).collect();
+        cuts.iter().map(row).collect()
+    }
+
+    fn fixed_rects(design: &Design, gp: &Placement) -> Vec<Rect> {
+        let nl = &design.netlist;
+        nl.fixed_cells().map(|c| gp.cell_rect(nl, c)).collect()
+    }
+
+    /// [`row_cuts`] against the all-pairs scan on the design's fixed cells,
+    /// then the whole legalizer over either: every coordinate bit.
+    fn assert_matches_all_pairs(design: &Design, gp: &Placement) -> Placement {
+        let obstacles = fixed_rects(design, gp);
+        let want = all_pairs_cuts(&design.rows, &obstacles);
+        assert!(want.iter().any(|row| !row.is_empty()), "no row is cut");
+        assert_eq!(bits(&row_cuts(&design.rows, &obstacles)), bits(&want));
+
+        let (want, _) = legalize_with(design, gp, all_pairs_cuts).expect("all-pairs legalize");
+        let (got, report) = legalize(design, gp).expect("legalize");
+        let coords =
+            |p: &Placement| -> Vec<u64> { p.x.iter().chain(&p.y).map(|v| v.to_bits()).collect() };
+        assert_eq!(coords(&got), coords(&want));
+        assert_eq!(check_legal(design, &got), Vec::new(), "{report:?}");
+        got
+    }
+
+    #[test]
+    fn mostly_frozen_design_legalizes_like_the_all_pairs_scan() {
+        // an ECO window's legalization: nine cells in ten are obstacles,
+        // the rest were pushed off their sites by the re-placement
+        let (c, legal, _) = legalized_smoke();
+        let nl = &c.design.netlist;
+        let mask: Vec<bool> = nl
+            .cells()
+            .map(|c| nl.is_movable(c) && c.index() % 10 == 0)
+            .collect();
+        let mut design = c.design.clone();
+        design.netlist = nl.with_movability(&mask).expect("one entry per cell");
+        let frozen = design.netlist.num_fixed() as f64 / nl.num_cells() as f64;
+        assert!(frozen > 0.88, "{frozen}");
+        let mut gp = legal.clone();
+        for cell in design.netlist.movable_cells() {
+            gp.x[cell.index()] += 2.3 - (cell.index() % 7) as f64;
+            gp.y[cell.index()] += 0.4 * ((cell.index() % 5) as f64 - 2.0);
+        }
+        let got = assert_matches_all_pairs(&design, &gp);
+        for cell in design.netlist.fixed_cells() {
+            let i = cell.index();
+            assert_eq!(
+                (got.x[i].to_bits(), got.y[i].to_bits()),
+                (legal.x[i].to_bits(), legal.y[i].to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn tall_and_off_die_obstacles_cut_exactly_the_rows_they_overlap() {
+        let mut b = mep_netlist::NetlistBuilder::new();
+        let fixed = [
+            ("macro", 6.0, 3.0, 10.0, 2.0),   // rows 2, 3 and 4
+            ("below", 8.0, 2.0, 4.0, -3.0),   // entirely below the die
+            ("above", 8.0, 2.0, 4.0, 9.0),    // entirely above it
+            ("flush", 4.0, 1.0, 20.0, 5.0),   // row 5, touching rows 4 and 6
+            ("astride", 3.0, 1.0, 30.0, 6.5), // rows 6 and 7, half of each
+            ("sill", 5.0, 2.0, 33.0, -1.0),   // half below the die: row 0
+        ];
+        for (name, w, h, ..) in fixed {
+            b.add_cell(name, w, h, false).unwrap();
+        }
+        let cells: Vec<CellId> = (0..40)
+            .map(|i| {
+                b.add_cell(format!("c{i}"), 1.0 + (i % 3) as f64, 1.0, true)
+                    .unwrap()
+            })
+            .collect();
+        let die = Rect::new(0.0, 0.0, 40.0, 8.0);
+        let mut design = Design::with_uniform_rows("t", b.build(), die, 1.0, 1.0, 1.0).unwrap();
+        let mut gp = Placement::zeros(design.netlist.num_cells());
+        for (i, (.., x, y)) in fixed.into_iter().enumerate() {
+            (gp.x[i], gp.y[i]) = (x, y);
+        }
+        // the movable cells piled onto the obstacles
+        for (i, cell) in cells.iter().enumerate() {
+            gp.x[cell.index()] = 8.0 + (i % 10) as f64 * 2.6;
+            gp.y[cell.index()] = 1.7 + (i / 10) as f64 * 1.6;
+        }
+        assert_matches_all_pairs(&design, &gp);
+
+        let obstacles = fixed_rects(&design, &gp);
+        let cut_rows = |rows: &[Row]| -> Vec<usize> {
+            row_cuts(rows, &obstacles).iter().map(Vec::len).collect()
+        };
+        assert_eq!(cut_rows(&design.rows), [1, 0, 1, 1, 1, 1, 1, 1]);
+        // no order, pitch or common height is assumed of the rows
+        design.rows.reverse();
+        design.rows.swap(1, 5);
+        design.rows[3].height = 2.5;
+        design.rows[6].y -= 0.25;
+        let want = all_pairs_cuts(&design.rows, &obstacles);
+        assert_eq!(bits(&row_cuts(&design.rows, &obstacles)), bits(&want));
+        assert_ne!(cut_rows(&design.rows), [1, 0, 1, 1, 1, 1, 1, 1]);
     }
 
     #[test]

@@ -15,7 +15,9 @@ use std::sync::Arc;
 /// Statistics of the most recent objective evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EvalStats {
-    /// Smoothed wirelength `Σ W_e`.
+    /// Smoothed wirelength `Σ W_e` over the nets with a movable pin (the
+    /// others are constants of the parameters). Telemetry and the guard's
+    /// finiteness and divergence tests read it; no optimizer does.
     pub wirelength: f64,
     /// Density energy `D`.
     pub density_energy: f64,

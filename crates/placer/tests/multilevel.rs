@@ -222,4 +222,45 @@ fn eco_keeps_frozen_cells_bitwise_unmoved() {
         eco.hpwl_before == total_hpwl(nl, &placed.placement),
         "before-HPWL must describe the input"
     );
+
+    // every output bit, as recorded at the commit before the wirelength
+    // term was restricted to the nets with a movable pin and the legalizer
+    // bucketed its obstacles by row (PR 17): neither may move a coordinate
+    let coords = eco.placement.x.iter().chain(&eco.placement.y);
+    let fnv = coords
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        (eco.hpwl_after.to_bits(), fnv),
+        (PINNED_HPWL_AFTER_BITS, PINNED_COORDS_FNV1A),
+        "hpwl_after {} ({:#x}), coordinates {fnv:#x}",
+        eco.hpwl_after,
+        eco.hpwl_after.to_bits()
+    );
+
+    // work proportional to what moved: per gradient evaluation, exactly
+    // the nets of at least two pins that touch a replaced cell
+    let replaced_cell =
+        |c| nl.is_movable(c) && placed.placement.cell_rect(nl, c).intersects(&window);
+    let multi_pin = nl.nets().filter(|&n| nl.net_degree(n) >= 2);
+    let (active, inactive): (Vec<_>, Vec<_>) =
+        multi_pin.partition(|&n| nl.net_pins(n).any(|p| replaced_cell(nl.pin_cell(p))));
+    let evals = eco.report.counter("engine.wl_grad.count").unwrap();
+    let counter = |name| eco.report.counter(name).unwrap();
+    assert!(evals > 0 && active.len() < inactive.len());
+    assert_eq!(
+        counter("engine.wl.class_nets") + counter("engine.wl.generic_nets"),
+        active.len() as u64 * evals
+    );
+    assert_eq!(
+        counter("engine.wl.inactive_nets"),
+        inactive.len() as u64 * evals
+    );
 }
+
+/// `hpwl_after` (5150.905318186292) of the ECO run above at commit
+/// b7d657a, and FNV-1a over the bits of every x, then every y.
+const PINNED_HPWL_AFTER_BITS: u64 = 0x40b4_1ee7_c2ee_c299;
+const PINNED_COORDS_FNV1A: u64 = 0xc29a_6dec_e30f_7044;

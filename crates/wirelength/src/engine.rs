@@ -162,11 +162,14 @@ pub struct EngineStats {
     /// Moreau kernel (2..=8 pins), summed over evaluations.
     pub wl_class_nets: u64,
     /// Net evaluations of the gradient stage served by the per-net path
-    /// (more than 8 pins, or a model without a class kernel). Nets of
-    /// fewer than two pins are evaluated by neither, so `wl_class_nets +
-    /// wl_generic_nets + (such nets × wl_grad.count)` is `nets ×
-    /// wl_grad.count`.
+    /// (more than 8 pins, or a model without a class kernel).
     pub wl_generic_nets: u64,
+    /// Nets of at least two pins the gradient stage skipped because none
+    /// of their pins can move, summed over evaluations. Nets of fewer than
+    /// two pins are not counted anywhere, so `wl_class_nets +
+    /// wl_generic_nets + wl_inactive_nets + (such nets × wl_grad.count)`
+    /// is `nets × wl_grad.count`.
+    pub wl_inactive_nets: u64,
     /// Wirelength value-only stage.
     pub wl_value: StageStats,
     /// Density stage (executed raster + Poisson solve + gather).
@@ -240,6 +243,7 @@ pub struct EvalEngine {
     density_reused: AtomicU64,
     wl_class_nets: AtomicU64,
     wl_generic_nets: AtomicU64,
+    wl_inactive_nets: AtomicU64,
     stages: [StageCounter; Stage::COUNT],
 }
 
@@ -259,6 +263,7 @@ impl EvalEngine {
             density_reused: AtomicU64::new(0),
             wl_class_nets: AtomicU64::new(0),
             wl_generic_nets: AtomicU64::new(0),
+            wl_inactive_nets: AtomicU64::new(0),
             stages: Default::default(),
         }
     }
@@ -435,10 +440,12 @@ impl EvalEngine {
 
     /// Records which path served the nets of one wirelength gradient
     /// evaluation: `class` through the degree-class kernel, `generic`
-    /// through the per-net path.
-    pub fn note_wl_nets(&self, class: u64, generic: u64) {
+    /// through the per-net path, `inactive` skipped for want of a movable
+    /// pin.
+    pub fn note_wl_nets(&self, class: u64, generic: u64, inactive: u64) {
         self.wl_class_nets.fetch_add(class, Ordering::Relaxed);
         self.wl_generic_nets.fetch_add(generic, Ordering::Relaxed);
+        self.wl_inactive_nets.fetch_add(inactive, Ordering::Relaxed);
     }
 
     /// Determinism self-check, for long-lived drivers reusing one engine
@@ -497,6 +504,7 @@ impl EvalEngine {
             wl_scatter: stage(Stage::WlScatter),
             wl_class_nets: self.wl_class_nets.load(Ordering::Relaxed),
             wl_generic_nets: self.wl_generic_nets.load(Ordering::Relaxed),
+            wl_inactive_nets: self.wl_inactive_nets.load(Ordering::Relaxed),
             wl_value: stage(Stage::WlValue),
             density: stage(Stage::Density),
             density_reused: self.density_reused.load(Ordering::Relaxed),
@@ -513,6 +521,7 @@ impl EvalEngine {
         self.density_reused.store(0, Ordering::Relaxed);
         self.wl_class_nets.store(0, Ordering::Relaxed);
         self.wl_generic_nets.store(0, Ordering::Relaxed);
+        self.wl_inactive_nets.store(0, Ordering::Relaxed);
         for c in &self.stages {
             c.count.store(0, Ordering::Relaxed);
             c.nanos.store(0, Ordering::Relaxed);
@@ -616,11 +625,14 @@ mod tests {
         engine.time_stage(Stage::WlGrad, || {});
         engine.time_stage(Stage::Density, || {});
         engine.note_density_reuse();
-        engine.note_wl_nets(7, 3);
-        engine.note_wl_nets(7, 3);
+        engine.note_wl_nets(7, 3, 2);
+        engine.note_wl_nets(7, 3, 2);
         let s = engine.stats();
         assert_eq!(s.wl_grad.count, 2);
-        assert_eq!((s.wl_class_nets, s.wl_generic_nets), (14, 6));
+        assert_eq!(
+            (s.wl_class_nets, s.wl_generic_nets, s.wl_inactive_nets),
+            (14, 6, 4)
+        );
         assert_eq!(s.wl_scatter.count, 0);
         assert_eq!(s.density.count, 1, "a reuse is not an executed stage");
         assert_eq!(s.density_reused, 1);
@@ -629,6 +641,7 @@ mod tests {
         assert_eq!(engine.stats().wl_grad.count, 0);
         assert_eq!(engine.stats().density_reused, 0);
         assert_eq!(engine.stats().wl_class_nets, 0);
+        assert_eq!(engine.stats().wl_inactive_nets, 0);
     }
 
     #[test]

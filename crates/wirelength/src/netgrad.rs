@@ -1,8 +1,15 @@
 //! Whole-netlist wirelength evaluation: sums a [`NetModel`] over every net
-//! (both axes) and accumulates pin gradients onto cells.
+//! with a movable pin (both axes) and accumulates pin gradients onto the
+//! movable cells.
 //!
 //! This is the `Σ_e W_e(x, y)` term of the global placement objective
-//! (Eq. (1)). Evaluation is embarrassingly parallel over nets and runs on
+//! (Eq. (1)) as a function of the placement variables: a net whose pins all
+//! sit on fixed cells is a constant of them and is left out of the value,
+//! and the gradient entries of fixed cells are `0.0` by contract. The
+//! movable cells' gradients are exactly those of the sum over all nets;
+//! nothing in the placer decides on the absolute value (DESIGN.md §7).
+//!
+//! Evaluation is embarrassingly parallel over nets and runs on
 //! the persistent [`EvalEngine`]: the netlist is partitioned once into
 //! pin-count-balanced contiguous net ranges, each part's nets are grouped
 //! into **degree classes**, and one `workspace` — gather tables,
@@ -43,9 +50,11 @@ use workspace::{ClassBlock, Layout, Part, PartScratch, Workspace, LANES};
 /// Result of one whole-netlist wirelength evaluation.
 #[derive(Debug, Clone, Default)]
 pub struct WirelengthGrad {
-    /// Model wirelength summed over nets and both axes.
+    /// Model wirelength summed over the nets with a movable pin and both
+    /// axes.
     pub value: f64,
-    /// `∂/∂x_c` per cell (lower-left = center derivative; offsets are constant).
+    /// `∂/∂x_c` per cell (lower-left = center derivative; offsets are
+    /// constant); `0.0` for a fixed cell.
     pub grad_x: Vec<f64>,
     /// `∂/∂y_c` per cell.
     pub grad_y: Vec<f64>,
@@ -149,15 +158,18 @@ impl Workspace {
         total
     }
 
-    /// Pin gradients summed onto cells, each cell's pins in the netlist's
-    /// `cell_pins` order (partition-independent). Overwrites every cell.
+    /// Pin gradients summed onto the movable cells, each cell's pins in
+    /// the netlist's `cell_pins` order (partition-independent). Overwrites
+    /// every cell: a fixed one with `0.0`.
     fn scatter(&self, netlist: &Netlist, out: &mut WirelengthGrad) {
         let mut slots = self.layout.cell_slot.iter();
         for cell in netlist.cells() {
             let (mut ax, mut ay) = (0.0, 0.0);
-            for &slot in slots.by_ref().take(netlist.cell_pins(cell).len()) {
-                ax += self.pin_gx[slot as usize];
-                ay += self.pin_gy[slot as usize];
+            if netlist.is_movable(cell) {
+                for &slot in slots.by_ref().take(netlist.cell_pins(cell).len()) {
+                    ax += self.pin_gx[slot as usize];
+                    ay += self.pin_gy[slot as usize];
+                }
             }
             out.grad_x[cell.index()] = ax;
             out.grad_y[cell.index()] = ay;
@@ -400,7 +412,8 @@ impl NetlistEvaluator {
             } else {
                 0
             };
-            engine.note_wl_nets(class, ws.layout.multi_pin_nets - class);
+            let layout = &ws.layout;
+            engine.note_wl_nets(class, layout.active_nets - class, layout.inactive_nets);
         });
     }
 
@@ -436,13 +449,39 @@ mod tests {
 
     #[test]
     fn matches_exact_hpwl_with_hpwl_model() {
+        // the value covers the nets with a movable pin: all of them once
+        // every cell is movable; with two cells in three frozen, the
+        // whole-netlist HPWL minus that of the nets left without one
         let c = synth::generate(&synth::smoke_spec());
         let nl = &c.design.netlist;
+        let exact = total_hpwl(nl, &c.placement);
         let mut eval = NetlistEvaluator::serial(ModelKind::Hpwl.instantiate(0.0));
         let mut out = WirelengthGrad::zeros(nl.num_cells());
-        eval.evaluate(nl, &c.placement, &mut out);
-        let exact = total_hpwl(nl, &c.placement);
+        eval.evaluate(&all_movable(nl), &c.placement, &mut out);
         assert!((out.value - exact).abs() < 1e-6 * exact.max(1.0));
+
+        let mask: Vec<bool> = nl.cells().map(|c| c.index() % 3 == 0).collect();
+        let frozen = nl.with_movability(&mask).expect("one entry per cell");
+        let constant: f64 = nl
+            .nets()
+            .filter(|&n| !has_movable_pin(&frozen, n))
+            .map(|n| mep_netlist::net_hpwl(nl, &c.placement, n))
+            .sum();
+        assert!(
+            constant > 0.0,
+            "the mask leaves some net without a movable pin"
+        );
+        eval.evaluate(&frozen, &c.placement, &mut out);
+        assert!((out.value - (exact - constant)).abs() < 1e-6 * exact.max(1.0));
+    }
+
+    fn all_movable(nl: &Netlist) -> Netlist {
+        nl.with_movability(&vec![true; nl.num_cells()])
+            .expect("mask has one entry per cell")
+    }
+
+    fn has_movable_pin(nl: &Netlist, net: NetId) -> bool {
+        nl.net_pins(net).any(|pin| nl.is_movable(nl.pin_cell(pin)))
     }
 
     #[test]
@@ -483,10 +522,12 @@ mod tests {
     }
 
     /// The evaluation written the plain way: one net at a time in net
-    /// order over the netlist's own CSR, Moreau through the scalar oracle
-    /// of [`crate::moreau::reference`] and any other model through its
+    /// order over the netlist's own CSR, skipping the nets no pin of which
+    /// can move, Moreau through the scalar oracle of
+    /// [`crate::moreau::reference`] and any other model through its
     /// per-net `eval_axis`, values summed in net order, pin gradients
-    /// summed per cell in `cell_pins` order.
+    /// summed per movable cell in `cell_pins` order, fixed cells left at
+    /// `0.0`.
     fn per_net_loop(nl: &Netlist, pl: &Placement, model: &AnyModel) -> WirelengthGrad {
         let mut model = model.clone();
         let mut scratch = Vec::new();
@@ -495,7 +536,7 @@ mod tests {
         let mut out = WirelengthGrad::zeros(nl.num_cells());
         for net in nl.nets() {
             let range = nl.net_pin_range(net);
-            if range.len() < 2 {
+            if range.len() < 2 || !has_movable_pin(nl, net) {
                 continue;
             }
             let (mut xs, mut ys) = (Vec::new(), Vec::new());
@@ -524,7 +565,7 @@ mod tests {
                 pin_gy[pin] = w * gy[i];
             }
         }
-        for cell in nl.cells() {
+        for cell in nl.movable_cells() {
             for &pin in nl.cell_pins(cell) {
                 out.grad_x[cell.index()] += pin_gx[pin.index()];
                 out.grad_y[cell.index()] += pin_gy[pin.index()];
@@ -533,41 +574,84 @@ mod tests {
         out
     }
 
+    /// The `newblue6` stand-in as an ECO window sees it: the movable cells
+    /// scattered over the die, and only those under one interior tile of a
+    /// 4×4 tiling (~6 %) left movable.
+    fn eco_masked(c: &mep_netlist::bookshelf::BookshelfCircuit) -> (Netlist, Placement) {
+        let (nl, die) = (&c.design.netlist, c.design.die);
+        let mut placement = c.placement.clone();
+        for cell in nl.movable_cells() {
+            let i = cell.index() as f64;
+            placement.x[cell.index()] = die.xl + (i * 0.618_033_988_749_895).fract() * die.width();
+            placement.y[cell.index()] = die.yl + (i * 0.754_877_666_246_693).fract() * die.height();
+        }
+        let tile = mep_netlist::Rect::new(
+            die.xl + 0.25 * die.width(),
+            die.yl + 0.25 * die.height(),
+            die.xl + 0.5 * die.width(),
+            die.yl + 0.5 * die.height(),
+        );
+        let mask: Vec<bool> = nl
+            .cells()
+            .map(|c| nl.is_movable(c) && placement.cell_rect(nl, c).intersects(&tile))
+            .collect();
+        let share = mask.iter().filter(|&&m| m).count() as f64 / nl.num_movable() as f64;
+        assert!((0.04..0.09).contains(&share), "window share {share}");
+        let masked = nl.with_movability(&mask).expect("one entry per cell");
+        (masked, placement)
+    }
+
     /// Class blocks, lane steps and their single-net tails, the per-net
-    /// path and part boundaries falling inside a class, all against the
-    /// plain loop: smoke and the `newblue6` stand-in, the paper's model
-    /// and WA, `evaluate` and `value`, 1/2/4/8 parts, early (loose) and
-    /// late (tight) smoothing.
+    /// path, the never-evaluated tail and part boundaries falling inside a
+    /// class, all against the plain loop: smoke and the `newblue6`
+    /// stand-in as generated and under an ECO-style movability mask, the
+    /// paper's model and WA, `evaluate` and `value`, 1/2/4/8 parts, early
+    /// (loose) and late (tight) smoothing.
     #[test]
     fn whole_netlist_bitwise_matches_the_per_net_loop() {
-        let newblue6 = synth::spec_by_name("newblue6").expect("catalogue circuit");
-        for spec in [synth::smoke_spec(), newblue6] {
-            let c = synth::generate(&spec);
-            let nl = &c.design.netlist;
-            // stretch the generator's clumped start, so that the loose
-            // smoothing collapses some nets and the tight one none
+        let smoke = synth::generate(&synth::smoke_spec());
+        let newblue6 = synth::generate(&synth::spec_by_name("newblue6").expect("catalogue"));
+        // stretch the generator's clumped start, so that the loose
+        // smoothing collapses some nets and the tight one none
+        let stretched = |c: &mep_netlist::bookshelf::BookshelfCircuit| {
             let mut placement = c.placement.clone();
             for (i, x) in placement.x.iter_mut().enumerate() {
                 *x += (i % 97) as f64 * 0.37;
             }
+            (c.design.netlist.clone(), placement)
+        };
+        let cases = [
+            ("smoke", stretched(&smoke)),
+            ("newblue6", stretched(&newblue6)),
+            ("newblue6 eco", eco_masked(&newblue6)),
+        ];
+        for (name, (nl, placement)) in &cases {
+            let multi_pin = |n: &NetId| nl.net_degree(*n) >= 2;
+            let inactive = nl
+                .nets()
+                .filter(multi_pin)
+                .filter(|&n| !has_movable_pin(nl, n))
+                .count() as u64;
+            assert_eq!(inactive > 0, name.ends_with("eco"), "{name}: {inactive}");
             for kind in [ModelKind::Moreau, ModelKind::Wa] {
                 for smoothing in [8.0, 0.3] {
                     let model = kind.instantiate(smoothing);
-                    let want = per_net_loop(nl, &placement, &model);
+                    let want = per_net_loop(nl, placement, &model);
                     for parts in [1usize, 2, 4, 8] {
-                        let what = format!("{} {kind} s={smoothing} parts={parts}", spec.name);
+                        let what = format!("{name} {kind} s={smoothing} parts={parts}");
                         let mut eval = parallel_eval(model.clone(), parts);
                         let mut got = WirelengthGrad::zeros(nl.num_cells());
-                        eval.evaluate(nl, &placement, &mut got);
+                        eval.evaluate(nl, placement, &mut got);
                         assert_same_bits(&got, &want, &what);
-                        let value = eval.value(nl, &placement);
+                        let value = eval.value(nl, placement);
                         assert_eq!(value.to_bits(), want.value.to_bits(), "{what}: value()");
                         let stats = eval.engine().stats();
-                        let small = nl.nets().filter(|&n| nl.net_degree(n) < 2).count() as u64;
+                        let small = nl.nets().filter(|n| !multi_pin(n)).count() as u64;
+                        assert_eq!(stats.wl_inactive_nets, inactive, "{what}");
                         assert_eq!(
-                            stats.wl_class_nets + stats.wl_generic_nets + small,
+                            stats.wl_class_nets + stats.wl_generic_nets + inactive + small,
                             nl.num_nets() as u64,
-                            "{what}: every net is served by exactly one path"
+                            "{what}: every net is served by one path or skipped"
                         );
                         assert_eq!(stats.wl_class_nets > 0, kind == ModelKind::Moreau, "{what}");
                     }
@@ -602,8 +686,9 @@ mod tests {
     #[test]
     fn gradients_sum_to_zero_over_cells() {
         // Corollaries 2–3 aggregate: total gradient over all pins is zero
+        // (over all pins: with every cell movable, no entry is zeroed)
         let c = synth::generate(&synth::smoke_spec());
-        let nl = &c.design.netlist;
+        let nl = &all_movable(&c.design.netlist);
         for kind in ModelKind::contestants() {
             let mut eval = NetlistEvaluator::serial(kind.instantiate(1.0));
             let mut out = WirelengthGrad::zeros(nl.num_cells());

@@ -15,11 +15,21 @@
 //!    net sits at `slot_base + i·M + j`, so a kernel step over [`LANES`]
 //!    consecutive nets reads and writes `N` contiguous runs;
 //! 2. the nets of more than 8 pins, each net's pins contiguous;
-//! 3. the pins of single-pin nets, which no evaluation ever writes (their
-//!    gradient stays the zero the buffers are created with).
+//! 3. the pins of the nets that are never evaluated — single-pin nets, and
+//!    *inactive* nets, whose every pin sits on a fixed cell — which no
+//!    evaluation ever writes (their gradient stays the zero the buffers are
+//!    created with).
 //!
 //! The layout does not depend on the wirelength model: a model without a
 //! class kernel walks the same blocks one net at a time with stride `M`.
+//!
+//! # Active nets
+//!
+//! A net without a movable pin is a constant of the placement variables
+//! and its gradient would land on fixed cells only, so it costs nothing
+//! per evaluation. The active set is read off [`Netlist::is_movable`]; a
+//! different mask is a different netlist instance
+//! ([`Netlist::with_movability`]) and therefore a new layout.
 
 use crate::model::AnyModel;
 use crate::moreau::MAX_CLASS_DEGREE;
@@ -82,11 +92,13 @@ pub(super) struct Layout {
     pub slot_cell: Vec<u32>,
     pub slot_bias_x: Vec<f64>,
     pub slot_bias_y: Vec<f64>,
-    /// Slots of each cell's pins, cells in id order and pins in the
-    /// netlist's `cell_pins` order: the scatter walks it front to back.
+    /// Slots of each movable cell's pins, cells in id order and pins in
+    /// the netlist's `cell_pins` order: the scatter walks it front to back.
     pub cell_slot: Vec<u32>,
-    /// Nets of at least two pins (the others are never evaluated).
-    pub multi_pin_nets: u64,
+    /// Nets of at least two pins with a movable pin: the evaluated ones.
+    pub active_nets: u64,
+    /// Nets of at least two pins without a movable pin (never evaluated).
+    pub inactive_nets: u64,
 }
 
 /// Per-part state of the per-net path: the part's own model (the models
@@ -105,8 +117,8 @@ pub(super) struct PartScratch {
 #[derive(Debug)]
 pub(super) struct Workspace {
     pub layout: Layout,
-    /// Weighted value per net, by net id (single-pin and empty nets keep
-    /// the zero they are created with).
+    /// Weighted value per net, by net id (nets that are never evaluated
+    /// keep the zero they are created with).
     pub net_value: Vec<f64>,
     /// Weighted per-pin gradients, by slot.
     pub pin_gx: Vec<f64>,
@@ -149,7 +161,16 @@ impl Layout {
                 netlist.net_pin_range(NetId::from_usize(net)).start
             }
         };
-        let degree = |net: usize| netlist.net_degree(NetId::from_usize(net));
+        // the degree a net is evaluated at: 0 when no pin of it can move
+        let degree = |net: usize| {
+            let net = NetId::from_usize(net);
+            let movable = |pin| netlist.is_movable(netlist.pin_cell(pin));
+            if netlist.net_pins(net).any(movable) {
+                netlist.net_degree(net)
+            } else {
+                0
+            }
+        };
         // part k starts at the first net whose CSR prefix reaches k/parts
         // of the total pin count
         let mut starts = Vec::with_capacity(parts + 1);
@@ -173,7 +194,7 @@ impl Layout {
         let mut class_net = Vec::new();
         let mut class_weight = Vec::new();
         let mut big = Vec::new();
-        let mut multi_pin_nets = 0u64;
+        let (mut active_nets, mut inactive_nets) = (0u64, 0u64);
         let parts: Vec<Part> = starts
             .windows(2)
             .map(|w| {
@@ -182,14 +203,19 @@ impl Layout {
                 // first pass: sizes, which fix where every block starts
                 let mut blocks = [ClassBlock::default(); CLASSES];
                 let (mut big_pins, mut max_degree) = (0, 0);
-                for d in part_nets.clone().map(degree) {
+                for n in part_nets.clone() {
+                    let d = degree(n);
                     max_degree = max_degree.max(d);
                     match d {
-                        0 | 1 => continue,
+                        0 | 1 => {
+                            let pins = netlist.net_degree(NetId::from_usize(n));
+                            inactive_nets += u64::from(pins >= 2);
+                            continue;
+                        }
                         2..=MAX_CLASS_DEGREE => blocks[d - 2].nets += 1,
                         _ => big_pins += d,
                     }
-                    multi_pin_nets += 1;
+                    active_nets += 1;
                 }
                 let mut slot = 0;
                 for (class, block) in blocks.iter_mut().enumerate() {
@@ -207,11 +233,12 @@ impl Layout {
                     let net = NetId::from_usize(n);
                     let pins = netlist.net_pin_range(net);
                     let local = (n - part_nets.start) as u32;
-                    match pins.len() {
-                        0 => {}
-                        1 => {
-                            pin_slot[pins.start] = (slots.start + single_slot) as u32;
-                            single_slot += 1;
+                    match degree(n) {
+                        0 | 1 => {
+                            for pin in pins {
+                                pin_slot[pin] = (slots.start + single_slot) as u32;
+                                single_slot += 1;
+                            }
                         }
                         d @ 2..=MAX_CLASS_DEGREE => {
                             let block = &blocks[d - 2];
@@ -258,7 +285,7 @@ impl Layout {
             slot_bias_y[slot] = 0.5 * netlist.cell_height(cell) + netlist.pin_offset_y(pin);
         }
         let cell_slot = netlist
-            .cells()
+            .movable_cells()
             .flat_map(|cell| netlist.cell_pins(cell))
             .map(|pin| pin_slot[pin.index()])
             .collect();
@@ -273,7 +300,8 @@ impl Layout {
             slot_bias_x,
             slot_bias_y,
             cell_slot,
-            multi_pin_nets,
+            active_nets,
+            inactive_nets,
         }
     }
 }

@@ -1,11 +1,15 @@
 //! The engine's determinism contract, enforced bitwise: evaluating the
 //! same placement twice, or at 1, 2, and 8 threads, must produce
 //! bit-identical value and gradients — on a realistic circuit and on a
-//! degenerate netlist of single-pin and zero-weight nets.
+//! degenerate netlist of single-pin and zero-weight nets — and freezing
+//! cells must not change a bit of the gradient of those that still move.
 
 use mep_netlist::{synth, Netlist, NetlistBuilder, Placement};
 use mep_wirelength::engine::EvalEngine;
 use mep_wirelength::{ModelKind, NetlistEvaluator, WirelengthGrad};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn evaluator(kind: ModelKind, smoothing: f64, threads: usize) -> NetlistEvaluator {
@@ -170,6 +174,51 @@ fn value_agrees_with_evaluate_on_degenerate_nets() {
                 "{kind}: evaluate {} vs value {v}",
                 out.value
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The movability mask decides which nets are evaluated and which
+    /// cells are scattered to, never what a movable cell receives: under
+    /// any mask every movable cell's gradient is, bit for bit, the one the
+    /// all-movable netlist gives it at the same placement, and every fixed
+    /// cell's is exactly `0.0` — also in a `WirelengthGrad` that the same
+    /// evaluator has just filled for another netlist.
+    #[test]
+    fn any_mask_keeps_movable_gradient_bits_and_zeroes_fixed_cells(
+        seed in 0u64..u64::MAX,
+        share in 0.0f64..1.0,
+        threads in 1usize..4,
+    ) {
+        let c = synth::generate(&synth::smoke_spec());
+        let nl = &c.design.netlist;
+        let mut placement = c.placement.clone();
+        for (i, x) in placement.x.iter_mut().enumerate() {
+            *x += (i % 97) as f64 * 0.37;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mask: Vec<bool> = nl.cells().map(|_| rng.gen::<f64>() < share).collect();
+        let everything = nl.with_movability(&vec![true; nl.num_cells()]).unwrap();
+        let masked = nl.with_movability(&mask).unwrap();
+        for kind in [ModelKind::Moreau, ModelKind::Wa] {
+            let mut eval = evaluator(kind, 1.5, threads);
+            let mut out = WirelengthGrad::zeros(nl.num_cells());
+            eval.evaluate(&everything, &placement, &mut out);
+            let full = out.clone();
+            prop_assert!(full.grad_x.iter().filter(|g| **g != 0.0).count() > nl.num_cells() / 2);
+            eval.evaluate(&masked, &placement, &mut out);
+            for (i, &movable) in mask.iter().enumerate() {
+                let (want_x, want_y) = if movable {
+                    (full.grad_x[i], full.grad_y[i])
+                } else {
+                    (0.0, 0.0)
+                };
+                prop_assert_eq!(out.grad_x[i].to_bits(), want_x.to_bits(), "{} gx[{}]", kind, i);
+                prop_assert_eq!(out.grad_y[i].to_bits(), want_y.to_bits(), "{} gy[{}]", kind, i);
+            }
         }
     }
 }

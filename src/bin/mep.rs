@@ -540,13 +540,14 @@ fn main() -> ExitCode {
                 es.workspace_allocs
             );
             println!(
-                "stage wl-grad {}x {:.3}s (scatter {:.3}s, nets {} class / {} generic)  \
+                "stage wl-grad {}x {:.3}s (scatter {:.3}s, nets {} class / {} generic / {} inactive)  \
                  wl-value {}x {:.3}s  density {}x {:.3}s + {} reused  (spectral {}x {:.3}s)",
                 es.wl_grad.count,
                 es.wl_grad.seconds(),
                 es.wl_scatter.seconds(),
                 es.wl_class_nets,
                 es.wl_generic_nets,
+                es.wl_inactive_nets,
                 es.wl_value.count,
                 es.wl_value.seconds(),
                 es.density.count,

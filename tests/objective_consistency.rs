@@ -10,9 +10,12 @@ use std::sync::Arc;
 
 #[test]
 fn total_wirelength_gradient_sums_to_zero_for_all_models() {
-    // Corollaries 2–3 aggregated over a full netlist with pin offsets
+    // Corollaries 2–3 aggregated over a full netlist with pin offsets. The
+    // sum runs over every pin, so every cell is made movable: a fixed
+    // cell's entry is zero by contract, not its share of the net force
     let circuit = synth::generate(&synth::smoke_spec());
     let nl = &circuit.design.netlist;
+    let nl = &nl.with_movability(&vec![true; nl.num_cells()]).unwrap();
     for model in ModelKind::contestants() {
         let mut eval = NetlistEvaluator::new(model.instantiate(1.7), Arc::new(EvalEngine::new(2)));
         let mut out = WirelengthGrad::zeros(nl.num_cells());
@@ -34,10 +37,18 @@ fn moreau_model_upper_bounds_exact_hpwl_by_envelope_gap() {
     let t = 0.8;
     let mut eval = NetlistEvaluator::serial(ModelKind::Moreau.instantiate(t));
     let model_total = eval.value(nl, &circuit.placement);
-    let exact = moreau_placer::netlist::total_hpwl(nl, &circuit.placement);
-    // every multi-pin net contributes two axes, each offset by +t
-    let active: usize = nl.nets().filter(|&n| nl.net_degree(n) >= 2).count();
-    let offset = 2.0 * t * active as f64;
+    // the evaluator covers the multi-pin nets with a movable pin; each
+    // contributes two axes, each offset by +t
+    let active: Vec<_> = nl
+        .nets()
+        .filter(|&n| nl.net_degree(n) >= 2)
+        .filter(|&n| nl.net_pins(n).any(|p| nl.is_movable(nl.pin_cell(p))))
+        .collect();
+    let exact: f64 = active
+        .iter()
+        .map(|&n| moreau_placer::netlist::net_hpwl(nl, &circuit.placement, n))
+        .sum();
+    let offset = 2.0 * t * active.len() as f64;
     let envelope_total = model_total - offset;
     assert!(
         envelope_total <= exact + 1e-6,
