@@ -1,21 +1,18 @@
-//! Persistent-engine vs spawn-per-eval macrobench (the tentpole claim):
-//! on an ISPD-scale synthetic circuit, one wirelength-gradient evaluation
-//! through the long-lived [`EvalEngine`] worker pool is compared against a
-//! baseline that pays thread spawn + workspace allocation on every call.
+//! Whole-netlist wirelength-gradient macrobench on an ISPD-scale synthetic
+//! circuit, with and without the disabled trace sink of the global loop.
 //!
-//! Beyond timing, the bench hard-asserts the engine contract via its own
-//! instrumentation counters: after warm-up the persistent path performs
-//! **zero** thread spawns and **zero** gradient-workspace allocations.
+//! Beyond timing, the bench hard-asserts two contracts: after warm-up the
+//! evaluator performs **zero** gradient-workspace allocations (read off
+//! the engine's own counter), and the no-op sink costs under 1% per
+//! evaluation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mep_netlist::synth::{self, SynthSpec};
 use mep_obs::{IterationRecord, NoopSink, TraceSink};
-use mep_wirelength::{EvalEngine, ModelKind, NetlistEvaluator, WirelengthGrad};
+use mep_wirelength::{ModelKind, NetlistEvaluator, WirelengthGrad};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
-
-const THREADS: usize = 8;
 
 /// ISPD-scale synthetic: ≥50k nets, ~200k pins (newblue-class density).
 fn ispd_scale_spec() -> SynthSpec {
@@ -43,38 +40,30 @@ fn bench_engine(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("evaluation_engine");
 
-    // Persistent path: pool + per-thread workspaces built once, reused.
-    let engine = Arc::new(EvalEngine::new(THREADS));
-    let mut eval = NetlistEvaluator::new(model.clone(), Arc::clone(&engine));
-    eval.evaluate(nl, &circuit.placement, &mut grad); // warm-up: spawn + alloc here
-    let spawned_at_warmup = engine.stats().spawned_threads;
-    engine.reset_stats();
-    group.bench_function("persistent_engine", |b| {
+    let mut eval = NetlistEvaluator::serial(model);
+    eval.evaluate(nl, &circuit.placement, &mut grad); // warm-up: the workspace is built here
+    eval.engine().reset_stats();
+    group.bench_function("evaluate", |b| {
         b.iter(|| {
             eval.evaluate(nl, black_box(&circuit.placement), &mut grad);
             black_box(grad.grad_x[0])
         })
     });
-    let stats = engine.stats();
     assert_eq!(
-        stats.spawned_threads, spawned_at_warmup,
-        "engine must not spawn threads after warm-up"
+        eval.engine().stats().workspace_allocs,
+        0,
+        "the evaluator must not reallocate gradient workspaces after warm-up"
     );
-    assert_eq!(
-        stats.workspace_allocs, 0,
-        "engine must not reallocate gradient workspaces after warm-up"
-    );
-    assert!(stats.parallel_runs > 0, "evaluations must use the pool");
 
     // Telemetry overhead contract (DESIGN.md §10): the global loop guards
     // every record behind `sink.enabled()`, and the default [`NoopSink`]
     // answers `false` from a constant — so the traced-but-disabled path is
     // one perfectly predicted virtual call per iteration, with no record
     // construction and no allocation. Benched side by side with the bare
-    // persistent path; the two bars must be indistinguishable.
+    // evaluation; the two bars must be indistinguishable.
     let sink: Arc<dyn TraceSink> = Arc::new(NoopSink);
     assert!(!sink.enabled(), "NoopSink must report disabled");
-    group.bench_function("persistent_engine_noop_trace", |b| {
+    group.bench_function("evaluate_noop_trace", |b| {
         b.iter(|| {
             eval.evaluate(nl, black_box(&circuit.placement), &mut grad);
             if sink.enabled() {
@@ -100,44 +89,7 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
-    // Baseline: a fresh pool and fresh workspaces for every evaluation —
-    // the spawn-per-eval pattern the engine replaces.
-    group.bench_function("spawn_per_eval", |b| {
-        b.iter(|| {
-            let mut fresh =
-                NetlistEvaluator::new(model.clone(), Arc::new(EvalEngine::new(THREADS)));
-            fresh.evaluate(nl, black_box(&circuit.placement), &mut grad);
-            black_box(grad.grad_x[0])
-        })
-    });
     group.finish();
-
-    // Honest head-to-head outside criterion's batching: same work, fixed
-    // repetition count, wall-clock ratio printed for the record. On
-    // many-core hosts the persistent path additionally wins the parallel
-    // speedup; on a single hardware thread the gap is spawn + alloc only.
-    let reps = 10;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        eval.evaluate(nl, &circuit.placement, &mut grad);
-        black_box(grad.grad_x[0]);
-    }
-    let persistent = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    for _ in 0..reps {
-        let mut fresh = NetlistEvaluator::new(model.clone(), Arc::new(EvalEngine::new(THREADS)));
-        fresh.evaluate(nl, &circuit.placement, &mut grad);
-        black_box(grad.grad_x[0]);
-    }
-    let spawn = t1.elapsed().as_secs_f64();
-    println!(
-        "engine speedup vs spawn-per-eval at {THREADS} threads over {reps} evals: {:.2}x \
-         ({:.3}s vs {:.3}s; host has {} hardware threads)",
-        spawn / persistent,
-        persistent,
-        spawn,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
 
     // Hard assert on the no-op-sink budget: compare best-of-k evaluation
     // times with and without the disabled-sink check. Minima are robust to

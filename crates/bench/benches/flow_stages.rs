@@ -18,7 +18,6 @@ fn bench_stages(c: &mut Criterion) {
         &GlobalConfig {
             model: ModelKind::Moreau,
             max_iters: 400,
-            threads: 1,
             ..GlobalConfig::default()
         },
     )

@@ -8,16 +8,17 @@ use mep_optim::Problem;
 use mep_placer::objective::PlacementProblem;
 use mep_wirelength::ModelKind;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_iteration(c: &mut Criterion) {
     let circuit = synth::generate(&synth::smoke_spec());
     let mut group = c.benchmark_group("objective_eval");
     for kind in ModelKind::contestants() {
-        let mut problem = PlacementProblem::with_threads(
+        let mut problem = PlacementProblem::new(
             &circuit.design,
             &circuit.placement,
             kind.instantiate(1.0),
-            1,
+            Arc::default(),
         );
         problem.lambda = 1.0;
         let params = problem.pack_params(&circuit.placement);

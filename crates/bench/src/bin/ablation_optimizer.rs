@@ -51,7 +51,6 @@ fn main() {
                     model,
                     optimizer,
                     max_iters: opts.max_iters,
-                    threads: opts.threads,
                     ..GlobalConfig::default()
                 },
                 ..PipelineConfig::default()

@@ -39,7 +39,6 @@ fn main() {
                     moreau_schedule: schedule,
                     t0,
                     max_iters: opts.max_iters,
-                    threads: opts.threads,
                     ..GlobalConfig::default()
                 },
                 ..PipelineConfig::default()

@@ -36,7 +36,6 @@ fn main() {
             global: GlobalConfig {
                 model,
                 max_iters: opts.max_iters,
-                threads: opts.threads,
                 ..GlobalConfig::default()
             },
             ..PipelineConfig::default()

@@ -27,7 +27,6 @@ fn main() {
             let cfg = GlobalConfig {
                 model,
                 max_iters: opts.max_iters,
-                threads: opts.threads,
                 record_trajectory: true,
                 ..GlobalConfig::default()
             };

@@ -38,7 +38,6 @@ fn main() {
         global: GlobalConfig {
             model: ModelKind::Moreau,
             max_iters: opts.max_iters,
-            threads: opts.threads,
             ..GlobalConfig::default()
         },
         ..PipelineConfig::default()

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo run -p mep-bench --release --bin peko_suboptimality [--fast] \
-//!     [--out PATH] [--baseline-out PATH] [--threads N]
+//!     [--out PATH] [--baseline-out PATH]
 //! cargo run -p mep-bench --release --bin peko_suboptimality [--fast] --guard [BASELINE]
 //! ```
 //!
@@ -21,9 +21,9 @@
 //! `--guard` is the CI quality-regression mode: it re-runs Moreau ×
 //! Nesterov on the guard rungs and exits non-zero if the suboptimality
 //! ratio regressed more than `MEP_PEKO_GUARD_TOLERANCE` (default 0.02 =
-//! 2%) vs the committed baseline. The whole flow is deterministic at
-//! every thread count, so unlike the wall-clock perf guard this one is
-//! noise-free: any drift is a real quality change.
+//! 2%) vs the committed baseline. The whole flow is deterministic, so
+//! unlike the wall-clock perf guard this one is noise-free: any drift is a
+//! real quality change.
 
 use mep_bench::peko::{
     audit_json, optimizer_label, row_json, run_peko, write_peko_jsonl, PekoOptions, PekoRow,
@@ -33,9 +33,7 @@ use mep_bench::Table;
 use mep_netlist::synth::peko::{peko_spec, peko_suite, PekoSpec};
 use mep_obs::json::JsonObject;
 use mep_placer::global::OptimizerKind;
-use mep_wirelength::engine::EvalEngine;
 use mep_wirelength::ModelKind;
-use std::sync::Arc;
 
 /// Ladder rungs re-measured by `--guard` (the smallest two: exhaustive
 /// enough to see drift, fast enough for every CI run; `--fast` keeps
@@ -56,15 +54,9 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let fast = args.iter().any(|a| a == "--fast");
     let guard = args.iter().any(|a| a == "--guard");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(mep_wirelength::engine::default_threads);
 
     if guard {
-        run_guard(&args, fast, threads);
+        run_guard(&args, fast);
         return;
     }
 
@@ -79,9 +71,7 @@ fn main() {
     }
     let opts = PekoOptions {
         max_iters: GUARD_ITERS,
-        threads,
     };
-    let engine = Arc::new(EvalEngine::new(threads));
 
     // the sweep: Nesterov × every model on every rung, plus the
     // alternative optimizers on the smallest rung (Adam with every
@@ -113,7 +103,7 @@ fn main() {
             model.label(),
             optimizer_label(*optimizer)
         );
-        match run_peko(spec, *model, *optimizer, &opts, Arc::clone(&engine)) {
+        match run_peko(spec, *model, *optimizer, &opts) {
             Ok(row) => {
                 eprintln!(
                     "[peko]   ratio {:.4} (dpwl {:.0} / opt {:.0}), overflow {:.3}, \
@@ -207,8 +197,8 @@ fn main() {
             .field_str(
                 "description",
                 "Moreau x Nesterov suboptimality ratios on the known-optimum ladder. \
-                 The flow is deterministic at any thread count, so the guard compares \
-                 ratios exactly: a drift beyond the tolerance is a real quality change.",
+                 The flow is deterministic, so the guard compares ratios exactly: a drift \
+                 beyond the tolerance is a real quality change.",
             )
             .field_f64("tolerance", 0.02)
             .field_u64("max_iters", GUARD_ITERS as u64);
@@ -235,7 +225,7 @@ fn main() {
 /// rungs and fail on a ratio regression beyond the tolerance
 /// (`MEP_PEKO_GUARD_TOLERANCE` env override, else the baseline's
 /// `tolerance` field, else 0.02).
-fn run_guard(args: &[String], fast: bool, threads: usize) {
+fn run_guard(args: &[String], fast: bool) {
     let baseline_path = args
         .iter()
         .position(|a| a == "--guard")
@@ -264,8 +254,7 @@ fn run_guard(args: &[String], fast: bool, threads: usize) {
     } else {
         &GUARD_SIZES
     };
-    let opts = PekoOptions { max_iters, threads };
-    let engine = Arc::new(EvalEngine::new(threads));
+    let opts = PekoOptions { max_iters };
     let mut failed = false;
     for (i, &size) in sizes.iter().enumerate() {
         let key = format!("moreau_ratio_{size}");
@@ -274,13 +263,7 @@ fn run_guard(args: &[String], fast: bool, threads: usize) {
             std::process::exit(1);
         };
         let spec = peko_spec(size, 9001 + i as u64);
-        let row = match run_peko(
-            &spec,
-            ModelKind::Moreau,
-            OptimizerKind::Nesterov,
-            &opts,
-            Arc::clone(&engine),
-        ) {
+        let row = match run_peko(&spec, ModelKind::Moreau, OptimizerKind::Nesterov, &opts) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("[guard] FAIL: {} did not place: {e}", spec.name);

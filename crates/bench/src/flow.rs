@@ -18,8 +18,6 @@ pub struct FlowOptions {
     pub shrink: usize,
     /// GP iteration cap.
     pub max_iters: usize,
-    /// Worker threads.
-    pub threads: usize,
 }
 
 impl Default for FlowOptions {
@@ -27,7 +25,6 @@ impl Default for FlowOptions {
         Self {
             shrink: 1,
             max_iters: 800,
-            threads: mep_wirelength::engine::default_threads(),
         }
     }
 }
@@ -126,7 +123,6 @@ pub fn run_benchmark(spec: &SynthSpec, model: ModelKind, opts: &FlowOptions) -> 
         global: GlobalConfig {
             model,
             max_iters: opts.max_iters,
-            threads: opts.threads,
             ..GlobalConfig::default()
         },
         ..PipelineConfig::default()
@@ -167,7 +163,6 @@ mod tests {
         let spec = synth::smoke_spec();
         let opts = FlowOptions {
             max_iters: 300,
-            threads: 1,
             ..FlowOptions::default()
         };
         let row = run_benchmark(&spec, ModelKind::Moreau, &opts);

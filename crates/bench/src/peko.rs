@@ -1,9 +1,8 @@
 //! Shared plumbing for the known-optimum (PEKO) suboptimality harness.
 //!
 //! [`run_peko`] places one [`PekoSpec`] with one wirelength model × one
-//! optimizer through the full GP → LG → DP pipeline on a caller-supplied
-//! [`EvalEngine`], then measures the one thing ordinary benchmarks
-//! cannot: the **suboptimality ratio** `final HPWL / optimal HPWL`
+//! optimizer through the full GP → LG → DP pipeline, then measures the one
+//! thing ordinary benchmarks cannot: the **suboptimality ratio** `final HPWL / optimal HPWL`
 //! against the generator's constructively exact optimum. Every run also
 //! gets a mandatory legality audit (pairwise overlap-free, in-die,
 //! row/site aligned) — a placement that "wins" by escaping the die or
@@ -17,13 +16,11 @@ use mep_netlist::synth::peko::{generate_peko, PekoSpec};
 use mep_obs::json::JsonObject;
 use mep_obs::{Registry, RunReport};
 use mep_placer::global::OptimizerKind;
-use mep_placer::pipeline::{run_with_engine, PipelineConfig};
+use mep_placer::pipeline::{run, PipelineConfig};
 use mep_placer::{audit_legality, GlobalConfig, LegalityAudit, PlacerError};
-use mep_wirelength::engine::EvalEngine;
 use mep_wirelength::ModelKind;
 use std::io::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Options controlling one harness run.
 #[derive(Debug, Clone)]
@@ -32,8 +29,6 @@ pub struct PekoOptions {
     /// [`GUARD_ITERS`] so measured ratios are comparable to the
     /// committed baseline.
     pub max_iters: usize,
-    /// Worker threads (results are bit-identical at any count).
-    pub threads: usize,
 }
 
 /// Iteration cap used for the guarded Moreau rows and the committed
@@ -44,7 +39,6 @@ impl Default for PekoOptions {
     fn default() -> Self {
         Self {
             max_iters: GUARD_ITERS,
-            threads: mep_wirelength::engine::default_threads(),
         }
     }
 }
@@ -105,7 +99,6 @@ pub fn run_peko(
     model: ModelKind,
     optimizer: OptimizerKind,
     opts: &PekoOptions,
-    engine: Arc<EvalEngine>,
 ) -> Result<PekoRow, PlacerError> {
     let p = generate_peko(spec);
     let config = PipelineConfig {
@@ -113,12 +106,11 @@ pub fn run_peko(
             model,
             optimizer,
             max_iters: opts.max_iters,
-            threads: opts.threads,
             ..GlobalConfig::default()
         },
         ..PipelineConfig::default()
     };
-    let r = run_with_engine(&p.circuit, &config, engine)?;
+    let r = run(&p.circuit, &config)?;
     let audit = audit_legality(&p.circuit.design, &r.placement);
     let ratio = r.dpwl / p.optimal_hpwl;
 
@@ -219,19 +211,9 @@ mod tests {
     #[test]
     fn run_peko_certifies_a_small_ladder_rung() {
         let spec = peko_spec(100, 5);
-        let opts = PekoOptions {
-            max_iters: 250,
-            threads: 1,
-        };
-        let engine = Arc::new(EvalEngine::new(1));
-        let row = run_peko(
-            &spec,
-            ModelKind::Moreau,
-            OptimizerKind::Nesterov,
-            &opts,
-            engine,
-        )
-        .expect("peko flow");
+        let opts = PekoOptions { max_iters: 250 };
+        let row =
+            run_peko(&spec, ModelKind::Moreau, OptimizerKind::Nesterov, &opts).expect("peko flow");
         assert!(
             row.audit.is_clean(),
             "final placement must be legal: {}",
@@ -267,26 +249,9 @@ mod tests {
     #[test]
     fn identical_runs_are_bit_identical() {
         let spec = peko_spec(64, 6);
-        let opts = PekoOptions {
-            max_iters: 120,
-            threads: 1,
-        };
-        let a = run_peko(
-            &spec,
-            ModelKind::Wa,
-            OptimizerKind::Nesterov,
-            &opts,
-            Arc::new(EvalEngine::new(1)),
-        )
-        .expect("peko flow");
-        let b = run_peko(
-            &spec,
-            ModelKind::Wa,
-            OptimizerKind::Nesterov,
-            &opts,
-            Arc::new(EvalEngine::new(1)),
-        )
-        .expect("peko flow");
+        let opts = PekoOptions { max_iters: 120 };
+        let a = run_peko(&spec, ModelKind::Wa, OptimizerKind::Nesterov, &opts).expect("peko flow");
+        let b = run_peko(&spec, ModelKind::Wa, OptimizerKind::Nesterov, &opts).expect("peko flow");
         assert_eq!(a.dpwl, b.dpwl);
         assert_eq!(a.ratio, b.ratio);
     }

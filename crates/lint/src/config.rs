@@ -90,14 +90,13 @@ impl Default for Config {
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
-            // the worker loop and its claim/finish/recover phases run
-            // outside the per-job catch_unwind; a panic there kills the
-            // worker thread, not just the job
+            // the worker loop and its claim/finish phases run outside the
+            // per-job catch_unwind; a panic there kills the worker thread,
+            // not just the job
             protected_roots: [
                 "serve::worker_loop",
                 "serve::claim_next_job",
                 "serve::finish_job",
-                "serve::recover_engine",
             ]
             .iter()
             .map(|s| s.to_string())

@@ -572,7 +572,6 @@ mod tests {
         let cfg = GlobalConfig {
             model: ModelKind::Moreau,
             max_iters: 400,
-            threads: 1,
             ..GlobalConfig::default()
         };
         let gp = place(&c, &cfg).expect("placement flow");

@@ -20,7 +20,7 @@
 //!   and only the cells touching the window are re-placed by the full
 //!   guarded pipeline.
 //!
-//! The multilevel driver reuses one persistent [`EvalEngine`] across every
+//! The multilevel driver reports into one [`EvalEngine`] across every
 //! level and stage ([`replace_region`] is one pipeline run on an engine of
 //! its own); all drivers stamp `level`/`stage` into the per-iteration trace
 //! records so a single JSONL trace tells the whole story of a run.
@@ -157,6 +157,15 @@ fn coarse_global(cfg: &MultilevelConfig, level: usize, stage: &str, iters: usize
 /// LB/UB alternation at the coarsest level, finish with the full flat
 /// pipeline on the original netlist.
 ///
+/// The cancel token in `config.pipeline.global.cancel` is honored at
+/// every stage boundary — before each coarsening pass, each LB/UB round,
+/// and each intermediate level — in addition to the per-iteration check
+/// inside each global-placement loop. A token that trips during the
+/// coarse phase skips the remaining coarse work; the finest pipeline then
+/// runs a single checked iteration so the result still carries a legal
+/// placement and the mapped termination ([`Termination::WallClock`] for a
+/// deadline, [`Termination::Cancelled`] for an explicit cancel).
+///
 /// # Errors
 ///
 /// [`PlacerError`] on degenerate inputs or unrecoverable numerical faults
@@ -167,27 +176,9 @@ pub fn run_multilevel(
     circuit: &BookshelfCircuit,
     config: &MultilevelConfig,
 ) -> Result<MultilevelResult, PlacerError> {
-    let engine = Arc::new(EvalEngine::new(config.pipeline.global.threads));
-    run_multilevel_with_engine(circuit, config, engine)
-}
-
-/// [`run_multilevel`] with a caller-supplied evaluation engine, so a
-/// long-lived driver (the `mep-serve` daemon) reuses one worker pool
-/// across every job instead of spawning threads per request.
-///
-/// The cancel token in `config.pipeline.global.cancel` is honored at
-/// every stage boundary — before each coarsening pass, each LB/UB round,
-/// and each intermediate level — in addition to the per-iteration check
-/// inside each global-placement loop. A token that trips during the
-/// coarse phase skips the remaining coarse work; the finest pipeline then
-/// runs a single checked iteration so the result still carries a legal
-/// placement and the mapped termination ([`Termination::WallClock`] for a
-/// deadline, [`Termination::Cancelled`] for an explicit cancel).
-pub fn run_multilevel_with_engine(
-    circuit: &BookshelfCircuit,
-    config: &MultilevelConfig,
-    engine: Arc<EvalEngine>,
-) -> Result<MultilevelResult, PlacerError> {
+    // one engine for every level and stage: the final report's `engine.*`
+    // metrics cover the whole flow
+    let engine = Arc::<EvalEngine>::default();
     if config.levels == 0 {
         return Err(PlacerError::DegenerateInput {
             reason: "multilevel flow needs at least one level".to_string(),
@@ -483,11 +474,7 @@ pub fn replace_region(
 
     let mut eco_config = config.pipeline.clone();
     eco_config.global.stage = Some("eco".to_string());
-    let result = run_with_engine(
-        &derived,
-        &eco_config,
-        Arc::new(EvalEngine::new(eco_config.global.threads)),
-    )?;
+    let result = run_with_engine(&derived, &eco_config, Arc::default())?;
     let hpwl_after = total_hpwl(nl, &result.placement);
 
     let metrics = Registry::new();
@@ -543,7 +530,6 @@ mod tests {
             levels: 3,
             ..MultilevelConfig::default()
         };
-        cfg.pipeline.global.threads = 1;
         cfg.pipeline.global.cancel =
             crate::cancel::CancelToken::with_deadline_in(std::time::Duration::ZERO);
         let r = run_multilevel(&c, &cfg).unwrap();
@@ -564,7 +550,6 @@ mod tests {
             levels: 2,
             ..MultilevelConfig::default()
         };
-        cfg.pipeline.global.threads = 1;
         let token = crate::cancel::CancelToken::new();
         cfg.pipeline.global.cancel = token.clone();
         token.cancel();

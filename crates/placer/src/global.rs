@@ -84,8 +84,8 @@ pub struct GlobalConfig {
     pub max_iters: usize,
     /// Minimum iterations before the overflow stop can fire.
     pub min_iters: usize,
-    /// Worker threads for the evaluation engine (the wirelength stages;
-    /// the density stage runs on the calling thread).
+    /// Read by nothing. Set by the frozen `examples/bench_e2e`; goes with
+    /// the benchmark PR that retires `nb6_flat_t2`.
     pub threads: usize,
     /// Record the per-iteration trajectory (Fig. 3).
     pub record_trajectory: bool,
@@ -140,7 +140,7 @@ impl Default for GlobalConfig {
             target_overflow: 0.07,
             max_iters: 600,
             min_iters: 30,
-            threads: mep_wirelength::engine::default_threads(),
+            threads: 1,
             record_trajectory: false,
             t0: 4.0,
             gamma0: 0.5,
@@ -232,17 +232,17 @@ pub(crate) fn validate_circuit(circuit: &BookshelfCircuit) -> Result<(), PlacerE
     Ok(())
 }
 
-/// Runs ePlace-style global placement on a circuit, creating a persistent
-/// evaluation engine with `config.threads` workers for the run.
+/// Runs ePlace-style global placement on a circuit, with an evaluation
+/// engine of its own for the run.
 pub fn place(
     circuit: &BookshelfCircuit,
     config: &GlobalConfig,
 ) -> Result<GlobalResult, PlacerError> {
-    place_with_engine(circuit, config, Arc::new(EvalEngine::new(config.threads)))
+    place_with_engine(circuit, config, Arc::default())
 }
 
 /// Runs global placement on a caller-provided engine (so a pipeline can
-/// share one worker pool across stages and aggregate instrumentation).
+/// aggregate the instrumentation of its stages).
 pub fn place_with_engine(
     circuit: &BookshelfCircuit,
     config: &GlobalConfig,
@@ -543,7 +543,6 @@ mod tests {
             model,
             max_iters: 250,
             min_iters: 20,
-            threads: 1,
             record_trajectory: true,
             ..GlobalConfig::default()
         }
@@ -617,7 +616,6 @@ mod tests {
         // term: each step's opening eval and the second λ0 probe reuse
         assert_eq!(s.wl_grad.count, s.density.count + s.density_reused, "{s:?}");
         assert_eq!(s.density_reused, r.iterations as u64 + 1, "{s:?}");
-        assert_eq!(s.spawned_threads, 0, "1-thread config must not spawn");
         assert_eq!(s.workspace_allocs, 1, "workspace built once, then reused");
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
         // the assembly sub-stage runs once per gradient eval, inside it,

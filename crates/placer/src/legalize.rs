@@ -769,7 +769,6 @@ mod tests {
         let cfg = GlobalConfig {
             model: ModelKind::Moreau,
             max_iters: 150,
-            threads: 1,
             ..GlobalConfig::default()
         };
         let gp = place(&c, &cfg).expect("placement flow");
@@ -810,7 +809,6 @@ mod tests {
         let cfg = GlobalConfig {
             model: ModelKind::Wa,
             max_iters: 500,
-            threads: 1,
             ..GlobalConfig::default()
         };
         let gp = place(&c, &cfg).expect("placement flow");
@@ -840,7 +838,6 @@ mod tests {
         let cfg = GlobalConfig {
             model: ModelKind::Moreau,
             max_iters: 120,
-            threads: 1,
             ..GlobalConfig::default()
         };
         let gp = place(&c, &cfg).expect("placement flow");

@@ -52,8 +52,8 @@ pub use cancel::{CancelState, CancelToken};
 pub use detail::{DetailConfig, DetailReport};
 pub use error::PlacerError;
 pub use flow::{
-    replace_region, run_multilevel, run_multilevel_with_engine, EcoConfig, EcoResult, LevelStats,
-    MultilevelConfig, MultilevelResult,
+    replace_region, run_multilevel, EcoConfig, EcoResult, LevelStats, MultilevelConfig,
+    MultilevelResult,
 };
 pub use global::{
     place_with_engine, GlobalConfig, GlobalResult, MoreauSchedule, OptimizerKind, TrajectoryPoint,

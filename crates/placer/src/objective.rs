@@ -71,8 +71,8 @@ impl<'a> PlacementProblem<'a> {
     /// Builds the problem. `initial` provides fixed-cell positions (and the
     /// starting movable positions extracted by
     /// [`PlacementProblem::pack_params`]); `model` is the wirelength model;
-    /// `engine` executes the wirelength stage (the density stage runs on
-    /// the calling thread) and collects the instrumentation of both.
+    /// `engine` collects the instrumentation of the wirelength and density
+    /// stages.
     pub fn new(
         design: &'a Design,
         initial: &Placement,
@@ -100,17 +100,6 @@ impl<'a> PlacementProblem<'a> {
             nan_after: 0,
             nan_remaining: 0,
         }
-    }
-
-    /// Convenience constructor building a private engine with `threads`
-    /// workers (tests and small tools; the pipeline shares one engine).
-    pub fn with_threads(
-        design: &'a Design,
-        initial: &Placement,
-        model: AnyModel,
-        threads: usize,
-    ) -> Self {
-        Self::new(design, initial, model, Arc::new(EvalEngine::new(threads)))
     }
 
     /// The evaluation engine (e.g. for its instrumentation counters).
@@ -396,11 +385,11 @@ mod tests {
     use mep_wirelength::ModelKind;
 
     fn problem(c: &mep_netlist::bookshelf::BookshelfCircuit) -> PlacementProblem<'_> {
-        PlacementProblem::with_threads(
+        PlacementProblem::new(
             &c.design,
             &c.placement,
             ModelKind::Moreau.instantiate(1.0),
-            1,
+            Arc::default(),
         )
     }
 
@@ -420,7 +409,6 @@ mod tests {
         // one density update runs 4 spectral sweeps (DCT2, DCT3, ×2 field)
         assert_eq!(stats.density_transform.count, 4);
         assert!(stats.density_transform.nanos <= stats.density.nanos);
-        assert_eq!(stats.spawned_threads, 0, "1-thread engine never spawns");
     }
 
     /// A spread, in-die point (the input placement piles every cell on the
@@ -617,31 +605,24 @@ mod tests {
     fn nesterov_trajectory_is_bitwise_the_uncached_one() {
         let c = synth::generate(&synth::smoke_spec());
         const STEPS: usize = 64;
-        for threads in [1, 2] {
-            // threshold 1: the 2-thread engine dispatches to its pool
-            let engine = || Arc::new(EvalEngine::new(threads).with_parallel_threshold(1));
-            let (reusing, uncached) = (engine(), engine());
-            let (log, x) = drive_nesterov(&c, Arc::clone(&reusing), false, STEPS);
-            let (want_log, want_x) = drive_nesterov(&c, Arc::clone(&uncached), true, STEPS);
-            assert!(
-                log == want_log,
-                "{threads} thread(s): an evaluation differs"
-            );
-            assert!(x
-                .iter()
-                .zip(&want_x)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let (reusing, uncached) = (Arc::<EvalEngine>::default(), Arc::default());
+        let (log, x) = drive_nesterov(&c, Arc::clone(&reusing), false, STEPS);
+        let (want_log, want_x) = drive_nesterov(&c, Arc::clone(&uncached), true, STEPS);
+        assert!(log == want_log, "an evaluation differs");
+        assert!(x
+            .iter()
+            .zip(&want_x)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
 
-            let (s, o) = (reusing.stats(), uncached.stats());
-            assert_eq!(o.density_reused, 0);
-            assert_eq!(o.density.count, o.wl_grad.count);
-            assert_eq!(s.wl_grad.count, o.wl_grad.count);
-            assert_eq!(s.density.count + s.density_reused, s.wl_grad.count);
-            // every step opens on the point its predecessor accepted (the
-            // first on the λ₀ probes' point), and the second probe repeats
-            // the first
-            assert_eq!(s.density_reused, STEPS as u64 + 1);
-        }
+        let (s, o) = (reusing.stats(), uncached.stats());
+        assert_eq!(o.density_reused, 0);
+        assert_eq!(o.density.count, o.wl_grad.count);
+        assert_eq!(s.wl_grad.count, o.wl_grad.count);
+        assert_eq!(s.density.count + s.density_reused, s.wl_grad.count);
+        // every step opens on the point its predecessor accepted (the
+        // first on the λ₀ probes' point), and the second probe repeats
+        // the first
+        assert_eq!(s.density_reused, STEPS as u64 + 1);
     }
 
     #[test]

@@ -77,9 +77,8 @@ impl PipelineResult {
 
 /// Runs the full GP → LG → DP flow on a circuit.
 ///
-/// The persistent evaluation engine is created once here and lives for the
-/// whole flow; its worker pool and workspaces are reused across every
-/// global-placement iteration.
+/// One evaluation engine is created here and collects the
+/// instrumentation of the whole flow.
 ///
 /// Degenerate inputs (no movable cells, zero-area die, non-finite starting
 /// coordinates) and unrecoverable numerical faults surface as
@@ -90,15 +89,13 @@ pub fn run(
     circuit: &BookshelfCircuit,
     config: &PipelineConfig,
 ) -> Result<PipelineResult, PlacerError> {
-    let engine = Arc::new(EvalEngine::new(config.global.threads));
-    run_with_engine(circuit, config, engine)
+    run_with_engine(circuit, config, Arc::default())
 }
 
 /// [`run`] with a caller-supplied evaluation engine.
 ///
-/// The multilevel flow and the `mep-serve` workers keep one engine alive
-/// across several invocations, so the worker pool is spawned once per
-/// process and not once per level or job. ECO re-placement
+/// The multilevel flow passes one engine to every level, so the run's
+/// instrumentation is summed in one place. ECO re-placement
 /// ([`crate::flow::replace_region`]) builds an engine per call: each call
 /// is one pipeline run on a freshly derived netlist.
 pub fn run_with_engine(
@@ -184,7 +181,6 @@ mod tests {
             global: GlobalConfig {
                 model: ModelKind::Moreau,
                 max_iters: 400,
-                threads: 1,
                 ..GlobalConfig::default()
             },
             ..PipelineConfig::default()
@@ -291,7 +287,6 @@ mod tests {
                 global: GlobalConfig {
                     model,
                     max_iters: 500,
-                    threads: 1,
                     ..GlobalConfig::default()
                 },
                 ..PipelineConfig::default()

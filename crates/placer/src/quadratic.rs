@@ -607,7 +607,6 @@ mod tests {
         };
         let cfg = GlobalConfig {
             max_iters: 200,
-            threads: 1,
             ..GlobalConfig::default()
         };
         let r = place(&warm, &cfg).expect("placement flow");

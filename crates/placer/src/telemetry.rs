@@ -151,10 +151,7 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     r.counter("engine.wl.class_nets").add(e.wl_class_nets);
     r.counter("engine.wl.generic_nets").add(e.wl_generic_nets);
     r.counter("engine.wl.inactive_nets").add(e.wl_inactive_nets);
-    r.counter("engine.spawned_threads").add(e.spawned_threads);
     r.counter("engine.workspace_allocs").add(e.workspace_allocs);
-    r.counter("engine.parallel_runs").add(e.parallel_runs);
-    r.counter("engine.serial_runs").add(e.serial_runs);
 
     // spectral-kernel counters: which transform kernels actually ran
     // (DESIGN.md §13 — lane tiles vs scalar remainder lines)

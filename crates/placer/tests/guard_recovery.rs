@@ -10,12 +10,12 @@ use mep_placer::objective::PlacementProblem;
 use mep_placer::pipeline::{run, PipelineConfig};
 use mep_placer::PlacerError;
 use mep_wirelength::ModelKind;
+use std::sync::Arc;
 
 fn base_config() -> GlobalConfig {
     GlobalConfig {
         model: ModelKind::Moreau,
         max_iters: 300,
-        threads: 1,
         ..GlobalConfig::default()
     }
 }
@@ -67,11 +67,11 @@ fn injected_nan_rolls_back_to_the_seed_snapshot_bit_identically() {
     );
 
     // recompute the projected starting point the seed snapshot captured
-    let problem = PlacementProblem::with_threads(
+    let problem = PlacementProblem::new(
         &c.design,
         &c.placement,
         ModelKind::Moreau.instantiate(1.0),
-        1,
+        Arc::default(),
     );
     let mut params = problem.pack_params(&c.placement);
     problem.project(&mut params);
@@ -118,11 +118,11 @@ fn nan_at_budget_exhaustion_still_rolls_back_bitwise() {
     );
 
     // identical recompute of the projected start the seed snapshot holds
-    let problem = PlacementProblem::with_threads(
+    let problem = PlacementProblem::new(
         &c.design,
         &c.placement,
         ModelKind::Moreau.instantiate(1.0),
-        1,
+        Arc::default(),
     );
     let mut params = problem.pack_params(&c.placement);
     problem.project(&mut params);
@@ -152,7 +152,6 @@ fn pipeline_recovers_from_mid_run_nan_and_stays_legal() {
         global: GlobalConfig {
             model: ModelKind::Moreau,
             max_iters: 400,
-            threads: 1,
             fault_injection: Some((40, 2)),
             ..GlobalConfig::default()
         },

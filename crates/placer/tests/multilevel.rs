@@ -30,7 +30,6 @@ fn warm_ub_is_never_worse_than_cold_at_equal_budget() {
         let budget = 120;
         let config = GlobalConfig {
             max_iters: budget,
-            threads: 1,
             ..GlobalConfig::default()
         };
         let cold = place(&circuit, &config).expect("cold GP");
@@ -117,7 +116,6 @@ fn two_level_flow_places_smoke_clustered_legally() {
         pipeline: PipelineConfig {
             global: GlobalConfig {
                 max_iters: 300,
-                threads: 1,
                 ..GlobalConfig::default()
             },
             ..PipelineConfig::default()
@@ -156,7 +154,6 @@ fn eco_keeps_frozen_cells_bitwise_unmoved() {
         &PipelineConfig {
             global: GlobalConfig {
                 max_iters: 300,
-                threads: 1,
                 ..GlobalConfig::default()
             },
             ..PipelineConfig::default()
@@ -183,7 +180,6 @@ fn eco_keeps_frozen_cells_bitwise_unmoved() {
             pipeline: PipelineConfig {
                 global: GlobalConfig {
                     max_iters: 150,
-                    threads: 1,
                     ..GlobalConfig::default()
                 },
                 ..PipelineConfig::default()

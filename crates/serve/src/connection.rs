@@ -264,7 +264,6 @@ mod tests {
         let server = Server::start(ServerConfig {
             workers: 2,
             queue_capacity: 16,
-            engine_threads: 1,
             ..ServerConfig::default()
         });
         let buf = Arc::new(Mutex::new(Vec::new()));
@@ -366,7 +365,6 @@ mod tests {
         let server = Server::start(ServerConfig {
             workers: 1,
             queue_capacity: 4,
-            engine_threads: 1,
             ..ServerConfig::default()
         });
         let sink = Arc::new(CollectSink::new());

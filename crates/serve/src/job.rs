@@ -168,7 +168,7 @@ pub enum ChaosMode {
     /// Panic before the solve starts.
     PanicBefore,
     /// Panic from inside the iteration trace hook after N records
-    /// (mid-solve, while the shared engine is actively dispatching).
+    /// (mid-solve).
     PanicMid(u64),
 }
 
@@ -195,8 +195,7 @@ pub enum JobError {
         /// Configured per-job budget, bytes.
         budget: u64,
     },
-    /// The job panicked; the panic was caught, the job marked failed, and
-    /// the engine re-validated before reuse.
+    /// The job panicked; the panic was caught and the job marked failed.
     Panicked {
         /// Panic payload, if it was a string.
         detail: String,
@@ -260,7 +259,7 @@ pub enum JobOutcome {
 
 /// FNV-1a over the placement's coordinate bit patterns, in cell order.
 /// Bitwise: two placements hash equal iff every coordinate is
-/// bit-identical, which is exactly the engine's determinism contract.
+/// bit-identical, which is exactly the flow's determinism contract.
 pub fn placement_fingerprint(p: &mep_netlist::Placement) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -1,11 +1,10 @@
 //! Placement-as-a-service: a fault-isolated daemon (`mep serve`) that
 //! accepts placement jobs over a JSONL line protocol (stdin/stdout or
-//! TCP), schedules them on a bounded worker pool sharing one evaluation
-//! engine, and streams typed events — including per-iteration traces —
-//! back to clients.
+//! TCP), schedules them on a bounded worker pool, and streams typed
+//! events — including per-iteration traces — back to clients.
 //!
 //! Robustness is the point, not a feature: jobs are isolated by
-//! `catch_unwind` with post-panic engine re-validation, admission is
+//! `catch_unwind` and share no placement state, admission is
 //! controlled by a bounded queue (reject-with-retry-after), per-job
 //! wall-clock budgets ride the [`mep_placer::CancelToken`] deadline the
 //! placement loops poll, and oversized circuits are screened by a memory

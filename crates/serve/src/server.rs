@@ -3,25 +3,21 @@
 //!
 //! # Isolation model
 //!
-//! One process hosts one shared [`EvalEngine`] worker pool and the
-//! process-wide spectral plan caches; jobs are *logically* isolated:
+//! One process hosts every job; jobs are *logically* isolated:
 //!
 //! * every job runs under `catch_unwind` — a panicking job (hostile
 //!   input, injected chaos) marks **itself** failed with
 //!   [`JobError::Panicked`] and the daemon lives on;
-//! * after any panic the shared engine runs its known-answer
-//!   determinism self-check ([`EvalEngine::revalidate`]); a failed check
-//!   swaps in a fresh engine before the next job dispatches, so a
-//!   poisoned pool can never corrupt later results;
+//! * every job builds its own placement state, evaluation engine
+//!   included, so nothing a panicking job touched outlives it;
 //! * admission control is explicit: a bounded queue refuses work
 //!   (reject-with-retry-after), a per-job memory estimate screens
 //!   oversized circuits before they allocate, and per-job wall-clock
 //!   budgets ride the [`CancelToken`] deadline that the placement loops
 //!   poll every iteration;
-//! * shared state that jobs touch (engine, plan caches) is immutable or
-//!   internally synchronized and carries no per-job residue — the chaos
-//!   harness proves it by replaying a clean job after the storm and
-//!   comparing placement fingerprints bitwise.
+//! * the chaos harness proves that no per-job residue is left by
+//!   replaying a clean job after the storm and comparing placement
+//!   fingerprints bitwise.
 
 use crate::events::{Event, EventSink, JobTraceSink};
 use crate::job::{
@@ -30,10 +26,9 @@ use crate::job::{
 };
 use crate::queue::BoundedQueue;
 use mep_obs::{Registry, RunReport};
-use mep_placer::flow::{run_multilevel_with_engine, MultilevelConfig};
-use mep_placer::pipeline::{run_with_engine, PipelineConfig};
+use mep_placer::flow::{run_multilevel, MultilevelConfig};
+use mep_placer::pipeline::{run, PipelineConfig};
 use mep_placer::{CancelToken, PlacerError};
-use mep_wirelength::engine::EvalEngine;
 use mep_wirelength::ModelKind;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,8 +43,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity; a full queue rejects with retry-after.
     pub queue_capacity: usize,
-    /// Threads of the shared evaluation engine.
-    pub engine_threads: usize,
     /// Per-job memory-estimate budget, bytes.
     pub memory_budget_bytes: u64,
     /// Default per-job wall-clock budget applied when a request carries
@@ -64,7 +57,6 @@ impl Default for ServerConfig {
         Self {
             workers: 2,
             queue_capacity: 64,
-            engine_threads: 1,
             memory_budget_bytes: 2 << 30,
             default_budget: Some(Duration::from_secs(300)),
             max_iters_cap: 2000,
@@ -133,9 +125,6 @@ struct Shared {
     work_cv: Condvar,
     /// Drain/wait callers sleep here; notified on every terminal job.
     idle_cv: Condvar,
-    /// The shared engine; swapped atomically (under this lock) when a
-    /// post-panic revalidation fails.
-    engine: Mutex<Arc<EvalEngine>>,
     accepting: AtomicBool,
     stop: AtomicBool,
     running: AtomicUsize,
@@ -162,12 +151,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts a server with `cfg.workers` job threads and one shared
-    /// evaluation engine.
+    /// Starts a server with `cfg.workers` job threads.
     pub fn start(cfg: ServerConfig) -> Self {
         let cfg = ServerConfig {
             workers: cfg.workers.max(1),
-            engine_threads: cfg.engine_threads.max(1),
             max_iters_cap: cfg.max_iters_cap.max(1),
             ..cfg
         };
@@ -179,7 +166,6 @@ impl Server {
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            engine: Mutex::new(Arc::new(EvalEngine::new(cfg.engine_threads))),
             accepting: AtomicBool::new(true),
             stop: AtomicBool::new(false),
             running: AtomicUsize::new(0),
@@ -196,8 +182,6 @@ impl Server {
             "serve.jobs.panicked",
             "serve.jobs.emit_panics",
             "serve.jobs.cancel_requests",
-            "serve.engine.revalidations",
-            "serve.engine.rebuilds",
         ] {
             shared.metrics.counter(name);
         }
@@ -335,16 +319,6 @@ impl Server {
     /// The server metrics as a JSON object string.
     pub fn metrics_json(&self) -> String {
         self.metrics().to_json()
-    }
-
-    /// Runs the engine's determinism self-check right now (the chaos
-    /// harness calls this after the storm).
-    pub fn revalidate_engine(&self) -> bool {
-        let engine = match self.shared.engine.lock() {
-            Ok(g) => Arc::clone(&g),
-            Err(p) => Arc::clone(&p.into_inner()),
-        };
-        engine.revalidate()
     }
 
     /// Blocks until job `id` reaches a terminal state. Returns `false`
@@ -539,8 +513,7 @@ fn finish_job(shared: &Shared, id: u64) {
     shared.idle_cv.notify_all();
 }
 
-/// Executes one job with full isolation: panics are caught and typed, a
-/// panic triggers engine revalidation (and replacement on failure).
+/// Executes one job with full isolation: panics are caught and typed.
 fn run_one(shared: &Shared, job: &QueuedJob) -> JobOutcome {
     // cancelled while still queued: terminal immediately, nothing ran
     if let Some(termination) = job.cancel.termination() {
@@ -554,46 +527,14 @@ fn run_one(shared: &Shared, job: &QueuedJob) -> JobOutcome {
             elapsed_ms: 0,
         });
     }
-    let engine = match shared.engine.lock() {
-        Ok(g) => Arc::clone(&g),
-        Err(p) => Arc::clone(&p.into_inner()),
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| execute_job(shared, job, engine)));
+    let result = catch_unwind(AssertUnwindSafe(|| execute_job(shared, job)));
     match result {
         Ok(Ok(summary)) => JobOutcome::Done(summary),
         Ok(Err(error)) => JobOutcome::Failed(error),
         Err(payload) => {
             shared.metrics.counter("serve.jobs.panicked").add(1);
             let detail = panic_message(payload.as_ref());
-            recover_engine(shared);
             JobOutcome::Failed(JobError::Panicked { detail })
-        }
-    }
-}
-
-/// Post-panic engine recovery: the job is dead either way; make sure the
-/// *daemon* is not. Proves the shared engine still computes known answers
-/// bit-exactly and replaces it if it does not. Protected root: runs on
-/// the worker thread outside the per-job `catch_unwind`, so the
-/// revalidate/rebuild calls — placement code that may itself panic — are
-/// individually shielded, and everything else here is panic-free.
-fn recover_engine(shared: &Shared) {
-    shared.metrics.counter("serve.engine.revalidations").add(1);
-    let engine = match shared.engine.lock() {
-        Ok(g) => Arc::clone(&g),
-        Err(p) => Arc::clone(&p.into_inner()),
-    };
-    let healthy = catch_unwind(AssertUnwindSafe(|| engine.revalidate())).unwrap_or(false);
-    if !healthy {
-        shared.metrics.counter("serve.engine.rebuilds").add(1);
-        let threads = shared.cfg.engine_threads;
-        if let Ok(fresh) =
-            catch_unwind(AssertUnwindSafe(move || Arc::new(EvalEngine::new(threads))))
-        {
-            match shared.engine.lock() {
-                Ok(mut g) => *g = fresh,
-                Err(p) => *p.into_inner() = fresh,
-            }
         }
     }
 }
@@ -620,11 +561,7 @@ fn parse_model(name: Option<&str>) -> Result<ModelKind, JobError> {
 }
 
 /// The job body proper (runs under `catch_unwind`).
-fn execute_job(
-    shared: &Shared,
-    job: &QueuedJob,
-    engine: Arc<EvalEngine>,
-) -> Result<JobSummary, JobError> {
+fn execute_job(shared: &Shared, job: &QueuedJob) -> Result<JobSummary, JobError> {
     let cfg = &shared.cfg;
     let req = &job.request;
     let t0 = Instant::now();
@@ -670,7 +607,6 @@ fn execute_job(
     let mut pipeline = PipelineConfig::default();
     pipeline.global.model = model;
     pipeline.global.max_iters = max_iters;
-    pipeline.global.threads = cfg.engine_threads;
     pipeline.global.record_trajectory = false;
     pipeline.global.cancel = job.cancel.clone();
     pipeline.global.fault_injection = req.fault_injection;
@@ -688,9 +624,9 @@ fn execute_job(
             pipeline,
             ..MultilevelConfig::default()
         };
-        run_multilevel_with_engine(&circuit, &ml, engine).map(|r| r.result)
+        run_multilevel(&circuit, &ml).map(|r| r.result)
     } else {
-        run_with_engine(&circuit, &pipeline, engine)
+        run(&circuit, &pipeline)
     };
     let result = result.map_err(|e: PlacerError| JobError::Placer {
         detail: e.to_string(),
@@ -731,7 +667,6 @@ mod tests {
         Server::start(ServerConfig {
             workers,
             queue_capacity: queue,
-            engine_threads: 1,
             ..ServerConfig::default()
         })
     }
@@ -820,8 +755,6 @@ mod tests {
         );
         let report = server.metrics();
         assert_eq!(report.counter("serve.jobs.panicked"), Some(1));
-        assert_eq!(report.counter("serve.engine.revalidations"), Some(1));
-        assert!(server.revalidate_engine());
     }
 
     #[test]

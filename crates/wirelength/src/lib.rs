@@ -24,20 +24,13 @@
 //! assert!(grad.iter().sum::<f64>().abs() < 1e-12); // Corollary 3
 //! ```
 
-// lint:allow(forbid-unsafe): engine.rs needs two audited unsafe blocks (lifetime-erased
-// scoped tasks for the persistent worker pool); deny + per-module allow is the tightest
-// level that still compiles them. See the SAFETY comments in engine.rs.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Numeric kernels index several parallel arrays with one counter; the
 // iterator rewrites clippy suggests obscure those loops.
 #![allow(clippy::needless_range_loop)]
 
 pub mod big;
-// The persistent worker pool erases task lifetimes to dispatch borrowed
-// closures to long-lived threads; the two unsafe blocks carry SAFETY
-// proofs and are the only unsafe code in the workspace.
-#[allow(unsafe_code)]
 pub mod engine;
 pub mod hpwl;
 pub mod lse;

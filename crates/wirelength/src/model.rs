@@ -12,8 +12,7 @@ use crate::wa::Wa;
 
 /// A differentiable (or subdifferentiable) one-axis net wirelength model.
 ///
-/// Implementations may keep internal scratch buffers, hence `&mut self`;
-/// clone one instance per thread for parallel evaluation.
+/// Implementations may keep internal scratch buffers, hence `&mut self`.
 pub trait NetModel {
     /// Short stable name, e.g. `"WA"` (used in experiment tables).
     fn name(&self) -> &'static str;
@@ -100,7 +99,7 @@ impl std::fmt::Display for ModelKind {
 }
 
 /// Enum dispatch over the concrete models (object-safe, `Clone`, `Send`),
-/// so evaluation loops monomorphize nothing and threads can clone freely.
+/// so evaluation loops monomorphize nothing.
 #[derive(Debug, Clone)]
 pub enum AnyModel {
     /// Exact HPWL (subgradient).

@@ -9,34 +9,30 @@
 //! movable cells' gradients are exactly those of the sum over all nets;
 //! nothing in the placer decides on the absolute value (DESIGN.md §7).
 //!
-//! Evaluation is embarrassingly parallel over nets and runs on
-//! the persistent [`EvalEngine`]: the netlist is partitioned once into
-//! pin-count-balanced contiguous net ranges, each part's nets are grouped
-//! into **degree classes**, and one `workspace` — gather tables,
-//! one value slot per net, one gradient slot per pin and axis, per-part
-//! scratch — lives across iterations.
+//! Evaluation is one loop on the calling thread: the nets are grouped
+//! once per netlist instance into **degree classes**, and one `workspace`
+//! — gather tables, one value slot per net, one gradient slot per pin and
+//! axis, gather scratch — lives across iterations.
 //!
 //! # Kernels
 //!
 //! The paper's model evaluates the nets of 2..=8 pins (94% of the nets of
 //! a Table II circuit) with the monomorphized, branch-free class kernel of
 //! [`crate::moreau`], several nets per step; the model is matched once per
-//! part, not per net. Nets of more pins, and every net under the other
-//! models, go one at a time through [`NetModel::eval_axis`]. Both paths
-//! write the same slots, so the choice never shows in the result.
+//! evaluation, not per net. Nets of more pins, and every net under the
+//! other models, go one at a time through [`NetModel::eval_axis`]. Both
+//! paths write the same slots, so the choice never shows in the result.
 //!
 //! # Determinism
 //!
-//! Evaluation is **bit-identical at any thread count** (including the
-//! serial path):
+//! The same inputs give the same bits:
 //!
 //! * each net's value and per-pin gradients depend only on that net's
-//!   coordinates, never on which part, thread or kernel lane computed
-//!   them;
-//! * net values are summed in global net order from the per-net slots;
+//!   coordinates, never on which kernel or kernel lane computed them;
+//! * net values are summed in net order from the per-net slots;
 //! * per-pin gradients are scattered onto cells by walking each cell's
-//!   pin list in CSR order, independent of the partition and of the slot
-//!   order the kernels write in.
+//!   pin list in CSR order, independent of the slot order the kernels
+//!   write in.
 
 mod workspace;
 
@@ -44,8 +40,8 @@ use crate::engine::{EvalEngine, Stage};
 use crate::model::{AnyModel, NetModel};
 use crate::moreau::eval_class_nets;
 use mep_netlist::{NetId, Netlist, Placement};
-use std::sync::{Arc, Mutex, PoisonError};
-use workspace::{ClassBlock, Layout, Part, PartScratch, Workspace, LANES};
+use std::sync::Arc;
+use workspace::{ClassBlock, Scratch, Workspace, LANES};
 
 /// Result of one whole-netlist wirelength evaluation.
 #[derive(Debug, Clone, Default)]
@@ -73,83 +69,47 @@ impl WirelengthGrad {
     }
 }
 
-/// What one part writes during a dispatch: its scratch and its own
-/// segments of the workspace outputs (the part's net range of
-/// `net_value`, its slot range of `pin_gx`/`pin_gy`).
-#[derive(Debug)]
-struct PartOutput<'a> {
-    scratch: &'a mut PartScratch,
-    value: &'a mut [f64],
-    gx: &'a mut [f64],
-    gy: &'a mut [f64],
-}
-
-/// The read-only side of one part's evaluation.
-#[derive(Clone, Copy)]
-struct PartInput<'a> {
-    netlist: &'a Netlist,
-    placement: &'a Placement,
-    layout: &'a Layout,
-    part: &'a Part,
-}
-
 impl Workspace {
-    /// Evaluates every part through the engine: weighted net values and
-    /// (when `GRAD`) weighted pin gradients into the workspace outputs.
-    fn eval_parts<const GRAD: bool>(
+    /// Evaluates every active net: weighted net values and (when `GRAD`)
+    /// weighted pin gradients into the workspace outputs. The model is
+    /// matched once: Moreau sends the class blocks through the class
+    /// kernel, every other model (and every net of more than 8 pins) takes
+    /// the per-net path.
+    fn eval_nets<const GRAD: bool>(
         &mut self,
-        engine: &EvalEngine,
         netlist: &Netlist,
         placement: &Placement,
+        model: &mut AnyModel,
     ) {
-        fn take_front<'a>(rest: &mut &'a mut [f64], n: usize) -> &'a mut [f64] {
-            let (front, back) = std::mem::take(rest).split_at_mut(n);
-            *rest = back;
-            front
-        }
-        let layout = &self.layout;
-        let (mut value, mut gx, mut gy) = (
-            &mut self.net_value[..],
-            &mut self.pin_gx[..],
-            &mut self.pin_gy[..],
-        );
-        // the engine's closure is shared between threads, so each part
-        // reaches its (disjoint) outputs through an uncontended lock
-        let outputs: Vec<Mutex<PartOutput<'_>>> = layout
-            .parts
-            .iter()
-            .zip(&mut self.scratch)
-            .map(|(part, scratch)| {
-                Mutex::new(PartOutput {
-                    scratch,
-                    value: take_front(&mut value, part.nets.len()),
-                    gx: take_front(&mut gx, part.slots.len()),
-                    gy: take_front(&mut gy, part.slots.len()),
-                })
-            })
-            // lint:allow(no-alloc-hot): O(parts) handle vector per dispatch; the workspace itself stays lock-free plain data
-            .collect();
-        let run = |p: usize| {
-            // a poisoned lock is re-entered: the engine re-raises the
-            // panic that poisoned it once the dispatch has drained
-            let mut out = outputs[p].lock().unwrap_or_else(PoisonError::into_inner);
-            let input = PartInput {
-                netlist,
-                placement,
-                layout,
-                part: &layout.parts[p],
-            };
-            input.eval::<GRAD>(&mut out);
-        };
-        if netlist.num_nets() >= engine.parallel_threshold() {
-            engine.run(outputs.len(), &run);
+        let blocks = self.layout.blocks;
+        if let AnyModel::Moreau(moreau) = model {
+            let t = moreau.smoothing();
+            self.class_block::<2, GRAD>(&blocks[0], t, placement);
+            self.class_block::<3, GRAD>(&blocks[1], t, placement);
+            self.class_block::<4, GRAD>(&blocks[2], t, placement);
+            self.class_block::<5, GRAD>(&blocks[3], t, placement);
+            self.class_block::<6, GRAD>(&blocks[4], t, placement);
+            self.class_block::<7, GRAD>(&blocks[5], t, placement);
+            self.class_block::<8, GRAD>(&blocks[6], t, placement);
         } else {
-            engine.run_serial(outputs.len(), &run);
+            for (class, block) in blocks.iter().enumerate() {
+                for j in 0..block.nets {
+                    let net =
+                        NetId::from_usize(self.layout.class_net[block.entry_base + j] as usize);
+                    let pins = (block.slot_base + j, block.nets, class + 2);
+                    self.net::<GRAD>(netlist, placement, model, net, pins);
+                }
+            }
+        }
+        for k in 0..self.layout.big.len() {
+            let big = self.layout.big[k];
+            let net = NetId::from_usize(big.net as usize);
+            let pins = (big.slot as usize, 1, netlist.net_degree(net));
+            self.net::<GRAD>(netlist, placement, model, net, pins);
         }
     }
 
-    /// Net values summed in global net order, whatever part or kernel
-    /// step computed each.
+    /// Net values summed in net order, whatever kernel step computed each.
     fn total_value(&self) -> f64 {
         let mut total = 0.0;
         for v in &self.net_value {
@@ -159,8 +119,8 @@ impl Workspace {
     }
 
     /// Pin gradients summed onto the movable cells, each cell's pins in
-    /// the netlist's `cell_pins` order (partition-independent). Overwrites
-    /// every cell: a fixed one with `0.0`.
+    /// the netlist's `cell_pins` order. Overwrites every cell: a fixed one
+    /// with `0.0`.
     fn scatter(&self, netlist: &Netlist, out: &mut WirelengthGrad) {
         let mut slots = self.layout.cell_slot.iter();
         for cell in netlist.cells() {
@@ -175,83 +135,48 @@ impl Workspace {
             out.grad_y[cell.index()] = ay;
         }
     }
-}
-
-impl PartInput<'_> {
-    /// Evaluates the nets of the part. The model is matched once: Moreau
-    /// sends the class blocks through the class kernel, every other model
-    /// (and every net of more than 8 pins) takes the per-net path. Output
-    /// depends only on the net, never on the part or thread.
-    fn eval<const GRAD: bool>(self, out: &mut PartOutput<'_>) {
-        let blocks = &self.part.blocks;
-        if let AnyModel::Moreau(moreau) = &out.scratch.model {
-            let t = moreau.smoothing();
-            self.class_block::<2, GRAD>(&blocks[0], t, out);
-            self.class_block::<3, GRAD>(&blocks[1], t, out);
-            self.class_block::<4, GRAD>(&blocks[2], t, out);
-            self.class_block::<5, GRAD>(&blocks[3], t, out);
-            self.class_block::<6, GRAD>(&blocks[4], t, out);
-            self.class_block::<7, GRAD>(&blocks[5], t, out);
-            self.class_block::<8, GRAD>(&blocks[6], t, out);
-        } else {
-            for (class, block) in blocks.iter().enumerate() {
-                let entries = block.entry_base..block.entry_base + block.nets;
-                for (j, &net) in self.layout.class_net[entries].iter().enumerate() {
-                    let pins = (block.slot_base + j, block.nets, class + 2);
-                    self.net::<GRAD>(net as usize, pins, out);
-                }
-            }
-        }
-        for big in &self.layout.big[self.part.big.clone()] {
-            let net = NetId::from_usize(self.part.nets.start + big.net as usize);
-            let pins = (big.slot as usize, 1, self.netlist.net_degree(net));
-            self.net::<GRAD>(big.net as usize, pins, out);
-        }
-    }
 
     /// All nets of one class block through the class kernel: [`LANES`]
     /// nets per step, the remainder one net per step.
     fn class_block<const N: usize, const GRAD: bool>(
-        self,
+        &mut self,
         block: &ClassBlock,
         t: f64,
-        out: &mut PartOutput<'_>,
+        placement: &Placement,
     ) {
         let whole = block.nets - block.nets % LANES;
         for j in (0..whole).step_by(LANES) {
-            self.class_step::<N, LANES, GRAD>(block, j, t, out);
+            self.class_step::<N, LANES, GRAD>(block, j, t, placement);
         }
         for j in whole..block.nets {
-            self.class_step::<N, 1, GRAD>(block, j, t, out);
+            self.class_step::<N, 1, GRAD>(block, j, t, placement);
         }
     }
 
     /// One step of the class kernel: nets `j..j + L` of `block`, both
     /// axes, gathered from and stored to `N` contiguous slot runs.
     fn class_step<const N: usize, const L: usize, const GRAD: bool>(
-        self,
+        &mut self,
         block: &ClassBlock,
         j: usize,
         t: f64,
-        out: &mut PartOutput<'_>,
+        placement: &Placement,
     ) {
-        let lay = self.layout;
+        let lay = &self.layout;
         let run = |i: usize| {
             let at = block.slot_base + i * block.nets + j;
             at..at + L
         };
-        let first = self.part.slots.start;
         let mut x = [[0.0; L]; N];
         let mut y = [[0.0; L]; N];
         for i in 0..N {
-            let slots = first + run(i).start..first + run(i).end;
-            let cells = &lay.slot_cell[slots.clone()];
-            let bias_x = &lay.slot_bias_x[slots.clone()];
-            let bias_y = &lay.slot_bias_y[slots];
+            let cells = &lay.slot_cell[run(i)];
+            let bias_x = &lay.slot_bias_x[run(i)];
+            let bias_y = &lay.slot_bias_y[run(i)];
             for l in 0..L {
                 let cell = cells[l] as usize;
-                x[i][l] = self.placement.x[cell] + bias_x[l];
-                y[i][l] = self.placement.y[cell] + bias_y[l];
+                x[i][l] = placement.x[cell] + bias_x[l];
+                y[i][l] = placement.y[cell] + bias_y[l];
             }
         }
         let entries = block.entry_base + j..block.entry_base + j + L;
@@ -261,60 +186,53 @@ impl PartInput<'_> {
         let mut gy = [[0.0; L]; N];
         let value = eval_class_nets::<N, L, GRAD>(&x, &y, t, &w, &mut gx, &mut gy);
         for (&net, v) in lay.class_net[entries].iter().zip(value) {
-            out.value[net as usize] = v;
+            self.net_value[net as usize] = v;
         }
         if GRAD {
             for i in 0..N {
-                out.gx[run(i)].copy_from_slice(&gx[i]);
-                out.gy[run(i)].copy_from_slice(&gy[i]);
+                self.pin_gx[run(i)].copy_from_slice(&gx[i]);
+                self.pin_gy[run(i)].copy_from_slice(&gy[i]);
             }
         }
     }
 
-    /// One net through the per-net [`NetModel`] path: `net` is relative
-    /// to the part, pin `i` sits at the part's slot `first + i·stride`.
+    /// One net through the per-net [`NetModel`] path: pin `i` sits at slot
+    /// `first + i·stride`.
     fn net<const GRAD: bool>(
-        self,
-        net: usize,
+        &mut self,
+        netlist: &Netlist,
+        placement: &Placement,
+        model: &mut AnyModel,
+        net: NetId,
         (first, stride, degree): (usize, usize, usize),
-        out: &mut PartOutput<'_>,
     ) {
-        let lay = self.layout;
-        let PartScratch {
-            model,
-            xs,
-            ys,
-            gx,
-            gy,
-        } = &mut *out.scratch;
+        let lay = &self.layout;
+        let Scratch { xs, ys, gx, gy } = &mut self.scratch;
         let (xs, ys) = (&mut xs[..degree], &mut ys[..degree]);
         let slots = (first..).step_by(stride).take(degree);
         for ((xo, yo), slot) in xs.iter_mut().zip(ys.iter_mut()).zip(slots.clone()) {
-            let slot = self.part.slots.start + slot;
             let cell = lay.slot_cell[slot] as usize;
-            *xo = self.placement.x[cell] + lay.slot_bias_x[slot];
-            *yo = self.placement.y[cell] + lay.slot_bias_y[slot];
+            *xo = placement.x[cell] + lay.slot_bias_x[slot];
+            *yo = placement.y[cell] + lay.slot_bias_y[slot];
         }
-        let w = self
-            .netlist
-            .net_weight(NetId::from_usize(self.part.nets.start + net));
+        let w = netlist.net_weight(net);
         if GRAD {
             let (gx, gy) = (&mut gx[..degree], &mut gy[..degree]);
             let vx = model.eval_axis(xs, gx);
             let vy = model.eval_axis(ys, gy);
-            out.value[net] = w * (vx + vy);
+            self.net_value[net.index()] = w * (vx + vy);
             for ((&g, &h), slot) in gx.iter().zip(gy.iter()).zip(slots) {
-                out.gx[slot] = w * g;
-                out.gy[slot] = w * h;
+                self.pin_gx[slot] = w * g;
+                self.pin_gy[slot] = w * h;
             }
         } else {
-            out.value[net] = w * (model.value_axis(xs) + model.value_axis(ys));
+            self.net_value[net.index()] = w * (model.value_axis(xs) + model.value_axis(ys));
         }
     }
 }
 
-/// Reusable whole-netlist evaluator for one wirelength model, backed by a
-/// persistent [`EvalEngine`].
+/// Reusable whole-netlist evaluator for one wirelength model, reporting
+/// its clocks and counters to an [`EvalEngine`].
 #[derive(Debug)]
 pub struct NetlistEvaluator {
     model: AnyModel,
@@ -323,7 +241,7 @@ pub struct NetlistEvaluator {
 }
 
 impl NetlistEvaluator {
-    /// Creates an evaluator dispatching through `engine`.
+    /// Creates an evaluator reporting to `engine`.
     pub fn new(model: AnyModel, engine: Arc<EvalEngine>) -> Self {
         Self {
             model,
@@ -332,13 +250,13 @@ impl NetlistEvaluator {
         }
     }
 
-    /// Strictly serial evaluator (private engine with one thread); handy
-    /// for tests and small tools.
+    /// Evaluator with an engine of its own; handy for tests and small
+    /// tools.
     pub fn serial(model: AnyModel) -> Self {
-        Self::new(model, Arc::new(EvalEngine::new(1)))
+        Self::new(model, Arc::default())
     }
 
-    /// The engine this evaluator dispatches through.
+    /// The engine this evaluator reports to.
     pub fn engine(&self) -> &Arc<EvalEngine> {
         &self.engine
     }
@@ -354,40 +272,32 @@ impl NetlistEvaluator {
     }
 
     /// Replaces the wirelength model in place (the placer's degradation
-    /// ladder: Moreau → WA → LSE). The workspace topology is kept — only
-    /// the per-part model clones are swapped, so no workspace reallocation
-    /// is recorded and the next evaluation is bit-identical to a fresh
-    /// evaluator built on the new model.
+    /// ladder: Moreau → WA → LSE). The workspace is model-independent and
+    /// is kept, so no workspace reallocation is recorded and the next
+    /// evaluation is bit-identical to a fresh evaluator built on the new
+    /// model.
     pub fn set_model(&mut self, model: AnyModel) {
         self.model = model;
-        for scratch in self.ws.iter_mut().flat_map(|ws| &mut ws.scratch) {
-            scratch.model = self.model.clone();
-        }
     }
 
-    /// Ensures the workspace matches this netlist's topology and the
-    /// engine's part count, then syncs the per-part model smoothing.
-    fn prepare(&mut self, netlist: &Netlist) -> &mut Workspace {
-        let parts = self.engine.threads();
-        if self.ws.as_ref().is_some_and(|ws| {
-            ws.layout.netlist_instance != netlist.instance_id() || ws.layout.parts.len() != parts
-        }) {
+    /// The workspace of this netlist instance and the model to evaluate
+    /// it with, (re)building the workspace when the instance changed.
+    fn prepare(&mut self, netlist: &Netlist) -> (&mut Workspace, &mut AnyModel) {
+        if self
+            .ws
+            .as_ref()
+            .is_some_and(|ws| ws.layout.netlist_instance != netlist.instance_id())
+        {
             self.ws = None;
         }
         let ws = self.ws.get_or_insert_with(|| {
             self.engine.note_workspace_alloc();
-            Workspace::new(netlist, &self.model, parts)
+            Workspace::new(netlist)
         });
-        let smoothing = self.model.smoothing();
-        for scratch in &mut ws.scratch {
-            scratch.model.set_smoothing(smoothing);
-        }
-        ws
+        (ws, &mut self.model)
     }
 
     /// Evaluates value + cell gradients into `out` (buffers are reused).
-    ///
-    /// Bit-identical across engine thread counts; see the module docs.
     pub fn evaluate(&mut self, netlist: &Netlist, placement: &Placement, out: &mut WirelengthGrad) {
         out.grad_x.resize(netlist.num_cells(), 0.0);
         out.grad_y.resize(netlist.num_cells(), 0.0);
@@ -400,9 +310,8 @@ impl NetlistEvaluator {
         let engine = Arc::clone(&self.engine);
         engine.time_stage(Stage::WlGrad, || {
             let class_kernel = matches!(self.model, AnyModel::Moreau(_));
-            let ws = self.prepare(netlist);
-            ws.eval_parts::<true>(&engine, netlist, placement);
-            // fixed-order assembly on the calling thread
+            let (ws, model) = self.prepare(netlist);
+            ws.eval_nets::<true>(netlist, placement, model);
             engine.time_stage(Stage::WlScatter, || {
                 out.value = ws.total_value();
                 ws.scatter(netlist, out);
@@ -417,16 +326,15 @@ impl NetlistEvaluator {
         });
     }
 
-    /// Value only (no gradient buffers touched). Runs on the engine like
-    /// [`NetlistEvaluator::evaluate`] and is equally deterministic.
+    /// Value only (no gradient buffers touched).
     pub fn value(&mut self, netlist: &Netlist, placement: &Placement) -> f64 {
         if netlist.num_nets() == 0 {
             return 0.0;
         }
         let engine = Arc::clone(&self.engine);
         engine.time_stage(Stage::WlValue, || {
-            let ws = self.prepare(netlist);
-            ws.eval_parts::<false>(&engine, netlist, placement);
+            let (ws, model) = self.prepare(netlist);
+            ws.eval_nets::<false>(netlist, placement, model);
             ws.total_value()
         })
     }
@@ -438,14 +346,6 @@ mod tests {
     use crate::model::ModelKind;
     use mep_netlist::synth;
     use mep_netlist::total_hpwl;
-
-    fn parallel_eval(model: AnyModel, threads: usize) -> NetlistEvaluator {
-        // threshold 1 forces the parallel path on the tiny smoke circuit
-        NetlistEvaluator::new(
-            model,
-            Arc::new(EvalEngine::new(threads).with_parallel_threshold(1)),
-        )
-    }
 
     #[test]
     fn matches_exact_hpwl_with_hpwl_model() {
@@ -482,26 +382,6 @@ mod tests {
 
     fn has_movable_pin(nl: &Netlist, net: NetId) -> bool {
         nl.net_pins(net).any(|pin| nl.is_movable(nl.pin_cell(pin)))
-    }
-
-    #[test]
-    fn parallel_and_serial_agree() {
-        let c = synth::generate(&synth::smoke_spec());
-        let nl = &c.design.netlist;
-        for kind in ModelKind::contestants() {
-            let model = kind.instantiate(2.0);
-            let mut serial = NetlistEvaluator::serial(model.clone());
-            let mut a = WirelengthGrad::zeros(nl.num_cells());
-            serial.evaluate(nl, &c.placement, &mut a);
-            let mut par = parallel_eval(model, 4);
-            let mut b = WirelengthGrad::zeros(nl.num_cells());
-            par.evaluate(nl, &c.placement, &mut b);
-            assert!(
-                par.engine().stats().parallel_runs > 0,
-                "{kind}: parallel path not exercised"
-            );
-            assert_same_bits(&a, &b, &format!("{kind}"));
-        }
     }
 
     fn assert_same_bits(got: &WirelengthGrad, want: &WirelengthGrad, what: &str) {
@@ -602,11 +482,10 @@ mod tests {
     }
 
     /// Class blocks, lane steps and their single-net tails, the per-net
-    /// path, the never-evaluated tail and part boundaries falling inside a
-    /// class, all against the plain loop: smoke and the `newblue6`
-    /// stand-in as generated and under an ECO-style movability mask, the
-    /// paper's model and WA, `evaluate` and `value`, 1/2/4/8 parts, early
-    /// (loose) and late (tight) smoothing.
+    /// path and the never-evaluated tail, all against the plain loop:
+    /// smoke and the `newblue6` stand-in as generated and under an
+    /// ECO-style movability mask, the paper's model and WA, `evaluate` and
+    /// `value`, early (loose) and late (tight) smoothing.
     #[test]
     fn whole_netlist_bitwise_matches_the_per_net_loop() {
         let smoke = synth::generate(&synth::smoke_spec());
@@ -637,24 +516,22 @@ mod tests {
                 for smoothing in [8.0, 0.3] {
                     let model = kind.instantiate(smoothing);
                     let want = per_net_loop(nl, placement, &model);
-                    for parts in [1usize, 2, 4, 8] {
-                        let what = format!("{name} {kind} s={smoothing} parts={parts}");
-                        let mut eval = parallel_eval(model.clone(), parts);
-                        let mut got = WirelengthGrad::zeros(nl.num_cells());
-                        eval.evaluate(nl, placement, &mut got);
-                        assert_same_bits(&got, &want, &what);
-                        let value = eval.value(nl, placement);
-                        assert_eq!(value.to_bits(), want.value.to_bits(), "{what}: value()");
-                        let stats = eval.engine().stats();
-                        let small = nl.nets().filter(|n| !multi_pin(n)).count() as u64;
-                        assert_eq!(stats.wl_inactive_nets, inactive, "{what}");
-                        assert_eq!(
-                            stats.wl_class_nets + stats.wl_generic_nets + inactive + small,
-                            nl.num_nets() as u64,
-                            "{what}: every net is served by one path or skipped"
-                        );
-                        assert_eq!(stats.wl_class_nets > 0, kind == ModelKind::Moreau, "{what}");
-                    }
+                    let what = format!("{name} {kind} s={smoothing}");
+                    let mut eval = NetlistEvaluator::serial(model);
+                    let mut got = WirelengthGrad::zeros(nl.num_cells());
+                    eval.evaluate(nl, placement, &mut got);
+                    assert_same_bits(&got, &want, &what);
+                    let value = eval.value(nl, placement);
+                    assert_eq!(value.to_bits(), want.value.to_bits(), "{what}: value()");
+                    let stats = eval.engine().stats();
+                    let small = nl.nets().filter(|n| !multi_pin(n)).count() as u64;
+                    assert_eq!(stats.wl_inactive_nets, inactive, "{what}");
+                    assert_eq!(
+                        stats.wl_class_nets + stats.wl_generic_nets + inactive + small,
+                        nl.num_nets() as u64,
+                        "{what}: every net is served by one path or skipped"
+                    );
+                    assert_eq!(stats.wl_class_nets > 0, kind == ModelKind::Moreau, "{what}");
                 }
             }
         }
@@ -756,10 +633,10 @@ mod tests {
     }
 
     #[test]
-    fn smoothing_changes_propagate_to_part_models() {
+    fn smoothing_changes_reach_the_next_evaluation() {
         let c = synth::generate(&synth::smoke_spec());
         let nl = &c.design.netlist;
-        let mut eval = parallel_eval(ModelKind::Moreau.instantiate(4.0), 2);
+        let mut eval = NetlistEvaluator::serial(ModelKind::Moreau.instantiate(4.0));
         let mut warm = WirelengthGrad::zeros(nl.num_cells());
         eval.evaluate(nl, &c.placement, &mut warm);
         eval.model_mut().set_smoothing(0.25);
@@ -773,10 +650,10 @@ mod tests {
     }
 
     #[test]
-    fn set_model_swaps_part_models_without_workspace_rebuild() {
+    fn set_model_swaps_the_model_without_workspace_rebuild() {
         let c = synth::generate(&synth::smoke_spec());
         let nl = &c.design.netlist;
-        let mut eval = parallel_eval(ModelKind::Moreau.instantiate(2.0), 2);
+        let mut eval = NetlistEvaluator::serial(ModelKind::Moreau.instantiate(2.0));
         let mut out = WirelengthGrad::zeros(nl.num_cells());
         eval.evaluate(nl, &c.placement, &mut out);
         eval.set_model(ModelKind::Wa.instantiate(2.0));
@@ -803,10 +680,7 @@ mod tests {
     fn empty_netlist() {
         let nl = mep_netlist::NetlistBuilder::new().build();
         let pl = Placement::zeros(0);
-        let mut eval = NetlistEvaluator::new(
-            ModelKind::Moreau.instantiate(1.0),
-            Arc::new(EvalEngine::new(2)),
-        );
+        let mut eval = NetlistEvaluator::serial(ModelKind::Moreau.instantiate(1.0));
         let mut out = WirelengthGrad::zeros(0);
         eval.evaluate(&nl, &pl, &mut out);
         assert_eq!(out.value, 0.0);

@@ -1,14 +1,13 @@
-//! Everything the whole-netlist evaluator builds once per netlist instance
-//! and part count: the topology-derived [`Layout`] (pin-count-balanced
-//! partition, degree-class blocks in structure-of-arrays slot order, cell
-//! scatter list) and the [`Workspace`] of output and scratch buffers
-//! around it. Nothing in this file runs per evaluation.
+//! Everything the whole-netlist evaluator builds once per netlist
+//! instance: the topology-derived [`Layout`] (degree-class blocks in
+//! structure-of-arrays slot order, cell scatter list) and the
+//! [`Workspace`] of output and scratch buffers around it. Nothing in this
+//! file runs per evaluation.
 //!
 //! # Slots
 //!
 //! Every pin owns one *slot*: the index of its gather data (`slot_cell`,
-//! `slot_bias_*`) and of its gradient outputs. A part owns the contiguous
-//! slot range of its nets' pins, ordered as
+//! `slot_bias_*`) and of its gradient outputs. Slots are ordered as
 //!
 //! 1. one block per degree `N ∈ 2..=8`: the `M` nets of that degree in
 //!    ascending net order, **pin-major** — pin `i` of the block's `j`-th
@@ -31,10 +30,8 @@
 //! different mask is a different netlist instance
 //! ([`Netlist::with_movability`]) and therefore a new layout.
 
-use crate::model::AnyModel;
 use crate::moreau::MAX_CLASS_DEGREE;
 use mep_netlist::{NetId, Netlist};
-use std::ops::Range;
 
 /// Nets evaluated per step of the class kernel (one AVX2 register of
 /// `f64`); the last `M mod LANES` nets of a block take single-lane steps.
@@ -43,46 +40,32 @@ pub(super) const LANES: usize = 4;
 /// Degrees `2..=MAX_CLASS_DEGREE`, at index `degree − 2`.
 pub(super) const CLASSES: usize = MAX_CLASS_DEGREE - 1;
 
-/// The nets of one degree in one part (see the module docs).
+/// The nets of one degree (see the module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub(super) struct ClassBlock {
     /// Number of nets `M` in the block.
     pub nets: usize,
-    /// Slot of pin 0 of the block's first net, relative to the part.
+    /// Slot of pin 0 of the block's first net.
     pub slot_base: usize,
     /// Index of the block's first net in `class_net` / `class_weight`.
     pub entry_base: usize,
 }
 
 /// A net of more than [`MAX_CLASS_DEGREE`] pins: its id and its first
-/// slot, both relative to the part.
+/// slot.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct BigNet {
     pub net: u32,
     pub slot: u32,
 }
 
-/// One part: a contiguous, ascending net range and the slots of its pins.
-#[derive(Debug)]
-pub(super) struct Part {
-    pub nets: Range<usize>,
-    pub slots: Range<usize>,
-    /// Class blocks by degree.
-    pub blocks: [ClassBlock; CLASSES],
-    /// The part's range of `Layout::big`.
-    pub big: Range<usize>,
-    /// Largest net degree (sizes the per-net gather scratch).
-    pub max_degree: usize,
-}
-
 #[derive(Debug)]
 pub(super) struct Layout {
     pub netlist_instance: u64,
-    /// Pin-count-balanced partition (CSR prefix sums, so a part with a
-    /// few huge nets gets fewer of them).
-    pub parts: Vec<Part>,
+    /// Class blocks by degree.
+    pub blocks: [ClassBlock; CLASSES],
     /// Per class entry (block-major, ascending net order within a block):
-    /// the net, relative to its part, and its weight.
+    /// the net and its weight.
     pub class_net: Vec<u32>,
     pub class_weight: Vec<f64>,
     pub big: Vec<BigNet>,
@@ -99,14 +82,14 @@ pub(super) struct Layout {
     pub active_nets: u64,
     /// Nets of at least two pins without a movable pin (never evaluated).
     pub inactive_nets: u64,
+    /// Largest evaluated net degree (sizes the per-net gather scratch).
+    pub max_degree: usize,
 }
 
-/// Per-part state of the per-net path: the part's own model (the models
-/// keep scratch, hence `&mut`) and gather buffers sized to the part's
-/// largest net.
+/// Gather and gradient buffers of the per-net path, sized to the largest
+/// net.
 #[derive(Debug)]
-pub(super) struct PartScratch {
-    pub model: AnyModel,
+pub(super) struct Scratch {
     pub xs: Vec<f64>,
     pub ys: Vec<f64>,
     pub gx: Vec<f64>,
@@ -123,47 +106,32 @@ pub(super) struct Workspace {
     /// Weighted per-pin gradients, by slot.
     pub pin_gx: Vec<f64>,
     pub pin_gy: Vec<f64>,
-    /// One per part.
-    pub scratch: Vec<PartScratch>,
+    pub scratch: Scratch,
 }
 
 impl Workspace {
-    pub(super) fn new(netlist: &Netlist, model: &AnyModel, parts: usize) -> Self {
-        let layout = Layout::build(netlist, parts);
+    pub(super) fn new(netlist: &Netlist) -> Self {
+        let layout = Layout::build(netlist);
         Self {
             net_value: vec![0.0; netlist.num_nets()],
             pin_gx: vec![0.0; netlist.num_pins()],
             pin_gy: vec![0.0; netlist.num_pins()],
-            scratch: layout
-                .parts
-                .iter()
-                .map(|part| PartScratch {
-                    model: model.clone(),
-                    xs: vec![0.0; part.max_degree],
-                    ys: vec![0.0; part.max_degree],
-                    gx: vec![0.0; part.max_degree],
-                    gy: vec![0.0; part.max_degree],
-                })
-                .collect(),
+            scratch: Scratch {
+                xs: vec![0.0; layout.max_degree],
+                ys: vec![0.0; layout.max_degree],
+                gx: vec![0.0; layout.max_degree],
+                gy: vec![0.0; layout.max_degree],
+            },
             layout,
         }
     }
 }
 
 impl Layout {
-    fn build(netlist: &Netlist, parts: usize) -> Self {
-        let nets = netlist.num_nets();
+    fn build(netlist: &Netlist) -> Self {
         let pins = netlist.num_pins();
-        let first_pin = |net: usize| -> usize {
-            if net == nets {
-                pins
-            } else {
-                netlist.net_pin_range(NetId::from_usize(net)).start
-            }
-        };
         // the degree a net is evaluated at: 0 when no pin of it can move
-        let degree = |net: usize| {
-            let net = NetId::from_usize(net);
+        let degree = |net: NetId| {
             let movable = |pin| netlist.is_movable(netlist.pin_cell(pin));
             if netlist.net_pins(net).any(movable) {
                 netlist.net_degree(net)
@@ -171,108 +139,69 @@ impl Layout {
                 0
             }
         };
-        // part k starts at the first net whose CSR prefix reaches k/parts
-        // of the total pin count
-        let mut starts = Vec::with_capacity(parts + 1);
-        let mut lo = 0usize;
-        for k in 0..parts {
-            let target = (pins as u128 * k as u128 / parts as u128) as usize;
-            let mut hi = nets;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if first_pin(mid) < target {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
+        // first pass: sizes, which fix where every block starts
+        let mut blocks = [ClassBlock::default(); CLASSES];
+        let (mut big_pins, mut max_degree) = (0, 0);
+        let (mut active_nets, mut inactive_nets) = (0u64, 0u64);
+        for net in netlist.nets() {
+            let d = degree(net);
+            max_degree = max_degree.max(d);
+            match d {
+                0 | 1 => {
+                    inactive_nets += u64::from(netlist.net_degree(net) >= 2);
+                    continue;
+                }
+                2..=MAX_CLASS_DEGREE => blocks[d - 2].nets += 1,
+                _ => big_pins += d,
+            }
+            active_nets += 1;
+        }
+        let (mut slot, mut entries) = (0, 0);
+        for (class, block) in blocks.iter_mut().enumerate() {
+            block.slot_base = slot;
+            block.entry_base = entries;
+            slot += (class + 2) * block.nets;
+            entries += block.nets;
+        }
+        // second pass, in ascending net order: every pin gets its slot
+        let mut pin_slot = vec![0u32; pins];
+        let mut class_net = vec![0u32; entries];
+        let mut class_weight = vec![0.0; entries];
+        let mut big = Vec::new();
+        let mut placed = [0usize; CLASSES];
+        let (mut big_slot, mut single_slot) = (slot, slot + big_pins);
+        for net in netlist.nets() {
+            let pins = netlist.net_pin_range(net);
+            match degree(net) {
+                0 | 1 => {
+                    for pin in pins {
+                        pin_slot[pin] = single_slot as u32;
+                        single_slot += 1;
+                    }
+                }
+                d @ 2..=MAX_CLASS_DEGREE => {
+                    let block = &blocks[d - 2];
+                    let j = placed[d - 2];
+                    placed[d - 2] += 1;
+                    for (i, pin) in pins.enumerate() {
+                        pin_slot[pin] = (block.slot_base + i * block.nets + j) as u32;
+                    }
+                    class_net[block.entry_base + j] = net.index() as u32;
+                    class_weight[block.entry_base + j] = netlist.net_weight(net);
+                }
+                _ => {
+                    big.push(BigNet {
+                        net: net.index() as u32,
+                        slot: big_slot as u32,
+                    });
+                    for pin in pins {
+                        pin_slot[pin] = big_slot as u32;
+                        big_slot += 1;
+                    }
                 }
             }
-            starts.push(lo);
         }
-        starts.push(nets);
-
-        let mut pin_slot = vec![0u32; pins];
-        let mut class_net = Vec::new();
-        let mut class_weight = Vec::new();
-        let mut big = Vec::new();
-        let (mut active_nets, mut inactive_nets) = (0u64, 0u64);
-        let parts: Vec<Part> = starts
-            .windows(2)
-            .map(|w| {
-                let part_nets = w[0]..w[1];
-                let slots = first_pin(w[0])..first_pin(w[1]);
-                // first pass: sizes, which fix where every block starts
-                let mut blocks = [ClassBlock::default(); CLASSES];
-                let (mut big_pins, mut max_degree) = (0, 0);
-                for n in part_nets.clone() {
-                    let d = degree(n);
-                    max_degree = max_degree.max(d);
-                    match d {
-                        0 | 1 => {
-                            let pins = netlist.net_degree(NetId::from_usize(n));
-                            inactive_nets += u64::from(pins >= 2);
-                            continue;
-                        }
-                        2..=MAX_CLASS_DEGREE => blocks[d - 2].nets += 1,
-                        _ => big_pins += d,
-                    }
-                    active_nets += 1;
-                }
-                let mut slot = 0;
-                for (class, block) in blocks.iter_mut().enumerate() {
-                    block.slot_base = slot;
-                    block.entry_base = class_net.len();
-                    slot += (class + 2) * block.nets;
-                    class_net.resize(block.entry_base + block.nets, 0);
-                }
-                class_weight.resize(class_net.len(), 0.0);
-                // second pass, in ascending net order: every pin gets its slot
-                let mut placed = [0usize; CLASSES];
-                let (mut big_slot, mut single_slot) = (slot, slot + big_pins);
-                let big_start = big.len();
-                for n in part_nets.clone() {
-                    let net = NetId::from_usize(n);
-                    let pins = netlist.net_pin_range(net);
-                    let local = (n - part_nets.start) as u32;
-                    match degree(n) {
-                        0 | 1 => {
-                            for pin in pins {
-                                pin_slot[pin] = (slots.start + single_slot) as u32;
-                                single_slot += 1;
-                            }
-                        }
-                        d @ 2..=MAX_CLASS_DEGREE => {
-                            let block = &blocks[d - 2];
-                            let j = placed[d - 2];
-                            placed[d - 2] += 1;
-                            for (i, pin) in pins.enumerate() {
-                                let at = block.slot_base + i * block.nets + j;
-                                pin_slot[pin] = (slots.start + at) as u32;
-                            }
-                            class_net[block.entry_base + j] = local;
-                            class_weight[block.entry_base + j] = netlist.net_weight(net);
-                        }
-                        _ => {
-                            big.push(BigNet {
-                                net: local,
-                                slot: big_slot as u32,
-                            });
-                            for pin in pins {
-                                pin_slot[pin] = (slots.start + big_slot) as u32;
-                                big_slot += 1;
-                            }
-                        }
-                    }
-                }
-                debug_assert_eq!(single_slot, slots.len(), "slots tile the part's pins");
-                Part {
-                    max_degree,
-                    nets: part_nets,
-                    slots,
-                    blocks,
-                    big: big_start..big.len(),
-                }
-            })
-            .collect();
+        debug_assert_eq!(single_slot, pins, "slots tile the pins");
 
         let mut slot_cell = vec![0u32; pins];
         let mut slot_bias_x = vec![0.0; pins];
@@ -292,7 +221,7 @@ impl Layout {
 
         Self {
             netlist_instance: netlist.instance_id(),
-            parts,
+            blocks,
             class_net,
             class_weight,
             big,
@@ -302,6 +231,7 @@ impl Layout {
             cell_slot,
             active_nets,
             inactive_nets,
+            max_degree,
         }
     }
 }

@@ -1,23 +1,16 @@
-//! The engine's determinism contract, enforced bitwise: evaluating the
-//! same placement twice, or at 1, 2, and 8 threads, must produce
-//! bit-identical value and gradients — on a realistic circuit and on a
-//! degenerate netlist of single-pin and zero-weight nets — and freezing
-//! cells must not change a bit of the gradient of those that still move.
+//! The evaluator's determinism contract, enforced bitwise: evaluating the
+//! same placement twice must produce bit-identical value and gradients,
+//! single-pin and zero-weight nets exert no force, and freezing cells must
+//! not change a bit of the gradient of those that still move.
 
 use mep_netlist::{synth, Netlist, NetlistBuilder, Placement};
-use mep_wirelength::engine::EvalEngine;
 use mep_wirelength::{ModelKind, NetlistEvaluator, WirelengthGrad};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
-fn evaluator(kind: ModelKind, smoothing: f64, threads: usize) -> NetlistEvaluator {
-    // threshold 1 so even tiny netlists exercise the parallel path
-    NetlistEvaluator::new(
-        kind.instantiate(smoothing),
-        Arc::new(EvalEngine::new(threads).with_parallel_threshold(1)),
-    )
+fn evaluator(kind: ModelKind, smoothing: f64) -> NetlistEvaluator {
+    NetlistEvaluator::serial(kind.instantiate(smoothing))
 }
 
 fn eval_bits(
@@ -81,7 +74,7 @@ fn same_placement_twice_is_bit_identical() {
     let c = synth::generate(&synth::smoke_spec());
     let nl = &c.design.netlist;
     for kind in ModelKind::contestants() {
-        let mut eval = evaluator(kind, 1.5, 4);
+        let mut eval = evaluator(kind, 1.5);
         let a = eval_bits(&mut eval, nl, &c.placement);
         let b = eval_bits(&mut eval, nl, &c.placement);
         assert_eq!(a, b, "{kind}: re-evaluation must be bit-identical");
@@ -89,38 +82,14 @@ fn same_placement_twice_is_bit_identical() {
 }
 
 #[test]
-fn thread_count_does_not_change_a_single_bit() {
-    let c = synth::generate(&synth::smoke_spec());
-    let nl = &c.design.netlist;
-    for kind in ModelKind::contestants() {
-        let mut results = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let mut eval = evaluator(kind, 2.0, threads);
-            results.push((threads, eval_bits(&mut eval, nl, &c.placement)));
-        }
-        let (_, base) = &results[0];
-        for (threads, bits) in &results[1..] {
-            assert_eq!(
-                bits, base,
-                "{kind}: {threads}-thread evaluation differs from serial"
-            );
-        }
-    }
-}
-
-#[test]
 fn degenerate_nets_are_deterministic_and_inert() {
     let (nl, pl) = degenerate_netlist();
     for kind in ModelKind::contestants() {
-        let mut results = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let mut eval = evaluator(kind, 1.0, threads);
-            results.push(eval_bits(&mut eval, &nl, &pl));
-        }
-        assert_eq!(results[0], results[1], "{kind}: 2 threads");
-        assert_eq!(results[0], results[2], "{kind}: 8 threads");
+        let mut eval = evaluator(kind, 1.0);
+        let first = eval_bits(&mut eval, &nl, &pl);
+        assert_eq!(first, eval_bits(&mut eval, &nl, &pl), "{kind}");
         // single-pin net cells and zero-weight net cells feel no force
-        let (_, gx, gy) = &results[0];
+        let (_, gx, gy) = &first;
         for cell in [0usize, 1, 5] {
             assert_eq!(f64::from_bits(gx[cell]), 0.0, "{kind}: gx[{cell}]");
             assert_eq!(f64::from_bits(gy[cell]), 0.0, "{kind}: gy[{cell}]");
@@ -129,31 +98,10 @@ fn degenerate_nets_are_deterministic_and_inert() {
 }
 
 #[test]
-fn value_serial_and_parallel_agree_for_all_contestants() {
-    let c = synth::generate(&synth::smoke_spec());
-    let nl = &c.design.netlist;
-    for kind in ModelKind::contestants() {
-        let mut serial = evaluator(kind, 2.5, 1);
-        let mut parallel = evaluator(kind, 2.5, 8);
-        let vs = serial.value(nl, &c.placement);
-        let vp = parallel.value(nl, &c.placement);
-        assert!(
-            parallel.engine().stats().parallel_runs > 0,
-            "{kind}: value() must route through the engine"
-        );
-        assert_eq!(
-            vs.to_bits(),
-            vp.to_bits(),
-            "{kind}: serial {vs} vs parallel {vp}"
-        );
-    }
-}
-
-#[test]
 fn value_agrees_with_evaluate_on_degenerate_nets() {
     let (nl, pl) = degenerate_netlist();
     for kind in ModelKind::contestants() {
-        let mut eval = evaluator(kind, 1.0, 2);
+        let mut eval = evaluator(kind, 1.0);
         let mut out = WirelengthGrad::zeros(nl.num_cells());
         eval.evaluate(&nl, &pl, &mut out);
         let v = eval.value(&nl, &pl);
@@ -191,7 +139,6 @@ proptest! {
     fn any_mask_keeps_movable_gradient_bits_and_zeroes_fixed_cells(
         seed in 0u64..u64::MAX,
         share in 0.0f64..1.0,
-        threads in 1usize..4,
     ) {
         let c = synth::generate(&synth::smoke_spec());
         let nl = &c.design.netlist;
@@ -204,7 +151,7 @@ proptest! {
         let everything = nl.with_movability(&vec![true; nl.num_cells()]).unwrap();
         let masked = nl.with_movability(&mask).unwrap();
         for kind in [ModelKind::Moreau, ModelKind::Wa] {
-            let mut eval = evaluator(kind, 1.5, threads);
+            let mut eval = evaluator(kind, 1.5);
             let mut out = WirelengthGrad::zeros(nl.num_cells());
             eval.evaluate(&everything, &placement, &mut out);
             let full = out.clone();

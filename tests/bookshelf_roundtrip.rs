@@ -15,7 +15,6 @@ fn placed_circuit_round_trips_through_bookshelf_files() {
         global: GlobalConfig {
             model: ModelKind::Moreau,
             max_iters: 300,
-            threads: 1,
             ..GlobalConfig::default()
         },
         ..PipelineConfig::default()
@@ -133,7 +132,6 @@ fn imported_circuit_can_be_placed() {
         global: GlobalConfig {
             model: ModelKind::Wa,
             max_iters: 250,
-            threads: 1,
             ..GlobalConfig::default()
         },
         ..PipelineConfig::default()

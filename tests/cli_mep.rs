@@ -110,8 +110,6 @@ fn trace_out_and_metrics_on_a_synthetic_circuit() {
             "smoke",
             "--iters",
             "300",
-            "--threads",
-            "1",
             "--trace-out",
             trace.to_str().unwrap(),
             "--metrics",
@@ -185,8 +183,6 @@ fn multilevel_flag_reports_level_schedule_and_ml_metrics() {
             "2",
             "--iters",
             "250",
-            "--threads",
-            "1",
             "--trace-out",
             trace.to_str().unwrap(),
             "--metrics",
@@ -243,8 +239,6 @@ fn eco_flag_freezes_cells_outside_the_window() {
             "smoke_clustered",
             "--iters",
             "250",
-            "--threads",
-            "1",
             "--out",
             out_dir.to_str().unwrap(),
         ])
@@ -261,8 +255,6 @@ fn eco_flag_freezes_cells_outside_the_window() {
             "0,0,30,30",
             "--iters",
             "150",
-            "--threads",
-            "1",
             "--out",
             dir.join("eco_out").to_str().unwrap(),
         ])
@@ -412,12 +404,9 @@ fn bad_eco_window_exits_nonzero() {
 
 #[test]
 fn unparseable_threads_and_density_exit_nonzero() {
-    // like every other numeric flag: no silent fallback to the default
-    for flag in [
-        ["--threads", "four"],
-        ["--threads", "0"],
-        ["--density", "abc"],
-    ] {
+    // like every other numeric flag: no silent fallback to the default;
+    // and `--threads` is no flag at all, whatever its value
+    for flag in [["--density", "abc"], ["--threads", "2"]] {
         let out = mep()
             .args(["place", "smoke", "--iters", "1"])
             .args(flag)
@@ -429,4 +418,19 @@ fn unparseable_threads_and_density_exit_nonzero() {
             "{flag:?}"
         );
     }
+}
+
+#[test]
+fn mep_threads_env_is_not_read() {
+    // no thread knob is left: a value that used to be warned about
+    // changes nothing and is not mentioned
+    let out = mep()
+        .args(["place", "smoke", "--iters", "1"])
+        .env("MEP_THREADS", "four")
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr:\n{stderr}");
+    assert!(!stderr.contains("warning"), "stderr:\n{stderr}");
+    assert!(!stderr.contains("MEP_THREADS"), "stderr:\n{stderr}");
 }

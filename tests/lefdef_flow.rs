@@ -35,7 +35,6 @@ fn lefdef_circuit_places_legally() {
         global: GlobalConfig {
             model: ModelKind::Moreau,
             max_iters: 300,
-            threads: 1,
             ..GlobalConfig::default()
         },
         ..PipelineConfig::default()

@@ -5,7 +5,7 @@
 use moreau_placer::netlist::synth;
 use moreau_placer::optim::Problem;
 use moreau_placer::placer::objective::PlacementProblem;
-use moreau_placer::wirelength::{EvalEngine, ModelKind, NetlistEvaluator, WirelengthGrad};
+use moreau_placer::wirelength::{ModelKind, NetlistEvaluator, WirelengthGrad};
 use std::sync::Arc;
 
 #[test]
@@ -17,7 +17,7 @@ fn total_wirelength_gradient_sums_to_zero_for_all_models() {
     let nl = &circuit.design.netlist;
     let nl = &nl.with_movability(&vec![true; nl.num_cells()]).unwrap();
     for model in ModelKind::contestants() {
-        let mut eval = NetlistEvaluator::new(model.instantiate(1.7), Arc::new(EvalEngine::new(2)));
+        let mut eval = NetlistEvaluator::serial(model.instantiate(1.7));
         let mut out = WirelengthGrad::zeros(nl.num_cells());
         eval.evaluate(nl, &circuit.placement, &mut out);
         let sx: f64 = out.grad_x.iter().sum();
@@ -64,11 +64,11 @@ fn moreau_model_upper_bounds_exact_hpwl_by_envelope_gap() {
 #[test]
 fn smoothing_updates_propagate_through_problem() {
     let circuit = synth::generate(&synth::smoke_spec());
-    let mut p = PlacementProblem::with_threads(
+    let mut p = PlacementProblem::new(
         &circuit.design,
         &circuit.placement,
         ModelKind::Moreau.instantiate(5.0),
-        1,
+        Arc::default(),
     );
     let params = p.pack_params(&circuit.placement);
     let mut g = vec![0.0; p.dim()];
@@ -93,11 +93,11 @@ fn objective_decreases_under_any_optimizer() {
         Box::new(ConjugateSubgradient::new(0.5)),
     ];
     for mut opt in optimizers {
-        let mut p = PlacementProblem::with_threads(
+        let mut p = PlacementProblem::new(
             &circuit.design,
             &circuit.placement,
             ModelKind::Moreau.instantiate(1.0),
-            1,
+            Arc::default(),
         );
         p.lambda = 0.1;
         let mut x = p.pack_params(&circuit.placement);

@@ -2,18 +2,15 @@
 //! facade, for every wirelength model.
 
 use moreau_placer::netlist::{synth, total_hpwl};
-use moreau_placer::placer::pipeline::{run, run_with_engine, PipelineConfig};
+use moreau_placer::placer::pipeline::{run, PipelineConfig};
 use moreau_placer::placer::GlobalConfig;
-use moreau_placer::wirelength::engine::EvalEngine;
 use moreau_placer::wirelength::ModelKind;
-use std::sync::Arc;
 
 fn config(model: ModelKind) -> PipelineConfig {
     PipelineConfig {
         global: GlobalConfig {
             model,
             max_iters: 400,
-            threads: 2,
             ..GlobalConfig::default()
         },
         ..PipelineConfig::default()
@@ -69,40 +66,4 @@ fn pipeline_is_deterministic() {
     assert_eq!(a.lgwl, b.lgwl);
     assert_eq!(a.iterations, b.iterations);
     assert_eq!(a.placement, b.placement);
-}
-
-/// The flow's thread-count guarantee, end to end: only the wirelength
-/// stage dispatches to the engine's pool, and whatever the worker count
-/// the run ends on the same bits. `smoke` has fewer nets than the engine's
-/// default parallel threshold, hence the explicit threshold of 1.
-#[test]
-fn flow_is_bit_identical_across_engine_thread_counts() {
-    let circuit = synth::generate(&synth::smoke_spec());
-    let place = |threads: usize| {
-        let engine = Arc::new(EvalEngine::new(threads).with_parallel_threshold(1));
-        let r = run_with_engine(&circuit, &config(ModelKind::Moreau), Arc::clone(&engine))
-            .expect("placement flow");
-        assert_eq!(
-            engine.stats().parallel_runs > 0,
-            threads > 1,
-            "{threads} thread(s): the pool runs exactly when there is one"
-        );
-        r
-    };
-    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-    let want = place(1);
-    for threads in [2, 4] {
-        let got = place(threads);
-        assert_eq!(got.dpwl.to_bits(), want.dpwl.to_bits(), "{threads} threads");
-        assert_eq!(
-            bits(&got.placement.x),
-            bits(&want.placement.x),
-            "{threads} threads: x"
-        );
-        assert_eq!(
-            bits(&got.placement.y),
-            bits(&want.placement.y),
-            "{threads} threads: y"
-        );
-    }
 }

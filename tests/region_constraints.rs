@@ -13,7 +13,6 @@ fn config(model: ModelKind) -> PipelineConfig {
         global: GlobalConfig {
             model,
             max_iters: 400,
-            threads: 2,
             ..GlobalConfig::default()
         },
         ..PipelineConfig::default()

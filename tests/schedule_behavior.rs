@@ -10,7 +10,6 @@ fn trajectory(model: ModelKind) -> Vec<moreau_placer::placer::TrajectoryPoint> {
     let cfg = GlobalConfig {
         model,
         max_iters: 400,
-        threads: 1,
         record_trajectory: true,
         ..GlobalConfig::default()
     };

@@ -60,7 +60,6 @@ fn heavier_net_ends_shorter() {
         model: ModelKind::Moreau,
         max_iters: 200,
         min_iters: 50,
-        threads: 1,
         ..GlobalConfig::default()
     };
     let r = place(&circuit, &cfg).expect("placement flow");
