@@ -1,5 +1,6 @@
-//! Criterion microbench: the spectral density step (`fused`: planned lane
-//! kernels, column pass strided in place) and one whole density stage.
+//! Criterion microbench: the spectral density step (`fused`: planned
+//! kernels on tiles of 8 lines, column pass strided in place) and one whole
+//! density stage.
 //!
 //! One "density step" is the four 2-D sweeps of a Poisson solve (analysis
 //! DCT2×DCT2, potential DCT3×DCT3, and the two field syntheses), which is

@@ -12,8 +12,10 @@
 
 use mep_bench::{FlowOptions, Table};
 use mep_netlist::synth;
+use mep_obs::RingSink;
 use mep_placer::global::{place, GlobalConfig};
 use mep_wirelength::ModelKind;
+use std::sync::Arc;
 
 fn main() {
     let opts = FlowOptions::from_args();
@@ -24,14 +26,15 @@ fn main() {
         let mut finals = Vec::new();
         for model in [ModelKind::Wa, ModelKind::Moreau] {
             eprintln!("[fig3] {bench} × {} …", model.label());
+            let sink = Arc::new(RingSink::new(opts.max_iters.max(1)));
             let cfg = GlobalConfig {
                 model,
                 max_iters: opts.max_iters,
-                record_trajectory: true,
+                trace: sink.clone(),
                 ..GlobalConfig::default()
             };
             let r = place(&circuit, &cfg).expect("placement flow");
-            for p in &r.trajectory {
+            for p in &sink.records() {
                 table.push([
                     bench.to_string(),
                     model.label().to_string(),

@@ -1,20 +1,19 @@
-//! **Density-step scaling** (DESIGN.md §13): wall-clock medians of the
-//! spectral density step (the four 2-D sweeps of one Poisson solve) per
-//! grid size.
+//! **Density-step perf guard** (DESIGN.md §13): re-measures the 512×512
+//! spectral density step (the four 2-D sweeps of one Poisson solve) and
+//! compares it with the committed baseline.
 //!
 //! ```text
-//! cargo run -p mep-bench --release --bin scaling_matrix [--fast] [--out PATH]
-//! cargo run -p mep-bench --release --bin scaling_matrix --guard [BASELINE]
+//! cargo run -p mep-bench --release --bin scaling_matrix -- --guard [BASELINE]
 //! ```
 //!
-//! The default mode writes `BENCH_scaling.json` (or `--out PATH`).
-//! `--guard` is the CI perf-regression mode: it re-measures only the
-//! serial fused 512×512 density step and exits non-zero if it is more
-//! than `MEP_PERF_GUARD_TOLERANCE` (default 0.10 = 10%) slower than the
-//! committed baseline JSON.
+//! `BASELINE` (default `BENCH_density.json`) carries a `guard_baseline`
+//! object recorded with this binary's own timer; the run exits non-zero if
+//! the step is more than `MEP_PERF_GUARD_TOLERANCE` (default: the
+//! baseline's `tolerance`, 0.10 = 10%) slower. To re-record, run the guard
+//! on a quiet box and copy the printed figure into the baseline file. The
+//! per-size timings live in `benches/density_transform.rs`.
 
 use mep_density::transform::{Kind, Spectral2d};
-use mep_obs::json::JsonObject;
 use std::time::Instant;
 
 /// The four sweeps of one spectral Poisson solve.
@@ -65,85 +64,20 @@ fn density_step_ms(n: usize, reps: usize, rho: &[f64]) -> f64 {
     })
 }
 
-fn round3(v: f64) -> f64 {
-    (v * 1000.0).round() / 1000.0
-}
-
+/// CI perf-regression guard: re-measure the 512×512 density step and fail
+/// if it regressed more than the tolerance vs the committed baseline.
+/// Tolerance can be widened for noisy runners via
+/// `MEP_PERF_GUARD_TOLERANCE` (fraction, e.g. `0.25`).
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let guard = args.iter().any(|a| a == "--guard");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_scaling.json".to_string());
-
-    if guard {
-        run_guard(&args);
-        return;
-    }
-
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let reps = if fast { 3 } else { 7 };
-    eprintln!("[scaling] available_parallelism = {avail}, reps = {reps}, fast = {fast}");
-
-    let sizes: &[usize] = if fast { &[256, 512] } else { &[256, 512, 1024] };
-    let mut density_json = JsonObject::new();
-    let mut fused_512_serial = f64::NAN;
-    for &n in sizes {
-        let rho = test_grid(n * n, 17 + n as u64);
-        let ms = density_step_ms(n, reps, &rho);
-        eprintln!("[scaling] density {n}x{n}: {ms:.2} ms");
-        if n == 512 {
-            fused_512_serial = ms;
-        }
-        density_json.field_f64(&format!("{n}"), round3(ms));
-    }
-
-    let mut root = JsonObject::new();
-    root.field_str("bench", "scaling_matrix")
-        .field_str(
-            "description",
-            "Wall-clock medians. density_transform_ms: one spectral density step = the \
-             four 2-D sweeps of a Poisson solve on Spectral2d::execute, per grid side; \
-             single-threaded, as in the placer.",
-        )
-        .field_u64("available_parallelism", avail as u64)
-        .field_bool("fast_mode", fast)
-        .field_str("timer", &format!("median of {reps} runs after one warmup"));
-    root.field_raw("density_transform_ms", &density_json.finish());
-    let mut guard_json = JsonObject::new();
-    guard_json
-        .field_f64("density_512_serial_fused_ms", round3(fused_512_serial))
-        .field_f64("tolerance", 0.10);
-    root.field_raw("guard_baseline", &guard_json.finish());
-
-    let text = root.finish();
-    match std::fs::write(&out_path, format!("{text}\n")) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => {
-            eprintln!("could not write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// CI perf-regression guard: re-measure the serial fused 512×512 density
-/// step and fail if it regressed more than the tolerance vs the committed
-/// baseline. Tolerance can be widened for noisy runners via
-/// `MEP_PERF_GUARD_TOLERANCE` (fraction, e.g. `0.25`).
-fn run_guard(args: &[String]) {
+    let Some(guard_at) = args.iter().position(|a| a == "--guard") else {
+        eprintln!("usage: scaling_matrix --guard [BASELINE]");
+        std::process::exit(2);
+    };
     let baseline_path = args
-        .iter()
-        .position(|a| a == "--guard")
-        .and_then(|i| args.get(i + 1))
-        .filter(|a| !a.starts_with("--"))
+        .get(guard_at + 1)
         .cloned()
-        .unwrap_or_else(|| "BENCH_scaling.json".to_string());
+        .unwrap_or_else(|| "BENCH_density.json".to_string());
     let text = match std::fs::read_to_string(&baseline_path) {
         Ok(t) => t,
         Err(e) => {
@@ -151,8 +85,8 @@ fn run_guard(args: &[String]) {
             std::process::exit(1);
         }
     };
-    // minimal field scrape (no JSON dependency): the artifact is generated
-    // by this same binary, so the field layout is known
+    // minimal field scrape (no JSON dependency): both names occur once in
+    // the baseline file, inside `guard_baseline`
     let baseline_ms = scrape_f64(&text, "density_512_serial_fused_ms");
     let tolerance = std::env::var("MEP_PERF_GUARD_TOLERANCE")
         .ok()
@@ -167,13 +101,14 @@ fn run_guard(args: &[String]) {
     let rho = test_grid(n * n, 17 + n as u64);
     let ms = density_step_ms(n, 7, &rho);
     let ratio = ms / baseline_ms;
+    let avail = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "[guard] serial fused 512x512 density step: {ms:.2} ms vs baseline \
-         {baseline_ms:.2} ms (ratio {ratio:.3}, tolerance +{:.0}%)",
+        "[guard] 512x512 density step: {ms:.3} ms vs baseline {baseline_ms:.3} ms \
+         (ratio {ratio:.3}, tolerance +{:.0}%, available_parallelism {avail})",
         tolerance * 100.0
     );
     if ratio > 1.0 + tolerance {
-        eprintln!("[guard] FAIL: serial 512x512 density step regressed beyond tolerance");
+        eprintln!("[guard] FAIL: 512x512 density step regressed beyond tolerance");
         std::process::exit(1);
     }
     println!("[guard] OK");

@@ -76,93 +76,29 @@ impl FftPlan {
     }
 
     /// In-place FFT (`inverse = false`) or unnormalized inverse FFT
-    /// (`inverse = true`) of a split-complex sequence, driven entirely by
-    /// the precomputed tables. The inverse is **unnormalized**:
+    /// (`inverse = true`) of `W` independent split-complex sequences,
+    /// driven entirely by the precomputed tables. The sequences are stored
+    /// SoA: element `u` of lane `l` lives at index `u * W + l`, so
+    /// `W = 1` is one plain sequence. The inverse is **unnormalized**:
     /// `ifft(fft(x)) = n · x`.
     ///
-    /// The butterfly loops are structured for autovectorization: each
-    /// stage walks zipped sub-slices (no bounds checks survive), the
-    /// products fold into exactly-rounded `mul_add`s, and the first stage
-    /// — whose twiddle factor is exactly `1` — is specialized to a pure
-    /// add/sub pass. [`FftPlan::process_lanes`] mirrors every expression
-    /// here one-for-one; keep the two in lockstep or the lane/scalar
-    /// bitwise-identity contract breaks.
+    /// Every lane runs the same expressions on its own data whatever `W`
+    /// is, so lane `l` of `process::<W>` is bit-identical to
+    /// `process::<1>` on that sequence alone — the property the tiled 2-D
+    /// sweeps rely on. The butterfly loops are structured for
+    /// autovectorization: each stage walks zipped sub-slices (no bounds
+    /// checks survive), the products fold into exactly-rounded `mul_add`s,
+    /// and the first stage — whose twiddle factor is exactly `1` — is
+    /// specialized to a pure add/sub pass.
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths differ from the planned length.
-    pub fn process(&self, re: &mut [f64], im: &mut [f64], inverse: bool) {
-        let n = self.n;
-        assert_eq!(re.len(), n, "re length differs from planned length");
-        assert_eq!(im.len(), n, "im length differs from planned length");
-        if n <= 1 {
-            return;
-        }
-        for i in 0..n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-        // Stage h = 1: the only twiddle factor is exactly 1, so the
-        // butterfly degenerates to add/sub over adjacent pairs.
-        for (pr, pi) in re.chunks_exact_mut(2).zip(im.chunks_exact_mut(2)) {
-            let tr = pr[1];
-            let ti = pi[1];
-            pr[1] = pr[0] - tr;
-            pi[1] = pi[0] - ti;
-            pr[0] += tr;
-            pi[0] += ti;
-        }
-        let sign = if inverse { -1.0 } else { 1.0 };
-        let mut h = 2;
-        while h < n {
-            let len = 2 * h;
-            let stage_re = &self.tw_re[h..len];
-            let stage_im = &self.tw_im[h..len];
-            for (blk_re, blk_im) in re.chunks_exact_mut(len).zip(im.chunks_exact_mut(len)) {
-                let (ar, br) = blk_re.split_at_mut(h);
-                let (ai, bi) = blk_im.split_at_mut(h);
-                for ((((ar, br), (ai, bi)), &wr), &twi) in ar
-                    .iter_mut()
-                    .zip(br.iter_mut())
-                    .zip(ai.iter_mut().zip(bi.iter_mut()))
-                    .zip(stage_re)
-                    .zip(stage_im)
-                {
-                    let wi = sign * twi;
-                    let xr = *br;
-                    let xi = *bi;
-                    let tr = f64::mul_add(xr, wr, -(xi * wi));
-                    let ti = f64::mul_add(xr, wi, xi * wr);
-                    *br = *ar - tr;
-                    *bi = *ai - ti;
-                    *ar += tr;
-                    *ai += ti;
-                }
-            }
-            h = len;
-        }
-    }
-
-    /// Lane-parallel variant of [`FftPlan::process`]: transforms
-    /// [`LANES`] independent sequences at once, stored SoA so element `u`
-    /// of lane `l` lives at index `u * LANES + l`. Each lane's arithmetic
-    /// mirrors the scalar path expression-for-expression (same `mul_add`
-    /// placement, same specialized first stage), so lane `l` of the
-    /// output is bit-identical to running [`FftPlan::process`] on lane
-    /// `l` alone — the property the fused spectral sweeps rely on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ from `LANES` times the planned
+    /// Panics if the slice lengths differ from `W` times the planned
     /// length.
-    pub fn process_lanes(&self, re: &mut [f64], im: &mut [f64], inverse: bool) {
-        const W: usize = LANES;
+    pub fn process<const W: usize>(&self, re: &mut [f64], im: &mut [f64], inverse: bool) {
         let n = self.n;
-        assert_eq!(re.len(), n * W, "re length differs from LANES * planned");
-        assert_eq!(im.len(), n * W, "im length differs from LANES * planned");
+        assert_eq!(re.len(), n * W, "re length differs from planned length");
+        assert_eq!(im.len(), n * W, "im length differs from planned length");
         if n <= 1 {
             return;
         }
@@ -175,7 +111,8 @@ impl FftPlan {
                 lo[i * W..i * W + W].swap_with_slice(&mut hi[..W]);
             }
         }
-        // Stage h = 1, specialized exactly as in the scalar path.
+        // Stage h = 1: the only twiddle factor is exactly 1, so the
+        // butterfly degenerates to add/sub over adjacent pairs.
         for (pr, pi) in re.chunks_exact_mut(2 * W).zip(im.chunks_exact_mut(2 * W)) {
             let (ar, br) = pr.split_at_mut(W);
             let (ai, bi) = pi.split_at_mut(W);
@@ -225,10 +162,10 @@ impl FftPlan {
     }
 }
 
-/// Number of independent sequences the `*_lanes` kernels transform at
-/// once. Eight `f64`s fill one 64-byte cache line, so a column-pass tile
-/// of eight adjacent grid columns turns every strided row access into a
-/// single full-line load — the key to the transpose-free fused sweeps.
+/// Number of adjacent grid lines a 2-D sweep transforms per tile. Eight
+/// `f64`s fill one 64-byte cache line, so a column-pass tile of eight
+/// adjacent grid columns turns every strided row access into a single
+/// full-line load — the key to the transpose-free sweeps.
 pub const LANES: usize = 8;
 
 #[cfg(test)]
@@ -257,8 +194,8 @@ mod tests {
         let im0 = rand_seq(n, 17);
         let mut re = re0.clone();
         let mut im = im0.clone();
-        plan.process(&mut re, &mut im, false);
-        plan.process(&mut re, &mut im, true);
+        plan.process::<1>(&mut re, &mut im, false);
+        plan.process::<1>(&mut re, &mut im, true);
         for i in 0..n {
             assert!((re[i] - n as f64 * re0[i]).abs() < 1e-9);
             assert!((im[i] - n as f64 * im0[i]).abs() < 1e-9);
@@ -273,7 +210,7 @@ mod tests {
         let t: f64 = re0.iter().map(|v| v * v).sum();
         let mut re = re0;
         let mut im = im0;
-        FftPlan::new(n).process(&mut re, &mut im, false);
+        FftPlan::new(n).process::<1>(&mut re, &mut im, false);
         let f: f64 = re.iter().zip(&im).map(|(r, i)| r * r + i * i).sum();
         assert!((f - n as f64 * t).abs() < 1e-6 * f.max(1.0));
     }
@@ -284,7 +221,7 @@ mod tests {
         let mut re = vec![0.0; n];
         let mut im = vec![0.0; n];
         re[0] = 1.0;
-        FftPlan::new(n).process(&mut re, &mut im, false);
+        FftPlan::new(n).process::<1>(&mut re, &mut im, false);
         for i in 0..n {
             assert!((re[i] - 1.0).abs() < 1e-12);
             assert!(im[i].abs() < 1e-12);
@@ -302,7 +239,7 @@ mod tests {
                 let (want_re, want_im) = dft_naive(&re0, &im0, inverse);
                 let mut re = re0;
                 let mut im = im0;
-                plan.process(&mut re, &mut im, inverse);
+                plan.process::<1>(&mut re, &mut im, inverse);
                 for i in 0..n {
                     assert!((re[i] - want_re[i]).abs() < 1e-9, "n={n} inv={inverse}");
                     assert!((im[i] - want_im[i]).abs() < 1e-9, "n={n} inv={inverse}");
@@ -320,7 +257,7 @@ mod tests {
         for _ in 0..3 {
             let mut re = re0.clone();
             let mut im = im0.clone();
-            plan.process(&mut re, &mut im, false);
+            plan.process::<1>(&mut re, &mut im, false);
             match &first {
                 None => first = Some((re, im)),
                 Some((fr, fi)) => {
@@ -334,14 +271,14 @@ mod tests {
     }
 
     #[test]
-    fn lanes_bitwise_match_scalar_plan() {
+    fn lanes_bitwise_match_single_lane() {
         for &n in &[2usize, 4, 8, 64, 256] {
             let plan = FftPlan::new(n);
             for inverse in [false, true] {
                 // SoA pack of LANES distinct sequences.
                 let mut lre = vec![0.0; n * LANES];
                 let mut lim = vec![0.0; n * LANES];
-                let mut scalars = Vec::new();
+                let mut singles = Vec::new();
                 for l in 0..LANES {
                     let re0 = rand_seq(n, 100 + l as u64);
                     let im0 = rand_seq(n, 200 + l as u64);
@@ -349,11 +286,11 @@ mod tests {
                         lre[u * LANES + l] = re0[u];
                         lim[u * LANES + l] = im0[u];
                     }
-                    scalars.push((re0, im0));
+                    singles.push((re0, im0));
                 }
-                plan.process_lanes(&mut lre, &mut lim, inverse);
-                for (l, (re, im)) in scalars.iter_mut().enumerate() {
-                    plan.process(re, im, inverse);
+                plan.process::<LANES>(&mut lre, &mut lim, inverse);
+                for (l, (re, im)) in singles.iter_mut().enumerate() {
+                    plan.process::<1>(re, im, inverse);
                     for u in 0..n {
                         assert_eq!(
                             lre[u * LANES + l].to_bits(),
@@ -383,6 +320,6 @@ mod tests {
         let plan = FftPlan::new(8);
         let mut re = vec![0.0; 4];
         let mut im = vec![0.0; 4];
-        plan.process(&mut re, &mut im, false);
+        plan.process::<1>(&mut re, &mut im, false);
     }
 }

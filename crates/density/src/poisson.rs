@@ -16,8 +16,8 @@
 //!
 //! The four 2-D sweeps of every solve run through one [`Spectral2d`]
 //! engine on the calling thread: precomputed twiddle/phase tables, the
-//! real-input FFT fast path, and lane kernels whose column pass is strided
-//! in place.
+//! real-input FFT fast path, and tiles of adjacent lines whose column pass
+//! is strided in place.
 
 use crate::transform::{Kind, Spectral2d, TransformStats};
 
@@ -33,14 +33,6 @@ pub struct PoissonSolver {
     wv: Vec<f64>,
     /// 2-D transform engine (all four sweeps per solve run here).
     spectral: Spectral2d,
-}
-
-/// Solver output views live in the caller's buffers; see
-/// [`PoissonSolver::solve`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Number of spectral modes used (all but DC).
-    pub modes: usize,
 }
 
 impl PoissonSolver {
@@ -71,8 +63,7 @@ impl PoissonSolver {
         }
     }
 
-    /// Call count, cumulative wall time and per-kernel work counters of
-    /// the 2-D transforms.
+    /// Call count and cumulative wall time of the 2-D transforms.
     pub fn transform_stats(&self) -> TransformStats {
         self.spectral.stats()
     }
@@ -86,13 +77,7 @@ impl PoissonSolver {
     /// # Panics
     ///
     /// Panics if any slice length differs from `nx · ny`.
-    pub fn solve(
-        &mut self,
-        rho: &[f64],
-        psi: &mut [f64],
-        ex: &mut [f64],
-        ey: &mut [f64],
-    ) -> SolveStats {
+    pub fn solve(&mut self, rho: &[f64], psi: &mut [f64], ex: &mut [f64], ey: &mut [f64]) {
         let n = self.nx * self.ny;
         assert_eq!(rho.len(), n);
         assert_eq!(psi.len(), n);
@@ -137,8 +122,6 @@ impl PoissonSolver {
         self.spectral.execute(ex, Kind::Dst3, Kind::Dct3);
         // E_y = Σ s_uv w_v cos(w_u x) sin(w_v y)
         self.spectral.execute(ey, Kind::Dct3, Kind::Dst3);
-
-        SolveStats { modes: n - 1 }
     }
 }
 

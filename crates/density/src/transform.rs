@@ -11,36 +11,30 @@
 //!
 //! The pair satisfies `x = (2/N)·dct3(dct2(x))`.
 //!
-//! There is one stack, single-threaded: every 1-D transform is a method of
-//! [`DctPlan`], and [`Spectral2d::execute`] is the 2-D transform every
-//! Poisson solve runs. A [`DctPlan`] per axis collapses each length-`2N`
-//! transform onto an `N`-point complex FFT through the real-input
-//! pack/unpack identities (the inputs are real, and the synthesis output of
-//! a real spectrum is mirror-conjugate, so half the butterflies vanish),
-//! every phase factor is a table lookup, and both passes transform
-//! [`LANES`] adjacent lines at once — the column pass strided in place, so
-//! no transpose exists. Lines left over when a dimension is below [`LANES`]
-//! go through the scalar [`DctPlan::apply`], whose expressions the lane
-//! kernels mirror one-for-one: a grid is bit-identical to applying the
-//! scalar kernel to every row, then every column.
+//! There is one stack, single-threaded, and one body per transform: every
+//! 1-D transform is [`DctPlan::apply`], generic over the number `W` of
+//! strided lines it transforms at once, and [`Spectral2d::execute`] is the
+//! 2-D transform every Poisson solve runs. A [`DctPlan`] per axis collapses
+//! each length-`2N` transform onto an `N`-point complex FFT through the
+//! real-input pack/unpack identities (the inputs are real, and the
+//! synthesis output of a real spectrum is mirror-conjugate, so half the
+//! butterflies vanish), and every phase factor is a table lookup. Both
+//! passes of a 2-D transform take [`LANES`] adjacent lines per tile — the
+//! column pass strided in place, so no transpose exists — and a line left
+//! over when a dimension is below [`LANES`] goes through the same function
+//! at `W = 1`. A lane's arithmetic does not depend on `W`, so a grid is
+//! bit-identical to `apply::<1>` on every row, then on every column.
 
 use crate::fft::{FftPlan, LANES};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Scratch buffers for the FFT-based transforms (reused across calls).
+/// Scratch buffers for the FFT-based transforms (reused across calls): one
+/// split-complex pair holding the `W` interleaved sequences of a tile.
 #[derive(Debug, Clone, Default)]
 pub struct TransformScratch {
     re: Vec<f64>,
     im: Vec<f64>,
-    /// SoA buffers for the `*_lanes` kernels ([`LANES`] interleaved
-    /// sequences). Grow-only, so alternating row/column sweeps of a
-    /// rectangular grid never shrink-and-refill them.
-    lre: Vec<f64>,
-    lim: Vec<f64>,
-    /// One gathered column for the scalar remainder lines of the column
-    /// pass.
-    line: Vec<f64>,
 }
 
 impl TransformScratch {
@@ -49,33 +43,24 @@ impl TransformScratch {
         Self::default()
     }
 
-    /// Sizes the buffers without zeroing them (the kernels overwrite every
-    /// slot before reading).
-    fn ensure(&mut self, n: usize) {
-        if self.re.len() != n {
-            self.re.resize(n, 0.0);
-            self.im.resize(n, 0.0);
-        }
-    }
-
-    /// Grows (never shrinks) the lane buffers to `n · LANES` slots; the
-    /// lane kernels overwrite every slot they read.
-    fn ensure_lanes(&mut self, n: usize) {
-        let need = n * LANES;
-        if self.lre.len() < need {
-            self.lre.resize(need, 0.0);
-            self.lim.resize(need, 0.0);
+    /// Grows (never shrinks, so the alternating row/column sweeps of a
+    /// rectangular grid never resize twice) the buffers to `len` slots,
+    /// without zeroing: the kernels overwrite every slot they read.
+    fn ensure(&mut self, len: usize) {
+        if self.re.len() < len {
+            self.re.resize(len, 0.0);
+            self.im.resize(len, 0.0);
         }
     }
 }
 
-/// Copies one [`LANES`]-wide group out of strided grid storage
-/// (`src[at + l · lstep]`, `l = 0..LANES`). `lstep == 1` — the fused
-/// column pass — is a straight 64-byte line copy.
+/// Copies one group of `dst.len()` lanes out of strided grid storage
+/// (`src[at + l · lstep]`). `lstep == 1` — the column pass — is a straight
+/// copy, one 64-byte line for a [`LANES`]-wide tile.
 #[inline]
 fn load_group(src: &[f64], at: usize, lstep: usize, dst: &mut [f64]) {
     if lstep == 1 {
-        dst.copy_from_slice(&src[at..at + LANES]);
+        dst.copy_from_slice(&src[at..at + dst.len()]);
     } else {
         for (l, d) in dst.iter_mut().enumerate() {
             *d = src[at + l * lstep];
@@ -83,12 +68,12 @@ fn load_group(src: &[f64], at: usize, lstep: usize, dst: &mut [f64]) {
     }
 }
 
-/// Scatters one [`LANES`]-wide group back into strided grid storage;
-/// mirror of [`load_group`].
+/// Scatters one group of lanes back into strided grid storage; mirror of
+/// [`load_group`].
 #[inline]
 fn store_group(dst: &mut [f64], at: usize, lstep: usize, src: &[f64]) {
     if lstep == 1 {
-        dst[at..at + LANES].copy_from_slice(src);
+        dst[at..at + src.len()].copy_from_slice(src);
     } else {
         for (l, &s) in src.iter().enumerate() {
             dst[at + l * lstep] = s;
@@ -189,45 +174,77 @@ impl DctPlan {
         self.n == 0
     }
 
-    /// Applies `kind` to `inout` in place.
+    /// Applies `kind` in place to `W` strided sequences of the grid `data`
+    /// at once: element `u` of lane `l` lives at
+    /// `data[base + u * estep + l * lstep]`.
+    ///
+    /// `W = 1, estep = 1` transforms one contiguous sequence. With
+    /// `W = LANES`, `estep = 1, lstep = cols` transforms eight adjacent
+    /// grid rows; `estep = cols, lstep = 1` eight adjacent grid columns in
+    /// place — no transpose. Lane `l` of the result is bit-identical to
+    /// `apply::<1>` on that sequence alone: no expression depends on `W`.
     ///
     /// # Panics
     ///
-    /// Panics if `inout.len()` differs from the planned length.
-    pub fn apply(&self, kind: Kind, inout: &mut [f64], scratch: &mut TransformScratch) {
+    /// Panics if an addressed element falls outside `data`.
+    pub fn apply<const W: usize>(
+        &self,
+        kind: Kind,
+        data: &mut [f64],
+        base: usize,
+        estep: usize,
+        lstep: usize,
+        scratch: &mut TransformScratch,
+    ) {
+        let last = base + (self.n - 1) * estep + (W - 1) * lstep;
+        assert!(
+            last < data.len(),
+            "data ends before element {last} of a line of planned length {}",
+            self.n
+        );
         match kind {
-            Kind::Dct2 => self.dct2(inout, scratch),
-            Kind::Dct3 => self.dct3(inout, scratch),
-            Kind::Dst3 => self.dst3(inout, scratch),
+            Kind::Dct2 => self.dct2::<W>(data, base, estep, lstep, scratch),
+            Kind::Dct3 => self.synthesize::<W>(data, base, estep, lstep, scratch, false),
+            Kind::Dst3 => self.synthesize::<W>(data, base, estep, lstep, scratch, true),
         }
     }
 
-    /// In-place DCT-II: `X_u = Σ_i x_i cos(πu(i+½)/N)`.
-    pub fn dct2(&self, inout: &mut [f64], scratch: &mut TransformScratch) {
+    /// DCT-II: `X_u = Σ_i x_i cos(πu(i+½)/N)`.
+    fn dct2<const W: usize>(
+        &self,
+        data: &mut [f64],
+        base: usize,
+        estep: usize,
+        lstep: usize,
+        scratch: &mut TransformScratch,
+    ) {
         let n = self.n;
-        assert_eq!(inout.len(), n, "input length differs from planned length");
         if n <= 1 {
             return; // X_0 = x_0
         }
-        scratch.ensure(n);
+        scratch.ensure(n * W);
+        let re = &mut scratch.re[..n * W];
+        let im = &mut scratch.im[..n * W];
         // pack the even-mirrored sequence y (y_i = x_i, y_{2N−1−i} = x_i)
         // pairwise: z_j = y_{2j} + i·y_{2j+1}
         let half = n / 2;
         for j in 0..half {
-            scratch.re[j] = inout[2 * j];
-            scratch.im[j] = inout[2 * j + 1];
+            let e0 = base + (2 * j) * estep;
+            let e1 = base + (2 * j + 1) * estep;
+            load_group(data, e0, lstep, &mut re[j * W..j * W + W]);
+            load_group(data, e1, lstep, &mut im[j * W..j * W + W]);
         }
         for j in half..n {
-            scratch.re[j] = inout[2 * n - 1 - 2 * j];
-            scratch.im[j] = inout[2 * n - 2 - 2 * j];
+            let e0 = base + (2 * n - 1 - 2 * j) * estep;
+            let e1 = base + (2 * n - 2 - 2 * j) * estep;
+            load_group(data, e0, lstep, &mut re[j * W..j * W + W]);
+            load_group(data, e1, lstep, &mut im[j * W..j * W + W]);
         }
-        self.fft.process(&mut scratch.re, &mut scratch.im, false);
+        self.fft.process::<W>(re, im, false);
         // Unpack bins 0..N of the 2N-point real FFT and rotate into
         // DCT-II. Conjugate symmetry pairs bin u with N−u, so one walk
         // over mirror pairs shares the Z loads and halves the unpack
-        // traffic; u = 0 and u = N/2 are their own mirrors. `rot` is
-        // mirrored verbatim in `dct2_lanes` — keep the expression shapes
-        // in lockstep or the lane/scalar bitwise contract breaks.
+        // traffic; u = 0 and u = N/2 are their own mirrors.
         let rot = |u: usize, zr_u: f64, zi_u: f64, zr_v: f64, zi_v: f64| -> f64 {
             let a_re = 0.5 * (zr_u + zr_v);
             let a_im = 0.5 * (zi_u - zi_v);
@@ -244,161 +261,13 @@ impl DctPlan {
             // X_u = ½·Re[Y_u e^{−iπu/2N}]
             0.5 * f64::mul_add(self.ph_im[u], y_im, y_re * self.ph_re[u])
         };
-        inout[0] = rot(
-            0,
-            scratch.re[0],
-            scratch.im[0],
-            scratch.re[0],
-            scratch.im[0],
-        );
-        inout[half] = rot(
-            half,
-            scratch.re[half],
-            scratch.im[half],
-            scratch.re[half],
-            scratch.im[half],
-        );
-        for u in 1..half {
-            let v = n - u;
-            let (zr_u, zi_u) = (scratch.re[u], scratch.im[u]);
-            let (zr_v, zi_v) = (scratch.re[v], scratch.im[v]);
-            inout[u] = rot(u, zr_u, zi_u, zr_v, zi_v);
-            inout[v] = rot(v, zr_v, zi_v, zr_u, zi_u);
-        }
-    }
-
-    /// In-place DCT-III: `y_i = X_0/2 + Σ_{u≥1} X_u cos(πu(i+½)/N)`.
-    pub fn dct3(&self, inout: &mut [f64], scratch: &mut TransformScratch) {
-        self.synthesize(inout, scratch, false)
-    }
-
-    /// In-place DST-III synthesis: `y_i = Σ_{u≥1} X_u sin(πu(i+½)/N)`.
-    pub fn dst3(&self, inout: &mut [f64], scratch: &mut TransformScratch) {
-        self.synthesize(inout, scratch, true)
-    }
-
-    fn synthesize(&self, inout: &mut [f64], scratch: &mut TransformScratch, sine: bool) {
-        let n = self.n;
-        assert_eq!(inout.len(), n, "input length differs from planned length");
-        if n == 0 {
-            return;
-        }
-        if n == 1 {
-            inout[0] = if sine { 0.0 } else { 0.5 * inout[0] };
-            return;
-        }
-        scratch.ensure(n);
-        // d_u = c_u·e^{iπu/2N}; c_0 contributes only to the real (cosine)
-        // output, so the sine path zeroes it
-        let c0 = if sine { 0.0 } else { 0.5 * inout[0] };
-        scratch.re[0] = c0;
-        scratch.im[0] = 0.0;
-        for u in 1..n {
-            let c = inout[u];
-            scratch.re[u] = c * self.ph_re[u];
-            scratch.im[u] = c * self.ph_im[u];
-        }
-        self.fft.process(&mut scratch.re, &mut scratch.im, true);
-        // s_{2m} = E_m, s_{2m+1} = conj(E_{N−1−m}); cosine output reads the
-        // real parts, sine output the (sign-flipped on odd) imaginary parts
-        let half = n / 2;
-        if sine {
-            for m in 0..half {
-                inout[2 * m] = scratch.im[m];
-                inout[2 * m + 1] = -scratch.im[n - 1 - m];
-            }
-        } else {
-            for m in 0..half {
-                inout[2 * m] = scratch.re[m];
-                inout[2 * m + 1] = scratch.re[n - 1 - m];
-            }
-        }
-    }
-
-    /// Applies `kind` to [`LANES`] strided sequences of the grid `data`
-    /// at once: element `u` of lane `l` lives at
-    /// `data[base + u * estep + l * lstep]`.
-    ///
-    /// With `estep = 1, lstep = cols` this transforms eight adjacent grid
-    /// rows; with `estep = cols, lstep = 1` eight adjacent grid columns
-    /// in place — no transpose. Lane `l` of the result is bit-identical
-    /// to [`DctPlan::apply`] on that sequence alone: the lane kernels
-    /// mirror the scalar expressions one-for-one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any addressed element falls outside `data`.
-    pub fn apply_lanes(
-        &self,
-        kind: Kind,
-        data: &mut [f64],
-        base: usize,
-        estep: usize,
-        lstep: usize,
-        scratch: &mut TransformScratch,
-    ) {
-        match kind {
-            Kind::Dct2 => self.dct2_lanes(data, base, estep, lstep, scratch),
-            Kind::Dct3 => self.synthesize_lanes(data, base, estep, lstep, scratch, false),
-            Kind::Dst3 => self.synthesize_lanes(data, base, estep, lstep, scratch, true),
-        }
-    }
-
-    /// Lane variant of [`DctPlan::dct2`]; see [`DctPlan::apply_lanes`]
-    /// for the addressing scheme and the bitwise-mirroring contract.
-    pub fn dct2_lanes(
-        &self,
-        data: &mut [f64],
-        base: usize,
-        estep: usize,
-        lstep: usize,
-        scratch: &mut TransformScratch,
-    ) {
-        const W: usize = LANES;
-        let n = self.n;
-        if n <= 1 {
-            return; // X_0 = x_0
-        }
-        scratch.ensure_lanes(n);
-        let lre = &mut scratch.lre[..n * W];
-        let lim = &mut scratch.lim[..n * W];
-        // pairwise pack of the even-mirrored sequence, per lane
-        let half = n / 2;
-        for j in 0..half {
-            let e0 = base + (2 * j) * estep;
-            let e1 = base + (2 * j + 1) * estep;
-            load_group(data, e0, lstep, &mut lre[j * W..j * W + W]);
-            load_group(data, e1, lstep, &mut lim[j * W..j * W + W]);
-        }
-        for j in half..n {
-            let e0 = base + (2 * n - 1 - 2 * j) * estep;
-            let e1 = base + (2 * n - 2 - 2 * j) * estep;
-            load_group(data, e0, lstep, &mut lre[j * W..j * W + W]);
-            load_group(data, e1, lstep, &mut lim[j * W..j * W + W]);
-        }
-        self.fft.process_lanes(lre, lim, false);
-        // mirror-pair unpack; `rot` mirrors `DctPlan::dct2` verbatim
-        let rot = |u: usize, zr_u: f64, zi_u: f64, zr_v: f64, zi_v: f64| -> f64 {
-            let a_re = 0.5 * (zr_u + zr_v);
-            let a_im = 0.5 * (zi_u - zi_v);
-            let d_re = 0.5 * (zr_u - zr_v);
-            let d_im = 0.5 * (zi_u + zi_v);
-            let (b_re, b_im) = (d_im, -d_re);
-            let y_re = f64::mul_add(self.un_im[u], b_im, f64::mul_add(self.un_re[u], b_re, a_re));
-            let y_im = f64::mul_add(
-                -self.un_im[u],
-                b_re,
-                f64::mul_add(self.un_re[u], b_im, a_im),
-            );
-            0.5 * f64::mul_add(self.ph_im[u], y_im, y_re * self.ph_re[u])
-        };
         let mut tmp = [0.0_f64; W];
         for (l, t) in tmp.iter_mut().enumerate() {
-            *t = rot(0, lre[l], lim[l], lre[l], lim[l]);
+            *t = rot(0, re[l], im[l], re[l], im[l]);
         }
         store_group(data, base, lstep, &tmp);
         for (l, t) in tmp.iter_mut().enumerate() {
-            let (zr, zi) = (lre[half * W + l], lim[half * W + l]);
+            let (zr, zi) = (re[half * W + l], im[half * W + l]);
             *t = rot(half, zr, zi, zr, zi);
         }
         store_group(data, base + half * estep, lstep, &tmp);
@@ -406,8 +275,8 @@ impl DctPlan {
         for u in 1..half {
             let v = n - u;
             for l in 0..W {
-                let (zr_u, zi_u) = (lre[u * W + l], lim[u * W + l]);
-                let (zr_v, zi_v) = (lre[v * W + l], lim[v * W + l]);
+                let (zr_u, zi_u) = (re[u * W + l], im[u * W + l]);
+                let (zr_v, zi_v) = (re[v * W + l], im[v * W + l]);
                 tmp[l] = rot(u, zr_u, zi_u, zr_v, zi_v);
                 tmp_v[l] = rot(v, zr_v, zi_v, zr_u, zi_u);
             }
@@ -416,9 +285,9 @@ impl DctPlan {
         }
     }
 
-    /// Lane variant of the synthesis core; mirrors
-    /// [`DctPlan::synthesize`] expression-for-expression.
-    fn synthesize_lanes(
+    /// DCT-III (`sine = false`): `y_i = X_0/2 + Σ_{u≥1} X_u cos(πu(i+½)/N)`;
+    /// DST-III (`sine = true`): `y_i = Σ_{u≥1} X_u sin(πu(i+½)/N)`.
+    fn synthesize<const W: usize>(
         &self,
         data: &mut [f64],
         base: usize,
@@ -427,11 +296,7 @@ impl DctPlan {
         scratch: &mut TransformScratch,
         sine: bool,
     ) {
-        const W: usize = LANES;
         let n = self.n;
-        if n == 0 {
-            return;
-        }
         if n == 1 {
             for l in 0..W {
                 let at = base + l * lstep;
@@ -439,42 +304,46 @@ impl DctPlan {
             }
             return;
         }
-        scratch.ensure_lanes(n);
-        let lre = &mut scratch.lre[..n * W];
-        let lim = &mut scratch.lim[..n * W];
+        scratch.ensure(n * W);
+        let re = &mut scratch.re[..n * W];
+        let im = &mut scratch.im[..n * W];
+        // d_u = c_u·e^{iπu/2N}; c_0 contributes only to the real (cosine)
+        // output, so the sine path zeroes it
         let mut tmp = [0.0_f64; W];
         load_group(data, base, lstep, &mut tmp);
         for l in 0..W {
             let c0 = if sine { 0.0 } else { 0.5 * tmp[l] };
-            lre[l] = c0;
-            lim[l] = 0.0;
+            re[l] = c0;
+            im[l] = 0.0;
         }
         for u in 1..n {
             let (pr, pi) = (self.ph_re[u], self.ph_im[u]);
             load_group(data, base + u * estep, lstep, &mut tmp);
             for l in 0..W {
                 let c = tmp[l];
-                lre[u * W + l] = c * pr;
-                lim[u * W + l] = c * pi;
+                re[u * W + l] = c * pr;
+                im[u * W + l] = c * pi;
             }
         }
-        self.fft.process_lanes(lre, lim, true);
+        self.fft.process::<W>(re, im, true);
+        // s_{2m} = E_m, s_{2m+1} = conj(E_{N−1−m}); cosine output reads the
+        // real parts, sine output the (sign-flipped on odd) imaginary parts
         let half = n / 2;
         if sine {
             let mut odd = [0.0_f64; W];
             for m in 0..half {
-                let src = &lim[m * W..m * W + W];
+                let src = &im[m * W..m * W + W];
                 store_group(data, base + (2 * m) * estep, lstep, src);
                 for (l, o) in odd.iter_mut().enumerate() {
-                    *o = -lim[(n - 1 - m) * W + l];
+                    *o = -im[(n - 1 - m) * W + l];
                 }
                 store_group(data, base + (2 * m + 1) * estep, lstep, &odd);
             }
         } else {
             for m in 0..half {
-                let src = &lre[m * W..m * W + W];
+                let src = &re[m * W..m * W + W];
                 store_group(data, base + (2 * m) * estep, lstep, src);
-                let mirror = &lre[(n - 1 - m) * W..(n - 1 - m) * W + W];
+                let mirror = &re[(n - 1 - m) * W..(n - 1 - m) * W + W];
                 store_group(data, base + (2 * m + 1) * estep, lstep, mirror);
             }
         }
@@ -519,21 +388,13 @@ pub fn shared_dct_plan(n: usize) -> Arc<DctPlan> {
     plan
 }
 
-/// Call count, cumulative wall time, and per-kernel work counters of the
-/// 2-D transforms.
+/// Call count and cumulative wall time of the 2-D transforms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransformStats {
     /// Number of [`Spectral2d::execute`] calls.
     pub calls: u64,
     /// Cumulative wall time, nanoseconds.
     pub nanos: u64,
-    /// [`LANES`]-wide row tiles transformed by the row pass.
-    pub row_lane_tiles: u64,
-    /// [`LANES`]-wide column tiles transformed by the column pass.
-    pub col_lane_tiles: u64,
-    /// Rows/columns that went through the scalar 1-D kernel instead of a
-    /// lane tile (grid dimensions below [`LANES`]).
-    pub scalar_lines: u64,
 }
 
 impl TransformStats {
@@ -546,17 +407,16 @@ impl TransformStats {
 /// Separable 2-D transform engine for one fixed `rows × cols` grid.
 ///
 /// Caches a [`DctPlan`] per axis and one FFT scratch, so the placement hot
-/// loop performs no allocation and no trigonometry. Both passes run
-/// through [`LANES`]-wide SIMD-friendly lane kernels, and the column pass
-/// walks the grid in place with strided tiles — eight adjacent columns
-/// per tile, so every row touch is one full cache line and the grid is
-/// never transposed.
+/// loop performs no allocation and no trigonometry. Both passes take
+/// [`LANES`] adjacent lines per tile, and the column pass walks the grid in
+/// place with strided tiles — eight adjacent columns per tile, so every row
+/// touch is one full cache line and the grid is never transposed.
 ///
 /// # Determinism
 ///
-/// Single-threaded, and every lane runs the same arithmetic as the scalar
-/// 1-D kernel ([`DctPlan::apply`]), so a grid is bit-identical to applying
-/// that kernel to each row and then to each column.
+/// Single-threaded, and a line's arithmetic does not depend on the width of
+/// the tile it is transformed in, so a grid is bit-identical to applying
+/// [`DctPlan::apply`] at `W = 1` to each row and then to each column.
 #[derive(Debug, Clone)]
 pub struct Spectral2d {
     rows: usize,
@@ -596,8 +456,7 @@ impl Spectral2d {
         self.cols
     }
 
-    /// Instrumentation snapshot (calls, cumulative wall time, per-kernel
-    /// work counters).
+    /// Instrumentation snapshot (calls, cumulative wall time).
     pub fn stats(&self) -> TransformStats {
         self.stats
     }
@@ -610,70 +469,38 @@ impl Spectral2d {
     ///
     /// Panics if `data.len() != rows · cols`.
     pub fn execute(&mut self, data: &mut [f64], kind_x: Kind, kind_y: Kind) {
-        assert_eq!(data.len(), self.rows * self.cols, "grid shape mismatch");
+        let (rows, cols) = (self.rows, self.cols);
+        assert_eq!(data.len(), rows * cols, "grid shape mismatch");
         // lint:allow(determinism): TransformStats timing telemetry; durations never feed back into results
         let t0 = Instant::now();
-        self.sweep_rows(kind_x, data);
-        self.sweep_cols(kind_y, data);
+        // rows are contiguous and `cols` apart; columns the other way round
+        let scratch = &mut self.scratch;
+        sweep(&self.row_plan, kind_x, data, rows, 1, cols, scratch);
+        sweep(&self.col_plan, kind_y, data, cols, cols, 1, scratch);
         self.stats.calls += 1;
         self.stats.nanos += t0.elapsed().as_nanos() as u64;
     }
+}
 
-    /// Row pass: [`LANES`] adjacent rows per tile, transformed by the lane
-    /// kernels; leftover rows (dimensions below [`LANES`]) go through the
-    /// scalar kernel.
-    fn sweep_rows(&mut self, kind: Kind, data: &mut [f64]) {
-        const W: usize = LANES;
-        let (rows, cols) = (self.rows, self.cols);
-        if rows == 0 || cols == 0 {
-            return;
-        }
-        let tiles = rows / W;
-        let rem = rows % W; // nonzero only when rows < LANES (power of two)
-        for t in 0..tiles {
-            self.row_plan
-                .apply_lanes(kind, data, t * W * cols, 1, cols, &mut self.scratch);
-        }
-        for r in tiles * W..rows {
-            let row = &mut data[r * cols..(r + 1) * cols];
-            self.row_plan.apply(kind, row, &mut self.scratch);
-        }
-        self.stats.row_lane_tiles += tiles as u64;
-        self.stats.scalar_lines += rem as u64;
+/// One pass of a 2-D transform: `kind` along each of `lines` parallel grid
+/// lines, line `i` starting at `i · lstep` with its elements `estep` apart.
+/// Whole tiles of [`LANES`] adjacent lines, then any leftover line (a
+/// dimension below [`LANES`]) one at a time through the same kernel.
+fn sweep(
+    plan: &DctPlan,
+    kind: Kind,
+    data: &mut [f64],
+    lines: usize,
+    estep: usize,
+    lstep: usize,
+    scratch: &mut TransformScratch,
+) {
+    let whole = lines - lines % LANES;
+    for i in (0..whole).step_by(LANES) {
+        plan.apply::<LANES>(kind, data, i * lstep, estep, lstep, scratch);
     }
-
-    /// Column pass: [`LANES`] adjacent columns per strided tile,
-    /// transformed in place — every row touch is one cache line. Leftover
-    /// columns (dimensions below [`LANES`]) are gathered, transformed by
-    /// the scalar kernel and scattered back.
-    fn sweep_cols(&mut self, kind: Kind, data: &mut [f64]) {
-        const W: usize = LANES;
-        let (rows, cols) = (self.rows, self.cols);
-        if rows == 0 || cols == 0 {
-            return;
-        }
-        let tiles = cols / W;
-        let rem = cols % W; // nonzero only when cols < LANES (power of two)
-        for t in 0..tiles {
-            self.col_plan
-                .apply_lanes(kind, data, t * W, cols, 1, &mut self.scratch);
-        }
-        if rem > 0 {
-            let mut line = std::mem::take(&mut self.scratch.line);
-            line.resize(rows, 0.0);
-            for c in tiles * W..cols {
-                for (r, slot) in line.iter_mut().enumerate() {
-                    *slot = data[r * cols + c];
-                }
-                self.col_plan.apply(kind, &mut line, &mut self.scratch);
-                for (r, &val) in line.iter().enumerate() {
-                    data[r * cols + c] = val;
-                }
-            }
-            self.scratch.line = line;
-        }
-        self.stats.col_lane_tiles += tiles as u64;
-        self.stats.scalar_lines += rem as u64;
+    for i in whole..lines {
+        plan.apply::<1>(kind, data, i * lstep, estep, lstep, scratch);
     }
 }
 
@@ -694,6 +521,11 @@ mod tests {
             .collect()
     }
 
+    /// `kind` on one contiguous sequence: the `W = 1` instantiation.
+    fn apply_one(plan: &DctPlan, kind: Kind, x: &mut [f64], scratch: &mut TransformScratch) {
+        plan.apply::<1>(kind, x, 0, 1, 1, scratch);
+    }
+
     #[test]
     fn dct_round_trip() {
         let n = 64;
@@ -701,8 +533,8 @@ mod tests {
         let x = rand_seq(n, 4);
         let mut back = x.clone();
         let mut s = TransformScratch::new();
-        plan.dct2(&mut back, &mut s);
-        plan.dct3(&mut back, &mut s);
+        apply_one(&plan, Kind::Dct2, &mut back, &mut s);
+        apply_one(&plan, Kind::Dct3, &mut back, &mut s);
         for i in 0..n {
             assert!((x[i] - 2.0 / n as f64 * back[i]).abs() < 1e-9);
         }
@@ -739,28 +571,45 @@ mod tests {
         }
     }
 
+    /// Both instantiations against the `O(N²)` references: one sequence at
+    /// `W = 1`, and [`LANES`] distinct sequences interleaved as a column
+    /// tile (`estep = LANES, lstep = 1`) at `W = LANES`.
     #[test]
     fn dct_plan_matches_naive_all_kinds() {
-        for &n in &[1usize, 2, 4, 8, 32, 128] {
+        for &n in &[1usize, 2, 4, 8, 32, 128, 1024] {
             let plan = DctPlan::new(n);
             assert_eq!(plan.len(), n);
             let mut scratch = TransformScratch::new();
+            let tol = 1e-9 * n as f64; // the reference itself drifts with n
             for kind in [Kind::Dct2, Kind::Dct3, Kind::Dst3] {
-                let x = rand_seq(n, 100 + n as u64);
-                let want = match kind {
-                    Kind::Dct2 => naive::dct2(&x),
-                    Kind::Dct3 => naive::dct3(&x),
-                    Kind::Dst3 => naive::dst3(&x),
+                let want = |x: &[f64]| match kind {
+                    Kind::Dct2 => naive::dct2(x),
+                    Kind::Dct3 => naive::dct3(x),
+                    Kind::Dst3 => naive::dst3(x),
                 };
+                let x = rand_seq(n, 100 + n as u64);
                 let mut got = x.clone();
-                plan.apply(kind, &mut got, &mut scratch);
-                for i in 0..n {
+                apply_one(&plan, kind, &mut got, &mut scratch);
+                for (i, w) in want(&x).iter().enumerate() {
                     assert!(
-                        (got[i] - want[i]).abs() < 1e-9,
-                        "n={n} kind={kind:?} i={i}: {} vs {}",
-                        got[i],
-                        want[i]
+                        (got[i] - w).abs() < tol,
+                        "n={n} kind={kind:?} i={i}: {} vs {w}",
+                        got[i]
                     );
+                }
+                let mut tile = rand_seq(n * LANES, 300 + n as u64);
+                let lanes: Vec<Vec<f64>> = (0..LANES)
+                    .map(|l| (0..n).map(|u| tile[u * LANES + l]).collect())
+                    .collect();
+                plan.apply::<LANES>(kind, &mut tile, 0, LANES, 1, &mut scratch);
+                for (l, x) in lanes.iter().enumerate() {
+                    for (i, w) in want(x).iter().enumerate() {
+                        let got = tile[i * LANES + l];
+                        assert!(
+                            (got - w).abs() < tol,
+                            "n={n} kind={kind:?} lane={l} i={i}: {got} vs {w}"
+                        );
+                    }
                 }
             }
         }
@@ -789,10 +638,10 @@ mod tests {
         let x = rand_seq(n, 9);
         let mut scratch = TransformScratch::new();
         let mut first = x.clone();
-        plan.dct2(&mut first, &mut scratch);
+        apply_one(&plan, Kind::Dct2, &mut first, &mut scratch);
         for _ in 0..3 {
             let mut again = x.clone();
-            plan.dct2(&mut again, &mut scratch);
+            apply_one(&plan, Kind::Dct2, &mut again, &mut scratch);
             for i in 0..n {
                 assert_eq!(again[i].to_bits(), first[i].to_bits());
             }
@@ -806,15 +655,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "differs from planned length")]
+    #[should_panic(expected = "of planned length 8")]
     fn dct_plan_rejects_length_mismatch() {
         let plan = DctPlan::new(8);
         let mut x = vec![0.0; 4];
-        plan.dct2(&mut x, &mut TransformScratch::new());
+        apply_one(&plan, Kind::Dct2, &mut x, &mut TransformScratch::new());
     }
 
     #[test]
-    fn apply_lanes_bitwise_matches_scalar_apply() {
+    fn lanes_bitwise_match_single_lane() {
         for &n in &[2usize, 8, 16, 128] {
             let plan = DctPlan::new(n);
             let mut scratch = TransformScratch::new();
@@ -825,9 +674,9 @@ mod tests {
                 let mut want: Vec<Vec<f64>> = (0..cols)
                     .map(|l| (0..n).map(|u| grid[u * cols + l]).collect())
                     .collect();
-                plan.apply_lanes(kind, &mut grid, 0, cols, 1, &mut scratch);
+                plan.apply::<LANES>(kind, &mut grid, 0, cols, 1, &mut scratch);
                 for (l, col) in want.iter_mut().enumerate() {
-                    plan.apply(kind, col, &mut scratch);
+                    apply_one(&plan, kind, col, &mut scratch);
                     for u in 0..n {
                         assert_eq!(
                             grid[u * cols + l].to_bits(),

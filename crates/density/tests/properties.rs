@@ -7,7 +7,7 @@ mod per_rect;
 mod reference;
 
 use mep_density::electro::Electrostatics;
-use mep_density::fft::FftPlan;
+use mep_density::fft::{FftPlan, LANES};
 use mep_density::grid::{BinGrid, DensityMap};
 use mep_density::poisson::PoissonSolver;
 use mep_density::transform::{DctPlan, Kind, TransformScratch};
@@ -30,9 +30,19 @@ fn pow2_len_wide() -> impl Strategy<Value = usize> {
     (1u32..11).prop_map(|k| 1usize << k)
 }
 
+/// `LANES` interleaved sequences (element `u` of lane `l` at
+/// `u * LANES + l`), lane `l` holding `x` scaled by `l + 1`.
+fn scaled_tile(x: &[f64]) -> Vec<f64> {
+    x.iter()
+        .flat_map(|&v| (0..LANES).map(move |l| (l + 1) as f64 * v))
+        .collect()
+}
+
 proptest! {
     /// The planned FFT matches the naive DFT in both directions across
-    /// sizes 2..=1024.
+    /// sizes 2..=1024, as one sequence (`W = 1`) and as a tile whose lane
+    /// `l` carries the sequence scaled by `l + 1` (`W = LANES`; the DFT is
+    /// linear, so one naive transform serves every lane).
     #[test]
     fn planned_fft_matches_naive(n in pow2_len_wide(), seed in 0u64..500, dir in 0u32..2) {
         let inverse = dir == 1;
@@ -40,19 +50,27 @@ proptest! {
         let im0: Vec<f64> = (0..n).map(|i| ((seed as f64 - i as f64) * 0.29).cos()).collect();
         let (wr, wi) = dft_naive(&re0, &im0, inverse);
         let plan = FftPlan::new(n);
+        let (mut tre, mut tim) = (scaled_tile(&re0), scaled_tile(&im0));
         let mut re = re0;
         let mut im = im0;
-        plan.process(&mut re, &mut im, inverse);
+        plan.process::<1>(&mut re, &mut im, inverse);
+        plan.process::<LANES>(&mut tre, &mut tim, inverse);
         // the naive reference itself drifts with n; scale the tolerance
         let tol = 1e-9 * n as f64;
         for i in 0..n {
             prop_assert!((re[i] - wr[i]).abs() < tol, "re[{i}]");
             prop_assert!((im[i] - wi[i]).abs() < tol, "im[{i}]");
+            for l in 0..LANES {
+                let k = (l + 1) as f64;
+                prop_assert!((tre[i * LANES + l] - k * wr[i]).abs() < k * tol, "lane {l} re[{i}]");
+                prop_assert!((tim[i * LANES + l] - k * wi[i]).abs() < k * tol, "lane {l} im[{i}]");
+            }
         }
     }
 
     /// The planned real-FFT DCT/DST paths match the naive references
-    /// across sizes 2..=1024.
+    /// across sizes 2..=1024, at `W = 1` and on a [`scaled_tile`] at
+    /// `W = LANES`.
     #[test]
     fn planned_dct_matches_naive(n in pow2_len_wide(), seed in 0u64..500) {
         let x: Vec<f64> = (0..n).map(|i| ((seed as f64 * 1.7 + i as f64) * 0.47).sin()).collect();
@@ -66,9 +84,18 @@ proptest! {
                 Kind::Dst3 => naive::dst3(&x),
             };
             let mut got = x.clone();
-            plan.apply(kind, &mut got, &mut scratch);
+            plan.apply::<1>(kind, &mut got, 0, 1, 1, &mut scratch);
+            let mut tile = scaled_tile(&x);
+            plan.apply::<LANES>(kind, &mut tile, 0, LANES, 1, &mut scratch);
             for i in 0..n {
                 prop_assert!((got[i] - want[i]).abs() < tol, "{kind:?}[{i}]");
+                for l in 0..LANES {
+                    let k = (l + 1) as f64;
+                    prop_assert!(
+                        (tile[i * LANES + l] - k * want[i]).abs() < k * tol,
+                        "{kind:?} lane {l} [{i}]"
+                    );
+                }
             }
         }
     }

@@ -146,7 +146,6 @@ fn coarse_global(cfg: &MultilevelConfig, level: usize, stage: &str, iters: usize
         max_iters: iters,
         min_iters: cfg.pipeline.global.min_iters.min(iters),
         target_overflow: cfg.coarse_target_overflow,
-        record_trajectory: false,
         level: level as u32,
         stage: Some(stage.to_string()),
         ..cfg.pipeline.global.clone()

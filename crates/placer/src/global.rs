@@ -9,8 +9,8 @@
 //!   `(α_L, α_H) = (1.01, 1.02)` and `β = 2000`;
 //!
 //! until the overflow reaches the target (ISPD-style 0.07 default) or the
-//! iteration cap. Optionally records the `(HPWL, φ)` trajectory that
-//! regenerates Fig. 3.
+//! iteration cap. An enabled [`TraceSink`] receives one record per
+//! iteration — among them the `(HPWL, φ)` pairs that regenerate Fig. 3.
 //!
 //! The loop runs under a numerical-health guard (see [`crate::guard`]):
 //! each iteration's value/overflow/coordinates are checked for NaN/Inf,
@@ -74,10 +74,6 @@ pub struct GlobalConfig {
     pub moreau_schedule: MoreauSchedule,
     /// First-order optimizer (ePlace Nesterov by default).
     pub optimizer: OptimizerKind,
-    /// ePlace/DREAMPlace Jacobi preconditioner on the gradient (off by
-    /// default: at our benchmark scale its effect is within ±0.6% and
-    /// model-dependent; see `ablation_optimizer` to measure it).
-    pub precondition: bool,
     /// Stop once density overflow falls below this (paper flow: 0.07).
     pub target_overflow: f64,
     /// Hard iteration cap.
@@ -87,16 +83,8 @@ pub struct GlobalConfig {
     /// Read by nothing. Set by the frozen `examples/bench_e2e`; goes with
     /// the benchmark PR that retires `nb6_flat_t2`.
     pub threads: usize,
-    /// Record the per-iteration trajectory (Fig. 3).
-    pub record_trajectory: bool,
     /// `t0` for the tangent schedule (paper default 4).
     pub t0: f64,
-    /// `γ0` for the ePlace schedule.
-    pub gamma0: f64,
-    /// `(α_L, α_H)` of Eq. (15).
-    pub alpha: (f64, f64),
-    /// `β` of Eq. (15).
-    pub beta: f64,
     /// Multiplier on the bootstrapped λ₀ (and therefore on the Eq. (15)
     /// ramp rate). `1.0` is the paper flow; warm-started stages of the
     /// multilevel driver raise it so a placement that is already spread
@@ -136,16 +124,11 @@ impl Default for GlobalConfig {
             model: ModelKind::Moreau,
             moreau_schedule: MoreauSchedule::Tangent,
             optimizer: OptimizerKind::Nesterov,
-            precondition: false,
             target_overflow: 0.07,
             max_iters: 600,
             min_iters: 30,
             threads: 1,
-            record_trajectory: false,
             t0: 4.0,
-            gamma0: 0.5,
-            alpha: (1.01, 1.02),
-            beta: 2000.0,
             lambda_scale: 1.0,
             guard: GuardConfig::default(),
             fault_injection: None,
@@ -157,20 +140,17 @@ impl Default for GlobalConfig {
     }
 }
 
-/// One point of the Fig. 3 trajectory.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrajectoryPoint {
-    /// Iteration index.
-    pub iter: usize,
-    /// Exact HPWL at this iteration.
-    pub hpwl: f64,
-    /// Density overflow `φ`.
-    pub overflow: f64,
-    /// Density weight `λ`.
-    pub lambda: f64,
-    /// Wirelength smoothing parameter in effect.
-    pub smoothing: f64,
-}
+/// `γ₀` of ePlace's decade schedule.
+const GAMMA0: f64 = 0.5;
+/// `(α_L, α_H)` of the λ update, Eq. (15).
+const ALPHA: (f64, f64) = (1.01, 1.02);
+/// `β` of Eq. (15).
+const BETA: f64 = 2000.0;
+/// Consecutive tripped iterations before the degradation ladder advances
+/// (each trip below this rolls back and backs off only).
+const MAX_STRIKES: usize = 3;
+/// Steplength shrink factor applied on every rollback.
+const BACKOFF: f64 = 0.5;
 
 /// Result of global placement.
 #[derive(Debug, Clone)]
@@ -183,12 +163,9 @@ pub struct GlobalResult {
     pub overflow: f64,
     /// Iterations executed.
     pub iterations: usize,
-    /// Per-iteration `(HPWL, φ)` samples when recording was enabled.
-    pub trajectory: Vec<TrajectoryPoint>,
     /// Evaluation-engine instrumentation (spawns, eval counts, stage times).
     pub engine_stats: EngineStats,
-    /// Spectral-transform kernel instrumentation (which kernels ran: lane
-    /// tiles, scalar remainder lines) for the density solver.
+    /// Call count and wall time of the density solver's 2-D transforms.
     pub transform_stats: mep_density::TransformStats,
     /// Every recovery the guard performed (empty on a clean run).
     pub recovery: RecoveryLog,
@@ -254,7 +231,6 @@ pub fn place_with_engine(
     let design = &circuit.design;
     let model = config.model.instantiate(1.0);
     let mut problem = PlacementProblem::new(design, &circuit.placement, model, engine.clone());
-    problem.set_preconditioner(config.precondition);
     let mut params = problem.pack_params(&circuit.placement);
     problem.project(&mut params);
 
@@ -262,7 +238,7 @@ pub fn place_with_engine(
     let grid = problem.electrostatics().grid();
     let (bw, bh) = (grid.bin_w(), grid.bin_h());
     let tangent = TangentTSchedule::new(bw, bh).with_t0(config.t0);
-    let decade = EplaceGammaSchedule::new(config.gamma0, bw, bh);
+    let decade = EplaceGammaSchedule::new(GAMMA0, bw, bh);
     let smoothing_for = |kind: ModelKind, phi: f64| -> f64 {
         match kind {
             ModelKind::Moreau => match config.moreau_schedule {
@@ -291,9 +267,7 @@ pub fn place_with_engine(
         problem.set_smoothing(smoothing_for(config.model, phi));
     }
 
-    // λ0 per ePlace: ratio of gradient norms (wirelength vs density),
-    // measured on the raw (unpreconditioned) gradient
-    problem.set_preconditioner(false);
+    // λ0 per ePlace: ratio of gradient norms (wirelength vs density)
     let mut grad = vec![0.0; problem.dim()];
     problem.lambda = 0.0;
     problem.eval(&params, &mut grad);
@@ -313,10 +287,9 @@ pub fn place_with_engine(
         });
     }
     problem.lambda = lambda0;
-    problem.set_preconditioner(config.precondition);
 
     // Eq. (15) state
-    let (alpha_l, alpha_h) = config.alpha;
+    let (alpha_l, alpha_h) = ALPHA;
     let mut alpha_k = (alpha_l - 1.0) * lambda0;
 
     // initial steplength: first move ~ a couple of bins against ∇f
@@ -343,7 +316,6 @@ pub fn place_with_engine(
 
     let trace = config.trace.as_ref();
     let tracing = trace.enabled();
-    let mut trajectory = Vec::new();
     let mut iterations = 0;
     let mut termination = Termination::IterationCap;
     for iter in 0..config.max_iters {
@@ -378,20 +350,9 @@ pub fn place_with_engine(
                     problem.set_smoothing(smoothing_for(problem.model_kind(), phi));
                 }
                 let dk = stats.density_energy.max(0.0);
-                let mult =
-                    alpha_h - (alpha_h - alpha_l) / (1.0 + (1.0 + config.beta * dk / d0).ln());
+                let mult = alpha_h - (alpha_h - alpha_l) / (1.0 + (1.0 + BETA * dk / d0).ln());
                 alpha_k *= mult;
                 problem.lambda += alpha_k;
-
-                if config.record_trajectory {
-                    trajectory.push(TrajectoryPoint {
-                        iter,
-                        hpwl: problem.exact_hpwl(&params),
-                        overflow: phi,
-                        lambda: problem.lambda,
-                        smoothing: problem.smoothing(),
-                    });
-                }
 
                 if phi <= config.target_overflow && iter + 1 >= config.min_iters {
                     termination = Termination::Converged;
@@ -415,7 +376,7 @@ pub fn place_with_engine(
                     // escalate the degradation ladder after repeated strikes
                     let mut action = RecoveryAction::RollbackBackoff;
                     let mut halted = false;
-                    if monitor.strike() >= config.guard.max_strikes {
+                    if monitor.strike() >= MAX_STRIKES {
                         let from = problem.model_kind();
                         let to = match from {
                             ModelKind::Moreau | ModelKind::BigChks | ModelKind::BigWa => {
@@ -452,7 +413,7 @@ pub fn place_with_engine(
                         if problem.model_kind() != ModelKind::Hpwl {
                             problem.set_smoothing(smoothing_for(problem.model_kind(), phi));
                         }
-                        optimizer.backoff(config.guard.backoff);
+                        optimizer.backoff(BACKOFF);
                         monitor.record(RecoveryEvent {
                             iteration: iter,
                             fault,
@@ -509,7 +470,6 @@ pub fn place_with_engine(
         hpwl,
         overflow,
         iterations,
-        trajectory,
         engine_stats: engine.stats(),
         transform_stats: problem.electrostatics().transform_stats(),
         recovery: monitor.into_log(),
@@ -537,22 +497,34 @@ fn restore_best(
 mod tests {
     use super::*;
     use mep_netlist::synth;
+    use mep_obs::RingSink;
 
     fn smoke_config(model: ModelKind) -> GlobalConfig {
         GlobalConfig {
             model,
             max_iters: 250,
             min_iters: 20,
-            record_trajectory: true,
             ..GlobalConfig::default()
         }
+    }
+
+    /// Runs `cfg` with a [`RingSink`] installed; returns the result and the
+    /// per-iteration records.
+    fn place_traced(
+        c: &BookshelfCircuit,
+        mut cfg: GlobalConfig,
+    ) -> (GlobalResult, Vec<IterationRecord>) {
+        let sink = Arc::new(RingSink::new(4096));
+        cfg.trace = sink.clone();
+        let r = place(c, &cfg).unwrap();
+        (r, sink.records())
     }
 
     #[test]
     fn overflow_decreases_substantially() {
         let c = synth::generate(&synth::smoke_spec());
-        let r = place(&c, &smoke_config(ModelKind::Moreau)).unwrap();
-        let first = r.trajectory.first().unwrap().overflow;
+        let (r, recs) = place_traced(&c, smoke_config(ModelKind::Moreau));
+        let first = recs.first().unwrap().overflow;
         assert!(
             r.overflow < 0.5 * first,
             "overflow {} from {first} after {} iters",
@@ -595,7 +567,6 @@ mod tests {
         for kind in ModelKind::contestants() {
             let mut cfg = smoke_config(kind);
             cfg.max_iters = 120;
-            cfg.record_trajectory = false;
             let r = place(&c, &cfg).unwrap();
             assert!(r.hpwl.is_finite(), "{kind}");
             assert!(r.overflow < 0.9, "{kind}: overflow {}", r.overflow);
@@ -607,7 +578,6 @@ mod tests {
         let c = synth::generate(&synth::smoke_spec());
         let mut cfg = smoke_config(ModelKind::Moreau);
         cfg.max_iters = 40;
-        cfg.record_trajectory = false;
         let r = place(&c, &cfg).unwrap();
         let s = r.engine_stats;
         // one wirelength-gradient eval per optimizer eval, plus the λ0 probes
@@ -637,10 +607,10 @@ mod tests {
     #[test]
     fn trajectory_is_recorded_per_iteration() {
         let c = synth::generate(&synth::smoke_spec());
-        let r = place(&c, &smoke_config(ModelKind::Wa)).unwrap();
-        assert_eq!(r.trajectory.len(), r.iterations);
+        let (r, recs) = place_traced(&c, smoke_config(ModelKind::Wa));
+        assert_eq!(recs.len(), r.iterations);
         // λ increases monotonically per Eq. (15)
-        for w in r.trajectory.windows(2) {
+        for w in recs.windows(2) {
             assert!(w[1].lambda >= w[0].lambda);
         }
     }
@@ -650,12 +620,10 @@ mod tests {
         let c = synth::generate(&synth::smoke_spec());
         let mut cfg = smoke_config(ModelKind::Moreau);
         cfg.max_iters = 5;
-        cfg.record_trajectory = false;
         let r = place(&c, &cfg).unwrap();
         assert_eq!(r.termination, Termination::IterationCap);
         assert!(!r.termination.is_partial());
         let mut cfg = smoke_config(ModelKind::Moreau);
-        cfg.record_trajectory = false;
         cfg.target_overflow = 0.25; // generous: reached well inside the cap
         let r = place(&c, &cfg).unwrap();
         assert_eq!(r.termination, Termination::Converged);
@@ -663,15 +631,10 @@ mod tests {
 
     #[test]
     fn trace_sink_gets_one_record_per_iteration() {
-        use mep_obs::RingSink;
         let c = synth::generate(&synth::smoke_spec());
-        let sink = Arc::new(RingSink::new(4096));
         let mut cfg = smoke_config(ModelKind::Moreau);
         cfg.max_iters = 30;
-        cfg.record_trajectory = false;
-        cfg.trace = sink.clone();
-        let r = place(&c, &cfg).unwrap();
-        let recs = sink.records();
+        let (r, recs) = place_traced(&c, cfg);
         assert_eq!(recs.len(), r.iterations, "one record per Nesterov step");
         for (i, rec) in recs.iter().enumerate() {
             assert_eq!(rec.iter, i as u64);
@@ -689,16 +652,11 @@ mod tests {
 
     #[test]
     fn trace_records_guard_verdicts_on_faults() {
-        use mep_obs::RingSink;
         let c = synth::generate(&synth::smoke_spec());
-        let sink = Arc::new(RingSink::new(4096));
         let mut cfg = smoke_config(ModelKind::Moreau);
         cfg.max_iters = 40;
-        cfg.record_trajectory = false;
         cfg.fault_injection = Some((10, 2));
-        cfg.trace = sink.clone();
-        place(&c, &cfg).unwrap();
-        let recs = sink.records();
+        let (_, recs) = place_traced(&c, cfg);
         let faults: Vec<&IterationRecord> = recs.iter().filter(|r| r.guard.is_some()).collect();
         assert!(
             !faults.is_empty(),
@@ -717,7 +675,6 @@ mod tests {
         let c = synth::generate(&synth::smoke_spec());
         let mut cfg = smoke_config(ModelKind::Moreau);
         cfg.max_iters = 60;
-        cfg.record_trajectory = false;
         cfg.fault_injection = Some((10, 2));
         let reusing = place(&c, &cfg).unwrap();
         let uncached = {
@@ -743,7 +700,6 @@ mod tests {
     fn cancelled_token_returns_a_partial_result() {
         let c = synth::generate(&synth::smoke_spec());
         let mut cfg = smoke_config(ModelKind::Moreau);
-        cfg.record_trajectory = false;
         let token = crate::cancel::CancelToken::new();
         cfg.cancel = token.clone();
         token.cancel();
@@ -758,7 +714,6 @@ mod tests {
     fn wall_clock_budget_returns_a_partial_result() {
         let c = synth::generate(&synth::smoke_spec());
         let mut cfg = smoke_config(ModelKind::Moreau);
-        cfg.record_trajectory = false;
         cfg.cancel = crate::cancel::CancelToken::with_deadline_in(std::time::Duration::ZERO);
         let r = place(&c, &cfg).unwrap();
         assert_eq!(r.termination, Termination::WallClock);

@@ -31,20 +31,8 @@ use std::fmt;
 pub struct GuardConfig {
     /// Master switch; `false` turns every check into a no-op.
     pub enabled: bool,
-    /// Consecutive tripped iterations before the degradation ladder
-    /// advances (each trip below this rolls back and backs off only).
-    pub max_strikes: usize,
-    /// Steplength shrink factor applied on every rollback.
-    pub backoff: f64,
-    /// Objective divergence threshold: trip when `|f|` exceeds this factor
-    /// times `|f₀| + 1` for the first healthy value `f₀`.
-    pub divergence_factor: f64,
     /// Window length (healthy iterations) of the stagnation trend test.
     pub stagnation_window: usize,
-    /// Minimum relative overflow improvement between consecutive windows;
-    /// below it the run is declared stagnated. Deliberately tiny so only a
-    /// truly flat-lined optimizer trips.
-    pub stagnation_tol: f64,
     /// Total recovery events tolerated before the guard gives up and
     /// returns the best snapshot with [`Termination::GuardExhausted`].
     pub max_recoveries: usize,
@@ -54,15 +42,20 @@ impl Default for GuardConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            max_strikes: 3,
-            backoff: 0.5,
-            divergence_factor: 1e4,
             stagnation_window: 120,
-            stagnation_tol: 1e-6,
             max_recoveries: 24,
         }
     }
 }
+
+/// Objective divergence threshold: trip when `|f|` exceeds this factor
+/// times `|f₀| + 1` for the first healthy value `f₀`.
+const DIVERGENCE_FACTOR: f64 = 1e4;
+
+/// Minimum relative overflow improvement between consecutive stagnation
+/// windows; below it the run is declared stagnated. Deliberately tiny so
+/// only a truly flat-lined optimizer trips.
+const STAGNATION_TOL: f64 = 1e-6;
 
 /// What tripped the guard on one iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -343,7 +336,7 @@ impl HealthMonitor {
             return Err(Fault::NonFiniteCoordinates { count: bad });
         }
         if let Some(reference) = self.reference_value {
-            if value.abs() > self.cfg.divergence_factor * (reference.abs() + 1.0) {
+            if value.abs() > DIVERGENCE_FACTOR * (reference.abs() + 1.0) {
                 return Err(Fault::Divergence { value, reference });
             }
         }
@@ -352,7 +345,7 @@ impl HealthMonitor {
             let lower = |m: f64, v: &f64| m.min(*v);
             let prior = self.phi_ring.iter().take(w).fold(f64::INFINITY, lower);
             let recent = self.phi_ring.iter().skip(w).fold(f64::INFINITY, lower);
-            if recent > prior * (1.0 - self.cfg.stagnation_tol) {
+            if recent > prior * (1.0 - STAGNATION_TOL) {
                 return Err(Fault::Stagnation { window: w });
             }
         }
@@ -586,12 +579,11 @@ mod tests {
                 stagnation_window: w,
                 ..GuardConfig::default()
             };
-            let tol = cfg.stagnation_tol;
             let mut m = HealthMonitor::new(cfg);
             let capacity = m.phi_ring.capacity();
             let mut tripped = 0;
             for (i, &phi) in recorded.iter().enumerate() {
-                let want = verdict_from_history(&recorded[..i], w, tol);
+                let want = verdict_from_history(&recorded[..i], w, STAGNATION_TOL);
                 let got = m.check(1.0, 1.0, 0.1, phi, &[0.0]);
                 assert_eq!(
                     got,

@@ -55,9 +55,7 @@ pub use flow::{
     replace_region, run_multilevel, EcoConfig, EcoResult, LevelStats, MultilevelConfig,
     MultilevelResult,
 };
-pub use global::{
-    place_with_engine, GlobalConfig, GlobalResult, MoreauSchedule, OptimizerKind, TrajectoryPoint,
-};
+pub use global::{place_with_engine, GlobalConfig, GlobalResult, MoreauSchedule, OptimizerKind};
 pub use guard::{
     Fault, GuardConfig, HealthMonitor, RecoveryAction, RecoveryEvent, RecoveryLog, Termination,
 };

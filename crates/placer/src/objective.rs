@@ -46,7 +46,6 @@ pub struct PlacementProblem<'a> {
     scratch: Placement,
     /// Current density weight `λ`.
     pub lambda: f64,
-    precondition: bool,
     last: EvalStats,
     /// Spectral-transform stats already forwarded to the engine; new
     /// samples are synced as deltas after each density stage.
@@ -93,7 +92,6 @@ impl<'a> PlacementProblem<'a> {
             density: None,
             scratch: initial.clone(),
             lambda: 0.0,
-            precondition: false,
             design,
             last: EvalStats::default(),
             tf_synced: mep_density::TransformStats::default(),
@@ -105,15 +103,6 @@ impl<'a> PlacementProblem<'a> {
     /// The evaluation engine (e.g. for its instrumentation counters).
     pub fn engine(&self) -> &Arc<EvalEngine> {
         &self.engine
-    }
-
-    /// Enables the ePlace/DREAMPlace Jacobi preconditioner: the reported
-    /// gradient of cell `i` is divided by `max(1, #pins_i + λ·area_i)`
-    /// (the diagonal of an approximate Hessian), which equalizes step
-    /// scales between tiny cells and huge macros. Off by default so the
-    /// raw gradient stays exact for verification.
-    pub fn set_preconditioner(&mut self, on: bool) {
-        self.precondition = on;
     }
 
     /// Number of movable cells.
@@ -211,10 +200,10 @@ impl<'a> PlacementProblem<'a> {
 
     /// The density term at `x` (already unpacked into `placement`): leaves
     /// `∂D/∂x`, `∂D/∂y` in `dgx`/`dgy` and returns the report. `D` depends
-    /// on neither `λ`, the smoothing parameter, the wirelength model nor
-    /// the preconditioner, so when `x` is bit for bit the point the held
-    /// term was computed at, the raster, Poisson solve and gather are
-    /// skipped and the held term is returned.
+    /// on neither `λ`, the smoothing parameter nor the wirelength model, so
+    /// when `x` is bit for bit the point the held term was computed at, the
+    /// raster, Poisson solve and gather are skipped and the held term is
+    /// returned.
     fn density_term(&mut self, x: &[f64], placement: &Placement) -> DensityReport {
         #[cfg(test)]
         if oracle::reuse_disabled() {
@@ -250,22 +239,14 @@ impl<'a> PlacementProblem<'a> {
     }
 
     /// Combines the wirelength term in `wl` and the density term in
-    /// `dgx`/`dgy`/`report` under the current `λ` and preconditioner into
-    /// `grad`; returns the objective value.
+    /// `dgx`/`dgy`/`report` under the current `λ` into `grad`; returns the
+    /// objective value.
     fn combine(&mut self, report: DensityReport, grad: &mut [f64]) -> f64 {
         let m = self.movable.len();
-        let netlist = &self.design.netlist;
         for (i, &cell) in self.movable.iter().enumerate() {
             let c = cell.index();
             grad[i] = self.wl.grad_x[c] + self.lambda * self.dgx[c];
             grad[m + i] = self.wl.grad_y[c] + self.lambda * self.dgy[c];
-            if self.precondition {
-                let diag = (netlist.cell_pins(cell).len() as f64
-                    + self.lambda * netlist.cell_area(cell))
-                .max(1.0);
-                grad[i] /= diag;
-                grad[m + i] /= diag;
-            }
         }
         self.last = EvalStats {
             wirelength: self.wl.value,
@@ -437,11 +418,10 @@ mod tests {
     fn hit_under_changed_settings_equals_a_fresh_problems_eval() {
         let c = synth::generate(&synth::smoke_spec());
         type Setting = fn(&mut PlacementProblem<'_>);
-        let settings: [(&str, Setting); 4] = [
+        let settings: [(&str, Setting); 3] = [
             ("lambda", |p| p.lambda = 3.25e-3),
             ("set_smoothing", |p| p.set_smoothing(0.37)),
             ("set_model", |p| p.set_model(ModelKind::Wa.instantiate(2.0))),
-            ("set_preconditioner", |p| p.set_preconditioner(true)),
         ];
         for (name, apply) in settings {
             let mut held = problem(&c);

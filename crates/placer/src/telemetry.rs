@@ -153,16 +153,9 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     r.counter("engine.wl.inactive_nets").add(e.wl_inactive_nets);
     r.counter("engine.workspace_allocs").add(e.workspace_allocs);
 
-    // spectral-kernel counters: which transform kernels actually ran
-    // (DESIGN.md §13 — lane tiles vs scalar remainder lines)
-    let tf = &inputs.transform;
-    r.counter("density.transform.calls").add(tf.calls);
-    r.counter("density.transform.row_lane_tiles")
-        .add(tf.row_lane_tiles);
-    r.counter("density.transform.col_lane_tiles")
-        .add(tf.col_lane_tiles);
-    r.counter("density.transform.scalar_lines")
-        .add(tf.scalar_lines);
+    // 2-D spectral transforms executed (four per Poisson solve)
+    r.counter("density.transform.calls")
+        .add(inputs.transform.calls);
 
     // guard events (formerly only on RecoveryLog)
     r.counter("guard.recoveries")

@@ -607,7 +607,6 @@ fn execute_job(shared: &Shared, job: &QueuedJob) -> Result<JobSummary, JobError>
     let mut pipeline = PipelineConfig::default();
     pipeline.global.model = model;
     pipeline.global.max_iters = max_iters;
-    pipeline.global.record_trajectory = false;
     pipeline.global.cancel = job.cancel.clone();
     pipeline.global.fault_injection = req.fault_injection;
     let trace_sink = match req.chaos {

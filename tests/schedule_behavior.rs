@@ -2,18 +2,23 @@
 //! inside the real placement loop (not just as isolated formulas).
 
 use moreau_placer::netlist::synth;
+use moreau_placer::obs::{IterationRecord, RingSink};
 use moreau_placer::placer::global::{place, GlobalConfig};
 use moreau_placer::wirelength::ModelKind;
+use std::sync::Arc;
 
-fn trajectory(model: ModelKind) -> Vec<moreau_placer::placer::TrajectoryPoint> {
+/// The per-iteration trace records of one global-placement run.
+fn trajectory(model: ModelKind) -> Vec<IterationRecord> {
     let c = synth::generate(&synth::smoke_spec());
+    let sink = Arc::new(RingSink::new(400));
     let cfg = GlobalConfig {
         model,
         max_iters: 400,
-        record_trajectory: true,
+        trace: sink.clone(),
         ..GlobalConfig::default()
     };
-    place(&c, &cfg).expect("placement flow").trajectory
+    place(&c, &cfg).expect("placement flow");
+    sink.records()
 }
 
 #[test]
@@ -68,9 +73,7 @@ fn overflow_trends_down_after_burn_in() {
     let traj = trajectory(ModelKind::Moreau);
     // compare mean overflow of the second quarter vs the last quarter
     let q = traj.len() / 4;
-    let mean = |s: &[moreau_placer::placer::TrajectoryPoint]| {
-        s.iter().map(|p| p.overflow).sum::<f64>() / s.len() as f64
-    };
+    let mean = |s: &[IterationRecord]| s.iter().map(|p| p.overflow).sum::<f64>() / s.len() as f64;
     let early = mean(&traj[q..2 * q]);
     let late = mean(&traj[3 * q..]);
     assert!(
