@@ -39,7 +39,8 @@ fn bench_models(c: &mut Criterion) {
 }
 
 /// One serial `NetlistEvaluator::evaluate` on the `newblue6` stand-in
-/// (12.9k nets, 52k pins, 94% of the nets in the 2..=8-pin classes), for
+/// (12.9k nets, 52k pins; all but 33 nets and 645 pins in the 2..=16-pin
+/// classes, which WA walks one net at a time at the blocks' stride), for
 /// the paper's model and for WA, at the two ends of a placement run: the
 /// generator's clumped start with the opening smoothing (most nets
 /// collapse to their mean) and a spread placement with the closing

@@ -143,18 +143,22 @@ impl Optimizer for Nesterov {
         }
         let _ = accepted; // bounded retries: last trial is taken regardless
 
-        // commit
-        self.v_prev.copy_from_slice(&self.v);
-        self.g_prev.copy_from_slice(&self.g);
-        self.u.copy_from_slice(&self.u_new);
-        self.v.copy_from_slice(&self.v_new);
+        let grad_norm = norm(&self.g);
+        // commit by swapping: what lands in `g`, `u_new` and `v_new` is
+        // stale, and each is overwritten in full (`g` by the next step's
+        // opening `eval`, the other two by its first trial) before it is
+        // read again
+        std::mem::swap(&mut self.v_prev, &mut self.v);
+        std::mem::swap(&mut self.g_prev, &mut self.g);
+        std::mem::swap(&mut self.u, &mut self.u_new);
+        std::mem::swap(&mut self.v, &mut self.v_new);
         self.a = a_next;
         self.step = alpha;
         x.copy_from_slice(&self.u);
 
         StepReport {
             value,
-            grad_norm: norm(&self.g),
+            grad_norm,
             step: alpha,
         }
     }

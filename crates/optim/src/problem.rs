@@ -9,7 +9,8 @@ pub trait Problem {
     /// Number of parameters.
     fn dim(&self) -> usize;
 
-    /// Objective value and gradient at `x` (gradient written into `grad`).
+    /// Objective value and gradient at `x` (every entry of `grad` is
+    /// overwritten: optimizers hand in buffers holding stale values).
     fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64;
 
     /// Projects an iterate onto the feasible set (default: no-op). The

@@ -588,20 +588,32 @@ mod tests {
         assert_eq!(s.density_reused, r.iterations as u64 + 1, "{s:?}");
         assert_eq!(s.workspace_allocs, 1, "workspace built once, then reused");
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
-        // the assembly sub-stage runs once per gradient eval, inside it,
-        // and every net of at least two pins is served by exactly one
-        // path or skipped for want of a movable pin (on this circuit,
-        // under this model, both paths are in use)
+        // the assembly sub-stage runs once per gradient eval, inside it
         assert_eq!(s.wl_scatter.count, s.wl_grad.count, "{s:?}");
         assert!(s.wl_scatter.nanos <= s.wl_grad.nanos, "{s:?}");
-        let nl = &c.design.netlist;
-        let small = nl.nets().filter(|&n| nl.net_degree(n) < 2).count() as u64;
-        assert_eq!(
-            s.wl_class_nets + s.wl_generic_nets + s.wl_inactive_nets + small * s.wl_grad.count,
-            nl.num_nets() as u64 * s.wl_grad.count,
-            "{s:?}"
-        );
-        assert!(s.wl_class_nets > 0 && s.wl_generic_nets > 0, "{s:?}");
+        // every net of at least two pins is served by exactly one path or
+        // skipped for want of a movable pin: the class kernel through 16
+        // pins, the per-net path above — which smoke (widest net: 11 pins)
+        // never enters, and a twice as pin-dense draw of it does
+        let every_net_has_one_path = |c: &BookshelfCircuit, s: &EngineStats| {
+            let nl = &c.design.netlist;
+            let small = nl.nets().filter(|&n| nl.net_degree(n) < 2).count() as u64;
+            assert_eq!(
+                s.wl_class_nets + s.wl_generic_nets + s.wl_inactive_nets + small * s.wl_grad.count,
+                nl.num_nets() as u64 * s.wl_grad.count,
+                "{s:?}"
+            );
+            assert!(s.wl_class_nets > 0, "{s:?}");
+            let wide = nl.nets().filter(|&n| nl.net_degree(n) > 16).count() as u64;
+            assert_eq!(s.wl_generic_nets, wide * s.wl_grad.count, "{s:?}");
+            wide
+        };
+        assert_eq!(every_net_has_one_path(&c, &s), 0);
+        let mut dense = synth::smoke_spec();
+        dense.pins *= 2;
+        let dense = synth::generate(&dense);
+        let s = place(&dense, &cfg).unwrap().engine_stats;
+        assert!(every_net_has_one_path(&dense, &s) > 0);
     }
 
     #[test]

@@ -145,8 +145,9 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     // evals that reused the held density term; `engine.density.count` is
     // executed stages only, so count + reused = `engine.wl_grad.count`
     r.counter("engine.density.reused").add(e.density_reused);
-    // which path served the nets of the wirelength gradient stage, and how
-    // many it skipped because no pin of theirs can move; with the nets of
+    // which path served the nets of the wirelength gradient stage (class
+    // kernel: 2..=`MAX_CLASS_DEGREE` pins under Moreau; per-net path: the
+    // rest), and how many it skipped because no pin of theirs can move; with the nets of
     // fewer than two pins they add up to nets x `engine.wl_grad.count`
     r.counter("engine.wl.class_nets").add(e.wl_class_nets);
     r.counter("engine.wl.generic_nets").add(e.wl_generic_nets);

@@ -77,10 +77,11 @@ pub struct EngineStats {
     /// Assembly + cell scatter sub-stage of `wl_grad` (included in it).
     pub wl_scatter: StageStats,
     /// Net evaluations of the gradient stage served by the degree-class
-    /// Moreau kernel (2..=8 pins), summed over evaluations.
+    /// Moreau kernel (2..=16 pins, `moreau::MAX_CLASS_DEGREE`), summed over
+    /// evaluations.
     pub wl_class_nets: u64,
     /// Net evaluations of the gradient stage served by the per-net path
-    /// (more than 8 pins, or a model without a class kernel).
+    /// (more than 16 pins, or a model without a class kernel).
     pub wl_generic_nets: u64,
     /// Nets of at least two pins the gradient stage skipped because none
     /// of their pins can move, summed over evaluations. Nets of fewer than

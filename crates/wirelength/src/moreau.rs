@@ -12,6 +12,18 @@
 //! the gradient `∇W_e^t = (x − prox_{tW_e}(x)) / t` (the envelope theorem).
 //! The reported model value is `W_e^t + t`, as in the paper, which centres
 //! the approximation error band of Theorem 2.
+//!
+//! # Two routes
+//!
+//! Algorithm 1 is a sort and two water-filling scans per net and axis. A
+//! net of 2..=16 pins ([`MAX_CLASS_DEGREE`]) takes the class kernel
+//! [`eval_class`]: a min/max sorting network read from the comparator
+//! table [`network`], then both water levels without a data-dependent
+//! branch, several nets side by side. A net of more pins takes
+//! `sort_unstable_by` and the scans of [`crate::waterfill`]. The per-net
+//! entry points below and the whole-netlist evaluator of [`crate::netgrad`]
+//! split at the same constant, and both routes are pinned bit for bit to
+//! the `reference` oracle of the test module.
 
 use crate::model::NetModel;
 use crate::waterfill::TauPair;
@@ -36,7 +48,7 @@ pub struct EnvelopeEval {
 /// Computes `prox_{tW_e}(x)` per Theorem 1 into `out`.
 ///
 /// `x` need not be sorted. `O(n log n)` from the internal sort. Allocates
-/// a per-call scratch copy for nets of more than 8 pins; the hot loop goes
+/// a per-call scratch copy for nets of more than 16 pins; the hot loop goes
 /// through [`Moreau`], which keeps its scratch.
 ///
 /// # Panics
@@ -70,115 +82,114 @@ pub fn envelope(x: &[f64], t: f64) -> f64 {
     eval_net(x, t, None, None, &mut Vec::new()).envelope
 }
 
-/// Largest net degree the monomorphized class kernel [`eval_class`] serves;
-/// nets of more pins go through the sort + scan of the generic path.
-pub(crate) const MAX_CLASS_DEGREE: usize = 8;
+/// Largest net degree the class kernel [`eval_class`] serves; nets of more
+/// pins go through the sort + scan of the generic path.
+pub(crate) const MAX_CLASS_DEGREE: usize = 16;
 
-/// Branchless ascending sort of `N ≤ 8` rows by optimal sorting networks,
-/// `L` independent nets side by side (lane `l` of row `i` is one element of
-/// net `l`): every compare-exchange lowers to `min`/`max` on whole rows, no
-/// data-dependent branches, no comparator closure. `N` is a constant, so
-/// the `match` folds and each instantiation is one straight-line network.
+/// Largest degree whose class kernel is compiled for that degree alone
+/// (array capacity = degree, every loop unrolled). The degrees above it
+/// share one body of capacity [`MAX_CLASS_DEGREE`] that takes the degree at
+/// run time: 84 % of a Table II circuit's pins sit on nets of at most 8
+/// pins, and a body per degree through 16 costs more resident text than
+/// `peak_rss_mb` has room for (DESIGN.md §7).
+pub(crate) const MAX_UNROLLED_DEGREE: usize = 8;
+
+/// Batcher's merge exchange (Knuth, TAOCP 5.2.2, Algorithm M): a sorting
+/// network for any `n ≥ 2`. Writes as many of its comparators as `out`
+/// holds and returns how many there are.
+const fn merge_exchange(n: usize, out: &mut [(u8, u8)]) -> usize {
+    let top = n.next_power_of_two() / 2;
+    let (mut p, mut len) = (top, 0);
+    while p > 0 {
+        let (mut q, mut r, mut d) = (top, 0, p);
+        loop {
+            let mut i = 0;
+            while i + d < n {
+                if i & p == r {
+                    if len < out.len() {
+                        out[len] = (i as u8, (i + d) as u8);
+                    }
+                    len += 1;
+                }
+                i += 1;
+            }
+            if q == p {
+                break;
+            }
+            (d, q, r) = (q - p, q / 2, p);
+        }
+        p /= 2;
+    }
+    len
+}
+
+/// The comparator table: the sorting network of every class degree, as
+/// `(i, j)` compare-exchanges that leave the smaller element at `i < j`.
+/// The one copy that the lane kernel ([`sort_network`]) and the test
+/// oracle's slice sort both read. Degrees 2..=8 are the optimal networks, written
+/// out; 9..=16 are generated by [`merge_exchange`] (26..=63 comparators
+/// against the optimal 25..=60).
+#[rustfmt::skip]
+pub(crate) const fn network(n: usize) -> &'static [(u8, u8)] {
+    macro_rules! generated {
+        ($n:literal) => {{
+            const LEN: usize = merge_exchange($n, &mut []);
+            const NETWORK: [(u8, u8); LEN] = {
+                let mut network = [(0, 0); LEN];
+                merge_exchange($n, &mut network);
+                network
+            };
+            &NETWORK
+        }};
+    }
+    match n {
+        2 => &[(0, 1)],
+        3 => &[(0, 1), (0, 2), (1, 2)],
+        4 => &[(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)],
+        5 => &[(0, 1), (3, 4), (2, 4), (2, 3), (1, 4), (0, 3), (0, 2), (1, 3), (1, 2)],
+        6 => &[
+            (1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3), (1, 4), (2, 4),
+            (1, 3), (2, 3),
+        ],
+        7 => &[
+            (1, 2), (3, 4), (5, 6), (0, 2), (3, 5), (4, 6), (0, 1), (4, 5), (2, 6), (0, 4),
+            (1, 5), (0, 3), (2, 5), (1, 3), (2, 4), (2, 3),
+        ],
+        8 => &[
+            (0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7), (1, 2), (5, 6),
+            (0, 4), (3, 7), (1, 5), (2, 6), (1, 4), (3, 6), (2, 4), (3, 5), (3, 4),
+        ],
+        9 => generated!(9),
+        10 => generated!(10),
+        11 => generated!(11),
+        12 => generated!(12),
+        13 => generated!(13),
+        14 => generated!(14),
+        15 => generated!(15),
+        16 => generated!(16),
+        _ => &[],
+    }
+}
+
+/// Branchless ascending sort of rows `..n` by the sorting network of
+/// [`network`], `L` independent nets side by side (lane `l` of row `i` is
+/// one element of net `l`): every compare-exchange is `min`/`max` on whole
+/// rows, no data-dependent branches, no comparator closure.
 #[inline(always)]
-fn sort_network<const N: usize, const L: usize>(v: &mut [[f64; L]; N]) {
-    const {
-        assert!(
-            N >= 2 && N <= MAX_CLASS_DEGREE,
-            "no network for this degree"
-        )
-    };
-    #[inline(always)]
-    fn cx<const N: usize, const L: usize>(v: &mut [[f64; L]; N], i: usize, j: usize) {
+fn sort_network<const C: usize, const L: usize>(n: usize, v: &mut [[f64; L]; C]) {
+    for &(i, j) in network(n) {
+        let (i, j) = (i as usize, j as usize);
         for l in 0..L {
             let (a, b) = (v[i][l], v[j][l]);
             v[i][l] = a.min(b);
             v[j][l] = a.max(b);
         }
     }
-    match N {
-        2 => cx(v, 0, 1),
-        3 => {
-            cx(v, 0, 1);
-            cx(v, 0, 2);
-            cx(v, 1, 2);
-        }
-        4 => {
-            cx(v, 0, 1);
-            cx(v, 2, 3);
-            cx(v, 0, 2);
-            cx(v, 1, 3);
-            cx(v, 1, 2);
-        }
-        5 => {
-            cx(v, 0, 1);
-            cx(v, 3, 4);
-            cx(v, 2, 4);
-            cx(v, 2, 3);
-            cx(v, 1, 4);
-            cx(v, 0, 3);
-            cx(v, 0, 2);
-            cx(v, 1, 3);
-            cx(v, 1, 2);
-        }
-        6 => {
-            cx(v, 1, 2);
-            cx(v, 4, 5);
-            cx(v, 0, 2);
-            cx(v, 3, 5);
-            cx(v, 0, 1);
-            cx(v, 3, 4);
-            cx(v, 2, 5);
-            cx(v, 0, 3);
-            cx(v, 1, 4);
-            cx(v, 2, 4);
-            cx(v, 1, 3);
-            cx(v, 2, 3);
-        }
-        7 => {
-            cx(v, 1, 2);
-            cx(v, 3, 4);
-            cx(v, 5, 6);
-            cx(v, 0, 2);
-            cx(v, 3, 5);
-            cx(v, 4, 6);
-            cx(v, 0, 1);
-            cx(v, 4, 5);
-            cx(v, 2, 6);
-            cx(v, 0, 4);
-            cx(v, 1, 5);
-            cx(v, 0, 3);
-            cx(v, 2, 5);
-            cx(v, 1, 3);
-            cx(v, 2, 4);
-            cx(v, 2, 3);
-        }
-        _ => {
-            cx(v, 0, 1);
-            cx(v, 2, 3);
-            cx(v, 4, 5);
-            cx(v, 6, 7);
-            cx(v, 0, 2);
-            cx(v, 1, 3);
-            cx(v, 4, 6);
-            cx(v, 5, 7);
-            cx(v, 1, 2);
-            cx(v, 5, 6);
-            cx(v, 0, 4);
-            cx(v, 3, 7);
-            cx(v, 1, 5);
-            cx(v, 2, 6);
-            cx(v, 1, 4);
-            cx(v, 3, 6);
-            cx(v, 2, 4);
-            cx(v, 3, 5);
-            cx(v, 3, 4);
-        }
-    }
 }
 
-/// One axis of `L` independent nets of exactly `N` pins, as [`eval_class`]
-/// returns it (lane `l` describes net `l`).
-pub(crate) struct ClassEval<const N: usize, const L: usize> {
+/// One axis of `L` independent nets of `n ≤ C` pins each, as
+/// [`eval_class`] returns it (lane `l` describes net `l`).
+pub(crate) struct ClassEval<const C: usize, const L: usize> {
     /// Envelope `W_e^t` per net (without the `+t` offset).
     pub envelope: [f64; L],
     /// Lower water level (the mean where `collapsed`).
@@ -187,15 +198,23 @@ pub(crate) struct ClassEval<const N: usize, const L: usize> {
     pub tau2: [f64; L],
     /// Whether `τ1 > τ2` collapsed the prox to the mean.
     pub collapsed: [bool; L],
-    /// `x − prox_{tW_e}(x)` per pin, so the gradient is `residual / t`.
-    pub residual: [[f64; L]; N],
+    /// `x − prox_{tW_e}(x)` per pin (rows `..n`), so the gradient is
+    /// `residual / t`.
+    pub residual: [[f64; L]; C],
 }
 
 /// The degree-class kernel: Algorithm 1 on `L` nets of exactly
-/// `N ∈ 2..=8` pins at once, `x[i][l]` being pin `i` of net `l` (in the
-/// net's own pin order). Straight-line code for a given `(N, L)`: sorting
-/// network, branch-free water-filling
+/// `n ∈ 2..=C` pins at once, `x[i][l]` being pin `i < n` of net `l` (in the
+/// net's own pin order; rows `n..` are ignored). No branch depends on a
+/// coordinate: a sorting network ([`network`]) whose compare-exchanges are
+/// `min`/`max` on whole rows, branch-free water-filling
 /// ([`crate::waterfill::solve_class`]), one fused pass for the residuals.
+///
+/// It is compiled in two shapes from this one body. Called with a constant
+/// `n = C` ([`MAX_UNROLLED_DEGREE`] and below) it is inlined and every loop
+/// unrolls: straight-line code for that `(n, L)`. Called with a runtime
+/// `n` at `C =` [`MAX_CLASS_DEGREE`] its loops run at a trip count that is
+/// fixed for a whole class block.
 ///
 /// Each lane is bit-identical to the generic sort + scan path on that net
 /// alone (the `reference` oracle of the test module): the residual is
@@ -206,16 +225,23 @@ pub(crate) struct ClassEval<const N: usize, const L: usize> {
 /// branch whose comparisons are all false — and the collapsed form
 /// `x − mean`, with the mean summed in pin order from `−0.0` as
 /// `Iterator::sum` does.
+///
+/// # Panics
+///
+/// Panics unless `2 ≤ n ≤ C`.
 #[inline(always)]
-pub(crate) fn eval_class<const N: usize, const L: usize>(
-    x: &[[f64; L]; N],
+pub(crate) fn eval_class<const C: usize, const L: usize>(
+    n: usize,
+    x: &[[f64; L]; C],
     t: f64,
-) -> ClassEval<N, L> {
+) -> ClassEval<C, L> {
+    const { assert!(C <= MAX_CLASS_DEGREE, "no network for this degree") };
+    assert!(2 <= n && n <= C, "{n} pins in a class kernel for 2..={C}");
     let mut sorted = *x;
-    sort_network(&mut sorted);
-    let (mut tau1, mut tau2) = crate::waterfill::solve_class(&sorted, t);
+    sort_network(n, &mut sorted);
+    let (mut tau1, mut tau2) = crate::waterfill::solve_class(n, &sorted, t);
     let mut sum = [-0.0_f64; L];
-    for xi in x {
+    for xi in &x[..n] {
         for l in 0..L {
             sum[l] += xi[l];
         }
@@ -224,11 +250,11 @@ pub(crate) fn eval_class<const N: usize, const L: usize>(
     let mut mean = [0.0; L];
     for l in 0..L {
         collapsed[l] = tau1[l] > tau2[l];
-        mean[l] = sum[l] / N as f64;
+        mean[l] = sum[l] / n as f64;
     }
     let mut sq = [0.0_f64; L];
-    let mut residual = [[0.0; L]; N];
-    for (ri, xi) in residual.iter_mut().zip(x) {
+    let mut residual = [[0.0; L]; C];
+    for (ri, xi) in residual.iter_mut().zip(&x[..n]) {
         for l in 0..L {
             let clamped = (xi[l] - tau2[l]).max(0.0) + (xi[l] - tau1[l]).min(0.0);
             let r = if collapsed[l] {
@@ -262,24 +288,25 @@ pub(crate) fn eval_class<const N: usize, const L: usize>(
     }
 }
 
-/// Both axes of `L` nets of `N` pins under net weights `w`, as the
+/// Both axes of `L` nets of `n` pins under net weights `w`, as the
 /// whole-netlist evaluator consumes them: returns `w · (W_x + W_y)` per net
 /// (each axis reporting envelope `+ t`) and, when `GRAD`, writes
-/// `w · ∂/∂x_i` and `w · ∂/∂y_i` into `gx`/`gy`. Without `GRAD` the
-/// gradient divisions and stores are compiled out.
+/// `w · ∂/∂x_i` and `w · ∂/∂y_i` into rows `..n` of `gx`/`gy`. Without
+/// `GRAD` the gradient divisions and stores are compiled out.
 #[inline(always)]
-pub(crate) fn eval_class_nets<const N: usize, const L: usize, const GRAD: bool>(
-    x: &[[f64; L]; N],
-    y: &[[f64; L]; N],
+pub(crate) fn eval_class_nets<const C: usize, const L: usize, const GRAD: bool>(
+    n: usize,
+    x: &[[f64; L]; C],
+    y: &[[f64; L]; C],
     t: f64,
     w: &[f64; L],
-    gx: &mut [[f64; L]; N],
-    gy: &mut [[f64; L]; N],
+    gx: &mut [[f64; L]; C],
+    gy: &mut [[f64; L]; C],
 ) -> [f64; L] {
-    let ex = eval_class(x, t);
-    let ey = eval_class(y, t);
+    let ex = eval_class(n, x, t);
+    let ey = eval_class(n, y, t);
     if GRAD {
-        for i in 0..N {
+        for i in 0..n {
             for l in 0..L {
                 gx[i][l] = w[l] * (ex.residual[i][l] / t);
                 gy[i][l] = w[l] * (ey.residual[i][l] / t);
@@ -293,19 +320,21 @@ pub(crate) fn eval_class_nets<const N: usize, const L: usize, const GRAD: bool>(
     value
 }
 
-/// The per-net entry points on a net of `N ∈ 2..=8` pins: one lane of the
+/// The per-net entry points on a net of `n ∈ 2..=C` pins: one lane of the
 /// class kernel, then the requested outputs from its residuals and levels.
-fn eval_small<const N: usize>(
+#[inline(always)]
+fn eval_small<const C: usize>(
+    n: usize,
     x: &[f64],
     t: f64,
     grad: Option<&mut [f64]>,
     prox_out: Option<&mut [f64]>,
 ) -> EnvelopeEval {
-    let mut pins = [[0.0; 1]; N];
+    let mut pins = [[0.0; 1]; C];
     for (pin, &xi) in pins.iter_mut().zip(x) {
         pin[0] = xi;
     }
-    let eval = eval_class(&pins, t);
+    let eval = eval_class(n, &pins, t);
     let (tau1, tau2, collapsed) = (eval.tau1[0], eval.tau2[0], eval.collapsed[0]);
     if let Some(g) = grad {
         for (gi, r) in g.iter_mut().zip(&eval.residual) {
@@ -329,7 +358,9 @@ fn eval_small<const N: usize>(
     }
 }
 
-/// The one per-net core: nets of 2..=8 pins go through the class kernel;
+/// The one per-net core: nets of 2..=16 pins go through one lane of the
+/// class kernel, in the shape the whole-netlist evaluator runs for that
+/// degree, so a net has one answer whichever entry point evaluates it;
 /// any other degree sorts a copy of `x` in `scratch` (zero allocations once
 /// it has grown to the largest net degree), solves the water levels by the
 /// scans, then fills the requested outputs from the *original*
@@ -353,13 +384,14 @@ fn eval_net(
     // iterate must propagate NaN through value/gradient (the placer's
     // health guard detects and rolls it back) instead of panicking here.
     match x.len() {
-        2 => return eval_small::<2>(x, t, grad, prox_out),
-        3 => return eval_small::<3>(x, t, grad, prox_out),
-        4 => return eval_small::<4>(x, t, grad, prox_out),
-        5 => return eval_small::<5>(x, t, grad, prox_out),
-        6 => return eval_small::<6>(x, t, grad, prox_out),
-        7 => return eval_small::<7>(x, t, grad, prox_out),
-        8 => return eval_small::<8>(x, t, grad, prox_out),
+        2 => return eval_small::<2>(2, x, t, grad, prox_out),
+        3 => return eval_small::<3>(3, x, t, grad, prox_out),
+        4 => return eval_small::<4>(4, x, t, grad, prox_out),
+        5 => return eval_small::<5>(5, x, t, grad, prox_out),
+        6 => return eval_small::<6>(6, x, t, grad, prox_out),
+        7 => return eval_small::<7>(7, x, t, grad, prox_out),
+        8 => return eval_small::<8>(8, x, t, grad, prox_out),
+        n @ 9..=MAX_CLASS_DEGREE => return eval_small::<MAX_CLASS_DEGREE>(n, x, t, grad, prox_out),
         _ => {}
     }
     scratch.clear();
@@ -435,99 +467,34 @@ fn eval_net(
     }
 }
 
-/// Test oracle: the plainly-written scalar evaluation — per-length sorting
-/// network on a slice, the scans of [`crate::waterfill`], the three-way
-/// branch form of Theorem 1 / Corollary 1 with separate loops for value,
-/// gradient and prox. The production kernels ([`eval_class`] for 2..=8
-/// pins, the fused generic path above them) are restructurings that must
-/// stay **bit-identical** to this module on every input; the property
+/// Test oracle: the plainly-written scalar evaluation — the sorting network
+/// of [`network`] on a slice, the scans of [`crate::waterfill`], the
+/// three-way branch form of Theorem 1 / Corollary 1 with separate loops for
+/// value, gradient and prox. The production kernels ([`eval_class`] for
+/// 2..=16 pins, the fused generic path above them) are restructurings that
+/// must stay **bit-identical** to this module on every input; the property
 /// tests here and the whole-netlist tests of [`crate::netgrad`] compare
 /// with `to_bits`.
+///
+/// A net of 9..=16 pins is sorted by its min/max network like the nets of
+/// 2..=8 pins always were, not by `total_cmp` any more. The two orders are
+/// the same bits on finite coordinates without a `+0.0`/`−0.0` tie; with
+/// such a tie the network may leave the zeros in either order, and a NaN
+/// pin is dropped by `f64::min`/`max` (its neighbour is duplicated) where
+/// `total_cmp` sorted it to an end.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::EnvelopeEval;
+    use super::{network, EnvelopeEval, MAX_CLASS_DEGREE};
     use crate::waterfill::TauPair;
 
-    /// The sorting networks of `sort_network`, one slice at a time.
+    /// The sorting network of the slice's length, one compare-exchange at a
+    /// time.
     pub(crate) fn sort_small(v: &mut [f64]) {
-        fn cx(v: &mut [f64], i: usize, j: usize) {
-            let (a, b) = (v[i], v[j]);
-            v[i] = a.min(b);
-            v[j] = a.max(b);
-        }
-        let network: &[(usize, usize)] = match v.len() {
-            0 | 1 => &[],
-            2 => &[(0, 1)],
-            3 => &[(0, 1), (0, 2), (1, 2)],
-            4 => &[(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)],
-            5 => &[
-                (0, 1),
-                (3, 4),
-                (2, 4),
-                (2, 3),
-                (1, 4),
-                (0, 3),
-                (0, 2),
-                (1, 3),
-                (1, 2),
-            ],
-            6 => &[
-                (1, 2),
-                (4, 5),
-                (0, 2),
-                (3, 5),
-                (0, 1),
-                (3, 4),
-                (2, 5),
-                (0, 3),
-                (1, 4),
-                (2, 4),
-                (1, 3),
-                (2, 3),
-            ],
-            7 => &[
-                (1, 2),
-                (3, 4),
-                (5, 6),
-                (0, 2),
-                (3, 5),
-                (4, 6),
-                (0, 1),
-                (4, 5),
-                (2, 6),
-                (0, 4),
-                (1, 5),
-                (0, 3),
-                (2, 5),
-                (1, 3),
-                (2, 4),
-                (2, 3),
-            ],
-            8 => &[
-                (0, 1),
-                (2, 3),
-                (4, 5),
-                (6, 7),
-                (0, 2),
-                (1, 3),
-                (4, 6),
-                (5, 7),
-                (1, 2),
-                (5, 6),
-                (0, 4),
-                (3, 7),
-                (1, 5),
-                (2, 6),
-                (1, 4),
-                (3, 6),
-                (2, 4),
-                (3, 5),
-                (3, 4),
-            ],
-            n => unreachable!("sort_small is only called for n <= 8, got {n}"),
-        };
-        for &(i, j) in network {
-            cx(v, i, j);
+        assert!(v.len() <= MAX_CLASS_DEGREE, "no network for {}", v.len());
+        for &(i, j) in network(v.len()) {
+            let (a, b) = (v[i as usize], v[j as usize]);
+            v[i as usize] = a.min(b);
+            v[j as usize] = a.max(b);
         }
     }
 
@@ -544,7 +511,7 @@ pub(crate) mod reference {
         assert!(t > 0.0, "smoothing parameter must be positive, got {t}");
         scratch.clear();
         scratch.extend_from_slice(x);
-        if scratch.len() <= 8 {
+        if scratch.len() <= MAX_CLASS_DEGREE {
             sort_small(scratch);
         } else {
             scratch.sort_unstable_by(f64::total_cmp);
@@ -903,15 +870,16 @@ mod tests {
         let _ = Moreau::new(0.0);
     }
 
-    /// Sorts a slice of ≤ 8 elements through one lane of the production
-    /// network for its length.
+    /// Sorts a slice of ≤ 16 elements through one lane of the production
+    /// network for its length: at its own capacity through 8 elements, at
+    /// capacity 16 above, as the kernels are compiled.
     fn sort_by_network(v: &mut [f64]) {
-        fn one<const N: usize>(v: &mut [f64]) {
-            let mut rows = [[0.0; 1]; N];
+        fn one<const C: usize>(v: &mut [f64]) {
+            let mut rows = [[0.0; 1]; C];
             for (row, &x) in rows.iter_mut().zip(v.iter()) {
                 row[0] = x;
             }
-            sort_network(&mut rows);
+            sort_network(v.len(), &mut rows);
             for (x, row) in v.iter_mut().zip(&rows) {
                 *x = row[0];
             }
@@ -925,6 +893,7 @@ mod tests {
             6 => one::<6>(v),
             7 => one::<7>(v),
             8 => one::<8>(v),
+            9..=MAX_CLASS_DEGREE => one::<MAX_CLASS_DEGREE>(v),
             n => panic!("no network for {n} elements"),
         }
     }
@@ -932,8 +901,8 @@ mod tests {
     #[test]
     fn sorting_networks_pass_zero_one_principle() {
         // a comparator network sorts all inputs iff it sorts every 0/1
-        // sequence (Knuth's 0-1 principle); n ≤ 8 is exhaustible
-        for n in 0..=8usize {
+        // sequence (Knuth's 0-1 principle); n ≤ 16 is exhaustible
+        for n in 0..=MAX_CLASS_DEGREE {
             for mask in 0..(1u32 << n) {
                 let mut v: Vec<f64> = (0..n)
                     .map(|i| if mask >> i & 1 == 1 { 1.0 } else { 0.0 })
@@ -956,7 +925,7 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
         };
-        for n in 1..=8usize {
+        for n in 1..=MAX_CLASS_DEGREE {
             for _ in 0..200 {
                 let v: Vec<f64> = (0..n).map(|_| next()).collect();
                 let mut want = v.clone();
@@ -1030,39 +999,41 @@ mod tests {
         }
     }
 
-    /// One net per lane of the class kernel, against the oracle on each
-    /// net alone: levels and envelope from [`eval_class`], weighted value
-    /// and gradients from [`eval_class_nets`], all by `to_bits`.
-    fn check_class_kernel<const N: usize, const L: usize>(
+    /// One net of `n` pins per lane of the class kernel of capacity `C`,
+    /// against the oracle on each net alone: levels and envelope from
+    /// [`eval_class`], weighted value and gradients from
+    /// [`eval_class_nets`], all by `to_bits`.
+    fn check_class_kernel<const C: usize, const L: usize>(
+        n: usize,
         xs: &[Vec<f64>],
         ys: &[Vec<f64>],
         t: f64,
         w: &[f64],
     ) -> Result<(), String> {
-        let mut x = [[0.0; L]; N];
-        let mut y = [[0.0; L]; N];
+        let mut x = [[0.0; L]; C];
+        let mut y = [[0.0; L]; C];
         let mut weights = [0.0; L];
         for l in 0..L {
-            for i in 0..N {
+            for i in 0..n {
                 x[i][l] = xs[l][i];
                 y[i][l] = ys[l][i];
             }
             weights[l] = w[l];
         }
-        let ex = eval_class(&x, t);
-        let mut gx = [[0.0; L]; N];
-        let mut gy = [[0.0; L]; N];
-        let value = eval_class_nets::<N, L, true>(&x, &y, t, &weights, &mut gx, &mut gy);
-        let mut sink = ([[0.0; L]; N], [[0.0; L]; N]);
+        let ex = eval_class(n, &x, t);
+        let mut gx = [[0.0; L]; C];
+        let mut gy = [[0.0; L]; C];
+        let value = eval_class_nets::<C, L, true>(n, &x, &y, t, &weights, &mut gx, &mut gy);
+        let mut sink = ([[0.0; L]; C], [[0.0; L]; C]);
         let value_only =
-            eval_class_nets::<N, L, false>(&x, &y, t, &weights, &mut sink.0, &mut sink.1);
+            eval_class_nets::<C, L, false>(n, &x, &y, t, &weights, &mut sink.0, &mut sink.1);
         let mut scratch = Vec::new();
         for l in 0..L {
-            let mut rgx = vec![0.0; N];
-            let mut rgy = vec![0.0; N];
+            let mut rgx = vec![0.0; n];
+            let mut rgy = vec![0.0; n];
             let wx = reference::eval(&xs[l], t, Some(&mut rgx), None, &mut scratch);
             let wy = reference::eval(&ys[l], t, Some(&mut rgy), None, &mut scratch);
-            let ctx = format!("N={N} L={L} lane {l} t={t} w={} x={:?}", w[l], xs[l]);
+            let ctx = format!("n={n} C={C} L={L} lane {l} t={t} w={} x={:?}", w[l], xs[l]);
             let same = |got: f64, want: f64, what: &str| {
                 if got.to_bits() == want.to_bits() {
                     Ok(())
@@ -1079,7 +1050,7 @@ mod tests {
             let want = w[l] * ((wx.envelope + t) + (wy.envelope + t));
             same(value[l], want, "value")?;
             same(value_only[l], want, "value without gradient")?;
-            for i in 0..N {
+            for i in 0..n {
                 same(gx[i][l], w[l] * rgx[i], "grad x")?;
                 same(gy[i][l], w[l] * rgy[i], "grad y")?;
             }
@@ -1087,16 +1058,18 @@ mod tests {
         Ok(())
     }
 
-    /// Lanes 4 and 1 of the class kernel for `N` pins.
-    fn check_class_degree<const N: usize>(
+    /// Lanes 4 (the whole-netlist evaluator) and 1 (the per-net entry
+    /// points) of the class kernel of capacity `C` on nets of `n` pins.
+    fn check_class_degree<const C: usize>(
+        n: usize,
         xs: &[Vec<f64>],
         ys: &[Vec<f64>],
         t: f64,
         w: &[f64],
     ) -> Result<(), String> {
-        check_class_kernel::<N, 4>(xs, ys, t, w)?;
+        check_class_kernel::<C, 4>(n, xs, ys, t, w)?;
         for l in 0..4 {
-            check_class_kernel::<N, 1>(&xs[l..], &ys[l..], t, &w[l..])?;
+            check_class_kernel::<C, 1>(n, &xs[l..], &ys[l..], t, &w[l..])?;
         }
         Ok(())
     }
@@ -1125,13 +1098,14 @@ mod tests {
 
         /// Degrees 1..=40 × smoothing across collapse, non-collapse and
         /// exact breakpoints × duplicate coordinates × ±0.0 × a NaN pin ×
-        /// net weights ≠ 1: the class kernel (4 lanes and 1 lane) on
-        /// 2..=8 pins, the generic per-net path on every other degree,
-        /// bit for bit against the oracle.
+        /// net weights ≠ 1: the class kernel (4 lanes and 1 lane; compiled
+        /// per degree on 2..=8 pins, the run-time-degree body on 9..=16),
+        /// the generic per-net path on every other degree, bit for bit
+        /// against the oracle.
         fn kernels_bitwise_match_the_oracle(
             // two cases in three land on a class degree
             (degree, coords) in (1usize..41, 0usize..3).prop_flat_map(|(n, any)| {
-                let n = if any == 0 { n } else { 2 + n % 7 };
+                let n = if any == 0 { n } else { 2 + n % 15 };
                 (Just(n), prop::collection::vec(-300.0f64..300.0, 8 * n))
             }),
             t_free in 1e-3f64..400.0,
@@ -1172,17 +1146,18 @@ mod tests {
                 }
             };
             let checked = match n {
-                2 => check_class_degree::<2>(xs, ys, t, &w),
-                3 => check_class_degree::<3>(xs, ys, t, &w),
-                4 => check_class_degree::<4>(xs, ys, t, &w),
-                5 => check_class_degree::<5>(xs, ys, t, &w),
-                6 => check_class_degree::<6>(xs, ys, t, &w),
-                7 => check_class_degree::<7>(xs, ys, t, &w),
-                8 => check_class_degree::<8>(xs, ys, t, &w),
+                2 => check_class_degree::<2>(2, xs, ys, t, &w),
+                3 => check_class_degree::<3>(3, xs, ys, t, &w),
+                4 => check_class_degree::<4>(4, xs, ys, t, &w),
+                5 => check_class_degree::<5>(5, xs, ys, t, &w),
+                6 => check_class_degree::<6>(6, xs, ys, t, &w),
+                7 => check_class_degree::<7>(7, xs, ys, t, &w),
+                8 => check_class_degree::<8>(8, xs, ys, t, &w),
+                9..=MAX_CLASS_DEGREE => check_class_degree::<MAX_CLASS_DEGREE>(n, xs, ys, t, &w),
                 _ => Ok(()),
             };
             prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
-            // the per-net entry points: the class kernel again on 2..=8
+            // the per-net entry points: the class kernel again on 2..=16
             // pins, the fused sort + scan path on every other degree
             let (mut scratch, mut rscratch) = (Vec::new(), Vec::new());
             for x in xs {
@@ -1203,8 +1178,8 @@ mod tests {
 
     #[test]
     fn scratch_is_reused_without_reallocation() {
-        // more than 8 pins: the sort + scan path, the one that copies
-        let x = [5.0, 1.0, 3.0, 2.0, 4.0, 0.0, 6.0, 8.0, 7.0];
+        // more than 16 pins: the sort + scan path, the one that copies
+        let x: Vec<f64> = (0..17).map(|i| ((i * 7) % 17) as f64).collect();
         let mut m = Moreau::new(1.0);
         let _ = m.value_axis(&x);
         let cap = m.scratch.capacity();

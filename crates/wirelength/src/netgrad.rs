@@ -16,12 +16,20 @@
 //!
 //! # Kernels
 //!
-//! The paper's model evaluates the nets of 2..=8 pins (94% of the nets of
-//! a Table II circuit) with the monomorphized, branch-free class kernel of
-//! [`crate::moreau`], several nets per step; the model is matched once per
-//! evaluation, not per net. Nets of more pins, and every net under the
-//! other models, go one at a time through [`NetModel::eval_axis`]. Both
-//! paths write the same slots, so the choice never shows in the result.
+//! The paper's model evaluates the nets of 2..=16 pins (99.7% of the nets
+//! and 98.7% of the pins of a Table II circuit) with the branch-free class
+//! kernel of [`crate::moreau`], four nets per step: straight-line code per
+//! degree through 8 pins, one body at a per-block trip count for 9..=16.
+//! The model is matched once per evaluation, not per net. Nets of more
+//! pins, and every net under the other models, go one at a time through
+//! [`NetModel::eval_axis`]. Both paths write the same slots, so the choice
+//! never shows in the result.
+//!
+//! # Scatter
+//!
+//! The pin gradients are summed onto the movable cells in groups of equal
+//! pin count (`workspace`, *Scatter order*), so that the inner loop of the
+//! assembly pass runs at a known trip count too.
 //!
 //! # Determinism
 //!
@@ -31,15 +39,15 @@
 //!   coordinates, never on which kernel or kernel lane computed them;
 //! * net values are summed in net order from the per-net slots;
 //! * per-pin gradients are scattered onto cells by walking each cell's
-//!   pin list in CSR order, independent of the slot order the kernels
-//!   write in.
+//!   pin list in CSR order from `0.0`, independent of the slot order the
+//!   kernels write in and of the order the cells are visited in.
 
 mod workspace;
 
 use crate::engine::{EvalEngine, Stage};
 use crate::model::{AnyModel, NetModel};
-use crate::moreau::eval_class_nets;
-use mep_netlist::{NetId, Netlist, Placement};
+use crate::moreau::{eval_class_nets, MAX_CLASS_DEGREE, MAX_UNROLLED_DEGREE};
+use mep_netlist::{CellId, NetId, Netlist, Placement};
 use std::sync::Arc;
 use workspace::{ClassBlock, Scratch, Workspace, LANES};
 
@@ -73,8 +81,8 @@ impl Workspace {
     /// Evaluates every active net: weighted net values and (when `GRAD`)
     /// weighted pin gradients into the workspace outputs. The model is
     /// matched once: Moreau sends the class blocks through the class
-    /// kernel, every other model (and every net of more than 8 pins) takes
-    /// the per-net path.
+    /// kernel, every other model (and every net of more than 16 pins)
+    /// takes the per-net path.
     fn eval_nets<const GRAD: bool>(
         &mut self,
         netlist: &Netlist,
@@ -84,19 +92,22 @@ impl Workspace {
         let blocks = self.layout.blocks;
         if let AnyModel::Moreau(moreau) = model {
             let t = moreau.smoothing();
-            self.class_block::<2, GRAD>(&blocks[0], t, placement);
-            self.class_block::<3, GRAD>(&blocks[1], t, placement);
-            self.class_block::<4, GRAD>(&blocks[2], t, placement);
-            self.class_block::<5, GRAD>(&blocks[3], t, placement);
-            self.class_block::<6, GRAD>(&blocks[4], t, placement);
-            self.class_block::<7, GRAD>(&blocks[5], t, placement);
-            self.class_block::<8, GRAD>(&blocks[6], t, placement);
+            self.class_block::<2, GRAD>(2, &blocks[0], t, placement);
+            self.class_block::<3, GRAD>(3, &blocks[1], t, placement);
+            self.class_block::<4, GRAD>(4, &blocks[2], t, placement);
+            self.class_block::<5, GRAD>(5, &blocks[3], t, placement);
+            self.class_block::<6, GRAD>(6, &blocks[4], t, placement);
+            self.class_block::<7, GRAD>(7, &blocks[5], t, placement);
+            self.class_block::<8, GRAD>(8, &blocks[6], t, placement);
+            for (class, block) in blocks.iter().enumerate().skip(MAX_UNROLLED_DEGREE - 1) {
+                self.wide_block::<GRAD>(class + 2, block, t, placement);
+            }
         } else {
             for (class, block) in blocks.iter().enumerate() {
                 for j in 0..block.nets {
                     let net =
                         NetId::from_usize(self.layout.class_net[block.entry_base + j] as usize);
-                    let pins = (block.slot_base + j, block.nets, class + 2);
+                    let pins = (block.slot_base + j, block.stride, class + 2);
                     self.net::<GRAD>(netlist, placement, model, net, pins);
                 }
             }
@@ -111,65 +122,120 @@ impl Workspace {
 
     /// Net values summed in net order, whatever kernel step computed each.
     fn total_value(&self) -> f64 {
+        let (nets, _pad_lanes) = self.net_value.split_at(self.net_value.len() - 1);
         let mut total = 0.0;
-        for v in &self.net_value {
+        for v in nets {
             total += v;
         }
         total
     }
 
-    /// Pin gradients summed onto the movable cells, each cell's pins in
-    /// the netlist's `cell_pins` order. Overwrites every cell: a fixed one
-    /// with `0.0`.
+    /// Pin gradients summed onto the movable cells, each cell's pins from
+    /// `0.0` in the netlist's `cell_pins` order. Overwrites every cell: a
+    /// fixed or pin-less one with `0.0`.
     fn scatter(&self, netlist: &Netlist, out: &mut WirelengthGrad) {
-        let mut slots = self.layout.cell_slot.iter();
-        for cell in netlist.cells() {
-            let (mut ax, mut ay) = (0.0, 0.0);
-            if netlist.is_movable(cell) {
-                for &slot in slots.by_ref().take(netlist.cell_pins(cell).len()) {
-                    ax += self.pin_gx[slot as usize];
-                    ay += self.pin_gy[slot as usize];
-                }
-            }
-            out.grad_x[cell.index()] = ax;
-            out.grad_y[cell.index()] = ay;
+        out.grad_x.fill(0.0);
+        out.grad_y.fill(0.0);
+        let lay = &self.layout;
+        // cursors over the scatter order: each group takes its cells and
+        // their slots off the front
+        let (mut cells, mut slots) = (&lay.cell_order[..], &lay.cell_slot[..]);
+        let count = &lay.group_cells;
+        self.scatter_group::<1>(count[0], &mut cells, &mut slots, out);
+        self.scatter_group::<2>(count[1], &mut cells, &mut slots, out);
+        self.scatter_group::<3>(count[2], &mut cells, &mut slots, out);
+        self.scatter_group::<4>(count[3], &mut cells, &mut slots, out);
+        self.scatter_group::<5>(count[4], &mut cells, &mut slots, out);
+        self.scatter_group::<6>(count[5], &mut cells, &mut slots, out);
+        self.scatter_group::<7>(count[6], &mut cells, &mut slots, out);
+        self.scatter_group::<8>(count[7], &mut cells, &mut slots, out);
+        for &cell in cells {
+            let pins = netlist.cell_pins(CellId::from_usize(cell as usize)).len();
+            let (own, rest) = slots.split_at(pins);
+            slots = rest;
+            self.scatter_cell(cell, own, out);
         }
     }
 
-    /// All nets of one class block through the class kernel: [`LANES`]
-    /// nets per step, the remainder one net per step.
-    fn class_block<const N: usize, const GRAD: bool>(
+    /// The next `count` cells of the scatter order, `K` pins each.
+    fn scatter_group<const K: usize>(
+        &self,
+        count: usize,
+        cells: &mut &[u32],
+        slots: &mut &[u32],
+        out: &mut WirelengthGrad,
+    ) {
+        let (group, rest) = cells.split_at(count);
+        *cells = rest;
+        let (pins, rest) = slots.split_at(count * K);
+        *slots = rest;
+        for (&cell, own) in group.iter().zip(pins.as_chunks::<K>().0) {
+            self.scatter_cell(cell, own, out);
+        }
+    }
+
+    #[inline(always)]
+    fn scatter_cell(&self, cell: u32, slots: &[u32], out: &mut WirelengthGrad) {
+        let (mut ax, mut ay) = (0.0, 0.0);
+        for &slot in slots {
+            ax += self.pin_gx[slot as usize];
+            ay += self.pin_gy[slot as usize];
+        }
+        out.grad_x[cell as usize] = ax;
+        out.grad_y[cell as usize] = ay;
+    }
+
+    /// All nets of one block of `n`-pin nets through the class kernel of
+    /// capacity `C`, [`LANES`] nets per step. With a constant `n` this is
+    /// the straight-line kernel of that degree.
+    #[inline(always)]
+    fn class_block<const C: usize, const GRAD: bool>(
         &mut self,
+        n: usize,
         block: &ClassBlock,
         t: f64,
         placement: &Placement,
     ) {
-        let whole = block.nets - block.nets % LANES;
-        for j in (0..whole).step_by(LANES) {
-            self.class_step::<N, LANES, GRAD>(block, j, t, placement);
-        }
-        for j in whole..block.nets {
-            self.class_step::<N, 1, GRAD>(block, j, t, placement);
+        for j in (0..block.nets).step_by(LANES) {
+            self.class_step::<C, GRAD>(n, block, j, t, placement);
         }
     }
 
-    /// One step of the class kernel: nets `j..j + L` of `block`, both
-    /// axes, gathered from and stored to `N` contiguous slot runs.
-    fn class_step<const N: usize, const L: usize, const GRAD: bool>(
+    /// [`Self::class_block`] for the degrees above
+    /// [`MAX_UNROLLED_DEGREE`]: one body, never inlined, so that `n` stays
+    /// a run-time value in it.
+    #[inline(never)]
+    fn wide_block<const GRAD: bool>(
         &mut self,
+        n: usize,
+        block: &ClassBlock,
+        t: f64,
+        placement: &Placement,
+    ) {
+        self.class_block::<MAX_CLASS_DEGREE, GRAD>(n, block, t, placement);
+    }
+
+    /// One step of the class kernel: nets `j..j + LANES` of `block` (the
+    /// block's pad lanes past its last net included), both axes, gathered
+    /// from and stored to `n` contiguous slot runs.
+    #[inline(always)]
+    fn class_step<const C: usize, const GRAD: bool>(
+        &mut self,
+        n: usize,
         block: &ClassBlock,
         j: usize,
         t: f64,
         placement: &Placement,
     ) {
+        const L: usize = LANES;
         let lay = &self.layout;
         let run = |i: usize| {
-            let at = block.slot_base + i * block.nets + j;
+            let at = block.slot_base + i * block.stride + j;
             at..at + L
         };
-        let mut x = [[0.0; L]; N];
-        let mut y = [[0.0; L]; N];
-        for i in 0..N {
+        let mut x = [[0.0; L]; C];
+        let mut y = [[0.0; L]; C];
+        for i in 0..n {
             let cells = &lay.slot_cell[run(i)];
             let bias_x = &lay.slot_bias_x[run(i)];
             let bias_y = &lay.slot_bias_y[run(i)];
@@ -179,17 +245,19 @@ impl Workspace {
                 y[i][l] = placement.y[cell] + bias_y[l];
             }
         }
+        // the nets behind the lanes; a pad lane weighs zero and its value
+        // goes to the spare slot past the last net
         let entries = block.entry_base + j..block.entry_base + j + L;
         let mut w = [0.0; L];
         w.copy_from_slice(&lay.class_weight[entries.clone()]);
-        let mut gx = [[0.0; L]; N];
-        let mut gy = [[0.0; L]; N];
-        let value = eval_class_nets::<N, L, GRAD>(&x, &y, t, &w, &mut gx, &mut gy);
+        let mut gx = [[0.0; L]; C];
+        let mut gy = [[0.0; L]; C];
+        let value = eval_class_nets::<C, L, GRAD>(n, &x, &y, t, &w, &mut gx, &mut gy);
         for (&net, v) in lay.class_net[entries].iter().zip(value) {
             self.net_value[net as usize] = v;
         }
         if GRAD {
-            for i in 0..N {
+            for i in 0..n {
                 self.pin_gx[run(i)].copy_from_slice(&gx[i]);
                 self.pin_gy[run(i)].copy_from_slice(&gy[i]);
             }
@@ -316,12 +384,12 @@ impl NetlistEvaluator {
                 out.value = ws.total_value();
                 ws.scatter(netlist, out);
             });
+            let layout = &ws.layout;
             let class = if class_kernel {
-                ws.layout.class_net.len() as u64
+                layout.blocks.iter().map(|block| block.nets as u64).sum()
             } else {
                 0
             };
-            let layout = &ws.layout;
             engine.note_wl_nets(class, layout.active_nets - class, layout.inactive_nets);
         });
     }
@@ -534,6 +602,68 @@ mod tests {
                     assert_eq!(stats.wl_class_nets > 0, kind == ModelKind::Moreau, "{what}");
                 }
             }
+        }
+    }
+
+    /// The scatter groups against the per-cell loop: movable cells of 0, 1,
+    /// 8, 9 and 20 pins (no group, the first, the last, the first two of
+    /// the tail) in an id order that interleaves them with fixed cells, and
+    /// result buffers that come in dirty.
+    #[test]
+    fn scatter_groups_bitwise_match_the_per_cell_loop() {
+        let cells = [
+            (true, 0),
+            (false, 3),
+            (true, 20),
+            (true, 1),
+            (false, 0),
+            (true, 8),
+            (true, 9),
+            (false, 5),
+            (true, 2),
+        ];
+        let mut b = mep_netlist::NetlistBuilder::new();
+        let ids: Vec<CellId> = (0..cells.len())
+            .map(|i| b.add_cell(format!("c{i}"), 1.0 + i as f64, 2.0, cells[i].0))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        // the other ends of the nets (the middle one fixed, so that a net
+        // of a fixed cell can be inactive)
+        let ends: Vec<CellId> = (0..3)
+            .map(|i| b.add_cell(format!("e{i}"), 1.0, 1.0, i != 1))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let mut k = 0;
+        for (&cell, &(_, pins)) in ids.iter().zip(&cells) {
+            for _ in 0..pins {
+                let mut net = vec![
+                    (cell, 0.1 * k as f64, -0.05 * k as f64),
+                    (ends[k % 3], 0.0, 0.2),
+                ];
+                if k % 4 == 0 {
+                    net.push((ends[(k + 1) % 3], 0.3, 0.0));
+                }
+                b.add_net(format!("n{k}"), net);
+                k += 1;
+            }
+        }
+        let nl = b.build();
+        for (&cell, &(_, pins)) in ids.iter().zip(&cells) {
+            assert_eq!(nl.cell_pins(cell).len(), pins);
+        }
+        let mut placement = Placement::zeros(nl.num_cells());
+        for i in 0..nl.num_cells() {
+            placement.x[i] = ((i * 37) % 11) as f64 * 1.7;
+            placement.y[i] = ((i * 53) % 7) as f64 * 2.3;
+        }
+        for kind in [ModelKind::Moreau, ModelKind::Wa] {
+            let model = kind.instantiate(0.9);
+            let want = per_net_loop(&nl, &placement, &model);
+            let mut got = WirelengthGrad::zeros(nl.num_cells());
+            got.grad_x.fill(f64::NAN);
+            got.grad_y.fill(7.0);
+            NetlistEvaluator::serial(model).evaluate(&nl, &placement, &mut got);
+            assert_same_bits(&got, &want, &format!("{kind}"));
         }
     }
 

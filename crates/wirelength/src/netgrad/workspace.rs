@@ -1,26 +1,39 @@
 //! Everything the whole-netlist evaluator builds once per netlist
 //! instance: the topology-derived [`Layout`] (degree-class blocks in
-//! structure-of-arrays slot order, cell scatter list) and the
-//! [`Workspace`] of output and scratch buffers around it. Nothing in this
-//! file runs per evaluation.
+//! structure-of-arrays slot order, cell scatter list in pin-count order)
+//! and the [`Workspace`] of output and scratch buffers around it. Nothing
+//! in this file runs per evaluation.
 //!
 //! # Slots
 //!
 //! Every pin owns one *slot*: the index of its gather data (`slot_cell`,
 //! `slot_bias_*`) and of its gradient outputs. Slots are ordered as
 //!
-//! 1. one block per degree `N ∈ 2..=8`: the `M` nets of that degree in
-//!    ascending net order, **pin-major** — pin `i` of the block's `j`-th
-//!    net sits at `slot_base + i·M + j`, so a kernel step over [`LANES`]
-//!    consecutive nets reads and writes `N` contiguous runs;
-//! 2. the nets of more than 8 pins, each net's pins contiguous;
+//! 1. one block per degree `N ∈ 2..=16`: the `M` nets of that degree in
+//!    ascending net order, **pin-major** with the stride `S` = `M` rounded
+//!    up to [`LANES`] — pin `i` of the block's `j`-th net sits at
+//!    `slot_base + i·S + j`, so a kernel step over [`LANES`] consecutive
+//!    nets reads and writes `N` contiguous runs, and the block's last step
+//!    is a whole one: its `S − M` *pad* lanes gather cell 0 at bias zero
+//!    and their outputs are read by nobody (no pin owns a pad slot);
+//! 2. the nets of more than 16 pins, each net's pins contiguous;
 //! 3. the pins of the nets that are never evaluated — single-pin nets, and
 //!    *inactive* nets, whose every pin sits on a fixed cell — which no
 //!    evaluation ever writes (their gradient stays the zero the buffers are
 //!    created with).
 //!
 //! The layout does not depend on the wirelength model: a model without a
-//! class kernel walks the same blocks one net at a time with stride `M`.
+//! class kernel walks the same blocks one net at a time with stride `S`.
+//!
+//! # Scatter order
+//!
+//! The scatter sums each movable cell's pin gradients. Walking the cells
+//! in id order makes the inner trip count — the cell's pin count — a
+//! coin the branch predictor loses once per cell, so the cells are listed
+//! stably by pin count instead: one group per count `1..=8`
+//! ([`MAX_GROUP_PINS`]), summed at a trip count the compiler knows, then
+//! the cells of more pins, whose count the netlist gives. A cell's own
+//! pins keep their `cell_pins` order, so every sum keeps its bits.
 //!
 //! # Active nets
 //!
@@ -31,11 +44,14 @@
 //! ([`Netlist::with_movability`]) and therefore a new layout.
 
 use crate::moreau::MAX_CLASS_DEGREE;
-use mep_netlist::{NetId, Netlist};
+use mep_netlist::{CellId, NetId, Netlist};
 
 /// Nets evaluated per step of the class kernel (one AVX2 register of
-/// `f64`); the last `M mod LANES` nets of a block take single-lane steps.
+/// `f64`); a block is padded to a whole number of steps.
 pub(super) const LANES: usize = 4;
+
+/// Largest pin count with a scatter group of its own.
+pub(super) const MAX_GROUP_PINS: usize = 8;
 
 /// Degrees `2..=MAX_CLASS_DEGREE`, at index `degree − 2`.
 pub(super) const CLASSES: usize = MAX_CLASS_DEGREE - 1;
@@ -45,9 +61,13 @@ pub(super) const CLASSES: usize = MAX_CLASS_DEGREE - 1;
 pub(super) struct ClassBlock {
     /// Number of nets `M` in the block.
     pub nets: usize,
+    /// Slots between consecutive pins of one net: `M` rounded up to
+    /// [`LANES`].
+    pub stride: usize,
     /// Slot of pin 0 of the block's first net.
     pub slot_base: usize,
-    /// Index of the block's first net in `class_net` / `class_weight`.
+    /// Index of the block's first net in `class_net` / `class_weight`
+    /// (`stride` entries per block).
     pub entry_base: usize,
 }
 
@@ -64,8 +84,8 @@ pub(super) struct Layout {
     pub netlist_instance: u64,
     /// Class blocks by degree.
     pub blocks: [ClassBlock; CLASSES],
-    /// Per class entry (block-major, ascending net order within a block):
-    /// the net and its weight.
+    /// Per class entry (block-major, ascending net order within a block,
+    /// each block padded to its `stride`): the net and its weight.
     pub class_net: Vec<u32>,
     pub class_weight: Vec<f64>,
     pub big: Vec<BigNet>,
@@ -75,8 +95,14 @@ pub(super) struct Layout {
     pub slot_cell: Vec<u32>,
     pub slot_bias_x: Vec<f64>,
     pub slot_bias_y: Vec<f64>,
-    /// Slots of each movable cell's pins, cells in id order and pins in
-    /// the netlist's `cell_pins` order: the scatter walks it front to back.
+    /// The movable cells that have a pin, stably by
+    /// `min(pin count, MAX_GROUP_PINS + 1)`, i.e. ascending id within a
+    /// scatter group.
+    pub cell_order: Vec<u32>,
+    /// How many cells of `cell_order` have exactly `k + 1` pins.
+    pub group_cells: [usize; MAX_GROUP_PINS],
+    /// Slots of each cell's pins, cells as in `cell_order` and pins in the
+    /// netlist's `cell_pins` order: the scatter walks it front to back.
     pub cell_slot: Vec<u32>,
     /// Nets of at least two pins with a movable pin: the evaluated ones.
     pub active_nets: u64,
@@ -101,7 +127,8 @@ pub(super) struct Scratch {
 pub(super) struct Workspace {
     pub layout: Layout,
     /// Weighted value per net, by net id (nets that are never evaluated
-    /// keep the zero they are created with).
+    /// keep the zero they are created with), then one spare slot that the
+    /// pad lanes of the class blocks write and nobody reads.
     pub net_value: Vec<f64>,
     /// Weighted per-pin gradients, by slot.
     pub pin_gx: Vec<f64>,
@@ -113,9 +140,9 @@ impl Workspace {
     pub(super) fn new(netlist: &Netlist) -> Self {
         let layout = Layout::build(netlist);
         Self {
-            net_value: vec![0.0; netlist.num_nets()],
-            pin_gx: vec![0.0; netlist.num_pins()],
-            pin_gy: vec![0.0; netlist.num_pins()],
+            net_value: vec![0.0; netlist.num_nets() + 1],
+            pin_gx: vec![0.0; layout.slot_cell.len()],
+            pin_gy: vec![0.0; layout.slot_cell.len()],
             scratch: Scratch {
                 xs: vec![0.0; layout.max_degree],
                 ys: vec![0.0; layout.max_degree],
@@ -158,14 +185,16 @@ impl Layout {
         }
         let (mut slot, mut entries) = (0, 0);
         for (class, block) in blocks.iter_mut().enumerate() {
+            block.stride = block.nets.next_multiple_of(LANES);
             block.slot_base = slot;
             block.entry_base = entries;
-            slot += (class + 2) * block.nets;
-            entries += block.nets;
+            slot += (class + 2) * block.stride;
+            entries += block.stride;
         }
         // second pass, in ascending net order: every pin gets its slot
         let mut pin_slot = vec![0u32; pins];
-        let mut class_net = vec![0u32; entries];
+        // a pad lane's net is the spare slot of `net_value`, its weight zero
+        let mut class_net = vec![netlist.num_nets() as u32; entries];
         let mut class_weight = vec![0.0; entries];
         let mut big = Vec::new();
         let mut placed = [0usize; CLASSES];
@@ -184,7 +213,7 @@ impl Layout {
                     let j = placed[d - 2];
                     placed[d - 2] += 1;
                     for (i, pin) in pins.enumerate() {
-                        pin_slot[pin] = (block.slot_base + i * block.nets + j) as u32;
+                        pin_slot[pin] = (block.slot_base + i * block.stride + j) as u32;
                     }
                     class_net[block.entry_base + j] = net.index() as u32;
                     class_weight[block.entry_base + j] = netlist.net_weight(net);
@@ -201,11 +230,11 @@ impl Layout {
                 }
             }
         }
-        debug_assert_eq!(single_slot, pins, "slots tile the pins");
-
-        let mut slot_cell = vec![0u32; pins];
-        let mut slot_bias_x = vec![0.0; pins];
-        let mut slot_bias_y = vec![0.0; pins];
+        // pins and pads; a pad slot keeps cell 0 and bias zero
+        let slots = single_slot;
+        let mut slot_cell = vec![0u32; slots];
+        let mut slot_bias_x = vec![0.0; slots];
+        let mut slot_bias_y = vec![0.0; slots];
         for pin in netlist.pins() {
             let cell = netlist.pin_cell(pin);
             let slot = pin_slot[pin.index()] as usize;
@@ -213,11 +242,25 @@ impl Layout {
             slot_bias_x[slot] = 0.5 * netlist.cell_width(cell) + netlist.pin_offset_x(pin);
             slot_bias_y[slot] = 0.5 * netlist.cell_height(cell) + netlist.pin_offset_y(pin);
         }
-        let cell_slot = netlist
+        let group = |cell: &CellId| netlist.cell_pins(*cell).len().min(MAX_GROUP_PINS + 1);
+        let mut cell_order: Vec<CellId> = netlist
             .movable_cells()
-            .flat_map(|cell| netlist.cell_pins(cell))
+            .filter(|cell| group(cell) > 0)
+            .collect();
+        cell_order.sort_by_key(group); // stable
+        let mut group_cells = [0; MAX_GROUP_PINS];
+        for cell in &cell_order {
+            // the cells of more pins have no group of their own
+            if let Some(count) = group_cells.get_mut(group(cell) - 1) {
+                *count += 1;
+            }
+        }
+        let cell_slot = cell_order
+            .iter()
+            .flat_map(|&cell| netlist.cell_pins(cell))
             .map(|pin| pin_slot[pin.index()])
             .collect();
+        let cell_order = cell_order.iter().map(|cell| cell.index() as u32).collect();
 
         Self {
             netlist_instance: netlist.instance_id(),
@@ -228,6 +271,8 @@ impl Layout {
             slot_cell,
             slot_bias_x,
             slot_bias_y,
+            cell_order,
+            group_cells,
             cell_slot,
             active_nets,
             inactive_nets,

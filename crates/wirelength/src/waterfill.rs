@@ -85,12 +85,13 @@ pub fn solve_upper(sorted: &[f64], t: f64) -> f64 {
     sorted[0] - (t - filled) / n as f64
 }
 
-/// Both water levels of `L` independent nets of exactly `N` pins each,
+/// Both water levels of `L` independent nets of exactly `n ≤ C` pins each,
 /// without a data-dependent branch: `sorted[i][l]` is the `i`-th smallest
-/// coordinate of net `l`, and the result is `(τ1, τ2)` per lane,
-/// bit-identical to [`solve_lower`] / [`solve_upper`] on every lane.
+/// coordinate of net `l` (rows `n..` are ignored), and the result is
+/// `(τ1, τ2)` per lane, bit-identical to [`solve_lower`] / [`solve_upper`]
+/// on every lane.
 ///
-/// All `N − 1` prefix trials are computed unconditionally — they are the
+/// All `n − 1` prefix trials are computed unconditionally — they are the
 /// values the scans produce before their exit — and a descending select
 /// chain keeps the first `trial > t`. Exit and fall-through then share one
 /// expression, `base ± (t − filled) / k`: on the exit path it rewrites
@@ -99,43 +100,47 @@ pub fn solve_upper(sorted: &[f64], t: f64) -> f64 {
 /// rules out the one case (`trial == t`, where `t − trial` and
 /// `−(trial − t)` differ in the sign of zero). A NaN trial compares false
 /// and falls through, like the scan.
+///
+/// # Panics
+///
+/// Panics unless `2 ≤ n ≤ C` (a class net has at least two pins).
 #[inline(always)]
-pub(crate) fn solve_class<const N: usize, const L: usize>(
-    sorted: &[[f64; L]; N],
+pub(crate) fn solve_class<const C: usize, const L: usize>(
+    n: usize,
+    sorted: &[[f64; L]; C],
     t: f64,
 ) -> ([f64; L], [f64; L]) {
-    const { assert!(N >= 2, "a class net has at least two pins") };
+    assert!(2 <= n && n <= C, "{n} pins in a class solver for 2..={C}");
     // row `k` holds the water needed to level the `k` lowest (resp.
     // highest) bottoms; row 0 is the empty reservoir
-    let mut lower = [[0.0_f64; L]; N];
-    let mut upper = [[0.0_f64; L]; N];
-    for k in 1..N {
+    let mut lower = [[0.0_f64; L]; C];
+    let mut upper = [[0.0_f64; L]; C];
+    for k in 1..n {
         let kf = k as f64;
         for l in 0..L {
             lower[k][l] = lower[k - 1][l] + kf * (sorted[k][l] - sorted[k - 1][l]);
-            upper[k][l] = upper[k - 1][l] + kf * (sorted[N - k][l] - sorted[N - k - 1][l]);
+            upper[k][l] = upper[k - 1][l] + kf * (sorted[n - k][l] - sorted[n - k - 1][l]);
         }
     }
-    let mut base1 = sorted[N - 1];
-    let mut fill1 = lower[N - 1];
-    let mut k1 = [N as f64; L];
+    let mut base1 = sorted[n - 1];
+    let mut fill1 = lower[n - 1];
+    let mut k1 = [n as f64; L];
     let mut base2 = sorted[0];
-    let mut fill2 = upper[N - 1];
-    let mut k2 = [N as f64; L];
-    for k in (1..N).rev() {
+    let mut fill2 = upper[n - 1];
+    let mut k2 = [n as f64; L];
+    for k in (1..n).rev() {
         let kf = k as f64;
+        // rows read before the selects, so that no select arm can panic
+        let (above, below) = (&sorted[k], &sorted[n - k - 1]);
+        let (low, up) = (&lower[k], &upper[k]);
         for l in 0..L {
-            let exit1 = lower[k][l] > t;
-            base1[l] = if exit1 { sorted[k][l] } else { base1[l] };
-            fill1[l] = if exit1 { lower[k][l] } else { fill1[l] };
+            let exit1 = low[l] > t;
+            base1[l] = if exit1 { above[l] } else { base1[l] };
+            fill1[l] = if exit1 { low[l] } else { fill1[l] };
             k1[l] = if exit1 { kf } else { k1[l] };
-            let exit2 = upper[k][l] > t;
-            base2[l] = if exit2 {
-                sorted[N - k - 1][l]
-            } else {
-                base2[l]
-            };
-            fill2[l] = if exit2 { upper[k][l] } else { fill2[l] };
+            let exit2 = up[l] > t;
+            base2[l] = if exit2 { below[l] } else { base2[l] };
+            fill2[l] = if exit2 { up[l] } else { fill2[l] };
             k2[l] = if exit2 { kf } else { k2[l] };
         }
     }
@@ -350,40 +355,42 @@ mod tests {
         }
     }
 
-    /// `solve_class` on `L` nets of `N` pins against the scans, lane by lane.
-    fn check_class<const N: usize, const L: usize>(nets: &[Vec<f64>], t: f64) {
-        let mut sorted = [[0.0; L]; N];
+    /// `solve_class` at capacity `C` on `L` nets of equally many pins
+    /// against the scans, lane by lane.
+    fn check_class<const C: usize, const L: usize>(nets: &[Vec<f64>], t: f64) {
+        let n = nets[0].len();
+        let mut sorted = [[0.0; L]; C];
         for (l, net) in nets.iter().enumerate() {
-            for i in 0..N {
+            for i in 0..n {
                 sorted[i][l] = net[i];
             }
         }
-        let (tau1, tau2) = solve_class(&sorted, t);
+        let (tau1, tau2) = solve_class(n, &sorted, t);
         for (l, net) in nets.iter().enumerate() {
             assert_eq!(
                 tau1[l].to_bits(),
                 solve_lower(net, t).to_bits(),
-                "lower N={N} L={L} lane {l} t={t} {net:?}"
+                "lower n={n} C={C} L={L} lane {l} t={t} {net:?}"
             );
             assert_eq!(
                 tau2[l].to_bits(),
                 solve_upper(net, t).to_bits(),
-                "upper N={N} L={L} lane {l} t={t} {net:?}"
+                "upper n={n} C={C} L={L} lane {l} t={t} {net:?}"
             );
         }
     }
 
-    fn check_class_degree<const N: usize>(next: &mut impl FnMut() -> f64) {
+    fn check_class_degree<const C: usize>(n: usize, next: &mut impl FnMut() -> f64) {
         for rep in 0..60 {
             let nets: Vec<Vec<f64>> = (0..4)
                 .map(|lane| {
-                    let mut x: Vec<f64> = (0..N).map(|_| next()).collect();
+                    let mut x: Vec<f64> = (0..n).map(|_| next()).collect();
                     if (rep + lane) % 4 == 1 {
-                        x[N - 1] = x[0]; // duplicate coordinates
+                        x[n - 1] = x[0]; // duplicate coordinates
                     }
                     if (rep + lane) % 7 == 2 {
                         x[0] = 0.0;
-                        x[N - 1] = -0.0; // both zeros
+                        x[n - 1] = -0.0; // both zeros
                     }
                     x.sort_unstable_by(f64::total_cmp);
                     x
@@ -393,13 +400,13 @@ mod tests {
             // strict `trial > t` exit is exercised on both of its sides
             let mut ts = vec![1e-6, 0.03, 0.7, 4.0, 150.0];
             let mut filled = 0.0;
-            for k in 1..N {
+            for k in 1..n {
                 filled += k as f64 * (nets[0][k] - nets[0][k - 1]);
                 ts.push(filled);
             }
             for t in ts.into_iter().filter(|&t| t > 0.0) {
-                check_class::<N, 4>(&nets, t);
-                check_class::<N, 1>(&nets[..1], t);
+                check_class::<C, 4>(&nets, t);
+                check_class::<C, 1>(&nets[..1], t);
             }
         }
     }
@@ -413,13 +420,17 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0
         };
-        check_class_degree::<2>(&mut next);
-        check_class_degree::<3>(&mut next);
-        check_class_degree::<4>(&mut next);
-        check_class_degree::<5>(&mut next);
-        check_class_degree::<6>(&mut next);
-        check_class_degree::<7>(&mut next);
-        check_class_degree::<8>(&mut next);
+        check_class_degree::<2>(2, &mut next);
+        check_class_degree::<3>(3, &mut next);
+        check_class_degree::<4>(4, &mut next);
+        check_class_degree::<5>(5, &mut next);
+        check_class_degree::<6>(6, &mut next);
+        check_class_degree::<7>(7, &mut next);
+        check_class_degree::<8>(8, &mut next);
+        // the run-time-degree shape: room for 16 pins, 9..=16 in use
+        for n in 9..=16 {
+            check_class_degree::<16>(n, &mut next);
+        }
     }
 
     #[test]

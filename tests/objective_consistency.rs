@@ -27,6 +27,26 @@ fn total_wirelength_gradient_sums_to_zero_for_all_models() {
 }
 
 #[test]
+fn newblue6_nets_per_evaluation_by_kernel_route() {
+    // noise-free work-count guard: every net of 2..=16 pins takes the class
+    // kernel, only the 33 wider ones the sort + scan path, and none is
+    // skipped — a change that drops nets back onto the per-net path fails
+    // here without a clock
+    let spec = synth::spec_by_name("newblue6").expect("catalogue circuit");
+    let circuit = synth::generate(&spec);
+    let nl = &circuit.design.netlist;
+    let mut eval = NetlistEvaluator::serial(ModelKind::Moreau.instantiate(1.0));
+    let mut out = WirelengthGrad::zeros(nl.num_cells());
+    for evaluations in 1..=2 {
+        eval.evaluate(nl, &circuit.placement, &mut out);
+        let stats = eval.engine().stats();
+        assert_eq!(stats.wl_class_nets, evaluations * 12851);
+        assert_eq!(stats.wl_generic_nets, evaluations * 33);
+        assert_eq!(stats.wl_inactive_nets, 0);
+    }
+}
+
+#[test]
 fn moreau_model_upper_bounds_exact_hpwl_by_envelope_gap() {
     // Theorem 2 through the netlist evaluator: for every net,
     // W ≥ W^t ≥ W − t, so totals satisfy
