@@ -1,9 +1,9 @@
 //! **Known-optimum suboptimality sweep** (DESIGN.md §15): places the
 //! PEKO-style ladder (`peko_600` / `peko_2400` / `peko_9600`, optima
-//! exact by construction) with every wirelength model × optimizer
-//! config through the full GP → LG → DP pipeline and reports how far
-//! each final *legal* placement is from the true optimum — the one
-//! number ordinary model-vs-model tables cannot produce.
+//! exact by construction) with every wirelength model through the full
+//! GP → LG → DP pipeline and reports how far each final *legal* placement
+//! is from the true optimum — the one number ordinary model-vs-model
+//! tables cannot produce.
 //!
 //! ```text
 //! cargo run -p mep-bench --release --bin peko_suboptimality [--fast] \
@@ -14,25 +14,22 @@
 //! The default mode writes one JSONL record per run (with full
 //! telemetry, the certificate, and a legality audit) to
 //! `results/peko_reports.jsonl`, refreshes `results/peko_baseline.json`
-//! from the Moreau × Nesterov guard rows, prints the ratio table, and
+//! from the Moreau guard rows, prints the ratio table, and
 //! exits non-zero if any run fails or any reported placement fails the
 //! legality audit.
 //!
-//! `--guard` is the CI quality-regression mode: it re-runs Moreau ×
-//! Nesterov on the guard rungs and exits non-zero if the suboptimality
-//! ratio regressed more than `MEP_PEKO_GUARD_TOLERANCE` (default 0.02 =
-//! 2%) vs the committed baseline. The whole flow is deterministic, so
-//! unlike the wall-clock perf guard this one is noise-free: any drift is a
-//! real quality change.
+//! `--guard` is the CI quality-regression mode: it re-runs Moreau on the
+//! guard rungs and exits non-zero if the suboptimality ratio regressed
+//! more than the committed baseline's `tolerance` (0.02 = 2%). The whole
+//! flow is deterministic, so unlike the wall-clock perf guard this one is
+//! noise-free: any drift is a real quality change.
 
 use mep_bench::peko::{
-    audit_json, optimizer_label, row_json, run_peko, write_peko_jsonl, PekoOptions, PekoRow,
-    GUARD_ITERS,
+    audit_json, row_json, run_peko, write_peko_jsonl, PekoOptions, PekoRow, GUARD_ITERS,
 };
 use mep_bench::Table;
-use mep_netlist::synth::peko::{peko_spec, peko_suite, PekoSpec};
+use mep_netlist::synth::peko::{peko_spec, peko_suite};
 use mep_obs::json::JsonObject;
-use mep_placer::global::OptimizerKind;
 use mep_wirelength::ModelKind;
 
 /// Ladder rungs re-measured by `--guard` (the smallest two: exhaustive
@@ -73,37 +70,15 @@ fn main() {
         max_iters: GUARD_ITERS,
     };
 
-    // the sweep: Nesterov × every model on every rung, plus the
-    // alternative optimizers on the smallest rung (Adam with every
-    // model; conjugate subgradient with the non-smooth HPWL model it
-    // pairs with)
-    let mut jobs: Vec<(PekoSpec, ModelKind, OptimizerKind)> = Vec::new();
-    for spec in &specs {
-        for model in MODELS {
-            jobs.push((spec.clone(), model, OptimizerKind::Nesterov));
-        }
-    }
-    if let Some(smallest) = specs.first() {
-        for model in MODELS {
-            jobs.push((smallest.clone(), model, OptimizerKind::Adam));
-        }
-        jobs.push((
-            smallest.clone(),
-            ModelKind::Hpwl,
-            OptimizerKind::ConjugateSubgradient,
-        ));
-    }
-
     let mut rows: Vec<PekoRow> = Vec::new();
     let mut failures = 0usize;
-    for (spec, model, optimizer) in &jobs {
-        eprintln!(
-            "[peko] {} x {} x {} …",
-            spec.name,
-            model.label(),
-            optimizer_label(*optimizer)
-        );
-        match run_peko(spec, *model, *optimizer, &opts) {
+    // the sweep: every model on every rung
+    let jobs = specs
+        .iter()
+        .flat_map(|spec| MODELS.map(|model| (spec, model)));
+    for (spec, model) in jobs {
+        eprintln!("[peko] {} x {} …", spec.name, model.label());
+        match run_peko(spec, model, &opts) {
             Ok(row) => {
                 eprintln!(
                     "[peko]   ratio {:.4} (dpwl {:.0} / opt {:.0}), overflow {:.3}, \
@@ -127,49 +102,24 @@ fn main() {
                 rows.push(row);
             }
             Err(e) => {
-                eprintln!(
-                    "[peko]   FAIL: {} x {} x {}: {e}",
-                    spec.name,
-                    model.label(),
-                    optimizer_label(*optimizer)
-                );
+                eprintln!("[peko]   FAIL: {} x {}: {e}", spec.name, model.label());
                 failures += 1;
             }
         }
     }
 
-    // the ratio table, one row per bench × optimizer, one column per model
-    let mut table = Table::new([
-        "bench",
-        "optimizer",
-        "HPWL",
-        "LSE",
-        "WA",
-        "BiG_CHKS",
-        "Ours",
-    ]);
+    // the ratio table, one row per bench, one column per model
+    let mut table = Table::new(["bench"].into_iter().chain(MODELS.map(ModelKind::label)));
     for spec in &specs {
-        for optlabel in ["nesterov", "adam", "cg"] {
-            let cells: Vec<String> = MODELS
-                .iter()
-                .map(|m| {
-                    rows.iter()
-                        .find(|r| {
-                            r.bench == spec.name
-                                && r.model == *m
-                                && optimizer_label(r.optimizer) == optlabel
-                        })
-                        .map(|r| format!("{:.4}", r.ratio))
-                        .unwrap_or_else(|| "-".into())
-                })
-                .collect();
-            if cells.iter().all(|c| c == "-") {
-                continue;
-            }
-            let mut row = vec![spec.name.clone(), optlabel.to_string()];
-            row.extend(cells);
-            table.push(row);
-        }
+        let cells = MODELS.iter().map(|m| {
+            rows.iter()
+                .find(|r| r.bench == spec.name && r.model == *m)
+                .map(|r| format!("{:.4}", r.ratio))
+                .unwrap_or_else(|| "-".into())
+        });
+        let mut row = vec![spec.name.clone()];
+        row.extend(cells);
+        table.push(row);
     }
     println!("{}", table.to_text());
     println!("(suboptimality ratio = final legal HPWL / exact optimum; 1.0 is perfect)");
@@ -180,15 +130,12 @@ fn main() {
     }
     println!("wrote {out_path} ({} runs)", rows.len());
 
-    // refresh the guard baseline from the Moreau × Nesterov guard rows
+    // refresh the guard baseline from the Moreau guard rows
     let baseline_rows: Vec<&PekoRow> = GUARD_SIZES
         .iter()
         .filter_map(|&size| {
-            rows.iter().find(|r| {
-                r.movable == size
-                    && r.model == ModelKind::Moreau
-                    && r.optimizer == OptimizerKind::Nesterov
-            })
+            rows.iter()
+                .find(|r| r.movable == size && r.model == ModelKind::Moreau)
         })
         .collect();
     if !baseline_rows.is_empty() {
@@ -196,7 +143,7 @@ fn main() {
         o.field_str("bench", "peko_suboptimality")
             .field_str(
                 "description",
-                "Moreau x Nesterov suboptimality ratios on the known-optimum ladder. \
+                "Moreau suboptimality ratios on the known-optimum ladder. \
                  The flow is deterministic, so the guard compares ratios exactly: a drift \
                  beyond the tolerance is a real quality change.",
             )
@@ -221,10 +168,8 @@ fn main() {
     }
 }
 
-/// CI quality-regression guard: re-run Moreau × Nesterov on the guard
-/// rungs and fail on a ratio regression beyond the tolerance
-/// (`MEP_PEKO_GUARD_TOLERANCE` env override, else the baseline's
-/// `tolerance` field, else 0.02).
+/// CI quality-regression guard: re-run Moreau on the guard rungs and fail
+/// on a ratio regression beyond the baseline's `tolerance` field.
 fn run_guard(args: &[String], fast: bool) {
     let baseline_path = args
         .iter()
@@ -240,11 +185,10 @@ fn run_guard(args: &[String], fast: bool) {
             std::process::exit(1);
         }
     };
-    let tolerance = std::env::var("MEP_PEKO_GUARD_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .or_else(|| scrape_f64(&text, "tolerance"))
-        .unwrap_or(0.02);
+    let Some(tolerance) = scrape_f64(&text, "tolerance") else {
+        eprintln!("[guard] baseline {baseline_path} has no tolerance");
+        std::process::exit(1);
+    };
     let max_iters = scrape_f64(&text, "max_iters")
         .map(|v| v as usize)
         .unwrap_or(GUARD_ITERS);
@@ -263,7 +207,7 @@ fn run_guard(args: &[String], fast: bool) {
             std::process::exit(1);
         };
         let spec = peko_spec(size, 9001 + i as u64);
-        let row = match run_peko(&spec, ModelKind::Moreau, OptimizerKind::Nesterov, &opts) {
+        let row = match run_peko(&spec, ModelKind::Moreau, &opts) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("[guard] FAIL: {} did not place: {e}", spec.name);

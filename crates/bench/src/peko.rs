@@ -1,8 +1,8 @@
 //! Shared plumbing for the known-optimum (PEKO) suboptimality harness.
 //!
-//! [`run_peko`] places one [`PekoSpec`] with one wirelength model × one
-//! optimizer through the full GP → LG → DP pipeline, then measures the one
-//! thing ordinary benchmarks cannot: the **suboptimality ratio** `final HPWL / optimal HPWL`
+//! [`run_peko`] places one [`PekoSpec`] with one wirelength model through
+//! the full GP → LG → DP pipeline, then measures the one thing ordinary
+//! benchmarks cannot: the **suboptimality ratio** `final HPWL / optimal HPWL`
 //! against the generator's constructively exact optimum. Every run also
 //! gets a mandatory legality audit (pairwise overlap-free, in-die,
 //! row/site aligned) — a placement that "wins" by escaping the die or
@@ -15,7 +15,6 @@
 use mep_netlist::synth::peko::{generate_peko, PekoSpec};
 use mep_obs::json::JsonObject;
 use mep_obs::{Registry, RunReport};
-use mep_placer::global::OptimizerKind;
 use mep_placer::pipeline::{run, PipelineConfig};
 use mep_placer::{audit_legality, GlobalConfig, LegalityAudit, PlacerError};
 use mep_wirelength::ModelKind;
@@ -43,24 +42,13 @@ impl Default for PekoOptions {
     }
 }
 
-/// Short stable label for an optimizer config (used in JSONL and CSV).
-pub fn optimizer_label(optimizer: OptimizerKind) -> &'static str {
-    match optimizer {
-        OptimizerKind::Nesterov => "nesterov",
-        OptimizerKind::Adam => "adam",
-        OptimizerKind::ConjugateSubgradient => "cg",
-    }
-}
-
-/// Result of one spec × model × optimizer run.
+/// Result of one spec × model run.
 #[derive(Debug, Clone)]
 pub struct PekoRow {
     /// Benchmark name (`peko_600`, …).
     pub bench: String,
     /// Wirelength model used.
     pub model: ModelKind,
-    /// Optimizer used.
-    pub optimizer: OptimizerKind,
     /// Movable cell count.
     pub movable: usize,
     /// The constructively exact optimal HPWL.
@@ -87,7 +75,7 @@ pub struct PekoRow {
     pub report: RunReport,
 }
 
-/// Runs one spec × model × optimizer through the full pipeline and
+/// Runs one spec × model through the full pipeline and
 /// certifies the result against the known optimum.
 ///
 /// # Errors
@@ -97,14 +85,12 @@ pub struct PekoRow {
 pub fn run_peko(
     spec: &PekoSpec,
     model: ModelKind,
-    optimizer: OptimizerKind,
     opts: &PekoOptions,
 ) -> Result<PekoRow, PlacerError> {
     let p = generate_peko(spec);
     let config = PipelineConfig {
         global: GlobalConfig {
             model,
-            optimizer,
             max_iters: opts.max_iters,
             ..GlobalConfig::default()
         },
@@ -129,13 +115,11 @@ pub fn run_peko(
         .add(audit.off_site as u64);
     reg.counter("peko.audit.outside_region")
         .add(audit.outside_region as u64);
-    reg.label("peko.optimizer").set(optimizer_label(optimizer));
     report.merge_registry(&reg);
 
     Ok(PekoRow {
         bench: spec.name.clone(),
         model,
-        optimizer,
         movable: spec.movable,
         optimal_hpwl: p.optimal_hpwl,
         gpwl: r.gpwl,
@@ -162,13 +146,12 @@ pub fn audit_json(audit: &LegalityAudit) -> String {
     o.finish()
 }
 
-/// One JSONL line for a row: bench/model/optimizer, the certificate
+/// One JSONL line for a row: bench/model, the certificate
 /// numbers, the audit, and the full merged report.
 pub fn row_json(row: &PekoRow) -> String {
     let mut o = JsonObject::new();
     o.field_str("bench", &row.bench)
         .field_str("model", row.model.label())
-        .field_str("optimizer", optimizer_label(row.optimizer))
         .field_u64("movable", row.movable as u64)
         .field_f64("optimal_hpwl", row.optimal_hpwl)
         .field_f64("gpwl", row.gpwl)
@@ -212,8 +195,7 @@ mod tests {
     fn run_peko_certifies_a_small_ladder_rung() {
         let spec = peko_spec(100, 5);
         let opts = PekoOptions { max_iters: 250 };
-        let row =
-            run_peko(&spec, ModelKind::Moreau, OptimizerKind::Nesterov, &opts).expect("peko flow");
+        let row = run_peko(&spec, ModelKind::Moreau, &opts).expect("peko flow");
         assert!(
             row.audit.is_clean(),
             "final placement must be legal: {}",
@@ -231,7 +213,6 @@ mod tests {
         // peko.* metrics merged into the standard report
         assert_eq!(row.report.gauge("peko.ratio_dp"), Some(row.ratio));
         assert_eq!(row.report.counter("peko.audit.overlaps"), Some(0));
-        assert_eq!(row.report.label("peko.optimizer"), Some("nesterov"));
         // and the usual pipeline metrics are still there
         assert_eq!(row.report.gauge("dp.hpwl"), Some(row.dpwl));
 
@@ -250,8 +231,8 @@ mod tests {
     fn identical_runs_are_bit_identical() {
         let spec = peko_spec(64, 6);
         let opts = PekoOptions { max_iters: 120 };
-        let a = run_peko(&spec, ModelKind::Wa, OptimizerKind::Nesterov, &opts).expect("peko flow");
-        let b = run_peko(&spec, ModelKind::Wa, OptimizerKind::Nesterov, &opts).expect("peko flow");
+        let a = run_peko(&spec, ModelKind::Wa, &opts).expect("peko flow");
+        let b = run_peko(&spec, ModelKind::Wa, &opts).expect("peko flow");
         assert_eq!(a.dpwl, b.dpwl);
         assert_eq!(a.ratio, b.ratio);
     }

@@ -39,27 +39,6 @@ use crate::ids::CellId;
 use crate::netlist::NetlistBuilder;
 use crate::placement::Placement;
 
-/// Tuning knobs for one coarsening pass.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterConfig {
-    /// Nets with more pins than this are ignored when scoring affinity
-    /// (high-degree nets carry almost no locality signal and would densify
-    /// the affinity graph quadratically).
-    pub max_net_degree: usize,
-    /// A cluster may not exceed this multiple of the mean movable-cell
-    /// area; keeps macros from swallowing their neighborhoods.
-    pub max_area_factor: f64,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        Self {
-            max_net_degree: 16,
-            max_area_factor: 8.0,
-        }
-    }
-}
-
 /// Counters describing what one [`coarsen`] call did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoarsenStats {
@@ -172,11 +151,7 @@ pub struct Coarsened {
 ///
 /// Returns [`NetlistError::Geometry`] if the placement length does not
 /// match the netlist or the design has no movable cells.
-pub fn coarsen(
-    design: &Design,
-    placement: &Placement,
-    config: &ClusterConfig,
-) -> Result<Coarsened, NetlistError> {
+pub fn coarsen(design: &Design, placement: &Placement) -> Result<Coarsened, NetlistError> {
     let nl = &design.netlist;
     let n = nl.num_cells();
     if placement.len() != n {
@@ -204,9 +179,13 @@ pub fn coarsen(
     // (the standard clique-net weighting: total weight per net is constant)
     let mut edges: Vec<(u32, u32, f64)> = Vec::new();
     let mut members: Vec<u32> = Vec::new();
+    // Nets with more pins than this are ignored when scoring affinity
+    // (high-degree nets carry almost no locality signal and would densify
+    // the affinity graph quadratically).
+    const MAX_NET_DEGREE: usize = 16;
     for net in nl.nets() {
         let d = nl.net_degree(net);
-        if d < 2 || d > config.max_net_degree {
+        if !(2..=MAX_NET_DEGREE).contains(&d) {
             continue;
         }
         members.clear();
@@ -268,7 +247,10 @@ pub fn coarsen(
 
     // --- heavy-edge matching ------------------------------------------------
     let mean_area = nl.total_movable_area() / n_movable as f64;
-    let area_cap = config.max_area_factor * mean_area;
+    // A cluster may not exceed this multiple of the mean movable-cell
+    // area; keeps macros from swallowing their neighborhoods.
+    const MAX_AREA_FACTOR: f64 = 8.0;
+    let area_cap = MAX_AREA_FACTOR * mean_area;
     const UNMATCHED: u32 = u32::MAX;
     let mut partner = vec![UNMATCHED; n];
     for i in 0..n {
@@ -455,7 +437,7 @@ mod tests {
     #[test]
     fn coarsening_shrinks_movable_count() {
         let (design, pl) = smoke();
-        let c = coarsen(&design, &pl, &ClusterConfig::default()).unwrap();
+        let c = coarsen(&design, &pl).unwrap();
         assert!(c.stats.coarse_movable < c.stats.fine_movable);
         // heavy-edge matching should pair a solid majority on a local netlist
         assert!(
@@ -474,7 +456,7 @@ mod tests {
     #[test]
     fn every_fine_cell_maps_to_exactly_one_coarse_cell() {
         let (design, pl) = smoke();
-        let c = coarsen(&design, &pl, &ClusterConfig::default()).unwrap();
+        let c = coarsen(&design, &pl).unwrap();
         assert_eq!(c.map.num_fine(), design.netlist.num_cells());
         let mut member_count = vec![0usize; c.design.netlist.num_cells()];
         for cell in design.netlist.cells() {
@@ -488,7 +470,7 @@ mod tests {
         // row height is 1.0 in the synthetic suites, so width = Σarea / 1.0
         // and area = width * 1.0 must reproduce the member fold bitwise
         let (design, pl) = smoke();
-        let c = coarsen(&design, &pl, &ClusterConfig::default()).unwrap();
+        let c = coarsen(&design, &pl).unwrap();
         let n_coarse = c.design.netlist.num_cells();
         let mut fold = vec![0.0f64; n_coarse];
         for cell in design.netlist.cells() {
@@ -525,7 +507,7 @@ mod tests {
     #[test]
     fn coarse_pins_count_net_cluster_incidences() {
         let (design, pl) = smoke();
-        let c = coarsen(&design, &pl, &ClusterConfig::default()).unwrap();
+        let c = coarsen(&design, &pl).unwrap();
         assert_eq!(c.design.netlist.num_pins(), c.stats.coarse_pins);
         assert_eq!(
             c.design.netlist.num_nets(),
@@ -548,7 +530,7 @@ mod tests {
         // coarse bbox is over a subset of the fine pins (one per cluster),
         // hence 0 < coarse HPWL <= fine HPWL of the kept nets
         let (design, pl) = smoke();
-        let c = coarsen(&design, &pl, &ClusterConfig::default()).unwrap();
+        let c = coarsen(&design, &pl).unwrap();
         let coarse_hpwl = total_hpwl(&c.design.netlist, &c.placement);
         let fine_kept: f64 = design
             .netlist
@@ -574,7 +556,7 @@ mod tests {
         // back where it started (up to the last-ulp of centroid arithmetic)
         // and leave fixed cells bit-identical
         let (design, pl) = smoke();
-        let c = coarsen(&design, &pl, &ClusterConfig::default()).unwrap();
+        let c = coarsen(&design, &pl).unwrap();
         let mut out = pl.clone();
         c.map
             .prolong(&design, &c.design, &c.placement, &mut out)
@@ -600,8 +582,8 @@ mod tests {
     #[test]
     fn coarsening_is_deterministic() {
         let (design, pl) = smoke();
-        let a = coarsen(&design, &pl, &ClusterConfig::default()).unwrap();
-        let b = coarsen(&design, &pl, &ClusterConfig::default()).unwrap();
+        let a = coarsen(&design, &pl).unwrap();
+        let b = coarsen(&design, &pl).unwrap();
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.map.coarse_of, b.map.coarse_of);
         assert_eq!(a.design.netlist.num_cells(), b.design.netlist.num_cells());
@@ -610,7 +592,7 @@ mod tests {
     #[test]
     fn region_constrained_cells_stay_singletons() {
         let c = synth::generate(&synth::smoke_regions_spec());
-        let co = coarsen(&c.design, &c.placement, &ClusterConfig::default()).unwrap();
+        let co = coarsen(&c.design, &c.placement).unwrap();
         assert!(co.design.has_regions());
         for cell in c.design.netlist.cells() {
             if let Some(region) = c.design.region_of(cell) {
@@ -633,7 +615,7 @@ mod tests {
     fn degenerate_inputs_are_typed_errors() {
         let (design, pl) = smoke();
         let short = Placement::zeros(3);
-        assert!(coarsen(&design, &short, &ClusterConfig::default()).is_err());
+        assert!(coarsen(&design, &short).is_err());
         // fully-fixed design
         let mask = vec![false; design.netlist.num_cells()];
         let frozen = design.netlist.with_movability(&mask).unwrap();
@@ -645,6 +627,6 @@ mod tests {
             design.target_density,
         )
         .unwrap();
-        assert!(coarsen(&frozen_design, &pl, &ClusterConfig::default()).is_err());
+        assert!(coarsen(&frozen_design, &pl).is_err());
     }
 }

@@ -34,7 +34,7 @@ pub mod netlist;
 pub mod placement;
 pub mod synth;
 
-pub use cluster::{coarsen, ClusterConfig, CoarsenStats, Coarsened, ProlongationMap};
+pub use cluster::{coarsen, CoarsenStats, Coarsened, ProlongationMap};
 pub use design::{Design, Region, Row};
 pub use error::NetlistError;
 pub use geom::{Point, Rect};

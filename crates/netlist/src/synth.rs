@@ -844,9 +844,8 @@ mod tests {
             .map(|p| clustered.design.netlist.pin_cell(p))
             .collect();
         assert_ne!(fp, cp, "clustered mode produced the flat topology");
-        let cfg = crate::cluster::ClusterConfig::default();
-        let l1 = crate::cluster::coarsen(&clustered.design, &clustered.placement, &cfg).unwrap();
-        let l2 = crate::cluster::coarsen(&l1.design, &l1.placement, &cfg).unwrap();
+        let l1 = crate::cluster::coarsen(&clustered.design, &clustered.placement).unwrap();
+        let l2 = crate::cluster::coarsen(&l1.design, &l1.placement).unwrap();
         let fine = clustered.design.netlist.num_movable() as f64;
         assert!(
             (l2.stats.coarse_movable as f64) < 0.45 * fine,

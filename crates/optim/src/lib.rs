@@ -1,21 +1,16 @@
-//! Nonlinear first-order optimizers for analytical placement.
+//! The first-order optimizer of the analytical placement loop.
 //!
 //! The paper's flow uses ePlace's Nesterov method with Lipschitz steplength
-//! prediction ([`nesterov::Nesterov`]); the crate also ships the baselines
-//! discussed in its related work: Adam ([`adam::Adam`]), steepest descent
-//! with Armijo line search ([`gd::GradientDescent`]), and the
-//! Polak–Ribière–Polyak conjugate subgradient method
-//! ([`cg::ConjugateSubgradient`]) used by non-smooth wirelength
-//! optimization \[23\].
+//! prediction ([`nesterov::Nesterov`]), the only optimizer the placer runs.
 //!
-//! Everything optimizes a [`problem::Problem`]: a flat parameter vector
+//! It optimizes a [`problem::Problem`]: a flat parameter vector
 //! with value + gradient, plus an optional projection (the placer clamps
 //! cells into the die there).
 //!
 //! # Example
 //!
 //! ```
-//! use mep_optim::{Optimizer, nesterov::Nesterov};
+//! use mep_optim::nesterov::Nesterov;
 //! use mep_optim::problem::testfns::Quadratic;
 //!
 //! let mut problem = Quadratic { diag: vec![1.0, 4.0] };
@@ -33,9 +28,6 @@
 // iterator rewrites clippy suggests obscure those loops.
 #![allow(clippy::needless_range_loop)]
 
-pub mod adam;
-pub mod cg;
-pub mod gd;
 pub mod nesterov;
 pub mod problem;
 
@@ -52,74 +44,74 @@ pub struct StepReport {
     pub step: f64,
 }
 
-/// A stateful first-order optimizer advancing one iterate per call.
-pub trait Optimizer {
-    /// Short display name.
-    fn name(&self) -> &'static str;
-
-    /// Performs one major iteration, updating `x` in place.
-    fn step(&mut self, problem: &mut dyn Problem, x: &mut [f64]) -> StepReport;
-
-    /// Clears internal state (momenta, steplength history).
-    fn reset(&mut self);
-
-    /// Shrinks the working steplength by `factor` after a recovery rollback
-    /// (a tripped numerical guard in the caller). The default is a no-op so
-    /// optimizers without a steplength concept can ignore it; implementors
-    /// should also discard momentum built on the now-abandoned iterates.
-    fn backoff(&mut self, _factor: f64) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nesterov::Nesterov;
     use crate::problem::testfns::Quadratic;
 
-    /// Acceleration matters: on an ill-conditioned quadratic, Nesterov
-    /// needs far fewer iterations than plain gradient descent to reach the
-    /// same tolerance — the reason ePlace adopted it.
     #[test]
-    fn nesterov_converges_faster_than_gd_when_ill_conditioned() {
-        let diag = vec![1.0, 10.0, 100.0, 1000.0];
-        let tol = 1e-6;
-        let iters_to_tol = |opt: &mut dyn Optimizer| -> usize {
-            let mut p = Quadratic { diag: diag.clone() };
-            let mut x = vec![1.0; 4];
-            for k in 0..20000 {
-                let r = opt.step(&mut p, &mut x);
-                if r.value < tol {
-                    return k;
-                }
-            }
-            20000
+    fn nesterov_descends_a_quadratic() {
+        let mut p = Quadratic {
+            diag: vec![1.0, 3.0],
         };
-        let n = iters_to_tol(&mut nesterov::Nesterov::new(1e-4));
-        let g = iters_to_tol(&mut gd::GradientDescent::new(1.0 / 1000.0));
-        assert!(
-            n * 3 < g,
-            "expected ≥3× speedup: nesterov {n} vs gd {g} iterations"
-        );
+        let mut x = vec![2.0, -2.0];
+        let mut opt = Nesterov::new(0.01);
+        let first = opt.step(&mut p, &mut x).value;
+        let mut last = first;
+        for _ in 0..500 {
+            last = opt.step(&mut p, &mut x).value;
+        }
+        assert!(last < 0.05 * first, "{first} → {last}");
     }
 
+    /// What the placer's guard does on a NaN: restore the last good point,
+    /// `backoff`, carry on. The poisoned evaluation must leave nothing behind
+    /// in the optimizer's state.
     #[test]
-    fn all_optimizers_descend_a_quadratic() {
-        let optimizers: Vec<Box<dyn Optimizer>> = vec![
-            Box::new(nesterov::Nesterov::new(0.01)),
-            Box::new(adam::Adam::new(0.1)),
-            Box::new(gd::GradientDescent::new(1.0)),
-            Box::new(cg::ConjugateSubgradient::new(1.0)),
-        ];
-        for mut opt in optimizers {
-            let mut p = Quadratic {
-                diag: vec![1.0, 3.0],
-            };
-            let mut x = vec![2.0, -2.0];
-            let first = opt.step(&mut p, &mut x).value;
-            let mut last = first;
-            for _ in 0..500 {
-                last = opt.step(&mut p, &mut x).value;
-            }
-            assert!(last < 0.05 * first, "{}: {first} → {last}", opt.name());
+    fn nesterov_descends_again_after_backoff_from_a_poisoned_step() {
+        struct PoisonedOnce {
+            inner: Quadratic,
+            evals_until_nan: usize,
         }
+        impl Problem for PoisonedOnce {
+            fn dim(&self) -> usize {
+                self.inner.dim()
+            }
+            fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
+                let f = self.inner.eval(x, grad);
+                self.evals_until_nan = self.evals_until_nan.wrapping_sub(1);
+                if self.evals_until_nan == 0 {
+                    grad.fill(f64::NAN);
+                    return f64::NAN;
+                }
+                f
+            }
+        }
+        let mut p = PoisonedOnce {
+            inner: Quadratic {
+                diag: vec![1.0, 3.0],
+            },
+            evals_until_nan: 7,
+        };
+        let mut x = vec![2.0, -2.0];
+        let mut opt = Nesterov::new(0.01);
+        let first = opt.step(&mut p, &mut x).value;
+        let mut good = x.clone();
+        let mut poisoned = false;
+        let mut last = first;
+        for _ in 0..500 {
+            let report = opt.step(&mut p, &mut x);
+            if report.value.is_finite() && x.iter().all(|v| v.is_finite()) {
+                good.copy_from_slice(&x);
+                last = report.value;
+            } else {
+                poisoned = true;
+                x.copy_from_slice(&good);
+                opt.backoff(0.5);
+            }
+        }
+        assert!(poisoned, "the NaN never reached a step report");
+        assert!(last < 0.05 * first, "{first} → {last}");
     }
 }

@@ -15,7 +15,7 @@
 //! used, the step is redone with the smaller value (bounded retries).
 
 use crate::problem::{distance, norm, Problem};
-use crate::{Optimizer, StepReport};
+use crate::StepReport;
 
 /// Maximum backtracking retries per iteration (ePlace uses a small cap).
 const MAX_BACKTRACK: usize = 2;
@@ -76,18 +76,15 @@ impl Nesterov {
         self.a = 1.0;
         self.initialized = true;
     }
-}
 
-impl Optimizer for Nesterov {
-    fn name(&self) -> &'static str {
-        "Nesterov"
-    }
-
-    fn reset(&mut self) {
+    /// Clears internal state (momentum, steplength history).
+    pub fn reset(&mut self) {
         self.initialized = false;
     }
 
-    fn backoff(&mut self, factor: f64) {
+    /// Shrinks the working steplength by `factor` after a recovery rollback
+    /// (a tripped numerical guard in the caller).
+    pub fn backoff(&mut self, factor: f64) {
         // Restart from the caller's (restored) iterate with a shrunken
         // initial steplength: momentum and the Lipschitz history were built
         // on the abandoned trajectory and must not leak into the retry.
@@ -100,9 +97,9 @@ impl Optimizer for Nesterov {
         self.initialized = false;
     }
 
-    fn step(&mut self, problem: &mut dyn Problem, x: &mut [f64]) -> StepReport {
+    /// Performs one major iteration, updating `x` in place.
+    pub fn step(&mut self, problem: &mut dyn Problem, x: &mut [f64]) -> StepReport {
         self.ensure_init(problem, x);
-        let n = x.len();
         let value = problem.eval(&self.v, &mut self.g);
 
         // steplength prediction from the last two reference gradients
@@ -121,12 +118,12 @@ impl Optimizer for Nesterov {
 
         let mut accepted = false;
         for _try in 0..=MAX_BACKTRACK {
-            for i in 0..n {
-                self.u_new[i] = self.v[i] - alpha * self.g[i];
+            for ((u_new, &v), &g) in self.u_new.iter_mut().zip(&self.v).zip(&self.g) {
+                *u_new = v - alpha * g;
             }
             problem.project(&mut self.u_new);
-            for i in 0..n {
-                self.v_new[i] = self.u_new[i] + coef * (self.u_new[i] - self.u[i]);
+            for ((v_new, &u_new), &u) in self.v_new.iter_mut().zip(&self.u_new).zip(&self.u) {
+                *v_new = u_new + coef * (u_new - u);
             }
             problem.project(&mut self.v_new);
             // backtracking check: predicted steplength at the new point

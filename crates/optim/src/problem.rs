@@ -37,16 +37,6 @@ pub fn distance(a: &[f64], b: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// Dot product of two slices.
-///
-/// # Panics
-///
-/// Panics (debug builds) if lengths differ.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 /// Classic test problems used by the optimizer unit tests.
 pub mod testfns {
     use super::Problem;
@@ -90,35 +80,6 @@ pub mod testfns {
             f
         }
     }
-
-    /// Non-smooth `Σ |x_i|` with the sign subgradient — exercises the
-    /// conjugate-subgradient baseline.
-    #[derive(Debug, Clone)]
-    pub struct AbsSum {
-        /// Dimension.
-        pub n: usize,
-    }
-
-    impl Problem for AbsSum {
-        fn dim(&self) -> usize {
-            self.n
-        }
-
-        fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
-            let mut f = 0.0;
-            for i in 0..x.len() {
-                f += x[i].abs();
-                grad[i] = if x[i] > 0.0 {
-                    1.0
-                } else if x[i] < 0.0 {
-                    -1.0
-                } else {
-                    0.0
-                };
-            }
-            f
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,10 +87,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn norms_and_dots() {
+    fn norms_and_distances() {
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
         assert_eq!(distance(&[1.0, 1.0], &[4.0, 5.0]), 5.0);
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 
     #[test]

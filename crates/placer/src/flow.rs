@@ -31,14 +31,16 @@ use crate::guard::Termination;
 use crate::pipeline::{run_with_engine, PipelineConfig, PipelineResult};
 use crate::quadratic::{place_b2b, place_b2b_anchored, AnchorSet, B2bConfig};
 use mep_netlist::bookshelf::BookshelfCircuit;
-use mep_netlist::cluster::{coarsen, ClusterConfig, Coarsened};
+use mep_netlist::cluster::{coarsen, Coarsened};
 use mep_netlist::{total_hpwl, Design, Placement, Rect};
 use mep_obs::{Registry, RunReport};
 use mep_wirelength::engine::EvalEngine;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration of the multilevel flow.
+/// Configuration of the multilevel flow. The LB/UB quadratic/nonlinear
+/// alternation always runs at the coarsest level before the coarse density
+/// run (at `levels == 1` too, warm-starting the flat flow).
 #[derive(Debug, Clone)]
 pub struct MultilevelConfig {
     /// Number of levels including the finest one (`1` = flat flow; `2`
@@ -46,33 +48,11 @@ pub struct MultilevelConfig {
     /// fall below [`min_coarse_movable`](Self::min_coarse_movable) cells
     /// or clustering stops making progress.
     pub levels: usize,
-    /// Run the LB/UB quadratic/nonlinear alternation at the coarsest
-    /// level before the coarse density run (works at `levels == 1` too,
-    /// warm-starting the flat flow).
-    pub warm_start: bool,
-    /// LB/UB alternation rounds when warm-starting.
-    pub lb_rounds: usize,
-    /// Anchor force factor of the first anchored LB round.
-    pub force_factor0: f64,
-    /// Geometric growth of the force factor per round.
-    pub force_growth: f64,
     /// Global-placement iteration cap per coarse level (the finest level
     /// uses [`pipeline`](Self::pipeline)'s own cap).
     pub coarse_iters: usize,
-    /// Density-overflow target at coarse levels — looser than the finest
-    /// target because legality is only decided at the finest level.
-    pub coarse_target_overflow: f64,
     /// Stop coarsening once a level has fewer movable cells than this.
     pub min_coarse_movable: usize,
-    /// λ₀ multiplier for stages that start from an already-spread
-    /// placement (prolonged intermediate levels and the finest level
-    /// after a coarse solve) — they skip the early part of the Eq. (15)
-    /// density ramp instead of re-walking it.
-    pub warm_lambda_scale: f64,
-    /// Clustering parameters for each coarsening pass.
-    pub cluster: ClusterConfig,
-    /// Quadratic-solver parameters for the LB rounds.
-    pub b2b: B2bConfig,
     /// The finest-level pipeline configuration (model, schedules,
     /// legalization, detailed placement).
     pub pipeline: PipelineConfig,
@@ -82,24 +62,8 @@ impl Default for MultilevelConfig {
     fn default() -> Self {
         Self {
             levels: 2,
-            warm_start: true,
-            lb_rounds: 3,
-            force_factor0: 0.02,
-            force_growth: 2.0,
             coarse_iters: 90,
-            coarse_target_overflow: 0.20,
             min_coarse_movable: 64,
-            warm_lambda_scale: 5.0,
-            cluster: ClusterConfig::default(),
-            // A lower bound only seeds the UB run — looser CG than the
-            // standalone quadratic placer is plenty and keeps the LB cost
-            // sublinear in the coarse instance size.
-            b2b: B2bConfig {
-                rounds: 2,
-                cg_iters: 150,
-                cg_tol: 1e-5,
-                ..B2bConfig::default()
-            },
             pipeline: PipelineConfig::default(),
         }
     }
@@ -140,12 +104,16 @@ pub struct MultilevelResult {
     pub level_stats: Vec<LevelStats>,
 }
 
+/// Density-overflow target at coarse levels — looser than the finest
+/// target because legality is only decided at the finest level.
+const COARSE_TARGET_OVERFLOW: f64 = 0.20;
+
 /// Derives the global config used at a coarse level.
 fn coarse_global(cfg: &MultilevelConfig, level: usize, stage: &str, iters: usize) -> GlobalConfig {
     GlobalConfig {
         max_iters: iters,
         min_iters: cfg.pipeline.global.min_iters.min(iters),
-        target_overflow: cfg.coarse_target_overflow,
+        target_overflow: COARSE_TARGET_OVERFLOW,
         level: level as u32,
         stage: Some(stage.to_string()),
         ..cfg.pipeline.global.clone()
@@ -202,7 +170,7 @@ pub fn run_multilevel(
         if fine_design.netlist.num_movable() <= config.min_coarse_movable {
             break;
         }
-        let coarse = coarsen(fine_design, fine_placement, &config.cluster)?;
+        let coarse = coarsen(fine_design, fine_placement)?;
         // no progress ⇒ further passes would loop forever on the same size
         if coarse.stats.coarse_movable >= coarse.stats.fine_movable {
             break;
@@ -229,49 +197,61 @@ pub fn run_multilevel(
     let mut warm_rounds = 0usize;
     let mut coarsest_iters = 0usize;
     let mut coarsest_overflow = f64::NAN;
-    if config.warm_start && config.lb_rounds > 0 {
-        let ub_budget = (config.coarse_iters / config.lb_rounds).max(20);
-        let mut force = config.force_factor0;
-        let mut target: Option<Placement> = None;
-        for _round in 0..config.lb_rounds {
-            // the LB quadratic solve has no token poll of its own: check
-            // here so a tripped token skips whole rounds, not just the
-            // guarded UB iterations inside them
-            if cancel.is_tripped() {
-                break;
-            }
-            let lb = match &target {
-                None => place_b2b(&level_circuit, &config.b2b),
-                Some(t) => place_b2b_anchored(
-                    &level_circuit,
-                    &config.b2b,
-                    Some(AnchorSet {
-                        target: t,
-                        force_factor: force,
-                    }),
-                ),
-            };
-            let lb_placement = match lb {
-                Ok((pl, _)) => pl,
-                // a coarse netlist that cannot constrain any movable cell
-                // (all nets collapsed) has nothing for the LB engine to
-                // do; the density run below still works
-                Err(PlacerError::DegenerateInput { .. }) => break,
-                Err(e) => return Err(e),
-            };
-            level_circuit.placement = lb_placement;
-            let gcfg = coarse_global(config, coarsest, "warm-ub", ub_budget);
-            let ub = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
-            coarsest_iters += ub.iterations;
-            coarsest_overflow = ub.overflow;
-            level_circuit.placement = ub.placement;
-            target = Some(level_circuit.placement.clone());
-            force *= config.force_growth;
-            warm_rounds += 1;
+    // LB/UB alternation rounds
+    const LB_ROUNDS: usize = 3;
+    // anchor force factor of the first anchored LB round, and its
+    // geometric growth per round
+    const FORCE_FACTOR0: f64 = 0.02;
+    const FORCE_GROWTH: f64 = 2.0;
+    // A lower bound only seeds the UB run — looser CG than the standalone
+    // quadratic placer is plenty and keeps the LB cost sublinear in the
+    // coarse instance size.
+    const LB_B2B: B2bConfig = B2bConfig {
+        rounds: 2,
+        cg_iters: 150,
+        cg_tol: 1e-5,
+    };
+    let ub_budget = (config.coarse_iters / LB_ROUNDS).max(20);
+    let mut force = FORCE_FACTOR0;
+    let mut target: Option<Placement> = None;
+    for _round in 0..LB_ROUNDS {
+        // the LB quadratic solve has no token poll of its own: check
+        // here so a tripped token skips whole rounds, not just the
+        // guarded UB iterations inside them
+        if cancel.is_tripped() {
+            break;
         }
+        let lb = match &target {
+            None => place_b2b(&level_circuit, &LB_B2B),
+            Some(t) => place_b2b_anchored(
+                &level_circuit,
+                &LB_B2B,
+                Some(AnchorSet {
+                    target: t,
+                    force_factor: force,
+                }),
+            ),
+        };
+        let lb_placement = match lb {
+            Ok((pl, _)) => pl,
+            // a coarse netlist that cannot constrain any movable cell
+            // (all nets collapsed) has nothing for the LB engine to
+            // do; the density run below still works
+            Err(PlacerError::DegenerateInput { .. }) => break,
+            Err(e) => return Err(e),
+        };
+        level_circuit.placement = lb_placement;
+        let gcfg = coarse_global(config, coarsest, "warm-ub", ub_budget);
+        let ub = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
+        coarsest_iters += ub.iterations;
+        coarsest_overflow = ub.overflow;
+        level_circuit.placement = ub.placement;
+        target = Some(level_circuit.placement.clone());
+        force *= FORCE_GROWTH;
+        warm_rounds += 1;
     }
     if warm_rounds == 0 {
-        // cold coarse run (warm start disabled or LB degenerate)
+        // cold coarse run (LB degenerate, or the token tripped first)
         let gcfg = coarse_global(config, coarsest, "coarse", config.coarse_iters);
         let gp = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
         coarsest_iters = gp.iterations;
@@ -287,6 +267,12 @@ pub fn run_multilevel(
         overflow: coarsest_overflow,
         rt_seconds: t_coarsest.elapsed().as_secs_f64(),
     });
+
+    // λ₀ multiplier for stages that start from an already-spread placement
+    // (prolonged intermediate levels and the finest level after a coarse
+    // solve) — they skip the early part of the Eq. (15) density ramp
+    // instead of re-walking it.
+    const WARM_LAMBDA_SCALE: f64 = 5.0;
 
     // ---- walk down the stack: prolong, refine each intermediate level ----
     for k in (1..stack.len()).rev() {
@@ -305,7 +291,7 @@ pub fn run_multilevel(
             placement: fine_placement,
         };
         let mut gcfg = coarse_global(config, k, "coarse", config.coarse_iters);
-        gcfg.lambda_scale = config.warm_lambda_scale;
+        gcfg.lambda_scale = WARM_LAMBDA_SCALE;
         let gp = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
         level_stats.push(LevelStats {
             level: k,
@@ -341,7 +327,7 @@ pub fn run_multilevel(
     if !stack.is_empty() {
         // the finest level starts from a prolonged coarse solution, not a
         // center pile: begin the density ramp further along
-        final_config.global.lambda_scale = config.warm_lambda_scale;
+        final_config.global.lambda_scale = WARM_LAMBDA_SCALE;
     }
     let mut result = run_with_engine(&finest_circuit, &final_config, Arc::clone(&engine))?;
     level_stats.push(LevelStats {

@@ -30,7 +30,7 @@ use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::Placement;
 use mep_obs::{IterationRecord, NoopSink, TraceSink};
 use mep_optim::nesterov::Nesterov;
-use mep_optim::{Optimizer, Problem};
+use mep_optim::Problem;
 use mep_wirelength::engine::{EngineStats, EvalEngine};
 use mep_wirelength::{EplaceGammaSchedule, ModelKind, SmoothingSchedule, TangentTSchedule};
 use std::sync::Arc;
@@ -48,23 +48,6 @@ pub enum MoreauSchedule {
     Decade,
 }
 
-/// Which first-order optimizer drives the placement iterations.
-///
-/// ePlace (and the paper) use Nesterov; the alternatives implement the
-/// related-work baselines and the "novel optimizers" the paper's
-/// conclusion points at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptimizerKind {
-    /// Nesterov with Lipschitz steplength prediction (ePlace, default).
-    #[default]
-    Nesterov,
-    /// Adam with a steplength scaled from the bin size.
-    Adam,
-    /// Polak–Ribière–Polyak conjugate subgradient \[23\] — pairs naturally
-    /// with `ModelKind::Hpwl` for non-smooth direct optimization.
-    ConjugateSubgradient,
-}
-
 /// Configuration of the global placer.
 #[derive(Debug, Clone)]
 pub struct GlobalConfig {
@@ -72,8 +55,6 @@ pub struct GlobalConfig {
     pub model: ModelKind,
     /// Smoothing schedule used when `model == Moreau` (Eq. (14) ablation).
     pub moreau_schedule: MoreauSchedule,
-    /// First-order optimizer (ePlace Nesterov by default).
-    pub optimizer: OptimizerKind,
     /// Stop once density overflow falls below this (paper flow: 0.07).
     pub target_overflow: f64,
     /// Hard iteration cap.
@@ -123,7 +104,6 @@ impl Default for GlobalConfig {
         Self {
             model: ModelKind::Moreau,
             moreau_schedule: MoreauSchedule::Tangent,
-            optimizer: OptimizerKind::Nesterov,
             target_overflow: 0.07,
             max_iters: 600,
             min_iters: 30,
@@ -297,14 +277,7 @@ pub fn place_with_engine(
         .iter()
         .fold(0.0_f64, |acc, g| acc.max(g.abs()))
         .max(1e-30);
-    let initial_step = 0.5 * (bw + bh) / gmax;
-    let mut optimizer: Box<dyn Optimizer> = match config.optimizer {
-        OptimizerKind::Nesterov => Box::new(Nesterov::new(initial_step)),
-        OptimizerKind::Adam => Box::new(mep_optim::adam::Adam::new(0.25 * (bw + bh))),
-        OptimizerKind::ConjugateSubgradient => Box::new(mep_optim::cg::ConjugateSubgradient::new(
-            2.0 * (bw + bh) * (problem.dim() as f64).sqrt(),
-        )),
-    };
+    let mut optimizer = Nesterov::new(0.5 * (bw + bh) / gmax);
 
     // the guard: seed the rollback snapshot with the pre-loop state so a
     // fault on the very first step has somewhere safe to return to
@@ -379,9 +352,7 @@ pub fn place_with_engine(
                     if monitor.strike() >= MAX_STRIKES {
                         let from = problem.model_kind();
                         let to = match from {
-                            ModelKind::Moreau | ModelKind::BigChks | ModelKind::BigWa => {
-                                Some(ModelKind::Wa)
-                            }
+                            ModelKind::Moreau | ModelKind::BigChks => Some(ModelKind::Wa),
                             ModelKind::Wa => Some(ModelKind::Lse),
                             _ => None,
                         };

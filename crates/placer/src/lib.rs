@@ -35,7 +35,6 @@
 // iterator rewrites clippy suggests obscure those loops.
 #![allow(clippy::needless_range_loop)]
 
-pub mod assignment;
 pub mod cancel;
 pub mod detail;
 pub mod error;
@@ -55,7 +54,7 @@ pub use flow::{
     replace_region, run_multilevel, EcoConfig, EcoResult, LevelStats, MultilevelConfig,
     MultilevelResult,
 };
-pub use global::{place_with_engine, GlobalConfig, GlobalResult, MoreauSchedule, OptimizerKind};
+pub use global::{place_with_engine, GlobalConfig, GlobalResult, MoreauSchedule};
 pub use guard::{
     Fault, GuardConfig, HealthMonitor, RecoveryAction, RecoveryEvent, RecoveryLog, Termination,
 };

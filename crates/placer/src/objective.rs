@@ -536,7 +536,6 @@ mod tests {
         steps: usize,
     ) -> (Vec<u64>, Vec<f64>) {
         use mep_optim::nesterov::Nesterov;
-        use mep_optim::Optimizer;
         use mep_wirelength::{SmoothingSchedule, TangentTSchedule};
 
         let model = ModelKind::Moreau.instantiate(1.0);

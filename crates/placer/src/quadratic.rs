@@ -141,11 +141,6 @@ pub struct B2bConfig {
     pub cg_iters: usize,
     /// CG relative-residual tolerance.
     pub cg_tol: f64,
-    /// Minimum |Δ| used in B2B weights (avoids 1/0 on coincident pins).
-    pub min_gap: f64,
-    /// Weight of the weak center anchor applied to every movable cell
-    /// when a design has no fixed pins at all (keeps the system SPD).
-    pub center_anchor: f64,
 }
 
 impl Default for B2bConfig {
@@ -154,8 +149,6 @@ impl Default for B2bConfig {
             rounds: 8,
             cg_iters: 300,
             cg_tol: 1e-8,
-            min_gap: 1e-3,
-            center_anchor: 1e-6,
         }
     }
 }
@@ -192,6 +185,9 @@ pub fn b2b_axis_value(coords: &[f64], min_gap: f64) -> f64 {
     total
 }
 
+/// Minimum |Δ| used in B2B weights (avoids 1/0 on coincident pins).
+const MIN_GAP: f64 = 1e-3;
+
 /// One axis of the B2B system build: adds every net's bound-to-bound
 /// connections to the Laplacian. `coord_of(cell)` reads the *pin-relevant*
 /// coordinate (center + offset handled by the caller through offsets).
@@ -201,7 +197,6 @@ fn build_axis(
     movable_index: &[Option<u32>],
     pin_offset: impl Fn(mep_netlist::PinId) -> f64,
     system: &mut LaplacianSystem,
-    min_gap: f64,
 ) {
     for net in netlist.nets() {
         let range = netlist.net_pin_range(net);
@@ -224,7 +219,7 @@ fn build_axis(
             if a == b {
                 return;
             }
-            let gap = (positions[a] - positions[b]).abs().max(min_gap);
+            let gap = (positions[a] - positions[b]).abs().max(MIN_GAP);
             let w = weight_scale / ((p - 1) as f64 * gap);
             let pa = mep_netlist::PinId::from_usize(a);
             let pb = mep_netlist::PinId::from_usize(b);
@@ -404,25 +399,19 @@ pub fn place_b2b_anchored(
                         0.5 * netlist.cell_height(cell) + netlist.pin_offset_y(p)
                     }
                 };
-                build_axis(
-                    netlist,
-                    &positions,
-                    &movable_index,
-                    offset,
-                    &mut system,
-                    config.min_gap,
-                );
+                build_axis(netlist, &positions, &movable_index, offset, &mut system);
             }
             if !has_fixed_pins && anchor_weights.is_empty() {
                 // degenerate free-floating system: weak anchor to the die
                 // center keeps it SPD (ispd19_test1 has zero fixed cells)
+                const CENTER_ANCHOR: f64 = 1e-6;
                 let center = if axis == 0 {
                     die.center().x
                 } else {
                     die.center().y
                 };
                 for i in 0..m {
-                    system.add_anchor(i, config.center_anchor, center);
+                    system.add_anchor(i, CENTER_ANCHOR, center);
                 }
             }
             if let Some(a) = anchors {

@@ -1,5 +1,5 @@
-//! Scenario tests for the detailed placer: the Hungarian ISM path,
-//! window-size clamping, and convergence control.
+//! Scenario tests for the detailed placer: independent-set matching on a
+//! rotation instance and convergence control.
 
 use mep_netlist::{CellId, Design, NetlistBuilder, Placement, Rect};
 use mep_placer::detail::{refine, DetailConfig};
@@ -11,7 +11,7 @@ use mep_placer::legalize::check_legal;
 /// cell whose slot it wants, and that swap trades 0 for an equal loss),
 /// and local reordering never fires (one cell per row) — only an exact
 /// set matching can realize the rotation.
-fn rotation_instance(k: usize) -> (Design, Placement, Vec<CellId>, Vec<(f64, f64)>) {
+fn rotation_instance(k: usize) -> (Design, Placement) {
     let mut b = NetlistBuilder::new();
     let cells: Vec<CellId> = (0..k)
         .map(|i| b.add_cell(format!("c{i}"), 1.0, 1.0, true).unwrap())
@@ -48,39 +48,7 @@ fn rotation_instance(k: usize) -> (Design, Placement, Vec<CellId>, Vec<(f64, f64
         pl.x[anchors[i].index()] = ax + 0.5; // align with the slot's center
         pl.y[anchors[i].index()] = ay + 0.5;
     }
-    let slots = (0..k).map(slot).collect();
-    (design, pl, cells, slots)
-}
-
-#[test]
-fn hungarian_ism_solves_an_8_cycle_rotation() {
-    // k = 8 > the brute-force cutoff (4): exercises the Hungarian matching
-    let (design, mut pl, cells, slots) = rotation_instance(8);
-    let before = mep_netlist::total_hpwl(&design.netlist, &pl);
-    let config = DetailConfig {
-        passes: 3,
-        ism_set: 8,
-        window: 2,
-        converge_rel: 0.0,
-    };
-    let report = refine(&design, &mut pl, &config);
-    assert!(report.matchings > 0, "ISM never fired: {report:?}");
-    let after = mep_netlist::total_hpwl(&design.netlist, &pl);
-    assert!(
-        after < 0.05 * before,
-        "rotation not realized: {before} → {after} ({report:?})"
-    );
-    // every cell landed on the next slot
-    for (i, &c) in cells.iter().enumerate() {
-        let (wx, wy) = slots[(i + 1) % cells.len()];
-        assert!(
-            (pl.x[c.index()] - wx).abs() < 1e-9 && (pl.y[c.index()] - wy).abs() < 1e-9,
-            "cell {i} at ({}, {}) want ({wx}, {wy})",
-            pl.x[c.index()],
-            pl.y[c.index()]
-        );
-    }
-    assert!(check_legal(&design, &pl).is_empty());
+    (design, pl)
 }
 
 #[test]
@@ -88,42 +56,25 @@ fn small_rotation_is_fixed() {
     // k = 3: with the short wrap-around, pairwise swaps are no longer
     // neutral, so either swaps or the brute-force ISM path may win — what
     // matters is that the rotation is fully realized
-    let (design, mut pl, _, _) = rotation_instance(3);
+    let (design, mut pl) = rotation_instance(3);
     let before = mep_netlist::total_hpwl(&design.netlist, &pl);
     let config = DetailConfig {
         passes: 2,
-        ism_set: 3,
-        window: 2,
         converge_rel: 0.0,
     };
     let report = refine(&design, &mut pl, &config);
     assert!(report.matchings + report.swaps > 0, "{report:?}");
     let after = mep_netlist::total_hpwl(&design.netlist, &pl);
     assert!(after < 0.2 * before, "{before} → {after}");
-}
-
-#[test]
-fn window_and_set_sizes_are_clamped() {
-    let (design, mut pl, _, _) = rotation_instance(5);
-    // absurd configuration values must be clamped, not panic
-    let config = DetailConfig {
-        passes: 1,
-        window: 99,
-        ism_set: 99,
-        converge_rel: 0.0,
-    };
-    let report = refine(&design, &mut pl, &config);
-    assert!(report.hpwl_after <= report.hpwl_before + 1e-9);
     assert!(check_legal(&design, &pl).is_empty());
 }
 
 #[test]
 fn converge_rel_one_stops_after_a_single_pass() {
-    let (design, mut pl, _, _) = rotation_instance(6);
+    let (design, mut pl) = rotation_instance(6);
     let config = DetailConfig {
         passes: 10,
         converge_rel: 2.0, // relative gain is ≤ 1, so every pass "converges"
-        ..DetailConfig::default()
     };
     let report = refine(&design, &mut pl, &config);
     assert_eq!(report.passes, 1);

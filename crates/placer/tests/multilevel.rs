@@ -3,7 +3,7 @@
 //! incremental (ECO) re-placement freezing guarantees.
 
 use mep_netlist::bookshelf::BookshelfCircuit;
-use mep_netlist::cluster::{coarsen, ClusterConfig};
+use mep_netlist::cluster::coarsen;
 use mep_netlist::{synth, total_hpwl, Rect};
 use mep_placer::flow::{replace_region, run_multilevel, EcoConfig, MultilevelConfig};
 use mep_placer::global::{place, GlobalConfig};
@@ -55,7 +55,7 @@ fn warm_ub_is_never_worse_than_cold_at_equal_budget() {
 fn coarsen_prolong_round_trip_preserves_area_and_pins() {
     let c = small_clustered();
     let nl = &c.design.netlist;
-    let coarse = coarsen(&c.design, &c.placement, &ClusterConfig::default()).expect("coarsen");
+    let coarse = coarsen(&c.design, &c.placement).expect("coarsen");
     let cnl = &coarse.design.netlist;
 
     // bit-exact total movable area (clusters fold member areas)
@@ -120,7 +120,6 @@ fn two_level_flow_places_smoke_clustered_legally() {
             },
             ..PipelineConfig::default()
         },
-        ..MultilevelConfig::default()
     };
     let r = run_multilevel(&c, &config).expect("multilevel flow");
     assert_eq!(r.levels, 2, "smoke_clustered must support one coarsening");

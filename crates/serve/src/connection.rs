@@ -13,6 +13,11 @@
 //! {"op":"shutdown"}
 //! ```
 //!
+//! `model` takes every name `mep place --model` does
+//! (`ModelKind::from_name`: `ours`/`moreau`/`me`, `wa`, `lse`,
+//! `big`/`big_chks`/`chks`, `hpwl`, case-insensitive; absent = Moreau); an
+//! unknown name fails the job with a typed `load` error.
+//!
 //! Responses (server → client) are [`Event`] frames; job events stream
 //! asynchronously as workers progress, interleaved across jobs (every
 //! frame carries its job `id`). Malformed frames get an `error` event and

@@ -144,7 +144,8 @@ pub fn estimate_circuit_bytes(c: &BookshelfCircuit) -> u64 {
 pub struct JobRequest {
     /// Circuit to place.
     pub circuit: CircuitSource,
-    /// Wirelength model (`"moreau"`, `"wa"`, `"lse"`); `None` = Moreau.
+    /// Wirelength model, any name `ModelKind::from_name` accepts; `None` =
+    /// Moreau.
     pub model: Option<String>,
     /// Global-placement iteration cap (clamped to the server's cap).
     pub max_iters: Option<usize>,

@@ -550,14 +550,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 fn parse_model(name: Option<&str>) -> Result<ModelKind, JobError> {
-    match name {
-        None | Some("moreau") => Ok(ModelKind::Moreau),
-        Some("wa") => Ok(ModelKind::Wa),
-        Some("lse") => Ok(ModelKind::Lse),
-        Some(other) => Err(JobError::Load {
-            detail: format!("unknown wirelength model {other:?}"),
-        }),
-    }
+    let Some(name) = name else {
+        return Ok(ModelKind::Moreau);
+    };
+    ModelKind::from_name(name).ok_or_else(|| JobError::Load {
+        detail: format!("unknown wirelength model {name:?}"),
+    })
 }
 
 /// The job body proper (runs under `catch_unwind`).
@@ -668,6 +666,15 @@ mod tests {
             queue_capacity: queue,
             ..ServerConfig::default()
         })
+    }
+
+    #[test]
+    fn model_names_are_the_clis_and_unknown_ones_a_typed_load_error() {
+        assert_eq!(parse_model(None).unwrap(), ModelKind::Moreau);
+        assert_eq!(parse_model(Some("big_chks")).unwrap(), ModelKind::BigChks);
+        assert_eq!(parse_model(Some("HPWL")).unwrap(), ModelKind::Hpwl);
+        let err = parse_model(Some("big_wa")).unwrap_err();
+        assert_eq!(err.kind(), "load");
     }
 
     #[test]

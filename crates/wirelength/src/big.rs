@@ -37,38 +37,6 @@ pub fn chks_max_partials(a: f64, b: f64, gamma: f64) -> (f64, f64) {
     (0.5 * (1.0 + d), 0.5 * (1.0 - d))
 }
 
-/// Bivariate WA smooth maximum (the BiG_WA variant of \[21\]):
-/// `(a·e^{a/γ} + b·e^{b/γ}) / (e^{a/γ} + e^{b/γ})`, evaluated with
-/// max-shifting so it never overflows. Underestimates `max(a,b)`.
-#[inline]
-pub fn wa2_max(a: f64, b: f64, gamma: f64) -> f64 {
-    let m = a.max(b);
-    let ea = ((a - m) / gamma).exp();
-    let eb = ((b - m) / gamma).exp();
-    (a * ea + b * eb) / (ea + eb)
-}
-
-/// Bivariate WA smooth minimum (negated-argument mirror of [`wa2_max`]).
-#[inline]
-pub fn wa2_min(a: f64, b: f64, gamma: f64) -> f64 {
-    -wa2_max(-a, -b, gamma)
-}
-
-/// Partial derivatives `(∂/∂a, ∂/∂b)` of [`wa2_max`].
-#[inline]
-pub fn wa2_max_partials(a: f64, b: f64, gamma: f64) -> (f64, f64) {
-    let m = a.max(b);
-    let ea = ((a - m) / gamma).exp();
-    let eb = ((b - m) / gamma).exp();
-    let s = ea + eb;
-    let f = (a * ea + b * eb) / s;
-    // ∂f/∂a = (e_a/s)(1 + (a − f)/γ); symmetric in b
-    (
-        ea / s * (1.0 + (a - f) / gamma),
-        eb / s * (1.0 + (b - f) / gamma),
-    )
-}
-
 /// The BiG_CHKS net model: a left fold of [`chks_max`]/[`chks_min`] over
 /// the pins, with gradients via reverse-mode accumulation through the fold.
 #[derive(Debug, Clone)]
@@ -157,97 +125,6 @@ impl NetModel for BigChks {
         for &xi in &x[1..] {
             mx = chks_max(mx, xi, g);
             mn = chks_min(mn, xi, g);
-        }
-        mx - mn
-    }
-}
-
-/// The BiG_WA net model: the same recursive fold as [`BigChks`], using
-/// the bivariate WA function instead of CHKS. The paper cites \[21\]'s
-/// observation that BiG_WA and BiG_CHKS perform roughly equally and
-/// re-implements only the CHKS variant; both are provided here.
-#[derive(Debug, Clone)]
-pub struct BigWa {
-    gamma: f64,
-    fwd_max: Vec<f64>,
-    fwd_min: Vec<f64>,
-}
-
-impl BigWa {
-    /// Creates the model with smoothing parameter `γ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `γ ≤ 0`.
-    pub fn new(gamma: f64) -> Self {
-        assert!(
-            gamma > 0.0,
-            "smoothing parameter must be positive, got {gamma}"
-        );
-        Self {
-            gamma,
-            fwd_max: Vec::new(),
-            fwd_min: Vec::new(),
-        }
-    }
-}
-
-impl NetModel for BigWa {
-    fn name(&self) -> &'static str {
-        "BiG_WA"
-    }
-
-    fn smoothing(&self) -> f64 {
-        self.gamma
-    }
-
-    fn set_smoothing(&mut self, s: f64) {
-        assert!(s > 0.0, "smoothing parameter must be positive, got {s}");
-        self.gamma = s;
-    }
-
-    fn eval_axis(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
-        assert!(!x.is_empty(), "net must have at least one pin");
-        assert_eq!(x.len(), grad.len());
-        let n = x.len();
-        let g = self.gamma;
-        if n == 1 {
-            grad[0] = 0.0;
-            return 0.0;
-        }
-        self.fwd_max.resize(n, 0.0);
-        self.fwd_min.resize(n, 0.0);
-        self.fwd_max[0] = x[0];
-        self.fwd_min[0] = x[0];
-        for i in 1..n {
-            self.fwd_max[i] = wa2_max(self.fwd_max[i - 1], x[i], g);
-            self.fwd_min[i] = wa2_min(self.fwd_min[i - 1], x[i], g);
-        }
-        let mut acc_max = 1.0;
-        let mut acc_min = 1.0;
-        grad.fill(0.0);
-        for i in (1..n).rev() {
-            let (da, db) = wa2_max_partials(self.fwd_max[i - 1], x[i], g);
-            grad[i] += acc_max * db;
-            acc_max *= da;
-            // min(a,b) = −wa2_max(−a,−b), so ∂min/∂a and ∂min/∂b equal the
-            // max partials evaluated at the negated arguments
-            let (da_min, db_min) = wa2_max_partials(-self.fwd_min[i - 1], -x[i], g);
-            grad[i] -= acc_min * db_min;
-            acc_min *= da_min;
-        }
-        grad[0] += acc_max - acc_min;
-        self.fwd_max[n - 1] - self.fwd_min[n - 1]
-    }
-
-    fn value_axis(&mut self, x: &[f64]) -> f64 {
-        assert!(!x.is_empty(), "net must have at least one pin");
-        let g = self.gamma;
-        let mut mx = x[0];
-        let mut mn = x[0];
-        for &xi in &x[1..] {
-            mx = wa2_max(mx, xi, g);
-            mn = wa2_min(mn, xi, g);
         }
         mx - mn
     }
@@ -357,75 +234,5 @@ mod tests {
         m.eval_axis(&[0.0, 10.0], &mut g);
         assert!((g[0] + g[1]).abs() < 1e-12);
         assert!(g[1] > 0.9 && g[0] < -0.9);
-    }
-
-    #[test]
-    fn wa2_brackets_pairwise_max() {
-        for &(a, b) in &[(0.0, 1.0), (-5.0, 3.0), (2.0, 2.0), (40.0, -40.0)] {
-            for &g in &[0.1, 1.0, 10.0] {
-                let s = wa2_max(a, b, g);
-                assert!(s <= a.max(b) + 1e-12);
-                assert!(s >= 0.5 * (a + b) - 1e-12);
-                let m = wa2_min(a, b, g);
-                assert!(m >= a.min(b) - 1e-12);
-                // identity: wa2_max + wa2_min... does NOT hold for WA;
-                // instead check the mirror relation directly
-                assert!((m + wa2_max(-a, -b, g)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn wa2_partials_match_finite_differences() {
-        let (a, b, g) = (1.3, -0.7, 0.9);
-        let (da, db) = wa2_max_partials(a, b, g);
-        let h = 1e-7;
-        let fa = (wa2_max(a + h, b, g) - wa2_max(a - h, b, g)) / (2.0 * h);
-        let fb = (wa2_max(a, b + h, g) - wa2_max(a, b - h, g)) / (2.0 * h);
-        assert!((da - fa).abs() < 1e-6);
-        assert!((db - fb).abs() < 1e-6);
-    }
-
-    #[test]
-    fn big_wa_gradient_finite_difference() {
-        let x = [0.0, 2.5, 5.0, 4.9, -1.0];
-        let g = 1.2;
-        let mut m = BigWa::new(g);
-        let mut grad = vec![0.0; x.len()];
-        let v0 = m.eval_axis(&x, &mut grad);
-        assert!((v0 - m.value_axis(&x)).abs() < 1e-12);
-        let h = 1e-6;
-        for i in 0..x.len() {
-            let mut xp = x.to_vec();
-            let mut xm = x.to_vec();
-            xp[i] += h;
-            xm[i] -= h;
-            let fd = (m.value_axis(&xp) - m.value_axis(&xm)) / (2.0 * h);
-            assert!((fd - grad[i]).abs() < 1e-6, "i={i}: {fd} vs {}", grad[i]);
-        }
-        let sum: f64 = grad.iter().sum();
-        assert!(sum.abs() < 1e-12);
-    }
-
-    #[test]
-    fn big_wa_and_big_chks_are_close() {
-        // [21]'s observation echoed in the paper: the two variants behave
-        // similarly
-        let x = [0.0, 30.0, 70.0, 100.0];
-        let g = 2.0;
-        let mut wa = BigWa::new(g);
-        let mut chks = BigChks::new(g);
-        let (vw, vc) = (wa.value_axis(&x), chks.value_axis(&x));
-        assert!((vw - vc).abs() < 0.1 * span(&x), "{vw} vs {vc}");
-    }
-
-    #[test]
-    fn big_wa_stable_at_placement_scale() {
-        let x = [0.0, 5000.0];
-        let mut m = BigWa::new(1.0);
-        let mut g = [0.0; 2];
-        let v = m.eval_axis(&x, &mut g);
-        assert!(v.is_finite());
-        assert!((v - 5000.0).abs() < 1.0);
     }
 }

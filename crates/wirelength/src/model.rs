@@ -4,7 +4,7 @@
 //! horizontal part; the vertical is symmetric), so a model only ever sees
 //! the coordinates of one net along one axis.
 
-use crate::big::{BigChks, BigWa};
+use crate::big::BigChks;
 use crate::hpwl::Hpwl;
 use crate::lse::Lse;
 use crate::moreau::Moreau;
@@ -38,7 +38,8 @@ pub trait NetModel {
 }
 
 /// Which wirelength model to use — the four contestants of Tables II/III
-/// plus exact HPWL (for reporting and subgradient baselines).
+/// plus exact HPWL (for reporting and as the PEKO suite's non-smooth
+/// column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Exact HPWL with a WA-limit subgradient (non-smooth).
@@ -49,9 +50,6 @@ pub enum ModelKind {
     Wa,
     /// Bivariate-gradient model with the CHKS smoothing function \[21, 36\].
     BigChks,
-    /// Bivariate-gradient model with the WA bivariate function (the
-    /// BiG_WA variant of \[21\]; not a Table II/III contestant).
-    BigWa,
     /// The paper's Moreau-envelope model.
     Moreau,
 }
@@ -64,8 +62,21 @@ impl ModelKind {
             ModelKind::Lse => "LSE",
             ModelKind::Wa => "WA",
             ModelKind::BigChks => "BiG_CHKS",
-            ModelKind::BigWa => "BiG_WA",
             ModelKind::Moreau => "Ours",
+        }
+    }
+
+    /// Parses a model name as the CLI and the daemon accept it
+    /// (case-insensitive): every [`label`](Self::label) plus the aliases
+    /// `moreau`/`me`, `big`/`chks`.
+    pub fn from_name(name: &str) -> Option<ModelKind> {
+        match name.to_ascii_lowercase().as_str() {
+            "ours" | "moreau" | "me" => Some(ModelKind::Moreau),
+            "wa" => Some(ModelKind::Wa),
+            "lse" => Some(ModelKind::Lse),
+            "big" | "big_chks" | "chks" => Some(ModelKind::BigChks),
+            "hpwl" => Some(ModelKind::Hpwl),
+            _ => None,
         }
     }
 
@@ -76,7 +87,6 @@ impl ModelKind {
             ModelKind::Lse => AnyModel::Lse(Lse::new(smoothing)),
             ModelKind::Wa => AnyModel::Wa(Wa::new(smoothing)),
             ModelKind::BigChks => AnyModel::BigChks(BigChks::new(smoothing)),
-            ModelKind::BigWa => AnyModel::BigWa(BigWa::new(smoothing)),
             ModelKind::Moreau => AnyModel::Moreau(Moreau::new(smoothing)),
         }
     }
@@ -110,8 +120,6 @@ pub enum AnyModel {
     Wa(Wa),
     /// CHKS bivariate fold.
     BigChks(BigChks),
-    /// WA bivariate fold.
-    BigWa(BigWa),
     /// Moreau envelope.
     Moreau(Moreau),
 }
@@ -124,7 +132,6 @@ impl AnyModel {
             AnyModel::Lse(_) => ModelKind::Lse,
             AnyModel::Wa(_) => ModelKind::Wa,
             AnyModel::BigChks(_) => ModelKind::BigChks,
-            AnyModel::BigWa(_) => ModelKind::BigWa,
             AnyModel::Moreau(_) => ModelKind::Moreau,
         }
     }
@@ -137,7 +144,6 @@ macro_rules! dispatch {
             AnyModel::Lse($m) => $body,
             AnyModel::Wa($m) => $body,
             AnyModel::BigChks($m) => $body,
-            AnyModel::BigWa($m) => $body,
             AnyModel::Moreau($m) => $body,
         }
     };
@@ -169,16 +175,17 @@ impl NetModel for AnyModel {
 mod tests {
     use super::*;
 
+    const ALL_KINDS: [ModelKind; 5] = [
+        ModelKind::Hpwl,
+        ModelKind::Lse,
+        ModelKind::Wa,
+        ModelKind::BigChks,
+        ModelKind::Moreau,
+    ];
+
     #[test]
     fn instantiate_all_kinds() {
-        for kind in [
-            ModelKind::Hpwl,
-            ModelKind::Lse,
-            ModelKind::Wa,
-            ModelKind::BigChks,
-            ModelKind::BigWa,
-            ModelKind::Moreau,
-        ] {
+        for kind in ALL_KINDS {
             let mut m = kind.instantiate(1.0);
             assert_eq!(m.kind(), kind);
             let x = [0.0, 3.0, 10.0];
@@ -188,6 +195,18 @@ mod tests {
             // every model approximates the span 10
             assert!((v - 10.0).abs() < 3.0, "{kind}: {v}");
         }
+    }
+
+    #[test]
+    fn from_name_round_trips_every_label() {
+        for kind in ALL_KINDS {
+            let label = kind.label();
+            assert_eq!(ModelKind::from_name(label), Some(kind), "{label}");
+            assert_eq!(ModelKind::from_name(&label.to_lowercase()), Some(kind));
+            assert_eq!(ModelKind::from_name(&label.to_uppercase()), Some(kind));
+        }
+        assert_eq!(ModelKind::from_name("big_wa"), None);
+        assert_eq!(ModelKind::from_name(""), None);
     }
 
     #[test]

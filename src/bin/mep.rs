@@ -54,17 +54,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_model(s: &str) -> Option<ModelKind> {
-    match s.to_ascii_lowercase().as_str() {
-        "ours" | "moreau" | "me" => Some(ModelKind::Moreau),
-        "wa" => Some(ModelKind::Wa),
-        "lse" => Some(ModelKind::Lse),
-        "big" | "big_chks" | "chks" => Some(ModelKind::BigChks),
-        "hpwl" => Some(ModelKind::Hpwl),
-        _ => None,
-    }
-}
-
 fn load_circuit(spec: &str, lef: Option<&str>, density: f64) -> Result<BookshelfCircuit, String> {
     if spec.ends_with(".aux") {
         return bookshelf::read_aux(spec, density).map_err(|e| e.to_string());
@@ -279,14 +268,17 @@ fn main() -> ExitCode {
                 match args[i].as_str() {
                     "--model" => {
                         i += 1;
-                        match args.get(i).map(String::as_str).and_then(parse_model) {
+                        match args.get(i).and_then(|s| ModelKind::from_name(s)) {
                             Some(m) => model = m,
                             None => return usage(),
                         }
                     }
                     "--out" => {
                         i += 1;
-                        out = args.get(i).cloned();
+                        match args.get(i) {
+                            Some(p) => out = Some(p.clone()),
+                            None => return usage(),
+                        }
                     }
                     "--iters" => {
                         i += 1;
@@ -329,7 +321,10 @@ fn main() -> ExitCode {
                     }
                     "--lef" => {
                         i += 1;
-                        lef = args.get(i).cloned();
+                        match args.get(i) {
+                            Some(p) => lef = Some(p.clone()),
+                            None => return usage(),
+                        }
                     }
                     "--trace-out" => {
                         i += 1;
@@ -465,7 +460,6 @@ fn main() -> ExitCode {
                     &circuit,
                     &MultilevelConfig {
                         levels,
-                        warm_start: true,
                         pipeline: pipeline_config,
                         ..MultilevelConfig::default()
                     },

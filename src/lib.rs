@@ -15,8 +15,8 @@
 //!   the smoothing schedules;
 //! * [`density`] — the electrostatic density system (FFT, spectral
 //!   Poisson solver, overflow);
-//! * [`optim`] — Nesterov (ePlace variant), Adam, GD, PRP conjugate
-//!   subgradient;
+//! * [`optim`] — Nesterov (ePlace variant), the loop's one optimizer, and
+//!   the `Problem` trait it drives;
 //! * [`placer`] — global placement, legalization, detailed placement, and
 //!   the full pipeline;
 //! * [`obs`] — flow telemetry: metric registry, per-iteration trace

@@ -421,6 +421,23 @@ fn unparseable_threads_and_density_exit_nonzero() {
 }
 
 #[test]
+fn path_flag_missing_its_value_exits_with_usage() {
+    // a trailing `--out` used to mean "no output requested": exit 0,
+    // nothing written
+    for flag in ["--out", "--lef", "--trace-out"] {
+        let out = mep()
+            .args(["place", "smoke", "--iters", "1", flag])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{flag}"
+        );
+    }
+}
+
+#[test]
 fn mep_threads_env_is_not_read() {
     // no thread knob is left: a value that used to be warned about
     // changes nothing and is not mentioned

@@ -100,37 +100,3 @@ fn smoothing_updates_propagate_through_problem() {
     // per net-axis, so the smooth value is larger
     assert!(f_smooth > f_sharp, "{f_smooth} vs {f_sharp}");
 }
-
-#[test]
-fn objective_decreases_under_any_optimizer() {
-    use moreau_placer::optim::{
-        adam::Adam, cg::ConjugateSubgradient, gd::GradientDescent, Optimizer,
-    };
-    let circuit = synth::generate(&synth::smoke_spec());
-    let optimizers: Vec<Box<dyn Optimizer>> = vec![
-        Box::new(Adam::new(0.05)),
-        Box::new(GradientDescent::new(1.0)),
-        Box::new(ConjugateSubgradient::new(0.5)),
-    ];
-    for mut opt in optimizers {
-        let mut p = PlacementProblem::new(
-            &circuit.design,
-            &circuit.placement,
-            ModelKind::Moreau.instantiate(1.0),
-            Arc::default(),
-        );
-        p.lambda = 0.1;
-        let mut x = p.pack_params(&circuit.placement);
-        p.project(&mut x);
-        let first = opt.step(&mut p, &mut x).value;
-        let mut last = first;
-        for _ in 0..30 {
-            last = opt.step(&mut p, &mut x).value;
-        }
-        assert!(
-            last < first,
-            "{} failed to descend: {first} → {last}",
-            opt.name()
-        );
-    }
-}
