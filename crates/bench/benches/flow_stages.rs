@@ -1,13 +1,12 @@
-//! Criterion macrobench: the non-GP pipeline stages — legalization,
-//! detailed placement, and the B2B quadratic solve — on the smoke circuit
-//! (the cost behind the LG/DP portions of the RT columns).
+//! Criterion macrobench: the non-GP pipeline stages — legalization and
+//! detailed placement — on the smoke circuit (the cost behind the LG/DP
+//! portions of the RT columns).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mep_netlist::synth;
 use mep_placer::detail::{refine, DetailConfig};
 use mep_placer::global::{place, GlobalConfig};
 use mep_placer::legalize::legalize;
-use mep_placer::quadratic::{place_b2b, B2bConfig};
 use mep_wirelength::ModelKind;
 use std::hint::black_box;
 
@@ -36,13 +35,6 @@ fn bench_stages(c: &mut Criterion) {
             let mut pl = legal.clone();
             let report = refine(&circuit.design, &mut pl, &DetailConfig::default());
             black_box(report.hpwl_after)
-        })
-    });
-    group.bench_function("b2b_quadratic_smoke", |b| {
-        b.iter(|| {
-            let (pl, report) =
-                place_b2b(black_box(&circuit), &B2bConfig::default()).expect("placeable circuit");
-            black_box((pl.x[0], report.hpwl))
         })
     });
     group.finish();

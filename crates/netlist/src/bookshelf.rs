@@ -14,6 +14,7 @@ use crate::design::{Design, Row};
 use crate::error::NetlistError;
 use crate::netlist::NetlistBuilder;
 use crate::placement::Placement;
+use crate::FixedState;
 // lint:allow(determinism): name-keyed lookup tables for parsing; never iterated
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -197,7 +198,7 @@ pub fn read_files_with_weights(
 
     // --- .pl (read early: FIXED flags override movability) ----------------
     // lint:allow(determinism): .pl positions are looked up per cell name; never iterated
-    let mut positions: HashMap<String, (f64, f64, bool)> = HashMap::new();
+    let mut positions: HashMap<String, (f64, f64, bool), FixedState> = HashMap::default();
     for (lineno, line) in content_lines(pl_text) {
         let mut tok = line.split_whitespace();
         let name = tok
@@ -226,7 +227,7 @@ pub fn read_files_with_weights(
 
     // --- .nets -------------------------------------------------------------
     // lint:allow(determinism): net-name dedup index for .nets parsing; never iterated
-    let mut net_index: HashMap<String, crate::ids::NetId> = HashMap::new();
+    let mut net_index: HashMap<String, crate::ids::NetId, FixedState> = HashMap::default();
     {
         let mut lines = content_lines(nets_text).peekable();
         let mut net_counter = 0usize;

@@ -34,6 +34,13 @@ pub mod netlist;
 pub mod placement;
 pub mod synth;
 
+/// Hasher state of every hash container on the placement path: SipHash
+/// under fixed keys, not `RandomState`'s per-process ones. None of the
+/// containers is iterated for a result, but cloning and dropping one walks
+/// its table, so with random keys the order of allocations, and with it
+/// the peak resident set, differed between two runs on the same input.
+pub type FixedState = std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
+
 pub use cluster::{coarsen, CoarsenStats, Coarsened, ProlongationMap};
 pub use design::{Design, Region, Row};
 pub use error::NetlistError;

@@ -24,6 +24,7 @@
 
 use crate::error::NetlistError;
 use crate::ids::{CellId, NetId, PinId};
+use crate::FixedState;
 // lint:allow(determinism): cell-name index is lookup-only (cell_by_name); never iterated
 use std::collections::HashMap;
 
@@ -53,7 +54,7 @@ pub struct Netlist {
     cell_pin_ids: Vec<PinId>,
     // lookup
     // lint:allow(determinism): lookup-only via cell_by_name; never iterated
-    name_index: HashMap<String, CellId>,
+    name_index: HashMap<String, CellId, FixedState>,
     // process-unique topology token (see `instance_id`)
     instance_id: u64,
 }
@@ -295,7 +296,7 @@ pub struct NetlistBuilder {
     pin_offset_x: Vec<f64>,
     pin_offset_y: Vec<f64>,
     // lint:allow(determinism): lookup-only via cell_by_name; never iterated
-    name_index: HashMap<String, CellId>,
+    name_index: HashMap<String, CellId, FixedState>,
 }
 
 impl NetlistBuilder {

@@ -22,8 +22,8 @@ pub struct IterationRecord {
     /// finest netlist; higher = coarser cluster levels).
     pub level: u64,
     /// Flow stage that produced the record (`None` for the plain flat
-    /// flow; e.g. `"warm-lb"`, `"warm-ub"`, `"coarse"`, `"final"`,
-    /// `"eco"` for the multilevel/incremental drivers).
+    /// flow; `"coarse"`, `"final"` or `"eco"` for the
+    /// multilevel/incremental drivers).
     pub stage: Option<String>,
     /// Smoothed objective `Σ W_e + λ D` at this step, `e` over the nets
     /// with a movable pin.

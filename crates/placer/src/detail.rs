@@ -14,7 +14,7 @@
 //! Every accepted move strictly reduces exact HPWL, so the refinement
 //! never degrades the legalized result.
 
-use mep_netlist::{net_hpwl, total_hpwl, CellId, Design, NetId, Netlist, Placement};
+use mep_netlist::{net_hpwl, total_hpwl, CellId, Design, FixedState, NetId, Netlist, Placement};
 // lint:allow(determinism): membership-only net dedup set; never iterated
 use std::collections::HashSet;
 
@@ -332,7 +332,7 @@ fn global_swap(
         )
     };
     // lint:allow(determinism): probed by key only; per-bucket Vecs keep deterministic insertion order
-    let mut spatial: std::collections::HashMap<(i64, i32, i64, i64), Vec<CellId>> =
+    let mut spatial: std::collections::HashMap<(i64, i32, i64, i64), Vec<CellId>, FixedState> =
         Default::default();
     for &c in &all {
         spatial
@@ -449,7 +449,8 @@ fn independent_set_matching(
     let mut attempted = 0;
     // group by (width, region): slot exchanges stay inside one fence
     // lint:allow(determinism): keys are copied out and sorted before iteration (below)
-    let mut by_width: std::collections::HashMap<(i64, i32), Vec<CellId>> = Default::default();
+    let mut by_width: std::collections::HashMap<(i64, i32), Vec<CellId>, FixedState> =
+        Default::default();
     for &c in rows.iter().flatten() {
         let key = (
             (netlist.cell_width(c) * 16.0).round() as i64,
@@ -458,7 +459,7 @@ fn independent_set_matching(
         by_width.entry(key).or_default().push(c);
     }
     // lint:allow(determinism): membership-only dedup of shared nets; never iterated
-    let mut nets_seen: HashSet<NetId> = HashSet::new();
+    let mut nets_seen: HashSet<NetId, FixedState> = HashSet::default();
     let mut keys: Vec<(i64, i32)> = by_width.keys().copied().collect();
     keys.sort_unstable(); // deterministic iteration order
     for key in keys {

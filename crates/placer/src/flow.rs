@@ -1,35 +1,28 @@
 //! Multilevel and incremental placement drivers on top of the flat
 //! pipeline (DESIGN.md §12).
 //!
-//! Three entry points:
+//! Two entry points:
 //!
 //! * [`run_multilevel`] — cluster-based coarsening ([`mep_netlist::cluster`])
 //!   builds a stack of progressively smaller placement problems; each level
 //!   is solved by the guarded global placer and interpolated one level
 //!   finer, so the finest (and most expensive) level starts from a nearly
-//!   converged picture instead of everything piled at the die center.
-//! * The **LB/UB warm-start alternation** inside it — at the coarsest
-//!   level, B2B quadratic solves (the density-free *lower bound* on
-//!   wirelength, [`crate::quadratic`]) alternate with short guarded
-//!   Moreau/density runs (the legal-leaning *upper bound*); each LB round
-//!   is anchored toward the last UB placement with a geometrically growing
-//!   force factor, converging the two bounds the way SimPL/Coloquinte
-//!   flows do.
+//!   converged picture instead of everything piled at the die center. The
+//!   coarsest level itself starts from the center pile like the flat flow.
 //! * [`replace_region`] — incremental (ECO) re-placement: everything
 //!   outside a dirty window is frozen in place (bit-identical coordinates)
 //!   and only the cells touching the window are re-placed by the full
 //!   guarded pipeline.
 //!
 //! The multilevel driver reports into one [`EvalEngine`] across every
-//! level and stage ([`replace_region`] is one pipeline run on an engine of
-//! its own); all drivers stamp `level`/`stage` into the per-iteration trace
-//! records so a single JSONL trace tells the whole story of a run.
+//! level ([`replace_region`] is one pipeline run on an engine of its own);
+//! both drivers stamp `level`/`stage` into the per-iteration trace records
+//! so a single JSONL trace tells the whole story of a run.
 
 use crate::error::PlacerError;
 use crate::global::{place_with_engine, GlobalConfig};
 use crate::guard::Termination;
 use crate::pipeline::{run_with_engine, PipelineConfig, PipelineResult};
-use crate::quadratic::{place_b2b, place_b2b_anchored, AnchorSet, B2bConfig};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::cluster::{coarsen, Coarsened};
 use mep_netlist::{total_hpwl, Design, Placement, Rect};
@@ -38,9 +31,7 @@ use mep_wirelength::engine::EvalEngine;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Configuration of the multilevel flow. The LB/UB quadratic/nonlinear
-/// alternation always runs at the coarsest level before the coarse density
-/// run (at `levels == 1` too, warm-starting the flat flow).
+/// Configuration of the multilevel flow.
 #[derive(Debug, Clone)]
 pub struct MultilevelConfig {
     /// Number of levels including the finest one (`1` = flat flow; `2`
@@ -98,8 +89,6 @@ pub struct MultilevelResult {
     /// Levels actually placed (≤ the configured count when coarsening
     /// stopped early).
     pub levels: usize,
-    /// LB/UB alternation rounds actually run.
-    pub warm_rounds: usize,
     /// Per-level statistics, coarsest first, finest (level 0) last.
     pub level_stats: Vec<LevelStats>,
 }
@@ -108,43 +97,35 @@ pub struct MultilevelResult {
 /// target because legality is only decided at the finest level.
 const COARSE_TARGET_OVERFLOW: f64 = 0.20;
 
-/// Derives the global config used at a coarse level.
-fn coarse_global(cfg: &MultilevelConfig, level: usize, stage: &str, iters: usize) -> GlobalConfig {
-    GlobalConfig {
-        max_iters: iters,
-        min_iters: cfg.pipeline.global.min_iters.min(iters),
-        target_overflow: COARSE_TARGET_OVERFLOW,
-        level: level as u32,
-        stage: Some(stage.to_string()),
-        ..cfg.pipeline.global.clone()
-    }
-}
+/// λ₀ multiplier for levels that start from a prolonged coarse solution —
+/// they are already spread and skip the early part of the Eq. (15) density
+/// ramp instead of re-walking it.
+const WARM_LAMBDA_SCALE: f64 = 5.0;
 
-/// Runs the multilevel flow: coarsen, solve coarse→fine with warm-started
-/// LB/UB alternation at the coarsest level, finish with the full flat
-/// pipeline on the original netlist.
+/// Runs the multilevel flow: coarsen, solve the coarsest level from the
+/// center pile, prolong and refine level by level, finish with the full
+/// flat pipeline on the original netlist. When no coarse level exists
+/// (`levels: 1`, or a netlist the first coarsening pass cannot shrink) the
+/// flow *is* [`crate::pipeline::run`], bit for bit.
 ///
-/// The cancel token in `config.pipeline.global.cancel` is honored at
-/// every stage boundary — before each coarsening pass, each LB/UB round,
-/// and each intermediate level — in addition to the per-iteration check
-/// inside each global-placement loop. A token that trips during the
-/// coarse phase skips the remaining coarse work; the finest pipeline then
-/// runs a single checked iteration so the result still carries a legal
-/// placement and the mapped termination ([`Termination::WallClock`] for a
-/// deadline, [`Termination::Cancelled`] for an explicit cancel).
+/// The cancel token in `config.pipeline.global.cancel` is honored before
+/// each coarsening pass, in addition to the per-iteration check inside
+/// each global-placement loop. A token that trips during the coarse phase
+/// bounds every remaining level to a single checked iteration, so the
+/// result still carries a legal placement and the mapped termination
+/// ([`Termination::WallClock`] for a deadline, [`Termination::Cancelled`]
+/// for an explicit cancel).
 ///
 /// # Errors
 ///
 /// [`PlacerError`] on degenerate inputs or unrecoverable numerical faults
-/// at any level. A coarsest level whose netlist cannot support a
-/// quadratic solve (e.g. every net collapsed) silently skips the LB
-/// rounds and falls back to the plain coarse density run.
+/// at any level.
 pub fn run_multilevel(
     circuit: &BookshelfCircuit,
     config: &MultilevelConfig,
 ) -> Result<MultilevelResult, PlacerError> {
-    // one engine for every level and stage: the final report's `engine.*`
-    // metrics cover the whole flow
+    // one engine for every level: the final report's `engine.*` metrics
+    // cover the whole flow
     let engine = Arc::<EvalEngine>::default();
     if config.levels == 0 {
         return Err(PlacerError::DegenerateInput {
@@ -159,7 +140,7 @@ pub fn run_multilevel(
     let mut stack: Vec<Coarsened> = Vec::new();
     for _ in 1..config.levels {
         // a deadline/cancel during coarsening: stop building levels and
-        // let the (checked) finest run wind the flow down
+        // let the (checked) runs below wind the flow down
         if cancel.is_tripped() {
             break;
         }
@@ -183,150 +164,59 @@ pub fn run_multilevel(
     let metrics = Registry::new();
     metrics.counter("ml.levels").add(levels as u64);
 
-    // ---- coarsest level: LB/UB warm-start alternation + density run ----
-    let coarsest = stack.len();
-    let mut level_circuit = match stack.last() {
-        None => circuit.clone(),
-        Some(c) => BookshelfCircuit {
-            design: c.design.clone(),
-            placement: c.placement.clone(),
-        },
-    };
-    // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
-    let t_coarsest = Instant::now();
-    let mut warm_rounds = 0usize;
-    let mut coarsest_iters = 0usize;
-    let mut coarsest_overflow = f64::NAN;
-    // LB/UB alternation rounds
-    const LB_ROUNDS: usize = 3;
-    // anchor force factor of the first anchored LB round, and its
-    // geometric growth per round
-    const FORCE_FACTOR0: f64 = 0.02;
-    const FORCE_GROWTH: f64 = 2.0;
-    // A lower bound only seeds the UB run — looser CG than the standalone
-    // quadratic placer is plenty and keeps the LB cost sublinear in the
-    // coarse instance size.
-    const LB_B2B: B2bConfig = B2bConfig {
-        rounds: 2,
-        cg_iters: 150,
-        cg_tol: 1e-5,
-    };
-    let ub_budget = (config.coarse_iters / LB_ROUNDS).max(20);
-    let mut force = FORCE_FACTOR0;
-    let mut target: Option<Placement> = None;
-    for _round in 0..LB_ROUNDS {
-        // the LB quadratic solve has no token poll of its own: check
-        // here so a tripped token skips whole rounds, not just the
-        // guarded UB iterations inside them
-        if cancel.is_tripped() {
-            break;
-        }
-        let lb = match &target {
-            None => place_b2b(&level_circuit, &LB_B2B),
-            Some(t) => place_b2b_anchored(
-                &level_circuit,
-                &LB_B2B,
-                Some(AnchorSet {
-                    target: t,
-                    force_factor: force,
-                }),
-            ),
-        };
-        let lb_placement = match lb {
-            Ok((pl, _)) => pl,
-            // a coarse netlist that cannot constrain any movable cell
-            // (all nets collapsed) has nothing for the LB engine to
-            // do; the density run below still works
-            Err(PlacerError::DegenerateInput { .. }) => break,
-            Err(e) => return Err(e),
-        };
-        level_circuit.placement = lb_placement;
-        let gcfg = coarse_global(config, coarsest, "warm-ub", ub_budget);
-        let ub = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
-        coarsest_iters += ub.iterations;
-        coarsest_overflow = ub.overflow;
-        level_circuit.placement = ub.placement;
-        target = Some(level_circuit.placement.clone());
-        force *= FORCE_GROWTH;
-        warm_rounds += 1;
-    }
-    if warm_rounds == 0 {
-        // cold coarse run (LB degenerate, or the token tripped first)
-        let gcfg = coarse_global(config, coarsest, "coarse", config.coarse_iters);
-        let gp = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
-        coarsest_iters = gp.iterations;
-        coarsest_overflow = gp.overflow;
-        level_circuit.placement = gp.placement;
-    }
-    metrics.counter("ml.warm_rounds").add(warm_rounds as u64);
-    level_stats.push(LevelStats {
-        level: coarsest,
-        movable: level_circuit.design.netlist.num_movable(),
-        iterations: coarsest_iters,
-        hpwl: total_hpwl(&level_circuit.design.netlist, &level_circuit.placement),
-        overflow: coarsest_overflow,
-        rt_seconds: t_coarsest.elapsed().as_secs_f64(),
-    });
-
-    // λ₀ multiplier for stages that start from an already-spread placement
-    // (prolonged intermediate levels and the finest level after a coarse
-    // solve) — they skip the early part of the Eq. (15) density ramp
-    // instead of re-walking it.
-    const WARM_LAMBDA_SCALE: f64 = 5.0;
-
-    // ---- walk down the stack: prolong, refine each intermediate level ----
-    for k in (1..stack.len()).rev() {
+    // ---- coarse levels, coarsest first: the coarsest from its own
+    // center pile, every finer one from the prolonged solution above it ----
+    let mut solved: Option<Placement> = None;
+    for k in (1..=stack.len()).rev() {
         // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
         let t_level = Instant::now();
-        let fine = &stack[k - 1]; // level-k problem
-        let mut fine_placement = fine.placement.clone();
-        stack[k].map.prolong(
-            &fine.design,
-            &stack[k].design,
-            &level_circuit.placement,
-            &mut fine_placement,
-        )?;
-        level_circuit = BookshelfCircuit {
-            design: fine.design.clone(),
-            placement: fine_placement,
+        let level = &stack[k - 1];
+        let mut gcfg = GlobalConfig {
+            max_iters: config.coarse_iters,
+            min_iters: config.pipeline.global.min_iters.min(config.coarse_iters),
+            target_overflow: COARSE_TARGET_OVERFLOW,
+            level: k as u32,
+            stage: Some("coarse".to_string()),
+            ..config.pipeline.global.clone()
         };
-        let mut gcfg = coarse_global(config, k, "coarse", config.coarse_iters);
-        gcfg.lambda_scale = WARM_LAMBDA_SCALE;
+        let mut placement = level.placement.clone();
+        if let Some(coarser) = &solved {
+            let above = &stack[k];
+            above
+                .map
+                .prolong(&level.design, &above.design, coarser, &mut placement)?;
+            gcfg.lambda_scale = WARM_LAMBDA_SCALE;
+        }
+        let level_circuit = BookshelfCircuit {
+            design: level.design.clone(),
+            placement,
+        };
         let gp = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
         level_stats.push(LevelStats {
             level: k,
-            movable: level_circuit.design.netlist.num_movable(),
+            movable: level.design.netlist.num_movable(),
             iterations: gp.iterations,
             hpwl: gp.hpwl,
             overflow: gp.overflow,
             rt_seconds: t_level.elapsed().as_secs_f64(),
         });
-        level_circuit.placement = gp.placement;
+        solved = Some(gp.placement);
     }
 
     // ---- finest level: prolong and run the full pipeline ----
     // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
     let t_finest = Instant::now();
     let mut finest_circuit = circuit.clone();
-    if let Some(first) = stack.first() {
-        let mut fine_placement = circuit.placement.clone();
-        first.map.prolong(
-            &circuit.design,
-            &first.design,
-            &level_circuit.placement,
-            &mut fine_placement,
-        )?;
-        finest_circuit.placement = fine_placement;
-    } else {
-        // flat flow: the "coarsest" level was the original netlist
-        finest_circuit.placement = level_circuit.placement.clone();
-    }
     let mut final_config = config.pipeline.clone();
     final_config.global.level = 0;
     final_config.global.stage = Some("final".to_string());
-    if !stack.is_empty() {
-        // the finest level starts from a prolonged coarse solution, not a
-        // center pile: begin the density ramp further along
+    if let (Some(first), Some(coarser)) = (stack.first(), &solved) {
+        first.map.prolong(
+            &circuit.design,
+            &first.design,
+            coarser,
+            &mut finest_circuit.placement,
+        )?;
         final_config.global.lambda_scale = WARM_LAMBDA_SCALE;
     }
     let mut result = run_with_engine(&finest_circuit, &final_config, Arc::clone(&engine))?;
@@ -356,7 +246,6 @@ pub fn run_multilevel(
     Ok(MultilevelResult {
         result,
         levels,
-        warm_rounds,
         level_stats,
     })
 }

@@ -67,9 +67,10 @@ pub struct GlobalConfig {
     /// `t0` for the tangent schedule (paper default 4).
     pub t0: f64,
     /// Multiplier on the bootstrapped λ₀ (and therefore on the Eq. (15)
-    /// ramp rate). `1.0` is the paper flow; warm-started stages of the
-    /// multilevel driver raise it so a placement that is already spread
-    /// does not re-walk the whole density ramp from the beginning.
+    /// ramp rate). `1.0` is the paper flow; the multilevel driver raises it
+    /// for levels that start from a prolonged coarse solution, so that a
+    /// placement that is already spread does not re-walk the whole density
+    /// ramp from the beginning.
     pub lambda_scale: f64,
     /// Numerical-health guard (rollback, backoff, degradation ladder).
     pub guard: GuardConfig,
@@ -87,8 +88,8 @@ pub struct GlobalConfig {
     /// [`IterationRecord`] by the loop.
     pub level: u32,
     /// Flow-stage label stamped into trace records (`None` for the flat
-    /// flow; the multilevel/ECO drivers set `"warm-ub"`, `"coarse"`,
-    /// `"final"`, `"eco"`, …).
+    /// flow; the multilevel/ECO drivers set `"coarse"`, `"final"`,
+    /// `"eco"`).
     pub stage: Option<String>,
     /// Cooperative cancellation handle, polled once per iteration. The
     /// default token is inert; drivers (the `mep-serve` daemon, signal

@@ -15,7 +15,7 @@
 
 use crate::error::PlacerError;
 use crate::telemetry::DispHistogram;
-use mep_netlist::{CellId, Design, Placement, Rect, Row};
+use mep_netlist::{CellId, Design, FixedState, Placement, Rect, Row};
 
 /// Report of one legalization run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -638,7 +638,7 @@ pub fn check_legal(design: &Design, placement: &Placement) -> Vec<Violation> {
         }
     }
     // lint:allow(determinism): membership-only dedup of reported overlap pairs; never iterated
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::HashSet::<_, FixedState>::default();
     for row in &mut by_row {
         row.sort_by(|&a, &b| placement.x[a.index()].total_cmp(&placement.x[b.index()]));
         for pair in row.windows(2) {

@@ -12,8 +12,8 @@
 //! * [`detail`] — local reordering, global swap, independent-set matching;
 //! * [`pipeline`] — GP → LG → DP with the LGWL / DPWL / RT metrics of
 //!   Tables II and III;
-//! * [`flow`] — the multilevel driver (cluster coarsening + LB/UB
-//!   warm-start alternation) and incremental (ECO) re-placement;
+//! * [`flow`] — the multilevel driver (cluster coarsening, coarse solve,
+//!   prolongation) and incremental (ECO) re-placement;
 //! * [`guard`] + [`error`] — numerical-health monitoring with
 //!   best-snapshot rollback and typed, fault-tolerant errors for the whole
 //!   flow.
@@ -44,7 +44,6 @@ pub mod guard;
 pub mod legalize;
 pub mod objective;
 pub mod pipeline;
-pub mod quadratic;
 pub mod telemetry;
 
 pub use cancel::{CancelState, CancelToken};

@@ -134,7 +134,6 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     for (name, stage) in [
         ("engine.wl_grad", &e.wl_grad),
         ("engine.wl_scatter", &e.wl_scatter),
-        ("engine.wl_value", &e.wl_value),
         ("engine.density", &e.density),
         ("engine.density_transform", &e.density_transform),
     ] {

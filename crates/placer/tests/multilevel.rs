@@ -1,51 +1,50 @@
-//! Integration tests of the multilevel flow (DESIGN.md §12): LB/UB
-//! warm-start monotonicity, coarsen→prolong conservation laws, and
+//! Integration tests of the multilevel flow (DESIGN.md §12): the
+//! one-level flow is the flat flow, coarsen→prolong conservation laws, and
 //! incremental (ECO) re-placement freezing guarantees.
 
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::cluster::coarsen;
-use mep_netlist::{synth, total_hpwl, Rect};
+use mep_netlist::{synth, total_hpwl, Placement, Rect};
+use mep_obs::RingSink;
 use mep_placer::flow::{replace_region, run_multilevel, EcoConfig, MultilevelConfig};
-use mep_placer::global::{place, GlobalConfig};
+use mep_placer::global::GlobalConfig;
 use mep_placer::pipeline::PipelineConfig;
-use mep_placer::quadratic::{place_b2b, B2bConfig};
+use std::sync::Arc;
 
 fn small_clustered() -> BookshelfCircuit {
     synth::generate(&synth::smoke_clustered_spec())
 }
 
-/// The LB/UB warm-start claim at its core: with an equal global-placement
-/// iteration budget, starting the guarded density run from the B2B
-/// quadratic lower bound must not end at a worse HPWL than the cold
-/// (center-pile) start. Checked on two seeded synthetic designs at a
-/// budget small enough that neither run fully converges.
+/// Without a coarse level there is nothing to start the finest level
+/// from but the center pile: `levels: 1` is `pipeline::run`, bit for bit.
 #[test]
-fn warm_ub_is_never_worse_than_cold_at_equal_budget() {
-    for seed in [7u64, 23u64] {
-        let spec = synth::SynthSpec {
-            seed,
-            ..synth::smoke_clustered_spec()
-        };
-        let circuit = synth::generate(&spec);
-        let budget = 120;
-        let config = GlobalConfig {
-            max_iters: budget,
-            ..GlobalConfig::default()
-        };
-        let cold = place(&circuit, &config).expect("cold GP");
-        let (qp, _) = place_b2b(&circuit, &B2bConfig::default()).expect("LB solve");
-        let warm_circuit = BookshelfCircuit {
-            design: circuit.design.clone(),
-            placement: qp,
-        };
-        let warm = place(&warm_circuit, &config).expect("warm GP");
-        assert!(
-            warm.hpwl <= cold.hpwl * 1.01,
-            "seed {seed}: warm UB {:.4e} worse than cold {:.4e} at {budget} iters",
-            warm.hpwl,
-            cold.hpwl
-        );
+fn one_level_is_the_flat_flow() {
+    let c = small_clustered();
+    let pipeline = PipelineConfig::default();
+    let flat = mep_placer::pipeline::run(&c, &pipeline).expect("flat flow");
+    let ml = run_multilevel(
+        &c,
+        &MultilevelConfig {
+            levels: 1,
+            pipeline,
+            ..MultilevelConfig::default()
+        },
+    )
+    .expect("one-level flow");
+    assert_eq!(ml.levels, 1);
+    assert_eq!(ml.level_stats.len(), 1);
+    let r = &ml.result;
+    assert_eq!(r.iterations, flat.iterations);
+    for (got, want) in [
+        (r.gpwl, flat.gpwl),
+        (r.lgwl, flat.lgwl),
+        (r.dpwl, flat.dpwl),
+    ] {
+        assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
     }
+    let bits =
+        |p: &Placement| -> Vec<u64> { p.x.iter().chain(&p.y).map(|v| v.to_bits()).collect() };
+    assert_eq!(bits(&r.placement), bits(&flat.placement));
 }
 
 /// Conservation laws of one coarsening level: total movable cell area is
@@ -109,6 +108,7 @@ fn coarsen_prolong_round_trip_preserves_area_and_pins() {
 #[test]
 fn two_level_flow_places_smoke_clustered_legally() {
     let c = small_clustered();
+    let trace = Arc::new(RingSink::new(1024));
     let config = MultilevelConfig {
         levels: 2,
         coarse_iters: 80,
@@ -116,6 +116,7 @@ fn two_level_flow_places_smoke_clustered_legally() {
         pipeline: PipelineConfig {
             global: GlobalConfig {
                 max_iters: 300,
+                trace: trace.clone(),
                 ..GlobalConfig::default()
             },
             ..PipelineConfig::default()
@@ -124,7 +125,16 @@ fn two_level_flow_places_smoke_clustered_legally() {
     let r = run_multilevel(&c, &config).expect("multilevel flow");
     assert_eq!(r.levels, 2, "smoke_clustered must support one coarsening");
     assert_eq!(r.level_stats.len(), 2);
-    assert!(r.warm_rounds > 0, "warm start must engage");
+    // one cold run at the coarse level, then the finest pipeline
+    let records = trace.records();
+    assert_eq!(
+        records.len(),
+        r.level_stats[0].iterations + r.level_stats[1].iterations
+    );
+    for rec in &records {
+        let want = ["final", "coarse"][rec.level as usize];
+        assert_eq!(rec.stage.as_deref(), Some(want), "level {}", rec.level);
+    }
     assert_eq!(r.result.violations, 0);
     assert!(r.result.dpwl.is_finite() && r.result.dpwl > 0.0);
     // coarsest first, finest last
@@ -134,7 +144,6 @@ fn two_level_flow_places_smoke_clustered_legally() {
     // ml.* metrics merged into the final report
     let rep = &r.result.report;
     assert_eq!(rep.counter("ml.levels"), Some(2));
-    assert_eq!(rep.counter("ml.warm_rounds"), Some(r.warm_rounds as u64));
     assert!(rep.gauge("ml.level0.hpwl").is_some());
     assert!(rep.gauge("ml.level1.hpwl").is_some());
     // and the flat-flow metrics are still there

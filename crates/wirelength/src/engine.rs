@@ -19,8 +19,6 @@ pub enum Stage {
     /// order value sum and the cell scatter of the pin gradients (a subset
     /// of [`Stage::WlGrad`] wall time, one per gradient evaluation).
     WlScatter,
-    /// Wirelength value-only evaluation.
-    WlValue,
     /// Density update + gradient accumulation.
     Density,
     /// 2-D spectral transforms inside the density stage (a subset of
@@ -30,15 +28,14 @@ pub enum Stage {
 }
 
 impl Stage {
-    const COUNT: usize = 5;
+    const COUNT: usize = 4;
 
     fn index(self) -> usize {
         match self {
             Stage::WlGrad => 0,
-            Stage::WlValue => 1,
+            Stage::WlScatter => 1,
             Stage::Density => 2,
             Stage::DensityTransform => 3,
-            Stage::WlScatter => 4,
         }
     }
 }
@@ -65,9 +62,9 @@ pub struct EngineStats {
     /// Always 0. Read by the frozen `examples/bench_e2e`; goes with the
     /// benchmark PR that retires `wirelength.engine.parallel_runs`.
     pub parallel_runs: u64,
-    /// Whole-netlist wirelength evaluations, `wl_grad.count +
-    /// wl_value.count`. Read by the frozen `examples/bench_e2e`; goes with
-    /// the benchmark PR that retires `wirelength.engine.serial_runs`.
+    /// Whole-netlist wirelength evaluations, `wl_grad.count`. Read by the
+    /// frozen `examples/bench_e2e`; goes with the benchmark PR that retires
+    /// `wirelength.engine.serial_runs`.
     pub serial_runs: u64,
     /// Workspace arena (re)allocations noted by evaluators; stays flat
     /// across iterations once topology is warm.
@@ -89,8 +86,6 @@ pub struct EngineStats {
     /// wl_generic_nets + wl_inactive_nets + (such nets × wl_grad.count)`
     /// is `nets × wl_grad.count`.
     pub wl_inactive_nets: u64,
-    /// Wirelength value-only stage.
-    pub wl_value: StageStats,
     /// Density stage (executed raster + Poisson solve + gather).
     pub density: StageStats,
     /// Evaluations that reused the density term already held for the same
@@ -183,17 +178,16 @@ impl EvalEngine {
                 nanos: c.nanos.load(Ordering::Relaxed),
             }
         };
-        let (wl_grad, wl_value) = (stage(Stage::WlGrad), stage(Stage::WlValue));
+        let wl_grad = stage(Stage::WlGrad);
         EngineStats {
             parallel_runs: 0,
-            serial_runs: wl_grad.count + wl_value.count,
+            serial_runs: wl_grad.count,
             workspace_allocs: self.workspace_allocs.load(Ordering::Relaxed),
             wl_grad,
             wl_scatter: stage(Stage::WlScatter),
             wl_class_nets: self.wl_class_nets.load(Ordering::Relaxed),
             wl_generic_nets: self.wl_generic_nets.load(Ordering::Relaxed),
             wl_inactive_nets: self.wl_inactive_nets.load(Ordering::Relaxed),
-            wl_value,
             density: stage(Stage::Density),
             density_reused: self.density_reused.load(Ordering::Relaxed),
             density_transform: stage(Stage::DensityTransform),
@@ -237,7 +231,6 @@ mod tests {
         assert_eq!(s.wl_scatter.count, 0);
         assert_eq!(s.density.count, 1, "a reuse is not an executed stage");
         assert_eq!(s.density_reused, 1);
-        assert_eq!(s.wl_value.count, 0);
         assert_eq!((s.parallel_runs, s.serial_runs), (0, 2));
         engine.reset_stats();
         assert_eq!(engine.stats().wl_grad.count, 0);

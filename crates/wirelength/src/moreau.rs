@@ -290,11 +290,10 @@ pub(crate) fn eval_class<const C: usize, const L: usize>(
 
 /// Both axes of `L` nets of `n` pins under net weights `w`, as the
 /// whole-netlist evaluator consumes them: returns `w · (W_x + W_y)` per net
-/// (each axis reporting envelope `+ t`) and, when `GRAD`, writes
-/// `w · ∂/∂x_i` and `w · ∂/∂y_i` into rows `..n` of `gx`/`gy`. Without
-/// `GRAD` the gradient divisions and stores are compiled out.
+/// (each axis reporting envelope `+ t`) and writes `w · ∂/∂x_i` and
+/// `w · ∂/∂y_i` into rows `..n` of `gx`/`gy`.
 #[inline(always)]
-pub(crate) fn eval_class_nets<const C: usize, const L: usize, const GRAD: bool>(
+pub(crate) fn eval_class_nets<const C: usize, const L: usize>(
     n: usize,
     x: &[[f64; L]; C],
     y: &[[f64; L]; C],
@@ -305,12 +304,10 @@ pub(crate) fn eval_class_nets<const C: usize, const L: usize, const GRAD: bool>(
 ) -> [f64; L] {
     let ex = eval_class(n, x, t);
     let ey = eval_class(n, y, t);
-    if GRAD {
-        for i in 0..n {
-            for l in 0..L {
-                gx[i][l] = w[l] * (ex.residual[i][l] / t);
-                gy[i][l] = w[l] * (ey.residual[i][l] / t);
-            }
+    for i in 0..n {
+        for l in 0..L {
+            gx[i][l] = w[l] * (ex.residual[i][l] / t);
+            gy[i][l] = w[l] * (ey.residual[i][l] / t);
         }
     }
     let mut value = [0.0; L];
@@ -1023,10 +1020,7 @@ mod tests {
         let ex = eval_class(n, &x, t);
         let mut gx = [[0.0; L]; C];
         let mut gy = [[0.0; L]; C];
-        let value = eval_class_nets::<C, L, true>(n, &x, &y, t, &weights, &mut gx, &mut gy);
-        let mut sink = ([[0.0; L]; C], [[0.0; L]; C]);
-        let value_only =
-            eval_class_nets::<C, L, false>(n, &x, &y, t, &weights, &mut sink.0, &mut sink.1);
+        let value = eval_class_nets::<C, L>(n, &x, &y, t, &weights, &mut gx, &mut gy);
         let mut scratch = Vec::new();
         for l in 0..L {
             let mut rgx = vec![0.0; n];
@@ -1049,7 +1043,6 @@ mod tests {
             }
             let want = w[l] * ((wx.envelope + t) + (wy.envelope + t));
             same(value[l], want, "value")?;
-            same(value_only[l], want, "value without gradient")?;
             for i in 0..n {
                 same(gx[i][l], w[l] * rgx[i], "grad x")?;
                 same(gy[i][l], w[l] * rgy[i], "grad y")?;

@@ -78,29 +78,23 @@ impl WirelengthGrad {
 }
 
 impl Workspace {
-    /// Evaluates every active net: weighted net values and (when `GRAD`)
-    /// weighted pin gradients into the workspace outputs. The model is
-    /// matched once: Moreau sends the class blocks through the class
-    /// kernel, every other model (and every net of more than 16 pins)
-    /// takes the per-net path.
-    fn eval_nets<const GRAD: bool>(
-        &mut self,
-        netlist: &Netlist,
-        placement: &Placement,
-        model: &mut AnyModel,
-    ) {
+    /// Evaluates every active net: weighted net values and weighted pin
+    /// gradients into the workspace outputs. The model is matched once:
+    /// Moreau sends the class blocks through the class kernel, every other
+    /// model (and every net of more than 16 pins) takes the per-net path.
+    fn eval_nets(&mut self, netlist: &Netlist, placement: &Placement, model: &mut AnyModel) {
         let blocks = self.layout.blocks;
         if let AnyModel::Moreau(moreau) = model {
             let t = moreau.smoothing();
-            self.class_block::<2, GRAD>(2, &blocks[0], t, placement);
-            self.class_block::<3, GRAD>(3, &blocks[1], t, placement);
-            self.class_block::<4, GRAD>(4, &blocks[2], t, placement);
-            self.class_block::<5, GRAD>(5, &blocks[3], t, placement);
-            self.class_block::<6, GRAD>(6, &blocks[4], t, placement);
-            self.class_block::<7, GRAD>(7, &blocks[5], t, placement);
-            self.class_block::<8, GRAD>(8, &blocks[6], t, placement);
+            self.class_block::<2>(2, &blocks[0], t, placement);
+            self.class_block::<3>(3, &blocks[1], t, placement);
+            self.class_block::<4>(4, &blocks[2], t, placement);
+            self.class_block::<5>(5, &blocks[3], t, placement);
+            self.class_block::<6>(6, &blocks[4], t, placement);
+            self.class_block::<7>(7, &blocks[5], t, placement);
+            self.class_block::<8>(8, &blocks[6], t, placement);
             for (class, block) in blocks.iter().enumerate().skip(MAX_UNROLLED_DEGREE - 1) {
-                self.wide_block::<GRAD>(class + 2, block, t, placement);
+                self.wide_block(class + 2, block, t, placement);
             }
         } else {
             for (class, block) in blocks.iter().enumerate() {
@@ -108,7 +102,7 @@ impl Workspace {
                     let net =
                         NetId::from_usize(self.layout.class_net[block.entry_base + j] as usize);
                     let pins = (block.slot_base + j, block.stride, class + 2);
-                    self.net::<GRAD>(netlist, placement, model, net, pins);
+                    self.net(netlist, placement, model, net, pins);
                 }
             }
         }
@@ -116,7 +110,7 @@ impl Workspace {
             let big = self.layout.big[k];
             let net = NetId::from_usize(big.net as usize);
             let pins = (big.slot as usize, 1, netlist.net_degree(net));
-            self.net::<GRAD>(netlist, placement, model, net, pins);
+            self.net(netlist, placement, model, net, pins);
         }
     }
 
@@ -189,7 +183,7 @@ impl Workspace {
     /// capacity `C`, [`LANES`] nets per step. With a constant `n` this is
     /// the straight-line kernel of that degree.
     #[inline(always)]
-    fn class_block<const C: usize, const GRAD: bool>(
+    fn class_block<const C: usize>(
         &mut self,
         n: usize,
         block: &ClassBlock,
@@ -197,7 +191,7 @@ impl Workspace {
         placement: &Placement,
     ) {
         for j in (0..block.nets).step_by(LANES) {
-            self.class_step::<C, GRAD>(n, block, j, t, placement);
+            self.class_step::<C>(n, block, j, t, placement);
         }
     }
 
@@ -205,21 +199,15 @@ impl Workspace {
     /// [`MAX_UNROLLED_DEGREE`]: one body, never inlined, so that `n` stays
     /// a run-time value in it.
     #[inline(never)]
-    fn wide_block<const GRAD: bool>(
-        &mut self,
-        n: usize,
-        block: &ClassBlock,
-        t: f64,
-        placement: &Placement,
-    ) {
-        self.class_block::<MAX_CLASS_DEGREE, GRAD>(n, block, t, placement);
+    fn wide_block(&mut self, n: usize, block: &ClassBlock, t: f64, placement: &Placement) {
+        self.class_block::<MAX_CLASS_DEGREE>(n, block, t, placement);
     }
 
     /// One step of the class kernel: nets `j..j + LANES` of `block` (the
     /// block's pad lanes past its last net included), both axes, gathered
     /// from and stored to `n` contiguous slot runs.
     #[inline(always)]
-    fn class_step<const C: usize, const GRAD: bool>(
+    fn class_step<const C: usize>(
         &mut self,
         n: usize,
         block: &ClassBlock,
@@ -252,21 +240,19 @@ impl Workspace {
         w.copy_from_slice(&lay.class_weight[entries.clone()]);
         let mut gx = [[0.0; L]; C];
         let mut gy = [[0.0; L]; C];
-        let value = eval_class_nets::<C, L, GRAD>(n, &x, &y, t, &w, &mut gx, &mut gy);
+        let value = eval_class_nets::<C, L>(n, &x, &y, t, &w, &mut gx, &mut gy);
         for (&net, v) in lay.class_net[entries].iter().zip(value) {
             self.net_value[net as usize] = v;
         }
-        if GRAD {
-            for i in 0..n {
-                self.pin_gx[run(i)].copy_from_slice(&gx[i]);
-                self.pin_gy[run(i)].copy_from_slice(&gy[i]);
-            }
+        for i in 0..n {
+            self.pin_gx[run(i)].copy_from_slice(&gx[i]);
+            self.pin_gy[run(i)].copy_from_slice(&gy[i]);
         }
     }
 
     /// One net through the per-net [`NetModel`] path: pin `i` sits at slot
     /// `first + i·stride`.
-    fn net<const GRAD: bool>(
+    fn net(
         &mut self,
         netlist: &Netlist,
         placement: &Placement,
@@ -284,17 +270,13 @@ impl Workspace {
             *yo = placement.y[cell] + lay.slot_bias_y[slot];
         }
         let w = netlist.net_weight(net);
-        if GRAD {
-            let (gx, gy) = (&mut gx[..degree], &mut gy[..degree]);
-            let vx = model.eval_axis(xs, gx);
-            let vy = model.eval_axis(ys, gy);
-            self.net_value[net.index()] = w * (vx + vy);
-            for ((&g, &h), slot) in gx.iter().zip(gy.iter()).zip(slots) {
-                self.pin_gx[slot] = w * g;
-                self.pin_gy[slot] = w * h;
-            }
-        } else {
-            self.net_value[net.index()] = w * (model.value_axis(xs) + model.value_axis(ys));
+        let (gx, gy) = (&mut gx[..degree], &mut gy[..degree]);
+        let vx = model.eval_axis(xs, gx);
+        let vy = model.eval_axis(ys, gy);
+        self.net_value[net.index()] = w * (vx + vy);
+        for ((&g, &h), slot) in gx.iter().zip(gy.iter()).zip(slots) {
+            self.pin_gx[slot] = w * g;
+            self.pin_gy[slot] = w * h;
         }
     }
 }
@@ -379,7 +361,7 @@ impl NetlistEvaluator {
         engine.time_stage(Stage::WlGrad, || {
             let class_kernel = matches!(self.model, AnyModel::Moreau(_));
             let (ws, model) = self.prepare(netlist);
-            ws.eval_nets::<true>(netlist, placement, model);
+            ws.eval_nets(netlist, placement, model);
             engine.time_stage(Stage::WlScatter, || {
                 out.value = ws.total_value();
                 ws.scatter(netlist, out);
@@ -392,19 +374,6 @@ impl NetlistEvaluator {
             };
             engine.note_wl_nets(class, layout.active_nets - class, layout.inactive_nets);
         });
-    }
-
-    /// Value only (no gradient buffers touched).
-    pub fn value(&mut self, netlist: &Netlist, placement: &Placement) -> f64 {
-        if netlist.num_nets() == 0 {
-            return 0.0;
-        }
-        let engine = Arc::clone(&self.engine);
-        engine.time_stage(Stage::WlValue, || {
-            let (ws, model) = self.prepare(netlist);
-            ws.eval_nets::<false>(netlist, placement, model);
-            ws.total_value()
-        })
     }
 }
 
@@ -552,8 +521,8 @@ mod tests {
     /// Class blocks, lane steps and their single-net tails, the per-net
     /// path and the never-evaluated tail, all against the plain loop:
     /// smoke and the `newblue6` stand-in as generated and under an
-    /// ECO-style movability mask, the paper's model and WA, `evaluate` and
-    /// `value`, early (loose) and late (tight) smoothing.
+    /// ECO-style movability mask, the paper's model and WA, early (loose)
+    /// and late (tight) smoothing.
     #[test]
     fn whole_netlist_bitwise_matches_the_per_net_loop() {
         let smoke = synth::generate(&synth::smoke_spec());
@@ -589,8 +558,6 @@ mod tests {
                     let mut got = WirelengthGrad::zeros(nl.num_cells());
                     eval.evaluate(nl, placement, &mut got);
                     assert_same_bits(&got, &want, &what);
-                    let value = eval.value(nl, placement);
-                    assert_eq!(value.to_bits(), want.value.to_bits(), "{what}: value()");
                     let stats = eval.engine().stats();
                     let small = nl.nets().filter(|n| !multi_pin(n)).count() as u64;
                     assert_eq!(stats.wl_inactive_nets, inactive, "{what}");
@@ -676,12 +643,17 @@ mod tests {
         let mut out = WirelengthGrad::zeros(nl.num_cells());
         eval.evaluate(nl, &c.placement, &mut out);
         let h = 1e-5;
+        let mut shifted = WirelengthGrad::zeros(nl.num_cells());
+        let mut value_at = |placement: &Placement| {
+            eval.evaluate(nl, placement, &mut shifted);
+            shifted.value
+        };
         for cell in [0usize, 7, 42, 137] {
             let mut plus = c.placement.clone();
             plus.x[cell] += h;
             let mut minus = c.placement.clone();
             minus.x[cell] -= h;
-            let fd = (eval.value(nl, &plus) - eval.value(nl, &minus)) / (2.0 * h);
+            let fd = (value_at(&plus) - value_at(&minus)) / (2.0 * h);
             assert!(
                 (fd - out.grad_x[cell]).abs() < 1e-4 * fd.abs().max(1.0),
                 "cell {cell}: fd {fd} vs {}",
@@ -705,17 +677,6 @@ mod tests {
             assert!(sx.abs() < 1e-6, "{kind}: Σgx = {sx}");
             assert!(sy.abs() < 1e-6, "{kind}: Σgy = {sy}");
         }
-    }
-
-    #[test]
-    fn value_matches_evaluate() {
-        let c = synth::generate(&synth::smoke_spec());
-        let nl = &c.design.netlist;
-        let mut eval = NetlistEvaluator::serial(ModelKind::Wa.instantiate(3.0));
-        let mut out = WirelengthGrad::zeros(nl.num_cells());
-        eval.evaluate(nl, &c.placement, &mut out);
-        let v = eval.value(nl, &c.placement);
-        assert_eq!(out.value.to_bits(), v.to_bits());
     }
 
     #[test]
@@ -814,6 +775,5 @@ mod tests {
         let mut out = WirelengthGrad::zeros(0);
         eval.evaluate(&nl, &pl, &mut out);
         assert_eq!(out.value, 0.0);
-        assert_eq!(eval.value(&nl, &pl), 0.0);
     }
 }

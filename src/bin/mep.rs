@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! mep place  <circuit> [--model ours|wa|lse|big|hpwl] [--out DIR]
-//!            [--iters N] [--density F] [--lef FILE] [--quadratic-init]
-//!            [--levels N] [--warm-start] [--eco XL,YL,XH,YH]
+//!            [--iters N] [--density F] [--lef FILE]
+//!            [--levels N | --eco XL,YL,XH,YH]
 //!            [--trace-out FILE.jsonl] [--metrics]
 //! mep stats  <circuit> [--lef FILE]
 //! mep gen    <benchmark> <out-dir>
@@ -22,7 +22,6 @@ use moreau_placer::netlist::{synth, Rect};
 use moreau_placer::placer::flow::{replace_region, run_multilevel, EcoConfig, MultilevelConfig};
 use moreau_placer::placer::guard::Termination;
 use moreau_placer::placer::pipeline::{run, PipelineConfig, PipelineResult};
-use moreau_placer::placer::quadratic::{place_b2b, B2bConfig};
 use moreau_placer::placer::GlobalConfig;
 use moreau_placer::wirelength::ModelKind;
 use std::process::ExitCode;
@@ -30,8 +29,8 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  mep place <circuit> [--model ours|wa|lse|big|hpwl] [--out DIR]\n            \
-         [--iters N] [--density F] [--lef FILE] [--quadratic-init]\n            \
-         [--levels N] [--warm-start] [--eco XL,YL,XH,YH]\n            \
+         [--iters N] [--density F] [--lef FILE]\n            \
+         [--levels N | --eco XL,YL,XH,YH]\n            \
          [--trace-out FILE.jsonl] [--metrics]\n  \
          mep stats <circuit> [--lef FILE]\n  mep gen <benchmark> <out-dir>\n  mep bench-list\n  \
          mep serve [--stdio | --tcp ADDR] [--workers N] [--queue N]\n            \
@@ -39,8 +38,7 @@ fn usage() -> ExitCode {
          <circuit> = a Bookshelf .aux path, a DEF path (with --lef), or a\n\
          built-in synthetic benchmark name (see `mep bench-list`).\n\
          --levels N runs the multilevel flow (cluster coarsening, N levels,\n\
-         LB/UB warm start at the coarsest level); --warm-start alone runs the\n\
-         flat flow from the B2B/density alternation (DESIGN.md \u{a7}12).\n\
+         each finer level started from the one above it; DESIGN.md \u{a7}12).\n\
          --eco re-places only the cells touching the given die window and\n\
          keeps everything else bit-identical (incremental ECO mode).\n\
          --trace-out streams one JSON line per global iteration; --metrics\n\
@@ -256,9 +254,7 @@ fn main() -> ExitCode {
             let mut out: Option<String> = None;
             let mut iters = 800usize;
             let mut density = 1.0f64;
-            let mut quad_init = false;
             let mut levels = 1usize;
-            let mut warm_start = false;
             let mut eco_window: Option<Rect> = None;
             let mut lef: Option<String> = None;
             let mut trace_out: Option<String> = None;
@@ -294,7 +290,6 @@ fn main() -> ExitCode {
                             _ => return usage(),
                         };
                     }
-                    "--quadratic-init" => quad_init = true,
                     "--levels" => {
                         i += 1;
                         levels = match args.get(i).and_then(|s| s.parse().ok()) {
@@ -302,7 +297,6 @@ fn main() -> ExitCode {
                             _ => return usage(),
                         };
                     }
-                    "--warm-start" => warm_start = true,
                     "--eco" => {
                         i += 1;
                         let coords: Vec<f64> = args
@@ -338,29 +332,17 @@ fn main() -> ExitCode {
                 }
                 i += 1;
             }
-            let mut circuit = match load_circuit(circuit_arg, lef.as_deref(), density) {
+            if eco_window.is_some() && levels > 1 {
+                eprintln!("error: --eco runs the flat flow on one window; it cannot take --levels {levels}");
+                return usage();
+            }
+            let circuit = match load_circuit(circuit_arg, lef.as_deref(), density) {
                 Ok(c) => c,
                 Err(e) => {
                     eprintln!("error: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            if quad_init {
-                eprintln!("[mep] B2B quadratic initialization …");
-                match place_b2b(&circuit, &B2bConfig::default()) {
-                    Ok((qp, report)) => {
-                        eprintln!(
-                            "[mep] quadratic HPWL {:.4e} after {} rounds",
-                            report.hpwl, report.rounds
-                        );
-                        circuit.placement = qp;
-                    }
-                    Err(e) => {
-                        eprintln!("error: quadratic init failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             let mut global = GlobalConfig {
                 model,
                 max_iters: iters,
@@ -454,8 +436,8 @@ fn main() -> ExitCode {
                 global,
                 ..PipelineConfig::default()
             };
-            let result: PipelineResult = if levels > 1 || warm_start {
-                eprintln!("[mep] multilevel flow: {levels} level(s) requested, LB/UB warm start …");
+            let result: PipelineResult = if levels > 1 {
+                eprintln!("[mep] multilevel flow: {levels} levels requested …");
                 match run_multilevel(
                     &circuit,
                     &MultilevelConfig {
@@ -522,15 +504,13 @@ fn main() -> ExitCode {
             println!("engine workspace allocs {}", es.workspace_allocs);
             println!(
                 "stage wl-grad {}x {:.3}s (scatter {:.3}s, nets {} class / {} generic / {} inactive)  \
-                 wl-value {}x {:.3}s  density {}x {:.3}s + {} reused  (spectral {}x {:.3}s)",
+                 density {}x {:.3}s + {} reused  (spectral {}x {:.3}s)",
                 es.wl_grad.count,
                 es.wl_grad.seconds(),
                 es.wl_scatter.seconds(),
                 es.wl_class_nets,
                 es.wl_generic_nets,
                 es.wl_inactive_nets,
-                es.wl_value.count,
-                es.wl_value.seconds(),
                 es.density.count,
                 es.density.seconds(),
                 es.density_reused,

@@ -205,20 +205,15 @@ fn multilevel_flag_reports_level_schedule_and_ml_metrics() {
         "missing finest level:\n{stderr}"
     );
     // ml.* metrics in the merged report
-    for name in [
-        "ml.levels",
-        "ml.warm_rounds",
-        "ml.level1.hpwl",
-        "ml.level0.hpwl",
-    ] {
+    for name in ["ml.levels", "ml.level1.hpwl", "ml.level0.hpwl"] {
         assert!(stdout.contains(name), "missing `{name}` in:\n{stdout}");
     }
     // the trace carries records from both levels with stage labels
     let text = std::fs::read_to_string(&trace).expect("trace file written");
     assert!(
         text.lines()
-            .any(|l| l.contains("\"level\":1") && l.contains("\"stage\":\"warm-ub\"")),
-        "no coarse warm-ub records in trace"
+            .any(|l| l.contains("\"level\":1") && l.contains("\"stage\":\"coarse\"")),
+        "no coarse-level records in trace"
     );
     assert!(
         text.lines()
@@ -394,19 +389,33 @@ fn serve_stdio_smoke_streams_valid_jsonl_for_a_mixed_batch() {
 
 #[test]
 fn bad_eco_window_exits_nonzero() {
-    let out = mep()
-        .args(["place", "smoke", "--eco", "10,10,5,5"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
+    // an inverted window; and a valid one next to a flow it would have
+    // silently replaced (`--eco` used to win and exit 0)
+    for args in [&["10,10,5,5"][..], &["0,0,30,30", "--levels", "2"]] {
+        let out = mep()
+            .args(["place", "smoke", "--eco"])
+            .args(args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("error:"),
+            "{args:?}"
+        );
+    }
 }
 
 #[test]
 fn unparseable_threads_and_density_exit_nonzero() {
     // like every other numeric flag: no silent fallback to the default;
-    // and `--threads` is no flag at all, whatever its value
-    for flag in [["--density", "abc"], ["--threads", "2"]] {
+    // and a removed flag is no flag at all, whatever its value
+    let flags: [&[&str]; 4] = [
+        &["--density", "abc"],
+        &["--threads", "2"],
+        &["--warm-start"],
+        &["--quadratic-init"],
+    ];
+    for flag in flags {
         let out = mep()
             .args(["place", "smoke", "--iters", "1"])
             .args(flag)

@@ -56,7 +56,9 @@ fn moreau_model_upper_bounds_exact_hpwl_by_envelope_gap() {
     let nl = &circuit.design.netlist;
     let t = 0.8;
     let mut eval = NetlistEvaluator::serial(ModelKind::Moreau.instantiate(t));
-    let model_total = eval.value(nl, &circuit.placement);
+    let mut out = WirelengthGrad::zeros(nl.num_cells());
+    eval.evaluate(nl, &circuit.placement, &mut out);
+    let model_total = out.value;
     // the evaluator covers the multi-pin nets with a movable pin; each
     // contributes two axes, each offset by +t
     let active: Vec<_> = nl
