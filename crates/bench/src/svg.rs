@@ -1,8 +1,6 @@
-//! Minimal SVG rendering: line plots for the figure harnesses and
-//! placement snapshots for visual inspection. No dependencies — the
-//! output is plain SVG 1.1 text.
+//! Minimal SVG rendering: line plots for the figure harnesses. No
+//! dependencies — the output is plain SVG 1.1 text.
 
-use mep_netlist::{Design, Placement};
 use std::fmt::Write as _;
 
 /// A 2-D line plot with multiple named series.
@@ -258,90 +256,9 @@ fn fmt_sig(v: f64) -> String {
     }
 }
 
-/// Renders a placement snapshot: die outline, fixed cells (gray), movable
-/// standard cells (blue), movable macros (navy).
-pub fn placement_svg(design: &Design, placement: &Placement) -> String {
-    let die = design.die;
-    let scale = 900.0 / die.width().max(die.height());
-    let w = die.width() * scale;
-    let h = die.height() * scale;
-    let row_h = design.rows.first().map(|r| r.height).unwrap_or(1.0);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{:.0}" height="{:.0}" viewBox="0 0 {:.2} {:.2}">"#,
-        w + 2.0,
-        h + 2.0,
-        w + 2.0,
-        h + 2.0
-    );
-    let _ = writeln!(
-        out,
-        r##"<rect x="1" y="1" width="{w:.2}" height="{h:.2}" fill="#fafafa" stroke="black"/>"##
-    );
-    let nl = &design.netlist;
-    for cell in nl.cells() {
-        let r = placement.cell_rect(nl, cell);
-        // lint:allow(float-eq): zero-area rects are exactly zero by construction
-        if r.area() == 0.0 {
-            continue;
-        }
-        let color = if !nl.is_movable(cell) {
-            "#b0b0b0"
-        } else if nl.cell_height(cell) > row_h + 1e-9 {
-            "#1a3a6b"
-        } else {
-            "#5b8dd9"
-        };
-        // die y grows upward; SVG y grows downward
-        let _ = writeln!(
-            out,
-            r#"<rect x="{:.2}" y="{:.2}" width="{:.2}" height="{:.2}" fill="{color}" fill-opacity="0.75" stroke="none"/>"#,
-            1.0 + (r.xl - die.xl) * scale,
-            1.0 + (die.yh - r.yh) * scale,
-            r.width() * scale,
-            r.height() * scale,
-        );
-    }
-    out.push_str("</svg>\n");
-    out
-}
-
-/// Renders a per-bin scalar field (density, potential, overflow) as a
-/// grayscale heatmap. `data` is row-major, `iy * nx + ix`, with `iy = 0`
-/// at the die bottom.
-pub fn heatmap_svg(data: &[f64], nx: usize, ny: usize) -> String {
-    assert_eq!(data.len(), nx * ny, "grid shape mismatch");
-    let cell = (900.0 / nx.max(ny) as f64).max(1.0);
-    let (w, h) = (nx as f64 * cell, ny as f64 * cell);
-    let lo = data.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = data.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let span = (hi - lo).max(1e-30);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0}" height="{h:.0}" viewBox="0 0 {w:.2} {h:.2}">"#
-    );
-    for iy in 0..ny {
-        for ix in 0..nx {
-            let v = (data[iy * nx + ix] - lo) / span;
-            let shade = (255.0 * (1.0 - v)) as u8;
-            let _ = writeln!(
-                out,
-                r#"<rect x="{:.2}" y="{:.2}" width="{cell:.2}" height="{cell:.2}" fill="rgb({shade},{shade},{shade})"/>"#,
-                ix as f64 * cell,
-                (ny - 1 - iy) as f64 * cell, // flip y: SVG grows downward
-            );
-        }
-    }
-    out.push_str("</svg>\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mep_netlist::synth;
 
     #[test]
     fn line_plot_contains_series_and_labels() {
@@ -374,36 +291,5 @@ mod tests {
         let p = LinePlot::new("empty", "x", "y");
         let svg = p.to_svg();
         assert!(svg.contains("</svg>"));
-    }
-
-    #[test]
-    fn heatmap_has_one_rect_per_bin() {
-        let data = vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-        let svg = heatmap_svg(&data, 3, 2);
-        assert_eq!(svg.matches("<rect").count(), 6);
-        // extremes map to white (255) and black (0)
-        assert!(svg.contains("rgb(255,255,255)"));
-        assert!(svg.contains("rgb(0,0,0)"));
-    }
-
-    #[test]
-    fn heatmap_of_constant_field_does_not_divide_by_zero() {
-        let svg = heatmap_svg(&[2.0; 4], 2, 2);
-        assert!(svg.contains("</svg>"));
-    }
-
-    #[test]
-    fn placement_svg_draws_every_sized_cell() {
-        let c = synth::generate(&synth::smoke_spec());
-        let svg = placement_svg(&c.design, &c.placement);
-        let sized = c
-            .design
-            .netlist
-            .cells()
-            .filter(|&cell| c.design.netlist.cell_area(cell) > 0.0)
-            .count();
-        // +1 for the die outline rect
-        assert_eq!(svg.matches("<rect").count(), sized + 1);
-        assert!(svg.contains("#5b8dd9")); // movable std cells present
     }
 }

@@ -1,7 +1,7 @@
-//! Workspace-scope analysis context: per-file parsed items, a
-//! name-resolved-within-workspace call graph, panic sites, and struct
-//! field definitions — the substrate for the interprocedural rules
-//! (`panic-surface`, `lock-order`, `atomic-ordering`).
+//! Workspace-scope analysis context: a name-resolved-within-workspace
+//! call graph over every file's parsed items, plus each function's panic
+//! sites — the substrate of the one interprocedural rule, `panic-surface`
+//! ([`crate::surface`]).
 //!
 //! Name resolution is deliberately approximate (DESIGN.md §16): a method
 //! call `.name(…)` resolves to *every* workspace `impl`/`trait` function
@@ -16,104 +16,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::context::find_test_spans;
-use crate::items::{self, Item, ItemKind};
-use crate::lexer::{self, LineIndex, Span, Token, TokenKind};
-use crate::workspace::SourceFile;
-
-/// One source file, fully lexed and item-parsed.
-#[derive(Debug)]
-pub struct FileData {
-    /// Discovery metadata.
-    pub file: SourceFile,
-    /// Full source text.
-    pub src: String,
-    /// Lexed tokens (spans tile `src`).
-    pub tokens: Vec<Token>,
-    /// Byte-offset → line/column mapping.
-    pub lines: LineIndex,
-    /// Byte ranges of `#[cfg(test)]` / `#[test]` / `#[bench]` items.
-    pub test_spans: Vec<Span>,
-    /// Parsed item forest.
-    pub items: Vec<Item>,
-}
-
-impl FileData {
-    /// Lexes and parses one in-memory source file.
-    pub fn new(file: SourceFile, src: String) -> Self {
-        let tokens = lexer::lex(&src);
-        let lines = LineIndex::new(&src);
-        let test_spans = find_test_spans(&src, &tokens);
-        let items = items::parse_items(&src, &tokens);
-        Self {
-            file,
-            src,
-            tokens,
-            lines,
-            test_spans,
-            items,
-        }
-    }
-
-    fn text(&self, i: usize) -> &str {
-        self.tokens.get(i).map_or("", |t| t.text(&self.src))
-    }
-
-    fn is_punct(&self, i: usize, p: &str) -> bool {
-        self.tokens
-            .get(i)
-            .is_some_and(|t| t.kind == TokenKind::Punct && t.text(&self.src) == p)
-    }
-
-    fn is_ident(&self, i: usize) -> bool {
-        self.tokens
-            .get(i)
-            .is_some_and(|t| t.kind == TokenKind::Ident)
-    }
-
-    fn in_test(&self, offset: usize) -> bool {
-        self.test_spans.iter().any(|s| s.contains(offset))
-    }
-
-    /// Next non-comment token index at or after `i`.
-    pub fn next_code(&self, mut i: usize) -> usize {
-        while self
-            .tokens
-            .get(i)
-            .is_some_and(|t| matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment))
-        {
-            i += 1;
-        }
-        i
-    }
-
-    /// Previous non-comment token index at or before `i`, or `None`.
-    pub fn prev_code(&self, i: usize) -> Option<usize> {
-        let mut j = i.checked_sub(1)?;
-        loop {
-            match self.tokens.get(j).map(|t| t.kind) {
-                Some(TokenKind::LineComment | TokenKind::BlockComment) => j = j.checked_sub(1)?,
-                Some(_) => return Some(j),
-                None => return None,
-            }
-        }
-    }
-
-    /// 1-based line of token `i`.
-    pub fn token_line(&self, i: usize) -> usize {
-        self.tokens
-            .get(i)
-            .map_or(1, |t| self.lines.line(t.span.start))
-    }
-
-    /// The trimmed source line containing byte `offset` (diagnostics).
-    pub fn line_text(&self, offset: usize) -> &str {
-        let line = self.lines.line(offset);
-        let start = self.lines.line_start(line).unwrap_or(0);
-        let end = self.lines.line_start(line + 1).unwrap_or(self.src.len());
-        self.src[start..end].trim_end_matches('\n').trim()
-    }
-}
+use crate::context::FileData;
+use crate::items::{self, ItemKind};
+use crate::lexer::TokenKind;
 
 /// One function node in the call graph.
 #[derive(Debug)]
@@ -183,22 +88,7 @@ pub struct CallSite {
     pub callees: Vec<usize>,
 }
 
-/// A named struct field (locks and atomics live here).
-#[derive(Debug)]
-pub struct FieldDef {
-    /// Index into [`WorkspaceCtx::files`].
-    pub file: usize,
-    /// Owning struct name.
-    pub struct_name: String,
-    /// Field name.
-    pub name: String,
-    /// The field's type tokens, joined with spaces.
-    pub type_text: String,
-    /// Token index of the field name.
-    pub tok: usize,
-}
-
-/// The workspace analysis context handed to interprocedural rules.
+/// The workspace analysis context the panic-surface pass runs over.
 #[derive(Debug)]
 pub struct WorkspaceCtx {
     /// Parsed files, in discovery order.
@@ -209,8 +99,6 @@ pub struct WorkspaceCtx {
     pub calls: Vec<Vec<CallSite>>,
     /// Per-fn direct panic sites (parallel to `fns`).
     pub panics: Vec<Vec<PanicSite>>,
-    /// Named struct fields across the workspace.
-    pub fields: Vec<FieldDef>,
 }
 
 /// Call-name classification before resolution.
@@ -231,10 +119,8 @@ impl WorkspaceCtx {
     /// Builds the full workspace context from parsed files.
     pub fn build(files: Vec<FileData>) -> Self {
         let mut fns = Vec::new();
-        let mut fields = Vec::new();
         for (fi, fd) in files.iter().enumerate() {
             collect_fns(fd, fi, &mut fns);
-            collect_fields(fd, fi, &mut fields);
         }
 
         // name → fn-id indexes for resolution
@@ -315,7 +201,6 @@ impl WorkspaceCtx {
             fns,
             calls,
             panics,
-            fields,
         }
     }
 
@@ -446,7 +331,7 @@ fn collect_fns(fd: &FileData, file_idx: usize, out: &mut Vec<FnNode>) {
         // the name ident follows the `fn` keyword inside the item extent
         let mut name_tok = item.start;
         for i in item.start..item.end {
-            if fd.is_ident(i) && fd.text(i) == "fn" {
+            if fd.ident_is(i, "fn") {
                 name_tok = i + 1;
                 break;
             }
@@ -461,7 +346,7 @@ fn collect_fns(fd: &FileData, file_idx: usize, out: &mut Vec<FnNode>) {
         let has_self = {
             let mut j = fd.next_code(name_tok + 1);
             // skip generic params between name and `(`
-            if fd.is_punct(j, "<") {
+            if fd.punct_is(j, "<") {
                 let mut angle = 0i32;
                 while j < item.end {
                     match fd.text(j) {
@@ -478,18 +363,18 @@ fn collect_fns(fd: &FileData, file_idx: usize, out: &mut Vec<FnNode>) {
                 }
                 j = fd.next_code(j);
             }
-            if fd.is_punct(j, "(") {
+            if fd.punct_is(j, "(") {
                 let mut k = fd.next_code(j + 1);
-                while fd.is_punct(k, "&")
+                while fd.punct_is(k, "&")
                     || fd
                         .tokens
                         .get(k)
                         .is_some_and(|t| t.kind == TokenKind::Lifetime)
-                    || (fd.is_ident(k) && fd.text(k) == "mut")
+                    || fd.ident_is(k, "mut")
                 {
                     k = fd.next_code(k + 1);
                 }
-                fd.is_ident(k) && fd.text(k) == "self"
+                fd.ident_is(k, "self")
             } else {
                 false
             }
@@ -510,90 +395,10 @@ fn collect_fns(fd: &FileData, file_idx: usize, out: &mut Vec<FnNode>) {
             qualifier,
             is_pub,
             has_self,
-            is_test: fd.in_test(offset),
+            is_test: fd.in_test_code(offset),
             name_tok,
             body: item.body,
         });
-    });
-}
-
-/// Extracts named fields (`name: Type…`) from struct bodies. Tuple-struct
-/// fields have no names and are invisible to the lock/atomic rules — a
-/// documented limitation (DESIGN.md §16).
-fn collect_fields(fd: &FileData, file_idx: usize, out: &mut Vec<FieldDef>) {
-    items::walk(&fd.items, &mut |item, _| {
-        if item.kind != ItemKind::Struct {
-            return;
-        }
-        let Some((open, close)) = item.body else {
-            return;
-        };
-        let mut depth = 0i32;
-        let mut i = open;
-        while i <= close && i < fd.tokens.len() {
-            if fd.tokens[i].kind == TokenKind::Punct {
-                match fd.text(i) {
-                    "{" => depth += 1,
-                    "}" => depth -= 1,
-                    _ => {}
-                }
-            }
-            // a field is `name :` at brace depth 1 where the previous code
-            // token opens the body, ends the previous field, or closes a
-            // visibility/attribute group
-            if depth == 1
-                && fd.is_ident(i)
-                && !KEYWORDS.contains(&fd.text(i))
-                && fd.is_punct(fd.next_code(i + 1), ":")
-                && !fd.is_punct(fd.next_code(i + 1) + 1, ":")
-            {
-                let prev_ok = match fd.prev_code(i) {
-                    None => false,
-                    Some(p) => {
-                        let t = fd.text(p);
-                        t == "{" || t == "," || t == "pub" || t == ")" || t == "]"
-                    }
-                };
-                if prev_ok {
-                    // type runs to the `,` (or closing `}`) at depth 0 of
-                    // nested delimiters
-                    let ty_start = fd.next_code(i + 1) + 1;
-                    let mut j = ty_start;
-                    let mut nest = 0i32;
-                    let mut ty = String::new();
-                    while j <= close && j < fd.tokens.len() {
-                        let t = fd.text(j);
-                        if fd.tokens[j].kind == TokenKind::Punct {
-                            match t {
-                                "<" | "(" | "[" => nest += 1,
-                                ">" | ")" | "]" => nest -= 1,
-                                "," if nest <= 0 => break,
-                                "}" if nest <= 0 => break,
-                                _ => {}
-                            }
-                        }
-                        if !matches!(
-                            fd.tokens[j].kind,
-                            TokenKind::LineComment | TokenKind::BlockComment
-                        ) {
-                            if !ty.is_empty() {
-                                ty.push(' ');
-                            }
-                            ty.push_str(t);
-                        }
-                        j += 1;
-                    }
-                    out.push(FieldDef {
-                        file: file_idx,
-                        struct_name: item.name.clone(),
-                        name: fd.text(i).to_string(),
-                        type_text: ty,
-                        tok: i,
-                    });
-                }
-            }
-            i += 1;
-        }
     });
 }
 
@@ -601,9 +406,9 @@ fn collect_fields(fd: &FileData, file_idx: usize, out: &mut Vec<FieldDef>) {
 fn shield_ranges(fd: &FileData, open: usize, close: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for i in open..close {
-        if fd.is_ident(i) && fd.text(i) == "catch_unwind" {
+        if fd.ident_is(i, "catch_unwind") {
             let paren = fd.next_code(i + 1);
-            if fd.is_punct(paren, "(") {
+            if fd.punct_is(paren, "(") {
                 let mut depth = 0i32;
                 let mut j = paren;
                 while j <= close {
@@ -653,11 +458,11 @@ fn scan_panics(
                 let text = fd.text(i);
                 if (text == "unwrap" || text == "expect")
                     && fd.prev_code(i).is_some_and(|p| fd.text(p) == ".")
-                    && fd.is_punct(fd.next_code(i + 1), "(")
+                    && fd.punct_is(fd.next_code(i + 1), "(")
                 {
                     push(i, PanicKind::Unwrap);
                 } else if PANIC_MACROS.contains(&text)
-                    && fd.is_punct(i + 1, "!")
+                    && fd.punct_is(i + 1, "!")
                     && fd.prev_code(i).is_none_or(|p| fd.text(p) != "::")
                 {
                     push(i, PanicKind::Macro);
@@ -737,9 +542,9 @@ fn scan_calls(
         }
         // `name(` — or `name::<T>(` through a turbofish
         let after = fd.next_code(i + 1);
-        let is_call = if fd.is_punct(after, "(") {
+        let is_call = if fd.punct_is(after, "(") {
             true
-        } else if fd.is_punct(after, "::") && fd.is_punct(fd.next_code(after + 1), "<") {
+        } else if fd.punct_is(after, "::") && fd.punct_is(fd.next_code(after + 1), "<") {
             let mut angle = 0i32;
             let mut j = fd.next_code(after + 1);
             let mut found = false;
@@ -752,7 +557,7 @@ fn scan_calls(
                     _ => {}
                 }
                 if angle <= 0 {
-                    found = fd.is_punct(fd.next_code(j + 1), "(");
+                    found = fd.punct_is(fd.next_code(j + 1), "(");
                     break;
                 }
                 j += 1;
@@ -769,15 +574,15 @@ fn scan_calls(
         // not workspace calls — a workspace fn that happens to be named
         // `load` or `store` must not become a callee of every atomic op
         if ATOMIC_OPS.contains(&name.as_str())
-            && fd.prev_code(i).is_some_and(|p| fd.is_punct(p, "."))
-            && fd.is_punct(after, "(")
+            && fd.prev_code(i).is_some_and(|p| fd.punct_is(p, "."))
+            && fd.punct_is(after, "(")
             && args_mention_ordering(fd, after, close)
         {
             continue;
         }
         let callee = match fd.prev_code(i) {
-            Some(p) if fd.is_punct(p, ".") => RawCallee::Method(name),
-            Some(p) if fd.is_punct(p, "::") => {
+            Some(p) if fd.punct_is(p, ".") => RawCallee::Method(name),
+            Some(p) if fd.punct_is(p, "::") => {
                 match fd.prev_code(p) {
                     Some(q) if fd.is_ident(q) => {
                         let qual = fd.text(q);
@@ -794,7 +599,7 @@ fn scan_calls(
                 }
             }
             // `fn name(` is a nested definition, not a call
-            Some(p) if fd.is_ident(p) && fd.text(p) == "fn" => continue,
+            Some(p) if fd.ident_is(p, "fn") => continue,
             _ => RawCallee::Free(name),
         };
         out.push((i, callee));
@@ -902,19 +707,6 @@ mod tests {
         )]);
         assert!(!w.fns[fn_id(&w, "live")].is_test);
         assert!(w.fns[fn_id(&w, "t")].is_test);
-    }
-
-    #[test]
-    fn fields_are_collected_with_types() {
-        let w = ws(&[(
-            "crates/a/src/lib.rs",
-            "pub struct S { pub a: Mutex<u32>, b: Arc<RwLock<Vec<u8>>>, c: usize }\n\
-             struct Tuple(Mutex<u8>);",
-        )]);
-        let names: Vec<_> = w.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["a", "b", "c"]);
-        assert!(w.fields[0].type_text.contains("Mutex"));
-        assert!(w.fields[1].type_text.contains("RwLock"));
     }
 
     #[test]

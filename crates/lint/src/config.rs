@@ -1,10 +1,11 @@
 //! Per-rule configuration: which crates must be deterministic, which
-//! modules are hot, and where wall-clock reads are sanctioned.
+//! modules are hot, where wall-clock reads are sanctioned, and which
+//! functions must be panic-free.
 //!
 //! The defaults encode this workspace's invariants; tests construct
 //! custom configs to exercise rules in isolation.
 
-/// Rule configuration consulted by [`crate::rules`].
+/// Rule configuration consulted by [`crate::rules`] and [`crate::surface`].
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Crates whose outputs must be bit-identical run to run (the
@@ -23,11 +24,6 @@ pub struct Config {
     /// bench crate, whose measured suboptimality ratios feed the CI
     /// quality guard and must reproduce bit-exactly.
     pub deterministic_paths: Vec<String>,
-    /// Crates whose lock acquisition orders the `lock-order` rule audits
-    /// (the concurrent daemon layers).
-    pub lock_order_crates: Vec<String>,
-    /// Crates whose atomics the `atomic-ordering` rule audits.
-    pub atomic_crates: Vec<String>,
     /// Functions (`crate::fn` or `crate::Type::fn`) from which no panic
     /// site may be transitively reachable outside `catch_unwind` — the
     /// daemon's job-execution prologue, where a panic would take down a
@@ -81,15 +77,6 @@ impl Default for Config {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-            // the daemon and its telemetry substrate hold multiple locks
-            // across call boundaries; everything else is single-lock
-            lock_order_crates: ["serve", "obs"].iter().map(|s| s.to_string()).collect(),
-            // cross-thread control flags live here: the cancel token, the
-            // scheduler's stop/accepting flags, the metric handles
-            atomic_crates: ["serve", "obs", "placer"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
             // the worker loop and its claim/finish phases run outside the
             // per-job catch_unwind; a panic there kills the worker thread,
             // not just the job
@@ -127,15 +114,5 @@ impl Config {
     /// determinism rule fires there regardless of the owning crate).
     pub fn is_deterministic_path(&self, rel_path: &str) -> bool {
         self.deterministic_paths.iter().any(|p| p == rel_path)
-    }
-
-    /// True when `crate_name` is audited by the lock-order rule.
-    pub fn is_lock_order_crate(&self, crate_name: &str) -> bool {
-        self.lock_order_crates.iter().any(|c| c == crate_name)
-    }
-
-    /// True when `crate_name` is audited by the atomic-ordering rule.
-    pub fn is_atomic_crate(&self, crate_name: &str) -> bool {
-        self.atomic_crates.iter().any(|c| c == crate_name)
     }
 }

@@ -1,5 +1,7 @@
-//! Per-file analysis context shared by every rule: the token stream, the
-//! line index, and the byte ranges of test-only code.
+//! The one per-file analysis context: source text, token stream, line
+//! index, the byte ranges of test-only code, and the parsed item forest.
+//! The per-file rules and the workspace call graph both read a file
+//! through it, so each file is lexed, parsed and test-scanned once.
 //!
 //! Test-only ranges are found syntactically: a `#[cfg(test)]`, `#[test]`,
 //! or `#[bench]` attribute marks the item that follows it (after any
@@ -8,69 +10,77 @@
 //! matching happens on the *token* stream, so braces inside strings and
 //! comments cannot desynchronize it.
 
-use crate::lexer::{LineIndex, Span, Token, TokenKind};
+use crate::diag::Violation;
+use crate::items::{self, Item};
+use crate::lexer::{self, LineIndex, Span, Token, TokenKind};
 use crate::workspace::SourceFile;
 
-/// Everything a rule may inspect about one file.
+/// One source file, fully lexed and item-parsed.
 #[derive(Debug)]
-pub struct FileCtx<'a> {
+pub struct FileData {
     /// Discovery metadata: path, kind, crate, crate-root flag.
-    pub file: &'a SourceFile,
+    pub file: SourceFile,
     /// Full source text.
-    pub src: &'a str,
+    pub src: String,
     /// Lexed token stream (spans tile `src`).
-    pub tokens: &'a [Token],
+    pub tokens: Vec<Token>,
     /// Byte-offset → line/column mapping.
-    pub lines: &'a LineIndex,
+    pub lines: LineIndex,
     /// Byte ranges covered by `#[cfg(test)]` / `#[test]` / `#[bench]`
     /// items; most rules skip violations inside these.
     pub test_spans: Vec<Span>,
+    /// Parsed item forest.
+    pub items: Vec<Item>,
 }
 
-impl<'a> FileCtx<'a> {
-    /// Builds the context, computing test spans from the token stream.
-    pub fn new(
-        file: &'a SourceFile,
-        src: &'a str,
-        tokens: &'a [Token],
-        lines: &'a LineIndex,
-    ) -> Self {
-        let test_spans = find_test_spans(src, tokens);
+impl FileData {
+    /// Lexes and parses one in-memory source file.
+    pub fn new(file: SourceFile, src: String) -> Self {
+        let tokens = lexer::lex(&src);
+        let lines = LineIndex::new(&src);
+        let test_spans = find_test_spans(&src, &tokens);
+        let items = items::parse_items(&src, &tokens);
         Self {
             file,
             src,
             tokens,
             lines,
             test_spans,
+            items,
         }
     }
 
     /// True when byte `offset` lies inside test-only code.
-    pub fn in_test_code(&self, offset: usize) -> bool {
+    pub(crate) fn in_test_code(&self, offset: usize) -> bool {
         self.test_spans.iter().any(|s| s.contains(offset))
     }
 
-    /// The token's text.
-    pub fn text(&self, tok: &Token) -> &'a str {
-        tok.text(self.src)
+    /// Text of token `i` (empty past the end).
+    pub(crate) fn text(&self, i: usize) -> &str {
+        self.tokens.get(i).map_or("", |t| t.text(&self.src))
+    }
+
+    /// True when token `i` is an `Ident`.
+    pub(crate) fn is_ident(&self, i: usize) -> bool {
+        self.tokens
+            .get(i)
+            .is_some_and(|t| t.kind == TokenKind::Ident)
     }
 
     /// True when token `i` is an `Ident` with exactly this text.
-    pub fn ident_is(&self, i: usize, text: &str) -> bool {
-        self.tokens
-            .get(i)
-            .is_some_and(|t| t.kind == TokenKind::Ident && t.text(self.src) == text)
+    pub(crate) fn ident_is(&self, i: usize, text: &str) -> bool {
+        self.is_ident(i) && self.text(i) == text
     }
 
     /// True when token `i` is a `Punct` with exactly this text.
-    pub fn punct_is(&self, i: usize, text: &str) -> bool {
+    pub(crate) fn punct_is(&self, i: usize, text: &str) -> bool {
         self.tokens
             .get(i)
-            .is_some_and(|t| t.kind == TokenKind::Punct && t.text(self.src) == text)
+            .is_some_and(|t| t.kind == TokenKind::Punct && t.text(&self.src) == text)
     }
 
     /// Index of the next non-comment token at or after `i`.
-    pub fn skip_comments(&self, mut i: usize) -> usize {
+    pub(crate) fn next_code(&self, mut i: usize) -> usize {
         while self
             .tokens
             .get(i)
@@ -81,20 +91,53 @@ impl<'a> FileCtx<'a> {
         i
     }
 
-    /// The source line (trimmed) containing byte `offset`, used as the
-    /// human-readable part of diagnostics and baseline keys.
-    pub fn line_text(&self, offset: usize) -> &'a str {
-        let line = self.lines.line(offset);
+    /// Previous non-comment token index before `i`, or `None`.
+    pub(crate) fn prev_code(&self, i: usize) -> Option<usize> {
+        let mut j = i.checked_sub(1)?;
+        loop {
+            match self.tokens.get(j).map(|t| t.kind) {
+                Some(TokenKind::LineComment | TokenKind::BlockComment) => j = j.checked_sub(1)?,
+                Some(_) => return Some(j),
+                None => return None,
+            }
+        }
+    }
+
+    /// 1-based line of token `i`.
+    pub(crate) fn token_line(&self, i: usize) -> usize {
+        self.tokens
+            .get(i)
+            .map_or(1, |t| self.lines.line(t.span.start))
+    }
+
+    /// A `rule` violation anchored at byte `offset` of this file; the
+    /// snippet is the trimmed source line containing it.
+    pub(crate) fn violation(
+        &self,
+        rule: &'static str,
+        offset: usize,
+        message: String,
+    ) -> Violation {
+        let (line, col) = self.lines.line_col(offset);
         let start = self.lines.line_start(line).unwrap_or(0);
         let end = self.lines.line_start(line + 1).unwrap_or(self.src.len());
-        self.src[start..end].trim_end_matches('\n').trim()
+        Violation {
+            rule,
+            path: self.file.rel_path.clone(),
+            line,
+            col,
+            message,
+            snippet: self.src[start..end]
+                .trim_end_matches('\n')
+                .trim()
+                .to_string(),
+        }
     }
 }
 
 /// Scans for test-marking attributes and returns the byte spans of the
-/// items they cover. Public so the workspace-scope analyses (call graph,
-/// panic surface) can classify functions without building a [`FileCtx`].
-pub fn find_test_spans(src: &str, tokens: &[Token]) -> Vec<Span> {
+/// items they cover.
+fn find_test_spans(src: &str, tokens: &[Token]) -> Vec<Span> {
     let mut spans: Vec<Span> = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -226,7 +269,6 @@ fn item_extent(src: &str, tokens: &[Token], mut i: usize) -> Option<Span> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer;
     use crate::workspace::classify;
 
     fn ctx_spans(src: &str) -> Vec<(usize, usize)> {
@@ -277,10 +319,8 @@ mod tests {
     fn in_test_code_queries() {
         let file = classify("crates/x/src/lib.rs").unwrap();
         let src = "fn live() {}\n#[cfg(test)]\nmod tests { fn t() {} }";
-        let tokens = lexer::lex(src);
-        let lines = lexer::LineIndex::new(src);
-        let ctx = FileCtx::new(&file, src, &tokens, &lines);
-        assert!(!ctx.in_test_code(src.find("live").unwrap()));
-        assert!(ctx.in_test_code(src.find("fn t").unwrap()));
+        let fd = FileData::new(file, src.to_string());
+        assert!(!fd.in_test_code(src.find("live").unwrap()));
+        assert!(fd.in_test_code(src.find("fn t").unwrap()));
     }
 }

@@ -1,21 +1,20 @@
-//! The check engine: lexes and item-parses every file, runs the per-file
-//! rules, builds the workspace call graph for the interprocedural rules
-//! (lock-order, atomic-ordering, panic-surface), applies suppressions,
-//! masks against the baseline, and aggregates the outcome.
+//! The check engine: lexes and item-parses every file once, runs the
+//! per-file rules, builds the workspace call graph for the panic-surface
+//! pass, applies suppressions, masks against the baseline, and aggregates
+//! the outcome.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::baseline::Baseline;
-use crate::callgraph::{FileData, WorkspaceCtx};
+use crate::callgraph::WorkspaceCtx;
 use crate::config::Config;
-use crate::context::FileCtx;
+use crate::context::FileData;
 use crate::diag::Violation;
 use crate::rules::{self, Rule};
 use crate::suppress::{self, SuppressError, Suppression};
 use crate::surface::{self, PanicSurface};
 use crate::workspace::{self, SourceFile};
-use crate::wrules::{self, WorkspaceRule};
 
 /// A suppression that fired, with what it suppressed.
 #[derive(Debug, Clone)]
@@ -37,9 +36,8 @@ pub struct Outcome {
     pub suppressed: Vec<SuppressedViolation>,
     /// Malformed / unknown-rule suppression comments (always fail).
     pub suppress_errors: Vec<(String, SuppressError)>,
-    /// Well-formed suppressions that silenced nothing (reported as
-    /// warnings so stale allowances get cleaned up; fatal only under
-    /// `--deny-unused-suppressions`).
+    /// Well-formed suppressions that silenced nothing (always fail: a
+    /// stale allowance must not outlive its finding).
     pub unused: Vec<(String, Suppression)>,
     /// Number of files checked.
     pub files: usize,
@@ -51,7 +49,7 @@ pub struct Outcome {
 impl Outcome {
     /// True when the run should exit nonzero.
     pub fn failed(&self) -> bool {
-        !self.new.is_empty() || !self.suppress_errors.is_empty()
+        !self.new.is_empty() || !self.suppress_errors.is_empty() || !self.unused.is_empty()
     }
 
     /// Per-rule `(new, baselined, suppressed)` counts, sorted by rule.
@@ -80,31 +78,22 @@ pub struct Engine {
     /// computed surface relative to it is a violation.
     pub panic_ratchet: Option<PanicSurface>,
     rules: Vec<Box<dyn Rule>>,
-    workspace_rules: Vec<Box<dyn WorkspaceRule>>,
-    rule_names: Vec<&'static str>,
 }
 
 impl Engine {
     /// Builds an engine with the full rule set and no panic ratchet.
     pub fn new(config: Config, baseline: Baseline) -> Self {
-        let rules = rules::all_rules();
-        let workspace_rules = wrules::all_workspace_rules();
-        let mut rule_names: Vec<&'static str> = rules.iter().map(|r| r.name()).collect();
-        rule_names.extend(workspace_rules.iter().map(|r| r.name()));
-        rule_names.push(surface::RULE);
         Self {
             config,
             baseline,
             panic_ratchet: None,
-            rules,
-            workspace_rules,
-            rule_names,
+            rules: rules::all_rules(),
         }
     }
 
     /// Checks one in-memory file, folding results into `outcome`. The
-    /// interprocedural rules see a one-file workspace, which is exactly
-    /// what the fixture tests want.
+    /// panic-surface pass sees a one-file workspace, which is exactly what
+    /// the fixture tests want.
     pub fn check_source(&self, file: &SourceFile, src: &str, outcome: &mut Outcome) {
         self.check_sources(vec![(file.clone(), src.to_string())], outcome);
     }
@@ -120,23 +109,18 @@ impl Engine {
         let mut raw_by_file: Vec<Vec<Violation>> = files
             .iter()
             .map(|fd| {
-                let ctx = FileCtx::new(&fd.file, &fd.src, &fd.tokens, &fd.lines);
                 let mut raw = Vec::new();
                 for rule in &self.rules {
-                    rule.check(&ctx, &self.config, &mut raw);
+                    rule.check(fd, &self.config, &mut raw);
                 }
                 raw
             })
             .collect();
 
-        // phase 2: workspace-scope rules over the call graph
+        // phase 2: the panic surface over the workspace call graph
         let ws = WorkspaceCtx::build(files);
-        let mut ws_raw: Vec<Violation> = Vec::new();
-        for rule in &self.workspace_rules {
-            rule.check(&ws, &self.config, &mut ws_raw);
-        }
         let analysis = surface::compute(&ws, &self.config);
-        ws_raw.extend(analysis.root_violations);
+        let mut ws_raw = analysis.root_violations;
         if let Some(ratchet) = &self.panic_ratchet {
             for (krate, entry) in analysis.surface.grown_since(ratchet) {
                 let (path, line, chain) = analysis.details.get(&entry).cloned().unwrap_or((
@@ -176,18 +160,29 @@ impl Engine {
         }
 
         // phase 3: suppression + baseline passes, per file
+        let known: Vec<&str> = self
+            .rules
+            .iter()
+            .map(|r| r.name())
+            .chain([surface::RULE])
+            .collect();
         for (fd, raw) in ws.files.iter().zip(raw_by_file) {
-            self.apply_filters(fd, raw, outcome);
+            self.apply_filters(fd, raw, &known, outcome);
             outcome.files += 1;
         }
         outcome.panic_surface = Some(analysis.surface);
     }
 
     /// Applies the suppression and baseline passes to one file's raw
-    /// violations.
-    fn apply_filters(&self, fd: &FileData, raw: Vec<Violation>, outcome: &mut Outcome) {
-        let (suppressions, errors) =
-            suppress::parse(&fd.src, &fd.tokens, &fd.lines, &self.rule_names);
+    /// violations; a suppression naming a rule outside `known` is an error.
+    fn apply_filters(
+        &self,
+        fd: &FileData,
+        raw: Vec<Violation>,
+        known: &[&str],
+        outcome: &mut Outcome,
+    ) {
+        let (suppressions, errors) = suppress::parse(&fd.src, &fd.tokens, &fd.lines, known);
         for e in errors {
             outcome.suppress_errors.push((fd.file.rel_path.clone(), e));
         }
@@ -291,7 +286,6 @@ impl Engine {
     pub fn describe_rules(&self) -> Vec<(&'static str, &'static str)> {
         let mut out: Vec<(&'static str, &'static str)> =
             self.rules.iter().map(|r| (r.name(), r.summary())).collect();
-        out.extend(self.workspace_rules.iter().map(|r| (r.name(), r.summary())));
         out.push((
             surface::RULE,
             "the public panic surface may only shrink, and the daemon's protected \

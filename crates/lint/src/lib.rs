@@ -5,14 +5,14 @@
 //!
 //! The pass is zero-dependency and self-contained (no `syn`, consistent
 //! with the workspace's vendored-offline constraint): a hand-rolled
-//! span-tracking [`lexer`] feeds a set of token-level [`rules`], an
-//! [`items`] parser and [`callgraph`] lift the token streams into a
-//! workspace-scope view for the interprocedural rules ([`wrules`]:
-//! lock-order and atomic-ordering; [`surface`]: the ratcheted panic
-//! surface), and an [`engine`] applies inline [`suppress`]ions
-//! (`// lint:allow(rule): reason`, reason mandatory) and the committed
-//! [`baseline`] ratchet before reporting `file:line:col` diagnostics and
-//! a machine-readable [`report`].
+//! span-tracking [`lexer`] and one per-file [`context`] feed a set of
+//! token-level [`rules`], an [`items`] parser and [`callgraph`] lift the
+//! token streams into a workspace-scope view for the one interprocedural
+//! rule ([`surface`]: the ratcheted panic surface), and an [`engine`]
+//! applies inline [`suppress`]ions (`// lint:allow(rule): reason`, reason
+//! mandatory, an unused one fails) and the committed [`baseline`] ratchet
+//! before reporting `file:line:col` diagnostics and a machine-readable
+//! [`report`].
 //!
 //! Run it as:
 //!
@@ -38,7 +38,6 @@ pub mod rules;
 pub mod suppress;
 pub mod surface;
 pub mod workspace;
-pub mod wrules;
 
 pub use baseline::Baseline;
 pub use config::Config;

@@ -1,14 +1,13 @@
 //! The `mep-lint` command-line driver.
 //!
 //! ```text
-//! mep-lint check [--root DIR] [--report PATH] [--no-report]
-//!                [--deny-unused-suppressions]
+//! mep-lint check [--root DIR]
 //! mep-lint baseline [--root DIR]
 //! mep-lint rules
 //! ```
 //!
-//! `check` exits 0 when no new violations (and no malformed suppressions)
-//! exist, 1 on findings, 2 on usage or I/O errors. By default it writes
+//! `check` exits 0 when there are no new violations and no malformed or
+//! unused suppressions, 1 on findings, 2 on usage or I/O errors. It writes
 //! the machine-readable posture to `results/lint_report.json` and the
 //! freshly computed panic-surface ratchet to `results/panic_surface.json`
 //! under the workspace root; the run fails if the surface *grew* relative
@@ -36,25 +35,14 @@ fn main() -> ExitCode {
 
 struct Options {
     root: PathBuf,
-    report: Option<PathBuf>,
-    write_report: bool,
-    deny_unused: bool,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut root = None;
-    let mut report = None;
-    let mut write_report = true;
-    let mut deny_unused = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => root = Some(PathBuf::from(it.next().ok_or("--root requires a path")?)),
-            "--report" => {
-                report = Some(PathBuf::from(it.next().ok_or("--report requires a path")?))
-            }
-            "--no-report" => write_report = false,
-            "--deny-unused-suppressions" => deny_unused = true,
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -67,12 +55,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             )?
         }
     };
-    Ok(Options {
-        root,
-        report,
-        write_report,
-        deny_unused,
-    })
+    Ok(Options { root })
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
@@ -118,50 +101,32 @@ fn check(opts: &Options) -> Result<ExitCode, String> {
         println!("{v}");
     }
     for (path, s) in &outcome.unused {
-        eprintln!(
-            "warning: {path}:{} unused suppression lint:allow({}) — remove it or note why it stays",
+        println!(
+            "{path}:{} unused suppression lint:allow({}) silences nothing; remove it",
             s.comment_line, s.rule
         );
     }
     print!("{}", mep_lint::report::render_summary(&outcome));
 
-    if opts.write_report {
-        let path = opts
-            .report
-            .clone()
-            .unwrap_or_else(|| opts.root.join("results").join("lint_report.json"));
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-        let json = mep_lint::report::render_json(&outcome);
-        std::fs::write(&path, json + "\n")
-            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("report: {}", path.display());
-
-        // rewrite the ratchet with the freshly computed surface so
-        // shrinkage shows up as a committable diff (CI enforces it)
-        if let Some(surface) = &outcome.panic_surface {
-            if let Some(dir) = surface_path.parent() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("creating {}: {e}", dir.display()))?;
-            }
-            std::fs::write(&surface_path, surface.render())
-                .map_err(|e| format!("writing {}: {e}", surface_path.display()))?;
-            println!(
-                "panic surface: {} public function(s) across {} crate(s) -> {}",
-                surface.len(),
-                surface.crates.len(),
-                surface_path.display()
-            );
-        }
+    let path = opts.root.join("results").join("lint_report.json");
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
     }
+    let json = mep_lint::report::render_json(&outcome);
+    std::fs::write(&path, json + "\n").map_err(|e| format!("writing {}: {e}", path.display()))?;
+    println!("report: {}", path.display());
 
-    if opts.deny_unused && !outcome.unused.is_empty() {
-        eprintln!(
-            "error: {} unused suppression(s) with --deny-unused-suppressions",
-            outcome.unused.len()
+    // rewrite the ratchet with the freshly computed surface so shrinkage
+    // shows up as a committable diff (CI enforces it)
+    if let Some(surface) = &outcome.panic_surface {
+        std::fs::write(&surface_path, surface.render())
+            .map_err(|e| format!("writing {}: {e}", surface_path.display()))?;
+        println!(
+            "panic surface: {} public function(s) across {} crate(s) -> {}",
+            surface.len(),
+            surface.crates.len(),
+            surface_path.display()
         );
-        return Ok(ExitCode::FAILURE);
     }
 
     Ok(if outcome.failed() {

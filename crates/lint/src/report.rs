@@ -85,7 +85,7 @@ pub fn render_summary(outcome: &Outcome) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "mep-lint: {} files checked — {} new, {} baselined, {} suppressed{}",
+        "mep-lint: {} files checked — {} new, {} baselined, {} suppressed{}{}",
         outcome.files,
         outcome.new.len(),
         outcome.baselined.len(),
@@ -97,6 +97,11 @@ pub fn render_summary(outcome: &Outcome) -> String {
                 ", {} malformed suppression(s)",
                 outcome.suppress_errors.len()
             )
+        },
+        if outcome.unused.is_empty() {
+            String::new()
+        } else {
+            format!(", {} unused suppression(s)", outcome.unused.len())
         }
     );
     for (rule, (new, baselined, suppressed)) in outcome.per_rule() {

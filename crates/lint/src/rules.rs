@@ -13,7 +13,7 @@
 //! | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]`  |
 
 use crate::config::Config;
-use crate::context::FileCtx;
+use crate::context::FileData;
 use crate::diag::Violation;
 use crate::lexer::TokenKind;
 use crate::workspace::FileKind;
@@ -26,7 +26,7 @@ pub trait Rule {
     /// One-line description shown by `mep-lint rules`.
     fn summary(&self) -> &'static str;
     /// Reports violations in one file.
-    fn check(&self, ctx: &FileCtx, cfg: &Config, out: &mut Vec<Violation>);
+    fn check(&self, fd: &FileData, cfg: &Config, out: &mut Vec<Violation>);
 }
 
 /// The full rule set, in reporting order.
@@ -41,26 +41,9 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
     ]
 }
 
-/// Names of all rules (for suppression validation).
-pub fn rule_names() -> Vec<&'static str> {
-    all_rules().iter().map(|r| r.name()).collect()
-}
-
-fn violation(ctx: &FileCtx, rule: &'static str, offset: usize, message: String) -> Violation {
-    let (line, col) = ctx.lines.line_col(offset);
-    Violation {
-        rule,
-        path: ctx.file.rel_path.clone(),
-        line,
-        col,
-        message,
-        snippet: ctx.line_text(offset).to_string(),
-    }
-}
-
 /// True for files where panics are an acceptable failure mechanism.
-fn panic_tolerant(ctx: &FileCtx) -> bool {
-    ctx.file.kind != FileKind::Lib
+fn panic_tolerant(fd: &FileData) -> bool {
+    fd.file.kind != FileKind::Lib
 }
 
 // --- no-panic-lib -----------------------------------------------------------
@@ -79,23 +62,22 @@ impl Rule for NoPanicLib {
         "library code must not unwrap/expect/panic!/todo!/unreachable!/unimplemented! outside tests"
     }
 
-    fn check(&self, ctx: &FileCtx, _cfg: &Config, out: &mut Vec<Violation>) {
-        if panic_tolerant(ctx) {
+    fn check(&self, fd: &FileData, _cfg: &Config, out: &mut Vec<Violation>) {
+        if panic_tolerant(fd) {
             return;
         }
-        for (i, tok) in ctx.tokens.iter().enumerate() {
-            if tok.kind != TokenKind::Ident || ctx.in_test_code(tok.span.start) {
+        for (i, tok) in fd.tokens.iter().enumerate() {
+            if tok.kind != TokenKind::Ident || fd.in_test_code(tok.span.start) {
                 continue;
             }
-            let text = ctx.text(tok);
+            let text = fd.text(i);
             // `.unwrap()` / `.expect(` — the leading dot distinguishes the
             // method call from e.g. a local named `unwrap`
             if (text == "unwrap" || text == "expect")
-                && ctx.punct_is(i.wrapping_sub(1), ".")
-                && ctx.punct_is(ctx.skip_comments(i + 1), "(")
+                && fd.punct_is(i.wrapping_sub(1), ".")
+                && fd.punct_is(fd.next_code(i + 1), "(")
             {
-                out.push(violation(
-                    ctx,
+                out.push(fd.violation(
                     self.name(),
                     tok.span.start,
                     format!(
@@ -106,12 +88,11 @@ impl Rule for NoPanicLib {
                 ));
             }
             if PANIC_MACROS.contains(&text)
-                && ctx.punct_is(i + 1, "!")
+                && fd.punct_is(i + 1, "!")
                 // `panic::catch_unwind`, `std::panic` paths are fine
-                && !ctx.punct_is(i.wrapping_sub(1), "::")
+                && !fd.punct_is(i.wrapping_sub(1), "::")
             {
-                out.push(violation(
-                    ctx,
+                out.push(fd.violation(
                     self.name(),
                     tok.span.start,
                     format!("`{text}!` panics in library code; return a typed error instead"),
@@ -134,30 +115,26 @@ impl Rule for NanUnsafeCmp {
         "`partial_cmp(..).unwrap()` panics on NaN and breaks strict-weak-order; use `total_cmp`"
     }
 
-    fn check(&self, ctx: &FileCtx, _cfg: &Config, out: &mut Vec<Violation>) {
-        if panic_tolerant(ctx) {
+    fn check(&self, fd: &FileData, _cfg: &Config, out: &mut Vec<Violation>) {
+        if panic_tolerant(fd) {
             return;
         }
-        for (i, tok) in ctx.tokens.iter().enumerate() {
+        for (i, tok) in fd.tokens.iter().enumerate() {
             if tok.kind != TokenKind::Ident
-                || ctx.text(tok) != "partial_cmp"
-                || ctx.in_test_code(tok.span.start)
+                || fd.text(i) != "partial_cmp"
+                || fd.in_test_code(tok.span.start)
             {
                 continue;
             }
             // skip the argument list `( … )`
-            let Some(open) = ctx
-                .tokens
-                .get(ctx.skip_comments(i + 1))
-                .filter(|t| t.text(ctx.src) == "(")
-                .map(|_| ctx.skip_comments(i + 1))
-            else {
+            let open = fd.next_code(i + 1);
+            if fd.text(open) != "(" {
                 continue;
-            };
+            }
             let mut depth = 0usize;
             let mut j = open;
-            while j < ctx.tokens.len() {
-                match ctx.text(&ctx.tokens[j]) {
+            while j < fd.tokens.len() {
+                match fd.text(j) {
                     "(" => depth += 1,
                     ")" => {
                         depth -= 1;
@@ -170,19 +147,20 @@ impl Rule for NanUnsafeCmp {
                 j += 1;
             }
             // `.unwrap(` / `.expect(` directly after the call?
-            let dot = ctx.skip_comments(j + 1);
-            let method = ctx.skip_comments(dot + 1);
-            if ctx.punct_is(dot, ".")
-                && (ctx.ident_is(method, "unwrap") || ctx.ident_is(method, "expect"))
+            let dot = fd.next_code(j + 1);
+            let method = fd.next_code(dot + 1);
+            if fd.punct_is(dot, ".")
+                && (fd.ident_is(method, "unwrap") || fd.ident_is(method, "expect"))
             {
-                out.push(violation(
-                    ctx,
-                    self.name(),
-                    tok.span.start,
-                    "`partial_cmp(..).unwrap()` panics on NaN mid-sort; \
+                out.push(
+                    fd.violation(
+                        self.name(),
+                        tok.span.start,
+                        "`partial_cmp(..).unwrap()` panics on NaN mid-sort; \
                      use `f64::total_cmp` (NaN-safe total order)"
-                        .to_string(),
-                ));
+                            .to_string(),
+                    ),
+                );
             }
         }
     }
@@ -201,21 +179,20 @@ impl Rule for Determinism {
         "result-affecting crates: no HashMap/HashSet (iteration order), wall clocks, or thread-id logic"
     }
 
-    fn check(&self, ctx: &FileCtx, cfg: &Config, out: &mut Vec<Violation>) {
-        if panic_tolerant(ctx)
-            || !(cfg.is_result_affecting(&ctx.file.crate_name)
-                || cfg.is_deterministic_path(&ctx.file.rel_path))
+    fn check(&self, fd: &FileData, cfg: &Config, out: &mut Vec<Violation>) {
+        if panic_tolerant(fd)
+            || !(cfg.is_result_affecting(&fd.file.crate_name)
+                || cfg.is_deterministic_path(&fd.file.rel_path))
         {
             return;
         }
-        let clock_ok = cfg.clock_allowed(&ctx.file.rel_path);
-        for (i, tok) in ctx.tokens.iter().enumerate() {
-            if tok.kind != TokenKind::Ident || ctx.in_test_code(tok.span.start) {
+        let clock_ok = cfg.clock_allowed(&fd.file.rel_path);
+        for (i, tok) in fd.tokens.iter().enumerate() {
+            if tok.kind != TokenKind::Ident || fd.in_test_code(tok.span.start) {
                 continue;
             }
-            match ctx.text(tok) {
-                t @ ("HashMap" | "HashSet") => out.push(violation(
-                    ctx,
+            match fd.text(i) {
+                t @ ("HashMap" | "HashSet") => out.push(fd.violation(
                     self.name(),
                     tok.span.start,
                     format!(
@@ -224,43 +201,44 @@ impl Rule for Determinism {
                          never iterated"
                     ),
                 )),
-                "Instant"
-                    if !clock_ok && ctx.punct_is(i + 1, "::") && ctx.ident_is(i + 2, "now") =>
-                {
-                    out.push(violation(
-                        ctx,
+                "Instant" if !clock_ok && fd.punct_is(i + 1, "::") && fd.ident_is(i + 2, "now") => {
+                    out.push(
+                        fd.violation(
+                            self.name(),
+                            tok.span.start,
+                            "`Instant::now` outside the telemetry whitelist: wall-clock reads \
+                         in result-affecting code make runs irreproducible"
+                                .to_string(),
+                        ),
+                    )
+                }
+                "SystemTime" if !clock_ok => out.push(
+                    fd.violation(
                         self.name(),
                         tok.span.start,
-                        "`Instant::now` outside the telemetry whitelist: wall-clock reads \
-                         in result-affecting code make runs irreproducible"
-                            .to_string(),
-                    ))
-                }
-                "SystemTime" if !clock_ok => out.push(violation(
-                    ctx,
-                    self.name(),
-                    tok.span.start,
-                    "`SystemTime` outside the telemetry whitelist: wall-clock reads \
+                        "`SystemTime` outside the telemetry whitelist: wall-clock reads \
                      in result-affecting code make runs irreproducible"
-                        .to_string(),
-                )),
-                "ThreadId" => out.push(violation(
-                    ctx,
-                    self.name(),
-                    tok.span.start,
-                    "thread-id-dependent logic breaks bit-identical results across \
+                            .to_string(),
+                    ),
+                ),
+                "ThreadId" => out.push(
+                    fd.violation(
+                        self.name(),
+                        tok.span.start,
+                        "thread-id-dependent logic breaks bit-identical results across \
                      thread counts; partition work by fixed index instead"
-                        .to_string(),
-                )),
-                "thread" if ctx.punct_is(i + 1, "::") && ctx.ident_is(i + 2, "current") => out
-                    .push(violation(
-                        ctx,
+                            .to_string(),
+                    ),
+                ),
+                "thread" if fd.punct_is(i + 1, "::") && fd.ident_is(i + 2, "current") => out.push(
+                    fd.violation(
                         self.name(),
                         tok.span.start,
                         "`thread::current()` (thread-identity logic) breaks bit-identical \
                          results across thread counts"
                             .to_string(),
-                    )),
+                    ),
+                ),
                 _ => {}
             }
         }
@@ -284,38 +262,30 @@ impl Rule for FloatEq {
         "`==`/`!=` on floats is almost always wrong; compare with a tolerance or use bit patterns"
     }
 
-    fn check(&self, ctx: &FileCtx, _cfg: &Config, out: &mut Vec<Violation>) {
-        if panic_tolerant(ctx) {
+    fn check(&self, fd: &FileData, _cfg: &Config, out: &mut Vec<Violation>) {
+        if panic_tolerant(fd) {
             return;
         }
-        for (i, tok) in ctx.tokens.iter().enumerate() {
-            if tok.kind != TokenKind::Punct || ctx.in_test_code(tok.span.start) {
+        for (i, tok) in fd.tokens.iter().enumerate() {
+            if tok.kind != TokenKind::Punct || fd.in_test_code(tok.span.start) {
                 continue;
             }
-            let op = ctx.text(tok);
+            let op = fd.text(i);
             if op != "==" && op != "!=" {
                 continue;
             }
             let prev_float = i
                 .checked_sub(1)
-                .and_then(|p| ctx.tokens.get(p))
-                .is_some_and(|t| is_float_literal(ctx.text(t)));
+                .is_some_and(|p| is_float_literal(fd.text(p)));
             // `x == 1.5`, or `x == f64::NAN` (path const)
-            let next = ctx.skip_comments(i + 1);
-            let next_float = ctx
-                .tokens
-                .get(next)
-                .is_some_and(|t| is_float_literal(ctx.text(t)))
-                || ((ctx.ident_is(next, "f64") || ctx.ident_is(next, "f32"))
-                    && ctx.punct_is(next + 1, "::")
-                    && ctx
-                        .tokens
-                        .get(next + 2)
-                        .is_some_and(|t| FLOAT_CONSTS.contains(&ctx.text(t))));
+            let next = fd.next_code(i + 1);
+            let next_float = is_float_literal(fd.text(next))
+                || ((fd.ident_is(next, "f64") || fd.ident_is(next, "f32"))
+                    && fd.punct_is(next + 1, "::")
+                    && FLOAT_CONSTS.contains(&fd.text(next + 2)));
             if prev_float || next_float {
                 let hint = if op == "==" { "==" } else { "!=" };
-                out.push(violation(
-                    ctx,
+                out.push(fd.violation(
                     self.name(),
                     tok.span.start,
                     format!(
@@ -356,33 +326,32 @@ impl Rule for NoAllocHot {
         "declared hot-loop modules must not allocate (Vec::new/push/collect/format!/to_string/Box::new)"
     }
 
-    fn check(&self, ctx: &FileCtx, cfg: &Config, out: &mut Vec<Violation>) {
-        if !cfg.is_hot(&ctx.file.rel_path) {
+    fn check(&self, fd: &FileData, cfg: &Config, out: &mut Vec<Violation>) {
+        if !cfg.is_hot(&fd.file.rel_path) {
             return;
         }
-        for (i, tok) in ctx.tokens.iter().enumerate() {
-            if tok.kind != TokenKind::Ident || ctx.in_test_code(tok.span.start) {
+        for (i, tok) in fd.tokens.iter().enumerate() {
+            if tok.kind != TokenKind::Ident || fd.in_test_code(tok.span.start) {
                 continue;
             }
-            let text = ctx.text(tok);
+            let text = fd.text(i);
             let flagged = match text {
                 // `Vec::new`, `Vec::with_capacity`, `Box::new`, `String::new`
-                "Vec" | "Box" | "String" if ctx.punct_is(i + 1, "::") => {
-                    let m = ctx.skip_comments(i + 2);
-                    ctx.ident_is(m, "new") || ctx.ident_is(m, "with_capacity")
+                "Vec" | "Box" | "String" if fd.punct_is(i + 1, "::") => {
+                    let m = fd.next_code(i + 2);
+                    fd.ident_is(m, "new") || fd.ident_is(m, "with_capacity")
                 }
                 // `vec![…]`, `format!(…)`
-                "vec" | "format" => ctx.punct_is(i + 1, "!"),
+                "vec" | "format" => fd.punct_is(i + 1, "!"),
                 // `.push(…)`, `.collect(`/`.collect::<`, `.to_string()`, `.to_vec()`, `.to_owned()`
                 "push" | "collect" | "to_string" | "to_vec" | "to_owned" => {
-                    ctx.punct_is(i.wrapping_sub(1), ".")
-                        && (ctx.punct_is(i + 1, "(") || ctx.punct_is(i + 1, "::"))
+                    fd.punct_is(i.wrapping_sub(1), ".")
+                        && (fd.punct_is(i + 1, "(") || fd.punct_is(i + 1, "::"))
                 }
                 _ => false,
             };
             if flagged {
-                out.push(violation(
-                    ctx,
+                out.push(fd.violation(
                     self.name(),
                     tok.span.start,
                     format!(
@@ -409,23 +378,21 @@ impl Rule for ForbidUnsafe {
         "every crate root must carry #![forbid(unsafe_code)]"
     }
 
-    fn check(&self, ctx: &FileCtx, _cfg: &Config, out: &mut Vec<Violation>) {
-        if !ctx.file.is_crate_root {
+    fn check(&self, fd: &FileData, _cfg: &Config, out: &mut Vec<Violation>) {
+        if !fd.file.is_crate_root {
             return;
         }
         // scan inner attributes `#![…(unsafe_code)]` for forbid/deny
         let mut lint_level: Option<(&str, usize)> = None;
-        for (i, tok) in ctx.tokens.iter().enumerate() {
-            if tok.kind == TokenKind::Ident && ctx.text(tok) == "unsafe_code" {
+        for (i, tok) in fd.tokens.iter().enumerate() {
+            if tok.kind == TokenKind::Ident && fd.text(i) == "unsafe_code" {
                 // walk back over `(` to the level ident
                 let open = i.checked_sub(1);
                 let level = i.checked_sub(2);
                 if let (Some(o), Some(l)) = (open, level) {
-                    if ctx.punct_is(o, "(")
-                        && (ctx.ident_is(l, "forbid") || ctx.ident_is(l, "deny"))
-                    {
-                        lint_level = Some((ctx.text(&ctx.tokens[l]), ctx.tokens[l].span.start));
-                        if ctx.ident_is(l, "forbid") {
+                    if fd.punct_is(o, "(") && (fd.ident_is(l, "forbid") || fd.ident_is(l, "deny")) {
+                        lint_level = Some((fd.text(l), fd.tokens[l].span.start));
+                        if fd.ident_is(l, "forbid") {
                             break; // forbid wins
                         }
                     }
@@ -434,16 +401,16 @@ impl Rule for ForbidUnsafe {
         }
         match lint_level {
             Some(("forbid", _)) => {}
-            Some(("deny", offset)) => out.push(violation(
-                ctx,
-                self.name(),
-                offset,
-                "crate root uses `deny(unsafe_code)` instead of `forbid`; `deny` can be \
+            Some(("deny", offset)) => out.push(
+                fd.violation(
+                    self.name(),
+                    offset,
+                    "crate root uses `deny(unsafe_code)` instead of `forbid`; `deny` can be \
                  overridden by inner `#[allow]` — justify with a suppression or upgrade"
-                    .to_string(),
-            )),
-            _ => out.push(violation(
-                ctx,
+                        .to_string(),
+                ),
+            ),
+            _ => out.push(fd.violation(
                 self.name(),
                 0,
                 "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
@@ -468,7 +435,7 @@ mod tests {
 
     #[test]
     fn rule_names_are_unique_and_kebab() {
-        let names = rule_names();
+        let names: Vec<&str> = all_rules().iter().map(|r| r.name()).collect();
         let mut dedup = names.clone();
         dedup.sort();
         dedup.dedup();

@@ -1,6 +1,7 @@
-//! The ratcheted panic surface: which *public* library functions can
-//! transitively reach a panic site, and whether the daemon's protected
-//! roots (configured in [`Config::protected_roots`]) are panic-free.
+//! The ratcheted panic surface, the linter's one interprocedural rule
+//! (`panic-surface`): which *public* library functions can transitively
+//! reach a panic site, and whether the daemon's protected roots
+//! (configured in [`Config::protected_roots`]) are panic-free.
 //!
 //! `mep-lint check` computes the surface from the call graph, fails when
 //! it *grew* relative to the committed `results/panic_surface.json`, and
@@ -112,18 +113,14 @@ pub fn compute(ws: &WorkspaceCtx, cfg: &Config) -> SurfaceAnalysis {
                 let f = &ws.fns[id];
                 let fd = &ws.files[f.file];
                 let offset = fd.tokens.get(f.name_tok).map_or(0, |t| t.span.start);
-                let (line, col) = fd.lines.line_col(offset);
-                root_violations.push(Violation {
-                    rule: RULE,
-                    path: fd.file.rel_path.clone(),
-                    line,
-                    col,
-                    message: format!(
+                root_violations.push(fd.violation(
+                    RULE,
+                    offset,
+                    format!(
                         "protected root `{spec}` can reach a panic outside catch_unwind: \
                          {chain}; a panic here kills the worker thread, not just the job"
                     ),
-                    snippet: fd.line_text(offset).to_string(),
-                });
+                ));
                 chains.push(chain);
             }
         }

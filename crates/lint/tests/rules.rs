@@ -25,7 +25,8 @@ fn new_for<'a>(outcome: &'a Outcome, rule: &str) -> Vec<&'a mep_lint::Violation>
 }
 
 // Fixture paths: a library file in a result-affecting crate, a declared
-// hot module, and a non-result-affecting crate.
+// hot module, and a non-result-affecting crate (which the default config
+// does not name in `protected_roots`).
 const LIB: &str = "crates/placer/src/fixture.rs";
 const HOT: &str = "crates/wirelength/src/moreau.rs";
 const COLD_CRATE: &str = "crates/obs/src/fixture.rs";
@@ -349,19 +350,24 @@ fn suppression_without_reason_is_an_error() {
 
 #[test]
 fn suppression_of_unknown_rule_is_an_error() {
-    let src = "// lint:allow(no-such-rule): whatever\npub fn f() {}\n";
-    let out = check(LIB, src);
-    assert_eq!(out.suppress_errors.len(), 1);
-    assert!(out.suppress_errors[0].1.message.contains("no-such-rule"));
-    assert!(out.failed());
+    // a retired rule name is as unknown as a typo: a hard error, never a
+    // silent no-op
+    for rule in ["no-such-rule", "lock-order", "atomic-ordering"] {
+        let src = format!("// lint:allow({rule}): whatever\npub fn f() {{}}\n");
+        let out = check(LIB, &src);
+        assert_eq!(out.suppress_errors.len(), 1, "{rule}");
+        assert!(out.suppress_errors[0].1.message.contains(rule), "{rule}");
+        assert!(out.failed(), "{rule}");
+    }
 }
 
 #[test]
-fn unused_suppression_is_reported_but_non_fatal() {
+fn unused_suppression_fails_the_run() {
     let src = "// lint:allow(float-eq): nothing here actually compares floats\npub fn f() {}\n";
     let out = check(LIB, src);
     assert_eq!(out.unused.len(), 1);
-    assert!(!out.failed());
+    assert!(out.new.is_empty());
+    assert!(out.failed());
 }
 
 // --- acceptance: injected violation fails with file:line diagnostics --------
@@ -378,10 +384,10 @@ fn injected_violation_yields_file_line_rule_diagnostic() {
     );
 }
 
-// --- lock-order -------------------------------------------------------------
+// --- panic-surface ----------------------------------------------------------
 
-/// Lints `src` with a custom config (workspace rules need crate-scoped
-/// audit lists and protected roots).
+/// Lints `src` with a custom config (the panic-surface fixtures need a
+/// protected root in the fixture crate).
 fn check_cfg(rel_path: &str, src: &str, config: Config) -> Outcome {
     let file = workspace::classify(rel_path).expect("fixture path must classify");
     let engine = Engine::new(config, Baseline::empty());
@@ -389,289 +395,6 @@ fn check_cfg(rel_path: &str, src: &str, config: Config) -> Outcome {
     engine.check_source(&file, src, &mut outcome);
     outcome
 }
-
-// The concurrency fixtures live in `obs`, which the default config audits
-// for both lock order and atomics but does not name in `protected_roots`.
-const CONC: &str = "crates/obs/src/fixture.rs";
-
-const LOCK_INVERSION: &str = "\
-use std::sync::Mutex;
-pub struct S { alpha: Mutex<u32>, beta: Mutex<u32> }
-impl S {
-    pub fn ab(&self) {
-        let g = self.alpha.lock().unwrap();
-        let h = self.beta.lock().unwrap();
-        drop(h);
-        drop(g);
-    }
-    pub fn ba(&self) {
-        let g = self.beta.lock().unwrap();
-        let h = self.alpha.lock().unwrap();
-        drop(h);
-        drop(g);
-    }
-}
-";
-
-#[test]
-fn lock_order_positive_direct_inversion() {
-    let out = check(CONC, LOCK_INVERSION);
-    let vs = new_for(&out, "lock-order");
-    assert_eq!(
-        vs.len(),
-        1,
-        "one inversion per unordered pair: {:?}",
-        out.new
-    );
-    assert!(vs[0].message.contains("inversion"));
-    assert!(vs[0].message.contains("alpha") && vs[0].message.contains("beta"));
-}
-
-#[test]
-fn lock_order_positive_two_function_indirect_inversion() {
-    // `ab` holds `alpha` while calling a helper that takes `beta`; `ba`
-    // nests them directly in the opposite order — the inversion is only
-    // visible through the call edge.
-    let src = "\
-use std::sync::Mutex;
-pub struct S { alpha: Mutex<u32>, beta: Mutex<u32> }
-impl S {
-    fn grab_beta(&self) -> u32 {
-        let g = self.beta.lock().unwrap();
-        *g
-    }
-    pub fn ab(&self) {
-        let g = self.alpha.lock().unwrap();
-        let _ = self.grab_beta();
-        drop(g);
-    }
-    pub fn ba(&self) {
-        let g = self.beta.lock().unwrap();
-        let h = self.alpha.lock().unwrap();
-        drop(h);
-        drop(g);
-    }
-}
-";
-    let out = check(CONC, src);
-    let vs = new_for(&out, "lock-order");
-    assert_eq!(
-        vs.len(),
-        1,
-        "call-edge inversion must be found: {:?}",
-        out.new
-    );
-}
-
-#[test]
-fn lock_order_tracks_guard_returning_helpers() {
-    // `hold_alpha` returns a `MutexGuard`, so its acquisition stays held
-    // in the caller's frame; the nested `beta` acquisition inverts `ba`.
-    let src = "\
-use std::sync::{Mutex, MutexGuard};
-pub struct S { alpha: Mutex<u32>, beta: Mutex<u32> }
-impl S {
-    fn hold_alpha(&self) -> MutexGuard<'_, u32> {
-        self.alpha.lock().unwrap()
-    }
-    pub fn ab(&self) {
-        let g = self.hold_alpha();
-        let h = self.beta.lock().unwrap();
-        drop(h);
-        drop(g);
-    }
-    pub fn ba(&self) {
-        let g = self.beta.lock().unwrap();
-        let h = self.alpha.lock().unwrap();
-        drop(h);
-        drop(g);
-    }
-}
-";
-    let out = check(CONC, src);
-    assert_eq!(new_for(&out, "lock-order").len(), 1, "{:?}", out.new);
-}
-
-#[test]
-fn lock_order_negative() {
-    // consistent global order in both functions
-    let src = "\
-use std::sync::Mutex;
-pub struct S { alpha: Mutex<u32>, beta: Mutex<u32> }
-impl S {
-    pub fn one(&self) {
-        let g = self.alpha.lock().unwrap();
-        let h = self.beta.lock().unwrap();
-        drop(h);
-        drop(g);
-    }
-    pub fn two(&self) {
-        let g = self.alpha.lock().unwrap();
-        let h = self.beta.lock().unwrap();
-        drop(h);
-        drop(g);
-    }
-}
-";
-    assert!(new_for(&check(CONC, src), "lock-order").is_empty());
-
-    // opposite textual orders, but never nested: dropping the first
-    // guard before the second acquisition means no pair is recorded
-    let src = "\
-use std::sync::Mutex;
-pub struct S { alpha: Mutex<u32>, beta: Mutex<u32> }
-impl S {
-    pub fn ab(&self) {
-        let g = self.alpha.lock().unwrap();
-        drop(g);
-        let h = self.beta.lock().unwrap();
-        drop(h);
-    }
-    pub fn ba(&self) {
-        let g = self.beta.lock().unwrap();
-        drop(g);
-        let h = self.alpha.lock().unwrap();
-        drop(h);
-    }
-}
-";
-    assert!(new_for(&check(CONC, src), "lock-order").is_empty());
-}
-
-#[test]
-fn lock_order_suppressed() {
-    // the diagnostic anchors at the lexicographically-earlier direction:
-    // taking `beta` while `alpha` is held inside `ab`
-    let src = LOCK_INVERSION.replace(
-        "        let h = self.beta.lock().unwrap();\n        drop(h);\n        drop(g);\n    }\n    pub fn ba",
-        "        // lint:allow(lock-order): fixture-justified nested acquisition\n        let h = self.beta.lock().unwrap();\n        drop(h);\n        drop(g);\n    }\n    pub fn ba",
-    );
-    let out = check(CONC, &src);
-    assert!(new_for(&out, "lock-order").is_empty(), "{:?}", out.new);
-    assert_eq!(
-        out.suppressed
-            .iter()
-            .filter(|s| s.violation.rule == "lock-order")
-            .count(),
-        1
-    );
-}
-
-#[test]
-fn lock_order_baseline_masked() {
-    let mut baseline = Baseline::empty();
-    baseline.set("lock-order", CONC, 1);
-    let out = check_with(CONC, LOCK_INVERSION, baseline);
-    assert!(new_for(&out, "lock-order").is_empty(), "{:?}", out.new);
-    assert_eq!(
-        out.baselined
-            .iter()
-            .filter(|v| v.rule == "lock-order")
-            .count(),
-        1
-    );
-}
-
-// --- atomic-ordering --------------------------------------------------------
-
-const RELAXED_SPIN: &str = "\
-use std::sync::atomic::{AtomicBool, Ordering};
-pub struct S { stop: AtomicBool }
-impl S {
-    pub fn run(&self) {
-        while !self.stop.load(Ordering::Relaxed) {
-            std::hint::spin_loop();
-        }
-    }
-    pub fn halt(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-}
-";
-
-#[test]
-fn atomic_ordering_positive() {
-    let out = check(CONC, RELAXED_SPIN);
-    let vs = new_for(&out, "atomic-ordering");
-    assert_eq!(vs.len(), 1, "{:?}", out.new);
-    assert!(vs[0].message.contains("Relaxed") && vs[0].message.contains("stop"));
-    assert!(
-        vs[0].message.contains("halt"),
-        "cites the writer: {}",
-        vs[0].message
-    );
-}
-
-#[test]
-fn atomic_ordering_negative() {
-    // Acquire load: correct pairing, quiet
-    let src = RELAXED_SPIN.replace("Ordering::Relaxed", "Ordering::Acquire");
-    assert!(new_for(&check(CONC, &src), "atomic-ordering").is_empty());
-
-    // Relaxed load, but nothing else writes the flag: single-threaded
-    let src = "\
-use std::sync::atomic::{AtomicBool, Ordering};
-pub struct S { stop: AtomicBool }
-impl S {
-    pub fn run(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        while !self.stop.load(Ordering::Relaxed) {
-            std::hint::spin_loop();
-        }
-    }
-}
-";
-    assert!(new_for(&check(CONC, src), "atomic-ordering").is_empty());
-
-    // Relaxed load outside any condition: a value read, not a gate
-    let src = "\
-use std::sync::atomic::{AtomicU64, Ordering};
-pub struct S { count: AtomicU64 }
-impl S {
-    pub fn snapshot(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-    pub fn bump(&self) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-}
-";
-    assert!(new_for(&check(CONC, src), "atomic-ordering").is_empty());
-}
-
-#[test]
-fn atomic_ordering_suppressed() {
-    let src = RELAXED_SPIN.replace(
-        "        while !self.stop.load(Ordering::Relaxed) {",
-        "        // lint:allow(atomic-ordering): the enclosing mutex orders these accesses\n        while !self.stop.load(Ordering::Relaxed) {",
-    );
-    let out = check(CONC, &src);
-    assert!(new_for(&out, "atomic-ordering").is_empty(), "{:?}", out.new);
-    assert_eq!(
-        out.suppressed
-            .iter()
-            .filter(|s| s.violation.rule == "atomic-ordering")
-            .count(),
-        1
-    );
-}
-
-#[test]
-fn atomic_ordering_baseline_masked() {
-    let mut baseline = Baseline::empty();
-    baseline.set("atomic-ordering", CONC, 1);
-    let out = check_with(CONC, RELAXED_SPIN, baseline);
-    assert!(new_for(&out, "atomic-ordering").is_empty(), "{:?}", out.new);
-    assert_eq!(
-        out.baselined
-            .iter()
-            .filter(|v| v.rule == "atomic-ordering")
-            .count(),
-        1
-    );
-}
-
-// --- panic-surface ----------------------------------------------------------
 
 /// A config whose only protected root lives in the fixture crate.
 fn rooted_config() -> Config {
@@ -694,7 +417,7 @@ pub fn root() -> u32 {
 
 #[test]
 fn panic_surface_positive_two_function_indirect_panic() {
-    let out = check_cfg(CONC, INDIRECT_PANIC, rooted_config());
+    let out = check_cfg(COLD_CRATE, INDIRECT_PANIC, rooted_config());
     let vs = new_for(&out, "panic-surface");
     assert_eq!(vs.len(), 1, "{:?}", out.new);
     assert!(vs[0].message.contains("protected root `obs::root`"));
@@ -716,7 +439,7 @@ pub fn root() -> u32 {
     helper(None)
 }
 ";
-    let out = check_cfg(CONC, src, rooted_config());
+    let out = check_cfg(COLD_CRATE, src, rooted_config());
     assert!(new_for(&out, "panic-surface").is_empty(), "{:?}", out.new);
 
     // the panicking call is shielded by catch_unwind
@@ -728,7 +451,7 @@ pub fn root() -> u32 {
     std::panic::catch_unwind(|| helper(None)).unwrap_or(0)
 }
 ";
-    let out = check_cfg(CONC, src, rooted_config());
+    let out = check_cfg(COLD_CRATE, src, rooted_config());
     assert!(new_for(&out, "panic-surface").is_empty(), "{:?}", out.new);
 }
 
@@ -737,7 +460,7 @@ fn panic_surface_missing_root_is_an_error_within_its_crate() {
     // the fixture file IS the obs crate here, so a root spec that matches
     // nothing must fail loudly (a rename would otherwise disable the check)
     let src = "pub fn not_the_root() {}\n";
-    let out = check_cfg(CONC, src, rooted_config());
+    let out = check_cfg(COLD_CRATE, src, rooted_config());
     let vs = new_for(&out, "panic-surface");
     assert_eq!(vs.len(), 1, "{:?}", out.new);
     assert!(vs[0].message.contains("matches no function"));
@@ -749,7 +472,7 @@ fn panic_surface_suppressed() {
         "pub fn root()",
         "// lint:allow(panic-surface): fixture demonstrates suppression plumbing\npub fn root()",
     );
-    let out = check_cfg(CONC, &src, rooted_config());
+    let out = check_cfg(COLD_CRATE, &src, rooted_config());
     assert!(new_for(&out, "panic-surface").is_empty(), "{:?}", out.new);
     assert_eq!(
         out.suppressed
@@ -763,7 +486,7 @@ fn panic_surface_suppressed() {
 #[test]
 fn panic_surface_growth_is_ratcheted() {
     use mep_lint::surface::PanicSurface;
-    let file = workspace::classify(CONC).expect("fixture path must classify");
+    let file = workspace::classify(COLD_CRATE).expect("fixture path must classify");
     let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
 
     // committed ratchet already lists the entry: quiet
@@ -772,7 +495,7 @@ fn panic_surface_growth_is_ratcheted() {
         .crates
         .entry("obs".to_string())
         .or_default()
-        .insert(format!("{CONC}::f"));
+        .insert(format!("{COLD_CRATE}::f"));
     let mut engine = Engine::new(Config::default(), Baseline::empty());
     engine.panic_ratchet = Some(committed);
     let mut out = Outcome::default();
@@ -791,7 +514,7 @@ fn panic_surface_growth_is_ratcheted() {
 
     // the computed surface artifact is always attached to the outcome
     let surface = out.panic_surface.expect("surface present after check");
-    assert!(surface.crates["obs"].contains(&format!("{CONC}::f")));
+    assert!(surface.crates["obs"].contains(&format!("{COLD_CRATE}::f")));
 }
 
 #[test]
@@ -800,10 +523,10 @@ fn panic_surface_growth_masked_by_baseline_allowance() {
     // engine's masking semantics stay uniform: a hand-written allowance
     // masks a growth diagnostic like any other rule's.
     use mep_lint::surface::PanicSurface;
-    let file = workspace::classify(CONC).expect("fixture path must classify");
+    let file = workspace::classify(COLD_CRATE).expect("fixture path must classify");
     let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
     let mut baseline = Baseline::empty();
-    baseline.set("panic-surface", CONC, 1);
+    baseline.set("panic-surface", COLD_CRATE, 1);
     let mut engine = Engine::new(Config::default(), baseline);
     engine.panic_ratchet = Some(PanicSurface::default());
     let mut out = Outcome::default();

@@ -32,7 +32,7 @@ use mep_placer::{CancelToken, PlacerError};
 use mep_wirelength::ModelKind;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -115,6 +115,8 @@ struct Sched {
     queue: BoundedQueue<QueuedJob>,
     jobs: BTreeMap<u64, JobEntry>,
     terminal: u64,
+    /// Jobs claimed by a worker and not yet finished.
+    running: usize,
 }
 
 #[derive(Debug)]
@@ -127,7 +129,6 @@ struct Shared {
     idle_cv: Condvar,
     accepting: AtomicBool,
     stop: AtomicBool,
-    running: AtomicUsize,
     metrics: Registry,
 }
 
@@ -163,12 +164,12 @@ impl Server {
                 queue: BoundedQueue::with_capacity(cfg.queue_capacity),
                 jobs: BTreeMap::new(),
                 terminal: 0,
+                running: 0,
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             accepting: AtomicBool::new(true),
             stop: AtomicBool::new(false),
-            running: AtomicUsize::new(0),
             metrics: Registry::new(),
             cfg,
         });
@@ -342,8 +343,7 @@ impl Server {
     /// Blocks until the queue is empty and no job is running.
     pub fn wait_idle(&self) {
         let mut sched = lock_sched(&self.shared);
-        // lint:allow(atomic-ordering): every `running` update happens while the sched mutex this thread holds is locked, and the idle_cv wait re-acquires it — the mutex orders the accesses, Relaxed suffices
-        while !(sched.queue.is_empty() && self.shared.running.load(Ordering::Relaxed) == 0) {
+        while !(sched.queue.is_empty() && sched.running == 0) {
             sched = match self.shared.idle_cv.wait(sched) {
                 Ok(g) => g,
                 Err(p) => p.into_inner(),
@@ -483,8 +483,7 @@ fn claim_next_job(shared: &Shared) -> Option<QueuedJob> {
                 entry.state = JobState::Running;
             }
             let depth = sched.queue.len();
-            // ordered by the sched mutex this thread holds (see wait_idle)
-            shared.running.fetch_add(1, Ordering::Relaxed);
+            sched.running += 1;
             drop(sched);
             shared.metrics.gauge("serve.queue.depth").set(depth as f64);
             return Some(job);
@@ -507,8 +506,7 @@ fn finish_job(shared: &Shared, id: u64) {
         entry.state = JobState::Terminal;
     }
     sched.terminal += 1;
-    // ordered by the sched mutex this thread holds (see wait_idle)
-    shared.running.fetch_sub(1, Ordering::Relaxed);
+    sched.running -= 1;
     drop(sched);
     shared.idle_cv.notify_all();
 }
