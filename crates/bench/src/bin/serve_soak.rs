@@ -36,8 +36,8 @@ use std::time::Duration;
 enum Expect {
     /// Must reach `done` (any termination).
     Done,
-    /// Must reach `done` with `Termination::GuardExhausted` (persistent
-    /// NaN injection drains the recovery ladder).
+    /// Must reach `done` with `Termination::GuardExhausted` (under a
+    /// persistent NaN the third consecutive strike halts).
     DoneGuardExhausted,
     /// Must reach `failed` with this error kind.
     Failed(&'static str),
@@ -231,7 +231,7 @@ fn main() -> ExitCode {
                         r.fault_injection = Some((5, 2));
                         (r, Expect::Done, None)
                     }
-                    // persistent NaN fault: the guard ladder drains
+                    // persistent NaN fault: two rollbacks, then the guard halts
                     5 => {
                         let mut r = clean_request(60);
                         r.fault_injection = Some((5, u64::MAX));

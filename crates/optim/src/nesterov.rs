@@ -77,11 +77,6 @@ impl Nesterov {
         self.initialized = true;
     }
 
-    /// Clears internal state (momentum, steplength history).
-    pub fn reset(&mut self) {
-        self.initialized = false;
-    }
-
     /// Shrinks the working steplength by `factor` after a recovery rollback
     /// (a tripped numerical guard in the caller).
     pub fn backoff(&mut self, factor: f64) {
@@ -116,7 +111,7 @@ impl Nesterov {
         let a_next = 0.5 * (1.0 + (4.0 * self.a * self.a + 1.0).sqrt());
         let coef = (self.a - 1.0) / a_next;
 
-        let mut accepted = false;
+        // bounded retries: the last trial is taken regardless
         for _try in 0..=MAX_BACKTRACK {
             for ((u_new, &v), &g) in self.u_new.iter_mut().zip(&self.v).zip(&self.g) {
                 *u_new = v - alpha * g;
@@ -133,12 +128,10 @@ impl Nesterov {
             let alpha_hat = if dg > 1e-30 { dv / dg } else { alpha };
             // lint:allow(float-eq): guards the division below; exactly zero is the only dangerous value
             if alpha_hat >= 0.95 * alpha || dv == 0.0 {
-                accepted = true;
                 break;
             }
             alpha = alpha_hat;
         }
-        let _ = accepted; // bounded retries: last trial is taken regardless
 
         let grad_norm = norm(&self.g);
         // commit by swapping: what lands in `g`, `u_new` and `v_new` is
@@ -223,22 +216,6 @@ mod tests {
         for &v in &x {
             assert!((v - 0.5).abs() < 1e-9, "x = {x:?}");
         }
-    }
-
-    #[test]
-    fn reset_restarts_cleanly() {
-        let mut p = Quadratic {
-            diag: vec![2.0, 2.0],
-        };
-        let mut x = vec![1.0, -1.0];
-        let mut opt = Nesterov::new(0.01);
-        for _ in 0..10 {
-            opt.step(&mut p, &mut x);
-        }
-        opt.reset();
-        let report = opt.step(&mut p, &mut x);
-        assert!(report.value.is_finite());
-        assert!(report.step > 0.0);
     }
 
     #[test]

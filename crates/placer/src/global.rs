@@ -1,10 +1,12 @@
 //! The electrostatic global-placement engine (ePlace loop).
 //!
-//! Per iteration: one Nesterov step on `Σ W_e + λ D`, then
+//! Per iteration: one Nesterov step on `Σ W_e + λ D`, then, if the step is
+//! healthy, one advance of the run's `Schedule`:
 //!
 //! * the wirelength smoothing parameter is re-derived from the current
 //!   density overflow `φ` — the paper's tangent schedule Eq. (14) for the
-//!   Moreau model, ePlace's decade schedule for the exponential models;
+//!   Moreau model, ePlace's decade schedule for the exponential models
+//!   (the rule is chosen once per run from the model);
 //! * the density weight `λ` is increased per Eq. (15) with
 //!   `(α_L, α_H) = (1.01, 1.02)` and `β = 2000`;
 //!
@@ -14,18 +16,15 @@
 //!
 //! The loop runs under a numerical-health guard (see [`crate::guard`]):
 //! each iteration's value/overflow/coordinates are checked for NaN/Inf,
-//! divergence, and stagnation, a best-so-far snapshot is kept, and a
-//! tripped guard rolls back + backs off the steplength, escalating after
-//! repeated strikes down a degradation ladder (Moreau/BiG → WA → LSE
-//! model) before giving up. On a clean run the guard is pure observation
-//! and the result is bit-identical to the unguarded loop.
+//! divergence, and stagnation, and a best-so-far snapshot (placement plus
+//! a copy of the schedule) is kept. A tripped check restores the snapshot
+//! whole and either backs off the steplength or halts. The model is fixed
+//! for the whole run. On a clean run the guard is pure observation.
 
 use crate::cancel::CancelToken;
 use crate::error::PlacerError;
-use crate::guard::{
-    Fault, GuardConfig, HealthMonitor, RecoveryAction, RecoveryEvent, RecoveryLog, Termination,
-};
-use crate::objective::PlacementProblem;
+use crate::guard::{HealthMonitor, RecoveryLog, Termination};
+use crate::objective::{EvalStats, PlacementProblem};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::Placement;
 use mep_obs::{IterationRecord, NoopSink, TraceSink};
@@ -72,8 +71,6 @@ pub struct GlobalConfig {
     /// placement that is already spread does not re-walk the whole density
     /// ramp from the beginning.
     pub lambda_scale: f64,
-    /// Numerical-health guard (rollback, backoff, degradation ladder).
-    pub guard: GuardConfig,
     /// Test hook: `(after, count)` poisons `count` consecutive objective
     /// evaluations with NaN once `after` main-loop evaluations have run,
     /// exercising the recovery guard. `None` (the default) in all
@@ -111,7 +108,6 @@ impl Default for GlobalConfig {
             threads: 1,
             t0: 4.0,
             lambda_scale: 1.0,
-            guard: GuardConfig::default(),
             fault_injection: None,
             trace: Arc::new(NoopSink),
             level: 0,
@@ -127,11 +123,93 @@ const GAMMA0: f64 = 0.5;
 const ALPHA: (f64, f64) = (1.01, 1.02);
 /// `β` of Eq. (15).
 const BETA: f64 = 2000.0;
-/// Consecutive tripped iterations before the degradation ladder advances
-/// (each trip below this rolls back and backs off only).
-const MAX_STRIKES: usize = 3;
 /// Steplength shrink factor applied on every rollback.
 const BACKOFF: f64 = 0.5;
+
+/// How the smoothing parameter follows the overflow.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Smoothing {
+    /// HPWL: nothing to smooth.
+    None,
+    /// The paper's tangent schedule, Eq. (14).
+    Tangent(TangentTSchedule),
+    /// ePlace's decade schedule, floored at `1e-6`.
+    Decade(EplaceGammaSchedule),
+}
+
+impl Smoothing {
+    fn value(&self, phi: f64) -> f64 {
+        match self {
+            Smoothing::None => 0.0,
+            Smoothing::Tangent(s) => s.value(phi),
+            Smoothing::Decade(s) => s.value(phi).max(1e-6),
+        }
+    }
+}
+
+/// The run's schedule state as one value: the smoothing rule and its
+/// current value, `λ_k` and the Eq. (15) increment `α_k`. It is advanced
+/// once per healthy step and pushes `λ`/`t` into the problem; the guard's
+/// snapshot holds a copy, and a rollback restores that copy whole.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Schedule {
+    rule: Smoothing,
+    /// Current smoothing parameter (`t` or `γ`; 0 under HPWL).
+    smoothing: f64,
+    /// `D_0` of Eq. (15): the density energy of the starting point.
+    d0: f64,
+    /// Density weight `λ_k`.
+    lambda: f64,
+    /// Eq. (15) increment `α_k`.
+    alpha: f64,
+}
+
+impl Schedule {
+    /// The schedule of a run of `config` on bins of size `bins`, at the
+    /// starting overflow `phi0` and density energy `d0`, with `λ = 0`
+    /// until [`Schedule::start_ramp`].
+    pub(crate) fn new(config: &GlobalConfig, bins: (f64, f64), phi0: f64, d0: f64) -> Self {
+        let (bw, bh) = bins;
+        let rule = match (config.model, config.moreau_schedule) {
+            (ModelKind::Hpwl, _) => Smoothing::None,
+            (ModelKind::Moreau, MoreauSchedule::Tangent) => {
+                Smoothing::Tangent(TangentTSchedule::new(bw, bh).with_t0(config.t0))
+            }
+            _ => Smoothing::Decade(EplaceGammaSchedule::new(GAMMA0, bw, bh)),
+        };
+        Self {
+            rule,
+            smoothing: rule.value(phi0),
+            d0: d0.max(1e-30),
+            lambda: 0.0,
+            alpha: 0.0,
+        }
+    }
+
+    /// Starts the Eq. (15) ramp at `λ_0`, with `α_0 = (α_L − 1) λ_0`.
+    fn start_ramp(&mut self, lambda0: f64) {
+        self.lambda = lambda0;
+        self.alpha = (ALPHA.0 - 1.0) * lambda0;
+    }
+
+    /// Both schedules one step on, after a healthy step that left `stats`:
+    /// the smoothing at its overflow, `λ` per Eq. (15) at its density
+    /// energy. Pushes the result into `problem`.
+    fn advance(&mut self, problem: &mut PlacementProblem<'_>, stats: EvalStats) {
+        let (alpha_l, alpha_h) = ALPHA;
+        self.smoothing = self.rule.value(stats.overflow);
+        let dk = stats.density_energy.max(0.0);
+        self.alpha *= alpha_h - (alpha_h - alpha_l) / (1.0 + (1.0 + BETA * dk / self.d0).ln());
+        self.lambda += self.alpha;
+        self.apply(problem);
+    }
+
+    /// Pushes `λ` and the smoothing parameter into `problem`.
+    fn apply(&self, problem: &mut PlacementProblem<'_>) {
+        problem.lambda = self.lambda;
+        problem.set_smoothing(self.smoothing);
+    }
+}
 
 /// Result of global placement.
 #[derive(Debug, Clone)]
@@ -215,26 +293,9 @@ pub fn place_with_engine(
     let mut params = problem.pack_params(&circuit.placement);
     problem.project(&mut params);
 
-    // schedules sized by the bin grid
-    let grid = problem.electrostatics().grid();
-    let (bw, bh) = (grid.bin_w(), grid.bin_h());
-    let tangent = TangentTSchedule::new(bw, bh).with_t0(config.t0);
-    let decade = EplaceGammaSchedule::new(GAMMA0, bw, bh);
-    let smoothing_for = |kind: ModelKind, phi: f64| -> f64 {
-        match kind {
-            ModelKind::Moreau => match config.moreau_schedule {
-                MoreauSchedule::Tangent => tangent.value(phi),
-                MoreauSchedule::Decade => decade.value(phi).max(1e-6),
-            },
-            ModelKind::Hpwl => 0.0,
-            _ => decade.value(phi),
-        }
-    };
-
     // initial overflow & smoothing
     let report0 = problem.density_report(&params);
     let mut phi = report0.overflow;
-    let d0 = report0.energy.max(1e-30);
     if !phi.is_finite() || !report0.energy.is_finite() {
         return Err(PlacerError::NumericalFailure {
             iteration: 0,
@@ -244,13 +305,13 @@ pub fn place_with_engine(
             ),
         });
     }
-    if config.model != ModelKind::Hpwl {
-        problem.set_smoothing(smoothing_for(config.model, phi));
-    }
+    let grid = problem.electrostatics().grid();
+    let bins = (grid.bin_w(), grid.bin_h());
+    let mut schedule = Schedule::new(config, bins, phi, report0.energy);
+    schedule.apply(&mut problem);
 
     // λ0 per ePlace: ratio of gradient norms (wirelength vs density)
     let mut grad = vec![0.0; problem.dim()];
-    problem.lambda = 0.0;
     problem.eval(&params, &mut grad);
     let wl_norm: f64 = grad.iter().map(|g| g.abs()).sum();
     problem.lambda = 1.0;
@@ -267,23 +328,17 @@ pub fn place_with_engine(
             ),
         });
     }
-    problem.lambda = lambda0;
-
-    // Eq. (15) state
-    let (alpha_l, alpha_h) = ALPHA;
-    let mut alpha_k = (alpha_l - 1.0) * lambda0;
+    schedule.start_ramp(lambda0);
+    schedule.apply(&mut problem);
 
     // initial steplength: first move ~ a couple of bins against ∇f
     let gmax = grad
         .iter()
         .fold(0.0_f64, |acc, g| acc.max(g.abs()))
         .max(1e-30);
-    let mut optimizer = Nesterov::new(0.5 * (bw + bh) / gmax);
+    let mut optimizer = Nesterov::new(0.5 * (bins.0 + bins.1) / gmax);
 
-    // the guard: seed the rollback snapshot with the pre-loop state so a
-    // fault on the very first step has somewhere safe to return to
-    let mut monitor = HealthMonitor::new(config.guard.clone());
-    monitor.seed(&params, phi, problem.lambda, problem.smoothing());
+    let mut monitor = HealthMonitor::new(&params, phi, schedule);
     if let Some((after, count)) = config.fault_injection {
         problem.inject_nan(after, count);
     }
@@ -310,94 +365,24 @@ pub fn place_with_engine(
         ) {
             Ok(()) => {
                 phi = stats.overflow;
-                monitor.observe_healthy(
-                    iter,
-                    value,
-                    phi,
-                    &params,
-                    problem.lambda,
-                    problem.smoothing(),
-                );
-
-                // schedules
-                if problem.model_kind() != ModelKind::Hpwl {
-                    problem.set_smoothing(smoothing_for(problem.model_kind(), phi));
-                }
-                let dk = stats.density_energy.max(0.0);
-                let mult = alpha_h - (alpha_h - alpha_l) / (1.0 + (1.0 + BETA * dk / d0).ln());
-                alpha_k *= mult;
-                problem.lambda += alpha_k;
-
+                schedule.advance(&mut problem, stats);
+                monitor.observe_healthy(value, phi, &params, &schedule);
                 if phi <= config.target_overflow && iter + 1 >= config.min_iters {
                     termination = Termination::Converged;
                     stop = true;
                 }
             }
             Err(fault) => {
-                if matches!(fault, Fault::Stagnation { .. }) {
-                    // no amount of retrying fixes a flat-lined optimizer:
-                    // return the best snapshot as a partial result
-                    restore_best(&monitor, &mut params, &mut problem, &mut phi);
-                    monitor.record(RecoveryEvent {
-                        iteration: iter,
-                        fault,
-                        action: RecoveryAction::Halt,
-                    });
-                    guard_verdict = Some(format!("{fault} -> {}", RecoveryAction::Halt));
-                    termination = Termination::Stagnated;
-                    stop = true;
-                } else {
-                    // escalate the degradation ladder after repeated strikes
-                    let mut action = RecoveryAction::RollbackBackoff;
-                    let mut halted = false;
-                    if monitor.strike() >= MAX_STRIKES {
-                        let from = problem.model_kind();
-                        let to = match from {
-                            ModelKind::Moreau | ModelKind::BigChks => Some(ModelKind::Wa),
-                            ModelKind::Wa => Some(ModelKind::Lse),
-                            _ => None,
-                        };
-                        if let Some(to) = to {
-                            problem.set_model(to.instantiate(1.0));
-                            action = RecoveryAction::DegradeModel { from, to };
-                            monitor.clear_strikes();
-                        } else {
-                            action = RecoveryAction::Halt;
-                            halted = true;
-                        }
-                    }
-
-                    if halted {
-                        restore_best(&monitor, &mut params, &mut problem, &mut phi);
-                        monitor.record(RecoveryEvent {
-                            iteration: iter,
-                            fault,
-                            action,
-                        });
-                        termination = Termination::GuardExhausted;
+                let (action, halt) = monitor.respond(iter, fault);
+                restore_best(&monitor, &mut params, &mut problem, &mut phi, &mut schedule);
+                match halt {
+                    Some(t) => {
+                        termination = t;
                         stop = true;
-                    } else {
-                        // roll back to the best snapshot, re-derive the
-                        // smoothing for the (possibly new) model, and shrink
-                        // the steplength; the λ ramp and schedules are
-                        // skipped for this iteration
-                        restore_best(&monitor, &mut params, &mut problem, &mut phi);
-                        if problem.model_kind() != ModelKind::Hpwl {
-                            problem.set_smoothing(smoothing_for(problem.model_kind(), phi));
-                        }
-                        optimizer.backoff(BACKOFF);
-                        monitor.record(RecoveryEvent {
-                            iteration: iter,
-                            fault,
-                            action,
-                        });
-                        if monitor.exhausted() {
-                            termination = Termination::GuardExhausted;
-                            stop = true;
-                        }
                     }
-                    guard_verdict = Some(format!("{fault} -> {action}"));
+                    None => optimizer.backoff(BACKOFF),
                 }
+                guard_verdict = Some(format!("{fault} -> {action}"));
             }
         }
 
@@ -422,7 +407,7 @@ pub fn place_with_engine(
         }
 
         if let Some(t) = config.cancel.termination() {
-            restore_best(&monitor, &mut params, &mut problem, &mut phi);
+            restore_best(&monitor, &mut params, &mut problem, &mut phi, &mut schedule);
             termination = t;
             break;
         }
@@ -449,20 +434,20 @@ pub fn place_with_engine(
     })
 }
 
-/// Restores the monitor's best snapshot into the live loop state (params,
-/// `λ`, overflow). No-op when no healthy iterate has been seen and the
-/// snapshot was never seeded (disabled guard).
+/// Restores the monitor's best snapshot into the live loop state: params,
+/// overflow and the whole schedule, which is pushed into the problem.
 fn restore_best(
     monitor: &HealthMonitor,
     params: &mut [f64],
     problem: &mut PlacementProblem<'_>,
     phi: &mut f64,
+    schedule: &mut Schedule,
 ) {
-    if let Some(best) = monitor.best() {
-        params.copy_from_slice(&best.params);
-        problem.lambda = best.lambda;
-        *phi = best.phi;
-    }
+    let best = monitor.best();
+    params.copy_from_slice(&best.params);
+    *phi = best.phi;
+    *schedule = best.schedule;
+    schedule.apply(problem);
 }
 
 #[cfg(test)]
@@ -490,6 +475,128 @@ mod tests {
         cfg.trace = sink.clone();
         let r = place(c, &cfg).unwrap();
         (r, sink.records())
+    }
+
+    /// Forwards to a problem and logs the bits of every evaluation (point,
+    /// gradient, value); `uncached` runs each one under the oracle.
+    struct Logged<'p, 'a> {
+        inner: &'p mut PlacementProblem<'a>,
+        uncached: bool,
+        log: Vec<u64>,
+    }
+
+    impl Problem for Logged<'_, '_> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+
+        fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
+            let _oracle = self.uncached.then(crate::objective::oracle::NoReuse::new);
+            let f = self.inner.eval(x, grad);
+            let evaluated = x.iter().chain(grad.iter()).chain([&f]);
+            self.log.extend(evaluated.map(|v| v.to_bits()));
+            f
+        }
+
+        fn project(&self, x: &mut [f64]) {
+            self.inner.project(x);
+        }
+    }
+
+    /// `steps` Nesterov iterations of the default run on `c` with no guard,
+    /// no trace and no stop: the λ₀ bootstrap typed by hand, then one
+    /// [`Schedule`] advance per step. Returns the log of every evaluation
+    /// and the final placement.
+    fn drive_nesterov(
+        c: &BookshelfCircuit,
+        engine: Arc<EvalEngine>,
+        uncached: bool,
+        steps: usize,
+    ) -> (Vec<u64>, Placement) {
+        let cfg = GlobalConfig::default();
+        let model = cfg.model.instantiate(1.0);
+        let mut p = PlacementProblem::new(&c.design, &c.placement, model, engine);
+        let mut x = p.pack_params(&c.placement);
+        p.project(&mut x);
+        let grid = p.electrostatics().grid();
+        let bins = (grid.bin_w(), grid.bin_h());
+        let report0 = p.density_report(&x);
+        let mut schedule = Schedule::new(&cfg, bins, report0.overflow, report0.energy);
+        schedule.apply(&mut p);
+
+        let mut logged = Logged {
+            inner: &mut p,
+            uncached,
+            log: Vec::new(),
+        };
+        // λ₀ bootstrap: two probes at one point, λ = 0 then λ = 1
+        let mut grad = vec![0.0; x.len()];
+        logged.eval(&x, &mut grad);
+        let wl_norm: f64 = grad.iter().map(|g| g.abs()).sum();
+        logged.inner.lambda = 1.0;
+        logged.eval(&x, &mut grad);
+        let both_norm: f64 = grad.iter().map(|g| g.abs()).sum();
+        schedule.start_ramp(wl_norm / (both_norm - wl_norm).abs().max(1e-30));
+        schedule.apply(logged.inner);
+        let gmax = grad.iter().fold(1e-30_f64, |m, g| m.max(g.abs()));
+
+        let mut optimizer = Nesterov::new(0.5 * (bins.0 + bins.1) / gmax);
+        for _ in 0..steps {
+            optimizer.step(&mut logged, &mut x);
+            let stats = logged.inner.last_stats();
+            schedule.advance(logged.inner, stats);
+        }
+        let log = logged.log;
+        let mut placement = c.placement.clone();
+        p.unpack_params(&x, &mut placement);
+        (log, placement)
+    }
+
+    fn bits(p: &Placement) -> Vec<u64> {
+        p.x.iter().chain(&p.y).map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn nesterov_trajectory_is_bitwise_the_uncached_one() {
+        let c = synth::generate(&synth::smoke_spec());
+        const STEPS: usize = 64;
+        let (reusing, uncached) = (Arc::<EvalEngine>::default(), Arc::default());
+        let (log, x) = drive_nesterov(&c, Arc::clone(&reusing), false, STEPS);
+        let (want_log, want_x) = drive_nesterov(&c, Arc::clone(&uncached), true, STEPS);
+        assert!(log == want_log, "an evaluation differs");
+        assert_eq!(bits(&x), bits(&want_x));
+
+        let (s, o) = (reusing.stats(), uncached.stats());
+        assert_eq!(o.density_reused, 0);
+        assert_eq!(o.density.count, o.wl_grad.count);
+        assert_eq!(s.wl_grad.count, o.wl_grad.count);
+        assert_eq!(s.density.count + s.density_reused, s.wl_grad.count);
+        // every step opens on the point its predecessor accepted (the
+        // first on the λ₀ probes' point), and the second probe repeats
+        // the first
+        assert_eq!(s.density_reused, STEPS as u64 + 1);
+    }
+
+    #[test]
+    fn clean_place_is_bitwise_the_unguarded_harness() {
+        // the guard, the trace-off path and the cancel poll only observe:
+        // with the convergence stop out of reach, `place` is the bare
+        // Nesterov + schedule loop to the bit
+        let c = synth::generate(&synth::smoke_spec());
+        const STEPS: usize = 120;
+        let engine = Arc::<EvalEngine>::default();
+        let (_, want) = drive_nesterov(&c, Arc::clone(&engine), false, STEPS);
+        let cfg = GlobalConfig {
+            max_iters: STEPS,
+            min_iters: usize::MAX,
+            ..GlobalConfig::default()
+        };
+        let r = place(&c, &cfg).unwrap();
+        assert_eq!(r.termination, Termination::IterationCap);
+        assert_eq!(r.iterations, STEPS);
+        assert!(r.recovery.is_empty());
+        assert_eq!(bits(&r.placement), bits(&want));
+        assert_eq!(r.engine_stats.wl_grad.count, engine.stats().wl_grad.count);
     }
 
     #[test]
@@ -674,8 +781,6 @@ mod tests {
         assert_eq!(reusing.iterations, uncached.iterations);
         assert_eq!(uncached.engine_stats.density_reused, 0);
         assert!(reusing.engine_stats.density_reused > 0);
-        let bits =
-            |p: &Placement| -> Vec<u64> { p.x.iter().chain(&p.y).map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&reusing.placement), bits(&uncached.placement));
         assert_eq!(reusing.overflow.to_bits(), uncached.overflow.to_bits());
     }

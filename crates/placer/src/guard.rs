@@ -3,50 +3,38 @@
 //! The ePlace-style loop is numerically fragile by construction: Nesterov's
 //! Lipschitz steplength prediction can explode while the density weight `λ`
 //! ramps (Eq. (15)), and a single NaN gradient poisons every downstream
-//! metric. This module provides the observation half of the guard — the
-//! recovery actions themselves (rollback, steplength backoff, wirelength
-//! model degradation) are orchestrated by [`crate::global`]:
+//! metric. This module decides; [`crate::global`] carries the decisions out:
 //!
-//! * [`HealthMonitor::check`] inspects each iteration's objective value,
+//! * `HealthMonitor::check` inspects each iteration's objective value,
 //!   gradient norm, steplength, overflow, and coordinates for NaN/Inf,
 //!   detects objective divergence against the first healthy value, and
 //!   runs a windowed overflow-trend test for stagnation;
 //! * on healthy iterations the monitor keeps a **best-so-far snapshot**
-//!   (minimum-overflow placement plus its `λ`/smoothing state) that
-//!   rollback and partial-result termination restore from;
-//! * every recovery is recorded as a [`RecoveryEvent`] in a
-//!   [`RecoveryLog`] surfaced through `GlobalResult`/`PipelineResult` and
-//!   the `mep` CLI.
+//!   (minimum-overflow placement plus a copy of the run's
+//!   `Schedule`) that rollback and partial-result termination restore;
+//! * `HealthMonitor::respond` answers a tripped check with one of two
+//!   actions — roll back to the snapshot and back off the steplength, or
+//!   halt with the snapshot (stagnation, `MAX_STRIKES` consecutive
+//!   faults, or the `MAX_RECOVERIES`-th event) — and records it as a
+//!   [`RecoveryEvent`] in a [`RecoveryLog`] surfaced through
+//!   `GlobalResult`/`PipelineResult` and the `mep` CLI.
 //!
 //! On a clean run the guard is pure observation: it performs no extra
-//! objective evaluations and never perturbs the iterates, so guarded and
-//! unguarded runs are bit-identical.
+//! objective evaluations and never perturbs the iterates.
 
-use mep_wirelength::ModelKind;
+use crate::global::Schedule;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Configuration of the placement-loop guard.
-#[derive(Debug, Clone)]
-pub struct GuardConfig {
-    /// Master switch; `false` turns every check into a no-op.
-    pub enabled: bool,
-    /// Window length (healthy iterations) of the stagnation trend test.
-    pub stagnation_window: usize,
-    /// Total recovery events tolerated before the guard gives up and
-    /// returns the best snapshot with [`Termination::GuardExhausted`].
-    pub max_recoveries: usize,
-}
+/// Window length (healthy iterations) of the stagnation trend test.
+const STAGNATION_WINDOW: usize = 120;
 
-impl Default for GuardConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            stagnation_window: 120,
-            max_recoveries: 24,
-        }
-    }
-}
+/// Consecutive tripped iterations that halt the run: each trip below this
+/// rolls back and backs off only.
+const MAX_STRIKES: usize = 3;
+
+/// Recovery events in one run; the event that reaches it halts the run.
+const MAX_RECOVERIES: usize = 24;
 
 /// Objective divergence threshold: trip when `|f|` exceeds this factor
 /// times `|f₀| + 1` for the first healthy value `f₀`.
@@ -78,11 +66,8 @@ pub enum Fault {
         /// The first healthy objective value it is compared against.
         reference: f64,
     },
-    /// Overflow stopped improving over the configured window.
-    Stagnation {
-        /// Window length of the trend test.
-        window: usize,
-    },
+    /// Overflow stopped improving over the stagnation window.
+    Stagnation,
 }
 
 impl fmt::Display for Fault {
@@ -97,8 +82,8 @@ impl fmt::Display for Fault {
             Fault::Divergence { value, reference } => {
                 write!(f, "objective diverged ({value:.3e} from {reference:.3e})")
             }
-            Fault::Stagnation { window } => {
-                write!(f, "overflow stagnated over {window} iterations")
+            Fault::Stagnation => {
+                write!(f, "overflow stagnated over {STAGNATION_WINDOW} iterations")
             }
         }
     }
@@ -109,13 +94,6 @@ impl fmt::Display for Fault {
 pub enum RecoveryAction {
     /// Restored the best snapshot and shrank the steplength.
     RollbackBackoff,
-    /// Swapped the wirelength model down the degradation ladder.
-    DegradeModel {
-        /// Model before the swap.
-        from: ModelKind,
-        /// Model after the swap.
-        to: ModelKind,
-    },
     /// Gave up: restored the best snapshot and stopped the loop.
     Halt,
 }
@@ -124,9 +102,6 @@ impl fmt::Display for RecoveryAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecoveryAction::RollbackBackoff => write!(f, "rollback + steplength backoff"),
-            RecoveryAction::DegradeModel { from, to } => {
-                write!(f, "degrade wirelength model {from} → {to}")
-            }
             RecoveryAction::Halt => write!(f, "halt with best snapshot"),
         }
     }
@@ -246,72 +221,52 @@ impl fmt::Display for Termination {
 }
 
 /// Best-so-far placement snapshot (minimum overflow seen), together with
-/// the schedule state needed to resume from it.
+/// the schedule to resume from it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     /// Packed parameter vector (movable-cell centers).
-    pub params: Vec<f64>,
+    pub(crate) params: Vec<f64>,
     /// Density overflow at the snapshot.
-    pub phi: f64,
-    /// Density weight `λ` at the snapshot.
-    pub lambda: f64,
-    /// Wirelength smoothing parameter at the snapshot.
-    pub smoothing: f64,
-    /// Iteration the snapshot was taken at.
-    pub iteration: usize,
+    pub(crate) phi: f64,
+    /// The schedule as advanced after the snapshot's step.
+    pub(crate) schedule: Schedule,
 }
 
 /// Per-iteration health checks plus best-snapshot bookkeeping.
 #[derive(Debug)]
-pub struct HealthMonitor {
-    cfg: GuardConfig,
-    best: Option<Snapshot>,
+pub(crate) struct HealthMonitor {
+    best: Snapshot,
     /// First healthy objective value (divergence reference).
     reference_value: Option<f64>,
-    /// Overflow of the last `2·stagnation_window` healthy iterations,
+    /// Overflow of the last `2·STAGNATION_WINDOW` healthy iterations,
     /// oldest first — all the trend test reads. A ring allocated once at
-    /// construction (empty when the window is 0), so the hot loop never
-    /// grows it.
+    /// construction, so the hot loop never grows it.
     phi_ring: VecDeque<f64>,
     strikes: usize,
     log: RecoveryLog,
 }
 
 impl HealthMonitor {
-    /// Creates a monitor with the given configuration.
-    pub fn new(cfg: GuardConfig) -> Self {
+    /// A monitor whose best snapshot is the pre-loop state, so a fault on
+    /// the very first iteration has something to roll back to.
+    pub(crate) fn new(params: &[f64], phi: f64, schedule: Schedule) -> Self {
         Self {
-            phi_ring: VecDeque::with_capacity(2 * cfg.stagnation_window),
-            cfg,
-            best: None,
+            best: Snapshot {
+                params: params.to_vec(),
+                phi,
+                schedule,
+            },
             reference_value: None,
+            phi_ring: VecDeque::with_capacity(2 * STAGNATION_WINDOW),
             strikes: 0,
             log: RecoveryLog::default(),
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &GuardConfig {
-        &self.cfg
-    }
-
-    /// Seeds the best snapshot with the pre-loop state so a fault on the
-    /// very first iteration has something to roll back to. Does not touch
-    /// the divergence reference or the stagnation window.
-    pub fn seed(&mut self, params: &[f64], phi: f64, lambda: f64, smoothing: f64) {
-        self.best = Some(Snapshot {
-            params: params.to_vec(),
-            phi,
-            lambda,
-            smoothing,
-            iteration: 0,
-        });
-    }
-
     /// Inspects one iteration. Returns the first tripped [`Fault`], or
     /// `Ok(())` when the iteration is healthy. Pure observation: no
     /// objective evaluations, no state changes.
-    pub fn check(
+    pub(crate) fn check(
         &self,
         value: f64,
         grad_norm: f64,
@@ -319,9 +274,6 @@ impl HealthMonitor {
         phi: f64,
         params: &[f64],
     ) -> Result<(), Fault> {
-        if !self.cfg.enabled {
-            return Ok(());
-        }
         if !value.is_finite() {
             return Err(Fault::NonFiniteValue(value));
         }
@@ -340,108 +292,81 @@ impl HealthMonitor {
                 return Err(Fault::Divergence { value, reference });
             }
         }
-        let w = self.cfg.stagnation_window;
-        if w > 0 && self.phi_ring.len() == 2 * w {
+        let w = STAGNATION_WINDOW;
+        if self.phi_ring.len() == 2 * w {
             let lower = |m: f64, v: &f64| m.min(*v);
             let prior = self.phi_ring.iter().take(w).fold(f64::INFINITY, lower);
             let recent = self.phi_ring.iter().skip(w).fold(f64::INFINITY, lower);
             if recent > prior * (1.0 - STAGNATION_TOL) {
-                return Err(Fault::Stagnation { window: w });
+                return Err(Fault::Stagnation);
             }
         }
         Ok(())
     }
 
     /// Records a healthy iteration: fixes the divergence reference on first
-    /// call, advances the stagnation window, clears the strike counter, and
+    /// call, advances the stagnation window, clears the strike count, and
     /// updates the best snapshot when `phi` matches or beats it (`<=` so
     /// later ties win — the later iterate has had more wirelength descent).
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe_healthy(
+    pub(crate) fn observe_healthy(
         &mut self,
-        iteration: usize,
         value: f64,
         phi: f64,
         params: &[f64],
-        lambda: f64,
-        smoothing: f64,
+        schedule: &Schedule,
     ) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.reference_value.get_or_insert(value);
-        let cap = 2 * self.cfg.stagnation_window;
-        if cap > 0 {
-            if self.phi_ring.len() == cap {
-                self.phi_ring.pop_front();
-            }
-            self.phi_ring.push_back(phi);
+        if self.phi_ring.len() == 2 * STAGNATION_WINDOW {
+            self.phi_ring.pop_front();
         }
+        self.phi_ring.push_back(phi);
         self.strikes = 0;
-        let improved = match &self.best {
-            Some(snap) => phi <= snap.phi,
-            None => true,
-        };
-        if improved {
-            match &mut self.best {
-                Some(snap) => {
-                    snap.params.copy_from_slice(params);
-                    snap.phi = phi;
-                    snap.lambda = lambda;
-                    snap.smoothing = smoothing;
-                    snap.iteration = iteration;
-                }
-                None => {
-                    self.best = Some(Snapshot {
-                        params: params.to_vec(),
-                        phi,
-                        lambda,
-                        smoothing,
-                        iteration,
-                    });
-                }
-            }
+        if phi <= self.best.phi {
+            let best = &mut self.best;
+            best.params.copy_from_slice(params);
+            best.phi = phi;
+            best.schedule = *schedule;
         }
     }
 
-    /// Registers a tripped iteration; returns the consecutive-strike count.
-    pub fn strike(&mut self) -> usize {
+    /// Answers a tripped check and logs the answer. Stagnation, the
+    /// `MAX_STRIKES`-th consecutive fault and the `MAX_RECOVERIES`-th
+    /// event halt (`Some` with the run's termination); any other fault
+    /// rolls back and backs off (`None`). Either way the caller restores
+    /// [`HealthMonitor::best`].
+    pub(crate) fn respond(
+        &mut self,
+        iteration: usize,
+        fault: Fault,
+    ) -> (RecoveryAction, Option<Termination>) {
         self.strikes += 1;
-        self.strikes
+        let halt = if fault == Fault::Stagnation {
+            Some(Termination::Stagnated)
+        } else if self.strikes >= MAX_STRIKES || self.log.len() + 1 >= MAX_RECOVERIES {
+            Some(Termination::GuardExhausted)
+        } else {
+            None
+        };
+        let action = match halt {
+            Some(_) => RecoveryAction::Halt,
+            None => RecoveryAction::RollbackBackoff,
+        };
+        self.log.push(RecoveryEvent {
+            iteration,
+            fault,
+            action,
+        });
+        (action, halt)
     }
 
-    /// Resets the consecutive-strike counter (after a ladder escalation).
-    pub fn clear_strikes(&mut self) {
-        self.strikes = 0;
-    }
-
-    /// Current consecutive-strike count.
-    pub fn strikes(&self) -> usize {
-        self.strikes
-    }
-
-    /// The best snapshot so far, if any healthy state has been seen.
-    pub fn best(&self) -> Option<&Snapshot> {
-        self.best.as_ref()
-    }
-
-    /// Records a recovery event.
-    pub fn record(&mut self, event: RecoveryEvent) {
-        self.log.push(event);
-    }
-
-    /// Whether the recovery budget is spent.
-    pub fn exhausted(&self) -> bool {
-        self.log.len() >= self.cfg.max_recoveries
-    }
-
-    /// The recovery log (borrow).
-    pub fn log(&self) -> &RecoveryLog {
-        &self.log
+    /// The best snapshot so far (the pre-loop state until a healthy
+    /// iterate matches its overflow).
+    pub(crate) fn best(&self) -> &Snapshot {
+        &self.best
     }
 
     /// Consumes the monitor, returning the recovery log.
-    pub fn into_log(self) -> RecoveryLog {
+    pub(crate) fn into_log(self) -> RecoveryLog {
         self.log
     }
 }
@@ -449,41 +374,54 @@ impl HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::GlobalConfig;
+
+    /// The default run's schedule on unit bins, started at overflow `phi0`.
+    fn schedule_at(phi0: f64) -> Schedule {
+        Schedule::new(&GlobalConfig::default(), (1.0, 1.0), phi0, 1.0)
+    }
+
+    fn schedule() -> Schedule {
+        schedule_at(0.9)
+    }
 
     fn monitor() -> HealthMonitor {
-        HealthMonitor::new(GuardConfig::default())
+        HealthMonitor::new(&[0.0], f64::INFINITY, schedule())
     }
 
     #[test]
     fn healthy_iterations_pass_and_update_best() {
-        let mut m = monitor();
+        let p0 = [0.0, 0.0, 0.0];
+        let mut m = HealthMonitor::new(&p0, 0.9, schedule());
         let p1 = [1.0, 2.0, 3.0];
         let p2 = [1.5, 2.5, 3.5];
+        let later = schedule_at(0.5);
+        assert_ne!(later, schedule());
         assert!(m.check(10.0, 1.0, 0.1, 0.8, &p1).is_ok());
-        m.observe_healthy(0, 10.0, 0.8, &p1, 0.1, 4.0);
-        m.observe_healthy(1, 9.0, 0.5, &p2, 0.2, 3.0);
-        let best = m.best().unwrap();
-        assert_eq!(best.iteration, 1);
+        m.observe_healthy(10.0, 0.8, &p1, &schedule());
+        m.observe_healthy(9.0, 0.5, &p2, &later);
+        let best = m.best().clone();
         assert_eq!(best.phi, 0.5);
         assert_eq!(best.params, p2);
+        assert_eq!(best.schedule, later);
         // a worse-overflow iteration must not displace the snapshot
-        m.observe_healthy(2, 8.0, 0.7, &p1, 0.3, 2.0);
-        assert_eq!(m.best().unwrap().iteration, 1);
+        m.observe_healthy(8.0, 0.7, &p1, &schedule());
+        assert_eq!(*m.best(), best);
     }
 
     #[test]
     fn snapshot_restores_bit_identically() {
-        let mut m = monitor();
         let params: Vec<f64> = (0..64)
             .map(|i| (i as f64 * 0.7361).sin() * 1e3 + f64::EPSILON * i as f64)
             .collect();
-        m.observe_healthy(5, 1.0, 0.3, &params, 0.05, 2.5);
+        let mut m = HealthMonitor::new(&vec![0.0; 64], 1.0, schedule());
+        m.observe_healthy(1.0, 0.3, &params, &schedule());
         // clobber a copy, then restore from the snapshot
         let mut live = params.clone();
         for v in live.iter_mut() {
             *v = f64::NAN;
         }
-        live.copy_from_slice(&m.best().unwrap().params);
+        live.copy_from_slice(&m.best().params);
         for (a, b) in live.iter().zip(&params) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -521,7 +459,7 @@ mod tests {
         let p = [0.0];
         // no reference yet: a huge first value is not divergence
         assert!(m.check(1e12, 1.0, 0.1, 0.5, &p).is_ok());
-        m.observe_healthy(0, 10.0, 0.5, &p, 0.0, 1.0);
+        m.observe_healthy(10.0, 0.5, &p, &schedule());
         assert!(m.check(1e4, 1.0, 0.1, 0.5, &p).is_ok());
         assert!(matches!(
             m.check(1e9, 1.0, 0.1, 0.5, &p),
@@ -531,27 +469,22 @@ mod tests {
 
     #[test]
     fn stagnation_trips_only_on_a_flat_window() {
-        let cfg = GuardConfig {
-            stagnation_window: 5,
-            ..GuardConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg.clone());
+        let w = STAGNATION_WINDOW;
+        let mut m = monitor();
         let p = [0.0];
         // steadily improving overflow: never stagnates
-        for i in 0..20 {
-            let phi = 1.0 - 0.04 * i as f64;
+        for i in 0..4 * w {
+            let phi = 1.0 - 1e-3 * i as f64;
             assert!(m.check(1.0, 1.0, 0.1, phi, &p).is_ok(), "iter {i}");
-            m.observe_healthy(i, 1.0, phi, &p, 0.0, 1.0);
+            m.observe_healthy(1.0, phi, &p, &schedule());
         }
         // perfectly flat overflow: stagnates once two windows fill
-        let mut m = HealthMonitor::new(cfg);
-        for i in 0..10 {
-            m.observe_healthy(i, 1.0, 0.5, &p, 0.0, 1.0);
+        let mut m = monitor();
+        for i in 0..2 * w {
+            assert!(m.check(1.0, 1.0, 0.1, 0.5, &p).is_ok(), "iter {i}");
+            m.observe_healthy(1.0, 0.5, &p, &schedule());
         }
-        assert_eq!(
-            m.check(1.0, 1.0, 0.1, 0.5, &p),
-            Err(Fault::Stagnation { window: 5 })
-        );
+        assert_eq!(m.check(1.0, 1.0, 0.1, 0.5, &p), Err(Fault::Stagnation));
     }
 
     #[test]
@@ -559,118 +492,90 @@ mod tests {
         // oracle: the trend test over the whole recorded sequence
         fn verdict_from_history(history: &[f64], w: usize, tol: f64) -> bool {
             let n = history.len();
-            if w == 0 || n < 2 * w {
+            if n < 2 * w {
                 return false;
             }
             let low = |s: &[f64]| s.iter().fold(f64::INFINITY, |m, &v| m.min(v));
             low(&history[n - w..]) > low(&history[n - 2 * w..n - w]) * (1.0 - tol)
         }
         // descends, plateaus with ripple, dips once, then flat-lines
-        let recorded: Vec<f64> = (0..90)
+        let w = STAGNATION_WINDOW;
+        let recorded: Vec<f64> = (0..6 * w)
             .map(|i| match i {
-                0..=29 => 1.0 - 0.02 * i as f64,
-                30..=59 => 0.4 + 1e-3 * ((i * 7) % 5) as f64,
-                60 => 0.35,
+                _ if i < 2 * w => 1.0 - 0.3 * (i / w) as f64 - 1e-4 * i as f64,
+                _ if i < 4 * w => 0.4 + 1e-3 * ((i * 7) % 5) as f64,
+                _ if i == 4 * w => 0.35,
                 _ => 0.36,
             })
             .collect();
-        for w in [0usize, 1, 4, 7, 45, 64] {
-            let cfg = GuardConfig {
-                stagnation_window: w,
-                ..GuardConfig::default()
-            };
-            let mut m = HealthMonitor::new(cfg);
-            let capacity = m.phi_ring.capacity();
-            let mut tripped = 0;
-            for (i, &phi) in recorded.iter().enumerate() {
-                let want = verdict_from_history(&recorded[..i], w, STAGNATION_TOL);
-                let got = m.check(1.0, 1.0, 0.1, phi, &[0.0]);
-                assert_eq!(
-                    got,
-                    if want {
-                        Err(Fault::Stagnation { window: w })
-                    } else {
-                        Ok(())
-                    },
-                    "window {w}, iteration {i}"
-                );
-                tripped += want as usize;
-                m.observe_healthy(i, 1.0, phi, &[0.0], 0.0, 1.0);
-                assert!(m.phi_ring.len() <= 2 * w);
-            }
-            assert_eq!(m.phi_ring.capacity(), capacity, "ring never regrows");
-            if (1..=7).contains(&w) {
-                assert!(tripped > 0 && tripped < recorded.len(), "window {w}");
-            }
-        }
-    }
-
-    #[test]
-    fn strikes_count_consecutively_and_clear_on_health() {
         let mut m = monitor();
-        assert_eq!(m.strike(), 1);
-        assert_eq!(m.strike(), 2);
-        m.observe_healthy(0, 1.0, 0.5, &[0.0], 0.0, 1.0);
-        assert_eq!(m.strikes(), 0);
-        assert_eq!(m.strike(), 1);
+        let capacity = m.phi_ring.capacity();
+        let mut tripped = 0;
+        for (i, &phi) in recorded.iter().enumerate() {
+            let want = verdict_from_history(&recorded[..i], w, STAGNATION_TOL);
+            let got = m.check(1.0, 1.0, 0.1, phi, &[0.0]);
+            assert_eq!(
+                got,
+                if want { Err(Fault::Stagnation) } else { Ok(()) },
+                "iteration {i}"
+            );
+            tripped += want as usize;
+            m.observe_healthy(1.0, phi, &[0.0], &schedule());
+            assert!(m.phi_ring.len() <= 2 * w);
+        }
+        assert_eq!(m.phi_ring.capacity(), capacity, "ring never regrows");
+        assert!(tripped > 0 && tripped < recorded.len());
     }
 
     #[test]
-    fn disabled_guard_never_trips() {
-        let cfg = GuardConfig {
-            enabled: false,
-            ..GuardConfig::default()
-        };
-        let m = HealthMonitor::new(cfg);
-        assert!(m
-            .check(f64::NAN, f64::NAN, f64::NAN, f64::NAN, &[f64::NAN])
-            .is_ok());
+    fn third_consecutive_strike_halts_and_health_clears_the_count() {
+        let mut m = monitor();
+        let fault = Fault::NonFiniteGradient;
+        let rollback = (RecoveryAction::RollbackBackoff, None);
+        assert_eq!(m.respond(0, fault), rollback);
+        assert_eq!(m.respond(1, fault), rollback);
+        m.observe_healthy(1.0, 0.5, &[0.0], &schedule());
+        assert_eq!(m.respond(3, fault), rollback);
+        assert_eq!(m.respond(4, fault), rollback);
+        assert_eq!(
+            m.respond(5, fault),
+            (RecoveryAction::Halt, Some(Termination::GuardExhausted))
+        );
+        assert_eq!(
+            monitor().respond(0, Fault::Stagnation),
+            (RecoveryAction::Halt, Some(Termination::Stagnated))
+        );
     }
 
     #[test]
     fn recovery_log_formats_chronologically() {
-        let mut log = RecoveryLog::default();
-        assert!(log.is_empty());
-        log.push(RecoveryEvent {
-            iteration: 3,
-            fault: Fault::NonFiniteValue(f64::NAN),
-            action: RecoveryAction::RollbackBackoff,
-        });
-        log.push(RecoveryEvent {
-            iteration: 9,
-            fault: Fault::Divergence {
-                value: 1e9,
-                reference: 10.0,
-            },
-            action: RecoveryAction::DegradeModel {
-                from: ModelKind::Moreau,
-                to: ModelKind::Wa,
-            },
-        });
+        let mut m = monitor();
+        assert!(m.log.is_empty());
+        m.respond(3, Fault::NonFiniteValue(f64::NAN));
+        m.respond(9, Fault::Stagnation);
+        let log = m.into_log();
         let text = log.to_string();
         assert!(text.contains("iter 3"));
         assert!(text.contains("rollback"));
-        // ModelKind displays as its paper-table label ("Ours" for Moreau)
-        assert!(text.contains(&ModelKind::Moreau.to_string()));
-        assert!(text.contains(&ModelKind::Wa.to_string()));
+        assert!(text.contains(&format!(
+            "iter 9: overflow stagnated over {STAGNATION_WINDOW}"
+        )));
+        assert!(text.contains("halt"));
         assert_eq!(log.len(), 2);
     }
 
     #[test]
-    fn exhaustion_respects_the_recovery_budget() {
-        let cfg = GuardConfig {
-            max_recoveries: 2,
-            ..GuardConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg);
-        assert!(!m.exhausted());
-        for i in 0..2 {
-            m.record(RecoveryEvent {
-                iteration: i,
-                fault: Fault::NonFiniteGradient,
-                action: RecoveryAction::RollbackBackoff,
-            });
+    fn the_last_event_the_budget_allows_halts() {
+        let mut m = monitor();
+        for i in 0..MAX_RECOVERIES - 1 {
+            let (action, halt) = m.respond(2 * i, Fault::NonFiniteGradient);
+            assert_eq!((action, halt), (RecoveryAction::RollbackBackoff, None));
+            m.observe_healthy(1.0, 0.5, &[0.0], &schedule());
         }
-        assert!(m.exhausted());
+        assert_eq!(
+            m.respond(99, Fault::NonFiniteGradient),
+            (RecoveryAction::Halt, Some(Termination::GuardExhausted))
+        );
+        assert_eq!(m.into_log().len(), MAX_RECOVERIES);
     }
 }

@@ -54,9 +54,7 @@ pub use flow::{
     MultilevelResult,
 };
 pub use global::{place_with_engine, GlobalConfig, GlobalResult, MoreauSchedule};
-pub use guard::{
-    Fault, GuardConfig, HealthMonitor, RecoveryAction, RecoveryEvent, RecoveryLog, Termination,
-};
+pub use guard::{Fault, RecoveryAction, RecoveryEvent, RecoveryLog, Termination};
 pub use legalize::{
     audit_legality, check_legal, legalize, LegalityAudit, LegalizeReport, Violation,
 };

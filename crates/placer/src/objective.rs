@@ -9,7 +9,7 @@ use mep_density::electro::{DensityReport, Electrostatics};
 use mep_netlist::{CellId, Design, Placement};
 use mep_optim::Problem;
 use mep_wirelength::engine::{EvalEngine, Stage};
-use mep_wirelength::{AnyModel, ModelKind, NetModel, NetlistEvaluator, WirelengthGrad};
+use mep_wirelength::{AnyModel, NetModel, NetlistEvaluator, WirelengthGrad};
 use std::sync::Arc;
 
 /// Statistics of the most recent objective evaluation.
@@ -133,18 +133,6 @@ impl<'a> PlacementProblem<'a> {
     /// The electrostatic system (e.g. for its bin grid).
     pub fn electrostatics(&self) -> &Electrostatics {
         &self.es
-    }
-
-    /// Replaces the wirelength model in place (the recovery guard's
-    /// degradation ladder). The evaluator keeps its workspace; only the
-    /// model clones are swapped.
-    pub fn set_model(&mut self, model: AnyModel) {
-        self.evaluator.set_model(model);
-    }
-
-    /// Kind of the active wirelength model.
-    pub fn model_kind(&self) -> ModelKind {
-        self.evaluator.model().kind()
     }
 
     /// Test hook: after `after` more evaluations, poison the following
@@ -418,10 +406,9 @@ mod tests {
     fn hit_under_changed_settings_equals_a_fresh_problems_eval() {
         let c = synth::generate(&synth::smoke_spec());
         type Setting = fn(&mut PlacementProblem<'_>);
-        let settings: [(&str, Setting); 3] = [
+        let settings: [(&str, Setting); 2] = [
             ("lambda", |p| p.lambda = 3.25e-3),
             ("set_smoothing", |p| p.set_smoothing(0.37)),
-            ("set_model", |p| p.set_model(ModelKind::Wa.instantiate(2.0))),
         ];
         for (name, apply) in settings {
             let mut held = problem(&c);
@@ -498,110 +485,6 @@ mod tests {
             "one poisoned eval, then clean"
         );
         assert_eq!(p.engine().stats().density_reused, 2);
-    }
-
-    /// Forwards to a problem and logs the bits of every evaluation (point,
-    /// gradient, value); `uncached` runs each one under the oracle.
-    struct Logged<'p, 'a> {
-        inner: &'p mut PlacementProblem<'a>,
-        uncached: bool,
-        log: Vec<u64>,
-    }
-
-    impl Problem for Logged<'_, '_> {
-        fn dim(&self) -> usize {
-            self.inner.dim()
-        }
-
-        fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
-            let _oracle = self.uncached.then(oracle::NoReuse::new);
-            let f = self.inner.eval(x, grad);
-            let evaluated = x.iter().chain(grad.iter()).chain([&f]);
-            self.log.extend(evaluated.map(|v| v.to_bits()));
-            f
-        }
-
-        fn project(&self, x: &mut [f64]) {
-            self.inner.project(x);
-        }
-    }
-
-    /// `steps` Nesterov iterations under the λ/t schedule of
-    /// `global::place_with_engine`; returns the log of every evaluation
-    /// and the final iterate.
-    fn drive_nesterov(
-        c: &mep_netlist::bookshelf::BookshelfCircuit,
-        engine: Arc<EvalEngine>,
-        uncached: bool,
-        steps: usize,
-    ) -> (Vec<u64>, Vec<f64>) {
-        use mep_optim::nesterov::Nesterov;
-        use mep_wirelength::{SmoothingSchedule, TangentTSchedule};
-
-        let model = ModelKind::Moreau.instantiate(1.0);
-        let mut p = PlacementProblem::new(&c.design, &c.placement, model, engine);
-        let mut x = p.pack_params(&c.placement);
-        p.project(&mut x);
-        let grid = p.electrostatics().grid();
-        let (bw, bh) = (grid.bin_w(), grid.bin_h());
-        let tangent = TangentTSchedule::new(bw, bh);
-        let report0 = p.density_report(&x);
-        let d0 = report0.energy.max(1e-30);
-        p.set_smoothing(tangent.value(report0.overflow));
-
-        let mut logged = Logged {
-            inner: &mut p,
-            uncached,
-            log: Vec::new(),
-        };
-        // λ₀ bootstrap: two probes at one point
-        let mut grad = vec![0.0; x.len()];
-        logged.inner.lambda = 0.0;
-        logged.eval(&x, &mut grad);
-        let wl_norm: f64 = grad.iter().map(|g| g.abs()).sum();
-        logged.inner.lambda = 1.0;
-        logged.eval(&x, &mut grad);
-        let both_norm: f64 = grad.iter().map(|g| g.abs()).sum();
-        let lambda0 = wl_norm / (both_norm - wl_norm).abs().max(1e-30);
-        logged.inner.lambda = lambda0;
-        let gmax = grad.iter().fold(1e-30_f64, |m, g| m.max(g.abs()));
-
-        let (alpha_l, alpha_h, beta) = (1.01, 1.02, 2000.0);
-        let mut alpha_k = (alpha_l - 1.0) * lambda0;
-        let mut optimizer = Nesterov::new(0.5 * (bw + bh) / gmax);
-        for _ in 0..steps {
-            optimizer.step(&mut logged, &mut x);
-            let stats = logged.inner.last_stats();
-            logged.inner.set_smoothing(tangent.value(stats.overflow));
-            let dk = stats.density_energy.max(0.0);
-            alpha_k *= alpha_h - (alpha_h - alpha_l) / (1.0 + (1.0 + beta * dk / d0).ln());
-            logged.inner.lambda += alpha_k;
-        }
-        (logged.log, x)
-    }
-
-    #[test]
-    fn nesterov_trajectory_is_bitwise_the_uncached_one() {
-        let c = synth::generate(&synth::smoke_spec());
-        const STEPS: usize = 64;
-        let (reusing, uncached) = (Arc::<EvalEngine>::default(), Arc::default());
-        let (log, x) = drive_nesterov(&c, Arc::clone(&reusing), false, STEPS);
-        let (want_log, want_x) = drive_nesterov(&c, Arc::clone(&uncached), true, STEPS);
-        assert!(log == want_log, "an evaluation differs");
-        assert!(x
-            .iter()
-            .zip(&want_x)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-
-        let (s, o) = (reusing.stats(), uncached.stats());
-        assert_eq!(o.density_reused, 0);
-        assert_eq!(o.density.count, o.wl_grad.count);
-        assert_eq!(s.wl_grad.count, o.wl_grad.count);
-        assert_eq!(s.density.count + s.density_reused, s.wl_grad.count);
-        // every step opens on the point its predecessor accepted (the
-        // first on the λ₀ probes' point), and the second probe repeats
-        // the first
-        assert_eq!(s.density_reused, STEPS as u64 + 1);
     }
 
     #[test]

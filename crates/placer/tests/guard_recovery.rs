@@ -1,11 +1,13 @@
-//! Integration tests for the guarded placement loop: NaN injection and
-//! rollback, degradation-ladder escalation, clean-run bit-identity, and
-//! degenerate-input rejection.
+//! Integration tests for the guarded placement loop: NaN injection,
+//! rollback + backoff, halting with the best snapshot, the schedule a
+//! rollback restores, and degenerate-input rejection.
 
+use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::synth;
+use mep_obs::{IterationRecord, RingSink};
 use mep_optim::Problem;
-use mep_placer::global::{place, GlobalConfig};
-use mep_placer::guard::{GuardConfig, RecoveryAction, Termination};
+use mep_placer::global::{place, GlobalConfig, GlobalResult};
+use mep_placer::guard::{RecoveryAction, Termination};
 use mep_placer::objective::PlacementProblem;
 use mep_placer::pipeline::{run, PipelineConfig};
 use mep_placer::PlacerError;
@@ -20,33 +22,39 @@ fn base_config() -> GlobalConfig {
     }
 }
 
-#[test]
-fn clean_run_is_bit_identical_with_guard_enabled() {
-    let c = synth::generate(&synth::smoke_spec());
-    let mut guarded_cfg = base_config();
-    guarded_cfg.max_iters = 120;
-    let mut unguarded_cfg = guarded_cfg.clone();
-    unguarded_cfg.guard = GuardConfig {
-        enabled: false,
-        ..GuardConfig::default()
-    };
-    let guarded = place(&c, &guarded_cfg).expect("placement flow");
-    let unguarded = place(&c, &unguarded_cfg).expect("placement flow");
-    assert!(guarded.recovery.is_empty());
-    assert_eq!(guarded.iterations, unguarded.iterations);
-    assert_eq!(guarded.hpwl.to_bits(), unguarded.hpwl.to_bits());
-    for i in 0..guarded.placement.len() {
-        assert_eq!(
-            guarded.placement.x[i].to_bits(),
-            unguarded.placement.x[i].to_bits(),
-            "x[{i}] diverged"
-        );
-        assert_eq!(
-            guarded.placement.y[i].to_bits(),
-            unguarded.placement.y[i].to_bits(),
-            "y[{i}] diverged"
-        );
-    }
+/// Runs `cfg` with a trace sink installed; returns the result and the
+/// per-iteration records.
+fn place_traced(
+    c: &BookshelfCircuit,
+    mut cfg: GlobalConfig,
+) -> (GlobalResult, Vec<IterationRecord>) {
+    let sink = Arc::new(RingSink::new(4096));
+    cfg.trace = sink.clone();
+    let r = place(c, &cfg).expect("placement flow");
+    (r, sink.records())
+}
+
+/// The iteration whose state the guard's best snapshot holds when the
+/// first fault trips: the arg-min overflow of the healthy records before
+/// it, later ties winning.
+fn snapshot_iteration(records: &[IterationRecord]) -> usize {
+    let healthy = records.iter().take_while(|r| r.guard.is_none());
+    let (s, _) = healthy.fold((None, f64::INFINITY), |(s, low), r| {
+        if r.overflow <= low {
+            (Some(r.iter as usize), r.overflow)
+        } else {
+            (s, low)
+        }
+    });
+    s.expect("a healthy iteration before the first fault")
+}
+
+fn bits(r: &GlobalResult) -> Vec<u64> {
+    let p = &r.placement;
+    let coords = p.x.iter().chain(&p.y).map(|v| v.to_bits());
+    coords
+        .chain([r.hpwl.to_bits(), r.overflow.to_bits()])
+        .collect()
 }
 
 #[test]
@@ -168,28 +176,22 @@ fn pipeline_recovers_from_mid_run_nan_and_stays_legal() {
 }
 
 #[test]
-fn persistent_nan_walks_the_degradation_ladder_to_exhaustion() {
+fn persistent_nan_rolls_back_twice_then_halts() {
     // an unrecoverable fault source: every eval after the 10th is NaN.
-    // strikes escalate Moreau → WA → LSE, then the guard halts with the
-    // best snapshot
+    // Two strikes roll back and back off, the third halts with the best
+    // snapshot
     let c = synth::generate(&synth::smoke_spec());
     let mut cfg = base_config();
     cfg.max_iters = 80;
     cfg.fault_injection = Some((10, u64::MAX));
-    let r = place(&c, &cfg).expect("guard must degrade, not error");
+    let (r, records) = place_traced(&c, cfg);
     assert_eq!(r.termination, Termination::GuardExhausted);
     assert!(r.termination.is_partial());
-    let actions: Vec<RecoveryAction> = r.recovery.events().iter().map(|e| e.action).collect();
-    let degrade = |from, to| RecoveryAction::DegradeModel { from, to };
+    let events = r.recovery.events();
+    let actions: Vec<RecoveryAction> = events.iter().map(|e| e.action).collect();
     assert_eq!(
         actions,
         [
-            RecoveryAction::RollbackBackoff,
-            RecoveryAction::RollbackBackoff,
-            degrade(ModelKind::Moreau, ModelKind::Wa),
-            RecoveryAction::RollbackBackoff,
-            RecoveryAction::RollbackBackoff,
-            degrade(ModelKind::Wa, ModelKind::Lse),
             RecoveryAction::RollbackBackoff,
             RecoveryAction::RollbackBackoff,
             RecoveryAction::Halt,
@@ -197,33 +199,61 @@ fn persistent_nan_walks_the_degradation_ladder_to_exhaustion() {
         "{}",
         r.recovery
     );
+    let first = events[0].iteration;
+    let at: Vec<usize> = events.iter().map(|e| e.iteration).collect();
+    assert_eq!(at, [first, first + 1, first + 2], "{}", r.recovery);
+    assert_eq!(r.iterations, first + 3);
 
-    // no rung produced a healthy iterate, so the walk returns exactly the
-    // best snapshot a run that gives up at the first fault returns
-    let mut first_fault_cfg = cfg.clone();
-    first_fault_cfg.guard.max_recoveries = 1;
-    let halted = place(&c, &first_fault_cfg).expect("guard must halt, not error");
-    assert_eq!(halted.termination, Termination::GuardExhausted);
-    assert_eq!(halted.recovery.len(), 1, "{}", halted.recovery);
-    assert_eq!(
-        halted.recovery.events()[0].iteration,
-        r.recovery.events()[0].iteration
-    );
+    // no retry produced a healthy iterate, so the run returns the snapshot
+    // the first fault found: the last iterate of a clean run capped there
+    let mut capped = base_config();
+    capped.max_iters = snapshot_iteration(&records) + 1;
+    let clean = place(&c, &capped).expect("placement flow");
+    assert_eq!(clean.termination, Termination::IterationCap);
     assert!(r.hpwl.is_finite());
-    assert_eq!(r.hpwl.to_bits(), halted.hpwl.to_bits());
-    assert_eq!(r.overflow.to_bits(), halted.overflow.to_bits());
-    for i in 0..r.placement.len() {
-        assert_eq!(
-            r.placement.x[i].to_bits(),
-            halted.placement.x[i].to_bits(),
-            "x[{i}]"
-        );
-        assert_eq!(
-            r.placement.y[i].to_bits(),
-            halted.placement.y[i].to_bits(),
-            "y[{i}]"
-        );
-    }
+    assert_eq!(bits(&r), bits(&clean));
+}
+
+#[test]
+fn rollback_restores_the_whole_schedule() {
+    // one poisoned evaluation: one rollback, then the run goes on under
+    // the schedule the snapshot holds — λ as it stood after the snapshot
+    // iteration's step, and that step's Eq. (15) increment α
+    let c = synth::generate(&synth::smoke_spec());
+    let mut cfg = base_config();
+    cfg.max_iters = 40;
+    let (_, clean) = place_traced(&c, cfg.clone());
+    // the 33rd evaluation of the loop faults iteration 13 while the best
+    // snapshot is iteration 10 (11 and 12 end at a higher overflow), so
+    // the snapshot's λ and α differ from the last healthy step's
+    cfg.fault_injection = Some((32, 1));
+    let (r, records) = place_traced(&c, cfg);
+    assert_eq!(r.recovery.len(), 1, "{}", r.recovery);
+    let f = r.recovery.events()[0].iteration;
+    let s = snapshot_iteration(&records);
+    assert!(
+        s + 1 < f,
+        "snapshot {s} must lie behind the last healthy step"
+    );
+    let lambda = |recs: &[IterationRecord]| -> Vec<u64> {
+        recs.iter().map(|r| r.lambda.to_bits()).collect()
+    };
+    assert_eq!(lambda(&records[..f]), lambda(&clean[..f]));
+    assert_eq!(
+        records[f].lambda.to_bits(),
+        clean[s].lambda.to_bits(),
+        "the rollback restores λ after the snapshot's step"
+    );
+    // the next increment is α_s times the Eq. (15) multiplier at the new
+    // point, in (α_L, α_H) = (1.01, 1.02); the clean run's increment after
+    // the snapshot is α_s times the same multiplier at its own point
+    let after = records[f + 1].lambda - records[f].lambda;
+    let want = clean[s + 1].lambda - clean[s].lambda;
+    let ratio = after / want;
+    assert!(
+        (1.01 / 1.02..=1.02 / 1.01).contains(&ratio),
+        "first increment after the rollback {after:e} vs {want:e} after the snapshot"
+    );
 }
 
 #[test]

@@ -321,15 +321,6 @@ impl NetlistEvaluator {
         &self.model
     }
 
-    /// Replaces the wirelength model in place (the placer's degradation
-    /// ladder: Moreau → WA → LSE). The workspace is model-independent and
-    /// is kept, so no workspace reallocation is recorded and the next
-    /// evaluation is bit-identical to a fresh evaluator built on the new
-    /// model.
-    pub fn set_model(&mut self, model: AnyModel) {
-        self.model = model;
-    }
-
     /// The workspace of this netlist instance and the model to evaluate
     /// it with, (re)building the workspace when the instance changed.
     fn prepare(&mut self, netlist: &Netlist) -> (&mut Workspace, &mut AnyModel) {
@@ -738,33 +729,6 @@ mod tests {
         let mut expect = WirelengthGrad::zeros(nl.num_cells());
         fresh.evaluate(nl, &c.placement, &mut expect);
         assert_eq!(tightened.value.to_bits(), expect.value.to_bits());
-    }
-
-    #[test]
-    fn set_model_swaps_the_model_without_workspace_rebuild() {
-        let c = synth::generate(&synth::smoke_spec());
-        let nl = &c.design.netlist;
-        let mut eval = NetlistEvaluator::serial(ModelKind::Moreau.instantiate(2.0));
-        let mut out = WirelengthGrad::zeros(nl.num_cells());
-        eval.evaluate(nl, &c.placement, &mut out);
-        eval.set_model(ModelKind::Wa.instantiate(2.0));
-        let mut degraded = WirelengthGrad::zeros(nl.num_cells());
-        eval.evaluate(nl, &c.placement, &mut degraded);
-        assert_eq!(eval.model().kind(), ModelKind::Wa);
-        assert_eq!(
-            eval.engine().stats().workspace_allocs,
-            1,
-            "model swap must not rebuild the workspace"
-        );
-        // must agree bitwise with a fresh evaluator on the new model
-        let mut fresh = NetlistEvaluator::serial(ModelKind::Wa.instantiate(2.0));
-        let mut expect = WirelengthGrad::zeros(nl.num_cells());
-        fresh.evaluate(nl, &c.placement, &mut expect);
-        assert_eq!(degraded.value.to_bits(), expect.value.to_bits());
-        for i in 0..nl.num_cells() {
-            assert_eq!(degraded.grad_x[i].to_bits(), expect.grad_x[i].to_bits());
-            assert_eq!(degraded.grad_y[i].to_bits(), expect.grad_y[i].to_bits());
-        }
     }
 
     #[test]
