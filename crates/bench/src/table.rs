@@ -101,15 +101,6 @@ impl Table {
     }
 }
 
-/// Formats a float with engineering-friendly precision for tables.
-pub fn fmt_wl(v: f64) -> String {
-    if v >= 1e6 {
-        format!("{:.4e}", v)
-    } else {
-        format!("{v:.1}")
-    }
-}
-
 /// Arithmetic mean of `a[i] / b[i]` — the paper's "Avg. Ratio" rows.
 pub fn avg_ratio(num: &[f64], den: &[f64]) -> f64 {
     assert_eq!(num.len(), den.len());

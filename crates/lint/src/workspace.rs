@@ -190,7 +190,7 @@ mod tests {
         assert!(f.is_crate_root);
 
         assert_eq!(
-            classify("crates/bench/src/bin/table1_stats.rs")
+            classify("crates/bench/src/bin/paper_claims.rs")
                 .unwrap()
                 .kind,
             FileKind::Bin
@@ -202,7 +202,7 @@ mod tests {
             FileKind::Test
         );
         assert_eq!(
-            classify("crates/bench/benches/engine.rs").unwrap().kind,
+            classify("crates/bench/benches/waterfill.rs").unwrap().kind,
             FileKind::Bench
         );
         assert_eq!(

@@ -164,6 +164,24 @@ impl Histogram {
         }
     }
 
+    /// Records a batch bucketed elsewhere against the same bounds: `counts`
+    /// per bucket (finite buckets, then overflow) and the batch's `sum`
+    /// (excluded when non-finite, as in [`Histogram::observe`]).
+    pub fn add_bucketed(&self, counts: &[u64], sum: f64) {
+        let inner = &*self.inner;
+        for (slot, &n) in inner.counts.iter().zip(counts) {
+            slot.fetch_add(n, Ordering::Relaxed);
+            inner.count.fetch_add(n, Ordering::Relaxed);
+        }
+        if sum.is_finite() {
+            let _ = inner
+                .sum_bits
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                    Some((f64::from_bits(bits) + sum).to_bits())
+                });
+        }
+    }
+
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
@@ -368,6 +386,18 @@ mod tests {
         assert_eq!(h.count(), 6);
         assert!((h.sum() - 16.0).abs() < 1e-12);
         assert!((h.mean() - 16.0 / 6.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bucketed_batch_adds_counts_and_its_own_sum() {
+        let h = Histogram::new(&[1.0, 2.0]);
+        h.observe(0.5);
+        h.add_bucketed(&[1, 0, 2], 21.25);
+        assert_eq!(h.bucket_counts(), vec![2, 0, 2]);
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.sum(), 21.75);
+        h.add_bucketed(&[0, 1, 0], f64::NAN);
+        assert_eq!((h.count(), h.sum()), (5, 21.75));
     }
 
     #[test]

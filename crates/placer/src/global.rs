@@ -224,8 +224,6 @@ pub struct GlobalResult {
     pub iterations: usize,
     /// Evaluation-engine instrumentation (spawns, eval counts, stage times).
     pub engine_stats: EngineStats,
-    /// Call count and wall time of the density solver's 2-D transforms.
-    pub transform_stats: mep_density::TransformStats,
     /// Every recovery the guard performed (empty on a clean run).
     pub recovery: RecoveryLog,
     /// Why the loop stopped.
@@ -428,7 +426,6 @@ pub fn place_with_engine(
         overflow,
         iterations,
         engine_stats: engine.stats(),
-        transform_stats: problem.electrostatics().transform_stats(),
         recovery: monitor.into_log(),
         termination,
     })
@@ -667,6 +664,14 @@ mod tests {
         assert_eq!(s.density_reused, r.iterations as u64 + 1, "{s:?}");
         assert_eq!(s.workspace_allocs, 1, "workspace built once, then reused");
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
+        // four 2-D transforms per Poisson solve: one per executed density
+        // stage, plus the opening `density_report` (the closing one runs
+        // after the last sync into the engine)
+        assert_eq!(
+            s.density_transform.count,
+            4 * (s.density.count + 1),
+            "{s:?}"
+        );
         // the assembly sub-stage runs once per gradient eval, inside it
         assert_eq!(s.wl_scatter.count, s.wl_grad.count, "{s:?}");
         assert!(s.wl_scatter.nanos <= s.wl_grad.nanos, "{s:?}");

@@ -137,7 +137,6 @@ pub fn run_with_engine(
         violations,
         termination: gp.termination,
         engine: &gp.engine_stats,
-        transform: gp.transform_stats,
         recovery: &gp.recovery,
         legalize: &lg_report,
         detail: &dp_report,
@@ -245,7 +244,7 @@ mod tests {
                 <= rep.gauge("engine.wl_grad.seconds").unwrap()
         );
         assert!(
-            rep.counter("density.transform.calls").unwrap() > 0,
+            rep.counter("engine.density_transform.count").unwrap() > 0,
             "density transform counter re-exported into the registry"
         );
         // displacement histograms cover every movable cell
@@ -257,6 +256,13 @@ mod tests {
                 }
                 other => panic!("{name} missing or wrong kind: {other:?}"),
             }
+        }
+        // and carry the observed sum: the LG mean is the reported average
+        if let Some(mep_obs::MetricValue::Histogram { count, sum, .. }) =
+            rep.get("lg.displacement_rows")
+        {
+            let mean = sum / *count as f64;
+            assert_eq!(Some(mean), rep.gauge("lg.avg_displacement_rows"));
         }
         // acceptance counters are consistent
         assert!(r.detail.reorders <= r.detail.reorders_attempted);

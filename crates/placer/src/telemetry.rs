@@ -66,21 +66,12 @@ impl DispHistogram {
         h
     }
 
-    /// Copies this histogram into `registry` under `name`.
+    /// Copies this histogram, bucket counts and observed sum, into
+    /// `registry` under `name`.
     pub fn export(&self, registry: &Registry, name: &str) {
-        let h = registry.histogram(name, &DISP_BOUNDS);
-        for (i, &c) in self.counts.iter().enumerate() {
-            // replay bucket midpoints so counts land in the right buckets;
-            // the sum is restored exactly afterwards via the mean
-            let v = if i < DISP_BOUNDS.len() {
-                DISP_BOUNDS[i]
-            } else {
-                DISP_BOUNDS[DISP_BOUNDS.len() - 1] * 2.0
-            };
-            for _ in 0..c {
-                h.observe(v);
-            }
-        }
+        registry
+            .histogram(name, &DISP_BOUNDS)
+            .add_bucketed(&self.counts, self.sum);
     }
 }
 
@@ -100,7 +91,6 @@ pub(crate) struct ReportInputs<'a> {
     pub violations: usize,
     pub termination: Termination,
     pub engine: &'a EngineStats,
-    pub transform: mep_density::TransformStats,
     pub recovery: &'a RecoveryLog,
     pub legalize: &'a LegalizeReport,
     pub detail: &'a DetailReport,
@@ -152,10 +142,6 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     r.counter("engine.wl.generic_nets").add(e.wl_generic_nets);
     r.counter("engine.wl.inactive_nets").add(e.wl_inactive_nets);
     r.counter("engine.workspace_allocs").add(e.workspace_allocs);
-
-    // 2-D spectral transforms executed (four per Poisson solve)
-    r.counter("density.transform.calls")
-        .add(inputs.transform.calls);
 
     // guard events (formerly only on RecoveryLog)
     r.counter("guard.recoveries")
@@ -230,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn export_preserves_bucket_counts() {
+    fn export_preserves_bucket_counts_and_sum() {
         let mut h = DispHistogram::default();
         h.observe(0.3);
         h.observe(5.0);
@@ -243,5 +229,7 @@ mod tests {
         assert_eq!(counts[0], 1);
         assert_eq!(counts[4], 1, "5.0 lands in ≤8");
         assert_eq!(counts[DISP_BOUNDS.len()], 1);
+        // the observed sum, not one replayed from the bucket bounds
+        assert_eq!(exported.sum(), h.sum);
     }
 }
