@@ -1,6 +1,6 @@
-//! Checks the paper's qualitative claims on this tree: Table I, Fig. 1(a),
-//! Fig. 1(b), Fig. 2, the §II-D.1 stability claim, Fig. 3, the Eq. (14)
-//! `t` schedule and the anatomy of the `newblue1` gain.
+//! Checks the paper's claims on this tree: Table I, Fig. 1(a), Fig. 1(b),
+//! Fig. 2, the §II-D.1 stability claim, Fig. 3, the Eq. (14) `t` schedule,
+//! the anatomy of the `newblue1` gain and Table II's DPWL ranking.
 //!
 //! ```text
 //! cargo run -p mep-bench --release --bin paper_claims
@@ -11,10 +11,11 @@
 //! table. The printed report also goes to `results/paper_claims.txt`.
 //! Every artifact is deterministic. The process exits 1 if any check
 //! fails. The flow sections run the full-size circuits at
-//! `FlowOptions::default()` iterations, as Tables II/III do.
+//! `FlowOptions::default()` iterations, as Tables II/III do; the Table II
+//! section runs its `--fast` size (every circuit shrunk 10×).
 
 use mep_bench::svg::LinePlot;
-use mep_bench::{FlowOptions, Table};
+use mep_bench::{run_benchmark, FlowOptions, Table};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::{net_hpwl, synth};
 use mep_obs::RingSink;
@@ -43,7 +44,7 @@ type Verdict = Result<String, String>;
 type Section = (&'static str, fn() -> Res<Table>, fn(&Table) -> Verdict);
 
 #[rustfmt::skip]
-const SECTIONS: [Section; 8] = [
+const SECTIONS: [Section; 9] = [
     ("Table I — statistics of the scaled synthetic stand-ins", table1, check_table1),
     ("Fig. 1(a) — WA is non-convex, Moreau convex on (0, x, 100)", fig1a, check_fig1a),
     ("Fig. 1(b) — mean |error| of 4-pin nets, Δx = 200", fig1b, check_fig1b),
@@ -52,6 +53,7 @@ const SECTIONS: [Section; 8] = [
     ("Fig. 3 — GP HPWL at matched density overflow", fig3, check_fig3),
     ("Eq. (14) — tangent vs decade t schedule, and a t0 sweep", tschedule, check_tschedule),
     ("Beyond the paper — newblue1 DPWL by net degree", net_breakdown, check_net_breakdown),
+    ("Table II (--fast) — DPWL of the four models on ISPD2006 / 10", table2_fast, check_table2_fast),
 ];
 
 fn main() -> Res<ExitCode> {
@@ -580,6 +582,72 @@ fn check_net_breakdown(t: &Table) -> Verdict {
     Ok(format!("Ours/WA: total {total:.4}, 4-7 pin {mid:.4}"))
 }
 
+fn table2_fast() -> Res<Table> {
+    let opts = FlowOptions {
+        shrink: 10,
+        ..FlowOptions::default()
+    };
+    let models = ModelKind::contestants();
+    let header = models.map(|m| format!("{} DPWL", m.label()));
+    let mut table = Table::new(["Benchmark".to_string()].into_iter().chain(header));
+    for spec in synth::ispd2006_suite() {
+        let mut cells = vec![spec.name.clone()];
+        for model in models {
+            eprintln!("[table2 --fast] {} × {} …", spec.name, model.label());
+            let row = run_benchmark(&spec, model, &opts);
+            if row.violations > 0 {
+                return Err(format!("{} × {}: illegal placement", spec.name, model).into());
+            }
+            cells.push(format!("{:.6e}", row.dpwl));
+        }
+        table.push(cells);
+    }
+    Ok(table)
+}
+
+/// Every baseline's DPWL averages above Ours' (the paper's Avg. Ratio row:
+/// the mean over circuits of baseline / Ours).
+fn check_table2_fast(t: &Table) -> Verdict {
+    let models = ModelKind::contestants();
+    let ours = models.iter().position(|&m| m == ModelKind::Moreau);
+    let ours = ours.ok_or("Ours is not a contestant")?;
+    let (mut sums, mut wins) = ([0.0; 4], 0);
+    for r in t.rows() {
+        let dpwl = r[1..]
+            .iter()
+            .map(|c| num(c))
+            .collect::<Result<Vec<_>, _>>()?;
+        if dpwl.len() != models.len() {
+            return Err(format!("{}: {} DPWL columns", r[0], dpwl.len()));
+        }
+        for (sum, d) in sums.iter_mut().zip(&dpwl) {
+            *sum += d / dpwl[ours];
+        }
+        // a win: no baseline at or below Ours
+        wins += usize::from(dpwl.iter().filter(|&&d| d <= dpwl[ours]).count() == 1);
+    }
+    if t.is_empty() {
+        return Err("no circuits".into());
+    }
+    let mut ratios = Vec::new();
+    let baselines = models
+        .iter()
+        .zip(sums)
+        .filter(|(&m, _)| m != ModelKind::Moreau);
+    for (model, sum) in baselines {
+        let avg = sum / t.len() as f64;
+        if avg.partial_cmp(&1.0) != Some(Ordering::Greater) {
+            return Err(format!("{model}'s DPWL averages {avg:.4} of Ours'"));
+        }
+        ratios.push(format!("{model} {avg:.3}"));
+    }
+    let n = t.len();
+    let ratios = ratios.join(", ");
+    Ok(format!(
+        "average DPWL / Ours: {ratios}; Ours beats all three on {wins} of {n} circuits"
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,6 +766,21 @@ mod tests {
         );
         assert!(check_tschedule(&table(ok.rsplit_once('\n').unwrap().0)).is_err());
         assert!(check_tschedule(&table("bench,variant,DPWL,LGWL,iters")).is_err());
+    }
+
+    #[test]
+    fn table2_fast_rejects_a_baseline_that_averages_below_ours() {
+        let ok = "Benchmark,BiG_CHKS DPWL,LSE DPWL,WA DPWL,Ours DPWL\n\
+                  a,1.02e4,1.01e4,1.05e4,1.00e4\n\
+                  b,2.00e4,2.04e4,2.10e4,2.01e4";
+        let verdict = check_table2_fast(&table(ok)).unwrap();
+        assert!(verdict.contains("on 1 of 2 circuits"), "{verdict}");
+        // BiG_CHKS at (0.97 + 0.995) / 2 of Ours
+        let lost = ok.replace("a,1.02e4", "a,0.97e4");
+        assert!(check_table2_fast(&table(&lost))
+            .unwrap_err()
+            .contains("BiG_CHKS"));
+        assert!(check_table2_fast(&table(ok.split_once('\n').unwrap().0)).is_err());
     }
 
     #[test]

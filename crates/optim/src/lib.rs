@@ -4,8 +4,9 @@
 //! prediction ([`nesterov::Nesterov`]), the only optimizer the placer runs.
 //!
 //! It optimizes a [`problem::Problem`]: a flat parameter vector
-//! with value + gradient, plus an optional projection (the placer clamps
-//! cells into the die there).
+//! with value + gradient, an optional re-evaluation at the last evaluated
+//! point (the placer recombines its held terms there), plus an optional
+//! projection (the placer clamps cells into the die there).
 //!
 //! # Example
 //!
@@ -36,12 +37,17 @@ pub use problem::Problem;
 /// Per-iteration optimizer telemetry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepReport {
-    /// Objective value at the point where the step's gradient was taken.
+    /// Objective value at the reference point `v_k` the step's gradient was
+    /// taken at, under the problem's weights when the step began (after a
+    /// running step, the accepted trial's terms under those weights: see
+    /// [`Problem::reeval`]).
     pub value: f64,
     /// Euclidean norm of that gradient.
     pub grad_norm: f64,
     /// Steplength actually used.
     pub step: f64,
+    /// Trial points evaluated: 1, plus one per backtracking retry.
+    pub trials: usize,
 }
 
 #[cfg(test)]

@@ -13,6 +13,14 @@
 //! with ePlace's backtracking: after forming `v_{k+1}`, the predicted
 //! steplength at the new point is checked; if it is smaller than the one
 //! used, the step is redone with the smaller value (bounded retries).
+//!
+//! The accepted trial `v_{k+1}` is the next step's reference point, and
+//! its evaluation is the last one the step made. So every step but the
+//! first after a (re)start opens with [`Problem::reeval`], not
+//! [`Problem::eval`]: an iteration costs one evaluation per trial, usually
+//! one. The caller may change the problem's weights between steps; the
+//! reference gradient is then the accepted trial's terms under the new
+//! weights.
 
 use crate::problem::{distance, norm, Problem};
 use crate::StepReport;
@@ -59,9 +67,10 @@ impl Nesterov {
         }
     }
 
-    fn ensure_init(&mut self, problem: &mut dyn Problem, x: &[f64]) {
+    /// (Re)starts from `x` unless running; returns whether it did.
+    fn ensure_init(&mut self, problem: &mut dyn Problem, x: &[f64]) -> bool {
         if self.initialized {
-            return;
+            return false;
         }
         let n = problem.dim();
         self.u = x.to_vec();
@@ -75,6 +84,7 @@ impl Nesterov {
         self.step = self.initial_step;
         self.a = 1.0;
         self.initialized = true;
+        true
     }
 
     /// Shrinks the working steplength by `factor` after a recovery rollback
@@ -94,8 +104,13 @@ impl Nesterov {
 
     /// Performs one major iteration, updating `x` in place.
     pub fn step(&mut self, problem: &mut dyn Problem, x: &mut [f64]) -> StepReport {
-        self.ensure_init(problem, x);
-        let value = problem.eval(&self.v, &mut self.g);
+        // a running optimizer's `v` is the trial its last step accepted,
+        // the point of the problem's last evaluation
+        let value = if self.ensure_init(problem, x) {
+            problem.eval(&self.v, &mut self.g)
+        } else {
+            problem.reeval(&self.v, &mut self.g)
+        };
 
         // steplength prediction from the last two reference gradients
         let mut alpha = {
@@ -112,7 +127,9 @@ impl Nesterov {
         let coef = (self.a - 1.0) / a_next;
 
         // bounded retries: the last trial is taken regardless
+        let mut trials = 0;
         for _try in 0..=MAX_BACKTRACK {
+            trials += 1;
             for ((u_new, &v), &g) in self.u_new.iter_mut().zip(&self.v).zip(&self.g) {
                 *u_new = v - alpha * g;
             }
@@ -136,8 +153,8 @@ impl Nesterov {
         let grad_norm = norm(&self.g);
         // commit by swapping: what lands in `g`, `u_new` and `v_new` is
         // stale, and each is overwritten in full (`g` by the next step's
-        // opening `eval`, the other two by its first trial) before it is
-        // read again
+        // opening evaluation, the other two by its first trial) before it
+        // is read again
         std::mem::swap(&mut self.v_prev, &mut self.v);
         std::mem::swap(&mut self.g_prev, &mut self.g);
         std::mem::swap(&mut self.u, &mut self.u_new);
@@ -150,6 +167,7 @@ impl Nesterov {
             value,
             grad_norm,
             step: alpha,
+            trials,
         }
     }
 }
@@ -247,6 +265,47 @@ mod tests {
         opt.backoff(0.5);
         assert!(opt.initial_step > 0.0 && opt.initial_step.is_finite());
         assert!(!opt.initialized);
+    }
+
+    #[test]
+    fn running_steps_reopen_on_the_last_evaluated_point() {
+        struct Counted {
+            inner: Quadratic,
+            last: Vec<f64>,
+            evals: usize,
+            reevals: usize,
+        }
+        impl Problem for Counted {
+            fn dim(&self) -> usize {
+                self.inner.dim()
+            }
+            fn eval(&mut self, x: &[f64], g: &mut [f64]) -> f64 {
+                self.evals += 1;
+                self.last = x.to_vec();
+                self.inner.eval(x, g)
+            }
+            fn reeval(&mut self, x: &[f64], g: &mut [f64]) -> f64 {
+                self.reevals += 1;
+                assert_eq!(x, self.last.as_slice());
+                self.inner.eval(x, g)
+            }
+        }
+        let mut p = Counted {
+            inner: Quadratic {
+                diag: vec![1.0, 30.0],
+            },
+            last: Vec::new(),
+            evals: 0,
+            reevals: 0,
+        };
+        let mut x = vec![1.0, 1.0];
+        let mut opt = Nesterov::new(0.05);
+        let trials: usize = (0..10).map(|_| opt.step(&mut p, &mut x).trials).sum();
+        assert_eq!((p.evals, p.reevals), (1 + trials, 9));
+        // a restart opens with a fresh evaluation
+        opt.backoff(0.5);
+        let restarted = opt.step(&mut p, &mut x).trials;
+        assert_eq!((p.evals, p.reevals), (2 + trials + restarted, 9));
     }
 
     #[test]

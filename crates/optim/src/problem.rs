@@ -13,6 +13,14 @@ pub trait Problem {
     /// overwritten: optimizers hand in buffers holding stale values).
     fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64;
 
+    /// Objective value and gradient at `x`, the point of the preceding
+    /// [`Problem::eval`], under the problem's current weights. A problem
+    /// that holds the terms of that evaluation may recombine them instead
+    /// of recomputing them; the default evaluates again.
+    fn reeval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
+        self.eval(x, grad)
+    }
+
     /// Projects an iterate onto the feasible set (default: no-op). The
     /// placer clamps cell centers into the die here.
     fn project(&self, _x: &mut [f64]) {}
@@ -102,6 +110,19 @@ mod tests {
         let f = q.eval(&[1.0, 1.0], &mut g);
         assert_eq!(f, 3.0);
         assert_eq!(g, [2.0, 4.0]);
+    }
+
+    #[test]
+    fn default_reeval_is_eval() {
+        use testfns::Quadratic;
+        let mut q = Quadratic {
+            diag: vec![2.0, 4.0],
+        };
+        let x = [0.3, -1.7];
+        let (mut g, mut h) = ([0.0; 2], [f64::NAN; 2]);
+        let f = q.eval(&x, &mut g);
+        assert_eq!(q.reeval(&x, &mut h).to_bits(), f.to_bits());
+        assert_eq!(h, g);
     }
 
     #[test]

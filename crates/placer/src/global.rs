@@ -1,7 +1,12 @@
 //! The electrostatic global-placement engine (ePlace loop).
 //!
 //! Per iteration: one Nesterov step on `Σ W_e + λ D`, then, if the step is
-//! healthy, one advance of the run's `Schedule`:
+//! healthy, one advance of the run's `Schedule`. The step opens on the
+//! trial its predecessor accepted, whose terms the problem holds: the
+//! wirelength term stays at the smoothing `t_k` it was evaluated with and is
+//! recombined with the held density term under the advanced `λ_{k+1}`
+//! (`PlacementProblem::reeval`), so an iteration costs one evaluation per
+//! backtracking trial. The schedule:
 //!
 //! * the wirelength smoothing parameter is re-derived from the current
 //!   density overflow `φ` — the paper's tangent schedule Eq. (14) for the
@@ -222,6 +227,9 @@ pub struct GlobalResult {
     pub overflow: f64,
     /// Iterations executed.
     pub iterations: usize,
+    /// Nesterov trial points evaluated over those iterations: one per
+    /// iteration plus one per backtracking retry.
+    pub trials: usize,
     /// Evaluation-engine instrumentation (spawns, eval counts, stage times).
     pub engine_stats: EngineStats,
     /// Every recovery the guard performed (empty on a clean run).
@@ -313,7 +321,7 @@ pub fn place_with_engine(
     problem.eval(&params, &mut grad);
     let wl_norm: f64 = grad.iter().map(|g| g.abs()).sum();
     problem.lambda = 1.0;
-    problem.eval(&params, &mut grad);
+    problem.reeval(&params, &mut grad);
     let both_norm: f64 = grad.iter().map(|g| g.abs()).sum();
     let density_norm = (both_norm - wl_norm).abs().max(1e-30);
     let lambda0 = (wl_norm / density_norm).max(1e-12) * config.lambda_scale.max(1e-6);
@@ -344,10 +352,12 @@ pub fn place_with_engine(
     let trace = config.trace.as_ref();
     let tracing = trace.enabled();
     let mut iterations = 0;
+    let mut trials = 0;
     let mut termination = Termination::IterationCap;
     for iter in 0..config.max_iters {
         iterations = iter + 1;
         let step_report = optimizer.step(&mut problem, &mut params);
+        trials += step_report.trials;
         let stats = problem.last_stats();
         let value = stats.wirelength + problem.lambda * stats.density_energy;
         // `None` on a healthy step, `Some("fault -> action")` otherwise.
@@ -425,6 +435,7 @@ pub fn place_with_engine(
         hpwl,
         overflow,
         iterations,
+        trials,
         engine_stats: engine.stats(),
         recovery: monitor.into_log(),
         termination,
@@ -482,17 +493,32 @@ mod tests {
         log: Vec<u64>,
     }
 
+    impl Logged<'_, '_> {
+        fn logged(
+            &mut self,
+            x: &[f64],
+            grad: &mut [f64],
+            eval: fn(&mut PlacementProblem<'_>, &[f64], &mut [f64]) -> f64,
+        ) -> f64 {
+            let _oracle = self.uncached.then(crate::objective::oracle::NoReuse::new);
+            let f = eval(self.inner, x, grad);
+            let evaluated = x.iter().chain(grad.iter()).chain([&f]);
+            self.log.extend(evaluated.map(|v| v.to_bits()));
+            f
+        }
+    }
+
     impl Problem for Logged<'_, '_> {
         fn dim(&self) -> usize {
             self.inner.dim()
         }
 
         fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
-            let _oracle = self.uncached.then(crate::objective::oracle::NoReuse::new);
-            let f = self.inner.eval(x, grad);
-            let evaluated = x.iter().chain(grad.iter()).chain([&f]);
-            self.log.extend(evaluated.map(|v| v.to_bits()));
-            f
+            self.logged(x, grad, |p, x, g| p.eval(x, g))
+        }
+
+        fn reeval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
+            self.logged(x, grad, |p, x, g| p.reeval(x, g))
         }
 
         fn project(&self, x: &mut [f64]) {
@@ -531,7 +557,7 @@ mod tests {
         logged.eval(&x, &mut grad);
         let wl_norm: f64 = grad.iter().map(|g| g.abs()).sum();
         logged.inner.lambda = 1.0;
-        logged.eval(&x, &mut grad);
+        logged.reeval(&x, &mut grad);
         let both_norm: f64 = grad.iter().map(|g| g.abs()).sum();
         schedule.start_ramp(wl_norm / (both_norm - wl_norm).abs().max(1e-30));
         schedule.apply(logged.inner);
@@ -564,13 +590,15 @@ mod tests {
         assert_eq!(bits(&x), bits(&want_x));
 
         let (s, o) = (reusing.stats(), uncached.stats());
-        assert_eq!(o.density_reused, 0);
+        assert_eq!((o.wl_reused, o.density_reused), (0, 0));
         assert_eq!(o.density.count, o.wl_grad.count);
-        assert_eq!(s.wl_grad.count, o.wl_grad.count);
-        assert_eq!(s.density.count + s.density_reused, s.wl_grad.count);
-        // every step opens on the point its predecessor accepted (the
-        // first on the λ₀ probes' point), and the second probe repeats
-        // the first
+        let evaluations = s.wl_grad.count + s.wl_reused;
+        assert_eq!(evaluations, o.wl_grad.count);
+        assert_eq!(s.density.count + s.density_reused, evaluations);
+        // the second λ₀ probe and every step after the first reopen on
+        // the point evaluated last, and the first step opens on the
+        // probes' point, whose density term it reuses
+        assert_eq!(s.wl_reused, STEPS as u64);
         assert_eq!(s.density_reused, STEPS as u64 + 1);
     }
 
@@ -656,11 +684,24 @@ mod tests {
         cfg.max_iters = 40;
         let r = place(&c, &cfg).unwrap();
         let s = r.engine_stats;
-        // one wirelength-gradient eval per optimizer eval, plus the λ0 probes
-        assert!(s.wl_grad.count >= r.iterations as u64, "{s:?}");
-        // every eval either executes the density stage or reuses the held
-        // term: each step's opening eval and the second λ0 probe reuse
-        assert_eq!(s.wl_grad.count, s.density.count + s.density_reused, "{s:?}");
+        // one wirelength-gradient stage per trial, plus the first λ0 probe
+        // and the first step's opening eval
+        assert_eq!(
+            s.wl_grad.count,
+            r.trials as u64 + 2,
+            "{s:?}, {} trials",
+            r.trials
+        );
+        assert!(r.trials >= r.iterations, "{s:?}");
+        // every evaluation executes or reuses each term: the second λ0
+        // probe and every step after the first reuse both, the first step
+        // the density term
+        assert_eq!(
+            s.wl_grad.count + s.wl_reused,
+            s.density.count + s.density_reused,
+            "{s:?}"
+        );
+        assert_eq!(s.wl_reused, r.iterations as u64, "{s:?}");
         assert_eq!(s.density_reused, r.iterations as u64 + 1, "{s:?}");
         assert_eq!(s.workspace_allocs, 1, "workspace built once, then reused");
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
@@ -785,7 +826,9 @@ mod tests {
         assert_eq!(reusing.recovery.to_string(), uncached.recovery.to_string());
         assert_eq!(reusing.iterations, uncached.iterations);
         assert_eq!(uncached.engine_stats.density_reused, 0);
+        assert_eq!(uncached.engine_stats.wl_reused, 0);
         assert!(reusing.engine_stats.density_reused > 0);
+        assert!(reusing.engine_stats.wl_reused > 0);
         assert_eq!(bits(&reusing.placement), bits(&uncached.placement));
         assert_eq!(reusing.overflow.to_bits(), uncached.overflow.to_bits());
     }

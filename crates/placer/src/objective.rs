@@ -31,7 +31,12 @@ pub struct PlacementProblem<'a> {
     movable: Vec<CellId>,
     engine: Arc<EvalEngine>,
     evaluator: NetlistEvaluator,
+    /// The held wirelength term of the last [`Problem::eval`].
     wl: WirelengthGrad,
+    /// The smoothing `wl` was computed at, which the uncached oracle
+    /// recomputes it under.
+    #[cfg(test)]
+    wl_smoothing: f64,
     es: Electrostatics,
     /// The held density term: `∂D/∂x`, `∂D/∂y` per cell and the report of
     /// the last executed density stage (buffers zeroed per execution,
@@ -40,9 +45,11 @@ pub struct PlacementProblem<'a> {
     dgy: Vec<f64>,
     /// `None` until a density stage has run.
     density: Option<DensityReport>,
-    /// The parameter vector the held density term was computed at. `D` is
-    /// a pure function of the point, so an eval at the same bits reuses it.
-    density_key: Vec<f64>,
+    /// The parameter vector of the last [`Problem::eval`], which both held
+    /// terms were computed at. `D` is a pure function of the point, so an
+    /// eval at the same bits reuses it; a [`Problem::reeval`] at the same
+    /// bits reuses both.
+    held_at: Vec<f64>,
     scratch: Placement,
     /// Current density weight `λ`.
     pub lambda: f64,
@@ -81,11 +88,13 @@ impl<'a> PlacementProblem<'a> {
         let netlist = &design.netlist;
         let movable: Vec<CellId> = netlist.movable_cells().collect();
         Self {
-            density_key: vec![0.0; 2 * movable.len()],
+            held_at: vec![0.0; 2 * movable.len()],
             movable,
             evaluator: NetlistEvaluator::new(model, Arc::clone(&engine)),
             engine,
             wl: WirelengthGrad::zeros(netlist.num_cells()),
+            #[cfg(test)]
+            wl_smoothing: 0.0,
             es: Electrostatics::new(design, initial),
             dgx: vec![0.0; netlist.num_cells()],
             dgy: vec![0.0; netlist.num_cells()],
@@ -115,7 +124,8 @@ impl<'a> PlacementProblem<'a> {
         &self.movable
     }
 
-    /// Stats of the last [`Problem::eval`] call.
+    /// Stats of the last evaluation ([`Problem::eval`] or
+    /// [`Problem::reeval`]).
     pub fn last_stats(&self) -> EvalStats {
         self.last
     }
@@ -198,7 +208,7 @@ impl<'a> PlacementProblem<'a> {
             self.density = None;
         }
         if let Some(held) = self.density {
-            if same_bits(&self.density_key, x) {
+            if same_bits(&self.held_at, x) {
                 self.engine.note_density_reuse();
                 return held;
             }
@@ -221,7 +231,7 @@ impl<'a> PlacementProblem<'a> {
             tf.nanos - self.tf_synced.nanos,
         );
         self.tf_synced = tf;
-        self.density_key.copy_from_slice(x);
+        self.held_at.copy_from_slice(x);
         self.density = Some(report);
         report
     }
@@ -273,13 +283,42 @@ impl<'a> Problem for PlacementProblem<'a> {
         assert_eq!(grad.len(), 2 * m);
         let mut scratch = std::mem::take(&mut self.scratch);
         self.unpack_params(x, &mut scratch);
-        // redone at every point: `t`/`γ` move each iteration
-        // (engine-timed inside the evaluator)
+        // always executed (engine-timed inside the evaluator): only
+        // `reeval` may reuse the held term, at the smoothing it was taken at
         self.evaluator
             .evaluate(&self.design.netlist, &scratch, &mut self.wl);
+        #[cfg(test)]
+        {
+            self.wl_smoothing = self.smoothing();
+        }
         let report = self.density_term(x, &scratch);
         self.scratch = scratch;
         self.combine(report, grad)
+    }
+
+    /// At the point of the last `eval`, recombines both held terms under
+    /// the current `λ` and executes neither stage. The wirelength term keeps
+    /// the smoothing it was computed at, even if `set_smoothing` has moved
+    /// it since. At any other point (or before the first `eval`) this is an
+    /// `eval`.
+    fn reeval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
+        let held = match self.density {
+            Some(held) if same_bits(&self.held_at, x) => held,
+            _ => return self.eval(x, grad),
+        };
+        #[cfg(test)]
+        if oracle::reuse_disabled() {
+            // recompute what the hit holds: the wirelength at its held
+            // smoothing, the density afresh
+            let now = self.smoothing();
+            self.set_smoothing(self.wl_smoothing);
+            let f = self.eval(x, grad);
+            self.set_smoothing(now);
+            return f;
+        }
+        self.engine.note_wl_reuse();
+        self.engine.note_density_reuse();
+        self.combine(held, grad)
     }
 
     fn project(&self, x: &mut [f64]) {
@@ -317,7 +356,8 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
 
 /// The uncached oracle for tests: while a guard is alive on this thread,
 /// every `eval` forgets its held density term first and so executes the
-/// full density stage, as the code did before the term was point-keyed.
+/// full density stage, as the code did before the term was point-keyed,
+/// and every `reeval` recomputes both terms.
 #[cfg(test)]
 pub(crate) mod oracle {
     use std::cell::Cell;
@@ -330,7 +370,7 @@ pub(crate) mod oracle {
         REUSE_DISABLED.with(Cell::get)
     }
 
-    /// Disables density-term reuse on this thread until dropped.
+    /// Disables term reuse on this thread until dropped.
     pub(crate) struct NoReuse(());
 
     impl NoReuse {
@@ -485,6 +525,89 @@ mod tests {
             "one poisoned eval, then clean"
         );
         assert_eq!(p.engine().stats().density_reused, 2);
+    }
+
+    /// Bits of one re-evaluation: value first, then the gradient.
+    fn reeval_bits(p: &mut PlacementProblem<'_>, x: &[f64]) -> Vec<u64> {
+        let mut g = vec![0.0; p.dim()];
+        let f = p.reeval(x, &mut g);
+        std::iter::once(f).chain(g).map(f64::to_bits).collect()
+    }
+
+    #[test]
+    fn reeval_hit_is_a_fresh_eval_at_the_held_smoothing() {
+        let c = synth::generate(&synth::smoke_spec());
+        let mut held = problem(&c);
+        held.lambda = 1e-3;
+        let x = spread_point(&c, &held, 0.0);
+        eval_bits(&mut held, &x);
+        held.set_smoothing(0.37);
+        held.lambda = 3.25e-3;
+        let hit = reeval_bits(&mut held, &x);
+        let s = held.engine().stats();
+        assert_eq!(
+            (s.wl_grad.count, s.wl_reused),
+            (1, 1),
+            "no gradient stage ran"
+        );
+        assert_eq!((s.density.count, s.density_reused), (1, 1));
+
+        // the held wirelength term keeps the smoothing it was taken at (1.0)
+        let mut fresh = problem(&c);
+        fresh.lambda = 3.25e-3;
+        assert_eq!(hit, eval_bits(&mut fresh, &x));
+        assert_eq!(held.last_stats(), fresh.last_stats());
+
+        // and the oracle recomputes those bits, then restores the smoothing
+        let recomputed = {
+            let _oracle = oracle::NoReuse::new();
+            reeval_bits(&mut held, &x)
+        };
+        assert_eq!(hit, recomputed);
+        assert_eq!(held.smoothing(), 0.37);
+        assert_eq!(held.engine().stats().wl_reused, 1);
+    }
+
+    #[test]
+    fn reeval_anywhere_else_is_an_eval() {
+        let c = synth::generate(&synth::smoke_spec());
+        let fresh = || {
+            let mut p = problem(&c);
+            p.lambda = 1e-3;
+            p
+        };
+        let x = spread_point(&c, &fresh(), 0.0);
+        // before any eval there is nothing held
+        assert_eq!(reeval_bits(&mut fresh(), &x), eval_bits(&mut fresh(), &x));
+
+        let mut y = x.clone();
+        let last = y.last_mut().unwrap();
+        *last = f64::from_bits(last.to_bits() - 1);
+        let mut p = fresh();
+        eval_bits(&mut p, &x);
+        p.set_smoothing(0.37);
+        let at_y = reeval_bits(&mut p, &y);
+        let s = p.engine().stats();
+        assert_eq!((s.wl_grad.count, s.wl_reused), (2, 0));
+        assert_eq!((s.density.count, s.density_reused), (2, 0));
+        let mut want = fresh();
+        want.set_smoothing(0.37);
+        assert_eq!(at_y, eval_bits(&mut want, &y));
+    }
+
+    #[test]
+    fn injected_nan_counts_reevals() {
+        let c = synth::generate(&synth::smoke_spec());
+        let mut p = problem(&c);
+        p.lambda = 1e-3;
+        let x = spread_point(&c, &p, 0.0);
+        p.inject_nan(1, 1);
+        let clean = eval_bits(&mut p, &x);
+        let poisoned = reeval_bits(&mut p, &x);
+        assert!(poisoned.iter().all(|&b| f64::from_bits(b).is_nan()));
+        assert!(p.last_stats().wirelength.is_nan());
+        assert_eq!(clean, reeval_bits(&mut p, &x), "one poisoned reeval");
+        assert_eq!(p.engine().stats().wl_reused, 2);
     }
 
     #[test]

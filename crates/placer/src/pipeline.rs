@@ -41,6 +41,9 @@ pub struct PipelineResult {
     pub rt_dp: f64,
     /// GP iterations executed.
     pub iterations: usize,
+    /// Nesterov trial points GP evaluated: one per iteration plus one per
+    /// backtracking retry.
+    pub trials: usize,
     /// Final density overflow after GP.
     pub overflow: f64,
     /// Legalization report.
@@ -133,6 +136,7 @@ pub fn run_with_engine(
         rt_lg,
         rt_dp,
         iterations: gp.iterations,
+        trials: gp.trials,
         overflow: gp.overflow,
         violations,
         termination: gp.termination,
@@ -152,6 +156,7 @@ pub fn run_with_engine(
         rt_lg,
         rt_dp,
         iterations: gp.iterations,
+        trials: gp.trials,
         overflow: gp.overflow,
         legalize: lg_report,
         detail: dp_report,
@@ -204,6 +209,8 @@ mod tests {
             "flow.model carries the paper-table label"
         );
         assert_eq!(rep.counter("gp.iterations"), Some(r.iterations as u64));
+        assert_eq!(rep.counter("optim.nesterov.trials"), Some(r.trials as u64));
+        assert!(r.trials >= r.iterations);
         assert_eq!(rep.gauge("dp.hpwl"), Some(r.dpwl));
         assert_eq!(rep.counter("flow.violations"), Some(0));
         assert_eq!(rep.counter("guard.recoveries"), Some(0));
@@ -215,8 +222,13 @@ mod tests {
         assert_eq!(
             rep.counter("engine.density.count").unwrap()
                 + rep.counter("engine.density.reused").unwrap(),
-            rep.counter("engine.wl_grad.count").unwrap(),
-            "every eval executes the density stage or reuses the held term"
+            rep.counter("engine.wl_grad.count").unwrap() + rep.counter("engine.wl.reused").unwrap(),
+            "every evaluation executes or reuses each term"
+        );
+        assert_eq!(
+            rep.counter("engine.wl.reused"),
+            Some(r.iterations as u64),
+            "the second λ0 probe and every step after the first reopen on held terms"
         );
         // the wirelength ledger, a work count no clock can blur: per
         // gradient evaluation every net of at least two pins with a

@@ -87,6 +87,7 @@ pub(crate) struct ReportInputs<'a> {
     pub rt_lg: f64,
     pub rt_dp: f64,
     pub iterations: usize,
+    pub trials: usize,
     pub overflow: f64,
     pub violations: usize,
     pub termination: Termination,
@@ -116,6 +117,7 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     r.gauge("flow.rt_seconds")
         .set(inputs.rt_gp + inputs.rt_lg + inputs.rt_dp);
     r.counter("gp.iterations").add(inputs.iterations as u64);
+    r.counter("optim.nesterov.trials").add(inputs.trials as u64);
     r.gauge("gp.overflow").set(inputs.overflow);
     r.counter("flow.violations").add(inputs.violations as u64);
 
@@ -131,8 +133,11 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
         r.gauge(&format!("{name}.seconds"))
             .set(stage.nanos as f64 * 1e-9);
     }
-    // evals that reused the held density term; `engine.density.count` is
-    // executed stages only, so count + reused = `engine.wl_grad.count`
+    // evaluations that reused a held term instead of executing its stage;
+    // each evaluation executes or reuses both, so `engine.wl_grad.count` +
+    // `engine.wl.reused` = `engine.density.count` + `engine.density.reused`,
+    // and on a clean run `engine.wl.reused` = `gp.iterations`
+    r.counter("engine.wl.reused").add(e.wl_reused);
     r.counter("engine.density.reused").add(e.density_reused);
     // which path served the nets of the wirelength gradient stage (class
     // kernel: 2..=`MAX_CLASS_DEGREE` pins under Moreau; per-net path: the

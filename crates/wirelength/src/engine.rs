@@ -3,8 +3,9 @@
 //! Global placement evaluates the objective hundreds of times, all of it
 //! on the calling thread. [`EvalEngine`] is what the stages of one run
 //! share to account for that work ([`EngineStats`]): per-stage evaluation
-//! counts and wall time, workspace (re)allocations, density-term reuses
-//! and which path served the nets of the wirelength gradient. It executes
+//! counts and wall time, workspace (re)allocations, wirelength- and
+//! density-term reuses and which path served the nets of the wirelength
+//! gradient. It executes
 //! nothing and holds no threads; building one is free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,19 +26,6 @@ pub enum Stage {
     /// [`Stage::Density`] wall time, one count per `Spectral2d::execute`
     /// sweep: four per Poisson solve).
     DensityTransform,
-}
-
-impl Stage {
-    const COUNT: usize = 4;
-
-    fn index(self) -> usize {
-        match self {
-            Stage::WlGrad => 0,
-            Stage::WlScatter => 1,
-            Stage::Density => 2,
-            Stage::DensityTransform => 3,
-        }
-    }
 }
 
 /// Count and cumulative wall time of one [`Stage`].
@@ -71,6 +59,10 @@ pub struct EngineStats {
     pub workspace_allocs: u64,
     /// Wirelength value+gradient stage.
     pub wl_grad: StageStats,
+    /// Evaluations that recombined the wirelength term held from the
+    /// previous evaluation at the same point instead of executing the stage
+    /// (not counted in `wl_grad`).
+    pub wl_reused: u64,
     /// Assembly + cell scatter sub-stage of `wl_grad` (included in it).
     pub wl_scatter: StageStats,
     /// Net evaluations of the gradient stage served by the degree-class
@@ -108,11 +100,15 @@ struct StageCounter {
 #[derive(Debug, Default)]
 pub struct EvalEngine {
     workspace_allocs: AtomicU64,
+    wl_reused: AtomicU64,
     density_reused: AtomicU64,
     wl_class_nets: AtomicU64,
     wl_generic_nets: AtomicU64,
     wl_inactive_nets: AtomicU64,
-    stages: [StageCounter; Stage::COUNT],
+    wl_grad: StageCounter,
+    wl_scatter: StageCounter,
+    density: StageCounter,
+    density_transform: StageCounter,
 }
 
 impl EvalEngine {
@@ -123,13 +119,22 @@ impl EvalEngine {
         Self::default()
     }
 
+    fn counter(&self, stage: Stage) -> &StageCounter {
+        match stage {
+            Stage::WlGrad => &self.wl_grad,
+            Stage::WlScatter => &self.wl_scatter,
+            Stage::Density => &self.density,
+            Stage::DensityTransform => &self.density_transform,
+        }
+    }
+
     /// Times `f`, attributing the wall time (and one evaluation) to
     /// `stage`.
     pub fn time_stage<R>(&self, stage: Stage, f: impl FnOnce() -> R) -> R {
         // lint:allow(determinism): EngineStats stage timing; durations never feed back into results
         let t0 = Instant::now();
         let r = f();
-        let c = &self.stages[stage.index()];
+        let c = self.counter(stage);
         c.count.fetch_add(1, Ordering::Relaxed);
         c.nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -141,7 +146,7 @@ impl EvalEngine {
     /// density crate's spectral transforms) whose clocks the engine cannot
     /// wrap directly.
     pub fn add_stage_sample(&self, stage: Stage, count: u64, nanos: u64) {
-        let c = &self.stages[stage.index()];
+        let c = self.counter(stage);
         c.count.fetch_add(count, Ordering::Relaxed);
         c.nanos.fetch_add(nanos, Ordering::Relaxed);
     }
@@ -151,6 +156,12 @@ impl EvalEngine {
     /// must keep this counter flat.
     pub fn note_workspace_alloc(&self) {
         self.workspace_allocs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one evaluation whose wirelength term was reused from the
+    /// previous evaluation at the same point (no gradient stage executed).
+    pub fn note_wl_reuse(&self) {
+        self.wl_reused.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one evaluation whose density term was reused from the
@@ -172,7 +183,7 @@ impl EvalEngine {
     /// Snapshot of all instrumentation counters.
     pub fn stats(&self) -> EngineStats {
         let stage = |s: Stage| {
-            let c = &self.stages[s.index()];
+            let c = self.counter(s);
             StageStats {
                 count: c.count.load(Ordering::Relaxed),
                 nanos: c.nanos.load(Ordering::Relaxed),
@@ -184,6 +195,7 @@ impl EvalEngine {
             serial_runs: wl_grad.count,
             workspace_allocs: self.workspace_allocs.load(Ordering::Relaxed),
             wl_grad,
+            wl_reused: self.wl_reused.load(Ordering::Relaxed),
             wl_scatter: stage(Stage::WlScatter),
             wl_class_nets: self.wl_class_nets.load(Ordering::Relaxed),
             wl_generic_nets: self.wl_generic_nets.load(Ordering::Relaxed),
@@ -197,11 +209,17 @@ impl EvalEngine {
     /// Resets every counter.
     pub fn reset_stats(&self) {
         self.workspace_allocs.store(0, Ordering::Relaxed);
+        self.wl_reused.store(0, Ordering::Relaxed);
         self.density_reused.store(0, Ordering::Relaxed);
         self.wl_class_nets.store(0, Ordering::Relaxed);
         self.wl_generic_nets.store(0, Ordering::Relaxed);
         self.wl_inactive_nets.store(0, Ordering::Relaxed);
-        for c in &self.stages {
+        for c in [
+            &self.wl_grad,
+            &self.wl_scatter,
+            &self.density,
+            &self.density_transform,
+        ] {
             c.count.store(0, Ordering::Relaxed);
             c.nanos.store(0, Ordering::Relaxed);
         }
@@ -220,6 +238,7 @@ mod tests {
         engine.time_stage(Stage::WlGrad, || {});
         engine.time_stage(Stage::Density, || {});
         engine.note_density_reuse();
+        engine.note_wl_reuse();
         engine.note_wl_nets(7, 3, 2);
         engine.note_wl_nets(7, 3, 2);
         let s = engine.stats();
@@ -231,10 +250,12 @@ mod tests {
         assert_eq!(s.wl_scatter.count, 0);
         assert_eq!(s.density.count, 1, "a reuse is not an executed stage");
         assert_eq!(s.density_reused, 1);
+        assert_eq!(s.wl_reused, 1, "a reuse is not a gradient evaluation");
         assert_eq!((s.parallel_runs, s.serial_runs), (0, 2));
         engine.reset_stats();
         assert_eq!(engine.stats().wl_grad.count, 0);
         assert_eq!(engine.stats().density_reused, 0);
+        assert_eq!(engine.stats().wl_reused, 0);
         assert_eq!(engine.stats().wl_class_nets, 0);
         assert_eq!(engine.stats().wl_inactive_nets, 0);
     }

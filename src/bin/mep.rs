@@ -503,10 +503,11 @@ fn main() -> ExitCode {
             let es = &result.engine_stats;
             println!("engine workspace allocs {}", es.workspace_allocs);
             println!(
-                "stage wl-grad {}x {:.3}s (scatter {:.3}s, nets {} class / {} generic / {} inactive)  \
-                 density {}x {:.3}s + {} reused  (spectral {}x {:.3}s)",
+                "stage wl-grad {}x {:.3}s + {} reused (scatter {:.3}s, nets {} class / {} generic / {} inactive)  \
+                 density {}x {:.3}s + {} reused  (spectral {}x {:.3}s)  nesterov {} trials",
                 es.wl_grad.count,
                 es.wl_grad.seconds(),
+                es.wl_reused,
                 es.wl_scatter.seconds(),
                 es.wl_class_nets,
                 es.wl_generic_nets,
@@ -515,7 +516,8 @@ fn main() -> ExitCode {
                 es.density.seconds(),
                 es.density_reused,
                 es.density_transform.count,
-                es.density_transform.seconds()
+                es.density_transform.seconds(),
+                result.trials
             );
             if metrics {
                 println!("\n-- run metrics (DESIGN.md \u{a7}10) --");

@@ -4,6 +4,7 @@
 
 use moreau_placer::netlist::synth;
 use moreau_placer::optim::Problem;
+use moreau_placer::placer::global::{place, GlobalConfig};
 use moreau_placer::placer::objective::PlacementProblem;
 use moreau_placer::wirelength::{ModelKind, NetlistEvaluator, WirelengthGrad};
 use std::sync::Arc;
@@ -44,6 +45,25 @@ fn newblue6_nets_per_evaluation_by_kernel_route() {
         assert_eq!(stats.wl_generic_nets, evaluations * 33);
         assert_eq!(stats.wl_inactive_nets, 0);
     }
+}
+
+#[test]
+fn smoke_gp_runs_one_wirelength_evaluation_per_iteration() {
+    // noise-free work-count guard: each Nesterov step after the first
+    // reopens on the held terms of the trial its predecessor accepted, so
+    // the gradient stage runs once per trial, plus the first λ₀ probe and
+    // the first step's opening — a change that evaluates the opening point
+    // again doubles the count
+    let circuit = synth::generate(&synth::smoke_spec());
+    let r = place(&circuit, &GlobalConfig::default()).expect("global placement");
+    let s = r.engine_stats;
+    let iterations = r.iterations as u64;
+    assert!(
+        10 * s.wl_grad.count <= 11 * iterations + 30,
+        "{} gradient evaluations for {iterations} iterations",
+        s.wl_grad.count
+    );
+    assert_eq!(s.wl_reused, iterations);
 }
 
 #[test]
