@@ -14,13 +14,12 @@
 //! steplength at the new point is checked; if it is smaller than the one
 //! used, the step is redone with the smaller value (bounded retries).
 //!
-//! The accepted trial `v_{k+1}` is the next step's reference point, and
-//! its evaluation is the last one the step made. So every step but the
-//! first after a (re)start opens with [`Problem::reeval`], not
-//! [`Problem::eval`]: an iteration costs one evaluation per trial, usually
-//! one. The caller may change the problem's weights between steps; the
-//! reference gradient is then the accepted trial's terms under the new
-//! weights.
+//! Every step opens with [`Problem::reeval`] at its reference point. On a
+//! running optimizer that is the accepted trial `v_{k+1}` of the previous
+//! step, whose evaluation was the last one made, so an iteration costs one
+//! evaluation per trial, usually one. The caller may change the problem's
+//! weights between steps; the reference gradient is then the accepted
+//! trial's terms under the new weights.
 
 use crate::problem::{distance, norm, Problem};
 use crate::StepReport;
@@ -67,10 +66,10 @@ impl Nesterov {
         }
     }
 
-    /// (Re)starts from `x` unless running; returns whether it did.
-    fn ensure_init(&mut self, problem: &mut dyn Problem, x: &[f64]) -> bool {
+    /// (Re)starts from `x` unless running.
+    fn ensure_init(&mut self, problem: &mut dyn Problem, x: &[f64]) {
         if self.initialized {
-            return false;
+            return;
         }
         let n = problem.dim();
         self.u = x.to_vec();
@@ -84,7 +83,6 @@ impl Nesterov {
         self.step = self.initial_step;
         self.a = 1.0;
         self.initialized = true;
-        true
     }
 
     /// Shrinks the working steplength by `factor` after a recovery rollback
@@ -106,11 +104,8 @@ impl Nesterov {
     pub fn step(&mut self, problem: &mut dyn Problem, x: &mut [f64]) -> StepReport {
         // a running optimizer's `v` is the trial its last step accepted,
         // the point of the problem's last evaluation
-        let value = if self.ensure_init(problem, x) {
-            problem.eval(&self.v, &mut self.g)
-        } else {
-            problem.reeval(&self.v, &mut self.g)
-        };
+        self.ensure_init(problem, x);
+        let value = problem.reeval(&self.v, &mut self.g);
 
         // steplength prediction from the last two reference gradients
         let mut alpha = {
@@ -274,6 +269,7 @@ mod tests {
             last: Vec<f64>,
             evals: usize,
             reevals: usize,
+            hits: usize,
         }
         impl Problem for Counted {
             fn dim(&self) -> usize {
@@ -286,7 +282,10 @@ mod tests {
             }
             fn reeval(&mut self, x: &[f64], g: &mut [f64]) -> f64 {
                 self.reevals += 1;
-                assert_eq!(x, self.last.as_slice());
+                if x != self.last.as_slice() {
+                    return self.eval(x, g);
+                }
+                self.hits += 1;
                 self.inner.eval(x, g)
             }
         }
@@ -297,15 +296,21 @@ mod tests {
             last: Vec::new(),
             evals: 0,
             reevals: 0,
+            hits: 0,
         };
         let mut x = vec![1.0, 1.0];
         let mut opt = Nesterov::new(0.05);
         let trials: usize = (0..10).map(|_| opt.step(&mut p, &mut x).trials).sum();
-        assert_eq!((p.evals, p.reevals), (1 + trials, 9));
-        // a restart opens with a fresh evaluation
+        // the first opening has nothing held; the nine after it reopen on
+        // the trial their predecessor accepted
+        assert_eq!((p.reevals, p.hits, p.evals), (10, 9, 1 + trials));
+        // a restart after `backoff` opens on `u`, not on the last trial
         opt.backoff(0.5);
         let restarted = opt.step(&mut p, &mut x).trials;
-        assert_eq!((p.evals, p.reevals), (2 + trials + restarted, 9));
+        assert_eq!(
+            (p.reevals, p.hits, p.evals),
+            (11, 9, 2 + trials + restarted)
+        );
     }
 
     #[test]

@@ -13,10 +13,10 @@ pub trait Problem {
     /// overwritten: optimizers hand in buffers holding stale values).
     fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64;
 
-    /// Objective value and gradient at `x`, the point of the preceding
-    /// [`Problem::eval`], under the problem's current weights. A problem
-    /// that holds the terms of that evaluation may recombine them instead
-    /// of recomputing them; the default evaluates again.
+    /// Objective value and gradient at `x` under the problem's current
+    /// weights. A problem that holds the terms of its last evaluation at
+    /// exactly `x` may recombine them instead of recomputing them; the
+    /// default evaluates.
     fn reeval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
         self.eval(x, grad)
     }

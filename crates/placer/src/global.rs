@@ -230,7 +230,8 @@ pub struct GlobalResult {
     /// Nesterov trial points evaluated over those iterations: one per
     /// iteration plus one per backtracking retry.
     pub trials: usize,
-    /// Evaluation-engine instrumentation (spawns, eval counts, stage times).
+    /// Evaluation-engine instrumentation (stage counts and times, reuses,
+    /// net routes).
     pub engine_stats: EngineStats,
     /// Every recovery the guard performed (empty on a clean run).
     pub recovery: RecoveryLog,
@@ -590,16 +591,13 @@ mod tests {
         assert_eq!(bits(&x), bits(&want_x));
 
         let (s, o) = (reusing.stats(), uncached.stats());
-        assert_eq!((o.wl_reused, o.density_reused), (0, 0));
+        assert_eq!(o.reused, 0);
         assert_eq!(o.density.count, o.wl_grad.count);
-        let evaluations = s.wl_grad.count + s.wl_reused;
-        assert_eq!(evaluations, o.wl_grad.count);
-        assert_eq!(s.density.count + s.density_reused, evaluations);
-        // the second λ₀ probe and every step after the first reopen on
-        // the point evaluated last, and the first step opens on the
-        // probes' point, whose density term it reuses
-        assert_eq!(s.wl_reused, STEPS as u64);
-        assert_eq!(s.density_reused, STEPS as u64 + 1);
+        assert_eq!(s.density.count, s.wl_grad.count);
+        assert_eq!(s.wl_grad.count + s.reused, o.wl_grad.count);
+        // the second λ₀ probe and every step reopen on the point evaluated
+        // last (the first step on the probes' point)
+        assert_eq!(s.reused, STEPS as u64 + 1);
     }
 
     #[test]
@@ -684,25 +682,16 @@ mod tests {
         cfg.max_iters = 40;
         let r = place(&c, &cfg).unwrap();
         let s = r.engine_stats;
-        // one wirelength-gradient stage per trial, plus the first λ0 probe
-        // and the first step's opening eval
+        // one evaluation of both terms per trial, plus the first λ0 probe
         assert_eq!(
-            s.wl_grad.count,
-            r.trials as u64 + 2,
+            (s.wl_grad.count, s.density.count),
+            (r.trials as u64 + 1, r.trials as u64 + 1),
             "{s:?}, {} trials",
             r.trials
         );
         assert!(r.trials >= r.iterations, "{s:?}");
-        // every evaluation executes or reuses each term: the second λ0
-        // probe and every step after the first reuse both, the first step
-        // the density term
-        assert_eq!(
-            s.wl_grad.count + s.wl_reused,
-            s.density.count + s.density_reused,
-            "{s:?}"
-        );
-        assert_eq!(s.wl_reused, r.iterations as u64, "{s:?}");
-        assert_eq!(s.density_reused, r.iterations as u64 + 1, "{s:?}");
+        // the second λ0 probe and every step's opening reuse both
+        assert_eq!(s.reused, r.iterations as u64 + 1, "{s:?}");
         assert_eq!(s.workspace_allocs, 1, "workspace built once, then reused");
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
         // four 2-D transforms per Poisson solve: one per executed density
@@ -808,7 +797,8 @@ mod tests {
     #[test]
     fn recovered_run_is_bitwise_the_uncached_one() {
         // rollback + backoff restart the optimizer from a restored point
-        // under a restored λ: the held density term must survive that
+        // under a restored λ: the restart's opening `reeval` must not
+        // recombine terms held at the abandoned trajectory's last trial
         let c = synth::generate(&synth::smoke_spec());
         let mut cfg = smoke_config(ModelKind::Moreau);
         cfg.max_iters = 60;
@@ -825,10 +815,8 @@ mod tests {
         // (the log holds the NaN it caught, so compare its rendering)
         assert_eq!(reusing.recovery.to_string(), uncached.recovery.to_string());
         assert_eq!(reusing.iterations, uncached.iterations);
-        assert_eq!(uncached.engine_stats.density_reused, 0);
-        assert_eq!(uncached.engine_stats.wl_reused, 0);
-        assert!(reusing.engine_stats.density_reused > 0);
-        assert!(reusing.engine_stats.wl_reused > 0);
+        assert_eq!(uncached.engine_stats.reused, 0);
+        assert!(reusing.engine_stats.reused > 0);
         assert_eq!(bits(&reusing.placement), bits(&uncached.placement));
         assert_eq!(reusing.overflow.to_bits(), uncached.overflow.to_bits());
     }

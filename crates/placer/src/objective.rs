@@ -46,9 +46,8 @@ pub struct PlacementProblem<'a> {
     /// `None` until a density stage has run.
     density: Option<DensityReport>,
     /// The parameter vector of the last [`Problem::eval`], which both held
-    /// terms were computed at. `D` is a pure function of the point, so an
-    /// eval at the same bits reuses it; a [`Problem::reeval`] at the same
-    /// bits reuses both.
+    /// terms were computed at; a [`Problem::reeval`] at the same bits
+    /// reuses both.
     held_at: Vec<f64>,
     scratch: Placement,
     /// Current density weight `λ`.
@@ -196,23 +195,9 @@ impl<'a> PlacementProblem<'a> {
         report
     }
 
-    /// The density term at `x` (already unpacked into `placement`): leaves
-    /// `∂D/∂x`, `∂D/∂y` in `dgx`/`dgy` and returns the report. `D` depends
-    /// on neither `λ`, the smoothing parameter nor the wirelength model, so
-    /// when `x` is bit for bit the point the held term was computed at, the
-    /// raster, Poisson solve and gather are skipped and the held term is
-    /// returned.
-    fn density_term(&mut self, x: &[f64], placement: &Placement) -> DensityReport {
-        #[cfg(test)]
-        if oracle::reuse_disabled() {
-            self.density = None;
-        }
-        if let Some(held) = self.density {
-            if same_bits(&self.held_at, x) {
-                self.engine.note_density_reuse();
-                return held;
-            }
-        }
+    /// The density term at `placement`: leaves `∂D/∂x`, `∂D/∂y` in
+    /// `dgx`/`dgy` and returns the report.
+    fn density_term(&mut self, placement: &Placement) -> DensityReport {
         let netlist = &self.design.netlist;
         self.dgx.iter_mut().for_each(|g| *g = 0.0);
         self.dgy.iter_mut().for_each(|g| *g = 0.0);
@@ -231,8 +216,6 @@ impl<'a> PlacementProblem<'a> {
             tf.nanos - self.tf_synced.nanos,
         );
         self.tf_synced = tf;
-        self.held_at.copy_from_slice(x);
-        self.density = Some(report);
         report
     }
 
@@ -283,16 +266,18 @@ impl<'a> Problem for PlacementProblem<'a> {
         assert_eq!(grad.len(), 2 * m);
         let mut scratch = std::mem::take(&mut self.scratch);
         self.unpack_params(x, &mut scratch);
-        // always executed (engine-timed inside the evaluator): only
-        // `reeval` may reuse the held term, at the smoothing it was taken at
+        // both stages always execute (the wirelength one engine-timed
+        // inside the evaluator): only `reeval` reuses the held terms
         self.evaluator
             .evaluate(&self.design.netlist, &scratch, &mut self.wl);
         #[cfg(test)]
         {
             self.wl_smoothing = self.smoothing();
         }
-        let report = self.density_term(x, &scratch);
+        let report = self.density_term(&scratch);
         self.scratch = scratch;
+        self.held_at.copy_from_slice(x);
+        self.density = Some(report);
         self.combine(report, grad)
     }
 
@@ -316,8 +301,7 @@ impl<'a> Problem for PlacementProblem<'a> {
             self.set_smoothing(now);
             return f;
         }
-        self.engine.note_wl_reuse();
-        self.engine.note_density_reuse();
+        self.engine.note_reuse();
         self.combine(held, grad)
     }
 
@@ -355,9 +339,8 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
 }
 
 /// The uncached oracle for tests: while a guard is alive on this thread,
-/// every `eval` forgets its held density term first and so executes the
-/// full density stage, as the code did before the term was point-keyed,
-/// and every `reeval` recomputes both terms.
+/// every `reeval` recomputes both terms instead of recombining the held
+/// ones.
 #[cfg(test)]
 pub(crate) mod oracle {
     use std::cell::Cell;
@@ -411,12 +394,11 @@ mod tests {
         p.eval(&params, &mut g);
         p.eval(&params, &mut g);
         let stats = p.engine().stats();
-        assert_eq!(stats.wl_grad.count, 2);
-        // the second eval is at the same point: its density term is reused
-        assert_eq!(stats.density.count, 1);
-        assert_eq!(stats.density_reused, 1);
+        // an eval executes both stages, even at the point of the last one
+        assert_eq!((stats.wl_grad.count, stats.density.count), (2, 2));
+        assert_eq!(stats.reused, 0);
         // one density update runs 4 spectral sweeps (DCT2, DCT3, ×2 field)
-        assert_eq!(stats.density_transform.count, 4);
+        assert_eq!(stats.density_transform.count, 8);
         assert!(stats.density_transform.nanos <= stats.density.nanos);
     }
 
@@ -442,34 +424,11 @@ mod tests {
         std::iter::once(f).chain(g).map(f64::to_bits).collect()
     }
 
-    #[test]
-    fn hit_under_changed_settings_equals_a_fresh_problems_eval() {
-        let c = synth::generate(&synth::smoke_spec());
-        type Setting = fn(&mut PlacementProblem<'_>);
-        let settings: [(&str, Setting); 2] = [
-            ("lambda", |p| p.lambda = 3.25e-3),
-            ("set_smoothing", |p| p.set_smoothing(0.37)),
-        ];
-        for (name, apply) in settings {
-            let mut held = problem(&c);
-            held.lambda = 1e-3;
-            let x = spread_point(&c, &held, 0.0);
-            eval_bits(&mut held, &x);
-            apply(&mut held);
-            let hit = eval_bits(&mut held, &x);
-            let stats = held.engine().stats();
-            assert_eq!(
-                (stats.density.count, stats.density_reused),
-                (1, 1),
-                "{name}"
-            );
-
-            let mut fresh = problem(&c);
-            fresh.lambda = 1e-3;
-            apply(&mut fresh);
-            assert_eq!(hit, eval_bits(&mut fresh, &x), "{name}");
-            assert_eq!(held.last_stats(), fresh.last_stats(), "{name}");
-        }
+    /// Bits of one re-evaluation: value first, then the gradient.
+    fn reeval_bits(p: &mut PlacementProblem<'_>, x: &[f64]) -> Vec<u64> {
+        let mut g = vec![0.0; p.dim()];
+        let f = p.reeval(x, &mut g);
+        std::iter::once(f).chain(g).map(f64::to_bits).collect()
     }
 
     #[test]
@@ -485,7 +444,7 @@ mod tests {
         eval_bits(&mut p, &x);
         let at_y = eval_bits(&mut p, &y);
         let stats = p.engine().stats();
-        assert_eq!((stats.density.count, stats.density_reused), (2, 0));
+        assert_eq!((stats.density.count, stats.reused), (2, 0));
         let mut fresh = problem(&c);
         fresh.lambda = 1e-3;
         assert_eq!(at_y, eval_bits(&mut fresh, &y));
@@ -502,36 +461,9 @@ mod tests {
         let before = p.last_stats();
         let other = p.density_report(&elsewhere);
         assert_ne!(other.energy, before.density_energy);
-        assert_eq!(first, eval_bits(&mut p, &x));
+        assert_eq!(first, reeval_bits(&mut p, &x));
         assert_eq!(p.last_stats(), before);
-        assert_eq!(p.engine().stats().density_reused, 1);
-    }
-
-    #[test]
-    fn injected_nan_counts_down_and_poisons_on_a_hit() {
-        let c = synth::generate(&synth::smoke_spec());
-        let mut p = problem(&c);
-        p.lambda = 1e-3;
-        let x = spread_point(&c, &p, 0.0);
-        p.inject_nan(1, 1);
-        let clean = eval_bits(&mut p, &x);
-        assert!(clean.iter().all(|&b| f64::from_bits(b).is_finite()));
-        let poisoned = eval_bits(&mut p, &x);
-        assert!(poisoned.iter().all(|&b| f64::from_bits(b).is_nan()));
-        assert!(p.last_stats().overflow.is_nan());
-        assert_eq!(
-            clean,
-            eval_bits(&mut p, &x),
-            "one poisoned eval, then clean"
-        );
-        assert_eq!(p.engine().stats().density_reused, 2);
-    }
-
-    /// Bits of one re-evaluation: value first, then the gradient.
-    fn reeval_bits(p: &mut PlacementProblem<'_>, x: &[f64]) -> Vec<u64> {
-        let mut g = vec![0.0; p.dim()];
-        let f = p.reeval(x, &mut g);
-        std::iter::once(f).chain(g).map(f64::to_bits).collect()
+        assert_eq!(p.engine().stats().reused, 1);
     }
 
     #[test]
@@ -546,11 +478,10 @@ mod tests {
         let hit = reeval_bits(&mut held, &x);
         let s = held.engine().stats();
         assert_eq!(
-            (s.wl_grad.count, s.wl_reused),
-            (1, 1),
-            "no gradient stage ran"
+            (s.wl_grad.count, s.density.count, s.reused),
+            (1, 1, 1),
+            "no stage ran"
         );
-        assert_eq!((s.density.count, s.density_reused), (1, 1));
 
         // the held wirelength term keeps the smoothing it was taken at (1.0)
         let mut fresh = problem(&c);
@@ -565,7 +496,7 @@ mod tests {
         };
         assert_eq!(hit, recomputed);
         assert_eq!(held.smoothing(), 0.37);
-        assert_eq!(held.engine().stats().wl_reused, 1);
+        assert_eq!(held.engine().stats().reused, 1);
     }
 
     #[test]
@@ -588,8 +519,7 @@ mod tests {
         p.set_smoothing(0.37);
         let at_y = reeval_bits(&mut p, &y);
         let s = p.engine().stats();
-        assert_eq!((s.wl_grad.count, s.wl_reused), (2, 0));
-        assert_eq!((s.density.count, s.density_reused), (2, 0));
+        assert_eq!((s.wl_grad.count, s.density.count, s.reused), (2, 2, 0));
         let mut want = fresh();
         want.set_smoothing(0.37);
         assert_eq!(at_y, eval_bits(&mut want, &y));
@@ -607,7 +537,7 @@ mod tests {
         assert!(poisoned.iter().all(|&b| f64::from_bits(b).is_nan()));
         assert!(p.last_stats().wirelength.is_nan());
         assert_eq!(clean, reeval_bits(&mut p, &x), "one poisoned reeval");
-        assert_eq!(p.engine().stats().wl_reused, 2);
+        assert_eq!(p.engine().stats().reused, 2);
     }
 
     #[test]

@@ -220,15 +220,19 @@ mod tests {
             "engine stage counters re-exported into the registry"
         );
         assert_eq!(
-            rep.counter("engine.density.count").unwrap()
-                + rep.counter("engine.density.reused").unwrap(),
-            rep.counter("engine.wl_grad.count").unwrap() + rep.counter("engine.wl.reused").unwrap(),
-            "every evaluation executes or reuses each term"
+            rep.counter("engine.wl_grad.count"),
+            Some(r.trials as u64 + 1),
+            "one evaluation per trial, plus the first λ0 probe"
         );
         assert_eq!(
-            rep.counter("engine.wl.reused"),
-            Some(r.iterations as u64),
-            "the second λ0 probe and every step after the first reopen on held terms"
+            rep.counter("engine.density.count"),
+            rep.counter("engine.wl_grad.count"),
+            "every evaluation executes both stages"
+        );
+        assert_eq!(
+            rep.counter("engine.reused"),
+            Some(r.iterations as u64 + 1),
+            "the second λ0 probe and every step's opening reuse both held terms"
         );
         // the wirelength ledger, a work count no clock can blur: per
         // gradient evaluation every net of at least two pins with a

@@ -133,12 +133,12 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
         r.gauge(&format!("{name}.seconds"))
             .set(stage.nanos as f64 * 1e-9);
     }
-    // evaluations that reused a held term instead of executing its stage;
-    // each evaluation executes or reuses both, so `engine.wl_grad.count` +
-    // `engine.wl.reused` = `engine.density.count` + `engine.density.reused`,
-    // and on a clean run `engine.wl.reused` = `gp.iterations`
-    r.counter("engine.wl.reused").add(e.wl_reused);
-    r.counter("engine.density.reused").add(e.density_reused);
+    // evaluations that recombined both held terms instead of executing
+    // either stage; every other evaluation executes both, so
+    // `engine.wl_grad.count` = `engine.density.count`; on a clean run
+    // `engine.reused` is one per GP iteration plus one per GP run (its
+    // second λ0 probe)
+    r.counter("engine.reused").add(e.reused);
     // which path served the nets of the wirelength gradient stage (class
     // kernel: 2..=`MAX_CLASS_DEGREE` pins under Moreau; per-net path: the
     // rest), and how many it skipped because no pin of theirs can move; with the nets of

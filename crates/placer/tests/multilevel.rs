@@ -150,6 +150,32 @@ fn two_level_flow_places_smoke_clustered_legally() {
     assert!(rep.counter("gp.iterations").is_some());
 }
 
+/// One engine serves every level: each GP run reuses its held terms once
+/// per iteration plus once for its second λ₀ probe, and every other
+/// evaluation executes both stages.
+#[test]
+fn one_engine_counts_the_reuses_of_every_level() {
+    let c = small_clustered();
+    let config = MultilevelConfig {
+        levels: 2,
+        pipeline: PipelineConfig {
+            global: GlobalConfig {
+                max_iters: 250,
+                ..GlobalConfig::default()
+            },
+            ..PipelineConfig::default()
+        },
+        ..MultilevelConfig::default()
+    };
+    let r = run_multilevel(&c, &config).expect("multilevel flow");
+    assert_eq!(r.levels, 2);
+    let s = r.result.engine_stats;
+    let iterations: usize = r.level_stats.iter().map(|l| l.iterations).sum();
+    assert_eq!(s.reused, (iterations + r.levels) as u64, "{s:?}");
+    assert_eq!(s.wl_grad.count, s.density.count, "{s:?}");
+    assert_eq!(r.result.report.counter("engine.reused"), Some(s.reused));
+}
+
 /// ECO contract: cells outside the dirty window keep **bit-identical**
 /// coordinates, cells inside get re-placed, and the driver reports the
 /// exact frozen/replaced split.

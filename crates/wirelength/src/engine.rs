@@ -3,10 +3,10 @@
 //! Global placement evaluates the objective hundreds of times, all of it
 //! on the calling thread. [`EvalEngine`] is what the stages of one run
 //! share to account for that work ([`EngineStats`]): per-stage evaluation
-//! counts and wall time, workspace (re)allocations, wirelength- and
-//! density-term reuses and which path served the nets of the wirelength
-//! gradient. It executes
-//! nothing and holds no threads; building one is free.
+//! counts and wall time, workspace (re)allocations, evaluations served
+//! from held terms and which path served the nets of the wirelength
+//! gradient. It executes nothing and holds no threads; building one is
+//! free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -57,12 +57,12 @@ pub struct EngineStats {
     /// Workspace arena (re)allocations noted by evaluators; stays flat
     /// across iterations once topology is warm.
     pub workspace_allocs: u64,
+    /// Evaluations that recombined both terms held from the previous
+    /// evaluation at the same point instead of executing either stage (not
+    /// counted in `wl_grad` or `density`).
+    pub reused: u64,
     /// Wirelength value+gradient stage.
     pub wl_grad: StageStats,
-    /// Evaluations that recombined the wirelength term held from the
-    /// previous evaluation at the same point instead of executing the stage
-    /// (not counted in `wl_grad`).
-    pub wl_reused: u64,
     /// Assembly + cell scatter sub-stage of `wl_grad` (included in it).
     pub wl_scatter: StageStats,
     /// Net evaluations of the gradient stage served by the degree-class
@@ -80,9 +80,6 @@ pub struct EngineStats {
     pub wl_inactive_nets: u64,
     /// Density stage (executed raster + Poisson solve + gather).
     pub density: StageStats,
-    /// Evaluations that reused the density term already held for the same
-    /// point instead of executing the stage (not counted in `density`).
-    pub density_reused: u64,
     /// Spectral-transform sub-stage of density (included in `density`).
     pub density_transform: StageStats,
 }
@@ -100,8 +97,7 @@ struct StageCounter {
 #[derive(Debug, Default)]
 pub struct EvalEngine {
     workspace_allocs: AtomicU64,
-    wl_reused: AtomicU64,
-    density_reused: AtomicU64,
+    reused: AtomicU64,
     wl_class_nets: AtomicU64,
     wl_generic_nets: AtomicU64,
     wl_inactive_nets: AtomicU64,
@@ -158,16 +154,10 @@ impl EvalEngine {
         self.workspace_allocs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one evaluation whose wirelength term was reused from the
-    /// previous evaluation at the same point (no gradient stage executed).
-    pub fn note_wl_reuse(&self) {
-        self.wl_reused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one evaluation whose density term was reused from the
-    /// previous evaluation at the same point (no density stage executed).
-    pub fn note_density_reuse(&self) {
-        self.density_reused.fetch_add(1, Ordering::Relaxed);
+    /// Records one evaluation served from the terms held from the previous
+    /// evaluation at the same point (no stage executed).
+    pub fn note_reuse(&self) {
+        self.reused.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records which path served the nets of one wirelength gradient
@@ -194,14 +184,13 @@ impl EvalEngine {
             parallel_runs: 0,
             serial_runs: wl_grad.count,
             workspace_allocs: self.workspace_allocs.load(Ordering::Relaxed),
+            reused: self.reused.load(Ordering::Relaxed),
             wl_grad,
-            wl_reused: self.wl_reused.load(Ordering::Relaxed),
             wl_scatter: stage(Stage::WlScatter),
             wl_class_nets: self.wl_class_nets.load(Ordering::Relaxed),
             wl_generic_nets: self.wl_generic_nets.load(Ordering::Relaxed),
             wl_inactive_nets: self.wl_inactive_nets.load(Ordering::Relaxed),
             density: stage(Stage::Density),
-            density_reused: self.density_reused.load(Ordering::Relaxed),
             density_transform: stage(Stage::DensityTransform),
         }
     }
@@ -209,8 +198,7 @@ impl EvalEngine {
     /// Resets every counter.
     pub fn reset_stats(&self) {
         self.workspace_allocs.store(0, Ordering::Relaxed);
-        self.wl_reused.store(0, Ordering::Relaxed);
-        self.density_reused.store(0, Ordering::Relaxed);
+        self.reused.store(0, Ordering::Relaxed);
         self.wl_class_nets.store(0, Ordering::Relaxed);
         self.wl_generic_nets.store(0, Ordering::Relaxed);
         self.wl_inactive_nets.store(0, Ordering::Relaxed);
@@ -237,8 +225,7 @@ mod tests {
         assert_eq!(x, 42);
         engine.time_stage(Stage::WlGrad, || {});
         engine.time_stage(Stage::Density, || {});
-        engine.note_density_reuse();
-        engine.note_wl_reuse();
+        engine.note_reuse();
         engine.note_wl_nets(7, 3, 2);
         engine.note_wl_nets(7, 3, 2);
         let s = engine.stats();
@@ -249,13 +236,11 @@ mod tests {
         );
         assert_eq!(s.wl_scatter.count, 0);
         assert_eq!(s.density.count, 1, "a reuse is not an executed stage");
-        assert_eq!(s.density_reused, 1);
-        assert_eq!(s.wl_reused, 1, "a reuse is not a gradient evaluation");
+        assert_eq!(s.reused, 1);
         assert_eq!((s.parallel_runs, s.serial_runs), (0, 2));
         engine.reset_stats();
         assert_eq!(engine.stats().wl_grad.count, 0);
-        assert_eq!(engine.stats().density_reused, 0);
-        assert_eq!(engine.stats().wl_reused, 0);
+        assert_eq!(engine.stats().reused, 0);
         assert_eq!(engine.stats().wl_class_nets, 0);
         assert_eq!(engine.stats().wl_inactive_nets, 0);
     }

@@ -16,9 +16,9 @@
 //! # Two routes
 //!
 //! Algorithm 1 is a sort and two water-filling scans per net and axis. A
-//! net of 2..=16 pins ([`MAX_CLASS_DEGREE`]) takes the class kernel
-//! [`eval_class`]: a min/max sorting network read from the comparator
-//! table [`network`], then both water levels without a data-dependent
+//! net of 2..=16 pins (`MAX_CLASS_DEGREE`) takes the class kernel
+//! `eval_class`: a min/max sorting network read from the comparator
+//! table `network`, then both water levels without a data-dependent
 //! branch, several nets side by side. A net of more pins takes
 //! `sort_unstable_by` and the scans of [`crate::waterfill`]. The per-net
 //! entry points below and the whole-netlist evaluator of [`crate::netgrad`]

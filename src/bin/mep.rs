@@ -436,7 +436,8 @@ fn main() -> ExitCode {
                 global,
                 ..PipelineConfig::default()
             };
-            let result: PipelineResult = if levels > 1 {
+            // each GP iteration of every level writes one trace record
+            let (trace_records, result): (usize, PipelineResult) = if levels > 1 {
                 eprintln!("[mep] multilevel flow: {levels} levels requested …");
                 match run_multilevel(
                     &circuit,
@@ -453,7 +454,7 @@ fn main() -> ExitCode {
                                 s.level, s.movable, s.iterations, s.hpwl, s.rt_seconds
                             );
                         }
-                        ml.result
+                        (ml.level_stats.iter().map(|s| s.iterations).sum(), ml.result)
                     }
                     Err(e) => {
                         eprintln!("error: {e}");
@@ -462,7 +463,7 @@ fn main() -> ExitCode {
                 }
             } else {
                 match run(&circuit, &pipeline_config) {
-                    Ok(r) => r,
+                    Ok(r) => (r.iterations, r),
                     Err(e) => {
                         eprintln!("error: {e}");
                         return ExitCode::FAILURE;
@@ -476,7 +477,7 @@ fn main() -> ExitCode {
                 }
                 eprintln!(
                     "[mep] wrote {} trace records to {}",
-                    result.iterations,
+                    trace_records,
                     sink.path().display()
                 );
             }
@@ -503,20 +504,19 @@ fn main() -> ExitCode {
             let es = &result.engine_stats;
             println!("engine workspace allocs {}", es.workspace_allocs);
             println!(
-                "stage wl-grad {}x {:.3}s + {} reused (scatter {:.3}s, nets {} class / {} generic / {} inactive)  \
-                 density {}x {:.3}s + {} reused  (spectral {}x {:.3}s)  nesterov {} trials",
+                "stage wl-grad {}x {:.3}s (scatter {:.3}s, nets {} class / {} generic / {} inactive)  \
+                 density {}x {:.3}s (spectral {}x {:.3}s)  {} reused  nesterov {} trials",
                 es.wl_grad.count,
                 es.wl_grad.seconds(),
-                es.wl_reused,
                 es.wl_scatter.seconds(),
                 es.wl_class_nets,
                 es.wl_generic_nets,
                 es.wl_inactive_nets,
                 es.density.count,
                 es.density.seconds(),
-                es.density_reused,
                 es.density_transform.count,
                 es.density_transform.seconds(),
+                es.reused,
                 result.trials
             );
             if metrics {

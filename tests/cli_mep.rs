@@ -208,8 +208,11 @@ fn multilevel_flag_reports_level_schedule_and_ml_metrics() {
     for name in ["ml.levels", "ml.level1.hpwl", "ml.level0.hpwl"] {
         assert!(stdout.contains(name), "missing `{name}` in:\n{stdout}");
     }
-    // the trace carries records from both levels with stage labels
+    // the trace carries records from both levels with stage labels, and
+    // the count printed is the file's
     let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let written = format!("wrote {} trace records", text.lines().count());
+    assert!(stderr.contains(&written), "want `{written}` in:\n{stderr}");
     assert!(
         text.lines()
             .any(|l| l.contains("\"level\":1") && l.contains("\"stage\":\"coarse\"")),

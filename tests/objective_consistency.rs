@@ -49,21 +49,20 @@ fn newblue6_nets_per_evaluation_by_kernel_route() {
 
 #[test]
 fn smoke_gp_runs_one_wirelength_evaluation_per_iteration() {
-    // noise-free work-count guard: each Nesterov step after the first
-    // reopens on the held terms of the trial its predecessor accepted, so
-    // the gradient stage runs once per trial, plus the first λ₀ probe and
-    // the first step's opening — a change that evaluates the opening point
-    // again doubles the count
+    // noise-free work-count guard: every Nesterov step opens on the held
+    // terms of the trial its predecessor accepted, so both stages run once
+    // per trial plus the first λ₀ probe — a change that evaluates the
+    // opening point again adds one per iteration
     let circuit = synth::generate(&synth::smoke_spec());
     let r = place(&circuit, &GlobalConfig::default()).expect("global placement");
     let s = r.engine_stats;
-    let iterations = r.iterations as u64;
-    assert!(
-        10 * s.wl_grad.count <= 11 * iterations + 30,
-        "{} gradient evaluations for {iterations} iterations",
-        s.wl_grad.count
+    let (iterations, trials) = (r.iterations as u64, r.trials as u64);
+    assert_eq!(
+        (s.wl_grad.count, s.density.count),
+        (trials + 1, trials + 1),
+        "{iterations} iterations"
     );
-    assert_eq!(s.wl_reused, iterations);
+    assert_eq!(s.reused, iterations + 1);
 }
 
 #[test]
