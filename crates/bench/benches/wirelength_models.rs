@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mep_netlist::synth;
-use mep_wirelength::model::{ModelKind, NetModel};
+use mep_wirelength::model::ModelKind;
 use mep_wirelength::{NetlistEvaluator, WirelengthGrad};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -23,7 +23,7 @@ use mep_placer::global::{place, GlobalConfig, MoreauSchedule};
 use mep_placer::pipeline::{run, PipelineConfig, PipelineResult};
 use mep_placer::DetailConfig;
 use mep_wirelength::lse::lse_max_naive;
-use mep_wirelength::model::{ModelKind, NetModel};
+use mep_wirelength::model::ModelKind;
 use mep_wirelength::wa::wa_naive;
 use mep_wirelength::waterfill;
 use rand::rngs::StdRng;
@@ -194,7 +194,7 @@ fn fig1a() -> Res<Table> {
     for &x in &xs {
         let mut cells = vec![format!("{x:.4}")];
         for (m, curve) in models.iter_mut().zip(&mut curves) {
-            let v = m.value_axis(&[0.0, x, 100.0]);
+            let v = m.eval_axis(&[0.0, x, 100.0], &mut [0.0; 3]);
             curve.push(v);
             cells.push(format!("{v:.6}"));
         }
@@ -258,7 +258,10 @@ fn fig1b() -> Res<Table> {
         let mut cells = vec![format!("{p:.6}")];
         for kind in [ModelKind::Lse, ModelKind::Wa, ModelKind::Moreau] {
             let mut m = kind.instantiate(p);
-            let err: f64 = nets.iter().map(|n| (m.value_axis(n) - SPAN).abs()).sum();
+            let err: f64 = nets
+                .iter()
+                .map(|n| (m.eval_axis(n, &mut [0.0; 4]) - SPAN).abs())
+                .sum();
             cells.push(format!("{:.6}", err / TRIALS as f64));
         }
         table.push(cells);
@@ -387,7 +390,7 @@ fn stability() -> Res<Table> {
         let mut cells = vec![format!("{:e}", x[1])];
         cells.extend(naive);
         for m in &mut models {
-            cells.push(format!("{:.6e}", m.value_axis(&x)));
+            cells.push(format!("{:.6e}", m.eval_axis(&x, &mut [0.0; 2])));
         }
         table.push(cells);
     }

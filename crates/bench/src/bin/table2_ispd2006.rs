@@ -12,82 +12,13 @@
 //!
 //! Writes `results/table2_ispd2006.csv`.
 
-use mep_bench::table::avg_ratio;
-use mep_bench::{run_benchmark, write_reports_jsonl, BenchmarkRow, FlowOptions, Table};
 use mep_netlist::synth;
-use mep_wirelength::ModelKind;
 
-fn main() {
-    let opts = FlowOptions::from_args();
-    let specs = synth::ispd2006_suite();
-    let models = ModelKind::contestants();
-
-    let mut rows: Vec<Vec<BenchmarkRow>> = Vec::new();
-    for spec in &specs {
-        let mut per_model = Vec::new();
-        for &model in &models {
-            eprintln!("[table2] {} × {} …", spec.name, model.label());
-            let row = run_benchmark(spec, model, &opts);
-            assert_eq!(
-                row.violations,
-                0,
-                "{} × {} produced an illegal placement",
-                spec.name,
-                model.label()
-            );
-            per_model.push(row);
-        }
-        rows.push(per_model);
-    }
-
-    let mut header = vec!["Benchmark".to_string()];
-    for m in &models {
-        header.push(format!("{} LGWL", m.label()));
-        header.push(format!("{} DPWL", m.label()));
-        header.push(format!("{} RT(s)", m.label()));
-    }
-    let mut table = Table::new(header);
-    for per_model in &rows {
-        let mut cells = vec![per_model[0].bench.clone()];
-        for r in per_model {
-            cells.push(format!("{:.4e}", r.lgwl));
-            cells.push(format!("{:.4e}", r.dpwl));
-            cells.push(format!("{:.1}", r.rt));
-        }
-        table.push(cells);
-    }
-    // Avg. Ratio row vs Ours (paper convention: Ours = 1.000)
-    let ours_idx = models
-        .iter()
-        .position(|m| *m == ModelKind::Moreau)
-        .expect("Moreau is a contestant");
-    let ours_lg: Vec<f64> = rows.iter().map(|r| r[ours_idx].lgwl).collect();
-    let ours_dp: Vec<f64> = rows.iter().map(|r| r[ours_idx].dpwl).collect();
-    let ours_rt: Vec<f64> = rows.iter().map(|r| r[ours_idx].rt).collect();
-    let mut cells = vec!["Avg. Ratio".to_string()];
-    for (mi, _m) in models.iter().enumerate() {
-        let lg: Vec<f64> = rows.iter().map(|r| r[mi].lgwl).collect();
-        let dp: Vec<f64> = rows.iter().map(|r| r[mi].dpwl).collect();
-        let rt: Vec<f64> = rows.iter().map(|r| r[mi].rt).collect();
-        cells.push(format!("{:.3}", avg_ratio(&lg, &ours_lg)));
-        cells.push(format!("{:.3}", avg_ratio(&dp, &ours_dp)));
-        cells.push(format!("{:.2}", avg_ratio(&rt, &ours_rt)));
-    }
-    table.push(cells);
-
-    println!("Table II — ISPD2006 HPWL and runtime comparison");
-    println!("(NTUPlace3 reference column: n/a — closed-source external binary)\n");
-    print!("{}", table.to_text());
-    if let Err(e) = table.write_csv("results/table2_ispd2006.csv") {
-        eprintln!("could not write CSV: {e}");
-    } else {
-        println!("\nwrote results/table2_ispd2006.csv");
-    }
-    match write_reports_jsonl(
-        "results/table2_ispd2006_reports.jsonl",
-        rows.iter().flatten(),
-    ) {
-        Ok(()) => println!("wrote results/table2_ispd2006_reports.jsonl"),
-        Err(e) => eprintln!("could not write run reports: {e}"),
-    }
+fn main() -> Result<(), String> {
+    mep_bench::run_paper_table(
+        &synth::ispd2006_suite(),
+        "Table II — ISPD2006 HPWL and runtime comparison\n\
+         (NTUPlace3 reference column: n/a — closed-source external binary)",
+        "table2_ispd2006",
+    )
 }

@@ -47,14 +47,10 @@ impl Table {
 
     /// Renders a column-aligned text table (also valid Markdown).
     pub fn to_text(&self) -> String {
-        let ncol = self.header.len();
-        let mut width = vec![0usize; ncol];
-        for (i, h) in self.header.iter().enumerate() {
-            width[i] = h.len();
-        }
+        let mut width: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                width[i] = width[i].max(cell.len());
+            for (w, cell) in width.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
             }
         }
         let mut out = String::new();

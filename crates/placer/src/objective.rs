@@ -9,7 +9,7 @@ use mep_density::electro::{DensityReport, Electrostatics};
 use mep_netlist::{CellId, Design, Placement};
 use mep_optim::Problem;
 use mep_wirelength::engine::{EvalEngine, Stage};
-use mep_wirelength::{AnyModel, NetModel, NetlistEvaluator, WirelengthGrad};
+use mep_wirelength::{AnyModel, NetlistEvaluator, WirelengthGrad};
 use std::sync::Arc;
 
 /// Statistics of the most recent objective evaluation.

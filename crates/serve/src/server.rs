@@ -21,8 +21,7 @@
 
 use crate::events::{Event, EventSink, JobTraceSink};
 use crate::job::{
-    estimate_circuit_bytes, placement_fingerprint, ChaosMode, JobError, JobOutcome, JobRequest,
-    JobSummary,
+    estimate_bytes, placement_fingerprint, ChaosMode, JobError, JobOutcome, JobRequest, JobSummary,
 };
 use crate::queue::BoundedQueue;
 use mep_obs::{Registry, RunReport};
@@ -405,18 +404,14 @@ impl Drop for Server {
 /// never from library code or tests.
 pub fn install_quiet_panic_hook() {
     std::panic::set_hook(Box::new(|info| {
-        let msg = if let Some(s) = info.payload().downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = info.payload().downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
         let location = info
             .location()
             .map(|l| format!("{}:{}", l.file(), l.line()))
             .unwrap_or_else(|| "unknown".to_string());
-        eprintln!("panic isolated at {location}: {msg}");
+        eprintln!(
+            "panic isolated at {location}: {}",
+            panic_message(info.payload())
+        );
     }));
 }
 
@@ -580,7 +575,8 @@ fn execute_job(shared: &Shared, job: &QueuedJob) -> Result<JobSummary, JobError>
     let circuit = req.circuit.load()?;
     // admission screen 2: re-estimate from the parsed circuit (matters
     // for .aux files, whose size is unknown until parse time)
-    let estimated = estimate_circuit_bytes(&circuit);
+    let nl = &circuit.design.netlist;
+    let estimated = estimate_bytes(nl.num_cells(), nl.num_nets(), nl.num_pins());
     if estimated > cfg.memory_budget_bytes {
         return Err(JobError::MemoryBudget {
             estimated,

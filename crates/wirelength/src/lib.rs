@@ -5,8 +5,10 @@
 //! ([`waterfill`]) — alongside every baseline the paper compares against:
 //! log-sum-exp ([`lse`]), weighted-average ([`wa`]), the CHKS bivariate
 //! model ([`big`]), and exact HPWL with its canonical subgradient
-//! ([`hpwl`]). All models share the [`model::NetModel`] trait and are
-//! summed over a netlist by [`netgrad::NetlistEvaluator`].
+//! ([`hpwl`]). Each model is one per-net function; the one model type
+//! [`model::AnyModel`] holds which model, its smoothing and the scratch
+//! they evaluate in, and [`netgrad::NetlistEvaluator`] sums it over a
+//! netlist.
 //!
 //! The overflow-driven smoothing schedules of §III-C (the paper's tangent
 //! schedule Eq. (14) and ePlace's decade schedule) live in [`schedule`].
@@ -14,7 +16,7 @@
 //! # Example
 //!
 //! ```
-//! use mep_wirelength::model::{ModelKind, NetModel};
+//! use mep_wirelength::model::ModelKind;
 //!
 //! let mut ours = ModelKind::Moreau.instantiate(0.5);
 //! let x = [0.0, 4.0, 10.0];
@@ -42,6 +44,6 @@ pub mod wa;
 pub mod waterfill;
 
 pub use engine::{EngineStats, EvalEngine, Stage, StageStats};
-pub use model::{AnyModel, ModelKind, NetModel};
+pub use model::{AnyModel, ModelKind};
 pub use netgrad::{NetlistEvaluator, WirelengthGrad};
 pub use schedule::{EplaceGammaSchedule, SmoothingSchedule, TangentTSchedule};

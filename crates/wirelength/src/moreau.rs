@@ -21,11 +21,11 @@
 //! table `network`, then both water levels without a data-dependent
 //! branch, several nets side by side. A net of more pins takes
 //! `sort_unstable_by` and the scans of [`crate::waterfill`]. The per-net
-//! entry points below and the whole-netlist evaluator of [`crate::netgrad`]
-//! split at the same constant, and both routes are pinned bit for bit to
-//! the `reference` oracle of the test module.
+//! core `eval_net` (behind [`prox`], [`eval_with_gradient`] and
+//! [`crate::AnyModel::eval_axis`]) and the whole-netlist evaluator of
+//! [`crate::netgrad`] split at the same constant, and both routes are
+//! pinned bit for bit to the `reference` oracle of the test module.
 
-use crate::model::NetModel;
 use crate::waterfill::TauPair;
 
 /// Result of one envelope evaluation, exposing the intermediate quantities
@@ -49,7 +49,7 @@ pub struct EnvelopeEval {
 ///
 /// `x` need not be sorted. `O(n log n)` from the internal sort. Allocates
 /// a per-call scratch copy for nets of more than 16 pins; the hot loop goes
-/// through [`Moreau`], which keeps its scratch.
+/// through [`crate::AnyModel`], which keeps its scratch.
 ///
 /// # Panics
 ///
@@ -70,16 +70,6 @@ pub fn prox(x: &[f64], t: f64, out: &mut [f64]) -> EnvelopeEval {
 pub fn eval_with_gradient(x: &[f64], t: f64, grad: &mut [f64]) -> EnvelopeEval {
     // lint:allow(no-alloc-hot): per-net convenience entry; the hot loop calls the core with the model's own scratch
     eval_net(x, t, Some(grad), None, &mut Vec::new())
-}
-
-/// Envelope value only. Allocates like [`prox`].
-///
-/// # Panics
-///
-/// Panics if `x` is empty or `t ≤ 0`.
-pub fn envelope(x: &[f64], t: f64) -> f64 {
-    // lint:allow(no-alloc-hot): per-net convenience entry; the hot loop calls the core with the model's own scratch
-    eval_net(x, t, None, None, &mut Vec::new()).envelope
 }
 
 /// Largest net degree the class kernel [`eval_class`] serves; nets of more
@@ -362,7 +352,7 @@ fn eval_small<const C: usize>(
 /// it has grown to the largest net degree), solves the water levels by the
 /// scans, then fills the requested outputs from the *original*
 /// coordinates.
-fn eval_net(
+pub(crate) fn eval_net(
     x: &[f64],
     t: f64,
     grad: Option<&mut [f64]>,
@@ -576,56 +566,15 @@ pub(crate) mod reference {
     }
 }
 
-/// The Moreau-envelope model as a reusable [`NetModel`]
-/// (reported value is `W_e^t + t`, the paper's convention).
-#[derive(Debug, Clone)]
-pub struct Moreau {
-    t: f64,
-    scratch: Vec<f64>,
-}
-
-impl Moreau {
-    /// Creates the model with smoothing parameter `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t ≤ 0`.
-    pub fn new(t: f64) -> Self {
-        assert!(t > 0.0, "smoothing parameter must be positive, got {t}");
-        Self {
-            t,
-            // lint:allow(no-alloc-hot): one empty Vec per evaluator; grows to max net degree once, then reused
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl NetModel for Moreau {
-    fn name(&self) -> &'static str {
-        "Moreau"
-    }
-
-    fn smoothing(&self) -> f64 {
-        self.t
-    }
-
-    fn set_smoothing(&mut self, s: f64) {
-        assert!(s > 0.0, "smoothing parameter must be positive, got {s}");
-        self.t = s;
-    }
-
-    fn eval_axis(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
-        eval_net(x, self.t, Some(grad), None, &mut self.scratch).envelope + self.t
-    }
-
-    fn value_axis(&mut self, x: &[f64]) -> f64 {
-        eval_net(x, self.t, None, None, &mut self.scratch).envelope + self.t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::ModelKind;
+
+    /// The envelope value alone.
+    fn envelope(x: &[f64], t: f64) -> f64 {
+        eval_net(x, t, None, None, &mut Vec::new()).envelope
+    }
 
     fn span(x: &[f64]) -> f64 {
         let mx = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -814,12 +763,11 @@ mod tests {
 
     #[test]
     fn model_reports_envelope_plus_t() {
-        let mut m = Moreau::new(0.5);
+        let mut m = ModelKind::Moreau.instantiate(0.5);
         let x = [0.0, 10.0];
         let mut g = [0.0; 2];
         let v = m.eval_axis(&x, &mut g);
         assert!((v - (envelope(&x, 0.5) + 0.5)).abs() < 1e-12);
-        assert_eq!(m.value_axis(&x), v);
     }
 
     #[test]
@@ -859,12 +807,6 @@ mod tests {
         for (a, b) in g1.iter().zip(&g2) {
             assert!((a - b).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "smoothing parameter must be positive")]
-    fn zero_t_rejected() {
-        let _ = Moreau::new(0.0);
     }
 
     /// Sorts a slice of ≤ 16 elements through one lane of the production
@@ -1166,21 +1108,6 @@ mod tests {
                     prop_assert_eq!(g[i].to_bits(), rg[i].to_bits(), "n={} t={} i={}", n, t, i);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn scratch_is_reused_without_reallocation() {
-        // more than 16 pins: the sort + scan path, the one that copies
-        let x: Vec<f64> = (0..17).map(|i| ((i * 7) % 17) as f64).collect();
-        let mut m = Moreau::new(1.0);
-        let _ = m.value_axis(&x);
-        let cap = m.scratch.capacity();
-        assert!(cap >= x.len());
-        for _ in 0..10 {
-            let mut g = vec![0.0; x.len()];
-            let _ = m.eval_axis(&x, &mut g);
-            assert_eq!(m.scratch.capacity(), cap, "scratch reallocated");
         }
     }
 }

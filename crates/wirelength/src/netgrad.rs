@@ -1,4 +1,4 @@
-//! Whole-netlist wirelength evaluation: sums a [`NetModel`] over every net
+//! Whole-netlist wirelength evaluation: sums an [`AnyModel`] over every net
 //! with a movable pin (both axes) and accumulates pin gradients onto the
 //! movable cells.
 //!
@@ -22,8 +22,9 @@
 //! degree through 8 pins, one body at a per-block trip count for 9..=16.
 //! The model is matched once per evaluation, not per net. Nets of more
 //! pins, and every net under the other models, go one at a time through
-//! [`NetModel::eval_axis`]. Both paths write the same slots, so the choice
-//! never shows in the result.
+//! [`AnyModel::eval_axis`], the per-net function of the model's kind (for
+//! Moreau the same `eval_net` core that pins its class lanes). Both paths
+//! write the same slots, so the choice never shows in the result.
 //!
 //! # Scatter
 //!
@@ -45,7 +46,7 @@
 mod workspace;
 
 use crate::engine::{EvalEngine, Stage};
-use crate::model::{AnyModel, NetModel};
+use crate::model::{AnyModel, ModelKind};
 use crate::moreau::{eval_class_nets, MAX_CLASS_DEGREE, MAX_UNROLLED_DEGREE};
 use mep_netlist::{CellId, NetId, Netlist, Placement};
 use std::sync::Arc;
@@ -84,8 +85,8 @@ impl Workspace {
     /// model (and every net of more than 16 pins) takes the per-net path.
     fn eval_nets(&mut self, netlist: &Netlist, placement: &Placement, model: &mut AnyModel) {
         let blocks = self.layout.blocks;
-        if let AnyModel::Moreau(moreau) = model {
-            let t = moreau.smoothing();
+        if model.kind() == ModelKind::Moreau {
+            let t = model.smoothing();
             self.class_block::<2>(2, &blocks[0], t, placement);
             self.class_block::<3>(3, &blocks[1], t, placement);
             self.class_block::<4>(4, &blocks[2], t, placement);
@@ -250,7 +251,7 @@ impl Workspace {
         }
     }
 
-    /// One net through the per-net [`NetModel`] path: pin `i` sits at slot
+    /// One net through the per-net [`AnyModel::eval_axis`] path: pin `i` sits at slot
     /// `first + i·stride`.
     fn net(
         &mut self,
@@ -350,7 +351,7 @@ impl NetlistEvaluator {
         }
         let engine = Arc::clone(&self.engine);
         engine.time_stage(Stage::WlGrad, || {
-            let class_kernel = matches!(self.model, AnyModel::Moreau(_));
+            let class_kernel = self.model.kind() == ModelKind::Moreau;
             let (ws, model) = self.prepare(netlist);
             ws.eval_nets(netlist, placement, model);
             engine.time_stage(Stage::WlScatter, || {
@@ -371,7 +372,6 @@ impl NetlistEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ModelKind;
     use mep_netlist::synth;
     use mep_netlist::total_hpwl;
 
@@ -455,16 +455,13 @@ mod tests {
             }
             let mut gx = vec![0.0; xs.len()];
             let mut gy = vec![0.0; ys.len()];
-            let (vx, vy) = match &model {
-                AnyModel::Moreau(m) => {
-                    let t = m.smoothing();
-                    let ex =
-                        crate::moreau::reference::eval(&xs, t, Some(&mut gx), None, &mut scratch);
-                    let ey =
-                        crate::moreau::reference::eval(&ys, t, Some(&mut gy), None, &mut scratch);
-                    (ex.envelope + t, ey.envelope + t)
-                }
-                _ => (model.eval_axis(&xs, &mut gx), model.eval_axis(&ys, &mut gy)),
+            let (vx, vy) = if model.kind() == ModelKind::Moreau {
+                let t = model.smoothing();
+                let ex = crate::moreau::reference::eval(&xs, t, Some(&mut gx), None, &mut scratch);
+                let ey = crate::moreau::reference::eval(&ys, t, Some(&mut gy), None, &mut scratch);
+                (ex.envelope + t, ey.envelope + t)
+            } else {
+                (model.eval_axis(&xs, &mut gx), model.eval_axis(&ys, &mut gy))
             };
             let w = nl.net_weight(net);
             out.value += w * (vx + vy);

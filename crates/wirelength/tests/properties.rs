@@ -1,10 +1,20 @@
 //! Property-based tests for the wirelength models, checking the paper's
 //! theorems on randomized nets.
 
-use mep_wirelength::model::{ModelKind, NetModel};
+use mep_wirelength::model::ModelKind;
 use mep_wirelength::moreau;
 use mep_wirelength::waterfill;
 use proptest::prelude::*;
+
+/// The Moreau envelope `W_e^t(x)` alone.
+fn envelope(x: &[f64], t: f64) -> f64 {
+    moreau::eval_with_gradient(x, t, &mut vec![0.0; x.len()]).envelope
+}
+
+/// A model's value alone, through a fresh model at smoothing `s`.
+fn value(kind: ModelKind, s: f64, x: &[f64]) -> f64 {
+    kind.instantiate(s).eval_axis(x, &mut vec![0.0; x.len()])
+}
 
 fn coords() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-500.0f64..500.0, 1..24)
@@ -75,7 +85,7 @@ proptest! {
     /// reals the extremes are unique, so the bound is `−t`.
     #[test]
     fn envelope_bound(x in coords(), t in smoothing()) {
-        let e = moreau::envelope(&x, t);
+        let e = envelope(&x, t);
         let w = span(&x);
         prop_assert!(e <= w + 1e-9);
         prop_assert!(e >= w - t - 1e-9);
@@ -122,7 +132,7 @@ proptest! {
                 let mut xm = x.clone();
                 xp[i] += h;
                 xm[i] -= h;
-                let fd = (m.value_axis(&xp) - m.value_axis(&xm)) / (2.0 * h);
+                let fd = (value(kind, s, &xp) - value(kind, s, &xm)) / (2.0 * h);
                 prop_assert!(
                     (fd - g[i]).abs() < 1e-4 * (1.0 + fd.abs()),
                     "{kind} coord {i}: fd {fd} vs {}", g[i]
@@ -136,11 +146,9 @@ proptest! {
     #[test]
     fn model_sidedness(x in coords_multi(), s in smoothing()) {
         let w = span(&x);
-        let mut lse = ModelKind::Lse.instantiate(s);
-        let mut wa = ModelKind::Wa.instantiate(s);
-        prop_assert!(lse.value_axis(&x) >= w - 1e-9);
-        prop_assert!(wa.value_axis(&x) <= w + 1e-9);
-        prop_assert!(moreau::envelope(&x, s) <= w + 1e-9);
+        prop_assert!(value(ModelKind::Lse, s, &x) >= w - 1e-9);
+        prop_assert!(value(ModelKind::Wa, s, &x) <= w + 1e-9);
+        prop_assert!(envelope(&x, s) <= w + 1e-9);
     }
 
     /// The Moreau envelope is convex (§II-D.2): midpoint convexity along
@@ -152,9 +160,9 @@ proptest! {
             .map(|(i, &v)| v + ((seed as f64 + i as f64) * 0.73).sin() * 50.0)
             .collect();
         let mid: Vec<f64> = a.iter().zip(&b).map(|(&p, &q)| 0.5 * (p + q)).collect();
-        let fa = moreau::envelope(&a, t);
-        let fb = moreau::envelope(&b, t);
-        let fm = moreau::envelope(&mid, t);
+        let fa = envelope(&a, t);
+        let fb = envelope(&b, t);
+        let fm = envelope(&mid, t);
         prop_assert!(fm <= 0.5 * (fa + fb) + 1e-9);
     }
 
@@ -163,8 +171,8 @@ proptest! {
     #[test]
     fn error_monotone_in_t(x in coords_multi(), t in 0.1f64..10.0) {
         let w = span(&x);
-        let e_big = (moreau::envelope(&x, t) - w).abs();
-        let e_small = (moreau::envelope(&x, t * 0.5) - w).abs();
+        let e_big = (envelope(&x, t) - w).abs();
+        let e_small = (envelope(&x, t * 0.5) - w).abs();
         prop_assert!(e_small <= e_big + 1e-9);
     }
 
@@ -173,8 +181,8 @@ proptest! {
     #[test]
     fn envelope_positive_homogeneity(x in coords_multi(), t in smoothing(), c in 0.1f64..10.0) {
         let scaled: Vec<f64> = x.iter().map(|&v| c * v).collect();
-        let lhs = moreau::envelope(&scaled, c * t);
-        let rhs = c * moreau::envelope(&x, t);
+        let lhs = envelope(&scaled, c * t);
+        let rhs = c * envelope(&x, t);
         prop_assert!((lhs - rhs).abs() < 1e-7 * (1.0 + rhs.abs()));
     }
 }

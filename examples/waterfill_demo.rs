@@ -6,7 +6,7 @@
 //! cargo run --example waterfill_demo
 //! ```
 
-use moreau_placer::wirelength::model::{ModelKind, NetModel};
+use moreau_placer::wirelength::model::ModelKind;
 use moreau_placer::wirelength::moreau;
 use moreau_placer::wirelength::waterfill;
 

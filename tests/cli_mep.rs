@@ -82,6 +82,66 @@ fn unknown_circuit_exits_nonzero() {
 }
 
 #[test]
+fn bench_list_names_every_builtin() {
+    let out = mep().arg("bench-list").output().expect("binary runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let listed: Vec<&str> = stdout
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    for name in [
+        "smoke",
+        "smoke_regions",
+        "smoke_clustered",
+        "newblue6",
+        "peko_600",
+    ] {
+        assert!(listed.contains(&name), "{name} missing:\n{stdout}");
+    }
+    let builtins = moreau_placer::netlist::synth::builtins();
+    assert_eq!(
+        listed.len(),
+        builtins.len(),
+        "one row per builtin:\n{stdout}"
+    );
+}
+
+#[test]
+fn gen_writes_a_builtin_that_read_aux_loads() {
+    use moreau_placer::netlist::{bookshelf, synth};
+    let dir = temp_dir("gen");
+    let out = mep()
+        .args(["gen", "smoke", dir.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let read = bookshelf::read_aux(dir.join("smoke.aux"), 1.0).expect("written circuit loads");
+    let want = synth::generate(&synth::smoke_spec()).design.netlist;
+    let got = &read.design.netlist;
+    assert_eq!(
+        (
+            got.num_movable(),
+            got.num_fixed(),
+            got.num_nets(),
+            got.num_pins()
+        ),
+        (
+            want.num_movable(),
+            want.num_fixed(),
+            want.num_nets(),
+            want.num_pins()
+        )
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unparseable_bookshelf_exits_nonzero_with_line_context() {
     let dir = temp_dir("corrupt");
     let aux = write_degenerate_circuit(&dir);
