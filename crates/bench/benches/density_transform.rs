@@ -12,6 +12,7 @@
 //! never the claim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mep_density::grid::DensityMap;
 use mep_density::transform::{Kind, Spectral2d};
 use mep_density::Electrostatics;
 use mep_netlist::synth;
@@ -49,8 +50,9 @@ fn bench_density_transform(c: &mut Criterion) {
 }
 
 /// One density stage on the `newblue6` stand-in (12.5k movable cells, 128²
-/// bins) at a spread placement: `update` is footprint table + raster +
-/// Poisson solve, `accumulate_gradient` the field gather over the table.
+/// bins) at a spread placement: `raster` is `DensityMap::update_movable`
+/// alone (footprint table + raster), `update` adds the Poisson solve,
+/// `accumulate_gradient` is the field gather over the table.
 fn bench_density_stage(c: &mut Criterion) {
     let spec = synth::spec_by_name("newblue6").expect("catalogue circuit");
     let circuit = synth::generate(&spec);
@@ -62,8 +64,15 @@ fn bench_density_stage(c: &mut Criterion) {
         spread.y[cell.index()] = rng.gen_range(die.yl..die.yh);
     }
     let mut es = Electrostatics::new(&circuit.design, &spread);
+    let mut map = DensityMap::new(es.grid().clone(), nl, &spread);
     let (mut gx, mut gy) = (vec![0.0; nl.num_cells()], vec![0.0; nl.num_cells()]);
     let mut group = c.benchmark_group("density_stage");
+    group.bench_function(BenchmarkId::new("raster", "newblue6"), |b| {
+        b.iter(|| {
+            map.update_movable(nl, black_box(&spread));
+            black_box(map.movable[0])
+        })
+    });
     group.bench_function(BenchmarkId::new("update", "newblue6"), |b| {
         b.iter(|| black_box(es.update(nl, black_box(&spread))))
     });

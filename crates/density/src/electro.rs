@@ -52,15 +52,17 @@ impl Electrostatics {
         );
         let bin_area = grid.bin_area();
         let map = DensityMap::new(grid, &design.netlist, placement);
+        // lint:allow(no-alloc-hot): construction; every update reuses these fields
+        let [rho, psi, ex, ey] = std::array::from_fn(|_| vec![0.0; n]);
         Self {
             map,
             solver,
             target_density: design.target_density,
             total_movable_area: design.netlist.total_movable_area(),
-            rho: vec![0.0; n],
-            psi: vec![0.0; n],
-            ex: vec![0.0; n],
-            ey: vec![0.0; n],
+            rho,
+            psi,
+            ex,
+            ey,
             bin_area,
         }
     }

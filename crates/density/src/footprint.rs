@@ -2,18 +2,28 @@
 //! footprint lands (its center and bin range), found once per density stage
 //! and read by both per-cell passes, the raster and the field gather.
 //!
-//! Both walk a footprint's bins through [`BinGrid::for_each_overlap`], whose
-//! `w·h` has the operands of the per-bin `bin_rect(ix, iy)
-//! .overlap_area(rect)` it replaces (rectangle overlap is separable: `w` a
-//! function of the column, `h` of the row), over the same bins in the same
-//! order, so every bin and every gradient entry keeps its bits
-//! (`tests/properties.rs` pins both passes against that per-rect path).
-//! What a stage no longer does twice is the bin range, with its four
-//! divisions, `floor`/`ceil` and casts; the area-preserving scale and its
-//! division are fixed at construction. The overlap weights are a few flops
-//! a bin and are not tabled: at 32 B a cell the table stays inside the
-//! flow's memory bound, which one holding weight runs did not (DESIGN.md
-//! §13).
+//! A bin's overlap area is `w·h`, with the operands of the per-bin
+//! `bin_rect(ix, iy).overlap_area(rect)` it replaces (rectangle overlap is
+//! separable: `w` a function of the column, `h` of the row), so every bin
+//! and every gradient entry keeps its bits (`tests/properties.rs` pins both
+//! passes against that per-rect path). What a stage no longer does twice
+//! is the bin range, with its four divisions, `floor`/`ceil` and casts; the
+//! area-preserving scale and its division are fixed at construction. The
+//! overlap weights are not tabled: at 32 B a cell the table stays inside
+//! the flow's memory bound, which one holding weight runs did not
+//! (DESIGN.md §13).
+//!
+//! Both passes walk the cells in steps of `L = 4`, one `[f64; 4]` per
+//! quantity (rect, area, bin range), with each cell's operations unchanged,
+//! so the divisions, `floor`/`ceil` and `min`/`max` vectorise across
+//! lanes. A cell whose span fits a `K × K = 3 × 3` window inside the grid
+//! (all but a few percent of a catalogue circuit) takes that window at a
+//! fixed trip count, with its six 1-D weights computed once and exactly
+//! `0.0` past the span: such a bin adds `±0` to a sum that starts at
+//! `+0.0`, which changes no bit. Every other cell, and the `n % 4` tail,
+//! walks its own bins through [`BinGrid::for_each_overlap`], in the same
+//! cell order. The raster scatters lane by lane, since two cells of a step
+//! may share a bin; the gather accumulates each lane in row-major order.
 
 use crate::grid::BinGrid;
 use mep_netlist::{CellId, Netlist, Placement, Rect};
@@ -64,15 +74,18 @@ impl Span {
                 grid.row_range(rect.yl, rect.yh),
             )
         };
-        let span = Self {
-            center: [c.x.to_bits(), c.y.to_bits()],
+        (rect, Self::new([c.x, c.y], cols, rows))
+    }
+
+    fn new([cx, cy]: [f64; 2], cols: std::ops::Range<usize>, rows: std::ops::Range<usize>) -> Self {
+        Self {
+            center: [cx.to_bits(), cy.to_bits()],
             // lossless: the ranges end inside the grid, whose sides fit `u32`
             col_lo: cols.start as u32,
             cols: cols.len() as u32,
             row_lo: rows.start as u32,
             rows: rows.len() as u32,
-        };
-        (rect, span)
+        }
     }
 
     fn cols(&self) -> std::ops::Range<usize> {
@@ -125,27 +138,74 @@ impl FootprintTable {
     }
 
     /// Tables every footprint at `placement` and splats it into `out`.
+    /// Returns how many cells took the fixed `K × K` window.
     pub(crate) fn raster(
         &mut self,
         grid: &BinGrid,
         netlist: &Netlist,
         placement: &Placement,
         out: &mut [f64],
-    ) {
+    ) -> usize {
         debug_assert_eq!(
             netlist.instance_id(),
             self.netlist_id,
             "not the netlist the table was built for"
         );
         debug_assert_eq!(out.len(), grid.len());
-        let cells = self.cells.iter().zip(&self.scale).zip(&mut self.spans);
-        for ((&cell, &scale), tabled) in cells {
-            let (rect, span) = Span::locate(grid, netlist, placement, cell);
-            *tabled = span;
-            grid.for_each_overlap(&rect, span.cols(), span.rows(), |bin, ov| {
-                out[bin] += scale * ov
-            });
+        let (steps, tail) = self.cells.as_chunks::<L>();
+        let (scales, tail_scales) = self.scale.as_chunks::<L>();
+        let (spans, tail_spans) = self.spans.as_chunks_mut::<L>();
+        let nx = grid.nx();
+        let mut fixed = 0;
+        for ((cells, scale), spans) in steps.iter().zip(scales).zip(spans) {
+            let mut center = [[0.0; L]; 2];
+            for (l, &cell) in cells.iter().enumerate() {
+                let c = placement.center(netlist, cell);
+                (center[0][l], center[1][l]) = (c.x, c.y);
+            }
+            let mut step = Step::new(grid, netlist, cells, center);
+            for l in 0..L {
+                let cols = grid.col_range(step.xl[l], step.xh[l]);
+                let rows = grid.row_range(step.yl[l], step.yh[l]);
+                (step.col_lo[l], step.cols[l]) = (cols.start, cols.len());
+                (step.row_lo[l], step.rows[l]) = (rows.start, rows.len());
+            }
+            let (w, h) = step.weights(grid);
+            for l in 0..L {
+                if !step.fits(grid, l) {
+                    raster_cell(
+                        grid,
+                        netlist,
+                        placement,
+                        cells[l],
+                        scale[l],
+                        &mut spans[l],
+                        out,
+                    );
+                    continue;
+                }
+                let (col_lo, row_lo) = (step.col_lo[l], step.row_lo[l]);
+                spans[l] = Span::new(
+                    [center[0][l], center[1][l]],
+                    col_lo..col_lo + step.cols[l],
+                    row_lo..row_lo + step.rows[l],
+                );
+                // in cell order: two lanes may share a bin
+                let base = grid.index(col_lo, row_lo);
+                for ky in 0..K {
+                    let row = &mut out[base + ky * nx..][..K];
+                    for (kx, bin) in row.iter_mut().enumerate() {
+                        *bin += scale[l] * (w[kx][l] * h[ky][l]);
+                    }
+                }
+                fixed += 1;
+            }
         }
+        let cells = tail.iter().zip(tail_scales).zip(tail_spans);
+        for ((&cell, &scale), tabled) in cells {
+            raster_cell(grid, netlist, placement, cell, scale, tabled, out);
+        }
+        fixed
     }
 
     /// Whether the table holds the footprints of `netlist` at `placement`.
@@ -156,35 +216,210 @@ impl FootprintTable {
     }
 
     /// `grad[cell] −= q · (overlap-weighted mean of E over the footprint)`
-    /// for every tabled cell, both fields in one traversal.
+    /// for every tabled cell, both fields in one traversal. Returns how many
+    /// cells took the fixed `K × K` window.
     pub(crate) fn gather(
         &self,
         grid: &BinGrid,
         netlist: &Netlist,
-        [ex, ey]: [&[f64]; 2],
-        [grad_x, grad_y]: [&mut [f64]; 2],
-    ) {
-        for (&cell, span) in self.cells.iter().zip(&self.spans) {
-            let rect = footprint(grid, netlist, cell, span.center.map(f64::from_bits));
-            let area = rect.area();
-            let e = if area <= 0.0 {
-                let bin = grid.index(span.col_lo as usize, span.row_lo as usize);
-                [ex[bin], ey[bin]]
-            } else {
-                let mut acc = [0.0; 2];
-                grid.for_each_overlap(&rect, span.cols(), span.rows(), |bin, ov| {
-                    acc[0] += ov * ex[bin];
-                    acc[1] += ov * ey[bin];
+        field: [&[f64]; 2],
+        grad: [&mut [f64]; 2],
+    ) -> usize {
+        let [ex, ey] = field;
+        let [grad_x, grad_y] = grad;
+        let (steps, tail) = self.cells.as_chunks::<L>();
+        let (spans, tail_spans) = self.spans.as_chunks::<L>();
+        let nx = grid.nx();
+        let mut fixed = 0;
+        for (cells, spans) in steps.iter().zip(spans) {
+            let mut center = [[0.0; L]; 2];
+            for (l, span) in spans.iter().enumerate() {
+                [center[0][l], center[1][l]] = span.center.map(f64::from_bits);
+            }
+            let mut step = Step::new(grid, netlist, cells, center);
+            for (l, span) in spans.iter().enumerate() {
+                (step.col_lo[l], step.cols[l]) = (span.col_lo as usize, span.cols as usize);
+                (step.row_lo[l], step.rows[l]) = (span.row_lo as usize, span.rows as usize);
+            }
+            let (w, h) = step.weights(grid);
+            let fits: [bool; L] = std::array::from_fn(|l| step.fits(grid, l));
+            let mut acc = [[0.0; L]; 2];
+            if fits.contains(&true) {
+                // each lane's window sliced once per field, so that the
+                // bounds checks leave the loop; a lane that does not fit
+                // reads the window at bin 0 (there is one: some lane fits)
+                // and its sums are dropped
+                let len = (K - 1) * nx + K;
+                let base: [usize; L] = std::array::from_fn(|l| {
+                    if fits[l] {
+                        grid.index(step.col_lo[l], step.row_lo[l])
+                    } else {
+                        0
+                    }
                 });
-                acc.map(|a| a / area)
-            };
-            // ∂D/∂x = −q·E_x  (the force is +qE; descending the objective
-            // moves the cell along the force)
-            let q = netlist.cell_area(cell);
-            grad_x[cell.index()] -= q * e[0];
-            grad_y[cell.index()] -= q * e[1];
+                let wx: [&[f64]; L] = std::array::from_fn(|l| &ex[base[l]..][..len]);
+                let wy: [&[f64]; L] = std::array::from_fn(|l| &ey[base[l]..][..len]);
+                for ky in 0..K {
+                    for kx in 0..K {
+                        for l in 0..L {
+                            let ov = w[kx][l] * h[ky][l];
+                            acc[0][l] += ov * wx[l][ky * nx + kx];
+                            acc[1][l] += ov * wy[l][ky * nx + kx];
+                        }
+                    }
+                }
+            }
+            for l in 0..L {
+                let cell = cells[l];
+                let e = if fits[l] {
+                    fixed += 1;
+                    [acc[0][l] / step.area[l], acc[1][l] / step.area[l]]
+                } else {
+                    mean_field(grid, netlist, cell, &spans[l], field)
+                };
+                apply(netlist, cell, e, [&mut *grad_x, &mut *grad_y]);
+            }
         }
+        for (&cell, span) in tail.iter().zip(tail_spans) {
+            let e = mean_field(grid, netlist, cell, span, field);
+            apply(netlist, cell, e, [&mut *grad_x, &mut *grad_y]);
+        }
+        fixed
     }
+}
+
+/// Cells per lane step.
+const L: usize = 4;
+/// Side, in bins, of the fixed footprint window: the span of a smoothed
+/// footprint up to two bins wide and high (all but a few percent of the
+/// cells of a catalogue circuit).
+const K: usize = 3;
+
+/// The footprints of `L` consecutive table cells, one array per quantity:
+/// each lane's rect and area with the operands of [`footprint`] and
+/// [`Rect::area`], and its bin ranges.
+struct Step {
+    xl: [f64; L],
+    yl: [f64; L],
+    xh: [f64; L],
+    yh: [f64; L],
+    area: [f64; L],
+    col_lo: [usize; L],
+    cols: [usize; L],
+    row_lo: [usize; L],
+    rows: [usize; L],
+}
+
+impl Step {
+    /// The footprints of `cells` centered at `(center[0][l], center[1][l])`;
+    /// the caller fills in the bin ranges.
+    #[inline(always)]
+    fn new(grid: &BinGrid, netlist: &Netlist, cells: &[CellId; L], center: [[f64; L]; 2]) -> Self {
+        let mut step = Self {
+            xl: [0.0; L],
+            yl: [0.0; L],
+            xh: [0.0; L],
+            yh: [0.0; L],
+            area: [0.0; L],
+            col_lo: [0; L],
+            cols: [0; L],
+            row_lo: [0; L],
+            rows: [0; L],
+        };
+        for (l, &cell) in cells.iter().enumerate() {
+            let (ew, eh) = inflated(grid, netlist.cell_width(cell), netlist.cell_height(cell));
+            step.xl[l] = center[0][l] - 0.5 * ew;
+            step.yl[l] = center[1][l] - 0.5 * eh;
+            step.xh[l] = center[0][l] + 0.5 * ew;
+            step.yh[l] = center[1][l] + 0.5 * eh;
+        }
+        for l in 0..L {
+            step.area[l] = (step.xh[l] - step.xl[l]) * (step.yh[l] - step.yl[l]);
+        }
+        step
+    }
+
+    /// Whether lane `l` takes its fixed `K × K` window: its footprint has
+    /// area, its span is at most `K × K` and the window lies inside the
+    /// grid.
+    #[inline(always)]
+    fn fits(&self, grid: &BinGrid, l: usize) -> bool {
+        self.area[l] > 0.0
+            && self.cols[l] <= K
+            && self.rows[l] <= K
+            && self.col_lo[l] + K <= grid.nx()
+            && self.row_lo[l] + K <= grid.ny()
+    }
+
+    /// The 1-D overlap weights of each lane's window columns (`w[k][l]`)
+    /// and rows (`h[k][l]`), with the operands of
+    /// [`BinGrid::for_each_overlap`] and exactly `0.0` past the span.
+    /// Inside the span a zero weight is a bin `for_each_overlap` skips; in
+    /// both passes it adds `±0` to a sum that starts at `+0.0`, which
+    /// leaves every bit in place.
+    #[inline(always)]
+    fn weights(&self, grid: &BinGrid) -> ([[f64; L]; K], [[f64; L]; K]) {
+        let (mut w, mut h) = ([[0.0; L]; K], [[0.0; L]; K]);
+        for k in 0..K {
+            for l in 0..L {
+                let wk = grid.col_overlap(self.col_lo[l] + k, self.xl[l], self.xh[l]);
+                let hk = grid.row_overlap(self.row_lo[l] + k, self.yl[l], self.yh[l]);
+                w[k][l] = if k < self.cols[l] { wk } else { 0.0 };
+                h[k][l] = if k < self.rows[l] { hk } else { 0.0 };
+            }
+        }
+        (w, h)
+    }
+}
+
+/// One cell through [`BinGrid::for_each_overlap`]: tables its footprint
+/// and splats it into `out`.
+fn raster_cell(
+    grid: &BinGrid,
+    netlist: &Netlist,
+    placement: &Placement,
+    cell: CellId,
+    scale: f64,
+    tabled: &mut Span,
+    out: &mut [f64],
+) {
+    let (rect, span) = Span::locate(grid, netlist, placement, cell);
+    *tabled = span;
+    grid.for_each_overlap(&rect, span.cols(), span.rows(), |bin, ov| {
+        out[bin] += scale * ov
+    });
+}
+
+/// The overlap-weighted mean of both fields over `cell`'s tabled
+/// footprint, through [`BinGrid::for_each_overlap`].
+fn mean_field(
+    grid: &BinGrid,
+    netlist: &Netlist,
+    cell: CellId,
+    span: &Span,
+    [ex, ey]: [&[f64]; 2],
+) -> [f64; 2] {
+    let rect = footprint(grid, netlist, cell, span.center.map(f64::from_bits));
+    let area = rect.area();
+    if area <= 0.0 {
+        let bin = grid.index(span.col_lo as usize, span.row_lo as usize);
+        return [ex[bin], ey[bin]];
+    }
+    let mut acc = [0.0; 2];
+    grid.for_each_overlap(&rect, span.cols(), span.rows(), |bin, ov| {
+        acc[0] += ov * ex[bin];
+        acc[1] += ov * ey[bin];
+    });
+    acc.map(|a| a / area)
+}
+
+/// `grad[cell] −= q · e`.
+fn apply(netlist: &Netlist, cell: CellId, e: [f64; 2], [grad_x, grad_y]: [&mut [f64]; 2]) {
+    // ∂D/∂x = −q·E_x  (the force is +qE; descending the objective moves
+    // the cell along the force)
+    let q = netlist.cell_area(cell);
+    grad_x[cell.index()] -= q * e[0];
+    grad_y[cell.index()] -= q * e[1];
 }
 
 #[cfg(test)]
@@ -246,6 +481,38 @@ mod tests {
         table.gather(&grid, &nl, [&ex, &ey], [&mut gx, &mut gy]);
         assert!((gx[0] + 4.5 * (0.5 * 1.0 + 1.0 * 3.0) / 1.5).abs() < 1e-9);
         assert!((gy[0] + 4.5 * 3.0).abs() < 1e-9);
+    }
+
+    /// The route guard: on the newblue6 stand-in spread uniformly over its
+    /// die, at least 95 % of the movable cells take the fixed 3 × 3 window
+    /// in both passes (96.4 %: the rest are wider footprints and windows
+    /// past the grid's right or top edge). A silent fall-back onto
+    /// `for_each_overlap` keeps every bit and loses the speed, so only this
+    /// count catches it.
+    #[test]
+    fn newblue6_cells_take_the_fixed_window() {
+        use rand::{Rng, SeedableRng};
+        let c = synth::generate(&synth::spec_by_name("newblue6").unwrap());
+        let (nl, die) = (&c.design.netlist, c.design.die);
+        let grid = BinGrid::auto(&c.design);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut pl = c.placement.clone();
+        for cell in nl.movable_cells() {
+            pl.x[cell.index()] = rng.gen_range(die.xl..die.xh - nl.cell_width(cell));
+            pl.y[cell.index()] = rng.gen_range(die.yl..die.yh - nl.cell_height(cell));
+        }
+        let mut table = FootprintTable::new(&grid, nl);
+        let rastered = table.raster(&grid, nl, &pl, &mut vec![0.0; grid.len()]);
+        let field = vec![1.0; grid.len()];
+        let mut grad = [vec![0.0; nl.num_cells()], vec![0.0; nl.num_cells()]];
+        let [gx, gy] = &mut grad;
+        let gathered = table.gather(&grid, nl, [&field, &field], [gx, gy]);
+        let movable = nl.num_movable();
+        assert!(
+            rastered * 100 >= 95 * movable,
+            "{rastered} of {movable} cells on the 3 × 3 window"
+        );
+        assert_eq!(gathered, rastered);
     }
 
     /// The table is one fixed-size entry per movable cell: stages write it in

@@ -10,6 +10,12 @@
 use crate::footprint::FootprintTable;
 use mep_netlist::{Design, Netlist, Placement, Rect};
 
+/// Length of `[lo, lo + step]` inside `[a, b]`, zero when disjoint.
+#[inline]
+fn overlap(lo: f64, step: f64, a: f64, b: f64) -> f64 {
+    ((lo + step).min(b) - lo.max(a)).max(0.0)
+}
+
 /// An `m × n` grid of equal bins over the die.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BinGrid {
@@ -129,6 +135,20 @@ impl BinGrid {
         )
     }
 
+    /// Length of column `ix` inside `[xl, xh]`, zero when disjoint: the
+    /// `w` of a bin's overlap area `w·h`.
+    #[inline]
+    pub(crate) fn col_overlap(&self, ix: usize, xl: f64, xh: f64) -> f64 {
+        overlap(self.die.xl + ix as f64 * self.bin_w, self.bin_w, xl, xh)
+    }
+
+    /// Length of row `iy` inside `[yl, yh]`, zero when disjoint: the `h` of
+    /// a bin's overlap area `w·h`.
+    #[inline]
+    pub(crate) fn row_overlap(&self, iy: usize, yl: f64, yh: f64) -> f64 {
+        overlap(self.die.yl + iy as f64 * self.bin_h, self.bin_h, yl, yh)
+    }
+
     /// Calls `f(bin, overlap area)` for every bin of `cols × rows` that
     /// `rect` overlaps, row by row: the library's one overlap routine. The
     /// area is `w·h`, the 1-D overlaps of the bin's column and row with the
@@ -141,15 +161,10 @@ impl BinGrid {
         rows: std::ops::Range<usize>,
         mut f: impl FnMut(usize, f64),
     ) {
-        // length of `[lo, lo + step]` inside `[a, b]`, zero when disjoint
-        let overlap =
-            |lo: f64, step: f64, a: f64, b: f64| ((lo + step).min(b) - lo.max(a)).max(0.0);
         for iy in rows {
-            let yl = self.die.yl + iy as f64 * self.bin_h;
-            let h = overlap(yl, self.bin_h, rect.yl, rect.yh);
+            let h = self.row_overlap(iy, rect.yl, rect.yh);
             for ix in cols.clone() {
-                let xl = self.die.xl + ix as f64 * self.bin_w;
-                let ov = overlap(xl, self.bin_w, rect.xl, rect.xh) * h;
+                let ov = self.col_overlap(ix, rect.xl, rect.xh) * h;
                 if ov > 0.0 {
                     f(self.index(ix, iy), ov);
                 }
@@ -182,6 +197,7 @@ pub struct DensityMap {
 impl DensityMap {
     /// Builds the map and rasterizes the fixed cells from `placement`.
     pub fn new(grid: BinGrid, netlist: &Netlist, placement: &Placement) -> Self {
+        // lint:allow(no-alloc-hot): construction; the fixed density is computed once
         let mut fixed = vec![0.0; grid.len()];
         for cell in netlist.fixed_cells() {
             let rect = placement.cell_rect(netlist, cell);
@@ -190,6 +206,7 @@ impl DensityMap {
             }
         }
         Self {
+            // lint:allow(no-alloc-hot): construction; every update rewrites it in place
             movable: vec![0.0; grid.len()],
             fixed,
             table: FootprintTable::new(&grid, netlist),

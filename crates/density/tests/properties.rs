@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use reference::{dft_naive, naive};
 
 /// `(w, h, x, y)` of a cell whose lower-left corner may lie anywhere from
-/// well outside one side of the 12 × 9 die to well outside the other.
+/// well outside one side of the 12.3 × 9.3 die to well outside the other.
 fn cell_anywhere(
     w: std::ops::Range<f64>,
     h: std::ops::Range<f64>,
@@ -117,24 +117,43 @@ proptest! {
         prop_assert!((total - scale * rect.area()).abs() < 1e-9 * (1.0 + rect.area()));
     }
 
-    /// The footprint table (spans found once per stage, separable overlap)
-    /// against the per-rect path it replaced, `to_bits` on every bin and
-    /// every gradient entry. 16 × 8 bins of 0.75 × 1.125 over the die, so
-    /// `√2` bins are 1.06 × 1.59: `small` cells are inflated in one or both
-    /// axes (`scale < 1`), `macros` in neither (`scale == 1.0`, footprints
-    /// over up to 9 × 8 bins). Every case also carries a cell hanging
+    /// The footprint table (spans found once per stage, separable overlap,
+    /// 4-lane steps over a fixed 3 × 3 window) against the per-rect path it
+    /// replaced, `to_bits` on every bin and every gradient entry. 16 × 8
+    /// bins of 0.76875 × 1.1625 over the die, so `√2` bins are 1.09 × 1.64:
+    /// `small` cells are mostly inflated (`scale < 1`), `macros` in neither
+    /// axis (`scale == 1.0`, footprints over up to 9 × 8 bins). `small` has
+    /// 3 to 39 cells, so several whole lane steps and every tail length 0–3
+    /// occur. The first two steps are pinned. Step one holds two cells
+    /// that share bins, with a 4-column footprint between them, and then a
+    /// NaN cell. Step two holds three 3 × 3 spans whose window crosses the
+    /// right edge, the top edge or both. Its last cell is a footprint whose
+    /// right and top edges lie one ulp past a bin edge that the bin range
+    /// excludes. That bin's 1-D weight is positive, so the window must mask
+    /// it. Every case also carries a cell hanging
     /// off each die edge, one wholly outside, a NaN coordinate (empty
     /// range), and coordinates that absorb the footprint (a rect of no
     /// area: no mass, gather of the nearest bin).
     #[test]
     fn footprint_table_matches_per_rect_path_bitwise(
-        small in prop::collection::vec(cell_anywhere(0.05..1.3, 0.05..2.0), 3..9),
-        macros in prop::collection::vec(cell_anywhere(1.1..5.5, 1.6..7.0), 1..4),
+        small in prop::collection::vec(cell_anywhere(0.05..1.3, 0.05..2.0), 3..40),
+        macros in prop::collection::vec(cell_anywhere(1.1..5.5, 1.7..7.0), 1..4),
         fixed in prop::collection::vec(cell_anywhere(0.0..4.0, 0.0..4.0), 0..3),
     ) {
+        let lead = [
+            (0.5, 0.5, 1.0, 1.0),
+            (2.4, 0.5, 3.1, 3.0),    // 4 columns wide
+            (0.5, 0.5, 1.3, 1.2),    // shares bins with the first
+            (0.5, 0.5, f64::NAN, 2.0),
+            (0.5, 0.5, 11.3, 4.0),   // window past the right edge
+            (0.5, 0.5, 4.0, 7.6),    // window past the top edge
+            (0.5, 0.5, 11.3, 7.6),   // both
+            // right and top edges one ulp past the start of column 5 and row 5
+            (1.5, 2.0, 2.3437500000000004, 3.812500000000001),
+        ];
         let pinned = [
             (0.4, 0.6, -0.3, 4.0),   // off the left edge
-            (0.4, 0.6, 11.8, 4.0),   // off the right edge
+            (0.4, 0.6, 12.1, 4.0),   // off the right edge
             (2.0, 0.3, 5.0, -0.2),   // off the bottom edge
             (2.0, 3.0, 5.0, 7.5),    // off the top edge
             (0.5, 0.5, -4.0, 20.0),  // wholly outside
@@ -143,15 +162,16 @@ proptest! {
             (0.5, 0.5, 1e300, 3.0),
             (0.5, 0.5, 6.0, -1e300),
         ];
-        let movable = small.len() + macros.len() + pinned.len();
+        let movable = lead.len() + small.len() + macros.len() + pinned.len();
         let mut b = NetlistBuilder::new();
         let mut pl = Placement::zeros(movable + fixed.len());
-        let cells = small.iter().chain(&macros).chain(&pinned).chain(&fixed);
+        let cells = lead.iter().chain(&small).chain(&macros).chain(&pinned).chain(&fixed);
         for (i, &(w, h, x, y)) in cells.enumerate() {
             b.add_cell(format!("c{i}"), w, h, i < movable).unwrap();
             (pl.x[i], pl.y[i]) = (x, y);
         }
-        let die = Rect::new(0.0, 0.0, 12.0, 9.0);
+        // bins of no exact binary width, so the ulp-edge case exists
+        let die = Rect::new(0.0, 0.0, 12.3, 9.3);
         let design = Design::with_uniform_rows("t", b.build(), die, 1.0, 1.0, 1.0).unwrap();
         let nl = &design.netlist;
         let grid = BinGrid::new(die, 16, 8);
@@ -189,8 +209,9 @@ proptest! {
             prop_assert_eq!(gx[i].to_bits(), want_x[i].to_bits(), "gx[{}]: {} vs {}", i, gx[i], want_x[i]);
             prop_assert_eq!(gy[i].to_bits(), want_y[i].to_bits(), "gy[{}]: {} vs {}", i, gy[i], want_y[i]);
         }
-        let moved = (0..movable).filter(|&i| gx[i].to_bits() != seed[i].to_bits()).count();
-        prop_assert!(moved >= small.len() + macros.len() / 2, "only {} cells felt the field", moved);
+        // the pinned steps lie on the die (or are NaN): every one feels it
+        let moved = (0..lead.len()).filter(|&i| gx[i].to_bits() != seed[i].to_bits()).count();
+        prop_assert_eq!(moved, lead.len(), "only {} pinned cells felt the field", moved);
     }
 
     /// `gather` is the area-weighted adjoint of `splat`: for any field F

@@ -49,7 +49,8 @@ impl Default for Config {
                 // the Moreau prox / water-filling / evaluation-engine hot
                 // loops (paper Alg. 1–2), the spectral density solver,
                 // including the fused lane kernels and the per-net gather,
-                // and the density stage's two per-cell passes
+                // and the whole density stage: its two per-cell passes and
+                // the update, reductions and overflow around them
                 "crates/wirelength/src/moreau.rs",
                 "crates/wirelength/src/waterfill.rs",
                 "crates/wirelength/src/engine.rs",
@@ -58,6 +59,8 @@ impl Default for Config {
                 "crates/density/src/fft.rs",
                 "crates/density/src/poisson.rs",
                 "crates/density/src/footprint.rs",
+                "crates/density/src/electro.rs",
+                "crates/density/src/grid.rs",
                 // the daemon's admission queue: steady-state scheduling
                 // must never allocate (backpressure, not buffer growth)
                 "crates/serve/src/queue.rs",

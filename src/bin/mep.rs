@@ -38,6 +38,8 @@ fn usage() -> ExitCode {
          [--engine-threads N] [--mem-budget-mb N] [--budget-ms N]\n\n\
          <circuit> = a Bookshelf .aux path, a DEF path (with --lef), or a\n\
          built-in synthetic benchmark name (see `mep bench-list`).\n\
+         --density F sets the target density in (0, 1] (default: 1.0 for a\n\
+         file, the benchmark's own for a built-in).\n\
          --levels N runs the multilevel flow (cluster coarsening, N levels,\n\
          each finer level started from the one above it; DESIGN.md \u{a7}12).\n\
          --eco re-places only the cells touching the given die window and\n\
@@ -53,9 +55,15 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load_circuit(spec: &str, lef: Option<&str>, density: f64) -> Result<BookshelfCircuit, String> {
+/// Loads `spec`. A given `density` is the design's target density; without
+/// it a Bookshelf or DEF design gets 1.0 and a built-in keeps its spec's.
+fn load_circuit(
+    spec: &str,
+    lef: Option<&str>,
+    density: Option<f64>,
+) -> Result<BookshelfCircuit, String> {
     if spec.ends_with(".aux") {
-        return bookshelf::read_aux(spec, density).map_err(|e| e.to_string());
+        return bookshelf::read_aux(spec, density.unwrap_or(1.0)).map_err(|e| e.to_string());
     }
     if spec.ends_with(".def") {
         let lef_path = lef.ok_or("DEF input needs --lef <library.lef>")?;
@@ -63,10 +71,17 @@ fn load_circuit(spec: &str, lef: Option<&str>, density: f64) -> Result<Bookshelf
         let def_text = std::fs::read_to_string(spec).map_err(|e| e.to_string())?;
         let lib =
             moreau_placer::netlist::lefdef::parse_lef(&lef_text).map_err(|e| e.to_string())?;
-        return moreau_placer::netlist::lefdef::parse_def(&def_text, &lib, density)
+        return moreau_placer::netlist::lefdef::parse_def(&def_text, &lib, density.unwrap_or(1.0))
             .map_err(|e| e.to_string());
     }
-    generate_builtin(spec)
+    let mut circuit = generate_builtin(spec)?;
+    if let Some(density) = density {
+        if !(density > 0.0 && density <= 1.0) {
+            return Err(format!("target density {density} outside (0, 1]"));
+        }
+        circuit.design.target_density = density;
+    }
+    Ok(circuit)
 }
 
 /// The built-in benchmark `name` (any `mep bench-list` row), generated. A
@@ -108,7 +123,7 @@ fn main() -> ExitCode {
                 .position(|a| a == "--lef")
                 .and_then(|i| args.get(i + 1))
                 .map(String::as_str);
-            match load_circuit(circuit, lef, 1.0) {
+            match load_circuit(circuit, lef, None) {
                 Ok(c) => {
                     let nl = &c.design.netlist;
                     println!("circuit     : {}", c.design.name);
@@ -249,7 +264,7 @@ fn main() -> ExitCode {
             let mut model = ModelKind::Moreau;
             let mut out: Option<String> = None;
             let mut iters = 800usize;
-            let mut density = 1.0f64;
+            let mut density: Option<f64> = None;
             let mut levels = 1usize;
             let mut eco_window: Option<Rect> = None;
             let mut lef: Option<String> = None;
@@ -282,7 +297,7 @@ fn main() -> ExitCode {
                     "--density" => {
                         i += 1;
                         density = match args.get(i).and_then(|s| s.parse::<f64>().ok()) {
-                            Some(v) if v.is_finite() && v > 0.0 => v,
+                            Some(v) if v.is_finite() && v > 0.0 => Some(v),
                             _ => return usage(),
                         };
                     }

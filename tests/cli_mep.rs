@@ -493,6 +493,36 @@ fn unparseable_threads_and_density_exit_nonzero() {
 }
 
 #[test]
+fn density_flag_sets_the_target_density_of_a_builtin() {
+    // a built-in used to keep its spec's target density whatever the flag
+    // said: the same GPWL and overflow with and without `--density 0.5`
+    let report = |density: &[&str]| {
+        let out = mep()
+            .args(["place", "smoke", "--iters", "60"])
+            .args(density)
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{density:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let lines = stdout.lines();
+        let gp: Vec<&str> = lines
+            .filter(|l| l.starts_with("GPWL") || l.starts_with("iters"))
+            .collect();
+        assert_eq!(gp.len(), 2, "{stdout}");
+        gp.join("\n")
+    };
+    let default = report(&[]);
+    assert_ne!(report(&["--density", "0.5"]), default);
+    // out of (0, 1], as for a Bookshelf design: an error, not a silent run
+    let out = mep()
+        .args(["place", "smoke", "--iters", "1", "--density", "3"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("error: target density 3"));
+}
+
+#[test]
 fn path_flag_missing_its_value_exits_with_usage() {
     // a trailing `--out` used to mean "no output requested": exit 0,
     // nothing written
