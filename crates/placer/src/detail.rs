@@ -13,10 +13,17 @@
 //!
 //! Every accepted move strictly reduces exact HPWL, so the refinement
 //! never degrades the legalized result.
+//!
+//! A trial move is priced by `MoveNets`: the pins of the move's nets that
+//! stay in place are walked once per move into one bounding box per net,
+//! and each candidate then costs a copy of those boxes plus one fold per
+//! moved pin. `min`/`max` over the same coordinates give the same extremes
+//! in any order, so every candidate's value is the exact HPWL of the move's
+//! nets bit for bit, and every acceptance test decides as a full re-walk
+//! would (DESIGN.md §2, "Detailed placement (S8)").
 
-use mep_netlist::{net_hpwl, total_hpwl, CellId, Design, FixedState, NetId, Netlist, Placement};
-// lint:allow(determinism): membership-only net dedup set; never iterated
-use std::collections::HashSet;
+use mep_netlist::{total_hpwl, CellId, Design, FixedState, NetId, Netlist, Placement};
+use std::time::Instant;
 
 /// Configuration for the detailed placer.
 #[derive(Debug, Clone)]
@@ -37,7 +44,10 @@ impl Default for DetailConfig {
 }
 
 /// Report of one refinement run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// The `*_seconds` fields are wall-clock telemetry; compare two runs'
+/// decisions through the counters and `hpwl_after`, never the whole report.
+#[derive(Debug, Clone, Copy)]
 pub struct DetailReport {
     /// Exact HPWL before refinement.
     pub hpwl_before: f64,
@@ -57,6 +67,12 @@ pub struct DetailReport {
     pub matchings_attempted: usize,
     /// Passes actually executed.
     pub passes: usize,
+    /// Wall seconds in local reordering, summed over passes.
+    pub reorder_seconds: f64,
+    /// Wall seconds in global swap, summed over passes.
+    pub swap_seconds: f64,
+    /// Wall seconds in independent-set matching, summed over passes.
+    pub matching_seconds: f64,
 }
 
 impl DetailReport {
@@ -86,21 +102,168 @@ impl DetailReport {
     }
 }
 
-/// Sum of HPWL over a set of nets.
-fn hpwl_over(netlist: &Netlist, placement: &Placement, nets: &[NetId]) -> f64 {
-    nets.iter().map(|&n| net_hpwl(netlist, placement, n)).sum()
+/// `[xl, xh, yl, yh]` of no pin: any fold replaces every side.
+const EMPTY_BOX: [f64; 4] = [
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// Grows a `[xl, xh, yl, yh]` box by one pin position.
+#[inline]
+fn fold(b: &mut [f64; 4], x: f64, y: f64) {
+    b[0] = b[0].min(x);
+    b[1] = b[1].max(x);
+    b[2] = b[2].min(y);
+    b[3] = b[3].max(y);
 }
 
-/// Dedup'd nets touching any of `cells`.
-fn nets_of(netlist: &Netlist, cells: &[CellId], out: &mut Vec<NetId>) {
-    out.clear();
-    for &c in cells {
-        for &p in netlist.cell_pins(c) {
-            let n = netlist.pin_net(p);
-            if !out.contains(&n) {
-                out.push(n);
+/// A pin on a moved cell, tagged with its net's slot in [`MoveNets`].
+#[derive(Debug, Clone, Copy)]
+struct MovedPin {
+    /// Index of the pin's net in the move's net list.
+    slot: usize,
+    /// Index of the pin's cell in the move's cell list.
+    cell: usize,
+    /// Pin offset from the cell center.
+    dx: f64,
+    dy: f64,
+}
+
+/// Per-move scratch: the nets of one trial move and, per net, the bounding
+/// box of its pins on the cells the move leaves in place.
+///
+/// [`MoveNets::load`] walks every pin of the move's nets once;
+/// [`MoveNets::hpwl`] then prices any candidate position of the moved cells
+/// from the boxes and the moved pins alone. Buffers are reused across
+/// moves, so a move loop allocates only while they grow.
+#[derive(Debug, Default)]
+struct MoveNets {
+    /// The moved cells.
+    cells: Vec<CellId>,
+    /// Per moved cell, half its width and height (lower-left → center).
+    half: Vec<(f64, f64)>,
+    /// The move's nets, in first-occurrence order over the moved cells' pins.
+    nets: Vec<NetId>,
+    /// Per net, the box of its pins on unmoved cells ([`EMPTY_BOX`] when
+    /// every pin moves).
+    fixed: Vec<[f64; 4]>,
+    /// Working copy of `fixed` one candidate folds its moved pins into.
+    boxes: Vec<[f64; 4]>,
+    /// Every pin on a moved cell.
+    pins: Vec<MovedPin>,
+}
+
+impl MoveNets {
+    /// Prepares the move of `cells` from their current placement.
+    fn load(&mut self, netlist: &Netlist, placement: &Placement, cells: &[CellId]) {
+        self.cells.clear();
+        self.half.clear();
+        self.nets.clear();
+        self.pins.clear();
+        for &c in cells {
+            self.register(netlist, c);
+        }
+        self.walk(netlist, placement, 0);
+    }
+
+    /// Adds `cell` to the loaded move. Only the new nets are walked, unless
+    /// `cell` shares a net with the move: then that net's box holds pins of
+    /// `cell`, and every box is walked again.
+    fn include(&mut self, netlist: &Netlist, placement: &Placement, cell: CellId) {
+        let known = self.nets.len();
+        let shared = self.register(netlist, cell) < known;
+        self.walk(netlist, placement, if shared { 0 } else { known });
+    }
+
+    /// Records `cell` and its pins, appending the nets not yet in the move.
+    /// Returns the lowest net slot its pins landed in.
+    fn register(&mut self, netlist: &Netlist, cell: CellId) -> usize {
+        let i = self.cells.len();
+        self.cells.push(cell);
+        self.half.push((
+            0.5 * netlist.cell_width(cell),
+            0.5 * netlist.cell_height(cell),
+        ));
+        let mut lowest = usize::MAX;
+        for &p in netlist.cell_pins(cell) {
+            let net = netlist.pin_net(p);
+            let slot = match self.nets.iter().position(|&n| n == net) {
+                Some(slot) => slot,
+                None => {
+                    self.nets.push(net);
+                    self.nets.len() - 1
+                }
+            };
+            lowest = lowest.min(slot);
+            self.pins.push(MovedPin {
+                slot,
+                cell: i,
+                dx: netlist.pin_offset_x(p),
+                dy: netlist.pin_offset_y(p),
+            });
+        }
+        lowest
+    }
+
+    /// Rebuilds the boxes of the nets from slot `from` on.
+    fn walk(&mut self, netlist: &Netlist, placement: &Placement, from: usize) {
+        self.fixed.truncate(from);
+        for &net in &self.nets[from..] {
+            let mut b = EMPTY_BOX;
+            for q in netlist.net_pins(net) {
+                if !self.cells.contains(&netlist.pin_cell(q)) {
+                    let pos = placement.pin_position(netlist, q);
+                    fold(&mut b, pos.x, pos.y);
+                }
+            }
+            self.fixed.push(b);
+        }
+    }
+
+    /// Median-of-bounds optimal position of a move of one cell: the median
+    /// of the bounds of the other pins of each of its pins' nets, or `None`
+    /// when no net has another pin. `bounds` is reused scratch.
+    fn median_position(&self, bounds: &mut (Vec<f64>, Vec<f64>)) -> Option<(f64, f64)> {
+        let (xs, ys) = bounds;
+        xs.clear();
+        ys.clear();
+        for p in &self.pins {
+            let b = self.fixed[p.slot];
+            // non-empty: at least one other pin
+            if b[0] <= b[1] {
+                xs.extend([b[0], b[1]]);
+                ys.extend([b[2], b[3]]);
             }
         }
+        if xs.is_empty() {
+            return None;
+        }
+        // the middle element under a total order is unique in bits, so this
+        // is the element a full sort would put there
+        let med = |v: &mut Vec<f64>| -> f64 {
+            let mid = v.len() / 2;
+            *v.select_nth_unstable_by(mid, f64::total_cmp).1
+        };
+        Some((med(xs), med(ys)))
+    }
+
+    /// Exact HPWL of the move's nets with moved cell `i` at lower-left
+    /// corner `at[i]`, summed in net order.
+    fn hpwl(&mut self, at: &[(f64, f64)]) -> f64 {
+        self.boxes.clear();
+        self.boxes.extend_from_slice(&self.fixed);
+        for p in &self.pins {
+            let (x, y) = at[p.cell];
+            let (hw, hh) = self.half[p.cell];
+            // the same operations as `Placement::pin_position`
+            fold(&mut self.boxes[p.slot], (x + hw) + p.dx, (y + hh) + p.dy);
+        }
+        self.boxes
+            .iter()
+            .map(|b| (b[1] - b[0]) + (b[3] - b[2]))
+            .sum()
     }
 }
 
@@ -120,6 +283,9 @@ pub fn refine(design: &Design, placement: &mut Placement, config: &DetailConfig)
         matchings: 0,
         matchings_attempted: 0,
         passes: 0,
+        reorder_seconds: 0.0,
+        swap_seconds: 0.0,
+        matching_seconds: 0.0,
     };
     // region context: padded per-cell assignment + fence rectangles
     let cell_region: Vec<Option<u16>> = if design.cell_region.is_empty() {
@@ -128,11 +294,15 @@ pub fn refine(design: &Design, placement: &mut Placement, config: &DetailConfig)
         design.cell_region.clone()
     };
     let fences: Vec<mep_netlist::Rect> = design.regions.iter().map(|r| r.rect).collect();
+    // fixed cells and frozen macros never move inside `refine`
+    let obstacles = row_obstacles(design, placement, row_h);
+    let mut moves = MoveNets::default();
     let mut current = hpwl_before;
     for _pass in 0..config.passes {
         report.passes += 1;
         let mut rows = build_rows(design, placement, row_h);
-        let obstacles = row_obstacles(design, placement, row_h);
+        // lint:allow(determinism): move-class wall-time telemetry; durations never feed back into results
+        let t = Instant::now();
         let (acc, att) = local_reorder(
             netlist,
             placement,
@@ -140,13 +310,22 @@ pub fn refine(design: &Design, placement: &mut Placement, config: &DetailConfig)
             &obstacles,
             &cell_region,
             &fences,
+            &mut moves,
         );
+        report.reorder_seconds += t.elapsed().as_secs_f64();
         report.reorders += acc;
         report.reorders_attempted += att;
-        let (acc, att) = global_swap(netlist, placement, &rows, &cell_region, row_h);
+        // lint:allow(determinism): move-class wall-time telemetry; durations never feed back into results
+        let t = Instant::now();
+        let (acc, att) = global_swap(netlist, placement, &rows, &cell_region, row_h, &mut moves);
+        report.swap_seconds += t.elapsed().as_secs_f64();
         report.swaps += acc;
         report.swaps_attempted += att;
-        let (acc, att) = independent_set_matching(netlist, placement, &rows, &cell_region);
+        // lint:allow(determinism): move-class wall-time telemetry; durations never feed back into results
+        let t = Instant::now();
+        let (acc, att) =
+            independent_set_matching(netlist, placement, &rows, &cell_region, &mut moves);
+        report.matching_seconds += t.elapsed().as_secs_f64();
         report.matchings += acc;
         report.matchings_attempted += att;
         let now = total_hpwl(netlist, placement);
@@ -217,17 +396,16 @@ fn local_reorder(
     obstacles: &[Vec<(f64, f64)>],
     cell_region: &[Option<u16>],
     fences: &[mep_netlist::Rect],
+    moves: &mut MoveNets,
 ) -> (usize, usize) {
     let mut accepted = 0;
     let mut attempted = 0;
-    let mut nets = Vec::new();
     for (row_idx, row) in rows.iter_mut().enumerate() {
         if row.len() < REORDER_WINDOW {
             continue;
         }
         for start in 0..=(row.len() - REORDER_WINDOW) {
-            let cells: Vec<CellId> = row[start..start + REORDER_WINDOW].to_vec();
-            let cells = &cells[..];
+            let cells: [CellId; REORDER_WINDOW] = std::array::from_fn(|k| row[start + k]);
             // all window cells must share one region assignment
             let region = cell_region[cells[0].index()];
             if cells[1..].iter().any(|&c| cell_region[c.index()] != region) {
@@ -235,7 +413,8 @@ fn local_reorder(
             }
             let left = placement.x[cells[0].index()];
             // the packed span must not cover a blockage hiding in a gap
-            let span_w: f64 = cells.iter().map(|&c| netlist.cell_width(c)).sum();
+            let widths = cells.map(|c| netlist.cell_width(c));
+            let span_w: f64 = widths.iter().sum();
             if obstacles[row_idx]
                 .iter()
                 .any(|&(ol, oh)| ol < left + span_w && left < oh)
@@ -247,38 +426,30 @@ fn local_reorder(
                 continue;
             }
             attempted += 1;
-            nets_of(netlist, cells, &mut nets);
-            let before = hpwl_over(netlist, placement, &nets);
-            let orig: Vec<(f64, f64)> = cells
-                .iter()
-                .map(|&c| (placement.x[c.index()], placement.y[c.index()]))
-                .collect();
-            let mut best: Option<(f64, Vec<usize>)> = None;
-            let mut perm: Vec<usize> = (0..REORDER_WINDOW).collect();
+            moves.load(netlist, placement, &cells);
+            let orig = cells.map(|c| (placement.x[c.index()], placement.y[c.index()]));
+            let before = moves.hpwl(&orig);
+            let mut best: Option<(f64, [usize; REORDER_WINDOW])> = None;
+            let mut perm: [usize; REORDER_WINDOW] = std::array::from_fn(|k| k);
             permute(&mut perm, 0, &mut |p| {
                 // left-pack in permuted order
+                let mut at = orig;
                 let mut x = left;
                 for &pi in p {
-                    let c = cells[pi];
-                    placement.x[c.index()] = x;
-                    x += netlist.cell_width(c);
+                    at[pi].0 = x;
+                    x += widths[pi];
                 }
-                let after = hpwl_over(netlist, placement, &nets);
-                if after < before - 1e-9 && best.as_ref().is_none_or(|(b, _)| after < *b) {
-                    best = Some((after, p.to_vec()));
+                let after = moves.hpwl(&at);
+                if after < before - 1e-9 && best.is_none_or(|(b, _)| after < b) {
+                    best = Some((after, std::array::from_fn(|k| p[k])));
                 }
             });
-            // restore, then apply best if any
-            for (&c, &(x, y)) in cells.iter().zip(&orig) {
-                placement.x[c.index()] = x;
-                placement.y[c.index()] = y;
-            }
             if let Some((_, p)) = best {
                 let mut x = left;
                 for (slot, &pi) in p.iter().enumerate() {
                     let c = cells[pi];
                     placement.x[c.index()] = x;
-                    x += netlist.cell_width(c);
+                    x += widths[pi];
                     // keep the row sorted by x so later windows pack from
                     // the true leftmost cell
                     row[start + slot] = c;
@@ -290,7 +461,7 @@ fn local_reorder(
     (accepted, attempted)
 }
 
-fn permute(perm: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
+fn permute(perm: &mut [usize], k: usize, f: &mut impl FnMut(&[usize])) {
     if k == perm.len() {
         f(perm);
         return;
@@ -310,6 +481,7 @@ fn global_swap(
     rows: &[Vec<CellId>],
     cell_region: &[Option<u16>],
     row_h: f64,
+    moves: &mut MoveNets,
 ) -> (usize, usize) {
     // spatial hash of std cells by coarse bins, keyed by width
     let all: Vec<CellId> = rows.iter().flatten().copied().collect();
@@ -318,7 +490,7 @@ fn global_swap(
     }
     let mut accepted = 0;
     let mut attempted = 0;
-    let mut nets = Vec::new();
+    let mut bounds = (Vec::new(), Vec::new());
     // spatial hash: (width key, coarse bucket) → cells, so the peer search
     // is O(1) per cell instead of scanning the whole width class
     let bucket = (8.0 * row_h).max(1.0);
@@ -347,7 +519,9 @@ fn global_swap(
     }
     for &cell in &all {
         // optimal region: median of the other-pin bounding boxes
-        let (ox, oy) = optimal_position(netlist, placement, cell);
+        moves.load(netlist, placement, &[cell]);
+        let here = (placement.x[cell.index()], placement.y[cell.index()]);
+        let (ox, oy) = moves.median_position(&mut bounds).unwrap_or(here);
         let cur_d = (placement.x[cell.index()] - ox).abs() + (placement.y[cell.index()] - oy).abs();
         if cur_d < row_h {
             continue; // already near optimal
@@ -376,59 +550,17 @@ fn global_swap(
         let Some((_, peer)) = best_peer else { continue };
         // trial swap
         attempted += 1;
-        nets_of(netlist, &[cell, peer], &mut nets);
-        let before = hpwl_over(netlist, placement, &nets);
-        swap_positions(placement, cell, peer);
-        let after = hpwl_over(netlist, placement, &nets);
+        moves.include(netlist, placement, peer);
+        let there = (placement.x[peer.index()], placement.y[peer.index()]);
+        let before = moves.hpwl(&[here, there]);
+        let after = moves.hpwl(&[there, here]);
         if after < before - 1e-9 {
+            placement.x.swap(cell.index(), peer.index());
+            placement.y.swap(cell.index(), peer.index());
             accepted += 1;
-        } else {
-            swap_positions(placement, cell, peer);
         }
     }
     (accepted, attempted)
-}
-
-fn swap_positions(placement: &mut Placement, a: CellId, b: CellId) {
-    placement.x.swap(a.index(), b.index());
-    placement.y.swap(a.index(), b.index());
-}
-
-/// Median-of-bounds optimal position of a cell w.r.t. its nets.
-fn optimal_position(netlist: &Netlist, placement: &Placement, cell: CellId) -> (f64, f64) {
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for &p in netlist.cell_pins(cell) {
-        let net = netlist.pin_net(p);
-        let (mut xl, mut xh) = (f64::INFINITY, f64::NEG_INFINITY);
-        let (mut yl, mut yh) = (f64::INFINITY, f64::NEG_INFINITY);
-        let mut others = 0;
-        for q in netlist.net_pins(net) {
-            if netlist.pin_cell(q) == cell {
-                continue;
-            }
-            others += 1;
-            let pos = placement.pin_position(netlist, q);
-            xl = xl.min(pos.x);
-            xh = xh.max(pos.x);
-            yl = yl.min(pos.y);
-            yh = yh.max(pos.y);
-        }
-        if others > 0 {
-            xs.push(xl);
-            xs.push(xh);
-            ys.push(yl);
-            ys.push(yh);
-        }
-    }
-    if xs.is_empty() {
-        return (placement.x[cell.index()], placement.y[cell.index()]);
-    }
-    let med = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    };
-    (med(&mut xs), med(&mut ys))
 }
 
 /// Maximum independent-set size: `reassign_set` tries every permutation,
@@ -444,6 +576,7 @@ fn independent_set_matching(
     placement: &mut Placement,
     rows: &[Vec<CellId>],
     cell_region: &[Option<u16>],
+    moves: &mut MoveNets,
 ) -> (usize, usize) {
     let mut accepted = 0;
     let mut attempted = 0;
@@ -458,8 +591,10 @@ fn independent_set_matching(
         );
         by_width.entry(key).or_default().push(c);
     }
-    // lint:allow(determinism): membership-only dedup of shared nets; never iterated
-    let mut nets_seen: HashSet<NetId, FixedState> = HashSet::default();
+    // nets of the set so far: at most ISM_SET cells' pins, so a linear
+    // scan beats hashing
+    let mut nets_seen: Vec<NetId> = Vec::new();
+    let mut set = Vec::with_capacity(ISM_SET);
     let mut keys: Vec<(i64, i32)> = by_width.keys().copied().collect();
     keys.sort_unstable(); // deterministic iteration order
     for key in keys {
@@ -468,7 +603,7 @@ fn independent_set_matching(
         while i < cells.len() {
             // greedily grow an independent set from consecutive candidates
             nets_seen.clear();
-            let mut set = Vec::new();
+            set.clear();
             let mut j = i;
             while j < cells.len() && set.len() < ISM_SET {
                 let c = cells[j];
@@ -481,7 +616,7 @@ fn independent_set_matching(
                 }
                 if disjoint {
                     for &p in netlist.cell_pins(c) {
-                        nets_seen.insert(netlist.pin_net(p));
+                        nets_seen.push(netlist.pin_net(p));
                     }
                     set.push(c);
                 }
@@ -492,7 +627,7 @@ fn independent_set_matching(
                 continue;
             }
             attempted += 1;
-            if reassign_set(netlist, placement, &set) {
+            if reassign_set(netlist, placement, &set, moves) {
                 accepted += 1;
             }
         }
@@ -500,46 +635,47 @@ fn independent_set_matching(
     (accepted, attempted)
 }
 
-/// Exactly reassigns an independent set over its own slots. Returns whether
-/// a strictly better assignment was applied.
-fn reassign_set(netlist: &Netlist, placement: &mut Placement, set: &[CellId]) -> bool {
+/// Exactly reassigns an independent set of at most [`ISM_SET`] cells over
+/// its own slots. Returns whether a strictly better assignment was applied.
+fn reassign_set(
+    netlist: &Netlist,
+    placement: &mut Placement,
+    set: &[CellId],
+    moves: &mut MoveNets,
+) -> bool {
     let k = set.len();
-    let slots: Vec<(f64, f64)> = set
-        .iter()
-        .map(|&c| (placement.x[c.index()], placement.y[c.index()]))
-        .collect();
+    let mut slots = [(0.0, 0.0); ISM_SET];
+    for (s, &c) in slots.iter_mut().zip(set) {
+        *s = (placement.x[c.index()], placement.y[c.index()]);
+    }
+    let slots = &slots[..k];
     // separable cost matrix: cost[i][j] = Σ HPWL(nets of cell i | cell i at slot j)
-    let mut nets = Vec::new();
-    let mut cost = vec![vec![0.0; k]; k];
-    for (i, &c) in set.iter().enumerate() {
-        nets_of(netlist, &[c], &mut nets);
-        let orig = (placement.x[c.index()], placement.y[c.index()]);
-        for (j, &(sx, sy)) in slots.iter().enumerate() {
-            placement.x[c.index()] = sx;
-            placement.y[c.index()] = sy;
-            cost[i][j] = hpwl_over(netlist, placement, &nets);
+    let mut cost = [[0.0; ISM_SET]; ISM_SET];
+    for (row, &c) in cost.iter_mut().zip(set) {
+        moves.load(netlist, placement, &[c]);
+        for (cost_ij, &slot) in row.iter_mut().zip(slots) {
+            *cost_ij = moves.hpwl(&[slot]);
         }
-        placement.x[c.index()] = orig.0;
-        placement.y[c.index()] = orig.1;
     }
     let identity_cost: f64 = (0..k).map(|i| cost[i][i]).sum();
     // brute force: ≤ 24 permutations
     let mut best_cost = identity_cost;
-    let mut best: Vec<usize> = (0..k).collect();
-    let mut perm: Vec<usize> = (0..k).collect();
-    permute(&mut perm, 0, &mut |p| {
+    let mut best: [usize; ISM_SET] = std::array::from_fn(|i| i);
+    let mut perm = best;
+    permute(&mut perm[..k], 0, &mut |p| {
         let c: f64 = p.iter().enumerate().map(|(i, &j)| cost[i][j]).sum();
         if c < best_cost - 1e-9 {
             best_cost = c;
-            best = p.to_vec();
+            best[..k].copy_from_slice(p);
         }
     });
+    let best = &best[..k];
     if best.iter().enumerate().all(|(i, &j)| i == j) {
         return false;
     }
-    for (i, &j) in best.iter().enumerate() {
-        placement.x[set[i].index()] = slots[j].0;
-        placement.y[set[i].index()] = slots[j].1;
+    for (&c, &j) in set.iter().zip(best) {
+        placement.x[c.index()] = slots[j].0;
+        placement.y[c.index()] = slots[j].1;
     }
     true
 }
@@ -549,8 +685,144 @@ mod tests {
     use super::*;
     use crate::global::{place, GlobalConfig};
     use crate::legalize::{check_legal, legalize};
-    use mep_netlist::synth;
+    use mep_netlist::{net_hpwl, synth, NetlistBuilder};
     use mep_wirelength::ModelKind;
+    use proptest::prelude::*;
+
+    /// Oracle: HPWL over a set of nets, each walked from every pin.
+    fn hpwl_over(netlist: &Netlist, placement: &Placement, nets: &[NetId]) -> f64 {
+        nets.iter().map(|&n| net_hpwl(netlist, placement, n)).sum()
+    }
+
+    /// Oracle: dedup'd nets touching any of `cells`, in first-occurrence
+    /// order.
+    fn nets_of(netlist: &Netlist, cells: &[CellId], out: &mut Vec<NetId>) {
+        out.clear();
+        for &c in cells {
+            for &p in netlist.cell_pins(c) {
+                let n = netlist.pin_net(p);
+                if !out.contains(&n) {
+                    out.push(n);
+                }
+            }
+        }
+    }
+
+    /// Asserts that [`MoveNets`], loaded at `placement` at once or one
+    /// added cell at a time, prices moved cell `i` at `at[i]` to the bits
+    /// of the oracle on the moved placement.
+    fn assert_move_matches_oracle(
+        netlist: &Netlist,
+        placement: &Placement,
+        cells: &[CellId],
+        at: &[(f64, f64)],
+    ) -> Result<(), TestCaseError> {
+        let mut moved = placement.clone();
+        for (&c, &(x, y)) in cells.iter().zip(at) {
+            moved.x[c.index()] = x;
+            moved.y[c.index()] = y;
+        }
+        let mut nets = Vec::new();
+        nets_of(netlist, cells, &mut nets);
+        let want = hpwl_over(netlist, &moved, &nets);
+        let mut loaded = MoveNets::default();
+        loaded.load(netlist, placement, cells);
+        let mut added = MoveNets::default();
+        added.load(netlist, placement, &cells[..1]);
+        for &c in &cells[1..] {
+            added.include(netlist, placement, c);
+        }
+        for moves in [&mut loaded, &mut added] {
+            let got = moves.hpwl(at);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs oracle {}", got, want);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random netlists of up to 8 cells and 8 nets of 1–5 pins, random
+        /// moved sets of 1–4 cells, random candidate positions.
+        fn move_hpwl_equals_the_oracle_bitwise(
+            sizes in prop::collection::vec((1u8..5, 1u8..3), 2..9),
+            nets in prop::collection::vec(
+                prop::collection::vec(
+                    // (cell, offset x, offset y, centred pin)
+                    (0usize..8, -1.0f64..1.0, -1.0f64..1.0, prop::bool::weighted(0.3)),
+                    1..6,
+                ),
+                1..9,
+            ),
+            pos in prop::collection::vec((-40.0f64..40.0, -40.0f64..40.0), 8),
+            moved in prop::collection::vec(0usize..8, 1..5),
+            cand in prop::collection::vec((-40.0f64..40.0, -40.0f64..40.0), 4),
+        ) {
+            let n = sizes.len();
+            let mut b = NetlistBuilder::new();
+            let ids: Vec<CellId> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &(w, h))| b.add_cell(format!("c{i}"), w as f64, h as f64, true).unwrap())
+                .collect();
+            for (k, pins) in nets.iter().enumerate() {
+                b.add_net(format!("n{k}"), pins.iter().map(|&(c, dx, dy, centred)| {
+                    if centred { (ids[c % n], 0.0, 0.0) } else { (ids[c % n], dx, dy) }
+                }));
+            }
+            let nl = b.build();
+            let mut pl = Placement::zeros(n);
+            for (i, &(x, y)) in pos.iter().take(n).enumerate() {
+                pl.x[i] = x;
+                pl.y[i] = y;
+            }
+            let mut cells: Vec<CellId> = Vec::new();
+            for &m in &moved {
+                if !cells.contains(&ids[m % n]) {
+                    cells.push(ids[m % n]);
+                }
+            }
+            let here: Vec<(f64, f64)> = cells.iter().map(|&c| (pl.x[c.index()], pl.y[c.index()])).collect();
+            assert_move_matches_oracle(&nl, &pl, &cells, &here)?;
+            assert_move_matches_oracle(&nl, &pl, &cells, &cand[..cells.len()])?;
+        }
+    }
+
+    /// The cases a box per net can get wrong, each against the oracle: two
+    /// moved cells sharing a net, a cell with two pins on one net, a net
+    /// whose every pin moves, a single-pin net, non-zero pin offsets.
+    #[test]
+    fn move_hpwl_equals_the_oracle_on_pinned_cases() {
+        let mut b = NetlistBuilder::new();
+        let a = b.add_cell("a", 2.0, 1.0, true).unwrap();
+        let c = b.add_cell("c", 1.0, 1.0, true).unwrap();
+        let t = b.add_cell("t", 0.0, 0.0, false).unwrap();
+        b.add_net(
+            "shared",
+            vec![(a, 0.5, 0.0), (c, -0.25, 0.5), (t, 0.0, 0.0)],
+        );
+        b.add_net(
+            "twice",
+            vec![(a, -1.0, 0.25), (t, 0.0, 0.0), (a, 0.75, -0.5)],
+        );
+        b.add_net("all_moving", vec![(a, 0.0, -0.5), (c, 0.5, 0.5)]);
+        b.add_net("single", vec![(c, 0.25, 0.25)]);
+        let nl = b.build();
+        let mut pl = Placement::zeros(3);
+        (pl.x[a.index()], pl.y[a.index()]) = (10.0, 3.0);
+        (pl.x[c.index()], pl.y[c.index()]) = (20.0, 7.0);
+        (pl.x[t.index()], pl.y[t.index()]) = (15.0, 0.0);
+        let (pa, pc) = ((10.0, 3.0), (20.0, 7.0));
+        for at in [
+            [pa, pc],
+            [pc, pa],
+            [(30.0, 4.0), (0.0, 0.0)],
+            [(18.5, 2.0), (3.0, 9.0)],
+        ] {
+            assert_move_matches_oracle(&nl, &pl, &[a, c], &at).unwrap();
+            assert_move_matches_oracle(&nl, &pl, &[c, a], &[at[1], at[0]]).unwrap();
+            assert_move_matches_oracle(&nl, &pl, &[a], &at[..1]).unwrap();
+            assert_move_matches_oracle(&nl, &pl, &[c], &at[1..]).unwrap();
+        }
+    }
 
     fn legal_smoke() -> (mep_netlist::bookshelf::BookshelfCircuit, Placement) {
         let c = synth::generate(&synth::smoke_spec());
@@ -582,6 +854,48 @@ mod tests {
         );
     }
 
+    /// Every decision of a default refinement, pinned: `smoke` and
+    /// `smoke_regions` (the fence branch), each legalized from its generated
+    /// placement. A change that keeps `hpwl_after` but moves a counter, or
+    /// the reverse, fails here.
+    #[test]
+    fn refine_decisions_are_pinned() {
+        for (spec, want) in [
+            (
+                synth::smoke_spec(),
+                (
+                    [492, 876],
+                    [273, 1137],
+                    [112, 275],
+                    3,
+                    0x40c4_bf04_ba06_6fbf,
+                ),
+            ),
+            (
+                synth::smoke_regions_spec(),
+                (
+                    [199, 423],
+                    [250, 1116],
+                    [124, 280],
+                    3,
+                    0x40c8_505d_487b_9bfc,
+                ),
+            ),
+        ] {
+            let c = synth::generate(&spec);
+            let (mut pl, _) = legalize(&c.design, &c.placement).expect("legalize");
+            let r = refine(&c.design, &mut pl, &DetailConfig::default());
+            let got = (
+                [r.reorders, r.reorders_attempted],
+                [r.swaps, r.swaps_attempted],
+                [r.matchings, r.matchings_attempted],
+                r.passes,
+                r.hpwl_after.to_bits(),
+            );
+            assert_eq!(got, want, "{}", spec.name);
+        }
+    }
+
     #[test]
     fn refinement_is_monotone_across_passes() {
         let (c, mut pl) = legal_smoke();
@@ -605,7 +919,7 @@ mod tests {
     fn optimal_position_is_median_of_other_pins() {
         // cell connected by two 2-pin nets to cells at x = 0 and x = 10:
         // any x in [0,10] is optimal; the median-of-bounds picks inside
-        let mut b = mep_netlist::NetlistBuilder::new();
+        let mut b = NetlistBuilder::new();
         let a = b.add_cell("a", 1.0, 1.0, true).unwrap();
         let l = b.add_cell("l", 1.0, 1.0, true).unwrap();
         let r = b.add_cell("r", 1.0, 1.0, true).unwrap();
@@ -616,14 +930,16 @@ mod tests {
         pl.x[l.index()] = 0.0;
         pl.x[r.index()] = 10.0;
         pl.x[a.index()] = 50.0;
-        let (ox, _) = optimal_position(&nl, &pl, a);
+        let mut moves = MoveNets::default();
+        moves.load(&nl, &pl, &[a]);
+        let (ox, _) = moves.median_position(&mut Default::default()).unwrap();
         assert!((0.0..=11.0).contains(&ox), "ox = {ox}");
     }
 
     #[test]
     fn permute_visits_all_orderings() {
         let mut count = 0;
-        let mut p = vec![0, 1, 2, 3];
+        let mut p = [0, 1, 2, 3];
         permute(&mut p, 0, &mut |_| count += 1);
         assert_eq!(count, 24);
     }
@@ -631,7 +947,7 @@ mod tests {
     #[test]
     fn reassign_set_improves_crossed_pair() {
         // two cells whose nets pull them to each other's slots
-        let mut b = mep_netlist::NetlistBuilder::new();
+        let mut b = NetlistBuilder::new();
         let a = b.add_cell("a", 1.0, 1.0, true).unwrap();
         let c = b.add_cell("b", 1.0, 1.0, true).unwrap();
         let ta = b.add_cell("ta", 0.0, 0.0, false).unwrap();
@@ -645,7 +961,7 @@ mod tests {
         pl.x[a.index()] = 10.0; // a currently left (wrong side)
         pl.x[c.index()] = 90.0; // b currently right (wrong side)
         let before = total_hpwl(&nl, &pl);
-        let improved = reassign_set(&nl, &mut pl, &[a, c]);
+        let improved = reassign_set(&nl, &mut pl, &[a, c], &mut MoveNets::default());
         let after = total_hpwl(&nl, &pl);
         assert!(improved);
         assert!(after < before);

@@ -285,6 +285,17 @@ mod tests {
         assert!(r.detail.swaps <= r.detail.swaps_attempted);
         assert!(r.detail.matchings <= r.detail.matchings_attempted);
         assert!(r.detail.swap_acceptance() <= 1.0);
+        // the move classes are clocked inside the DP stage
+        let classes: f64 = [
+            "dp.reorder_seconds",
+            "dp.swap_seconds",
+            "dp.matching_seconds",
+        ]
+        .iter()
+        .map(|name| rep.gauge(name).unwrap())
+        .sum();
+        assert!(classes > 0.0);
+        assert!(classes <= rep.gauge("dp.rt_seconds").unwrap());
         // and the report serializes
         let json = rep.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));

@@ -197,6 +197,10 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
         r.gauge(&format!("{name}.acceptance_pct")).set(pct);
     }
     r.gauge("dp.hpwl_gain").set(d.hpwl_before - d.hpwl_after);
+    // the wall of each move class, summed over passes (inside dp.rt_seconds)
+    r.gauge("dp.reorder_seconds").set(d.reorder_seconds);
+    r.gauge("dp.swap_seconds").set(d.swap_seconds);
+    r.gauge("dp.matching_seconds").set(d.matching_seconds);
     inputs.dp_disp.export(&r, "dp.displacement_rows");
 
     RunReport::from_registry(&r)
