@@ -30,6 +30,7 @@ use mep_bench::peko::{
 use mep_bench::Table;
 use mep_netlist::synth::peko::{peko_spec, peko_suite};
 use mep_obs::json::JsonObject;
+use mep_obs::parse::{parse_json, JsonValue};
 use mep_wirelength::ModelKind;
 
 /// Ladder rungs re-measured by `--guard` (the smallest two: exhaustive
@@ -171,13 +172,8 @@ fn main() {
 /// CI quality-regression guard: re-run Moreau on the guard rungs and fail
 /// on a ratio regression beyond the baseline's `tolerance` field.
 fn run_guard(args: &[String], fast: bool) {
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--guard")
-        .and_then(|i| args.get(i + 1))
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "results/peko_baseline.json".to_string());
+    let baseline_path =
+        flag_value(args, "--guard").unwrap_or_else(|| "results/peko_baseline.json".to_string());
     let text = match std::fs::read_to_string(&baseline_path) {
         Ok(t) => t,
         Err(e) => {
@@ -185,11 +181,19 @@ fn run_guard(args: &[String], fast: bool) {
             std::process::exit(1);
         }
     };
-    let Some(tolerance) = scrape_f64(&text, "tolerance") else {
+    let baseline = match parse_json(&text) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("[guard] baseline {baseline_path} is not JSON: {e}");
+            std::process::exit(1);
+        }
+    };
+    let field = |name: &str| baseline.get(name).and_then(JsonValue::as_f64);
+    let Some(tolerance) = field("tolerance") else {
         eprintln!("[guard] baseline {baseline_path} has no tolerance");
         std::process::exit(1);
     };
-    let max_iters = scrape_f64(&text, "max_iters")
+    let max_iters = field("max_iters")
         .map(|v| v as usize)
         .unwrap_or(GUARD_ITERS);
 
@@ -202,7 +206,7 @@ fn run_guard(args: &[String], fast: bool) {
     let mut failed = false;
     for (i, &size) in sizes.iter().enumerate() {
         let key = format!("moreau_ratio_{size}");
-        let Some(baseline_ratio) = scrape_f64(&text, &key) else {
+        let Some(baseline_ratio) = field(&key) else {
             eprintln!("[guard] baseline {baseline_path} has no {key}");
             std::process::exit(1);
         };
@@ -254,18 +258,4 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 
 fn round4(v: f64) -> f64 {
     (v * 10_000.0).round() / 10_000.0
-}
-
-/// Extracts `"name": <number>` from a flat JSON text. The guard scrapes
-/// only top-level scalar fields written by this same binary, so a full
-/// parser is unnecessary; the nested `runs` array is written *after*
-/// every scraped field so a prefix search never lands inside it.
-fn scrape_f64(text: &str, name: &str) -> Option<f64> {
-    let key = format!("\"{name}\":");
-    let at = text.find(&key)? + key.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

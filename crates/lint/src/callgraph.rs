@@ -433,16 +433,35 @@ fn shield_ranges(fd: &FileData, open: usize, close: usize) -> Vec<(usize, usize)
     out
 }
 
-/// Direct panic sites in a body: `.unwrap()` / `.expect(`, panic-family
-/// macros, and `[…]` indexing (an ident / `)` / `]` immediately before the
-/// bracket distinguishes indexing from array literals and types).
+/// Whether token `i` calls `.unwrap()` / `.expect(` or a panic-family
+/// macro, comments skipped. The leading dot tells the method call from a
+/// local named `unwrap`; a name after `::` (`std::panic::catch_unwind`) is
+/// a path, not the macro.
+pub(crate) fn panic_call(fd: &FileData, i: usize) -> Option<PanicKind> {
+    const PANIC_MACROS: &[&str] = &["panic", "todo", "unreachable", "unimplemented"];
+    if !fd.is_ident(i) {
+        return None;
+    }
+    let text = fd.text(i);
+    let prev = fd.prev_code(i).map_or("", |p| fd.text(p));
+    if matches!(text, "unwrap" | "expect") && prev == "." && fd.punct_is(fd.next_code(i + 1), "(") {
+        Some(PanicKind::Unwrap)
+    } else if PANIC_MACROS.contains(&text) && fd.punct_is(i + 1, "!") && prev != "::" {
+        Some(PanicKind::Macro)
+    } else {
+        None
+    }
+}
+
+/// Direct panic sites in a body: [`panic_call`]s and `[…]` indexing (an
+/// ident / `)` / `]` immediately before the bracket distinguishes indexing
+/// from array literals and types).
 fn scan_panics(
     fd: &FileData,
     open: usize,
     close: usize,
     shielded: &dyn Fn(usize) -> bool,
 ) -> Vec<PanicSite> {
-    const PANIC_MACROS: &[&str] = &["panic", "todo", "unreachable", "unimplemented"];
     let mut out = Vec::new();
     let mut push = |tok: usize, kind: PanicKind| {
         out.push(PanicSite {
@@ -455,17 +474,8 @@ fn scan_panics(
         let t = &fd.tokens[i];
         match t.kind {
             TokenKind::Ident => {
-                let text = fd.text(i);
-                if (text == "unwrap" || text == "expect")
-                    && fd.prev_code(i).is_some_and(|p| fd.text(p) == ".")
-                    && fd.punct_is(fd.next_code(i + 1), "(")
-                {
-                    push(i, PanicKind::Unwrap);
-                } else if PANIC_MACROS.contains(&text)
-                    && fd.punct_is(i + 1, "!")
-                    && fd.prev_code(i).is_none_or(|p| fd.text(p) != "::")
-                {
-                    push(i, PanicKind::Macro);
+                if let Some(kind) = panic_call(fd, i) {
+                    push(i, kind);
                 }
             }
             TokenKind::Punct if fd.text(i) == "[" => {

@@ -12,6 +12,7 @@
 //! | `no-alloc-hot`  | no allocation in declared hot-loop modules          |
 //! | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]`  |
 
+use crate::callgraph::{panic_call, PanicKind};
 use crate::config::Config;
 use crate::context::FileData;
 use crate::diag::Violation;
@@ -48,9 +49,6 @@ fn panic_tolerant(fd: &FileData) -> bool {
 
 // --- no-panic-lib -----------------------------------------------------------
 
-/// Panic macros caught when followed by `!`.
-const PANIC_MACROS: &[&str] = &["panic", "todo", "unreachable", "unimplemented"];
-
 struct NoPanicLib;
 
 impl Rule for NoPanicLib {
@@ -71,33 +69,18 @@ impl Rule for NoPanicLib {
                 continue;
             }
             let text = fd.text(i);
-            // `.unwrap()` / `.expect(` — the leading dot distinguishes the
-            // method call from e.g. a local named `unwrap`
-            if (text == "unwrap" || text == "expect")
-                && fd.punct_is(i.wrapping_sub(1), ".")
-                && fd.punct_is(fd.next_code(i + 1), "(")
-            {
-                out.push(fd.violation(
-                    self.name(),
-                    tok.span.start,
-                    format!(
-                        "`.{text}()` can panic in library code; return a typed error \
-                         (see crates/placer/src/error.rs) or restructure so the case \
-                         is impossible"
-                    ),
-                ));
-            }
-            if PANIC_MACROS.contains(&text)
-                && fd.punct_is(i + 1, "!")
-                // `panic::catch_unwind`, `std::panic` paths are fine
-                && !fd.punct_is(i.wrapping_sub(1), "::")
-            {
-                out.push(fd.violation(
-                    self.name(),
-                    tok.span.start,
-                    format!("`{text}!` panics in library code; return a typed error instead"),
-                ));
-            }
+            let message = match panic_call(fd, i) {
+                Some(PanicKind::Unwrap) => format!(
+                    "`.{text}()` can panic in library code; return a typed error \
+                     (see crates/placer/src/error.rs) or restructure so the case \
+                     is impossible"
+                ),
+                Some(PanicKind::Macro) => {
+                    format!("`{text}!` panics in library code; return a typed error instead")
+                }
+                _ => continue,
+            };
+            out.push(fd.violation(self.name(), tok.span.start, message));
         }
     }
 }

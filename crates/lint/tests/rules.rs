@@ -80,6 +80,13 @@ pub fn f() -> &'static str {
 }
 
 #[test]
+fn no_panic_lib_looks_past_comments_as_the_panic_surface_does() {
+    // a comment between the dot and the method does not hide the call
+    let split = "pub fn f(x: Option<u32>) -> u32 {\n    x. /* checked */ unwrap()\n}\n";
+    assert_eq!(new_for(&check(LIB, split), "no-panic-lib").len(), 1);
+}
+
+#[test]
 fn no_panic_lib_suppressed() {
     let src = "pub fn f(x: Option<u32>) -> u32 {\n    // lint:allow(no-panic-lib): fixture-justified invariant\n    x.unwrap()\n}\n";
     let out = check(LIB, src);

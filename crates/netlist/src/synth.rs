@@ -101,13 +101,6 @@ impl SynthSpec {
             clusters: 0,
         }
     }
-
-    /// Switches the spec to the hierarchical/clustered generator mode with
-    /// the given number of groups (see [`SynthSpec::clusters`]).
-    pub fn with_clusters(mut self, clusters: usize) -> Self {
-        self.clusters = clusters;
-        self
-    }
 }
 
 const SCALE_2006: usize = 100;
@@ -426,6 +419,14 @@ impl Builtin {
                 (spec.movable + spec.fixed, spec.nets, spec.pins)
             }
             Builtin::Peko(spec) => (spec.movable, spec.nets, spec.pins),
+        }
+    }
+
+    /// The circuit, generated from its spec.
+    pub fn generate(&self) -> BookshelfCircuit {
+        match self {
+            Builtin::Synth(spec) | Builtin::Demo(spec) => generate(spec),
+            Builtin::Peko(spec) => peko::generate_peko(spec).circuit,
         }
     }
 }

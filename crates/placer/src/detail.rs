@@ -22,7 +22,8 @@
 //! nets bit for bit, and every acceptance test decides as a full re-walk
 //! would (DESIGN.md §2, "Detailed placement (S8)").
 
-use mep_netlist::{total_hpwl, CellId, Design, FixedState, NetId, Netlist, Placement};
+use crate::legalize::{row_cuts, RowIndex};
+use mep_netlist::{total_hpwl, CellId, Design, FixedState, NetId, Netlist, Placement, Rect};
 use std::time::Instant;
 
 /// Configuration for the detailed placer.
@@ -73,33 +74,6 @@ pub struct DetailReport {
     pub swap_seconds: f64,
     /// Wall seconds in independent-set matching, summed over passes.
     pub matching_seconds: f64,
-}
-
-impl DetailReport {
-    /// `accepted / attempted` for one move class, `0.0` when nothing was
-    /// attempted.
-    fn ratio(accepted: usize, attempted: usize) -> f64 {
-        if attempted == 0 {
-            0.0
-        } else {
-            accepted as f64 / attempted as f64
-        }
-    }
-
-    /// Acceptance ratio of local reorders.
-    pub fn reorder_acceptance(&self) -> f64 {
-        Self::ratio(self.reorders, self.reorders_attempted)
-    }
-
-    /// Acceptance ratio of global swaps.
-    pub fn swap_acceptance(&self) -> f64 {
-        Self::ratio(self.swaps, self.swaps_attempted)
-    }
-
-    /// Acceptance ratio of independent-set reassignments.
-    pub fn matching_acceptance(&self) -> f64 {
-        Self::ratio(self.matchings, self.matchings_attempted)
-    }
 }
 
 /// `[xl, xh, yl, yh]` of no pin: any fold replaces every side.
@@ -293,14 +267,20 @@ pub fn refine(design: &Design, placement: &mut Placement, config: &DetailConfig)
     } else {
         design.cell_region.clone()
     };
-    let fences: Vec<mep_netlist::Rect> = design.regions.iter().map(|r| r.rect).collect();
+    let fences: Vec<Rect> = design.regions.iter().map(|r| r.rect).collect();
+    let index = RowIndex::new(&design.rows);
     // fixed cells and frozen macros never move inside `refine`
-    let obstacles = row_obstacles(design, placement, row_h);
+    let blocked = netlist
+        .cells()
+        .filter(|&c| !netlist.is_movable(c) || netlist.cell_height(c) > row_h + 1e-9)
+        .map(|c| placement.cell_rect(netlist, c))
+        .filter(|r| r.area() > 0.0);
+    let obstacles = row_cuts(&index, blocked);
     let mut moves = MoveNets::default();
     let mut current = hpwl_before;
     for _pass in 0..config.passes {
         report.passes += 1;
-        let mut rows = build_rows(design, placement, row_h);
+        let mut rows = build_rows(&index, netlist, placement, row_h);
         // lint:allow(determinism): move-class wall-time telemetry; durations never feed back into results
         let t = Instant::now();
         let (acc, att) = local_reorder(
@@ -339,18 +319,20 @@ pub fn refine(design: &Design, placement: &mut Placement, config: &DetailConfig)
     report
 }
 
-/// Standard cells per row, sorted by x.
-fn build_rows(design: &Design, placement: &Placement, row_h: f64) -> Vec<Vec<CellId>> {
-    let netlist = &design.netlist;
-    let die = design.die;
-    let nrows = design.rows.len().max(1);
-    let mut rows: Vec<Vec<CellId>> = vec![Vec::new(); nrows];
+/// Standard cells per row of `index`, sorted by x. A cell on no row is
+/// left where it is.
+fn build_rows(
+    index: &RowIndex,
+    netlist: &Netlist,
+    placement: &Placement,
+    row_h: f64,
+) -> Vec<Vec<CellId>> {
+    let mut rows: Vec<Vec<CellId>> = vec![Vec::new(); index.len()];
     for cell in netlist.movable_cells() {
         if netlist.cell_height(cell) > row_h + 1e-9 {
             continue; // macros are frozen after legalization
         }
-        let r = ((placement.y[cell.index()] - die.yl) / row_h).round() as usize;
-        if r < nrows {
+        if let Some(r) = index.row_at(placement.x[cell.index()], placement.y[cell.index()]) {
             rows[r].push(cell);
         }
     }
@@ -358,29 +340,6 @@ fn build_rows(design: &Design, placement: &Placement, row_h: f64) -> Vec<Vec<Cel
         row.sort_by(|&a, &b| placement.x[a.index()].total_cmp(&placement.x[b.index()]));
     }
     rows
-}
-
-/// Per-row x-intervals blocked by fixed cells and frozen movable macros.
-fn row_obstacles(design: &Design, placement: &Placement, row_h: f64) -> Vec<Vec<(f64, f64)>> {
-    let netlist = &design.netlist;
-    let die = design.die;
-    let nrows = design.rows.len().max(1);
-    let mut per_row: Vec<Vec<(f64, f64)>> = vec![Vec::new(); nrows];
-    for cell in netlist.cells() {
-        let frozen_macro = netlist.is_movable(cell) && netlist.cell_height(cell) > row_h + 1e-9;
-        if netlist.is_movable(cell) && !frozen_macro {
-            continue;
-        }
-        let r = placement.cell_rect(netlist, cell);
-        // lint:allow(float-eq): zero-area obstacles are exactly zero by construction
-        if r.area() == 0.0 {
-            continue;
-        }
-        for row in crate::legalize::row_window(r.yl, r.yh, die.yl, row_h, nrows) {
-            per_row[row].push((r.xl, r.xh));
-        }
-    }
-    per_row
 }
 
 /// Cells per local-reorder permutation group (`3! = 6` orderings tried per
@@ -395,7 +354,7 @@ fn local_reorder(
     rows: &mut [Vec<CellId>],
     obstacles: &[Vec<(f64, f64)>],
     cell_region: &[Option<u16>],
-    fences: &[mep_netlist::Rect],
+    fences: &[Rect],
     moves: &mut MoveNets,
 ) -> (usize, usize) {
     let mut accepted = 0;
@@ -894,6 +853,52 @@ mod tests {
             );
             assert_eq!(got, want, "{}", spec.name);
         }
+    }
+
+    #[test]
+    fn rows_above_the_die_bottom_hold_every_cell() {
+        // ten rows starting two row pitches above the die bottom: the cells
+        // of the top two rows used to fall past the last row list
+        let mut b = NetlistBuilder::new();
+        let cells: Vec<CellId> = (0..30)
+            .map(|i| b.add_cell(format!("c{i}"), 2.0, 1.0, true).unwrap())
+            .collect();
+        for pair in cells.windows(2) {
+            b.add_net("n", vec![(pair[0], 0.0, 0.0), (pair[1], 0.0, 0.0)]);
+        }
+        let rows: Vec<mep_netlist::Row> = (0..10)
+            .map(|r| mep_netlist::Row {
+                y: 2.0 + r as f64,
+                height: 1.0,
+                xl: 0.0,
+                xh: 8.0,
+                site_width: 1.0,
+            })
+            .collect();
+        let die = Rect::new(0.0, 0.0, 8.0, 12.0);
+        let design = Design::new("t", b.build(), die, rows, 1.0).unwrap();
+        let mut pl = Placement::zeros(cells.len());
+        for (i, c) in cells.iter().enumerate() {
+            // three cells per row, shuffled over the rows
+            pl.x[c.index()] = 2.0 * (i % 3) as f64;
+            pl.y[c.index()] = 2.0 + (i * 7 % 10) as f64;
+        }
+        assert_eq!(check_legal(&design, &pl), Vec::new());
+        let index = RowIndex::new(&design.rows);
+        let lists = build_rows(&index, &design.netlist, &pl, 1.0);
+        let mut seen: Vec<CellId> = lists.iter().flatten().copied().collect();
+        seen.sort();
+        assert_eq!(seen, cells);
+        for (row, list) in design.rows.iter().zip(&lists) {
+            assert_eq!(list.len(), 3);
+            assert!(list.iter().all(|c| pl.y[c.index()] == row.y));
+        }
+        let report = refine(&design, &mut pl, &DetailConfig::default());
+        assert!(
+            report.reorders + report.swaps + report.matchings > 0,
+            "{report:?}"
+        );
+        assert_eq!(check_legal(&design, &pl), Vec::new());
     }
 
     #[test]

@@ -33,62 +33,99 @@ pub struct LegalizeReport {
     pub disp_hist: DispHistogram,
 }
 
-/// The half-open range of row indices whose interior a rect `[yl, yh)`
-/// overlaps, where row `r` spans `[die_yl + r·row_h, die_yl + (r+1)·row_h)`.
-///
-/// Written with explicit clamping instead of relying on `as usize`
-/// saturation: a zero-height rect, a rect entirely below the bottom row,
-/// or one entirely above the top row maps to an empty range, and a rect
-/// whose `yh` lands exactly on a row boundary does **not** include the row
-/// above it (touching is not overlapping, matching
-/// [`Rect::intersects`]). The floor/ceil candidates are tightened by
-/// direct boundary comparisons so float noise in the division cannot add
-/// a spurious edge row.
-pub(crate) fn row_window(
-    yl: f64,
-    yh: f64,
-    die_yl: f64,
-    row_h: f64,
-    nrows: usize,
-) -> std::ops::Range<usize> {
-    if row_h <= 0.0
-        || row_h.is_nan()
-        || nrows == 0
-        || !yl.is_finite()
-        || !yh.is_finite()
-        || yh <= yl
-    {
-        return 0..0;
-    }
-    // clamp in f64 *before* the usize cast — huge or negative relative
-    // coordinates must not depend on cast saturation semantics
-    let clamp_idx = |v: f64| -> usize {
-        if v <= 0.0 {
-            0
-        } else if v >= nrows as f64 {
-            nrows
-        } else {
-            v as usize
+/// The design's rows, found by their own `y`: every row lookup of
+/// legalization, detailed placement and the legality check goes through
+/// here. No order, pitch, common height or origin at `die.yl` is assumed
+/// of the rows.
+pub(crate) struct RowIndex<'a> {
+    rows: &'a [Row],
+    /// Row indices sorted by `y`.
+    by_y: Vec<usize>,
+    /// Height of the tallest row.
+    tallest: f64,
+}
+
+impl<'a> RowIndex<'a> {
+    pub(crate) fn new(rows: &'a [Row]) -> Self {
+        let mut by_y: Vec<usize> = (0..rows.len()).collect();
+        by_y.sort_by(|&a, &b| rows[a].y.total_cmp(&rows[b].y));
+        let tallest = rows.iter().fold(0.0_f64, |h, row| h.max(row.height));
+        Self {
+            rows,
+            by_y,
+            tallest,
         }
-    };
-    let mut lo = clamp_idx(((yl - die_yl) / row_h).floor());
-    let mut hi = clamp_idx(((yh - die_yl) / row_h).ceil());
-    // tighten against the actual row boundaries: row r is overlapped iff
-    // yl < bottom(r + 1) and yh > bottom(r), up to the codebase-standard
-    // relative tolerance — an "overlap" thinner than 1e-9 row heights is
-    // float noise from the division, not geometry
-    let eps = 1e-9 * row_h;
-    let bottom = |r: usize| die_yl + r as f64 * row_h;
-    while lo < hi && yl >= bottom(lo + 1) - eps {
-        lo += 1;
     }
-    while hi > lo && yh <= bottom(hi - 1) + eps {
-        hi -= 1;
+
+    /// The rows whose band `(y, y + height)` overlaps the open span
+    /// `(yl, yh)`, in `y` order. Touching is not overlapping (as in
+    /// [`Rect::intersects`]); an empty or non-finite span overlaps no row.
+    /// Only the rows whose bottom lies below `yh` and less than the tallest
+    /// row below `yl` are tested.
+    pub(crate) fn overlapping(&self, yl: f64, yh: f64) -> impl Iterator<Item = usize> + '_ {
+        let candidates = if yl < yh && yl.is_finite() && yh.is_finite() {
+            let lo = self
+                .by_y
+                .partition_point(|&r| self.rows[r].y + self.tallest <= yl);
+            let hi = self.by_y.partition_point(|&r| self.rows[r].y < yh);
+            self.by_y.get(lo..hi).unwrap_or_default()
+        } else {
+            &[]
+        };
+        let rows = self.rows;
+        candidates
+            .iter()
+            .copied()
+            .filter(move |&r| yl < rows[r].y + rows[r].height)
     }
-    if lo >= hi {
-        return 0..0;
+
+    /// The row a cell with lower-left corner `(x, y)` sits on: its bottom
+    /// lies within 1e-6 of the row's height of `y` and `x` inside its span
+    /// (rows may share a `y`, as a DEF row split around a macro does).
+    pub(crate) fn row_at(&self, x: f64, y: f64) -> Option<usize> {
+        let tol = 1e-6 * self.tallest;
+        let lo = self.by_y.partition_point(|&r| self.rows[r].y < y - tol);
+        let hi = self.by_y.partition_point(|&r| self.rows[r].y <= y + tol);
+        self.by_y.get(lo..hi)?.iter().copied().find(|&r| {
+            let row = &self.rows[r];
+            (y - row.y).abs() <= 1e-6 * row.height && row.xl <= x && x < row.xh
+        })
     }
-    lo..hi
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The row whose bottom lies nearest `y` (the upper of two at equal
+    /// distance).
+    pub(crate) fn nearest(&self, y: f64) -> Option<usize> {
+        let i = self.by_y.partition_point(|&r| self.rows[r].y < y);
+        let above = self.by_y.get(i).copied();
+        let below = i.checked_sub(1).and_then(|k| self.by_y.get(k)).copied();
+        match (below, above) {
+            (Some(b), Some(a)) if y - self.rows[b].y < self.rows[a].y - y => Some(b),
+            (b, a) => a.or(b),
+        }
+    }
+}
+
+/// Per row, the x-intervals (clipped to the row) of the obstacles whose
+/// interior intersects the row, in obstacle order.
+pub(crate) fn row_cuts(
+    index: &RowIndex,
+    obstacles: impl IntoIterator<Item = Rect>,
+) -> Vec<Vec<(f64, f64)>> {
+    let mut cuts: Vec<Vec<(f64, f64)>> = vec![Vec::new(); index.len()];
+    for o in obstacles {
+        for r in index.overlapping(o.yl, o.yh) {
+            let row = &index.rows[r];
+            if o.intersects(&row.rect()) {
+                cuts[r].push((o.xl.max(row.xl), o.xh.min(row.xh)));
+            }
+        }
+    }
+    cuts
 }
 
 /// A free interval of one row. Segments inside a fence region are tagged
@@ -205,41 +242,6 @@ pub fn legalize(
     design: &Design,
     gp: &Placement,
 ) -> Result<(Placement, LegalizeReport), PlacerError> {
-    legalize_with(design, gp, row_cuts)
-}
-
-/// Per row, the x-intervals (clipped to the row) of the obstacles whose
-/// interior intersects the row's band, in obstacle order. An obstacle is
-/// tested only against the rows whose bottom lies below its top and less
-/// than the tallest row below its bottom: every row it can intersect,
-/// whatever the order, pitch or heights of `rows` (the inverted range of a
-/// non-finite obstacle is empty).
-fn row_cuts(rows: &[Row], obstacles: &[Rect]) -> Vec<Vec<(f64, f64)>> {
-    let mut by_y: Vec<usize> = (0..rows.len()).collect();
-    by_y.sort_by(|&a, &b| rows[a].y.total_cmp(&rows[b].y));
-    let tallest = rows.iter().fold(0.0_f64, |h, row| h.max(row.height));
-    let mut cuts: Vec<Vec<(f64, f64)>> = vec![Vec::new(); rows.len()];
-    for o in obstacles {
-        let lo = by_y.partition_point(|&r| rows[r].y + tallest <= o.yl);
-        let hi = by_y.partition_point(|&r| rows[r].y < o.yh);
-        for &r in by_y.get(lo..hi).unwrap_or_default() {
-            let row = &rows[r];
-            if o.intersects(&Rect::new(row.xl, row.y, row.xh, row.y + row.height)) {
-                cuts[r].push((o.xl.max(row.xl), o.xh.min(row.xh)));
-            }
-        }
-    }
-    cuts
-}
-
-/// [`legalize`], with the builder of the per-row obstacle intervals as a
-/// parameter so that a test can pin [`row_cuts`] to the rows × obstacles
-/// scan on every legalized coordinate.
-fn legalize_with(
-    design: &Design,
-    gp: &Placement,
-    build_cuts: impl Fn(&[Row], &[Rect]) -> Vec<Vec<(f64, f64)>>,
-) -> Result<(Placement, LegalizeReport), PlacerError> {
     let netlist = &design.netlist;
     let mut legal = gp.clone();
     let row_h = design.rows.first().expect("design has rows").height;
@@ -321,7 +323,8 @@ fn legalize_with(
     // --- stage 2: Abacus for standard cells ----------------------------------
     // build per-row segments
     let mut rows: Vec<(f64, Vec<Segment>)> = Vec::with_capacity(design.rows.len());
-    for (row, mut cuts) in design.rows.iter().zip(build_cuts(&design.rows, &obstacles)) {
+    let cuts_by_row = row_cuts(&RowIndex::new(&design.rows), obstacles.iter().copied());
+    for (row, mut cuts) in design.rows.iter().zip(cuts_by_row) {
         cuts.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut segments = Vec::new();
         let mut cursor = row.xl;
@@ -588,7 +591,9 @@ pub enum Violation {
     OutsideDie(CellId),
     /// Two placed rectangles overlap.
     Overlap(CellId, CellId),
-    /// Standard cell not aligned to a row bottom.
+    /// Cell whose lower-left corner sits on no row: no row has its bottom
+    /// within 1e-6 of its height of the cell's y and the cell's x in its
+    /// span.
     OffRow(CellId),
     /// Region-constrained cell placed outside its fence.
     OutsideRegion(CellId),
@@ -599,7 +604,7 @@ pub enum Violation {
 pub fn check_legal(design: &Design, placement: &Placement) -> Vec<Violation> {
     let netlist = &design.netlist;
     let die = design.die;
-    let row_h = design.rows.first().map(|r| r.height).unwrap_or(1.0);
+    let index = RowIndex::new(&design.rows);
     let mut violations = Vec::new();
 
     // die containment + row alignment + fence containment
@@ -608,8 +613,7 @@ pub fn check_legal(design: &Design, placement: &Placement) -> Vec<Violation> {
         if !die.contains_rect(&r) {
             violations.push(Violation::OutsideDie(cell));
         }
-        let dy = (r.yl - die.yl) / row_h;
-        if (dy - dy.round()).abs() > 1e-6 {
+        if index.row_at(r.xl, r.yl).is_none() {
             violations.push(Violation::OffRow(cell));
         }
         if let Some(region) = design.region_of(cell) {
@@ -620,8 +624,7 @@ pub fn check_legal(design: &Design, placement: &Placement) -> Vec<Violation> {
     }
 
     // overlaps via per-row sweep (macros appear in every row they span)
-    let nrows = design.rows.len().max(1);
-    let mut by_row: Vec<Vec<CellId>> = vec![Vec::new(); nrows];
+    let mut by_row: Vec<Vec<CellId>> = vec![Vec::new(); design.rows.len()];
     let occupied = |c: CellId| -> Rect { placement.cell_rect(netlist, c) };
     for cell in netlist.cells() {
         // lint:allow(float-eq): zero-area pads are exactly zero by construction
@@ -633,7 +636,7 @@ pub fn check_legal(design: &Design, placement: &Placement) -> Vec<Violation> {
         if r.area() == 0.0 {
             continue;
         }
-        for row in row_window(r.yl, r.yh, die.yl, row_h, nrows) {
+        for row in index.overlapping(r.yl, r.yh) {
             by_row[row].push(cell);
         }
     }
@@ -664,7 +667,7 @@ pub struct LegalityAudit {
     pub overlaps: usize,
     /// Movable cells poking outside the die.
     pub outside_die: usize,
-    /// Standard cells not aligned to a row bottom.
+    /// Cells whose lower-left corner sits on no row.
     pub off_row: usize,
     /// Cells whose x is not on the `row.xl + k·site_width` lattice.
     ///
@@ -725,7 +728,7 @@ pub fn audit_legality(design: &Design, placement: &Placement) -> LegalityAudit {
     }
     // site alignment: x must land on the nearest row's site lattice
     let netlist = &design.netlist;
-    let row_h = design.rows.first().map(|r| r.height).unwrap_or(1.0);
+    let index = RowIndex::new(&design.rows);
     for cell in netlist.movable_cells() {
         let x = placement.x[cell.index()];
         let y = placement.y[cell.index()];
@@ -733,13 +736,7 @@ pub fn audit_legality(design: &Design, placement: &Placement) -> LegalityAudit {
             audit.off_site += 1;
             continue;
         }
-        let ri = if row_h > 0.0 {
-            (((y - design.die.yl) / row_h).round().max(0.0) as usize)
-                .min(design.rows.len().saturating_sub(1))
-        } else {
-            0
-        };
-        let Some(row) = design.rows.get(ri) else {
+        let Some(row) = index.nearest(y).map(|r| &design.rows[r]) else {
             continue;
         };
         if row.site_width <= 0.0 {
@@ -878,18 +875,15 @@ mod tests {
     }
 
     /// [`row_cuts`] against the all-pairs scan on the design's fixed cells,
-    /// then the whole legalizer over either: every coordinate bit.
+    /// bit for bit, then the legalized placement: legal.
     fn assert_matches_all_pairs(design: &Design, gp: &Placement) -> Placement {
         let obstacles = fixed_rects(design, gp);
         let want = all_pairs_cuts(&design.rows, &obstacles);
         assert!(want.iter().any(|row| !row.is_empty()), "no row is cut");
-        assert_eq!(bits(&row_cuts(&design.rows, &obstacles)), bits(&want));
+        let got = row_cuts(&RowIndex::new(&design.rows), obstacles.iter().copied());
+        assert_eq!(bits(&got), bits(&want));
 
-        let (want, _) = legalize_with(design, gp, all_pairs_cuts).expect("all-pairs legalize");
         let (got, report) = legalize(design, gp).expect("legalize");
-        let coords =
-            |p: &Placement| -> Vec<u64> { p.x.iter().chain(&p.y).map(|v| v.to_bits()).collect() };
-        assert_eq!(coords(&got), coords(&want));
         assert_eq!(check_legal(design, &got), Vec::new(), "{report:?}");
         got
     }
@@ -957,9 +951,8 @@ mod tests {
         assert_matches_all_pairs(&design, &gp);
 
         let obstacles = fixed_rects(&design, &gp);
-        let cut_rows = |rows: &[Row]| -> Vec<usize> {
-            row_cuts(rows, &obstacles).iter().map(Vec::len).collect()
-        };
+        let cuts = |rows: &[Row]| row_cuts(&RowIndex::new(rows), obstacles.iter().copied());
+        let cut_rows = |rows: &[Row]| -> Vec<usize> { cuts(rows).iter().map(Vec::len).collect() };
         assert_eq!(cut_rows(&design.rows), [1, 0, 1, 1, 1, 1, 1, 1]);
         // no order, pitch or common height is assumed of the rows
         design.rows.reverse();
@@ -967,54 +960,207 @@ mod tests {
         design.rows[3].height = 2.5;
         design.rows[6].y -= 0.25;
         let want = all_pairs_cuts(&design.rows, &obstacles);
-        assert_eq!(bits(&row_cuts(&design.rows, &obstacles)), bits(&want));
+        assert_eq!(bits(&cuts(&design.rows)), bits(&want));
         assert_ne!(cut_rows(&design.rows), [1, 0, 1, 1, 1, 1, 1, 1]);
     }
 
-    #[test]
-    fn row_window_handles_die_edges_exactly() {
-        // 10 rows of height 1 starting at die.yl = 0
-        let (die_yl, row_h, nrows) = (0.0, 1.0, 10);
-        let win = |yl, yh| row_window(yl, yh, die_yl, row_h, nrows);
+    fn row(y: f64, height: f64) -> Row {
+        Row {
+            y,
+            height,
+            xl: 0.0,
+            xh: 10.0,
+            site_width: 1.0,
+        }
+    }
 
-        // interior rect spanning rows 2..5
-        assert_eq!(win(2.25, 4.75), 2..5);
-        // cell touching the top row: yh lands exactly on the die top
-        assert_eq!(win(9.0, 10.0), 9..10);
-        // yh exactly on an interior row boundary: no spurious extra row
-        assert_eq!(win(0.5, 2.0), 0..2);
-        // yl exactly on a row boundary belongs to that row only
-        assert_eq!(win(3.0, 4.0), 3..4);
-        // zero-height rect overlaps nothing
-        assert_eq!(win(5.0, 5.0), 0..0);
-        assert_eq!(win(5.5, 5.5), 0..0);
-        // rect fully above the die: empty, no saturation artifacts
-        assert_eq!(win(15.0, 16.0), 0..0);
-        // rect fully below the die: empty (the old code forced row 0)
-        assert_eq!(win(-5.0, -1.0), 0..0);
-        // rect straddling the die bottom / top is clamped, not dropped
-        assert_eq!(win(-3.0, 1.5), 0..2);
-        assert_eq!(win(8.5, 13.0), 8..10);
-        // inverted rect is empty
-        assert_eq!(win(4.0, 3.0), 0..0);
-        // degenerate grids
-        assert_eq!(row_window(0.0, 1.0, 0.0, 0.0, 10), 0..0);
-        assert_eq!(row_window(0.0, 1.0, 0.0, 1.0, 0), 0..0);
-        assert_eq!(row_window(f64::NAN, 1.0, 0.0, 1.0, 10), 0..0);
+    /// Brute force: the rows whose band overlaps the open span `(yl, yh)`,
+    /// in `y` order.
+    fn overlapping_scan(rows: &[Row], yl: f64, yh: f64) -> Vec<usize> {
+        let mut hit: Vec<usize> = (0..rows.len())
+            .filter(|&r| rows[r].y < yh && yl < rows[r].y + rows[r].height)
+            .collect();
+        hit.sort_by(|&a, &b| rows[a].y.total_cmp(&rows[b].y));
+        hit
     }
 
     #[test]
-    fn row_window_survives_offset_float_noise() {
-        // a die origin and row height whose multiples are not exactly
-        // representable: boundary-aligned rects must still map to exactly
-        // the rows they overlap
-        let (die_yl, row_h, nrows) = (0.3, 0.1, 30);
-        for r in 0..nrows {
-            let yl = die_yl + r as f64 * row_h;
-            let yh = yl + row_h;
-            let win = row_window(yl, yh, die_yl, row_h, nrows);
-            assert_eq!(win.len(), 1, "row {r}: got {win:?}");
+    fn row_index_finds_uniform_rows_exactly() {
+        // ten unit rows starting at y = 0
+        let rows: Vec<Row> = (0..10).map(|r| row(r as f64, 1.0)).collect();
+        let index = RowIndex::new(&rows);
+        let over = |yl, yh| index.overlapping(yl, yh).collect::<Vec<_>>();
+        // interior span over rows 2..5, and spans touching row boundaries:
+        // touching is not overlapping
+        assert_eq!(over(2.25, 4.75), [2, 3, 4]);
+        assert_eq!(over(9.0, 10.0), [9]);
+        assert_eq!(over(0.5, 2.0), [0, 1]);
+        assert_eq!(over(3.0, 4.0), [3]);
+        // straddling the first / last row: clamped, not dropped
+        assert_eq!(over(-3.0, 1.5), [0, 1]);
+        assert_eq!(over(8.5, 13.0), [8, 9]);
+        // empty, inverted, outside the rows, or not finite: no row
+        for (yl, yh) in [
+            (5.0, 5.0),
+            (5.5, 5.5),
+            (4.0, 3.0),
+            (15.0, 16.0),
+            (-5.0, -1.0),
+            (-5.0, 0.0),
+            (10.0, 11.0),
+            (f64::NAN, 1.0),
+            (0.0, f64::NAN),
+            (f64::NEG_INFINITY, 5.0),
+            (5.0, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::INFINITY),
+        ] {
+            assert_eq!(over(yl, yh), [], "({yl}, {yh})");
         }
+        // a cell bottom sits on a row within 1e-6 of its height, and inside
+        // its x span
+        assert_eq!(index.row_at(3.0, 4.0), Some(4));
+        assert_eq!(index.row_at(3.0, 4.0 + 5e-7), Some(4));
+        assert_eq!(index.row_at(3.0, 4.0 - 5e-7), Some(4));
+        assert_eq!(index.row_at(3.0, 4.0 + 2e-6), None);
+        assert_eq!(index.row_at(3.0, 4.5), None);
+        assert_eq!(index.row_at(3.0, 10.0), None);
+        assert_eq!(index.row_at(3.0, -1.0), None);
+        assert_eq!(index.row_at(10.0, 4.0), None);
+        assert_eq!(index.row_at(-0.5, 4.0), None);
+        assert_eq!(index.row_at(3.0, f64::NAN), None);
+        assert_eq!(index.row_at(f64::NAN, 4.0), None);
+        // the nearest row, clamped to the first and last
+        assert_eq!(index.nearest(4.4), Some(4));
+        assert_eq!(index.nearest(4.6), Some(5));
+        assert_eq!(index.nearest(4.5), Some(5));
+        assert_eq!(index.nearest(-7.0), Some(0));
+        assert_eq!(index.nearest(70.0), Some(9));
+        // no rows: nothing anywhere
+        let none = RowIndex::new(&[]);
+        assert_eq!(none.overlapping(0.0, 1.0).count(), 0);
+        assert_eq!((none.row_at(0.0, 0.0), none.nearest(0.0)), (None, None));
+    }
+
+    #[test]
+    fn row_index_needs_no_order_pitch_or_common_height() {
+        // listed out of order, one row taller than the rest, a gap, and an
+        // origin that is no multiple of any height
+        let rows = vec![
+            row(4.3, 1.0),
+            row(0.3, 1.0),
+            row(2.3, 2.0),
+            row(5.3, 1.0),
+            row(1.3, 1.0),
+            row(8.3, 1.5),
+        ];
+        let index = RowIndex::new(&rows);
+        for yl in (-4..44).map(|k| 0.25 * k as f64 + 0.05) {
+            for yh in [yl + 0.1, yl + 1.0, yl + 2.5, yl + 0.25]
+                .into_iter()
+                .chain([yl.ceil()])
+            {
+                let got: Vec<usize> = index.overlapping(yl, yh).collect();
+                assert_eq!(got, overlapping_scan(&rows, yl, yh), "({yl}, {yh})");
+            }
+        }
+        // a span inside the tall row's upper half still finds it
+        assert_eq!(index.overlapping(3.6, 3.9).collect::<Vec<_>>(), [2]);
+        // spans touching row bands
+        assert_eq!(index.overlapping(4.3, 5.3).collect::<Vec<_>>(), [0]);
+        assert_eq!(index.overlapping(1.3, 4.3).collect::<Vec<_>>(), [4, 2]);
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(index.row_at(row.xl, row.y), Some(r));
+            assert_eq!(index.nearest(row.y + 0.3), Some(r));
+        }
+        assert_eq!(index.row_at(0.0, 3.3), None); // inside the tall row
+        assert_eq!(index.row_at(0.0, 6.3), None); // in the gap
+        assert_eq!(index.nearest(7.5), Some(5));
+    }
+
+    #[test]
+    fn row_index_finds_rows_through_offset_float_noise() {
+        // an origin and a height whose multiples are not exactly
+        // representable: a cell placed on a row is found on it
+        let rows: Vec<Row> = (0..30).map(|r| row(0.3 + r as f64 * 0.1, 0.1)).collect();
+        let index = RowIndex::new(&rows);
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(index.row_at(1.0, row.y), Some(r));
+            assert_eq!(index.row_at(1.0, 0.3 + 0.1 * r as f64), Some(r));
+            assert_eq!(index.nearest(row.y), Some(r));
+            assert!(index.overlapping(row.y, row.y + row.height).any(|k| k == r));
+        }
+    }
+
+    #[test]
+    fn rows_split_at_one_y_are_told_apart_by_x() {
+        // one row split around a macro: [0, 4) and [6, 10) at y = 2
+        let mut rows = vec![row(0.0, 1.0), row(2.0, 1.0), row(2.0, 1.0)];
+        rows[1].xh = 4.0;
+        rows[2].xl = 6.0;
+        let index = RowIndex::new(&rows);
+        assert_eq!(index.row_at(1.0, 2.0), Some(1));
+        assert_eq!(index.row_at(7.0, 2.0), Some(2));
+        assert_eq!(index.row_at(4.5, 2.0), None);
+        assert_eq!(index.overlapping(1.5, 2.5).collect::<Vec<_>>(), [1, 2]);
+    }
+
+    #[test]
+    fn rows_offset_from_the_die_legalize_and_check_clean() {
+        // rows start half a row above the die bottom and stop half a row
+        // below its top: nothing may be measured from `die.yl`
+        let mut b = mep_netlist::NetlistBuilder::new();
+        let cells: Vec<CellId> = (0..24)
+            .map(|i| {
+                b.add_cell(format!("c{i}"), 1.0 + (i % 2) as f64, 1.0, true)
+                    .unwrap()
+            })
+            .collect();
+        let rows: Vec<Row> = (0..5).map(|r| row(0.5 + r as f64, 1.0)).collect();
+        let die = Rect::new(0.0, 0.0, 10.0, 6.0);
+        let design = Design::new("t", b.build(), die, rows, 1.0).unwrap();
+        let mut gp = Placement::zeros(cells.len());
+        for (i, c) in cells.iter().enumerate() {
+            gp.x[c.index()] = (i * 7 % 9) as f64 + 0.3;
+            gp.y[c.index()] = (i % 6) as f64 * 0.9;
+        }
+        let (legal, _) = legalize(&design, &gp).expect("legalize");
+        assert!(legal.y.iter().all(|y| y.fract() == 0.5), "{:?}", legal.y);
+        assert_eq!(check_legal(&design, &legal), Vec::new());
+        assert!(audit_legality(&design, &legal).is_clean());
+        // a cell on the die-based lattice sits on no row
+        let mut off = legal.clone();
+        off.y[cells[0].index()] = 2.0;
+        let off_row: Vec<Violation> = check_legal(&design, &off)
+            .into_iter()
+            .filter(|v| matches!(v, Violation::OffRow(_)))
+            .collect();
+        assert_eq!(off_row, [Violation::OffRow(cells[0])]);
+    }
+
+    #[test]
+    fn audit_reads_the_site_lattice_of_the_row_a_cell_sits_on() {
+        // rows half a row above the die bottom, their site lattices
+        // alternately offset by half a site
+        let mut b = mep_netlist::NetlistBuilder::new();
+        let cells: Vec<CellId> = (0..4)
+            .map(|i| b.add_cell(format!("c{i}"), 1.0, 1.0, true).unwrap())
+            .collect();
+        let rows: Vec<Row> = (0..4)
+            .map(|r| Row {
+                xl: 0.5 * (r % 2) as f64,
+                ..row(0.5 + r as f64, 1.0)
+            })
+            .collect();
+        let design =
+            Design::new("t", b.build(), Rect::new(0.0, 0.0, 10.0, 5.0), rows, 1.0).unwrap();
+        let mut pl = Placement::zeros(cells.len());
+        for (c, row) in cells.iter().zip(&design.rows) {
+            (pl.x[c.index()], pl.y[c.index()]) = (row.xl + 3.0, row.y);
+        }
+        assert!(audit_legality(&design, &pl).is_clean());
+        pl.x[cells[1].index()] += 0.25;
+        let audit = audit_legality(&design, &pl);
+        assert_eq!((audit.off_site, audit.total()), (1, 1), "{audit}");
     }
 
     #[test]

@@ -284,7 +284,9 @@ mod tests {
         assert!(r.detail.reorders <= r.detail.reorders_attempted);
         assert!(r.detail.swaps <= r.detail.swaps_attempted);
         assert!(r.detail.matchings <= r.detail.matchings_attempted);
-        assert!(r.detail.swap_acceptance() <= 1.0);
+        assert!(rep
+            .gauge("dp.swaps.acceptance_pct")
+            .is_some_and(|pct| pct <= 100.0));
         // the move classes are clocked inside the DP stage
         let classes: f64 = [
             "dp.reorder_seconds",

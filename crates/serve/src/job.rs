@@ -76,15 +76,13 @@ impl CircuitSource {
     /// Loads/generates the circuit.
     pub fn load(&self) -> Result<BookshelfCircuit, JobError> {
         match self {
-            CircuitSource::Builtin(name) => match synth::builtin(name) {
-                Some(synth::Builtin::Synth(spec) | synth::Builtin::Demo(spec)) => {
-                    Ok(synth::generate(&spec))
-                }
-                Some(synth::Builtin::Peko(spec)) => Ok(synth::peko::generate_peko(&spec).circuit),
-                None => Err(JobError::Load {
-                    detail: format!("unknown circuit {name:?}"),
-                }),
-            },
+            CircuitSource::Builtin(name) => {
+                synth::builtin(name)
+                    .map(|b| b.generate())
+                    .ok_or_else(|| JobError::Load {
+                        detail: format!("unknown circuit {name:?}"),
+                    })
+            }
             CircuitSource::Scaled { movable, seed } => Ok(synth::generate(
                 &synth::scaled_clustered_spec(*movable, *seed),
             )),

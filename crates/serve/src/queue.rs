@@ -56,13 +56,6 @@ impl<T> BoundedQueue<T> {
         self.items.pop_front()
     }
 
-    /// Removes and returns the first item matching `pred` (used to cancel
-    /// a job that is still queued). O(n) over a small bounded queue.
-    pub fn remove_where(&mut self, pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let idx = self.items.iter().position(pred)?;
-        self.items.remove(idx)
-    }
-
     /// Current depth.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -122,19 +115,5 @@ mod tests {
             reserved,
             "bounded queue must never grow its backing buffer"
         );
-    }
-
-    #[test]
-    fn remove_where_cancels_a_queued_item() {
-        let mut q = BoundedQueue::with_capacity(4);
-        for i in 0..4 {
-            q.try_push(i).unwrap();
-        }
-        assert_eq!(q.remove_where(|&i| i == 2), Some(2));
-        assert_eq!(q.remove_where(|&i| i == 9), None);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
     }
 }

@@ -89,11 +89,9 @@ fn load_circuit(
 /// is reported by `mep stats` and exploited by the `peko_suboptimality`
 /// harness.
 fn generate_builtin(name: &str) -> Result<BookshelfCircuit, String> {
-    match synth::builtin(name) {
-        Some(Builtin::Synth(spec) | Builtin::Demo(spec)) => Ok(synth::generate(&spec)),
-        Some(Builtin::Peko(spec)) => Ok(synth::peko::generate_peko(&spec).circuit),
-        None => Err(format!("unknown circuit `{name}` (try `mep bench-list`)")),
-    }
+    synth::builtin(name)
+        .map(|b| b.generate())
+        .ok_or_else(|| format!("unknown circuit `{name}` (try `mep bench-list`)"))
 }
 
 fn main() -> ExitCode {

@@ -4,6 +4,7 @@
 
 use moreau_placer::netlist::lefdef::{parse_def, parse_lef};
 use moreau_placer::netlist::total_hpwl;
+use moreau_placer::placer::legalize::audit_legality;
 use moreau_placer::placer::pipeline::{run, PipelineConfig};
 use moreau_placer::placer::GlobalConfig;
 use moreau_placer::wirelength::ModelKind;
@@ -65,4 +66,57 @@ fn lefdef_circuit_places_legally() {
         avg_link < 0.25 * circuit.design.die.width(),
         "avg chain link {avg_link}"
     );
+}
+
+/// `sample.def` with every `ROW` raised by 800 dbu (half a row) and the
+/// `DIEAREA` top raised with them: the rows no longer start at the die
+/// bottom.
+fn half_row_offset_def() -> String {
+    let shift = |line: &str, field: usize| -> String {
+        let mut words: Vec<String> = line.split(' ').map(str::to_string).collect();
+        let y: i64 = words[field].parse().expect("integer coordinate");
+        words[field] = (y + 800).to_string();
+        words.join(" ")
+    };
+    DEF.lines()
+        .map(|line| match line.split(' ').next() {
+            // ROW name site x y orient ...
+            Some("ROW") => shift(line, 4),
+            // DIEAREA ( xl yl ) ( xh yh ) ;
+            Some("DIEAREA") => shift(line, 7),
+            _ => line.to_string(),
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn rows_offset_from_the_die_place_legally() {
+    let def = half_row_offset_def();
+    assert!(def.contains("DIEAREA ( 0 0 ) ( 16000 16800 ) ;"));
+    assert!(def.contains("ROW r9 core 0 15200 N"));
+    let lib = parse_lef(LEF).expect("LEF parses");
+    let circuit = parse_def(&def, &lib, 0.9).expect("DEF parses");
+    assert_eq!(circuit.design.rows[0].y, 4.0);
+    let config = PipelineConfig {
+        global: GlobalConfig {
+            model: ModelKind::Moreau,
+            max_iters: 300,
+            ..GlobalConfig::default()
+        },
+        ..PipelineConfig::default()
+    };
+    let r = run(&circuit, &config).expect("placement flow");
+    assert_eq!(r.violations, 0);
+    let audit = audit_legality(&circuit.design, &r.placement);
+    assert!(audit.is_clean(), "{audit}");
+    let nl = &circuit.design.netlist;
+    for cell in nl.movable_cells() {
+        let y = r.placement.y[cell.index()];
+        assert!(
+            circuit.design.rows.iter().any(|row| row.y == y),
+            "cell {} at y {y} sits on no row",
+            nl.cell_name(cell)
+        );
+    }
 }
