@@ -1,7 +1,8 @@
 //! Criterion macrobench: the non-GP pipeline stages — legalization and
 //! detailed placement — on the smoke circuit (the cost behind the LG/DP
-//! portions of the RT columns), and detailed placement alone on a legalized
-//! newblue6 (three passes of the three move classes at 12.5k cells).
+//! portions of the RT columns), and both again on newblue6 from one GP
+//! placement: Abacus over 12.5k cells, then detailed placement alone on the
+//! legalized result (three passes of the three move classes).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mep_netlist::synth;
@@ -41,7 +42,7 @@ fn bench_stages(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_detail_newblue6(c: &mut Criterion) {
+fn bench_newblue6(c: &mut Criterion) {
     let spec = synth::spec_by_name("newblue6").expect("newblue6 is in the catalogue");
     let circuit = synth::generate(&spec);
     let gp = place(
@@ -56,6 +57,12 @@ fn bench_detail_newblue6(c: &mut Criterion) {
     let (legal, _) = legalize(&circuit.design, &gp.placement).expect("legalize");
 
     let mut group = c.benchmark_group("flow_stages");
+    group.bench_function("legalize_newblue6", |b| {
+        b.iter(|| {
+            let (legal, _) = legalize(&circuit.design, black_box(&gp.placement)).expect("legalize");
+            black_box(legal.x[0])
+        })
+    });
     group.bench_function("detail_place_newblue6", |b| {
         b.iter(|| {
             let mut pl = legal.clone();
@@ -66,5 +73,5 @@ fn bench_detail_newblue6(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_stages, bench_detail_newblue6);
+criterion_group!(benches, bench_stages, bench_newblue6);
 criterion_main!(benches);

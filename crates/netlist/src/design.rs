@@ -70,7 +70,8 @@ impl Design {
     /// # Errors
     ///
     /// Returns [`NetlistError::Geometry`] if the die is inverted, the target
-    /// density is outside `(0, 1]`, or any row pokes outside the die.
+    /// density is outside `(0, 1]`, there are no rows, or any row pokes
+    /// outside the die.
     pub fn new(
         name: impl Into<String>,
         netlist: Netlist,
@@ -85,6 +86,9 @@ impl Design {
             return Err(NetlistError::Geometry(format!(
                 "target density {target_density} outside (0, 1]"
             )));
+        }
+        if rows.is_empty() {
+            return Err(NetlistError::Geometry("design has no rows".into()));
         }
         const EPS: f64 = 1e-6;
         for (i, row) in rows.iter().enumerate() {
@@ -170,7 +174,8 @@ impl Design {
     /// Creates a design with uniform rows tiling the die.
     ///
     /// `row_height` must divide the die height reasonably; any remainder at
-    /// the top is left row-free.
+    /// the top is left row-free. A die shorter than one row has no rows and
+    /// is rejected.
     ///
     /// # Errors
     ///
@@ -243,6 +248,13 @@ mod tests {
             Design::with_uniform_rows("t", nl(), Rect::new(0.0, 0.0, 10.0, 25.0), 10.0, 1.0, 1.0)
                 .unwrap();
         assert_eq!(d.rows.len(), 2);
+    }
+
+    #[test]
+    fn die_shorter_than_a_row_is_rejected() {
+        let err =
+            Design::with_uniform_rows("t", nl(), Rect::new(0.0, 0.0, 10.0, 0.5), 1.0, 1.0, 1.0);
+        assert!(matches!(err, Err(NetlistError::Geometry(_))), "{err:?}");
     }
 
     #[test]

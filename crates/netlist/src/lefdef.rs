@@ -13,8 +13,7 @@
 //! legalizer snaps to), matching the synthetic benchmarks. Unsupported
 //! statements are skipped; this is a reader for placement research, not a
 //! sign-off parser. DEF `GROUPS` (region membership) are honored when
-//! present in the simple `- name comp… + REGION r ;` form. [`write_def`]
-//! serializes a placed circuit back out for evaluators and viewers.
+//! present in the simple `- name comp… + REGION r ;` form.
 
 use crate::bookshelf::BookshelfCircuit;
 use crate::design::Design;
@@ -710,115 +709,6 @@ pub fn parse_def(
     Ok(BookshelfCircuit { design, placement })
 }
 
-/// Serializes a placed circuit back to DEF (components, IO pins, nets,
-/// regions — enough for evaluators and viewers). Geometry is converted
-/// from site units back to `dbu` via `site_width_microns` and `dbu`.
-///
-/// The inverse of [`parse_def`] up to statement ordering and defaulted
-/// fields; pin offsets live in the LEF and are not re-emitted.
-pub fn write_def(
-    circuit: &BookshelfCircuit,
-    macro_of: impl Fn(crate::CellId) -> String,
-    site_width_microns: f64,
-    dbu: f64,
-) -> String {
-    use std::fmt::Write as _;
-    let design = &circuit.design;
-    let nl = &design.netlist;
-    let s = site_width_microns * dbu; // sites → dbu
-    let mut out = String::new();
-    let _ = writeln!(out, "VERSION 5.8 ;");
-    let _ = writeln!(out, "DESIGN {} ;", design.name);
-    let _ = writeln!(out, "UNITS DISTANCE MICRONS {dbu} ;");
-    let die = design.die;
-    let _ = writeln!(
-        out,
-        "DIEAREA ( {:.0} {:.0} ) ( {:.0} {:.0} ) ;",
-        die.xl * s,
-        die.yl * s,
-        die.xh * s,
-        die.yh * s
-    );
-    for (i, row) in design.rows.iter().enumerate() {
-        let nsites = (row.width() / row.site_width).round() as u64;
-        let _ = writeln!(
-            out,
-            "ROW r{i} core {:.0} {:.0} N DO {nsites} BY 1 STEP {:.0} 0 ;",
-            row.xl * s,
-            row.y * s,
-            row.site_width * s
-        );
-    }
-    // components = sized cells; zero-size fixed cells are IO pins
-    let comps: Vec<crate::CellId> = nl
-        .cells()
-        .filter(|&c| nl.cell_area(c) > 0.0 || nl.is_movable(c))
-        .collect();
-    let pads: Vec<crate::CellId> = nl
-        .cells()
-        // lint:allow(float-eq): zero-area pads are exactly zero by construction
-        .filter(|&c| nl.cell_area(c) == 0.0 && !nl.is_movable(c))
-        .collect();
-    let _ = writeln!(out, "COMPONENTS {} ;", comps.len());
-    for &c in &comps {
-        let kind = if nl.is_movable(c) { "PLACED" } else { "FIXED" };
-        let _ = writeln!(
-            out,
-            " - {} {} + {kind} ( {:.0} {:.0} ) N ;",
-            nl.cell_name(c),
-            macro_of(c),
-            circuit.placement.x[c.index()] * s,
-            circuit.placement.y[c.index()] * s
-        );
-    }
-    let _ = writeln!(out, "END COMPONENTS");
-    let _ = writeln!(out, "PINS {} ;", pads.len());
-    for &p in &pads {
-        let _ = writeln!(
-            out,
-            " - {} + DIRECTION INPUT + FIXED ( {:.0} {:.0} ) N ;",
-            nl.cell_name(p),
-            circuit.placement.x[p.index()] * s,
-            circuit.placement.y[p.index()] * s
-        );
-    }
-    let _ = writeln!(out, "END PINS");
-    let _ = writeln!(out, "NETS {} ;", nl.num_nets());
-    for net in nl.nets() {
-        let _ = write!(out, " - {}", nl.net_name(net));
-        for pin in nl.net_pins(net) {
-            let cell = nl.pin_cell(pin);
-            // lint:allow(float-eq): zero-area pads are exactly zero by construction
-            if nl.cell_area(cell) == 0.0 && !nl.is_movable(cell) {
-                let _ = write!(out, " ( PIN {} )", nl.cell_name(cell));
-            } else {
-                // pin-name association lives in the LEF; emit a positional
-                // placeholder that parse_def resolves via macro pin lookup
-                let _ = write!(out, " ( {} p{} )", nl.cell_name(cell), pin.index());
-            }
-        }
-        let _ = writeln!(out, " ;");
-    }
-    let _ = writeln!(out, "END NETS");
-    if !design.regions.is_empty() {
-        let _ = writeln!(out, "REGIONS {} ;", design.regions.len());
-        for r in &design.regions {
-            let _ = writeln!(
-                out,
-                " - {} ( {:.0} {:.0} ) ( {:.0} {:.0} ) ;",
-                r.name,
-                r.rect.xl * s,
-                r.rect.yl * s,
-                r.rect.xh * s,
-                r.rect.yh * s
-            );
-        }
-        let _ = writeln!(out, "END REGIONS");
-    }
-    let _ = writeln!(out, "END DESIGN");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -957,40 +847,6 @@ END DESIGN
         let c = parse_def(DEF, &lib, 0.9).unwrap();
         let h = crate::placement::total_hpwl(&c.design.netlist, &c.placement);
         assert!(h.is_finite() && h > 0.0);
-    }
-
-    #[test]
-    fn def_round_trips_through_writer() {
-        let lib = parse_lef(LEF).unwrap();
-        let c = parse_def(DEF, &lib, 0.9).unwrap();
-        // macro lookup for the writer: recover from the original DEF names
-        let macro_of = |cell: crate::CellId| -> String {
-            let name = c.design.netlist.cell_name(cell);
-            match name {
-                "u1" | "u2" => "INV".to_string(),
-                "blk" => "BLOCK".to_string(),
-                other => panic!("unexpected component {other}"),
-            }
-        };
-        let def2 = write_def(&c, macro_of, 0.2, 1000.0);
-        let c2 = parse_def(&def2, &lib, 0.9).unwrap();
-        let nl = &c.design.netlist;
-        let nl2 = &c2.design.netlist;
-        assert_eq!(nl.num_cells(), nl2.num_cells());
-        assert_eq!(nl.num_nets(), nl2.num_nets());
-        assert_eq!(nl.num_pins(), nl2.num_pins());
-        // positions survive (dbu rounding ≤ 1 dbu = 0.005 site)
-        for cell in nl.cells() {
-            let a = c.placement.position(cell);
-            let name = nl.cell_name(cell);
-            let cell2 = nl2.cell_by_name(name).expect("cell survives");
-            let b = c2.placement.position(cell2);
-            assert!((a.x - b.x).abs() < 0.01, "{name}: {} vs {}", a.x, b.x);
-            assert!((a.y - b.y).abs() < 0.01, "{name}");
-        }
-        // regions survive
-        assert_eq!(c2.design.regions.len(), c.design.regions.len());
-        assert_eq!(c2.design.regions[0].rect, c.design.regions[0].rect);
     }
 
     #[test]

@@ -130,99 +130,87 @@ pub(crate) fn row_cuts(
 
 /// A free interval of one row. Segments inside a fence region are tagged
 /// with the region index and accept only that region's cells (DEF FENCE
-/// semantics: fences are exclusive).
+/// semantics: fences are exclusive). After site snapping `xl` is the first
+/// free x: the segment is its free tail.
 #[derive(Debug, Clone)]
 struct Segment {
     xl: f64,
     xh: f64,
     used: f64,
     region: Option<u16>,
+    /// The cells placed here, in insertion order, which is left to right.
+    cells: Vec<CellId>,
     clusters: Vec<Cluster>,
 }
 
-/// Abacus cluster: cells packed shoulder to shoulder at optimal position
-/// `x = q / e`.
-#[derive(Debug, Clone)]
+/// Abacus cluster: the run of its segment's cells from `first` up to the
+/// next cluster's `first`, packed shoulder to shoulder at optimal position
+/// `x = q / w`. A cell weighs its width, so the weight sum is `w`.
+#[derive(Debug, Clone, Copy)]
 struct Cluster {
-    e: f64,
     q: f64,
     w: f64,
     x: f64,
-    cells: Vec<CellId>,
+    first: usize,
 }
 
-impl Cluster {
-    fn new(cell: CellId, weight: f64, target: f64, width: f64) -> Self {
+impl Segment {
+    fn new(xl: f64, xh: f64, region: Option<u16>) -> Self {
         Self {
-            e: weight,
-            q: weight * target,
+            xl,
+            xh,
+            used: 0.0,
+            region,
+            cells: Vec::new(),
+            clusters: Vec::new(),
+        }
+    }
+
+    /// Whether a cell of width `w` still fits.
+    fn fits(&self, w: f64) -> bool {
+        self.used + w <= self.xh - self.xl + 1e-9
+    }
+
+    /// The Abacus recurrence: the cluster a cell of `width` aimed at
+    /// `target` ends in when appended, and how many tail clusters that
+    /// cluster absorbs. The cell sits at the cluster's tail.
+    fn pack(&self, target: f64, width: f64) -> (Cluster, usize) {
+        let at = |q: f64, w: f64| (q / w).clamp(self.xl, (self.xh - w).max(self.xl));
+        let q = width * target.clamp(self.xl, (self.xh - width).max(self.xl));
+        let mut c = Cluster {
+            q,
             w: width,
-            x: target,
-            cells: vec![cell],
+            x: at(q, width),
+            first: self.cells.len(),
+        };
+        let mut absorbed = 0;
+        // merge with predecessors while overlapping
+        for last in self.clusters.iter().rev() {
+            if last.x + last.w > c.x {
+                let (q, w) = (last.q + (c.q - c.w * last.w), last.w + c.w);
+                c = Cluster {
+                    q,
+                    w,
+                    x: at(q, w),
+                    first: last.first,
+                };
+                absorbed += 1;
+            } else {
+                break;
+            }
         }
+        (c, absorbed)
     }
 
-    fn add_cluster(&mut self, other: &Cluster) {
-        self.e += other.e;
-        self.q += other.q - other.e * self.w;
-        self.w += other.w;
-        self.cells.extend_from_slice(&other.cells);
+    /// Appends a cell, collapsing overlaps. Returns the cell's x.
+    fn push_cell(&mut self, cell: CellId, target: f64, width: f64) -> f64 {
+        let (c, absorbed) = self.pack(target, width);
+        self.clusters.truncate(self.clusters.len() - absorbed);
+        self.clusters.push(c);
+        self.cells.push(cell);
+        self.used += width;
+        c.x + c.w - width
     }
-
-    fn place(&mut self, seg_xl: f64, seg_xh: f64) {
-        self.x = (self.q / self.e).clamp(seg_xl, (seg_xh - self.w).max(seg_xl));
-    }
-}
-
-/// Inserts a cell into the segment's cluster list, collapsing overlaps.
-/// Returns the cell's final x.
-fn segment_insert(seg: &mut Segment, cell: CellId, weight: f64, target: f64, width: f64) -> f64 {
-    let target = target.clamp(seg.xl, (seg.xh - width).max(seg.xl));
-    let mut c = Cluster::new(cell, weight, target, width);
-    c.place(seg.xl, seg.xh);
-    // merge with predecessor while overlapping
-    while let Some(last) = seg.clusters.last() {
-        if last.x + last.w > c.x {
-            let mut merged = seg.clusters.pop().expect("checked non-empty");
-            merged.add_cluster(&c);
-            merged.place(seg.xl, seg.xh);
-            c = merged;
-        } else {
-            break;
-        }
-    }
-    seg.used += width;
-    // the inserted cell sits at the tail of the (possibly merged) cluster
-    let x = c.x + c.w - width;
-    seg.clusters.push(c);
-    x
-}
-
-/// Simulates [`segment_insert`] without mutating the segment; returns the
-/// cell's would-be x.
-fn segment_trial(seg: &Segment, weight: f64, target: f64, width: f64) -> f64 {
-    let target = target.clamp(seg.xl, (seg.xh - width).max(seg.xl));
-    let mut e = weight;
-    let mut q = weight * target;
-    let mut w = width;
-    let mut x = (q / e).clamp(seg.xl, (seg.xh - w).max(seg.xl));
-    for last in seg.clusters.iter().rev() {
-        if last.x + last.w > x {
-            // merge `last` in front of the trial cluster
-            let mut me = last.e;
-            let mut mq = last.q;
-            let mw = last.w;
-            mq += q - e * mw;
-            me += e;
-            e = me;
-            q = mq;
-            w += mw;
-            x = (q / e).clamp(seg.xl, (seg.xh - w).max(seg.xl));
-        } else {
-            break;
-        }
-    }
-    x + w - width
 }
 
 /// Legalizes `gp` for `design`. Returns the legal placement and a report.
@@ -233,18 +221,21 @@ fn segment_trial(seg: &Segment, weight: f64, target: f64, width: f64) -> f64 {
 /// segment left to live in — the design's movable area exceeds its free
 /// row capacity (globally, within one fence region, or after site
 /// snapping shrank a segment's usable span). Such a design cannot be
-/// placed overlap-free, so no placement is returned.
-///
-/// # Panics
-///
-/// Panics if the design has no rows (checked at [`Design`] construction).
+/// placed overlap-free, so no placement is returned. A design with no rows
+/// (rejected by [`Design::new`], but a literal can hold one) is the same
+/// error.
 pub fn legalize(
     design: &Design,
     gp: &Placement,
 ) -> Result<(Placement, LegalizeReport), PlacerError> {
     let netlist = &design.netlist;
     let mut legal = gp.clone();
-    let row_h = design.rows.first().expect("design has rows").height;
+    let (Some(first_row), Some(last_row)) = (design.rows.first(), design.rows.last()) else {
+        return Err(PlacerError::Legalize {
+            reason: "the design has no rows".into(),
+        });
+    };
+    let row_h = first_row.height;
     let die = design.die;
 
     // --- obstacles: fixed cells with area -----------------------------------
@@ -313,8 +304,7 @@ pub fn legalize(
                 }
             }
         }
-        let (_, bx, by) =
-            best.unwrap_or((0.0, die.xl, design.rows.last().expect("design has rows").y));
+        let (_, bx, by) = best.unwrap_or((0.0, die.xl, last_row.y));
         legal.x[m.index()] = bx;
         legal.y[m.index()] = by;
         obstacles.push(Rect::from_origin_size(bx, by, w, h));
@@ -330,24 +320,12 @@ pub fn legalize(
         let mut cursor = row.xl;
         for (cl, ch) in cuts {
             if cl > cursor + 1e-9 {
-                segments.push(Segment {
-                    xl: cursor,
-                    xh: cl,
-                    used: 0.0,
-                    region: None,
-                    clusters: Vec::new(),
-                });
+                segments.push(Segment::new(cursor, cl, None));
             }
             cursor = cursor.max(ch);
         }
         if row.xh > cursor + 1e-9 {
-            segments.push(Segment {
-                xl: cursor,
-                xh: row.xh,
-                used: 0.0,
-                region: None,
-                clusters: Vec::new(),
-            });
+            segments.push(Segment::new(cursor, row.xh, None));
         }
         // split segments at fence boundaries; tag the fence interior
         for (r_idx, region) in design.regions.iter().enumerate() {
@@ -364,29 +342,11 @@ pub fn legalize(
                     continue;
                 }
                 if il > seg.xl + 1e-9 {
-                    split.push(Segment {
-                        xl: seg.xl,
-                        xh: il,
-                        used: 0.0,
-                        region: seg.region,
-                        clusters: Vec::new(),
-                    });
+                    split.push(Segment::new(seg.xl, il, seg.region));
                 }
-                split.push(Segment {
-                    xl: il,
-                    xh: ih,
-                    used: 0.0,
-                    region: Some(r_idx as u16),
-                    clusters: Vec::new(),
-                });
+                split.push(Segment::new(il, ih, Some(r_idx as u16)));
                 if seg.xh > ih + 1e-9 {
-                    split.push(Segment {
-                        xl: ih,
-                        xh: seg.xh,
-                        used: 0.0,
-                        region: seg.region,
-                        clusters: Vec::new(),
-                    });
+                    split.push(Segment::new(ih, seg.xh, seg.region));
                 }
             }
             segments = split;
@@ -419,13 +379,11 @@ pub fn legalize(
                 }
             }
             for (si, seg) in rows[ri].1.iter().enumerate() {
-                if seg.region != cell_region {
+                if seg.region != cell_region || !seg.fits(w) {
                     continue;
                 }
-                if seg.used + w > seg.xh - seg.xl + 1e-9 {
-                    continue;
-                }
-                let x = segment_trial(seg, w, tx, w);
+                let (c, _) = seg.pack(tx, w);
+                let x = c.x + c.w - w;
                 let cost = (x - tx) * (x - tx) + dy * dy;
                 if best.is_none_or(|(bc, _, _)| cost < bc) {
                     best = Some((cost, ri, si));
@@ -437,36 +395,27 @@ pub fn legalize(
             None => {
                 // spill: first segment anywhere with room
                 spills += 1;
-                let mut found = None;
-                'outer: for (ri, (_, segs)) in rows.iter().enumerate() {
-                    for (si, seg) in segs.iter().enumerate() {
-                        if seg.region == cell_region && seg.used + w <= seg.xh - seg.xl + 1e-9 {
-                            found = Some((ri, si));
-                            break 'outer;
-                        }
-                    }
-                }
-                match found {
-                    Some(slot) => slot,
-                    // dense or degenerate designs (utilization ≈ 1, or an
-                    // over-subscribed fence) can leave a cell with no
-                    // segment to live in anywhere — a typed error, not a
-                    // library panic
-                    None => {
-                        return Err(PlacerError::Legalize {
-                            reason: format!(
-                                "no free row segment can host cell `{}` \
-                                 (width {w:.3}, region {cell_region:?}): movable \
-                                 area exceeds free row capacity",
-                                netlist.cell_name(cell)
-                            ),
-                        })
-                    }
-                }
+                let slot = rows.iter().enumerate().find_map(|(ri, (_, segs))| {
+                    let si = segs
+                        .iter()
+                        .position(|s| s.region == cell_region && s.fits(w));
+                    si.map(|si| (ri, si))
+                });
+                // dense or degenerate designs (utilization ≈ 1, or an
+                // over-subscribed fence) can leave a cell with no segment to
+                // live in anywhere — a typed error, not a library panic
+                slot.ok_or_else(|| PlacerError::Legalize {
+                    reason: format!(
+                        "no free row segment can host cell `{}` \
+                         (width {w:.3}, region {cell_region:?}): movable \
+                         area exceeds free row capacity",
+                        netlist.cell_name(cell)
+                    ),
+                })?
             }
         };
         let y = rows[ri].0;
-        let x = segment_insert(&mut rows[ri].1[si], cell, w, tx, w);
+        let x = rows[ri].1[si].push_cell(cell, tx, w);
         legal.x[cell.index()] = x;
         legal.y[cell.index()] = y;
     }
@@ -478,29 +427,20 @@ pub fn legalize(
     // may be *overfull* here. Cells that would be emitted past `seg.xh`
     // (overlapping the neighboring obstacle/segment or leaving the die)
     // are collected and re-placed into remaining free gaps below.
-    struct EmittedSeg {
-        y: f64,
-        xl: f64,
-        xh: f64,
-        /// End of the occupied prefix after snapping (next free x).
-        end: f64,
-        region: Option<u16>,
-    }
-    let mut emitted: Vec<EmittedSeg> = Vec::new();
     let mut snap_overflow: Vec<CellId> = Vec::new();
-    for (y, segs) in &rows {
-        for seg in segs {
+    for (y, segs) in &mut rows {
+        for seg in segs.iter_mut() {
             // walk clusters left to right, snapping to integer sites while
             // keeping order and non-overlap
             let mut cursor = seg.xl.ceil();
-            let total: f64 = seg.clusters.iter().map(|c| c.w).sum();
-            let mut remaining = total;
-            for c in &seg.clusters {
+            let mut remaining: f64 = seg.clusters.iter().map(|c| c.w).sum();
+            let ends = seg.clusters.iter().skip(1).map(|c| c.first);
+            let ends = ends.chain([seg.cells.len()]);
+            for (c, end) in seg.clusters.iter().zip(ends) {
                 let snapped = c.x.round().max(cursor);
                 let latest = (seg.xh - remaining).floor();
-                let start = snapped.min(latest).max(cursor);
-                let mut x = start;
-                for &cell in &c.cells {
+                let mut x = snapped.min(latest).max(cursor);
+                for &cell in seg.cells.get(c.first..end).unwrap_or_default() {
                     let cw = netlist.cell_width(cell);
                     if x + cw > seg.xh + 1e-9 {
                         // overfull after snapping: emitting here would
@@ -515,36 +455,19 @@ pub fn legalize(
                 cursor = x;
                 remaining -= c.w;
             }
-            emitted.push(EmittedSeg {
-                y: *y,
-                xl: seg.xl,
-                xh: seg.xh,
-                end: cursor,
-                region: seg.region,
-            });
+            seg.xl = cursor;
         }
     }
-    // second-chance placement: first site-aligned gap with room, matching
-    // the cell's fence region
+    // second-chance placement: first site-aligned gap with room in a free
+    // tail, matching the cell's fence region
     for &cell in &snap_overflow {
         let w = netlist.cell_width(cell).max(1e-9);
         let cell_region = design.cell_region.get(cell.index()).copied().flatten();
-        let mut placed = false;
-        for es in emitted.iter_mut() {
-            if es.region != cell_region {
-                continue;
-            }
-            let x = es.end.max(es.xl).ceil();
-            if x + w <= es.xh + 1e-9 {
-                legal.x[cell.index()] = x;
-                legal.y[cell.index()] = es.y;
-                es.end = x + w;
-                spills += 1;
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
+        let tail = rows
+            .iter_mut()
+            .flat_map(|(y, segs)| segs.iter_mut().map(|seg| (*y, seg)))
+            .find(|(_, seg)| seg.region == cell_region && seg.xl.ceil() + w <= seg.xh + 1e-9);
+        let Some((y, seg)) = tail else {
             return Err(PlacerError::Legalize {
                 reason: format!(
                     "site snapping left no segment with room for cell `{}` \
@@ -552,7 +475,12 @@ pub fn legalize(
                     netlist.cell_name(cell)
                 ),
             });
-        }
+        };
+        let x = seg.xl.ceil();
+        legal.x[cell.index()] = x;
+        legal.y[cell.index()] = y;
+        seg.xl = x + w;
+        spills += 1;
     }
 
     // --- report ---------------------------------------------------------------
@@ -686,13 +614,6 @@ impl LegalityAudit {
         self.total() == 0
     }
 
-    /// The geometric invariants every legal placement must satisfy
-    /// regardless of cell-width granularity: overlap-free, in-die,
-    /// row-aligned, fence-respecting (site alignment excluded).
-    pub fn geometry_clean(&self) -> bool {
-        self.overlaps + self.outside_die + self.off_row + self.outside_region == 0
-    }
-
     /// Total violation count across all classes.
     pub fn total(&self) -> usize {
         self.overlaps + self.outside_die + self.off_row + self.off_site + self.outside_region
@@ -783,6 +704,62 @@ mod tests {
             violations.len(),
             &violations[..violations.len().min(5)]
         );
+    }
+
+    /// FNV-1a over the bytes of every x, then every y.
+    fn placement_hash(pl: &Placement) -> u64 {
+        let bytes = pl.x.iter().chain(&pl.y).flat_map(|v| v.to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn legalize_decisions_are_pinned() {
+        // smoke has four movable macros, smoke_regions has fences; each is
+        // legalized from its GP placement and from its piled start:
+        // (x/y hash, spills, macros, average and maximum displacement bits)
+        let mut got = Vec::new();
+        for spec in [synth::smoke_spec(), synth::smoke_regions_spec()] {
+            let c = synth::generate(&spec);
+            let cfg = GlobalConfig {
+                model: ModelKind::Moreau,
+                max_iters: 150,
+                ..GlobalConfig::default()
+            };
+            let gp = place(&c, &cfg).expect("placement flow").placement;
+            for start in [&gp, &c.placement] {
+                let (legal, r) = legalize(&c.design, start).expect("legalize");
+                got.push((
+                    placement_hash(&legal),
+                    [r.spills, r.macros],
+                    [r.avg_displacement, r.max_displacement].map(f64::to_bits),
+                ));
+            }
+        }
+        let want = [
+            (
+                0xf65b_b37e_5d66_0e2c,
+                [0, 4],
+                [0x4022_aad5_1e9d_846f, 0x4039_2a55_4929_55a3],
+            ),
+            (
+                0x6838_ae73_00a8_e678,
+                [0, 4],
+                [0x4036_0cbd_a863_25e0, 0x4045_39f3_b3f3_a005],
+            ),
+            (
+                0xaa95_b0f3_a9bb_1040,
+                [0, 4],
+                [0x4022_47bb_9d1c_8923, 0x403c_1f85_7a86_9ff8],
+            ),
+            (
+                0xab99_4f2a_c655_08ff,
+                [0, 4],
+                [0x4033_c6fb_acb4_e797, 0x4047_475d_a400_d826],
+            ),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1326,6 +1303,21 @@ mod tests {
     }
 
     #[test]
+    fn rowless_design_is_a_typed_error_not_a_panic() {
+        let mut b = mep_netlist::NetlistBuilder::new();
+        b.add_cell("c", 1.0, 1.0, true).unwrap();
+        let die = Rect::new(0.0, 0.0, 10.0, 2.0);
+        let design = Design::with_uniform_rows("t", b.build(), die, 1.0, 1.0, 1.0).unwrap();
+        // `Design::new` rejects an empty row list; a literal can still hold one
+        let rowless = Design {
+            rows: Vec::new(),
+            ..design
+        };
+        let err = legalize(&rowless, &Placement::zeros(1)).expect_err("no rows must fail");
+        assert!(matches!(err, PlacerError::Legalize { .. }), "{err:?}");
+    }
+
+    #[test]
     fn full_utilization_design_legalizes_without_error() {
         // utilization exactly 1.0 must still succeed: five unit cells on
         // five sites, all targeting the center
@@ -1432,7 +1424,6 @@ mod tests {
         assert_eq!(audit.outside_region, 0);
         assert_eq!(audit.total(), 3);
         assert!(!audit.is_clean());
-        assert!(!audit.geometry_clean());
         assert!(audit.to_string().contains("overlaps=1"));
 
         // a clean legal placement audits clean

@@ -151,15 +151,8 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     // guard events (formerly only on RecoveryLog)
     r.counter("guard.recoveries")
         .add(inputs.recovery.len() as u64);
-    if !inputs.recovery.is_empty() {
-        r.label("guard.last_event").set(
-            &inputs
-                .recovery
-                .events()
-                .last()
-                .expect("non-empty")
-                .to_string(),
-        );
+    if let Some(event) = inputs.recovery.events().last() {
+        r.label("guard.last_event").set(&event.to_string());
     }
 
     // legalization

@@ -194,24 +194,6 @@ impl EvalEngine {
             density_transform: stage(Stage::DensityTransform),
         }
     }
-
-    /// Resets every counter.
-    pub fn reset_stats(&self) {
-        self.workspace_allocs.store(0, Ordering::Relaxed);
-        self.reused.store(0, Ordering::Relaxed);
-        self.wl_class_nets.store(0, Ordering::Relaxed);
-        self.wl_generic_nets.store(0, Ordering::Relaxed);
-        self.wl_inactive_nets.store(0, Ordering::Relaxed);
-        for c in [
-            &self.wl_grad,
-            &self.wl_scatter,
-            &self.density,
-            &self.density_transform,
-        ] {
-            c.count.store(0, Ordering::Relaxed);
-            c.nanos.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -238,10 +220,5 @@ mod tests {
         assert_eq!(s.density.count, 1, "a reuse is not an executed stage");
         assert_eq!(s.reused, 1);
         assert_eq!((s.parallel_runs, s.serial_runs), (0, 2));
-        engine.reset_stats();
-        assert_eq!(engine.stats().wl_grad.count, 0);
-        assert_eq!(engine.stats().reused, 0);
-        assert_eq!(engine.stats().wl_class_nets, 0);
-        assert_eq!(engine.stats().wl_inactive_nets, 0);
     }
 }
