@@ -27,21 +27,25 @@ use crate::ids::{CellId, NetId, PinId};
 use crate::FixedState;
 // lint:allow(determinism): cell-name index is lookup-only (cell_by_name); never iterated
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An immutable placement hypergraph.
 ///
 /// Pin offsets are measured **from the cell center**, following the
 /// Bookshelf `.nets` convention; the pin position of pin `p` on cell `i` is
 /// `center(i) + offset(p)`.
+///
+/// Copies ([`Clone`], [`Netlist::with_movability`]) share the name tables
+/// and copy only the numeric arrays.
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
+    // cell and net names, shared by every copy
+    names: Arc<Names>,
     // cells
-    cell_names: Vec<String>,
     cell_width: Vec<f64>,
     cell_height: Vec<f64>,
     cell_movable: Vec<bool>,
     // nets -> pins (CSR)
-    net_names: Vec<String>,
     net_weights: Vec<f64>,
     net_pin_start: Vec<u32>,
     // pins
@@ -52,22 +56,28 @@ pub struct Netlist {
     // cells -> pins (CSR)
     cell_pin_start: Vec<u32>,
     cell_pin_ids: Vec<PinId>,
-    // lookup
-    // lint:allow(determinism): lookup-only via cell_by_name; never iterated
-    name_index: HashMap<String, CellId, FixedState>,
     // process-unique topology token (see `instance_id`)
     instance_id: u64,
+}
+
+/// The immutable name tables of a [`Netlist`].
+#[derive(Debug, Default)]
+struct Names {
+    cells: Vec<String>,
+    nets: Vec<String>,
+    // lint:allow(determinism): lookup-only via cell_by_name; never iterated
+    index: HashMap<String, CellId, FixedState>,
 }
 
 impl Netlist {
     /// Number of cells (movable + fixed).
     pub fn num_cells(&self) -> usize {
-        self.cell_names.len()
+        self.cell_width.len()
     }
 
     /// Number of nets.
     pub fn num_nets(&self) -> usize {
-        self.net_names.len()
+        self.net_weights.len()
     }
 
     /// Number of pins.
@@ -87,7 +97,7 @@ impl Netlist {
 
     /// Name of a cell.
     pub fn cell_name(&self, cell: CellId) -> &str {
-        &self.cell_names[cell.index()]
+        &self.names.cells[cell.index()]
     }
 
     /// Width of a cell.
@@ -116,12 +126,12 @@ impl Netlist {
 
     /// Looks a cell up by name.
     pub fn cell_by_name(&self, name: &str) -> Option<CellId> {
-        self.name_index.get(name).copied()
+        self.names.index.get(name).copied()
     }
 
     /// Name of a net.
     pub fn net_name(&self, net: NetId) -> &str {
-        &self.net_names[net.index()]
+        &self.names.nets[net.index()]
     }
 
     /// Weight of a net (1.0 unless set; Bookshelf `.wts`).
@@ -133,7 +143,8 @@ impl Netlist {
     /// Looks a net up by name (linear scan; intended for tests and tools,
     /// not hot paths).
     pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        self.net_names
+        self.names
+            .nets
             .iter()
             .position(|n| n == name)
             .map(NetId::from_usize)
@@ -250,7 +261,8 @@ impl Netlist {
     ///
     /// The copy gets a **fresh** [`Netlist::instance_id`]: evaluators key
     /// topology-derived caches (movable partitions, gather indices) on the
-    /// id, and the movable set *is* part of that derived state.
+    /// id, and the movable set *is* part of that derived state. It shares
+    /// this netlist's name tables.
     ///
     /// # Errors
     ///
@@ -373,7 +385,7 @@ impl NetlistBuilder {
 
     /// Number of cells added so far.
     pub fn num_cells(&self) -> usize {
-        self.cell_names.len()
+        self.cell_width.len()
     }
 
     /// Looks up a cell added earlier by name (useful while parsing).
@@ -436,11 +448,14 @@ impl NetlistBuilder {
             cursor[cell.index()] += 1;
         }
         Netlist {
-            cell_names: self.cell_names,
+            names: Arc::new(Names {
+                cells: self.cell_names,
+                nets: self.net_names,
+                index: self.name_index,
+            }),
             cell_width: self.cell_width,
             cell_height: self.cell_height,
             cell_movable: self.cell_movable,
-            net_names: self.net_names,
             net_weights: self.net_weights,
             net_pin_start: self.net_pin_start,
             pin_cell: self.pin_cell,
@@ -449,7 +464,6 @@ impl NetlistBuilder {
             pin_offset_y: self.pin_offset_y,
             cell_pin_start,
             cell_pin_ids,
-            name_index: self.name_index,
             instance_id,
         }
     }
@@ -558,6 +572,10 @@ mod tests {
         assert_eq!(masked.net_degree(NetId(1)), 3);
         // cache-invalidation token must differ (movable set is cached state)
         assert_ne!(masked.instance_id(), nl.instance_id());
+        // the name tables are shared, not copied
+        assert!(Arc::ptr_eq(&masked.names, &nl.names));
+        assert_eq!(masked.cell_by_name("b"), Some(CellId(1)));
+        assert_eq!(masked.net_name(NetId(1)), "n1");
         // wrong mask length is a typed error
         assert!(nl.with_movability(&[true]).is_err());
     }

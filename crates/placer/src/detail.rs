@@ -22,7 +22,7 @@
 //! nets bit for bit, and every acceptance test decides as a full re-walk
 //! would (DESIGN.md §2, "Detailed placement (S8)").
 
-use crate::legalize::{row_cuts, RowIndex};
+use crate::legalize::{row_cuts, RowCuts, RowIndex};
 use mep_netlist::{total_hpwl, CellId, Design, FixedState, NetId, Netlist, Placement, Rect};
 use std::time::Instant;
 
@@ -244,9 +244,36 @@ impl MoveNets {
 /// Runs detailed placement in place. The placement must be legal; all
 /// moves preserve legality.
 pub fn refine(design: &Design, placement: &mut Placement, config: &DetailConfig) -> DetailReport {
+    let cuts = blocked_cuts(design, placement);
+    let hpwl_before = total_hpwl(&design.netlist, placement);
+    refine_with_cuts(design, placement, config, cuts, hpwl_before)
+}
+
+/// The row cuts of the cells `refine` never moves — fixed cells and frozen
+/// macros — of positive area.
+fn blocked_cuts(design: &Design, placement: &Placement) -> RowCuts {
     let netlist = &design.netlist;
     let row_h = design.rows.first().map(|r| r.height).unwrap_or(1.0);
-    let hpwl_before = total_hpwl(netlist, placement);
+    let blocked = netlist
+        .cells()
+        .filter(|&c| !netlist.is_movable(c) || netlist.cell_height(c) > row_h + 1e-9)
+        .map(|c| placement.cell_rect(netlist, c))
+        .filter(|r| r.area() > 0.0);
+    row_cuts(&RowIndex::new(&design.rows), blocked)
+}
+
+/// [`refine`] on the [`blocked_cuts`] of `placement` (in any order within
+/// a row) and its exact HPWL `hpwl_before`, both already at hand after
+/// legalization.
+pub(crate) fn refine_with_cuts(
+    design: &Design,
+    placement: &mut Placement,
+    config: &DetailConfig,
+    obstacles: RowCuts,
+    hpwl_before: f64,
+) -> DetailReport {
+    let netlist = &design.netlist;
+    let row_h = design.rows.first().map(|r| r.height).unwrap_or(1.0);
     let mut report = DetailReport {
         hpwl_before,
         hpwl_after: hpwl_before,
@@ -269,13 +296,6 @@ pub fn refine(design: &Design, placement: &mut Placement, config: &DetailConfig)
     };
     let fences: Vec<Rect> = design.regions.iter().map(|r| r.rect).collect();
     let index = RowIndex::new(&design.rows);
-    // fixed cells and frozen macros never move inside `refine`
-    let blocked = netlist
-        .cells()
-        .filter(|&c| !netlist.is_movable(c) || netlist.cell_height(c) > row_h + 1e-9)
-        .map(|c| placement.cell_rect(netlist, c))
-        .filter(|r| r.area() > 0.0);
-    let obstacles = row_cuts(&index, blocked);
     let mut moves = MoveNets::default();
     let mut current = hpwl_before;
     for _pass in 0..config.passes {
@@ -643,7 +663,7 @@ fn reassign_set(
 mod tests {
     use super::*;
     use crate::global::{place, GlobalConfig};
-    use crate::legalize::{check_legal, legalize};
+    use crate::legalize::{check_legal, legalize, legalize_with_cuts};
     use mep_netlist::{net_hpwl, synth, NetlistBuilder};
     use mep_wirelength::ModelKind;
     use proptest::prelude::*;
@@ -853,6 +873,97 @@ mod tests {
             );
             assert_eq!(got, want, "{}", spec.name);
         }
+    }
+
+    /// Per row, the cuts as a sorted list of bit pairs: `refine` reads them
+    /// as a set.
+    fn cut_sets(cuts: &RowCuts) -> Vec<Vec<(u64, u64)>> {
+        let row = |row: &Vec<(f64, f64)>| {
+            let mut bits: Vec<_> = row.iter().map(|c| (c.0.to_bits(), c.1.to_bits())).collect();
+            bits.sort_unstable();
+            bits
+        };
+        cuts.iter().map(row).collect()
+    }
+
+    /// Legalizes `gp` and asserts that the cuts the legalizer hands on are
+    /// the cuts `refine` builds on the legal placement. Returns that
+    /// placement and the number of cuts.
+    fn assert_dp_sees_its_own_cuts(design: &Design, gp: &Placement) -> (Placement, usize) {
+        let (legal, _, cuts) = legalize_with_cuts(design, gp).expect("legalize");
+        let want = blocked_cuts(design, &legal);
+        assert_eq!(cut_sets(&cuts), cut_sets(&want));
+        (legal, want.iter().map(Vec::len).sum())
+    }
+
+    #[test]
+    fn legalizer_hands_detailed_placement_its_own_cuts() {
+        // fences, then movable macros
+        let c = synth::generate(&synth::smoke_regions_spec());
+        assert!(assert_dp_sees_its_own_cuts(&c.design, &c.placement).1 > 0);
+        let c = synth::generate(&synth::spec_by_name("newblue1").unwrap());
+        let nl = &c.design.netlist;
+        let row_h = c.design.rows[0].height;
+        assert!(nl.movable_cells().any(|m| nl.cell_height(m) > row_h));
+        assert_dp_sees_its_own_cuts(&c.design, &c.placement);
+
+        // one ECO window of newblue6: every cell off one 4×4 tile is frozen
+        let c = synth::generate(&synth::spec_by_name("newblue6").unwrap());
+        let (legal, _) = legalize(&c.design, &c.placement).expect("legalize");
+        let nl = &c.design.netlist;
+        let die = c.design.die;
+        let (w, h) = (die.width() / 4.0, die.height() / 4.0);
+        let window = Rect::new(die.xl + w, die.yl + h, die.xl + 2.0 * w, die.yl + 2.0 * h);
+        let mask: Vec<bool> = nl
+            .cells()
+            .map(|c| nl.is_movable(c) && legal.cell_rect(nl, c).intersects(&window))
+            .collect();
+        let mut design = c.design.clone();
+        design.netlist = nl.with_movability(&mask).expect("one entry per cell");
+        let frozen = nl.num_movable() - design.netlist.num_movable();
+        let (_, cuts) = assert_dp_sees_its_own_cuts(&design, &legal);
+        assert!(cuts >= frozen, "{cuts} cuts for {frozen} frozen cells");
+
+        // a zero-area fixed cell and a zero-width macro: the legalizer's
+        // segments are cut by the macro, detailed placement sees neither
+        let mut b = NetlistBuilder::new();
+        let block = b.add_cell("block", 4.0, 2.0, false).unwrap();
+        let pad = b.add_cell("pad", 0.0, 2.0, false).unwrap();
+        let wide = b.add_cell("wide", 3.0, 3.0, true).unwrap();
+        let thin = b.add_cell("thin", 0.0, 3.0, true).unwrap();
+        let cells: Vec<CellId> = (0..30)
+            .map(|i| {
+                b.add_cell(format!("c{i}"), 1.0 + (i % 2) as f64, 1.0, true)
+                    .unwrap()
+            })
+            .collect();
+        for pair in cells.windows(2) {
+            b.add_net("n", vec![(pair[0], 0.0, 0.0), (pair[1], 0.0, 0.0)]);
+        }
+        let die = Rect::new(0.0, 0.0, 40.0, 8.0);
+        let design = Design::with_uniform_rows("t", b.build(), die, 1.0, 1.0, 1.0).unwrap();
+        let mut gp = Placement::zeros(design.netlist.num_cells());
+        for (cell, x, y) in [
+            (block, 10.0, 2.0),
+            (pad, 20.5, 3.0),
+            (wide, 28.0, 4.0),
+            (thin, 33.5, 1.0),
+        ] {
+            (gp.x[cell.index()], gp.y[cell.index()]) = (x, y);
+        }
+        for (i, c) in cells.iter().enumerate() {
+            (gp.x[c.index()], gp.y[c.index()]) = ((i * 7 % 37) as f64 + 0.4, (i % 8) as f64);
+        }
+        let (legal, cuts) = assert_dp_sees_its_own_cuts(&design, &gp);
+        // the block's two rows and the wide macro's three
+        assert_eq!(cuts, 5);
+        let index = RowIndex::new(&design.rows);
+        for cell in [pad, thin] {
+            let rect = legal.cell_rect(&design.netlist, cell);
+            assert_eq!(rect.area(), 0.0);
+            assert!(row_cuts(&index, [rect]).iter().any(|r| !r.is_empty()));
+        }
+        assert_eq!(check_legal(&design, &legal), Vec::new());
     }
 
     #[test]

@@ -349,7 +349,8 @@ pub fn replace_region(
     let mut eco_config = config.pipeline.clone();
     eco_config.global.stage = Some("eco".to_string());
     let result = run_with_engine(&derived, &eco_config, Arc::default())?;
-    let hpwl_after = total_hpwl(nl, &result.placement);
+    // the derived netlist differs from `nl` in movability only
+    let hpwl_after = result.dpwl;
 
     let metrics = Registry::new();
     metrics.counter("eco.replaced").add(replaced as u64);

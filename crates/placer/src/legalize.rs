@@ -108,6 +108,66 @@ impl<'a> RowIndex<'a> {
             (b, a) => a.or(b),
         }
     }
+
+    /// The rows in order of `|y − ty|`, rows at one distance in row-index
+    /// order: the order a stable sort of all rows by that key gives, walked
+    /// outward from `ty` through the `y` order instead of sorted per call.
+    /// `group` is reused scratch for the rows at one distance.
+    pub(crate) fn outward<'s>(&'s self, ty: f64, group: &'s mut Vec<usize>) -> Outward<'s> {
+        group.clear();
+        let (down, up) = self
+            .by_y
+            .split_at(self.by_y.partition_point(|&r| self.rows[r].y < ty));
+        Outward {
+            rows: self.rows,
+            ty,
+            down,
+            up,
+            group,
+        }
+    }
+}
+
+/// Iterator of [`RowIndex::outward`]. `|y − ty|` never falls along either
+/// walk (rounding is monotone), so the rows at the nearer of the two
+/// fronts' distances are the fronts' runs at exactly that distance.
+pub(crate) struct Outward<'s> {
+    rows: &'s [Row],
+    ty: f64,
+    /// The rows below `ty` not yet visited, in `y` order: walked from the
+    /// top down.
+    down: &'s [usize],
+    /// The rows at or above `ty` not yet visited, in `y` order.
+    up: &'s [usize],
+    /// The rows at the current distance not yet visited, highest index
+    /// first.
+    group: &'s mut Vec<usize>,
+}
+
+impl Iterator for Outward<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.group.is_empty() {
+            let (rows, ty) = (self.rows, self.ty);
+            let dy = |r: &usize| rows.get(*r).map(|row| (row.y - ty).abs());
+            let d = match (self.down.last().and_then(dy), self.up.first().and_then(dy)) {
+                (Some(b), Some(a)) if a.total_cmp(&b).is_lt() => a,
+                (b, a) => b.or(a)?,
+            };
+            let at_d = |r: &usize| dy(r).is_some_and(|v| v.total_cmp(&d).is_eq());
+            while let Some((r, rest)) = self.down.split_last().filter(|(r, _)| at_d(r)) {
+                self.group.push(*r);
+                self.down = rest;
+            }
+            while let Some((r, rest)) = self.up.split_first().filter(|(r, _)| at_d(r)) {
+                self.group.push(*r);
+                self.up = rest;
+            }
+            self.group.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        self.group.pop()
+    }
 }
 
 /// Per row, the x-intervals (clipped to the row) of the obstacles whose
@@ -228,6 +288,21 @@ pub fn legalize(
     design: &Design,
     gp: &Placement,
 ) -> Result<(Placement, LegalizeReport), PlacerError> {
+    legalize_with_cuts(design, gp).map(|(legal, report, _)| (legal, report))
+}
+
+/// Per row, the clipped x-intervals of the obstacles cutting it (see
+/// [`row_cuts`]).
+pub(crate) type RowCuts = Vec<Vec<(f64, f64)>>;
+
+/// [`legalize`], also returning the row cuts of the obstacles detailed
+/// placement keeps out of: the fixed cells and the macros of positive area,
+/// at their legal positions — the cuts [`crate::detail::refine`] builds
+/// itself, up to their order within a row.
+pub(crate) fn legalize_with_cuts(
+    design: &Design,
+    gp: &Placement,
+) -> Result<(Placement, LegalizeReport, RowCuts), PlacerError> {
     let netlist = &design.netlist;
     let mut legal = gp.clone();
     let (Some(first_row), Some(last_row)) = (design.rows.first(), design.rows.last()) else {
@@ -311,14 +386,22 @@ pub fn legalize(
     }
 
     // --- stage 2: Abacus for standard cells ----------------------------------
-    // build per-row segments
+    // build per-row segments; zero-area macros cut them too, but detailed
+    // placement does not see them. Cuts of equal `xl` leave the same
+    // segments in any order.
+    let index = RowIndex::new(&design.rows);
+    let has_area = |o: &Rect| o.area() > 0.0;
+    let solid = row_cuts(&index, obstacles.iter().copied().filter(has_area));
+    let slivers = row_cuts(&index, obstacles.iter().copied().filter(|o| !has_area(o)));
     let mut rows: Vec<(f64, Vec<Segment>)> = Vec::with_capacity(design.rows.len());
-    let cuts_by_row = row_cuts(&RowIndex::new(&design.rows), obstacles.iter().copied());
-    for (row, mut cuts) in design.rows.iter().zip(cuts_by_row) {
+    let mut cuts: Vec<(f64, f64)> = Vec::new();
+    for ((row, solid_cuts), sliver_cuts) in design.rows.iter().zip(&solid).zip(&slivers) {
+        cuts.clear();
+        cuts.extend(solid_cuts.iter().chain(sliver_cuts));
         cuts.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut segments = Vec::new();
         let mut cursor = row.xl;
-        for (cl, ch) in cuts {
+        for &(cl, ch) in &cuts {
             if cl > cursor + 1e-9 {
                 segments.push(Segment::new(cursor, cl, None));
             }
@@ -362,20 +445,18 @@ pub fn legalize(
     std_cells.sort_by(|&a, &b| gp.x[a.index()].total_cmp(&gp.x[b.index()]));
 
     let mut spills = 0usize;
+    let mut group = Vec::new();
     for &cell in &std_cells {
         let w = netlist.cell_width(cell).max(1e-9);
         let tx = gp.x[cell.index()];
         let ty = gp.y[cell.index()];
         let cell_region = design.cell_region.get(cell.index()).copied().flatten();
-        // candidate rows ordered by |dy|
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| (rows[a].0 - ty).abs().total_cmp(&(rows[b].0 - ty).abs()));
         let mut best: Option<(f64, usize, usize)> = None; // cost, row, segment
-        for &ri in &order {
+        for ri in index.outward(ty, &mut group) {
             let dy = (rows[ri].0 - ty).abs();
             if let Some((bc, _, _)) = best {
                 if dy * dy >= bc {
-                    break; // rows are sorted by |dy|; no later row can win
+                    break; // rows come by |dy|; no later row can win
                 }
             }
             for (si, seg) in rows[ri].1.iter().enumerate() {
@@ -509,6 +590,7 @@ pub fn legalize(
             spills,
             disp_hist,
         },
+        solid,
     ))
 }
 
@@ -1079,6 +1161,71 @@ mod tests {
         assert_eq!(index.row_at(7.0, 2.0), Some(2));
         assert_eq!(index.row_at(4.5, 2.0), None);
         assert_eq!(index.overlapping(1.5, 2.5).collect::<Vec<_>>(), [1, 2]);
+    }
+
+    /// The candidate-row order the legalizer once built per cell: every row
+    /// stably sorted by `|y − ty|`.
+    fn sorted_by_dy(rows: &[Row], ty: f64) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by(|&a, &b| (rows[a].y - ty).abs().total_cmp(&(rows[b].y - ty).abs()));
+        order
+    }
+
+    #[test]
+    fn outward_row_walk_is_the_stable_sort_by_dy() {
+        let mut group = Vec::new();
+        let mut assert_walk_sorts = |rows: &[Row], ty: f64| {
+            let got: Vec<usize> = RowIndex::new(rows).outward(ty, &mut group).collect();
+            assert_eq!(got, sorted_by_dy(rows, ty), "ty = {ty}");
+        };
+        // out of y order, one DEF row split around a macro (two rows at
+        // y = 3), a 2-high row and a gap
+        let mut rows = vec![
+            row(5.0, 1.0),
+            row(3.0, 1.0),
+            row(0.0, 1.0),
+            row(3.0, 1.0),
+            row(1.0, 2.0),
+            row(7.5, 1.0),
+            row(4.0, 1.0),
+        ];
+        rows[1].xh = 4.0;
+        rows[3].xl = 6.0;
+        // rows exactly at ty (4, and the split pair at 3), rows symmetric
+        // about it (3 and 5 around 4), between rows, past either end, and
+        // keys that are not finite
+        for ty in [4.0, 3.0, 3.5, 2.0, 6.25, -3.0, 20.0, 0.0, 0.5]
+            .into_iter()
+            .chain([f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
+            .chain((-8..40).map(|k| 0.25 * k as f64))
+        {
+            assert_walk_sorts(&rows, ty);
+        }
+        // near 1e16 doubles are 2 apart: distinct rows on either side of ty
+        // round to the same |dy| (1e16 − 1 and 1e16 − 3 are ties, 2e16 − 1e16
+        // is exact)
+        let far: Vec<Row> = [
+            3.0,
+            1e16 + 4.0,
+            0.0,
+            2e16,
+            2.0,
+            1.0,
+            1e16 - 2.0,
+            4.0,
+            2e16 + 4.0,
+        ]
+        .into_iter()
+        .map(|y| row(y, 1.0))
+        .collect();
+        let dy = |y: f64| (y - 1e16).abs();
+        assert_eq!(dy(0.0), dy(2e16));
+        assert!(dy(1.0) == dy(0.0) || dy(1.0) == dy(2.0));
+        for ty in [1e16, 1e16 + 2.0, 1e16 - 2.0, 1e16 + 8.0, 3e16, 1.5] {
+            assert_walk_sorts(&far, ty);
+        }
+        // no rows: nothing to visit
+        assert_walk_sorts(&[], 1.0);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! detailed placement, with the timing and quality metrics the paper's
 //! Tables II/III report (LGWL, DPWL, RT).
 
-use crate::detail::{refine, DetailConfig, DetailReport};
+use crate::detail::{refine_with_cuts, DetailConfig, DetailReport};
 use crate::error::PlacerError;
 use crate::global::{place_with_engine, GlobalConfig, GlobalResult};
 use crate::guard::{RecoveryLog, Termination};
-use crate::legalize::{check_legal, legalize, LegalizeReport};
+use crate::legalize::{check_legal, legalize_with_cuts, LegalizeReport};
 use crate::telemetry::{build_run_report, DispHistogram, ReportInputs};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::{total_hpwl, Placement};
@@ -113,7 +113,7 @@ pub fn run_with_engine(
 
     // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
     let t1 = Instant::now();
-    let (legal, lg_report) = legalize(design, &gp.placement)?;
+    let (legal, lg_report, cuts) = legalize_with_cuts(design, &gp.placement)?;
     let rt_lg = t1.elapsed().as_secs_f64();
     let lgwl = total_hpwl(&design.netlist, &legal);
 
@@ -121,11 +121,19 @@ pub fn run_with_engine(
     let t2 = Instant::now();
     let legal_snapshot = legal.clone();
     let mut refined = legal;
-    let dp_report = refine(design, &mut refined, &config.detail);
+    // DP starts from the legalizer's obstacle cuts and LGWL, and measures
+    // its last total on the final placement
+    let dp_report = refine_with_cuts(design, &mut refined, &config.detail, cuts, lgwl);
     let rt_dp = t2.elapsed().as_secs_f64();
-    let dpwl = total_hpwl(&design.netlist, &refined);
+    let dpwl = dp_report.hpwl_after;
 
-    let violations = check_legal(design, &refined).len();
+    let violations = check_legal(design, &refined);
+    debug_assert!(
+        violations.is_empty(),
+        "the pipeline's placement is not legal: {:?}",
+        violations.iter().take(5).collect::<Vec<_>>()
+    );
+    let violations = violations.len();
 
     let report = build_run_report(&ReportInputs {
         model: &config.global.model.to_string(),
@@ -188,6 +196,11 @@ mod tests {
         };
         let r = run(&c, &config).unwrap();
         assert_eq!(r.violations, 0);
+        // DP's last total is the final placement's HPWL, bit for bit
+        assert_eq!(
+            r.dpwl.to_bits(),
+            total_hpwl(&c.design.netlist, &r.placement).to_bits()
+        );
         assert!(r.recovery.is_empty(), "clean run must not trip the guard");
         // DP never worsens the legal placement
         assert!(

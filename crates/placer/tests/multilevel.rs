@@ -247,6 +247,11 @@ fn eco_keeps_frozen_cells_bitwise_unmoved() {
     );
     assert_eq!(eco.replaced + eco.frozen, nl.num_movable());
     assert!(eco.hpwl_after.is_finite());
+    assert_eq!(
+        eco.hpwl_after.to_bits(),
+        total_hpwl(nl, &eco.placement).to_bits(),
+        "after-HPWL must describe the output"
+    );
     assert_eq!(eco.report.counter("eco.frozen"), Some(eco.frozen as u64));
     assert!(
         eco.hpwl_before == total_hpwl(nl, &placed.placement),
