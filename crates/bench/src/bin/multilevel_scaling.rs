@@ -14,13 +14,12 @@
 //! `cold`, `warm2`, `eco`; the `warm2` report carries `ml.cmp.*`
 //! comparison metrics, the `eco` report `eco.cmp.*`).
 
-use mep_bench::{write_reports_jsonl, BenchmarkRow, FlowOptions};
+use mep_bench::{write_jsonl, BenchmarkRow, FlowOptions};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::{synth, Rect};
 use mep_obs::Registry;
 use mep_placer::flow::{replace_region, run_multilevel, EcoConfig, MultilevelConfig};
 use mep_placer::pipeline::{run, PipelineConfig};
-use mep_placer::GlobalConfig;
 use mep_wirelength::ModelKind;
 use std::time::Instant;
 
@@ -44,14 +43,8 @@ fn main() {
         spec.name, spec.movable, spec.seed
     );
     let circuit = synth::generate(&spec);
-    let config = PipelineConfig {
-        global: GlobalConfig {
-            model: ModelKind::Moreau,
-            max_iters: opts.max_iters,
-            ..GlobalConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
+    // the default pipeline: the Moreau model at the default iteration cap
+    let config = PipelineConfig::default();
 
     // ---- cold start: the flat flow from the center pile ----
     eprintln!("[ml-scale] cold flat flow …");
@@ -188,7 +181,6 @@ fn main() {
             rt: cold_rt,
             iterations: cold.iterations,
             overflow: cold.overflow,
-            violations: cold.violations,
             report: cold.report.clone(),
         },
         BenchmarkRow {
@@ -199,7 +191,6 @@ fn main() {
             rt: warm_rt,
             iterations: warm.result.iterations,
             overflow: warm.result.overflow,
-            violations: warm.result.violations,
             report: warm_report,
         },
         BenchmarkRow {
@@ -210,11 +201,13 @@ fn main() {
             rt: eco.rt_seconds,
             iterations: eco.iterations,
             overflow: 0.0,
-            violations: eco.violations,
             report: eco_report,
         },
     ];
-    match write_reports_jsonl("results/multilevel_reports.jsonl", &rows) {
+    match write_jsonl(
+        "results/multilevel_reports.jsonl",
+        rows.iter().map(BenchmarkRow::to_json),
+    ) {
         Ok(()) => println!(
             "wrote results/multilevel_reports.jsonl ({} rows)",
             rows.len()

@@ -10,18 +10,18 @@
 //! `results/`, prints it and runs its check, a pure function of that
 //! table. The printed report also goes to `results/paper_claims.txt`.
 //! Every artifact is deterministic. The process exits 1 if any check
-//! fails. The flow sections run the full-size circuits at
-//! `FlowOptions::default()` iterations, as Tables II/III do; the Table II
-//! section runs its `--fast` size (every circuit shrunk 10×).
+//! fails. The flow sections run the full-size circuits through
+//! `run_claim` (Fig. 3's GP-only runs check `converged` alone) at the
+//! default iteration cap, as Tables II/III do, so a run that is illegal
+//! or does not converge stops the binary; the Table II section runs its
+//! `--fast` size (every circuit shrunk 10×).
 
 use mep_bench::svg::LinePlot;
-use mep_bench::{run_benchmark, FlowOptions, Table};
+use mep_bench::{converged, run_claim, FlowOptions, Table};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::{net_hpwl, synth};
 use mep_obs::RingSink;
 use mep_placer::global::{place, GlobalConfig, MoreauSchedule};
-use mep_placer::pipeline::{run, PipelineConfig, PipelineResult};
-use mep_placer::DetailConfig;
 use mep_wirelength::lse::lse_max_naive;
 use mep_wirelength::model::ModelKind;
 use mep_wirelength::wa::wa_naive;
@@ -103,22 +103,6 @@ fn ours_over_wa(t: &Table, key: &[&str]) -> Result<f64, String> {
 fn circuit(name: &str) -> Res<BookshelfCircuit> {
     let spec = synth::spec_by_name(name).ok_or_else(|| format!("{name} is not in Table I"))?;
     Ok(synth::generate(&spec))
-}
-
-/// The Table II/III settings for `model`: `FlowOptions::default()` GP
-/// iterations.
-fn global(model: ModelKind) -> GlobalConfig {
-    let max_iters = FlowOptions::default().max_iters;
-    GlobalConfig {
-        model,
-        max_iters,
-        ..GlobalConfig::default()
-    }
-}
-
-fn flow(circuit: &BookshelfCircuit, global: GlobalConfig) -> Res<PipelineResult> {
-    let detail = DetailConfig::default();
-    Ok(run(circuit, &PipelineConfig { global, detail })?)
 }
 
 fn table1() -> Res<Table> {
@@ -441,10 +425,14 @@ fn fig3() -> Res<Table> {
         let c = circuit(bench)?;
         for model in [ModelKind::Wa, ModelKind::Moreau] {
             eprintln!("[fig3] {bench} × {} …", model.label());
-            let mut config = global(model);
-            let trace = Arc::new(RingSink::new(config.max_iters));
-            config.trace = trace.clone();
-            place(&c, &config)?;
+            let trace = Arc::new(RingSink::new(GlobalConfig::default().max_iters));
+            let config = GlobalConfig {
+                model,
+                trace: trace.clone(),
+                ..GlobalConfig::default()
+            };
+            let r = place(&c, &config)?;
+            converged(&c, model, r.termination, r.iterations)?;
             for p in trace.records() {
                 let point = format!("{},{:.6},{:.2}", p.iter, p.overflow, p.hpwl);
                 long.push(format!("{bench},{},{point}", model.label()).split(','));
@@ -509,9 +497,12 @@ fn tschedule() -> Res<Table> {
         let c = circuit(bench)?;
         for (name, schedule, t0) in variants {
             eprintln!("[tschedule] {bench} × {name} …");
-            let mut config = global(ModelKind::Moreau);
-            (config.moreau_schedule, config.t0) = (schedule, t0);
-            let r = flow(&c, config)?;
+            let config = GlobalConfig {
+                moreau_schedule: schedule,
+                t0,
+                ..GlobalConfig::default()
+            };
+            let r = run_claim(&c, config)?;
             let row = format!(
                 "{bench},{name},{:.4e},{:.4e},{}",
                 r.dpwl, r.lgwl, r.iterations
@@ -559,7 +550,11 @@ fn net_breakdown() -> Res<Table> {
     let mut wl = [[0.0; CLASSES.len()]; 2];
     for (model, wl) in [ModelKind::Wa, ModelKind::Moreau].into_iter().zip(&mut wl) {
         eprintln!("[breakdown] newblue1 × {} …", model.label());
-        let r = flow(&c, global(model))?;
+        let global = GlobalConfig {
+            model,
+            ..GlobalConfig::default()
+        };
+        let r = run_claim(&c, global)?;
         for (net, k) in nl.nets().zip(&class) {
             if let Some(k) = *k {
                 wl[k] += net_hpwl(nl, &r.placement, net);
@@ -586,22 +581,20 @@ fn check_net_breakdown(t: &Table) -> Verdict {
 }
 
 fn table2_fast() -> Res<Table> {
-    let opts = FlowOptions {
-        shrink: 10,
-        ..FlowOptions::default()
-    };
+    let opts = FlowOptions { shrink: 10 };
     let models = ModelKind::contestants();
     let header = models.map(|m| format!("{} DPWL", m.label()));
     let mut table = Table::new(["Benchmark".to_string()].into_iter().chain(header));
     for spec in synth::ispd2006_suite() {
+        let c = synth::generate(&opts.shrink_spec(&spec));
         let mut cells = vec![spec.name.clone()];
         for model in models {
             eprintln!("[table2 --fast] {} × {} …", spec.name, model.label());
-            let row = run_benchmark(&spec, model, &opts);
-            if row.violations > 0 {
-                return Err(format!("{} × {}: illegal placement", spec.name, model).into());
-            }
-            cells.push(format!("{:.6e}", row.dpwl));
+            let global = GlobalConfig {
+                model,
+                ..GlobalConfig::default()
+            };
+            cells.push(format!("{:.6e}", run_claim(&c, global)?.dpwl));
         }
         table.push(cells);
     }

@@ -14,9 +14,8 @@
 //! The default mode writes one JSONL record per run (with full
 //! telemetry, the certificate, and a legality audit) to
 //! `results/peko_reports.jsonl`, refreshes `results/peko_baseline.json`
-//! from the Moreau guard rows, prints the ratio table, and
-//! exits non-zero if any run fails or any reported placement fails the
-//! legality audit.
+//! from the Moreau guard rows, prints the ratio table, and exits non-zero
+//! if any run fails, does not converge or fails the legality audit.
 //!
 //! `--guard` is the CI quality-regression mode: it re-runs Moreau on the
 //! guard rungs and exits non-zero if the suboptimality ratio regressed
@@ -24,13 +23,11 @@
 //! flow is deterministic, so unlike the wall-clock perf guard this one is
 //! noise-free: any drift is a real quality change.
 
-use mep_bench::peko::{
-    audit_json, row_json, run_peko, write_peko_jsonl, PekoOptions, PekoRow, GUARD_ITERS,
-};
-use mep_bench::Table;
-use mep_netlist::synth::peko::{peko_spec, peko_suite};
+use mep_bench::{run_peko, write_jsonl, PekoRow, Table};
+use mep_netlist::synth::peko::{peko_suite, PekoSpec};
 use mep_obs::json::JsonObject;
 use mep_obs::parse::{parse_json, JsonValue};
+use mep_placer::GlobalConfig;
 use mep_wirelength::ModelKind;
 
 /// Ladder rungs re-measured by `--guard` (the smallest two: exhaustive
@@ -47,6 +44,13 @@ const MODELS: [ModelKind; 5] = [
     ModelKind::BigChks,
     ModelKind::Moreau,
 ];
+
+fn with(model: ModelKind) -> GlobalConfig {
+    GlobalConfig {
+        model,
+        ..GlobalConfig::default()
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -67,9 +71,6 @@ fn main() {
     if fast {
         specs.truncate(1);
     }
-    let opts = PekoOptions {
-        max_iters: GUARD_ITERS,
-    };
 
     let mut rows: Vec<PekoRow> = Vec::new();
     let mut failures = 0usize;
@@ -79,31 +80,23 @@ fn main() {
         .flat_map(|spec| MODELS.map(|model| (spec, model)));
     for (spec, model) in jobs {
         eprintln!("[peko] {} x {} …", spec.name, model.label());
-        match run_peko(spec, model, &opts) {
+        match run_peko(spec, with(model)) {
             Ok(row) => {
                 eprintln!(
                     "[peko]   ratio {:.4} (dpwl {:.0} / opt {:.0}), overflow {:.3}, \
                      {} iters, {:.1}s, audit {}",
                     row.ratio,
-                    row.dpwl,
+                    row.run.dpwl,
                     row.optimal_hpwl,
-                    row.overflow,
-                    row.iterations,
-                    row.rt,
+                    row.run.overflow,
+                    row.run.iterations,
+                    row.run.rt,
                     row.audit
                 );
-                if !row.audit.is_clean() {
-                    eprintln!(
-                        "[peko]   AUDIT FAIL: {} — {}",
-                        row.audit,
-                        audit_json(&row.audit)
-                    );
-                    failures += 1;
-                }
                 rows.push(row);
             }
             Err(e) => {
-                eprintln!("[peko]   FAIL: {} x {}: {e}", spec.name, model.label());
+                eprintln!("[peko]   FAIL: {e}");
                 failures += 1;
             }
         }
@@ -114,7 +107,7 @@ fn main() {
     for spec in &specs {
         let cells = MODELS.iter().map(|m| {
             rows.iter()
-                .find(|r| r.bench == spec.name && r.model == *m)
+                .find(|r| r.run.bench == spec.name && r.run.model == *m)
                 .map(|r| format!("{:.4}", r.ratio))
                 .unwrap_or_else(|| "-".into())
         });
@@ -125,7 +118,7 @@ fn main() {
     println!("{}", table.to_text());
     println!("(suboptimality ratio = final legal HPWL / exact optimum; 1.0 is perfect)");
 
-    if let Err(e) = write_peko_jsonl(&out_path, &rows) {
+    if let Err(e) = write_jsonl(&out_path, rows.iter().map(PekoRow::to_json)) {
         eprintln!("could not write {out_path}: {e}");
         std::process::exit(1);
     }
@@ -136,7 +129,7 @@ fn main() {
         .iter()
         .filter_map(|&size| {
             rows.iter()
-                .find(|r| r.movable == size && r.model == ModelKind::Moreau)
+                .find(|r| r.movable == size && r.run.model == ModelKind::Moreau)
         })
         .collect();
     if !baseline_rows.is_empty() {
@@ -148,12 +141,11 @@ fn main() {
                  The flow is deterministic, so the guard compares ratios exactly: a drift \
                  beyond the tolerance is a real quality change.",
             )
-            .field_f64("tolerance", 0.02)
-            .field_u64("max_iters", GUARD_ITERS as u64);
+            .field_f64("tolerance", 0.02);
         for r in &baseline_rows {
             o.field_f64(&format!("moreau_ratio_{}", r.movable), round4(r.ratio));
         }
-        o.field_raw_array("runs", baseline_rows.iter().map(|r| row_json(r)));
+        o.field_raw_array("runs", baseline_rows.iter().map(|r| r.to_json()));
         match std::fs::write(&baseline_path, format!("{}\n", o.finish())) {
             Ok(()) => println!("wrote {baseline_path}"),
             Err(e) => {
@@ -164,13 +156,14 @@ fn main() {
     }
 
     if failures > 0 {
-        eprintln!("[peko] {failures} run(s) failed or produced illegal placements");
+        eprintln!("[peko] {failures} run(s) failed, did not converge or were illegal");
         std::process::exit(1);
     }
 }
 
-/// CI quality-regression guard: re-run Moreau on the guard rungs and fail
-/// on a ratio regression beyond the baseline's `tolerance` field.
+/// CI quality-regression guard: re-run Moreau on the guard rungs of the
+/// suite and fail on a ratio regression beyond the baseline's
+/// `tolerance` field.
 fn run_guard(args: &[String], fast: bool) {
     let baseline_path =
         flag_value(args, "--guard").unwrap_or_else(|| "results/peko_baseline.json".to_string());
@@ -193,38 +186,28 @@ fn run_guard(args: &[String], fast: bool) {
         eprintln!("[guard] baseline {baseline_path} has no tolerance");
         std::process::exit(1);
     };
-    let max_iters = field("max_iters")
-        .map(|v| v as usize)
-        .unwrap_or(GUARD_ITERS);
 
-    let sizes: &[usize] = if fast {
-        &GUARD_SIZES[..1]
-    } else {
-        &GUARD_SIZES
-    };
-    let opts = PekoOptions { max_iters };
+    let mut rungs: Vec<PekoSpec> = peko_suite()
+        .into_iter()
+        .filter(|s| GUARD_SIZES.contains(&s.movable))
+        .collect();
+    if fast {
+        rungs.truncate(1);
+    }
     let mut failed = false;
-    for (i, &size) in sizes.iter().enumerate() {
-        let key = format!("moreau_ratio_{size}");
+    for spec in &rungs {
+        let key = format!("moreau_ratio_{}", spec.movable);
         let Some(baseline_ratio) = field(&key) else {
             eprintln!("[guard] baseline {baseline_path} has no {key}");
             std::process::exit(1);
         };
-        let spec = peko_spec(size, 9001 + i as u64);
-        let row = match run_peko(&spec, ModelKind::Moreau, &opts) {
+        let row = match run_peko(spec, with(ModelKind::Moreau)) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("[guard] FAIL: {} did not place: {e}", spec.name);
+                eprintln!("[guard] FAIL: {e}");
                 std::process::exit(1);
             }
         };
-        if !row.audit.is_clean() {
-            eprintln!(
-                "[guard] FAIL: {} placement is illegal: {}",
-                spec.name, row.audit
-            );
-            failed = true;
-        }
         let limit = baseline_ratio * (1.0 + tolerance);
         println!(
             "[guard] {}: ratio {:.4} vs baseline {:.4} (limit {:.4}, tolerance +{:.0}%)",

@@ -1,12 +1,13 @@
-//! The run-one-benchmark flow and the table body shared by the Table II /
+//! The one claims run and the table body shared by the Table II /
 //! Table III binaries.
 
 use crate::table::{avg_ratio, Table};
+use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::synth::SynthSpec;
 use mep_obs::json::JsonObject;
 use mep_obs::RunReport;
-use mep_placer::pipeline::{run, PipelineConfig};
-use mep_placer::GlobalConfig;
+use mep_placer::pipeline::{run, PipelineConfig, PipelineResult};
+use mep_placer::{GlobalConfig, Termination};
 use mep_wirelength::ModelKind;
 use std::io::Write as _;
 use std::path::Path;
@@ -18,16 +19,11 @@ pub struct FlowOptions {
     /// `--fast` CLI flag of the table binaries sets 10 for smoke-level
     /// turnaround.
     pub shrink: usize,
-    /// GP iteration cap.
-    pub max_iters: usize,
 }
 
 impl Default for FlowOptions {
     fn default() -> Self {
-        Self {
-            shrink: 1,
-            max_iters: 800,
-        }
+        Self { shrink: 1 }
     }
 }
 
@@ -84,63 +80,104 @@ pub struct BenchmarkRow {
     pub iterations: usize,
     /// Final overflow.
     pub overflow: f64,
-    /// Legality violations (must be 0).
-    pub violations: usize,
     /// Full machine-readable telemetry of the run (DESIGN.md §10).
     pub report: RunReport,
 }
 
-/// Writes one JSON line per benchmark × model run:
-/// `{"bench":…,"model":…,"report":{…}}`, so table binaries leave a
-/// machine-readable record next to their CSVs.
+impl BenchmarkRow {
+    /// The row of one [`run_claim`] of `bench` with `model`.
+    pub(crate) fn new(bench: String, model: ModelKind, r: PipelineResult) -> Self {
+        Self {
+            bench,
+            model,
+            lgwl: r.lgwl,
+            dpwl: r.dpwl,
+            rt: r.rt_total(),
+            iterations: r.iterations,
+            overflow: r.overflow,
+            report: r.report,
+        }
+    }
+
+    /// The row's JSON line: `{"bench":…,"model":…,"report":{…}}`.
+    pub fn to_json(&self) -> String {
+        let mut o = JsonObject::new();
+        o.field_str("bench", &self.bench)
+            .field_str("model", self.model.label())
+            .field_raw("report", &self.report.to_json());
+        o.finish()
+    }
+}
+
+/// Writes each of `lines` as one line of `path` (creating parent
+/// directories), so experiment binaries leave a machine-readable record
+/// next to their tables.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error if `path` cannot be written.
-pub fn write_reports_jsonl(
+pub fn write_jsonl(
     path: impl AsRef<Path>,
-    rows: impl IntoIterator<Item = impl std::borrow::Borrow<BenchmarkRow>>,
+    lines: impl IntoIterator<Item = String>,
 ) -> std::io::Result<()> {
     let path = path.as_ref();
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    for row in rows {
-        let row = row.borrow();
-        let mut o = JsonObject::new();
-        o.field_str("bench", &row.bench)
-            .field_str("model", row.model.label())
-            .field_raw("report", &row.report.to_json());
-        writeln!(out, "{}", o.finish())?;
+    for line in lines {
+        writeln!(out, "{line}")?;
     }
     out.flush()
 }
 
-/// Runs the full pipeline for one spec × model.
-pub fn run_benchmark(spec: &SynthSpec, model: ModelKind, opts: &FlowOptions) -> BenchmarkRow {
-    let spec = opts.shrink_spec(spec);
-    let circuit = mep_netlist::synth::generate(&spec);
+/// The run behind every claim: the full GP → LG → DP pipeline of
+/// `circuit` under `global`. The paper compares models at convergence, so
+/// a run that is illegal or whose GP stopped short of the target overflow
+/// is no result.
+///
+/// # Errors
+///
+/// Names the design, the model and the reason when the pipeline fails,
+/// the placement is illegal or GP did not converge.
+pub fn run_claim(
+    circuit: &BookshelfCircuit,
+    global: GlobalConfig,
+) -> Result<PipelineResult, String> {
+    let model = global.model;
+    let what = format!("{} × {}", circuit.design.name, model.label());
     let config = PipelineConfig {
-        global: GlobalConfig {
-            model,
-            max_iters: opts.max_iters,
-            ..GlobalConfig::default()
-        },
+        global,
         ..PipelineConfig::default()
     };
-    let r = run(&circuit, &config).expect("placement flow");
-    BenchmarkRow {
-        bench: spec.name.clone(),
-        model,
-        lgwl: r.lgwl,
-        dpwl: r.dpwl,
-        rt: r.rt_total(),
-        iterations: r.iterations,
-        overflow: r.overflow,
-        violations: r.violations,
-        report: r.report,
+    let r = run(circuit, &config).map_err(|e| format!("{what}: {e}"))?;
+    if r.violations > 0 {
+        return Err(format!("{what}: {} legality violations", r.violations));
     }
+    converged(circuit, model, r.termination, r.iterations)?;
+    Ok(r)
+}
+
+/// [`run_claim`]'s convergence check, for a claim on global placement
+/// alone (Fig. 3): `Ok` if GP of `circuit` with `model` stopped at the
+/// target overflow.
+///
+/// # Errors
+///
+/// Names the design, the model, the stop reason and the iteration count.
+pub fn converged(
+    circuit: &BookshelfCircuit,
+    model: ModelKind,
+    termination: Termination,
+    iterations: usize,
+) -> Result<(), String> {
+    if termination == Termination::Converged {
+        return Ok(());
+    }
+    let what = format!("{} × {}", circuit.design.name, model.label());
+    Err(format!(
+        "{what}: GP stopped by {termination} after {iterations} iterations"
+    ))
 }
 
 /// One of the paper's Tables II/III over `suite`: LGWL / DPWL / RT of the
@@ -152,21 +189,24 @@ pub fn run_benchmark(spec: &SynthSpec, model: ModelKind, opts: &FlowOptions) -> 
 ///
 /// # Errors
 ///
-/// Names the first circuit × model whose placement is not legal.
+/// Names the first circuit × model [`run_claim`] refuses, or the artifact
+/// that could not be written.
 pub fn run_paper_table(suite: &[SynthSpec], title: &str, stem: &str) -> Result<(), String> {
     let opts = FlowOptions::from_args();
     let models = ModelKind::contestants();
     let mut rows: Vec<Vec<BenchmarkRow>> = Vec::new();
     for spec in suite {
+        let spec = opts.shrink_spec(spec);
+        let circuit = mep_netlist::synth::generate(&spec);
         let mut per_model = Vec::new();
         for model in models {
             eprintln!("[{stem}] {} × {} …", spec.name, model.label());
-            let row = run_benchmark(spec, model, &opts);
-            if row.violations != 0 {
-                let what = format!("{} × {}", spec.name, model.label());
-                return Err(format!("{what} produced an illegal placement"));
-            }
-            per_model.push(row);
+            let global = GlobalConfig {
+                model,
+                ..GlobalConfig::default()
+            };
+            let r = run_claim(&circuit, global)?;
+            per_model.push(BenchmarkRow::new(spec.name.clone(), model, r));
         }
         rows.push(per_model);
     }
@@ -205,15 +245,14 @@ pub fn run_paper_table(suite: &[SynthSpec], title: &str, stem: &str) -> Result<(
     println!("{title}\n");
     print!("{}", table.to_text());
     let csv = format!("results/{stem}.csv");
-    match table.write_csv(&csv) {
-        Ok(()) => println!("\nwrote {csv}"),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    table
+        .write_csv(&csv)
+        .map_err(|e| format!("could not write {csv}: {e}"))?;
+    println!("\nwrote {csv}");
     let reports = format!("results/{stem}_reports.jsonl");
-    match write_reports_jsonl(&reports, rows.iter().flatten()) {
-        Ok(()) => println!("wrote {reports}"),
-        Err(e) => eprintln!("could not write run reports: {e}"),
-    }
+    write_jsonl(&reports, rows.iter().flatten().map(BenchmarkRow::to_json))
+        .map_err(|e| format!("could not write {reports}: {e}"))?;
+    println!("wrote {reports}");
     Ok(())
 }
 
@@ -225,34 +264,44 @@ mod tests {
     #[test]
     fn shrink_reduces_counts() {
         let spec = synth::spec_by_name("newblue7").unwrap();
-        let opts = FlowOptions {
-            shrink: 10,
-            ..FlowOptions::default()
-        };
-        let small = opts.shrink_spec(&spec);
+        let small = FlowOptions { shrink: 10 }.shrink_spec(&spec);
         assert_eq!(small.movable, spec.movable / 10);
         assert_eq!(small.name, spec.name);
     }
 
     #[test]
-    fn run_benchmark_produces_legal_result() {
-        let spec = synth::smoke_spec();
-        let opts = FlowOptions {
-            max_iters: 300,
-            ..FlowOptions::default()
-        };
-        let row = run_benchmark(&spec, ModelKind::Moreau, &opts);
-        assert_eq!(row.violations, 0);
+    fn a_claims_run_makes_a_legal_row() {
+        let circuit = synth::generate(&synth::smoke_spec());
+        let r = run_claim(&circuit, GlobalConfig::default()).expect("smoke converges");
+        let row = BenchmarkRow::new("smoke".into(), ModelKind::Moreau, r);
+        assert_eq!(row.report.counter("flow.violations"), Some(0));
         assert!(row.dpwl <= row.lgwl + 1e-9);
         assert!(row.rt > 0.0);
         // the run's telemetry rides along and serializes
         assert_eq!(row.report.gauge("dp.hpwl"), Some(row.dpwl));
 
         let path = std::env::temp_dir().join(format!("mep_reports_{}.jsonl", std::process::id()));
-        write_reports_jsonl(&path, [&row]).unwrap();
+        write_jsonl(&path, [row.to_json()]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.starts_with("{\"bench\":\"smoke\",\"model\":\"Ours\",\"report\":{"));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn run_claim_refuses_a_capped_run() {
+        let circuit = synth::generate(&synth::smoke_spec());
+        let capped = GlobalConfig {
+            max_iters: 5,
+            ..GlobalConfig::default()
+        };
+        let gp = mep_placer::global::place(&circuit, &capped).expect("5 GP iterations");
+        let err = converged(&circuit, capped.model, gp.termination, gp.iterations)
+            .expect_err("a capped GP is no claim");
+        assert!(err.starts_with("smoke × Ours: "), "{err}");
+        assert!(err.contains("iteration cap after 5 iterations"), "{err}");
+        let err = run_claim(&circuit, capped).expect_err("a capped run is no claim");
+        assert!(err.starts_with("smoke × Ours: "), "{err}");
+        assert!(err.contains("iteration cap"), "{err}");
     }
 }

@@ -9,6 +9,6 @@ pub mod peko;
 pub mod svg;
 pub mod table;
 
-pub use flow::{run_benchmark, run_paper_table, write_reports_jsonl, BenchmarkRow, FlowOptions};
-pub use peko::{run_peko, write_peko_jsonl, PekoOptions, PekoRow};
+pub use flow::{converged, run_claim, run_paper_table, write_jsonl, BenchmarkRow, FlowOptions};
+pub use peko::{run_peko, PekoRow};
 pub use table::Table;

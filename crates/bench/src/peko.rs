@@ -1,54 +1,30 @@
 //! Shared plumbing for the known-optimum (PEKO) suboptimality harness.
 //!
 //! [`run_peko`] places one [`PekoSpec`] with one wirelength model through
-//! the full GP → LG → DP pipeline, then measures the one thing ordinary
-//! benchmarks cannot: the **suboptimality ratio** `final HPWL / optimal HPWL`
-//! against the generator's constructively exact optimum. Every run also
-//! gets a mandatory legality audit (pairwise overlap-free, in-die,
-//! row/site aligned) — a placement that "wins" by escaping the die or
-//! stacking cells is a bug, not a result.
+//! [`run_claim`], the full GP → LG → DP pipeline run to convergence, then
+//! measures the one thing ordinary benchmarks cannot: the
+//! **suboptimality ratio** `final HPWL / optimal HPWL` against the
+//! generator's constructively exact optimum. Every run also gets a
+//! mandatory legality audit (pairwise overlap-free, in-die, row/site
+//! aligned) — a placement that "wins" by escaping the die or stacking
+//! cells is a bug, not a result.
 //!
-//! All `peko.*` quality metrics are merged into the run's [`RunReport`],
-//! so the JSONL record carries the certificate next to the standard
-//! telemetry (DESIGN.md §10/§15).
+//! All `peko.*` quality metrics are merged into the run's
+//! [`RunReport`](mep_obs::RunReport), so the JSONL record carries the
+//! certificate next to the standard telemetry (DESIGN.md §10/§15).
 
+use crate::flow::{run_claim, BenchmarkRow};
 use mep_netlist::synth::peko::{generate_peko, PekoSpec};
 use mep_obs::json::JsonObject;
-use mep_obs::{Registry, RunReport};
-use mep_placer::pipeline::{run, PipelineConfig};
-use mep_placer::{audit_legality, GlobalConfig, LegalityAudit, PlacerError};
-use mep_wirelength::ModelKind;
-use std::io::Write as _;
-use std::path::Path;
+use mep_obs::Registry;
+use mep_placer::{audit_legality, GlobalConfig, LegalityAudit};
 
-/// Options controlling one harness run.
-#[derive(Debug, Clone)]
-pub struct PekoOptions {
-    /// GP iteration cap. The guard rows must always use
-    /// [`GUARD_ITERS`] so measured ratios are comparable to the
-    /// committed baseline.
-    pub max_iters: usize,
-}
-
-/// Iteration cap used for the guarded Moreau rows and the committed
-/// baseline — fixed so every future measurement is comparable.
-pub const GUARD_ITERS: usize = 600;
-
-impl Default for PekoOptions {
-    fn default() -> Self {
-        Self {
-            max_iters: GUARD_ITERS,
-        }
-    }
-}
-
-/// Result of one spec × model run.
+/// Result of one spec × model run: the claims run and its certificate.
 #[derive(Debug, Clone)]
 pub struct PekoRow {
-    /// Benchmark name (`peko_600`, …).
-    pub bench: String,
-    /// Wirelength model used.
-    pub model: ModelKind,
+    /// The run as any table row sees it (`peko_600`, …); its report has
+    /// the `peko.*` metrics merged in.
+    pub run: BenchmarkRow,
     /// Movable cell count.
     pub movable: usize,
     /// The constructively exact optimal HPWL.
@@ -56,51 +32,29 @@ pub struct PekoRow {
     /// HPWL after global placement (may dip below the optimum while
     /// cells still overlap — the optimum bounds *legal* placements).
     pub gpwl: f64,
-    /// HPWL after legalization.
-    pub lgwl: f64,
-    /// HPWL after detailed placement.
-    pub dpwl: f64,
     /// Suboptimality ratio `dpwl / optimal_hpwl` (≥ 1 up to float dust;
     /// the quality metric the guard tracks).
     pub ratio: f64,
-    /// Total runtime, seconds.
-    pub rt: f64,
-    /// GP iterations executed.
-    pub iterations: usize,
-    /// Final density overflow after GP.
-    pub overflow: f64,
-    /// Legality audit of the final placement (must be clean).
+    /// Legality audit of the final placement (clean).
     pub audit: LegalityAudit,
-    /// Full run telemetry with `peko.*` metrics merged in.
-    pub report: RunReport,
 }
 
-/// Runs one spec × model through the full pipeline and
-/// certifies the result against the known optimum.
+/// Runs one spec under `global` through [`run_claim`] and certifies the
+/// result against the known optimum.
 ///
 /// # Errors
 ///
-/// Propagates [`PlacerError`] from the pipeline (degenerate input,
-/// unrecoverable numerical fault, legalization failure).
-pub fn run_peko(
-    spec: &PekoSpec,
-    model: ModelKind,
-    opts: &PekoOptions,
-) -> Result<PekoRow, PlacerError> {
+/// [`run_claim`]'s, and a legality audit that is not clean.
+pub fn run_peko(spec: &PekoSpec, global: GlobalConfig) -> Result<PekoRow, String> {
     let p = generate_peko(spec);
-    let config = PipelineConfig {
-        global: GlobalConfig {
-            model,
-            max_iters: opts.max_iters,
-            ..GlobalConfig::default()
-        },
-        ..PipelineConfig::default()
-    };
-    let r = run(&p.circuit, &config)?;
+    let model = global.model;
+    let r = run_claim(&p.circuit, global)?;
     let audit = audit_legality(&p.circuit.design, &r.placement);
-    let ratio = r.dpwl / p.optimal_hpwl;
+    if !audit.is_clean() {
+        return Err(format!("{} × {}: audit {audit}", spec.name, model.label()));
+    }
+    let (gpwl, ratio) = (r.gpwl, r.dpwl / p.optimal_hpwl);
 
-    let mut report = r.report;
     let reg = Registry::new();
     reg.gauge("peko.optimal_hpwl").set(p.optimal_hpwl);
     reg.gauge("peko.ratio_gp").set(r.gpwl / p.optimal_hpwl);
@@ -115,27 +69,20 @@ pub fn run_peko(
         .add(audit.off_site as u64);
     reg.counter("peko.audit.outside_region")
         .add(audit.outside_region as u64);
-    report.merge_registry(&reg);
+    let mut run = BenchmarkRow::new(spec.name.clone(), model, r);
+    run.report.merge_registry(&reg);
 
     Ok(PekoRow {
-        bench: spec.name.clone(),
-        model,
+        run,
         movable: spec.movable,
         optimal_hpwl: p.optimal_hpwl,
-        gpwl: r.gpwl,
-        lgwl: r.lgwl,
-        dpwl: r.dpwl,
+        gpwl,
         ratio,
-        rt: r.rt_gp + r.rt_lg + r.rt_dp,
-        iterations: r.iterations,
-        overflow: r.overflow,
         audit,
-        report,
     })
 }
 
-/// Serializes a legality audit as a JSON object.
-pub fn audit_json(audit: &LegalityAudit) -> String {
+fn audit_json(audit: &LegalityAudit) -> String {
     let mut o = JsonObject::new();
     o.field_u64("overlaps", audit.overlaps as u64)
         .field_u64("outside_die", audit.outside_die as u64)
@@ -146,94 +93,85 @@ pub fn audit_json(audit: &LegalityAudit) -> String {
     o.finish()
 }
 
-/// One JSONL line for a row: bench/model, the certificate
-/// numbers, the audit, and the full merged report.
-pub fn row_json(row: &PekoRow) -> String {
-    let mut o = JsonObject::new();
-    o.field_str("bench", &row.bench)
-        .field_str("model", row.model.label())
-        .field_u64("movable", row.movable as u64)
-        .field_f64("optimal_hpwl", row.optimal_hpwl)
-        .field_f64("gpwl", row.gpwl)
-        .field_f64("lgwl", row.lgwl)
-        .field_f64("dpwl", row.dpwl)
-        .field_f64("ratio", row.ratio)
-        .field_f64("rt", row.rt)
-        .field_u64("iterations", row.iterations as u64)
-        .field_f64("overflow", row.overflow)
-        .field_raw("audit", &audit_json(&row.audit))
-        .field_raw("report", &row.report.to_json());
-    o.finish()
-}
-
-/// Writes one JSON line per run into `path` (creating parent dirs).
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if `path` cannot be written.
-pub fn write_peko_jsonl(
-    path: impl AsRef<Path>,
-    rows: impl IntoIterator<Item = impl std::borrow::Borrow<PekoRow>>,
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
+impl PekoRow {
+    /// The row's JSON line: bench/model, the certificate numbers, the
+    /// audit, and the full merged report.
+    pub fn to_json(&self) -> String {
+        let run = &self.run;
+        let mut o = JsonObject::new();
+        o.field_str("bench", &run.bench)
+            .field_str("model", run.model.label())
+            .field_u64("movable", self.movable as u64)
+            .field_f64("optimal_hpwl", self.optimal_hpwl)
+            .field_f64("gpwl", self.gpwl)
+            .field_f64("lgwl", run.lgwl)
+            .field_f64("dpwl", run.dpwl)
+            .field_f64("ratio", self.ratio)
+            .field_f64("rt", run.rt)
+            .field_u64("iterations", run.iterations as u64)
+            .field_f64("overflow", run.overflow)
+            .field_raw("audit", &audit_json(&self.audit))
+            .field_raw("report", &run.report.to_json());
+        o.finish()
     }
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    for row in rows {
-        writeln!(out, "{}", row_json(row.borrow()))?;
-    }
-    out.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mep_netlist::synth::peko::peko_spec;
+    use mep_wirelength::ModelKind;
+
+    fn with(model: ModelKind) -> GlobalConfig {
+        GlobalConfig {
+            model,
+            ..GlobalConfig::default()
+        }
+    }
 
     #[test]
     fn run_peko_certifies_a_small_ladder_rung() {
         let spec = peko_spec(100, 5);
-        let opts = PekoOptions { max_iters: 250 };
-        let row = run_peko(&spec, ModelKind::Moreau, &opts).expect("peko flow");
-        assert!(
-            row.audit.is_clean(),
-            "final placement must be legal: {}",
-            row.audit
-        );
+        let row = run_peko(&spec, with(ModelKind::Moreau)).expect("peko flow");
+        assert!(row.audit.is_clean());
         // a legal placement can never beat the certificate
+        let run = &row.run;
         assert!(
-            row.dpwl >= row.optimal_hpwl - 1e-6,
+            run.dpwl >= row.optimal_hpwl - 1e-6,
             "dpwl {} below the certified optimum {}",
-            row.dpwl,
+            run.dpwl,
             row.optimal_hpwl
         );
         assert!(row.ratio >= 1.0 - 1e-9);
         assert!(row.ratio < 4.0, "suboptimality ratio {} absurd", row.ratio);
         // peko.* metrics merged into the standard report
-        assert_eq!(row.report.gauge("peko.ratio_dp"), Some(row.ratio));
-        assert_eq!(row.report.counter("peko.audit.overlaps"), Some(0));
+        assert_eq!(run.report.gauge("peko.ratio_dp"), Some(row.ratio));
+        assert_eq!(run.report.counter("peko.audit.overlaps"), Some(0));
         // and the usual pipeline metrics are still there
-        assert_eq!(row.report.gauge("dp.hpwl"), Some(row.dpwl));
+        assert_eq!(run.report.gauge("dp.hpwl"), Some(run.dpwl));
 
-        let line = row_json(&row);
+        let line = row.to_json();
         assert!(line.starts_with("{\"bench\":\"peko_100\",\"model\":\"Ours\""));
         assert!(line.contains("\"audit\":{\"overlaps\":0"));
+    }
 
-        let path = std::env::temp_dir().join(format!("mep_peko_{}.jsonl", std::process::id()));
-        write_peko_jsonl(&path, [&row]).expect("write jsonl");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        assert_eq!(text.lines().count(), 1);
-        std::fs::remove_file(&path).ok();
+    #[test]
+    fn run_peko_refuses_a_capped_run() {
+        let capped = GlobalConfig {
+            max_iters: 5,
+            ..GlobalConfig::default()
+        };
+        let err = run_peko(&peko_spec(100, 5), capped).expect_err("a capped run is no row");
+        assert!(err.starts_with("peko_100 × Ours: "), "{err}");
+        assert!(err.contains("iteration cap"), "{err}");
     }
 
     #[test]
     fn identical_runs_are_bit_identical() {
         let spec = peko_spec(64, 6);
-        let opts = PekoOptions { max_iters: 120 };
-        let a = run_peko(&spec, ModelKind::Wa, &opts).expect("peko flow");
-        let b = run_peko(&spec, ModelKind::Wa, &opts).expect("peko flow");
-        assert_eq!(a.dpwl, b.dpwl);
+        let a = run_peko(&spec, with(ModelKind::Wa)).expect("peko flow");
+        let b = run_peko(&spec, with(ModelKind::Wa)).expect("peko flow");
+        assert_eq!(a.run.dpwl, b.run.dpwl);
         assert_eq!(a.ratio, b.ratio);
     }
 }

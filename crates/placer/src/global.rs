@@ -61,7 +61,8 @@ pub struct GlobalConfig {
     pub moreau_schedule: MoreauSchedule,
     /// Stop once density overflow falls below this (paper flow: 0.07).
     pub target_overflow: f64,
-    /// Hard iteration cap.
+    /// Hard iteration cap. The default (800) is the one cap every claims
+    /// flow runs at: each of them converges below it.
     pub max_iters: usize,
     /// Minimum iterations before the overflow stop can fire.
     pub min_iters: usize,
@@ -108,7 +109,7 @@ impl Default for GlobalConfig {
             model: ModelKind::Moreau,
             moreau_schedule: MoreauSchedule::Tangent,
             target_overflow: 0.07,
-            max_iters: 600,
+            max_iters: 800,
             min_iters: 30,
             threads: 1,
             t0: 4.0,

@@ -261,7 +261,7 @@ fn main() -> ExitCode {
             };
             let mut model = ModelKind::Moreau;
             let mut out: Option<String> = None;
-            let mut iters = 800usize;
+            let mut iters = GlobalConfig::default().max_iters;
             let mut density: Option<f64> = None;
             let mut levels = 1usize;
             let mut eco_window: Option<Rect> = None;
