@@ -122,17 +122,10 @@ mod tests {
     use mep_netlist::synth::peko::peko_spec;
     use mep_wirelength::ModelKind;
 
-    fn with(model: ModelKind) -> GlobalConfig {
-        GlobalConfig {
-            model,
-            ..GlobalConfig::default()
-        }
-    }
-
     #[test]
     fn run_peko_certifies_a_small_ladder_rung() {
         let spec = peko_spec(100, 5);
-        let row = run_peko(&spec, with(ModelKind::Moreau)).expect("peko flow");
+        let row = run_peko(&spec, GlobalConfig::default()).expect("peko flow");
         assert!(row.audit.is_clean());
         // a legal placement can never beat the certificate
         let run = &row.run;
@@ -169,8 +162,12 @@ mod tests {
     #[test]
     fn identical_runs_are_bit_identical() {
         let spec = peko_spec(64, 6);
-        let a = run_peko(&spec, with(ModelKind::Wa)).expect("peko flow");
-        let b = run_peko(&spec, with(ModelKind::Wa)).expect("peko flow");
+        let wa = GlobalConfig {
+            model: ModelKind::Wa,
+            ..GlobalConfig::default()
+        };
+        let a = run_peko(&spec, wa.clone()).expect("peko flow");
+        let b = run_peko(&spec, wa).expect("peko flow");
         assert_eq!(a.run.dpwl, b.run.dpwl);
         assert_eq!(a.ratio, b.ratio);
     }
