@@ -110,7 +110,7 @@ pub fn read_aux(
         Some(p) if p.exists() => Some(fs::read_to_string(p)?),
         _ => None,
     };
-    read_files_with_weights(
+    read_files(
         name,
         &fs::read_to_string(nodes)?,
         &fs::read_to_string(nets)?,
@@ -121,38 +121,13 @@ pub fn read_aux(
     )
 }
 
-/// Parses a benchmark from in-memory file contents with unit net weights
-/// (useful for tests). See [`read_files_with_weights`] for `.wts` support.
+/// Parses a benchmark from in-memory file contents. `wts_text` is the
+/// optional `.wts` net-weight file; without it every net weighs 1.0.
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::Parse`] on malformed content.
 pub fn read_files(
-    name: String,
-    nodes_text: &str,
-    nets_text: &str,
-    pl_text: &str,
-    scl_text: &str,
-    target_density: f64,
-) -> Result<BookshelfCircuit, NetlistError> {
-    read_files_with_weights(
-        name,
-        nodes_text,
-        nets_text,
-        pl_text,
-        scl_text,
-        None,
-        target_density,
-    )
-}
-
-/// Parses a benchmark from in-memory file contents, including an optional
-/// `.wts` net-weight file.
-///
-/// # Errors
-///
-/// Returns [`NetlistError::Parse`] on malformed content.
-pub fn read_files_with_weights(
     name: String,
     nodes_text: &str,
     nets_text: &str,
@@ -525,7 +500,7 @@ mod tests {
     const SCL: &str = "UCLA scl 1.0\nNumRows : 2\nCoreRow Horizontal\n Coordinate : 0\n Height : 1\n Sitewidth : 1 Sitespacing : 1\n SubrowOrigin : 0 NumSites : 10\nEnd\nCoreRow Horizontal\n Coordinate : 1\n Height : 1\n Sitewidth : 1 Sitespacing : 1\n SubrowOrigin : 0 NumSites : 10\nEnd\n";
 
     fn parse() -> BookshelfCircuit {
-        read_files("t".into(), NODES, NETS, PL, SCL, 0.9).unwrap()
+        read_files("t".into(), NODES, NETS, PL, SCL, None, 0.9).unwrap()
     }
 
     #[test]
@@ -569,7 +544,7 @@ mod tests {
     #[test]
     fn unknown_cell_in_nets_is_an_error() {
         let nets = "NetDegree : 1 n0\n  ghost I : 0 0\n";
-        let err = read_files("t".into(), NODES, nets, PL, SCL, 0.9);
+        let err = read_files("t".into(), NODES, nets, PL, SCL, None, 0.9);
         assert!(matches!(err, Err(NetlistError::UnknownCell(_))));
     }
 
@@ -583,6 +558,7 @@ mod tests {
             &files.nets,
             &files.pl,
             &files.scl,
+            None,
             0.9,
         )
         .unwrap();
@@ -605,7 +581,7 @@ mod tests {
         // flows use either marker alone, and fixedness must survive a
         // write→parse cycle (regression: the flag was parsed then dropped)
         let pl = "UCLA pl 1.0\no0 1 2 : N\no1 5 2 : N /FIXED\np0 0 0 : N /FIXED\n";
-        let c = read_files("t".into(), NODES, NETS, pl, SCL, 0.9).unwrap();
+        let c = read_files("t".into(), NODES, NETS, pl, SCL, None, 0.9).unwrap();
         let nl = &c.design.netlist;
         assert!(!nl.is_movable(nl.cell_by_name("o1").unwrap()));
         assert!(nl.is_movable(nl.cell_by_name("o0").unwrap()));
@@ -625,6 +601,7 @@ mod tests {
             &files.nets,
             &files.pl,
             &files.scl,
+            None,
             0.9,
         )
         .unwrap();
@@ -637,20 +614,20 @@ mod tests {
     #[test]
     fn truncated_net_reports_parse_error() {
         let nets = "NetDegree : 3 n0\n  o0 I : 0 0\n";
-        let err = read_files("t".into(), NODES, nets, PL, SCL, 0.9);
+        let err = read_files("t".into(), NODES, nets, PL, SCL, None, 0.9);
         assert!(matches!(err, Err(NetlistError::Parse { file: "nets", .. })));
     }
 
     #[test]
     fn wts_weights_are_parsed_and_round_trip() {
         let wts = "UCLA wts 1.0\nn0 2.5\n";
-        let c = read_files_with_weights("t".into(), NODES, NETS, PL, SCL, Some(wts), 0.9).unwrap();
+        let c = read_files("t".into(), NODES, NETS, PL, SCL, Some(wts), 0.9).unwrap();
         let nl = &c.design.netlist;
         assert_eq!(nl.net_weight(crate::ids::NetId(0)), 2.5);
         assert_eq!(nl.net_weight(crate::ids::NetId(1)), 1.0);
         // weights survive serialization
         let files = to_strings(&c);
-        let c2 = read_files_with_weights(
+        let c2 = read_files(
             "t".into(),
             &files.nodes,
             &files.nets,
@@ -666,7 +643,7 @@ mod tests {
     #[test]
     fn malformed_wts_is_an_error() {
         let wts = "n0 not-a-number\n";
-        let err = read_files_with_weights("t".into(), NODES, NETS, PL, SCL, Some(wts), 0.9);
+        let err = read_files("t".into(), NODES, NETS, PL, SCL, Some(wts), 0.9);
         assert!(matches!(err, Err(NetlistError::Parse { file: "wts", .. })));
     }
 

@@ -69,9 +69,9 @@ impl Design {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::Geometry`] if the die is inverted, the target
-    /// density is outside `(0, 1]`, there are no rows, or any row pokes
-    /// outside the die.
+    /// Returns [`NetlistError::Geometry`] if the die or a row is inverted,
+    /// empty or not finite, the target density is outside `(0, 1]`, there
+    /// are no rows, or any row pokes outside the die.
     pub fn new(
         name: impl Into<String>,
         netlist: Netlist,
@@ -79,7 +79,11 @@ impl Design {
         rows: Vec<Row>,
         target_density: f64,
     ) -> Result<Self, NetlistError> {
-        if die.width() <= 0.0 || die.height() <= 0.0 {
+        // every test below is written so that a NaN fails it
+        let finite = [die.xl, die.yl, die.xh, die.yh]
+            .iter()
+            .all(|v| v.is_finite());
+        if !(die.width() > 0.0 && die.height() > 0.0 && finite) {
             return Err(NetlistError::Geometry(format!("degenerate die {die}")));
         }
         if !(target_density > 0.0 && target_density <= 1.0) {
@@ -92,14 +96,16 @@ impl Design {
         }
         const EPS: f64 = 1e-6;
         for (i, row) in rows.iter().enumerate() {
-            if row.width() <= 0.0 || row.height <= 0.0 || row.site_width <= 0.0 {
+            let site_ok = row.site_width > 0.0 && row.site_width.is_finite();
+            if !(row.width() > 0.0 && row.height > 0.0 && site_ok) {
                 return Err(NetlistError::Geometry(format!("degenerate row {i}")));
             }
+            // inside the finite die, so finite too
             let r = row.rect();
-            if r.xl < die.xl - EPS
-                || r.xh > die.xh + EPS
-                || r.yl < die.yl - EPS
-                || r.yh > die.yh + EPS
+            if !(r.xl >= die.xl - EPS
+                && r.xh <= die.xh + EPS
+                && r.yl >= die.yl - EPS
+                && r.yh <= die.yh + EPS)
             {
                 return Err(NetlistError::Geometry(format!(
                     "row {i} {r} outside die {die}"
@@ -278,6 +284,29 @@ mod tests {
         };
         let err = Design::new("t", nl(), Rect::new(0.0, 0.0, 10.0, 10.0), vec![row], 0.9);
         assert!(matches!(err, Err(NetlistError::Geometry(_))));
+    }
+
+    #[test]
+    fn rejects_nan_die() {
+        let die = Rect {
+            xh: f64::NAN,
+            ..Rect::new(0.0, 0.0, 10.0, 10.0)
+        };
+        let err = Design::with_uniform_rows("t", nl(), die, 1.0, 1.0, 0.9);
+        assert!(matches!(err, Err(NetlistError::Geometry(_))), "{err:?}");
+    }
+
+    #[test]
+    fn rejects_nan_row() {
+        let row = Row {
+            y: f64::NAN,
+            height: 5.0,
+            xl: 0.0,
+            xh: 5.0,
+            site_width: 1.0,
+        };
+        let err = Design::new("t", nl(), Rect::new(0.0, 0.0, 10.0, 10.0), vec![row], 0.9);
+        assert!(matches!(err, Err(NetlistError::Geometry(_))), "{err:?}");
     }
 
     #[test]

@@ -418,15 +418,6 @@ impl NetlistBuilder {
         self.net_weights[net.index()] = weight;
     }
 
-    /// Looks up a net added earlier by name (used by the `.wts` parser).
-    pub fn net_by_name(&self, name: &str) -> Option<NetId> {
-        // linear scan is fine: only the Bookshelf parser uses this, once
-        self.net_names
-            .iter()
-            .position(|n| n == name)
-            .map(NetId::from_usize)
-    }
-
     /// Finalizes the netlist, computing the cell → pin adjacency.
     pub fn build(self) -> Netlist {
         let instance_id = next_instance_id();

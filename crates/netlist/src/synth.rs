@@ -688,10 +688,7 @@ pub fn generate(spec: &SynthSpec) -> BookshelfCircuit {
             .map(|&cell_idx| {
                 let cell = crate::ids::CellId::from_usize(cell_idx);
                 // offsets uniform inside the cell box (from center)
-                let (w, h) = (
-                    builder_cell_w(&builder, cell),
-                    builder_cell_h(&builder, cell),
-                );
+                let (w, h) = builder.cell_size(cell);
                 let dx = if w > 0.0 {
                     rng.gen_range(-0.5..0.5) * w
                 } else {
@@ -760,16 +757,6 @@ pub fn generate(spec: &SynthSpec) -> BookshelfCircuit {
     }
 
     BookshelfCircuit { design, placement }
-}
-
-// The builder intentionally hides its internals; the generator needs cell
-// sizes back while nets are being created, so it tracks them via these
-// helpers reading from the public API-to-be. (Cheap: O(1) vec reads.)
-fn builder_cell_w(b: &NetlistBuilder, cell: crate::ids::CellId) -> f64 {
-    b.cell_size(cell).0
-}
-fn builder_cell_h(b: &NetlistBuilder, cell: crate::ids::CellId) -> f64 {
-    b.cell_size(cell).1
 }
 
 #[cfg(test)]

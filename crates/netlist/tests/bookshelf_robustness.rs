@@ -11,7 +11,7 @@ use proptest::prelude::*;
 const SCL: &str = "UCLA scl 1.0\nNumRows : 1\nCoreRow Horizontal\n Coordinate : 0\n Height : 1\n Sitewidth : 1 Sitespacing : 1\n SubrowOrigin : 0 NumSites : 50\nEnd\n";
 
 fn parse(nodes: &str, nets: &str, pl: &str) -> Result<(), NetlistError> {
-    read_files("t".into(), nodes, nets, pl, SCL, 0.9).map(|_| ())
+    read_files("t".into(), nodes, nets, pl, SCL, None, 0.9).map(|_| ())
 }
 
 #[test]
@@ -70,6 +70,7 @@ fn scl_without_rows_is_a_geometry_error() {
         "",
         "a 0 0 : N\n",
         "UCLA scl 1.0\nNumRows : 0\n",
+        None,
         0.9,
     );
     assert!(matches!(err, Err(NetlistError::Geometry(_))));
@@ -80,7 +81,7 @@ fn zero_pin_net_is_allowed_and_harmless() {
     let nodes = "NumNodes : 1\n a 1 1\n";
     let nets = "NetDegree : 0 empty\n";
     let pl = "a 0 0 : N\n";
-    let c = read_files("t".into(), nodes, nets, pl, SCL, 0.9).unwrap();
+    let c = read_files("t".into(), nodes, nets, pl, SCL, None, 0.9).unwrap();
     assert_eq!(c.design.netlist.num_nets(), 1);
     assert_eq!(c.design.netlist.num_pins(), 0);
     // HPWL of the empty net is zero
@@ -116,7 +117,7 @@ const GOOD_NETS: &str = "UCLA nets 1.0\nNumNets : 2\nNumPins : 5\nNetDegree : 3 
 const GOOD_PL: &str = "UCLA pl 1.0\no0 1 2 : N\no1 5 2 : N\np0 0 0 : N /FIXED\n";
 
 const GOOD_LEF: &str = "SITE core\n SIZE 0.2 BY 1.6 ;\nEND core\nMACRO INV\n CLASS CORE ;\n SIZE 0.4 BY 1.6 ;\n PIN A\n  PORT\n   RECT 0.05 0.7 0.15 0.9 ;\n  END\n END A\nEND INV\nEND LIBRARY\n";
-const GOOD_DEF: &str = "VERSION 5.8 ;\nDESIGN top ;\nUNITS DISTANCE MICRONS 1000 ;\nDIEAREA ( 0 0 ) ( 20000 16000 ) ;\nROW r0 core 0 0 N DO 100 BY 1 STEP 200 0 ;\nROW r1 core 0 1600 N DO 100 BY 1 STEP 200 0 ;\nCOMPONENTS 2 ;\n - u1 INV + PLACED ( 1000 0 ) N ;\n - u2 INV + PLACED ( 5000 1600 ) N ;\nEND COMPONENTS\nNETS 1 ;\n - n1 ( u1 A ) ( u2 A ) ;\nEND NETS\nEND DESIGN\n";
+const GOOD_DEF: &str = "VERSION 5.8 ;\nDESIGN top ;\nUNITS DISTANCE MICRONS 1000 ;\nDIEAREA ( 0 0 ) ( 20000 16000 ) ;\nROW r0 core 0 0 N DO 100 BY 1 STEP 200 0 ;\nROW r1 core 0 1600 N DO 100 BY 1 STEP 200 0 ;\nCOMPONENTS 2 ;\n - u1 INV + PLACED ( 1000 0 ) N ;\n - u2 INV + PLACED ( 5000 1600 ) N ;\nEND COMPONENTS\nPINS 1 ;\n - io1 + NET n1 + DIRECTION INPUT + FIXED ( 0 8000 ) N ;\nEND PINS\nNETS 1 ;\n - n1 ( u1 A ) ( u2 A ) ( PIN io1 ) ;\nEND NETS\nREGIONS 1 ;\n - fence1 ( 0 0 ) ( 8000 3200 ) ;\nEND REGIONS\nGROUPS 1 ;\n - g1 u1 u2 + REGION fence1 ;\nEND GROUPS\nEND DESIGN\n";
 
 const GARBAGE: [&str; 8] = [
     "",
@@ -168,7 +169,7 @@ proptest! {
         }
         // must return Ok or a typed error — reaching here without a panic
         // is the property; errors must carry the right file tag
-        match read_files("fuzz".into(), &nodes, &nets, &pl, SCL, 0.9) {
+        match read_files("fuzz".into(), &nodes, &nets, &pl, SCL, None, 0.9) {
             Ok(_) => {}
             Err(NetlistError::Parse { file, .. }) => {
                 prop_assert!(matches!(file, "nodes" | "nets" | "pl" | "scl"));

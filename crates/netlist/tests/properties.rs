@@ -103,7 +103,7 @@ proptest! {
         let circuit = bookshelf::BookshelfCircuit { design, placement: pl };
         let files = bookshelf::to_strings(&circuit);
         let back = bookshelf::read_files(
-            "prop".into(), &files.nodes, &files.nets, &files.pl, &files.scl, 0.9,
+            "prop".into(), &files.nodes, &files.nets, &files.pl, &files.scl, None, 0.9,
         ).expect("round trip parses");
         prop_assert_eq!(back.design.netlist.num_cells(), circuit.design.netlist.num_cells());
         prop_assert_eq!(back.design.netlist.num_nets(), circuit.design.netlist.num_nets());

@@ -265,7 +265,7 @@ fn all_fixed_netlist_is_a_typed_degenerate_input_error() {
         "UCLA nets 1.0\nNumNets : 1\nNumPins : 2\nNetDegree : 2 n0\n  p0 I : 0 0\n  p1 O : 0 0\n";
     let pl = "UCLA pl 1.0\np0 0 0 : N /FIXED\np1 4 0 : N /FIXED\n";
     let scl = "UCLA scl 1.0\nNumRows : 1\nCoreRow Horizontal\n Coordinate : 0\n Height : 1\n Sitewidth : 1 Sitespacing : 1\n SubrowOrigin : 0 NumSites : 10\nEnd\n";
-    let c = mep_netlist::bookshelf::read_files("fixed".into(), nodes, nets, pl, scl, 0.9)
+    let c = mep_netlist::bookshelf::read_files("fixed".into(), nodes, nets, pl, scl, None, 0.9)
         .expect("well-formed files");
     match place(&c, &base_config()) {
         Err(PlacerError::DegenerateInput { reason }) => {

@@ -32,6 +32,7 @@ fn placed_circuit_round_trips_through_bookshelf_files() {
         &files.nets,
         &files.pl,
         &files.scl,
+        None,
         circuit.design.target_density,
     )
     .expect("round trip parses");
@@ -71,6 +72,7 @@ fn two_round_trips_are_bit_identical_including_fixedness() {
             &files.nets,
             &files.pl,
             &files.scl,
+            None,
             c.design.target_density,
         )
         .expect("round trip parses")
@@ -125,6 +127,7 @@ fn imported_circuit_can_be_placed() {
         &files.nets,
         &files.pl,
         &files.scl,
+        None,
         circuit.design.target_density,
     )
     .expect("parses");

@@ -553,3 +553,29 @@ fn mep_threads_env_is_not_read() {
     assert!(!stderr.contains("warning"), "stderr:\n{stderr}");
     assert!(!stderr.contains("MEP_THREADS"), "stderr:\n{stderr}");
 }
+
+#[test]
+fn stats_reads_a_def_design_against_its_lef() {
+    let fixture = |name: &str| format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let (def, lef) = (fixture("sample.def"), fixture("sample.lef"));
+    let out = mep()
+        .args(["stats", &def, "--lef", &lef])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stdout:\n{stdout}");
+    for line in [
+        "circuit     : ring",
+        "rows        : 10",
+        "movable     : 60",
+        "fixed       : 2",
+        "nets        : 61",
+        "pins        : 122",
+    ] {
+        assert!(stdout.lines().any(|l| l == line), "{line}\n{stdout}");
+    }
+    // a DEF names macros only the LEF defines
+    let out = mep().args(["stats", &def]).output().expect("binary runs");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("needs --lef"));
+}
