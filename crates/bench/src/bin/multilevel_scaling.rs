@@ -64,7 +64,6 @@ fn main() {
         &MultilevelConfig {
             levels: 2,
             pipeline: config.clone(),
-            ..MultilevelConfig::default()
         },
     )
     .expect("warm multilevel flow");

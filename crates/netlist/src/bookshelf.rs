@@ -39,6 +39,19 @@ fn parse_err(file: &'static str, line: usize, message: impl Into<String>) -> Net
     }
 }
 
+/// `token` as a finite number; otherwise a parse error saying `message`.
+fn finite(
+    token: Option<&str>,
+    file: &'static str,
+    line: usize,
+    message: &str,
+) -> Result<f64, NetlistError> {
+    token
+        .and_then(|s| s.parse::<f64>().ok())
+        .filter(|v| v.is_finite())
+        .ok_or_else(|| parse_err(file, line, message))
+}
+
 /// Lines of a Bookshelf file with comments and headers stripped,
 /// keeping 1-based line numbers.
 fn content_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
@@ -154,14 +167,8 @@ pub fn read_files(
         let name = tok
             .next()
             .ok_or_else(|| parse_err("nodes", lineno, "missing node name"))?;
-        let w: f64 = tok
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err("nodes", lineno, "bad width"))?;
-        let h: f64 = tok
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err("nodes", lineno, "bad height"))?;
+        let w = finite(tok.next(), "nodes", lineno, "bad width")?;
+        let h = finite(tok.next(), "nodes", lineno, "bad height")?;
         let terminal = tok.next().is_some_and(|t| t.starts_with("terminal"));
         decls.push(NodeDecl {
             name: name.to_string(),
@@ -179,14 +186,8 @@ pub fn read_files(
         let name = tok
             .next()
             .ok_or_else(|| parse_err("pl", lineno, "missing cell name"))?;
-        let x: f64 = tok
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err("pl", lineno, "bad x"))?;
-        let y: f64 = tok
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err("pl", lineno, "bad y"))?;
+        let x = finite(tok.next(), "pl", lineno, "bad x")?;
+        let y = finite(tok.next(), "pl", lineno, "bad y")?;
         let fixed = line.contains("/FIXED");
         positions.insert(name.to_string(), (x, y, fixed));
     }
@@ -239,14 +240,8 @@ pub fn read_files(
                         let (dx, dy) = match tail {
                             Some(t) => {
                                 let mut it = t.split_whitespace();
-                                let dx = it
-                                    .next()
-                                    .and_then(|s| s.parse().ok())
-                                    .ok_or_else(|| parse_err("nets", pl_no, "bad pin dx"))?;
-                                let dy = it
-                                    .next()
-                                    .and_then(|s| s.parse().ok())
-                                    .ok_or_else(|| parse_err("nets", pl_no, "bad pin dy"))?;
+                                let dx = finite(it.next(), "nets", pl_no, "bad pin dx")?;
+                                let dy = finite(it.next(), "nets", pl_no, "bad pin dy")?;
                                 (dx, dy)
                             }
                             None => (0.0, 0.0),
@@ -276,10 +271,7 @@ pub fn read_files(
             let net_name = tok
                 .next()
                 .ok_or_else(|| parse_err("wts", lineno, "missing net name"))?;
-            let weight: f64 = tok
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| parse_err("wts", lineno, "bad weight"))?;
+            let weight = finite(tok.next(), "wts", lineno, "bad weight")?;
             // cell-weight lines (some suites weight nodes too) are skipped
             if let Some(&net) = net_index.get(net_name) {
                 if weight > 0.0 {
@@ -645,6 +637,46 @@ mod tests {
         let wts = "n0 not-a-number\n";
         let err = read_files("t".into(), NODES, NETS, PL, SCL, Some(wts), 0.9);
         assert!(matches!(err, Err(NetlistError::Parse { file: "wts", .. })));
+    }
+
+    #[test]
+    fn bad_node_size_is_a_typed_error() {
+        // a negative size reaches `NetlistBuilder::add_cell`, a non-finite
+        // one stops at the number reader
+        let read = |w: &str| {
+            let nodes = NODES.replace("o0 2 1", &format!("o0 {w} 1"));
+            read_files("t".into(), &nodes, NETS, PL, SCL, None, 0.9)
+        };
+        let err = read("-3");
+        assert!(matches!(err, Err(NetlistError::Geometry(_))), "{err:?}");
+        for w in ["nan", "inf"] {
+            let err = read(w);
+            assert!(
+                matches!(err, Err(NetlistError::Parse { file: "nodes", .. })),
+                "{w}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_are_parse_errors() {
+        let err = read_files("t".into(), NODES, NETS, PL, SCL, Some("n0 inf\n"), 0.9);
+        assert!(
+            matches!(err, Err(NetlistError::Parse { file: "wts", .. })),
+            "{err:?}"
+        );
+        let pl = PL.replace("o1 5 2", "o1 inf 2");
+        let err = read_files("t".into(), NODES, NETS, &pl, SCL, None, 0.9);
+        assert!(
+            matches!(err, Err(NetlistError::Parse { file: "pl", .. })),
+            "{err:?}"
+        );
+        let nets = NETS.replace("0.5 0", "NaN 0");
+        let err = read_files("t".into(), NODES, &nets, PL, SCL, None, 0.9);
+        assert!(
+            matches!(err, Err(NetlistError::Parse { file: "nets", .. })),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -741,6 +741,20 @@ END DESIGN
     }
 
     #[test]
+    fn negative_macro_size_is_a_typed_error() {
+        // the LEF reader refuses it itself; a library built in code meets
+        // `NetlistBuilder::add_cell`'s size check in `parse_def`
+        let err = parse_lef(&LEF.replace("SIZE 0.4 BY 1.6", "SIZE -3 BY 1"));
+        assert!(matches!(err, Err(NetlistError::Parse { .. })), "{err:?}");
+        let mut lib = parse_lef(LEF).unwrap();
+        if let Some(inv) = lib.macros.get_mut("INV") {
+            inv.width = -3.0;
+        }
+        let err = parse_def(DEF, &lib, 0.9);
+        assert!(matches!(err, Err(NetlistError::Geometry(_))), "{err:?}");
+    }
+
+    #[test]
     fn missing_diearea_is_an_error() {
         let lib = parse_lef(LEF).unwrap();
         let err = parse_def("VERSION 5.8 ;\nROW r core 0 0 N ;\n", &lib, 0.9);

@@ -340,7 +340,9 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::DuplicateCell`] if `name` was already used.
+    /// Returns [`NetlistError::DuplicateCell`] if `name` was already used
+    /// and [`NetlistError::Geometry`] if `width` or `height` is negative or
+    /// not finite (zero is legal: terminals are 0 × 0).
     pub fn add_cell(
         &mut self,
         name: impl Into<String>,
@@ -351,6 +353,11 @@ impl NetlistBuilder {
         let name = name.into();
         if self.name_index.contains_key(&name) {
             return Err(NetlistError::DuplicateCell(name));
+        }
+        if !(width.is_finite() && height.is_finite() && width >= 0.0 && height >= 0.0) {
+            return Err(NetlistError::Geometry(format!(
+                "cell `{name}` has size {width} x {height}"
+            )));
         }
         let id = CellId::from_usize(self.cell_names.len());
         self.name_index.insert(name.clone(), id);
@@ -527,6 +534,22 @@ mod tests {
             b.add_cell("a", 1.0, 1.0, true),
             Err(NetlistError::DuplicateCell(_))
         ));
+    }
+
+    #[test]
+    fn negative_or_non_finite_size_rejected() {
+        let mut b = NetlistBuilder::new();
+        for (w, h) in [
+            (-3.0, 1.0),
+            (1.0, -0.5),
+            (f64::NAN, 1.0),
+            (1.0, f64::INFINITY),
+        ] {
+            let err = b.add_cell("c", w, h, true);
+            assert!(matches!(err, Err(NetlistError::Geometry(_))), "{w} x {h}");
+        }
+        // a terminal is 0 × 0
+        assert!(b.add_cell("t", 0.0, 0.0, false).is_ok());
     }
 
     #[test]

@@ -42,17 +42,6 @@ pub struct CancelToken {
     inner: Arc<Inner>,
 }
 
-/// What a [`CancelToken`] poll observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelState {
-    /// Not cancelled, deadline (if any) not reached.
-    Live,
-    /// [`CancelToken::cancel`] was called.
-    Cancelled,
-    /// The armed deadline has passed (and no explicit cancel happened).
-    DeadlineExpired,
-}
-
 impl Default for CancelToken {
     fn default() -> Self {
         Self::new()
@@ -94,43 +83,26 @@ impl CancelToken {
 
     /// Trips the token explicitly. Idempotent.
     ///
-    /// Release pairs with the Acquire load in [`state`](Self::state): a
-    /// loop that observes the trip also observes everything the
-    /// cancelling thread wrote before tripping it.
+    /// Release pairs with the Acquire load in
+    /// [`termination`](Self::termination): a loop that observes the trip
+    /// also observes everything the cancelling thread wrote before
+    /// tripping it.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::Release);
     }
 
-    /// Polls the token. Explicit cancellation wins over an expired
-    /// deadline so a client's cancel is reported as such even on a job
-    /// whose budget also ran out.
-    pub fn state(&self) -> CancelState {
+    /// Polls the token: the [`Termination`] a loop should report if it
+    /// stops now because of this token, `None` while the token is live.
+    /// Explicit cancellation wins over an expired deadline so a client's
+    /// cancel is reported as such even on a job whose budget also ran out.
+    pub fn termination(&self) -> Option<Termination> {
         if self.inner.cancelled.load(Ordering::Acquire) {
-            return CancelState::Cancelled;
+            return Some(Termination::Cancelled);
         }
         let deadline = self.inner.deadline_nanos.load(Ordering::Relaxed);
-        if deadline != NO_DEADLINE {
-            let elapsed = self.inner.created.elapsed().as_nanos();
-            if elapsed >= deadline as u128 {
-                return CancelState::DeadlineExpired;
-            }
-        }
-        CancelState::Live
-    }
-
-    /// Whether the token has tripped (either way).
-    pub fn is_tripped(&self) -> bool {
-        self.state() != CancelState::Live
-    }
-
-    /// The [`Termination`] a loop should report if it stops now because of
-    /// this token; `None` while the token is live.
-    pub fn termination(&self) -> Option<Termination> {
-        match self.state() {
-            CancelState::Live => None,
-            CancelState::Cancelled => Some(Termination::Cancelled),
-            CancelState::DeadlineExpired => Some(Termination::WallClock),
-        }
+        let expired =
+            deadline != NO_DEADLINE && self.inner.created.elapsed().as_nanos() >= deadline as u128;
+        expired.then_some(Termination::WallClock)
     }
 }
 
@@ -141,8 +113,6 @@ mod tests {
     #[test]
     fn default_token_never_trips() {
         let t = CancelToken::default();
-        assert_eq!(t.state(), CancelState::Live);
-        assert!(!t.is_tripped());
         assert_eq!(t.termination(), None);
     }
 
@@ -151,30 +121,27 @@ mod tests {
         let t = CancelToken::new();
         let c = t.clone();
         c.cancel();
-        assert_eq!(t.state(), CancelState::Cancelled);
         assert_eq!(t.termination(), Some(Termination::Cancelled));
     }
 
     #[test]
     fn expired_deadline_maps_to_wall_clock() {
         let t = CancelToken::with_deadline_in(Duration::ZERO);
-        assert_eq!(t.state(), CancelState::DeadlineExpired);
         assert_eq!(t.termination(), Some(Termination::WallClock));
     }
 
     #[test]
     fn far_deadline_stays_live_and_rearm_works() {
         let t = CancelToken::with_deadline_in(Duration::from_secs(3600));
-        assert_eq!(t.state(), CancelState::Live);
+        assert_eq!(t.termination(), None);
         t.arm_deadline_in(Duration::ZERO);
-        assert_eq!(t.state(), CancelState::DeadlineExpired);
+        assert_eq!(t.termination(), Some(Termination::WallClock));
     }
 
     #[test]
     fn explicit_cancel_wins_over_expired_deadline() {
         let t = CancelToken::with_deadline_in(Duration::ZERO);
         t.cancel();
-        assert_eq!(t.state(), CancelState::Cancelled);
         assert_eq!(t.termination(), Some(Termination::Cancelled));
     }
 }

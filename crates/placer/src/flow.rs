@@ -17,7 +17,8 @@
 //! The multilevel driver reports into one [`EvalEngine`] across every
 //! level ([`replace_region`] is one pipeline run on an engine of its own);
 //! both drivers stamp `level`/`stage` into the per-iteration trace records
-//! so a single JSONL trace tells the whole story of a run.
+//! (the multilevel one only when it placed a coarse level) so a single
+//! JSONL trace tells the whole story of a run.
 
 use crate::error::PlacerError;
 use crate::global::{place_with_engine, GlobalConfig};
@@ -35,15 +36,9 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct MultilevelConfig {
     /// Number of levels including the finest one (`1` = flat flow; `2`
-    /// adds one coarse level; …). Coarsening stops early if a level would
-    /// fall below [`min_coarse_movable`](Self::min_coarse_movable) cells
-    /// or clustering stops making progress.
+    /// adds one coarse level; …). Coarsening stops early at a level of at
+    /// most 64 movable cells or when clustering stops making progress.
     pub levels: usize,
-    /// Global-placement iteration cap per coarse level (the finest level
-    /// uses [`pipeline`](Self::pipeline)'s own cap).
-    pub coarse_iters: usize,
-    /// Stop coarsening once a level has fewer movable cells than this.
-    pub min_coarse_movable: usize,
     /// The finest-level pipeline configuration (model, schedules,
     /// legalization, detailed placement).
     pub pipeline: PipelineConfig,
@@ -53,8 +48,6 @@ impl Default for MultilevelConfig {
     fn default() -> Self {
         Self {
             levels: 2,
-            coarse_iters: 90,
-            min_coarse_movable: 64,
             pipeline: PipelineConfig::default(),
         }
     }
@@ -84,7 +77,8 @@ pub struct LevelStats {
 pub struct MultilevelResult {
     /// The finest-level pipeline result (legal placement, tables metrics,
     /// recovery log). Its [`report`](PipelineResult::report) additionally
-    /// carries the `ml.*` multilevel metrics.
+    /// carries the `ml.*` multilevel metrics when a coarse level was
+    /// placed.
     pub result: PipelineResult,
     /// Levels actually placed (≤ the configured count when coarsening
     /// stopped early).
@@ -92,6 +86,13 @@ pub struct MultilevelResult {
     /// Per-level statistics, coarsest first, finest (level 0) last.
     pub level_stats: Vec<LevelStats>,
 }
+
+/// Stop coarsening once a level has no more movable cells than this.
+const MIN_COARSE_MOVABLE: usize = 64;
+
+/// Global-placement iteration cap per coarse level (the finest level uses
+/// the pipeline's own cap).
+const COARSE_ITERS: usize = 90;
 
 /// Density-overflow target at coarse levels — looser than the finest
 /// target because legality is only decided at the finest level.
@@ -106,7 +107,8 @@ const WARM_LAMBDA_SCALE: f64 = 5.0;
 /// center pile, prolong and refine level by level, finish with the full
 /// flat pipeline on the original netlist. When no coarse level exists
 /// (`levels: 1`, or a netlist the first coarsening pass cannot shrink) the
-/// flow *is* [`crate::pipeline::run`], bit for bit.
+/// flow *is* [`run_with_engine`] on a fresh engine, bit for bit: the same
+/// report (no `ml.*` key) and trace (no `stage`).
 ///
 /// The cancel token in `config.pipeline.global.cancel` is honored before
 /// each coarsening pass, in addition to the per-iteration check inside
@@ -124,15 +126,12 @@ pub fn run_multilevel(
     circuit: &BookshelfCircuit,
     config: &MultilevelConfig,
 ) -> Result<MultilevelResult, PlacerError> {
-    // one engine for every level: the final report's `engine.*` metrics
-    // cover the whole flow
-    let engine = Arc::<EvalEngine>::default();
     if config.levels == 0 {
         return Err(PlacerError::DegenerateInput {
             reason: "multilevel flow needs at least one level".to_string(),
         });
     }
-    let cancel = config.pipeline.global.cancel.clone();
+    let cancel = &config.pipeline.global.cancel;
 
     // Build the coarsening stack bottom-up. `stack[k]` is the coarsening
     // that turns level-k geometry into level-(k+1) geometry; the level-k
@@ -141,14 +140,14 @@ pub fn run_multilevel(
     for _ in 1..config.levels {
         // a deadline/cancel during coarsening: stop building levels and
         // let the (checked) runs below wind the flow down
-        if cancel.is_tripped() {
+        if cancel.termination().is_some() {
             break;
         }
         let (fine_design, fine_placement) = match stack.last() {
             None => (&circuit.design, &circuit.placement),
             Some(c) => (&c.design, &c.placement),
         };
-        if fine_design.netlist.num_movable() <= config.min_coarse_movable {
+        if fine_design.netlist.num_movable() <= MIN_COARSE_MOVABLE {
             break;
         }
         let coarse = coarsen(fine_design, fine_placement)?;
@@ -160,9 +159,10 @@ pub fn run_multilevel(
     }
     let levels = stack.len() + 1;
 
+    // one engine for every level: the final report's `engine.*` metrics
+    // cover the whole flow
+    let engine = Arc::<EvalEngine>::default();
     let mut level_stats: Vec<LevelStats> = Vec::new();
-    let metrics = Registry::new();
-    metrics.counter("ml.levels").add(levels as u64);
 
     // ---- coarse levels, coarsest first: the coarsest from its own
     // center pile, every finer one from the prolonged solution above it ----
@@ -172,8 +172,8 @@ pub fn run_multilevel(
         let t_level = Instant::now();
         let level = &stack[k - 1];
         let mut gcfg = GlobalConfig {
-            max_iters: config.coarse_iters,
-            min_iters: config.pipeline.global.min_iters.min(config.coarse_iters),
+            max_iters: COARSE_ITERS,
+            min_iters: config.pipeline.global.min_iters.min(COARSE_ITERS),
             target_overflow: COARSE_TARGET_OVERFLOW,
             level: k as u32,
             stage: Some("coarse".to_string()),
@@ -203,23 +203,27 @@ pub fn run_multilevel(
         solved = Some(gp.placement);
     }
 
-    // ---- finest level: prolong and run the full pipeline ----
+    // ---- finest level: prolong and run the full pipeline; without a
+    // coarse level, the flat flow as it is ----
     // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
     let t_finest = Instant::now();
-    let mut finest_circuit = circuit.clone();
-    let mut final_config = config.pipeline.clone();
-    final_config.global.level = 0;
-    final_config.global.stage = Some("final".to_string());
-    if let (Some(first), Some(coarser)) = (stack.first(), &solved) {
-        first.map.prolong(
-            &circuit.design,
-            &first.design,
-            coarser,
-            &mut finest_circuit.placement,
-        )?;
-        final_config.global.lambda_scale = WARM_LAMBDA_SCALE;
-    }
-    let mut result = run_with_engine(&finest_circuit, &final_config, Arc::clone(&engine))?;
+    let mut result = match (stack.first(), &solved) {
+        (Some(first), Some(coarser)) => {
+            let mut finest = circuit.clone();
+            first.map.prolong(
+                &circuit.design,
+                &first.design,
+                coarser,
+                &mut finest.placement,
+            )?;
+            let mut final_config = config.pipeline.clone();
+            final_config.global.level = 0;
+            final_config.global.stage = Some("final".to_string());
+            final_config.global.lambda_scale = WARM_LAMBDA_SCALE;
+            run_with_engine(&finest, &final_config, engine)?
+        }
+        _ => run_with_engine(circuit, &config.pipeline, engine)?,
+    };
     level_stats.push(LevelStats {
         level: 0,
         movable: circuit.design.netlist.num_movable(),
@@ -229,19 +233,23 @@ pub fn run_multilevel(
         rt_seconds: t_finest.elapsed().as_secs_f64(),
     });
 
-    for s in &level_stats {
-        let p = format!("ml.level{}", s.level);
-        metrics
-            .counter(&format!("{p}.movable"))
-            .add(s.movable as u64);
-        metrics
-            .counter(&format!("{p}.iterations"))
-            .add(s.iterations as u64);
-        metrics.gauge(&format!("{p}.hpwl")).set(s.hpwl);
-        metrics.gauge(&format!("{p}.overflow")).set(s.overflow);
-        metrics.gauge(&format!("{p}.rt_seconds")).set(s.rt_seconds);
+    if levels > 1 {
+        let metrics = Registry::new();
+        metrics.counter("ml.levels").add(levels as u64);
+        for s in &level_stats {
+            let p = format!("ml.level{}", s.level);
+            metrics
+                .counter(&format!("{p}.movable"))
+                .add(s.movable as u64);
+            metrics
+                .counter(&format!("{p}.iterations"))
+                .add(s.iterations as u64);
+            metrics.gauge(&format!("{p}.hpwl")).set(s.hpwl);
+            metrics.gauge(&format!("{p}.overflow")).set(s.overflow);
+            metrics.gauge(&format!("{p}.rt_seconds")).set(s.rt_seconds);
+        }
+        result.report.merge_registry(&metrics);
     }
-    result.report.merge_registry(&metrics);
 
     Ok(MultilevelResult {
         result,

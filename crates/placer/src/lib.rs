@@ -46,7 +46,7 @@ pub mod objective;
 pub mod pipeline;
 pub mod telemetry;
 
-pub use cancel::{CancelState, CancelToken};
+pub use cancel::CancelToken;
 pub use detail::{DetailConfig, DetailReport};
 pub use error::PlacerError;
 pub use flow::{

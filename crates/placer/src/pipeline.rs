@@ -7,7 +7,7 @@ use crate::error::PlacerError;
 use crate::global::{place_with_engine, GlobalConfig, GlobalResult};
 use crate::guard::{RecoveryLog, Termination};
 use crate::legalize::{check_legal, legalize_with_cuts, LegalizeReport};
-use crate::telemetry::{build_run_report, DispHistogram, ReportInputs};
+use crate::telemetry::{build_run_report, DispHistogram};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::{total_hpwl, Placement};
 use mep_obs::RunReport;
@@ -135,28 +135,8 @@ pub fn run_with_engine(
     );
     let violations = violations.len();
 
-    let report = build_run_report(&ReportInputs {
-        model: &config.global.model.to_string(),
-        gpwl: gp.hpwl,
-        lgwl,
-        dpwl,
-        rt_gp,
-        rt_lg,
-        rt_dp,
-        iterations: gp.iterations,
-        trials: gp.trials,
-        overflow: gp.overflow,
-        violations,
-        termination: gp.termination,
-        engine: &gp.engine_stats,
-        recovery: &gp.recovery,
-        legalize: &lg_report,
-        detail: &dp_report,
-        lg_disp: lg_report.disp_hist,
-        dp_disp: DispHistogram::between(design, &legal_snapshot, &refined),
-    });
-
-    Ok(PipelineResult {
+    let dp_disp = DispHistogram::between(design, &legal_snapshot, &refined);
+    let mut result = PipelineResult {
         gpwl: gp.hpwl,
         lgwl,
         dpwl,
@@ -173,8 +153,10 @@ pub fn run_with_engine(
         engine_stats: gp.engine_stats,
         recovery: gp.recovery,
         termination: gp.termination,
-        report,
-    })
+        report: RunReport::default(),
+    };
+    result.report = build_run_report(&result, &config.global.model.to_string(), &dp_disp);
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -316,6 +298,26 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"flow.termination\""));
         assert!(!rep.summary_table().is_empty());
+    }
+
+    /// FNV-1a over the `smoke` run's report JSON, every `*seconds*` key
+    /// (wall clock) removed: every other metric, name and bit.
+    #[test]
+    fn run_report_is_pinned() {
+        let c = synth::generate(&synth::smoke_spec());
+        let r = run(&c, &PipelineConfig::default()).unwrap();
+        let Ok(mep_obs::parse::JsonValue::Obj(mut metrics)) =
+            mep_obs::parse::parse_json(&r.report.to_json())
+        else {
+            panic!("the report is not a JSON object");
+        };
+        metrics.retain(|name, _| !name.contains("seconds"));
+        let fnv = format!("{metrics:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(fnv, 9_034_230_170_261_600_222, "{metrics:?}");
     }
 
     #[test]

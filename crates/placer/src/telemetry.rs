@@ -2,12 +2,9 @@
 //! embedded in stage reports, and the registry aggregation that turns one
 //! pipeline run into an owned [`mep_obs::RunReport`].
 
-use crate::detail::DetailReport;
-use crate::guard::{RecoveryLog, Termination};
-use crate::legalize::LegalizeReport;
+use crate::pipeline::PipelineResult;
 use mep_netlist::{Design, Placement};
 use mep_obs::{Registry, RunReport};
-use mep_wirelength::engine::EngineStats;
 
 /// Displacement histogram bucket upper bounds, in row-height multiples.
 pub const DISP_BOUNDS: [f64; 8] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
@@ -75,54 +72,34 @@ impl DispHistogram {
     }
 }
 
-/// Everything the pipeline knows at the end of one run, funneled into a
-/// single registry and frozen as a [`RunReport`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) struct ReportInputs<'a> {
-    pub model: &'a str,
-    pub gpwl: f64,
-    pub lgwl: f64,
-    pub dpwl: f64,
-    pub rt_gp: f64,
-    pub rt_lg: f64,
-    pub rt_dp: f64,
-    pub iterations: usize,
-    pub trials: usize,
-    pub overflow: f64,
-    pub violations: usize,
-    pub termination: Termination,
-    pub engine: &'a EngineStats,
-    pub recovery: &'a RecoveryLog,
-    pub legalize: &'a LegalizeReport,
-    pub detail: &'a DetailReport,
-    pub lg_disp: DispHistogram,
-    pub dp_disp: DispHistogram,
-}
-
-/// Builds the end-of-run [`RunReport`] from one pipeline run's stage
-/// outputs. Metric names are stable — they are the JSONL/report schema
-/// documented in DESIGN.md §10.
-pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
+/// Builds the end-of-run [`RunReport`] of one pipeline run from its
+/// result, the wirelength model's label and detailed placement's
+/// displacement histogram. Metric names are stable — they are the
+/// JSONL/report schema documented in DESIGN.md §10.
+pub(crate) fn build_run_report(
+    result: &PipelineResult,
+    model: &str,
+    dp_disp: &DispHistogram,
+) -> RunReport {
     let r = Registry::new();
 
-    r.label("flow.model").set(inputs.model);
+    r.label("flow.model").set(model);
     r.label("flow.termination")
-        .set(&inputs.termination.to_string());
-    r.gauge("gp.hpwl").set(inputs.gpwl);
-    r.gauge("lg.hpwl").set(inputs.lgwl);
-    r.gauge("dp.hpwl").set(inputs.dpwl);
-    r.gauge("gp.rt_seconds").set(inputs.rt_gp);
-    r.gauge("lg.rt_seconds").set(inputs.rt_lg);
-    r.gauge("dp.rt_seconds").set(inputs.rt_dp);
-    r.gauge("flow.rt_seconds")
-        .set(inputs.rt_gp + inputs.rt_lg + inputs.rt_dp);
-    r.counter("gp.iterations").add(inputs.iterations as u64);
-    r.counter("optim.nesterov.trials").add(inputs.trials as u64);
-    r.gauge("gp.overflow").set(inputs.overflow);
-    r.counter("flow.violations").add(inputs.violations as u64);
+        .set(&result.termination.to_string());
+    r.gauge("gp.hpwl").set(result.gpwl);
+    r.gauge("lg.hpwl").set(result.lgwl);
+    r.gauge("dp.hpwl").set(result.dpwl);
+    r.gauge("gp.rt_seconds").set(result.rt_gp);
+    r.gauge("lg.rt_seconds").set(result.rt_lg);
+    r.gauge("dp.rt_seconds").set(result.rt_dp);
+    r.gauge("flow.rt_seconds").set(result.rt_total());
+    r.counter("gp.iterations").add(result.iterations as u64);
+    r.counter("optim.nesterov.trials").add(result.trials as u64);
+    r.gauge("gp.overflow").set(result.overflow);
+    r.counter("flow.violations").add(result.violations as u64);
 
     // evaluation-engine stage timings (formerly only on EngineStats)
-    let e = inputs.engine;
+    let e = &result.engine_stats;
     for (name, stage) in [
         ("engine.wl_grad", &e.wl_grad),
         ("engine.wl_scatter", &e.wl_scatter),
@@ -150,24 +127,24 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
 
     // guard events (formerly only on RecoveryLog)
     r.counter("guard.recoveries")
-        .add(inputs.recovery.len() as u64);
-    if let Some(event) = inputs.recovery.events().last() {
+        .add(result.recovery.len() as u64);
+    if let Some(event) = result.recovery.events().last() {
         r.label("guard.last_event").set(&event.to_string());
     }
 
     // legalization
     r.gauge("lg.avg_displacement_rows")
-        .set(inputs.lg_disp.mean());
+        .set(result.legalize.disp_hist.mean());
     r.gauge("lg.avg_displacement")
-        .set(inputs.legalize.avg_displacement);
+        .set(result.legalize.avg_displacement);
     r.gauge("lg.max_displacement")
-        .set(inputs.legalize.max_displacement);
-    r.counter("lg.macros").add(inputs.legalize.macros as u64);
-    r.counter("lg.spills").add(inputs.legalize.spills as u64);
-    inputs.lg_disp.export(&r, "lg.displacement_rows");
+        .set(result.legalize.max_displacement);
+    r.counter("lg.macros").add(result.legalize.macros as u64);
+    r.counter("lg.spills").add(result.legalize.spills as u64);
+    result.legalize.disp_hist.export(&r, "lg.displacement_rows");
 
     // detailed placement
-    let d = inputs.detail;
+    let d = &result.detail;
     r.counter("dp.passes").add(d.passes as u64);
     for (name, accepted, attempted) in [
         ("dp.reorders", d.reorders, d.reorders_attempted),
@@ -194,7 +171,7 @@ pub(crate) fn build_run_report(inputs: &ReportInputs<'_>) -> RunReport {
     r.gauge("dp.reorder_seconds").set(d.reorder_seconds);
     r.gauge("dp.swap_seconds").set(d.swap_seconds);
     r.gauge("dp.matching_seconds").set(d.matching_seconds);
-    inputs.dp_disp.export(&r, "dp.displacement_rows");
+    dp_disp.export(&r, "dp.displacement_rows");
 
     RunReport::from_registry(&r)
 }

@@ -22,15 +22,23 @@ fn one_level_is_the_flat_flow() {
     let c = small_clustered();
     let pipeline = PipelineConfig::default();
     let flat = mep_placer::pipeline::run(&c, &pipeline).expect("flat flow");
+    let trace = Arc::new(RingSink::new(4096));
+    let mut pipeline = pipeline;
+    pipeline.global.trace = trace.clone();
     let ml = run_multilevel(
         &c,
         &MultilevelConfig {
             levels: 1,
             pipeline,
-            ..MultilevelConfig::default()
         },
     )
     .expect("one-level flow");
+    // the flat flow's trace: no stage label
+    let records = trace.records();
+    assert_eq!(records.len(), flat.iterations);
+    assert!(records
+        .iter()
+        .all(|rec| rec.level == 0 && rec.stage.is_none()));
     assert_eq!(ml.levels, 1);
     assert_eq!(ml.level_stats.len(), 1);
     let r = &ml.result;
@@ -45,6 +53,21 @@ fn one_level_is_the_flat_flow() {
     let bits =
         |p: &Placement| -> Vec<u64> { p.x.iter().chain(&p.y).map(|v| v.to_bits()).collect() };
     assert_eq!(bits(&r.placement), bits(&flat.placement));
+    // the same report too: no `ml.*` key, every metric but the wall
+    // clock equal
+    let timeless = |rep: &mep_obs::RunReport| {
+        let metrics = rep.metrics().iter();
+        metrics
+            .filter(|(name, _)| !name.contains("seconds"))
+            .cloned()
+            .collect::<Vec<_>>()
+    };
+    assert!(r
+        .report
+        .metrics()
+        .iter()
+        .all(|(n, _)| !n.starts_with("ml.")));
+    assert_eq!(timeless(&r.report), timeless(&flat.report));
 }
 
 /// Conservation laws of one coarsening level: total movable cell area is
@@ -111,8 +134,6 @@ fn two_level_flow_places_smoke_clustered_legally() {
     let trace = Arc::new(RingSink::new(1024));
     let config = MultilevelConfig {
         levels: 2,
-        coarse_iters: 80,
-        min_coarse_movable: 16,
         pipeline: PipelineConfig {
             global: GlobalConfig {
                 max_iters: 300,
@@ -165,7 +186,6 @@ fn one_engine_counts_the_reuses_of_every_level() {
             },
             ..PipelineConfig::default()
         },
-        ..MultilevelConfig::default()
     };
     let r = run_multilevel(&c, &config).expect("multilevel flow");
     assert_eq!(r.levels, 2);

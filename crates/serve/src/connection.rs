@@ -34,6 +34,23 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// The optional field `name` of `frame`, as `read` sees it: `None` when
+/// absent or `null`, `Err("\"<name>\" must be <what>")` when `read` refuses
+/// the value.
+fn field<T>(
+    frame: &JsonValue,
+    name: &str,
+    what: &str,
+    read: impl FnOnce(&JsonValue) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match frame.get(name) {
+        None | Some(JsonValue::Null) => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| format!("\"{name}\" must be {what}")),
+    }
+}
+
 /// Decodes a `place` frame into a [`JobRequest`]. Every malformed field is
 /// a typed `Err` naming the field.
 pub fn decode_place(v: &JsonValue) -> Result<(u64, JobRequest), String> {
@@ -42,69 +59,38 @@ pub fn decode_place(v: &JsonValue) -> Result<(u64, JobRequest), String> {
         .and_then(JsonValue::as_u64)
         .ok_or("place needs a non-negative integer \"id\"")?;
     let circuit = CircuitSource::from_json(v.get("circuit").ok_or("place needs \"circuit\"")?)?;
-    let model = match v.get("model") {
-        None | Some(JsonValue::Null) => None,
-        Some(m) => Some(m.as_str().ok_or("\"model\" must be a string")?.to_string()),
-    };
-    let max_iters = match v.get("max_iters") {
-        None | Some(JsonValue::Null) => None,
-        Some(n) => Some(
-            n.as_u64()
-                .ok_or("\"max_iters\" must be a non-negative integer")? as usize,
-        ),
-    };
-    let levels = match v.get("levels") {
-        None | Some(JsonValue::Null) => 1,
-        Some(n) => n
-            .as_u64()
-            .filter(|&l| (1..=8).contains(&l))
-            .ok_or("\"levels\" must be an integer in 1..=8")? as usize,
-    };
-    let budget = match v.get("budget_ms") {
-        None | Some(JsonValue::Null) => None,
-        Some(n) => Some(Duration::from_millis(
-            n.as_u64()
-                .ok_or("\"budget_ms\" must be a non-negative integer")?,
-        )),
-    };
-    let trace = match v.get("trace") {
-        None | Some(JsonValue::Null) => false,
-        Some(b) => b.as_bool().ok_or("\"trace\" must be a boolean")?,
-    };
-    let fault_injection = match v.get("fault_injection") {
-        None | Some(JsonValue::Null) => None,
-        Some(JsonValue::Arr(items)) => match items.as_slice() {
-            [a, c] => match (a.as_u64(), c.as_u64()) {
-                (Some(after), Some(count)) => Some((after, count)),
-                _ => return Err("\"fault_injection\" must be [after, count]".to_string()),
-            },
-            _ => return Err("\"fault_injection\" must be [after, count]".to_string()),
-        },
-        Some(_) => return Err("\"fault_injection\" must be [after, count]".to_string()),
-    };
-    let chaos = match v.get("chaos") {
-        None | Some(JsonValue::Null) => None,
-        Some(c) => match c.as_str() {
+    let count = "a non-negative integer";
+    let model = field(v, "model", "a string", |m| m.as_str().map(str::to_string))?;
+    let max_iters = field(v, "max_iters", count, JsonValue::as_u64)?.map(|n| n as usize);
+    let levels = field(v, "levels", "an integer in 1..=8", |n| {
+        n.as_u64().filter(|l| (1..=8).contains(l))
+    })?;
+    let budget = field(v, "budget_ms", count, JsonValue::as_u64)?.map(Duration::from_millis);
+    let trace = field(v, "trace", "a boolean", JsonValue::as_bool)?;
+    let fault_injection = field(v, "fault_injection", "[after, count]", |f| {
+        match f.as_arr()? {
+            [after, count] => after.as_u64().zip(count.as_u64()),
+            _ => None,
+        }
+    })?;
+    let chaos = field(
+        v,
+        "chaos",
+        "\"panic_before\" or {\"panic_mid\": N}",
+        |c| match c.as_str() {
             Some("panic_before") => Some(ChaosMode::PanicBefore),
-            Some(_) | None => match c.get("panic_mid").and_then(JsonValue::as_u64) {
-                Some(n) => Some(ChaosMode::PanicMid(n)),
-                None => {
-                    return Err(
-                        "\"chaos\" must be \"panic_before\" or {\"panic_mid\": N}".to_string()
-                    )
-                }
-            },
+            _ => c.get("panic_mid")?.as_u64().map(ChaosMode::PanicMid),
         },
-    };
+    )?;
     Ok((
         id,
         JobRequest {
             circuit,
             model,
             max_iters,
-            levels,
+            levels: levels.map_or(1, |l| l as usize),
             budget,
-            trace,
+            trace: trace.unwrap_or(false),
             fault_injection,
             chaos,
         },
@@ -316,18 +302,62 @@ mod tests {
 
     #[test]
     fn decode_place_rejects_bad_fields() {
-        for bad in [
-            r#"{"op":"place","circuit":"smoke"}"#,
-            r#"{"op":"place","id":-1,"circuit":"smoke"}"#,
-            r#"{"op":"place","id":1}"#,
-            r#"{"op":"place","id":1,"circuit":"smoke","levels":0}"#,
-            r#"{"op":"place","id":1,"circuit":"smoke","levels":99}"#,
-            r#"{"op":"place","id":1,"circuit":"smoke","fault_injection":[1]}"#,
-            r#"{"op":"place","id":1,"circuit":"smoke","chaos":"explode"}"#,
-            r#"{"op":"place","id":1,"circuit":"smoke","max_iters":"lots"}"#,
+        let id = "place needs a non-negative integer \"id\"";
+        let levels = "\"levels\" must be an integer in 1..=8";
+        let count = "\"max_iters\" must be a non-negative integer";
+        let fault = "\"fault_injection\" must be [after, count]";
+        let chaos = "\"chaos\" must be \"panic_before\" or {\"panic_mid\": N}";
+        for (bad, reason) in [
+            (r#"{"op":"place","circuit":"smoke"}"#, id),
+            (r#"{"op":"place","id":-1,"circuit":"smoke"}"#, id),
+            (r#"{"op":"place","id":1}"#, "place needs \"circuit\""),
+            (
+                r#"{"op":"place","id":1,"circuit":"smoke","levels":0}"#,
+                levels,
+            ),
+            (
+                r#"{"op":"place","id":1,"circuit":"smoke","levels":99}"#,
+                levels,
+            ),
+            (
+                r#"{"op":"place","id":1,"circuit":"smoke","fault_injection":[1]}"#,
+                fault,
+            ),
+            (
+                r#"{"op":"place","id":1,"circuit":"smoke","fault_injection":7}"#,
+                fault,
+            ),
+            (
+                r#"{"op":"place","id":1,"circuit":"smoke","chaos":"explode"}"#,
+                chaos,
+            ),
+            (
+                r#"{"op":"place","id":1,"circuit":"smoke","chaos":{"panic":3}}"#,
+                chaos,
+            ),
+            (
+                r#"{"op":"place","id":1,"circuit":"smoke","max_iters":"lots"}"#,
+                count,
+            ),
+            (
+                r#"{"op":"place","id":1,"circuit":"smoke","model":7}"#,
+                "\"model\" must be a string",
+            ),
+            (
+                r#"{"op":"place","id":1,"circuit":"smoke","budget_ms":"soon"}"#,
+                "\"budget_ms\" must be a non-negative integer",
+            ),
+            (
+                r#"{"op":"place","id":1,"circuit":"smoke","trace":1}"#,
+                "\"trace\" must be a boolean",
+            ),
         ] {
             let v = parse_json(bad).unwrap();
-            assert!(decode_place(&v).is_err(), "{bad} must be rejected");
+            assert_eq!(
+                decode_place(&v).map(|_| ()),
+                Err(reason.to_string()),
+                "{bad}"
+            );
         }
         let v = parse_json(
             r#"{"op":"place","id":3,"circuit":{"scaled":[200,9]},"model":"wa","levels":2,
@@ -340,6 +370,19 @@ mod tests {
         assert_eq!(req.budget, Some(Duration::from_millis(1500)));
         assert_eq!(req.fault_injection, Some((5, 2)));
         assert_eq!(req.chaos, Some(ChaosMode::PanicMid(3)));
+        // `null` is the field's default, as absence is
+        let v = parse_json(
+            r#"{"op":"place","id":4,"circuit":"smoke","model":null,"max_iters":null,
+                "levels":null,"budget_ms":null,"trace":null,"fault_injection":null,
+                "chaos":null}"#,
+        )
+        .unwrap();
+        let (_, req) = decode_place(&v).unwrap();
+        assert_eq!(
+            (req.model, req.max_iters, req.levels, req.budget, req.trace),
+            (None, None, 1, None, false)
+        );
+        assert_eq!((req.fault_injection, req.chaos), (None, None));
     }
 
     #[test]

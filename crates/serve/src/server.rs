@@ -26,8 +26,8 @@ use crate::job::{
 use crate::queue::BoundedQueue;
 use mep_obs::{Registry, RunReport};
 use mep_placer::flow::{run_multilevel, MultilevelConfig};
-use mep_placer::pipeline::{run, PipelineConfig};
-use mep_placer::{CancelToken, PlacerError};
+use mep_placer::pipeline::PipelineConfig;
+use mep_placer::CancelToken;
 use mep_wirelength::ModelKind;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -609,19 +609,15 @@ fn execute_job(shared: &Shared, job: &QueuedJob) -> Result<JobSummary, JobError>
     };
     pipeline.global.trace = Arc::new(trace_sink);
 
-    let result = if req.levels > 1 {
-        let ml = MultilevelConfig {
-            levels: req.levels,
-            pipeline,
-            ..MultilevelConfig::default()
-        };
-        run_multilevel(&circuit, &ml).map(|r| r.result)
-    } else {
-        run(&circuit, &pipeline)
+    let ml = MultilevelConfig {
+        levels: req.levels,
+        pipeline,
     };
-    let result = result.map_err(|e: PlacerError| JobError::Placer {
-        detail: e.to_string(),
-    })?;
+    let result = run_multilevel(&circuit, &ml)
+        .map_err(|e| JobError::Placer {
+            detail: e.to_string(),
+        })?
+        .result;
 
     Ok(JobSummary {
         termination: result.termination,

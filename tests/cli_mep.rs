@@ -579,3 +579,24 @@ fn stats_reads_a_def_design_against_its_lef() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("needs --lef"));
 }
+
+#[test]
+fn every_subcommand_exits_2_on_an_unknown_flag_or_stray_argument() {
+    let dir = temp_dir("stray");
+    let gen_dir = dir.to_str().unwrap();
+    let cases: [&[&str]; 4] = [
+        &["stats", "smoke", "--bogus"],
+        &["stats", "smoke", "--lef"],
+        &["gen", "smoke", gen_dir, "extra"],
+        &["bench-list", "--bogus"],
+    ];
+    for args in cases {
+        let out = mep().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{args:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
