@@ -45,8 +45,11 @@ impl FftPlan {
                     (i as u32).reverse_bits() >> (32 - bits)
                 }
             })
+            // lint:allow(no-alloc-hot): construction; every transform reuses the plan
             .collect();
+        // lint:allow(no-alloc-hot): construction; every transform reuses the plan
         let mut tw_re = vec![0.0; n];
+        // lint:allow(no-alloc-hot): construction; every transform reuses the plan
         let mut tw_im = vec![0.0; n];
         let mut h = 1;
         while h < n {

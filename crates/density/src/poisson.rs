@@ -50,9 +50,11 @@ impl PoissonSolver {
         assert!(width > 0.0 && height > 0.0, "die must have positive size");
         let wu = (0..nx)
             .map(|u| std::f64::consts::PI * u as f64 / width)
+            // lint:allow(no-alloc-hot): construction; every solve reuses the solver
             .collect();
         let wv = (0..ny)
             .map(|v| std::f64::consts::PI * v as f64 / height)
+            // lint:allow(no-alloc-hot): construction; every solve reuses the solver
             .collect();
         Self {
             nx,

@@ -142,16 +142,24 @@ impl DctPlan {
             let ang = std::f64::consts::PI * u as f64 / denom;
             (ang.cos(), ang.sin())
         };
+        // lint:allow(no-alloc-hot): construction; every transform reuses the plan
         let mut ph_re = Vec::with_capacity(n);
+        // lint:allow(no-alloc-hot): construction; every transform reuses the plan
         let mut ph_im = Vec::with_capacity(n);
+        // lint:allow(no-alloc-hot): construction; every transform reuses the plan
         let mut un_re = Vec::with_capacity(n);
+        // lint:allow(no-alloc-hot): construction; every transform reuses the plan
         let mut un_im = Vec::with_capacity(n);
         for u in 0..n {
             let (c, s) = half_angle(u, 2.0 * n as f64);
+            // lint:allow(no-alloc-hot): construction; every transform reuses the plan
             ph_re.push(c);
+            // lint:allow(no-alloc-hot): construction; every transform reuses the plan
             ph_im.push(s);
             let (c, s) = half_angle(u, n as f64);
+            // lint:allow(no-alloc-hot): construction; every transform reuses the plan
             un_re.push(c);
+            // lint:allow(no-alloc-hot): construction; every transform reuses the plan
             un_im.push(s);
         }
         Self {

@@ -29,9 +29,8 @@ use crate::job::{ChaosMode, CircuitSource, JobRequest};
 use crate::parse::{parse_json, JsonValue};
 use crate::server::Server;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// The optional field `name` of `frame`, as `read` sees it: `None` when
@@ -177,46 +176,51 @@ pub fn serve_stdio(server: &Server) {
 }
 
 /// Runs the daemon on a TCP listener, one thread per connection, until a
-/// client sends `shutdown`. Returns an error string if the listener
-/// cannot be set up.
+/// client sends `shutdown`. The accept blocks; the connection that ran the
+/// drain wakes it with one connect to the listener's own address (the
+/// loopback of the same family when bound to an unspecified one).
+/// Returns an error string if the listener cannot be set up.
 pub fn serve_tcp(server: Arc<Server>, addr: &str) -> Result<(), String> {
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-    let local = listener
+    let mut wake = listener
         .local_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| addr.to_string());
-    eprintln!("mep serve: listening on {local}");
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
-    let stop = Arc::new(AtomicBool::new(false));
+        .map_err(|e| format!("bind {addr}: {e}"))?;
+    eprintln!("mep serve: listening on {wake}");
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let stop = Arc::new(OnceLock::new());
     let mut handles = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let server = Arc::clone(&server);
-                let stop = Arc::clone(&stop);
-                let reader = match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => continue,
-                };
-                let handle = std::thread::Builder::new()
-                    .name("mep-serve-conn".to_string())
-                    .spawn(move || {
-                        let writer: Arc<Mutex<Box<dyn Write + Send>>> =
-                            Arc::new(Mutex::new(Box::new(stream)));
-                        if serve_connection(&server, BufReader::new(reader), writer) {
-                            stop.store(true, Ordering::Release);
-                        }
-                    });
-                if let Ok(h) = handle {
-                    handles.push(h);
+    for stream in listener.incoming() {
+        if stop.get().is_some() {
+            break;
+        }
+        let stream = stream.map_err(|e| format!("accept: {e}"))?;
+        // every event is a small write: Nagle would hold each one back
+        // until the client's delayed ACK of the one before
+        let _ = stream.set_nodelay(true);
+        let Ok(reader) = stream.try_clone() else {
+            continue;
+        };
+        let server = Arc::clone(&server);
+        let stop = Arc::clone(&stop);
+        let handle = std::thread::Builder::new()
+            .name("mep-serve-conn".to_string())
+            .spawn(move || {
+                let writer: Arc<Mutex<Box<dyn Write + Send>>> =
+                    Arc::new(Mutex::new(Box::new(stream)));
+                if serve_connection(&server, BufReader::new(reader), writer) {
+                    let _ = stop.set(());
+                    if let Err(e) = TcpStream::connect(wake) {
+                        eprintln!("mep serve: waking the listener at {wake}: {e}");
+                    }
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(e) => return Err(format!("accept: {e}")),
+            });
+        if let Ok(h) = handle {
+            handles.push(h);
         }
     }
     for h in handles {

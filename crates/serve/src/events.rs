@@ -171,14 +171,6 @@ pub trait EventSink: Send + Sync + std::fmt::Debug {
     fn emit(&self, event: &Event);
 }
 
-/// Discards everything (detached jobs, tests).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullEventSink;
-
-impl EventSink for NullEventSink {
-    fn emit(&self, _event: &Event) {}
-}
-
 /// Collects events in memory (tests, the soak harness).
 #[derive(Debug, Default)]
 pub struct CollectSink {
@@ -206,8 +198,9 @@ impl EventSink for CollectSink {
 }
 
 /// Writes each event as one JSONL line to a shared writer (the
-/// connection's write half). Write errors are swallowed: the job keeps
-/// running to its terminal state even if the client went away.
+/// connection's write half), in one `write_all` and a flush. Write errors
+/// are swallowed: the job keeps running to its terminal state even if the
+/// client went away.
 pub struct WriterSink {
     writer: Arc<Mutex<Box<dyn Write + Send>>>,
 }
@@ -227,9 +220,10 @@ impl WriterSink {
 
 impl EventSink for WriterSink {
     fn emit(&self, event: &Event) {
+        let mut line = event.to_json();
+        line.push('\n');
         if let Ok(mut w) = self.writer.lock() {
-            let line = event.to_json();
-            let _ = writeln!(w, "{line}");
+            let _ = w.write_all(line.as_bytes());
             let _ = w.flush();
         }
     }
@@ -365,6 +359,39 @@ mod tests {
             v.get("placement_hash").and_then(|h| h.as_str()),
             Some("00000000deadbeef")
         );
+    }
+
+    #[test]
+    fn writer_sink_writes_each_event_in_one_call() {
+        // one call per event keeps a line in one TCP segment
+        struct CountWrites(Arc<Mutex<Vec<Vec<u8>>>>);
+        impl Write for CountWrites {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let sink = WriterSink::new(Arc::new(Mutex::new(Box::new(CountWrites(Arc::clone(
+            &writes,
+        ))))));
+        let events = [
+            Event::Metrics {
+                report_json: "{}".to_string(),
+            },
+            Event::ShutdownComplete { drained: 3 },
+        ];
+        for e in &events {
+            sink.emit(e);
+        }
+        let writes = writes.lock().unwrap();
+        assert_eq!(writes.len(), events.len(), "one write per event");
+        for (w, e) in writes.iter().zip(&events) {
+            assert_eq!(*w, format!("{}\n", e.to_json()).into_bytes());
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod queue;
 pub mod server;
 
 pub use connection::{decode_place, serve_connection, serve_stdio, serve_tcp};
-pub use events::{CollectSink, Event, EventSink, JobTraceSink, NullEventSink, WriterSink};
+pub use events::{CollectSink, Event, EventSink, JobTraceSink, WriterSink};
 pub use job::{
     placement_fingerprint, ChaosMode, CircuitSource, JobError, JobOutcome, JobRequest, JobSummary,
 };

@@ -450,6 +450,131 @@ fn serve_stdio_smoke_streams_valid_jsonl_for_a_mixed_batch() {
     );
 }
 
+/// One line-protocol connection to a `mep serve --tcp` daemon.
+struct Client {
+    reader: std::io::BufReader<std::net::TcpStream>,
+    writer: std::net::TcpStream,
+}
+
+impl Client {
+    fn connect(port: u16) -> Self {
+        let writer = std::net::TcpStream::connect(("127.0.0.1", port)).expect("daemon accepts");
+        writer
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let reader = std::io::BufReader::new(writer.try_clone().unwrap());
+        Self { reader, writer }
+    }
+
+    fn send(&mut self, frame: &str) {
+        use std::io::Write as _;
+        self.writer
+            .write_all(format!("{frame}\n").as_bytes())
+            .unwrap();
+    }
+
+    /// The next event frame and its `event` name.
+    fn recv(&mut self) -> (mep_serve::JsonValue, String) {
+        use std::io::BufRead as _;
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("an event line");
+        let frame = mep_serve::parse_json(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+        let event = frame.get("event").and_then(|e| e.as_str()).unwrap_or("?");
+        let event = event.to_string();
+        (frame, event)
+    }
+}
+
+/// Kills the daemon if the test fails before it exits.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_tcp_serves_each_connection_and_exits_on_shutdown() {
+    use std::io::{BufRead as _, Write as _};
+    use std::time::{Duration, Instant};
+    let place = r#"{"op":"place","id":1,"circuit":"smoke","max_iters":30}"#;
+    let hash = |frame: &mep_serve::JsonValue| {
+        let hash = frame.get("placement_hash").and_then(|h| h.as_str());
+        hash.expect("done carries placement_hash").to_string()
+    };
+    // the stdio transport's answer to the same request is the reference
+    let mut stdio = mep()
+        .args(["serve", "--stdio", "--workers", "2"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("daemon starts");
+    let mut stdin = stdio.stdin.take().expect("stdin piped");
+    writeln!(stdin, "{place}\n{{\"op\":\"shutdown\"}}").unwrap();
+    drop(stdin);
+    let out = stdio.wait_with_output().expect("daemon exits");
+    let done = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|l| mep_serve::parse_json(l).unwrap())
+        .find(|f| f.get("event").and_then(|e| e.as_str()) == Some("done"))
+        .expect("stdio run completes the job");
+    let reference = hash(&done);
+
+    // an unspecified address takes the loopback wake path
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let mut daemon = Daemon(
+            mep()
+                .args(["serve", "--tcp", bind, "--workers", "2"])
+                .stdout(std::process::Stdio::null())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("daemon starts"),
+        );
+        let mut line = String::new();
+        std::io::BufReader::new(daemon.0.stderr.as_mut().expect("stderr piped"))
+            .read_line(&mut line)
+            .unwrap();
+        let port: u16 = line
+            .trim()
+            .strip_prefix("mep serve: listening on ")
+            .and_then(|addr| addr.rsplit(':').next())
+            .and_then(|port| port.parse().ok())
+            .unwrap_or_else(|| panic!("{bind}: no listening line: {line:?}"));
+
+        let mut clients = [Client::connect(port), Client::connect(port)];
+        for client in &mut clients {
+            client.send(r#"{"op":"metrics"}"#);
+            assert_eq!(client.recv().1, "metrics", "{bind}");
+        }
+        let [mut a, b] = clients;
+        a.send(place);
+        assert_eq!(a.recv().1, "accepted", "{bind}");
+        let (done, event) = a.recv();
+        assert_eq!(event, "done", "{bind}");
+        assert_eq!(hash(&done), reference, "{bind}: same bits as stdio");
+        drop((a, b));
+
+        let mut c = Client::connect(port);
+        c.send(r#"{"op":"shutdown"}"#);
+        assert_eq!(c.recv().1, "shutdown_complete", "{bind}");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = daemon.0.try_wait().unwrap() {
+                break status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{bind}: no exit 10 s after shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert!(status.success(), "{bind}: {status}");
+    }
+}
+
 #[test]
 fn bad_eco_window_exits_nonzero() {
     // an inverted window; and a valid one next to a flow it would have
