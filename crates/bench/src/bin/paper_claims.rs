@@ -1,6 +1,7 @@
 //! Checks the paper's claims on this tree: Table I, Fig. 1(a), Fig. 1(b),
 //! Fig. 2, the §II-D.1 stability claim, Fig. 3, the Eq. (14) `t` schedule,
-//! the anatomy of the `newblue1` gain and Table II's DPWL ranking.
+//! the anatomy of the `newblue1` gain, Ours against WA on one shared λ₀
+//! ramp and Table II's DPWL ranking.
 //!
 //! ```text
 //! cargo run -p mep-bench --release --bin paper_claims
@@ -44,7 +45,7 @@ type Verdict = Result<String, String>;
 type Section = (&'static str, fn() -> Res<Table>, fn(&Table) -> Verdict);
 
 #[rustfmt::skip]
-const SECTIONS: [Section; 9] = [
+const SECTIONS: [Section; 10] = [
     ("Table I — statistics of the scaled synthetic stand-ins", table1, check_table1),
     ("Fig. 1(a) — WA is non-convex, Moreau convex on (0, x, 100)", fig1a, check_fig1a),
     ("Fig. 1(b) — mean |error| of 4-pin nets, Δx = 200", fig1b, check_fig1b),
@@ -53,6 +54,7 @@ const SECTIONS: [Section; 9] = [
     ("Fig. 3 — GP HPWL at matched density overflow", fig3, check_fig3),
     ("Eq. (14) — tangent vs decade t schedule, and a t0 sweep", tschedule, check_tschedule),
     ("Beyond the paper — newblue1 DPWL by net degree", net_breakdown, check_net_breakdown),
+    ("Beyond the paper — Ours vs WA on one shared λ₀ ramp", matched_ramp, check_matched_ramp),
     ("Table II (--fast) — DPWL of the four models on ISPD2006 / 10", table2_fast, check_table2_fast),
 ];
 
@@ -578,6 +580,57 @@ fn net_breakdown() -> Res<Table> {
 fn check_net_breakdown(t: &Table) -> Verdict {
     let (total, mid) = (ours_over_wa(t, &["total"])?, ours_over_wa(t, &["4-7 pin"])?);
     Ok(format!("Ours/WA: total {total:.4}, 4-7 pin {mid:.4}"))
+}
+
+const MATCHED_BENCHES: [&str; 2] = ["newblue1", "ispd19_test5"];
+const OURS_AT_WA_LAMBDA0: &str = "Ours at WA's λ0";
+
+/// Each bench three times: WA and Ours each on its own λ₀, then Ours with
+/// `lambda_scale` set so that its ramp starts at WA's λ₀ (and, as both
+/// ramps grow by the same Eq. (15) factors, climbs at WA's rate).
+fn matched_ramp() -> Res<Table> {
+    let mut table = Table::new("bench,run,lambda0,DPWL,iters".split(','));
+    for bench in MATCHED_BENCHES {
+        let c = circuit(bench)?;
+        let run = |model: ModelKind, lambda_scale| {
+            eprintln!("[matched ramp] {bench} × {} …", model.label());
+            let config = GlobalConfig {
+                model,
+                lambda_scale,
+                ..GlobalConfig::default()
+            };
+            run_claim(&c, config)
+        };
+        let wa = run(ModelKind::Wa, 1.0)?;
+        let ours = run(ModelKind::Moreau, 1.0)?;
+        let shared = run(ModelKind::Moreau, wa.ramp.lambda0 / ours.ramp.lambda0)?;
+        for (name, r) in [
+            ("WA own λ0", wa),
+            ("Ours own λ0", ours),
+            (OURS_AT_WA_LAMBDA0, shared),
+        ] {
+            let row = format!(
+                "{bench},{name},{:.4e},{:.6e},{}",
+                r.ramp.lambda0, r.dpwl, r.iterations
+            );
+            table.push(row.split(','));
+        }
+    }
+    Ok(table)
+}
+
+/// On every bench Ours, started at WA's λ₀, ends below WA's DPWL.
+fn check_matched_ramp(t: &Table) -> Verdict {
+    let mut ratios = Vec::new();
+    for b in MATCHED_BENCHES {
+        let wa = cell(t, &[b, "WA own λ0"], 3)?;
+        let ours = cell(t, &[b, OURS_AT_WA_LAMBDA0], 3)?;
+        if ours.partial_cmp(&wa) != Some(Ordering::Less) {
+            return Err(format!("{b}: Ours {ours} at WA's λ0 is not below WA {wa}"));
+        }
+        ratios.push(format!("{b} {:.4}", ours / wa));
+    }
+    Ok(format!("Ours/WA DPWL at WA's λ0: {}", ratios.join(", ")))
 }
 
 fn table2_fast() -> Res<Table> {

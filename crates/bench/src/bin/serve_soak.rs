@@ -17,13 +17,15 @@
 //!   **bit-identical** to the same job run on the cold server.
 //!
 //! Writes `results/serve_soak_reports.jsonl` (one JSON line per phase).
-//! `--fast` runs a reduced storm for CI. Exits non-zero on any failure.
+//! `--fast` runs a reduced storm for CI and writes no file: the committed
+//! `results/serve_soak_reports.jsonl` is the full storm's. Exits non-zero
+//! on any failure.
 
 use mep_obs::json::JsonObject;
 use mep_placer::Termination;
 use mep_serve::{
-    install_quiet_panic_hook, serve_connection, ChaosMode, CircuitSource, CollectSink, Event,
-    JobRequest, Server, ServerConfig, SubmitError,
+    install_quiet_panic_hook, job_grammar, serve_connection, ChaosMode, CircuitSource, CollectSink,
+    Event, JobRequest, Server, ServerConfig, SubmitError,
 };
 use std::io::{Cursor, Write as _};
 use std::process::ExitCode;
@@ -311,6 +313,10 @@ fn main() -> ExitCode {
 
     // ---- verify every job's terminal event matches its class ------------
     let events = sink.events();
+    // per job: `accepted`, progress, exactly one terminal; or `rejected`
+    if let Err(violation) = job_grammar(&events, true) {
+        check!(false, "event grammar: {violation}");
+    }
     let mut done = 0u64;
     let mut failed = 0u64;
     for &(id, expect) in &jobs {
@@ -451,9 +457,15 @@ fn main() -> ExitCode {
         writeln!(out, "{}", line.finish())?;
         out.flush()
     };
-    match write_report() {
-        Ok(()) => println!("wrote {report_path}"),
-        Err(e) => failures.push(format!("could not write {report_path}: {e}")),
+    // the committed report is the full storm's: a reduced one never
+    // overwrites it
+    if fast {
+        println!("(--fast: reduced storm, no file written)");
+    } else {
+        match write_report() {
+            Ok(()) => println!("wrote {report_path}"),
+            Err(e) => failures.push(format!("could not write {report_path}: {e}")),
+        }
     }
 
     println!(

@@ -131,6 +131,11 @@ const ALPHA: (f64, f64) = (1.01, 1.02);
 const BETA: f64 = 2000.0;
 /// Steplength shrink factor applied on every rollback.
 const BACKOFF: f64 = 0.5;
+/// Widest smoothing the λ₀ bootstrap measures `‖∇W‖₁` at, in bin widths
+/// `w_x + w_y`. It binds only at Eq. (14)'s δ-limited top, where
+/// `tan(π/2 − δ)` leaves the Moreau gradient `(x − prox)/t` near zero; the
+/// decade schedule tops out at `γ(1) = 5 (w_x + w_y)`.
+const BOOTSTRAP_WIDTH_BINS: f64 = 20.0;
 
 /// How the smoothing parameter follows the overflow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -231,6 +236,8 @@ pub struct GlobalResult {
     /// Nesterov trial points evaluated over those iterations: one per
     /// iteration plus one per backtracking retry.
     pub trials: usize,
+    /// Where the Eq. (15) ramp started.
+    pub ramp: RampStart,
     /// Evaluation-engine instrumentation (stage counts and times, reuses,
     /// net routes).
     pub engine_stats: EngineStats,
@@ -238,6 +245,19 @@ pub struct GlobalResult {
     pub recovery: RecoveryLog,
     /// Why the loop stopped.
     pub termination: Termination,
+}
+
+/// The start of a run's density ramp: what the λ₀ bootstrap measured and
+/// the smoothing the first step opens with.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RampStart {
+    /// The density weight `λ₀ = ‖∇W‖₁ / ‖∇D‖₁ · lambda_scale`.
+    pub lambda0: f64,
+    /// The smoothing `‖∇W‖₁` was measured at:
+    /// `min(smoothing0, 20 (w_x + w_y))`.
+    pub bootstrap_smoothing: f64,
+    /// The run's smoothing at the starting overflow, `t(φ₀)` or `γ(φ₀)`.
+    pub smoothing0: f64,
 }
 
 /// Rejects inputs the loop cannot meaningfully run on: nothing to place,
@@ -318,28 +338,37 @@ pub fn place_with_engine(
     let mut schedule = Schedule::new(config, bins, phi, report0.energy);
     schedule.apply(&mut problem);
 
-    // λ0 per ePlace: ratio of gradient norms (wirelength vs density)
+    // λ0 per ePlace: ‖∇W‖₁ / ‖∇D‖₁ at the start point, the wirelength at
+    // the run's smoothing capped at BOOTSTRAP_WIDTH_BINS, the density from
+    // the held term
+    let smoothing0 = problem.smoothing();
+    let bootstrap_smoothing = smoothing0.min(BOOTSTRAP_WIDTH_BINS * (bins.0 + bins.1));
+    problem.set_smoothing(bootstrap_smoothing);
     let mut grad = vec![0.0; problem.dim()];
     problem.eval(&params, &mut grad);
     let wl_norm: f64 = grad.iter().map(|g| g.abs()).sum();
-    problem.lambda = 1.0;
-    problem.reeval(&params, &mut grad);
-    let both_norm: f64 = grad.iter().map(|g| g.abs()).sum();
-    let density_norm = (both_norm - wl_norm).abs().max(1e-30);
-    let lambda0 = (wl_norm / density_norm).max(1e-12) * config.lambda_scale.max(1e-6);
+    let density_norm = problem.density_grad_norm();
+    let lambda0 = (wl_norm / density_norm.max(1e-30)).max(1e-12) * config.lambda_scale.max(1e-6);
     if !lambda0.is_finite() {
         return Err(PlacerError::NumericalFailure {
             iteration: 0,
             detail: format!(
-                "λ₀ bootstrap produced a non-finite weight \
-                 (|∇W| {wl_norm}, |∇W + ∇D| {both_norm})"
+                "λ₀ bootstrap produced a non-finite weight (|∇W| {wl_norm}, |∇D| {density_norm})"
             ),
         });
     }
+
+    // initial steplength: first move ~ a couple of bins against ∇W + ∇D at
+    // the run's smoothing, whose term the first step opens on
+    problem.set_smoothing(smoothing0);
+    problem.lambda = 1.0;
+    if bootstrap_smoothing < smoothing0 {
+        problem.eval(&params, &mut grad);
+    } else {
+        problem.reeval(&params, &mut grad);
+    }
     schedule.start_ramp(lambda0);
     schedule.apply(&mut problem);
-
-    // initial steplength: first move ~ a couple of bins against ∇f
     let gmax = grad
         .iter()
         .fold(0.0_f64, |acc, g| acc.max(g.abs()))
@@ -438,6 +467,11 @@ pub fn place_with_engine(
         overflow,
         iterations,
         trials,
+        ramp: RampStart {
+            lambda0,
+            bootstrap_smoothing,
+            smoothing0,
+        },
         engine_stats: engine.stats(),
         recovery: monitor.into_log(),
         termination,
@@ -554,14 +588,23 @@ mod tests {
             uncached,
             log: Vec::new(),
         };
-        // λ₀ bootstrap: two probes at one point, λ = 0 then λ = 1
+        // λ₀ bootstrap: ∇W at the capped width (λ = 0), ∇D from the held
+        // term, then the start point at the run's own width under λ = 1
+        let t_run = logged.inner.smoothing();
+        let t_boot = t_run.min(BOOTSTRAP_WIDTH_BINS * (bins.0 + bins.1));
+        logged.inner.set_smoothing(t_boot);
         let mut grad = vec![0.0; x.len()];
         logged.eval(&x, &mut grad);
         let wl_norm: f64 = grad.iter().map(|g| g.abs()).sum();
+        let lambda0 = wl_norm / logged.inner.density_grad_norm().max(1e-30);
+        logged.inner.set_smoothing(t_run);
         logged.inner.lambda = 1.0;
-        logged.reeval(&x, &mut grad);
-        let both_norm: f64 = grad.iter().map(|g| g.abs()).sum();
-        schedule.start_ramp(wl_norm / (both_norm - wl_norm).abs().max(1e-30));
+        if t_boot < t_run {
+            logged.eval(&x, &mut grad);
+        } else {
+            logged.reeval(&x, &mut grad);
+        }
+        schedule.start_ramp(lambda0);
         schedule.apply(logged.inner);
         let gmax = grad.iter().fold(1e-30_f64, |m, g| m.max(g.abs()));
 
@@ -596,8 +639,9 @@ mod tests {
         assert_eq!(o.density.count, o.wl_grad.count);
         assert_eq!(s.density.count, s.wl_grad.count);
         assert_eq!(s.wl_grad.count + s.reused, o.wl_grad.count);
-        // the second λ₀ probe and every step reopen on the point evaluated
-        // last (the first step on the probes' point)
+        // smoke's t(φ₀) is inside the bootstrap cap, so the start point's
+        // second look reuses the bootstrap's term; every step reopens on the
+        // point evaluated last (the first step on the start point)
         assert_eq!(s.reused, STEPS as u64 + 1);
     }
 
@@ -679,20 +723,38 @@ mod tests {
     #[test]
     fn engine_stats_cover_the_whole_run() {
         let c = synth::generate(&synth::smoke_spec());
-        let mut cfg = smoke_config(ModelKind::Moreau);
-        cfg.max_iters = 40;
-        let r = place(&c, &cfg).unwrap();
-        let s = r.engine_stats;
-        // one evaluation of both terms per trial, plus the first λ0 probe
-        assert_eq!(
-            (s.wl_grad.count, s.density.count),
-            (r.trials as u64 + 1, r.trials as u64 + 1),
-            "{s:?}, {} trials",
-            r.trials
-        );
-        assert!(r.trials >= r.iterations, "{s:?}");
-        // the second λ0 probe and every step's opening reuse both
-        assert_eq!(s.reused, r.iterations as u64 + 1, "{s:?}");
+        // one evaluation of both terms per trial, plus the bootstrap's ∇W;
+        // the start point's second look, at the run's own smoothing, reuses
+        // that term unless the cap held the bootstrap below it. Every
+        // step's opening reuses the trial its predecessor accepted. At
+        // `t0` = 400 smoke's t(φ₀) is past the cap.
+        let run = |t0: f64, capped: u64| {
+            let mut cfg = smoke_config(ModelKind::Moreau);
+            cfg.max_iters = 40;
+            cfg.t0 = t0;
+            let r = place(&c, &cfg).unwrap();
+            let (s, ramp) = (r.engine_stats, r.ramp);
+            assert_eq!(
+                u64::from(ramp.bootstrap_smoothing < ramp.smoothing0),
+                capped,
+                "{ramp:?}"
+            );
+            assert_eq!(
+                (s.wl_grad.count, s.density.count),
+                (r.trials as u64 + 1 + capped, r.trials as u64 + 1 + capped),
+                "{s:?}, {} trials",
+                r.trials
+            );
+            assert!(r.trials >= r.iterations, "{s:?}");
+            assert_eq!(s.reused, r.iterations as u64 + 1 - capped, "{s:?}");
+            s
+        };
+        run(400.0, 1);
+        let s = run(4.0, 0);
+        let cfg = GlobalConfig {
+            max_iters: 40,
+            ..smoke_config(ModelKind::Moreau)
+        };
         assert_eq!(s.workspace_allocs, 1, "workspace built once, then reused");
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
         // four 2-D transforms per Poisson solve: one per executed density
@@ -729,6 +791,75 @@ mod tests {
         let dense = synth::generate(&dense);
         let s = place(&dense, &cfg).unwrap().engine_stats;
         assert!(every_net_has_one_path(&dense, &s) > 0);
+    }
+
+    #[test]
+    fn bootstrap_reads_the_held_density_norm_at_a_bounded_width() {
+        // at a placed point ∇W pulls cells together where ∇D pushes them
+        // apart, so |‖∇W + ∇D‖₁ − ‖∇W‖₁| falls short of ‖∇D‖₁
+        let c = synth::generate(&synth::smoke_spec());
+        let placed = BookshelfCircuit {
+            design: c.design.clone(),
+            placement: place(&c, &smoke_config(ModelKind::Moreau))
+                .unwrap()
+                .placement,
+        };
+        let l1 = |g: &[f64]| -> f64 { g.iter().map(|v| v.abs()).sum() };
+        let runs = ModelKind::contestants()
+            .into_iter()
+            .map(|kind| (kind, 4.0))
+            .chain([(ModelKind::Moreau, 4000.0)]);
+        for (kind, t0) in runs {
+            let cfg = GlobalConfig {
+                t0,
+                max_iters: 1,
+                ..smoke_config(kind)
+            };
+            let ramp = place(&placed, &cfg).unwrap().ramp;
+
+            let model = kind.instantiate(1.0);
+            let mut p =
+                PlacementProblem::new(&placed.design, &placed.placement, model, Arc::default());
+            let mut x = p.pack_params(&placed.placement);
+            p.project(&mut x);
+            let phi0 = p.density_report(&x).overflow;
+            let grid = p.electrostatics().grid();
+            let (bw, bh) = (grid.bin_w(), grid.bin_h());
+            let width = match kind {
+                ModelKind::Moreau => {
+                    let t = TangentTSchedule::new(bw, bh).with_t0(t0).value(phi0);
+                    assert_eq!(ramp.smoothing0.to_bits(), t.to_bits(), "{kind}");
+                    t.min(20.0 * (bw + bh))
+                }
+                _ => EplaceGammaSchedule::new(GAMMA0, bw, bh).value(phi0),
+            };
+            assert_eq!(
+                ramp.bootstrap_smoothing.to_bits(),
+                width.to_bits(),
+                "{kind}"
+            );
+            // the cap binds only for the tangent schedule's δ-limited top
+            let capped = ramp.bootstrap_smoothing < ramp.smoothing0;
+            assert_eq!(capped, t0 > 4.0, "{kind} {ramp:?}");
+
+            p.set_smoothing(width);
+            let mut wl = vec![0.0; x.len()];
+            p.eval(&x, &mut wl);
+            let held = p.density_grad_norm();
+            p.lambda = 1.0;
+            let mut both = vec![0.0; x.len()];
+            p.reeval(&x, &mut both);
+            // the held term is ∇D over the movable cells, parameter order
+            let diff: f64 = both.iter().zip(&wl).map(|(b, w)| (b - w).abs()).sum();
+            assert!(
+                (diff - held).abs() <= 1e-9 * held,
+                "{kind}: {diff} vs {held}"
+            );
+            let old = (l1(&both) - l1(&wl)).abs();
+            // (0.64–0.82 of it at these widths; 0.988 at the capped one)
+            assert!(old < 0.99 * held, "{kind}: old {old} vs held {held}");
+            assert_eq!(ramp.lambda0.to_bits(), (l1(&wl) / held).to_bits(), "{kind}");
+        }
     }
 
     #[test]

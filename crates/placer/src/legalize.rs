@@ -800,7 +800,9 @@ mod tests {
     fn legalize_decisions_are_pinned() {
         // smoke has four movable macros, smoke_regions has fences; each is
         // legalized from its GP placement and from its piled start:
-        // (x/y hash, spills, macros, average and maximum displacement bits)
+        // (x/y hash, spills, macros, average and maximum displacement bits);
+        // the GP rows were re-pinned once, when the λ₀ bootstrap began to
+        // read ‖∇D‖₁ from the held density term
         let mut got = Vec::new();
         for spec in [synth::smoke_spec(), synth::smoke_regions_spec()] {
             let c = synth::generate(&spec);
@@ -821,9 +823,9 @@ mod tests {
         }
         let want = [
             (
-                0xf65b_b37e_5d66_0e2c,
+                0xe54c_39b4_94c1_dabb,
                 [0, 4],
-                [0x4022_aad5_1e9d_846f, 0x4039_2a55_4929_55a3],
+                [0x4022_c9e4_20c6_a80a, 0x4038_cb0c_924f_0c6c],
             ),
             (
                 0x6838_ae73_00a8_e678,
@@ -831,9 +833,9 @@ mod tests {
                 [0x4036_0cbd_a863_25e0, 0x4045_39f3_b3f3_a005],
             ),
             (
-                0xaa95_b0f3_a9bb_1040,
+                0x2de9_7e6c_c4b5_ad70,
                 [0, 4],
-                [0x4022_47bb_9d1c_8923, 0x403c_1f85_7a86_9ff8],
+                [0x4022_670c_9eb5_227d, 0x403e_cb59_7979_d353],
             ),
             (
                 0xab99_4f2a_c655_08ff,

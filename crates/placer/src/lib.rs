@@ -53,7 +53,7 @@ pub use flow::{
     replace_region, run_multilevel, EcoConfig, EcoResult, LevelStats, MultilevelConfig,
     MultilevelResult,
 };
-pub use global::{place_with_engine, GlobalConfig, GlobalResult, MoreauSchedule};
+pub use global::{place_with_engine, GlobalConfig, GlobalResult, MoreauSchedule, RampStart};
 pub use guard::{Fault, RecoveryAction, RecoveryEvent, RecoveryLog, Termination};
 pub use legalize::{
     audit_legality, check_legal, legalize, LegalityAudit, LegalizeReport, Violation,

@@ -139,6 +139,17 @@ impl<'a> PlacementProblem<'a> {
         self.evaluator.model().smoothing()
     }
 
+    /// `‖∇D‖₁` of the held density term over the movable cells: the
+    /// density gradient of the last [`Problem::eval`], whatever `λ`
+    /// combined it.
+    pub fn density_grad_norm(&self) -> f64 {
+        let abs = |g: &[f64], c: &CellId| g.get(c.index()).map_or(0.0, |v| v.abs());
+        self.movable
+            .iter()
+            .map(|c| abs(&self.dgx, c) + abs(&self.dgy, c))
+            .sum()
+    }
+
     /// The electrostatic system (e.g. for its bin grid).
     pub fn electrostatics(&self) -> &Electrostatics {
         &self.es

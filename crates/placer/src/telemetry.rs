@@ -96,6 +96,12 @@ pub(crate) fn build_run_report(
     r.counter("gp.iterations").add(result.iterations as u64);
     r.counter("optim.nesterov.trials").add(result.trials as u64);
     r.gauge("gp.overflow").set(result.overflow);
+    // the ramp start: λ₀, the width its ‖∇W‖₁ was measured at, and the
+    // width the first step opened with
+    r.gauge("gp.lambda0").set(result.ramp.lambda0);
+    r.gauge("gp.bootstrap_smoothing")
+        .set(result.ramp.bootstrap_smoothing);
+    r.gauge("gp.smoothing0").set(result.ramp.smoothing0);
     r.counter("flow.violations").add(result.violations as u64);
 
     // evaluation-engine stage timings (formerly only on EngineStats)

@@ -172,7 +172,8 @@ fn two_level_flow_places_smoke_clustered_legally() {
 }
 
 /// One engine serves every level: each GP run reuses its held terms once
-/// per iteration plus once for its second λ₀ probe, and every other
+/// per iteration plus once for the start point's second look (neither
+/// level's t(φ₀) reaches the λ₀ bootstrap's cap here), and every other
 /// evaluation executes both stages.
 #[test]
 fn one_engine_counts_the_reuses_of_every_level() {
@@ -191,6 +192,9 @@ fn one_engine_counts_the_reuses_of_every_level() {
     assert_eq!(r.levels, 2);
     let s = r.result.engine_stats;
     let iterations: usize = r.level_stats.iter().map(|l| l.iterations).sum();
+    // (the report's gp.* gauges are the finest level's)
+    let width = r.result.report.gauge("gp.bootstrap_smoothing");
+    assert_eq!(width, r.result.report.gauge("gp.smoothing0"));
     assert_eq!(s.reused, (iterations + r.levels) as u64, "{s:?}");
     assert_eq!(s.wl_grad.count, s.density.count, "{s:?}");
     assert_eq!(r.result.report.counter("engine.reused"), Some(s.reused));
@@ -315,12 +319,11 @@ fn eco_keeps_frozen_cells_bitwise_unmoved() {
     );
 }
 
-/// `hpwl_after` (5210.1612354313465) of the ECO run above, and FNV-1a over
-/// the bits of every x, then every y. Re-recorded once when each Nesterov
-/// step began to open on the accepted trial's held terms: the reference
-/// gradient now pairs the trial's smoothing `t_k` with the advanced
-/// `λ_{k+1}`. The 300-iteration base run moved from 5065.83 to 5130.88
-/// (+1.3 %, capped before convergence), and the ECO's after/before
-/// ratio from +1.68 % to +1.54 %.
-const PINNED_HPWL_AFTER_BITS: u64 = 0x40b4_5a29_46b9_a897;
-const PINNED_COORDS_FNV1A: u64 = 0x500a_fb47_aaaa_4777;
+/// `hpwl_after` (5132.425795827296) of the ECO run above, and FNV-1a over
+/// the bits of every x, then every y. Re-recorded once when the λ₀
+/// bootstrap began to read `‖∇D‖₁` from the held density term: an ECO
+/// window starts at a placed point, where `∇W` and `∇D` partly cancel and
+/// the old `|‖∇W + ∇D‖₁ − ‖∇W‖₁|` fell short. `hpwl_after` moved from
+/// 5210.16 to 5132.43 (−1.5 %).
+const PINNED_HPWL_AFTER_BITS: u64 = 0x40b4_0c6d_00f4_9102;
+const PINNED_COORDS_FNV1A: u64 = 0x1a97_c157_cd0f_c981;

@@ -29,7 +29,7 @@ use crate::job::{ChaosMode, CircuitSource, JobRequest};
 use crate::parse::{parse_json, JsonValue};
 use crate::server::Server;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -178,7 +178,11 @@ pub fn serve_stdio(server: &Server) {
 /// Runs the daemon on a TCP listener, one thread per connection, until a
 /// client sends `shutdown`. The accept blocks; the connection that ran the
 /// drain wakes it with one connect to the listener's own address (the
-/// loopback of the same family when bound to an unspecified one).
+/// loopback of the same family when bound to an unspecified one). Then the
+/// read half of every open connection is shut, so an idle client cannot
+/// hold the daemon after `shutdown_complete`; each connection thread ends
+/// at that end of input. Connections that closed on their own are reaped
+/// at each accept.
 /// Returns an error string if the listener cannot be set up.
 pub fn serve_tcp(server: Arc<Server>, addr: &str) -> Result<(), String> {
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
@@ -193,16 +197,18 @@ pub fn serve_tcp(server: Arc<Server>, addr: &str) -> Result<(), String> {
         });
     }
     let stop = Arc::new(OnceLock::new());
-    let mut handles = Vec::new();
+    // each open connection: its thread, and a handle to shut its reads
+    let mut open: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
     for stream in listener.incoming() {
         if stop.get().is_some() {
             break;
         }
+        open.retain(|(thread, _)| !thread.is_finished());
         let stream = stream.map_err(|e| format!("accept: {e}"))?;
         // every event is a small write: Nagle would hold each one back
         // until the client's delayed ACK of the one before
         let _ = stream.set_nodelay(true);
-        let Ok(reader) = stream.try_clone() else {
+        let (Ok(reader), Ok(control)) = (stream.try_clone(), stream.try_clone()) else {
             continue;
         };
         let server = Arc::clone(&server);
@@ -219,12 +225,16 @@ pub fn serve_tcp(server: Arc<Server>, addr: &str) -> Result<(), String> {
                     }
                 }
             });
-        if let Ok(h) = handle {
-            handles.push(h);
+        if let Ok(thread) = handle {
+            open.push((thread, control));
         }
     }
-    for h in handles {
-        let _ = h.join();
+    // the drain has run: every job is terminal and its events written
+    for (_, control) in &open {
+        let _ = control.shutdown(Shutdown::Read);
+    }
+    for (thread, _) in open {
+        let _ = thread.join();
     }
     Ok(())
 }

@@ -183,9 +183,58 @@ impl CollectSink {
         Self::default()
     }
 
-    /// Snapshot of everything collected so far.
+    /// Snapshot of everything collected so far. Every snapshot is checked
+    /// against the per-job event grammar ([`job_grammar`], jobs still
+    /// running allowed): a violation fails the reader.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().map(|g| g.clone()).unwrap_or_default()
+        let events = self.events.lock().map(|g| g.clone()).unwrap_or_default();
+        let verdict = job_grammar(&events, false);
+        assert!(verdict.is_ok(), "{verdict:?}");
+        events
+    }
+}
+
+/// Checks the per-job event grammar over `events`, every job's events
+/// interleaved in delivery order. Per job id: `accepted`, then `iter`
+/// events, then exactly one terminal event (`done` or `failed`); or
+/// `rejected` alone. A `rejected` refuses one submission, so it may also
+/// share the id of an accepted job (a duplicate id, a resubmission after
+/// backpressure). With `complete` false a job may still be running, and its
+/// terminal event may be missing. Connection-level replies (`metrics`,
+/// `cancel_ack`, …) are no job's events.
+pub fn job_grammar(events: &[Event], complete: bool) -> Result<(), String> {
+    #[derive(PartialEq)]
+    enum Job {
+        Running,
+        Terminal,
+    }
+    let mut jobs = std::collections::BTreeMap::new();
+    for event in events {
+        let (id, name) = match event {
+            Event::Accepted { id, .. } => (*id, "accepted"),
+            Event::Iter { id, .. } => (*id, "iter"),
+            Event::Done { id, .. } => (*id, "done"),
+            Event::Failed { id, .. } => (*id, "failed"),
+            _ => continue,
+        };
+        match (jobs.get(&id), name) {
+            (None, "accepted") => {
+                jobs.insert(id, Job::Running);
+            }
+            (Some(Job::Running), "done" | "failed") => {
+                jobs.insert(id, Job::Terminal);
+            }
+            (Some(Job::Running), "iter") => {}
+            (None, _) => return Err(format!("job {id}: `{name}` before `accepted`")),
+            (Some(Job::Running), _) => return Err(format!("job {id}: `accepted` twice")),
+            (Some(Job::Terminal), _) => {
+                return Err(format!("job {id}: `{name}` after its terminal event"))
+            }
+        }
+    }
+    match jobs.iter().find(|(_, job)| **job == Job::Running) {
+        Some((id, _)) if complete => Err(format!("job {id}: no terminal event")),
+        _ => Ok(()),
     }
 }
 
@@ -294,6 +343,68 @@ mod tests {
     use crate::parse::parse_json;
 
     #[test]
+    fn job_grammar_accepts_each_jobs_sentence_and_names_each_violation() {
+        let accepted = |id| Event::Accepted { id, queue_depth: 1 };
+        let iter = |id| Event::Iter {
+            id,
+            record_json: "{}".to_string(),
+        };
+        let failed = |id| Event::Failed {
+            id,
+            error: JobError::Panicked {
+                detail: String::new(),
+            },
+        };
+        let rejected = |id| Event::Rejected {
+            id,
+            reason: "queue full".to_string(),
+            retry_after_ms: Some(10),
+        };
+        let metrics = Event::Metrics {
+            report_json: "{}".to_string(),
+        };
+        // interleaved jobs, a resubmission after backpressure, a refusal
+        // alone, a connection reply
+        let good = [
+            rejected(1),
+            accepted(1),
+            accepted(2),
+            iter(1),
+            metrics,
+            iter(2),
+            failed(2),
+            rejected(3),
+            failed(1),
+            rejected(2),
+        ];
+        assert_eq!(job_grammar(&good, true), Ok(()));
+        // a running job is a prefix, not a whole sentence
+        assert_eq!(job_grammar(&good[..4], false), Ok(()));
+        assert_eq!(
+            job_grammar(&good[..4], true),
+            Err("job 1: no terminal event".to_string())
+        );
+        for (bad, why) in [
+            (
+                vec![failed(4), accepted(4)],
+                "job 4: `failed` before `accepted`",
+            ),
+            (vec![iter(4)], "job 4: `iter` before `accepted`"),
+            (vec![accepted(4), accepted(4)], "job 4: `accepted` twice"),
+            (
+                vec![accepted(4), failed(4), failed(4)],
+                "job 4: `failed` after its terminal event",
+            ),
+            (
+                vec![accepted(4), failed(4), iter(4)],
+                "job 4: `iter` after its terminal event",
+            ),
+        ] {
+            assert_eq!(job_grammar(&bad, false), Err(why.to_string()));
+        }
+    }
+
+    #[test]
     fn every_event_serializes_to_valid_json() {
         let events = [
             Event::Accepted {
@@ -397,6 +508,11 @@ mod tests {
     #[test]
     fn trace_adapter_forwards_and_panics_on_cue() {
         let collect = Arc::new(CollectSink::new());
+        // the collector checks the job grammar: iterations follow `accepted`
+        collect.emit(&Event::Accepted {
+            id: 7,
+            queue_depth: 1,
+        });
         let sink = JobTraceSink::new(7, collect.clone(), true);
         let rec = IterationRecord {
             iter: 0,
@@ -413,7 +529,7 @@ mod tests {
             elapsed_secs: 0.0,
         };
         sink.record(&rec);
-        assert_eq!(collect.events().len(), 1);
+        assert_eq!(collect.events().len(), 2);
 
         let chaotic = JobTraceSink::new(8, collect, true).with_panic_after(1);
         chaotic.record(&rec); // first record fine

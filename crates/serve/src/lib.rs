@@ -24,11 +24,11 @@ pub mod queue;
 pub mod server;
 
 pub use connection::{decode_place, serve_connection, serve_stdio, serve_tcp};
-pub use events::{CollectSink, Event, EventSink, JobTraceSink, WriterSink};
+pub use events::{job_grammar, CollectSink, Event, EventSink, JobTraceSink, WriterSink};
 pub use job::{
     placement_fingerprint, ChaosMode, CircuitSource, JobError, JobOutcome, JobRequest, JobSummary,
 };
 pub use mep_obs::parse;
 pub use mep_obs::parse::{parse_json, JsonValue};
-pub use queue::{BoundedQueue, QueueFull};
+pub use queue::{BoundedQueue, QueueFull, Slot};
 pub use server::{install_quiet_panic_hook, Server, ServerConfig, SubmitError};

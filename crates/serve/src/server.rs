@@ -116,7 +116,7 @@ struct Sched {
     /// Jobs claimed by a worker and not yet finished.
     running: usize,
     /// Set once by the drain: `submit` refuses, and each worker exits
-    /// when it finds the queue empty.
+    /// when it finds the queue empty and no slot reserved.
     draining: bool,
 }
 
@@ -219,28 +219,31 @@ impl Server {
         sink: Arc<dyn EventSink>,
     ) -> Result<usize, SubmitError> {
         let shared = &self.shared;
+        // admission reserves a queue slot under the lock; the job reaches
+        // the workers only after its `accepted` event, so no event of its
+        // own can precede that one
         let mut sched = lock_sched(shared);
         let admitted = if sched.draining {
             Err(SubmitError::ShuttingDown)
         } else if sched.jobs.contains_key(&id) {
             Err(SubmitError::DuplicateId)
         } else {
-            let cancel = CancelToken::new();
-            let job = QueuedJob {
-                id,
-                request,
-                cancel: cancel.clone(),
-                sink: Arc::clone(&sink),
-            };
-            match sched.queue.try_push(job) {
-                Ok(()) => {
+            match sched.queue.try_reserve() {
+                Ok(slot) => {
+                    let cancel = CancelToken::new();
                     let state = JobState::Queued;
-                    sched.jobs.insert(id, JobEntry { cancel, state });
-                    Ok(sched.queue.len())
+                    sched.jobs.insert(
+                        id,
+                        JobEntry {
+                            cancel: cancel.clone(),
+                            state,
+                        },
+                    );
+                    Ok((slot, cancel, sched.queue.len() + sched.queue.reserved()))
                 }
                 // back off proportionally to how much work one slot
                 // represents: a deeper queue drains slower
-                Err((_job, full)) => Err(SubmitError::Backpressure {
+                Err(full) => Err(SubmitError::Backpressure {
                     retry_after_ms: (25 * full.capacity.max(1) as u64 / shared.cfg.workers as u64)
                         .clamp(10, 1000),
                 }),
@@ -248,14 +251,35 @@ impl Server {
         };
         drop(sched);
         match admitted {
-            Ok(depth) => {
+            Ok((slot, cancel, depth)) => {
                 self.note_depth(depth);
                 shared.metrics.counter("serve.jobs.accepted").add(1);
-                sink.emit(&Event::Accepted {
+                // a panicking sink loses this notification but must not
+                // strand the reserved slot, which the drain waits for
+                let accepted = Event::Accepted {
                     id,
                     queue_depth: depth,
-                });
-                shared.work_cv.notify_one();
+                };
+                if catch_unwind(AssertUnwindSafe(|| sink.emit(&accepted))).is_err() {
+                    shared.metrics.counter("serve.jobs.emit_panics").add(1);
+                }
+                let job = QueuedJob {
+                    id,
+                    request,
+                    cancel,
+                    sink,
+                };
+                let mut sched = lock_sched(shared);
+                sched.queue.publish(slot, job);
+                let draining = sched.draining;
+                drop(sched);
+                // a drain may have found the queue empty and this slot
+                // reserved: every waiting worker must look again
+                if draining {
+                    shared.work_cv.notify_all();
+                } else {
+                    shared.work_cv.notify_one();
+                }
                 Ok(depth)
             }
             Err(err) => {
@@ -326,10 +350,10 @@ impl Server {
         }
     }
 
-    /// Blocks until the queue is empty and no job is running.
+    /// Blocks until no job is queued, reserved or running.
     pub fn wait_idle(&self) {
         let mut sched = lock_sched(&self.shared);
-        while !(sched.queue.is_empty() && sched.running == 0) {
+        while !(sched.queue.is_empty() && sched.queue.reserved() == 0 && sched.running == 0) {
             sched = match self.shared.idle_cv.wait(sched) {
                 Ok(g) => g,
                 Err(p) => p.into_inner(),
@@ -463,7 +487,8 @@ fn claim_next_job(shared: &Shared) -> Option<QueuedJob> {
             shared.metrics.gauge("serve.queue.depth").set(depth as f64);
             return Some(job);
         }
-        if sched.draining {
+        // a reserved slot is a job its submitter is about to publish
+        if sched.draining && sched.queue.reserved() == 0 {
             return None;
         }
         sched = match shared.work_cv.wait(sched) {
@@ -724,6 +749,46 @@ mod tests {
                     );
                 }
             }
+        });
+    }
+
+    /// Sleeps inside every `accepted`: a job published to the workers
+    /// before that event would send its `failed` first.
+    #[derive(Debug, Default)]
+    struct SlowAccept(CollectSink);
+
+    impl EventSink for SlowAccept {
+        fn emit(&self, event: &Event) {
+            if matches!(event, Event::Accepted { .. }) {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            self.0.emit(event);
+        }
+    }
+
+    #[test]
+    fn accepted_precedes_every_other_event_of_its_job() {
+        within_a_minute(|| {
+            let server = test_server(2, 8);
+            let sink = Arc::new(SlowAccept::default());
+            for id in 0..4 {
+                server.submit(id, unknown_circuit(), sink.clone()).unwrap();
+            }
+            // a drain that begins while a slot is reserved still runs it
+            let late = {
+                let (server, sink) = (Arc::new(server), Arc::clone(&sink));
+                let submitter = {
+                    let server = Arc::clone(&server);
+                    std::thread::spawn(move || server.submit(4, unknown_circuit(), sink))
+                };
+                std::thread::sleep(Duration::from_millis(5));
+                server.shutdown_and_drain();
+                submitter.join().unwrap()
+            };
+            let events = sink.0.events();
+            assert_eq!(crate::events::job_grammar(&events, true), Ok(()));
+            let refused = late == Err(SubmitError::ShuttingDown);
+            assert_eq!(terminal_events(&events, 4), usize::from(!refused));
         });
     }
 

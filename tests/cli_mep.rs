@@ -576,6 +576,51 @@ fn serve_tcp_serves_each_connection_and_exits_on_shutdown() {
 }
 
 #[test]
+fn serve_tcp_drain_ends_idle_connections() {
+    use std::io::BufRead as _;
+    use std::time::{Duration, Instant};
+    let mut daemon = Daemon(
+        mep()
+            .args(["serve", "--tcp", "127.0.0.1:0", "--workers", "1"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("daemon starts"),
+    );
+    let mut line = String::new();
+    std::io::BufReader::new(daemon.0.stderr.as_mut().expect("stderr piped"))
+        .read_line(&mut line)
+        .unwrap();
+    let port: u16 = line
+        .trim()
+        .rsplit(':')
+        .next()
+        .and_then(|port| port.parse().ok())
+        .unwrap_or_else(|| panic!("no listening line: {line:?}"));
+
+    // one client that connected, was served, and then only holds its socket
+    let mut idle = Client::connect(port);
+    idle.send(r#"{"op":"metrics"}"#);
+    assert_eq!(idle.recv().1, "metrics");
+    let mut c = Client::connect(port);
+    c.send(r#"{"op":"shutdown"}"#);
+    assert_eq!(c.recv().1, "shutdown_complete");
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "an idle connection holds the daemon 1 s after shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(status.success(), "{status}");
+    drop(idle);
+}
+
+#[test]
 fn bad_eco_window_exits_nonzero() {
     // an inverted window; and a valid one next to a flow it would have
     // silently replaced (`--eco` used to win and exit 0)

@@ -51,18 +51,31 @@ fn newblue6_nets_per_evaluation_by_kernel_route() {
 fn smoke_gp_runs_one_wirelength_evaluation_per_iteration() {
     // noise-free work-count guard: every Nesterov step opens on the held
     // terms of the trial its predecessor accepted, so both stages run once
-    // per trial plus the first λ₀ probe — a change that evaluates the
+    // per trial plus once for the λ₀ bootstrap's ∇W. The start point's
+    // second look, at the run's own smoothing, reuses that term unless the
+    // bootstrap's width cap held it below (smoke: inside the cap at the
+    // default `t0`, past it at `t0` = 400). A change that evaluates the
     // opening point again adds one per iteration
     let circuit = synth::generate(&synth::smoke_spec());
-    let r = place(&circuit, &GlobalConfig::default()).expect("global placement");
-    let s = r.engine_stats;
-    let (iterations, trials) = (r.iterations as u64, r.trials as u64);
-    assert_eq!(
-        (s.wl_grad.count, s.density.count),
-        (trials + 1, trials + 1),
-        "{iterations} iterations"
-    );
-    assert_eq!(s.reused, iterations + 1);
+    for (t0, capped) in [(4.0, 0), (400.0, 1)] {
+        let config = GlobalConfig {
+            t0,
+            ..GlobalConfig::default()
+        };
+        let r = place(&circuit, &config).expect("global placement");
+        let s = r.engine_stats;
+        let (iterations, trials) = (r.iterations as u64, r.trials as u64);
+        assert_eq!(
+            u64::from(r.ramp.bootstrap_smoothing < r.ramp.smoothing0),
+            capped
+        );
+        assert_eq!(
+            (s.wl_grad.count, s.density.count),
+            (trials + 1 + capped, trials + 1 + capped),
+            "{iterations} iterations"
+        );
+        assert_eq!(s.reused, iterations + 1 - capped);
+    }
 }
 
 #[test]
