@@ -10,11 +10,12 @@
 //! cargo run -p mep-bench --release --bin multilevel_scaling [--fast]
 //! ```
 //!
-//! Writes `results/multilevel_reports.jsonl` (one JSON line per variant:
-//! `cold`, `warm2`, `eco`; the `warm2` report carries `ml.cmp.*`
-//! comparison metrics, the `eco` report `eco.cmp.*`).
+//! A full-size run whose checks pass writes `results/multilevel_reports.jsonl`
+//! (one JSON line per variant: `cold`, `warm2`, `eco`; the `warm2` report
+//! carries `ml.cmp.*` comparison metrics, the `eco` report `eco.cmp.*`).
+//! `--fast` runs a 10k-cell design and writes no file.
 
-use mep_bench::{write_jsonl, BenchmarkRow, FlowOptions};
+use mep_bench::{Args, Artifacts, BenchmarkRow, FAST_SHRINK};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::{synth, Rect};
 use mep_obs::Registry;
@@ -24,19 +25,19 @@ use mep_wirelength::ModelKind;
 use std::time::Instant;
 
 /// Largest 2-level / flat DPWL ratio the harness accepts at the size its
-/// module doc names (≥ 100k cells; measured +0.42 %).
+/// module doc names (≥ 100k cells; measured +0.945 %, deterministic; the
+/// price of `WARM_LAMBDA_SCALE`, DESIGN.md §12).
 const MAX_DPWL_RATIO: f64 = 1.01;
 /// The same bar for the shrunk `--fast` design: at 10k cells a second level
-/// costs +1.04 % (+0.90 % with the LB/UB alternation this flow used to run
-/// at the coarse level, both deterministic), which is what the size
-/// supports, not a regression to tune away.
+/// costs +1.290 % (deterministic), which is what the size supports, not a
+/// regression to tune away.
 const MAX_DPWL_RATIO_SHRUNK: f64 = 1.015;
 
-fn main() {
-    let opts = FlowOptions::from_args();
-    // --fast / --shrink scale the 100k-cell headline design down for
-    // smoke-level turnaround (the CI job runs --fast).
-    let movable = (100_000 / opts.shrink.max(1)).max(4_000);
+fn main() -> Result<(), String> {
+    let fast = Args::read("multilevel_scaling", &["--fast"]).switch("--fast");
+    // --fast scales the 100k-cell headline design down for smoke-level
+    // turnaround (the CI job runs --fast)
+    let movable = if fast { 100_000 / FAST_SHRINK } else { 100_000 };
     let spec = synth::scaled_clustered_spec(movable, 7);
     eprintln!(
         "[ml-scale] generating `{}` ({} movable cells, seed {}) …",
@@ -203,19 +204,6 @@ fn main() {
             report: eco_report,
         },
     ];
-    match write_jsonl(
-        "results/multilevel_reports.jsonl",
-        rows.iter().map(BenchmarkRow::to_json),
-    ) {
-        Ok(()) => println!(
-            "wrote results/multilevel_reports.jsonl ({} rows)",
-            rows.len()
-        ),
-        Err(e) => {
-            eprintln!("could not write results/multilevel_reports.jsonl: {e}");
-            std::process::exit(1);
-        }
-    }
     println!(
         "cold  DPWL {:.4e}  iters {:<5}  RT {:.1}s",
         cold.dpwl, cold.iterations, cold_rt
@@ -241,17 +229,20 @@ fn main() {
         warm.result.iterations,
         cold.iterations
     );
-    let max_ratio = if opts.shrink > 1 {
+    let max_ratio = if fast {
         MAX_DPWL_RATIO_SHRUNK
     } else {
         MAX_DPWL_RATIO
     };
     if dpwl_ratio > max_ratio {
-        eprintln!(
-            "error: 2-level DPWL {:.3}% worse than the flat flow (budget: {:.1}%)",
+        return Err(format!(
+            "2-level DPWL {:.3}% worse than the flat flow (budget: {:.1}%)",
             100.0 * (dpwl_ratio - 1.0),
             100.0 * (max_ratio - 1.0)
-        );
-        std::process::exit(1);
+        ));
     }
+    let mut out = Artifacts::default();
+    let reports = rows.iter().map(BenchmarkRow::to_json);
+    out.jsonl("results/multilevel_reports.jsonl", reports);
+    out.commit(fast, true)
 }

@@ -7,18 +7,19 @@
 //! cargo run -p mep-bench --release --bin paper_claims
 //! ```
 //!
-//! Each section builds its table, writing its CSV (and SVG) under
+//! Each section builds its table, holding its CSV (and SVG) for
 //! `results/`, prints it and runs its check, a pure function of that
-//! table. The printed report also goes to `results/paper_claims.txt`.
-//! Every artifact is deterministic. The process exits 1 if any check
-//! fails. The flow sections run the full-size circuits through
+//! table. The binary takes no argument. When every check passes it writes
+//! the held files and the printed report, `results/paper_claims.txt`;
+//! otherwise it writes nothing and exits 1. Every artifact is
+//! deterministic. The flow sections run the full-size circuits through
 //! `run_claim` (Fig. 3's GP-only runs check `converged` alone) at the
 //! default iteration cap, as Tables II/III do, so a run that is illegal
 //! or does not converge stops the binary; the Table II section runs its
 //! `--fast` size (every circuit shrunk 10×).
 
 use mep_bench::svg::LinePlot;
-use mep_bench::{converged, run_claim, FlowOptions, Table};
+use mep_bench::{converged, run_claim, run_suite, Args, Artifacts, Table};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::{net_hpwl, synth};
 use mep_obs::RingSink;
@@ -40,9 +41,13 @@ type Res<T> = Result<T, Box<dyn Error>>;
 /// the expected and the measured value.
 type Verdict = Result<String, String>;
 
-/// One claim: its title, the run that builds its table (and writes the
+/// One claim: its title, the run that builds its table (and holds the
 /// table's artifacts), and the check on that table.
-type Section = (&'static str, fn() -> Res<Table>, fn(&Table) -> Verdict);
+type Section = (
+    &'static str,
+    fn(&mut Artifacts) -> Res<Table>,
+    fn(&Table) -> Verdict,
+);
 
 #[rustfmt::skip]
 const SECTIONS: [Section; 10] = [
@@ -59,9 +64,10 @@ const SECTIONS: [Section; 10] = [
 ];
 
 fn main() -> Res<ExitCode> {
-    let (mut report, mut passed) = (String::new(), 0);
+    Args::read("paper_claims", &[]);
+    let (mut report, mut passed, mut out) = (String::new(), 0, Artifacts::default());
     for (title, build, check) in SECTIONS {
-        let table = build()?;
+        let table = build(&mut out)?;
         let verdict = check(&table);
         passed += usize::from(verdict.is_ok());
         let (mark, detail) = verdict.map_or_else(|d| ("FAIL", d), |d| ("PASS", d));
@@ -71,7 +77,8 @@ fn main() -> Res<ExitCode> {
     }
     let tally = format!("{passed} of {} checks pass\n", SECTIONS.len());
     print!("{tally}");
-    std::fs::write("results/paper_claims.txt", report + &tally)?;
+    out.add("results/paper_claims.txt", report + &tally);
+    out.commit(false, passed == SECTIONS.len())?;
     Ok(if passed == SECTIONS.len() {
         ExitCode::SUCCESS
     } else {
@@ -107,7 +114,7 @@ fn circuit(name: &str) -> Res<BookshelfCircuit> {
     Ok(synth::generate(&spec))
 }
 
-fn table1() -> Res<Table> {
+fn table1(out: &mut Artifacts) -> Res<Table> {
     let mut table = Table::new("Suite,Benchmark,#Movable,#Fixed,#Nets,#Pins".split(','));
     for (suite, specs) in [
         ("ISPD2006/100", synth::ispd2006_suite()),
@@ -121,7 +128,7 @@ fn table1() -> Res<Table> {
             table.push(names.into_iter().chain(counts.map(|n| n.to_string())));
         }
     }
-    table.write_csv("results/table1_stats.csv")?;
+    out.add("results/table1_stats.csv", table.to_csv());
     Ok(table)
 }
 
@@ -165,7 +172,7 @@ fn midpoint_violations(curve: &[f64]) -> usize {
     curve.windows(3).filter(|w| concave(w)).count()
 }
 
-fn fig1a() -> Res<Table> {
+fn fig1a(out: &mut Artifacts) -> Res<Table> {
     let kinds = [("WA", ModelKind::Wa), ("Moreau", ModelKind::Moreau)];
     let mut header = vec!["x".to_string()];
     header.extend(GAMMAS.map(|g| format!("WA_g{g}")));
@@ -186,7 +193,7 @@ fn fig1a() -> Res<Table> {
         }
         samples.push(cells);
     }
-    samples.write_csv("results/fig1a_wa_nonconvexity.csv")?;
+    out.add("results/fig1a_wa_nonconvexity.csv", samples.to_csv());
 
     let mut plot = LinePlot::new(
         "Fig. 1(a): WA vs Moreau on the 3-pin net (0, x, 100)",
@@ -199,7 +206,7 @@ fn fig1a() -> Res<Table> {
     }
     let moreau_t10 = series(&curves[GAMMAS.len() + 1]);
     plot.add_series(format!("Moreau t={}", GAMMAS[1]), moreau_t10);
-    plot.write("results/fig1a_wa_nonconvexity.svg")?;
+    out.add("results/fig1a_wa_nonconvexity.svg", plot.to_svg());
 
     let mut table = Table::new(["model", "parameter", "violations"]);
     let labels = kinds.iter().flat_map(|(name, _)| GAMMAS.map(|g| (name, g)));
@@ -230,7 +237,7 @@ fn check_fig1a(t: &Table) -> Verdict {
     ))
 }
 
-fn fig1b() -> Res<Table> {
+fn fig1b(out: &mut Artifacts) -> Res<Table> {
     const TRIALS: usize = 3000;
     const SPAN: f64 = 200.0;
     const POINTS: usize = 25;
@@ -252,7 +259,7 @@ fn fig1b() -> Res<Table> {
         }
         table.push(cells);
     }
-    table.write_csv("results/fig1b_approx_error.csv")?;
+    out.add("results/fig1b_approx_error.csv", table.to_csv());
 
     let mut plot = LinePlot::new(
         "Fig. 1(b): mean |error| vs smoothing parameter (4-pin nets, Δx=200)",
@@ -266,7 +273,7 @@ fn fig1b() -> Res<Table> {
         let points: Result<Vec<_>, String> = table.rows().iter().map(point).collect();
         plot.add_series(label, points?);
     }
-    plot.write("results/fig1b_approx_error.svg")?;
+    out.add("results/fig1b_approx_error.svg", plot.to_svg());
     Ok(table)
 }
 
@@ -292,7 +299,7 @@ fn check_fig1b(t: &Table) -> Verdict {
 /// The paper's 4-bar reservoir of Fig. 2, sorted.
 const RESERVOIR: [f64; 4] = [1.0, 2.0, 4.0, 7.0];
 
-fn fig2() -> Res<Table> {
+fn fig2(out: &mut Artifacts) -> Res<Table> {
     let x = RESERVOIR;
     let mut table = Table::new("t,tau1,k,residual1,tau2,residual2,collapsed".split(','));
     for i in 0..=40 {
@@ -308,7 +315,7 @@ fn fig2() -> Res<Table> {
             (tau1 > tau2).to_string(),
         ]);
     }
-    table.write_csv("results/fig2_waterfill.csv")?;
+    out.add("results/fig2_waterfill.csv", table.to_csv());
     Ok(table)
 }
 
@@ -357,7 +364,7 @@ fn check_fig2(t: &Table) -> Verdict {
     }
 }
 
-fn stability() -> Res<Table> {
+fn stability(out: &mut Artifacts) -> Res<Table> {
     let gamma = 1.0;
     let mut table = Table::new("span,LSE_naive,WA_naive,LSE_stable,WA_stable,Moreau".split(','));
     let kinds = [ModelKind::Lse, ModelKind::Wa, ModelKind::Moreau];
@@ -380,7 +387,7 @@ fn stability() -> Res<Table> {
         }
         table.push(cells);
     }
-    table.write_csv("results/ablation_stability.csv")?;
+    out.add("results/ablation_stability.csv", table.to_csv());
     Ok(table)
 }
 
@@ -421,7 +428,7 @@ fn trajectory(table: &Table, bench: &str, model: &str) -> Vec<(f64, f64)> {
         .collect()
 }
 
-fn fig3() -> Res<Table> {
+fn fig3(out: &mut Artifacts) -> Res<Table> {
     let mut long = Table::new("bench,model,iter,overflow,hpwl".split(','));
     for bench in FIG3_BENCHES {
         let c = circuit(bench)?;
@@ -441,7 +448,7 @@ fn fig3() -> Res<Table> {
             }
         }
     }
-    long.write_csv("results/fig3_trajectories.csv")?;
+    out.add("results/fig3_trajectories.csv", long.to_csv());
 
     let mut table = Table::new("bench,overflow,WA HPWL,Ours HPWL,Ours/WA".split(','));
     for bench in FIG3_BENCHES {
@@ -456,7 +463,7 @@ fn fig3() -> Res<Table> {
         for (model, curve) in [("WA", &wa), ("Ours", &ours)] {
             plot.add_series(model, curve.iter().map(|&(phi, h)| (-phi, h)));
         }
-        plot.write(format!("results/fig3_{bench}.svg"))?;
+        out.add(format!("results/fig3_{bench}.svg"), plot.to_svg());
 
         // the last point at or above each overflow level (overflow falls),
         // and at −∞ the GP end
@@ -487,7 +494,7 @@ fn check_fig3(t: &Table) -> Verdict {
 
 const PAPER_T0: &str = "tangent_t0=4 (paper)";
 
-fn tschedule() -> Res<Table> {
+fn tschedule(out: &mut Artifacts) -> Res<Table> {
     let variants = [
         (PAPER_T0, MoreauSchedule::Tangent, 4.0),
         ("tangent_t0=1", MoreauSchedule::Tangent, 1.0),
@@ -512,7 +519,7 @@ fn tschedule() -> Res<Table> {
             table.push(row.split(','));
         }
     }
-    table.write_csv("results/ablation_tschedule.csv")?;
+    out.add("results/ablation_tschedule.csv", table.to_csv());
     Ok(table)
 }
 
@@ -544,7 +551,7 @@ const CLASSES: [(usize, usize, &str); 5] = [
     (16, usize::MAX, "16+ pin"),
 ];
 
-fn net_breakdown() -> Res<Table> {
+fn net_breakdown(out: &mut Artifacts) -> Res<Table> {
     let c = circuit("newblue1")?;
     let nl = &c.design.netlist;
     let class_of = |degree| CLASSES.iter().position(|c| (c.0..=c.1).contains(&degree));
@@ -572,7 +579,7 @@ fn net_breakdown() -> Res<Table> {
         let ratio = if w > 0.0 { o / w } else { 1.0 };
         table.push(format!("{label},{nets},{w:.6e},{o:.6e},{ratio:.4}").split(','));
     }
-    table.write_csv("results/analysis_net_breakdown.csv")?;
+    out.add("results/analysis_net_breakdown.csv", table.to_csv());
     Ok(table)
 }
 
@@ -588,7 +595,7 @@ const OURS_AT_WA_LAMBDA0: &str = "Ours at WA's λ0";
 /// Each bench three times: WA and Ours each on its own λ₀, then Ours with
 /// `lambda_scale` set so that its ramp starts at WA's λ₀ (and, as both
 /// ramps grow by the same Eq. (15) factors, climbs at WA's rate).
-fn matched_ramp() -> Res<Table> {
+fn matched_ramp(_: &mut Artifacts) -> Res<Table> {
     let mut table = Table::new("bench,run,lambda0,DPWL,iters".split(','));
     for bench in MATCHED_BENCHES {
         let c = circuit(bench)?;
@@ -633,23 +640,13 @@ fn check_matched_ramp(t: &Table) -> Verdict {
     Ok(format!("Ours/WA DPWL at WA's λ0: {}", ratios.join(", ")))
 }
 
-fn table2_fast() -> Res<Table> {
-    let opts = FlowOptions { shrink: 10 };
-    let models = ModelKind::contestants();
-    let header = models.map(|m| format!("{} DPWL", m.label()));
+fn table2_fast(_: &mut Artifacts) -> Res<Table> {
+    let header = ModelKind::contestants().map(|m| format!("{} DPWL", m.label()));
     let mut table = Table::new(["Benchmark".to_string()].into_iter().chain(header));
-    for spec in synth::ispd2006_suite() {
-        let c = synth::generate(&opts.shrink_spec(&spec));
-        let mut cells = vec![spec.name.clone()];
-        for model in models {
-            eprintln!("[table2 --fast] {} × {} …", spec.name, model.label());
-            let global = GlobalConfig {
-                model,
-                ..GlobalConfig::default()
-            };
-            cells.push(format!("{:.6e}", run_claim(&c, global)?.dpwl));
-        }
-        table.push(cells);
+    let suite = synth::ispd2006_suite();
+    for (spec, per_model) in suite.iter().zip(run_suite(&suite, true, "table2 --fast")?) {
+        let dpwl = per_model.iter().map(|r| format!("{:.6e}", r.dpwl));
+        table.push([spec.name.clone()].into_iter().chain(dpwl));
     }
     Ok(table)
 }

@@ -16,10 +16,10 @@
 //! * no cross-job state leakage: a clean job replayed after the storm is
 //!   **bit-identical** to the same job run on the cold server.
 //!
-//! Writes `results/serve_soak_reports.jsonl` (one JSON line per phase).
-//! `--fast` runs a reduced storm for CI and writes no file: the committed
-//! `results/serve_soak_reports.jsonl` is the full storm's. Exits non-zero
-//! on any failure.
+//! A full storm with no failure writes `results/serve_soak_reports.jsonl`
+//! (one JSON line per phase). `--fast` runs a reduced storm for CI and
+//! writes no file: the committed report is the full storm's. Exits
+//! non-zero on any failure.
 
 use mep_obs::json::JsonObject;
 use mep_placer::Termination;
@@ -27,7 +27,7 @@ use mep_serve::{
     install_quiet_panic_hook, job_grammar, serve_connection, ChaosMode, CircuitSource, CollectSink,
     Event, JobRequest, Server, ServerConfig, SubmitError,
 };
-use std::io::{Cursor, Write as _};
+use std::io::Cursor;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -160,7 +160,7 @@ fn malformed_frame_session(server: &Server) -> Result<(usize, usize), String> {
 
 fn main() -> ExitCode {
     install_quiet_panic_hook();
-    let fast = std::env::args().any(|a| a == "--fast");
+    let fast = mep_bench::Args::read("serve_soak", &["--fast"]).switch("--fast");
     let client_threads = 8usize;
     let jobs_per_thread = if fast { 8 } else { 30 };
     let mut failures: Vec<String> = Vec::new();
@@ -429,43 +429,33 @@ fn main() -> ExitCode {
     let drained = server.shutdown_and_drain();
 
     // ---- report ---------------------------------------------------------
-    let report_path = "results/serve_soak_reports.jsonl";
-    let write_report = || -> std::io::Result<()> {
-        std::fs::create_dir_all("results")?;
-        let mut out = std::io::BufWriter::new(std::fs::File::create(report_path)?);
-        let mut line = JsonObject::new();
-        line.field_str("phase", "cold")
-            .field_str("placement_hash", &format!("{:016x}", cold.0));
-        writeln!(out, "{}", line.finish())?;
-        let mut line = JsonObject::new();
-        line.field_str("phase", "storm")
-            .field_bool("fast", fast)
-            .field_u64("client_threads", client_threads as u64)
-            .field_u64("jobs", jobs.len() as u64)
-            .field_u64("done", done)
-            .field_u64("failed", failed)
-            .field_u64("backpressure_retries", retries)
-            .field_f64("storm_secs", storm_secs)
-            .field_raw("report", &server.metrics_json());
-        writeln!(out, "{}", line.finish())?;
-        let mut line = JsonObject::new();
-        line.field_str("phase", "replay")
-            .field_str("placement_hash", &format!("{:016x}", replay.0))
-            .field_bool("bit_identical", replay == cold)
-            .field_u64("drained_at_shutdown", drained)
-            .field_u64("failures", failures.len() as u64);
-        writeln!(out, "{}", line.finish())?;
-        out.flush()
-    };
-    // the committed report is the full storm's: a reduced one never
-    // overwrites it
-    if fast {
-        println!("(--fast: reduced storm, no file written)");
-    } else {
-        match write_report() {
-            Ok(()) => println!("wrote {report_path}"),
-            Err(e) => failures.push(format!("could not write {report_path}: {e}")),
-        }
+    let mut cold_line = JsonObject::new();
+    cold_line
+        .field_str("phase", "cold")
+        .field_str("placement_hash", &format!("{:016x}", cold.0));
+    let mut storm_line = JsonObject::new();
+    storm_line
+        .field_str("phase", "storm")
+        .field_bool("fast", fast)
+        .field_u64("client_threads", client_threads as u64)
+        .field_u64("jobs", jobs.len() as u64)
+        .field_u64("done", done)
+        .field_u64("failed", failed)
+        .field_u64("backpressure_retries", retries)
+        .field_f64("storm_secs", storm_secs)
+        .field_raw("report", &server.metrics_json());
+    let mut replay_line = JsonObject::new();
+    replay_line
+        .field_str("phase", "replay")
+        .field_str("placement_hash", &format!("{:016x}", replay.0))
+        .field_bool("bit_identical", replay == cold)
+        .field_u64("drained_at_shutdown", drained)
+        .field_u64("failures", failures.len() as u64);
+    let mut out = mep_bench::Artifacts::default();
+    let lines = [cold_line, storm_line, replay_line].map(JsonObject::finish);
+    out.jsonl("results/serve_soak_reports.jsonl", lines);
+    if let Err(e) = out.commit(fast, failures.is_empty()) {
+        failures.push(e);
     }
 
     println!(

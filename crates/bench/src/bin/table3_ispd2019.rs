@@ -5,14 +5,17 @@
 //! cargo run -p mep-bench --release --bin table3_ispd2019 [--fast]
 //! ```
 //!
-//! Writes `results/table3_ispd2019.csv`.
+//! A full run writes `results/table3_ispd2019.csv`; `--fast` shrinks every
+//! circuit 10× and writes no file.
 
 use mep_netlist::synth;
 
 fn main() -> Result<(), String> {
+    let args = mep_bench::Args::read("table3_ispd2019", &["--fast"]);
     mep_bench::run_paper_table(
         &synth::ispd2019_suite(),
         "Table III — ISPD2019 HPWL and runtime comparison",
         "table3_ispd2019",
+        args.switch("--fast"),
     )
 }

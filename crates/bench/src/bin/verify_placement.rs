@@ -7,7 +7,8 @@
 //! cargo run -p mep-bench --release --bin verify_placement -- <circuit.aux> [target_density]
 //! ```
 //!
-//! Exit code 0 iff the placement is legal.
+//! Exit code 0 iff the placement is legal (`check_legal`, the site lattice
+//! included), 2 on a command line it does not take.
 
 use mep_netlist::bookshelf;
 use mep_netlist::placement::{total_hpwl, total_weighted_hpwl};
@@ -15,12 +16,9 @@ use mep_placer::legalize::check_legal;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let Some(aux) = args.next() else {
-        eprintln!("usage: verify_placement <circuit.aux> [target_density]");
-        return ExitCode::from(2);
-    };
-    let density: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    let args = mep_bench::Args::read("verify_placement", &["<circuit.aux>", "[target_density]"]);
+    let aux: String = args.positional(0).unwrap_or_default();
+    let density = args.positional(1).unwrap_or(1.0);
     let circuit = match bookshelf::read_aux(&aux, density) {
         Ok(c) => c,
         Err(e) => {

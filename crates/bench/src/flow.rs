@@ -1,6 +1,7 @@
-//! The one claims run and the table body shared by the Table II /
-//! Table III binaries.
+//! The one claims run, the one circuit × contestant loop over a suite, and
+//! the table body shared by the Table II / Table III binaries.
 
+use crate::harness::Artifacts;
 use crate::table::{avg_ratio, Table};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::synth::SynthSpec;
@@ -9,57 +10,20 @@ use mep_obs::RunReport;
 use mep_placer::pipeline::{run, PipelineConfig, PipelineResult};
 use mep_placer::{GlobalConfig, Termination};
 use mep_wirelength::ModelKind;
-use std::io::Write as _;
-use std::path::Path;
 
-/// Options controlling a table run.
-#[derive(Debug, Clone)]
-pub struct FlowOptions {
-    /// Shrink every benchmark by this factor (1 = full scale). The
-    /// `--fast` CLI flag of the table binaries sets 10 for smoke-level
-    /// turnaround.
-    pub shrink: usize,
-}
+/// How many times smaller `--fast` makes every circuit of a suite.
+pub const FAST_SHRINK: usize = 10;
 
-impl Default for FlowOptions {
-    fn default() -> Self {
-        Self { shrink: 1 }
-    }
-}
-
-impl FlowOptions {
-    /// Parses `--fast` / `--shrink N` from CLI args.
-    pub fn from_args() -> Self {
-        let mut opts = Self::default();
-        let args: Vec<String> = std::env::args().collect();
-        for (i, a) in args.iter().enumerate() {
-            match a.as_str() {
-                "--fast" => opts.shrink = 10,
-                "--shrink" => {
-                    if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.shrink = v;
-                    }
-                }
-                _ => {}
-            }
-        }
-        opts
-    }
-
-    /// Applies the shrink factor to a spec.
-    pub fn shrink_spec(&self, spec: &SynthSpec) -> SynthSpec {
-        if self.shrink <= 1 {
-            return spec.clone();
-        }
-        let s = self.shrink;
-        SynthSpec {
-            movable: (spec.movable / s).max(64),
-            fixed: (spec.fixed / s).max(if spec.fixed == 0 { 0 } else { 2 }),
-            nets: (spec.nets / s).max(64),
-            pins: (spec.pins / s).max(256),
-            movable_macros: (spec.movable_macros / s).min(spec.movable_macros),
-            ..spec.clone()
-        }
+/// `spec` shrunk [`FAST_SHRINK`]×: the circuit of a `--fast` run.
+fn shrink_spec(spec: &SynthSpec) -> SynthSpec {
+    let s = FAST_SHRINK;
+    SynthSpec {
+        movable: (spec.movable / s).max(64),
+        fixed: (spec.fixed / s).max(if spec.fixed == 0 { 0 } else { 2 }),
+        nets: (spec.nets / s).max(64),
+        pins: (spec.pins / s).max(256),
+        movable_macros: (spec.movable_macros / s).min(spec.movable_macros),
+        ..spec.clone()
     }
 }
 
@@ -107,28 +71,6 @@ impl BenchmarkRow {
             .field_raw("report", &self.report.to_json());
         o.finish()
     }
-}
-
-/// Writes each of `lines` as one line of `path` (creating parent
-/// directories), so experiment binaries leave a machine-readable record
-/// next to their tables.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if `path` cannot be written.
-pub fn write_jsonl(
-    path: impl AsRef<Path>,
-    lines: impl IntoIterator<Item = String>,
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    for line in lines {
-        writeln!(out, "{line}")?;
-    }
-    out.flush()
 }
 
 /// The run behind every claim: the full GP → LG → DP pipeline of
@@ -180,27 +122,30 @@ pub fn converged(
     ))
 }
 
-/// One of the paper's Tables II/III over `suite`: LGWL / DPWL / RT of the
-/// four contestants per circuit, then the Avg. Ratio row against Ours
-/// (the paper's convention: Ours = 1.000). Prints `title` above the
-/// table and writes `results/{stem}.csv` and
-/// `results/{stem}_reports.jsonl`. The circuit size comes from the
-/// command line (`--fast`, `--shrink N`; [`FlowOptions::from_args`]).
+/// Every contestant on every circuit of `suite` through [`run_claim`],
+/// each circuit shrunk [`FAST_SHRINK`]× when `fast`: per circuit, one
+/// row per contestant in [`ModelKind::contestants`] order. `tag` prefixes
+/// the progress lines.
 ///
 /// # Errors
 ///
-/// Names the first circuit × model [`run_claim`] refuses, or the artifact
-/// that could not be written.
-pub fn run_paper_table(suite: &[SynthSpec], title: &str, stem: &str) -> Result<(), String> {
-    let opts = FlowOptions::from_args();
-    let models = ModelKind::contestants();
-    let mut rows: Vec<Vec<BenchmarkRow>> = Vec::new();
+/// Names the first circuit × model [`run_claim`] refuses.
+pub fn run_suite(
+    suite: &[SynthSpec],
+    fast: bool,
+    tag: &str,
+) -> Result<Vec<Vec<BenchmarkRow>>, String> {
+    let mut rows = Vec::new();
     for spec in suite {
-        let spec = opts.shrink_spec(spec);
+        let spec = if fast {
+            shrink_spec(spec)
+        } else {
+            spec.clone()
+        };
         let circuit = mep_netlist::synth::generate(&spec);
         let mut per_model = Vec::new();
-        for model in models {
-            eprintln!("[{stem}] {} × {} …", spec.name, model.label());
+        for model in ModelKind::contestants() {
+            eprintln!("[{tag}] {} × {} …", spec.name, model.label());
             let global = GlobalConfig {
                 model,
                 ..GlobalConfig::default()
@@ -210,6 +155,28 @@ pub fn run_paper_table(suite: &[SynthSpec], title: &str, stem: &str) -> Result<(
         }
         rows.push(per_model);
     }
+    Ok(rows)
+}
+
+/// One of the paper's Tables II/III over `suite` ([`run_suite`]): LGWL /
+/// DPWL / RT of the four contestants per circuit, then the Avg. Ratio row
+/// against Ours (the paper's convention: Ours = 1.000). Prints `title`
+/// above the table. A full-size run (not `fast`) writes
+/// `results/{stem}.csv` and `results/{stem}_reports.jsonl`; a `fast` one
+/// writes nothing ([`Artifacts::commit`]).
+///
+/// # Errors
+///
+/// Names the first circuit × model [`run_claim`] refuses, or the artifact
+/// that could not be written.
+pub fn run_paper_table(
+    suite: &[SynthSpec],
+    title: &str,
+    stem: &str,
+    fast: bool,
+) -> Result<(), String> {
+    let models = ModelKind::contestants();
+    let rows = run_suite(suite, fast, stem)?;
 
     let mut header = vec!["Benchmark".to_string()];
     for m in models {
@@ -244,16 +211,11 @@ pub fn run_paper_table(suite: &[SynthSpec], title: &str, stem: &str) -> Result<(
 
     println!("{title}\n");
     print!("{}", table.to_text());
-    let csv = format!("results/{stem}.csv");
-    table
-        .write_csv(&csv)
-        .map_err(|e| format!("could not write {csv}: {e}"))?;
-    println!("\nwrote {csv}");
-    let reports = format!("results/{stem}_reports.jsonl");
-    write_jsonl(&reports, rows.iter().flatten().map(BenchmarkRow::to_json))
-        .map_err(|e| format!("could not write {reports}: {e}"))?;
-    println!("wrote {reports}");
-    Ok(())
+    let mut out = Artifacts::default();
+    out.add(format!("results/{stem}.csv"), table.to_csv());
+    let reports = rows.iter().flatten().map(BenchmarkRow::to_json);
+    out.jsonl(format!("results/{stem}_reports.jsonl"), reports);
+    out.commit(fast, true)
 }
 
 #[cfg(test)]
@@ -264,7 +226,7 @@ mod tests {
     #[test]
     fn shrink_reduces_counts() {
         let spec = synth::spec_by_name("newblue7").unwrap();
-        let small = FlowOptions { shrink: 10 }.shrink_spec(&spec);
+        let small = shrink_spec(&spec);
         assert_eq!(small.movable, spec.movable / 10);
         assert_eq!(small.name, spec.name);
     }
@@ -279,13 +241,9 @@ mod tests {
         assert!(row.rt > 0.0);
         // the run's telemetry rides along and serializes
         assert_eq!(row.report.gauge("dp.hpwl"), Some(row.dpwl));
-
-        let path = std::env::temp_dir().join(format!("mep_reports_{}.jsonl", std::process::id()));
-        write_jsonl(&path, [row.to_json()]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 1);
-        assert!(text.starts_with("{\"bench\":\"smoke\",\"model\":\"Ours\",\"report\":{"));
-        std::fs::remove_file(&path).ok();
+        let json = row.to_json();
+        assert_eq!(json.lines().count(), 1);
+        assert!(json.starts_with("{\"bench\":\"smoke\",\"model\":\"Ours\",\"report\":{"));
     }
 
     #[test]

@@ -213,19 +213,6 @@ impl LinePlot {
         out.push_str("</svg>\n");
         out
     }
-
-    /// Writes the SVG to a file, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Returns any filesystem error.
-    pub fn write(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_svg())
-    }
 }
 
 fn xml_escape(s: &str) -> String {

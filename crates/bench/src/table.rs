@@ -1,7 +1,6 @@
-//! Minimal aligned-table + CSV writer for experiment outputs.
+//! Minimal aligned-table + CSV text for experiment outputs.
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A simple column-aligned text table that can also serialize to CSV.
 #[derive(Debug, Clone, Default)]
@@ -81,19 +80,6 @@ impl Table {
             let _ = writeln!(out, "{}", row.join(","));
         }
         out
-    }
-
-    /// Writes the CSV form to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Returns any filesystem error.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_csv())
     }
 }
 

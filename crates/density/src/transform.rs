@@ -26,7 +26,6 @@
 //! bit-identical to `apply::<1>` on every row, then on every column.
 
 use crate::fft::{FftPlan, LANES};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Scratch buffers for the FFT-based transforms (reused across calls): one
@@ -358,44 +357,6 @@ impl DctPlan {
     }
 }
 
-/// Process-wide [`DctPlan`] cache, keyed by transform length.
-///
-/// Plan construction is pure table precomputation — two plans for the
-/// same length are element-for-element identical — so every
-/// [`Spectral2d`] in the process shares one immutable plan per length
-/// through an `Arc`. A long-lived multi-job driver (the `mep-serve`
-/// daemon) pays the `O(N log N)` table build once per grid size ever
-/// seen, not once per job, and concurrent jobs on same-sized grids share
-/// the tables' cache footprint. Plans are read-only after construction,
-/// so sharing cannot leak state between jobs.
-fn plan_cache() -> &'static Mutex<std::collections::BTreeMap<usize, Arc<DctPlan>>> {
-    static CACHE: std::sync::OnceLock<Mutex<std::collections::BTreeMap<usize, Arc<DctPlan>>>> =
-        std::sync::OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(std::collections::BTreeMap::new()))
-}
-
-/// Returns the process-wide shared plan for length `n`, building and
-/// caching it on first use.
-///
-/// # Panics
-///
-/// Panics if `n` is not a power of two (same contract as
-/// [`DctPlan::new`]); the failed build is not cached.
-pub fn shared_dct_plan(n: usize) -> Arc<DctPlan> {
-    let mut cache = match plan_cache().lock() {
-        Ok(g) => g,
-        // a panic inside DctPlan::new (non-power-of-two) poisons the
-        // lock but never left a partial entry behind; keep serving
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if let Some(plan) = cache.get(&n) {
-        return Arc::clone(plan);
-    }
-    let plan = Arc::new(DctPlan::new(n));
-    cache.insert(n, Arc::clone(&plan));
-    plan
-}
-
 /// Call count and cumulative wall time of the 2-D transforms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransformStats {
@@ -414,7 +375,7 @@ impl TransformStats {
 
 /// Separable 2-D transform engine for one fixed `rows × cols` grid.
 ///
-/// Caches a [`DctPlan`] per axis and one FFT scratch, so the placement hot
+/// Owns a [`DctPlan`] per axis and one FFT scratch, so the placement hot
 /// loop performs no allocation and no trigonometry. Both passes take
 /// [`LANES`] adjacent lines per tile, and the column pass walks the grid in
 /// place with strided tiles — eight adjacent columns per tile, so every row
@@ -429,10 +390,8 @@ impl TransformStats {
 pub struct Spectral2d {
     rows: usize,
     cols: usize,
-    /// Shared per-length plans from the process-wide [`shared_dct_plan`]
-    /// cache (immutable tables; cloning the engine clones the `Arc`).
-    row_plan: Arc<DctPlan>,
-    col_plan: Arc<DctPlan>,
+    row_plan: DctPlan,
+    col_plan: DctPlan,
     scratch: TransformScratch,
     stats: TransformStats,
 }
@@ -447,8 +406,8 @@ impl Spectral2d {
         Self {
             rows,
             cols,
-            row_plan: shared_dct_plan(cols),
-            col_plan: shared_dct_plan(rows),
+            row_plan: DctPlan::new(cols),
+            col_plan: DctPlan::new(rows),
             scratch: TransformScratch::new(),
             stats: TransformStats::default(),
         }
@@ -621,22 +580,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn shared_plan_cache_returns_one_instance_per_length() {
-        let a = shared_dct_plan(32);
-        let b = shared_dct_plan(32);
-        assert!(Arc::ptr_eq(&a, &b), "same length shares one plan");
-        assert_eq!(a.len(), 32);
-        let c = shared_dct_plan(64);
-        assert!(!Arc::ptr_eq(&a, &c));
-        // two same-shape engines share both axis plans
-        let e1 = Spectral2d::new(16, 32);
-        let e2 = Spectral2d::new(16, 32);
-        assert!(Arc::ptr_eq(&e1.row_plan, &e2.row_plan));
-        assert!(Arc::ptr_eq(&e1.col_plan, &e2.col_plan));
-        assert!(Arc::ptr_eq(&e1.row_plan, &a), "row plan has length cols");
     }
 
     #[test]

@@ -97,18 +97,6 @@ impl<'a> RowIndex<'a> {
         self.rows.len()
     }
 
-    /// The row whose bottom lies nearest `y` (the upper of two at equal
-    /// distance).
-    pub(crate) fn nearest(&self, y: f64) -> Option<usize> {
-        let i = self.by_y.partition_point(|&r| self.rows[r].y < y);
-        let above = self.by_y.get(i).copied();
-        let below = i.checked_sub(1).and_then(|k| self.by_y.get(k)).copied();
-        match (below, above) {
-            (Some(b), Some(a)) if y - self.rows[b].y < self.rows[a].y - y => Some(b),
-            (b, a) => a.or(b),
-        }
-    }
-
     /// The rows in order of `|y − ty|`, rows at one distance in row-index
     /// order: the order a stable sort of all rows by that key gives, walked
     /// outward from `ty` through the `y` order instead of sorted per call.
@@ -273,6 +261,14 @@ impl Segment {
     }
 }
 
+/// `x` moved onto `row`'s site lattice `row.xl + k·site_width`, `k` taken
+/// from `x`'s offset in sites by `to_site` (`f64::round`, `ceil` or
+/// `floor`). On a row with an integer origin and unit sites this is
+/// `to_site(x)` to the bit for every `x` at or right of the origin.
+fn snap(row: &Row, x: f64, to_site: fn(f64) -> f64) -> f64 {
+    row.xl + to_site((x - row.xl) / row.site_width) * row.site_width
+}
+
 /// Legalizes `gp` for `design`. Returns the legal placement and a report.
 ///
 /// # Errors
@@ -363,7 +359,7 @@ pub(crate) fn legalize_with_cuts(
                 }
             }
             for &cx in &candidates {
-                let cx = cx.round(); // site-align (site width 1)
+                let cx = snap(row, cx, f64::round);
                 if cx < bound.xl - 1e-9 || cx + w > bound.xh + 1e-9 {
                     continue;
                 }
@@ -393,7 +389,7 @@ pub(crate) fn legalize_with_cuts(
     let has_area = |o: &Rect| o.area() > 0.0;
     let solid = row_cuts(&index, obstacles.iter().copied().filter(has_area));
     let slivers = row_cuts(&index, obstacles.iter().copied().filter(|o| !has_area(o)));
-    let mut rows: Vec<(f64, Vec<Segment>)> = Vec::with_capacity(design.rows.len());
+    let mut rows: Vec<(&Row, Vec<Segment>)> = Vec::with_capacity(design.rows.len());
     let mut cuts: Vec<(f64, f64)> = Vec::new();
     for ((row, solid_cuts), sliver_cuts) in design.rows.iter().zip(&solid).zip(&slivers) {
         cuts.clear();
@@ -434,7 +430,7 @@ pub(crate) fn legalize_with_cuts(
             }
             segments = split;
         }
-        rows.push((row.y, segments));
+        rows.push((row, segments));
     }
 
     // standard cells sorted by x (Abacus processing order)
@@ -453,7 +449,7 @@ pub(crate) fn legalize_with_cuts(
         let cell_region = design.cell_region.get(cell.index()).copied().flatten();
         let mut best: Option<(f64, usize, usize)> = None; // cost, row, segment
         for ri in index.outward(ty, &mut group) {
-            let dy = (rows[ri].0 - ty).abs();
+            let dy = (rows[ri].0.y - ty).abs();
             if let Some((bc, _, _)) = best {
                 if dy * dy >= bc {
                     break; // rows come by |dy|; no later row can win
@@ -495,31 +491,31 @@ pub(crate) fn legalize_with_cuts(
                 })?
             }
         };
-        let y = rows[ri].0;
+        let y = rows[ri].0.y;
         let x = rows[ri].1[si].push_cell(cell, tx, w);
         legal.x[cell.index()] = x;
         legal.y[cell.index()] = y;
     }
 
     // --- emit final cluster positions with site snapping ---------------------
-    // Site snapping can shrink a segment's usable span (`ceil(xl)` eats up
-    // to one site, and rounding cluster starts up can push the packing
-    // right), so a segment that fit its clusters exactly during insertion
+    // Site snapping can shrink a segment's usable span (snapping `xl` up
+    // eats up to one site, and rounding cluster starts up can push the
+    // packing right), so a segment that fit its clusters exactly during insertion
     // may be *overfull* here. Cells that would be emitted past `seg.xh`
     // (overlapping the neighboring obstacle/segment or leaving the die)
     // are collected and re-placed into remaining free gaps below.
     let mut snap_overflow: Vec<CellId> = Vec::new();
-    for (y, segs) in &mut rows {
+    for (row, segs) in &mut rows {
         for seg in segs.iter_mut() {
-            // walk clusters left to right, snapping to integer sites while
-            // keeping order and non-overlap
-            let mut cursor = seg.xl.ceil();
+            // walk clusters left to right, snapping to the row's sites
+            // while keeping order and non-overlap
+            let mut cursor = snap(row, seg.xl, f64::ceil);
             let mut remaining: f64 = seg.clusters.iter().map(|c| c.w).sum();
             let ends = seg.clusters.iter().skip(1).map(|c| c.first);
             let ends = ends.chain([seg.cells.len()]);
             for (c, end) in seg.clusters.iter().zip(ends) {
-                let snapped = c.x.round().max(cursor);
-                let latest = (seg.xh - remaining).floor();
+                let snapped = snap(row, c.x, f64::round).max(cursor);
+                let latest = snap(row, seg.xh - remaining, f64::floor);
                 let mut x = snapped.min(latest).max(cursor);
                 for &cell in seg.cells.get(c.first..end).unwrap_or_default() {
                     let cw = netlist.cell_width(cell);
@@ -530,7 +526,7 @@ pub(crate) fn legalize_with_cuts(
                         continue;
                     }
                     legal.x[cell.index()] = x;
-                    legal.y[cell.index()] = *y;
+                    legal.y[cell.index()] = row.y;
                     x += cw;
                 }
                 cursor = x;
@@ -546,9 +542,11 @@ pub(crate) fn legalize_with_cuts(
         let cell_region = design.cell_region.get(cell.index()).copied().flatten();
         let tail = rows
             .iter_mut()
-            .flat_map(|(y, segs)| segs.iter_mut().map(|seg| (*y, seg)))
-            .find(|(_, seg)| seg.region == cell_region && seg.xl.ceil() + w <= seg.xh + 1e-9);
-        let Some((y, seg)) = tail else {
+            .flat_map(|(row, segs)| segs.iter_mut().map(|seg| (*row, seg)))
+            .find(|(row, seg)| {
+                seg.region == cell_region && snap(row, seg.xl, f64::ceil) + w <= seg.xh + 1e-9
+            });
+        let Some((row, seg)) = tail else {
             return Err(PlacerError::Legalize {
                 reason: format!(
                     "site snapping left no segment with room for cell `{}` \
@@ -557,9 +555,9 @@ pub(crate) fn legalize_with_cuts(
                 ),
             });
         };
-        let x = seg.xl.ceil();
+        let x = snap(row, seg.xl, f64::ceil);
         legal.x[cell.index()] = x;
-        legal.y[cell.index()] = y;
+        legal.y[cell.index()] = row.y;
         seg.xl = x + w;
         spills += 1;
     }
@@ -605,6 +603,9 @@ pub enum Violation {
     /// within 1e-6 of its height of the cell's y and the cell's x in its
     /// span.
     OffRow(CellId),
+    /// Cell on a row but not on its site lattice: its x is more than 1e-6
+    /// of a site from every `row.xl + k·site_width`.
+    OffSite(CellId),
     /// Region-constrained cell placed outside its fence.
     OutsideRegion(CellId),
 }
@@ -617,14 +618,20 @@ pub fn check_legal(design: &Design, placement: &Placement) -> Vec<Violation> {
     let index = RowIndex::new(&design.rows);
     let mut violations = Vec::new();
 
-    // die containment + row alignment + fence containment
+    // die containment + row and site alignment + fence containment
     for cell in netlist.movable_cells() {
         let r = placement.cell_rect(netlist, cell);
         if !die.contains_rect(&r) {
             violations.push(Violation::OutsideDie(cell));
         }
-        if index.row_at(r.xl, r.yl).is_none() {
-            violations.push(Violation::OffRow(cell));
+        match index.row_at(r.xl, r.yl).map(|row| &design.rows[row]) {
+            None => violations.push(Violation::OffRow(cell)),
+            Some(row) => {
+                let k = (r.xl - row.xl) / row.site_width;
+                if (k - k.round()).abs() > 1e-6 {
+                    violations.push(Violation::OffSite(cell));
+                }
+            }
         }
         if let Some(region) = design.region_of(cell) {
             if !region.rect.contains_rect(&r) {
@@ -679,12 +686,7 @@ pub struct LegalityAudit {
     pub outside_die: usize,
     /// Cells whose lower-left corner sits on no row.
     pub off_row: usize,
-    /// Cells whose x is not on the `row.xl + k·site_width` lattice.
-    ///
-    /// Only meaningful for designs whose cell widths are integer
-    /// multiples of the site width (every synthetic generator in this
-    /// workspace); fractional-width test designs legitimately pack cells
-    /// off-lattice inside a cluster.
+    /// Cells on a row but off its `row.xl + k·site_width` lattice.
     pub off_site: usize,
     /// Region-constrained cells placed outside their fence.
     pub outside_region: usize,
@@ -712,13 +714,12 @@ impl std::fmt::Display for LegalityAudit {
     }
 }
 
-/// Audits a placement against every legality invariant and returns the
-/// per-class violation counts: pairwise overlap-free, in-die, row-aligned,
-/// site-aligned, and fence-respecting.
+/// The per-class counts of [`check_legal`]'s violations: pairwise
+/// overlap-free, in-die, row-aligned, site-aligned, and fence-respecting.
 ///
 /// This is the mandatory audit the PEKO suboptimality harness runs on
-/// every reported placement; [`check_legal`] remains the itemized
-/// (per-cell) variant used by tests that need the offending IDs.
+/// every reported placement; [`check_legal`] is the itemized (per-cell)
+/// list it counts.
 pub fn audit_legality(design: &Design, placement: &Placement) -> LegalityAudit {
     let mut audit = LegalityAudit::default();
     for v in check_legal(design, placement) {
@@ -726,28 +727,8 @@ pub fn audit_legality(design: &Design, placement: &Placement) -> LegalityAudit {
             Violation::Overlap(_, _) => audit.overlaps += 1,
             Violation::OutsideDie(_) => audit.outside_die += 1,
             Violation::OffRow(_) => audit.off_row += 1,
+            Violation::OffSite(_) => audit.off_site += 1,
             Violation::OutsideRegion(_) => audit.outside_region += 1,
-        }
-    }
-    // site alignment: x must land on the nearest row's site lattice
-    let netlist = &design.netlist;
-    let index = RowIndex::new(&design.rows);
-    for cell in netlist.movable_cells() {
-        let x = placement.x[cell.index()];
-        let y = placement.y[cell.index()];
-        if !x.is_finite() || !y.is_finite() {
-            audit.off_site += 1;
-            continue;
-        }
-        let Some(row) = index.nearest(y).map(|r| &design.rows[r]) else {
-            continue;
-        };
-        if row.site_width <= 0.0 {
-            continue;
-        }
-        let k = (x - row.xl) / row.site_width;
-        if (k - k.round()).abs() > 1e-6 {
-            audit.off_site += 1;
         }
     }
     audit
@@ -1090,16 +1071,10 @@ mod tests {
         assert_eq!(index.row_at(-0.5, 4.0), None);
         assert_eq!(index.row_at(3.0, f64::NAN), None);
         assert_eq!(index.row_at(f64::NAN, 4.0), None);
-        // the nearest row, clamped to the first and last
-        assert_eq!(index.nearest(4.4), Some(4));
-        assert_eq!(index.nearest(4.6), Some(5));
-        assert_eq!(index.nearest(4.5), Some(5));
-        assert_eq!(index.nearest(-7.0), Some(0));
-        assert_eq!(index.nearest(70.0), Some(9));
         // no rows: nothing anywhere
         let none = RowIndex::new(&[]);
         assert_eq!(none.overlapping(0.0, 1.0).count(), 0);
-        assert_eq!((none.row_at(0.0, 0.0), none.nearest(0.0)), (None, None));
+        assert_eq!(none.row_at(0.0, 0.0), None);
     }
 
     #[test]
@@ -1131,11 +1106,9 @@ mod tests {
         assert_eq!(index.overlapping(1.3, 4.3).collect::<Vec<_>>(), [4, 2]);
         for (r, row) in rows.iter().enumerate() {
             assert_eq!(index.row_at(row.xl, row.y), Some(r));
-            assert_eq!(index.nearest(row.y + 0.3), Some(r));
         }
         assert_eq!(index.row_at(0.0, 3.3), None); // inside the tall row
         assert_eq!(index.row_at(0.0, 6.3), None); // in the gap
-        assert_eq!(index.nearest(7.5), Some(5));
     }
 
     #[test]
@@ -1147,7 +1120,6 @@ mod tests {
         for (r, row) in rows.iter().enumerate() {
             assert_eq!(index.row_at(1.0, row.y), Some(r));
             assert_eq!(index.row_at(1.0, 0.3 + 0.1 * r as f64), Some(r));
-            assert_eq!(index.nearest(row.y), Some(r));
             assert!(index.overlapping(row.y, row.y + row.height).any(|k| k == r));
         }
     }
@@ -1497,18 +1469,18 @@ mod tests {
     #[test]
     fn snapped_overfull_segment_spills_instead_of_escaping() {
         // Regression for the final site-snapping pass: the segment
-        // [0.5, 3.2) fits 3 × 0.9 = 2.7 of cell width during insertion
-        // (capacity 2.7), but snapping starts the walk at ceil(0.5) = 1,
-        // leaving only 2.2 — the old `start = snapped.min(latest)
+        // [0.5, 3.5) fits 3 unit cells during insertion (capacity 3), but
+        // snapping starts the walk on the first site at or right of 0.5,
+        // x = 1, leaving two sites — the old `start = snapped.min(latest)
         // .max(cursor)` emitted the last cell past seg.xh into the
         // neighboring obstacle. It must spill to the free row above
         // instead.
         let mut b = mep_netlist::NetlistBuilder::new();
         let b0 = b.add_cell("b0", 0.5, 1.0, false).unwrap();
-        let b1 = b.add_cell("b1", 1.8, 1.0, false).unwrap();
+        let b1 = b.add_cell("b1", 1.5, 1.0, false).unwrap();
         let mut movables = Vec::new();
         for i in 0..3 {
-            movables.push(b.add_cell(format!("c{i}"), 0.9, 1.0, true).unwrap());
+            movables.push(b.add_cell(format!("c{i}"), 1.0, 1.0, true).unwrap());
         }
         let nl = b.build();
         let design = mep_netlist::Design::with_uniform_rows(
@@ -1523,9 +1495,9 @@ mod tests {
         let mut gp = Placement::zeros(5);
         gp.x[b0.index()] = 0.0; // obstacle [0, 0.5) → segment starts at 0.5
         gp.y[b0.index()] = 0.0;
-        gp.x[b1.index()] = 3.2; // obstacle [3.2, 5.0) → segment ends at 3.2
+        gp.x[b1.index()] = 3.5; // obstacle [3.5, 5.0) → segment ends at 3.5
         gp.y[b1.index()] = 0.0;
-        // three cells in separate clusters inside [0.5, 3.2)
+        // three cells in separate clusters inside [0.5, 3.5)
         for (k, &m) in movables.iter().enumerate() {
             gp.x[m.index()] = 0.55 + k as f64 * 1.0;
             gp.y[m.index()] = 0.0;
@@ -1548,6 +1520,7 @@ mod tests {
         let a = b.add_cell("a", 2.0, 1.0, true).unwrap();
         let c = b.add_cell("c", 2.0, 1.0, true).unwrap();
         let d = b.add_cell("d", 1.0, 1.0, true).unwrap();
+        let e = b.add_cell("e", 1.0, 1.0, true).unwrap();
         let nl = b.build();
         let design = mep_netlist::Design::with_uniform_rows(
             "t",
@@ -1558,13 +1531,15 @@ mod tests {
             1.0,
         )
         .unwrap();
-        let mut pl = Placement::zeros(3);
+        let mut pl = Placement::zeros(4);
         pl.x[a.index()] = 1.0; // overlaps `c` on [2, 3)
         pl.y[a.index()] = 0.0;
         pl.x[c.index()] = 2.0;
         pl.y[c.index()] = 0.0;
-        pl.x[d.index()] = 4.25; // off-site, and off-row at y = 1.5
-        pl.y[d.index()] = 1.5;
+        pl.x[d.index()] = 4.25; // on row 1, off its sites
+        pl.y[d.index()] = 1.0;
+        pl.x[e.index()] = 6.0; // off-row at y = 1.5
+        pl.y[e.index()] = 1.5;
         let audit = audit_legality(&design, &pl);
         assert_eq!(audit.overlaps, 1);
         assert_eq!(audit.off_row, 1);
@@ -1576,13 +1551,15 @@ mod tests {
         assert!(audit.to_string().contains("overlaps=1"));
 
         // a clean legal placement audits clean
-        let mut ok = Placement::zeros(3);
+        let mut ok = Placement::zeros(4);
         ok.x[a.index()] = 0.0;
         ok.y[a.index()] = 0.0;
         ok.x[c.index()] = 2.0;
         ok.y[c.index()] = 0.0;
         ok.x[d.index()] = 4.0;
         ok.y[d.index()] = 1.0;
+        ok.x[e.index()] = 6.0;
+        ok.y[e.index()] = 2.0;
         assert!(audit_legality(&design, &ok).is_clean());
     }
 }
