@@ -244,5 +244,5 @@ fn main() -> Result<(), String> {
     let mut out = Artifacts::default();
     let reports = rows.iter().map(BenchmarkRow::to_json);
     out.jsonl("results/multilevel_reports.jsonl", reports);
-    out.commit(fast, true)
+    out.commit(!fast)
 }

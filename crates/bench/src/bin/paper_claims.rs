@@ -78,7 +78,7 @@ fn main() -> Res<ExitCode> {
     let tally = format!("{passed} of {} checks pass\n", SECTIONS.len());
     print!("{tally}");
     out.add("results/paper_claims.txt", report + &tally);
-    out.commit(false, passed == SECTIONS.len())?;
+    out.commit(passed == SECTIONS.len())?;
     Ok(if passed == SECTIONS.len() {
         ExitCode::SUCCESS
     } else {

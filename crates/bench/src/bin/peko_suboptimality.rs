@@ -6,18 +6,18 @@
 //! tables cannot produce.
 //!
 //! ```text
-//! cargo run -p mep-bench --release --bin peko_suboptimality -- [--fast] [--out PATH]
+//! cargo run -p mep-bench --release --bin peko_suboptimality -- [--fast]
 //! cargo run -p mep-bench --release --bin peko_suboptimality -- --guard BASELINE
 //! ```
 //!
 //! The sweep prints the ratio table and exits non-zero, writing nothing,
 //! if any run fails, does not converge or fails the legality audit.
 //! Otherwise it writes one JSONL record per run (with full telemetry, the
-//! certificate, and a legality audit) to `results/peko_reports.jsonl` (or
-//! `--out PATH`). `--fast` sweeps the smallest rung only and writes no
-//! file. The sweep never writes the guard's baseline: re-pinning it is a
-//! deliberate hand edit of its `moreau_ratio_{600,2400}` from the Ours
-//! column of the printed table.
+//! certificate, and a legality audit) to `results/peko_reports.jsonl`.
+//! `--fast` sweeps the smallest rung only and writes no file. The sweep
+//! never writes the guard's baseline: re-pinning it is a deliberate hand
+//! edit of its `moreau_ratio_{600,2400}` from the Ours column of the
+//! printed table.
 //!
 //! `--guard` is the CI quality-regression mode: it re-runs Moreau on the
 //! guard rungs and exits non-zero if the suboptimality ratio regressed
@@ -46,14 +46,10 @@ const MODELS: [ModelKind; 5] = [
 ];
 
 fn main() -> Result<(), String> {
-    let args = Args::read(
-        "peko_suboptimality",
-        &["--fast", "--out PATH", "--guard BASELINE"],
-    );
+    let args = Args::read("peko_suboptimality", &["--fast", "--guard BASELINE"]);
     let fast = args.switch("--fast");
-    let out_path = args.value("--out").unwrap_or("results/peko_reports.jsonl");
     if let Some(baseline) = args.value("--guard") {
-        if fast || args.value("--out").is_some() {
+        if fast {
             args.refuse("--guard takes no other flag");
         }
         return run_guard(baseline);
@@ -115,8 +111,11 @@ fn main() -> Result<(), String> {
     println!("(suboptimality ratio = final legal HPWL / exact optimum; 1.0 is perfect)");
 
     let mut out = Artifacts::default();
-    out.jsonl(out_path, rows.iter().map(PekoRow::to_json));
-    out.commit(fast, failures == 0)?;
+    out.jsonl(
+        "results/peko_reports.jsonl",
+        rows.iter().map(PekoRow::to_json),
+    );
+    out.commit(!fast && failures == 0)?;
     if failures > 0 {
         return Err(format!(
             "{failures} run(s) failed, did not converge or were illegal"

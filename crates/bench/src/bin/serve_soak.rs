@@ -454,7 +454,7 @@ fn main() -> ExitCode {
     let mut out = mep_bench::Artifacts::default();
     let lines = [cold_line, storm_line, replay_line].map(JsonObject::finish);
     out.jsonl("results/serve_soak_reports.jsonl", lines);
-    if let Err(e) = out.commit(fast, failures.is_empty()) {
+    if let Err(e) = out.commit(!fast && failures.is_empty()) {
         failures.push(e);
     }
 

@@ -215,7 +215,7 @@ pub fn run_paper_table(
     out.add(format!("results/{stem}.csv"), table.to_csv());
     let reports = rows.iter().flatten().map(BenchmarkRow::to_json);
     out.jsonl(format!("results/{stem}_reports.jsonl"), reports);
-    out.commit(fast, true)
+    out.commit(!fast)
 }
 
 #[cfg(test)]

@@ -130,17 +130,16 @@ impl Artifacts {
         );
     }
 
-    /// Writes every held file, creating parent directories, if the run
-    /// was full-size (not `fast`) and `passed`; otherwise writes nothing
-    /// and says so.
+    /// Writes every held file, creating parent directories, if `write`
+    /// (the run was full-size and its checks all passed); otherwise
+    /// writes nothing and says so.
     ///
     /// # Errors
     ///
     /// Names the first file that could not be written.
-    pub fn commit(self, fast: bool, passed: bool) -> Result<(), String> {
-        if fast || !passed {
-            let why = if fast { "--fast" } else { "a check failed" };
-            println!("({why}: no file written)");
+    pub fn commit(self, write: bool) -> Result<(), String> {
+        if !write {
+            println!("(no file written)");
             return Ok(());
         }
         for (path, contents) in self.0 {
@@ -157,7 +156,7 @@ impl Artifacts {
 mod tests {
     use super::*;
 
-    const PEKO: [&str; 3] = ["--fast", "--out PATH", "--guard BASELINE"];
+    const PEKO: [&str; 2] = ["--fast", "--guard BASELINE"];
     const VERIFY: [&str; 2] = ["<circuit.aux>", "[target_density]"];
 
     fn parse(spec: &[&'static str], line: &str) -> Result<Args, String> {
@@ -168,12 +167,10 @@ mod tests {
 
     #[test]
     fn declared_flags_and_positionals_are_read() {
-        let a = parse(&PEKO, "--out r.jsonl --fast").unwrap();
+        let a = parse(&PEKO, "--guard b.json --fast").unwrap();
         assert!(a.switch("--fast"));
-        assert_eq!(
-            (a.value("--out"), a.value("--guard")),
-            (Some("r.jsonl"), None)
-        );
+        assert_eq!(a.value("--guard"), Some("b.json"));
+        assert_eq!(parse(&PEKO, "--fast").unwrap().value("--guard"), None);
         assert!(!parse(&PEKO, "").unwrap().switch("--fast"));
         let a = parse(&VERIFY, "x.aux 0.8").unwrap();
         assert_eq!(a.positional::<String>(0).as_deref(), Some("x.aux"));
@@ -190,6 +187,7 @@ mod tests {
             (&PEKO, "--guard --fast", "--guard needs a value"),
             (&PEKO, "stray", "unexpected argument `stray`"),
             (&PEKO, "--shrink 3", "unknown flag `--shrink`"),
+            (&PEKO, "--out r.jsonl", "unknown flag `--out`"),
             (&VERIFY, "", "missing <circuit.aux>"),
             (&VERIFY, "a b c", "unexpected argument `c`"),
             (&[], "--fast", "unknown flag `--fast`"),
@@ -198,7 +196,7 @@ mod tests {
         }
         assert_eq!(
             usage("peko", &PEKO),
-            "usage: peko [--fast] [--out PATH] [--guard BASELINE]"
+            "usage: peko [--fast] [--guard BASELINE]"
         );
         assert_eq!(
             usage("v", &VERIFY),
@@ -215,11 +213,9 @@ mod tests {
             a.jsonl(path, ["{}".to_string(), "[]".to_string()]);
             a
         };
-        for (fast, passed) in [(true, true), (false, false), (true, false)] {
-            held(&path).commit(fast, passed).unwrap();
-            assert!(!dir.exists(), "fast {fast}, passed {passed}");
-        }
-        held(&path).commit(false, true).unwrap();
+        held(&path).commit(false).unwrap();
+        assert!(!dir.exists());
+        held(&path).commit(true).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}\n[]\n");
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -22,7 +22,7 @@
 //! nets bit for bit, and every acceptance test decides as a full re-walk
 //! would (DESIGN.md §2, "Detailed placement (S8)").
 
-use crate::legalize::{row_cuts, RowCuts, RowIndex};
+use crate::legalize::{row_cuts, sites_wide, RowCuts, RowIndex};
 use mep_netlist::{total_hpwl, CellId, Design, FixedState, NetId, Netlist, Placement, Rect};
 use std::time::Instant;
 
@@ -304,7 +304,7 @@ pub(crate) fn refine_with_cuts(
         // lint:allow(determinism): move-class wall-time telemetry; durations never feed back into results
         let t = Instant::now();
         let (acc, att) = local_reorder(
-            netlist,
+            design,
             placement,
             &mut rows,
             &obstacles,
@@ -369,7 +369,7 @@ const REORDER_WINDOW: usize = 3;
 /// Permutes windows of consecutive cells (left-packed). Returns
 /// `(accepted, attempted)` move counts.
 fn local_reorder(
-    netlist: &Netlist,
+    design: &Design,
     placement: &mut Placement,
     rows: &mut [Vec<CellId>],
     obstacles: &[Vec<(f64, f64)>],
@@ -377,6 +377,7 @@ fn local_reorder(
     fences: &[Rect],
     moves: &mut MoveNets,
 ) -> (usize, usize) {
+    let netlist = &design.netlist;
     let mut accepted = 0;
     let mut attempted = 0;
     for (row_idx, row) in rows.iter_mut().enumerate() {
@@ -391,8 +392,9 @@ fn local_reorder(
                 continue;
             }
             let left = placement.x[cells[0].index()];
-            // the packed span must not cover a blockage hiding in a gap
-            let widths = cells.map(|c| netlist.cell_width(c));
+            // the packed span must not cover a blockage hiding in a gap;
+            // each cell takes whole sites, as the legalizer packed it
+            let widths = cells.map(|c| sites_wide(&design.rows[row_idx], netlist.cell_width(c)));
             let span_w: f64 = widths.iter().sum();
             if obstacles[row_idx]
                 .iter()

@@ -269,6 +269,15 @@ fn snap(row: &Row, x: f64, to_site: fn(f64) -> f64) -> f64 {
     row.xl + to_site((x - row.xl) / row.site_width) * row.site_width
 }
 
+/// The span a standard cell `w` wide takes on `row`: whole sites, at
+/// least one, so the cell packed after it starts on a site too. A width
+/// at most 1e-9 of a site over a whole number of sites takes that number,
+/// so float noise adds no site; an integer width on unit sites is itself
+/// to the bit.
+pub(crate) fn sites_wide(row: &Row, w: f64) -> f64 {
+    (w / row.site_width - 1e-9).ceil().max(1.0) * row.site_width
+}
+
 /// Legalizes `gp` for `design`. Returns the legal placement and a report.
 ///
 /// # Errors
@@ -443,7 +452,7 @@ pub(crate) fn legalize_with_cuts(
     let mut spills = 0usize;
     let mut group = Vec::new();
     for &cell in &std_cells {
-        let w = netlist.cell_width(cell).max(1e-9);
+        let cw = netlist.cell_width(cell);
         let tx = gp.x[cell.index()];
         let ty = gp.y[cell.index()];
         let cell_region = design.cell_region.get(cell.index()).copied().flatten();
@@ -455,6 +464,7 @@ pub(crate) fn legalize_with_cuts(
                     break; // rows come by |dy|; no later row can win
                 }
             }
+            let w = sites_wide(rows[ri].0, cw);
             for (si, seg) in rows[ri].1.iter().enumerate() {
                 if seg.region != cell_region || !seg.fits(w) {
                     continue;
@@ -472,7 +482,8 @@ pub(crate) fn legalize_with_cuts(
             None => {
                 // spill: first segment anywhere with room
                 spills += 1;
-                let slot = rows.iter().enumerate().find_map(|(ri, (_, segs))| {
+                let slot = rows.iter().enumerate().find_map(|(ri, (row, segs))| {
+                    let w = sites_wide(row, cw);
                     let si = segs
                         .iter()
                         .position(|s| s.region == cell_region && s.fits(w));
@@ -484,15 +495,16 @@ pub(crate) fn legalize_with_cuts(
                 slot.ok_or_else(|| PlacerError::Legalize {
                     reason: format!(
                         "no free row segment can host cell `{}` \
-                         (width {w:.3}, region {cell_region:?}): movable \
+                         (width {cw:.3}, region {cell_region:?}): movable \
                          area exceeds free row capacity",
                         netlist.cell_name(cell)
                     ),
                 })?
             }
         };
-        let y = rows[ri].0.y;
-        let x = rows[ri].1[si].push_cell(cell, tx, w);
+        let (row, segs) = &mut rows[ri];
+        let y = row.y;
+        let x = segs[si].push_cell(cell, tx, sites_wide(row, cw));
         legal.x[cell.index()] = x;
         legal.y[cell.index()] = y;
     }
@@ -518,7 +530,7 @@ pub(crate) fn legalize_with_cuts(
                 let latest = snap(row, seg.xh - remaining, f64::floor);
                 let mut x = snapped.min(latest).max(cursor);
                 for &cell in seg.cells.get(c.first..end).unwrap_or_default() {
-                    let cw = netlist.cell_width(cell);
+                    let cw = sites_wide(row, netlist.cell_width(cell));
                     if x + cw > seg.xh + 1e-9 {
                         // overfull after snapping: emitting here would
                         // escape the segment — spill instead
@@ -538,19 +550,20 @@ pub(crate) fn legalize_with_cuts(
     // second-chance placement: first site-aligned gap with room in a free
     // tail, matching the cell's fence region
     for &cell in &snap_overflow {
-        let w = netlist.cell_width(cell).max(1e-9);
+        let cw = netlist.cell_width(cell);
         let cell_region = design.cell_region.get(cell.index()).copied().flatten();
         let tail = rows
             .iter_mut()
             .flat_map(|(row, segs)| segs.iter_mut().map(|seg| (*row, seg)))
             .find(|(row, seg)| {
+                let w = sites_wide(row, cw);
                 seg.region == cell_region && snap(row, seg.xl, f64::ceil) + w <= seg.xh + 1e-9
             });
         let Some((row, seg)) = tail else {
             return Err(PlacerError::Legalize {
                 reason: format!(
                     "site snapping left no segment with room for cell `{}` \
-                     (width {w:.3}, region {cell_region:?})",
+                     (width {cw:.3}, region {cell_region:?})",
                     netlist.cell_name(cell)
                 ),
             });
@@ -558,7 +571,7 @@ pub(crate) fn legalize_with_cuts(
         let x = snap(row, seg.xl, f64::ceil);
         legal.x[cell.index()] = x;
         legal.y[cell.index()] = row.y;
-        seg.xl = x + w;
+        seg.xl = x + sites_wide(row, cw);
         spills += 1;
     }
 
