@@ -74,7 +74,7 @@ impl Electrostatics {
 
     /// Call count and cumulative wall time of the 2-D spectral transforms
     /// run by the Poisson solver.
-    pub fn transform_stats(&self) -> crate::transform::TransformStats {
+    pub fn transform_stats(&self) -> mep_obs::StageStats {
         self.solver.transform_stats()
     }
 

@@ -51,4 +51,4 @@ pub use electro::{DensityReport, Electrostatics};
 pub use fft::FftPlan;
 pub use grid::{BinGrid, DensityMap};
 pub use poisson::PoissonSolver;
-pub use transform::{DctPlan, Spectral2d, TransformStats};
+pub use transform::{DctPlan, Spectral2d};

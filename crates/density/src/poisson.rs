@@ -19,7 +19,8 @@
 //! real-input FFT fast path, and tiles of adjacent lines whose column pass
 //! is strided in place.
 
-use crate::transform::{Kind, Spectral2d, TransformStats};
+use crate::transform::{Kind, Spectral2d};
+use mep_obs::StageStats;
 
 /// Reusable spectral solver for an `ny × nx` bin grid (row-major, `iy`
 /// major) over a die of physical size `width × height`.
@@ -66,7 +67,7 @@ impl PoissonSolver {
     }
 
     /// Call count and cumulative wall time of the 2-D transforms.
-    pub fn transform_stats(&self) -> TransformStats {
+    pub fn transform_stats(&self) -> StageStats {
         self.spectral.stats()
     }
 

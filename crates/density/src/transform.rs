@@ -26,7 +26,7 @@
 //! bit-identical to `apply::<1>` on every row, then on every column.
 
 use crate::fft::{FftPlan, LANES};
-use std::time::Instant;
+use mep_obs::StageStats;
 
 /// Scratch buffers for the FFT-based transforms (reused across calls): one
 /// split-complex pair holding the `W` interleaved sequences of a tile.
@@ -357,22 +357,6 @@ impl DctPlan {
     }
 }
 
-/// Call count and cumulative wall time of the 2-D transforms.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransformStats {
-    /// Number of [`Spectral2d::execute`] calls.
-    pub calls: u64,
-    /// Cumulative wall time, nanoseconds.
-    pub nanos: u64,
-}
-
-impl TransformStats {
-    /// Cumulative wall time in seconds.
-    pub fn seconds(&self) -> f64 {
-        self.nanos as f64 * 1e-9
-    }
-}
-
 /// Separable 2-D transform engine for one fixed `rows × cols` grid.
 ///
 /// Owns a [`DctPlan`] per axis and one FFT scratch, so the placement hot
@@ -393,7 +377,7 @@ pub struct Spectral2d {
     row_plan: DctPlan,
     col_plan: DctPlan,
     scratch: TransformScratch,
-    stats: TransformStats,
+    stats: StageStats,
 }
 
 impl Spectral2d {
@@ -409,7 +393,7 @@ impl Spectral2d {
             row_plan: DctPlan::new(cols),
             col_plan: DctPlan::new(rows),
             scratch: TransformScratch::new(),
-            stats: TransformStats::default(),
+            stats: StageStats::default(),
         }
     }
 
@@ -423,8 +407,8 @@ impl Spectral2d {
         self.cols
     }
 
-    /// Instrumentation snapshot (calls, cumulative wall time).
-    pub fn stats(&self) -> TransformStats {
+    /// [`Spectral2d::execute`] calls and their cumulative wall time.
+    pub fn stats(&self) -> StageStats {
         self.stats
     }
 
@@ -438,14 +422,13 @@ impl Spectral2d {
     pub fn execute(&mut self, data: &mut [f64], kind_x: Kind, kind_y: Kind) {
         let (rows, cols) = (self.rows, self.cols);
         assert_eq!(data.len(), rows * cols, "grid shape mismatch");
-        // lint:allow(determinism): TransformStats timing telemetry; durations never feed back into results
-        let t0 = Instant::now();
         // rows are contiguous and `cols` apart; columns the other way round
         let scratch = &mut self.scratch;
-        sweep(&self.row_plan, kind_x, data, rows, 1, cols, scratch);
-        sweep(&self.col_plan, kind_y, data, cols, cols, 1, scratch);
-        self.stats.calls += 1;
-        self.stats.nanos += t0.elapsed().as_nanos() as u64;
+        let (row_plan, col_plan) = (&self.row_plan, &self.col_plan);
+        self.stats.time(|| {
+            sweep(row_plan, kind_x, data, rows, 1, cols, scratch);
+            sweep(col_plan, kind_y, data, cols, cols, 1, scratch);
+        });
     }
 }
 

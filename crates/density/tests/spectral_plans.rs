@@ -87,6 +87,6 @@ fn execute_bit_identical_to_per_line_reference_across_sizes() {
                 );
             }
         }
-        assert_eq!(engine.stats().calls, pairs.len() as u64);
+        assert_eq!(engine.stats().count, pairs.len() as u64);
     }
 }

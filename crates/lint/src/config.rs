@@ -46,15 +46,16 @@ impl Default for Config {
             .map(|s| s.to_string())
             .collect(),
             hot_paths: [
-                // the Moreau prox / water-filling / evaluation-engine hot
-                // loops (paper Alg. 1–2), the spectral density solver,
+                // the Moreau prox / water-filling / whole-netlist
+                // evaluation hot loops (paper Alg. 1–2), the stage clock
+                // that times every evaluation, the spectral density solver,
                 // including the fused lane kernels and the per-net gather,
                 // and the whole density stage: its two per-cell passes and
                 // the update, reductions and overflow around them
                 "crates/wirelength/src/moreau.rs",
                 "crates/wirelength/src/waterfill.rs",
-                "crates/wirelength/src/engine.rs",
                 "crates/wirelength/src/netgrad.rs",
+                "crates/obs/src/stage.rs",
                 "crates/density/src/transform.rs",
                 "crates/density/src/fft.rs",
                 "crates/density/src/poisson.rs",

@@ -16,6 +16,8 @@
 //!   last N records in memory for tests.
 //! * [`report`] — [`RunReport`], an owned end-of-run snapshot of a registry
 //!   that renders as JSON or an aligned text table.
+//! * [`stage`] — [`StageStats`], the one stage clock: a count and a wall
+//!   time owned by value by the stage that does the work.
 //!
 //! Overhead contract: with the no-op sink the hot loop pays one virtual
 //! call returning a constant `false` (branch-predictable, no allocation);
@@ -28,8 +30,10 @@ pub mod json;
 pub mod metrics;
 pub mod parse;
 pub mod report;
+pub mod stage;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, Label, MetricValue, Registry};
 pub use report::RunReport;
+pub use stage::StageStats;
 pub use trace::{IterationRecord, JsonlSink, NoopSink, RingSink, TraceSink};

@@ -14,22 +14,22 @@
 //!   and only the cells touching the window are re-placed by the full
 //!   guarded pipeline.
 //!
-//! The multilevel driver reports into one [`EvalEngine`] across every
-//! level ([`replace_region`] is one pipeline run on an engine of its own);
-//! both drivers stamp `level`/`stage` into the per-iteration trace records
+//! The multilevel driver adds up the evaluation counters of every level
+//! into its finest result ([`replace_region`] is one pipeline run); both
+//! drivers stamp `level`/`stage` into the per-iteration trace records
 //! (the multilevel one only when it placed a coarse level) so a single
 //! JSONL trace tells the whole story of a run.
 
 use crate::error::PlacerError;
-use crate::global::{place_with_engine, GlobalConfig};
+use crate::global::{place, GlobalConfig};
 use crate::guard::Termination;
-use crate::pipeline::{run_with_engine, PipelineConfig, PipelineResult};
+use crate::objective::EngineStats;
+use crate::pipeline::{run, PipelineConfig, PipelineResult};
+use crate::telemetry::export_engine_stats;
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::cluster::{coarsen, Coarsened};
 use mep_netlist::{total_hpwl, Design, Placement, Rect};
 use mep_obs::{Registry, RunReport};
-use mep_wirelength::engine::EvalEngine;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of the multilevel flow.
@@ -111,7 +111,7 @@ const WARM_LAMBDA_SCALE: f64 = 5.0;
 /// center pile, prolong and refine level by level, finish with the full
 /// flat pipeline on the original netlist. When no coarse level exists
 /// (`levels: 1`, or a netlist the first coarsening pass cannot shrink) the
-/// flow *is* [`run_with_engine`] on a fresh engine, bit for bit: the same
+/// flow *is* [`run`], bit for bit: the same
 /// report (no `ml.*` key) and trace (no `stage`).
 ///
 /// The cancel token in `config.pipeline.global.cancel` is honored before
@@ -163,9 +163,9 @@ pub fn run_multilevel(
     }
     let levels = stack.len() + 1;
 
-    // one engine for every level: the final report's `engine.*` metrics
-    // cover the whole flow
-    let engine = Arc::<EvalEngine>::default();
+    // the coarse levels' counters, added to the finest result's so that
+    // its `engine.*` metrics cover the whole flow
+    let mut coarse_stats = EngineStats::default();
     let mut level_stats: Vec<LevelStats> = Vec::new();
 
     // ---- coarse levels, coarsest first: the coarsest from its own
@@ -195,7 +195,8 @@ pub fn run_multilevel(
             design: level.design.clone(),
             placement,
         };
-        let gp = place_with_engine(&level_circuit, &gcfg, Arc::clone(&engine))?;
+        let gp = place(&level_circuit, &gcfg)?;
+        coarse_stats += gp.engine_stats;
         level_stats.push(LevelStats {
             level: k,
             movable: level.design.netlist.num_movable(),
@@ -224,9 +225,9 @@ pub fn run_multilevel(
             final_config.global.level = 0;
             final_config.global.stage = Some("final".to_string());
             final_config.global.lambda_scale = WARM_LAMBDA_SCALE;
-            run_with_engine(&finest, &final_config, engine)?
+            run(&finest, &final_config)?
         }
-        _ => run_with_engine(circuit, &config.pipeline, engine)?,
+        _ => run(circuit, &config.pipeline)?,
     };
     level_stats.push(LevelStats {
         level: 0,
@@ -239,6 +240,8 @@ pub fn run_multilevel(
 
     if levels > 1 {
         let metrics = Registry::new();
+        result.engine_stats += coarse_stats;
+        export_engine_stats(&metrics, &result.engine_stats);
         metrics.counter("ml.levels").add(levels as u64);
         for s in &level_stats {
             let p = format!("ml.level{}", s.level);
@@ -360,7 +363,7 @@ pub fn replace_region(
 
     let mut eco_config = config.pipeline.clone();
     eco_config.global.stage = Some("eco".to_string());
-    let result = run_with_engine(&derived, &eco_config, Arc::default())?;
+    let result = run(&derived, &eco_config)?;
     // the derived netlist differs from `nl` in movability only
     let hpwl_after = result.dpwl;
 

@@ -29,13 +29,13 @@
 use crate::cancel::CancelToken;
 use crate::error::PlacerError;
 use crate::guard::{HealthMonitor, RecoveryLog, Termination};
-use crate::objective::{EvalStats, PlacementProblem};
+use crate::objective::{EngineStats, EvalStats, PlacementProblem};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::Placement;
 use mep_obs::{IterationRecord, NoopSink, TraceSink};
 use mep_optim::nesterov::Nesterov;
 use mep_optim::Problem;
-use mep_wirelength::engine::{EngineStats, EvalEngine};
+use mep_wirelength::engine::EvalEngine;
 use mep_wirelength::{EplaceGammaSchedule, ModelKind, SmoothingSchedule, TangentTSchedule};
 use std::sync::Arc;
 use std::time::Instant;
@@ -238,8 +238,8 @@ pub struct GlobalResult {
     pub trials: usize,
     /// Where the Eq. (15) ramp started.
     pub ramp: RampStart,
-    /// Evaluation-engine instrumentation (stage counts and times, reuses,
-    /// net routes).
+    /// The run's evaluation counters (stage counts and times, reuses, net
+    /// routes), read before the closing density report.
     pub engine_stats: EngineStats,
     /// Every recovery the guard performed (empty on a clean run).
     pub recovery: RecoveryLog,
@@ -296,28 +296,28 @@ pub(crate) fn validate_circuit(circuit: &BookshelfCircuit) -> Result<(), PlacerE
     Ok(())
 }
 
-/// Runs ePlace-style global placement on a circuit, with an evaluation
-/// engine of its own for the run.
-pub fn place(
-    circuit: &BookshelfCircuit,
-    config: &GlobalConfig,
-) -> Result<GlobalResult, PlacerError> {
-    place_with_engine(circuit, config, Arc::default())
-}
-
-/// Runs global placement on a caller-provided engine (so a pipeline can
-/// aggregate the instrumentation of its stages).
+/// [`place`]; the engine is ignored. Called by the frozen
+/// `examples/bench_e2e`; goes with the benchmark PR that deletes
+/// `EvalEngine` (ROADMAP item 1(d)).
 pub fn place_with_engine(
     circuit: &BookshelfCircuit,
     config: &GlobalConfig,
-    engine: Arc<EvalEngine>,
+    _engine: Arc<EvalEngine>,
+) -> Result<GlobalResult, PlacerError> {
+    place(circuit, config)
+}
+
+/// Runs ePlace-style global placement on a circuit.
+pub fn place(
+    circuit: &BookshelfCircuit,
+    config: &GlobalConfig,
 ) -> Result<GlobalResult, PlacerError> {
     validate_circuit(circuit)?;
     // lint:allow(determinism): elapsed_secs of the trace records only; durations never feed back into results
     let start = Instant::now();
     let design = &circuit.design;
     let model = config.model.instantiate(1.0);
-    let mut problem = PlacementProblem::new(design, &circuit.placement, model, engine.clone());
+    let mut problem = PlacementProblem::new(design, &circuit.placement, model, Arc::default());
     let mut params = problem.pack_params(&circuit.placement);
     problem.project(&mut params);
 
@@ -460,6 +460,8 @@ pub fn place_with_engine(
     let mut placement = circuit.placement.clone();
     problem.unpack_params(&params, &mut placement);
     let hpwl = mep_netlist::total_hpwl(&design.netlist, &placement);
+    // before the closing report, whose transforms are not the loop's
+    let engine_stats = problem.stats();
     let overflow = problem.density_report(&params).overflow;
     Ok(GlobalResult {
         placement,
@@ -472,7 +474,7 @@ pub fn place_with_engine(
             bootstrap_smoothing,
             smoothing0,
         },
-        engine_stats: engine.stats(),
+        engine_stats,
         recovery: monitor.into_log(),
         termination,
     })
@@ -564,17 +566,16 @@ mod tests {
 
     /// `steps` Nesterov iterations of the default run on `c` with no guard,
     /// no trace and no stop: the λ₀ bootstrap typed by hand, then one
-    /// [`Schedule`] advance per step. Returns the log of every evaluation
-    /// and the final placement.
+    /// [`Schedule`] advance per step. Returns the log of every evaluation,
+    /// the final placement and the problem's counters.
     fn drive_nesterov(
         c: &BookshelfCircuit,
-        engine: Arc<EvalEngine>,
         uncached: bool,
         steps: usize,
-    ) -> (Vec<u64>, Placement) {
+    ) -> (Vec<u64>, Placement, EngineStats) {
         let cfg = GlobalConfig::default();
         let model = cfg.model.instantiate(1.0);
-        let mut p = PlacementProblem::new(&c.design, &c.placement, model, engine);
+        let mut p = PlacementProblem::new(&c.design, &c.placement, model, Arc::default());
         let mut x = p.pack_params(&c.placement);
         p.project(&mut x);
         let grid = p.electrostatics().grid();
@@ -617,7 +618,7 @@ mod tests {
         let log = logged.log;
         let mut placement = c.placement.clone();
         p.unpack_params(&x, &mut placement);
-        (log, placement)
+        (log, placement, p.stats())
     }
 
     fn bits(p: &Placement) -> Vec<u64> {
@@ -628,13 +629,11 @@ mod tests {
     fn nesterov_trajectory_is_bitwise_the_uncached_one() {
         let c = synth::generate(&synth::smoke_spec());
         const STEPS: usize = 64;
-        let (reusing, uncached) = (Arc::<EvalEngine>::default(), Arc::default());
-        let (log, x) = drive_nesterov(&c, Arc::clone(&reusing), false, STEPS);
-        let (want_log, want_x) = drive_nesterov(&c, Arc::clone(&uncached), true, STEPS);
+        let (log, x, s) = drive_nesterov(&c, false, STEPS);
+        let (want_log, want_x, o) = drive_nesterov(&c, true, STEPS);
         assert!(log == want_log, "an evaluation differs");
         assert_eq!(bits(&x), bits(&want_x));
 
-        let (s, o) = (reusing.stats(), uncached.stats());
         assert_eq!(o.reused, 0);
         assert_eq!(o.density.count, o.wl_grad.count);
         assert_eq!(s.density.count, s.wl_grad.count);
@@ -652,8 +651,7 @@ mod tests {
         // Nesterov + schedule loop to the bit
         let c = synth::generate(&synth::smoke_spec());
         const STEPS: usize = 120;
-        let engine = Arc::<EvalEngine>::default();
-        let (_, want) = drive_nesterov(&c, Arc::clone(&engine), false, STEPS);
+        let (_, want, harness) = drive_nesterov(&c, false, STEPS);
         let cfg = GlobalConfig {
             max_iters: STEPS,
             min_iters: usize::MAX,
@@ -664,7 +662,7 @@ mod tests {
         assert_eq!(r.iterations, STEPS);
         assert!(r.recovery.is_empty());
         assert_eq!(bits(&r.placement), bits(&want));
-        assert_eq!(r.engine_stats.wl_grad.count, engine.stats().wl_grad.count);
+        assert_eq!(r.engine_stats.wl_grad.count, harness.wl_grad.count);
     }
 
     #[test]
@@ -759,7 +757,7 @@ mod tests {
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
         // four 2-D transforms per Poisson solve: one per executed density
         // stage, plus the opening `density_report` (the closing one runs
-        // after the last sync into the engine)
+        // after `place` reads the counters)
         assert_eq!(
             s.density_transform.count,
             4 * (s.density.count + 1),

@@ -53,10 +53,11 @@ pub use flow::{
     replace_region, run_multilevel, EcoConfig, EcoResult, LevelStats, MultilevelConfig,
     MultilevelResult,
 };
-pub use global::{place_with_engine, GlobalConfig, GlobalResult, MoreauSchedule, RampStart};
+pub use global::{place, GlobalConfig, GlobalResult, MoreauSchedule, RampStart};
 pub use guard::{Fault, RecoveryAction, RecoveryEvent, RecoveryLog, Termination};
 pub use legalize::{
     audit_legality, check_legal, legalize, LegalityAudit, LegalizeReport, Violation,
 };
-pub use pipeline::{run, run_with_engine, PipelineConfig, PipelineResult};
+pub use objective::EngineStats;
+pub use pipeline::{run, PipelineConfig, PipelineResult};
 pub use telemetry::DispHistogram;

@@ -7,9 +7,11 @@
 
 use mep_density::electro::{DensityReport, Electrostatics};
 use mep_netlist::{CellId, Design, Placement};
+use mep_obs::StageStats;
 use mep_optim::Problem;
-use mep_wirelength::engine::{EvalEngine, Stage};
+use mep_wirelength::engine::EvalEngine;
 use mep_wirelength::{AnyModel, NetlistEvaluator, WirelengthGrad};
+use std::ops::AddAssign;
 use std::sync::Arc;
 
 /// Statistics of the most recent objective evaluation.
@@ -25,11 +27,62 @@ pub struct EvalStats {
     pub overflow: f64,
 }
 
+/// The counters of one GP run's evaluations ([`PlacementProblem::stats`]),
+/// added up by value over the levels of a multilevel run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Always 0. Read by the frozen `examples/bench_e2e`; goes with the
+    /// benchmark PR that retires `wirelength.engine.parallel_runs`
+    /// (ROADMAP item 1(d)).
+    pub parallel_runs: u64,
+    /// `wl_grad.count`. Read by the frozen `examples/bench_e2e`; goes with
+    /// the benchmark PR that retires `wirelength.engine.serial_runs`
+    /// (ROADMAP item 1(d)).
+    pub serial_runs: u64,
+    /// Wirelength workspace (re)builds; one per netlist instance.
+    pub workspace_allocs: u64,
+    /// Evaluations that recombined both terms held from the previous
+    /// evaluation at the same point instead of executing either stage (not
+    /// counted in `wl_grad` or `density`).
+    pub reused: u64,
+    /// Wirelength value+gradient stage.
+    pub wl_grad: StageStats,
+    /// Assembly + cell scatter sub-stage of `wl_grad` (included in it).
+    pub wl_scatter: StageStats,
+    /// Net evaluations served by the degree-class Moreau kernel.
+    pub wl_class_nets: u64,
+    /// Net evaluations served by the per-net path.
+    pub wl_generic_nets: u64,
+    /// Nets the gradient stage skipped for want of a movable pin
+    /// (`mep_wirelength::WirelengthStats::inactive_nets`).
+    pub wl_inactive_nets: u64,
+    /// Density stage (executed raster + Poisson solve + gather).
+    pub density: StageStats,
+    /// Spectral transforms of the Poisson solver (four per solve), inside
+    /// `density` or the problem's `density_report`.
+    pub density_transform: StageStats,
+}
+
+impl AddAssign for EngineStats {
+    fn add_assign(&mut self, o: Self) {
+        self.parallel_runs += o.parallel_runs;
+        self.serial_runs += o.serial_runs;
+        self.workspace_allocs += o.workspace_allocs;
+        self.reused += o.reused;
+        self.wl_grad += o.wl_grad;
+        self.wl_scatter += o.wl_scatter;
+        self.wl_class_nets += o.wl_class_nets;
+        self.wl_generic_nets += o.wl_generic_nets;
+        self.wl_inactive_nets += o.wl_inactive_nets;
+        self.density += o.density;
+        self.density_transform += o.density_transform;
+    }
+}
+
 /// The placement objective bound to one design.
 pub struct PlacementProblem<'a> {
     design: &'a Design,
     movable: Vec<CellId>,
-    engine: Arc<EvalEngine>,
     evaluator: NetlistEvaluator,
     /// The held wirelength term of the last [`Problem::eval`].
     wl: WirelengthGrad,
@@ -45,6 +98,10 @@ pub struct PlacementProblem<'a> {
     dgy: Vec<f64>,
     /// `None` until a density stage has run.
     density: Option<DensityReport>,
+    /// Executed density stages.
+    density_stage: StageStats,
+    /// Evaluations that recombined the held terms.
+    reused: u64,
     /// The parameter vector of the last [`Problem::eval`], which both held
     /// terms were computed at; a [`Problem::reeval`] at the same bits
     /// reuses both.
@@ -53,9 +110,6 @@ pub struct PlacementProblem<'a> {
     /// Current density weight `λ`.
     pub lambda: f64,
     last: EvalStats,
-    /// Spectral-transform stats already forwarded to the engine; new
-    /// samples are synced as deltas after each density stage.
-    tf_synced: mep_density::TransformStats,
     /// Fault-injection hook (tests): skip `nan_after` more evals, then
     /// poison the next `nan_remaining` evaluations with NaN.
     nan_after: u64,
@@ -75,22 +129,22 @@ impl<'a> std::fmt::Debug for PlacementProblem<'a> {
 impl<'a> PlacementProblem<'a> {
     /// Builds the problem. `initial` provides fixed-cell positions (and the
     /// starting movable positions extracted by
-    /// [`PlacementProblem::pack_params`]); `model` is the wirelength model;
-    /// `engine` collects the instrumentation of the wirelength and density
-    /// stages.
+    /// [`PlacementProblem::pack_params`]); `model` is the wirelength model.
+    /// The engine is ignored: the frozen `examples/bench_e2e` passes one,
+    /// and the argument goes with the benchmark PR that deletes
+    /// `EvalEngine` (ROADMAP item 1(d)).
     pub fn new(
         design: &'a Design,
         initial: &Placement,
         model: AnyModel,
-        engine: Arc<EvalEngine>,
+        _engine: Arc<EvalEngine>,
     ) -> Self {
         let netlist = &design.netlist;
         let movable: Vec<CellId> = netlist.movable_cells().collect();
         Self {
             held_at: vec![0.0; 2 * movable.len()],
             movable,
-            evaluator: NetlistEvaluator::new(model, Arc::clone(&engine)),
-            engine,
+            evaluator: NetlistEvaluator::serial(model),
             wl: WirelengthGrad::zeros(netlist.num_cells()),
             #[cfg(test)]
             wl_smoothing: 0.0,
@@ -98,19 +152,35 @@ impl<'a> PlacementProblem<'a> {
             dgx: vec![0.0; netlist.num_cells()],
             dgy: vec![0.0; netlist.num_cells()],
             density: None,
+            density_stage: StageStats::default(),
+            reused: 0,
             scratch: initial.clone(),
             lambda: 0.0,
             design,
             last: EvalStats::default(),
-            tf_synced: mep_density::TransformStats::default(),
             nan_after: 0,
             nan_remaining: 0,
         }
     }
 
-    /// The evaluation engine (e.g. for its instrumentation counters).
-    pub fn engine(&self) -> &Arc<EvalEngine> {
-        &self.engine
+    /// The counters of every evaluation so far. The spectral transforms
+    /// of [`PlacementProblem::density_report`] count too, so a run reads
+    /// this before its closing report.
+    pub fn stats(&self) -> EngineStats {
+        let wl = self.evaluator.stats();
+        EngineStats {
+            parallel_runs: 0,
+            serial_runs: wl.grad.count,
+            workspace_allocs: wl.workspace_allocs,
+            reused: self.reused,
+            wl_grad: wl.grad,
+            wl_scatter: wl.scatter,
+            wl_class_nets: wl.class_nets,
+            wl_generic_nets: wl.generic_nets,
+            wl_inactive_nets: wl.inactive_nets,
+            density: self.density_stage,
+            density_transform: self.es.transform_stats(),
+        }
     }
 
     /// Number of movable cells.
@@ -214,20 +284,11 @@ impl<'a> PlacementProblem<'a> {
         self.dgy.iter_mut().for_each(|g| *g = 0.0);
         let es = &mut self.es;
         let (dgx, dgy) = (&mut self.dgx, &mut self.dgy);
-        let report = self.engine.time_stage(Stage::Density, || {
+        self.density_stage.time(|| {
             let report = es.update(netlist, placement);
             es.accumulate_gradient(netlist, placement, dgx, dgy);
             report
-        });
-        // forward the transform sub-stage clock (kept by the density crate)
-        let tf = self.es.transform_stats();
-        self.engine.add_stage_sample(
-            Stage::DensityTransform,
-            tf.calls - self.tf_synced.calls,
-            tf.nanos - self.tf_synced.nanos,
-        );
-        self.tf_synced = tf;
-        report
+        })
     }
 
     /// Combines the wirelength term in `wl` and the density term in
@@ -277,8 +338,8 @@ impl<'a> Problem for PlacementProblem<'a> {
         assert_eq!(grad.len(), 2 * m);
         let mut scratch = std::mem::take(&mut self.scratch);
         self.unpack_params(x, &mut scratch);
-        // both stages always execute (the wirelength one engine-timed
-        // inside the evaluator): only `reeval` reuses the held terms
+        // both stages always execute (the wirelength one timed inside the
+        // evaluator): only `reeval` reuses the held terms
         self.evaluator
             .evaluate(&self.design.netlist, &scratch, &mut self.wl);
         #[cfg(test)]
@@ -312,7 +373,7 @@ impl<'a> Problem for PlacementProblem<'a> {
             self.set_smoothing(now);
             return f;
         }
-        self.engine.note_reuse();
+        self.reused += 1;
         self.combine(held, grad)
     }
 
@@ -404,7 +465,7 @@ mod tests {
         let mut g = vec![0.0; p.dim()];
         p.eval(&params, &mut g);
         p.eval(&params, &mut g);
-        let stats = p.engine().stats();
+        let stats = p.stats();
         // an eval executes both stages, even at the point of the last one
         assert_eq!((stats.wl_grad.count, stats.density.count), (2, 2));
         assert_eq!(stats.reused, 0);
@@ -454,7 +515,7 @@ mod tests {
         *last = f64::from_bits(last.to_bits() - 1);
         eval_bits(&mut p, &x);
         let at_y = eval_bits(&mut p, &y);
-        let stats = p.engine().stats();
+        let stats = p.stats();
         assert_eq!((stats.density.count, stats.reused), (2, 0));
         let mut fresh = problem(&c);
         fresh.lambda = 1e-3;
@@ -474,7 +535,7 @@ mod tests {
         assert_ne!(other.energy, before.density_energy);
         assert_eq!(first, reeval_bits(&mut p, &x));
         assert_eq!(p.last_stats(), before);
-        assert_eq!(p.engine().stats().reused, 1);
+        assert_eq!(p.stats().reused, 1);
     }
 
     #[test]
@@ -487,7 +548,7 @@ mod tests {
         held.set_smoothing(0.37);
         held.lambda = 3.25e-3;
         let hit = reeval_bits(&mut held, &x);
-        let s = held.engine().stats();
+        let s = held.stats();
         assert_eq!(
             (s.wl_grad.count, s.density.count, s.reused),
             (1, 1, 1),
@@ -507,7 +568,7 @@ mod tests {
         };
         assert_eq!(hit, recomputed);
         assert_eq!(held.smoothing(), 0.37);
-        assert_eq!(held.engine().stats().reused, 1);
+        assert_eq!(held.stats().reused, 1);
     }
 
     #[test]
@@ -529,7 +590,7 @@ mod tests {
         eval_bits(&mut p, &x);
         p.set_smoothing(0.37);
         let at_y = reeval_bits(&mut p, &y);
-        let s = p.engine().stats();
+        let s = p.stats();
         assert_eq!((s.wl_grad.count, s.density.count, s.reused), (2, 2, 0));
         let mut want = fresh();
         want.set_smoothing(0.37);
@@ -548,7 +609,7 @@ mod tests {
         assert!(poisoned.iter().all(|&b| f64::from_bits(b).is_nan()));
         assert!(p.last_stats().wirelength.is_nan());
         assert_eq!(clean, reeval_bits(&mut p, &x), "one poisoned reeval");
-        assert_eq!(p.engine().stats().reused, 2);
+        assert_eq!(p.stats().reused, 2);
     }
 
     #[test]

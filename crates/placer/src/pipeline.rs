@@ -4,14 +4,15 @@
 
 use crate::detail::{refine_with_cuts, DetailConfig, DetailReport};
 use crate::error::PlacerError;
-use crate::global::{place_with_engine, GlobalConfig, GlobalResult, RampStart};
+use crate::global::{place, GlobalConfig, GlobalResult, RampStart};
 use crate::guard::{RecoveryLog, Termination};
 use crate::legalize::{check_legal, legalize_with_cuts, LegalizeReport};
+use crate::objective::EngineStats;
 use crate::telemetry::{build_run_report, DispHistogram};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::{total_hpwl, Placement};
 use mep_obs::RunReport;
-use mep_wirelength::engine::{EngineStats, EvalEngine};
+use mep_wirelength::engine::EvalEngine;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,7 +57,7 @@ pub struct PipelineResult {
     pub placement: Placement,
     /// Legality violations in the final placement (must be empty).
     pub violations: usize,
-    /// Evaluation-engine instrumentation for the global-placement stage.
+    /// The evaluation counters of the global-placement stage.
     pub engine_stats: EngineStats,
     /// Every recovery the numerical guard performed during GP (empty on a
     /// clean run).
@@ -80,9 +81,6 @@ impl PipelineResult {
 
 /// Runs the full GP → LG → DP flow on a circuit.
 ///
-/// One evaluation engine is created here and collects the
-/// instrumentation of the whole flow.
-///
 /// Degenerate inputs (no movable cells, zero-area die, non-finite starting
 /// coordinates) and unrecoverable numerical faults surface as
 /// [`PlacerError`] instead of panicking; recoverable faults are handled by
@@ -92,25 +90,11 @@ pub fn run(
     circuit: &BookshelfCircuit,
     config: &PipelineConfig,
 ) -> Result<PipelineResult, PlacerError> {
-    run_with_engine(circuit, config, Arc::default())
-}
-
-/// [`run`] with a caller-supplied evaluation engine.
-///
-/// The multilevel flow passes one engine to every level, so the run's
-/// instrumentation is summed in one place. ECO re-placement
-/// ([`crate::flow::replace_region`]) builds an engine per call: each call
-/// is one pipeline run on a freshly derived netlist.
-pub fn run_with_engine(
-    circuit: &BookshelfCircuit,
-    config: &PipelineConfig,
-    engine: Arc<EvalEngine>,
-) -> Result<PipelineResult, PlacerError> {
     let design = &circuit.design;
 
     // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
     let t0 = Instant::now();
-    let gp: GlobalResult = place_with_engine(circuit, &config.global, engine)?;
+    let gp: GlobalResult = place(circuit, &config.global)?;
     let rt_gp = t0.elapsed().as_secs_f64();
 
     // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
@@ -160,6 +144,17 @@ pub fn run_with_engine(
     };
     result.report = build_run_report(&result, &config.global.model.to_string(), &dp_disp);
     Ok(result)
+}
+
+/// [`run`]; the engine is ignored. Called by the frozen
+/// `examples/bench_e2e`; goes with the benchmark PR that deletes
+/// `EvalEngine` (ROADMAP item 1(d)).
+pub fn run_with_engine(
+    circuit: &BookshelfCircuit,
+    config: &PipelineConfig,
+    _engine: Arc<EvalEngine>,
+) -> Result<PipelineResult, PlacerError> {
+    run(circuit, config)
 }
 
 #[cfg(test)]
@@ -324,6 +319,37 @@ mod tests {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });
         assert_eq!(fnv, 17_031_712_947_637_027_334, "{metrics:?}");
+    }
+
+    /// The engine the frozen benchmark passes is inert: the aliases return
+    /// the bits and counters of `place` and `run`.
+    #[test]
+    fn engine_aliases_are_place_and_run() {
+        let c = synth::generate(&synth::smoke_spec());
+        let config = PipelineConfig {
+            global: GlobalConfig {
+                max_iters: 60,
+                ..GlobalConfig::default()
+            },
+            ..PipelineConfig::default()
+        };
+        let bits =
+            |p: &Placement| -> Vec<u64> { p.x.iter().chain(&p.y).map(|v| v.to_bits()).collect() };
+        let counts = |s: &EngineStats| {
+            let stages = [s.wl_grad, s.wl_scatter, s.density, s.density_transform];
+            let nets = [s.wl_class_nets, s.wl_generic_nets, s.wl_inactive_nets];
+            let runs = [s.parallel_runs, s.serial_runs, s.workspace_allocs, s.reused];
+            (stages.map(|stage| stage.count), nets, runs)
+        };
+        let engine = || Arc::new(EvalEngine::new(8));
+        let want = place(&c, &config.global).unwrap();
+        let got = crate::global::place_with_engine(&c, &config.global, engine()).unwrap();
+        assert_eq!(bits(&got.placement), bits(&want.placement));
+        assert_eq!(counts(&got.engine_stats), counts(&want.engine_stats));
+        let want = run(&c, &config).unwrap();
+        let got = run_with_engine(&c, &config, engine()).unwrap();
+        assert_eq!(bits(&got.placement), bits(&want.placement));
+        assert_eq!(counts(&got.engine_stats), counts(&want.engine_stats));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! embedded in stage reports, and the registry aggregation that turns one
 //! pipeline run into an owned [`mep_obs::RunReport`].
 
+use crate::objective::EngineStats;
 use crate::pipeline::PipelineResult;
 use mep_netlist::{Design, Placement};
 use mep_obs::{Registry, RunReport};
@@ -104,32 +105,7 @@ pub(crate) fn build_run_report(
     r.gauge("gp.smoothing0").set(result.ramp.smoothing0);
     r.counter("flow.violations").add(result.violations as u64);
 
-    // evaluation-engine stage timings (formerly only on EngineStats)
-    let e = &result.engine_stats;
-    for (name, stage) in [
-        ("engine.wl_grad", &e.wl_grad),
-        ("engine.wl_scatter", &e.wl_scatter),
-        ("engine.density", &e.density),
-        ("engine.density_transform", &e.density_transform),
-    ] {
-        r.counter(&format!("{name}.count")).add(stage.count);
-        r.gauge(&format!("{name}.seconds"))
-            .set(stage.nanos as f64 * 1e-9);
-    }
-    // evaluations that recombined both held terms instead of executing
-    // either stage; every other evaluation executes both, so
-    // `engine.wl_grad.count` = `engine.density.count`; on a clean run
-    // `engine.reused` is one per GP iteration plus one per GP run (its
-    // second λ0 probe)
-    r.counter("engine.reused").add(e.reused);
-    // which path served the nets of the wirelength gradient stage (class
-    // kernel: 2..=`MAX_CLASS_DEGREE` pins under Moreau; per-net path: the
-    // rest), and how many it skipped because no pin of theirs can move; with the nets of
-    // fewer than two pins they add up to nets x `engine.wl_grad.count`
-    r.counter("engine.wl.class_nets").add(e.wl_class_nets);
-    r.counter("engine.wl.generic_nets").add(e.wl_generic_nets);
-    r.counter("engine.wl.inactive_nets").add(e.wl_inactive_nets);
-    r.counter("engine.workspace_allocs").add(e.workspace_allocs);
+    export_engine_stats(&r, &result.engine_stats);
 
     // guard events (formerly only on RecoveryLog)
     r.counter("guard.recoveries")
@@ -180,6 +156,34 @@ pub(crate) fn build_run_report(
     dp_disp.export(&r, "dp.displacement_rows");
 
     RunReport::from_registry(&r)
+}
+
+/// Copies a run's evaluation counters into `r` as the `engine.*` metrics
+/// (stage counts and seconds, reuses, net routes, workspace builds).
+pub(crate) fn export_engine_stats(r: &Registry, e: &EngineStats) {
+    for (name, stage) in [
+        ("engine.wl_grad", &e.wl_grad),
+        ("engine.wl_scatter", &e.wl_scatter),
+        ("engine.density", &e.density),
+        ("engine.density_transform", &e.density_transform),
+    ] {
+        r.counter(&format!("{name}.count")).add(stage.count);
+        r.gauge(&format!("{name}.seconds")).set(stage.seconds());
+    }
+    // evaluations that recombined both held terms instead of executing
+    // either stage; every other evaluation executes both, so
+    // `engine.wl_grad.count` = `engine.density.count`; on a clean run
+    // `engine.reused` is one per GP iteration plus one per GP run whose
+    // λ0 bootstrap width is its own (DESIGN.md §7)
+    r.counter("engine.reused").add(e.reused);
+    // which path served the nets of the wirelength gradient stage (class
+    // kernel: 2..=`MAX_CLASS_DEGREE` pins under Moreau; per-net path: the
+    // rest), and how many it skipped because no pin of theirs can move; with the nets of
+    // fewer than two pins they add up to nets x `engine.wl_grad.count`
+    r.counter("engine.wl.class_nets").add(e.wl_class_nets);
+    r.counter("engine.wl.generic_nets").add(e.wl_generic_nets);
+    r.counter("engine.wl.inactive_nets").add(e.wl_inactive_nets);
+    r.counter("engine.workspace_allocs").add(e.workspace_allocs);
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! * every job runs under `catch_unwind` — a panicking job (hostile
 //!   input, injected chaos) marks **itself** failed with
 //!   [`JobError::Panicked`] and the daemon lives on;
-//! * every job builds its own placement state, evaluation engine
+//! * every job builds its own placement state, evaluation counters
 //!   included, so nothing a panicking job touched outlives it;
 //! * admission control is explicit: a bounded queue refuses work
 //!   (reject-with-retry-after), a per-job memory estimate screens

@@ -43,7 +43,6 @@ pub mod schedule;
 pub mod wa;
 pub mod waterfill;
 
-pub use engine::{EngineStats, EvalEngine, Stage, StageStats};
 pub use model::{AnyModel, ModelKind};
-pub use netgrad::{NetlistEvaluator, WirelengthGrad};
+pub use netgrad::{NetlistEvaluator, WirelengthGrad, WirelengthStats};
 pub use schedule::{EplaceGammaSchedule, SmoothingSchedule, TangentTSchedule};

@@ -45,10 +45,11 @@
 
 mod workspace;
 
-use crate::engine::{EvalEngine, Stage};
+use crate::engine::EvalEngine;
 use crate::model::{AnyModel, ModelKind};
 use crate::moreau::{eval_class_nets, MAX_CLASS_DEGREE, MAX_UNROLLED_DEGREE};
 use mep_netlist::{CellId, NetId, Netlist, Placement};
+use mep_obs::StageStats;
 use std::sync::Arc;
 use workspace::{ClassBlock, Scratch, Workspace, LANES};
 
@@ -282,34 +283,59 @@ impl Workspace {
     }
 }
 
-/// Reusable whole-netlist evaluator for one wirelength model, reporting
-/// its clocks and counters to an [`EvalEngine`].
+/// The counters of one [`NetlistEvaluator`], summed over its evaluations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WirelengthStats {
+    /// Value + gradient evaluations.
+    pub grad: StageStats,
+    /// Net-order value sum and cell scatter of the pin gradients, once per
+    /// evaluation (inside `grad`).
+    pub scatter: StageStats,
+    /// Net evaluations served by the degree-class Moreau kernel (2..=16
+    /// pins, `moreau::MAX_CLASS_DEGREE`).
+    pub class_nets: u64,
+    /// Net evaluations served by the per-net path (more than 16 pins, or a
+    /// model without a class kernel).
+    pub generic_nets: u64,
+    /// Nets of at least two pins skipped because none of their pins can
+    /// move. Nets of fewer than two pins are not counted anywhere, so
+    /// `class_nets + generic_nets + inactive_nets + (such nets ×
+    /// grad.count)` is `nets × grad.count`.
+    pub inactive_nets: u64,
+    /// Workspace (re)builds: one per netlist instance evaluated, so it
+    /// stays flat across the iterations of a run.
+    pub workspace_allocs: u64,
+}
+
+/// Reusable whole-netlist evaluator for one wirelength model, counting its
+/// own work ([`NetlistEvaluator::stats`]).
 #[derive(Debug)]
 pub struct NetlistEvaluator {
     model: AnyModel,
-    engine: Arc<EvalEngine>,
     ws: Option<Workspace>,
+    stats: WirelengthStats,
 }
 
 impl NetlistEvaluator {
-    /// Creates an evaluator reporting to `engine`.
-    pub fn new(model: AnyModel, engine: Arc<EvalEngine>) -> Self {
+    /// [`NetlistEvaluator::serial`]; the engine is ignored. Called by the
+    /// frozen `examples/bench_e2e`; the argument goes with the benchmark PR
+    /// that deletes `EvalEngine` (ROADMAP item 1(d)).
+    pub fn new(model: AnyModel, _engine: Arc<EvalEngine>) -> Self {
+        Self::serial(model)
+    }
+
+    /// Creates an evaluator for `model`.
+    pub fn serial(model: AnyModel) -> Self {
         Self {
             model,
-            engine,
             ws: None,
+            stats: WirelengthStats::default(),
         }
     }
 
-    /// Evaluator with an engine of its own; handy for tests and small
-    /// tools.
-    pub fn serial(model: AnyModel) -> Self {
-        Self::new(model, Arc::default())
-    }
-
-    /// The engine this evaluator reports to.
-    pub fn engine(&self) -> &Arc<EvalEngine> {
-        &self.engine
+    /// The counters of every evaluation so far.
+    pub fn stats(&self) -> WirelengthStats {
+        self.stats
     }
 
     /// The wrapped model (e.g. to change its smoothing parameter).
@@ -322,23 +348,6 @@ impl NetlistEvaluator {
         &self.model
     }
 
-    /// The workspace of this netlist instance and the model to evaluate
-    /// it with, (re)building the workspace when the instance changed.
-    fn prepare(&mut self, netlist: &Netlist) -> (&mut Workspace, &mut AnyModel) {
-        if self
-            .ws
-            .as_ref()
-            .is_some_and(|ws| ws.layout.netlist_instance != netlist.instance_id())
-        {
-            self.ws = None;
-        }
-        let ws = self.ws.get_or_insert_with(|| {
-            self.engine.note_workspace_alloc();
-            Workspace::new(netlist)
-        });
-        (ws, &mut self.model)
-    }
-
     /// Evaluates value + cell gradients into `out` (buffers are reused).
     pub fn evaluate(&mut self, netlist: &Netlist, placement: &Placement, out: &mut WirelengthGrad) {
         out.grad_x.resize(netlist.num_cells(), 0.0);
@@ -349,22 +358,34 @@ impl NetlistEvaluator {
             out.grad_y.fill(0.0);
             return;
         }
-        let engine = Arc::clone(&self.engine);
-        engine.time_stage(Stage::WlGrad, || {
-            let class_kernel = self.model.kind() == ModelKind::Moreau;
-            let (ws, model) = self.prepare(netlist);
+        let Self { model, ws, stats } = self;
+        stats.grad.time(|| {
+            // the workspace of this netlist instance, rebuilt when the
+            // instance changed
+            if ws
+                .as_ref()
+                .is_some_and(|ws| ws.layout.netlist_instance != netlist.instance_id())
+            {
+                *ws = None;
+            }
+            let ws = ws.get_or_insert_with(|| {
+                stats.workspace_allocs += 1;
+                Workspace::new(netlist)
+            });
             ws.eval_nets(netlist, placement, model);
-            engine.time_stage(Stage::WlScatter, || {
+            stats.scatter.time(|| {
                 out.value = ws.total_value();
                 ws.scatter(netlist, out);
             });
             let layout = &ws.layout;
-            let class = if class_kernel {
+            let class = if model.kind() == ModelKind::Moreau {
                 layout.blocks.iter().map(|block| block.nets as u64).sum()
             } else {
                 0
             };
-            engine.note_wl_nets(class, layout.active_nets - class, layout.inactive_nets);
+            stats.class_nets += class;
+            stats.generic_nets += layout.active_nets - class;
+            stats.inactive_nets += layout.inactive_nets;
         });
     }
 }
@@ -546,15 +567,15 @@ mod tests {
                     let mut got = WirelengthGrad::zeros(nl.num_cells());
                     eval.evaluate(nl, placement, &mut got);
                     assert_same_bits(&got, &want, &what);
-                    let stats = eval.engine().stats();
+                    let stats = eval.stats();
                     let small = nl.nets().filter(|n| !multi_pin(n)).count() as u64;
-                    assert_eq!(stats.wl_inactive_nets, inactive, "{what}");
+                    assert_eq!(stats.inactive_nets, inactive, "{what}");
                     assert_eq!(
-                        stats.wl_class_nets + stats.wl_generic_nets + inactive + small,
+                        stats.class_nets + stats.generic_nets + inactive + small,
                         nl.num_nets() as u64,
                         "{what}: every net is served by one path or skipped"
                     );
-                    assert_eq!(stats.wl_class_nets > 0, kind == ModelKind::Moreau, "{what}");
+                    assert_eq!(stats.class_nets > 0, kind == ModelKind::Moreau, "{what}");
                 }
             }
         }
@@ -705,7 +726,7 @@ mod tests {
             eval.evaluate(nl, &c.placement, &mut out);
         }
         assert_eq!(
-            eval.engine().stats().workspace_allocs,
+            eval.stats().workspace_allocs,
             1,
             "workspace must be built exactly once for a fixed netlist"
         );

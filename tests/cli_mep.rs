@@ -357,6 +357,54 @@ fn eco_flag_freezes_cells_outside_the_window() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The job events among a daemon's JSONL frames, decoded back into
+/// `mep_serve::Event`s so that `job_grammar` can judge a transport's output
+/// as it judges a `CollectSink`'s: `accepted`, `iter`, `done` and `failed`
+/// frames become events of their `id`; connection replies (`metrics`,
+/// `cancel_ack`, `error`, `shutdown_complete`) are no job's events and are
+/// skipped. The grammar reads kinds and ids only, so payloads are left
+/// empty.
+fn job_events(frames: &[mep_serve::JsonValue]) -> Vec<mep_serve::Event> {
+    use mep_serve::{Event, JobError, JobSummary, JsonValue};
+    let mut events = Vec::new();
+    for frame in frames {
+        let id = || {
+            let id = frame.get("id").and_then(JsonValue::as_u64);
+            id.unwrap_or_else(|| panic!("job frame without an id: {frame:?}"))
+        };
+        events.push(match frame.get("event").and_then(JsonValue::as_str) {
+            Some("accepted") => Event::Accepted {
+                id: id(),
+                queue_depth: 0,
+            },
+            Some("iter") => Event::Iter {
+                id: id(),
+                record_json: String::new(),
+            },
+            Some("done") => Event::Done {
+                id: id(),
+                summary: JobSummary {
+                    termination: moreau_placer::placer::Termination::Converged,
+                    hpwl: 0.0,
+                    iterations: 0,
+                    overflow: 0.0,
+                    violations: 0,
+                    placement_hash: 0,
+                    elapsed_ms: 0,
+                },
+            },
+            Some("failed") => Event::Failed {
+                id: id(),
+                error: JobError::Placer {
+                    detail: String::new(),
+                },
+            },
+            _ => continue,
+        });
+    }
+    events
+}
+
 #[test]
 fn serve_stdio_smoke_streams_valid_jsonl_for_a_mixed_batch() {
     // 20 jobs — 16 clean, 2 with injected NaN faults, 2 that get
@@ -448,12 +496,16 @@ fn serve_stdio_smoke_streams_valid_jsonl_for_a_mixed_batch() {
         "shutdown_complete",
         "shutdown must be the final frame:\n{stdout}"
     );
+    let verdict = mep_serve::job_grammar(&job_events(&frames), true);
+    assert!(verdict.is_ok(), "{verdict:?}:\n{stdout}");
 }
 
 /// One line-protocol connection to a `mep serve --tcp` daemon.
 struct Client {
     reader: std::io::BufReader<std::net::TcpStream>,
     writer: std::net::TcpStream,
+    /// Every frame received so far.
+    frames: Vec<mep_serve::JsonValue>,
 }
 
 impl Client {
@@ -463,7 +515,11 @@ impl Client {
             .set_read_timeout(Some(std::time::Duration::from_secs(30)))
             .unwrap();
         let reader = std::io::BufReader::new(writer.try_clone().unwrap());
-        Self { reader, writer }
+        Self {
+            reader,
+            writer,
+            frames: Vec::new(),
+        }
     }
 
     fn send(&mut self, frame: &str) {
@@ -481,6 +537,7 @@ impl Client {
         let frame = mep_serve::parse_json(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
         let event = frame.get("event").and_then(|e| e.as_str()).unwrap_or("?");
         let event = event.to_string();
+        self.frames.push(frame.clone());
         (frame, event)
     }
 }
@@ -555,6 +612,8 @@ fn serve_tcp_serves_each_connection_and_exits_on_shutdown() {
         let (done, event) = a.recv();
         assert_eq!(event, "done", "{bind}");
         assert_eq!(hash(&done), reference, "{bind}: same bits as stdio");
+        let verdict = mep_serve::job_grammar(&job_events(&a.frames), true);
+        assert!(verdict.is_ok(), "{bind}: {verdict:?}");
         drop((a, b));
 
         let mut c = Client::connect(port);

@@ -40,10 +40,10 @@ fn newblue6_nets_per_evaluation_by_kernel_route() {
     let mut out = WirelengthGrad::zeros(nl.num_cells());
     for evaluations in 1..=2 {
         eval.evaluate(nl, &circuit.placement, &mut out);
-        let stats = eval.engine().stats();
-        assert_eq!(stats.wl_class_nets, evaluations * 12851);
-        assert_eq!(stats.wl_generic_nets, evaluations * 33);
-        assert_eq!(stats.wl_inactive_nets, 0);
+        let stats = eval.stats();
+        assert_eq!(stats.class_nets, evaluations * 12851);
+        assert_eq!(stats.generic_nets, evaluations * 33);
+        assert_eq!(stats.inactive_nets, 0);
     }
 }
 
