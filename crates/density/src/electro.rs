@@ -29,7 +29,6 @@ pub struct Electrostatics {
     target_density: f64,
     total_movable_area: f64,
     rho: Vec<f64>,
-    psi: Vec<f64>,
     ex: Vec<f64>,
     ey: Vec<f64>,
     bin_area: f64,
@@ -53,14 +52,13 @@ impl Electrostatics {
         let bin_area = grid.bin_area();
         let map = DensityMap::new(grid, &design.netlist, placement);
         // lint:allow(no-alloc-hot): construction; every update reuses these fields
-        let [rho, psi, ex, ey] = std::array::from_fn(|_| vec![0.0; n]);
+        let [rho, ex, ey] = std::array::from_fn(|_| vec![0.0; n]);
         Self {
             map,
             solver,
             target_density: design.target_density,
             total_movable_area: design.netlist.total_movable_area(),
             rho,
-            psi,
             ex,
             ey,
             bin_area,
@@ -89,16 +87,9 @@ impl Electrostatics {
         for r in self.rho.iter_mut() {
             *r *= inv;
         }
-        self.solver
-            .solve(&self.rho, &mut self.psi, &mut self.ex, &mut self.ey);
-        let energy = 0.5
-            * self
-                .rho
-                .iter()
-                .zip(&self.psi)
-                .map(|(r, p)| r * p)
-                .sum::<f64>()
-            * self.bin_area;
+        // Σρψ comes out of the field solve by Parseval: ψ is never built
+        let rho_psi = self.solver.fields(&self.rho, &mut self.ex, &mut self.ey);
+        let energy = 0.5 * rho_psi * self.bin_area;
         let overflow = self
             .map
             .overflow(self.target_density, self.total_movable_area);
@@ -134,11 +125,6 @@ impl Electrostatics {
             "accumulate_gradient at another netlist or point than the last update"
         );
         table.gather(grid, netlist, [&self.ex, &self.ey], [grad_x, grad_y]);
-    }
-
-    /// The potential field of the last solve (bin-major, `iy * nx + ix`).
-    pub fn potential(&self) -> &[f64] {
-        &self.psi
     }
 
     /// Movable + fixed charge density of the last solve.

@@ -14,26 +14,27 @@
 //! There is one stack, single-threaded, and one body per transform: every
 //! 1-D transform is [`DctPlan::apply`], generic over the number `W` of
 //! strided lines it transforms at once, and [`Spectral2d::execute`] is the
-//! 2-D transform every Poisson solve runs. A [`DctPlan`] per axis collapses
-//! each length-`2N` transform onto an `N`-point complex FFT through the
-//! real-input pack/unpack identities (the inputs are real, and the
-//! synthesis output of a real spectrum is mirror-conjugate, so half the
-//! butterflies vanish), and every phase factor is a table lookup. Both
-//! passes of a 2-D transform take [`LANES`] adjacent lines per tile — the
-//! column pass strided in place, so no transpose exists — and a line left
-//! over when a dimension is below [`LANES`] goes through the same function
-//! at `W = 1`. A lane's arithmetic does not depend on `W`, so a grid is
-//! bit-identical to `apply::<1>` on every row, then on every column.
+//! 2-D transform every Poisson solve runs. A [`DctPlan`] per axis runs each
+//! length-`N` transform on one `N/2`-point complex FFT through Makhoul's
+//! reordering (even samples ascending, odd samples descending, packed in
+//! pairs), and every phase factor is a table lookup. Both passes of a 2-D
+//! transform take [`LANES`] adjacent lines per tile — the column pass
+//! strided in place, so no transpose exists — and a line left over when a
+//! dimension is below [`LANES`] goes through the same function at `W = 1`.
+//! A lane's arithmetic does not depend on `W`, so a grid is bit-identical
+//! to `apply::<1>` on every row, then on every column.
 
 use crate::fft::{FftPlan, LANES};
 use mep_obs::StageStats;
 
-/// Scratch buffers for the FFT-based transforms (reused across calls): one
-/// split-complex pair holding the `W` interleaved sequences of a tile.
+/// Scratch buffers for the FFT-based transforms (reused across calls): the
+/// split-complex pair of the `N/2`-point FFT and the `N` spectral values a
+/// synthesis reads, each holding the `W` interleaved sequences of a tile.
 #[derive(Debug, Clone, Default)]
 pub struct TransformScratch {
     re: Vec<f64>,
     im: Vec<f64>,
+    tile: Vec<f64>,
 }
 
 impl TransformScratch {
@@ -42,14 +43,23 @@ impl TransformScratch {
         Self::default()
     }
 
-    /// Grows (never shrinks, so the alternating row/column sweeps of a
-    /// rectangular grid never resize twice) the buffers to `len` slots,
-    /// without zeroing: the kernels overwrite every slot they read.
-    fn ensure(&mut self, len: usize) {
-        if self.re.len() < len {
-            self.re.resize(len, 0.0);
-            self.im.resize(len, 0.0);
+    /// The FFT pair (`half` slots each) and the tile (`2·half` slots),
+    /// grown first — never shrunk, so the alternating row/column sweeps of
+    /// a rectangular grid never resize twice — and not zeroed: the kernels
+    /// overwrite every slot they read.
+    fn buffers(&mut self, half: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
+        if self.re.len() < half {
+            self.re.resize(half, 0.0);
+            self.im.resize(half, 0.0);
         }
+        if self.tile.len() < 2 * half {
+            self.tile.resize(2 * half, 0.0);
+        }
+        (
+            &mut self.re[..half],
+            &mut self.im[..half],
+            &mut self.tile[..2 * half],
+        )
     }
 }
 
@@ -80,6 +90,22 @@ fn store_group(dst: &mut [f64], at: usize, lstep: usize, src: &[f64]) {
     }
 }
 
+/// Element `u` of a `W`-lane SoA buffer as a fixed-width array: one bounds
+/// check per element, none per lane, so the twiddle loops over these
+/// arrays compile to packed arithmetic.
+#[inline(always)]
+fn lane<const W: usize>(s: &[f64], u: usize) -> [f64; W] {
+    let mut out = [0.0; W];
+    out.copy_from_slice(&s[u * W..u * W + W]);
+    out
+}
+
+/// Writes element `u` of a `W`-lane SoA buffer; mirror of [`lane`].
+#[inline(always)]
+fn set_lane<const W: usize>(s: &mut [f64], u: usize, v: &[f64; W]) {
+    s[u * W..u * W + W].copy_from_slice(v);
+}
+
 /// Which of the three length-`N` transforms to apply along one axis (see
 /// the module docs for the definitions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,36 +120,42 @@ pub enum Kind {
 
 /// A reusable plan for the three length-`N` trigonometric transforms.
 ///
-/// Holds an `N`-point [`FftPlan`] plus the two phase-factor tables the
-/// real-input fast path needs, so [`DctPlan::apply`] performs **no**
-/// trigonometry:
+/// Holds an `N/2`-point [`FftPlan`] plus two phase-factor tables, so
+/// [`DctPlan::apply`] performs **no** trigonometry. With `M = N/2`,
+/// Makhoul's reordering `v_k = x_{2k}`, `v_{N−1−k} = x_{2k+1}` (`k < M`)
+/// turns the DCT-II into `X_u = Re[e^{−iπu/2N} V_u]`, `V = DFT_N(v)`:
 ///
-/// * **Analysis** ([`Kind::Dct2`]): the even-mirrored extension of the
-///   input is a length-`2N` *real* sequence; its FFT is computed by packing
-///   adjacent pairs into an `N`-point complex FFT and unpacking with the
-///   conjugate-symmetry identity
-///   `Y_u = (Z_u + Z̄_{N−u})/2 − (i/2)·e^{−iπu/N}(Z_u − Z̄_{N−u})`.
-/// * **Synthesis** ([`Kind::Dct3`] / [`Kind::Dst3`]): the length-`2N`
-///   half-spectrum inverse FFT `s_i = Σ_u c_u e^{iπu(i+½)/N}` of *real*
-///   coefficients `c` satisfies `s_{2N−1−i} = s̄_i`, so its even-indexed
-///   samples are exactly the `N`-point inverse FFT of
-///   `d_u = c_u e^{iπu/2N}` and the odd-indexed samples are conjugated
-///   mirror reads of the same array.
+/// * **Analysis** ([`Kind::Dct2`]): `v` is real, so its `N`-point DFT is
+///   one `M`-point FFT of `z_j = v_{2j} + i·v_{2j+1}`; one post-twiddle
+///   pass splits each pair `Z_k`, `Z_{M−k}` into `V_k`, `V_{M−k}`, and
+///   each `V_u` gives both `X_u` and `X_{N−u} = −Im[e^{−iπu/2N} V_u]`.
+/// * **Synthesis** ([`Kind::Dct3`]): the exact inverse. The pre-twiddle
+///   pass builds `V_u = ½e^{iπu/2N}(X_u − iX_{N−u})` (`V_0 = X_0/2`) and
+///   folds each pair `V_k`, `V_{M−k}` into the Hermitian-packed input of
+///   one `M`-point inverse FFT, whose output is `v` pairwise; the store
+///   undoes the reordering.
+/// * [`Kind::Dst3`] is the DCT-III of the index-reversed spectrum
+///   (`X'_w = X_{N−w}`, `X'_0 = 0`) with the odd outputs negated, since
+///   `sin(π(N−w)(i+½)/N) = (−1)^i cos(πw(i+½)/N)`: the reversal is the
+///   load's index order and the sign the store's, so both synthesis kinds
+///   run one body.
 ///
-/// Either way a 1-D transform costs one `N`-point complex FFT and two
-/// `O(N)` table passes.
+/// Either way a 1-D transform costs one `N/2`-point complex FFT and two
+/// `O(N)` passes: analysis twiddles on the way out to the grid, synthesis
+/// on the way in from one tile of scratch.
 #[derive(Debug, Clone)]
 pub struct DctPlan {
     n: usize,
     fft: FftPlan,
-    /// `(cos, sin)` of `πu/2N`, `u = 0..N`: synthesis input rotation
-    /// `e^{iπu/2N}`; its conjugate is the analysis output rotation.
+    /// `½(cos, sin)` of `πk/2N`, `k = 0..=N/2`: the synthesis rotation
+    /// `½e^{iπk/2N}`; its conjugate is the analysis rotation (the `½`
+    /// absorbs the unpack's halving).
     ph_re: Vec<f64>,
     ph_im: Vec<f64>,
-    /// `(cos, sin)` of `πk/N`, `k = 0..N`: real-FFT unpack rotation
-    /// (used conjugated, as `e^{−iπk/N}`).
-    un_re: Vec<f64>,
-    un_im: Vec<f64>,
+    /// `(cos, sin)` of `2πk/N`, `k = 0..N/4`: the split/fold rotation
+    /// `e^{2πik/N}` (conjugated in analysis).
+    tw_re: Vec<f64>,
+    tw_im: Vec<f64>,
 }
 
 impl DctPlan {
@@ -137,37 +169,21 @@ impl DctPlan {
             n.is_power_of_two(),
             "transform length {n} is not a power of two"
         );
-        let half_angle = |u: usize, denom: f64| {
-            let ang = std::f64::consts::PI * u as f64 / denom;
-            (ang.cos(), ang.sin())
+        let half = n / 2;
+        // `len` entries `scale·f(πk/denom)`
+        let table = |len: usize, scale: f64, denom: usize, f: fn(f64) -> f64| {
+            (0..len)
+                .map(|k| scale * f(std::f64::consts::PI * k as f64 / denom as f64))
+                // lint:allow(no-alloc-hot): construction; every transform reuses the plan
+                .collect()
         };
-        // lint:allow(no-alloc-hot): construction; every transform reuses the plan
-        let mut ph_re = Vec::with_capacity(n);
-        // lint:allow(no-alloc-hot): construction; every transform reuses the plan
-        let mut ph_im = Vec::with_capacity(n);
-        // lint:allow(no-alloc-hot): construction; every transform reuses the plan
-        let mut un_re = Vec::with_capacity(n);
-        // lint:allow(no-alloc-hot): construction; every transform reuses the plan
-        let mut un_im = Vec::with_capacity(n);
-        for u in 0..n {
-            let (c, s) = half_angle(u, 2.0 * n as f64);
-            // lint:allow(no-alloc-hot): construction; every transform reuses the plan
-            ph_re.push(c);
-            // lint:allow(no-alloc-hot): construction; every transform reuses the plan
-            ph_im.push(s);
-            let (c, s) = half_angle(u, n as f64);
-            // lint:allow(no-alloc-hot): construction; every transform reuses the plan
-            un_re.push(c);
-            // lint:allow(no-alloc-hot): construction; every transform reuses the plan
-            un_im.push(s);
-        }
         Self {
             n,
-            fft: FftPlan::new(n),
-            ph_re,
-            ph_im,
-            un_re,
-            un_im,
+            fft: FftPlan::new(half.max(1)),
+            ph_re: table(half + 1, 0.5, 2 * n, f64::cos),
+            ph_im: table(half + 1, 0.5, 2 * n, f64::sin),
+            tw_re: table(half.div_ceil(2), 1.0, half, f64::cos),
+            tw_im: table(half.div_ceil(2), 1.0, half, f64::sin),
         }
     }
 
@@ -179,6 +195,16 @@ impl DctPlan {
     /// Whether the plan is for the trivial length-0 transform.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Position in the line of element `m` of Makhoul's reordering.
+    #[inline]
+    fn reordered(&self, m: usize) -> usize {
+        if 2 * m < self.n {
+            2 * m
+        } else {
+            2 * self.n - 1 - 2 * m
+        }
     }
 
     /// Applies `kind` in place to `W` strided sequences of the grid `data`
@@ -203,156 +229,192 @@ impl DctPlan {
         lstep: usize,
         scratch: &mut TransformScratch,
     ) {
-        let last = base + (self.n - 1) * estep + (W - 1) * lstep;
+        let n = self.n;
+        let last = base + (n - 1) * estep + (W - 1) * lstep;
         assert!(
             last < data.len(),
-            "data ends before element {last} of a line of planned length {}",
-            self.n
+            "data ends before element {last} of a line of planned length {n}"
         );
-        match kind {
-            Kind::Dct2 => self.dct2::<W>(data, base, estep, lstep, scratch),
-            Kind::Dct3 => self.synthesize::<W>(data, base, estep, lstep, scratch, false),
-            Kind::Dst3 => self.synthesize::<W>(data, base, estep, lstep, scratch, true),
-        }
-    }
-
-    /// DCT-II: `X_u = Σ_i x_i cos(πu(i+½)/N)`.
-    fn dct2<const W: usize>(
-        &self,
-        data: &mut [f64],
-        base: usize,
-        estep: usize,
-        lstep: usize,
-        scratch: &mut TransformScratch,
-    ) {
-        let n = self.n;
-        if n <= 1 {
-            return; // X_0 = x_0
-        }
-        scratch.ensure(n * W);
-        let re = &mut scratch.re[..n * W];
-        let im = &mut scratch.im[..n * W];
-        // pack the even-mirrored sequence y (y_i = x_i, y_{2N−1−i} = x_i)
-        // pairwise: z_j = y_{2j} + i·y_{2j+1}
-        let half = n / 2;
-        for j in 0..half {
-            let e0 = base + (2 * j) * estep;
-            let e1 = base + (2 * j + 1) * estep;
-            load_group(data, e0, lstep, &mut re[j * W..j * W + W]);
-            load_group(data, e1, lstep, &mut im[j * W..j * W + W]);
-        }
-        for j in half..n {
-            let e0 = base + (2 * n - 1 - 2 * j) * estep;
-            let e1 = base + (2 * n - 2 - 2 * j) * estep;
-            load_group(data, e0, lstep, &mut re[j * W..j * W + W]);
-            load_group(data, e1, lstep, &mut im[j * W..j * W + W]);
-        }
-        self.fft.process::<W>(re, im, false);
-        // Unpack bins 0..N of the 2N-point real FFT and rotate into
-        // DCT-II. Conjugate symmetry pairs bin u with N−u, so one walk
-        // over mirror pairs shares the Z loads and halves the unpack
-        // traffic; u = 0 and u = N/2 are their own mirrors.
-        let rot = |u: usize, zr_u: f64, zi_u: f64, zr_v: f64, zi_v: f64| -> f64 {
-            let a_re = 0.5 * (zr_u + zr_v);
-            let a_im = 0.5 * (zi_u - zi_v);
-            let d_re = 0.5 * (zr_u - zr_v);
-            let d_im = 0.5 * (zi_u + zi_v);
-            // B = −i·D, then Y = A + e^{−iπu/N}·B
-            let (b_re, b_im) = (d_im, -d_re);
-            let y_re = f64::mul_add(self.un_im[u], b_im, f64::mul_add(self.un_re[u], b_re, a_re));
-            let y_im = f64::mul_add(
-                -self.un_im[u],
-                b_re,
-                f64::mul_add(self.un_re[u], b_im, a_im),
-            );
-            // X_u = ½·Re[Y_u e^{−iπu/2N}]
-            0.5 * f64::mul_add(self.ph_im[u], y_im, y_re * self.ph_re[u])
-        };
-        let mut tmp = [0.0_f64; W];
-        for (l, t) in tmp.iter_mut().enumerate() {
-            *t = rot(0, re[l], im[l], re[l], im[l]);
-        }
-        store_group(data, base, lstep, &tmp);
-        for (l, t) in tmp.iter_mut().enumerate() {
-            let (zr, zi) = (re[half * W + l], im[half * W + l]);
-            *t = rot(half, zr, zi, zr, zi);
-        }
-        store_group(data, base + half * estep, lstep, &tmp);
-        let mut tmp_v = [0.0_f64; W];
-        for u in 1..half {
-            let v = n - u;
-            for l in 0..W {
-                let (zr_u, zi_u) = (re[u * W + l], im[u * W + l]);
-                let (zr_v, zi_v) = (re[v * W + l], im[v * W + l]);
-                tmp[l] = rot(u, zr_u, zi_u, zr_v, zi_v);
-                tmp_v[l] = rot(v, zr_v, zi_v, zr_u, zi_u);
-            }
-            store_group(data, base + u * estep, lstep, &tmp);
-            store_group(data, base + v * estep, lstep, &tmp_v);
-        }
-    }
-
-    /// DCT-III (`sine = false`): `y_i = X_0/2 + Σ_{u≥1} X_u cos(πu(i+½)/N)`;
-    /// DST-III (`sine = true`): `y_i = Σ_{u≥1} X_u sin(πu(i+½)/N)`.
-    fn synthesize<const W: usize>(
-        &self,
-        data: &mut [f64],
-        base: usize,
-        estep: usize,
-        lstep: usize,
-        scratch: &mut TransformScratch,
-        sine: bool,
-    ) {
-        let n = self.n;
         if n == 1 {
             for l in 0..W {
                 let at = base + l * lstep;
-                data[at] = if sine { 0.0 } else { 0.5 * data[at] };
+                data[at] = match kind {
+                    Kind::Dct2 => data[at],
+                    Kind::Dct3 => 0.5 * data[at],
+                    Kind::Dst3 => 0.0,
+                };
             }
             return;
         }
-        scratch.ensure(n * W);
-        let re = &mut scratch.re[..n * W];
-        let im = &mut scratch.im[..n * W];
-        // d_u = c_u·e^{iπu/2N}; c_0 contributes only to the real (cosine)
-        // output, so the sine path zeroes it
-        let mut tmp = [0.0_f64; W];
-        load_group(data, base, lstep, &mut tmp);
-        for l in 0..W {
-            let c0 = if sine { 0.0 } else { 0.5 * tmp[l] };
-            re[l] = c0;
-            im[l] = 0.0;
+        let (re, im, tile) = scratch.buffers(n / 2 * W);
+        let at = |u: usize| base + u * estep;
+        if kind == Kind::Dct2 {
+            // z_j = v_{2j} + i·v_{2j+1}, read straight into the FFT pair
+            for (j, (zr, zi)) in re
+                .chunks_exact_mut(W)
+                .zip(im.chunks_exact_mut(W))
+                .enumerate()
+            {
+                load_group(data, at(self.reordered(2 * j)), lstep, zr);
+                load_group(data, at(self.reordered(2 * j + 1)), lstep, zi);
+            }
+            self.fft.process::<W>(re, im, false);
+            self.split_spectrum::<W>(re, im, |u, x| store_group(data, at(u), lstep, x));
+            return;
+        }
+        // the whole spectrum is read into the tile in one sequential walk
+        // (V_u needs both X_u and X_{N−u}); DST-III reads it index-reversed
+        let sine = kind == Kind::Dst3;
+        if sine {
+            tile[..W].fill(0.0);
+        } else {
+            load_group(data, at(0), lstep, &mut tile[..W]);
         }
         for u in 1..n {
-            let (pr, pi) = (self.ph_re[u], self.ph_im[u]);
-            load_group(data, base + u * estep, lstep, &mut tmp);
-            for l in 0..W {
-                let c = tmp[l];
-                re[u * W + l] = c * pr;
-                im[u * W + l] = c * pi;
+            let src = if sine { n - u } else { u };
+            load_group(data, at(src), lstep, &mut tile[u * W..u * W + W]);
+        }
+        self.fold_spectrum::<W>(tile, re, im);
+        self.fft.process::<W>(re, im, true);
+        // v_{2j} = Re z_j, v_{2j+1} = Im z_j, back to line order; DST-III
+        // negates the odd outputs (the second half of v)
+        let mut neg = [0.0_f64; W];
+        for m in 0..n {
+            let part = if m % 2 == 0 { &*re } else { &*im };
+            let src = &part[m / 2 * W..m / 2 * W + W];
+            if sine && 2 * m >= n {
+                for (d, &s) in neg.iter_mut().zip(src) {
+                    *d = -s;
+                }
+                store_group(data, at(self.reordered(m)), lstep, &neg);
+            } else {
+                store_group(data, at(self.reordered(m)), lstep, src);
             }
         }
-        self.fft.process::<W>(re, im, true);
-        // s_{2m} = E_m, s_{2m+1} = conj(E_{N−1−m}); cosine output reads the
-        // real parts, sine output the (sign-flipped on odd) imaginary parts
-        let half = n / 2;
-        if sine {
-            let mut odd = [0.0_f64; W];
-            for m in 0..half {
-                let src = &im[m * W..m * W + W];
-                store_group(data, base + (2 * m) * estep, lstep, src);
-                for (l, o) in odd.iter_mut().enumerate() {
-                    *o = -im[(n - 1 - m) * W + l];
-                }
-                store_group(data, base + (2 * m + 1) * estep, lstep, &odd);
+    }
+
+    /// DCT-II post-twiddle: from the `M`-point FFT `Z` of the packed pairs,
+    /// `2V_k = A − T` and `2V_{M−k} = conj(A + T)` with
+    /// `A = Z_k + conj Z_{M−k}`, `D = Z_k − conj Z_{M−k}` and
+    /// `T = i·e^{−2πik/N}·D`; then `X_u = Re[Y_u]`, `X_{N−u} = −Im[Y_u]`
+    /// for `Y_u = ½e^{−iπu/2N}·2V_u`. Hands each of the `N` outputs to
+    /// `put(u, X_u)`.
+    fn split_spectrum<const W: usize>(
+        &self,
+        re: &[f64],
+        im: &[f64],
+        mut put: impl FnMut(usize, &[f64; W]),
+    ) {
+        let (n, m) = (self.n, self.n / 2);
+        // k = 0: V_0 and V_M are real
+        let (zr, zi) = (lane::<W>(re, 0), lane::<W>(im, 0));
+        let pm = 2.0 * self.ph_re[m];
+        let (mut x0, mut xm) = ([0.0; W], [0.0; W]);
+        for l in 0..W {
+            x0[l] = zr[l] + zi[l];
+            xm[l] = pm * (zr[l] - zi[l]);
+        }
+        put(0, &x0);
+        put(m, &xm);
+        if m < 2 {
+            return;
+        }
+        // k = M/2 is its own mirror: 2V = 2·conj Z, so Y = 2·conj(p·Z)
+        let h = m / 2;
+        let (zr, zi) = (lane::<W>(re, h), lane::<W>(im, h));
+        let (pc, ps) = (2.0 * self.ph_re[h], 2.0 * self.ph_im[h]);
+        let (mut xh, mut xnh) = ([0.0; W], [0.0; W]);
+        for l in 0..W {
+            xh[l] = f64::mul_add(pc, zr[l], -(ps * zi[l]));
+            xnh[l] = f64::mul_add(pc, zi[l], ps * zr[l]);
+        }
+        put(h, &xh);
+        put(n - h, &xnh);
+        for k in 1..h {
+            let (ur, ui) = (lane::<W>(re, k), lane::<W>(im, k));
+            let (vr, vi) = (lane::<W>(re, m - k), lane::<W>(im, m - k));
+            let (qc, qs) = (self.tw_re[k], self.tw_im[k]);
+            let (pc, ps) = (self.ph_re[k], self.ph_im[k]);
+            let (pc2, ps2) = (self.ph_re[m - k], self.ph_im[m - k]);
+            let (mut xk, mut xnk, mut xmk, mut xpk) = ([0.0; W], [0.0; W], [0.0; W], [0.0; W]);
+            for l in 0..W {
+                let (ar, ai) = (ur[l] + vr[l], ui[l] - vi[l]);
+                let (dr, di) = (ur[l] - vr[l], ui[l] + vi[l]);
+                let tr = f64::mul_add(qs, dr, -(qc * di));
+                let ti = f64::mul_add(qc, dr, qs * di);
+                // 2V_k = A − T
+                let (gr, gi) = (ar - tr, ai - ti);
+                xk[l] = f64::mul_add(pc, gr, ps * gi);
+                xnk[l] = f64::mul_add(ps, gr, -(pc * gi));
+                // 2V_{M−k} = conj(A + T)
+                let (hr, hi) = (ar + tr, ai + ti);
+                xmk[l] = f64::mul_add(pc2, hr, -(ps2 * hi));
+                xpk[l] = f64::mul_add(ps2, hr, pc2 * hi);
             }
-        } else {
-            for m in 0..half {
-                let src = &re[m * W..m * W + W];
-                store_group(data, base + (2 * m) * estep, lstep, src);
-                let mirror = &re[(n - 1 - m) * W..(n - 1 - m) * W + W];
-                store_group(data, base + (2 * m + 1) * estep, lstep, mirror);
+            put(k, &xk);
+            put(n - k, &xnk);
+            put(m - k, &xmk);
+            put(m + k, &xpk);
+        }
+    }
+
+    /// DCT-III pre-twiddle, the inverse of [`DctPlan::split_spectrum`]:
+    /// `V_u = ½e^{iπu/2N}(X_u − iX_{N−u})` from `tile`, folded as
+    /// `Ẑ_k = A + T`, `Ẑ_{M−k} = conj(A − T)` with `A = V_k + conj V_{M−k}`,
+    /// `D = V_k − conj V_{M−k}` and `T = i·e^{2πik/N}·D`, into the FFT
+    /// pair, whose unnormalized `M`-point inverse is `v_{2j} + i·v_{2j+1}`.
+    fn fold_spectrum<const W: usize>(&self, tile: &[f64], re: &mut [f64], im: &mut [f64]) {
+        let (n, m) = (self.n, self.n / 2);
+        // k = 0: V_0 = X_0/2 and V_M = (cos + sin)(π/4)/2 · X_M are real
+        let (x0, xm) = (lane::<W>(tile, 0), lane::<W>(tile, m));
+        let (p0, pm) = (self.ph_re[0], self.ph_re[m] + self.ph_im[m]);
+        let (mut zr, mut zi) = ([0.0; W], [0.0; W]);
+        for l in 0..W {
+            let (v0, vm) = (p0 * x0[l], pm * xm[l]);
+            zr[l] = v0 + vm;
+            zi[l] = v0 - vm;
+        }
+        set_lane(re, 0, &zr);
+        set_lane(im, 0, &zi);
+        if m < 2 {
+            return;
+        }
+        // k = M/2 is its own mirror: Ẑ = 2·conj V
+        let h = m / 2;
+        let (xh, xnh) = (lane::<W>(tile, h), lane::<W>(tile, n - h));
+        let (pc, ps) = (2.0 * self.ph_re[h], 2.0 * self.ph_im[h]);
+        for l in 0..W {
+            zr[l] = f64::mul_add(pc, xh[l], ps * xnh[l]);
+            zi[l] = f64::mul_add(pc, xnh[l], -(ps * xh[l]));
+        }
+        set_lane(re, h, &zr);
+        set_lane(im, h, &zi);
+        for k in 1..h {
+            let (xk, xnk) = (lane::<W>(tile, k), lane::<W>(tile, n - k));
+            let (xmk, xpk) = (lane::<W>(tile, m - k), lane::<W>(tile, m + k));
+            let (qc, qs) = (self.tw_re[k], self.tw_im[k]);
+            let (pc, ps) = (self.ph_re[k], self.ph_im[k]);
+            let (pc2, ps2) = (self.ph_re[m - k], self.ph_im[m - k]);
+            let (mut ur, mut ui, mut wr, mut wi) = ([0.0; W], [0.0; W], [0.0; W], [0.0; W]);
+            for l in 0..W {
+                // V_k and V_{M−k}
+                let vr = f64::mul_add(pc, xk[l], ps * xnk[l]);
+                let vi = f64::mul_add(ps, xk[l], -(pc * xnk[l]));
+                let sr = f64::mul_add(pc2, xmk[l], ps2 * xpk[l]);
+                let si = f64::mul_add(ps2, xmk[l], -(pc2 * xpk[l]));
+                let (ar, ai) = (vr + sr, vi - si);
+                let (dr, di) = (vr - sr, vi + si);
+                let tr = -f64::mul_add(qc, di, qs * dr);
+                let ti = f64::mul_add(qc, dr, -(qs * di));
+                ur[l] = ar + tr;
+                ui[l] = ai + ti;
+                wr[l] = ar - tr;
+                wi[l] = ti - ai;
             }
+            set_lane(re, k, &ur);
+            set_lane(im, k, &ui);
+            set_lane(re, m - k, &wr);
+            set_lane(im, m - k, &wi);
         }
     }
 }
@@ -561,6 +623,28 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// DST-III is the DCT-III of the index-reversed spectrum
+    /// (`X'_w = X_{N−w}`, `X'_0 = 0`) with its odd outputs negated, to the
+    /// bit: the two kinds share one synthesis body.
+    #[test]
+    fn dst3_is_the_reversed_sign_alternated_dct3() {
+        for &n in &[1usize, 2, 4, 8, 128, 1024] {
+            let plan = DctPlan::new(n);
+            let mut scratch = TransformScratch::new();
+            let x = rand_seq(n, 500 + n as u64);
+            let mut sine = x.clone();
+            apply_one(&plan, Kind::Dst3, &mut sine, &mut scratch);
+            let mut cosine: Vec<f64> = (0..n)
+                .map(|w| if w == 0 { 0.0 } else { x[n - w] })
+                .collect();
+            apply_one(&plan, Kind::Dct3, &mut cosine, &mut scratch);
+            for i in 0..n {
+                let want = if i % 2 == 1 { -cosine[i] } else { cosine[i] };
+                assert_eq!(sine[i].to_bits(), want.to_bits(), "n={n} i={i}");
             }
         }
     }

@@ -41,7 +41,8 @@ fn per_line_reference(data: &mut [f64], rows: usize, cols: usize, kind_x: Kind, 
 /// Over power-of-two grids spanning 2..=1024 on a side — square and both
 /// rectangular aspect ratios, with dimensions below `LANES` (leftover
 /// lines, one at a time) and well above it — the planned path matches the
-/// oracle for each of the four sweeps of a Poisson solve.
+/// oracle for each of the four sweeps `PoissonSolver::solve` runs (the
+/// placer's field solve runs the three without DCT3×DCT3).
 #[test]
 fn execute_bit_identical_to_per_line_reference_across_sizes() {
     let shapes: &[(usize, usize)] = &[

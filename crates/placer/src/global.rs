@@ -755,12 +755,13 @@ mod tests {
         };
         assert_eq!(s.workspace_allocs, 1, "workspace built once, then reused");
         assert!(s.wl_grad.nanos > 0 && s.density.nanos > 0);
-        // four 2-D transforms per Poisson solve: one per executed density
-        // stage, plus the opening `density_report` (the closing one runs
-        // after `place` reads the counters)
+        // three 2-D transforms per field solve (analysis and the two field
+        // syntheses; the energy comes by Parseval): one per executed
+        // density stage, plus the opening `density_report` (the closing one
+        // runs after `place` reads the counters)
         assert_eq!(
             s.density_transform.count,
-            4 * (s.density.count + 1),
+            3 * (s.density.count + 1),
             "{s:?}"
         );
         // the assembly sub-stage runs once per gradient eval, inside it

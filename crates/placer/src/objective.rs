@@ -58,8 +58,8 @@ pub struct EngineStats {
     pub wl_inactive_nets: u64,
     /// Density stage (executed raster + Poisson solve + gather).
     pub density: StageStats,
-    /// Spectral transforms of the Poisson solver (four per solve), inside
-    /// `density` or the problem's `density_report`.
+    /// Spectral transforms of the Poisson solver (three per field solve),
+    /// inside `density` or the problem's `density_report`.
     pub density_transform: StageStats,
 }
 
@@ -469,8 +469,8 @@ mod tests {
         // an eval executes both stages, even at the point of the last one
         assert_eq!((stats.wl_grad.count, stats.density.count), (2, 2));
         assert_eq!(stats.reused, 0);
-        // one density update runs 4 spectral sweeps (DCT2, DCT3, ×2 field)
-        assert_eq!(stats.density_transform.count, 8);
+        // one density update runs 3 spectral sweeps (DCT2, ×2 field)
+        assert_eq!(stats.density_transform.count, 6);
         assert!(stats.density_transform.nanos <= stats.density.nanos);
     }
 

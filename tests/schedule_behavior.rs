@@ -2,7 +2,7 @@
 //! inside the real placement loop (not just as isolated formulas).
 
 use moreau_placer::netlist::synth;
-use moreau_placer::obs::{IterationRecord, RingSink};
+use moreau_placer::obs::{IterationRecord, NoopSink, RingSink, TraceSink};
 use moreau_placer::placer::global::{place, GlobalConfig};
 use moreau_placer::wirelength::ModelKind;
 use std::sync::Arc;
@@ -91,4 +91,43 @@ fn hpwl_grows_as_cells_spread_then_is_traded_against_overflow() {
     let last = traj.last().expect("non-empty");
     assert!(last.hpwl > first.hpwl);
     assert!(last.overflow < 0.25 * first.overflow.max(0.4));
+}
+
+/// A sink that reports itself disabled and panics if it is handed a record
+/// anyway.
+#[derive(Debug)]
+struct DisabledSink;
+
+impl TraceSink for DisabledSink {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn record(&self, rec: &IterationRecord) {
+        panic!(
+            "a disabled sink was handed the record of iteration {}",
+            rec.iter
+        );
+    }
+}
+
+/// The trace's overhead contract: the loop checks `enabled()` once, before
+/// a record and its exact HPWL are built, so a disabled sink sees no call
+/// at all and the run is bit for bit the `NoopSink` run.
+#[test]
+fn disabled_trace_sink_is_never_handed_a_record() {
+    let c = synth::generate(&synth::smoke_spec());
+    let run = |trace: Arc<dyn TraceSink>| {
+        let cfg = GlobalConfig {
+            trace,
+            ..GlobalConfig::default()
+        };
+        place(&c, &cfg).expect("placement flow")
+    };
+    let disabled = run(Arc::new(DisabledSink));
+    let noop = run(Arc::new(NoopSink));
+    assert_eq!(disabled.iterations, noop.iterations);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&disabled.placement.x), bits(&noop.placement.x));
+    assert_eq!(bits(&disabled.placement.y), bits(&noop.placement.y));
 }
