@@ -1,15 +1,12 @@
 //! Detailed placement: HPWL refinement of a legal placement.
 //!
-//! CPU re-implementation of the move classes of ABCDPlace \[38\], the
+//! CPU re-implementation of two move classes of ABCDPlace \[38\], the
 //! paper's detailed-placement engine:
 //!
 //! * **local reordering** — permute small windows of consecutive cells in
 //!   a row (left-packed, so legality is preserved);
 //! * **global swap** — exchange equal-width cells so each moves toward the
-//!   median of its nets;
-//! * **independent-set matching** — pick mutually net-disjoint equal-width
-//!   cells and solve the slot-assignment exactly (their costs are
-//!   separable precisely because the set is independent).
+//!   median of its nets.
 //!
 //! Every accepted move strictly reduces exact HPWL, so the refinement
 //! never degrades the legalized result.
@@ -24,7 +21,7 @@
 
 use crate::legalize::{row_cuts, sites_wide, RowCuts, RowIndex};
 use mep_netlist::{total_hpwl, CellId, Design, FixedState, NetId, Netlist, Placement, Rect};
-use std::time::Instant;
+use mep_obs::StageStats;
 
 /// Configuration for the detailed placer.
 #[derive(Debug, Clone)]
@@ -46,7 +43,7 @@ impl Default for DetailConfig {
 
 /// Report of one refinement run.
 ///
-/// The `*_seconds` fields are wall-clock telemetry; compare two runs'
+/// The move-class clocks carry wall-clock telemetry; compare two runs'
 /// decisions through the counters and `hpwl_after`, never the whole report.
 #[derive(Debug, Clone, Copy)]
 pub struct DetailReport {
@@ -62,18 +59,12 @@ pub struct DetailReport {
     pub swaps: usize,
     /// Trial global swaps evaluated.
     pub swaps_attempted: usize,
-    /// Accepted independent-set reassignments.
-    pub matchings: usize,
-    /// Independent sets solved.
-    pub matchings_attempted: usize,
     /// Passes actually executed.
     pub passes: usize,
-    /// Wall seconds in local reordering, summed over passes.
-    pub reorder_seconds: f64,
-    /// Wall seconds in global swap, summed over passes.
-    pub swap_seconds: f64,
-    /// Wall seconds in independent-set matching, summed over passes.
-    pub matching_seconds: f64,
+    /// Local reordering: one execution per pass and its summed wall time.
+    pub reorder_clock: StageStats,
+    /// Global swap: one execution per pass and its summed wall time.
+    pub swap_clock: StageStats,
 }
 
 /// `[xl, xh, yl, yh]` of no pin: any fold replaces every side.
@@ -281,12 +272,9 @@ pub(crate) fn refine_with_cuts(
         reorders_attempted: 0,
         swaps: 0,
         swaps_attempted: 0,
-        matchings: 0,
-        matchings_attempted: 0,
         passes: 0,
-        reorder_seconds: 0.0,
-        swap_seconds: 0.0,
-        matching_seconds: 0.0,
+        reorder_clock: StageStats::default(),
+        swap_clock: StageStats::default(),
     };
     // region context: padded per-cell assignment + fence rectangles
     let cell_region: Vec<Option<u16>> = if design.cell_region.is_empty() {
@@ -301,33 +289,24 @@ pub(crate) fn refine_with_cuts(
     for _pass in 0..config.passes {
         report.passes += 1;
         let mut rows = build_rows(&index, netlist, placement, row_h);
-        // lint:allow(determinism): move-class wall-time telemetry; durations never feed back into results
-        let t = Instant::now();
-        let (acc, att) = local_reorder(
-            design,
-            placement,
-            &mut rows,
-            &obstacles,
-            &cell_region,
-            &fences,
-            &mut moves,
-        );
-        report.reorder_seconds += t.elapsed().as_secs_f64();
+        let (acc, att) = report.reorder_clock.time(|| {
+            local_reorder(
+                design,
+                placement,
+                &mut rows,
+                &obstacles,
+                &cell_region,
+                &fences,
+                &mut moves,
+            )
+        });
         report.reorders += acc;
         report.reorders_attempted += att;
-        // lint:allow(determinism): move-class wall-time telemetry; durations never feed back into results
-        let t = Instant::now();
-        let (acc, att) = global_swap(netlist, placement, &rows, &cell_region, row_h, &mut moves);
-        report.swap_seconds += t.elapsed().as_secs_f64();
+        let (acc, att) = report
+            .swap_clock
+            .time(|| global_swap(netlist, placement, &rows, &cell_region, row_h, &mut moves));
         report.swaps += acc;
         report.swaps_attempted += att;
-        // lint:allow(determinism): move-class wall-time telemetry; durations never feed back into results
-        let t = Instant::now();
-        let (acc, att) =
-            independent_set_matching(netlist, placement, &rows, &cell_region, &mut moves);
-        report.matching_seconds += t.elapsed().as_secs_f64();
-        report.matchings += acc;
-        report.matchings_attempted += att;
         let now = total_hpwl(netlist, placement);
         let gain = (current - now) / current.max(1e-30);
         current = now;
@@ -475,17 +454,18 @@ fn global_swap(
     // spatial hash: (width key, coarse bucket) → cells, so the peer search
     // is O(1) per cell instead of scanning the whole width class
     let bucket = (8.0 * row_h).max(1.0);
-    // swaps only between equal-width cells with the same region tag
-    let key_of = |w: f64, region: Option<u16>, x: f64, y: f64| -> (i64, i32, i64, i64) {
+    // swaps only between equal-width cells with the same region tag; equal
+    // to the bit, as a swap of unequal widths can overlap a neighbour
+    let key_of = |w: f64, region: Option<u16>, x: f64, y: f64| -> (u64, i32, i64, i64) {
         (
-            (w * 16.0).round() as i64,
+            w.to_bits(),
             region.map(|r| r as i32).unwrap_or(-1),
             (x / bucket).floor() as i64,
             (y / bucket).floor() as i64,
         )
     };
     // lint:allow(determinism): probed by key only; per-bucket Vecs keep deterministic insertion order
-    let mut spatial: std::collections::HashMap<(i64, i32, i64, i64), Vec<CellId>, FixedState> =
+    let mut spatial: std::collections::HashMap<(u64, i32, i64, i64), Vec<CellId>, FixedState> =
         Default::default();
     for &c in &all {
         spatial
@@ -542,123 +522,6 @@ fn global_swap(
         }
     }
     (accepted, attempted)
-}
-
-/// Maximum independent-set size: `reassign_set` tries every permutation,
-/// ≤ 24 of them. Sets of 8 and 12 solved by an exact matching moved DPWL by
-/// under 0.06 % on three circuits, inside the seed spread (DESIGN.md §17).
-const ISM_SET: usize = 4;
-
-/// Independent-set matching: finds sets of equal-width, net-disjoint cells
-/// and solves the slot assignment exactly. Returns `(accepted, attempted)`
-/// set counts.
-fn independent_set_matching(
-    netlist: &Netlist,
-    placement: &mut Placement,
-    rows: &[Vec<CellId>],
-    cell_region: &[Option<u16>],
-    moves: &mut MoveNets,
-) -> (usize, usize) {
-    let mut accepted = 0;
-    let mut attempted = 0;
-    // group by (width, region): slot exchanges stay inside one fence
-    // lint:allow(determinism): keys are copied out and sorted before iteration (below)
-    let mut by_width: std::collections::HashMap<(i64, i32), Vec<CellId>, FixedState> =
-        Default::default();
-    for &c in rows.iter().flatten() {
-        let key = (
-            (netlist.cell_width(c) * 16.0).round() as i64,
-            cell_region[c.index()].map(|r| r as i32).unwrap_or(-1),
-        );
-        by_width.entry(key).or_default().push(c);
-    }
-    // nets of the set so far: at most ISM_SET cells' pins, so a linear
-    // scan beats hashing
-    let mut nets_seen: Vec<NetId> = Vec::new();
-    let mut set = Vec::with_capacity(ISM_SET);
-    let mut keys: Vec<(i64, i32)> = by_width.keys().copied().collect();
-    keys.sort_unstable(); // deterministic iteration order
-    for key in keys {
-        let cells = &by_width[&key];
-        let mut i = 0;
-        while i < cells.len() {
-            // greedily grow an independent set from consecutive candidates
-            nets_seen.clear();
-            set.clear();
-            let mut j = i;
-            while j < cells.len() && set.len() < ISM_SET {
-                let c = cells[j];
-                let mut disjoint = true;
-                for &p in netlist.cell_pins(c) {
-                    if nets_seen.contains(&netlist.pin_net(p)) {
-                        disjoint = false;
-                        break;
-                    }
-                }
-                if disjoint {
-                    for &p in netlist.cell_pins(c) {
-                        nets_seen.push(netlist.pin_net(p));
-                    }
-                    set.push(c);
-                }
-                j += 1;
-            }
-            i = j;
-            if set.len() < 2 {
-                continue;
-            }
-            attempted += 1;
-            if reassign_set(netlist, placement, &set, moves) {
-                accepted += 1;
-            }
-        }
-    }
-    (accepted, attempted)
-}
-
-/// Exactly reassigns an independent set of at most [`ISM_SET`] cells over
-/// its own slots. Returns whether a strictly better assignment was applied.
-fn reassign_set(
-    netlist: &Netlist,
-    placement: &mut Placement,
-    set: &[CellId],
-    moves: &mut MoveNets,
-) -> bool {
-    let k = set.len();
-    let mut slots = [(0.0, 0.0); ISM_SET];
-    for (s, &c) in slots.iter_mut().zip(set) {
-        *s = (placement.x[c.index()], placement.y[c.index()]);
-    }
-    let slots = &slots[..k];
-    // separable cost matrix: cost[i][j] = Σ HPWL(nets of cell i | cell i at slot j)
-    let mut cost = [[0.0; ISM_SET]; ISM_SET];
-    for (row, &c) in cost.iter_mut().zip(set) {
-        moves.load(netlist, placement, &[c]);
-        for (cost_ij, &slot) in row.iter_mut().zip(slots) {
-            *cost_ij = moves.hpwl(&[slot]);
-        }
-    }
-    let identity_cost: f64 = (0..k).map(|i| cost[i][i]).sum();
-    // brute force: ≤ 24 permutations
-    let mut best_cost = identity_cost;
-    let mut best: [usize; ISM_SET] = std::array::from_fn(|i| i);
-    let mut perm = best;
-    permute(&mut perm[..k], 0, &mut |p| {
-        let c: f64 = p.iter().enumerate().map(|(i, &j)| cost[i][j]).sum();
-        if c < best_cost - 1e-9 {
-            best_cost = c;
-            best[..k].copy_from_slice(p);
-        }
-    });
-    let best = &best[..k];
-    if best.iter().enumerate().all(|(i, &j)| i == j) {
-        return false;
-    }
-    for (&c, &j) in set.iter().zip(best) {
-        placement.x[c.index()] = slots[j].0;
-        placement.y[c.index()] = slots[j].1;
-    }
-    true
 }
 
 #[cfg(test)]
@@ -825,7 +688,7 @@ mod tests {
             report.hpwl_after < report.hpwl_before,
             "no improvement: {report:?}"
         );
-        assert!(report.reorders + report.swaps + report.matchings > 0);
+        assert!(report.reorders + report.swaps > 0);
         let violations = check_legal(&c.design, &pl);
         assert!(
             violations.is_empty(),
@@ -838,29 +701,20 @@ mod tests {
     /// Every decision of a default refinement, pinned: `smoke` and
     /// `smoke_regions` (the fence branch), each legalized from its generated
     /// placement. A change that keeps `hpwl_after` but moves a counter, or
-    /// the reverse, fails here.
+    /// the reverse, fails here. Re-pinned when independent-set matching was
+    /// deleted: from these unplaced starts it had much to find (`hpwl_after`
+    /// 10622.04 → 11236.87 and 12448.73 → 12913.07), after a placed start it
+    /// buys a few thousandths of a percent.
     #[test]
     fn refine_decisions_are_pinned() {
         for (spec, want) in [
             (
                 synth::smoke_spec(),
-                (
-                    [492, 876],
-                    [273, 1137],
-                    [112, 275],
-                    3,
-                    0x40c4_bf04_ba06_6fbf,
-                ),
+                ([512, 876], [280, 1130], 3, 0x40c5_f26f_bdf4_d7c1),
             ),
             (
                 synth::smoke_regions_spec(),
-                (
-                    [199, 423],
-                    [250, 1116],
-                    [124, 280],
-                    3,
-                    0x40c8_505d_487b_9bfc,
-                ),
+                ([205, 423], [270, 1106], 3, 0x40c9_3888_f75f_c7e1),
             ),
         ] {
             let c = synth::generate(&spec);
@@ -869,12 +723,23 @@ mod tests {
             let got = (
                 [r.reorders, r.reorders_attempted],
                 [r.swaps, r.swaps_attempted],
-                [r.matchings, r.matchings_attempted],
                 r.passes,
                 r.hpwl_after.to_bits(),
             );
             assert_eq!(got, want, "{}", spec.name);
         }
+    }
+
+    /// Each move class runs once per pass, under its own clock, and the
+    /// clocks count those runs.
+    #[test]
+    fn move_class_clocks_count_one_run_per_pass() {
+        let c = synth::generate(&synth::smoke_spec());
+        let (mut pl, _) = legalize(&c.design, &c.placement).expect("legalize");
+        let r = refine(&c.design, &mut pl, &DetailConfig::default());
+        assert!(r.passes > 0);
+        assert_eq!(r.reorder_clock.count, r.passes as u64);
+        assert_eq!(r.swap_clock.count, r.passes as u64);
     }
 
     /// Per row, the cuts as a sorted list of bit pairs: `refine` reads them
@@ -1007,10 +872,7 @@ mod tests {
             assert!(list.iter().all(|c| pl.y[c.index()] == row.y));
         }
         let report = refine(&design, &mut pl, &DetailConfig::default());
-        assert!(
-            report.reorders + report.swaps + report.matchings > 0,
-            "{report:?}"
-        );
+        assert!(report.reorders + report.swaps > 0, "{report:?}");
         assert_eq!(check_legal(&design, &pl), Vec::new());
     }
 
@@ -1060,30 +922,5 @@ mod tests {
         let mut p = [0, 1, 2, 3];
         permute(&mut p, 0, &mut |_| count += 1);
         assert_eq!(count, 24);
-    }
-
-    #[test]
-    fn reassign_set_improves_crossed_pair() {
-        // two cells whose nets pull them to each other's slots
-        let mut b = NetlistBuilder::new();
-        let a = b.add_cell("a", 1.0, 1.0, true).unwrap();
-        let c = b.add_cell("b", 1.0, 1.0, true).unwrap();
-        let ta = b.add_cell("ta", 0.0, 0.0, false).unwrap();
-        let tb = b.add_cell("tb", 0.0, 0.0, false).unwrap();
-        b.add_net("na", vec![(a, 0.0, 0.0), (ta, 0.0, 0.0)]);
-        b.add_net("nb", vec![(c, 0.0, 0.0), (tb, 0.0, 0.0)]);
-        let nl = b.build();
-        let mut pl = Placement::zeros(4);
-        pl.x[ta.index()] = 100.0; // a's anchor on the right
-        pl.x[tb.index()] = 0.0; // b's anchor on the left
-        pl.x[a.index()] = 10.0; // a currently left (wrong side)
-        pl.x[c.index()] = 90.0; // b currently right (wrong side)
-        let before = total_hpwl(&nl, &pl);
-        let improved = reassign_set(&nl, &mut pl, &[a, c], &mut MoveNets::default());
-        let after = total_hpwl(&nl, &pl);
-        assert!(improved);
-        assert!(after < before);
-        assert_eq!(pl.x[a.index()], 90.0);
-        assert_eq!(pl.x[c.index()], 10.0);
     }
 }

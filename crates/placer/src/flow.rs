@@ -21,7 +21,7 @@
 //! JSONL trace tells the whole story of a run.
 
 use crate::error::PlacerError;
-use crate::global::{place, GlobalConfig};
+use crate::global::{place, GlobalConfig, GlobalResult};
 use crate::guard::Termination;
 use crate::objective::EngineStats;
 use crate::pipeline::{run, PipelineConfig, PipelineResult};
@@ -29,8 +29,7 @@ use crate::telemetry::export_engine_stats;
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::cluster::{coarsen, Coarsened};
 use mep_netlist::{total_hpwl, Design, Placement, Rect};
-use mep_obs::{Registry, RunReport};
-use std::time::Instant;
+use mep_obs::{Registry, RunReport, StageStats};
 
 /// Configuration of the multilevel flow.
 #[derive(Debug, Clone)]
@@ -172,30 +171,31 @@ pub fn run_multilevel(
     // center pile, every finer one from the prolonged solution above it ----
     let mut solved: Option<Placement> = None;
     for k in (1..=stack.len()).rev() {
-        // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
-        let t_level = Instant::now();
         let level = &stack[k - 1];
-        let mut gcfg = GlobalConfig {
-            max_iters: COARSE_ITERS,
-            min_iters: config.pipeline.global.min_iters.min(COARSE_ITERS),
-            target_overflow: COARSE_TARGET_OVERFLOW,
-            level: k as u32,
-            stage: Some("coarse".to_string()),
-            ..config.pipeline.global.clone()
-        };
-        let mut placement = level.placement.clone();
-        if let Some(coarser) = &solved {
-            let above = &stack[k];
-            above
-                .map
-                .prolong(&level.design, &above.design, coarser, &mut placement)?;
-            gcfg.lambda_scale = WARM_LAMBDA_SCALE;
-        }
-        let level_circuit = BookshelfCircuit {
-            design: level.design.clone(),
-            placement,
-        };
-        let gp = place(&level_circuit, &gcfg)?;
+        let mut clock = StageStats::default();
+        let gp = clock.time(|| -> Result<GlobalResult, PlacerError> {
+            let mut gcfg = GlobalConfig {
+                max_iters: COARSE_ITERS,
+                min_iters: config.pipeline.global.min_iters.min(COARSE_ITERS),
+                target_overflow: COARSE_TARGET_OVERFLOW,
+                level: k as u32,
+                stage: Some("coarse".to_string()),
+                ..config.pipeline.global.clone()
+            };
+            let mut placement = level.placement.clone();
+            if let Some(coarser) = &solved {
+                let above = &stack[k];
+                above
+                    .map
+                    .prolong(&level.design, &above.design, coarser, &mut placement)?;
+                gcfg.lambda_scale = WARM_LAMBDA_SCALE;
+            }
+            let level_circuit = BookshelfCircuit {
+                design: level.design.clone(),
+                placement,
+            };
+            place(&level_circuit, &gcfg)
+        })?;
         coarse_stats += gp.engine_stats;
         level_stats.push(LevelStats {
             level: k,
@@ -203,16 +203,15 @@ pub fn run_multilevel(
             iterations: gp.iterations,
             hpwl: gp.hpwl,
             overflow: gp.overflow,
-            rt_seconds: t_level.elapsed().as_secs_f64(),
+            rt_seconds: clock.seconds(),
         });
         solved = Some(gp.placement);
     }
 
     // ---- finest level: prolong and run the full pipeline; without a
     // coarse level, the flat flow as it is ----
-    // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
-    let t_finest = Instant::now();
-    let mut result = match (stack.first(), &solved) {
+    let mut clock = StageStats::default();
+    let mut result = clock.time(|| match (stack.first(), &solved) {
         (Some(first), Some(coarser)) => {
             let mut finest = circuit.clone();
             first.map.prolong(
@@ -225,17 +224,17 @@ pub fn run_multilevel(
             final_config.global.level = 0;
             final_config.global.stage = Some("final".to_string());
             final_config.global.lambda_scale = WARM_LAMBDA_SCALE;
-            run(&finest, &final_config)?
+            run(&finest, &final_config)
         }
-        _ => run(circuit, &config.pipeline)?,
-    };
+        _ => run(circuit, &config.pipeline),
+    })?;
     level_stats.push(LevelStats {
         level: 0,
         movable: circuit.design.netlist.num_movable(),
         iterations: result.iterations,
         hpwl: result.dpwl,
         overflow: result.overflow,
-        rt_seconds: t_finest.elapsed().as_secs_f64(),
+        rt_seconds: clock.seconds(),
     });
 
     if levels > 1 {
@@ -315,8 +314,18 @@ pub fn replace_region(
     window: Rect,
     config: &EcoConfig,
 ) -> Result<EcoResult, PlacerError> {
-    // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
-    let t0 = Instant::now();
+    let mut clock = StageStats::default();
+    let mut eco = clock.time(|| replace_unclocked(circuit, window, config))?;
+    eco.rt_seconds = clock.seconds();
+    Ok(eco)
+}
+
+/// [`replace_region`] without its wall clock: `rt_seconds` is left at 0.
+fn replace_unclocked(
+    circuit: &BookshelfCircuit,
+    window: Rect,
+    config: &EcoConfig,
+) -> Result<EcoResult, PlacerError> {
     let die = circuit.design.die;
     let (xl, yl) = (window.xl.max(die.xl), window.yl.max(die.yl));
     let (xh, yh) = (window.xh.min(die.xh), window.yh.min(die.yh));
@@ -385,7 +394,7 @@ pub fn replace_region(
         frozen,
         replaced,
         iterations: result.iterations,
-        rt_seconds: t0.elapsed().as_secs_f64(),
+        rt_seconds: 0.0,
         termination: result.termination,
         violations: result.violations,
         report,

@@ -9,7 +9,7 @@
 //! * [`global`] — the ePlace loop with the Eq. (15) density-weight
 //!   schedule and the Eq. (14) / decade smoothing schedules;
 //! * [`legalize`](mod@legalize) — macro legalization + Abacus row legalization;
-//! * [`detail`] — local reordering, global swap, independent-set matching;
+//! * [`detail`] — local reordering and global swap;
 //! * [`pipeline`] — GP → LG → DP with the LGWL / DPWL / RT metrics of
 //!   Tables II and III;
 //! * [`flow`] — the multilevel driver (cluster coarsening, coarse solve,

@@ -11,10 +11,9 @@ use crate::objective::EngineStats;
 use crate::telemetry::{build_run_report, DispHistogram};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::{total_hpwl, Placement};
-use mep_obs::RunReport;
+use mep_obs::{RunReport, StageStats};
 use mep_wirelength::engine::EvalEngine;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Default)]
@@ -92,25 +91,17 @@ pub fn run(
 ) -> Result<PipelineResult, PlacerError> {
     let design = &circuit.design;
 
-    // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
-    let t0 = Instant::now();
-    let gp: GlobalResult = place(circuit, &config.global)?;
-    let rt_gp = t0.elapsed().as_secs_f64();
-
-    // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
-    let t1 = Instant::now();
-    let (legal, lg_report, cuts) = legalize_with_cuts(design, &gp.placement)?;
-    let rt_lg = t1.elapsed().as_secs_f64();
+    let [mut gp_clock, mut lg_clock, mut dp_clock] = [StageStats::default(); 3];
+    let gp: GlobalResult = gp_clock.time(|| place(circuit, &config.global))?;
+    let (legal, lg_report, cuts) = lg_clock.time(|| legalize_with_cuts(design, &gp.placement))?;
     let lgwl = total_hpwl(&design.netlist, &legal);
 
-    // lint:allow(determinism): stage wall-time telemetry; durations never feed back into results
-    let t2 = Instant::now();
     let legal_snapshot = legal.clone();
     let mut refined = legal;
     // DP starts from the legalizer's obstacle cuts and LGWL, and measures
     // its last total on the final placement
-    let dp_report = refine_with_cuts(design, &mut refined, &config.detail, cuts, lgwl);
-    let rt_dp = t2.elapsed().as_secs_f64();
+    let dp_report =
+        dp_clock.time(|| refine_with_cuts(design, &mut refined, &config.detail, cuts, lgwl));
     let dpwl = dp_report.hpwl_after;
 
     let violations = check_legal(design, &refined);
@@ -126,9 +117,9 @@ pub fn run(
         gpwl: gp.hpwl,
         lgwl,
         dpwl,
-        rt_gp,
-        rt_lg,
-        rt_dp,
+        rt_gp: gp_clock.seconds(),
+        rt_lg: lg_clock.seconds(),
+        rt_dp: dp_clock.seconds(),
         iterations: gp.iterations,
         trials: gp.trials,
         overflow: gp.overflow,
@@ -276,19 +267,14 @@ mod tests {
         // acceptance counters are consistent
         assert!(r.detail.reorders <= r.detail.reorders_attempted);
         assert!(r.detail.swaps <= r.detail.swaps_attempted);
-        assert!(r.detail.matchings <= r.detail.matchings_attempted);
         assert!(rep
             .gauge("dp.swaps.acceptance_pct")
             .is_some_and(|pct| pct <= 100.0));
         // the move classes are clocked inside the DP stage
-        let classes: f64 = [
-            "dp.reorder_seconds",
-            "dp.swap_seconds",
-            "dp.matching_seconds",
-        ]
-        .iter()
-        .map(|name| rep.gauge(name).unwrap())
-        .sum();
+        let classes: f64 = ["dp.reorder_seconds", "dp.swap_seconds"]
+            .iter()
+            .map(|name| rep.gauge(name).unwrap())
+            .sum();
         assert!(classes > 0.0);
         assert!(classes <= rep.gauge("dp.rt_seconds").unwrap());
         // and the report serializes
@@ -306,7 +292,9 @@ mod tests {
     /// again when the density energy began to come from the spectrum by
     /// Parseval (three transforms per stage, not four, on half-length
     /// FFTs), which moves `engine.density_transform.count` and the last
-    /// bits of the GP trajectory.
+    /// bits of the GP trajectory, and again when detailed placement lost
+    /// independent-set matching (its metric keys went, and `dp.hpwl` moved
+    /// 6995.25 → 6997.24).
     #[test]
     fn run_report_is_pinned() {
         let c = synth::generate(&synth::smoke_spec());
@@ -322,7 +310,7 @@ mod tests {
             .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });
-        assert_eq!(fnv, 6_724_648_466_070_287_696, "{metrics:?}");
+        assert_eq!(fnv, 8_149_972_107_775_823_275, "{metrics:?}");
     }
 
     /// The engine the frozen benchmark passes is inert: the aliases return

@@ -131,7 +131,6 @@ pub(crate) fn build_run_report(
     for (name, accepted, attempted) in [
         ("dp.reorders", d.reorders, d.reorders_attempted),
         ("dp.swaps", d.swaps, d.swaps_attempted),
-        ("dp.matchings", d.matchings, d.matchings_attempted),
     ] {
         r.counter(&format!("{name}.accepted")).add(accepted as u64);
         r.counter(&format!("{name}.attempted"))
@@ -150,9 +149,8 @@ pub(crate) fn build_run_report(
     }
     r.gauge("dp.hpwl_gain").set(d.hpwl_before - d.hpwl_after);
     // the wall of each move class, summed over passes (inside dp.rt_seconds)
-    r.gauge("dp.reorder_seconds").set(d.reorder_seconds);
-    r.gauge("dp.swap_seconds").set(d.swap_seconds);
-    r.gauge("dp.matching_seconds").set(d.matching_seconds);
+    r.gauge("dp.reorder_seconds").set(d.reorder_clock.seconds());
+    r.gauge("dp.swap_seconds").set(d.swap_clock.seconds());
     dp_disp.export(&r, "dp.displacement_rows");
 
     RunReport::from_registry(&r)

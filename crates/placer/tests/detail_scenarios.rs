@@ -1,16 +1,14 @@
-//! Scenario tests for the detailed placer: independent-set matching on a
-//! rotation instance and convergence control.
+//! Scenario tests for the detailed placer: a rotation instance, a swap
+//! between cells of nearly equal width, and convergence control.
 
 use mep_netlist::{CellId, Design, NetlistBuilder, Placement, Rect};
 use mep_placer::detail::{refine, DetailConfig};
 use mep_placer::legalize::check_legal;
 
 /// Builds `k` unit cells, one per row, each wired to an anchor sitting at
-/// the *next* cell's slot (a k-cycle rotation). Pairwise swaps are
-/// HPWL-neutral (each cell's nearest peer to its optimum is exactly the
-/// cell whose slot it wants, and that swap trades 0 for an equal loss),
-/// and local reordering never fires (one cell per row) — only an exact
-/// set matching can realize the rotation.
+/// the *next* cell's slot (a k-cycle rotation). Local reordering never
+/// fires (one cell per row), so only global swap can move a cell; each
+/// cell's nearest peer to its optimum is the cell whose slot it wants.
 fn rotation_instance(k: usize) -> (Design, Placement) {
     let mut b = NetlistBuilder::new();
     let cells: Vec<CellId> = (0..k)
@@ -53,9 +51,8 @@ fn rotation_instance(k: usize) -> (Design, Placement) {
 
 #[test]
 fn small_rotation_is_fixed() {
-    // k = 3: with the short wrap-around, pairwise swaps are no longer
-    // neutral, so either swaps or the brute-force ISM path may win — what
-    // matters is that the rotation is fully realized
+    // k = 3: with the short wrap-around, pairwise swaps gain, and swaps
+    // alone realize the rotation
     let (design, mut pl) = rotation_instance(3);
     let before = mep_netlist::total_hpwl(&design.netlist, &pl);
     let config = DetailConfig {
@@ -63,7 +60,7 @@ fn small_rotation_is_fixed() {
         converge_rel: 0.0,
     };
     let report = refine(&design, &mut pl, &config);
-    assert!(report.matchings + report.swaps > 0, "{report:?}");
+    assert!(report.swaps > 0, "{report:?}");
     let after = mep_netlist::total_hpwl(&design.netlist, &pl);
     assert!(after < 0.2 * before, "{before} → {after}");
     assert!(check_legal(&design, &pl).is_empty());
@@ -97,5 +94,42 @@ fn refine_on_a_single_cell_design_is_a_noop() {
     let report = refine(&design, &mut pl, &DetailConfig::default());
     assert_eq!(report.hpwl_before, 0.0);
     assert_eq!(report.hpwl_after, 0.0);
-    assert_eq!(report.reorders + report.swaps + report.matchings, 0);
+    assert_eq!(report.reorders + report.swaps, 0);
+}
+
+#[test]
+fn swap_never_trades_cells_of_unequal_width() {
+    // `packed` sits at x = 0 against `neighbour` at x = 1; `wide` (1.02:
+    // the same width to 1/16 of a unit) sits alone on the next row and is
+    // wired to the center of `packed`'s slot. In that slot `wide` would
+    // overlap `neighbour` by 0.02, so no swap may put it there.
+    let mut b = NetlistBuilder::new();
+    let packed = b.add_cell("packed", 1.0, 1.0, true).unwrap();
+    let neighbour = b.add_cell("neighbour", 1.0, 1.0, true).unwrap();
+    let wide = b.add_cell("wide", 1.02, 1.0, true).unwrap();
+    let anchor = b.add_cell("anchor", 0.0, 0.0, false).unwrap();
+    b.add_net("pull", vec![(wide, 0.0, 0.0), (anchor, 0.0, 0.0)]);
+    let design = Design::with_uniform_rows(
+        "widths",
+        b.build(),
+        Rect::new(0.0, 0.0, 16.0, 4.0),
+        1.0,
+        1.0,
+        1.0,
+    )
+    .unwrap();
+    let mut pl = Placement::zeros(design.netlist.num_cells());
+    for (cell, x, y) in [
+        (packed, 0.0, 0.0),
+        (neighbour, 1.0, 0.0),
+        (wide, 8.0, 1.0),
+        (anchor, 0.5, 0.5),
+    ] {
+        pl.x[cell.index()] = x;
+        pl.y[cell.index()] = y;
+    }
+    assert!(check_legal(&design, &pl).is_empty());
+    let report = refine(&design, &mut pl, &DetailConfig::default());
+    assert_eq!(check_legal(&design, &pl), Vec::new(), "{report:?}");
+    assert_eq!(report.swaps, 0, "{report:?}");
 }

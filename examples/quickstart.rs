@@ -41,12 +41,8 @@ fn main() {
         result.lgwl, result.legalize.avg_displacement, result.rt_lg
     );
     println!(
-        "detailed place   : HPWL {:.4e}  ({} reorders, {} swaps, {} matchings, {:.2}s)",
-        result.dpwl,
-        result.detail.reorders,
-        result.detail.swaps,
-        result.detail.matchings,
-        result.rt_dp
+        "detailed place   : HPWL {:.4e}  ({} reorders, {} swaps, {:.2}s)",
+        result.dpwl, result.detail.reorders, result.detail.swaps, result.rt_dp
     );
     println!("legality violations: {}", result.violations);
     assert_eq!(result.violations, 0, "pipeline must emit a legal placement");
