@@ -18,7 +18,6 @@
 use mep_bench::{Args, Artifacts, BenchmarkRow, FAST_SHRINK};
 use mep_netlist::bookshelf::BookshelfCircuit;
 use mep_netlist::{synth, Rect};
-use mep_obs::Registry;
 use mep_placer::flow::{replace_region, run_multilevel, EcoConfig, MultilevelConfig};
 use mep_placer::pipeline::{run, PipelineConfig};
 use mep_wirelength::ModelKind;
@@ -90,20 +89,17 @@ fn main() -> Result<(), String> {
 
     // comparison metrics ride on the warm row's report
     let mut warm_report = warm.result.report.clone();
-    {
-        let cmp = Registry::new();
-        cmp.gauge("ml.cmp.cold_dpwl").set(cold.dpwl);
-        cmp.gauge("ml.cmp.warm_dpwl").set(warm.result.dpwl);
-        cmp.gauge("ml.cmp.dpwl_ratio").set(dpwl_ratio);
-        cmp.gauge("ml.cmp.cold_rt_seconds").set(cold_rt);
-        cmp.gauge("ml.cmp.warm_rt_seconds").set(warm_rt);
-        cmp.gauge("ml.cmp.speedup").set(speedup);
-        cmp.counter("ml.cmp.cold_iterations")
-            .add(cold.iterations as u64);
-        cmp.counter("ml.cmp.warm_finest_iterations")
-            .add(warm.result.iterations as u64);
-        warm_report.merge_registry(&cmp);
-    }
+    warm_report.set_gauge("ml.cmp.cold_dpwl", cold.dpwl);
+    warm_report.set_gauge("ml.cmp.warm_dpwl", warm.result.dpwl);
+    warm_report.set_gauge("ml.cmp.dpwl_ratio", dpwl_ratio);
+    warm_report.set_gauge("ml.cmp.cold_rt_seconds", cold_rt);
+    warm_report.set_gauge("ml.cmp.warm_rt_seconds", warm_rt);
+    warm_report.set_gauge("ml.cmp.speedup", speedup);
+    warm_report.set_counter("ml.cmp.cold_iterations", cold.iterations as u64);
+    warm_report.set_counter(
+        "ml.cmp.warm_finest_iterations",
+        warm.result.iterations as u64,
+    );
 
     // ---- ECO: re-place a ~10%-area dirty window of the warm result ----
     let die = circuit.design.die;
@@ -162,15 +158,10 @@ fn main() -> Result<(), String> {
         100.0 * eco_fraction
     );
     let mut eco_report = eco.report.clone();
-    {
-        let cmp = Registry::new();
-        cmp.gauge("eco.cmp.rt_seconds").set(eco.rt_seconds);
-        cmp.gauge("eco.cmp.full_solve_rt_seconds").set(cold_rt);
-        cmp.gauge("eco.cmp.rt_fraction").set(eco_fraction);
-        cmp.counter("eco.cmp.frozen_bit_identical")
-            .add(eco.frozen as u64);
-        eco_report.merge_registry(&cmp);
-    }
+    eco_report.set_gauge("eco.cmp.rt_seconds", eco.rt_seconds);
+    eco_report.set_gauge("eco.cmp.full_solve_rt_seconds", cold_rt);
+    eco_report.set_gauge("eco.cmp.rt_fraction", eco_fraction);
+    eco_report.set_counter("eco.cmp.frozen_bit_identical", eco.frozen as u64);
 
     let rows = [
         BenchmarkRow {

@@ -9,21 +9,20 @@
 //! aligned) — a placement that "wins" by escaping the die or stacking
 //! cells is a bug, not a result.
 //!
-//! All `peko.*` quality metrics are merged into the run's
+//! All `peko.*` quality metrics are written into the run's
 //! [`RunReport`](mep_obs::RunReport), so the JSONL record carries the
 //! certificate next to the standard telemetry (DESIGN.md §10/§15).
 
 use crate::flow::{run_claim, BenchmarkRow};
 use mep_netlist::synth::peko::{generate_peko, PekoSpec};
 use mep_obs::json::JsonObject;
-use mep_obs::Registry;
 use mep_placer::{audit_legality, GlobalConfig, LegalityAudit};
 
 /// Result of one spec × model run: the claims run and its certificate.
 #[derive(Debug, Clone)]
 pub struct PekoRow {
-    /// The run as any table row sees it (`peko_600`, …); its report has
-    /// the `peko.*` metrics merged in.
+    /// The run as any table row sees it (`peko_600`, …); its report
+    /// carries the `peko.*` metrics too.
     pub run: BenchmarkRow,
     /// Movable cell count.
     pub movable: usize,
@@ -53,22 +52,17 @@ pub fn run_peko(spec: &PekoSpec, global: GlobalConfig) -> Result<PekoRow, String
     let audit = audit_legality(&p.circuit.design, &r.placement);
     let (gpwl, ratio) = (r.gpwl, r.dpwl / p.optimal_hpwl);
 
-    let reg = Registry::new();
-    reg.gauge("peko.optimal_hpwl").set(p.optimal_hpwl);
-    reg.gauge("peko.ratio_gp").set(r.gpwl / p.optimal_hpwl);
-    reg.gauge("peko.ratio_lg").set(r.lgwl / p.optimal_hpwl);
-    reg.gauge("peko.ratio_dp").set(ratio);
-    reg.counter("peko.audit.overlaps")
-        .add(audit.overlaps as u64);
-    reg.counter("peko.audit.outside_die")
-        .add(audit.outside_die as u64);
-    reg.counter("peko.audit.off_row").add(audit.off_row as u64);
-    reg.counter("peko.audit.off_site")
-        .add(audit.off_site as u64);
-    reg.counter("peko.audit.outside_region")
-        .add(audit.outside_region as u64);
     let mut run = BenchmarkRow::new(spec.name.clone(), model, r);
-    run.report.merge_registry(&reg);
+    let report = &mut run.report;
+    report.set_gauge("peko.optimal_hpwl", p.optimal_hpwl);
+    report.set_gauge("peko.ratio_gp", gpwl / p.optimal_hpwl);
+    report.set_gauge("peko.ratio_lg", run.lgwl / p.optimal_hpwl);
+    report.set_gauge("peko.ratio_dp", ratio);
+    report.set_counter("peko.audit.overlaps", audit.overlaps as u64);
+    report.set_counter("peko.audit.outside_die", audit.outside_die as u64);
+    report.set_counter("peko.audit.off_row", audit.off_row as u64);
+    report.set_counter("peko.audit.off_site", audit.off_site as u64);
+    report.set_counter("peko.audit.outside_region", audit.outside_region as u64);
 
     Ok(PekoRow {
         run,
@@ -93,7 +87,7 @@ fn audit_json(audit: &LegalityAudit) -> String {
 
 impl PekoRow {
     /// The row's JSON line: bench/model, the certificate numbers, the
-    /// audit, and the full merged report.
+    /// audit, and the full report.
     pub fn to_json(&self) -> String {
         let run = &self.run;
         let mut o = JsonObject::new();
@@ -135,7 +129,7 @@ mod tests {
         );
         assert!(row.ratio >= 1.0 - 1e-9);
         assert!(row.ratio < 4.0, "suboptimality ratio {} absurd", row.ratio);
-        // peko.* metrics merged into the standard report
+        // peko.* metrics ride on the standard report
         assert_eq!(run.report.gauge("peko.ratio_dp"), Some(row.ratio));
         assert_eq!(run.report.counter("peko.audit.overlaps"), Some(0));
         // and the usual pipeline metrics are still there

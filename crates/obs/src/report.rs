@@ -1,45 +1,138 @@
-//! [`RunReport`]: an owned end-of-run snapshot of a [`Registry`].
+//! [`RunReport`]: the one metric store.
 //!
-//! The placement pipeline aggregates everything the flow used to scatter
-//! across `EngineStats`, `RecoveryLog`, and the stage reports into one
-//! registry, then freezes it into a `RunReport` that bench binaries can
-//! serialize next to their tables and the CLI can render as a summary.
+//! Every stage driver writes its metrics straight into a report: the
+//! pipeline builds one per run, and the drivers that wrap a run (the
+//! multilevel and ECO flows, the bench harnesses) set their own names on
+//! the report they are handed. Setting a name twice keeps the last write,
+//! so a driver overwrites an inner run's value by setting it again. The
+//! report renders as JSON (the JSONL/report schema of DESIGN.md §10) or as
+//! an aligned text table.
 
 use crate::json::{push_f64, JsonObject};
-use crate::metrics::{MetricValue, Registry};
 
-/// A frozen, owned snapshot of every metric in a registry.
+/// The value of one named metric.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MetricValue {
+    /// Counter value.
+    Counter(u64),
+    /// Gauge value.
+    Gauge(f64),
+    /// Label value.
+    Label(String),
+    /// Histogram state.
+    Histogram {
+        /// Finite-bucket upper bounds.
+        bounds: Vec<f64>,
+        /// Per-bucket counts (finite buckets, then overflow).
+        counts: Vec<u64>,
+        /// Total observations.
+        count: u64,
+        /// Sum of finite observations.
+        sum: f64,
+    },
+}
+
+/// The bucket `v` falls in against the finite-bucket upper bounds
+/// `bounds`: the first bucket with `v <= bound`, else the overflow bucket
+/// `bounds.len()`. Non-finite values (NaN included) overflow. Every
+/// histogram of the workspace buckets through this one rule.
+pub fn bucket_of(bounds: &[f64], v: f64) -> usize {
+    if v.is_finite() {
+        bounds.iter().take_while(|&&b| v > b).count()
+    } else {
+        bounds.len()
+    }
+}
+
+/// Named metrics, sorted by name.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     metrics: Vec<(String, MetricValue)>,
 }
 
 impl RunReport {
-    /// Freezes the current state of `registry`.
-    pub fn from_registry(registry: &Registry) -> Self {
-        Self {
-            metrics: registry.snapshot(),
-        }
-    }
-
     /// All metrics, sorted by name.
     pub fn metrics(&self) -> &[(String, MetricValue)] {
         &self.metrics
     }
 
-    /// Merges another registry snapshot into this report. Metrics whose
-    /// names already exist are overwritten by the merged registry's value;
-    /// lookup order (sorted by name) is preserved.
-    ///
-    /// This is how stage drivers layer their own telemetry on top of an
-    /// inner flow's report — e.g. the multilevel placement driver stamping
-    /// `ml.*` level metrics onto the finest-level pipeline report.
-    pub fn merge_registry(&mut self, registry: &Registry) {
-        let incoming = registry.snapshot();
-        self.metrics
-            .retain(|(name, _)| incoming.binary_search_by(|(n, _)| n.cmp(name)).is_err());
-        self.metrics.extend(incoming);
-        self.metrics.sort_by(|(a, _), (b, _)| a.cmp(b));
+    /// The slot of `name`, inserted as a zero counter when absent; the
+    /// vector stays sorted by name.
+    fn slot(&mut self, name: &str) -> Option<&mut MetricValue> {
+        let i = self
+            .metrics
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .unwrap_or_else(|i| {
+                self.metrics
+                    .insert(i, (name.to_string(), MetricValue::Counter(0)));
+                i
+            });
+        self.metrics.get_mut(i).map(|(_, v)| v)
+    }
+
+    fn put(&mut self, name: &str, value: MetricValue) {
+        if let Some(slot) = self.slot(name) {
+            *slot = value;
+        }
+    }
+
+    /// Sets the counter `name` to `v`, replacing any earlier value.
+    pub fn set_counter(&mut self, name: &str, v: u64) {
+        self.put(name, MetricValue::Counter(v));
+    }
+
+    /// Sets the gauge `name` to `v`, replacing any earlier value.
+    pub fn set_gauge(&mut self, name: &str, v: f64) {
+        self.put(name, MetricValue::Gauge(v));
+    }
+
+    /// Sets the label `name` to `v`, replacing any earlier value.
+    pub fn set_label(&mut self, name: &str, v: &str) {
+        self.put(name, MetricValue::Label(v.to_string()));
+    }
+
+    /// Adds a batch bucketed by [`bucket_of`] against `bounds` to the
+    /// histogram `name`: `counts` per bucket (finite buckets, then
+    /// overflow) and the batch's `sum`, left out when non-finite. A name
+    /// that holds anything but a histogram over `bounds` starts again
+    /// from an empty one.
+    pub fn add_bucketed(&mut self, name: &str, bounds: &[f64], counts: &[u64], sum: f64) {
+        let Some(slot) = self.slot(name) else {
+            return;
+        };
+        if !matches!(slot, MetricValue::Histogram { bounds: b, .. } if b.as_slice() == bounds) {
+            *slot = MetricValue::Histogram {
+                bounds: bounds.to_vec(),
+                counts: vec![0; bounds.len() + 1],
+                count: 0,
+                sum: 0.0,
+            };
+        }
+        if let MetricValue::Histogram {
+            counts: have,
+            count,
+            sum: total,
+            ..
+        } = slot
+        {
+            for (h, &n) in have.iter_mut().zip(counts) {
+                *h += n;
+                *count += n;
+            }
+            if sum.is_finite() {
+                *total += sum;
+            }
+        }
+    }
+
+    /// Records one observation `v` in the histogram `name` (a batch of
+    /// one for [`RunReport::add_bucketed`]).
+    pub fn observe(&mut self, name: &str, bounds: &[f64], v: f64) {
+        let mut one = vec![0; bounds.len() + 1];
+        if let Some(c) = one.get_mut(bucket_of(bounds, v)) {
+            *c = 1;
+        }
+        self.add_bucketed(name, bounds, &one, v);
     }
 
     /// Looks up one metric by name.
@@ -129,13 +222,15 @@ impl RunReport {
                 } => {
                     let mean = if *count > 0 { sum / *count as f64 } else { 0.0 };
                     out.push_str(&format!("n={count} mean={mean:.4} ["));
+                    // with no finite bucket, the overflow bucket holds all
+                    let last = bounds.last().copied().unwrap_or(f64::NEG_INFINITY);
                     for (i, c) in counts.iter().enumerate() {
                         if i > 0 {
                             out.push(' ');
                         }
                         match bounds.get(i) {
                             Some(b) => out.push_str(&format!("≤{b}:{c}")),
-                            None => out.push_str(&format!(">{}:{c}", bounds[bounds.len() - 1])),
+                            None => out.push_str(&format!(">{last}:{c}")),
                         }
                     }
                     out.push(']');
@@ -152,14 +247,13 @@ mod tests {
     use super::*;
 
     fn sample() -> RunReport {
-        let r = Registry::new();
-        r.counter("gp.iterations").add(42);
-        r.gauge("gp.hpwl").set(123.5);
-        r.label("flow.termination").set("converged");
-        let h = r.histogram("lg.displacement", &[1.0, 2.0]);
-        h.observe(0.5);
-        h.observe(5.0);
-        RunReport::from_registry(&r)
+        let mut r = RunReport::default();
+        r.set_counter("gp.iterations", 42);
+        r.set_gauge("gp.hpwl", 123.5);
+        r.set_label("flow.termination", "converged");
+        r.observe("lg.displacement", &[1.0, 2.0], 0.5);
+        r.observe("lg.displacement", &[1.0, 2.0], 5.0);
+        r
     }
 
     #[test]
@@ -177,21 +271,69 @@ mod tests {
     }
 
     #[test]
-    fn merge_registry_overrides_and_keeps_lookup_sorted() {
+    fn last_write_wins_and_lookup_stays_sorted() {
         let mut rep = sample();
-        let extra = Registry::new();
-        extra.counter("ml.levels").add(2);
-        extra.gauge("gp.hpwl").set(99.0); // overrides the sample value
-        rep.merge_registry(&extra);
+        rep.set_counter("ml.levels", 2);
+        rep.set_gauge("gp.hpwl", 99.0);
+        // a later write of another kind replaces the name's value too
+        rep.set_gauge("gp.iterations", 7.5);
         assert_eq!(rep.counter("ml.levels"), Some(2));
         assert_eq!(rep.gauge("gp.hpwl"), Some(99.0));
-        // untouched metrics survive and binary-search lookup still works
-        assert_eq!(rep.counter("gp.iterations"), Some(42));
+        assert_eq!(rep.gauge("gp.iterations"), Some(7.5));
         assert_eq!(rep.label("flow.termination"), Some("converged"));
         let names: Vec<&str> = rep.metrics().iter().map(|(n, _)| n.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
+        assert_eq!(
+            names,
+            [
+                "flow.termination",
+                "gp.hpwl",
+                "gp.iterations",
+                "lg.displacement",
+                "ml.levels"
+            ]
+        );
+    }
+
+    #[test]
+    fn histogram_buckets_and_overflow() {
+        let mut r = RunReport::default();
+        for v in [0.5, 1.0, 1.5, 3.0, 10.0, f64::NAN, f64::NEG_INFINITY] {
+            r.observe("h", &[1.0, 2.0, 4.0], v);
+        }
+        // v <= bound: 0.5,1.0 → b0; 1.5 → b1; 3.0 → b2; 10, NaN, -inf → overflow
+        assert_eq!(
+            r.get("h"),
+            Some(&MetricValue::Histogram {
+                bounds: vec![1.0, 2.0, 4.0],
+                counts: vec![2, 1, 1, 3],
+                count: 7,
+                sum: 16.0,
+            })
+        );
+    }
+
+    #[test]
+    fn bucketed_batch_adds_counts_and_its_own_sum() {
+        let mut r = RunReport::default();
+        r.observe("h", &[1.0, 2.0], 0.5);
+        r.add_bucketed("h", &[1.0, 2.0], &[1, 0, 2], 21.25);
+        r.add_bucketed("h", &[1.0, 2.0], &[0, 1, 0], f64::NAN);
+        let Some(MetricValue::Histogram {
+            counts, count, sum, ..
+        }) = r.get("h")
+        else {
+            panic!("not a histogram");
+        };
+        assert_eq!(
+            (counts.as_slice(), *count, *sum),
+            (&[2, 1, 2][..], 5, 21.75)
+        );
+        // other bounds start the name again from an empty histogram
+        r.add_bucketed("h", &[3.0], &[0, 4], 40.0);
+        assert!(matches!(
+            r.get("h"),
+            Some(MetricValue::Histogram { count: 4, sum, .. }) if *sum == 40.0
+        ));
     }
 
     #[test]
@@ -216,5 +358,14 @@ mod tests {
             assert!(table.contains(name), "missing {name} in:\n{table}");
         }
         assert!(table.contains("n=2"));
+        assert!(table.contains("[≤1:1 ≤2:0 >2:1]"), "{table}");
+    }
+
+    #[test]
+    fn summary_table_renders_a_histogram_without_finite_buckets() {
+        let mut rep = RunReport::default();
+        rep.observe("h", &[], 3.0);
+        rep.observe("h", &[], f64::NAN);
+        assert!(rep.summary_table().contains("n=2 mean=1.5000 [>-inf:2]"));
     }
 }

@@ -56,9 +56,9 @@ pub enum Event {
         /// What was wrong with the frame.
         reason: String,
     },
-    /// Response to a `metrics` request: the server registry as JSON.
+    /// Response to a `metrics` request: the server metrics as JSON.
     Metrics {
-        /// Registry snapshot, pre-serialized.
+        /// Metrics snapshot, pre-serialized.
         report_json: String,
     },
     /// Response to a `cancel` request.

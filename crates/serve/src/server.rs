@@ -24,7 +24,8 @@ use crate::job::{
     estimate_bytes, placement_fingerprint, ChaosMode, JobError, JobOutcome, JobRequest, JobSummary,
 };
 use crate::queue::BoundedQueue;
-use mep_obs::{Registry, RunReport};
+use mep_obs::report::bucket_of;
+use mep_obs::RunReport;
 use mep_placer::flow::{run_multilevel, MultilevelConfig};
 use mep_placer::pipeline::PipelineConfig;
 use mep_placer::CancelToken;
@@ -118,6 +119,76 @@ struct Sched {
     /// Set once by the drain: `submit` refuses, and each worker exits
     /// when it finds the queue empty and no slot reserved.
     draining: bool,
+    metrics: ServeMetrics,
+}
+
+/// The daemon's metrics. They live under the `sched` lock and each is
+/// updated inside the critical section that decides its event, so a
+/// snapshot never shows a count lagging an event a client has read.
+/// The queue depth is not stored: a snapshot reads it off the queue.
+#[derive(Debug, Clone, Copy, Default)]
+struct ServeMetrics {
+    accepted: u64,
+    rejected: u64,
+    completed: u64,
+    failed: u64,
+    panicked: u64,
+    emit_panics: u64,
+    cancel_requests: u64,
+    /// The deepest queue (`len + reserved`) any admission saw.
+    peak_depth: usize,
+    /// Job latencies bucketed by [`bucket_of`] against
+    /// [`LATENCY_BUCKETS_MS`] (then overflow), and their sum.
+    latency_counts: [u64; LATENCY_BUCKETS_MS.len() + 1],
+    latency_sum_ms: f64,
+}
+
+impl ServeMetrics {
+    /// The metrics as a report, `depth` the current queue depth. Every
+    /// name is present, at zero on a fresh server.
+    fn report(&self, depth: usize) -> RunReport {
+        let mut r = RunReport::default();
+        for (name, v) in [
+            ("serve.jobs.accepted", self.accepted),
+            ("serve.jobs.rejected", self.rejected),
+            ("serve.jobs.completed", self.completed),
+            ("serve.jobs.failed", self.failed),
+            ("serve.jobs.panicked", self.panicked),
+            ("serve.jobs.emit_panics", self.emit_panics),
+            ("serve.jobs.cancel_requests", self.cancel_requests),
+        ] {
+            r.set_counter(name, v);
+        }
+        r.set_gauge("serve.queue.depth", depth as f64);
+        r.set_gauge("serve.queue.peak_depth", self.peak_depth as f64);
+        r.add_bucketed(
+            "serve.job.latency_ms",
+            &LATENCY_BUCKETS_MS,
+            &self.latency_counts,
+            self.latency_sum_ms,
+        );
+        r
+    }
+
+    /// Counts a finished job's outcome and latency.
+    fn tally(&mut self, outcome: &JobOutcome, latency_ms: f64) {
+        if let Some(c) = self
+            .latency_counts
+            .get_mut(bucket_of(&LATENCY_BUCKETS_MS, latency_ms))
+        {
+            *c += 1;
+        }
+        self.latency_sum_ms += latency_ms;
+        match outcome {
+            JobOutcome::Done(_) => self.completed += 1,
+            JobOutcome::Failed(error) => {
+                self.failed += 1;
+                if matches!(error, JobError::Panicked { .. }) {
+                    self.panicked += 1;
+                }
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -128,7 +199,6 @@ struct Shared {
     work_cv: Condvar,
     /// Wait callers sleep here; notified on every terminal job.
     idle_cv: Condvar,
-    metrics: Registry,
 }
 
 /// Recovers the inner value of a poisoned mutex: scheduler state is only
@@ -165,30 +235,12 @@ impl Server {
                 terminal: 0,
                 running: 0,
                 draining: false,
+                metrics: ServeMetrics::default(),
             }),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
-            metrics: Registry::new(),
             cfg,
         });
-        // pre-register the full metric schema so a `metrics` request on a
-        // fresh server already shows every counter at zero
-        for name in [
-            "serve.jobs.accepted",
-            "serve.jobs.rejected",
-            "serve.jobs.completed",
-            "serve.jobs.failed",
-            "serve.jobs.panicked",
-            "serve.jobs.emit_panics",
-            "serve.jobs.cancel_requests",
-        ] {
-            shared.metrics.counter(name);
-        }
-        shared.metrics.gauge("serve.queue.depth").set(0.0);
-        shared.metrics.gauge("serve.queue.peak_depth").set(0.0);
-        shared
-            .metrics
-            .histogram("serve.job.latency_ms", LATENCY_BUCKETS_MS);
         let mut workers = Vec::with_capacity(shared.cfg.workers);
         for w in 0..shared.cfg.workers {
             let s = Arc::clone(&shared);
@@ -239,7 +291,10 @@ impl Server {
                             state,
                         },
                     );
-                    Ok((slot, cancel, sched.queue.len() + sched.queue.reserved()))
+                    let depth = sched.queue.len() + sched.queue.reserved();
+                    sched.metrics.accepted += 1;
+                    sched.metrics.peak_depth = sched.metrics.peak_depth.max(depth);
+                    Ok((slot, cancel, depth))
                 }
                 // back off proportionally to how much work one slot
                 // represents: a deeper queue drains slower
@@ -249,20 +304,20 @@ impl Server {
                 }),
             }
         };
+        if admitted.is_err() {
+            sched.metrics.rejected += 1;
+        }
         drop(sched);
         match admitted {
             Ok((slot, cancel, depth)) => {
-                self.note_depth(depth);
-                shared.metrics.counter("serve.jobs.accepted").add(1);
                 // a panicking sink loses this notification but must not
                 // strand the reserved slot, which the drain waits for
                 let accepted = Event::Accepted {
                     id,
                     queue_depth: depth,
                 };
-                if catch_unwind(AssertUnwindSafe(|| sink.emit(&accepted))).is_err() {
-                    shared.metrics.counter("serve.jobs.emit_panics").add(1);
-                }
+                let emit_panicked =
+                    catch_unwind(AssertUnwindSafe(|| sink.emit(&accepted))).is_err();
                 let job = QueuedJob {
                     id,
                     request,
@@ -270,6 +325,7 @@ impl Server {
                     sink,
                 };
                 let mut sched = lock_sched(shared);
+                sched.metrics.emit_panics += u64::from(emit_panicked);
                 sched.queue.publish(slot, job);
                 let draining = sched.draining;
                 drop(sched);
@@ -283,7 +339,6 @@ impl Server {
                 Ok(depth)
             }
             Err(err) => {
-                shared.metrics.counter("serve.jobs.rejected").add(1);
                 let retry_after_ms = match err {
                     SubmitError::Backpressure { retry_after_ms } => Some(retry_after_ms),
                     _ => None,
@@ -301,7 +356,7 @@ impl Server {
     /// Requests cancellation of a job. Cancelling an unknown or finished
     /// job is benign; the returned status says which case was hit.
     pub fn cancel(&self, id: u64) -> &'static str {
-        let sched = lock_sched(&self.shared);
+        let mut sched = lock_sched(&self.shared);
         let status = match sched.jobs.get(&id) {
             None => "unknown-id",
             Some(entry) => match entry.state {
@@ -312,19 +367,18 @@ impl Server {
                 }
             },
         };
-        drop(sched);
         if status == "cancelling" {
-            self.shared
-                .metrics
-                .counter("serve.jobs.cancel_requests")
-                .add(1);
+            sched.metrics.cancel_requests += 1;
         }
         status
     }
 
-    /// The server metric registry (snapshot for reports/tests).
+    /// A snapshot of the server metrics.
     pub fn metrics(&self) -> RunReport {
-        RunReport::from_registry(&self.shared.metrics)
+        let sched = lock_sched(&self.shared);
+        let (metrics, depth) = (sched.metrics, sched.queue.len() + sched.queue.reserved());
+        drop(sched);
+        metrics.report(depth)
     }
 
     /// The server metrics as a JSON object string.
@@ -383,15 +437,6 @@ impl Server {
         }
         lock_sched(shared).terminal - before
     }
-
-    fn note_depth(&self, depth: usize) {
-        let m = &self.shared.metrics;
-        m.gauge("serve.queue.depth").set(depth as f64);
-        let peak = m.gauge("serve.queue.peak_depth");
-        if peak.get() < depth as f64 {
-            peak.set(depth as f64);
-        }
-    }
 }
 
 impl Drop for Server {
@@ -420,7 +465,7 @@ pub fn install_quiet_panic_hook() {
 }
 
 /// Latency histogram buckets, milliseconds.
-const LATENCY_BUCKETS_MS: &[f64] = &[
+const LATENCY_BUCKETS_MS: [f64; 12] = [
     1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
 ];
 
@@ -439,35 +484,25 @@ fn worker_loop(shared: &Shared) {
         let t0 = Instant::now();
         let outcome = run_one(shared, &job);
         let latency_ms = t0.elapsed().as_secs_f64() * 1e3;
-        shared
-            .metrics
-            .histogram("serve.job.latency_ms", LATENCY_BUCKETS_MS)
-            .observe(latency_ms);
+        // counted before the terminal event goes out: a client that reads
+        // `done` and then asks for `metrics` sees this job in the counts
+        lock_sched(shared).metrics.tally(&outcome, latency_ms);
 
         // the sink is caller-supplied code (the chaos harness makes it
         // panic on purpose): a panicking sink loses this notification but
         // must not take the worker thread down with it
         let emitted = catch_unwind(AssertUnwindSafe(|| match &outcome {
-            JobOutcome::Done(summary) => {
-                shared.metrics.counter("serve.jobs.completed").add(1);
-                job.sink.emit(&Event::Done {
-                    id: job.id,
-                    summary: summary.clone(),
-                });
-            }
-            JobOutcome::Failed(error) => {
-                shared.metrics.counter("serve.jobs.failed").add(1);
-                job.sink.emit(&Event::Failed {
-                    id: job.id,
-                    error: error.clone(),
-                });
-            }
+            JobOutcome::Done(summary) => job.sink.emit(&Event::Done {
+                id: job.id,
+                summary: summary.clone(),
+            }),
+            JobOutcome::Failed(error) => job.sink.emit(&Event::Failed {
+                id: job.id,
+                error: error.clone(),
+            }),
         }));
-        if emitted.is_err() {
-            shared.metrics.counter("serve.jobs.emit_panics").add(1);
-        }
 
-        finish_job(shared, job.id);
+        finish_job(shared, job.id, emitted.is_err());
     }
 }
 
@@ -481,10 +516,7 @@ fn claim_next_job(shared: &Shared) -> Option<QueuedJob> {
             if let Some(entry) = sched.jobs.get_mut(&job.id) {
                 entry.state = JobState::Running;
             }
-            let depth = sched.queue.len();
             sched.running += 1;
-            drop(sched);
-            shared.metrics.gauge("serve.queue.depth").set(depth as f64);
             return Some(job);
         }
         // a reserved slot is a job its submitter is about to publish
@@ -498,13 +530,15 @@ fn claim_next_job(shared: &Shared) -> Option<QueuedJob> {
     }
 }
 
-/// Marks job `id` terminal and wakes drain/wait callers. Protected root:
-/// runs on the worker thread outside any `catch_unwind`.
-fn finish_job(shared: &Shared, id: u64) {
+/// Marks job `id` terminal, counting a panic of its terminal event's
+/// sink, and wakes drain/wait callers. Protected root: runs on the worker
+/// thread outside any `catch_unwind`.
+fn finish_job(shared: &Shared, id: u64, emit_panicked: bool) {
     let mut sched = lock_sched(shared);
     if let Some(entry) = sched.jobs.get_mut(&id) {
         entry.state = JobState::Terminal;
     }
+    sched.metrics.emit_panics += u64::from(emit_panicked);
     sched.terminal += 1;
     sched.running -= 1;
     drop(sched);
@@ -530,7 +564,6 @@ fn run_one(shared: &Shared, job: &QueuedJob) -> JobOutcome {
         Ok(Ok(summary)) => JobOutcome::Done(summary),
         Ok(Err(error)) => JobOutcome::Failed(error),
         Err(payload) => {
-            shared.metrics.counter("serve.jobs.panicked").add(1);
             let detail = panic_message(payload.as_ref());
             JobOutcome::Failed(JobError::Panicked { detail })
         }
@@ -748,6 +781,50 @@ mod tests {
                         "round {round}, job {id}"
                     );
                 }
+            }
+        });
+    }
+
+    /// Two submitters race two workers through 200 bursts. Each snapshot
+    /// taken once the server is idle must read an empty queue, and the
+    /// peak must cover every depth an `accepted` event reported.
+    #[test]
+    fn queue_depth_reads_the_queue_and_the_peak_covers_every_admission() {
+        within_a_minute(|| {
+            let server = Arc::new(test_server(2, 8));
+            let sink = Arc::new(CollectSink::new());
+            for burst in 0..200u64 {
+                let submitters: Vec<_> = (0..2u64)
+                    .map(|t| {
+                        let (server, sink) = (Arc::clone(&server), Arc::clone(&sink));
+                        std::thread::spawn(move || {
+                            for k in 0..2 {
+                                let id = 4 * burst + 2 * t + k;
+                                server.submit(id, unknown_circuit(), sink.clone()).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                for s in submitters {
+                    s.join().unwrap();
+                }
+                server.wait_idle();
+                let report = server.metrics();
+                assert_eq!(
+                    report.gauge("serve.queue.depth"),
+                    Some(0.0),
+                    "burst {burst}"
+                );
+                let peak = report.gauge("serve.queue.peak_depth").unwrap();
+                let deepest = sink
+                    .events()
+                    .iter()
+                    .filter_map(|e| match e {
+                        Event::Accepted { queue_depth, .. } => Some(*queue_depth),
+                        _ => None,
+                    })
+                    .max();
+                assert!(Some(peak as usize) >= deepest, "burst {burst}: {peak}");
             }
         });
     }

@@ -19,8 +19,8 @@
 //!   the `Problem` trait it drives;
 //! * [`placer`] — global placement, legalization, detailed placement, and
 //!   the full pipeline;
-//! * [`obs`] — flow telemetry: metric registry, per-iteration trace
-//!   sinks, and the end-of-run [`obs::RunReport`].
+//! * [`obs`] — flow telemetry: per-iteration trace sinks and the one
+//!   metric store, the end-of-run [`obs::RunReport`].
 //!
 //! # Quickstart
 //!
