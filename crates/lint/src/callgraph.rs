@@ -10,7 +10,9 @@
 //! function named `name`; a qualified call `Q::name(…)` resolves through
 //! `Q` when `Q` is a workspace `impl`/`trait` qualifier, through the free
 //! functions when `Q` looks like a module path segment, and is opaque
-//! otherwise (std / external types). Calls mediated by macros
+//! otherwise (std / external types). A call from library or binary code
+//! never resolves to test code (`tests/`, `benches/`, `examples/`,
+//! `#[cfg(test)]`), which no such caller can reach. Calls mediated by macros
 //! (`format!`, `vec!`) and blanket trait impls (`.to_string()`) resolve
 //! to nothing — the token stream never contains the expanded callee.
 
@@ -34,7 +36,8 @@ pub struct FnNode {
     /// True when the first parameter is (some form of) `self` — only
     /// such fns are candidates for `.name(…)` method-call resolution.
     pub has_self: bool,
-    /// True when the definition lies in test-only code.
+    /// True when the definition lies in test-only code: a test, bench or
+    /// example file, or `#[cfg(test)]` code.
     pub is_test: bool,
     /// Token index of the name ident.
     pub name_tok: usize,
@@ -161,7 +164,7 @@ impl WorkspaceCtx {
             let resolved = raw
                 .into_iter()
                 .map(|(tok, callee)| {
-                    let (display, callees) = match callee {
+                    let (display, mut callees) = match callee {
                         RawCallee::Method(n) => (
                             format!(".{n}"),
                             methods.get(n.as_str()).cloned().unwrap_or_default(),
@@ -185,6 +188,9 @@ impl WorkspaceCtx {
                             (format!("{q}::{n}"), ids)
                         }
                     };
+                    if !f.is_test {
+                        callees.retain(|&id| !fns[id].is_test);
+                    }
                     CallSite {
                         tok,
                         display,
@@ -395,7 +401,7 @@ fn collect_fns(fd: &FileData, file_idx: usize, out: &mut Vec<FnNode>) {
             qualifier,
             is_pub,
             has_self,
-            is_test: fd.in_test_code(offset),
+            is_test: fd.file.kind.is_test_like() || fd.in_test_code(offset),
             name_tok,
             body: item.body,
         });
@@ -717,6 +723,43 @@ mod tests {
         )]);
         assert!(!w.fns[fn_id(&w, "live")].is_test);
         assert!(w.fns[fn_id(&w, "t")].is_test);
+    }
+
+    #[test]
+    fn library_calls_never_resolve_to_test_code() {
+        let w = ws(&[
+            (
+                "crates/a/src/lib.rs",
+                "pub struct S;\n\
+                 impl S { fn record(&self) {} }\n\
+                 pub fn lib(s: &S) { s.record(); }\n\
+                 #[cfg(test)]\n\
+                 mod tests { fn t(s: &super::S) { s.record(); } }",
+            ),
+            (
+                "crates/a/tests/it.rs",
+                "struct T;\n\
+                 impl T { fn record(&self) { panic!(\"test double\") } }\n\
+                 fn it(t: &T) { t.record(); }",
+            ),
+        ]);
+        let record_in_tests = w
+            .fns
+            .iter()
+            .position(|f| f.name == "record" && f.is_test)
+            .unwrap();
+        let lib = fn_id(&w, "lib");
+        assert_eq!(
+            w.calls[lib][0].callees.len(),
+            1,
+            "only the library `record`"
+        );
+        assert!(!w.calls[lib][0].callees.contains(&record_in_tests));
+        let (reaches, _) = w.panic_reachability();
+        assert!(!reaches[lib], "a library fn reaches no test-only panic");
+        // test code still resolves to everything
+        assert!(reaches[fn_id(&w, "it")]);
+        assert_eq!(w.calls[fn_id(&w, "t")][0].callees.len(), 2);
     }
 
     #[test]

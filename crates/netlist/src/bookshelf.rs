@@ -12,14 +12,17 @@
 
 use crate::design::{Design, Row};
 use crate::error::NetlistError;
+use crate::ids::CellId;
 use crate::netlist::NetlistBuilder;
 use crate::placement::Placement;
 use crate::FixedState;
-// lint:allow(determinism): name-keyed lookup tables for parsing; never iterated
+// lint:allow(determinism): the `.wts` net-name lookup; never iterated
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs;
+use std::fs::{self, File};
+use std::io;
 use std::path::{Path, PathBuf};
+use std::str::SplitWhitespace;
 
 /// A parsed Bookshelf benchmark: the design plus its `.pl` placement
 /// (initial positions of movable cells, final positions of fixed ones).
@@ -52,29 +55,449 @@ fn finite(
         .ok_or_else(|| parse_err(file, line, message))
 }
 
-/// Lines of a Bookshelf file with comments and headers stripped,
-/// keeping 1-based line numbers.
-fn content_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
-    text.lines().enumerate().filter_map(|(i, raw)| {
-        let line = match raw.find('#') {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() || line.starts_with("UCLA") {
-            None
-        } else {
-            Some((i + 1, line))
-        }
-    })
+/// The count a `Num… : n` header states, 0 when it states none. It only
+/// ever sizes a reservation, and only up to what the file's length allows.
+fn stated(value: &str) -> usize {
+    tokens(value)
+        .next()
+        .and_then(|t| t.parse().ok())
+        .unwrap_or(0)
 }
 
-fn key_value(line: &str) -> Option<(&str, &str)> {
-    let (k, v) = line.split_once(':')?;
-    Some((k.trim(), v.trim()))
+/// The content lines of a Bookshelf file: each line is cut at its first
+/// `#` and trimmed, and skipped when that leaves it empty or it is a
+/// `UCLA …` header.
+struct Lines<'a> {
+    rest: &'a str,
+    no: usize,
+}
+
+/// One content line: its 1-based number and its text, a slice of the file.
+#[derive(Clone, Copy)]
+struct Line<'a> {
+    no: usize,
+    text: &'a str,
+}
+
+fn lines(text: &str) -> Lines<'_> {
+    Lines { rest: text, no: 0 }
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = Line<'a>;
+
+    fn next(&mut self) -> Option<Line<'a>> {
+        while !self.rest.is_empty() {
+            let (raw, rest) = self.rest.split_once('\n').unwrap_or((self.rest, ""));
+            self.rest = rest;
+            self.no += 1;
+            let text = raw.split_once('#').map_or(raw, |(code, _)| code).trim();
+            if !text.is_empty() && !text.starts_with("UCLA") {
+                return Some(Line { no: self.no, text });
+            }
+        }
+        None
+    }
+}
+
+impl<'a> Line<'a> {
+    /// The text before the first `:` (all of it when there is none) and
+    /// the text after it.
+    fn split_colon(self) -> (&'a str, Option<&'a str>) {
+        match self.text.split_once(':') {
+            Some((key, value)) => (key, Some(value)),
+            None => (self.text, None),
+        }
+    }
+
+    /// This line read as a `.nets` pin.
+    fn pin(self) -> Pin<'a> {
+        let (head, tail) = self.split_colon();
+        let tail = tail.map(|t| {
+            let mut it = tokens(t);
+            (it.next(), it.next())
+        });
+        (self.no, tokens(head).next(), tail)
+    }
+}
+
+/// A `.nets` pin line `cell [direction] [: dx dy]` as the reader takes it:
+/// its number, its first token before any `:` and, when it has a `:`, the
+/// first two tokens after it.
+type Pin<'a> = (
+    usize,
+    Option<&'a str>,
+    Option<(Option<&'a str>, Option<&'a str>)>,
+);
+
+impl<'a> Lines<'a> {
+    /// The next line read as a pin in one walk over its bytes — the bulk
+    /// of a `.nets` file. `None`, with the cursor unmoved, for a line the
+    /// walk might not read as [`Lines::next`] and [`Line::pin`] do: one
+    /// that is blank, a comment or a `UCLA` header, opens with a byte other
+    /// than a letter, digit or `_`, or holds a non-ASCII byte before its
+    /// comment.
+    fn next_pin(&mut self) -> Option<Pin<'a>> {
+        let s = self.rest;
+        let b = s.as_bytes();
+        let blank = |c| class(c) == SPACE;
+        let start = run_end(b, 0, blank);
+        let opens = b
+            .get(start)
+            .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_');
+        if !opens || b.get(start..).is_some_and(|t| t.starts_with(b"UCLA")) {
+            return None;
+        }
+        let end = run_end(b, start, |c| class(c) == 0);
+        let cell = s.get(start..end)?;
+        let mut i = run_end(b, end, |c| class(c) & !SPACE == 0);
+        let tail = (b.get(i) == Some(&b':')).then(|| {
+            i += 1;
+            let mut token = || {
+                let from = run_end(b, i, blank);
+                i = run_end(b, from, |c| class(c) & !COLON == 0);
+                s.get(from..i).filter(|t| !t.is_empty())
+            };
+            (token(), token())
+        });
+        let rest = run_end(b, i, |c| class(c) & (NEWLINE | HASH | NON_ASCII) == 0);
+        if b.get(rest).is_some_and(|&c| class(c) == NON_ASCII) {
+            return None;
+        }
+        let eol = run_end(b, rest, |c| class(c) & NEWLINE == 0);
+        self.rest = s.get(eol + 1..).unwrap_or("");
+        self.no += 1;
+        Some((self.no, Some(cell), tail))
+    }
+}
+
+// Byte classes of the walks over a line: whitespace as `char::is_whitespace`
+// has it among ASCII bytes (`u8::is_ascii_whitespace` leaves out the
+// vertical tab), the newline, the comment mark, the key separator, and
+// every non-ASCII byte.
+const SPACE: u8 = 1;
+const NEWLINE: u8 = 2;
+const HASH: u8 = 4;
+const COLON: u8 = 8;
+const NON_ASCII: u8 = 16;
+
+static CLASS: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            b' ' | b'\t' | b'\x0b' | b'\x0c' | b'\r' => SPACE,
+            b'\n' => SPACE | NEWLINE,
+            b'#' => HASH,
+            b':' => COLON,
+            0x80..=0xff => NON_ASCII,
+            _ => 0,
+        };
+        b += 1;
+    }
+    table
+};
+
+fn class(b: u8) -> u8 {
+    CLASS.get(usize::from(b)).copied().unwrap_or(0)
+}
+
+/// The end of the run of bytes from `i` on that `keep` accepts.
+fn run_end(b: &[u8], mut i: usize, keep: impl Fn(u8) -> bool) -> usize {
+    while b.get(i).is_some_and(|&c| keep(c)) {
+        i += 1;
+    }
+    i
+}
+
+/// The whitespace-separated tokens of `s`, exactly as
+/// [`str::split_whitespace`] gives them: an ASCII line splits on bytes, any
+/// other takes the `char` path.
+fn tokens(s: &str) -> Tokens<'_> {
+    if s.is_ascii() {
+        Tokens::Ascii(s)
+    } else {
+        Tokens::Unicode(s.split_whitespace())
+    }
+}
+
+enum Tokens<'a> {
+    /// The untokenized rest of an ASCII line.
+    Ascii(&'a str),
+    Unicode(SplitWhitespace<'a>),
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            Tokens::Ascii(rest) => {
+                let bytes = rest.as_bytes();
+                let start = run_end(bytes, 0, |b| class(b) & SPACE != 0);
+                let end = run_end(bytes, start, |b| class(b) & SPACE == 0);
+                let token = rest.get(start..end).filter(|t| !t.is_empty())?;
+                *rest = rest.get(end..).unwrap_or("");
+                Some(token)
+            }
+            Tokens::Unicode(split) => split.next(),
+        }
+    }
+}
+
+/// The reader between files: the cells `.nodes` declared, in a builder
+/// whose name index every later file resolves through, and the positions
+/// `.pl` gave them. Nothing is sized from a count a file states unless the
+/// file's length bounds it.
+struct Reader {
+    builder: NetlistBuilder,
+    placement: Placement,
+    /// The first error `add_cell` returned. It is reported once `.pl` has
+    /// parsed, so a parse error in `.nodes` or `.pl` comes first.
+    cell_error: Option<NetlistError>,
+}
+
+impl Reader {
+    /// `.nodes`: `name width height [terminal]` per line.
+    fn read_nodes(text: &str) -> Result<Self, NetlistError> {
+        let mut builder = NetlistBuilder::new();
+        let mut cell_error = None;
+        for line in lines(text) {
+            if let (key, Some(v)) = line.split_colon() {
+                if key.starts_with("NumNodes") {
+                    // a node line (`a 1 1` and its newline) takes six bytes
+                    builder.reserve(stated(v).min(text.len() / 6), 0, 0);
+                    continue;
+                }
+                if key.starts_with("NumTerminals") {
+                    continue;
+                }
+            }
+            let mut tok = tokens(line.text);
+            let name = tok
+                .next()
+                .ok_or_else(|| parse_err("nodes", line.no, "missing node name"))?;
+            let w = finite(tok.next(), "nodes", line.no, "bad width")?;
+            let h = finite(tok.next(), "nodes", line.no, "bad height")?;
+            let terminal = tok.next().is_some_and(|t| t.starts_with("terminal"));
+            if let Err(e) = builder.add_cell(name, w, h, !terminal) {
+                cell_error.get_or_insert(e);
+            }
+        }
+        let placement = Placement::zeros(builder.num_cells());
+        Ok(Self {
+            builder,
+            placement,
+            cell_error,
+        })
+    }
+
+    /// `.pl`: `name x y [: orient] [/FIXED]` per line, lower-left corners.
+    /// A name `.nodes` did not declare is skipped; of two lines naming one
+    /// cell the last wins, its `/FIXED` marker included.
+    fn read_pl(&mut self, text: &str) -> Result<(), NetlistError> {
+        let mut fixed_in_pl = vec![false; self.builder.num_cells()];
+        // a `.pl` file lists the cells in `.nodes` order as a rule: the cell
+        // after the last one placed is tried before the name index (names
+        // are unique, so a match is the cell)
+        let mut next = 0;
+        for line in lines(text) {
+            let mut tok = tokens(line.text);
+            let name = tok
+                .next()
+                .ok_or_else(|| parse_err("pl", line.no, "missing cell name"))?;
+            let x = finite(tok.next(), "pl", line.no, "bad x")?;
+            let y = finite(tok.next(), "pl", line.no, "bad y")?;
+            let cell = (self.builder.cell_name(next) == Some(name))
+                .then_some(next)
+                .or_else(|| self.builder.cell_by_name(name).map(CellId::index));
+            if let Some(i) = cell {
+                next = i + 1;
+                let slots = (
+                    self.placement.x.get_mut(i),
+                    self.placement.y.get_mut(i),
+                    fixed_in_pl.get_mut(i),
+                );
+                if let (Some(px), Some(py), Some(fixed)) = slots {
+                    (*px, *py, *fixed) = (x, y, line.text.contains("/FIXED"));
+                }
+            }
+        }
+        // a cell is fixed if the .nodes file says `terminal` OR its .pl
+        // line carries `/FIXED` — ISPD flows use either marker alone, and
+        // dropping the .pl-only one silently un-fixes cells on re-import
+        for (i, _) in fixed_in_pl.iter().enumerate().filter(|&(_, &f)| f) {
+            self.builder.fix_cell(CellId::from_usize(i));
+        }
+        self.cell_error.take().map_or(Ok(()), Err)
+    }
+
+    /// `.nets`: `NetDegree : d [name]`, then `d` pin lines
+    /// `cell [direction] [: dx dy]` with offsets from the cell centre. Each
+    /// pin goes into the builder as it is read.
+    fn read_nets(&mut self, text: &str) -> Result<(), NetlistError> {
+        let mut cursor = lines(text);
+        while let Some(line) = cursor.next() {
+            match line.split_colon() {
+                // a net takes a line of twelve bytes or more (`NetDegree:0`
+                // and its newline), a pin one of two (`a` and its newline)
+                (k, Some(v)) if k.starts_with("NumNets") => {
+                    self.builder.reserve(0, stated(v).min(text.len() / 12), 0);
+                }
+                (k, Some(v)) if k.starts_with("NumPins") => {
+                    self.builder.reserve(0, 0, stated(v).min(text.len() / 2));
+                }
+                (k, Some(v)) if k.starts_with("NetDegree") => {
+                    let mut tok = tokens(v);
+                    let degree: usize = tok
+                        .next()
+                        .and_then(|s| s.parse().ok())
+                        .ok_or_else(|| parse_err("nets", line.no, "bad NetDegree"))?;
+                    let name = match tok.next() {
+                        Some(name) => name.to_string(),
+                        None => format!("net{}", self.builder.num_nets()),
+                    };
+                    let net = self.builder.add_net(name, []);
+                    for _ in 0..degree {
+                        let (pin_no, cell_name, tail) = cursor
+                            .next_pin()
+                            .or_else(|| cursor.next().map(Line::pin))
+                            .ok_or_else(|| parse_err("nets", line.no, "truncated net"))?;
+                        let cell_name = cell_name
+                            .ok_or_else(|| parse_err("nets", pin_no, "missing pin cell"))?;
+                        let (dx, dy) = match tail {
+                            Some((dx, dy)) => (
+                                finite(dx, "nets", pin_no, "bad pin dx")?,
+                                finite(dy, "nets", pin_no, "bad pin dy")?,
+                            ),
+                            None => (0.0, 0.0),
+                        };
+                        let cell = self
+                            .builder
+                            .cell_by_name(cell_name)
+                            .ok_or_else(|| NetlistError::UnknownCell(cell_name.to_string()))?;
+                        self.builder.push_pin(net, cell, dx, dy);
+                    }
+                }
+                _ => {
+                    return Err(parse_err(
+                        "nets",
+                        line.no,
+                        format!("unexpected line `{}`", line.text),
+                    ))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `.wts`: `name weight` per line. A positive weight goes to the last
+    /// net of that name; a line naming no net (some suites weight cells
+    /// too) is skipped.
+    fn read_wts(&mut self, text: &str) -> Result<(), NetlistError> {
+        let (names, weights) = self.builder.net_names_and_weights();
+        // lint:allow(determinism): net-name lookup for `.wts` lines; never iterated
+        let index: HashMap<&str, usize, FixedState> = names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.as_str(), i))
+            .collect();
+        for line in lines(text) {
+            let mut tok = tokens(line.text);
+            let name = tok
+                .next()
+                .ok_or_else(|| parse_err("wts", line.no, "missing net name"))?;
+            let weight = finite(tok.next(), "wts", line.no, "bad weight")?;
+            if let Some(w) = index.get(name).and_then(|&i| weights.get_mut(i)) {
+                if weight > 0.0 {
+                    *w = weight;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `.scl` and the design: rows from `CoreRow … End` blocks, the die
+    /// their union.
+    fn into_circuit(
+        self,
+        name: String,
+        scl_text: &str,
+        target_density: f64,
+    ) -> Result<BookshelfCircuit, NetlistError> {
+        let rows = scl_rows(scl_text)?;
+        let die = rows
+            .iter()
+            .map(Row::rect)
+            .reduce(|a, b| a.union(&b))
+            .ok_or_else(|| NetlistError::Geometry("scl file declared no rows".into()))?;
+        let design = Design::new(name, self.builder.build(), die, rows, target_density)?;
+        Ok(BookshelfCircuit {
+            design,
+            placement: self.placement,
+        })
+    }
+}
+
+/// The rows of a `.scl` file.
+fn scl_rows(text: &str) -> Result<Vec<Row>, NetlistError> {
+    let mut rows: Vec<Row> = Vec::new();
+    let mut current: Option<(f64, f64, f64, f64, f64)> = None; // y, h, site_w, origin, num_sites
+    for Line { no, text: line } in lines(text) {
+        if line.starts_with("NumRows") {
+            continue;
+        }
+        if line.starts_with("CoreRow") {
+            current = Some((0.0, 0.0, 1.0, 0.0, 0.0));
+            continue;
+        }
+        if line == "End" {
+            let (y, h, sw, origin, nsites) = current
+                .take()
+                .ok_or_else(|| parse_err("scl", no, "End without CoreRow"))?;
+            rows.push(Row {
+                y,
+                height: h,
+                xl: origin,
+                xh: origin + nsites * sw,
+                site_width: sw,
+            });
+            continue;
+        }
+        if let Some(cur) = current.as_mut() {
+            // one or more `Key : value` pairs per line
+            for part in line.split_terminator(';') {
+                let Some((k, v)) = part.split_once(':') else {
+                    continue;
+                };
+                let first: Option<f64> = tokens(v).next().and_then(|s| s.parse().ok());
+                match (k.trim(), first) {
+                    ("Coordinate", Some(f)) => cur.0 = f,
+                    ("Height", Some(f)) => cur.1 = f,
+                    ("Sitewidth", Some(f)) => cur.2 = f,
+                    ("SubrowOrigin", Some(f)) => {
+                        cur.3 = f;
+                        // `SubrowOrigin : x NumSites : n` on one line
+                        if let Some((_, rest)) = v.split_once(':') {
+                            if let Some(Ok(n)) = tokens(rest).next().map(str::parse) {
+                                cur.4 = n;
+                            }
+                        }
+                    }
+                    ("NumSites", Some(f)) => cur.4 = f,
+                    _ => {} // Sitespacing, Siteorient, Sitesymmetry ignored
+                }
+            }
+        }
+    }
+    Ok(rows)
 }
 
 /// Reads a benchmark given its `.aux` file path.
+///
+/// Every listed file is opened before any is parsed, so a missing one is
+/// an `Io` error whatever the others hold; then each is read, parsed and
+/// dropped in turn, so only one file's text is held at a time.
 ///
 /// # Errors
 ///
@@ -92,10 +515,10 @@ pub fn read_aux(
     let mut pl = None;
     let mut scl = None;
     let mut wts = None;
-    for (lineno, line) in content_lines(&text) {
-        let (_, files) = line
-            .split_once(':')
-            .ok_or_else(|| parse_err("aux", lineno, "expected `RowBasedPlacement : files...`"))?;
+    for line in lines(&text) {
+        let (_, files) = line.split_colon();
+        let files = files
+            .ok_or_else(|| parse_err("aux", line.no, "expected `RowBasedPlacement : files...`"))?;
         for f in files.split_whitespace() {
             let p: PathBuf = dir.join(f);
             match Path::new(f).extension().and_then(|e| e.to_str()) {
@@ -119,19 +542,23 @@ pub fn read_aux(
         .unwrap_or("bookshelf")
         .to_string();
     // .wts is optional; a missing file just means unit weights
-    let wts_text = match wts {
-        Some(p) if p.exists() => Some(fs::read_to_string(p)?),
+    let wts = match wts {
+        Some(p) if p.exists() => Some(File::open(p)?),
         _ => None,
     };
-    read_files(
-        name,
-        &fs::read_to_string(nodes)?,
-        &fs::read_to_string(nets)?,
-        &fs::read_to_string(pl)?,
-        &fs::read_to_string(scl)?,
-        wts_text.as_deref(),
-        target_density,
-    )
+    let (nodes, nets, pl, scl) = (
+        File::open(nodes)?,
+        File::open(nets)?,
+        File::open(pl)?,
+        File::open(scl)?,
+    );
+    let mut reader = Reader::read_nodes(&io::read_to_string(nodes)?)?;
+    reader.read_pl(&io::read_to_string(pl)?)?;
+    reader.read_nets(&io::read_to_string(nets)?)?;
+    if let Some(wts) = wts {
+        reader.read_wts(&io::read_to_string(wts)?)?;
+    }
+    reader.into_circuit(name, &io::read_to_string(scl)?, target_density)
 }
 
 /// Parses a benchmark from in-memory file contents. `wts_text` is the
@@ -149,214 +576,13 @@ pub fn read_files(
     wts_text: Option<&str>,
     target_density: f64,
 ) -> Result<BookshelfCircuit, NetlistError> {
-    // --- .nodes -----------------------------------------------------------
-    struct NodeDecl {
-        name: String,
-        w: f64,
-        h: f64,
-        terminal: bool,
-    }
-    let mut decls: Vec<NodeDecl> = Vec::new();
-    for (lineno, line) in content_lines(nodes_text) {
-        if let Some((k, _)) = key_value(line) {
-            if k.starts_with("NumNodes") || k.starts_with("NumTerminals") {
-                continue;
-            }
-        }
-        let mut tok = line.split_whitespace();
-        let name = tok
-            .next()
-            .ok_or_else(|| parse_err("nodes", lineno, "missing node name"))?;
-        let w = finite(tok.next(), "nodes", lineno, "bad width")?;
-        let h = finite(tok.next(), "nodes", lineno, "bad height")?;
-        let terminal = tok.next().is_some_and(|t| t.starts_with("terminal"));
-        decls.push(NodeDecl {
-            name: name.to_string(),
-            w,
-            h,
-            terminal,
-        });
-    }
-
-    // --- .pl (read early: FIXED flags override movability) ----------------
-    // lint:allow(determinism): .pl positions are looked up per cell name; never iterated
-    let mut positions: HashMap<String, (f64, f64, bool), FixedState> = HashMap::default();
-    for (lineno, line) in content_lines(pl_text) {
-        let mut tok = line.split_whitespace();
-        let name = tok
-            .next()
-            .ok_or_else(|| parse_err("pl", lineno, "missing cell name"))?;
-        let x = finite(tok.next(), "pl", lineno, "bad x")?;
-        let y = finite(tok.next(), "pl", lineno, "bad y")?;
-        let fixed = line.contains("/FIXED");
-        positions.insert(name.to_string(), (x, y, fixed));
-    }
-
-    let mut builder = NetlistBuilder::with_capacity(decls.len(), 0, 0);
-    for d in &decls {
-        // a cell is fixed if the .nodes file says `terminal` OR its .pl
-        // line carries `/FIXED` — ISPD flows use either marker alone, and
-        // dropping the .pl-only one silently un-fixes cells on re-import
-        let fixed_in_pl = positions.get(&d.name).is_some_and(|&(_, _, f)| f);
-        builder.add_cell(d.name.clone(), d.w, d.h, !(d.terminal || fixed_in_pl))?;
-    }
-
-    // --- .nets -------------------------------------------------------------
-    // lint:allow(determinism): net-name dedup index for .nets parsing; never iterated
-    let mut net_index: HashMap<String, crate::ids::NetId, FixedState> = HashMap::default();
-    {
-        let mut lines = content_lines(nets_text).peekable();
-        let mut net_counter = 0usize;
-        while let Some((lineno, line)) = lines.next() {
-            if let Some((k, v)) = key_value(line) {
-                if k.starts_with("NumNets") || k.starts_with("NumPins") {
-                    continue;
-                }
-                if k.starts_with("NetDegree") {
-                    let mut tok = v.split_whitespace();
-                    let degree: usize = tok
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| parse_err("nets", lineno, "bad NetDegree"))?;
-                    let net_name = tok
-                        .next()
-                        .map(str::to_string)
-                        .unwrap_or_else(|| format!("net{net_counter}"));
-                    net_counter += 1;
-                    let mut pins = Vec::with_capacity(degree);
-                    for _ in 0..degree {
-                        let (pl_no, pline) = lines
-                            .next()
-                            .ok_or_else(|| parse_err("nets", lineno, "truncated net"))?;
-                        // `cell I : dx dy`  (direction token optional)
-                        let (head, tail) = match pline.split_once(':') {
-                            Some((h, t)) => (h, Some(t)),
-                            None => (pline, None),
-                        };
-                        let cell_name = head
-                            .split_whitespace()
-                            .next()
-                            .ok_or_else(|| parse_err("nets", pl_no, "missing pin cell"))?;
-                        let (dx, dy) = match tail {
-                            Some(t) => {
-                                let mut it = t.split_whitespace();
-                                let dx = finite(it.next(), "nets", pl_no, "bad pin dx")?;
-                                let dy = finite(it.next(), "nets", pl_no, "bad pin dy")?;
-                                (dx, dy)
-                            }
-                            None => (0.0, 0.0),
-                        };
-                        let cell = builder
-                            .cell_by_name(cell_name)
-                            .ok_or_else(|| NetlistError::UnknownCell(cell_name.to_string()))?;
-                        pins.push((cell, dx, dy));
-                    }
-                    let id = builder.add_net(net_name.clone(), pins);
-                    net_index.insert(net_name, id);
-                    continue;
-                }
-            }
-            return Err(parse_err(
-                "nets",
-                lineno,
-                format!("unexpected line `{line}`"),
-            ));
-        }
-    }
-
-    // --- .wts (optional): `netname weight` per line --------------------------
+    let mut reader = Reader::read_nodes(nodes_text)?;
+    reader.read_pl(pl_text)?;
+    reader.read_nets(nets_text)?;
     if let Some(wts) = wts_text {
-        for (lineno, line) in content_lines(wts) {
-            let mut tok = line.split_whitespace();
-            let net_name = tok
-                .next()
-                .ok_or_else(|| parse_err("wts", lineno, "missing net name"))?;
-            let weight = finite(tok.next(), "wts", lineno, "bad weight")?;
-            // cell-weight lines (some suites weight nodes too) are skipped
-            if let Some(&net) = net_index.get(net_name) {
-                if weight > 0.0 {
-                    builder.set_net_weight(net, weight);
-                }
-            }
-        }
+        reader.read_wts(wts)?;
     }
-
-    let netlist = builder.build();
-
-    // --- .scl --------------------------------------------------------------
-    let mut rows: Vec<Row> = Vec::new();
-    {
-        let mut current: Option<(f64, f64, f64, f64, f64)> = None; // y, h, site_w, origin, num_sites
-        for (lineno, line) in content_lines(scl_text) {
-            if line.starts_with("NumRows") {
-                continue;
-            }
-            if line.starts_with("CoreRow") {
-                current = Some((0.0, 0.0, 1.0, 0.0, 0.0));
-                continue;
-            }
-            if line == "End" {
-                let (y, h, sw, origin, nsites) = current
-                    .take()
-                    .ok_or_else(|| parse_err("scl", lineno, "End without CoreRow"))?;
-                rows.push(Row {
-                    y,
-                    height: h,
-                    xl: origin,
-                    xh: origin + nsites * sw,
-                    site_width: sw,
-                });
-                continue;
-            }
-            if let Some(cur) = current.as_mut() {
-                // one or more `Key : value` pairs per line
-                for part in line.split_terminator(';') {
-                    if let Some((k, v)) = key_value(part) {
-                        let mut vals = v.split_whitespace();
-                        let first: Option<f64> = vals.next().and_then(|s| s.parse().ok());
-                        match (k, first) {
-                            ("Coordinate", Some(f)) => cur.0 = f,
-                            ("Height", Some(f)) => cur.1 = f,
-                            ("Sitewidth", Some(f)) => cur.2 = f,
-                            ("SubrowOrigin", Some(f)) => {
-                                cur.3 = f;
-                                // `SubrowOrigin : x NumSites : n` on one line
-                                if let Some(rest) = v.split_once(':') {
-                                    if let Some(n) = rest.1.split_whitespace().next() {
-                                        if let Ok(n) = n.parse() {
-                                            cur.4 = n;
-                                        }
-                                    }
-                                }
-                            }
-                            ("NumSites", Some(f)) => cur.4 = f,
-                            _ => {} // Sitespacing, Siteorient, Sitesymmetry ignored
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if rows.is_empty() {
-        return Err(NetlistError::Geometry("scl file declared no rows".into()));
-    }
-
-    // --- positions into Placement ------------------------------------------
-    let mut placement = Placement::zeros(netlist.num_cells());
-    for cell in netlist.cells() {
-        if let Some(&(x, y, _fixed)) = positions.get(netlist.cell_name(cell)) {
-            placement.x[cell.index()] = x;
-            placement.y[cell.index()] = y;
-        }
-    }
-
-    let die = rows
-        .iter()
-        .map(Row::rect)
-        .reduce(|a, b| a.union(&b))
-        .ok_or_else(|| NetlistError::Geometry("scl file declared no rows".into()))?;
-    let design = Design::new(name, netlist, die, rows, target_density)?;
-    Ok(BookshelfCircuit { design, placement })
+    reader.into_circuit(name, scl_text, target_density)
 }
 
 /// Serializes a design + placement to the five Bookshelf files inside `dir`,
@@ -677,6 +903,85 @@ mod tests {
             matches!(err, Err(NetlistError::Parse { file: "nets", .. })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn tokens_are_split_whitespace() {
+        for s in [
+            "",
+            "   ",
+            "a",
+            " a  b\t\tc ",
+            "a\x0bb \x0c c\r",
+            "a\u{a0}b",
+            "x \u{2003}y é",
+            "\x1c a \x1f",
+            "a:b : c",
+        ] {
+            let ours: Vec<_> = tokens(s).collect();
+            assert_eq!(ours, s.split_whitespace().collect::<Vec<_>>(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn the_pin_walk_reads_pins_as_the_general_path_does() {
+        // (text, whether the one-walk reading takes its first line)
+        let cases = [
+            ("  o1 I : 0.5 -0.25\nnext", true),
+            ("o1:1 2", true),
+            ("o1 : 1:2 3\n", true),
+            ("o1 I", true),
+            ("o1 # c : 1 2\n", true),
+            ("o1#c\n", true),
+            ("o1 I : 1 2 # c\n", true),
+            ("o1\tI\x0b:\t1\x0c2\r\n", true),
+            ("o1 I :\n", true),
+            ("o1 I : 1\n", true),
+            ("o1 I : 1 2 3 extra é\n", false),
+            ("o1 I : 1 2 3 extra # é\n", true),
+            ("_c : 1 2", true),
+            ("9 : 1 2", true),
+            ("UCLAcell : 1 2\nnext", false),
+            ("o1 I : 1\u{a0}2\n", false),
+            ("o1é : 1 2", false),
+            ("\u{a0}o1 : 1 2", false),
+            (": 1 2", false),
+            ("# a comment\no1 : 1 2", false),
+            ("\n \no1 : 1 2", false),
+            ("/o1 : 1 2", false),
+            ("", false),
+        ];
+        for (text, walks) in cases {
+            let mut cursor = lines(text);
+            match cursor.next_pin() {
+                Some(pin) => {
+                    assert!(walks, "{text:?}");
+                    let mut general = lines(text);
+                    assert_eq!(Some(pin), general.next().map(Line::pin), "{text:?}");
+                    assert_eq!(cursor.rest, general.rest, "{text:?}");
+                }
+                None => {
+                    assert!(!walks, "{text:?}");
+                    assert_eq!(cursor.rest, text, "{text:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_missing_file_is_an_io_error_whatever_the_others_hold() {
+        let dir =
+            std::env::temp_dir().join(format!("mep_bookshelf_missing_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("t.aux"),
+            "RowBasedPlacement : t.nodes t.nets t.pl t.scl\n",
+        )
+        .unwrap();
+        std::fs::write(dir.join("t.nodes"), "o0 not-a-width 1\n").unwrap();
+        let err = read_aux(dir.join("t.aux"), 0.9);
+        assert!(matches!(err, Err(NetlistError::Io(_))), "{err:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -379,20 +379,74 @@ impl NetlistBuilder {
         let net = NetId::from_usize(self.net_names.len());
         self.net_names.push(name.into());
         self.net_weights.push(1.0);
-        for (cell, dx, dy) in pins {
-            debug_assert!(cell.index() < self.cell_names.len(), "pin on unknown cell");
-            self.pin_cell.push(cell);
-            self.pin_net.push(net);
-            self.pin_offset_x.push(dx);
-            self.pin_offset_y.push(dy);
-        }
         self.net_pin_start.push(self.pin_cell.len() as u32);
+        for (cell, dx, dy) in pins {
+            self.push_pin(net, cell, dx, dy);
+        }
         net
+    }
+
+    /// Appends a pin to `net`, which must be the net added last: a reader
+    /// adds a net and then each pin as it parses it.
+    pub(crate) fn push_pin(&mut self, net: NetId, cell: CellId, dx: f64, dy: f64) {
+        debug_assert!(cell.index() < self.cell_names.len(), "pin on unknown cell");
+        debug_assert_eq!(
+            net.index() + 1,
+            self.net_names.len(),
+            "pin on an earlier net"
+        );
+        self.pin_cell.push(cell);
+        self.pin_net.push(net);
+        self.pin_offset_x.push(dx);
+        self.pin_offset_y.push(dy);
+        if let Some(end) = self.net_pin_start.last_mut() {
+            *end = self.pin_cell.len() as u32;
+        }
+    }
+
+    /// Reserves room for this many more cells (their name index
+    /// included), nets and pins.
+    pub(crate) fn reserve(&mut self, cells: usize, nets: usize, pins: usize) {
+        self.cell_names.reserve(cells);
+        self.cell_width.reserve(cells);
+        self.cell_height.reserve(cells);
+        self.cell_movable.reserve(cells);
+        self.name_index.reserve(cells);
+        self.net_names.reserve(nets);
+        self.net_weights.reserve(nets);
+        self.net_pin_start.reserve(nets);
+        self.pin_cell.reserve(pins);
+        self.pin_net.reserve(pins);
+        self.pin_offset_x.reserve(pins);
+        self.pin_offset_y.reserve(pins);
+    }
+
+    /// The name of the `i`-th cell added, if there is one.
+    pub(crate) fn cell_name(&self, i: usize) -> Option<&str> {
+        self.cell_names.get(i).map(String::as_str)
+    }
+
+    /// Marks a cell added earlier as fixed.
+    pub(crate) fn fix_cell(&mut self, cell: CellId) {
+        if let Some(movable) = self.cell_movable.get_mut(cell.index()) {
+            *movable = false;
+        }
     }
 
     /// Number of cells added so far.
     pub fn num_cells(&self) -> usize {
         self.cell_width.len()
+    }
+
+    /// Number of nets added so far.
+    pub(crate) fn num_nets(&self) -> usize {
+        self.net_names.len()
+    }
+
+    /// The names of the nets added so far, beside their weights: a reader
+    /// sets weights by net name through one borrow.
+    pub(crate) fn net_names_and_weights(&mut self) -> (&[String], &mut [f64]) {
+        (&self.net_names, &mut self.net_weights)
     }
 
     /// Looks up a cell added earlier by name (useful while parsing).
