@@ -22,7 +22,6 @@ use std::fmt::Write as _;
 use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::str::SplitWhitespace;
 
 /// A parsed Bookshelf benchmark: the design plus its `.pl` placement
 /// (initial positions of movable cells, final positions of fixed ones).
@@ -58,7 +57,8 @@ fn finite(
 /// The count a `Num… : n` header states, 0 when it states none. It only
 /// ever sizes a reservation, and only up to what the file's length allows.
 fn stated(value: &str) -> usize {
-    tokens(value)
+    value
+        .split_whitespace()
         .next()
         .and_then(|t| t.parse().ok())
         .unwrap_or(0)
@@ -114,10 +114,10 @@ impl<'a> Line<'a> {
     fn pin(self) -> Pin<'a> {
         let (head, tail) = self.split_colon();
         let tail = tail.map(|t| {
-            let mut it = tokens(t);
+            let mut it = t.split_whitespace();
             (it.next(), it.next())
         });
-        (self.no, tokens(head).next(), tail)
+        (self.no, head.split_whitespace().next(), tail)
     }
 }
 
@@ -171,7 +171,7 @@ impl<'a> Lines<'a> {
     }
 }
 
-// Byte classes of the walks over a line: whitespace as `char::is_whitespace`
+// Byte classes of the walk over a pin line: whitespace as `char::is_whitespace`
 // has it among ASCII bytes (`u8::is_ascii_whitespace` leaves out the
 // vertical tab), the newline, the comment mark, the key separator, and
 // every non-ASCII byte.
@@ -210,41 +210,6 @@ fn run_end(b: &[u8], mut i: usize, keep: impl Fn(u8) -> bool) -> usize {
     i
 }
 
-/// The whitespace-separated tokens of `s`, exactly as
-/// [`str::split_whitespace`] gives them: an ASCII line splits on bytes, any
-/// other takes the `char` path.
-fn tokens(s: &str) -> Tokens<'_> {
-    if s.is_ascii() {
-        Tokens::Ascii(s)
-    } else {
-        Tokens::Unicode(s.split_whitespace())
-    }
-}
-
-enum Tokens<'a> {
-    /// The untokenized rest of an ASCII line.
-    Ascii(&'a str),
-    Unicode(SplitWhitespace<'a>),
-}
-
-impl<'a> Iterator for Tokens<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        match self {
-            Tokens::Ascii(rest) => {
-                let bytes = rest.as_bytes();
-                let start = run_end(bytes, 0, |b| class(b) & SPACE != 0);
-                let end = run_end(bytes, start, |b| class(b) & SPACE == 0);
-                let token = rest.get(start..end).filter(|t| !t.is_empty())?;
-                *rest = rest.get(end..).unwrap_or("");
-                Some(token)
-            }
-            Tokens::Unicode(split) => split.next(),
-        }
-    }
-}
-
 /// The reader between files: the cells `.nodes` declared, in a builder
 /// whose name index every later file resolves through, and the positions
 /// `.pl` gave them. Nothing is sized from a count a file states unless the
@@ -273,7 +238,7 @@ impl Reader {
                     continue;
                 }
             }
-            let mut tok = tokens(line.text);
+            let mut tok = line.text.split_whitespace();
             let name = tok
                 .next()
                 .ok_or_else(|| parse_err("nodes", line.no, "missing node name"))?;
@@ -297,22 +262,14 @@ impl Reader {
     /// cell the last wins, its `/FIXED` marker included.
     fn read_pl(&mut self, text: &str) -> Result<(), NetlistError> {
         let mut fixed_in_pl = vec![false; self.builder.num_cells()];
-        // a `.pl` file lists the cells in `.nodes` order as a rule: the cell
-        // after the last one placed is tried before the name index (names
-        // are unique, so a match is the cell)
-        let mut next = 0;
         for line in lines(text) {
-            let mut tok = tokens(line.text);
+            let mut tok = line.text.split_whitespace();
             let name = tok
                 .next()
                 .ok_or_else(|| parse_err("pl", line.no, "missing cell name"))?;
             let x = finite(tok.next(), "pl", line.no, "bad x")?;
             let y = finite(tok.next(), "pl", line.no, "bad y")?;
-            let cell = (self.builder.cell_name(next) == Some(name))
-                .then_some(next)
-                .or_else(|| self.builder.cell_by_name(name).map(CellId::index));
-            if let Some(i) = cell {
-                next = i + 1;
+            if let Some(i) = self.builder.cell_by_name(name).map(CellId::index) {
                 let slots = (
                     self.placement.x.get_mut(i),
                     self.placement.y.get_mut(i),
@@ -348,7 +305,7 @@ impl Reader {
                     self.builder.reserve(0, 0, stated(v).min(text.len() / 2));
                 }
                 (k, Some(v)) if k.starts_with("NetDegree") => {
-                    let mut tok = tokens(v);
+                    let mut tok = v.split_whitespace();
                     let degree: usize = tok
                         .next()
                         .and_then(|s| s.parse().ok())
@@ -403,7 +360,7 @@ impl Reader {
             .map(|(i, name)| (name.as_str(), i))
             .collect();
         for line in lines(text) {
-            let mut tok = tokens(line.text);
+            let mut tok = line.text.split_whitespace();
             let name = tok
                 .next()
                 .ok_or_else(|| parse_err("wts", line.no, "missing net name"))?;
@@ -470,7 +427,7 @@ fn scl_rows(text: &str) -> Result<Vec<Row>, NetlistError> {
                 let Some((k, v)) = part.split_once(':') else {
                     continue;
                 };
-                let first: Option<f64> = tokens(v).next().and_then(|s| s.parse().ok());
+                let first: Option<f64> = v.split_whitespace().next().and_then(|s| s.parse().ok());
                 match (k.trim(), first) {
                     ("Coordinate", Some(f)) => cur.0 = f,
                     ("Height", Some(f)) => cur.1 = f,
@@ -479,7 +436,7 @@ fn scl_rows(text: &str) -> Result<Vec<Row>, NetlistError> {
                         cur.3 = f;
                         // `SubrowOrigin : x NumSites : n` on one line
                         if let Some((_, rest)) = v.split_once(':') {
-                            if let Some(Ok(n)) = tokens(rest).next().map(str::parse) {
+                            if let Some(Ok(n)) = rest.split_whitespace().next().map(str::parse) {
                                 cur.4 = n;
                             }
                         }
@@ -496,13 +453,16 @@ fn scl_rows(text: &str) -> Result<Vec<Row>, NetlistError> {
 /// Reads a benchmark given its `.aux` file path.
 ///
 /// Every listed file is opened before any is parsed, so a missing one is
-/// an `Io` error whatever the others hold; then each is read, parsed and
-/// dropped in turn, so only one file's text is held at a time.
+/// an `Io` error whatever the others hold. Then the files are read, parsed
+/// and dropped one at a time, in the order `.nodes`, `.pl`, `.nets`,
+/// `.wts`, `.scl`, so only one file's text is held at a time. A file that
+/// opens but cannot be read (one that is not UTF-8, say) is an `Io` error
+/// when its turn comes: an error in a file read before it comes first.
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Io`] if any referenced file is missing and
-/// [`NetlistError::Parse`] on malformed content.
+/// Returns [`NetlistError::Io`] if any referenced file is missing or
+/// unreadable and [`NetlistError::Parse`] on malformed content.
 pub fn read_aux(
     aux_path: impl AsRef<Path>,
     target_density: f64,
@@ -906,24 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn tokens_are_split_whitespace() {
-        for s in [
-            "",
-            "   ",
-            "a",
-            " a  b\t\tc ",
-            "a\x0bb \x0c c\r",
-            "a\u{a0}b",
-            "x \u{2003}y é",
-            "\x1c a \x1f",
-            "a:b : c",
-        ] {
-            let ours: Vec<_> = tokens(s).collect();
-            assert_eq!(ours, s.split_whitespace().collect::<Vec<_>>(), "{s:?}");
-        }
-    }
-
-    #[test]
     fn the_pin_walk_reads_pins_as_the_general_path_does() {
         // (text, whether the one-walk reading takes its first line)
         let cases = [
@@ -979,6 +921,20 @@ mod tests {
         )
         .unwrap();
         std::fs::write(dir.join("t.nodes"), "o0 not-a-width 1\n").unwrap();
+        let err = read_aux(dir.join("t.aux"), 0.9);
+        assert!(matches!(err, Err(NetlistError::Io(_))), "{err:?}");
+        // every file is there but `.nets` is not UTF-8: the `.nodes` parse
+        // error comes first, since `.nodes` is read before `.nets`
+        std::fs::write(dir.join("t.nets"), b"NetDegree : 1 n0\n  o\xff0\n").unwrap();
+        std::fs::write(dir.join("t.pl"), PL).unwrap();
+        std::fs::write(dir.join("t.scl"), SCL).unwrap();
+        let err = read_aux(dir.join("t.aux"), 0.9);
+        assert!(
+            matches!(err, Err(NetlistError::Parse { file: "nodes", .. })),
+            "{err:?}"
+        );
+        // with a good `.nodes` the unreadable `.nets` is an `Io` error
+        std::fs::write(dir.join("t.nodes"), NODES).unwrap();
         let err = read_aux(dir.join("t.aux"), 0.9);
         assert!(matches!(err, Err(NetlistError::Io(_))), "{err:?}");
         std::fs::remove_dir_all(&dir).ok();

@@ -323,16 +323,7 @@ impl NetlistBuilder {
     /// Pre-allocates for the given element counts.
     pub fn with_capacity(cells: usize, nets: usize, pins: usize) -> Self {
         let mut b = Self::new();
-        b.cell_names.reserve(cells);
-        b.cell_width.reserve(cells);
-        b.cell_height.reserve(cells);
-        b.cell_movable.reserve(cells);
-        b.net_names.reserve(nets);
-        b.net_pin_start.reserve(nets + 1);
-        b.pin_cell.reserve(pins);
-        b.pin_net.reserve(pins);
-        b.pin_offset_x.reserve(pins);
-        b.pin_offset_y.reserve(pins);
+        b.reserve(cells, nets, pins);
         b
     }
 
@@ -419,11 +410,6 @@ impl NetlistBuilder {
         self.pin_net.reserve(pins);
         self.pin_offset_x.reserve(pins);
         self.pin_offset_y.reserve(pins);
-    }
-
-    /// The name of the `i`-th cell added, if there is one.
-    pub(crate) fn cell_name(&self, i: usize) -> Option<&str> {
-        self.cell_names.get(i).map(String::as_str)
     }
 
     /// Marks a cell added earlier as fixed.
