@@ -6,11 +6,14 @@
 //! Name resolution is deliberately approximate (DESIGN.md §16): a method
 //! call `.name(…)` resolves to *every* workspace `impl`/`trait` function
 //! named `name` (trait-object and generic dispatch are over-approximated
-//! by name); a free call `name(…)` resolves to every workspace free
-//! function named `name`; a qualified call `Q::name(…)` resolves through
-//! `Q` when `Q` is a workspace `impl`/`trait` qualifier, through the free
-//! functions when `Q` looks like a module path segment, and is opaque
-//! otherwise (std / external types). A call from library or binary code
+//! by name), except that a name std iterators, hashers and collections
+//! also define (`STD_METHODS`) resolves only on a `self.` receiver, to
+//! the enclosing type's own method; a free call `name(…)` resolves to
+//! every workspace free function named `name`; a qualified call
+//! `Q::name(…)` resolves through `Q` when `Q` is a workspace
+//! `impl`/`trait` qualifier, through the free functions when `Q` looks
+//! like a module path segment, and is opaque otherwise (std / external
+//! types). A call from library or binary code
 //! never resolves to test code (`tests/`, `benches/`, `examples/`,
 //! `#[cfg(test)]`), which no such caller can reach. Calls mediated by macros
 //! (`format!`, `vec!`) and blanket trait impls (`.to_string()`) resolve
@@ -106,7 +109,8 @@ pub struct WorkspaceCtx {
 
 /// Call-name classification before resolution.
 enum RawCallee {
-    Method(String),
+    /// `.name(…)`, and whether the receiver is `self`.
+    Method(String, bool),
     Free(String),
     Qualified(String, String),
 }
@@ -165,10 +169,17 @@ impl WorkspaceCtx {
                 .into_iter()
                 .map(|(tok, callee)| {
                     let (display, mut callees) = match callee {
-                        RawCallee::Method(n) => (
-                            format!(".{n}"),
-                            methods.get(n.as_str()).cloned().unwrap_or_default(),
-                        ),
+                        RawCallee::Method(n, on_self) => {
+                            let ids = if !STD_METHODS.contains(&n.as_str()) {
+                                methods.get(n.as_str())
+                            } else if on_self {
+                                let q = f.qualifier.as_deref().unwrap_or_default();
+                                by_qual.get(&(q, n.as_str()))
+                            } else {
+                                None
+                            };
+                            (format!(".{n}"), ids.cloned().unwrap_or_default())
+                        }
                         RawCallee::Free(n) => (
                             n.clone(),
                             frees.get(n.as_str()).cloned().unwrap_or_default(),
@@ -499,6 +510,12 @@ fn scan_panics(
     out
 }
 
+/// Method names that std iterators (`next`, `position`), hashers
+/// (`finish`) and collections (`get`) define: a call on a receiver of
+/// unknown type is far likelier theirs than a workspace method's, so it
+/// resolves only on `self`.
+const STD_METHODS: &[&str] = &["next", "position", "finish", "get"];
+
 /// Method names of the std atomic API (suppressed as call edges when an
 /// explicit memory ordering appears in the argument list).
 const ATOMIC_OPS: &[&str] = &[
@@ -597,7 +614,10 @@ fn scan_calls(
             continue;
         }
         let callee = match fd.prev_code(i) {
-            Some(p) if fd.punct_is(p, ".") => RawCallee::Method(name),
+            Some(p) if fd.punct_is(p, ".") => {
+                let on_self = fd.prev_code(p).is_some_and(|r| fd.ident_is(r, "self"));
+                RawCallee::Method(name, on_self)
+            }
             Some(p) if fd.punct_is(p, "::") => {
                 match fd.prev_code(p) {
                     Some(q) if fd.is_ident(q) => {
@@ -611,7 +631,7 @@ fn scan_calls(
                     }
                     // `<T as Trait>::name(…)` and `>::name(` — treat as a
                     // method-style call: resolve by name across impls
-                    _ => RawCallee::Method(name),
+                    _ => RawCallee::Method(name, false),
                 }
             }
             // `fn name(` is a nested definition, not a call
@@ -667,6 +687,26 @@ mod tests {
         assert_eq!(w.calls[go][0].callees.len(), 2, "both impls resolve");
         let (reaches, _) = w.panic_reachability();
         assert!(reaches[go], "over-approximation: any impl panicking taints");
+    }
+
+    #[test]
+    fn std_method_names_resolve_only_on_self() {
+        let w = ws(&[(
+            "crates/a/src/lib.rs",
+            "struct P; struct R;\n\
+             impl P { fn position(&self, i: usize) -> f64 { self.x[i] } }\n\
+             impl R { fn next(&mut self) -> Option<u8> { panic!(\"boom\") }\n\
+             pub fn step(&mut self) { self.next(); } }\n\
+             pub fn scan(t: &str) -> Option<usize> { t.bytes().position(|b| b == 0) }\n\
+             pub fn pull(it: &mut Chars) { it.next(); }",
+        )]);
+        let (scan, pull, step) = (fn_id(&w, "scan"), fn_id(&w, "pull"), fn_id(&w, "step"));
+        assert!(w.calls[scan].iter().all(|c| c.callees.is_empty()));
+        assert!(w.calls[pull][0].callees.is_empty(), "unknown receiver");
+        assert_eq!(w.calls[step][0].callees, vec![fn_id(&w, "next")]);
+        let (reaches, _) = w.panic_reachability();
+        assert!(!reaches[scan] && !reaches[pull]);
+        assert!(reaches[step], "`self.next()` is the type's own method");
     }
 
     #[test]

@@ -450,23 +450,42 @@ fn scl_rows(text: &str) -> Result<Vec<Row>, NetlistError> {
     Ok(rows)
 }
 
-/// Reads a benchmark given its `.aux` file path.
-///
-/// Every listed file is opened before any is parsed, so a missing one is
-/// an `Io` error whatever the others hold. Then the files are read, parsed
-/// and dropped one at a time, in the order `.nodes`, `.pl`, `.nets`,
-/// `.wts`, `.scl`, so only one file's text is held at a time. A file that
-/// opens but cannot be read (one that is not UTF-8, say) is an `Io` error
-/// when its turn comes: an error in a file read before it comes first.
+/// The files a Bookshelf `.aux` index lists, as paths beside it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AuxFiles {
+    /// The `.nodes` file (cells).
+    pub nodes: PathBuf,
+    /// The `.nets` file (hypergraph).
+    pub nets: PathBuf,
+    /// The `.pl` file (positions).
+    pub pl: PathBuf,
+    /// The `.scl` file (rows).
+    pub scl: PathBuf,
+    /// The optional `.wts` file (net weights).
+    pub wts: Option<PathBuf>,
+}
+
+impl AuxFiles {
+    /// Every listed file: `.nodes`, `.nets`, `.pl`, `.scl`, then `.wts`
+    /// when listed.
+    pub fn paths(&self) -> impl Iterator<Item = &Path> {
+        [&self.nodes, &self.nets, &self.pl, &self.scl]
+            .into_iter()
+            .chain(&self.wts)
+            .map(PathBuf::as_path)
+    }
+}
+
+/// Reads the `.aux` index at `aux_path`: the one place its grammar
+/// (`RowBasedPlacement : a.nodes a.nets a.wts a.pl a.scl`) is parsed.
+/// Nothing but the index is read.
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Io`] if any referenced file is missing or
-/// unreadable and [`NetlistError::Parse`] on malformed content.
-pub fn read_aux(
-    aux_path: impl AsRef<Path>,
-    target_density: f64,
-) -> Result<BookshelfCircuit, NetlistError> {
+/// Returns [`NetlistError::Io`] if the index cannot be read and
+/// [`NetlistError::Parse`] if a line has no `:` or a required file is not
+/// listed.
+pub fn aux_files(aux_path: impl AsRef<Path>) -> Result<AuxFiles, NetlistError> {
     let aux_path = aux_path.as_ref();
     let text = fs::read_to_string(aux_path)?;
     let dir = aux_path.parent().unwrap_or(Path::new("."));
@@ -491,26 +510,50 @@ pub fn read_aux(
             }
         }
     }
-    let nodes = nodes.ok_or_else(|| parse_err("aux", 1, "no .nodes file listed"))?;
-    let nets = nets.ok_or_else(|| parse_err("aux", 1, "no .nets file listed"))?;
-    let pl = pl.ok_or_else(|| parse_err("aux", 1, "no .pl file listed"))?;
-    let scl = scl.ok_or_else(|| parse_err("aux", 1, "no .scl file listed"))?;
+    Ok(AuxFiles {
+        nodes: nodes.ok_or_else(|| parse_err("aux", 1, "no .nodes file listed"))?,
+        nets: nets.ok_or_else(|| parse_err("aux", 1, "no .nets file listed"))?,
+        pl: pl.ok_or_else(|| parse_err("aux", 1, "no .pl file listed"))?,
+        scl: scl.ok_or_else(|| parse_err("aux", 1, "no .scl file listed"))?,
+        wts,
+    })
+}
 
+/// Reads a benchmark given its `.aux` file path.
+///
+/// Every listed file ([`aux_files`]) is opened before any is parsed, so a
+/// missing one is an `Io` error whatever the others hold. Then the files
+/// are read, parsed and dropped one at a time, in the order `.nodes`,
+/// `.pl`, `.nets`, `.wts`, `.scl`, so only one file's text is held at a
+/// time. A file that opens but cannot be read (one that is not UTF-8,
+/// say) is an `Io` error when its turn comes: an error in a file read
+/// before it comes first.
+///
+/// # Errors
+///
+/// Returns [`NetlistError::Io`] if any referenced file is missing or
+/// unreadable and [`NetlistError::Parse`] on malformed content.
+pub fn read_aux(
+    aux_path: impl AsRef<Path>,
+    target_density: f64,
+) -> Result<BookshelfCircuit, NetlistError> {
+    let aux_path = aux_path.as_ref();
+    let files = aux_files(aux_path)?;
     let name = aux_path
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("bookshelf")
         .to_string();
     // .wts is optional; a missing file just means unit weights
-    let wts = match wts {
+    let wts = match files.wts {
         Some(p) if p.exists() => Some(File::open(p)?),
         _ => None,
     };
     let (nodes, nets, pl, scl) = (
-        File::open(nodes)?,
-        File::open(nets)?,
-        File::open(pl)?,
-        File::open(scl)?,
+        File::open(files.nodes)?,
+        File::open(files.nets)?,
+        File::open(files.pl)?,
+        File::open(files.scl)?,
     );
     let mut reader = Reader::read_nodes(&io::read_to_string(nodes)?)?;
     reader.read_pl(&io::read_to_string(pl)?)?;

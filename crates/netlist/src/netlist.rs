@@ -60,13 +60,14 @@ pub struct Netlist {
     instance_id: u64,
 }
 
-/// The immutable name tables of a [`Netlist`].
+/// The immutable name tables of a [`Netlist`]. Each cell name is one
+/// allocation, shared by `cells` and the `index` key.
 #[derive(Debug, Default)]
 struct Names {
-    cells: Vec<String>,
+    cells: Vec<Arc<str>>,
     nets: Vec<String>,
     // lint:allow(determinism): lookup-only via cell_by_name; never iterated
-    index: HashMap<String, CellId, FixedState>,
+    index: HashMap<Arc<str>, CellId, FixedState>,
 }
 
 impl Netlist {
@@ -296,7 +297,8 @@ fn next_instance_id() -> u64 {
 /// Incremental builder for [`Netlist`].
 #[derive(Debug, Clone, Default)]
 pub struct NetlistBuilder {
-    cell_names: Vec<String>,
+    /// One allocation per name, shared with the `name_index` key.
+    cell_names: Vec<Arc<str>>,
     cell_width: Vec<f64>,
     cell_height: Vec<f64>,
     cell_movable: Vec<bool>,
@@ -308,7 +310,7 @@ pub struct NetlistBuilder {
     pin_offset_x: Vec<f64>,
     pin_offset_y: Vec<f64>,
     // lint:allow(determinism): lookup-only via cell_by_name; never iterated
-    name_index: HashMap<String, CellId, FixedState>,
+    name_index: HashMap<Arc<str>, CellId, FixedState>,
 }
 
 impl NetlistBuilder {
@@ -336,14 +338,14 @@ impl NetlistBuilder {
     /// not finite (zero is legal: terminals are 0 × 0).
     pub fn add_cell(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         width: f64,
         height: f64,
         movable: bool,
     ) -> Result<CellId, NetlistError> {
-        let name = name.into();
-        if self.name_index.contains_key(&name) {
-            return Err(NetlistError::DuplicateCell(name));
+        let name: Arc<str> = name.into();
+        if self.name_index.contains_key(&*name) {
+            return Err(NetlistError::DuplicateCell(name.to_string()));
         }
         if !(width.is_finite() && height.is_finite() && width >= 0.0 && height >= 0.0) {
             return Err(NetlistError::Geometry(format!(
@@ -351,7 +353,7 @@ impl NetlistBuilder {
             )));
         }
         let id = CellId::from_usize(self.cell_names.len());
-        self.name_index.insert(name.clone(), id);
+        self.name_index.insert(Arc::clone(&name), id);
         self.cell_names.push(name);
         self.cell_width.push(width);
         self.cell_height.push(height);

@@ -459,7 +459,7 @@ mod tests {
         let fnv = crate::telemetry::timeless_fnv(&r.result.report);
         assert_eq!(
             fnv,
-            17_641_938_171_464_941_573,
+            17_461_928_479_736_518_462,
             "{}",
             r.result.report.to_json()
         );
@@ -480,7 +480,7 @@ mod tests {
         let eco = replace_region(&c, window, &EcoConfig::default()).unwrap();
         assert!(eco.frozen > 0 && eco.replaced > 0);
         let fnv = crate::telemetry::timeless_fnv(&eco.report);
-        assert_eq!(fnv, 2_462_602_065_383_102_450, "{}", eco.report.to_json());
+        assert_eq!(fnv, 8_306_312_947_065_438_967, "{}", eco.report.to_json());
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //!    placed greedily by descending area onto row-aligned, collision-free
 //!    positions nearest their global-placement location, then become
 //!    obstacles.
-//! 2. **Abacus** — standard cells are legalized row by row: each row
-//!    segment (row minus obstacles) keeps a list of *clusters* whose
-//!    optimal positions minimize total quadratic displacement; inserting a
-//!    cell merges clusters until no overlap remains (the classic dynamic
-//!    clustering recurrence).
+//! 2. **Abacus** — standard cells are legalized row by row, in whole sites
+//!    of each row: each row segment (the row's sites free of obstacles)
+//!    keeps a list of *clusters* whose optimal positions minimize total
+//!    quadratic displacement; inserting a cell merges clusters until no
+//!    overlap remains (the classic dynamic clustering recurrence).
 
 use crate::error::PlacerError;
 use crate::telemetry::DispHistogram;
@@ -26,9 +26,6 @@ pub struct LegalizeReport {
     pub max_displacement: f64,
     /// Number of movable macros legalized in stage 1.
     pub macros: usize,
-    /// Cells that could not be placed in their best rows and were spilled
-    /// to any free segment (0 on healthy runs).
-    pub spills: usize,
     /// Histogram of per-cell displacement in row-height multiples.
     pub disp_hist: DispHistogram,
 }
@@ -176,14 +173,16 @@ pub(crate) fn row_cuts(
     cuts
 }
 
-/// A free interval of one row. Segments inside a fence region are tagged
-/// with the region index and accept only that region's cells (DEF FENCE
-/// semantics: fences are exclusive). After site snapping `xl` is the first
-/// free x: the segment is its free tail.
+/// A free run of one row's sites `[kl, kh)`: site `k` lies at
+/// `row.xl + k·site_width`. Segments inside a fence region are tagged with
+/// the region index and accept only that region's cells (DEF FENCE
+/// semantics: fences are exclusive). Site numbers, widths and cluster
+/// positions are in sites; every count is a whole number, so `used` and
+/// the emit walk's sums are exact.
 #[derive(Debug, Clone)]
 struct Segment {
-    xl: f64,
-    xh: f64,
+    kl: f64,
+    kh: f64,
     used: f64,
     region: Option<u16>,
     /// The cells placed here, in insertion order, which is left to right.
@@ -203,10 +202,10 @@ struct Cluster {
 }
 
 impl Segment {
-    fn new(xl: f64, xh: f64, region: Option<u16>) -> Self {
+    fn new(kl: f64, kh: f64, region: Option<u16>) -> Self {
         Self {
-            xl,
-            xh,
+            kl,
+            kh,
             used: 0.0,
             region,
             cells: Vec::new(),
@@ -214,17 +213,17 @@ impl Segment {
         }
     }
 
-    /// Whether a cell of width `w` still fits.
-    fn fits(&self, w: f64) -> bool {
-        self.used + w <= self.xh - self.xl + 1e-9
+    /// Whether a cell `n` sites wide still fits.
+    fn fits(&self, n: f64) -> bool {
+        self.used + n <= self.kh - self.kl
     }
 
-    /// The Abacus recurrence: the cluster a cell of `width` aimed at
-    /// `target` ends in when appended, and how many tail clusters that
-    /// cluster absorbs. The cell sits at the cluster's tail.
+    /// The Abacus recurrence: the cluster a cell `width` sites wide aimed
+    /// at site `target` ends in when appended, and how many tail clusters
+    /// that cluster absorbs. The cell sits at the cluster's tail.
     fn pack(&self, target: f64, width: f64) -> (Cluster, usize) {
-        let at = |q: f64, w: f64| (q / w).clamp(self.xl, (self.xh - w).max(self.xl));
-        let q = width * target.clamp(self.xl, (self.xh - width).max(self.xl));
+        let at = |q: f64, w: f64| (q / w).clamp(self.kl, (self.kh - w).max(self.kl));
+        let q = width * target.clamp(self.kl, (self.kh - width).max(self.kl));
         let mut c = Cluster {
             q,
             w: width,
@@ -250,32 +249,40 @@ impl Segment {
         (c, absorbed)
     }
 
-    /// Appends a cell, collapsing overlaps. Returns the cell's x.
-    fn push_cell(&mut self, cell: CellId, target: f64, width: f64) -> f64 {
+    /// Appends a cell, collapsing overlaps.
+    fn push_cell(&mut self, cell: CellId, target: f64, width: f64) {
         let (c, absorbed) = self.pack(target, width);
         self.clusters.truncate(self.clusters.len() - absorbed);
         self.clusters.push(c);
         self.cells.push(cell);
         self.used += width;
-        c.x + c.w - width
     }
 }
 
-/// `x` moved onto `row`'s site lattice `row.xl + k·site_width`, `k` taken
-/// from `x`'s offset in sites by `to_site` (`f64::round`, `ceil` or
-/// `floor`). On a row with an integer origin and unit sites this is
-/// `to_site(x)` to the bit for every `x` at or right of the origin.
-fn snap(row: &Row, x: f64, to_site: fn(f64) -> f64) -> f64 {
-    row.xl + to_site((x - row.xl) / row.site_width) * row.site_width
+/// `x`'s offset on `row`'s site lattice, in sites (fractional).
+fn to_site(row: &Row, x: f64) -> f64 {
+    (x - row.xl) / row.site_width
 }
 
-/// The span a standard cell `w` wide takes on `row`: whole sites, at
+/// The x of site `k` of `row`: `row.xl + k·site_width`. On a row with an
+/// integer origin and unit sites, `site_x(row, to_site(row, x).round())`
+/// is `x.round()` to the bit for every `x` at or right of the origin.
+fn site_x(row: &Row, k: f64) -> f64 {
+    row.xl + k * row.site_width
+}
+
+/// The number of whole sites of `row` a standard cell `w` wide takes: at
 /// least one, so the cell packed after it starts on a site too. A width
 /// at most 1e-9 of a site over a whole number of sites takes that number,
-/// so float noise adds no site; an integer width on unit sites is itself
-/// to the bit.
+/// so float noise adds no site.
+fn site_count(row: &Row, w: f64) -> f64 {
+    (w / row.site_width - 1e-9).ceil().max(1.0)
+}
+
+/// The span a standard cell `w` wide takes on `row`: [`site_count`] sites.
+/// An integer width on unit sites is itself to the bit.
 pub(crate) fn sites_wide(row: &Row, w: f64) -> f64 {
-    (w / row.site_width - 1e-9).ceil().max(1.0) * row.site_width
+    site_count(row, w) * row.site_width
 }
 
 /// Legalizes `gp` for `design`. Returns the legal placement and a report.
@@ -284,8 +291,8 @@ pub(crate) fn sites_wide(row: &Row, w: f64) -> f64 {
 ///
 /// Returns [`PlacerError::Legalize`] when some cell has no free row
 /// segment left to live in — the design's movable area exceeds its free
-/// row capacity (globally, within one fence region, or after site
-/// snapping shrank a segment's usable span). Such a design cannot be
+/// row capacity, counted in whole sites (globally or within one fence
+/// region). Such a design cannot be
 /// placed overlap-free, so no placement is returned. A design with no rows
 /// (rejected by [`Design::new`], but a literal can hold one) is the same
 /// error.
@@ -368,7 +375,7 @@ pub(crate) fn legalize_with_cuts(
                 }
             }
             for &cx in &candidates {
-                let cx = snap(row, cx, f64::round);
+                let cx = site_x(row, to_site(row, cx).round());
                 if cx < bound.xl - 1e-9 || cx + w > bound.xh + 1e-9 {
                     continue;
                 }
@@ -390,7 +397,7 @@ pub(crate) fn legalize_with_cuts(
         obstacles.push(Rect::from_origin_size(bx, by, w, h));
     }
 
-    // --- stage 2: Abacus for standard cells ----------------------------------
+    // --- stage 2: Abacus for standard cells, in whole sites ---------------
     // build per-row segments; zero-area macros cut them too, but detailed
     // placement does not see them. Cuts of equal `xl` leave the same
     // segments in any order.
@@ -404,42 +411,48 @@ pub(crate) fn legalize_with_cuts(
         cuts.clear();
         cuts.extend(solid_cuts.iter().chain(sliver_cuts));
         cuts.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut segments = Vec::new();
+        // free x spans `(xl, xh, region)` of the row
+        let mut spans = Vec::new();
         let mut cursor = row.xl;
         for &(cl, ch) in &cuts {
             if cl > cursor + 1e-9 {
-                segments.push(Segment::new(cursor, cl, None));
+                spans.push((cursor, cl, None));
             }
             cursor = cursor.max(ch);
         }
         if row.xh > cursor + 1e-9 {
-            segments.push(Segment::new(cursor, row.xh, None));
+            spans.push((cursor, row.xh, None));
         }
-        // split segments at fence boundaries; tag the fence interior
+        // split spans at fence boundaries; tag the fence interior
         for (r_idx, region) in design.regions.iter().enumerate() {
             let fence = region.rect;
             if row.y < fence.yl - 1e-9 || row.y + row.height > fence.yh + 1e-9 {
                 continue; // row not (fully) inside the fence's vertical span
             }
-            let mut split: Vec<Segment> = Vec::with_capacity(segments.len() + 2);
-            for seg in segments.drain(..) {
-                let il = seg.xl.max(fence.xl);
-                let ih = seg.xh.min(fence.xh);
+            let mut split = Vec::with_capacity(spans.len() + 2);
+            for (xl, xh, tag) in spans.drain(..) {
+                let (il, ih) = (xl.max(fence.xl), xh.min(fence.xh));
                 if ih <= il + 1e-9 {
-                    split.push(seg); // no overlap with this fence
+                    split.push((xl, xh, tag)); // no overlap with this fence
                     continue;
                 }
-                if il > seg.xl + 1e-9 {
-                    split.push(Segment::new(seg.xl, il, seg.region));
+                if il > xl + 1e-9 {
+                    split.push((xl, il, tag));
                 }
-                split.push(Segment::new(il, ih, Some(r_idx as u16)));
-                if seg.xh > ih + 1e-9 {
-                    split.push(Segment::new(ih, seg.xh, seg.region));
+                split.push((il, ih, Some(r_idx as u16)));
+                if xh > ih + 1e-9 {
+                    split.push((ih, xh, tag));
                 }
             }
-            segments = split;
+            spans = split;
         }
-        rows.push((row, segments));
+        // the whole sites inside each span, with `site_count`'s slack
+        let segments = spans.into_iter().filter_map(|(xl, xh, region)| {
+            let kl = (to_site(row, xl) - 1e-9).ceil();
+            let kh = (to_site(row, xh) + 1e-9).floor();
+            (kl < kh).then(|| Segment::new(kl, kh, region))
+        });
+        rows.push((row, segments.collect()));
     }
 
     // standard cells sorted by x (Abacus processing order)
@@ -449,7 +462,6 @@ pub(crate) fn legalize_with_cuts(
         .collect();
     std_cells.sort_by(|&a, &b| gp.x[a.index()].total_cmp(&gp.x[b.index()]));
 
-    let mut spills = 0usize;
     let mut group = Vec::new();
     for &cell in &std_cells {
         let cw = netlist.cell_width(cell);
@@ -458,121 +470,63 @@ pub(crate) fn legalize_with_cuts(
         let cell_region = design.cell_region.get(cell.index()).copied().flatten();
         let mut best: Option<(f64, usize, usize)> = None; // cost, row, segment
         for ri in index.outward(ty, &mut group) {
-            let dy = (rows[ri].0.y - ty).abs();
-            if let Some((bc, _, _)) = best {
-                if dy * dy >= bc {
-                    break; // rows come by |dy|; no later row can win
-                }
+            let (row, segs) = &rows[ri];
+            let dy = (row.y - ty).abs();
+            if best.is_some_and(|(bc, _, _)| dy * dy >= bc) {
+                break; // rows come by |dy|; no later row can win
             }
-            let w = sites_wide(rows[ri].0, cw);
-            for (si, seg) in rows[ri].1.iter().enumerate() {
-                if seg.region != cell_region || !seg.fits(w) {
+            let (target, n) = (to_site(row, tx), site_count(row, cw));
+            for (si, seg) in segs.iter().enumerate() {
+                if seg.region != cell_region || !seg.fits(n) {
                     continue;
                 }
-                let (c, _) = seg.pack(tx, w);
-                let x = c.x + c.w - w;
+                let (c, _) = seg.pack(target, n);
+                let x = site_x(row, c.x + c.w - n);
                 let cost = (x - tx) * (x - tx) + dy * dy;
                 if best.is_none_or(|(bc, _, _)| cost < bc) {
                     best = Some((cost, ri, si));
                 }
             }
         }
-        let (ri, si) = match best {
-            Some((_, ri, si)) => (ri, si),
-            None => {
-                // spill: first segment anywhere with room
-                spills += 1;
-                let slot = rows.iter().enumerate().find_map(|(ri, (row, segs))| {
-                    let w = sites_wide(row, cw);
-                    let si = segs
-                        .iter()
-                        .position(|s| s.region == cell_region && s.fits(w));
-                    si.map(|si| (ri, si))
-                });
-                // dense or degenerate designs (utilization ≈ 1, or an
-                // over-subscribed fence) can leave a cell with no segment to
-                // live in anywhere — a typed error, not a library panic
-                slot.ok_or_else(|| PlacerError::Legalize {
-                    reason: format!(
-                        "no free row segment can host cell `{}` \
-                         (width {cw:.3}, region {cell_region:?}): movable \
-                         area exceeds free row capacity",
-                        netlist.cell_name(cell)
-                    ),
-                })?
-            }
-        };
-        let (row, segs) = &mut rows[ri];
-        let y = row.y;
-        let x = segs[si].push_cell(cell, tx, sites_wide(row, cw));
-        legal.x[cell.index()] = x;
-        legal.y[cell.index()] = y;
-    }
-
-    // --- emit final cluster positions with site snapping ---------------------
-    // Site snapping can shrink a segment's usable span (snapping `xl` up
-    // eats up to one site, and rounding cluster starts up can push the
-    // packing right), so a segment that fit its clusters exactly during insertion
-    // may be *overfull* here. Cells that would be emitted past `seg.xh`
-    // (overlapping the neighboring obstacle/segment or leaving the die)
-    // are collected and re-placed into remaining free gaps below.
-    let mut snap_overflow: Vec<CellId> = Vec::new();
-    for (row, segs) in &mut rows {
-        for seg in segs.iter_mut() {
-            // walk clusters left to right, snapping to the row's sites
-            // while keeping order and non-overlap
-            let mut cursor = snap(row, seg.xl, f64::ceil);
-            let mut remaining: f64 = seg.clusters.iter().map(|c| c.w).sum();
-            let ends = seg.clusters.iter().skip(1).map(|c| c.first);
-            let ends = ends.chain([seg.cells.len()]);
-            for (c, end) in seg.clusters.iter().zip(ends) {
-                let snapped = snap(row, c.x, f64::round).max(cursor);
-                let latest = snap(row, seg.xh - remaining, f64::floor);
-                let mut x = snapped.min(latest).max(cursor);
-                for &cell in seg.cells.get(c.first..end).unwrap_or_default() {
-                    let cw = sites_wide(row, netlist.cell_width(cell));
-                    if x + cw > seg.xh + 1e-9 {
-                        // overfull after snapping: emitting here would
-                        // escape the segment — spill instead
-                        snap_overflow.push(cell);
-                        continue;
-                    }
-                    legal.x[cell.index()] = x;
-                    legal.y[cell.index()] = row.y;
-                    x += cw;
-                }
-                cursor = x;
-                remaining -= c.w;
-            }
-            seg.xl = cursor;
-        }
-    }
-    // second-chance placement: first site-aligned gap with room in a free
-    // tail, matching the cell's fence region
-    for &cell in &snap_overflow {
-        let cw = netlist.cell_width(cell);
-        let cell_region = design.cell_region.get(cell.index()).copied().flatten();
-        let tail = rows
-            .iter_mut()
-            .flat_map(|(row, segs)| segs.iter_mut().map(|seg| (*row, seg)))
-            .find(|(row, seg)| {
-                let w = sites_wide(row, cw);
-                seg.region == cell_region && snap(row, seg.xl, f64::ceil) + w <= seg.xh + 1e-9
-            });
-        let Some((row, seg)) = tail else {
+        // every row was searched: dense or degenerate designs (utilization
+        // ≈ 1, or an over-subscribed fence) can leave a cell with no
+        // segment to live in anywhere — a typed error, not a library panic
+        let Some((_, ri, si)) = best else {
             return Err(PlacerError::Legalize {
                 reason: format!(
-                    "site snapping left no segment with room for cell `{}` \
-                     (width {cw:.3}, region {cell_region:?})",
+                    "no free row segment can host cell `{}` \
+                     (width {cw:.3}, region {cell_region:?}): movable \
+                     area exceeds free row capacity",
                     netlist.cell_name(cell)
                 ),
             });
         };
-        let x = snap(row, seg.xl, f64::ceil);
-        legal.x[cell.index()] = x;
-        legal.y[cell.index()] = row.y;
-        seg.xl = x + sites_wide(row, cw);
-        spills += 1;
+        let (row, segs) = &mut rows[ri];
+        segs[si].push_cell(cell, to_site(row, tx), site_count(row, cw));
+    }
+
+    // --- emit: each cluster on its rounded site --------------------------
+    // A cluster starts at its rounded site, right of its predecessor and no
+    // later than the room its successors need allows. Insertion kept
+    // `used ≤ kh − kl`, so that latest start is never left of the cursor:
+    // every cell lands inside its segment.
+    for (row, segs) in &rows {
+        for seg in segs {
+            let mut cursor = seg.kl;
+            let mut remaining = seg.used;
+            let ends = seg.clusters.iter().skip(1).map(|c| c.first);
+            let ends = ends.chain([seg.cells.len()]);
+            for (c, end) in seg.clusters.iter().zip(ends) {
+                let mut k = c.x.round().max(cursor).min(seg.kh - remaining);
+                for &cell in seg.cells.get(c.first..end).unwrap_or_default() {
+                    legal.x[cell.index()] = site_x(row, k);
+                    legal.y[cell.index()] = row.y;
+                    k += site_count(row, netlist.cell_width(cell));
+                }
+                cursor = k;
+                remaining -= c.w;
+            }
+        }
     }
 
     // --- report ---------------------------------------------------------------
@@ -598,7 +552,6 @@ pub(crate) fn legalize_with_cuts(
             },
             max_displacement: max_disp,
             macros: n_macros,
-            spills,
             disp_hist,
         },
         solid,
@@ -794,7 +747,7 @@ mod tests {
     fn legalize_decisions_are_pinned() {
         // smoke has four movable macros, smoke_regions has fences; each is
         // legalized from its GP placement and from its piled start:
-        // (x/y hash, spills, macros, average and maximum displacement bits);
+        // (x/y hash, macros, average and maximum displacement bits);
         // the GP rows were re-pinned when the λ₀ bootstrap began to read
         // ‖∇D‖₁ from the held density term, and again when the density
         // energy began to come from the spectrum by Parseval and the
@@ -814,7 +767,7 @@ mod tests {
                 let (legal, r) = legalize(&c.design, start).expect("legalize");
                 got.push((
                     placement_hash(&legal),
-                    [r.spills, r.macros],
+                    r.macros,
                     [r.avg_displacement, r.max_displacement].map(f64::to_bits),
                 ));
             }
@@ -822,22 +775,22 @@ mod tests {
         let want = [
             (
                 0xe54c_39b4_94c1_dabb,
-                [0, 4],
+                4,
                 [0x4022_c9e4_20c6_a806, 0x4038_cb0c_924f_0c7e],
             ),
             (
                 0x6838_ae73_00a8_e678,
-                [0, 4],
+                4,
                 [0x4036_0cbd_a863_25e0, 0x4045_39f3_b3f3_a005],
             ),
             (
                 0x2de9_7e6c_c4b5_ad70,
-                [0, 4],
+                4,
                 [0x4022_670c_9eb5_227f, 0x403e_cb59_7979_d352],
             ),
             (
                 0xab99_4f2a_c655_08ff,
-                [0, 4],
+                4,
                 [0x4033_c6fb_acb4_e797, 0x4047_475d_a400_d826],
             ),
         ];
@@ -855,7 +808,6 @@ mod tests {
             "avg displacement {} vs die span {die_span}",
             report.avg_displacement
         );
-        assert_eq!(report.spills, 0);
     }
 
     #[test]
@@ -1410,7 +1362,7 @@ mod tests {
 
     #[test]
     fn over_capacity_design_is_a_typed_error_not_a_panic() {
-        // Regression for the `found.expect(..)` at the spill fallback:
+        // Regression for the `found.expect(..)` after the row search:
         // utilization ≈ 1.0 (in fact > 1) used to panic inside the
         // library. Six unit cells, one row of five sites.
         let mut b = mep_netlist::NetlistBuilder::new();
@@ -1484,21 +1436,16 @@ mod tests {
     }
 
     #[test]
-    fn snapped_overfull_segment_spills_instead_of_escaping() {
-        // Regression for the final site-snapping pass: the segment
-        // [0.5, 3.5) fits 3 unit cells during insertion (capacity 3), but
-        // snapping starts the walk on the first site at or right of 0.5,
-        // x = 1, leaving two sites — the old `start = snapped.min(latest)
-        // .max(cursor)` emitted the last cell past seg.xh into the
-        // neighboring obstacle. It must spill to the free row above
-        // instead.
+    fn a_segment_holds_only_its_whole_sites() {
+        // The segment [0.5, 3.5) between two obstacles spans three units but
+        // holds only the two whole sites [1, 3): the third unit cell finds
+        // no room in row 0 at insertion and lands in row 1, and no cell
+        // escapes into an obstacle.
         let mut b = mep_netlist::NetlistBuilder::new();
         let b0 = b.add_cell("b0", 0.5, 1.0, false).unwrap();
         let b1 = b.add_cell("b1", 1.5, 1.0, false).unwrap();
-        let mut movables = Vec::new();
-        for i in 0..3 {
-            movables.push(b.add_cell(format!("c{i}"), 1.0, 1.0, true).unwrap());
-        }
+        let movables: [CellId; 3] =
+            std::array::from_fn(|i| b.add_cell(format!("c{i}"), 1.0, 1.0, true).unwrap());
         let nl = b.build();
         let design = mep_netlist::Design::with_uniform_rows(
             "t",
@@ -1519,16 +1466,14 @@ mod tests {
             gp.x[m.index()] = 0.55 + k as f64 * 1.0;
             gp.y[m.index()] = 0.0;
         }
-        let (legal, report) = legalize(&design, &gp).expect("row 1 has room to spill");
+        let (legal, _) = legalize(&design, &gp).expect("row 1 has room");
         let violations = check_legal(&design, &legal);
         assert!(
             violations.is_empty(),
-            "snapped-overfull emission escaped the segment: {violations:?}"
+            "emission escaped the segment: {violations:?}"
         );
-        assert!(
-            report.spills >= 1,
-            "the overfull cell must be reported as a spill (report {report:?})"
-        );
+        let at = |c: CellId| (legal.x[c.index()], legal.y[c.index()]);
+        assert_eq!(movables.map(at), [(1.0, 0.0), (2.0, 0.0), (3.0, 1.0)]);
     }
 
     #[test]

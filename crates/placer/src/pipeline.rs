@@ -300,7 +300,7 @@ mod tests {
         let c = synth::generate(&synth::smoke_spec());
         let r = run(&c, &PipelineConfig::default()).unwrap();
         let fnv = crate::telemetry::timeless_fnv(&r.report);
-        assert_eq!(fnv, 8_149_972_107_775_823_275, "{}", r.report.to_json());
+        assert_eq!(fnv, 12_250_310_723_681_761_934, "{}", r.report.to_json());
     }
 
     /// The engine the frozen benchmark passes is inert: the aliases return

@@ -114,7 +114,6 @@ pub(crate) fn build_run_report(
     r.set_gauge("lg.avg_displacement", lg.avg_displacement);
     r.set_gauge("lg.max_displacement", lg.max_displacement);
     r.set_counter("lg.macros", lg.macros as u64);
-    r.set_counter("lg.spills", lg.spills as u64);
     lg.disp_hist.export(&mut r, "lg.displacement_rows");
 
     // detailed placement

@@ -2,7 +2,7 @@
 //! randomized small designs: the output is always legal, and refinement
 //! never increases HPWL.
 
-use mep_netlist::{Design, NetlistBuilder, Placement, Rect};
+use mep_netlist::{CellId, Design, NetlistBuilder, Placement, Rect, Row};
 use mep_placer::detail::{refine, DetailConfig};
 use mep_placer::legalize::{audit_legality, check_legal, legalize};
 use proptest::prelude::*;
@@ -91,11 +91,10 @@ proptest! {
     }
 
     /// High-utilization stress: random unit-width cells filling 80–100%
-    /// of a small die, scattered arbitrarily (heavy pile-ups force the
-    /// spill and site-snapping paths the two ISSUE 9 legalizer bugs
-    /// lived in). Every *successful* legalization must be pairwise
-    /// overlap-free, in-die, and row/site aligned — measured with the
-    /// same audit helper the PEKO harness uses; an over-capacity input
+    /// of a small die, scattered arbitrarily (heavy pile-ups fill whole
+    /// rows and run out of room). Every *successful* legalization must be
+    /// pairwise overlap-free, in-die, and row/site aligned — measured with
+    /// the same audit helper the PEKO harness uses; an over-capacity input
     /// must surface as a typed error, never a panic or an illegal
     /// "success".
     #[test]
@@ -149,6 +148,79 @@ proptest! {
                     "unexpected error kind: {e}"
                 );
             }
+        }
+    }
+
+    /// Off the integer lattice: rows whose origin is half a site, 1- and
+    /// 2-unit sites, fixed obstacles with quarter-unit edges and one fence
+    /// with quarter-unit sides and half-row ends, over cells of half-unit
+    /// widths, one in five fenced. Every `Ok` is legal, `OffSite` and
+    /// `OutsideRegion` included; running out of whole sites is a typed
+    /// `Legalize` error.
+    #[test]
+    fn off_lattice_legalize_is_legal_or_a_typed_error(
+        site in 1u8..3,
+        obstacles in prop::collection::vec((0u8..120, 1u8..16, 0u8..15, 1u8..5), 0..8),
+        fence in (0u8..64, 32u8..57, 0u8..8, 4u8..10),
+        cells in prop::collection::vec(
+            (1u8..7, 0.0f64..32.0, 0.0f64..8.0, prop::bool::weighted(0.2)),
+            10..60,
+        ),
+    ) {
+        let sw = f64::from(site);
+        let mut b = NetlistBuilder::new();
+        let quarter = |q: u8| f64::from(q) / 4.0;
+        let half = |h: u8| f64::from(h) / 2.0;
+        for (i, &(_, w, _, h)) in obstacles.iter().enumerate() {
+            b.add_cell(format!("o{i}"), quarter(w), half(h), false).expect("unique");
+        }
+        let movable: Vec<CellId> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, &(w, ..))| {
+                b.add_cell(format!("c{i}"), half(w), 1.0, true).expect("unique")
+            })
+            .collect();
+        let die = Rect::new(0.0, 0.0, 32.0, 8.0);
+        let sites = ((die.xh - 0.5 * sw) / sw).floor();
+        let rows = (0..8)
+            .map(|r| Row {
+                y: f64::from(r),
+                height: 1.0,
+                xl: 0.5 * sw,
+                xh: 0.5 * sw + sites * sw,
+                site_width: sw,
+            })
+            .collect();
+        let mut design =
+            Design::new("off_lattice", b.build(), die, rows, 1.0).expect("valid design");
+        let (fx, fw, fy, fh) = fence;
+        let (fxl, fyl) = (quarter(fx), half(fy));
+        let fence = Rect::new(fxl, fyl, fxl + quarter(fw), (fyl + half(fh)).min(die.yh));
+        let region = design.add_region("fence", fence).expect("inside the die");
+        let mut gp = Placement::zeros(design.netlist.num_cells());
+        for (i, &(x, _, y, _)) in obstacles.iter().enumerate() {
+            (gp.x[i], gp.y[i]) = (quarter(x), half(y));
+        }
+        for (&cell, &(_, x, y, fenced)) in movable.iter().zip(&cells) {
+            (gp.x[cell.index()], gp.y[cell.index()]) = (x, y);
+            if fenced {
+                design.assign_region(cell, Some(region));
+            }
+        }
+        match legalize(&design, &gp) {
+            Ok((legal, report)) => {
+                let violations = check_legal(&design, &legal);
+                prop_assert!(
+                    violations.is_empty(),
+                    "violations: {:?} (report {report:?})",
+                    &violations[..violations.len().min(4)]
+                );
+            }
+            Err(e) => prop_assert!(
+                matches!(e, mep_placer::PlacerError::Legalize { .. }),
+                "unexpected error kind: {e}"
+            ),
         }
     }
 

@@ -51,8 +51,10 @@ impl CircuitSource {
     /// Conservative pre-load working-set estimate in bytes, used to
     /// reject oversized jobs **before** any allocation happens. For
     /// generated sources the cell/net counts are known from the spec
-    /// alone; for `.aux` files only the file size is known up front, and
-    /// a second estimate runs after parsing.
+    /// alone; for an `.aux` index only the sizes of the files it lists are
+    /// known up front (8 × their sum), and a second estimate runs after
+    /// parsing. An index that cannot be read or parsed estimates 0 and
+    /// fails at load.
     pub fn estimated_bytes(&self) -> u64 {
         match self {
             // cost model: estimate_bytes over the spec's counts
@@ -67,9 +69,14 @@ impl CircuitSource {
                 let spec = synth::scaled_clustered_spec(*movable, *seed);
                 estimate_bytes(spec.movable + spec.fixed, spec.nets, spec.pins)
             }
-            CircuitSource::Aux(path) => std::fs::metadata(path)
-                .map(|m| m.len().saturating_mul(8))
-                .unwrap_or(0),
+            CircuitSource::Aux(path) => match mep_netlist::bookshelf::aux_files(path) {
+                Ok(files) => files
+                    .paths()
+                    .filter_map(|p| std::fs::metadata(p).ok())
+                    .fold(0_u64, |sum, m| sum.saturating_add(m.len()))
+                    .saturating_mul(8),
+                Err(_) => 0,
+            },
         }
     }
 

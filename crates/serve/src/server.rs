@@ -989,6 +989,55 @@ mod tests {
     }
 
     #[test]
+    fn aux_job_is_screened_by_the_files_its_index_lists() {
+        // a written builtin whose `.nets` alone is over the budget its
+        // one-line `.aux` index is under; the parsed circuit's own estimate
+        // is under it too, so only the screen before the read can refuse it
+        let circuit = mep_netlist::synth::generate(&mep_netlist::synth::smoke_spec());
+        let dir = std::env::temp_dir().join(format!("mep_serve_aux_{}", std::process::id()));
+        mep_netlist::bookshelf::write_dir(&dir, &circuit).unwrap();
+        let size = |ext: &str| {
+            let path = dir.join(format!("smoke.{ext}"));
+            std::fs::metadata(path).map_or(0, |m| m.len())
+        };
+        let listed: u64 = ["nodes", "nets", "pl", "scl", "wts"].map(size).iter().sum();
+        let budget = 8 * size("nets") - 1;
+        let nl = &circuit.design.netlist;
+        let parsed = estimate_bytes(nl.num_cells(), nl.num_nets(), nl.num_pins());
+        assert!(
+            8 * size("aux") <= budget && parsed <= budget,
+            "{parsed} {budget}"
+        );
+
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            memory_budget_bytes: budget,
+            ..ServerConfig::default()
+        });
+        let sink = Arc::new(CollectSink::new());
+        let aux = dir.join("smoke.aux").to_string_lossy().into_owned();
+        let request = JobRequest {
+            circuit: CircuitSource::Aux(aux),
+            ..tiny_request()
+        };
+        server.submit(1, request, sink.clone()).unwrap();
+        assert!(server.wait_job(1));
+        let _ = std::fs::remove_dir_all(&dir);
+        let events = sink.events();
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                Event::Failed {
+                    id: 1,
+                    error: JobError::MemoryBudget { estimated, .. }
+                } if *estimated == 8 * listed
+            )),
+            "{events:?}"
+        );
+    }
+
+    #[test]
     fn cancel_while_queued_and_graceful_drain() {
         let server = test_server(1, 8);
         let sink = Arc::new(CollectSink::new());
