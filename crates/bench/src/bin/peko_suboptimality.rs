@@ -11,9 +11,9 @@
 //! ```
 //!
 //! The sweep prints the ratio table and exits non-zero, writing nothing,
-//! if any run fails, does not converge or fails the legality audit.
-//! Otherwise it writes one JSONL record per run (with full telemetry, the
-//! certificate, and a legality audit) to `results/peko_reports.jsonl`.
+//! if any run fails (an illegal placement is a failed run) or does not
+//! converge. Otherwise it writes one JSONL record per run (with full
+//! telemetry and the certificate) to `results/peko_reports.jsonl`.
 //! `--fast` sweeps the smallest rung only and writes no file. The sweep
 //! never writes the guard's baseline: re-pinning it is a deliberate hand
 //! edit of its `moreau_ratio_{600,2400}` from the Ours column of the
@@ -76,14 +76,13 @@ fn main() -> Result<(), String> {
             Ok(row) => {
                 eprintln!(
                     "[peko]   ratio {:.4} (dpwl {:.0} / opt {:.0}), overflow {:.3}, \
-                     {} iters, {:.1}s, audit {}",
+                     {} iters, {:.1}s",
                     row.ratio,
                     row.run.dpwl,
                     row.optimal_hpwl,
                     row.run.overflow,
                     row.run.iterations,
-                    row.run.rt,
-                    row.audit
+                    row.run.rt
                 );
                 rows.push(row);
             }

@@ -355,16 +355,6 @@ fn main() -> ExitCode {
             ),
         }
     }
-    // clean jobs must place legally even mid-chaos
-    for e in &events {
-        if let Event::Done { id, summary } = e {
-            check!(
-                summary.violations == 0,
-                "job {id}: {} legality violations in a terminal placement",
-                summary.violations
-            );
-        }
-    }
     match hostile_result {
         Ok((lines, errors)) => {
             check!(

@@ -4,10 +4,9 @@
 //! [`run_claim`], the full GP → LG → DP pipeline run to convergence, then
 //! measures the one thing ordinary benchmarks cannot: the
 //! **suboptimality ratio** `final HPWL / optimal HPWL` against the
-//! generator's constructively exact optimum. Every run also gets a
-//! mandatory legality audit (pairwise overlap-free, in-die, row/site
-//! aligned) — a placement that "wins" by escaping the die or stacking
-//! cells is a bug, not a result.
+//! generator's constructively exact optimum. Every row is legal: a
+//! placement that "wins" by escaping the die or stacking cells is
+//! [`mep_placer::PlacerError::Illegal`], which [`run_claim`] refuses.
 //!
 //! All `peko.*` quality metrics are written into the run's
 //! [`RunReport`](mep_obs::RunReport), so the JSONL record carries the
@@ -16,7 +15,7 @@
 use crate::flow::{run_claim, BenchmarkRow};
 use mep_netlist::synth::peko::{generate_peko, PekoSpec};
 use mep_obs::json::JsonObject;
-use mep_placer::{audit_legality, GlobalConfig, LegalityAudit};
+use mep_placer::GlobalConfig;
 
 /// Result of one spec × model run: the claims run and its certificate.
 #[derive(Debug, Clone)]
@@ -34,8 +33,6 @@ pub struct PekoRow {
     /// Suboptimality ratio `dpwl / optimal_hpwl` (≥ 1 up to float dust;
     /// the quality metric the guard tracks).
     pub ratio: f64,
-    /// Legality audit of the final placement (clean).
-    pub audit: LegalityAudit,
 }
 
 /// Runs one spec under `global` through [`run_claim`] and certifies the
@@ -48,8 +45,6 @@ pub fn run_peko(spec: &PekoSpec, global: GlobalConfig) -> Result<PekoRow, String
     let p = generate_peko(spec);
     let model = global.model;
     let r = run_claim(&p.circuit, global)?;
-    // clean: `run_claim` refuses a run with any `check_legal` violation
-    let audit = audit_legality(&p.circuit.design, &r.placement);
     let (gpwl, ratio) = (r.gpwl, r.dpwl / p.optimal_hpwl);
 
     let mut run = BenchmarkRow::new(spec.name.clone(), model, r);
@@ -58,11 +53,6 @@ pub fn run_peko(spec: &PekoSpec, global: GlobalConfig) -> Result<PekoRow, String
     report.set_gauge("peko.ratio_gp", gpwl / p.optimal_hpwl);
     report.set_gauge("peko.ratio_lg", run.lgwl / p.optimal_hpwl);
     report.set_gauge("peko.ratio_dp", ratio);
-    report.set_counter("peko.audit.overlaps", audit.overlaps as u64);
-    report.set_counter("peko.audit.outside_die", audit.outside_die as u64);
-    report.set_counter("peko.audit.off_row", audit.off_row as u64);
-    report.set_counter("peko.audit.off_site", audit.off_site as u64);
-    report.set_counter("peko.audit.outside_region", audit.outside_region as u64);
 
     Ok(PekoRow {
         run,
@@ -70,24 +60,12 @@ pub fn run_peko(spec: &PekoSpec, global: GlobalConfig) -> Result<PekoRow, String
         optimal_hpwl: p.optimal_hpwl,
         gpwl,
         ratio,
-        audit,
     })
 }
 
-fn audit_json(audit: &LegalityAudit) -> String {
-    let mut o = JsonObject::new();
-    o.field_u64("overlaps", audit.overlaps as u64)
-        .field_u64("outside_die", audit.outside_die as u64)
-        .field_u64("off_row", audit.off_row as u64)
-        .field_u64("off_site", audit.off_site as u64)
-        .field_u64("outside_region", audit.outside_region as u64)
-        .field_bool("clean", audit.is_clean());
-    o.finish()
-}
-
 impl PekoRow {
-    /// The row's JSON line: bench/model, the certificate numbers, the
-    /// audit, and the full report.
+    /// The row's JSON line: bench/model, the certificate numbers and the
+    /// full report.
     pub fn to_json(&self) -> String {
         let run = &self.run;
         let mut o = JsonObject::new();
@@ -102,7 +80,6 @@ impl PekoRow {
             .field_f64("rt", run.rt)
             .field_u64("iterations", run.iterations as u64)
             .field_f64("overflow", run.overflow)
-            .field_raw("audit", &audit_json(&self.audit))
             .field_raw("report", &run.report.to_json());
         o.finish()
     }
@@ -118,7 +95,6 @@ mod tests {
     fn run_peko_certifies_a_small_ladder_rung() {
         let spec = peko_spec(100, 5);
         let row = run_peko(&spec, GlobalConfig::default()).expect("peko flow");
-        assert!(row.audit.is_clean());
         // a legal placement can never beat the certificate
         let run = &row.run;
         assert!(
@@ -131,13 +107,11 @@ mod tests {
         assert!(row.ratio < 4.0, "suboptimality ratio {} absurd", row.ratio);
         // peko.* metrics ride on the standard report
         assert_eq!(run.report.gauge("peko.ratio_dp"), Some(row.ratio));
-        assert_eq!(run.report.counter("peko.audit.overlaps"), Some(0));
         // and the usual pipeline metrics are still there
         assert_eq!(run.report.gauge("dp.hpwl"), Some(run.dpwl));
 
         let line = row.to_json();
         assert!(line.starts_with("{\"bench\":\"peko_100\",\"model\":\"Ours\""));
-        assert!(line.contains("\"audit\":{\"overlaps\":0"));
     }
 
     #[test]

@@ -74,6 +74,7 @@ proptest! {
     /// strictly ordered and disjoint, children lie inside their parent,
     /// and bodies lie inside their item — hence every token has exactly
     /// one innermost owner (an item, or the module root).
+    #[test]
     fn items_tile_the_token_stream(
         picks in prop::collection::vec((0..FRAGMENTS.len(), 0..SEPARATORS.len()), 1..48),
     ) {
@@ -91,6 +92,7 @@ proptest! {
 
     /// Parsing is a pure function of the token stream: two runs produce
     /// structurally identical forests.
+    #[test]
     fn parsing_is_deterministic(
         picks in prop::collection::vec((0..FRAGMENTS.len(), 0..SEPARATORS.len()), 1..32),
     ) {

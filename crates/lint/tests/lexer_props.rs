@@ -56,6 +56,7 @@ proptest! {
     /// Token spans round-trip: concatenating tokens and whitespace gaps
     /// reproduces the source byte-for-byte, with no overlap and no
     /// non-whitespace byte left uncovered.
+    #[test]
     fn spans_tile_the_source(
         picks in prop::collection::vec((0..FRAGMENTS.len(), 0..SEPARATORS.len()), 0..40),
     ) {
@@ -70,6 +71,7 @@ proptest! {
     }
 
     /// Lexing is a pure function of the source: two runs agree exactly.
+    #[test]
     fn lexing_is_deterministic(
         picks in prop::collection::vec((0..FRAGMENTS.len(), 0..SEPARATORS.len()), 0..24),
     ) {
@@ -79,6 +81,7 @@ proptest! {
 
     /// Every token's (line, col) from the LineIndex points back at the
     /// token's own first byte — the invariant diagnostics rely on.
+    #[test]
     fn line_index_round_trips_token_starts(
         picks in prop::collection::vec((0..FRAGMENTS.len(), 0..SEPARATORS.len()), 0..24),
     ) {

@@ -586,6 +586,7 @@ mod tests {
     proptest! {
         /// Random netlists of up to 8 cells and 8 nets of 1–5 pins, random
         /// moved sets of 1–4 cells, random candidate positions.
+        #[test]
         fn move_hpwl_equals_the_oracle_bitwise(
             sizes in prop::collection::vec((1u8..5, 1u8..3), 2..9),
             nets in prop::collection::vec(

@@ -5,9 +5,12 @@
 //! panicking: malformed inputs surface as [`PlacerError::Netlist`] with
 //! file/line context from the parsers, degenerate-but-well-formed inputs
 //! (nothing to place, zero-area die) as [`PlacerError::DegenerateInput`],
-//! and unrecoverable numerical faults as
-//! [`PlacerError::NumericalFailure`].
+//! unrecoverable numerical faults as [`PlacerError::NumericalFailure`], a
+//! design the legalizer cannot fit as [`PlacerError::Legalize`], and a
+//! final placement that fails [`check_legal`](crate::legalize::check_legal)
+//! as [`PlacerError::Illegal`]: every `Ok` of the pipeline is legal.
 
+use crate::legalize::Violation;
 use mep_netlist::NetlistError;
 use std::error::Error;
 use std::fmt;
@@ -38,6 +41,14 @@ pub enum PlacerError {
         /// Which cell failed to place and why.
         reason: String,
     },
+    /// The flow's final placement fails
+    /// [`check_legal`](crate::legalize::check_legal).
+    Illegal {
+        /// How many violations it found.
+        count: usize,
+        /// The first of them (at most five).
+        first: Vec<Violation>,
+    },
 }
 
 impl fmt::Display for PlacerError {
@@ -52,6 +63,9 @@ impl fmt::Display for PlacerError {
             }
             PlacerError::Legalize { reason } => {
                 write!(f, "legalization failed: {reason}")
+            }
+            PlacerError::Illegal { count, first } => {
+                write!(f, "illegal placement: {count} violations, first {first:?}")
             }
         }
     }
@@ -99,6 +113,15 @@ mod tests {
         };
         assert!(e.to_string().contains("legalization failed"));
         assert!(e.to_string().contains("c7"));
+        let e = PlacerError::Illegal {
+            count: 3,
+            first: vec![Violation::OffRow(mep_netlist::CellId(4))],
+        };
+        assert_eq!(
+            e.to_string(),
+            "illegal placement: 3 violations, first [OffRow(CellId(4))]",
+            "one line: the CLI prints it as its reason"
+        );
     }
 
     #[test]

@@ -559,7 +559,7 @@ pub(crate) fn legalize_with_cuts(
 }
 
 /// A legality violation found by [`check_legal`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// Cell pokes outside the die.
     OutsideDie(CellId),
@@ -641,9 +641,8 @@ pub fn check_legal(design: &Design, placement: &Placement) -> Vec<Violation> {
     violations
 }
 
-/// Violation counts of one full legality audit — the harness-facing
-/// summary [`audit_legality`] produces (the PEKO suboptimality harness
-/// and the legalizer property tests both assert on it).
+/// Violation counts of one full legality audit, as [`audit_legality`]
+/// produces them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LegalityAudit {
     /// Pairs of placed rectangles that overlap (movable-involved).
@@ -682,10 +681,7 @@ impl std::fmt::Display for LegalityAudit {
 
 /// The per-class counts of [`check_legal`]'s violations: pairwise
 /// overlap-free, in-die, row-aligned, site-aligned, and fence-respecting.
-///
-/// This is the mandatory audit the PEKO suboptimality harness runs on
-/// every reported placement; [`check_legal`] is the itemized (per-cell)
-/// list it counts.
+/// Kept for the frozen `examples/bench_e2e` and the legalizer's tests.
 pub fn audit_legality(design: &Design, placement: &Placement) -> LegalityAudit {
     let mut audit = LegalityAudit::default();
     for v in check_legal(design, placement) {

@@ -55,9 +55,7 @@ pub use flow::{
 };
 pub use global::{place, GlobalConfig, GlobalResult, MoreauSchedule, RampStart};
 pub use guard::{Fault, RecoveryAction, RecoveryEvent, RecoveryLog, Termination};
-pub use legalize::{
-    audit_legality, check_legal, legalize, LegalityAudit, LegalizeReport, Violation,
-};
+pub use legalize::{check_legal, legalize, LegalizeReport, Violation};
 pub use objective::EngineStats;
 pub use pipeline::{run, PipelineConfig, PipelineResult};
 pub use telemetry::DispHistogram;

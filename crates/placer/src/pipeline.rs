@@ -10,7 +10,7 @@ use crate::legalize::{check_legal, legalize_with_cuts, LegalizeReport};
 use crate::objective::EngineStats;
 use crate::telemetry::{build_run_report, DispHistogram};
 use mep_netlist::bookshelf::BookshelfCircuit;
-use mep_netlist::{total_hpwl, Placement};
+use mep_netlist::{total_hpwl, Design, Placement};
 use mep_obs::{RunReport, StageStats};
 use mep_wirelength::engine::EvalEngine;
 use std::sync::Arc;
@@ -54,8 +54,6 @@ pub struct PipelineResult {
     pub detail: DetailReport,
     /// Final legal placement.
     pub placement: Placement,
-    /// Legality violations in the final placement (must be empty).
-    pub violations: usize,
     /// The evaluation counters of the global-placement stage.
     pub engine_stats: EngineStats,
     /// Every recovery the numerical guard performed during GP (empty on a
@@ -84,7 +82,8 @@ impl PipelineResult {
 /// coordinates) and unrecoverable numerical faults surface as
 /// [`PlacerError`] instead of panicking; recoverable faults are handled by
 /// the guard inside global placement and reported in
-/// [`PipelineResult::recovery`].
+/// [`PipelineResult::recovery`]. A final placement that fails
+/// [`check_legal`] is [`PlacerError::Illegal`], so every `Ok` is legal.
 pub fn run(
     circuit: &BookshelfCircuit,
     config: &PipelineConfig,
@@ -104,13 +103,7 @@ pub fn run(
         dp_clock.time(|| refine_with_cuts(design, &mut refined, &config.detail, cuts, lgwl));
     let dpwl = dp_report.hpwl_after;
 
-    let violations = check_legal(design, &refined);
-    debug_assert!(
-        violations.is_empty(),
-        "the pipeline's placement is not legal: {:?}",
-        violations.iter().take(5).collect::<Vec<_>>()
-    );
-    let violations = violations.len();
+    ensure_legal(design, &refined)?;
 
     let dp_disp = DispHistogram::between(design, &legal_snapshot, &refined);
     let mut result = PipelineResult {
@@ -127,7 +120,6 @@ pub fn run(
         legalize: lg_report,
         detail: dp_report,
         placement: refined,
-        violations,
         engine_stats: gp.engine_stats,
         recovery: gp.recovery,
         termination: gp.termination,
@@ -135,6 +127,20 @@ pub fn run(
     };
     result.report = build_run_report(&result, &config.global.model.to_string(), &dp_disp);
     Ok(result)
+}
+
+/// The flow's one legality verdict: `Ok` when [`check_legal`] finds
+/// nothing, else [`PlacerError::Illegal`] with the count and the first
+/// five violations.
+fn ensure_legal(design: &Design, placement: &Placement) -> Result<(), PlacerError> {
+    let violations = check_legal(design, placement);
+    if violations.is_empty() {
+        return Ok(());
+    }
+    Err(PlacerError::Illegal {
+        count: violations.len(),
+        first: violations.into_iter().take(5).collect(),
+    })
 }
 
 /// [`run`]; the engine is ignored. Called by the frozen
@@ -166,7 +172,6 @@ mod tests {
             ..PipelineConfig::default()
         };
         let r = run(&c, &config).unwrap();
-        assert_eq!(r.violations, 0);
         // DP's last total is the final placement's HPWL, bit for bit
         assert_eq!(
             r.dpwl.to_bits(),
@@ -196,7 +201,6 @@ mod tests {
         assert_eq!(rep.counter("optim.nesterov.trials"), Some(r.trials as u64));
         assert!(r.trials >= r.iterations);
         assert_eq!(rep.gauge("dp.hpwl"), Some(r.dpwl));
-        assert_eq!(rep.counter("flow.violations"), Some(0));
         assert_eq!(rep.counter("guard.recoveries"), Some(0));
         assert!(rep.gauge("gp.rt_seconds").unwrap() > 0.0);
         assert!(
@@ -294,13 +298,14 @@ mod tests {
     /// FFTs), which moves `engine.density_transform.count` and the last
     /// bits of the GP trajectory, and again when detailed placement lost
     /// independent-set matching (its metric keys went, and `dp.hpwl` moved
-    /// 6995.25 → 6997.24).
+    /// 6995.25 → 6997.24), and again when `flow.violations` left the
+    /// report (an illegal run is an error).
     #[test]
     fn run_report_is_pinned() {
         let c = synth::generate(&synth::smoke_spec());
         let r = run(&c, &PipelineConfig::default()).unwrap();
         let fnv = crate::telemetry::timeless_fnv(&r.report);
-        assert_eq!(fnv, 12_250_310_723_681_761_934, "{}", r.report.to_json());
+        assert_eq!(fnv, 5_443_801_847_638_480_325, "{}", r.report.to_json());
     }
 
     /// The engine the frozen benchmark passes is inert: the aliases return
@@ -332,6 +337,37 @@ mod tests {
         let got = run_with_engine(&c, &config, engine()).unwrap();
         assert_eq!(bits(&got.placement), bits(&want.placement));
         assert_eq!(counts(&got.engine_stats), counts(&want.engine_stats));
+    }
+
+    /// Seven cells on one row, each overlapping the next: the flow's
+    /// legality verdict is `Illegal` with all six overlaps counted and the
+    /// first five carried in row order; spaced apart, the same cells are
+    /// legal.
+    #[test]
+    fn an_overlapping_placement_is_illegal() {
+        use crate::legalize::Violation;
+        let mut b = mep_netlist::NetlistBuilder::new();
+        let cells: Vec<_> = (0..7)
+            .map(|i| b.add_cell(format!("c{i}"), 2.0, 1.0, true).unwrap())
+            .collect();
+        let die = mep_netlist::Rect::new(0.0, 0.0, 20.0, 1.0);
+        let design = Design::with_uniform_rows("t", b.build(), die, 1.0, 1.0, 1.0).unwrap();
+        let mut pl = Placement::zeros(cells.len());
+        for (i, c) in cells.iter().enumerate() {
+            pl.x[c.index()] = 2.0 * i as f64;
+        }
+        assert_eq!(ensure_legal(&design, &pl), Ok(()));
+
+        for (i, c) in cells.iter().enumerate() {
+            pl.x[c.index()] = i as f64;
+        }
+        let err = ensure_legal(&design, &pl).unwrap_err();
+        let first: Vec<_> = cells
+            .windows(2)
+            .take(5)
+            .map(|pair| Violation::Overlap(pair[0], pair[1]))
+            .collect();
+        assert_eq!(err, PlacerError::Illegal { count: 6, first });
     }
 
     #[test]

@@ -98,7 +98,6 @@ pub(crate) fn build_run_report(
     r.set_gauge("gp.lambda0", result.ramp.lambda0);
     r.set_gauge("gp.bootstrap_smoothing", result.ramp.bootstrap_smoothing);
     r.set_gauge("gp.smoothing0", result.ramp.smoothing0);
-    r.set_counter("flow.violations", result.violations as u64);
 
     export_engine_stats(&mut r, &result.engine_stats);
 

@@ -218,8 +218,6 @@ pub struct JobSummary {
     pub iterations: usize,
     /// Final density overflow.
     pub overflow: f64,
-    /// Legality violations (0 for any job that ran the pipeline).
-    pub violations: usize,
     /// FNV-1a hash over every cell coordinate's bit pattern — the
     /// cross-job determinism fingerprint the chaos harness compares
     /// against a cold run.

@@ -554,7 +554,6 @@ fn run_one(shared: &Shared, job: &QueuedJob) -> JobOutcome {
             hpwl: f64::NAN,
             iterations: 0,
             overflow: f64::NAN,
-            violations: 0,
             placement_hash: 0,
             elapsed_ms: 0,
         });
@@ -662,7 +661,6 @@ fn execute_job(shared: &Shared, job: &QueuedJob) -> Result<JobSummary, JobError>
         hpwl: result.dpwl,
         iterations: result.iterations,
         overflow: result.overflow,
-        violations: result.violations,
         placement_hash: placement_fingerprint(&result.placement),
         elapsed_ms: t0.elapsed().as_millis() as u64,
     })
@@ -891,7 +889,6 @@ mod tests {
         ));
         match events.last() {
             Some(Event::Done { id: 1, summary }) => {
-                assert_eq!(summary.violations, 0);
                 assert!(summary.hpwl.is_finite());
                 assert_ne!(summary.placement_hash, 0);
             }

@@ -1037,6 +1037,7 @@ mod tests {
         /// per degree on 2..=8 pins, the run-time-degree body on 9..=16),
         /// the generic per-net path on every other degree, bit for bit
         /// against the oracle.
+        #[test]
         fn kernels_bitwise_match_the_oracle(
             // two cases in three land on a class degree
             (degree, coords) in (1usize..41, 0usize..3).prop_flat_map(|(n, any)| {

@@ -29,13 +29,12 @@ fn main() {
 
     let result = run(&circuit, &PipelineConfig::default()).expect("placement flow");
     println!(
-        "{}: GPWL {:.4e} → LGWL {:.4e} → DPWL {:.4e} in {:.1}s ({} violations)",
+        "{}: GPWL {:.4e} → LGWL {:.4e} → DPWL {:.4e} in {:.1}s",
         spec.name,
         result.gpwl,
         result.lgwl,
         result.dpwl,
-        result.rt_total(),
-        result.violations
+        result.rt_total()
     );
 
     // export the placed circuit in Bookshelf format

@@ -41,13 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let result = run(&circuit, &PipelineConfig::default()).expect("placement flow");
     println!(
-        "placed: GPWL {:.4e} → LGWL {:.4e} → DPWL {:.4e} in {:.2}s ({} violations)",
+        "placed: GPWL {:.4e} → LGWL {:.4e} → DPWL {:.4e} in {:.2}s",
         result.gpwl,
         result.lgwl,
         result.dpwl,
-        result.rt_total(),
-        result.violations
+        result.rt_total()
     );
-    assert_eq!(result.violations, 0);
     Ok(())
 }

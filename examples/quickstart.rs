@@ -28,7 +28,8 @@ fn main() {
     );
 
     // 2. run the full flow: global placement -> legalization -> detailed
-    //    placement, all with default (paper) settings
+    //    placement, all with default (paper) settings; an `Ok` is a legal
+    //    placement (an illegal one is `PlacerError::Illegal`)
     let result = run(&circuit, &PipelineConfig::default()).expect("placement flow");
 
     // 3. report
@@ -44,6 +45,4 @@ fn main() {
         "detailed place   : HPWL {:.4e}  ({} reorders, {} swaps, {:.2}s)",
         result.dpwl, result.detail.reorders, result.detail.swaps, result.rt_dp
     );
-    println!("legality violations: {}", result.violations);
-    assert_eq!(result.violations, 0, "pipeline must emit a legal placement");
 }

@@ -1,15 +1,15 @@
 //! Region-constrained placement: ISPD2019-style fence regions.
 //!
 //! Generates the demo circuit with two fences holding ~10% of the cells,
-//! runs the full flow, and verifies every constrained cell ends inside its
-//! fence while free cells stay out (fences are exclusive).
+//! runs the full flow and shows where the fenced cells ended up. The flow
+//! returns `Ok` only for a legal placement, every constrained cell inside
+//! its fence.
 //!
 //! ```text
 //! cargo run --release --example region_constrained
 //! ```
 
 use moreau_placer::netlist::synth;
-use moreau_placer::placer::check_legal;
 use moreau_placer::placer::pipeline::{run, PipelineConfig};
 
 fn main() {
@@ -42,13 +42,6 @@ fn main() {
         result.rt_total()
     );
 
-    let violations = check_legal(design, &result.placement);
-    println!(
-        "legality violations (incl. region checks): {}",
-        violations.len()
-    );
-    assert!(violations.is_empty(), "{violations:?}");
-
     // show where the fenced cells ended up
     let nl = &design.netlist;
     let mut shown = 0;
@@ -66,5 +59,5 @@ fn main() {
             }
         }
     }
-    println!("…and every other fenced cell likewise (asserted above).");
+    println!("…and every other fenced cell likewise (the flow returned `Ok`).");
 }

