@@ -96,12 +96,6 @@ impl Electrostatics {
         DensityReport { energy, overflow }
     }
 
-    /// Density overflow of the last [`Electrostatics::update`].
-    pub fn overflow(&self) -> f64 {
-        self.map
-            .overflow(self.target_density, self.total_movable_area)
-    }
-
     /// Accumulates `∂D/∂x_i`, `∂D/∂y_i` for every movable cell into the
     /// gradient buffers (fixed cells untouched). Reads the footprints and
     /// field of the last [`Electrostatics::update`]; `placement` must be

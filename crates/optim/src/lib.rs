@@ -12,9 +12,24 @@
 //!
 //! ```
 //! use mep_optim::nesterov::Nesterov;
-//! use mep_optim::problem::testfns::Quadratic;
+//! use mep_optim::Problem;
 //!
-//! let mut problem = Quadratic { diag: vec![1.0, 4.0] };
+//! /// `½ (x₀² + 4 x₁²)`
+//! struct Quadratic;
+//!
+//! impl Problem for Quadratic {
+//!     fn dim(&self) -> usize {
+//!         2
+//!     }
+//!
+//!     fn eval(&mut self, x: &[f64], grad: &mut [f64]) -> f64 {
+//!         grad[0] = x[0];
+//!         grad[1] = 4.0 * x[1];
+//!         0.5 * (x[0] * x[0] + 4.0 * x[1] * x[1])
+//!     }
+//! }
+//!
+//! let mut problem = Quadratic;
 //! let mut x = vec![1.0, 1.0];
 //! let mut opt = Nesterov::new(0.01);
 //! for _ in 0..100 {

@@ -46,7 +46,8 @@ pub fn distance(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Classic test problems used by the optimizer unit tests.
-pub mod testfns {
+#[cfg(test)]
+pub(crate) mod testfns {
     use super::Problem;
 
     /// Convex quadratic `½ xᵀ diag(d) x`.

@@ -423,11 +423,14 @@ pub(crate) fn legalize_with_cuts(
         if row.xh > cursor + 1e-9 {
             spans.push((cursor, row.xh, None));
         }
-        // split spans at fence boundaries; tag the fence interior
+        // split spans at fence boundaries; tag the fence interior of a row
+        // inside the fence's vertical span, and drop it from a row the
+        // fence only partly covers (no cell may sit there)
         for (r_idx, region) in design.regions.iter().enumerate() {
             let fence = region.rect;
-            if row.y < fence.yl - 1e-9 || row.y + row.height > fence.yh + 1e-9 {
-                continue; // row not (fully) inside the fence's vertical span
+            let inside = row.y >= fence.yl - 1e-9 && row.y + row.height <= fence.yh + 1e-9;
+            if !inside && (row.y >= fence.yh || row.y + row.height <= fence.yl) {
+                continue; // the row's band misses the fence
             }
             let mut split = Vec::with_capacity(spans.len() + 2);
             for (xl, xh, tag) in spans.drain(..) {
@@ -439,7 +442,9 @@ pub(crate) fn legalize_with_cuts(
                 if il > xl + 1e-9 {
                     split.push((xl, il, tag));
                 }
-                split.push((il, ih, Some(r_idx as u16)));
+                if inside {
+                    split.push((il, ih, Some(r_idx as u16)));
+                }
                 if xh > ih + 1e-9 {
                     split.push((ih, xh, tag));
                 }
@@ -574,6 +579,9 @@ pub enum Violation {
     OffSite(CellId),
     /// Region-constrained cell placed outside its fence.
     OutsideRegion(CellId),
+    /// Unconstrained cell whose interior meets a fence: fences are
+    /// exclusive (DEF `FENCE`).
+    InsideFence(CellId),
 }
 
 /// Checks a placement for legality (movable cells only; fixed cells are
@@ -584,7 +592,8 @@ pub fn check_legal(design: &Design, placement: &Placement) -> Vec<Violation> {
     let index = RowIndex::new(&design.rows);
     let mut violations = Vec::new();
 
-    // die containment + row and site alignment + fence containment
+    // die containment + row and site alignment + fence containment and
+    // exclusivity
     for cell in netlist.movable_cells() {
         let r = placement.cell_rect(netlist, cell);
         if !die.contains_rect(&r) {
@@ -599,10 +608,14 @@ pub fn check_legal(design: &Design, placement: &Placement) -> Vec<Violation> {
                 }
             }
         }
-        if let Some(region) = design.region_of(cell) {
-            if !region.rect.contains_rect(&r) {
+        match design.region_of(cell) {
+            Some(region) if !region.rect.contains_rect(&r) => {
                 violations.push(Violation::OutsideRegion(cell));
             }
+            None if design.regions.iter().any(|f| f.rect.intersects(&r)) => {
+                violations.push(Violation::InsideFence(cell));
+            }
+            _ => {}
         }
     }
 
@@ -655,6 +668,8 @@ pub struct LegalityAudit {
     pub off_site: usize,
     /// Region-constrained cells placed outside their fence.
     pub outside_region: usize,
+    /// Unconstrained cells inside a fence.
+    pub inside_fence: usize,
 }
 
 impl LegalityAudit {
@@ -665,7 +680,12 @@ impl LegalityAudit {
 
     /// Total violation count across all classes.
     pub fn total(&self) -> usize {
-        self.overlaps + self.outside_die + self.off_row + self.off_site + self.outside_region
+        self.overlaps
+            + self.outside_die
+            + self.off_row
+            + self.off_site
+            + self.outside_region
+            + self.inside_fence
     }
 }
 
@@ -673,14 +693,21 @@ impl std::fmt::Display for LegalityAudit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "overlaps={} outside_die={} off_row={} off_site={} outside_region={}",
-            self.overlaps, self.outside_die, self.off_row, self.off_site, self.outside_region
+            "overlaps={} outside_die={} off_row={} off_site={} outside_region={} \
+             inside_fence={}",
+            self.overlaps,
+            self.outside_die,
+            self.off_row,
+            self.off_site,
+            self.outside_region,
+            self.inside_fence
         )
     }
 }
 
 /// The per-class counts of [`check_legal`]'s violations: pairwise
-/// overlap-free, in-die, row-aligned, site-aligned, and fence-respecting.
+/// overlap-free, in-die, row-aligned, site-aligned, inside its own fence
+/// and out of every other.
 /// Kept for the frozen `examples/bench_e2e` and the legalizer's tests.
 pub fn audit_legality(design: &Design, placement: &Placement) -> LegalityAudit {
     let mut audit = LegalityAudit::default();
@@ -691,6 +718,7 @@ pub fn audit_legality(design: &Design, placement: &Placement) -> LegalityAudit {
             Violation::OffRow(_) => audit.off_row += 1,
             Violation::OffSite(_) => audit.off_site += 1,
             Violation::OutsideRegion(_) => audit.outside_region += 1,
+            Violation::InsideFence(_) => audit.inside_fence += 1,
         }
     }
     audit

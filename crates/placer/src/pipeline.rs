@@ -370,6 +370,46 @@ mod tests {
         assert_eq!(err, PlacerError::Illegal { count: 6, first });
     }
 
+    /// Fences are exclusive: a legal `smoke_regions` placement with one
+    /// free cell moved onto a site inside a fence is `Illegal`, and the
+    /// check names that cell first.
+    #[test]
+    fn a_free_cell_moved_into_a_fence_is_illegal() {
+        use crate::legalize::Violation;
+        let c = synth::generate(&synth::smoke_regions_spec());
+        let config = PipelineConfig {
+            global: GlobalConfig {
+                max_iters: 200,
+                ..GlobalConfig::default()
+            },
+            ..PipelineConfig::default()
+        };
+        let mut pl = run(&c, &config).unwrap().placement;
+        let (design, nl) = (&c.design, &c.design.netlist);
+        let row_h = design.rows[0].height;
+        let cell = nl
+            .movable_cells()
+            .find(|&m| design.region_of(m).is_none() && nl.cell_height(m) <= row_h)
+            .unwrap();
+        let fence = design.regions[0].rect;
+        let row = design
+            .rows
+            .iter()
+            .find(|r| r.y >= fence.yl && r.y + r.height <= fence.yh)
+            .unwrap();
+        let k = ((fence.xl - row.xl) / row.site_width).ceil();
+        pl.x[cell.index()] = row.xl + k * row.site_width;
+        pl.y[cell.index()] = row.y;
+        assert!(pl.cell_rect(nl, cell).xh <= fence.xh);
+
+        match ensure_legal(design, &pl) {
+            Err(PlacerError::Illegal { first, .. }) => {
+                assert_eq!(first[0], Violation::InsideFence(cell));
+            }
+            other => panic!("expected Illegal, got {other:?}"),
+        }
+    }
+
     #[test]
     fn moreau_beats_wa_on_smoke_design() {
         // the paper's headline claim, on our smoke circuit

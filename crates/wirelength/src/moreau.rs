@@ -412,38 +412,22 @@ pub(crate) fn eval_net(
     }
 
     let (tau1, tau2) = (pair.tau1, pair.tau2);
-    // One fused, branch-light pass over the coordinates, with the clamp
-    // residual of [`eval_class`]: everything lowers to `maxsd`/`minsd`
-    // straight-line code, and value/gradient/prox share one traversal.
+    // The clamp residual of [`eval_class`] is a pure function of `x_i`,
+    // so the value and each requested output take one pass of their own.
+    let residual = |xi: f64| (xi - tau2).max(0.0) + (xi - tau1).min(0.0);
     let mut sq = 0.0;
-    match (grad, prox_out) {
-        (None, None) => {
-            for &xi in x {
-                let r = (xi - tau2).max(0.0) + (xi - tau1).min(0.0);
-                sq += r * r;
-            }
+    for &xi in x {
+        let r = residual(xi);
+        sq += r * r;
+    }
+    if let Some(g) = grad {
+        for (gi, &xi) in g.iter_mut().zip(x) {
+            *gi = residual(xi) / t;
         }
-        (Some(g), None) => {
-            for (gi, &xi) in g.iter_mut().zip(x) {
-                let r = (xi - tau2).max(0.0) + (xi - tau1).min(0.0);
-                sq += r * r;
-                *gi = r / t;
-            }
-        }
-        (None, Some(p)) => {
-            for (pi, &xi) in p.iter_mut().zip(x) {
-                let r = (xi - tau2).max(0.0) + (xi - tau1).min(0.0);
-                sq += r * r;
-                *pi = xi.clamp(tau1, tau2);
-            }
-        }
-        (Some(g), Some(p)) => {
-            for ((gi, pi), &xi) in g.iter_mut().zip(p.iter_mut()).zip(x) {
-                let r = (xi - tau2).max(0.0) + (xi - tau1).min(0.0);
-                sq += r * r;
-                *gi = r / t;
-                *pi = xi.clamp(tau1, tau2);
-            }
+    }
+    if let Some(p) = prox_out {
+        for (pi, &xi) in p.iter_mut().zip(x) {
+            *pi = xi.clamp(tau1, tau2);
         }
     }
     EnvelopeEval {
@@ -458,7 +442,7 @@ pub(crate) fn eval_net(
 /// of [`network`] on a slice, the scans of [`crate::waterfill`], the
 /// three-way branch form of Theorem 1 / Corollary 1 with separate loops for
 /// value, gradient and prox. The production kernels ([`eval_class`] for
-/// 2..=16 pins, the fused generic path above them) are restructurings that
+/// 2..=16 pins, the generic path above them) are restructurings that
 /// must stay **bit-identical** to this module on every input; the property
 /// tests here and the whole-netlist tests of [`crate::netgrad`] compare
 /// with `to_bits`.

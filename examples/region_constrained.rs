@@ -2,8 +2,8 @@
 //!
 //! Generates the demo circuit with two fences holding ~10% of the cells,
 //! runs the full flow and shows where the fenced cells ended up. The flow
-//! returns `Ok` only for a legal placement, every constrained cell inside
-//! its fence.
+//! returns `Ok` only for a legal placement: every constrained cell inside
+//! its fence, and every other cell out of all of them.
 //!
 //! ```text
 //! cargo run --release --example region_constrained

@@ -3,6 +3,7 @@
 //! legalization segment tagging, and detailed-placement move filters.
 
 use moreau_placer::netlist::synth;
+use moreau_placer::placer::legalize::{check_legal, legalize, Violation};
 use moreau_placer::placer::pipeline::{run, PipelineConfig};
 use moreau_placer::placer::GlobalConfig;
 use moreau_placer::wirelength::ModelKind;
@@ -47,28 +48,15 @@ fn full_pipeline_keeps_cells_in_their_fences() {
 
 #[test]
 fn unconstrained_cells_stay_out_of_fences_after_legalization() {
-    // fences are exclusive (DEF FENCE): the legalizer must not put free
-    // cells inside them
+    // fences are exclusive (DEF FENCE): `check_legal` reports a free cell,
+    // macros included, inside one; the generated start puts free cells
+    // there for the legalizer to move out
     let c = synth::generate(&synth::smoke_regions_spec());
-    let r = run(&c, &config(ModelKind::Moreau)).expect("placement flow");
-    let nl = &c.design.netlist;
-    let row_h = c.design.rows[0].height;
-    for cell in nl.movable_cells() {
-        if c.design.region_of(cell).is_some() {
-            continue;
-        }
-        if nl.cell_height(cell) > row_h + 1e-9 {
-            continue; // macros are handled by the coarse stage
-        }
-        let rect = r.placement.cell_rect(nl, cell);
-        for region in &c.design.regions {
-            assert!(
-                !region.rect.intersects(&rect),
-                "free cell {cell} inside fence {}: {rect}",
-                region.name
-            );
-        }
-    }
+    let start = check_legal(&c.design, &c.placement);
+    assert!(start.iter().any(|v| matches!(v, Violation::InsideFence(_))));
+    let (legal, _) = legalize(&c.design, &c.placement).expect("legalize");
+    let violations = check_legal(&c.design, &legal);
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 #[test]
