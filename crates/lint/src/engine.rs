@@ -1,12 +1,10 @@
 //! The check engine: lexes and item-parses every file once, runs the
 //! per-file rules, builds the workspace call graph for the panic-surface
-//! pass, applies suppressions, masks against the baseline, and aggregates
-//! the outcome.
+//! pass, applies suppressions, and aggregates the outcome.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::baseline::Baseline;
 use crate::callgraph::WorkspaceCtx;
 use crate::config::Config;
 use crate::context::FileData;
@@ -30,8 +28,6 @@ pub struct SuppressedViolation {
 pub struct Outcome {
     /// Violations that fail the run, in (path, line) order.
     pub new: Vec<Violation>,
-    /// Violations masked by the committed baseline.
-    pub baselined: Vec<Violation>,
     /// Violations silenced by inline suppressions (with reasons).
     pub suppressed: Vec<SuppressedViolation>,
     /// Malformed / unknown-rule suppression comments (always fail).
@@ -52,28 +48,23 @@ impl Outcome {
         !self.new.is_empty() || !self.suppress_errors.is_empty() || !self.unused.is_empty()
     }
 
-    /// Per-rule `(new, baselined, suppressed)` counts, sorted by rule.
-    pub fn per_rule(&self) -> BTreeMap<&'static str, (usize, usize, usize)> {
-        let mut map: BTreeMap<&'static str, (usize, usize, usize)> = BTreeMap::new();
+    /// Per-rule `(new, suppressed)` counts, sorted by rule.
+    pub fn per_rule(&self) -> BTreeMap<&'static str, (usize, usize)> {
+        let mut map: BTreeMap<&'static str, (usize, usize)> = BTreeMap::new();
         for v in &self.new {
             map.entry(v.rule).or_default().0 += 1;
         }
-        for v in &self.baselined {
-            map.entry(v.rule).or_default().1 += 1;
-        }
         for s in &self.suppressed {
-            map.entry(s.violation.rule).or_default().2 += 1;
+            map.entry(s.violation.rule).or_default().1 += 1;
         }
         map
     }
 }
 
-/// The engine: rule set + configuration + baseline + panic ratchet.
+/// The engine: rule set + configuration + panic ratchet.
 pub struct Engine {
     /// Rule configuration.
     pub config: Config,
-    /// Violation allowances.
-    pub baseline: Baseline,
     /// The committed panic surface; when present, any growth of the
     /// computed surface relative to it is a violation.
     pub panic_ratchet: Option<PanicSurface>,
@@ -82,10 +73,9 @@ pub struct Engine {
 
 impl Engine {
     /// Builds an engine with the full rule set and no panic ratchet.
-    pub fn new(config: Config, baseline: Baseline) -> Self {
+    pub fn new(config: Config) -> Self {
         Self {
             config,
-            baseline,
             panic_ratchet: None,
             rules: rules::all_rules(),
         }
@@ -135,8 +125,9 @@ impl Engine {
                     col: 1,
                     message: format!(
                         "public panic surface grew: [{krate}] {entry} newly reaches a \
-                         panic ({chain}); make it panic-free or consciously re-ratchet \
-                         with `mep-lint baseline`"
+                         panic ({chain}); make it panic-free, or accept the growth by \
+                         committing the {} this run rewrote",
+                        surface::SURFACE_FILE
                     ),
                     snippet: String::new(),
                 });
@@ -159,7 +150,7 @@ impl Engine {
             }
         }
 
-        // phase 3: suppression + baseline passes, per file
+        // phase 3: the suppression pass, per file
         let known: Vec<&str> = self
             .rules
             .iter()
@@ -167,74 +158,10 @@ impl Engine {
             .chain([surface::RULE])
             .collect();
         for (fd, raw) in ws.files.iter().zip(raw_by_file) {
-            self.apply_filters(fd, raw, &known, outcome);
+            apply_suppressions(fd, raw, &known, outcome);
             outcome.files += 1;
         }
         outcome.panic_surface = Some(analysis.surface);
-    }
-
-    /// Applies the suppression and baseline passes to one file's raw
-    /// violations; a suppression naming a rule outside `known` is an error.
-    fn apply_filters(
-        &self,
-        fd: &FileData,
-        raw: Vec<Violation>,
-        known: &[&str],
-        outcome: &mut Outcome,
-    ) {
-        let (suppressions, errors) = suppress::parse(&fd.src, &fd.tokens, &fd.lines, known);
-        for e in errors {
-            outcome.suppress_errors.push((fd.file.rel_path.clone(), e));
-        }
-
-        // suppression pass: a violation is silenced by a suppression with
-        // the same rule whose target line matches
-        let mut used = vec![false; suppressions.len()];
-        let mut remaining: Vec<Violation> = Vec::new();
-        for v in raw {
-            let hit = suppressions
-                .iter()
-                .position(|s| s.rule == v.rule && s.target_line == v.line);
-            match hit {
-                Some(i) => {
-                    used[i] = true;
-                    outcome.suppressed.push(SuppressedViolation {
-                        reason: suppressions[i].reason.clone(),
-                        violation: v,
-                    });
-                }
-                None => remaining.push(v),
-            }
-        }
-        for (i, s) in suppressions.into_iter().enumerate() {
-            if !used[i] {
-                outcome.unused.push((fd.file.rel_path.clone(), s));
-            }
-        }
-
-        // baseline pass: per rule, a file within its allowance is fully
-        // masked; exceeding it reports every instance (the offender is
-        // not identifiable once line numbers shift, so show all)
-        let mut by_rule: BTreeMap<&'static str, Vec<Violation>> = BTreeMap::new();
-        for v in remaining {
-            by_rule.entry(v.rule).or_default().push(v);
-        }
-        for (rule, vs) in by_rule {
-            let allowed = self.baseline.allowance(rule, &fd.file.rel_path);
-            if vs.len() <= allowed {
-                outcome.baselined.extend(vs);
-            } else {
-                outcome.new.extend(vs.into_iter().map(|mut v| {
-                    if allowed > 0 {
-                        v.message = format!(
-                            "{} [file exceeds its baseline allowance of {allowed} for {rule}]",
-                            v.message
-                        );
-                    }
-                    v
-                }));
-            }
-        }
     }
 
     /// Checks every discovered file under `root`.
@@ -255,33 +182,6 @@ impl Engine {
         Ok(outcome)
     }
 
-    /// Regenerates a baseline that exactly covers the current violations
-    /// (suppressed ones stay suppressed, not baselined), plus the freshly
-    /// computed panic surface to commit as the new ratchet.
-    /// `panic-surface` violations are never baselined: surface growth is
-    /// ratcheted through `results/panic_surface.json` and protected-root
-    /// reachability is always a hard error.
-    pub fn regenerate_baseline(&self, root: &Path) -> Result<(Baseline, PanicSurface), String> {
-        // run against an empty baseline and no ratchet so every
-        // unsuppressed violation is visible
-        let fresh = Engine::new(self.config.clone(), Baseline::empty());
-        let outcome = fresh.check_workspace(root)?;
-        let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-        for v in &outcome.new {
-            if v.rule == surface::RULE {
-                continue;
-            }
-            *counts
-                .entry((v.rule.to_string(), v.path.clone()))
-                .or_default() += 1;
-        }
-        let mut baseline = Baseline::empty();
-        for ((rule, path), count) in counts {
-            baseline.set(&rule, &path, count);
-        }
-        Ok((baseline, outcome.panic_surface.unwrap_or_default()))
-    }
-
     /// Rule list for `mep-lint rules`.
     pub fn describe_rules(&self) -> Vec<(&'static str, &'static str)> {
         let mut out: Vec<(&'static str, &'static str)> =
@@ -292,5 +192,39 @@ impl Engine {
              roots must be panic-free outside catch_unwind",
         ));
         out
+    }
+}
+
+/// Applies the suppression pass to one file's raw violations: what no
+/// suppression silences fails the run, and a suppression naming a rule
+/// outside `known` is an error.
+fn apply_suppressions(fd: &FileData, raw: Vec<Violation>, known: &[&str], outcome: &mut Outcome) {
+    let (suppressions, errors) = suppress::parse(&fd.src, &fd.tokens, &fd.lines, known);
+    for e in errors {
+        outcome.suppress_errors.push((fd.file.rel_path.clone(), e));
+    }
+
+    // suppression pass: a violation is silenced by a suppression with
+    // the same rule whose target line matches
+    let mut used = vec![false; suppressions.len()];
+    for v in raw {
+        let hit = suppressions
+            .iter()
+            .position(|s| s.rule == v.rule && s.target_line == v.line);
+        match hit {
+            Some(i) => {
+                used[i] = true;
+                outcome.suppressed.push(SuppressedViolation {
+                    reason: suppressions[i].reason.clone(),
+                    violation: v,
+                });
+            }
+            None => outcome.new.push(v),
+        }
+    }
+    for (i, s) in suppressions.into_iter().enumerate() {
+        if !used[i] {
+            outcome.unused.push((fd.file.rel_path.clone(), s));
+        }
     }
 }

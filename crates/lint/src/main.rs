@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! mep-lint check [--root DIR]
-//! mep-lint baseline [--root DIR]
 //! mep-lint rules
 //! ```
 //!
@@ -11,8 +10,9 @@
 //! the machine-readable posture to `results/lint_report.json` and the
 //! freshly computed panic-surface ratchet to `results/panic_surface.json`
 //! under the workspace root; the run fails if the surface *grew* relative
-//! to the committed artifact (CI additionally `git diff`s the rewrite so
-//! shrinkage must be committed too).
+//! to the committed artifact. Committing the rewrite is how the author
+//! accepts a change of the surface, growth or shrinkage; CI `git diff`s
+//! it, so neither goes in unseen.
 
 #![forbid(unsafe_code)]
 
@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mep_lint::surface::{PanicSurface, SURFACE_FILE};
-use mep_lint::{baseline::BASELINE_FILE, Baseline, Config, Engine};
+use mep_lint::{Config, Engine};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,23 +65,21 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         .unwrap_or(("check", &[]));
     match cmd {
         "check" => check(&parse_options(rest)?),
-        "baseline" => regenerate(&parse_options(rest)?),
         "rules" => {
-            let engine = Engine::new(Config::default(), Baseline::empty());
+            let engine = Engine::new(Config::default());
             for (name, summary) in engine.describe_rules() {
                 println!("{name:<16} {summary}");
             }
             Ok(ExitCode::SUCCESS)
         }
         other => Err(format!(
-            "unknown command `{other}` (expected `check`, `baseline`, or `rules`)"
+            "unknown command `{other}` (expected `check` or `rules`)"
         )),
     }
 }
 
 fn check(opts: &Options) -> Result<ExitCode, String> {
-    let baseline = Baseline::load(&opts.root)?;
-    let mut engine = Engine::new(Config::default(), baseline);
+    let mut engine = Engine::new(Config::default());
 
     // load the committed panic-surface ratchet; a missing file means a
     // first run (no growth check), a malformed one is an error
@@ -116,8 +114,8 @@ fn check(opts: &Options) -> Result<ExitCode, String> {
     std::fs::write(&path, json + "\n").map_err(|e| format!("writing {}: {e}", path.display()))?;
     println!("report: {}", path.display());
 
-    // rewrite the ratchet with the freshly computed surface so shrinkage
-    // shows up as a committable diff (CI enforces it)
+    // rewrite the ratchet with the freshly computed surface: shrinkage,
+    // and growth the author accepts, show up as a committable diff
     if let Some(surface) = &outcome.panic_surface {
         std::fs::write(&surface_path, surface.render())
             .map_err(|e| format!("writing {}: {e}", surface_path.display()))?;
@@ -134,31 +132,4 @@ fn check(opts: &Options) -> Result<ExitCode, String> {
     } else {
         ExitCode::SUCCESS
     })
-}
-
-fn regenerate(opts: &Options) -> Result<ExitCode, String> {
-    let engine = Engine::new(Config::default(), Baseline::empty());
-    let (baseline, surface) = engine.regenerate_baseline(&opts.root)?;
-    let path = opts.root.join(BASELINE_FILE);
-    std::fs::write(&path, baseline.render())
-        .map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!(
-        "baseline: {} entries covering {} violation(s) written to {}",
-        baseline.len(),
-        baseline.total(),
-        path.display()
-    );
-    let surface_path = opts.root.join(SURFACE_FILE);
-    if let Some(dir) = surface_path.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    }
-    std::fs::write(&surface_path, surface.render())
-        .map_err(|e| format!("writing {}: {e}", surface_path.display()))?;
-    println!(
-        "panic surface re-ratcheted: {} public function(s) across {} crate(s) -> {}",
-        surface.len(),
-        surface.crates.len(),
-        surface_path.display()
-    );
-    Ok(ExitCode::SUCCESS)
 }

@@ -8,37 +8,35 @@ use crate::engine::Outcome;
 
 /// Renders the outcome as a single JSON object.
 ///
-/// Schema (stable; additions only):
+/// Schema (stable; additions only within a version):
 ///
 /// ```json
 /// {
-///   "schema": "mep-lint-report-v1",
-///   "files": 57, "new": 0, "baselined": 12, "suppressed": 9,
+///   "schema": "mep-lint-report-v2",
+///   "files": 57, "new": 0, "suppressed": 9,
 ///   "suppression_errors": 0, "unused_suppressions": 0,
-///   "rules": [ {"rule": "...", "new": 0, "baselined": 3, "suppressed": 2} ],
+///   "rules": [ {"rule": "...", "new": 0, "suppressed": 2} ],
 ///   "suppressions": [ {"rule": "...", "path": "...", "line": 7, "reason": "..."} ],
 ///   "violations": [ {"rule": "...", "path": "...", "line": 3, "col": 9, "message": "..."} ]
 /// }
 /// ```
 pub fn render_json(outcome: &Outcome) -> String {
     let mut root = JsonObject::new();
-    root.field_str("schema", "mep-lint-report-v1")
+    root.field_str("schema", "mep-lint-report-v2")
         .field_u64("files", outcome.files as u64)
         .field_u64("new", outcome.new.len() as u64)
-        .field_u64("baselined", outcome.baselined.len() as u64)
         .field_u64("suppressed", outcome.suppressed.len() as u64)
         .field_u64("suppression_errors", outcome.suppress_errors.len() as u64)
         .field_u64("unused_suppressions", outcome.unused.len() as u64);
 
     let mut rules = String::from("[");
-    for (i, (rule, (new, baselined, suppressed))) in outcome.per_rule().iter().enumerate() {
+    for (i, (rule, (new, suppressed))) in outcome.per_rule().iter().enumerate() {
         if i > 0 {
             rules.push(',');
         }
         let mut o = JsonObject::new();
         o.field_str("rule", rule)
             .field_u64("new", *new as u64)
-            .field_u64("baselined", *baselined as u64)
             .field_u64("suppressed", *suppressed as u64);
         rules.push_str(&o.finish());
     }
@@ -85,10 +83,9 @@ pub fn render_summary(outcome: &Outcome) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "mep-lint: {} files checked — {} new, {} baselined, {} suppressed{}{}",
+        "mep-lint: {} files checked — {} new, {} suppressed{}{}",
         outcome.files,
         outcome.new.len(),
-        outcome.baselined.len(),
         outcome.suppressed.len(),
         if outcome.suppress_errors.is_empty() {
             String::new()
@@ -104,11 +101,8 @@ pub fn render_summary(outcome: &Outcome) -> String {
             format!(", {} unused suppression(s)", outcome.unused.len())
         }
     );
-    for (rule, (new, baselined, suppressed)) in outcome.per_rule() {
-        let _ = writeln!(
-            out,
-            "  {rule:<16} new {new:>3}  baselined {baselined:>3}  suppressed {suppressed:>3}"
-        );
+    for (rule, (new, suppressed)) in outcome.per_rule() {
+        let _ = writeln!(out, "  {rule:<16} new {new:>3}  suppressed {suppressed:>3}");
     }
     out
 }
@@ -145,10 +139,9 @@ mod tests {
             },
         });
         let json = render_json(&o);
-        assert!(json.starts_with(r#"{"schema":"mep-lint-report-v1""#));
+        assert!(json.starts_with(r#"{"schema":"mep-lint-report-v2""#));
         assert!(json.contains(r#""new":1"#));
         assert!(json.contains(r#""reason":"poisoned mutex is fatal""#));
-        assert!(json
-            .contains(r#""rules":[{"rule":"no-panic-lib","new":1,"baselined":0,"suppressed":1}]"#));
+        assert!(json.contains(r#""rules":[{"rule":"no-panic-lib","new":1,"suppressed":1}]"#));
     }
 }

@@ -5,7 +5,6 @@
 //! | rule            | guards                                              |
 //! |-----------------|-----------------------------------------------------|
 //! | `no-panic-lib`  | no `unwrap`/`expect`/panic macros in library code   |
-//! | `nan-unsafe-cmp`| no `partial_cmp(..).unwrap()` — use `total_cmp`     |
 //! | `determinism`   | no `HashMap`/`HashSet`, clocks, or thread-id logic  |
 //! |                 | in result-affecting crates                          |
 //! | `float-eq`      | no `==`/`!=` against float literals / float consts  |
@@ -21,8 +20,8 @@ use crate::workspace::FileKind;
 
 /// A single lint rule.
 pub trait Rule {
-    /// Stable identifier used in diagnostics, suppressions, and the
-    /// baseline (kebab-case).
+    /// Stable identifier used in diagnostics and suppressions
+    /// (kebab-case).
     fn name(&self) -> &'static str;
     /// One-line description shown by `mep-lint rules`.
     fn summary(&self) -> &'static str;
@@ -34,7 +33,6 @@ pub trait Rule {
 pub fn all_rules() -> Vec<Box<dyn Rule>> {
     vec![
         Box::new(NoPanicLib),
-        Box::new(NanUnsafeCmp),
         Box::new(Determinism),
         Box::new(FloatEq),
         Box::new(NoAllocHot),
@@ -73,7 +71,8 @@ impl Rule for NoPanicLib {
                 Some(PanicKind::Unwrap) => format!(
                     "`.{text}()` can panic in library code; return a typed error \
                      (see crates/placer/src/error.rs) or restructure so the case \
-                     is impossible"
+                     is impossible (to order floats, `f64::total_cmp` never fails \
+                     where `partial_cmp(..).{text}()` panics on NaN)"
                 ),
                 Some(PanicKind::Macro) => {
                     format!("`{text}!` panics in library code; return a typed error instead")
@@ -81,70 +80,6 @@ impl Rule for NoPanicLib {
                 _ => continue,
             };
             out.push(fd.violation(self.name(), tok.span.start, message));
-        }
-    }
-}
-
-// --- nan-unsafe-cmp ---------------------------------------------------------
-
-struct NanUnsafeCmp;
-
-impl Rule for NanUnsafeCmp {
-    fn name(&self) -> &'static str {
-        "nan-unsafe-cmp"
-    }
-
-    fn summary(&self) -> &'static str {
-        "`partial_cmp(..).unwrap()` panics on NaN and breaks strict-weak-order; use `total_cmp`"
-    }
-
-    fn check(&self, fd: &FileData, _cfg: &Config, out: &mut Vec<Violation>) {
-        if panic_tolerant(fd) {
-            return;
-        }
-        for (i, tok) in fd.tokens.iter().enumerate() {
-            if tok.kind != TokenKind::Ident
-                || fd.text(i) != "partial_cmp"
-                || fd.in_test_code(tok.span.start)
-            {
-                continue;
-            }
-            // skip the argument list `( … )`
-            let open = fd.next_code(i + 1);
-            if fd.text(open) != "(" {
-                continue;
-            }
-            let mut depth = 0usize;
-            let mut j = open;
-            while j < fd.tokens.len() {
-                match fd.text(j) {
-                    "(" => depth += 1,
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            // `.unwrap(` / `.expect(` directly after the call?
-            let dot = fd.next_code(j + 1);
-            let method = fd.next_code(dot + 1);
-            if fd.punct_is(dot, ".")
-                && (fd.ident_is(method, "unwrap") || fd.ident_is(method, "expect"))
-            {
-                out.push(
-                    fd.violation(
-                        self.name(),
-                        tok.span.start,
-                        "`partial_cmp(..).unwrap()` panics on NaN mid-sort; \
-                     use `f64::total_cmp` (NaN-safe total order)"
-                            .to_string(),
-                    ),
-                );
-            }
         }
     }
 }

@@ -7,15 +7,15 @@
 //! it *grew* relative to the committed `results/panic_surface.json`, and
 //! rewrites the file with the freshly computed surface — so shrinkage
 //! shows up as a git diff the author commits (CI runs
-//! `git diff --exit-code` on it), and growth is a hard error unless the
-//! author consciously re-ratchets with `mep-lint baseline`. Entries are
+//! `git diff --exit-code` on it), and growth fails the run until the
+//! author accepts it by committing the rewritten file. Entries are
 //! keyed `(crate, path::fn)` with no line numbers, so moving code around
 //! never churns the ratchet.
 //!
-//! A suppressed or baselined `no-panic-lib` diagnostic does NOT remove a
-//! panic site from this analysis: the suppression silences the per-file
-//! diagnostic, but the fact that the code can panic still propagates —
-//! only `catch_unwind` actually contains a panic.
+//! A suppressed `no-panic-lib` diagnostic does NOT remove a panic site
+//! from this analysis: the suppression silences the per-file diagnostic,
+//! but the fact that the code can panic still propagates — only
+//! `catch_unwind` actually contains a panic.
 
 use std::collections::{BTreeMap, BTreeSet};
 

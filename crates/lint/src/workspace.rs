@@ -54,7 +54,7 @@ impl FileKind {
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators (stable across hosts,
-    /// used in diagnostics, suppression bookkeeping, and the baseline).
+    /// used in diagnostics and suppression bookkeeping).
     pub rel_path: String,
     /// Role (library / bin / test / bench / example).
     pub kind: FileKind,
@@ -115,8 +115,8 @@ pub fn classify(rel_path: &str) -> Option<SourceFile> {
 }
 
 /// Walks the workspace at `root` and returns every linted source file,
-/// sorted by path so diagnostics, the baseline, and the JSON report are
-/// deterministic regardless of directory iteration order.
+/// sorted by path so diagnostics and the JSON report are deterministic
+/// regardless of directory iteration order.
 pub fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut paths = Vec::new();
     walk(root, root, &mut paths)?;

@@ -1,22 +1,23 @@
 //! Per-rule fixture tests: for every rule, a positive case (the rule
-//! fires), a negative case (it stays quiet), a suppressed case
-//! (`lint:allow` with a reason silences it), and a baseline-masked case.
+//! fires), a negative case (it stays quiet), and a suppressed case
+//! (`lint:allow` with a reason silences it).
 //! Plus the end-to-end acceptance check from the issue: an injected
 //! violation fails the run with a `file:line:col rule message` diagnostic.
 
-use mep_lint::{workspace, Baseline, Config, Engine, Outcome};
+use mep_lint::{workspace, Config, Engine, Outcome};
 
-/// Lints `src` as if it lived at `rel_path`, against `baseline`.
-fn check_with(rel_path: &str, src: &str, baseline: Baseline) -> Outcome {
+/// Lints `src` as if it lived at `rel_path`, under `config` (the
+/// panic-surface fixtures need a protected root in the fixture crate).
+fn check_cfg(rel_path: &str, src: &str, config: Config) -> Outcome {
     let file = workspace::classify(rel_path).expect("fixture path must classify");
-    let engine = Engine::new(Config::default(), baseline);
+    let engine = Engine::new(config);
     let mut outcome = Outcome::default();
     engine.check_source(&file, src, &mut outcome);
     outcome
 }
 
 fn check(rel_path: &str, src: &str) -> Outcome {
-    check_with(rel_path, src, Baseline::empty())
+    check_cfg(rel_path, src, Config::default())
 }
 
 /// New violations for one rule only.
@@ -87,6 +88,38 @@ fn no_panic_lib_looks_past_comments_as_the_panic_surface_does() {
 }
 
 #[test]
+fn no_panic_lib_flags_partial_cmp_unwrap_and_expect() {
+    // a NaN-unsafe comparator is a panic like any other, and the message
+    // points at the total order
+    let src =
+        "pub fn sort(xs: &mut [f64]) {\n    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
+    let out = check(LIB, src);
+    let vs = new_for(&out, "no-panic-lib");
+    assert_eq!(vs.len(), 1);
+    assert!(vs[0].message.contains("f64::total_cmp"));
+    assert!(out.failed());
+
+    let src = "pub fn sort(xs: &mut [f64]) {\n    xs.sort_by(|a, b| a.partial_cmp(b).expect(\"finite\"));\n}\n";
+    let out = check(LIB, src);
+    assert_eq!(new_for(&out, "no-panic-lib").len(), 1);
+    assert!(out.failed());
+}
+
+#[test]
+fn no_panic_lib_passes_total_cmp_and_unwrap_or() {
+    let src = "pub fn sort(xs: &mut [f64]) {\n    xs.sort_by(|a, b| a.total_cmp(b));\n}\n";
+    let out = check(LIB, src);
+    assert!(out.new.is_empty(), "{:?}", out.new);
+    assert!(!out.failed());
+
+    // handling the None case is fine
+    let src = "pub fn cmp(a: f64, b: f64) -> std::cmp::Ordering {\n    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)\n}\n";
+    let out = check(LIB, src);
+    assert!(out.new.is_empty(), "{:?}", out.new);
+    assert!(!out.failed());
+}
+
+#[test]
 fn no_panic_lib_suppressed() {
     let src = "pub fn f(x: Option<u32>) -> u32 {\n    // lint:allow(no-panic-lib): fixture-justified invariant\n    x.unwrap()\n}\n";
     let out = check(LIB, src);
@@ -94,73 +127,6 @@ fn no_panic_lib_suppressed() {
     assert_eq!(out.suppressed.len(), 1);
     assert_eq!(out.suppressed[0].reason, "fixture-justified invariant");
     assert!(!out.failed());
-}
-
-#[test]
-fn no_panic_lib_baseline_masked() {
-    let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-    let mut baseline = Baseline::empty();
-    baseline.set("no-panic-lib", LIB, 1);
-    let out = check_with(LIB, src, baseline);
-    assert!(out.new.is_empty());
-    assert_eq!(out.baselined.len(), 1);
-    assert!(!out.failed());
-}
-
-#[test]
-fn exceeding_the_baseline_reports_every_instance() {
-    let src = "pub fn f(x: Option<u32>, y: Option<u32>) -> u32 {\n    x.unwrap() + y.unwrap()\n}\n";
-    let mut baseline = Baseline::empty();
-    baseline.set("no-panic-lib", LIB, 1);
-    let out = check_with(LIB, src, baseline);
-    // the offender is not identifiable, so the whole file surfaces
-    assert_eq!(new_for(&out, "no-panic-lib").len(), 2);
-    assert!(out.new[0].message.contains("baseline allowance of 1"));
-    assert!(out.failed());
-}
-
-// --- nan-unsafe-cmp ---------------------------------------------------------
-
-#[test]
-fn nan_unsafe_cmp_positive() {
-    let src =
-        "pub fn sort(xs: &mut [f64]) {\n    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
-    let out = check(LIB, src);
-    let vs = new_for(&out, "nan-unsafe-cmp");
-    assert_eq!(vs.len(), 1);
-    assert!(vs[0].message.contains("total_cmp"));
-
-    // `.expect(...)` after the call is just as NaN-unsafe
-    let src = "pub fn m(xs: &[f64]) -> f64 {\n    *xs.iter().max_by(|a, b| a.partial_cmp(b).expect(\"finite\")).unwrap()\n}\n";
-    assert_eq!(new_for(&check(LIB, src), "nan-unsafe-cmp").len(), 1);
-}
-
-#[test]
-fn nan_unsafe_cmp_negative() {
-    let src = "pub fn sort(xs: &mut [f64]) {\n    xs.sort_by(|a, b| a.total_cmp(b));\n}\n";
-    assert!(new_for(&check(LIB, src), "nan-unsafe-cmp").is_empty());
-
-    // handling the None case is fine
-    let src = "pub fn cmp(a: f64, b: f64) -> std::cmp::Ordering {\n    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)\n}\n";
-    assert!(new_for(&check(LIB, src), "nan-unsafe-cmp").is_empty());
-}
-
-#[test]
-fn nan_unsafe_cmp_suppressed_and_masked() {
-    let src = "pub fn sort(xs: &mut [f64]) {\n    // lint:allow(nan-unsafe-cmp): inputs validated finite upstream\n    // lint:allow(no-panic-lib): same invariant\n    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
-    let out = check(LIB, src);
-    assert!(out.new.is_empty());
-    assert_eq!(out.suppressed.len(), 2);
-    assert!(!out.failed());
-
-    let src =
-        "pub fn sort(xs: &mut [f64]) {\n    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}\n";
-    let mut baseline = Baseline::empty();
-    baseline.set("nan-unsafe-cmp", LIB, 1);
-    baseline.set("no-panic-lib", LIB, 1);
-    let out = check_with(LIB, src, baseline);
-    assert!(out.new.is_empty());
-    assert_eq!(out.baselined.len(), 2);
 }
 
 // --- determinism ------------------------------------------------------------
@@ -293,18 +259,11 @@ fn no_alloc_hot_negative() {
 }
 
 #[test]
-fn no_alloc_hot_suppressed_and_masked() {
+fn no_alloc_hot_suppressed() {
     let src = "pub fn plan() -> Vec<f64> {\n    // lint:allow(no-alloc-hot): one-time plan construction, not the per-iteration path\n    Vec::new()\n}\n";
     let out = check(HOT, src);
     assert!(out.new.is_empty());
     assert_eq!(out.suppressed.len(), 1);
-
-    let src = "pub fn plan() -> Vec<f64> {\n    Vec::new()\n}\n";
-    let mut baseline = Baseline::empty();
-    baseline.set("no-alloc-hot", HOT, 1);
-    let out = check_with(HOT, src, baseline);
-    assert!(out.new.is_empty());
-    assert_eq!(out.baselined.len(), 1);
 }
 
 // --- forbid-unsafe ----------------------------------------------------------
@@ -359,7 +318,12 @@ fn suppression_without_reason_is_an_error() {
 fn suppression_of_unknown_rule_is_an_error() {
     // a retired rule name is as unknown as a typo: a hard error, never a
     // silent no-op
-    for rule in ["no-such-rule", "lock-order", "atomic-ordering"] {
+    for rule in [
+        "no-such-rule",
+        "lock-order",
+        "atomic-ordering",
+        "nan-unsafe-cmp",
+    ] {
         let src = format!("// lint:allow({rule}): whatever\npub fn f() {{}}\n");
         let out = check(LIB, &src);
         assert_eq!(out.suppress_errors.len(), 1, "{rule}");
@@ -392,16 +356,6 @@ fn injected_violation_yields_file_line_rule_diagnostic() {
 }
 
 // --- panic-surface ----------------------------------------------------------
-
-/// Lints `src` with a custom config (the panic-surface fixtures need a
-/// protected root in the fixture crate).
-fn check_cfg(rel_path: &str, src: &str, config: Config) -> Outcome {
-    let file = workspace::classify(rel_path).expect("fixture path must classify");
-    let engine = Engine::new(config, Baseline::empty());
-    let mut outcome = Outcome::default();
-    engine.check_source(&file, src, &mut outcome);
-    outcome
-}
 
 /// A config whose only protected root lives in the fixture crate.
 fn rooted_config() -> Config {
@@ -503,47 +457,25 @@ fn panic_surface_growth_is_ratcheted() {
         .entry("obs".to_string())
         .or_default()
         .insert(format!("{COLD_CRATE}::f"));
-    let mut engine = Engine::new(Config::default(), Baseline::empty());
+    let mut engine = Engine::new(Config::default());
     engine.panic_ratchet = Some(committed);
     let mut out = Outcome::default();
     engine.check_source(&file, src, &mut out);
     assert!(new_for(&out, "panic-surface").is_empty(), "{:?}", out.new);
 
     // empty ratchet: the same surface is growth and fails
-    let mut engine = Engine::new(Config::default(), Baseline::empty());
+    let mut engine = Engine::new(Config::default());
     engine.panic_ratchet = Some(PanicSurface::default());
     let mut out = Outcome::default();
     engine.check_source(&file, src, &mut out);
     let vs = new_for(&out, "panic-surface");
     assert_eq!(vs.len(), 1, "{:?}", out.new);
     assert!(vs[0].message.contains("panic surface grew"));
-    assert!(vs[0].message.contains("re-ratchet"));
+    assert!(vs[0]
+        .message
+        .contains("committing the results/panic_surface.json"));
 
     // the computed surface artifact is always attached to the outcome
     let surface = out.panic_surface.expect("surface present after check");
     assert!(surface.crates["obs"].contains(&format!("{COLD_CRATE}::f")));
-}
-
-#[test]
-fn panic_surface_growth_masked_by_baseline_allowance() {
-    // `mep-lint baseline` never writes panic-surface allowances, but the
-    // engine's masking semantics stay uniform: a hand-written allowance
-    // masks a growth diagnostic like any other rule's.
-    use mep_lint::surface::PanicSurface;
-    let file = workspace::classify(COLD_CRATE).expect("fixture path must classify");
-    let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-    let mut baseline = Baseline::empty();
-    baseline.set("panic-surface", COLD_CRATE, 1);
-    let mut engine = Engine::new(Config::default(), baseline);
-    engine.panic_ratchet = Some(PanicSurface::default());
-    let mut out = Outcome::default();
-    engine.check_source(&file, src, &mut out);
-    assert!(new_for(&out, "panic-surface").is_empty(), "{:?}", out.new);
-    assert_eq!(
-        out.baselined
-            .iter()
-            .filter(|v| v.rule == "panic-surface")
-            .count(),
-        1
-    );
 }

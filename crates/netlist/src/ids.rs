@@ -19,9 +19,11 @@ macro_rules! define_id {
             ///
             /// # Panics
             ///
-            /// Panics if `idx` does not fit in `u32`.
+            /// Panics if `idx` does not fit in `u32`; a silent `as u32`
+            /// would alias two ids instead.
             #[inline]
             pub fn from_usize(idx: usize) -> Self {
+                // lint:allow(no-panic-lib): no netlist reaches 2^32 cells, nets or pins: at 28+ bytes per entry one id space alone would need over 100 GB
                 Self(u32::try_from(idx).expect("index exceeds u32::MAX"))
             }
 

@@ -20,6 +20,7 @@
 
 use crate::bookshelf::BookshelfCircuit;
 use crate::design::Design;
+use crate::error::NetlistError;
 use crate::geom::{Point, Rect};
 use crate::netlist::NetlistBuilder;
 use crate::placement::Placement;
@@ -474,7 +475,18 @@ pub fn scaled_clustered_spec(movable: usize, seed: u64) -> SynthSpec {
 /// Generates the circuit for a spec: design geometry, netlist, and an
 /// initial placement (fixed cells placed, movable cells at the die center
 /// with a small deterministic jitter).
+///
+/// # Panics
+///
+/// Panics if the spec's target density or fences make the design invalid
+/// (see [`Design::new`] and [`Design::add_region`]). No catalogue spec
+/// ([`builtins`]) and no [`scaled_clustered_spec`] does.
 pub fn generate(spec: &SynthSpec) -> BookshelfCircuit {
+    // lint:allow(no-panic-lib): cell names are distinct by prefix and index, and die, rows and fences are valid for every catalogue spec and for `scaled_clustered_spec`
+    try_generate(spec).expect("catalogue specs generate")
+}
+
+fn try_generate(spec: &SynthSpec) -> Result<BookshelfCircuit, NetlistError> {
     let mut rng = StdRng::seed_from_u64(spec.seed);
 
     // --- cell sizes ---------------------------------------------------------
@@ -495,17 +507,13 @@ pub fn generate(spec: &SynthSpec) -> BookshelfCircuit {
             _ => 4.0,
         };
         movable_area += w;
-        builder
-            .add_cell(format!("o{i}"), w, 1.0, true)
-            .expect("generated names are unique");
+        builder.add_cell(format!("o{i}"), w, 1.0, true)?;
     }
     for i in 0..n_macros {
         let w = rng.gen_range(4..=12) as f64;
         let h = rng.gen_range(4..=12) as f64;
         movable_area += w * h;
-        builder
-            .add_cell(format!("m{i}"), w, h, true)
-            .expect("generated names are unique");
+        builder.add_cell(format!("m{i}"), w, h, true)?;
     }
 
     // fixed cells: 75% zero-area periphery terminals, 25% in-die blockages
@@ -518,14 +526,10 @@ pub fn generate(spec: &SynthSpec) -> BookshelfCircuit {
         let h = rng.gen_range(6..=20) as f64;
         block_area += w * h;
         block_dims.push((w, h));
-        builder
-            .add_cell(format!("b{i}"), w, h, false)
-            .expect("generated names are unique");
+        builder.add_cell(format!("b{i}"), w, h, false)?;
     }
     for i in 0..n_terms {
-        builder
-            .add_cell(format!("p{i}"), 0.0, 0.0, false)
-            .expect("generated names are unique");
+        builder.add_cell(format!("p{i}"), 0.0, 0.0, false)?;
     }
 
     // --- die geometry --------------------------------------------------------
@@ -713,16 +717,13 @@ pub fn generate(spec: &SynthSpec) -> BookshelfCircuit {
         1.0,
         1.0,
         spec.target_density,
-    )
-    .expect("generated geometry is valid");
+    )?;
 
     // --- fence regions ----------------------------------------------------------
     if spec.regions > 0 {
         let mut region_ids = Vec::with_capacity(spec.regions);
         for (r, &rect) in fence_rects.iter().enumerate() {
-            let id = design
-                .add_region(format!("fence{r}"), rect)
-                .expect("fence inside die");
+            let id = design.add_region(format!("fence{r}"), rect)?;
             region_ids.push(id);
         }
         // assign ~10% of movable standard cells round-robin, capped well
@@ -756,7 +757,7 @@ pub fn generate(spec: &SynthSpec) -> BookshelfCircuit {
         }
     }
 
-    BookshelfCircuit { design, placement }
+    Ok(BookshelfCircuit { design, placement })
 }
 
 #[cfg(test)]

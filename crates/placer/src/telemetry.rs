@@ -101,7 +101,7 @@ pub(crate) fn build_run_report(
 
     export_engine_stats(&mut r, &result.engine_stats);
 
-    // guard events (formerly only on RecoveryLog)
+    // guard events
     r.set_counter("guard.recoveries", result.recovery.len() as u64);
     if let Some(event) = result.recovery.events().last() {
         r.set_label("guard.last_event", &event.to_string());

@@ -252,7 +252,6 @@ fn design_md_names_only_what_the_tree_holds() {
         "Cargo.toml",
         "BENCHMARK.json",
         "BENCH_density.json",
-        "lint.baseline",
     ]) {
         if path.extension().is_some_and(|e| e == "md") || path.ends_with(file!()) {
             continue;
